@@ -501,7 +501,10 @@ fn crash_matrix(seeds: u64) -> (Table, u64, bool) {
 /// all three adversaries on both flush paths, recovery via
 /// `Tree::reopen_from_image`, and the committed-prefix oracle — the
 /// recovered tree must equal the state after a whole number of
-/// committed transactions. Returns the per-cell table, the total
+/// committed transactions. Every recovered image then goes a second
+/// round (one-leaf retry commit, strict power failure, in-place
+/// recovery, exact state), because a stale shadow page only shows at
+/// the recovery *after* a retry. Returns the per-cell table, the total
 /// recovery count, and whether all held.
 fn tree_crash_matrix(seeds: u64) -> (Table, u64, bool) {
     use nvcache_pmem::CrashPlan;
@@ -513,6 +516,8 @@ fn tree_crash_matrix(seeds: u64) -> (Table, u64, bool) {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     }
+    /// Key universe of the programs.
+    const KEYS: u64 = 32;
     // one txn = (key, Some(value-tag)) puts and (key, None) deletes
     type Txn = Vec<(u64, Option<u64>)>;
     fn program(seed: u64, txns: usize, keys: u64) -> Vec<Txn> {
@@ -570,7 +575,7 @@ fn tree_crash_matrix(seeds: u64) -> (Table, u64, bool) {
             let mut recoveries = 0u64;
             let mut failures = 0u64;
             for seed in 0..seeds {
-                let prog = program(0xa11ce + seed, 12, 32);
+                let prog = program(0xa11ce + seed, 12, KEYS);
                 let mut rec_tree = Tree::create(&cfg).expect("format tree heap");
                 let mut commit_steps = vec![rec_tree.steps()];
                 let mut snaps = vec![dump(&rec_tree)];
@@ -597,7 +602,7 @@ fn tree_crash_matrix(seeds: u64) -> (Table, u64, bool) {
                     let image = tr.take_crash_image().expect("crash step within program");
                     recoveries += 1;
                     match Tree::reopen_from_image(image, &cfg) {
-                        Ok(rec) => {
+                        Ok(mut rec) => {
                             let committed = commit_steps.iter().rposition(|&c| c <= k).unwrap();
                             let got = dump(&rec);
                             if !(got == snaps[committed] || Some(&got) == snaps.get(committed + 1))
@@ -609,6 +614,30 @@ fn tree_crash_matrix(seeds: u64) -> (Table, u64, bool) {
                                      state nor txn {}'s)",
                                     committed + 1
                                 );
+                            }
+                            // round two: a one-leaf retry commits under
+                            // the version the dead attempt used, then
+                            // power fails again — a shadow header the
+                            // first recovery left behind would win here
+                            apply(&mut rec, &vec![(k % KEYS, Some(k))]);
+                            let want = dump(&rec);
+                            recoveries += 1;
+                            match rec.crash_and_recover(&CrashMode::StrictDurableOnly) {
+                                Ok(()) if dump(&rec) == want => {}
+                                Ok(()) => {
+                                    failures += 1;
+                                    eprintln!(
+                                        "FAIL {path} {mode_name} seed {seed} step {k}: \
+                                         retry commit lost or mixed with the dead attempt"
+                                    );
+                                }
+                                Err(e) => {
+                                    failures += 1;
+                                    eprintln!(
+                                        "FAIL {path} {mode_name} seed {seed} step {k} \
+                                         (second recovery): {e:?}"
+                                    );
+                                }
                             }
                         }
                         Err(e) => {

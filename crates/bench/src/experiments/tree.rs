@@ -52,7 +52,6 @@ fn engine_cfg() -> TreeEngineConfig {
             policy: PolicyKind::ScFixed { capacity: 8 },
             pipelined: true,
         },
-        ..Default::default()
     }
 }
 

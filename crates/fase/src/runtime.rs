@@ -8,6 +8,10 @@
 //!    policy, and issues whatever flushes the policy requests,
 //! 4. optionally records the event stream for offline analysis.
 //!
+//! Shadow memory — bytes nothing committed can reach until a logged
+//! store of the same FASE publishes them — skips step 1 through
+//! [`FaseRuntime::store_fresh`]; steps 2–4 and the commit are the same.
+//!
 //! At the end of an outermost FASE the policy's buffered lines are
 //! flushed, a fence orders them, and the log commits — making the
 //! FASE's updates durable atomically.
@@ -140,6 +144,8 @@ pub struct FaseRuntime {
     data_len: usize,
     depth: usize,
     flush_buf: Vec<Line>,
+    /// Pre-image scratch for logged stores (reused, never shrunk).
+    undo_buf: Vec<u8>,
     recorder: Option<TraceRecorder>,
     stats: FaseStats,
     /// Cumulative counters at the last [`FaseRuntime::take_stats`] call
@@ -204,6 +210,7 @@ impl FaseRuntime {
             data_len,
             depth: 0,
             flush_buf: Vec::with_capacity(FLUSH_BUF_CAPACITY),
+            undo_buf: Vec::new(),
             recorder: None,
             stats: FaseStats::default(),
             stats_taken: FaseStats::default(),
@@ -288,6 +295,7 @@ impl FaseRuntime {
             // reopen paths used to rebuild this cold (zero capacity);
             // reserve up front so the first FASEs do not re-grow it
             flush_buf: Vec::with_capacity(FLUSH_BUF_CAPACITY),
+            undo_buf: Vec::new(),
             recorder: None,
             stats,
             stats_taken: FaseStats::default(),
@@ -635,9 +643,10 @@ impl FaseRuntime {
             "store outside data area"
         );
         if self.depth > 0 && !self.prelogged {
-            let mut old = vec![0u8; bytes.len()];
-            self.region.read(offset, &mut old);
-            self.log.append_entry(&mut self.region, offset as u64, &old);
+            self.undo_buf.resize(bytes.len(), 0);
+            self.region.read(offset, &mut self.undo_buf);
+            self.log
+                .append_entry(&mut self.region, offset as u64, &self.undo_buf);
         }
         #[cfg(debug_assertions)]
         if self.depth > 0 && self.prelogged {
@@ -650,6 +659,24 @@ impl FaseRuntime {
                 bytes.len()
             );
         }
+        self.store_fresh(offset, bytes);
+    }
+
+    /// Persistent store into **shadow memory**: bytes no committed
+    /// state can reach until a later logged store of this FASE
+    /// publishes them (a freshly allocated copy-on-write page, a table
+    /// slot past the committed length). Identical to
+    /// [`FaseRuntime::store`] — policy cache, trace, telemetry, flushed
+    /// and fenced by the outermost `end_fase` — except that no undo
+    /// entry is written: if the FASE rolls back, the range keeps
+    /// whatever part of the store reached NVRAM, so the caller must
+    /// treat it as garbage until it is republished. Allowed anywhere
+    /// in a prelogged FASE (the range needs no prelog cover).
+    pub fn store_fresh(&mut self, offset: usize, bytes: &[u8]) {
+        assert!(
+            offset + bytes.len() <= self.data_len,
+            "store outside data area"
+        );
         self.region.write(offset, bytes);
         self.stats.stores += 1;
         for line in PmemRegion::lines_of(offset, bytes.len()) {
@@ -1495,6 +1522,94 @@ mod tests {
         let grouped = fences_of(&r) - before;
         r.end_fase();
         assert_eq!(grouped, 2, "record span + tail publish only");
+    }
+
+    #[test]
+    fn store_fresh_skips_the_undo_log_and_its_fences() {
+        let mut r = rt(PolicyKind::Lazy);
+        r.begin_fase();
+        let (log0, fences0) = (r.log.stats(), r.region().stats().fences);
+        r.store_fresh(0, &[7u8; 256]);
+        assert_eq!(r.log.stats(), log0, "no entry, no bytes logged");
+        assert_eq!(r.region().stats().fences, fences0, "no log fence");
+        r.store_u64(512, 1);
+        assert_eq!(r.log.stats().entries, log0.entries + 1);
+        assert_eq!(r.log.stats().bytes_logged, log0.bytes_logged + 8);
+        assert_eq!(r.region().stats().fences, fences0 + 2, "record + tail");
+        r.end_fase();
+    }
+
+    #[test]
+    fn store_fresh_is_durable_after_end_fase() {
+        for mode in [FlushMode::Sync, FlushMode::Pipelined] {
+            let mut r = rt(PolicyKind::ScFixed { capacity: 2 });
+            r.set_flush_mode(mode);
+            r.fase(|r| r.store_fresh(64, &[0x5au8; 640]));
+            r.crash_and_recover(&CrashMode::StrictDurableOnly);
+            assert_eq!(r.region().slice(64, 640), &[0x5au8; 640][..], "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn open_fase_crash_rolls_back_logged_neighbours_only() {
+        let mut r = rt(PolicyKind::ScFixed { capacity: 8 });
+        r.fase(|r| {
+            r.store_u64(0, 11);
+            r.store_u64(192, 22);
+        });
+        r.begin_fase();
+        r.store_u64(0, 111);
+        r.store_fresh(64, &[9u8; 128]);
+        r.store_u64(192, 222);
+        r.crash_and_recover(&CrashMode::AllInFlightLands);
+        assert_eq!(r.load_u64(0), 11, "logged neighbour below rolled back");
+        assert_eq!(r.load_u64(192), 22, "logged neighbour above rolled back");
+        assert_eq!(r.stats().rollbacks, 1);
+        // the fresh range is unspecified after a rollback: here every
+        // in-flight line landed and nothing restored it
+        assert_eq!(r.region().slice(64, 128), &[9u8; 128][..]);
+    }
+
+    #[test]
+    fn store_fresh_needs_no_prelog_cover() {
+        let mut r = rt(PolicyKind::ScFixed { capacity: 8 });
+        r.begin_fase();
+        r.prelog(&[(0, 8)]);
+        r.store_u64(0, 5);
+        // a logged store here would trip the debug coverage assertion
+        r.store_fresh(4096, &[1u8; 64]);
+        r.end_fase();
+        r.crash_and_recover(&CrashMode::StrictDurableOnly);
+        assert_eq!(r.load_u64(0), 5);
+        assert_eq!(r.region().slice(4096, 64), &[1u8; 64][..]);
+    }
+
+    #[test]
+    fn store_fresh_counts_exactly_as_store() {
+        // same stores, logged vs fresh: every FaseStats counter (and so
+        // the flush ratio) agrees; only the log traffic differs
+        let run = |fresh: bool| {
+            let mut r = rt(PolicyKind::ScFixed { capacity: 4 });
+            for round in 0..4usize {
+                r.begin_fase();
+                for i in 0..12usize {
+                    let (off, bytes) = ((i * 5 % 12) * 96, [round as u8; 200]);
+                    if fresh {
+                        r.store_fresh(off, &bytes);
+                    } else {
+                        r.store(off, &bytes);
+                    }
+                }
+                r.end_fase();
+            }
+            (r.stats(), r.log.stats().entries)
+        };
+        let (logged, logged_entries) = run(false);
+        let (fresh, fresh_entries) = run(true);
+        assert_eq!(logged, fresh);
+        assert!(fresh.store_lines > fresh.stores, "stores span lines");
+        assert!(fresh.data_flushes > 0);
+        assert_eq!((logged_entries, fresh_entries), (48, 0));
     }
 
     #[test]

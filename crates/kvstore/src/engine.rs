@@ -5,8 +5,8 @@
 //! * [`Shard`] — the open-chaining persistent hash table (point ops in
 //!   O(1), scans pay a full bucket walk + sort);
 //! * [`TreeEngine`] — the copy-on-write B+-tree from `nvcache-treestore`
-//!   (ordered scans stream leaves; every batch is one or more CoW
-//!   transactions published by FASE commits).
+//!   (ordered scans stream leaves; every batch with a write is one CoW
+//!   transaction published by one FASE commit).
 //!
 //! The worker drives exactly [`Engine::serve_batch`] +
 //! [`Engine::heal_after_panic`]; everything else is server plumbing
@@ -113,54 +113,32 @@ impl Engine for Shard {
     }
 }
 
-/// Writes per tree transaction before the engine commits and opens a
-/// fresh one. Each CoW'd page undo-logs its pre-image (~600 B per
-/// put worst case), so a chunk must fit the undo log with headroom;
-/// 256 × 600 B ≈ 150 KiB against the default 256 KiB log.
-const TXN_CHUNK: usize = 256;
-
 /// Shape of one tree lane.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TreeEngineConfig {
     /// The underlying tree heap/log/policy shape.
     pub tree: TreeConfig,
-    /// Writes per transaction before an intermediate commit.
-    pub chunk: usize,
 }
 
-impl Default for TreeEngineConfig {
-    fn default() -> Self {
-        TreeEngineConfig {
-            tree: TreeConfig::default(),
-            chunk: TXN_CHUNK,
-        }
-    }
-}
-
-/// The B+-tree lane engine: batches become CoW transactions.
+/// The B+-tree lane engine: a batch becomes one CoW transaction.
 ///
 /// A batch lazily opens a transaction at its first write and commits at
-/// the end (or every [`TreeEngineConfig::chunk`] writes, bounding the
-/// undo log); reads inside the batch go through the staged root, so
-/// read-your-batch holds without an overlay. Scans need no barrier for
-/// visibility, but chunk boundaries keep the committed-prefix contract
-/// intact: a crash exposes a prefix of the batch's commits, each a
-/// consistent tree.
+/// the end; reads inside the batch go through the staged root, so
+/// read-your-batch holds without an overlay and scans need no barrier.
+/// The transaction's pages are unlogged shadow memory (the undo log
+/// holds the 64-byte meta head and nothing else), so no batch size can
+/// outgrow the log, and one batch = one commit satisfies the
+/// committed-prefix contract trivially: a crash exposes the batch whole
+/// or not at all.
 pub struct TreeEngine {
     t: Tree<FasePager>,
-    chunk: usize,
-    /// Writes in the currently open transaction.
-    staged: usize,
 }
 
 impl TreeEngine {
     /// Fresh engine over a new tree heap.
     pub fn new(cfg: &TreeEngineConfig) -> Self {
-        assert!(cfg.chunk >= 1, "chunk must hold at least one write");
         TreeEngine {
             t: Tree::create(&cfg.tree).expect("format tree heap"),
-            chunk: cfg.chunk,
-            staged: 0,
         }
     }
 
@@ -169,8 +147,6 @@ impl TreeEngine {
     pub fn reopen_from_image(image: Vec<u8>, cfg: &TreeEngineConfig) -> Result<Self, TreeError> {
         Ok(TreeEngine {
             t: Tree::reopen_from_image(image, &cfg.tree)?,
-            chunk: cfg.chunk,
-            staged: 0,
         })
     }
 
@@ -184,23 +160,11 @@ impl TreeEngine {
         &mut self.t
     }
 
+    /// Open the batch's transaction at its first write.
     fn stage(&mut self) {
         if !self.t.in_txn() {
             self.t.begin();
-            self.staged = 0;
-        } else if self.staged >= self.chunk {
-            self.t.commit();
-            self.t.begin();
-            self.staged = 0;
         }
-        self.staged += 1;
-    }
-
-    fn settle(&mut self) {
-        if self.t.in_txn() {
-            self.t.commit();
-        }
-        self.staged = 0;
     }
 }
 
@@ -219,9 +183,6 @@ impl Engine for TreeEngine {
                     replies.push(BatchReply::Done(self.t.put(*k, v).is_ok()));
                 }
                 BatchRequest::PutMany(items) => {
-                    // per-request atomicity: the whole group lands in
-                    // one transaction (chunk boundaries fall between
-                    // requests, not inside one)
                     self.stage();
                     let mut ok = true;
                     for (k, v) in items {
@@ -244,18 +205,18 @@ impl Engine for TreeEngine {
                 }
             }
         }
-        self.settle();
+        if self.t.in_txn() {
+            self.t.commit();
+        }
         self.t.reclaim();
         replies
     }
 
     fn heal_after_panic(&mut self) -> bool {
-        self.staged = 0;
         self.t.heal_after_panic().expect("tree heal after panic")
     }
 
     fn crash_and_recover(&mut self, mode: &CrashMode) {
-        self.staged = 0;
         self.t.crash_and_recover(mode).expect("tree crash recovery");
     }
 
@@ -303,7 +264,6 @@ mod tests {
                 log_len: 1 << 18,
                 ..Default::default()
             },
-            chunk: 8,
         }
     }
 
@@ -331,14 +291,18 @@ mod tests {
     }
 
     #[test]
-    fn chunked_batch_commits_and_survives_crash() {
+    fn batch_commits_once_and_survives_crash() {
         let mut e = TreeEngine::new(&small());
-        // 50 writes with chunk=8: several intermediate commits
         let reqs: Vec<BatchRequest> = (0..50u64)
             .map(|i| BatchRequest::Put(i, vec![i as u8; 16]))
             .collect();
         let replies = e.serve_batch(&reqs);
         assert!(replies.iter().all(|r| *r == BatchReply::Done(true)));
+        assert_eq!(
+            Engine::stats(&e).fases,
+            2,
+            "format + one commit for 50 writes"
+        );
         Engine::crash_and_recover(&mut e, &CrashMode::AllInFlightLands);
         assert_eq!(e.len(), 50);
         for i in 0..50u64 {

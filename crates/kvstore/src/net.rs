@@ -370,7 +370,9 @@ pub struct NetStats {
     pub connections: AtomicU64,
     /// Request frames decoded.
     pub frames_in: AtomicU64,
-    /// Response frames written.
+    /// Response frames handed to a connection for writing (counted
+    /// just before the write, so a reply a client has read is always
+    /// included; a write that then fails on a dead peer stays counted).
     pub frames_out: AtomicU64,
     /// Recoverable protocol errors skipped.
     pub proto_errors: AtomicU64,
@@ -754,12 +756,13 @@ fn writer_loop(mut conn: Box<dyn Conn>, shared: &ConnShared, stats: &NetStats) {
             g.is_empty()
         };
         if !wire.is_empty() && !broken {
+            // counted before the write: a client that has read a reply
+            // must never observe `frames_in > frames_out`
+            stats.frames_out.fetch_add(sent, Ordering::Relaxed);
             if conn.write_all_bytes(&wire).is_err() {
                 // peer gone: keep reaping completions (the shard
                 // workers still fill them) but stop writing
                 broken = true;
-            } else {
-                stats.frames_out.fetch_add(sent, Ordering::Relaxed);
             }
         }
         if done && empty {

@@ -13,9 +13,11 @@
 //!   snapshot readers never serialize against a writer's `&mut`
 //!   bookkeeping;
 //! - **writes** happen inside an open failure-atomic section
-//!   (`begin`/`commit` = `begin_fase`/`end_fase`): the old bytes are
-//!   undo-logged, and `commit` flushes + fences + commits, after which
-//!   the section is durable as a unit;
+//!   (`begin`/`commit` = `begin_fase`/`end_fase`): `write` undo-logs
+//!   the old bytes (in-place updates of reachable state), `write_fresh`
+//!   does not (shadow pages nothing committed can reach yet), and
+//!   `commit` flushes + fences + commits both kinds, after which the
+//!   section is durable as a unit;
 //! - **block carving** (`alloc_block`) talks to the persistent heap
 //!   directly and is durable the moment it returns — the tree layers
 //!   its own page arena on top and never frees carved blocks back.
@@ -61,8 +63,22 @@ pub trait PageWrite {
     /// the backend).
     fn write(&mut self, off: u64, bytes: &[u8]);
 
+    /// Write `bytes` at `off` inside the open section where no
+    /// committed state can reach them (a shadow page, a table slot past
+    /// the committed length): durable at `commit` like [`write`], but
+    /// with no undo entry — after a rollback the range holds whatever
+    /// part of the write landed. Backends without an undo log treat it
+    /// as [`write`].
+    ///
+    /// [`write`]: PageWrite::write
+    fn write_fresh(&mut self, off: u64, bytes: &[u8]) {
+        self.write(off, bytes);
+    }
+
     /// Carve `size` fresh bytes from the heap; durable immediately,
-    /// independent of any open section. `None` when exhausted.
+    /// independent of any open section. `None` when exhausted. Blocks
+    /// must be cache-line (64 B) aligned: an unlogged page header has
+    /// to land or not land as a unit.
     fn alloc_block(&mut self, size: usize) -> Option<u64>;
 }
 
@@ -209,6 +225,10 @@ impl PageWrite for FasePager {
 
     fn write(&mut self, off: u64, bytes: &[u8]) {
         self.rt.store(off as usize, bytes);
+    }
+
+    fn write_fresh(&mut self, off: u64, bytes: &[u8]) {
+        self.rt.store_fresh(off as usize, bytes);
     }
 
     fn alloc_block(&mut self, size: usize) -> Option<u64> {

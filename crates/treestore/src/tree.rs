@@ -27,7 +27,11 @@
 //! logical id stable, so rewriting a leaf touches *no* ancestor — only
 //! structural changes (splits) edit parents. A writer stages CoW
 //! copies under `version + 1` inside one failure-atomic section and
-//! publishes the new root + remap entries at commit; a reader calls
+//! publishes the new root + remap entries at commit. The staged pages
+//! are shadow memory — nothing committed can reach them until the meta
+//! head flips — so they are written **unlogged**
+//! ([`crate::PageWrite::write_fresh`]); the 64-byte meta head is the only
+//! in-place update and the only undo record of a commit. A reader calls
 //! [`Tree::pin`] to freeze a `(version, root)` pair and scans it
 //! without blocking the writer. Superseded copies are retired with the
 //! version that replaced them and recycled by [`Tree::reclaim`] once
@@ -44,6 +48,18 @@
 //! and put every unreachable page — orphaned CoW copies from the
 //! crashed transaction included — back on the free list. Structural
 //! damage surfaces as a typed [`TreeError`], never as undefined reads.
+//!
+//! A dead transaction's shadow pages keep whatever part of them
+//! reached NVRAM, headers stamped `(lpid, committed + 1)` included —
+//! and the retry commits under that same version. Left alone, such a
+//! header would outrank the live, older copy of its lpid in the *next*
+//! attach's scan. So before accepting writes, attach durably voids
+//! (zeroes, in logged sections — a crash mid-void rolls back and the
+//! next attach redoes it) the header of every node page below the
+//! high-water mark whose version exceeds the committed one
+//! ([`Tree::voided_pages`] reports how many). Pages past the high-water
+//! mark need no such care: the mark only advances over pages the
+//! advancing transaction itself rewrites.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::fmt;
@@ -93,6 +109,9 @@ const PAGES_PER_SEG: u64 = (SEG_BYTES / PAGE) as u64;
 const SEG_TABLE_SLOTS: usize = SEG_BYTES / 8;
 /// Hard segment-count cap.
 const MAX_SEGS: usize = SEG_SLOTS * SEG_TABLE_SLOTS;
+/// Stale headers voided per logged section at attach (40 B of undo log
+/// each, so recovery fits any log a commit fits).
+const VOID_BATCH: usize = 64;
 
 // ---- byte helpers -----------------------------------------------------
 
@@ -307,6 +326,8 @@ struct Volatile {
     segs: Vec<u64>,
     free: Vec<u64>,
     remap: HashMap<u64, Vec<(u64, u64)>>,
+    /// Dead-transaction node pages whose headers were voided.
+    voided: usize,
 }
 
 // ---- the tree ---------------------------------------------------------
@@ -344,6 +365,8 @@ pub struct Tree<S: PageStore = FasePager> {
     remap: HashMap<u64, Vec<(u64, u64)>>,
     /// version -> pin count.
     pins: BTreeMap<u64, u64>,
+    /// Stale shadow headers the last attach / recovery voided.
+    voided: usize,
     txn: Option<Txn>,
 }
 
@@ -378,10 +401,11 @@ impl<S: PageStore> Tree<S> {
     /// Attach to a store already holding a formatted tree, rebuilding
     /// all volatile state (remap table, free list) from the durable
     /// root. Orphaned CoW pages from an interrupted transaction are
-    /// swept onto the free list; structural damage is reported as a
-    /// typed error.
-    pub fn attach(store: S) -> Result<Tree<S>, TreeError> {
-        let v = rebuild_state(&store)?;
+    /// swept onto the free list and their stale headers durably voided
+    /// (see the module docs); structural damage is reported as a typed
+    /// error before anything is written.
+    pub fn attach(mut store: S) -> Result<Tree<S>, TreeError> {
+        let v = rebuild_state(&mut store)?;
         Ok(Tree {
             store,
             meta_off: v.meta_off,
@@ -398,6 +422,7 @@ impl<S: PageStore> Tree<S> {
             retired: Vec::new(),
             remap: v.remap,
             pins: BTreeMap::new(),
+            voided: v.voided,
             txn: None,
         })
     }
@@ -405,7 +430,7 @@ impl<S: PageStore> Tree<S> {
     /// Re-derive volatile state from the durable image (after a crash
     /// or rollback). Discards pins and the retired list.
     fn reload(&mut self) -> Result<(), TreeError> {
-        let v = rebuild_state(&self.store)?;
+        let v = rebuild_state(&mut self.store)?;
         self.meta_off = v.meta_off;
         self.version = v.version;
         self.root_lpid = v.root_lpid;
@@ -418,6 +443,7 @@ impl<S: PageStore> Tree<S> {
         self.segs = v.segs;
         self.free = v.free;
         self.remap = v.remap;
+        self.voided = v.voided;
         self.retired.clear();
         self.pins.clear();
         Ok(())
@@ -458,6 +484,12 @@ impl<S: PageStore> Tree<S> {
     /// Superseded pages still held back by pins.
     pub fn retired_pages(&self) -> usize {
         self.retired.len()
+    }
+
+    /// Node pages of dead transactions whose stale headers the last
+    /// attach (or in-place recovery) voided.
+    pub fn voided_pages(&self) -> usize {
+        self.voided
     }
 
     /// Oldest pinned version, if any snapshot is live.
@@ -564,14 +596,18 @@ impl<S: PageStore> Tree<S> {
         set64(&mut head, 40, self.nsegs);
         set64(&mut head, 48, txn.len);
         set64(&mut head, 56, txn.height);
+        // the head is the one in-place update (and undo record) of a
+        // commit; table slots at or past the committed `nsegs` are read
+        // by nobody until the head that counts them is durable
         self.store.write(self.meta_off, &head);
         for i in txn.first_new_table..self.seg_tables.len() {
             let off = self.meta_off + SEG_TABLE + 8 * i as u64;
-            self.store.write(off, &self.seg_tables[i].to_le_bytes());
+            self.store
+                .write_fresh(off, &self.seg_tables[i].to_le_bytes());
         }
         for i in txn.first_new_seg..self.segs.len() {
             let off = self.seg_tables[i / SEG_TABLE_SLOTS] + 8 * (i % SEG_TABLE_SLOTS) as u64;
-            self.store.write(off, &self.segs[i].to_le_bytes());
+            self.store.write_fresh(off, &self.segs[i].to_le_bytes());
         }
         self.store.commit();
         for (lpid, phys) in txn.dirty {
@@ -911,9 +947,11 @@ impl<S: PageStore> Tree<S> {
         self.segs[(phys / PAGES_PER_SEG) as usize] + (phys % PAGES_PER_SEG) * PAGE as u64
     }
 
+    /// Write a page the open transaction allocated: shadow memory
+    /// until the commit's head flip, hence unlogged.
     fn write_page(&mut self, phys: u64, buf: &[u8; PAGE]) {
         let off = self.page_off(phys);
-        self.store.write(off, buf);
+        self.store.write_fresh(off, buf);
     }
 
     fn alloc_lpid(&mut self) -> u64 {
@@ -936,6 +974,7 @@ impl<S: PageStore> Tree<S> {
             self.seg_tables.push(tb);
         }
         let seg = self.store.alloc_block(SEG_BYTES)?;
+        debug_assert_eq!(seg % 64, 0, "page headers must not straddle lines");
         self.segs.push(seg);
         self.nsegs += 1;
         Some(())
@@ -998,7 +1037,7 @@ impl<S: PageStore> Tree<S> {
         hdr_write(&mut b, TAG_VAL, val.len() as u64, LPID_NONE, tv);
         b[HDR..HDR + val.len()].copy_from_slice(val);
         let off = self.page_off(phys);
-        self.store.write(off, &b[..HDR + val.len()]);
+        self.store.write_fresh(off, &b[..HDR + val.len()]);
         Ok(phys)
     }
 
@@ -1222,8 +1261,10 @@ impl<S: PageStore> Iterator for Cursor<'_, S> {
 /// Rebuild the volatile view from the durable image: read and validate
 /// the meta block, scan page headers keeping the newest committed copy
 /// per logical id, walk the tree from the durable root (validating
-/// structure as it goes), and free every unreachable page.
-fn rebuild_state<S: PageStore>(store: &S) -> Result<Volatile, TreeError> {
+/// structure as it goes), free every unreachable page, and — only once
+/// the image has proven sound — void the headers dead transactions left
+/// above the committed version.
+fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
     let meta_off = store.root();
     if meta_off == 0 {
         return Err(TreeError::BadMeta("no durable root pointer"));
@@ -1271,6 +1312,9 @@ fn rebuild_state<S: PageStore>(store: &S) -> Result<Volatile, TreeError> {
     // always carry an older version than its live one (pages are only
     // retired when a newer commit supersedes them), so max-wins is safe
     let mut winners: HashMap<u64, (u64, u64)> = HashMap::new();
+    // headers of a dead transaction's shadow pages (whatever their lpid:
+    // the retry hands the same fresh lpids out again)
+    let mut stale: Vec<u64> = Vec::new();
     for phys in 0..bump {
         let mut b = [0u8; PAGE];
         store.read_page(page_off(phys), &mut b);
@@ -1280,7 +1324,11 @@ fn rebuild_state<S: PageStore>(store: &S) -> Result<Volatile, TreeError> {
         }
         let l = hdr_lpid(&b);
         let v = hdr_version(&b);
-        if l >= next_lpid || v > version {
+        if v > version {
+            stale.push(page_off(phys));
+            continue;
+        }
+        if l >= next_lpid {
             continue;
         }
         match winners.entry(l) {
@@ -1386,6 +1434,13 @@ fn rebuild_state<S: PageStore>(store: &S) -> Result<Volatile, TreeError> {
         return Err(TreeError::BadMeta("key count does not match the tree"));
     }
     let free = (0..bump).filter(|&p| !reach[p as usize]).collect();
+    for batch in stale.chunks(VOID_BATCH) {
+        store.begin();
+        for &off in batch {
+            store.write(off, &[0u8; HDR]);
+        }
+        store.commit();
+    }
     Ok(Volatile {
         meta_off,
         version,
@@ -1399,13 +1454,14 @@ fn rebuild_state<S: PageStore>(store: &S) -> Result<Volatile, TreeError> {
         segs,
         free,
         remap,
+        voided: stale.len(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pager::MemPager;
+    use crate::pager::{MemPager, PageRead, PageWrite};
 
     fn mem_tree() -> Tree<MemPager> {
         Tree::format(MemPager::new()).unwrap()
@@ -1653,6 +1709,38 @@ mod tests {
         assert_eq!(t2.len(), len);
         assert_eq!(t2.version(), version);
         assert_eq!(t2.scan(None, 0, u64::MAX, usize::MAX), want);
+    }
+
+    #[test]
+    fn attach_voids_headers_above_the_committed_version() {
+        let mut t = mem_tree();
+        for round in 0..2u8 {
+            t.begin();
+            for k in 0..40u64 {
+                t.put(k, &[round]).unwrap();
+            }
+            t.commit();
+        }
+        let want = t.scan(None, 0, u64::MAX, usize::MAX);
+        // what a dead attempt leaves behind: a recycled page restamped
+        // as the *root* lpid under the next version
+        let off = t.page_off(*t.free.last().expect("overwrites freed pages"));
+        let mut stale = [0u8; PAGE];
+        hdr_write(&mut stale, TAG_LEAF, 0, t.root_lpid, t.version + 1);
+        t.store.begin();
+        t.store.write_fresh(off, &stale);
+        t.store.commit();
+
+        let t2 = Tree::attach(t.store).unwrap();
+        assert_eq!(t2.voided_pages(), 1);
+        let mut hdr = [0xffu8; HDR];
+        t2.store.read_bytes(off, &mut hdr);
+        assert_eq!(hdr, [0u8; HDR], "header zeroed in place");
+        assert_eq!(t2.scan(None, 0, u64::MAX, usize::MAX), want);
+        // idempotent: nothing left for the next attach
+        let t3 = Tree::attach(t2.store).unwrap();
+        assert_eq!(t3.voided_pages(), 0);
+        assert_eq!(t3.scan(None, 0, u64::MAX, usize::MAX), want);
     }
 
     #[test]

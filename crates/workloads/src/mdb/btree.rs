@@ -23,6 +23,7 @@
 
 use nvcache_core::PolicyKind;
 use nvcache_fase::FaseRuntime;
+use nvcache_pmem::CrashMode;
 use nvcache_treestore::{FasePager, Snapshot, Tree, TreeConfig};
 use std::collections::HashMap;
 
@@ -47,12 +48,11 @@ impl PBTree {
         // leaf; double it for CoW churn between reclaims and add fixed
         // slack for meta/table blocks and allocator overhead
         let data = (cap * 2 + 1024) * 256;
-        // a single transaction may undo-log every page it touches:
-        // size the log for bulk loads of the whole capacity in one FASE
-        let log = (cap * 1200).max(1 << 20);
+        // tree pages are unlogged shadow memory; what a transaction
+        // logs is its commit head plus 48 B per `touch_meta`
         let cfg = TreeConfig {
             data_len: data,
-            log_len: log,
+            log_len: 1 << 20,
             policy: policy.clone(),
             pipelined: false,
         };
@@ -110,6 +110,15 @@ impl PBTree {
     /// Commit the open write transaction.
     pub fn commit(&mut self) {
         self.t.commit();
+    }
+
+    /// Power-fail under `mode` and recover runtime *and* tree (an open
+    /// transaction vanishes, snapshot tokens are invalidated). Crashing
+    /// the bare runtime instead leaves the tree's volatile maps
+    /// pointing at the dead transaction's pages.
+    pub fn crash_and_recover(&mut self, mode: &CrashMode) {
+        self.snaps.clear();
+        self.t.crash_and_recover(mode).expect("tree recovery");
     }
 
     /// Recycle pages retired by CoW that no live snapshot can reach.
@@ -192,7 +201,6 @@ fn decode(v: Vec<u8>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvcache_pmem::CrashMode;
 
     fn tree(cap: usize) -> PBTree {
         PBTree::new(cap, &PolicyKind::ScFixed { capacity: 20 })
@@ -292,8 +300,7 @@ mod tests {
             t.insert(i, i + 1);
         }
         t.commit();
-        t.t.crash_and_recover(&CrashMode::StrictDurableOnly)
-            .unwrap();
+        t.crash_and_recover(&CrashMode::StrictDurableOnly);
         for i in 0..50u64 {
             assert_eq!(t.get(i), Some(i + 1));
         }
@@ -313,7 +320,7 @@ mod tests {
         }
         t.insert(1000, 1000);
         // crash mid-transaction, worst case: everything in flight lands
-        t.t.crash_and_recover(&CrashMode::AllInFlightLands).unwrap();
+        t.crash_and_recover(&CrashMode::AllInFlightLands);
         for i in 0..20u64 {
             assert_eq!(t.get(i), Some(1), "old value visible for {i}");
         }

@@ -42,8 +42,7 @@ fn main() {
         db.insert(i, 0xbeef);
     }
     // power fails before commit — worst case: every in-flight line lands
-    db.runtime_mut()
-        .crash_and_recover(&CrashMode::AllInFlightLands);
+    db.crash_and_recover(&CrashMode::AllInFlightLands);
     println!(
         "after mid-transaction crash: get(7) = {:?} (rolled back)",
         {

@@ -267,3 +267,73 @@ fn mid_split_crash_recovers_the_old_root_graph() {
         k += stride;
     }
 }
+
+/// The hazard un-logging the shadow pages opens: a rolled-back attempt
+/// leaves node pages stamped `(lpid, N+1)` on the free list, the retry
+/// commits under the same version N+1 without touching them, and the
+/// *next* recovery's header scan would prefer them to the live, older
+/// copies. Recovery must void such headers before accepting writes —
+/// two crash rounds are needed to see it (one recovery alone passes).
+#[test]
+fn retry_under_the_same_version_never_resurrects_a_dead_attempt() {
+    for pipelined in [false, true] {
+        let cfg = cfg(pipelined);
+        let mut first_modes = vec![CrashMode::AllInFlightLands];
+        first_modes.extend((0..16).map(|seed| CrashMode::random(0.5, 0.5, seed)));
+        for mode in first_modes {
+            let mut t = Tree::create(&cfg).expect("format tree heap");
+            let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+            // several commits, overwrites included, so the free list
+            // holds recycled node pages for the next attempt to reuse
+            for round in 0..8u64 {
+                t.begin();
+                for i in 0..25u64 {
+                    let key = (round * 25 + i) * 10;
+                    let v = value(key ^ 0xabcd, 24);
+                    t.put(key, &v).unwrap();
+                    model.insert(key, v);
+                }
+                for i in 0..10u64 {
+                    let key = ((round * 7 + i * 19) % (round * 25 + 25)) * 10;
+                    let v = value(key + round, 16);
+                    t.put(key, &v).unwrap();
+                    model.insert(key, v);
+                }
+                t.commit();
+            }
+            assert_eq!(t.len(), 200);
+            assert!(t.free_pages() > 0, "load must populate the free list");
+
+            // the doomed attempt: three far-apart leaves + a fresh key
+            t.begin();
+            for key in [10u64, 990, 1950] {
+                t.put(key, b"doomed").unwrap();
+            }
+            t.put(5, b"doomed-insert").unwrap();
+            t.crash_and_recover(&mode)
+                .unwrap_or_else(|e| panic!("first recovery under {mode:?}: {e:?}"));
+            if mode == CrashMode::AllInFlightLands {
+                assert!(
+                    t.voided_pages() > 0,
+                    "every shadow header landed, so recovery must void some"
+                );
+            }
+
+            // the retry commits under the same version, elsewhere
+            t.begin();
+            t.put(1500, b"retry").unwrap();
+            t.commit();
+            model.insert(1500, b"retry".to_vec());
+
+            t.crash_and_recover(&CrashMode::StrictDurableOnly)
+                .unwrap_or_else(|e| panic!("second recovery after {mode:?}: {e:?}"));
+            assert_eq!(t.voided_pages(), 0, "nothing was in flight");
+            let want: Snapshot = model.iter().map(|(k, v)| (*k, v.clone())).collect();
+            assert!(
+                dump(&t) == want,
+                "path {} first crash {mode:?}: a dead attempt's page won the header scan",
+                if pipelined { "pipelined" } else { "sync" },
+            );
+        }
+    }
+}
