@@ -145,7 +145,7 @@ fn usage(err: &str) -> ! {
          \x20                            exits 2 on schema drift, 1 on regression)\n\
          \x20            net-smoke [--connections N] [--depth D] [--ops N]\n\
          \x20                      (in-process wire-protocol sweep + crash audit)\n\
-         \x20            kv-serve [--addr HOST:PORT] (TCP server, runs until killed)\n\
+         \x20            kv-serve [--addr HOST:PORT] (TCP server; SIGINT/SIGTERM prints a summary)\n\
          \x20            kv-load  [--addr HOST:PORT] [--connections N] [--depth D]\n\
          \x20                     [--ops N] [--rate R] (open-loop TCP loadgen)\n\
          \x20            all | ablations"
@@ -753,6 +753,20 @@ fn net_kv_server(shards: usize) -> std::sync::Arc<nvcache_kvstore::KvServer> {
     ))
 }
 
+/// Which lane path served how much: caller-run batches (a submitter
+/// found the lane idle) vs batches drained from the lane queues, with
+/// the mean occupancy of each.
+fn lane_paths(qs: &nvcache_kvstore::QueueStats) -> String {
+    format!(
+        "{} caller-run batches (mean {:.2} req) + {} queued batches (mean {:.2} req), {} rejected",
+        qs.inline_batches,
+        qs.inline_occupancy_mean(),
+        qs.queued_batches(),
+        qs.queued_occupancy_mean(),
+        qs.rejected,
+    )
+}
+
 /// `repro net-smoke [--connections N] [--depth D] [--ops N]` — the CI
 /// acceptance sweep for the network serving path: an in-process
 /// transport, an open-loop pipelined loadgen with ack tracking, then a
@@ -799,6 +813,7 @@ fn net_smoke(rest: Vec<String>) -> ! {
         .frames_in
         .load(std::sync::atomic::Ordering::Relaxed);
     srv.shutdown();
+    let lanes = lane_paths(&kv.queue_stats());
     let answered_all = rep.ops_answered == rep.ops_sent;
     // the audit only means something after the server actually died:
     // drop every non-durable line, recover, then check the acks
@@ -818,6 +833,7 @@ fn net_smoke(rest: Vec<String>) -> ! {
         frames_in,
         rep.ops_per_sec(),
     );
+    eprintln!("[net-smoke: lanes served {lanes}]");
     match (&audit, answered_all) {
         (Ok(()), true) => {
             eprintln!("[net-smoke: every acked write survived crash + recover]");
@@ -837,9 +853,35 @@ fn net_smoke(rest: Vec<String>) -> ! {
     }
 }
 
+/// Set by SIGINT/SIGTERM so `kv-serve` can shut down and print its
+/// summary instead of dying mid-line.
+static STOP: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+#[cfg(unix)]
+fn stop_on_signals() {
+    extern "C" fn on_signal(_: i32) {
+        STOP.store(true, std::sync::atomic::Ordering::Release);
+    }
+    extern "C" {
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    }
+    const SIGINT: i32 = 2;
+    const SIGTERM: i32 = 15;
+    // SAFETY: `signal` is libc's (std links it); the handler only
+    // stores to an atomic, which is async-signal-safe.
+    unsafe {
+        signal(SIGINT, on_signal);
+        signal(SIGTERM, on_signal);
+    }
+}
+
+#[cfg(not(unix))]
+fn stop_on_signals() {}
+
 /// `repro kv-serve [--addr HOST:PORT]` — serve the framed wire protocol
-/// over TCP until killed. Address precedence: `--addr` > `NVKV_ADDR` >
-/// `NVKV_PORT` > the built-in default.
+/// over TCP until interrupted (SIGINT/SIGTERM), then shut down and
+/// print which lane path served how much. Address precedence: `--addr`
+/// > `NVKV_ADDR` > `NVKV_PORT` > the built-in default.
 fn kv_serve(rest: Vec<String>) -> ! {
     use nvcache_kvstore::{listen_addr, NetServer, TcpTransport};
     let mut addr_cli: Option<String> = None;
@@ -858,13 +900,30 @@ fn kv_serve(rest: Vec<String>) -> ! {
         eprintln!("error: cannot listen on {addr}: {e}");
         std::process::exit(2);
     });
+    stop_on_signals();
     eprintln!(
-        "[kv-serve: listening on {} — kill to stop]",
+        "[kv-serve: listening on {} — interrupt to stop]",
         srv.local_addr()
     );
-    loop {
-        std::thread::park();
+    while !STOP.load(std::sync::atomic::Ordering::Acquire) {
+        std::thread::park_timeout(std::time::Duration::from_millis(200));
     }
+    let net = srv.stats();
+    let relaxed = std::sync::atomic::Ordering::Relaxed;
+    let (conns, frames_in, frames_out, proto_errors) = (
+        net.connections.load(relaxed),
+        net.frames_in.load(relaxed),
+        net.frames_out.load(relaxed),
+        net.proto_errors.load(relaxed),
+    );
+    srv.shutdown();
+    kv.close();
+    eprintln!(
+        "[kv-serve: {conns} connections, {frames_in} frames in, {frames_out} out, \
+         {proto_errors} protocol errors]"
+    );
+    eprintln!("[kv-serve: lanes served {}]", lane_paths(&kv.queue_stats()));
+    std::process::exit(0);
 }
 
 /// `repro kv-load [--addr HOST:PORT] [--connections N] [--depth D]

@@ -132,19 +132,20 @@ struct ConcRun {
 /// may differ.
 ///
 /// A second, *concurrent* grid (mixes A/B, 8 closed-loop clients on
-/// one contended lane) drives a [`KvServer`] — dedicated worker thread
-/// per shard behind a bounded MPSC queue — once with group commit off
-/// (`mpsc-unbatched`, one request per FASE) and once draining
-/// everything in flight into a single cross-client FASE
-/// (`mpsc-grouped`); `speedup_vs_unbatched` and the mean drained-batch
-/// occupancy land in the same JSON.
+/// one contended lane) drives a [`KvServer`] — each lane served by the
+/// client that finds it idle, or else queued for the lane's worker —
+/// once with group commit off (`mpsc-unbatched`, `max_batch = 1`: one
+/// request per FASE on both paths) and once with everything queued
+/// behind a busy lane drained into a single cross-client FASE
+/// (`mpsc-grouped`); `speedup_vs_unbatched` and the mean batch
+/// occupancy (caller-run batches included) land in the same JSON.
 ///
 /// A third, *network* grid drives the same single-lane grouped server
 /// through [`NetServer`] and the framed wire protocol over the
 /// in-process transport: connections × pipeline-depth cells
 /// ({1,8} × {1,4}), each an open-window loadgen whose per-connection
-/// reader feeds the submission queue and whose acks return out of
-/// order after commit. Rows carry `connections`/`pipeline_depth`
+/// reader serves idle lanes itself and queues on busy ones, and whose
+/// acks return out of order after commit. Rows carry `connections`/`pipeline_depth`
 /// (null on the other grids' rows). `smoke` shrinks the sizes to CI
 /// scale (same grids, same schema).
 pub fn kv_bench(scale: f64, smoke: bool) -> Table {
@@ -402,14 +403,20 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
 
     // ---- concurrent shard runtime: MPSC submission + group commit ----
     //
-    // N closed-loop clients push single-op requests (batch = 1, so the
-    // loadgen does no client-side write combining) into each shard's
-    // bounded submission queue. The worker thread either serves one
-    // request per FASE ("mpsc-unbatched", max_batch = 1 — the queued
-    // no-group-commit baseline) or drains everything in flight into one
-    // cross-client FASE ("mpsc-grouped"). Same server, same queue, same
-    // handoff — the only variable is group commit, and
-    // `speedup_vs_unbatched` is its measured step change.
+    // N closed-loop clients submit single-op requests (batch = 1, so the
+    // loadgen does no client-side write combining) to one lane. A client
+    // that finds the lane idle serves its request itself; the ones that
+    // collide with it queue, and whoever holds the lane next — the
+    // worker, or a client that has just queued — serves the queue: one
+    // request per FASE ("mpsc-unbatched", max_batch = 1 — the
+    // no-group-commit baseline) or everything in flight as one
+    // cross-client FASE ("mpsc-grouped"). Same server, same lane; the
+    // variable is `max_batch`. `speedup_vs_unbatched` is not the price
+    // of the saved FASEs alone: a grouped drain empties the queue, which
+    // puts the lane back on the caller-runs path, while an unbatched
+    // lane with a backlog works it off one request per lock hold. The
+    // column measures both; `batch_occupancy_mean` (caller-run batches
+    // of 1 included) says how much merging there was.
     let clients = 8usize;
     // One lane: group commit needs requests *piling up* behind a busy
     // worker, so the contended regime is clients ≥ lanes. (The legacy
@@ -561,8 +568,9 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
     // The same single-lane grouped server, now behind the in-process
     // transport and the length-prefixed frame protocol: N loadgen
     // connections pipeline requests up to `depth` in flight, the
-    // per-connection reader feeds the submission queue, and responses
-    // are acked out of order after the owning FASE commits. The grid
+    // per-connection reader serves the lane when it is idle and feeds
+    // the submission queue when it is not, and responses are acked out
+    // of order after the owning FASE commits. The grid
     // varies connections × pipeline depth; with both at their high
     // setting the per-lane pile-up reappears through the network path
     // (batch occupancy > 1), which is the acceptance signal that

@@ -1,9 +1,10 @@
 //! `repro tree-bench` — ordered-workload serving over the CoW B+-tree
 //! engine: YCSB C (point-read baseline), E (95% range scans with
 //! zipfian lengths), and F (read-modify-write) against a
-//! [`KvServer<TreeEngine>`] — the same MPSC submission queues and group
-//! commit as the hash grid, but every drained batch becomes one or more
-//! copy-on-write transactions and scans stream leaves in key order.
+//! [`KvServer<TreeEngine>`] — the same lanes (caller-run when idle,
+//! queued and group-committed when busy) as the hash grid, but every
+//! batch becomes one or more copy-on-write transactions and scans
+//! stream leaves in key order.
 //!
 //! Rows carry `engine: "tree"` and, on the scan mix, the dedicated
 //! `scan_p99_ns` percentile, and are **appended to `BENCH_kv.json`**

@@ -9,8 +9,8 @@
 //!
 //! This crate provides:
 //!
-//! * [`log::UndoLog`] — the in-region undo log (append, commit,
-//!   truncate, recovery scan) with the log-before-data ordering
+//! * [`log::UndoLog`] — the in-region undo log (append, commit by
+//!   truncation, recovery scan) with the log-before-data ordering
 //!   discipline.
 //! * [`runtime::FaseRuntime`] — the per-thread runtime that Atlas's LLVM
 //!   instrumentation pass would drive (DESIGN.md §2.4): every persistent

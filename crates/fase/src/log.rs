@@ -8,7 +8,6 @@
 //! 0   magic   u64
 //! 8   tail    u64   (next free offset, starts at 16)
 //! 16… records: [offset u64][len u64][old bytes, padded to 8]
-//!              COMMIT record: offset == u64::MAX, len == 0
 //! ```
 //!
 //! Discipline:
@@ -16,11 +15,21 @@
 //!   with flush+fence, before returning — so by the time the caller
 //!   performs the data store, the undo information is durable
 //!   (log-before-data).
-//! * `commit` appends a COMMIT record, persists it, then truncates
-//!   (tail←16, persisted). A crash between the two leaves a log whose
-//!   last record is COMMIT; recovery just truncates.
-//! * `recover` rolls back any non-committed records in reverse order,
-//!   persisting each restored value, then truncates.
+//! * `commit` is the truncation and nothing else: `tail ← 16`, one
+//!   persist. The caller has already flushed and fenced the FASE's data
+//!   (`FaseRuntime::end_fase`), and the tail is one 8-byte word inside
+//!   one cache line, which the region's crash model lands whole or not
+//!   at all — so the truncation *is* the commit point. Before it is
+//!   durable the records are live and recovery rolls the FASE back;
+//!   after, the log is empty and the FASE stands. A FASE that logged
+//!   nothing has nothing to truncate and commits for free.
+//! * `recover` rolls back whatever records the durable tail covers, in
+//!   reverse order, persisting each restored value, then truncates.
+//!
+//! Fixed log cost per FASE is therefore records persist + tail publish
+//! (`append_group`; per record on the `append_entry` path) + truncate:
+//! three flush+fence pairs with the grouped append, and the data fence
+//! between them makes four fences.
 //!
 //! Recovery never trusts durable bytes: the tail word is clamped into
 //! the log area and records are sanity-checked before use. Anything a
@@ -36,7 +45,6 @@ const LOG_MAGIC: u64 = 0x4641_5345_4c4f_4731; // "FASELOG1"
 const OFF_MAGIC: usize = 0;
 const OFF_TAIL: usize = 8;
 const RECORDS_START: u64 = 16;
-const COMMIT_MARK: u64 = u64::MAX;
 
 /// Counters for log activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -196,20 +204,15 @@ impl UndoLog {
         self.set_tail(region, pos);
     }
 
-    /// Commit the open FASE: durable COMMIT record, then truncation.
+    /// Commit the open FASE by truncating the log: one persisted
+    /// `tail ← RECORDS_START`. The caller must have flushed **and
+    /// fenced** every data store of the FASE first — the moment the
+    /// truncated tail is durable nothing can roll them back. A FASE
+    /// that logged no record costs nothing here.
     pub fn commit(&mut self, region: &mut PmemRegion) {
-        let tail = self.tail(region);
-        assert!(
-            (tail + 16) as usize <= self.len,
-            "undo log overflow at commit"
-        );
-        let at = self.base + tail as usize;
-        region.write_u64(at, COMMIT_MARK);
-        region.write_u64(at + 8, 0);
-        region.persist(at, 16);
-        self.set_tail(region, tail + 16);
-        // Truncate: the FASE is durable; drop the records.
-        self.set_tail(region, RECORDS_START);
+        if self.tail(region) != RECORDS_START {
+            self.set_tail(region, RECORDS_START);
+        }
         self.stats.commits += 1;
     }
 
@@ -241,24 +244,10 @@ impl UndoLog {
         // Parse records into (offset, len, data_at).
         let mut recs: Vec<(u64, usize, usize)> = Vec::new();
         let mut pos = RECORDS_START;
-        let mut committed = false;
         while pos + 16 <= tail {
             let at = self.base + pos as usize;
             let offset = region.read_u64(at);
             let len_w = region.read_u64(at + 8);
-            if offset == COMMIT_MARK {
-                // `commit` truncates right after appending, so a live
-                // COMMIT can only be the final record inside the tail
-                // window (crash between append and truncation). A
-                // COMMIT-shaped word anywhere else is stale bytes from
-                // an earlier FASE past the true tail — stop the scan
-                // and keep the records gathered so far.
-                if len_w == 0 && pos + 16 == tail {
-                    committed = true;
-                    recs.clear();
-                }
-                break;
-            }
             // Record sanity: a real entry restores 1+ bytes that lie
             // entirely inside the data area [0, base). Anything else is
             // garbage past the true tail — stop there.
@@ -276,21 +265,17 @@ impl UndoLog {
             pos += 16 + padded;
         }
 
-        let mut applied = 0usize;
-        if !committed {
-            for &(offset, len, data_at) in recs.iter().rev() {
-                let mut old = vec![0u8; len];
-                region.read(data_at, &mut old);
-                region.write(offset as usize, &old);
-                region.persist(offset as usize, len);
-                applied += 1;
-            }
-            if applied > 0 {
-                self.stats.rollbacks += 1;
-            }
+        for &(offset, len, data_at) in recs.iter().rev() {
+            let mut old = vec![0u8; len];
+            region.read(data_at, &mut old);
+            region.write(offset as usize, &old);
+            region.persist(offset as usize, len);
+        }
+        if !recs.is_empty() {
+            self.stats.rollbacks += 1;
         }
         self.set_tail(region, RECORDS_START);
-        Ok(applied)
+        Ok(recs.len())
     }
 }
 
@@ -359,27 +344,102 @@ mod tests {
     }
 
     #[test]
-    fn crash_between_commit_record_and_truncation() {
-        // Simulate: commit record persisted, truncation lost. Recovery
-        // must not roll back.
+    fn commit_is_one_flush_and_one_fence() {
+        let (mut r, mut l) = setup();
+        l.append_entry(&mut r, 0, b"AAAA");
+        r.write(0, b"BBBB");
+        r.persist(0, 4);
+        let before = r.stats();
+        l.commit(&mut r);
+        let after = r.stats();
+        assert_eq!(after.flushes - before.flushes, 1, "the tail line");
+        assert_eq!(after.fences - before.fences, 1);
+        assert_eq!(after.stores - before.stores, 1, "the 8-byte tail word");
+    }
+
+    #[test]
+    fn commit_of_a_fase_that_logged_nothing_is_free() {
+        let (mut r, mut l) = setup();
+        let before = r.stats();
+        l.commit(&mut r);
+        assert_eq!(r.stats(), before, "no store, no flush, no fence");
+        assert_eq!(l.stats().commits, 1, "still a commit");
+    }
+
+    #[test]
+    fn truncation_is_the_commit_point() {
+        // Data flushed and fenced, truncation written but not yet
+        // durable: under the strict adversary the records are still
+        // live and the FASE rolls back; once the truncated tail line
+        // lands (here: every in-flight line does) the FASE stands.
+        for (mode, want) in [
+            (CrashMode::StrictDurableOnly, b"AAAA"),
+            (CrashMode::AllInFlightLands, b"BBBB"),
+        ] {
+            let (mut r, mut l) = setup();
+            r.write(0, b"AAAA");
+            r.persist(0, 4);
+            l.append_entry(&mut r, 0, b"AAAA");
+            r.write(0, b"BBBB");
+            r.persist(0, 4);
+            r.write_u64(LOG_BASE + OFF_TAIL, RECORDS_START); // commit, unflushed
+            r.crash(&mode);
+            let mut l2 = UndoLog::open(&r, LOG_BASE, LOG_LEN).unwrap();
+            l2.recover(&mut r).unwrap();
+            assert_eq!(r.slice(0, 4), want, "{mode:?}");
+            assert_eq!(r.read_u64(LOG_BASE + OFF_TAIL), RECORDS_START);
+        }
+    }
+
+    #[test]
+    fn commit_shaped_record_is_garbage_that_stops_the_scan() {
+        // No COMMIT record exists any more. The word pair the old
+        // format used (offset == u64::MAX, len == 0) is just a record
+        // whose target lies outside the data area: even as the final
+        // record inside the tail window it commits nothing — the scan
+        // stops there and the records before it roll back.
         let (mut r, mut l) = setup();
         r.write(0, b"AAAA");
         r.persist(0, 4);
         l.append_entry(&mut r, 0, b"AAAA");
         r.write(0, b"BBBB");
         r.persist(0, 4);
-        // hand-craft the commit record without truncating
         let tail = r.read_u64(LOG_BASE + OFF_TAIL);
         let at = LOG_BASE + tail as usize;
-        r.write_u64(at, COMMIT_MARK);
+        r.write_u64(at, u64::MAX);
         r.write_u64(at + 8, 0);
         r.persist(at, 16);
         r.write_u64(LOG_BASE + OFF_TAIL, tail + 16);
         r.persist(LOG_BASE + OFF_TAIL, 8);
         r.crash(&CrashMode::StrictDurableOnly);
         let mut l2 = UndoLog::open(&r, LOG_BASE, LOG_LEN).unwrap();
-        assert_eq!(l2.recover(&mut r).unwrap(), 0, "last record is COMMIT");
-        assert_eq!(r.slice(0, 4), b"BBBB");
+        assert_eq!(l2.recover(&mut r).unwrap(), 1, "the real record rolls back");
+        assert_eq!(r.slice(0, 4), b"AAAA");
+    }
+
+    #[test]
+    fn stale_records_past_the_tail_are_never_replayed() {
+        // A committed FASE leaves its records in place beyond the
+        // truncated tail. The next FASE's shorter record overwrites
+        // only the front of them; recovery must replay exactly what the
+        // new tail covers and nothing of the stale remainder.
+        let (mut r, mut l) = setup();
+        r.write(0, b"AAAA");
+        r.write(64, b"XXXX");
+        r.persist(0, 68);
+        l.append_group(&mut r, &[(0, 4), (64, 4)]);
+        r.write(0, b"BBBB");
+        r.write(64, b"YYYY");
+        r.persist(0, 68);
+        l.commit(&mut r);
+        l.append_entry(&mut r, 0, b"BBBB");
+        r.write(0, b"CCCC");
+        r.persist(0, 4);
+        r.crash(&CrashMode::AllInFlightLands);
+        let mut l2 = UndoLog::open(&r, LOG_BASE, LOG_LEN).unwrap();
+        assert_eq!(l2.recover(&mut r).unwrap(), 1);
+        assert_eq!(r.slice(0, 4), b"BBBB", "second FASE rolled back");
+        assert_eq!(r.slice(64, 4), b"YYYY", "first FASE's stale record ignored");
     }
 
     #[test]

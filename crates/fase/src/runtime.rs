@@ -13,7 +13,8 @@
 //! [`FaseRuntime::store_fresh`]; steps 2–4 and the commit are the same.
 //!
 //! At the end of an outermost FASE the policy's buffered lines are
-//! flushed, a fence orders them, and the log commits — making the
+//! flushed, a fence orders them, and the log commits by truncating
+//! itself (one persisted tail word — the commit point) — making the
 //! FASE's updates durable atomically.
 
 use nvcache_core::{PersistPolicy, Policy, PolicyKind, StoreOutcome};

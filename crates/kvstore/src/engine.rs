@@ -1,6 +1,7 @@
-//! The engine seam: what a shard lane's worker needs from the storage
-//! structure it serves. Two implementations ride behind the same
-//! submission queues, group commit, crash plumbing, and network layer:
+//! The engine seam: what a shard lane needs from the storage structure
+//! it serves. Two implementations ride behind the same lanes (caller-
+//! run when idle, queued and group-committed when busy), crash
+//! plumbing, and network layer:
 //!
 //! * [`Shard`] — the open-chaining persistent hash table (point ops in
 //!   O(1), scans pay a full bucket walk + sort);
@@ -8,7 +9,8 @@
 //!   (ordered scans stream leaves; every batch with a write is one CoW
 //!   transaction published by one FASE commit).
 //!
-//! The worker drives exactly [`Engine::serve_batch`] +
+//! Whoever serves a lane — a submitter that found it idle, or its
+//! worker — drives exactly [`Engine::serve_batch`] +
 //! [`Engine::heal_after_panic`]; everything else is server plumbing
 //! (stats scraping, crash injection, verification dumps).
 
@@ -21,7 +23,8 @@ use crate::shard::{BatchReply, BatchRequest, CapacityChoice, Shard};
 /// A storage engine servable by a `KvServer` lane.
 #[allow(clippy::len_without_is_empty)]
 pub trait Engine: Send + 'static {
-    /// Serve one drained submission-queue batch with sequential
+    /// Serve one batch (a submitter's own group, or what the worker
+    /// drained from the submission queue) with sequential
     /// semantics (a request observes every earlier request of its own
     /// batch) and the committed-prefix crash contract: after this
     /// returns, every reply's effect is durable; a crash mid-batch

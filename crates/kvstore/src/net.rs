@@ -7,9 +7,9 @@
 //! [`Transport`] abstracts listen/connect over byte-stream connections.
 //! Two implementations:
 //!
-//! - [`InProcTransport`] — in-process duplex pipes (`Mutex<VecDeque>` +
-//!   condvar halves). Deterministic, no sockets, no ports: what the
-//!   test suite and the CI smoke run on.
+//! - [`InProcTransport`] — in-process duplex pipes (a bounded byte
+//!   buffer + condvars per direction). Deterministic, no sockets, no
+//!   ports: what the test suite and the CI smoke run on.
 //! - [`TcpTransport`] — real TCP. The listen address is decided like
 //!   wrongodb's server: explicit CLI argument beats `NVKV_ADDR` beats
 //!   `NVKV_PORT` (host-defaulted) beats the built-in default
@@ -18,22 +18,40 @@
 //! ## Per-connection pipelining
 //!
 //! Each accepted connection gets a **reader** thread and a **writer**
-//! thread. The reader decodes frames and submits them non-blockingly
-//! into the shard lanes' [`SubmissionQueue`]s — many requests from one
-//! connection can be in flight at once, and requests from *different*
-//! connections meet in the same queue, where the shard worker's drain
-//! turns them into one grouped FASE (cross-client group commit). The
-//! writer multiplexes over all of the connection's outstanding
-//! completions via a shared [`Notify`] and sends responses back **in
-//! completion order, not submission order** — responses carry the
-//! request id, so the client reorders. One sweep of the writer encodes
-//! every response that became ready and hands the transport a single
-//! contiguous write.
+//! thread. The reader decodes every frame one read delivered, groups
+//! them per shard lane, and submits each group at once. A lane it finds
+//! idle it serves itself ([`crate::server`]): the replies come straight
+//! back, and the reader encodes and writes them — the request never
+//! changes threads between the wire and the engine. A busy lane gets
+//! the whole group queued under one lock; requests from *different*
+//! connections meet in that queue, where the next drain (the lane
+//! worker's, or a submitter's that finds the lane free) turns them into
+//! one grouped FASE (cross-client group commit), and the answers to
+//! those come back through the writer: it sleeps on the connection's
+//! [`Notify`], which is posted once per served batch, sweeps the
+//! outstanding completions and sends what became ready — **in
+//! completion order, not submission order**; responses carry the
+//! request id, so the client reorders. Either thread encodes everything
+//! it has into one buffer and hands the transport a single write of
+//! whole frames.
+//!
+//! The connection's write half sits behind one mutex shared by the two
+//! threads. It is never taken while a lane is held (the reader writes
+//! after `try_serve` returned), so a slow peer cannot stall a lane. A
+//! peer that stops reading its replies fills the transport's buffer
+//! (the in-process pipe is bounded like a socket buffer, see
+//! [`PIPE_CAPACITY`]) and the write blocks: the reader's own, which
+//! stops it reading requests, or the writer thread's, after which the
+//! queued-but-unanswered set runs into its cap and the reader waits for
+//! it to drain. Either way back-pressure lands on the peer that caused
+//! it instead of growing the server's buffers.
 //!
 //! ## Ack contract
 //!
-//! A response frame for a write is encoded only after its completion
-//! slot was filled, and the shard worker fills slots only after the
+//! A response frame for a write is encoded only after its reply exists
+//! — returned by the reader's own `serve_batch`, or filled into the
+//! completion slot by whoever served the queued batch — and replies
+//! exist only after the
 //! batch's FASE committed: **a response on the wire implies the write
 //! is durable**. The crash sweep in `tests/net_e2e.rs` and the
 //! `repro net-smoke` CI step enforce exactly this.
@@ -50,9 +68,10 @@ use std::thread::JoinHandle;
 use nvcache_telemetry::{CounterId, Recorder};
 
 use crate::engine::Engine;
-use crate::proto::{encode_response, fit_entries, FrameDecoder, Request, Response};
+use crate::proto::{encode_response_into, fit_entries, FrameDecoder, Request, Response};
 use crate::queue::{Completion, Notify};
-use crate::server::{KvServer, ScanEntries};
+use crate::server::{KvClient, KvServer, Queued};
+use crate::shard::{BatchReply, BatchRequest};
 
 /// Default TCP listen address (wrongodb-style: a fixed well-known
 /// loopback port, overridable by environment or CLI).
@@ -85,7 +104,11 @@ pub fn listen_addr(cli: Option<&str>) -> String {
 pub trait Conn: Send {
     /// Read up to `buf.len()` bytes; `Ok(0)` means the peer closed.
     fn read_some(&mut self, buf: &mut [u8]) -> io::Result<usize>;
-    /// Write the whole buffer.
+    /// Write the whole buffer. Whether two handles of one connection
+    /// writing at once keep their buffers apart is the transport's
+    /// business (the in-process pipe does, a TCP stream's partial writes
+    /// do not): writers that share a direction serialize among
+    /// themselves, as the server's two threads do behind one mutex.
     fn write_all_bytes(&mut self, buf: &[u8]) -> io::Result<()>;
     /// A second handle over the same connection.
     fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>>;
@@ -114,51 +137,130 @@ pub trait Transport {
 
 // ---- in-process transport --------------------------------------------
 
-/// One direction of a duplex pipe: a byte queue with blocking reads.
+/// Bytes one direction of an in-process pipe buffers before `write`
+/// blocks — what a socket's send + receive buffers would hold. As over
+/// a socket, a peer that pipelines more than this must read replies
+/// while it sends.
+pub const PIPE_CAPACITY: usize = 1 << 20;
+
+/// One direction of a duplex pipe: a bounded byte buffer with blocking
+/// reads and, at [`PIPE_CAPACITY`], blocking writes. Each condvar is
+/// notified only when its side has registered a sleeper.
 #[derive(Debug, Default)]
 struct Pipe {
     state: Mutex<PipeState>,
-    cv: Condvar,
+    /// The reader parks here on an empty pipe.
+    readable: Condvar,
+    /// Writers park here on a full one.
+    writable: Condvar,
 }
 
 #[derive(Debug, Default)]
 struct PipeState {
-    data: VecDeque<u8>,
+    /// Unread bytes are `data[head..]`.
+    data: Vec<u8>,
+    head: usize,
     closed: bool,
+    reader_waiting: bool,
+    writers_waiting: usize,
+    /// A writer is parked on the full pipe with part of its buffer in.
+    writer_parked: bool,
+}
+
+impl PipeState {
+    fn unread(&self) -> usize {
+        self.data.len() - self.head
+    }
 }
 
 impl Pipe {
-    fn write(&self, buf: &[u8]) -> io::Result<()> {
-        let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if g.closed {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"));
+    fn lock(&self) -> std::sync::MutexGuard<'_, PipeState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn write(&self, mut buf: &[u8]) -> io::Result<()> {
+        let mut g = self.lock();
+        // a writer parked mid-buffer owns the pipe until it is through,
+        // so two handles' writes never interleave
+        while g.writer_parked && !g.closed {
+            g.writers_waiting += 1;
+            g = self.writable.wait(g).unwrap_or_else(|e| e.into_inner());
         }
-        g.data.extend(buf);
-        drop(g);
-        self.cv.notify_all();
-        Ok(())
+        let mut parked = false;
+        loop {
+            if g.closed {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "pipe closed"));
+            }
+            let n = (PIPE_CAPACITY - g.unread()).min(buf.len());
+            if n > 0 {
+                if g.head > 0 && g.data.len() + n > g.data.capacity() {
+                    // reclaim the consumed prefix rather than grow
+                    let head = g.head;
+                    g.data.drain(..head);
+                    g.head = 0;
+                }
+                g.data.extend_from_slice(&buf[..n]);
+                buf = &buf[n..];
+            }
+            let wake_reader = n > 0 && std::mem::take(&mut g.reader_waiting);
+            if buf.is_empty() {
+                let wake_writers = parked && {
+                    g.writer_parked = false;
+                    std::mem::take(&mut g.writers_waiting) > 0
+                };
+                // wake with the lock released, so the woken do not run
+                // straight into it
+                drop(g);
+                if wake_reader {
+                    self.readable.notify_one();
+                }
+                if wake_writers {
+                    self.writable.notify_all();
+                }
+                return Ok(());
+            }
+            // the peer is a whole buffer behind: wait for it to read
+            if wake_reader {
+                self.readable.notify_one();
+            }
+            parked = true;
+            g.writer_parked = true;
+            g.writers_waiting += 1;
+            g = self.writable.wait(g).unwrap_or_else(|e| e.into_inner());
+        }
     }
 
     fn read(&self, buf: &mut [u8]) -> io::Result<usize> {
-        let mut g = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if !g.data.is_empty() {
-                let n = buf.len().min(g.data.len());
-                for slot in buf.iter_mut().take(n) {
-                    *slot = g.data.pop_front().unwrap();
-                }
-                return Ok(n);
-            }
+        let mut g = self.lock();
+        while g.unread() == 0 {
             if g.closed {
                 return Ok(0); // EOF
             }
-            g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
+            g.reader_waiting = true;
+            g = self.readable.wait(g).unwrap_or_else(|e| e.into_inner());
         }
+        let n = buf.len().min(g.unread());
+        buf[..n].copy_from_slice(&g.data[g.head..g.head + n]);
+        g.head += n;
+        if g.unread() == 0 {
+            g.data.clear();
+            g.head = 0;
+        }
+        if n > 0 && std::mem::take(&mut g.writers_waiting) > 0 {
+            drop(g);
+            self.writable.notify_all();
+        }
+        Ok(n)
     }
 
     fn close(&self) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-        self.cv.notify_all();
+        let mut g = self.lock();
+        g.closed = true;
+        g.reader_waiting = false;
+        g.writers_waiting = 0;
+        drop(g);
+        self.readable.notify_all();
+        self.writable.notify_all();
     }
 }
 
@@ -401,55 +503,179 @@ impl NetStats {
     }
 }
 
-/// One outstanding request on a connection, keyed by wire id. The
-/// writer sweeps these and emits a response as soon as the entry is
-/// ready — possibly out of submission order.
-enum PendingState {
-    /// A `Get` waiting on its completion.
-    Value(Completion<Option<Vec<u8>>>),
-    /// A `Put`/`Delete` waiting on its completion.
-    Done(Completion<bool>),
-    /// A `PutMany` split over several lanes: ready when every per-lane
-    /// slice acked; the combined ack is the conjunction.
-    Multi {
-        parts: Vec<Completion<bool>>,
-        got: Vec<Option<bool>>,
-    },
-    /// A `Scan` fanned out to every lane (keys are hash-routed): ready
-    /// when each lane returned its slice; the response is the merged,
-    /// sorted, limit-truncated union, further cut to fit one frame.
-    Scan {
-        parts: Vec<Completion<ScanEntries>>,
-        got: Vec<Option<ScanEntries>>,
-        limit: usize,
-    },
-    /// Ready immediately (Pong, Rejected).
-    Ready(Response),
+/// A wire request whose answer is assembled from several lanes'
+/// replies: a `PutMany` split over lanes (ack = the conjunction) or a
+/// `Scan` fanned out to every lane (keys are hash-routed; the response
+/// is the merged, sorted, limit-truncated union).
+struct Fan {
+    id: u64,
+    /// `Some(limit)` for a scan, `None` for a multi-put.
+    scan_limit: Option<usize>,
+    parts: Vec<Part>,
 }
 
-struct PendingEntry {
-    id: u64,
-    state: PendingState,
+/// One lane's share of a [`Fan`].
+enum Part {
+    /// The reply is in — served by the reader, or collected from a slot.
+    Got(BatchReply),
+    /// Queued on a busy lane.
+    Wait(Completion<BatchReply>),
+    /// The lane refused it (full under `Reject`, or shut down).
+    Refused,
+}
+
+impl Fan {
+    /// A fan over `lanes` lanes. Every part starts as a positive ack:
+    /// each lane the request is routed to overwrites its part when the
+    /// group is submitted, and the lanes a multi-put has no slice for
+    /// keep it (nothing to do there is trivially done).
+    fn new(id: u64, scan_limit: Option<usize>, lanes: usize) -> Fan {
+        Fan {
+            id,
+            scan_limit,
+            parts: (0..lanes)
+                .map(|_| Part::Got(BatchReply::Done(true)))
+                .collect(),
+        }
+    }
+
+    /// Collect whatever landed; `true` once every part is settled.
+    fn poll(&mut self) -> bool {
+        let mut settled = true;
+        for p in &mut self.parts {
+            if let Part::Wait(c) = p {
+                match c.try_take() {
+                    Some(r) => *p = Part::Got(r),
+                    None => settled = false,
+                }
+            }
+        }
+        settled
+    }
+
+    /// The response of a fan [`poll`](Fan::poll) found settled. A
+    /// refused part makes the whole request `Rejected` (slices that
+    /// *were* accepted still commit — at-most-once acks).
+    fn response(&mut self) -> Response {
+        let id = self.id;
+        if self.parts.iter().any(|p| matches!(p, Part::Refused)) {
+            return Response::Rejected { id };
+        }
+        let replies = self.parts.drain(..).filter_map(|p| match p {
+            Part::Got(r) => Some(r),
+            _ => None,
+        });
+        match self.scan_limit {
+            None => Response::Done {
+                id,
+                ok: replies.fold(true, |ok, r| ok & (r == BatchReply::Done(true))),
+            },
+            Some(limit) => {
+                let mut items: Vec<(u64, Vec<u8>)> = replies
+                    .flat_map(|r| match r {
+                        BatchReply::Entries(e) => e,
+                        _ => Vec::new(),
+                    })
+                    .collect();
+                items.sort_unstable_by_key(|&(k, _)| k);
+                items.truncate(limit);
+                entries_response(id, items)
+            }
+        }
+    }
+}
+
+/// An `Entries` frame must fit the body cap: never emit an unframeable
+/// response, cut to the longest prefix that encodes under `MAX_BODY`.
+fn entries_response(id: u64, mut items: Vec<(u64, Vec<u8>)>) -> Response {
+    items.truncate(fit_entries(&items));
+    Response::Entries { id, items }
+}
+
+/// The wire response for a single-lane request's reply.
+fn response_of(id: u64, reply: BatchReply) -> Response {
+    match reply {
+        BatchReply::Value(value) => Response::Value { id, value },
+        BatchReply::Done(ok) => Response::Done { id, ok },
+        BatchReply::Entries(items) => entries_response(id, items),
+    }
+}
+
+/// One request queued on a busy lane (or a fan with a queued part),
+/// keyed by wire id. The writer sweeps these and emits a response as
+/// soon as the entry is ready — possibly out of submission order.
+enum Pending {
+    One {
+        id: u64,
+        slot: Completion<BatchReply>,
+    },
+    Fan(Fan),
+}
+
+impl Pending {
+    /// The response, once every reply it needs is in.
+    fn take_ready(&mut self) -> Option<Response> {
+        match self {
+            Pending::One { id, slot } => slot.try_take().map(|r| response_of(*id, r)),
+            Pending::Fan(fan) => fan.poll().then(|| fan.response()),
+        }
+    }
+
+    /// Ready, without building a response nobody will read.
+    fn reap(&mut self) -> bool {
+        match self {
+            Pending::One { slot, .. } => slot.try_take().is_some(),
+            Pending::Fan(fan) => fan.poll(),
+        }
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Queued-but-unanswered requests one connection may hold before its
+/// reader stops taking in more: with the writer stuck behind a peer that
+/// does not read, the pending set stays under this plus one read's
+/// worth. The write mutex alone does not bound it: a reader that merely
+/// passes that mutex every round gets as many rounds in as the
+/// scheduler gives it before the writer thread runs into the full pipe
+/// (`a_peer_that_never_reads_stalls_only_itself` then sees three rounds
+/// pending in about one run of thirty).
+const PENDING_CAP: usize = 1024;
+
+/// The requests a connection's reader queued on busy lanes, awaiting a
+/// worker's reply and the writer's sweep.
+#[derive(Default)]
+struct PendingSet {
+    entries: VecDeque<Pending>,
+    /// The reader sleeps on `ConnShared::drained` (set over the cap).
+    reader_waiting: bool,
 }
 
 /// Shared between one connection's reader and writer threads.
 struct ConnShared {
-    pending: Mutex<VecDeque<PendingEntry>>,
+    pending: Mutex<PendingSet>,
+    /// The reader parks here while `pending` is over [`PENDING_CAP`];
+    /// the writer notifies after a sweep that removed entries.
+    drained: Condvar,
+    /// Posted by whoever served a queued batch (once per batch) and by
+    /// the reader when it registered a fan late or is done.
     notify: Arc<Notify>,
+    /// The connection's write half: whole frames per write, and never
+    /// taken while a lane's engine lock is held.
+    write_half: Mutex<Box<dyn Conn>>,
     /// Reader finished (EOF or fatal error): writer drains and exits.
     done: AtomicBool,
 }
 
 impl ConnShared {
-    /// Mark the entry `id` (inserted just before a failed submit) as an
-    /// immediate `Rejected` response.
-    fn reject(&self, id: u64) {
-        let mut g = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(e) = g.iter_mut().rev().find(|e| e.id == id) {
-            e.state = PendingState::Ready(Response::Rejected { id });
-        }
-        drop(g);
-        self.notify.post();
+    /// Count and write `frames` encoded responses. Counted before the
+    /// write: a client that has read a reply must never observe
+    /// `frames_in > frames_out`.
+    fn send(&self, wire: &[u8], frames: u64, stats: &NetStats) -> io::Result<()> {
+        stats.frames_out.fetch_add(frames, Ordering::Relaxed);
+        lock(&self.write_half).write_all_bytes(wire)
     }
 }
 
@@ -473,8 +699,7 @@ pub struct NetServer {
 
 impl NetServer {
     /// Bind `transport` on `addr` and start accepting. Every accepted
-    /// connection gets a reader + writer thread pair over `kv`'s
-    /// submission queues.
+    /// connection gets a reader + writer thread pair over `kv`'s lanes.
     pub fn start<E: Engine>(
         transport: &dyn Transport,
         addr: &str,
@@ -563,10 +788,11 @@ fn spawn_conn<E: Engine>(
     stats: Arc<NetStats>,
 ) -> io::Result<ConnHandle> {
     let read_half = conn.try_clone_conn()?;
-    let write_half = conn.try_clone_conn()?;
     let shared = Arc::new(ConnShared {
-        pending: Mutex::new(VecDeque::new()),
+        pending: Mutex::default(),
+        drained: Condvar::new(),
         notify: Arc::new(Notify::new()),
+        write_half: Mutex::new(conn.try_clone_conn()?),
         done: AtomicBool::new(false),
     });
     let reader = {
@@ -581,7 +807,7 @@ fn spawn_conn<E: Engine>(
     let writer = {
         let shared = Arc::clone(&shared);
         let stats = Arc::clone(&stats);
-        std::thread::spawn(move || writer_loop(write_half, &shared, &stats))
+        std::thread::spawn(move || writer_loop(&shared, &stats))
     };
     Ok(ConnHandle {
         conn,
@@ -590,9 +816,197 @@ fn spawn_conn<E: Engine>(
     })
 }
 
-/// Decode frames off the connection and submit them. Returns on EOF,
-/// read error, or a fatal protocol error (which also tears the
-/// connection down so the peer notices).
+/// Where a lane reply of the current read belongs.
+#[derive(Clone, Copy)]
+enum Tag {
+    /// It is the whole answer to wire request `id`.
+    One(u64),
+    /// It is part `lane` of `fans[fan]`.
+    Part(usize),
+}
+
+/// Everything one read delivered, grouped per lane, plus the replies
+/// the reader produced itself. Buffers are reused across reads.
+struct Round {
+    /// Per lane: the requests of this read, and where each reply goes.
+    groups: Vec<(Vec<BatchRequest>, Vec<Tag>)>,
+    /// Multi-lane requests of this read.
+    fans: Vec<Fan>,
+    /// Encoded responses the reader will write, and how many.
+    wire: Vec<u8>,
+    frames: u64,
+}
+
+impl Round {
+    fn new(lanes: usize) -> Round {
+        Round {
+            groups: (0..lanes).map(|_| (Vec::new(), Vec::new())).collect(),
+            fans: Vec::new(),
+            wire: Vec::new(),
+            frames: 0,
+        }
+    }
+
+    fn answer(&mut self, resp: &Response) {
+        encode_response_into(&mut self.wire, resp);
+        self.frames += 1;
+    }
+
+    fn route(&mut self, lane: usize, req: BatchRequest, tag: Tag) {
+        let (reqs, tags) = &mut self.groups[lane];
+        reqs.push(req);
+        tags.push(tag);
+    }
+
+    /// File one decoded request under the lane(s) that serve it.
+    fn add(&mut self, client: &KvClient, req: Request) {
+        let lanes = client.num_lanes();
+        match req {
+            Request::Ping { id } => self.answer(&Response::Pong { id }),
+            Request::Get { id, key } => {
+                self.route(client.lane_of(key), BatchRequest::Get(key), Tag::One(id))
+            }
+            Request::Put { id, key, value } => self.route(
+                client.lane_of(key),
+                BatchRequest::Put(key, value),
+                Tag::One(id),
+            ),
+            Request::Delete { id, key } => {
+                self.route(client.lane_of(key), BatchRequest::Delete(key), Tag::One(id))
+            }
+            Request::PutMany { id, items } => {
+                let mut by_lane: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); lanes];
+                for (k, v) in items {
+                    by_lane[client.lane_of(k)].push((k, v));
+                }
+                let mut slices = by_lane
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, group)| !group.is_empty());
+                let Some((lane, group)) = slices.next() else {
+                    return self.answer(&Response::Done { id, ok: true });
+                };
+                let Some(second) = slices.next() else {
+                    // one lane involved: its ack is the answer
+                    return self.route(lane, BatchRequest::PutMany(group), Tag::One(id));
+                };
+                let tag = Tag::Part(self.fans.len());
+                for (lane, group) in [(lane, group), second].into_iter().chain(slices) {
+                    self.route(lane, BatchRequest::PutMany(group), tag);
+                }
+                self.fans.push(Fan::new(id, None, lanes));
+            }
+            Request::Scan { id, lo, hi, limit } => {
+                if lo > hi || limit == 0 {
+                    return self.answer(&Response::Entries {
+                        id,
+                        items: Vec::new(),
+                    });
+                }
+                if lanes == 1 {
+                    return self.route(0, BatchRequest::Scan(lo, hi, limit), Tag::One(id));
+                }
+                // keys are hash-routed: every lane may hold part of the
+                // range, so fan the scan out and merge the replies
+                for lane in 0..lanes {
+                    self.route(
+                        lane,
+                        BatchRequest::Scan(lo, hi, limit),
+                        Tag::Part(self.fans.len()),
+                    );
+                }
+                self.fans.push(Fan::new(id, Some(limit as usize), lanes));
+            }
+        }
+    }
+
+    /// Submit every lane's group: serve the lanes found idle on this
+    /// thread, queue on the busy ones. Afterwards `wire` holds the
+    /// responses of everything served here (and of anything refused);
+    /// what was queued is registered in `shared.pending` for the writer.
+    fn submit(&mut self, client: &KvClient, shared: &ConnShared) {
+        for lane in 0..self.groups.len() {
+            if self.groups[lane].0.is_empty() {
+                continue;
+            }
+            let (mut reqs, mut tags) = std::mem::take(&mut self.groups[lane]);
+            match client.try_serve(lane, &reqs) {
+                Some(replies) => {
+                    for (&tag, reply) in tags.iter().zip(replies) {
+                        match tag {
+                            Tag::One(id) => self.answer(&response_of(id, reply)),
+                            Tag::Part(f) => self.fans[f].parts[lane] = Part::Got(reply),
+                        }
+                    }
+                    reqs.clear();
+                }
+                None => self.queue_group(client, shared, lane, &mut reqs, &tags),
+            }
+            tags.clear();
+            self.groups[lane] = (reqs, tags);
+        }
+        let mut late = false;
+        for mut fan in std::mem::take(&mut self.fans) {
+            if fan.poll() {
+                self.answer(&fan.response());
+            } else {
+                // some part is queued and may already have been filled
+                // and posted: post again once the entry is registered
+                lock(&shared.pending).entries.push_back(Pending::Fan(fan));
+                late = true;
+            }
+        }
+        if late {
+            shared.notify.post();
+        }
+    }
+
+    /// The busy-lane path for one lane's group: register the pending
+    /// entries **before** the push, so the writer's notify-count
+    /// snapshot can never miss a fill, then queue the whole group.
+    fn queue_group(
+        &mut self,
+        client: &KvClient,
+        shared: &ConnShared,
+        lane: usize,
+        reqs: &mut Vec<BatchRequest>,
+        tags: &[Tag],
+    ) {
+        let mut items: Vec<Queued> = Vec::with_capacity(reqs.len());
+        {
+            let mut pending = lock(&shared.pending);
+            for (req, &tag) in reqs.drain(..).zip(tags) {
+                let slot = Completion::with_notify(Arc::clone(&shared.notify));
+                match tag {
+                    Tag::One(id) => pending.entries.push_back(Pending::One {
+                        id,
+                        slot: slot.clone(),
+                    }),
+                    Tag::Part(f) => self.fans[f].parts[lane] = Part::Wait(slot.clone()),
+                }
+                items.push(Queued { req, slot });
+            }
+        }
+        let accepted = client.enqueue(lane, &mut items);
+        // the refused tail is answered from here. Its `One` entries are
+        // the last this reader pushed and can never become ready, so
+        // they are still the back of `pending`.
+        for &tag in tags[accepted..].iter().rev() {
+            match tag {
+                Tag::One(id) => {
+                    lock(&shared.pending).entries.pop_back();
+                    self.answer(&Response::Rejected { id });
+                }
+                Tag::Part(f) => self.fans[f].parts[lane] = Part::Refused,
+            }
+        }
+    }
+}
+
+/// Decode frames off the connection and submit them, one read at a
+/// time; write what this thread served. Returns on EOF, read or write
+/// error, or a fatal protocol error (which also tears the connection
+/// down so the peer notices).
 fn reader_loop<E: Engine>(
     mut conn: Box<dyn Conn>,
     kv: &KvServer<E>,
@@ -602,224 +1016,105 @@ fn reader_loop<E: Engine>(
     let client = kv.handle();
     let mut dec = FrameDecoder::new();
     let mut buf = vec![0u8; 64 * 1024];
-    'io: loop {
+    let mut round = Round::new(client.num_lanes());
+    loop {
         let n = match conn.read_some(&mut buf) {
-            Ok(0) | Err(_) => break 'io,
+            Ok(0) | Err(_) => return,
             Ok(n) => n,
         };
         dec.extend_from(&buf[..n]);
-        loop {
+        let mut frames_in = 0u64;
+        let fatal = loop {
             match dec.next_request() {
-                Ok(None) => break,
+                Ok(None) => break false,
                 Ok(Some(req)) => {
-                    stats.frames_in.fetch_add(1, Ordering::Relaxed);
-                    submit(client, shared, req);
+                    frames_in += 1;
+                    round.add(client, req);
                 }
-                Err(e) if e.is_fatal() => {
-                    conn.shutdown_conn();
-                    break 'io;
-                }
+                Err(e) if e.is_fatal() => break true,
                 Err(_) => {
                     stats.proto_errors.fetch_add(1, Ordering::Relaxed);
                 }
             }
+        };
+        stats.frames_in.fetch_add(frames_in, Ordering::Relaxed);
+        round.submit(client, shared);
+        // a peer that has stopped reading stalls its own connection
+        // here instead of growing the server's buffers: this write
+        // blocks on the transport's bound, and what was queued for the
+        // writer thread (blocked on the same bound) runs into the cap
+        let sent = match round.frames {
+            0 => Ok(()),
+            frames => shared.send(&round.wire, frames, stats),
+        };
+        round.wire.clear();
+        round.frames = 0;
+        let mut pending = lock(&shared.pending);
+        while pending.entries.len() > PENDING_CAP {
+            pending.reader_waiting = true;
+            pending = shared
+                .drained
+                .wait(pending)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+        drop(pending);
+        if fatal {
+            conn.shutdown_conn();
+        }
+        if fatal || sent.is_err() {
+            return;
         }
     }
 }
 
-/// Register a pending entry for `req` **before** submitting it, so the
-/// writer's notify-count snapshot can never miss the fill, then push
-/// the request into the shard lane(s).
-fn submit(client: &crate::server::KvClient, shared: &ConnShared, req: Request) {
-    let id = req.id();
-    let push_entry = |state: PendingState| {
-        shared
-            .pending
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(PendingEntry { id, state });
-    };
-    match req {
-        Request::Ping { id } => {
-            push_entry(PendingState::Ready(Response::Pong { id }));
-            shared.notify.post();
-        }
-        Request::Get { id, key } => {
-            let c = Completion::with_notify(Arc::clone(&shared.notify));
-            push_entry(PendingState::Value(c.clone()));
-            if !client.submit_get(key, c) {
-                shared.reject(id);
-            }
-        }
-        Request::Put { id, key, value } => {
-            let c = Completion::with_notify(Arc::clone(&shared.notify));
-            push_entry(PendingState::Done(c.clone()));
-            if !client.submit_put(key, value, c) {
-                shared.reject(id);
-            }
-        }
-        Request::Delete { id, key } => {
-            let c = Completion::with_notify(Arc::clone(&shared.notify));
-            push_entry(PendingState::Done(c.clone()));
-            if !client.submit_delete(key, c) {
-                shared.reject(id);
-            }
-        }
-        Request::PutMany { id, items } => {
-            if items.is_empty() {
-                push_entry(PendingState::Ready(Response::Done { id, ok: true }));
-                shared.notify.post();
-                return;
-            }
-            let mut by_lane: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); client.num_lanes()];
-            for (k, v) in items {
-                by_lane[client.lane_of(k)].push((k, v));
-            }
-            let mut parts = Vec::new();
-            let mut slices = Vec::new();
-            for (lane, group) in by_lane.into_iter().enumerate() {
-                if group.is_empty() {
-                    continue;
-                }
-                parts.push(Completion::with_notify(Arc::clone(&shared.notify)));
-                slices.push((lane, group));
-            }
-            let got = vec![None; parts.len()];
-            push_entry(PendingState::Multi {
-                parts: parts.clone(),
-                got,
-            });
-            let mut ok = true;
-            for ((lane, group), c) in slices.into_iter().zip(parts) {
-                ok &= client.submit_put_many(lane, group, c);
-            }
-            if !ok {
-                // at least one lane refused: answer Rejected (slices
-                // that *were* accepted still commit — at-most-once acks)
-                shared.reject(id);
-            }
-        }
-        Request::Scan { id, lo, hi, limit } => {
-            if lo > hi || limit == 0 {
-                push_entry(PendingState::Ready(Response::Entries {
-                    id,
-                    items: Vec::new(),
-                }));
-                shared.notify.post();
-                return;
-            }
-            // keys are hash-routed: every lane may hold part of the
-            // range, so fan the scan out and merge at response time
-            let parts: Vec<Completion<ScanEntries>> = (0..client.num_lanes())
-                .map(|_| Completion::with_notify(Arc::clone(&shared.notify)))
-                .collect();
-            let got = vec![None; parts.len()];
-            push_entry(PendingState::Scan {
-                parts: parts.clone(),
-                got,
-                limit: limit as usize,
-            });
-            let mut ok = true;
-            for (lane, c) in parts.into_iter().enumerate() {
-                ok &= client.submit_scan(lane, lo, hi, limit, c);
-            }
-            if !ok {
-                shared.reject(id);
-            }
-        }
-    }
-}
-
-/// Sweep the pending set whenever completions land, encode every
-/// response that became ready (possibly out of submission order), and
-/// write them back as one contiguous buffer per sweep.
-fn writer_loop(mut conn: Box<dyn Conn>, shared: &ConnShared, stats: &NetStats) {
+/// Answer what the lane workers served: sweep the pending set whenever
+/// one posts, encode every response that became ready (possibly out of
+/// submission order), and write them back as one buffer per sweep.
+fn writer_loop(shared: &ConnShared, stats: &NetStats) {
     let mut wire = Vec::new();
     let mut broken = false;
     loop {
         let seen = shared.notify.count();
         let done = shared.done.load(Ordering::Acquire);
-        wire.clear();
-        let mut sent = 0u64;
+        let mut frames = 0u64;
         let empty = {
-            let mut g = shared.pending.lock().unwrap_or_else(|e| e.into_inner());
-            let mut i = 0;
-            while i < g.len() {
-                if let Some(resp) = take_ready(&mut g[i]) {
-                    wire.extend_from_slice(&encode_response(&resp));
-                    sent += 1;
-                    g.remove(i);
-                } else {
-                    i += 1;
+            let mut pending = lock(&shared.pending);
+            let before = pending.entries.len();
+            pending.entries.retain_mut(|entry| {
+                if broken {
+                    // peer gone: keep reaping what the workers fill,
+                    // encode nothing
+                    return !entry.reap();
                 }
+                match entry.take_ready() {
+                    Some(resp) => {
+                        encode_response_into(&mut wire, &resp);
+                        frames += 1;
+                        false
+                    }
+                    None => true,
+                }
+            });
+            let empty = pending.entries.is_empty();
+            let wake_reader =
+                pending.entries.len() < before && std::mem::take(&mut pending.reader_waiting);
+            drop(pending);
+            if wake_reader {
+                shared.drained.notify_one();
             }
-            g.is_empty()
+            empty
         };
-        if !wire.is_empty() && !broken {
-            // counted before the write: a client that has read a reply
-            // must never observe `frames_in > frames_out`
-            stats.frames_out.fetch_add(sent, Ordering::Relaxed);
-            if conn.write_all_bytes(&wire).is_err() {
-                // peer gone: keep reaping completions (the shard
-                // workers still fill them) but stop writing
-                broken = true;
-            }
+        if frames > 0 {
+            broken = shared.send(&wire, frames, stats).is_err();
+            wire.clear();
         }
         if done && empty {
             return;
         }
-        if wire.is_empty() {
-            // nothing was ready: sleep until a fill lands past our
-            // pre-scan snapshot (a fill during the scan returns at once)
-            if shared.done.load(Ordering::Acquire) && empty {
-                return;
-            }
+        if frames == 0 {
+            // nothing was ready: sleep until a post lands past our
+            // pre-scan snapshot (one during the scan returns at once)
             shared.notify.wait_past(seen);
-        }
-    }
-}
-
-/// If `entry` can answer now, build the response (consuming completion
-/// results).
-fn take_ready(entry: &mut PendingEntry) -> Option<Response> {
-    let id = entry.id;
-    match &mut entry.state {
-        PendingState::Ready(r) => Some(r.clone()),
-        PendingState::Value(c) => c.try_take().map(|v| Response::Value { id, value: v }),
-        PendingState::Done(c) => c.try_take().map(|ok| Response::Done { id, ok }),
-        PendingState::Multi { parts, got } => {
-            for (slot, c) in got.iter_mut().zip(parts.iter()) {
-                if slot.is_none() {
-                    *slot = c.try_take();
-                }
-            }
-            if got.iter().all(|s| s.is_some()) {
-                Some(Response::Done {
-                    id,
-                    ok: got.iter().all(|s| s == &Some(true)),
-                })
-            } else {
-                None
-            }
-        }
-        PendingState::Scan { parts, got, limit } => {
-            for (slot, c) in got.iter_mut().zip(parts.iter()) {
-                if slot.is_none() {
-                    *slot = c.try_take();
-                }
-            }
-            if got.iter().all(|s| s.is_some()) {
-                let mut items: Vec<(u64, Vec<u8>)> =
-                    got.iter_mut().flat_map(|s| s.take().unwrap()).collect();
-                items.sort_unstable_by_key(|&(k, _)| k);
-                items.truncate(*limit);
-                // never emit an unframeable response: cut to the
-                // longest prefix that encodes under MAX_BODY
-                items.truncate(fit_entries(&items));
-                Some(Response::Entries { id, items })
-            } else {
-                None
-            }
         }
     }
 }
@@ -990,6 +1285,178 @@ mod tests {
         assert_eq!(&buf[..5], b"pong!");
         a.shutdown_conn();
         assert_eq!(b.read_some(&mut buf).unwrap(), 0, "EOF after shutdown");
+    }
+
+    #[test]
+    fn pipe_write_blocks_at_capacity_and_resumes_as_the_peer_reads() {
+        let (mut a, mut b) = DuplexConn::pair();
+        let total = PIPE_CAPACITY + PIPE_CAPACITY / 2;
+        let payload: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
+        std::thread::scope(|s| {
+            let payload = &payload;
+            let writer = s.spawn(move || a.write_all_bytes(payload));
+            // the writer runs into the bound and parks there
+            let t0 = std::time::Instant::now();
+            while b.rx.lock().writers_waiting == 0 {
+                assert!(t0.elapsed().as_secs() < 20, "writer never blocked");
+                std::thread::yield_now();
+            }
+            assert_eq!(b.rx.lock().unread(), PIPE_CAPACITY, "never past the bound");
+            let mut got = Vec::with_capacity(total);
+            let mut buf = vec![0u8; 64 * 1024];
+            while got.len() < total {
+                let n = b.read_some(&mut buf).unwrap();
+                assert!(b.rx.lock().unread() <= PIPE_CAPACITY);
+                got.extend_from_slice(&buf[..n]);
+            }
+            writer.join().unwrap().unwrap();
+            assert!(got == *payload, "bytes arrive whole and in order");
+        });
+        // a writer parked on a full pipe is released by shutdown
+        let (mut a, b) = DuplexConn::pair();
+        std::thread::scope(|s| {
+            let writer = s.spawn(move || a.write_all_bytes(&vec![0u8; 2 * PIPE_CAPACITY]));
+            while b.rx.lock().writers_waiting == 0 {
+                std::thread::yield_now();
+            }
+            b.shutdown_conn();
+            let err = writer.join().unwrap().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
+        });
+    }
+
+    /// Two handles writing one direction of a full pipe: each parks
+    /// with part of a message in, and still every message arrives whole.
+    #[test]
+    fn two_writers_on_a_full_pipe_never_interleave() {
+        const MSG: usize = 50_000;
+        const PER_WRITER: usize = 60; // 6 MB through a 1 MiB pipe
+        let (a, mut b) = DuplexConn::pair();
+        std::thread::scope(|s| {
+            for w in 0..2u8 {
+                let mut conn = a.try_clone_conn().unwrap();
+                s.spawn(move || {
+                    for m in 0..PER_WRITER {
+                        let fill = w * 100 + (m % 100) as u8;
+                        conn.write_all_bytes(&[fill; MSG]).unwrap();
+                    }
+                });
+            }
+            // read in pieces that divide neither a message nor the pipe
+            let mut got = Vec::with_capacity(2 * PER_WRITER * MSG);
+            let mut buf = vec![0u8; 7001];
+            while got.len() < 2 * PER_WRITER * MSG {
+                let n = b.read_some(&mut buf).unwrap();
+                got.extend_from_slice(&buf[..n]);
+            }
+            for (i, msg) in got.chunks(MSG).enumerate() {
+                assert!(
+                    msg.iter().all(|&x| x == msg[0]),
+                    "message {i} was cut by the other writer"
+                );
+            }
+        });
+    }
+
+    /// Idle lanes: one connection's whole session is served by its
+    /// reader thread — no request ever reaches a lane worker, and the
+    /// writer thread has nothing to answer.
+    #[test]
+    fn one_connection_is_served_by_its_reader() {
+        let kv = kv(2);
+        let t = InProcTransport::new();
+        let srv = NetServer::start(&t, "inproc", Arc::clone(&kv)).unwrap();
+        let mut c = NetClient::connect(&t, "inproc").unwrap();
+        for k in 0..200u64 {
+            assert!(c.put(k, &k.to_le_bytes()).unwrap());
+            assert_eq!(c.get(k).unwrap().as_deref(), Some(&k.to_le_bytes()[..]));
+        }
+        let items: Vec<(u64, Vec<u8>)> = (1000..1016).map(|k| (k, vec![7; 16])).collect();
+        assert!(c.put_many(&items).unwrap(), "spans both lanes");
+        assert_eq!(c.scan(1000, 1015, 100).unwrap(), items);
+        assert!(c.delete(3).unwrap());
+        let qs = kv.queue_stats();
+        assert_eq!(qs.queued_batches(), 0, "the workers never drained");
+        assert_eq!(qs.enqueued, qs.drained);
+        assert_eq!(qs.inline_requests, qs.drained);
+        srv.shutdown();
+        kv.close();
+    }
+
+    /// A peer that sends and never reads stalls its own connection: the
+    /// reply pipe fills to its bound, the server stops reading that
+    /// connection's requests, and everyone else is served as usual.
+    #[test]
+    fn a_peer_that_never_reads_stalls_only_itself() {
+        const FLOOD: u64 = 50_000;
+        let kv = kv(2);
+        let t = InProcTransport::new();
+        let srv = NetServer::start(&t, "inproc", Arc::clone(&kv)).unwrap();
+        let mut good = NetClient::connect(&t, "inproc").unwrap();
+        assert!(good.put(1, &[0xab; 200]).unwrap());
+        let (in0, out0) = {
+            let st = srv.stats();
+            (
+                st.frames_in.load(Ordering::Relaxed),
+                st.frames_out.load(Ordering::Relaxed),
+            )
+        };
+        // 50 000 Gets of a 200-byte value: 11 MB of replies nobody reads
+        let mut deaf = t.connect("inproc").unwrap();
+        let flood = std::thread::spawn(move || {
+            let mut wire = Vec::new();
+            for id in 0..FLOOD {
+                crate::proto::encode_request_into(&mut wire, &Request::Get { id, key: 1 });
+            }
+            // blocks once the server stops reading and the request
+            // pipe is full too; shutdown releases it
+            let _ = deaf.write_all_bytes(&wire);
+        });
+        // the well-behaved connection is unaffected
+        for i in 0..1000u64 {
+            let k = 10 + i % 50;
+            assert!(good.put(k, &i.to_le_bytes()).unwrap());
+            assert_eq!(good.get(k).unwrap().as_deref(), Some(&i.to_le_bytes()[..]));
+        }
+        // let the flood run into the bound, then watch it stay there
+        let flooded = |srv: &NetServer| {
+            let st = srv.stats();
+            let fin = st.frames_in.load(Ordering::Relaxed) - in0 - 2000;
+            let fout = st.frames_out.load(Ordering::Relaxed) - out0 - 2000;
+            (fin, fout)
+        };
+        let mut last = flooded(&srv);
+        loop {
+            std::thread::sleep(std::time::Duration::from_millis(100));
+            let now = flooded(&srv);
+            if now == last {
+                break;
+            }
+            last = now;
+        }
+        let (fin, fout) = last;
+        // a reply frame is 221 bytes: the pipe holds under 4 745 of
+        // them; the reader and the writer thread can each be blocked on
+        // one more buffer — a read's worth (2 622 requests of 25 bytes)
+        // and, for the writer, the capped pending set on top
+        let reply = (crate::proto::HEADER_LEN + 8 + 1 + 4 + 200) as u64;
+        let round = 64 * 1024 / 25 + 1;
+        let pending_max = PENDING_CAP as u64 + round;
+        assert!(
+            fout <= PIPE_CAPACITY as u64 / reply + pending_max + round,
+            "replies: {fout}"
+        );
+        assert!(
+            fin - fout <= pending_max + round,
+            "answered {fout} of {fin} decoded: unanswered requests pile up"
+        );
+        assert!(fin < FLOOD / 2, "the connection kept reading: {fin}");
+        srv.shutdown(); // joins every thread, blocked or not
+                        // (the sender may be parked on the full request pipe — shutdown
+                        // releases it with an error — or may just have fitted its last
+                        // bytes in)
+        flood.join().unwrap();
+        kv.close();
     }
 
     #[test]

@@ -36,8 +36,6 @@
 //! prefix still delimits it) and continues with the next one, so one
 //! damaged frame never desyncs the stream.
 
-use std::collections::VecDeque;
-
 /// Hard bound on a frame body; anything larger is a protocol violation
 /// (values are capped far below this by the store).
 pub const MAX_BODY: usize = 1 << 20;
@@ -174,59 +172,67 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn frame(body: Vec<u8>) -> Vec<u8> {
-    debug_assert!(body.len() <= MAX_BODY, "encoder produced oversized body");
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len());
-    put_u32(&mut out, body.len() as u32);
-    put_u32(&mut out, fnv1a32(&body));
-    out.extend_from_slice(&body);
-    out
+/// Append one frame to `out`: reserve the header, let `body` write the
+/// body in place behind it, then patch length and checksum in.
+fn frame_into(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; HEADER_LEN]);
+    body(out);
+    let body_len = out.len() - start - HEADER_LEN;
+    debug_assert!(body_len <= MAX_BODY, "encoder produced oversized body");
+    let sum = fnv1a32(&out[start + HEADER_LEN..]);
+    out[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    out[start + 4..start + HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+}
+
+fn put_entries(b: &mut Vec<u8>, items: &[(u64, Vec<u8>)]) {
+    put_u32(b, items.len() as u32);
+    for (k, v) in items {
+        put_u64(b, *k);
+        put_u32(b, v.len() as u32);
+        b.extend_from_slice(v);
+    }
 }
 
 /// Encode one request into a complete frame (header + body).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut b = Vec::new();
-    match req {
-        Request::Get { id, key } => {
-            put_u64(&mut b, *id);
-            b.push(1);
-            put_u64(&mut b, *key);
-        }
-        Request::Put { id, key, value } => {
-            put_u64(&mut b, *id);
-            b.push(2);
-            put_u64(&mut b, *key);
-            put_u32(&mut b, value.len() as u32);
-            b.extend_from_slice(value);
-        }
-        Request::PutMany { id, items } => {
-            put_u64(&mut b, *id);
-            b.push(3);
-            put_u32(&mut b, items.len() as u32);
-            for (k, v) in items {
-                put_u64(&mut b, *k);
-                put_u32(&mut b, v.len() as u32);
-                b.extend_from_slice(v);
+    let mut out = Vec::new();
+    encode_request_into(&mut out, req);
+    out
+}
+
+/// Append one request frame to `out` (a connection's write buffer).
+pub(crate) fn encode_request_into(out: &mut Vec<u8>, req: &Request) {
+    frame_into(out, |b| {
+        put_u64(b, req.id());
+        match req {
+            Request::Get { key, .. } => {
+                b.push(1);
+                put_u64(b, *key);
+            }
+            Request::Put { key, value, .. } => {
+                b.push(2);
+                put_u64(b, *key);
+                put_u32(b, value.len() as u32);
+                b.extend_from_slice(value);
+            }
+            Request::PutMany { items, .. } => {
+                b.push(3);
+                put_entries(b, items);
+            }
+            Request::Delete { key, .. } => {
+                b.push(4);
+                put_u64(b, *key);
+            }
+            Request::Ping { .. } => b.push(5),
+            Request::Scan { lo, hi, limit, .. } => {
+                b.push(6);
+                put_u64(b, *lo);
+                put_u64(b, *hi);
+                put_u32(b, *limit);
             }
         }
-        Request::Delete { id, key } => {
-            put_u64(&mut b, *id);
-            b.push(4);
-            put_u64(&mut b, *key);
-        }
-        Request::Ping { id } => {
-            put_u64(&mut b, *id);
-            b.push(5);
-        }
-        Request::Scan { id, lo, hi, limit } => {
-            put_u64(&mut b, *id);
-            b.push(6);
-            put_u64(&mut b, *lo);
-            put_u64(&mut b, *hi);
-            put_u32(&mut b, *limit);
-        }
-    }
-    frame(b)
+    });
 }
 
 /// Bytes one `(key, value)` entry occupies inside an `Entries` payload.
@@ -251,42 +257,32 @@ pub fn fit_entries(items: &[(u64, Vec<u8>)]) -> usize {
 
 /// Encode one response into a complete frame (header + body).
 pub fn encode_response(resp: &Response) -> Vec<u8> {
-    let mut b = Vec::new();
-    match resp {
-        Response::Value { id, value: None } => {
-            put_u64(&mut b, *id);
-            b.push(0);
-        }
-        Response::Value { id, value: Some(v) } => {
-            put_u64(&mut b, *id);
-            b.push(1);
-            put_u32(&mut b, v.len() as u32);
-            b.extend_from_slice(v);
-        }
-        Response::Done { id, ok } => {
-            put_u64(&mut b, *id);
-            b.push(if *ok { 2 } else { 3 });
-        }
-        Response::Pong { id } => {
-            put_u64(&mut b, *id);
-            b.push(4);
-        }
-        Response::Rejected { id } => {
-            put_u64(&mut b, *id);
-            b.push(5);
-        }
-        Response::Entries { id, items } => {
-            put_u64(&mut b, *id);
-            b.push(6);
-            put_u32(&mut b, items.len() as u32);
-            for (k, v) in items {
-                put_u64(&mut b, *k);
-                put_u32(&mut b, v.len() as u32);
+    let mut out = Vec::new();
+    encode_response_into(&mut out, resp);
+    out
+}
+
+/// Append one response frame to `out`: a sweep's worth of replies goes
+/// into one buffer and one transport write, with no per-frame `Vec`.
+pub fn encode_response_into(out: &mut Vec<u8>, resp: &Response) {
+    frame_into(out, |b| {
+        put_u64(b, resp.id());
+        match resp {
+            Response::Value { value: None, .. } => b.push(0),
+            Response::Value { value: Some(v), .. } => {
+                b.push(1);
+                put_u32(b, v.len() as u32);
                 b.extend_from_slice(v);
             }
+            Response::Done { ok, .. } => b.push(if *ok { 2 } else { 3 }),
+            Response::Pong { .. } => b.push(4),
+            Response::Rejected { .. } => b.push(5),
+            Response::Entries { items, .. } => {
+                b.push(6);
+                put_entries(b, items);
+            }
         }
-    }
-    frame(b)
+    });
 }
 
 // ---- decoding --------------------------------------------------------
@@ -458,18 +454,15 @@ fn parse_response(body: &[u8]) -> Result<Response, ProtoError> {
 /// [`next_response`](FrameDecoder::next_response) until they return
 /// `Ok(None)` (need more bytes). Recoverable errors consume exactly the
 /// damaged frame; a fatal error leaves the decoder poisoned.
+///
+/// The stream sits in one contiguous buffer behind a read cursor, so
+/// frame bodies are checksummed and parsed in place; consumed bytes are
+/// dropped when the next read is appended.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
-    buf: VecDeque<u8>,
-    scratch: Vec<u8>,
-}
-
-/// What one decode step yielded internally: a verified body, need-more,
-/// or an error (frame already skipped unless fatal).
-enum Step {
-    Body(Vec<u8>),
-    NeedMore,
-    Failed(ProtoError),
+    buf: Vec<u8>,
+    /// Bytes of `buf` already consumed.
+    head: usize,
 }
 
 impl FrameDecoder {
@@ -480,61 +473,55 @@ impl FrameDecoder {
 
     /// Append freshly read bytes to the stream buffer.
     pub fn extend_from(&mut self, bytes: &[u8]) {
-        self.buf.extend(bytes);
+        if self.head > 0 {
+            // a caller that decodes what it feeds leaves at most a
+            // partial frame behind: a short move
+            self.buf.drain(..self.head);
+            self.head = 0;
+        }
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 
-    fn peek_le_u32(&self, at: usize) -> u32 {
-        let mut b = [0u8; 4];
-        for (i, slot) in b.iter_mut().enumerate() {
-            *slot = self.buf[at + i];
+    /// Delimit and verify the next frame, consuming it: `Ok(Some(body))`
+    /// borrows the body in place, `Ok(None)` needs more bytes, `Err` is
+    /// a frame already skipped (unless fatal).
+    fn step(&mut self) -> Result<Option<&[u8]>, ProtoError> {
+        let rest = &self.buf[self.head..];
+        if rest.len() < HEADER_LEN {
+            return Ok(None);
         }
-        u32::from_le_bytes(b)
-    }
-
-    fn step(&mut self) -> Step {
-        if self.buf.len() < HEADER_LEN {
-            return Step::NeedMore;
-        }
-        let body_len = self.peek_le_u32(0) as usize;
+        let le_u32 = |at: usize| u32::from_le_bytes(rest[at..at + 4].try_into().unwrap());
+        let body_len = le_u32(0) as usize;
         if body_len > MAX_BODY {
             // do not consume: the stream is untrustworthy either way
-            return Step::Failed(ProtoError::Oversized { body_len });
+            return Err(ProtoError::Oversized { body_len });
         }
-        if self.buf.len() < HEADER_LEN + body_len {
-            return Step::NeedMore;
+        if rest.len() < HEADER_LEN + body_len {
+            return Ok(None);
         }
-        let expected = self.peek_le_u32(4);
-        self.buf.drain(..HEADER_LEN);
-        self.scratch.clear();
-        self.scratch.extend(self.buf.drain(..body_len));
-        let got = fnv1a32(&self.scratch);
+        let expected = le_u32(4);
+        let body = &rest[HEADER_LEN..HEADER_LEN + body_len];
+        self.head += HEADER_LEN + body_len;
+        let got = fnv1a32(body);
         if got != expected {
-            return Step::Failed(ProtoError::Checksum { expected, got });
+            return Err(ProtoError::Checksum { expected, got });
         }
-        Step::Body(std::mem::take(&mut self.scratch))
+        Ok(Some(body))
     }
 
     /// Decode the next request frame. `Ok(None)` = need more bytes.
     pub fn next_request(&mut self) -> Result<Option<Request>, ProtoError> {
-        match self.step() {
-            Step::NeedMore => Ok(None),
-            Step::Failed(e) => Err(e),
-            Step::Body(body) => parse_request(&body).map(Some),
-        }
+        self.step()?.map(parse_request).transpose()
     }
 
     /// Decode the next response frame. `Ok(None)` = need more bytes.
     pub fn next_response(&mut self) -> Result<Option<Response>, ProtoError> {
-        match self.step() {
-            Step::NeedMore => Ok(None),
-            Step::Failed(e) => Err(e),
-            Step::Body(body) => parse_response(&body).map(Some),
-        }
+        self.step()?.map(parse_response).transpose()
     }
 }
 

@@ -1,42 +1,62 @@
-//! The concurrent shard runtime: one dedicated worker thread per
-//! shard, fed by a bounded MPSC [`SubmissionQueue`], serving drained
-//! batches through [`Shard::serve_batch`] — cross-client group commit.
+//! The concurrent shard runtime: a lane — one [`Engine`] behind a
+//! mutex, one bounded [`SubmissionQueue`], one worker thread — is served
+//! by **whichever thread finds it idle**.
 //!
-//! Any number of [`KvClient`] handles enqueue `Get`/`Put`/`PutMany`/
-//! `Delete` requests carrying [`Completion`] slots; each shard's worker
-//! drains *everything in flight* (up to [`ServerConfig::max_batch`]) in
-//! one lock acquisition and serves the whole convoy as grouped FASEs.
-//! The batch size is therefore adaptive by construction: it *is* the
-//! queue depth at drain time — an idle shard serves per-op latency-
-//! optimally (batches of one), a contended shard amortizes its log and
-//! commit fences over every client that queued behind the FASE in
-//! progress.
+//! A submitter (a blocking [`KvClient`] call, or a network connection's
+//! reader with every frame of one read grouped per lane) `try_lock`s
+//! the lane's engine. If it gets the lock while the queue is open and
+//! empty and its group fits [`ServerConfig::max_batch`], it runs
+//! [`Engine::serve_batch`] itself and has its replies in hand: no
+//! queue entry, no completion slot, no thread hand-off. Otherwise the
+//! lane is busy, and the whole group goes into the queue under one lock
+//! with one wake-up, each request carrying a [`Completion`] slot.
+//! Whoever next holds the engine lock with work queued — the lane's
+//! worker, or a submitter that has just queued its own group and finds
+//! the lock free — drains everything in flight (up to `max_batch`)
+//! *under that lock* and serves the convoy as one grouped FASE:
+//! cross-client group commit. The worker is what guarantees a queued
+//! request is served when no further submitter comes by. All of them
+//! run the one [`serve_group`].
 //!
-//! Ack contract: a completion is filled only after the batch returned
-//! from [`Shard::serve_batch`], i.e. after the FASE holding the request
-//! committed. **Acknowledged ⇒ durable**: a crash can only take back
-//! requests whose completions were never filled (they roll back whole —
-//! the committed-prefix oracle in `tests/kv_crash.rs` sweeps exactly
-//! this). The converse does not hold: a worker that panics mid-batch
-//! fails every outstanding completion in the batch, including requests
-//! whose segment had already committed — acks are at-most-once, not
-//! exactly-once.
+//! Which path serves a request is decided from what the code observes
+//! (engine lock free, queue empty), not from configuration. The batch
+//! size stays adaptive by construction: an idle lane serves a caller's
+//! own group at per-op latency, a contended lane amortizes its log
+//! persists and commit fence over every client that queued behind the
+//! FASE in progress.
 //!
-//! Worker panics do not wedge the lane: the loop catches the unwind,
-//! heals the shard in place ([`Shard::heal_after_panic`] rolls the
-//! abandoned FASE back and drops volatile runtime residue), fails the
-//! batch's completions, and keeps serving.
+//! Ordering: a client's later request never runs ahead of an earlier
+//! one. Requests leave the queue only under the engine lock, so
+//! whenever that lock is free, everything not yet served is still in
+//! the queue — and a submitter that finds the queue non-empty lines up
+//! behind it (per-client FIFO, the committed-prefix oracle's premise).
+//!
+//! Ack contract: a reply exists only after [`Engine::serve_batch`]
+//! returned, i.e. after the FASE holding the request committed — the
+//! caller-run path returns it, the queued path fills the completion
+//! with it. **Acknowledged ⇒ durable**: a crash can only take back
+//! requests that were never answered (they roll back whole — the
+//! committed-prefix oracle in `tests/kv_crash.rs` sweeps exactly this).
+//! The converse does not hold: a `serve_batch` that panics fails every
+//! request of its group, including those whose segment had already
+//! committed — acks are at-most-once, not exactly-once.
+//!
+//! Panics do not wedge the lane, on any thread: [`serve_group`]
+//! catches the unwind, heals the engine in place
+//! ([`Engine::heal_after_panic`] rolls the abandoned FASE back and drops
+//! volatile runtime residue), fails that group's requests, and the lane
+//! keeps serving.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 
 use nvcache_fase::FaseStats;
 use nvcache_pmem::CrashMode;
 
 use crate::engine::{Engine, TreeEngine, TreeEngineConfig};
-use crate::queue::{Backpressure, Completion, QueueStats, SubmissionQueue};
+use crate::queue::{Backpressure, Completion, Notify, QueueStats, SubmissionQueue};
 use crate::shard::{BatchReply, BatchRequest, CapacityChoice, Shard};
 use crate::store::{route_hash, KvConfig};
 
@@ -47,9 +67,11 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// What a producer experiences at capacity.
     pub backpressure: Backpressure,
-    /// Largest batch one drain may form (clamped to `queue_capacity`).
-    /// `1` degenerates to per-request FASEs over the identical thread
-    /// and queue machinery — the `speedup_vs_unbatched` baseline.
+    /// Largest batch one FASE group may hold (clamped to
+    /// `queue_capacity`), on both lane paths: a drain takes at most
+    /// this many, and a submitter's group larger than this goes through
+    /// the queue. `1` degenerates to per-request FASEs — the
+    /// `speedup_vs_unbatched` baseline.
     pub max_batch: usize,
 }
 
@@ -66,60 +88,162 @@ impl Default for ServerConfig {
 /// Sorted `(key, value)` entries a scan hands back.
 pub type ScanEntries = Vec<(u64, Vec<u8>)>;
 
-/// A queued request: the operation plus the completion slot its ack
-/// flows back through.
-enum Request {
-    Get(u64, Completion<Option<Vec<u8>>>),
-    Put(u64, Vec<u8>, Completion<bool>),
-    PutMany(Vec<(u64, Vec<u8>)>, Completion<bool>),
-    Delete(u64, Completion<bool>),
-    Scan(u64, u64, u32, Completion<Vec<(u64, Vec<u8>)>>),
+/// A request on the busy-lane path: the operation plus the completion
+/// slot its reply flows back through.
+pub(crate) struct Queued {
+    pub(crate) req: BatchRequest,
+    pub(crate) slot: Completion<BatchReply>,
 }
 
-/// The completion half of a request, split off for positional reply
-/// routing after [`Shard::serve_batch`].
-enum ReplySlot {
-    Value(Completion<Option<Vec<u8>>>),
-    Done(Completion<bool>),
-    Entries(Completion<Vec<(u64, Vec<u8>)>>),
+/// Negative reply for a request that was accepted but could not be
+/// served (panic path): reads report absent, writes report failure.
+fn failed_reply(req: &BatchRequest) -> BatchReply {
+    match req {
+        BatchRequest::Get(_) => BatchReply::Value(None),
+        BatchRequest::Put(..) | BatchRequest::PutMany(_) | BatchRequest::Delete(_) => {
+            BatchReply::Done(false)
+        }
+        BatchRequest::Scan(..) => BatchReply::Entries(Vec::new()),
+    }
 }
 
-impl ReplySlot {
-    fn fill(self, reply: BatchReply) {
-        match (self, reply) {
-            (ReplySlot::Value(c), BatchReply::Value(v)) => c.fill(v),
-            (ReplySlot::Done(c), BatchReply::Done(b)) => c.fill(b),
-            (ReplySlot::Entries(c), BatchReply::Entries(e)) => c.fill(e),
-            _ => unreachable!("serve_batch replies positionally"),
+/// Serve one group as one batch on the calling thread — a submitter's
+/// or the worker's — under the engine lock the caller holds. Replies
+/// are positional and exist only after the batch committed. A panic
+/// inside the engine is caught here: the lane heals and every request
+/// of this group, and only of this group, gets its negative reply.
+fn serve_group<E: Engine>(
+    engine: &mut E,
+    reqs: &[BatchRequest],
+    healed: &AtomicU64,
+) -> Vec<BatchReply> {
+    match catch_unwind(AssertUnwindSafe(|| engine.serve_batch(reqs))) {
+        Ok(replies) => {
+            debug_assert_eq!(replies.len(), reqs.len());
+            replies
+        }
+        Err(_) => {
+            // the unwind may have abandoned a FASE mid-flight: roll it
+            // back and drop volatile residue so the lane lives on
+            engine.heal_after_panic();
+            healed.fetch_add(1, Ordering::Relaxed);
+            reqs.iter().map(failed_reply).collect()
         }
     }
+}
 
-    /// Negative ack for a batch the worker could not serve (panic path):
-    /// reads report absent, writes report failure.
-    fn fail(self) {
-        match self {
-            ReplySlot::Value(c) => c.fill(None),
-            ReplySlot::Done(c) => c.fill(false),
-            ReplySlot::Entries(c) => c.fill(Vec::new()),
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// What a lane's threads share: the engine, the busy-lane queue and the
+/// batch cap.
+struct LaneCore<E> {
+    engine: Mutex<E>,
+    queue: SubmissionQueue<Queued>,
+    max_batch: usize,
+    /// Panics healed without losing a lane (shared by all lanes).
+    healed: Arc<AtomicU64>,
+}
+
+/// The engine-erased face of a lane that [`KvClient`] submits through.
+trait LanePort: Send + Sync {
+    /// The idle-lane path: serve `reqs` on this thread if the engine
+    /// lock is free, the queue open and empty and the group within the
+    /// batch cap; `None` means the lane is busy (or shut) — queue.
+    fn try_serve(&self, reqs: &[BatchRequest]) -> Option<Vec<BatchReply>>;
+
+    /// The busy-lane path: queue the group (see
+    /// [`SubmissionQueue::push_group`]), then serve the queue on this
+    /// thread if the engine lock is free by now, else wake the worker.
+    fn enqueue(&self, items: &mut Vec<Queued>) -> usize;
+}
+
+impl<E: Engine> LanePort for LaneCore<E> {
+    fn try_serve(&self, reqs: &[BatchRequest]) -> Option<Vec<BatchReply>> {
+        if reqs.len() > self.max_batch {
+            return None;
+        }
+        let mut engine = match self.engine.try_lock() {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        // holding the engine lock: whatever is not yet served is still
+        // in the queue (it is drained only under this lock), so an
+        // empty queue means nothing of anyone's is ahead of this group
+        if !self.queue.claim_idle(reqs.len()) {
+            return None;
+        }
+        Some(serve_group(&mut *engine, reqs, &self.healed))
+    }
+
+    fn enqueue(&self, items: &mut Vec<Queued>) -> usize {
+        let accepted = self.queue.push_group(items);
+        if accepted > 0 {
+            // The lane may be free by now, or may have been free all
+            // along with other clients' requests queued ahead of this
+            // group: then be the worker for one batch rather than wait
+            // for it to be scheduled — everything queued, this group
+            // included, commits as one FASE on this thread.
+            match self.engine.try_lock() {
+                Ok(engine) => self.serve_queued(engine),
+                Err(TryLockError::Poisoned(e)) => self.serve_queued(e.into_inner()),
+                Err(TryLockError::WouldBlock) => {}
+            }
+            // whatever is still queued is the worker's
+            self.queue.kick();
+        }
+        accepted
+    }
+}
+
+impl<E: Engine> LaneCore<E> {
+    /// Drain everything in flight (up to `max_batch`) under the engine
+    /// lock the caller took and serve it as one grouped batch; ack after
+    /// commit. Draining under the lock is what keeps per-client FIFO
+    /// across the two paths — a request is never out of the queue and
+    /// unserved while a submitter could get the lock.
+    fn serve_queued(&self, mut engine: MutexGuard<'_, E>) {
+        let mut batch: Vec<Queued> = Vec::new();
+        if self.queue.drain_ready(&mut batch, self.max_batch) == 0 {
+            return; // another thread served it already
+        }
+        let (reqs, slots): (Vec<BatchRequest>, Vec<Completion<BatchReply>>) =
+            batch.into_iter().map(|q| (q.req, q.slot)).unzip();
+        let replies = serve_group(&mut *engine, &reqs, &self.healed);
+        drop(engine);
+        // acks go out with the lane already released. One post per
+        // collector, after its last slot of this batch is in: a
+        // connection's writer wakes once per batch, not once per fill.
+        let mut collectors: Vec<&Arc<Notify>> = Vec::new();
+        for (slot, reply) in slots.iter().zip(replies) {
+            if let Some(n) = slot.fill_unposted(reply) {
+                if !collectors.iter().any(|c| Arc::ptr_eq(c, n)) {
+                    collectors.push(n);
+                }
+            }
+        }
+        for n in collectors {
+            n.post();
         }
     }
 }
 
 struct Lane<E> {
-    shard: Arc<Mutex<E>>,
-    queue: Arc<SubmissionQueue<Request>>,
+    core: Arc<LaneCore<E>>,
     /// Behind a mutex so shutdown can join through `&self` — the
     /// network layer shares the server via `Arc<KvServer>`.
     worker: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// A [`KvStore`]-shaped store served by per-shard worker threads (see
-/// the module docs), generic over the lane [`Engine`]: hash shards by
-/// default ([`KvServer::new`]), B+-tree lanes via
-/// [`KvServer::new_tree`], arbitrary engines via
-/// [`KvServer::with_engines`]. Hand out cheap [`KvClient`] handles with
-/// [`KvServer::client`], and shut down with [`KvServer::shutdown`] (or
-/// let `Drop` do it).
+/// A [`KvStore`]-shaped store of engine lanes, each served by the
+/// thread that finds it idle or else by its worker (see the module
+/// docs), generic over the lane [`Engine`]: hash shards by default
+/// ([`KvServer::new`]), B+-tree lanes via [`KvServer::new_tree`],
+/// arbitrary engines via [`KvServer::with_engines`]. Hand out cheap
+/// [`KvClient`] handles with [`KvServer::client`], and shut down with
+/// [`KvServer::shutdown`] (or let `Drop` do it).
 ///
 /// [`KvStore`]: crate::store::KvStore
 pub struct KvServer<E: Engine = Shard> {
@@ -128,7 +252,7 @@ pub struct KvServer<E: Engine = Shard> {
     /// directly (e.g. the loadgen's `KvTarget` impl) without paying a
     /// handle allocation per op.
     client: KvClient,
-    /// Worker panics healed without losing the lane.
+    /// Panics healed without losing the lane.
     healed_panics: Arc<AtomicU64>,
 }
 
@@ -140,12 +264,9 @@ impl<E: Engine> std::fmt::Debug for KvServer<E> {
     }
 }
 
-fn lock<E>(m: &Mutex<E>) -> std::sync::MutexGuard<'_, E> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 impl KvServer<Shard> {
-    /// Spawn one worker thread (and queue) per hash shard of `cfg`.
+    /// Spawn one lane (engine, queue, worker thread) per hash shard of
+    /// `cfg`.
     pub fn new(cfg: &KvConfig, scfg: &ServerConfig) -> Self {
         assert!(cfg.shards >= 1, "at least one shard");
         KvServer::with_engines((0..cfg.shards).map(|_| Shard::new(&cfg.shard)), scfg)
@@ -162,7 +283,7 @@ impl KvServer<TreeEngine> {
 }
 
 impl<E: Engine> KvServer<E> {
-    /// Spawn one worker thread (and queue) per engine.
+    /// Spawn one lane (queue and worker thread) per engine.
     pub fn with_engines(engines: impl IntoIterator<Item = E>, scfg: &ServerConfig) -> Self {
         assert!(scfg.max_batch >= 1, "a batch holds at least one request");
         let healed_panics = Arc::new(AtomicU64::new(0));
@@ -170,24 +291,28 @@ impl<E: Engine> KvServer<E> {
         let lanes = engines
             .into_iter()
             .map(|engine| {
-                let shard = Arc::new(Mutex::new(engine));
-                let queue = Arc::new(SubmissionQueue::new(scfg.queue_capacity, scfg.backpressure));
+                let core = Arc::new(LaneCore {
+                    engine: Mutex::new(engine),
+                    queue: SubmissionQueue::new(scfg.queue_capacity, scfg.backpressure),
+                    max_batch,
+                    healed: Arc::clone(&healed_panics),
+                });
                 let worker = {
-                    let shard = Arc::clone(&shard);
-                    let queue = Arc::clone(&queue);
-                    let healed = Arc::clone(&healed_panics);
-                    std::thread::spawn(move || worker_loop(&shard, &queue, max_batch, &healed))
+                    let core = Arc::clone(&core);
+                    std::thread::spawn(move || worker_loop(&core))
                 };
                 Lane {
-                    shard,
-                    queue,
+                    core,
                     worker: Mutex::new(Some(worker)),
                 }
             })
             .collect::<Vec<Lane<E>>>();
         assert!(!lanes.is_empty(), "at least one engine lane");
         let client = KvClient {
-            queues: lanes.iter().map(|l| Arc::clone(&l.queue)).collect(),
+            lanes: lanes
+                .iter()
+                .map(|l| Arc::clone(&l.core) as Arc<dyn LanePort>)
+                .collect(),
         };
         KvServer {
             lanes,
@@ -196,7 +321,8 @@ impl<E: Engine> KvServer<E> {
         }
     }
 
-    /// A client handle: routes per key, enqueues, blocks on completion.
+    /// A client handle: routes per key, serves an idle lane itself or
+    /// enqueues and blocks on completion.
     pub fn client(&self) -> KvClient {
         self.client.clone()
     }
@@ -218,53 +344,62 @@ impl<E: Engine> KvServer<E> {
         (route_hash(key) % self.lanes.len() as u64) as usize
     }
 
+    fn engine(&self, i: usize) -> MutexGuard<'_, E> {
+        lock(&self.lanes[i].core.engine)
+    }
+
+    fn engines(&self) -> impl Iterator<Item = MutexGuard<'_, E>> {
+        self.lanes.iter().map(|l| lock(&l.core.engine))
+    }
+
     /// Run `f` with engine `i` locked (stats scraping, crash plumbing in
-    /// tests). Serializes with the worker's batches: the worker holds
-    /// the same lock while serving, never between batches.
+    /// tests). Serializes with the lane's batches: whoever serves holds
+    /// the same lock while serving, never between batches — and while
+    /// `f` runs the lane is busy, so submissions queue up behind it.
     pub fn with_shard<R>(&self, i: usize, f: impl FnOnce(&mut E) -> R) -> R {
-        f(&mut lock(&self.lanes[i].shard))
+        f(&mut self.engine(i))
     }
 
     /// Cumulative runtime counters summed over shards.
     pub fn stats(&self) -> FaseStats {
-        self.lanes.iter().map(|l| lock(&l.shard).stats()).sum()
+        self.engines().map(|e| e.stats()).sum()
     }
 
     /// Per-window counters summed over shards.
     pub fn take_stats(&self) -> FaseStats {
-        self.lanes.iter().map(|l| lock(&l.shard).take_stats()).sum()
+        self.engines().map(|mut e| e.take_stats()).sum()
     }
 
-    /// Batch-formation counters merged over every lane's queue — the
-    /// source of the benchmark's `batch_occupancy_mean` column.
+    /// Batch-formation counters merged over every lane — the source of
+    /// the benchmark's `batch_occupancy_mean` column, caller-run batches
+    /// included.
     pub fn queue_stats(&self) -> QueueStats {
         let mut s = QueueStats::default();
         for l in &self.lanes {
-            s.merge(&l.queue.stats());
+            s.merge(&l.core.queue.stats());
         }
         s
     }
 
-    /// Worker panics healed in place so far.
+    /// Panics healed in place so far (on a worker's or a caller's
+    /// thread).
     pub fn healed_panics(&self) -> u64 {
         self.healed_panics.load(Ordering::Relaxed)
     }
 
     /// Restart every shard's adaptation measurement (post-load).
     pub fn reset_samplers(&self) {
-        for l in &self.lanes {
-            lock(&l.shard).reset_sampler();
-        }
+        self.engines().for_each(|mut e| e.reset_sampler());
     }
 
     /// Live-controller capacity decisions per shard.
     pub fn chosen(&self) -> Vec<Vec<CapacityChoice>> {
-        self.lanes.iter().map(|l| lock(&l.shard).chosen()).collect()
+        self.engines().map(|e| e.chosen()).collect()
     }
 
     /// Total live keys across shards.
     pub fn len(&self) -> usize {
-        self.lanes.iter().map(|l| lock(&l.shard).len()).sum()
+        self.engines().map(|e| e.len()).sum()
     }
 
     /// Is every shard empty?
@@ -274,36 +409,28 @@ impl<E: Engine> KvServer<E> {
 
     /// Every `(key, value)` pair across shards, sorted by key.
     pub fn dump(&self) -> Vec<(u64, Vec<u8>)> {
-        let mut all: Vec<(u64, Vec<u8>)> = self
-            .lanes
-            .iter()
-            .flat_map(|l| lock(&l.shard).dump())
-            .collect();
+        let mut all: Vec<(u64, Vec<u8>)> = self.engines().flat_map(|mut e| e.dump()).collect();
         all.sort_unstable_by_key(|&(k, _)| k);
         all
     }
 
     /// Inject a power failure on every shard and recover in place,
-    /// while the workers keep serving. Each shard's crash lands
-    /// *between* its worker's batches (the crash takes the same lock
-    /// the worker serves under), so acknowledged — committed — requests
-    /// survive and in-flight ones are simply not yet in the region.
+    /// while the lanes keep serving. Each shard's crash lands *between*
+    /// batches (the crash takes the same lock every batch is served
+    /// under), so acknowledged — committed — requests survive and
+    /// in-flight ones are simply not yet in the region.
     pub fn crash_and_recover_all(&self, mode: &CrashMode) {
-        for l in &self.lanes {
-            lock(&l.shard).crash_and_recover(mode);
-        }
+        self.engines().for_each(|mut e| e.crash_and_recover(mode));
     }
 
     /// Flush every shard's buffered state (clean shutdown).
     pub fn sync_all(&self) {
-        for l in &self.lanes {
-            lock(&l.shard).sync();
-        }
+        self.engines().for_each(|mut e| e.sync());
     }
 
     /// Close the queues, drain the tails, and join the workers. Pending
     /// requests still get served (close lets queued work finish);
-    /// pushes racing the close fail with their request handed back.
+    /// submissions racing the close are refused, on both lane paths.
     pub fn shutdown(self) {
         self.close();
     }
@@ -312,10 +439,10 @@ impl<E: Engine> KvServer<E> {
     /// what the network layer calls on its `Arc<KvServer>`. Idempotent.
     pub fn close(&self) {
         for l in &self.lanes {
-            l.queue.close();
+            l.core.queue.close();
         }
         for l in &self.lanes {
-            let h = l.worker.lock().unwrap_or_else(|e| e.into_inner()).take();
+            let h = lock(&l.worker).take();
             if let Some(h) = h {
                 let _ = h.join();
             }
@@ -329,181 +456,155 @@ impl<E: Engine> Drop for KvServer<E> {
     }
 }
 
-/// A cheap, cloneable client handle over a [`KvServer`]'s submission
-/// queues. Every call is blocking: enqueue, then wait on the completion
-/// slot (filled only after the owning batch's FASE committed).
+/// A cheap, cloneable client handle over a [`KvServer`]'s lanes. Every
+/// public call is blocking: serve the lane on this thread if it is
+/// idle, otherwise enqueue and wait on the completion slot. Either way
+/// the call returns only after the owning batch's FASE committed.
 #[derive(Clone)]
 pub struct KvClient {
-    queues: Vec<Arc<SubmissionQueue<Request>>>,
+    lanes: Vec<Arc<dyn LanePort>>,
 }
 
 impl std::fmt::Debug for KvClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("KvClient")
-            .field("shards", &self.queues.len())
+            .field("shards", &self.lanes.len())
             .finish()
     }
 }
 
-impl KvClient {
-    fn queue_for(&self, key: u64) -> &SubmissionQueue<Request> {
-        &self.queues[self.lane_of(key)]
-    }
+/// Where one request of a blocking call stands after submission.
+enum Answer {
+    Served(BatchReply),
+    Queued(Completion<BatchReply>),
+    Refused,
+}
 
+impl Answer {
+    fn wait(self) -> Option<BatchReply> {
+        match self {
+            Answer::Served(r) => Some(r),
+            Answer::Queued(c) => Some(c.wait()),
+            Answer::Refused => None,
+        }
+    }
+}
+
+impl KvClient {
     /// Number of shard lanes behind this handle.
     pub fn num_lanes(&self) -> usize {
-        self.queues.len()
+        self.lanes.len()
     }
 
     /// Lane index serving `key` (same routing as the store).
     pub fn lane_of(&self, key: u64) -> usize {
-        (route_hash(key) % self.queues.len() as u64) as usize
+        (route_hash(key) % self.lanes.len() as u64) as usize
     }
 
-    /// Non-blocking submit of a `Get`: enqueue with a caller-provided
-    /// completion slot (typically built with [`Completion::with_notify`]
-    /// so one collector can multiplex many in-flight requests). Returns
-    /// `false` when the submission was refused — full queue under
-    /// [`Backpressure::Reject`] or a closed server — in which case the
-    /// slot will never be filled.
-    ///
-    /// [`Backpressure::Reject`]: crate::queue::Backpressure::Reject
-    pub fn submit_get(&self, key: u64, c: Completion<Option<Vec<u8>>>) -> bool {
-        self.queue_for(key).push(Request::Get(key, c)).is_ok()
+    /// The idle-lane path for a submitter that handles its own replies
+    /// (the network reader): serve `reqs` on this thread if `lane` is
+    /// idle. `None`: the lane is busy — [`enqueue`](KvClient::enqueue).
+    pub(crate) fn try_serve(&self, lane: usize, reqs: &[BatchRequest]) -> Option<Vec<BatchReply>> {
+        self.lanes[lane].try_serve(reqs)
     }
 
-    /// Non-blocking submit of a `Put` (see [`submit_get`]).
-    ///
-    /// [`submit_get`]: KvClient::submit_get
-    pub fn submit_put(&self, key: u64, value: Vec<u8>, c: Completion<bool>) -> bool {
-        self.queue_for(key)
-            .push(Request::Put(key, value, c))
-            .is_ok()
+    /// The busy-lane path: queue `items` on `lane`, in order, under one
+    /// lock, and serve the queue from this thread if the lane turns out
+    /// to be free — or else wake the worker, once. Returns how many
+    /// were accepted;
+    /// the refused tail (full queue under [`Backpressure::Reject`], or
+    /// a closed server) stays in `items` and its slots are never filled.
+    pub(crate) fn enqueue(&self, lane: usize, items: &mut Vec<Queued>) -> usize {
+        self.lanes[lane].enqueue(items)
     }
 
-    /// Non-blocking submit of a `Delete` (see [`submit_get`]).
-    ///
-    /// [`submit_get`]: KvClient::submit_get
-    pub fn submit_delete(&self, key: u64, c: Completion<bool>) -> bool {
-        self.queue_for(key).push(Request::Delete(key, c)).is_ok()
-    }
-
-    /// Non-blocking submit of one per-lane `PutMany` slice. The caller
-    /// has already split the batch by [`lane_of`]; every key in `items`
-    /// must route to `lane`.
-    ///
-    /// [`lane_of`]: KvClient::lane_of
-    pub fn submit_put_many(
-        &self,
-        lane: usize,
-        items: Vec<(u64, Vec<u8>)>,
-        c: Completion<bool>,
-    ) -> bool {
-        debug_assert!(items.iter().all(|&(k, _)| self.lane_of(k) == lane));
-        self.queues[lane].push(Request::PutMany(items, c)).is_ok()
+    /// Submit one request to `lane` without waiting for a queued reply.
+    fn submit(&self, lane: usize, req: BatchRequest) -> Answer {
+        let reqs = [req];
+        if let Some(mut replies) = self.try_serve(lane, &reqs) {
+            return Answer::Served(replies.pop().expect("one reply per request"));
+        }
+        let [req] = reqs;
+        let slot = Completion::new();
+        let mut items = vec![Queued {
+            req,
+            slot: slot.clone(),
+        }];
+        match self.enqueue(lane, &mut items) {
+            1 => Answer::Queued(slot),
+            _ => Answer::Refused,
+        }
     }
 
     /// Look up `key`. `None` covers both absence and a refused
     /// submission (full queue under [`Backpressure::Reject`], or a
     /// server that shut down).
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
-        let c = Completion::new();
-        if self.submit_get(key, c.clone()) {
-            c.wait()
-        } else {
-            None
+        match self
+            .submit(self.lane_of(key), BatchRequest::Get(key))
+            .wait()
+        {
+            Some(BatchReply::Value(v)) => v,
+            _ => None,
         }
     }
 
     /// Insert or update `key → value`; `false` when the shard rejected
     /// the write *or* the submission itself was refused.
     pub fn put(&self, key: u64, value: &[u8]) -> bool {
-        let c = Completion::new();
-        if self.submit_put(key, value.to_vec(), c.clone()) {
-            c.wait()
-        } else {
-            false
-        }
-    }
-
-    /// Apply a client-side batch: split by shard, enqueue one `PutMany`
-    /// per involved lane, wait for all acks. Per-lane slices keep the
-    /// store's per-shard atomicity contract; the lanes' FASEs may
-    /// additionally absorb other clients' concurrent writes (that is
-    /// the point).
-    pub fn put_many(&self, items: &[(u64, Vec<u8>)]) -> bool {
-        let mut by_shard: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); self.queues.len()];
-        for (k, v) in items {
-            by_shard[self.lane_of(*k)].push((*k, v.clone()));
-        }
-        let mut waits: Vec<Completion<bool>> = Vec::new();
-        let mut ok = true;
-        for (i, group) in by_shard.into_iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let c = Completion::new();
-            if self.submit_put_many(i, group, c.clone()) {
-                waits.push(c);
-            } else {
-                ok = false;
-            }
-        }
-        for c in waits {
-            ok &= c.wait();
-        }
-        ok
+        self.write(self.lane_of(key), BatchRequest::Put(key, value.to_vec()))
     }
 
     /// Remove `key`; `false` for absent keys and refused submissions.
     pub fn delete(&self, key: u64) -> bool {
-        let c = Completion::new();
-        if self.submit_delete(key, c.clone()) {
-            c.wait()
-        } else {
-            false
-        }
+        self.write(self.lane_of(key), BatchRequest::Delete(key))
     }
 
-    /// Non-blocking submit of a per-lane `Scan` (see [`submit_get`]).
-    /// Keys are hash-routed over lanes, so a range scan must visit
-    /// every lane; [`scan`] does the fan-out and merge.
-    ///
-    /// [`submit_get`]: KvClient::submit_get
-    /// [`scan`]: KvClient::scan
-    pub fn submit_scan(
-        &self,
-        lane: usize,
-        lo: u64,
-        hi: u64,
-        limit: u32,
-        c: Completion<Vec<(u64, Vec<u8>)>>,
-    ) -> bool {
-        self.queues[lane]
-            .push(Request::Scan(lo, hi, limit, c))
-            .is_ok()
+    fn write(&self, lane: usize, req: BatchRequest) -> bool {
+        matches!(self.submit(lane, req).wait(), Some(BatchReply::Done(true)))
+    }
+
+    /// Apply a client-side batch: split by shard, submit one `PutMany`
+    /// per involved lane, wait for all acks. Per-lane slices keep the
+    /// store's per-shard atomicity contract; a busy lane's FASE may
+    /// additionally absorb other clients' concurrent writes (that is
+    /// the point).
+    pub fn put_many(&self, items: &[(u64, Vec<u8>)]) -> bool {
+        let mut by_lane: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); self.lanes.len()];
+        for (k, v) in items {
+            by_lane[self.lane_of(*k)].push((*k, v.clone()));
+        }
+        // submit to every lane before waiting on any
+        let answers: Vec<Answer> = by_lane
+            .into_iter()
+            .enumerate()
+            .filter(|(_, group)| !group.is_empty())
+            .map(|(lane, group)| self.submit(lane, BatchRequest::PutMany(group)))
+            .collect();
+        answers.into_iter().fold(true, |ok, a| {
+            ok & matches!(a.wait(), Some(BatchReply::Done(true)))
+        })
     }
 
     /// Range scan `lo..=hi`, at most `limit` entries, sorted by key:
-    /// one `Scan` per lane (issued concurrently — each lane snapshots
-    /// its slice inside its own serve barrier), merged and truncated
-    /// client-side. Per-lane results are each consistent; the merged
-    /// view spans lanes like any multi-shard read does.
+    /// one `Scan` per lane (keys are hash-routed, so every lane may
+    /// hold part of the range; each lane snapshots its slice inside its
+    /// own serve barrier), merged and truncated client-side. Per-lane
+    /// results are each consistent; the merged view spans lanes like
+    /// any multi-shard read does.
     pub fn scan(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, Vec<u8>)> {
         if lo > hi || limit == 0 {
             return Vec::new();
         }
         let per_lane = limit.min(u32::MAX as usize) as u32;
-        let mut waits: Vec<Completion<ScanEntries>> = Vec::new();
-        for lane in 0..self.queues.len() {
-            let c = Completion::new();
-            if self.submit_scan(lane, lo, hi, per_lane, c.clone()) {
-                waits.push(c);
-            }
-        }
+        let answers: Vec<Answer> = (0..self.lanes.len())
+            .map(|lane| self.submit(lane, BatchRequest::Scan(lo, hi, per_lane)))
+            .collect();
         let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
-        for c in waits {
-            out.extend(c.wait());
+        for a in answers {
+            if let Some(BatchReply::Entries(e)) = a.wait() {
+                out.extend(e);
+            }
         }
         out.sort_unstable_by_key(|&(k, _)| k);
         out.truncate(limit);
@@ -511,70 +612,14 @@ impl KvClient {
     }
 }
 
-/// The per-shard worker: drain everything in flight, serve it as one
-/// grouped batch under the engine lock, ack after commit. Panics heal.
-fn worker_loop<E: Engine>(
-    shard: &Mutex<E>,
-    queue: &SubmissionQueue<Request>,
-    max_batch: usize,
-    healed: &AtomicU64,
-) {
-    let mut batch: Vec<Request> = Vec::new();
-    let mut reqs: Vec<BatchRequest> = Vec::new();
-    let mut slots: Vec<ReplySlot> = Vec::new();
-    loop {
-        batch.clear();
-        if !queue.drain_into(&mut batch, max_batch) {
-            return; // closed and empty
-        }
-        reqs.clear();
-        slots.clear();
-        for r in batch.drain(..) {
-            match r {
-                Request::Get(k, c) => {
-                    reqs.push(BatchRequest::Get(k));
-                    slots.push(ReplySlot::Value(c));
-                }
-                Request::Put(k, v, c) => {
-                    reqs.push(BatchRequest::Put(k, v));
-                    slots.push(ReplySlot::Done(c));
-                }
-                Request::PutMany(items, c) => {
-                    reqs.push(BatchRequest::PutMany(items));
-                    slots.push(ReplySlot::Done(c));
-                }
-                Request::Delete(k, c) => {
-                    reqs.push(BatchRequest::Delete(k));
-                    slots.push(ReplySlot::Done(c));
-                }
-                Request::Scan(lo, hi, limit, c) => {
-                    reqs.push(BatchRequest::Scan(lo, hi, limit));
-                    slots.push(ReplySlot::Entries(c));
-                }
-            }
-        }
-        let served = {
-            let mut guard = lock(shard);
-            catch_unwind(AssertUnwindSafe(|| guard.serve_batch(&reqs))).map_err(|_| {
-                // the unwind may have abandoned a FASE mid-flight: roll
-                // it back and drop volatile residue so the lane lives on
-                guard.heal_after_panic();
-                healed.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-        match served {
-            Ok(replies) => {
-                debug_assert_eq!(replies.len(), slots.len());
-                for (slot, reply) in slots.drain(..).zip(replies) {
-                    slot.fill(reply);
-                }
-            }
-            Err(()) => {
-                for slot in slots.drain(..) {
-                    slot.fail();
-                }
-            }
-        }
+/// The lane's worker: whenever the queue holds something, take the
+/// engine lock and serve what is (still) queued. It is the thread that
+/// guarantees queued work gets served when no submitter comes by — a
+/// submitter that queues and finds the lane free serves the batch
+/// itself ([`LanePort::enqueue`]).
+fn worker_loop<E: Engine>(lane: &LaneCore<E>) {
+    while lane.queue.wait_ready() {
+        lane.serve_queued(lock(&lane.engine));
     }
 }
 
@@ -731,5 +776,378 @@ mod tests {
             qs.max_batch
         );
         server.shutdown();
+    }
+    // ---- the two lane paths ------------------------------------------
+
+    use std::collections::BTreeMap;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{mpsc, Condvar};
+
+    /// A turnstile `GateEngine::serve_batch` passes through: one permit
+    /// per batch, so a test decides when a batch may run — and can see a
+    /// batch parked *inside* `serve_batch`, engine lock held.
+    #[derive(Default)]
+    struct Gate {
+        state: Mutex<(usize, usize)>, // (permits, parked)
+        cv: Condvar,
+    }
+
+    const OPEN: usize = usize::MAX / 2;
+
+    impl Gate {
+        fn open() -> Arc<Gate> {
+            let g = Arc::new(Gate::default());
+            g.set(OPEN);
+            g
+        }
+
+        fn set(&self, permits: usize) {
+            lock(&self.state).0 = permits;
+            self.cv.notify_all();
+        }
+
+        fn pass(&self) {
+            let mut g = lock(&self.state);
+            g.1 += 1;
+            while g.0 == 0 {
+                g = self.cv.wait(g).unwrap();
+            }
+            g.0 -= 1;
+            g.1 -= 1;
+        }
+
+        fn parked(&self) -> usize {
+            lock(&self.state).1
+        }
+    }
+
+    /// Panics any batch that touches it.
+    const POISON_KEY: u64 = u64::MAX;
+
+    /// A volatile map behind the `Engine` seam: batches pass the gate,
+    /// then apply in order.
+    struct GateEngine {
+        map: BTreeMap<u64, Vec<u8>>,
+        gate: Arc<Gate>,
+        heals: usize,
+    }
+
+    impl GateEngine {
+        fn new(gate: &Arc<Gate>) -> GateEngine {
+            GateEngine {
+                map: BTreeMap::new(),
+                gate: Arc::clone(gate),
+                heals: 0,
+            }
+        }
+    }
+
+    impl Engine for GateEngine {
+        fn serve_batch(&mut self, reqs: &[BatchRequest]) -> Vec<BatchReply> {
+            self.gate.pass();
+            reqs.iter()
+                .map(|r| match r {
+                    BatchRequest::Get(k) => BatchReply::Value(self.map.get(k).cloned()),
+                    BatchRequest::Put(k, v) => {
+                        assert_ne!(*k, POISON_KEY, "poisoned batch");
+                        self.map.insert(*k, v.clone());
+                        BatchReply::Done(true)
+                    }
+                    BatchRequest::PutMany(items) => {
+                        self.map.extend(items.iter().cloned());
+                        BatchReply::Done(true)
+                    }
+                    BatchRequest::Delete(k) => BatchReply::Done(self.map.remove(k).is_some()),
+                    BatchRequest::Scan(lo, hi, limit) => BatchReply::Entries(
+                        self.map
+                            .range(*lo..=*hi)
+                            .take(*limit as usize)
+                            .map(|(k, v)| (*k, v.clone()))
+                            .collect(),
+                    ),
+                })
+                .collect()
+        }
+        fn heal_after_panic(&mut self) -> bool {
+            self.heals += 1;
+            true
+        }
+        fn crash_and_recover(&mut self, _: &CrashMode) {}
+        fn sync(&mut self) {}
+        fn len(&self) -> usize {
+            self.map.len()
+        }
+        fn dump(&mut self) -> Vec<(u64, Vec<u8>)> {
+            self.map.iter().map(|(k, v)| (*k, v.clone())).collect()
+        }
+        fn stats(&self) -> FaseStats {
+            FaseStats::default()
+        }
+        fn take_stats(&mut self) -> FaseStats {
+            FaseStats::default()
+        }
+        fn steps(&self) -> u64 {
+            0
+        }
+        fn arm_crash(&mut self, _: nvcache_pmem::CrashPlan) {}
+        fn take_crash_image(&mut self) -> Option<Vec<u8>> {
+            None
+        }
+    }
+
+    fn gate_server(gate: &Arc<Gate>) -> KvServer<GateEngine> {
+        KvServer::with_engines([GateEngine::new(gate)], &ServerConfig::default())
+    }
+
+    fn spin_until(what: &str, mut cond: impl FnMut() -> bool) {
+        let t0 = std::time::Instant::now();
+        while !cond() {
+            assert!(t0.elapsed().as_secs() < 20, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Hold lane 0's engine lock (as `with_shard` callers do) until the
+    /// returned sender is dropped or sent to.
+    fn hold_lane<'s, E: Engine>(
+        scope: &'s std::thread::Scope<'s, '_>,
+        server: &'s KvServer<E>,
+    ) -> mpsc::Sender<()> {
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        scope.spawn(move || {
+            server.with_shard(0, |_| {
+                held_tx.send(()).unwrap();
+                let _ = release_rx.recv();
+            })
+        });
+        held_rx.recv().unwrap();
+        release_tx
+    }
+
+    /// Idle lane: a blocking client's whole session is served on its own
+    /// thread — the worker never drains anything.
+    #[test]
+    fn idle_lanes_are_served_by_the_caller() {
+        let server = KvServer::new(&cfg(2, true), &ServerConfig::default());
+        let c = server.client();
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        for i in 0..1000u64 {
+            let k = (i * 7919) % 97;
+            match i % 5 {
+                0 | 1 => {
+                    let v = i.to_le_bytes().to_vec();
+                    assert!(c.put(k, &v));
+                    model.insert(k, v);
+                }
+                2 => assert_eq!(c.get(k), model.get(&k).cloned(), "op {i}"),
+                3 => assert_eq!(c.delete(k), model.remove(&k).is_some(), "op {i}"),
+                _ => {
+                    let items: Vec<(u64, Vec<u8>)> =
+                        (0..4).map(|j| (k + j, vec![j as u8; 8])).collect();
+                    assert!(c.put_many(&items));
+                    model.extend(items);
+                    let want: Vec<_> = model
+                        .range(k..=k + 3)
+                        .map(|(k, v)| (*k, v.clone()))
+                        .collect();
+                    assert_eq!(c.scan(k, k + 3, 16), want, "op {i}");
+                }
+            }
+        }
+        assert_eq!(server.dump(), model.into_iter().collect::<Vec<_>>());
+        let qs = server.queue_stats();
+        assert!(qs.batches >= 1000);
+        assert_eq!(qs.queued_batches(), 0, "the worker never drained");
+        assert_eq!(qs.inline_requests, qs.drained);
+        assert_eq!(qs.enqueued, qs.drained);
+        assert!(qs.occupancy_mean() >= 1.0);
+        server.shutdown();
+    }
+
+    /// Busy lane: while someone holds the engine, submissions queue up;
+    /// the worker then serves all of them as one grouped batch.
+    #[test]
+    fn a_busy_lane_queues_and_the_worker_serves_one_grouped_batch() {
+        let server = KvServer::new(&cfg(1, true), &ServerConfig::default());
+        std::thread::scope(|scope| {
+            let release = hold_lane(scope, &server);
+            for w in 0..8u64 {
+                let c = server.client();
+                scope.spawn(move || assert!(c.put(w, &w.to_le_bytes())));
+            }
+            spin_until("8 queued puts", || server.lanes[0].core.queue.len() == 8);
+            drop(release);
+        });
+        let qs = server.queue_stats();
+        assert_eq!((qs.batches, qs.drained, qs.max_batch), (1, 8, 8));
+        assert_eq!(qs.inline_batches, 0);
+        assert_eq!(server.len(), 8);
+        server.shutdown();
+    }
+
+    /// A submitter that queues and finds the lane free does not wait for
+    /// the worker: it serves everything queued — other clients' requests
+    /// and its own, in queue order — as one batch on its own thread. (A
+    /// bare lane without a worker thread, so nothing else can drain.)
+    #[test]
+    fn a_submitter_that_finds_the_lane_free_serves_what_is_queued() {
+        fn queued(k: u64, v: u8) -> (Queued, Completion<BatchReply>) {
+            let slot = Completion::new();
+            let req = BatchRequest::Put(k, vec![v]);
+            (
+                Queued {
+                    req,
+                    slot: slot.clone(),
+                },
+                slot,
+            )
+        }
+        let lane = |max_batch| LaneCore {
+            engine: Mutex::new(GateEngine::new(&Gate::open())),
+            queue: SubmissionQueue::new(16, Backpressure::Block),
+            max_batch,
+            healed: Arc::new(AtomicU64::new(0)),
+        };
+
+        let core = lane(usize::MAX);
+        // two other clients queued while the lane was busy ...
+        let (a, a_slot) = queued(1, 1);
+        let (b, b_slot) = queued(1, 2);
+        assert_eq!(core.queue.push_group(&mut vec![a, b]), 2);
+        // ... so a third finds the lock free but the queue non-empty
+        assert!(core.try_serve(&[BatchRequest::Get(1)]).is_none());
+        let (c, c_slot) = queued(1, 3);
+        assert_eq!(core.enqueue(&mut vec![c]), 1);
+        for slot in [a_slot, b_slot, c_slot] {
+            assert_eq!(slot.try_take(), Some(BatchReply::Done(true)));
+        }
+        assert_eq!(lock(&core.engine).map.get(&1), Some(&vec![3]), "in order");
+        let qs = core.queue.stats();
+        assert_eq!((qs.batches, qs.drained, qs.max_batch), (1, 3, 3));
+        assert_eq!((qs.inline_batches, qs.enqueued), (0, 3));
+
+        // `max_batch: 1` holds on this path too: one request per batch,
+        // the head of the queue first
+        let core = lane(1);
+        let (a, a_slot) = queued(1, 1);
+        assert_eq!(core.queue.push_group(&mut vec![a]), 1);
+        let (b, b_slot) = queued(1, 2);
+        assert_eq!(core.enqueue(&mut vec![b]), 1);
+        assert_eq!(a_slot.try_take(), Some(BatchReply::Done(true)));
+        assert_eq!(b_slot.try_take(), None, "left for the next batch");
+        assert_eq!(core.queue.len(), 1);
+        assert_eq!(core.queue.stats().max_batch, 1);
+    }
+
+    /// Per-client FIFO across the two paths. `Put(k, 1)` is queued on a
+    /// busy lane; the worker drains it and parks inside `serve_batch`.
+    /// The moment the queue reads empty the client submits `Put(k, 2)`.
+    /// Because the worker drained *under* the engine lock, that second
+    /// put cannot find the lane idle: it queues behind, and `k` ends at
+    /// 2. A worker that drained before locking would leave a window —
+    /// queue empty, lock free, `Put(k, 1)` unserved — in which the
+    /// second put is served on the caller's thread first.
+    #[test]
+    fn a_later_request_never_overtakes_an_earlier_one() {
+        let gate = Arc::new(Gate::default());
+        let server = gate_server(&gate);
+        let queue = &server.lanes[0].core.queue;
+        let k = 5u64;
+        for round in 0..1000u32 {
+            gate.set(0);
+            let enqueued0 = queue.stats().enqueued;
+            let holder_done = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                // someone else's request holds the lane, parked at the gate
+                let c = server.client();
+                let holder_done = &holder_done;
+                scope.spawn(move || {
+                    assert!(c.put(1000, b"x"));
+                    holder_done.store(true, Ordering::Release);
+                });
+                spin_until("holder parked", || gate.parked() == 1);
+                // the client's first put finds the lane busy and queues
+                let c = server.client();
+                scope.spawn(move || assert!(c.put(k, &[1])));
+                spin_until("first put queued", || {
+                    queue.stats().enqueued == enqueued0 + 2
+                });
+                // its second put goes in the instant the holder is
+                // through and the queue reads empty
+                let c = server.client();
+                scope.spawn(move || {
+                    while !holder_done.load(Ordering::Acquire) || !queue.is_empty() {
+                        std::hint::spin_loop();
+                    }
+                    assert!(c.put(k, &[2]));
+                });
+                gate.set(1); // the holder's batch, and only that one
+                spin_until("second put submitted", || {
+                    queue.stats().enqueued == enqueued0 + 3
+                });
+                gate.set(OPEN);
+            });
+            assert_eq!(
+                server.with_shard(0, |e| e.map.get(&k).cloned()),
+                Some(vec![2]),
+                "round {round}: the later put was overtaken"
+            );
+        }
+        server.shutdown();
+    }
+
+    /// A panic on the caller's thread heals the lane, fails only that
+    /// group, and the lane keeps serving — on the same path.
+    #[test]
+    fn a_panic_on_the_callers_thread_heals_the_lane() {
+        let gate = Gate::open();
+        let server = gate_server(&gate);
+        let c = server.client();
+        assert!(c.put(1, b"before"));
+        assert!(!c.put(POISON_KEY, b"boom"), "the poisoned group fails");
+        assert_eq!(server.healed_panics(), 1);
+        assert_eq!(server.with_shard(0, |e| e.heals), 1);
+        assert_eq!(c.get(1).as_deref(), Some(&b"before"[..]));
+        assert!(c.put(2, b"after"), "the lane lives on");
+        assert_eq!(server.queue_stats().queued_batches(), 0, "all caller-run");
+        // and the same on the worker's thread: only the poisoned batch
+        // fails, its neighbours in the queue are served
+        std::thread::scope(|scope| {
+            gate.set(0);
+            let c0 = server.client();
+            scope.spawn(move || assert!(c0.put(1000, b"x")));
+            spin_until("holder parked", || gate.parked() == 1);
+            let c1 = server.client();
+            scope.spawn(move || assert!(!c1.put(POISON_KEY, b"boom")));
+            spin_until("poison queued", || server.lanes[0].core.queue.len() == 1);
+            gate.set(OPEN);
+        });
+        assert_eq!(server.healed_panics(), 2);
+        assert!(c.put(3, b"still"));
+        server.shutdown();
+    }
+
+    /// `close()` with work queued behind a held lane and no further
+    /// submitter: the worker still drains the tail, every queued request
+    /// is acked, and submissions after the close are refused.
+    #[test]
+    fn close_drains_the_queued_tail_without_a_further_submitter() {
+        let server = KvServer::new(&cfg(1, false), &ServerConfig::default());
+        let queue = &server.lanes[0].core.queue;
+        std::thread::scope(|scope| {
+            let release = hold_lane(scope, &server);
+            for w in 0..3u64 {
+                let c = server.client();
+                scope.spawn(move || assert!(c.put(w, b"tail"), "queued before close: acked"));
+            }
+            spin_until("3 queued puts", || queue.len() == 3);
+            scope.spawn(|| server.close());
+            spin_until("queue closed", || queue.is_closed());
+            assert!(!server.client().put(9, b"late"), "refused after close");
+            drop(release);
+        });
+        assert_eq!(server.len(), 3);
+        assert_eq!(queue.stats().queued_batches(), 1);
     }
 }

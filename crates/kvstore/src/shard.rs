@@ -33,9 +33,10 @@ const BUCKET_BLOCK: usize = 4096;
 /// header).
 pub const MAX_VALUE_LEN: usize = BUCKET_BLOCK - NODE_HEADER;
 
-/// One request drained from a shard's submission queue, stripped of its
-/// completion slot (the serving layer holds those; [`Shard::serve_batch`]
-/// answers positionally).
+/// One request of a lane batch — a submitter's own group, or what the
+/// worker drained from the submission queue — without any completion
+/// slot (the serving layer holds those; [`Shard::serve_batch`] answers
+/// positionally).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BatchRequest {
     /// Look a key up (answered from the batch's pending-write overlay

@@ -28,8 +28,9 @@ use crate::server::KvServer;
 use crate::store::KvStore;
 
 /// Anything the loadgen can drive: the direct [`KvStore`] (callers
-/// lock shards themselves) or the concurrent [`KvServer`] (requests
-/// ride per-shard submission queues into cross-client group commits).
+/// lock shards themselves) or the concurrent [`KvServer`] (an idle lane
+/// is served on the caller's thread, a busy one queues requests into
+/// cross-client group commits).
 /// Data ops are issued from the worker threads; the stats pair is
 /// scraped from the main thread while the run serves.
 pub trait KvTarget: Sync {
@@ -1029,9 +1030,9 @@ mod tests {
         );
     }
 
-    /// The same loadgen drives the concurrent server: counts reconcile,
-    /// every write rode a submission queue, and grouped lanes formed
-    /// real multi-request batches under 4 closed-loop clients.
+    /// The same loadgen drives the concurrent server: counts reconcile
+    /// over both lane paths (caller-run and queued) under 4 closed-loop
+    /// clients, and nothing is stranded.
     #[test]
     fn run_on_drives_the_concurrent_server() {
         use crate::server::{KvServer, ServerConfig};
@@ -1071,7 +1072,7 @@ mod tests {
         assert!(!rep.windows.is_empty());
         let qs = server.queue_stats();
         assert_eq!(qs.enqueued, qs.drained, "no request stranded");
-        // load (400) + serving ops all rode the queues
+        // load (400) + serving ops all went through the lanes
         assert!(qs.drained >= 3200);
         assert_eq!(server.healed_panics(), 0);
         server.shutdown();
