@@ -22,7 +22,7 @@ fn eight_thread_trace() -> Trace {
     replicate(&single, 8)
 }
 
-fn bench_replay(c: &mut Criterion) {
+fn bench_throughput(c: &mut Criterion) {
     let tr = eight_thread_trace();
     let stores = tr.stats().total_writes as u64;
     let cfg = RunConfig::default();
@@ -54,5 +54,5 @@ fn bench_replay(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_replay);
+criterion_group!(benches, bench_throughput);
 criterion_main!(benches);

@@ -8,12 +8,9 @@
 //!              fig2 fig4 fig5 fig6 fig7 fig8
 //!              ablation-knee ablation-atlas ablation-bound ablation-burst
 //!              ablation-clwb ablation-phased ablation-groups
-//!              bench-replay (replay-engine throughput → BENCH_replay.json)
-//!              kv-bench     (YCSB grid over the sharded KV store
-//!                            → BENCH_kv.json; --smoke for CI sizes)
-//!              tree-bench   (YCSB C/E/F over the CoW B+-tree engine;
-//!                            appends engine:"tree" rows — scan
-//!                            throughput + scan p99 — to BENCH_kv.json)
+//!              kv-bench     (YCSB grids over the sharded KV store
+//!                            → BENCH_kv.json; --smoke for CI sizes,
+//!                            checks only, no file)
 //!              tree-crash   (crash-point sweep over tree transactions:
 //!                            committed-prefix oracle on both flush
 //!                            paths × crash modes; nonzero on failure)
@@ -27,12 +24,8 @@
 //! is the CI smoke form of `tests/crash_fuzz.rs` — every micro-step of
 //! each program is crashed, recovered and checked against the oracle.
 //!
-//! `repro telemetry-diff BASE NEW [--threshold T] [--schema-only]`
-//! compares two harness JSON artifacts (BENCH_kv.json, or any file the
-//! harness writes). Schema drift (keys, types, array lengths, identity
-//! labels) always exits 2; a thresholded wall-clock metric moving the
-//! wrong way by more than `T` (default 0.2 = 20%) exits 1 unless
-//! `--schema-only`. CI runs the schema-only form on two smoke passes.
+//! Comparing two commits is not `repro`'s job: the repo benchmark
+//! (`benchmark/`, `BENCHMARK.json`) runs and judges them.
 //!
 //! `repro net-smoke` runs the network serving path end to end over the
 //! in-process transport — pipelined multi-connection loadgen, crash,
@@ -51,18 +44,12 @@
 //! prints a summary table and writes the full per-run snapshots to
 //! FILE as JSON. Simulated results are identical with or without it.
 
-use nvcache_bench::experiments::{ablations, figs, kv, tables, tree, DEFAULT_SCALE, THREAD_SWEEP};
-use nvcache_bench::report::{json_str, telemetry_envelope, telemetry_table};
-use nvcache_bench::{diff, jsonv, telemetry, Table};
-use nvcache_cachesim::MachineConfig;
-use nvcache_core::{
-    run_policy_dyn, run_policy_traced, run_policy_traced_dyn, run_policy_with, AdaptiveConfig,
-    FlushPath, PolicyKind, ReplayOptions, RunConfig,
-};
+use nvcache_bench::experiments::{ablations, figs, kv, tables, DEFAULT_SCALE, THREAD_SWEEP};
+use nvcache_bench::report::{telemetry_envelope, telemetry_table};
+use nvcache_bench::{telemetry, Table};
+use nvcache_core::{AdaptiveConfig, PolicyKind};
 use nvcache_fase::{crash_fuzz, CrashFuzzConfig};
 use nvcache_pmem::CrashMode;
-use nvcache_telemetry::TelemetryConfig;
-use nvcache_trace::synth::{cyclic, replicate, SynthOpts};
 
 struct Args {
     experiment: String,
@@ -130,19 +117,14 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: repro <experiment> [--scale S] [--threads a,b,c] [--json] [--telemetry FILE]\n\
          \x20      repro crash-matrix [--seeds N] [--json]\n\
-         \x20      repro telemetry-diff BASE NEW [--threshold T] [--schema-only] [--json]\n\
          experiments: table1 table2 table3 table4 fig2 fig4 fig5 fig6 fig7 fig8\n\
          \x20            ablation-knee ablation-atlas ablation-bound ablation-burst\n\
          \x20            ablation-clwb ablation-phased ablation-groups\n\
-         \x20            bench-replay (writes BENCH_replay.json)\n\
-         \x20            kv-bench [--smoke] (YCSB grid; writes BENCH_kv.json)\n\
-         \x20            tree-bench [--smoke] (YCSB C/E/F over the B+-tree\n\
-         \x20                       engine; appends tree rows to BENCH_kv.json)\n\
+         \x20            kv-bench [--smoke] (YCSB grids; writes BENCH_kv.json\n\
+         \x20                     unless --smoke)\n\
          \x20            tree-crash [--seeds N] (tree txn crash-point sweep;\n\
          \x20                       nonzero exit on a torn transaction)\n\
          \x20            crash-matrix (crash-point fuzz; nonzero exit on failure)\n\
-         \x20            telemetry-diff (compare two harness JSON artifacts;\n\
-         \x20                            exits 2 on schema drift, 1 on regression)\n\
          \x20            net-smoke [--connections N] [--depth D] [--ops N]\n\
          \x20                      (in-process wire-protocol sweep + crash audit)\n\
          \x20            kv-serve [--addr HOST:PORT] (TCP server; SIGINT/SIGTERM prints a summary)\n\
@@ -197,215 +179,9 @@ fn run_one(name: &str, scale: f64, threads: &[usize], smoke: bool) -> Vec<Table>
             }
             v
         }
-        "bench-replay" => bench_replay(scale),
         "kv-bench" => vec![kv::kv_bench(scale, smoke)],
-        "tree-bench" => vec![tree::tree_bench(scale, smoke)],
         other => usage(&format!("unknown experiment {other}")),
     }
-}
-
-/// Wall-clock replay-engine throughput, sequential vs parallel, with
-/// the recorder off and on, through both dispatch engines (boxed `dyn`
-/// reference vs monomorphized), on an 8-thread trace. Verifies
-/// bit-identical reports at every parallelism, in both recorder modes
-/// and across dispatch engines, prints a table, and records the
-/// measurements in `BENCH_replay.json`. The recorder-off rows quantify
-/// the telemetry layer's no-op cost (the generic driver must compile to
-/// the pre-telemetry loop); recorder-on rows show the price of full
-/// instrumentation; the dyn-vs-enum delta is the devirtualization win.
-///
-/// A second table compares the two FASE-boundary flush paths in
-/// *simulated* cycles: per-line synchronous flushing vs coalesced
-/// ranged sweeps ([`FlushPath::Pipelined`]), under both cache modes
-/// (`clflush` invalidates, `clwb` keeps lines resident). Flush counts
-/// are asserted bit-identical between the paths; `speedup_vs_sync` is
-/// the cycles ratio. Both result sets land in `BENCH_replay.json`.
-fn bench_replay(scale: f64) -> Vec<Table> {
-    let rounds = ((100_000.0 * scale) as usize).max(2_000);
-    let tr = replicate(&cyclic(23, rounds, &SynthOpts::default()), 8);
-    let stores = tr.stats().total_writes as u64;
-    let host = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut pars = vec![1usize, 2, 4, 8];
-    if !pars.contains(&host) {
-        pars.push(host);
-        pars.sort_unstable();
-    }
-    let cfg = RunConfig::default();
-    let tcfg = TelemetryConfig::default();
-    let mut t = Table::new(
-        &format!("Replay throughput: 8-thread trace, {stores} stores (host parallelism {host})"),
-        &[
-            "policy",
-            "dispatch",
-            "recorder",
-            "parallelism",
-            "secs",
-            "Mwrites/s",
-            "speedup",
-            "vs dyn",
-        ],
-    );
-    let mut records = Vec::new();
-    for kind in [PolicyKind::Eager, PolicyKind::Atlas { size: 8 }] {
-        let baseline = run_policy_with(&tr, &kind, &cfg, &ReplayOptions::sequential());
-        for recorder_on in [false, true] {
-            // dyn first so its time is available as the enum rows' base
-            let mut dyn_secs = vec![0.0f64; pars.len()];
-            for enum_dispatch in [false, true] {
-                let mut seq_secs = 0.0f64;
-                for (pi, &par) in pars.iter().enumerate() {
-                    let opts = ReplayOptions::with_parallelism(par);
-                    let mut best = f64::INFINITY;
-                    for _ in 0..3 {
-                        let start = std::time::Instant::now();
-                        let r = match (enum_dispatch, recorder_on) {
-                            (true, true) => run_policy_traced(&tr, &kind, &cfg, &opts, &tcfg).0,
-                            (true, false) => run_policy_with(&tr, &kind, &cfg, &opts),
-                            (false, true) => {
-                                run_policy_traced_dyn(&tr, &kind, &cfg, &opts, &tcfg).0
-                            }
-                            (false, false) => run_policy_dyn(&tr, &kind, &cfg, &opts),
-                        };
-                        best = best.min(start.elapsed().as_secs_f64());
-                        assert_eq!(r, baseline, "replay must be bit-identical");
-                    }
-                    if par == 1 {
-                        seq_secs = best;
-                    }
-                    let vs_dyn = if enum_dispatch {
-                        dyn_secs[pi] / best
-                    } else {
-                        dyn_secs[pi] = best;
-                        1.0
-                    };
-                    let wps = stores as f64 / best;
-                    let speedup = seq_secs / best;
-                    let rec = if recorder_on { "on" } else { "off" };
-                    let disp = if enum_dispatch { "enum" } else { "dyn" };
-                    t.row(vec![
-                        kind.label().to_string(),
-                        disp.to_string(),
-                        rec.to_string(),
-                        par.to_string(),
-                        format!("{best:.4}"),
-                        format!("{:.2}", wps / 1e6),
-                        format!("{speedup:.2}x"),
-                        format!("{vs_dyn:.2}x"),
-                    ]);
-                    records.push(format!(
-                        "    {{\"policy\": {}, \"dispatch\": \"{disp}\", \
-                         \"telemetry\": {recorder_on}, \"parallelism\": {par}, \
-                         \"secs\": {best:.6}, \"writes_per_sec\": {wps:.0}, \
-                         \"speedup_vs_seq\": {speedup:.3}, \"speedup_vs_dyn\": {vs_dyn:.3}}}",
-                        json_str(kind.label())
-                    ));
-                }
-            }
-        }
-    }
-    // --- flush-path comparison (simulated cycles) ---------------------
-    // FASE-dense variant of the trace: the throughput trace above runs
-    // one FASE per thread (writes_per_fase: 0), which never exercises
-    // the commit drain. Here each FASE writes the 23-line working set
-    // twice, so LA/SC hand a contiguous 23-line batch to every commit.
-    let ftr = replicate(
-        &cyclic(
-            23,
-            rounds / 4,
-            &SynthOpts {
-                writes_per_fase: 46,
-                ..SynthOpts::default()
-            },
-        ),
-        8,
-    );
-    let mut ft = Table::new(
-        "Flush paths: per-line sync vs coalesced ranged sweeps (simulated cycles)",
-        &[
-            "policy",
-            "cache mode",
-            "sync cycles",
-            "pipelined cycles",
-            "speedup",
-            "flushes",
-        ],
-    );
-    let mut frecords = Vec::new();
-    for invalidates in [true, false] {
-        let cache_mode = if invalidates { "clflush" } else { "clwb" };
-        let machine = MachineConfig {
-            flush_invalidates: invalidates,
-            ..Default::default()
-        };
-        for kind in [
-            PolicyKind::Lazy,
-            PolicyKind::ScFixed { capacity: 23 },
-            PolicyKind::Atlas { size: 8 },
-            PolicyKind::Eager,
-        ] {
-            let opts = ReplayOptions::with_parallelism(host);
-            let sync = run_policy_with(
-                &ftr,
-                &kind,
-                &RunConfig {
-                    machine,
-                    flush_path: FlushPath::Sync,
-                },
-                &opts,
-            );
-            let pipe = run_policy_with(
-                &ftr,
-                &kind,
-                &RunConfig {
-                    machine,
-                    flush_path: FlushPath::Pipelined,
-                },
-                &opts,
-            );
-            assert_eq!(
-                sync.flushes(),
-                pipe.flushes(),
-                "{} {cache_mode}: flush counts must be bit-identical across paths",
-                kind.label()
-            );
-            assert_eq!(sync.stores, pipe.stores);
-            let speedup = sync.cycles as f64 / pipe.cycles as f64;
-            ft.row(vec![
-                kind.label().to_string(),
-                cache_mode.to_string(),
-                sync.cycles.to_string(),
-                pipe.cycles.to_string(),
-                format!("{speedup:.2}x"),
-                sync.flushes().to_string(),
-            ]);
-            for (path, rep) in [(FlushPath::Sync, &sync), (FlushPath::Pipelined, &pipe)] {
-                frecords.push(format!(
-                    "    {{\"policy\": {}, \"cache_mode\": \"{cache_mode}\", \
-                     \"flush_path\": \"{}\", \"cycles\": {}, \
-                     \"speedup_vs_sync\": {:.4}, \"flushes\": {}}}",
-                    json_str(kind.label()),
-                    path.label(),
-                    rep.cycles,
-                    sync.cycles as f64 / rep.cycles as f64,
-                    rep.flushes()
-                ));
-            }
-        }
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"replay_throughput\",\n  \"trace_threads\": 8,\n  \
-         \"stores\": {stores},\n  \"host_parallelism\": {host},\n  \
-         \"bit_identical\": true,\n  \"results\": [\n{}\n  ],\n  \
-         \"flush_path_results\": [\n{}\n  ]\n}}\n",
-        records.join(",\n"),
-        frecords.join(",\n")
-    );
-    if let Err(e) = std::fs::write("BENCH_replay.json", &json) {
-        eprintln!("warning: could not write BENCH_replay.json: {e}");
-    }
-    vec![t, ft]
 }
 
 /// Crash-point fuzz matrix: every policy × every crash adversary ×
@@ -661,73 +437,6 @@ fn tree_crash_matrix(seeds: u64) -> (Table, u64, bool) {
         }
     }
     (t, total, all_ok)
-}
-
-/// `repro telemetry-diff BASE NEW [--threshold T] [--schema-only]
-/// [--json]` — own arg grammar (two positionals), so it is dispatched
-/// before the generic experiment parser.
-fn telemetry_diff(rest: Vec<String>) -> ! {
-    let mut files: Vec<String> = Vec::new();
-    let mut threshold = 0.2f64;
-    let mut schema_only = false;
-    let mut json = false;
-    let mut it = rest.into_iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--threshold" => {
-                threshold = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|t: &f64| *t >= 0.0)
-                    .unwrap_or_else(|| usage("missing or bad value for --threshold"));
-            }
-            "--schema-only" => schema_only = true,
-            "--json" => json = true,
-            "--help" | "-h" => usage(""),
-            other if !other.starts_with('-') && files.len() < 2 => files.push(other.to_string()),
-            other => usage(&format!("unexpected argument {other}")),
-        }
-    }
-    if files.len() != 2 {
-        usage("telemetry-diff needs exactly two files: BASE NEW");
-    }
-    let load = |path: &str| -> jsonv::Json {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read {path}: {e}");
-            std::process::exit(2);
-        });
-        jsonv::parse(&text).unwrap_or_else(|e| {
-            eprintln!("error: {path} is not valid JSON: {e}");
-            std::process::exit(2);
-        })
-    };
-    let rep = diff::diff(&load(&files[0]), &load(&files[1]), threshold);
-    let mut t = Table::new(
-        &format!(
-            "telemetry-diff: {} vs {} (threshold {:.0}%{})",
-            files[0],
-            files[1],
-            threshold * 100.0,
-            if schema_only { ", schema only" } else { "" }
-        ),
-        &["metric", "baseline", "new", "ratio", "verdict"],
-    );
-    for row in diff::report_rows(&rep) {
-        t.row(row);
-    }
-    if json {
-        println!("{}", t.to_json());
-    } else {
-        t.print();
-    }
-    let code = rep.exit_code(schema_only);
-    eprintln!(
-        "[telemetry-diff: {} schema errors, {} regressions ({} metrics) -> exit {code}]",
-        rep.schema_errors.len(),
-        rep.regressions.len(),
-        rep.compared
-    );
-    std::process::exit(code);
 }
 
 /// Build the KV server the network subcommands share: SC-adaptive
@@ -991,7 +700,6 @@ fn kv_load(rest: Vec<String>) -> ! {
 fn main() {
     let mut argv = std::env::args().skip(1);
     match argv.next().as_deref() {
-        Some("telemetry-diff") => telemetry_diff(argv.collect()),
         Some("net-smoke") => net_smoke(argv.collect()),
         Some("kv-serve") => kv_serve(argv.collect()),
         Some("kv-load") => kv_load(argv.collect()),

@@ -164,7 +164,6 @@ pub fn ablation_clwb(scale: f64) -> Table {
         let run = |kind: &PolicyKind, invalidates: bool| {
             let mut cfg = RunConfig {
                 machine: machine_for(1),
-                ..Default::default()
             };
             cfg.machine.flush_invalidates = invalidates;
             run_policy(&tr, kind, &cfg).cycles as f64 / 1e6

@@ -5,7 +5,9 @@
 //! throughput, the serving-phase flush ratio, and — for SC — the
 //! capacity each shard's live controller chose, alongside the knee an
 //! *offline* exact-Mattson analysis of the same recorded store-line
-//! window would have picked. Results land in `BENCH_kv.json`.
+//! window would have picked. A full-size run writes `BENCH_kv.json`; a
+//! `--smoke` run only checks what must hold on any host and exits
+//! non-zero (panics) when it does not.
 
 use std::sync::Arc;
 
@@ -14,10 +16,12 @@ use nvcache_core::{AdaptiveConfig, PolicyKind};
 use nvcache_fase::FaseStats;
 use nvcache_kvstore::{
     load, load_on, run, run_net, run_on, AdaptConfig, InProcTransport, KeyDist, KvConfig, KvServer,
-    KvStore, Mix, NetLoadConfig, NetServer, ServerConfig, ShardConfig, YcsbConfig,
+    KvStore, Mix, NetLoadConfig, NetServer, QueueStats, ServerConfig, ShardConfig, YcsbConfig,
 };
 use nvcache_locality::{lru_mrc, select_cache_size, KneeConfig};
-use nvcache_telemetry::{convergence, CapacityEvent, ConvergenceConfig, HistId, Histogram};
+use nvcache_telemetry::{
+    convergence, CapacityEvent, ConvergenceConfig, HistId, Histogram, TelemetrySnapshot,
+};
 
 /// Shards in the grid (acceptance floor: ≥ 4).
 const SHARDS: usize = 4;
@@ -25,11 +29,6 @@ const SHARDS: usize = 4;
 const VALUE_LEN: usize = 40;
 /// Writes per group-commit batch (what gives FASEs intra-FASE reuse).
 const BATCH: usize = 128;
-
-struct Cell {
-    mix: Mix,
-    policy_label: &'static str,
-}
 
 fn config_for(policy_label: &str, burst: usize, pipelined: bool) -> KvConfig {
     let (policy, adapt) = match policy_label {
@@ -68,59 +67,188 @@ fn store_for(policy_label: &str, burst: usize, pipelined: bool) -> KvStore {
     KvStore::new(&config_for(policy_label, burst, pipelined))
 }
 
-fn json_opt_list(v: &[Option<usize>]) -> String {
-    if v.iter().all(Option::is_none) {
-        "null".to_string()
-    } else {
-        let items: Vec<String> = v
-            .iter()
-            .map(|x| x.map_or("null".to_string(), |n| n.to_string()))
-            .collect();
-        format!("[{}]", items.join(", "))
-    }
-}
-
-/// One sync-or-pipelined run of a grid cell, with the SC live-controller
-/// outcomes gathered while the store is still alive.
-struct PathRun {
-    path: &'static str,
+/// The reported (best-throughput) run behind one row of any grid.
+struct Run {
     throughput: f64,
     serving: FaseStats,
+    /// Merged op-latency percentiles (ns).
+    p50: u64,
+    p99: u64,
+    p999: u64,
+    /// Mean requests per served batch, caller-run batches of 1 included
+    /// (concurrent and network grids).
+    occupancy: Option<f64>,
+    /// Per-shard live-controller outcomes (first grid, SC only; all
+    /// `None` otherwise): chosen capacity, its online knee, the offline
+    /// exact-Mattson knee over the same recorded window, and
+    /// windows-to-knee from the decision stream.
     caps: Vec<Option<usize>>,
     online: Vec<Option<usize>>,
     offline: Vec<Option<usize>>,
-    /// Merged get+put+put_many latency percentiles (ns).
-    p50: u64,
-    p99: u64,
-    p999: u64,
-    /// Per-shard windows-to-knee from the live controller's decision
-    /// stream (SC only).
     wtk: Vec<Option<usize>>,
 }
 
-/// One run of a network-grid cell: pipelined loadgen connections over
-/// the framed wire protocol against a [`NetServer`].
-struct NetRun {
-    throughput: f64,
-    /// Mean requests per drained batch over the serving phase.
-    occupancy: f64,
-    serving: FaseStats,
-    p50: u64,
-    p99: u64,
-    p999: u64,
+impl Run {
+    /// Percentiles are merged over every op span kind a load generator
+    /// records (get + put + batched put_many).
+    fn new(throughput: f64, serving: FaseStats, lat: &TelemetrySnapshot) -> Run {
+        let mut merged = Histogram::new();
+        for id in [HistId::KvGetNs, HistId::KvPutNs, HistId::KvPutManyNs] {
+            merged.merge(lat.hist(id));
+        }
+        let (p50, p99, p999) = merged.percentiles();
+        Run {
+            throughput,
+            serving,
+            p50,
+            p99,
+            p999,
+            occupancy: None,
+            caps: vec![None; SHARDS],
+            online: vec![None; SHARDS],
+            offline: vec![None; SHARDS],
+            wtk: vec![None; SHARDS],
+        }
+    }
 }
 
-/// One run of a concurrent-grid cell: N clients driving the MPSC
-/// submission queues of a live [`KvServer`].
-struct ConcRun {
-    path: &'static str,
-    throughput: f64,
-    /// Mean requests per drained batch over the measurement phase.
-    occupancy: f64,
-    serving: FaseStats,
-    p50: u64,
-    p99: u64,
-    p999: u64,
+/// Keep the faster of `best` and `this`; says whether `this` won.
+fn keep_best(best: &mut Option<Run>, this: Run) -> bool {
+    let won = best.as_ref().is_none_or(|b| this.throughput > b.throughput);
+    if won {
+        *best = Some(this);
+    }
+    won
+}
+
+/// Mean requests per batch served between two queue snapshots.
+fn occupancy_between(before: &QueueStats, after: &QueueStats) -> f64 {
+    match after.batches - before.batches {
+        0 => 0.0,
+        batches => (after.drained - before.drained) as f64 / batches as f64,
+    }
+}
+
+/// Per-shard outcomes as one cell, `absent` standing in for a shard
+/// without one; `None` when no shard has any.
+fn per_shard(v: &[Option<usize>], absent: &str, sep: &str) -> Option<String> {
+    v.iter().any(Option::is_some).then(|| {
+        let cells: Vec<String> = v
+            .iter()
+            .map(|x| x.map_or(absent.to_string(), |n| n.to_string()))
+            .collect();
+        cells.join(sep)
+    })
+}
+
+/// One row of `BENCH_kv.json` and of the printed table: what identifies
+/// it, what its ratios are anchored to, and the run it reports.
+struct Row<'a> {
+    mix: &'a str,
+    policy: &'a str,
+    /// The `flush_path` column: "sync" / "pipelined", "mpsc-unbatched" /
+    /// "mpsc-grouped", or "net".
+    path: &'a str,
+    clients: usize,
+    /// (connections, pipeline depth) — the network grid's axes.
+    net: Option<(usize, usize)>,
+    speedup_vs_sync: Option<f64>,
+    speedup_vs_unbatched: Option<f64>,
+    run: &'a Run,
+}
+
+impl Row<'_> {
+    /// What every row must satisfy, whatever the host: nonzero, ordered
+    /// latency percentiles.
+    fn check(&self) {
+        let r = self.run;
+        assert!(
+            0 < r.p50 && r.p50 <= r.p99 && r.p99 <= r.p999,
+            "{}/{}/{}: latency percentiles out of order: {}/{}/{}",
+            self.mix,
+            self.policy,
+            self.path,
+            r.p50,
+            r.p99,
+            r.p999
+        );
+    }
+
+    fn table_cells(&self) -> Vec<String> {
+        let r = self.run;
+        let ratio = |v: Option<f64>| v.map_or("-".to_string(), |x| format!("{x:.2}"));
+        let shards = |v| per_shard(v, "-", "/").unwrap_or("-".to_string());
+        vec![
+            self.mix.to_string(),
+            self.policy.to_string(),
+            match self.net {
+                Some((conns, depth)) => format!("net c{conns} d{depth}"),
+                None => self.path.to_string(),
+            },
+            self.clients.to_string(),
+            format!("{:.0}", r.throughput / 1e3),
+            ratio(self.speedup_vs_sync),
+            ratio(self.speedup_vs_unbatched),
+            r.occupancy.map_or("-".to_string(), |o| format!("{o:.1}")),
+            format!("{:.4}", r.serving.flush_ratio()),
+            format!("{}/{}/{}", r.p50, r.p99, r.p999),
+            shards(&r.caps),
+            shards(&r.online),
+            shards(&r.offline),
+            shards(&r.wtk),
+        ]
+    }
+
+    fn json(&self) -> String {
+        let r = self.run;
+        let num = |v: Option<f64>| v.map_or("null".to_string(), |x| format!("{x:.4}"));
+        let int = |v: Option<usize>| v.map_or("null".to_string(), |n| n.to_string());
+        let shards =
+            |v| per_shard(v, "null", ", ").map_or("null".to_string(), |s| format!("[{s}]"));
+        format!(
+            "    {{\"mix\": {}, \"policy\": {}, \"flush_path\": {}, \
+             \"clients\": {}, \
+             \"connections\": {}, \"pipeline_depth\": {}, \
+             \"throughput_ops_s\": {:.0}, \"speedup_vs_sync\": {}, \
+             \"speedup_vs_unbatched\": {}, \"batch_occupancy_mean\": {}, \
+             \"flush_ratio\": {:.6}, \
+             \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
+             \"store_lines\": {}, \"data_flushes\": {}, \
+             \"chosen_capacity\": {}, \"online_knee\": {}, \"offline_knee\": {}, \
+             \"windows_to_knee\": {}}}",
+            json_str(self.mix),
+            json_str(self.policy),
+            json_str(self.path),
+            self.clients,
+            int(self.net.map(|n| n.0)),
+            int(self.net.map(|n| n.1)),
+            r.throughput,
+            num(self.speedup_vs_sync),
+            num(self.speedup_vs_unbatched),
+            num(r.occupancy),
+            r.serving.flush_ratio(),
+            r.p50,
+            r.p99,
+            r.p999,
+            r.serving.store_lines,
+            r.serving.data_flushes,
+            shards(&r.caps),
+            shards(&r.online),
+            shards(&r.offline),
+            shards(&r.wtk),
+        )
+    }
+}
+
+/// The `BENCH_kv.json` file around its row records.
+fn envelope(workers: usize, keys: usize, ops: u64, records: &[String]) -> String {
+    format!(
+        "{{\n  \"experiment\": \"kv_ycsb\",\n  \"shards\": {SHARDS},\n  \
+         \"workers\": {workers},\n  \"keys\": {keys},\n  \"ops\": {ops},\n  \
+         \"value_len\": {VALUE_LEN},\n  \"batch\": {BATCH},\n  \
+         \"zipfian_theta\": 0.99,\n  \"results\": [\n{}\n  ]\n}}\n",
+        records.join(",\n")
+    )
 }
 
 /// Run the YCSB grid (mixes A/B/C × ER/AT/SC-adaptive at [`SHARDS`]
@@ -129,7 +257,7 @@ struct ConcRun {
 /// table, and write `BENCH_kv.json`. Per cell, a deterministic
 /// single-worker parity run asserts that the two paths agree
 /// bit-for-bit on store lines and policy flush counts — only wall-clock
-/// may differ.
+/// may differ — and the timed rows must agree on store lines too.
 ///
 /// A second, *concurrent* grid (mixes A/B, 8 closed-loop clients on
 /// one contended lane) drives a [`KvServer`] — each lane served by the
@@ -147,7 +275,13 @@ struct ConcRun {
 /// reader serves idle lanes itself and queues on busy ones, and whose
 /// acks return out of order after commit. Rows carry `connections`/`pipeline_depth`
 /// (null on the other grids' rows). `smoke` shrinks the sizes to CI
-/// scale (same grids, same schema).
+/// scale (same grids, same checks) and writes no file.
+///
+/// # Panics
+/// When a row breaks what must hold on any host: flush-path parity,
+/// ordered nonzero latency percentiles, an adaptive shard on smoke-size
+/// mix A and none under ER/AT, `max_batch = 1` occupancy of exactly 1,
+/// net c8×d4 occupancy above 1, every net request answered.
 pub fn kv_bench(scale: f64, smoke: bool) -> Table {
     // Oversubscribing the host measures scheduler churn, not the
     // store: cap the worker pool at the hardware's parallelism (a
@@ -190,214 +324,154 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
         ],
     );
     let mut records = Vec::new();
-    let grid: Vec<Cell> = [Mix::A, Mix::B, Mix::C]
-        .into_iter()
-        .flat_map(|mix| {
-            ["ER", "AT", "SC"]
-                .into_iter()
-                .map(move |policy_label| Cell { mix, policy_label })
-        })
-        .collect();
+    let mut emit = |row: Row| {
+        row.check();
+        t.row(row.table_cells());
+        records.push(row.json());
+    };
+    // what every YCSB run of the grids shares; closed loop, 4 windows
+    let ycsb = YcsbConfig {
+        keys,
+        dist: KeyDist::Zipfian { theta: 0.99 },
+        value_len: VALUE_LEN,
+        seed: 42,
+        target_ops_per_sec: None,
+        windows: 4,
+        latency: true,
+        ..Default::default()
+    };
     let knee_cfg = KneeConfig::default();
     let mut total_ops = 0u64;
-    for cell in &grid {
-        // Deterministic parity check first: one worker (no cross-worker
-        // interleaving on the shard locks), sync vs pipelined. The
-        // pipeline reorders and elides *region* flushes, never the
-        // policy's decisions, so these counts must match bit-for-bit.
-        // The multi-worker measurement below reuses the same grid cell
-        // but its shard-level op interleaving is scheduler-dependent,
-        // which is why the exactness contract is checked here.
-        let parity: Vec<FaseStats> = [false, true]
-            .into_iter()
-            .map(|pipelined| {
-                let store = store_for(cell.policy_label, burst, pipelined);
-                load(&store, keys, VALUE_LEN);
-                let rep = run(
-                    &store,
-                    &YcsbConfig {
-                        keys,
+    for mix in [Mix::A, Mix::B, Mix::C] {
+        for policy in ["ER", "AT", "SC"] {
+            let cell = format!("{}/{policy}", mix.label());
+            // Deterministic parity check first: one worker (no
+            // cross-worker interleaving on the shard locks), sync vs
+            // pipelined. The pipeline reorders and elides *region*
+            // flushes, never the policy's decisions, so these counts
+            // must match bit-for-bit. The multi-worker measurement
+            // below reuses the same grid cell but its shard-level op
+            // interleaving is scheduler-dependent, which is why the
+            // exactness contract is checked here.
+            let parity: Vec<FaseStats> = [false, true]
+                .into_iter()
+                .map(|pipelined| {
+                    let store = store_for(policy, burst, pipelined);
+                    load(&store, keys, VALUE_LEN);
+                    let cfg = YcsbConfig {
+                        mix,
                         ops_per_worker: ops_per_worker.min(20_000),
                         workers: 1,
-                        mix: cell.mix,
-                        dist: KeyDist::Zipfian { theta: 0.99 },
-                        value_len: VALUE_LEN,
-                        seed: 42,
                         batch: BATCH,
-                        target_ops_per_sec: None,
                         windows: 1,
-                        ..Default::default()
-                    },
-                );
-                rep.windows.iter().map(|w| w.stats).sum()
-            })
-            .collect();
-        assert_eq!(
-            parity[0].store_lines,
-            parity[1].store_lines,
-            "{}/{}: store lines diverge between flush paths",
-            cell.mix.label(),
-            cell.policy_label
-        );
-        assert_eq!(
-            parity[0].data_flushes,
-            parity[1].data_flushes,
-            "{}/{}: policy flush counts diverge between flush paths",
-            cell.mix.label(),
-            cell.policy_label
-        );
-        // Interleave the repeats (sync, pipelined, sync, ...) so any
-        // monotonic drift of the host (thermal, frequency) hits both
-        // paths equally instead of biasing whichever ran last.
-        let mut best: [Option<PathRun>; 2] = [None, None];
-        for _ in 0..repeats {
-            for pipelined in [false, true] {
-                let store = store_for(cell.policy_label, burst, pipelined);
-                load(&store, keys, VALUE_LEN);
-                let rep = run(
-                    &store,
-                    &YcsbConfig {
-                        keys,
+                        latency: false,
+                        ..ycsb.clone()
+                    };
+                    run(&store, &cfg).windows.iter().map(|w| w.stats).sum()
+                })
+                .collect();
+            assert_eq!(
+                parity[0].store_lines, parity[1].store_lines,
+                "{cell}: store lines diverge between flush paths"
+            );
+            assert_eq!(
+                parity[0].data_flushes, parity[1].data_flushes,
+                "{cell}: policy flush counts diverge between flush paths"
+            );
+            // Interleave the repeats (sync, pipelined, sync, ...) so any
+            // monotonic drift of the host (thermal, frequency) hits both
+            // paths equally instead of biasing whichever ran last.
+            let mut best: [Option<Run>; 2] = [None, None];
+            for _ in 0..repeats {
+                for pipelined in [false, true] {
+                    let store = store_for(policy, burst, pipelined);
+                    load(&store, keys, VALUE_LEN);
+                    let cfg = YcsbConfig {
+                        mix,
                         ops_per_worker,
                         workers,
-                        mix: cell.mix,
-                        dist: KeyDist::Zipfian { theta: 0.99 },
-                        value_len: VALUE_LEN,
-                        seed: 42,
                         batch: BATCH,
-                        target_ops_per_sec: None,
-                        windows: 4,
-                        latency: true,
-                        ..Default::default()
-                    },
-                );
-                total_ops = rep.ops;
-                let serving: FaseStats = rep.windows.iter().map(|w| w.stats).sum();
-                // live-controller outcomes (SC only): chosen capacity +
-                // online knee per shard, and the offline exact-Mattson
-                // knee over the same recorded window
-                // merged op-latency percentiles over every span kind the
-                // workers record (get + put + batched put_many)
-                let lat = rep.latency.as_ref().expect("latency recording on");
-                let mut merged = Histogram::new();
-                for id in [HistId::KvGetNs, HistId::KvPutNs, HistId::KvPutManyNs] {
-                    merged.merge(lat.hist(id));
-                }
-                let (p50, p99, p999) = merged.percentiles();
-                let mut caps: Vec<Option<usize>> = vec![None; SHARDS];
-                let mut online: Vec<Option<usize>> = vec![None; SHARDS];
-                let mut offline: Vec<Option<usize>> = vec![None; SHARDS];
-                let mut wtk: Vec<Option<usize>> = vec![None; SHARDS];
-                if cell.policy_label == "SC" {
-                    for s in 0..SHARDS {
-                        store.with_shard(s, |sh| {
-                            if let Some(c) = sh.chosen().first() {
-                                caps[s] = Some(c.capacity);
-                                online[s] = Some(c.knee);
-                            }
-                            // convergence over the shard's full decision
-                            // stream: how many MRC windows until the
-                            // controller landed on (and kept) the knee
-                            let evs: Vec<CapacityEvent> = sh
-                                .chosen()
-                                .iter()
-                                .map(|c| CapacityEvent {
-                                    t: c.op,
-                                    knee: c.knee as u64,
-                                    capacity: c.capacity as u64,
-                                })
-                                .collect();
-                            wtk[s] = convergence::analyze(&evs, &ConvergenceConfig::default())
-                                .windows_to_knee;
-                            if let Some(w) = sh.stream().and_then(|st| st.get(..burst)) {
-                                offline[s] = Some(select_cache_size(
-                                    &lru_mrc(w, knee_cfg.max_size),
-                                    &knee_cfg,
-                                ));
-                            }
-                        });
+                        ..ycsb.clone()
+                    };
+                    let rep = run(&store, &cfg);
+                    total_ops = rep.ops;
+                    let mut this = Run::new(
+                        rep.throughput_ops_per_sec,
+                        rep.windows.iter().map(|w| w.stats).sum(),
+                        rep.latency.as_ref().expect("latency recording on"),
+                    );
+                    // live-controller outcomes (SC only), gathered while
+                    // the store is still alive
+                    if policy == "SC" {
+                        for s in 0..SHARDS {
+                            store.with_shard(s, |sh| {
+                                if let Some(c) = sh.chosen().first() {
+                                    this.caps[s] = Some(c.capacity);
+                                    this.online[s] = Some(c.knee);
+                                }
+                                // convergence over the shard's full decision
+                                // stream: how many MRC windows until the
+                                // controller landed on (and kept) the knee
+                                let evs: Vec<CapacityEvent> = sh
+                                    .chosen()
+                                    .iter()
+                                    .map(|c| CapacityEvent {
+                                        t: c.op,
+                                        knee: c.knee as u64,
+                                        capacity: c.capacity as u64,
+                                    })
+                                    .collect();
+                                this.wtk[s] =
+                                    convergence::analyze(&evs, &ConvergenceConfig::default())
+                                        .windows_to_knee;
+                                if let Some(w) = sh.stream().and_then(|st| st.get(..burst)) {
+                                    this.offline[s] = Some(select_cache_size(
+                                        &lru_mrc(w, knee_cfg.max_size),
+                                        &knee_cfg,
+                                    ));
+                                }
+                            });
+                        }
                     }
-                }
-                let this = PathRun {
-                    path: if pipelined { "pipelined" } else { "sync" },
-                    throughput: rep.throughput_ops_per_sec,
-                    serving,
-                    caps,
-                    online,
-                    offline,
-                    p50,
-                    p99,
-                    p999,
-                    wtk,
-                };
-                let slot = &mut best[pipelined as usize];
-                if slot.as_ref().is_none_or(|b| this.throughput > b.throughput) {
-                    *slot = Some(this);
+                    keep_best(&mut best[pipelined as usize], this);
                 }
             }
-        }
-        let runs: Vec<PathRun> = best
-            .into_iter()
-            .map(|b| b.expect("at least one repeat"))
-            .collect();
-        let sync_tput = runs[0].throughput;
-        let fmt_opt = |v: &[Option<usize>]| {
-            if v.iter().all(Option::is_none) {
-                "-".to_string()
-            } else {
-                v.iter()
-                    .map(|x| x.map_or("-".into(), |n: usize| n.to_string()))
-                    .collect::<Vec<_>>()
-                    .join("/")
+            let runs = best.map(|b| b.expect("at least one repeat"));
+            // every put rewrites one line of a preloaded key, so the
+            // timed runs store the same lines whatever the interleaving
+            assert_eq!(
+                runs[0].serving.store_lines, runs[1].serving.store_lines,
+                "{cell}: store-line totals diverge between the timed flush paths"
+            );
+            for (r, path) in runs.iter().zip(["sync", "pipelined"]) {
+                if policy != "SC" {
+                    assert!(
+                        r.caps.iter().chain(&r.wtk).all(Option::is_none),
+                        "{cell}: a fixed policy reports controller decisions"
+                    );
+                } else if smoke && mix == Mix::A {
+                    // smoke sizes are fixed: load + the write-heavy mix
+                    // fill the first 512-line MRC window of the busier
+                    // shards, so some live controller must have chosen
+                    // a capacity and settled on its knee
+                    assert!(
+                        r.wtk.iter().any(|w| w.is_some_and(|w| w >= 1)),
+                        "{cell}/{path}: no shard adapted: capacities {:?}, windows to knee {:?}",
+                        r.caps,
+                        r.wtk
+                    );
+                }
+                emit(Row {
+                    mix: mix.label(),
+                    policy,
+                    path,
+                    clients: workers,
+                    net: None,
+                    speedup_vs_sync: Some(r.throughput / runs[0].throughput),
+                    speedup_vs_unbatched: None,
+                    run: r,
+                });
             }
-        };
-        for r in &runs {
-            let flush_ratio = r.serving.flush_ratio();
-            let speedup = r.throughput / sync_tput;
-            t.row(vec![
-                cell.mix.label().to_string(),
-                cell.policy_label.to_string(),
-                r.path.to_string(),
-                workers.to_string(),
-                format!("{:.0}", r.throughput / 1e3),
-                format!("{speedup:.2}"),
-                "-".to_string(),
-                "-".to_string(),
-                format!("{flush_ratio:.4}"),
-                format!("{}/{}/{}", r.p50, r.p99, r.p999),
-                fmt_opt(&r.caps),
-                fmt_opt(&r.online),
-                fmt_opt(&r.offline),
-                fmt_opt(&r.wtk),
-            ]);
-            records.push(format!(
-                "    {{\"mix\": {}, \"policy\": {}, \"flush_path\": {}, \
-                 \"clients\": {workers}, \
-                 \"connections\": null, \"pipeline_depth\": null, \
-                 \"throughput_ops_s\": {:.0}, \"speedup_vs_sync\": {:.4}, \
-                 \"speedup_vs_unbatched\": null, \"batch_occupancy_mean\": null, \
-                 \"flush_ratio\": {:.6}, \
-                 \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-                 \"store_lines\": {}, \"data_flushes\": {}, \
-                 \"chosen_capacity\": {}, \"online_knee\": {}, \"offline_knee\": {}, \
-                 \"windows_to_knee\": {}, \
-                 \"engine\": \"hash\", \"scan_p99_ns\": null}}",
-                json_str(cell.mix.label()),
-                json_str(cell.policy_label),
-                json_str(r.path),
-                r.throughput,
-                speedup,
-                flush_ratio,
-                r.p50,
-                r.p99,
-                r.p999,
-                r.serving.store_lines,
-                r.serving.data_flushes,
-                json_opt_list(&r.caps),
-                json_opt_list(&r.online),
-                json_opt_list(&r.offline),
-                json_opt_list(&r.wtk),
-            ));
         }
     }
 
@@ -416,13 +490,17 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
     // puts the lane back on the caller-runs path, while an unbatched
     // lane with a backlog works it off one request per lock hold. The
     // column measures both; `batch_occupancy_mean` (caller-run batches
-    // of 1 included) says how much merging there was.
+    // of 1 included) says how much merging there was — measured, never
+    // asserted: how often eight clients collide is the host's business.
     let clients = 8usize;
     // One lane: group commit needs requests *piling up* behind a busy
     // worker, so the contended regime is clients ≥ lanes. (The legacy
     // grid above measures shard-parallel scaling; this grid measures
     // per-lane batching.)
-    let conc_shards = 1usize;
+    let lane_cfg = KvConfig {
+        shards: 1,
+        ..config_for("SC", burst, true)
+    };
     // Long enough per run (~0.3 s at single-core throughput) that a
     // scheduler burst can't swallow a whole repeat — the queue handoff
     // makes these runs an order of magnitude slower per op than the
@@ -441,18 +519,15 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
     // fixed repeat count to have sampled both ceilings.
     let (min_rounds, settle, max_rounds) = if smoke { (1, 0, 1) } else { (repeats, 3, 24) };
     for mix in [Mix::A, Mix::B] {
-        let mut best: [Option<ConcRun>; 2] = [None, None];
+        let mut best: [Option<Run>; 2] = [None, None];
         let (mut rounds, mut stale) = (0usize, 0usize);
         while rounds < min_rounds || (stale < settle && rounds < max_rounds) {
             let mut improved = false;
-            for (pi, path) in ["mpsc-unbatched", "mpsc-grouped"].into_iter().enumerate() {
+            for (slot, max_batch) in best.iter_mut().zip([1, usize::MAX]) {
                 let server = KvServer::new(
-                    &KvConfig {
-                        shards: conc_shards,
-                        ..config_for("SC", burst, true)
-                    },
+                    &lane_cfg,
                     &ServerConfig {
-                        max_batch: if pi == 0 { 1 } else { usize::MAX },
+                        max_batch,
                         ..Default::default()
                     },
                 );
@@ -460,107 +535,43 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
                 // queue counters accumulate from birth; snapshot after
                 // the load phase so occupancy reflects the measurement
                 let qs0 = server.queue_stats();
-                let rep = run_on(
-                    &server,
-                    &YcsbConfig {
-                        keys,
-                        ops_per_worker: conc_ops,
-                        workers: clients,
-                        mix,
-                        dist: KeyDist::Zipfian { theta: 0.99 },
-                        value_len: VALUE_LEN,
-                        seed: 42,
-                        batch: 1,
-                        target_ops_per_sec: None,
-                        windows: 4,
-                        latency: true,
-                        ..Default::default()
-                    },
+                let cfg = YcsbConfig {
+                    mix,
+                    ops_per_worker: conc_ops,
+                    workers: clients,
+                    batch: 1,
+                    ..ycsb.clone()
+                };
+                let rep = run_on(&server, &cfg);
+                let mut this = Run::new(
+                    rep.throughput_ops_per_sec,
+                    rep.windows.iter().map(|w| w.stats).sum(),
+                    rep.latency.as_ref().expect("latency recording on"),
                 );
-                let qs1 = server.queue_stats();
-                let batches = qs1.batches - qs0.batches;
-                let occupancy = if batches == 0 {
-                    0.0
-                } else {
-                    (qs1.drained - qs0.drained) as f64 / batches as f64
-                };
-                let serving: FaseStats = rep.windows.iter().map(|w| w.stats).sum();
-                let lat = rep.latency.as_ref().expect("latency recording on");
-                let mut merged = Histogram::new();
-                for id in [HistId::KvGetNs, HistId::KvPutNs, HistId::KvPutManyNs] {
-                    merged.merge(lat.hist(id));
-                }
-                let (p50, p99, p999) = merged.percentiles();
-                let this = ConcRun {
-                    path,
-                    throughput: rep.throughput_ops_per_sec,
-                    occupancy,
-                    serving,
-                    p50,
-                    p99,
-                    p999,
-                };
-                let slot = &mut best[pi];
-                if slot.as_ref().is_none_or(|b| this.throughput > b.throughput) {
-                    *slot = Some(this);
-                    improved = true;
-                }
+                this.occupancy = Some(occupancy_between(&qs0, &server.queue_stats()));
+                improved |= keep_best(slot, this);
             }
             rounds += 1;
-            if improved {
-                stale = 0;
-            } else {
-                stale += 1;
-            }
+            stale = if improved { 0 } else { stale + 1 };
         }
-        let runs: Vec<ConcRun> = best
-            .into_iter()
-            .map(|b| b.expect("at least one repeat"))
-            .collect();
-        let unbatched_tput = runs[0].throughput;
-        for r in &runs {
-            let speedup_vs_unbatched = r.throughput / unbatched_tput;
-            let flush_ratio = r.serving.flush_ratio();
-            t.row(vec![
-                mix.label().to_string(),
-                "SC".to_string(),
-                r.path.to_string(),
-                clients.to_string(),
-                format!("{:.0}", r.throughput / 1e3),
-                "-".to_string(),
-                format!("{speedup_vs_unbatched:.2}"),
-                format!("{:.1}", r.occupancy),
-                format!("{flush_ratio:.4}"),
-                format!("{}/{}/{}", r.p50, r.p99, r.p999),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-                "-".to_string(),
-            ]);
-            records.push(format!(
-                "    {{\"mix\": {}, \"policy\": \"SC\", \"flush_path\": {}, \
-                 \"clients\": {clients}, \
-                 \"connections\": null, \"pipeline_depth\": null, \
-                 \"throughput_ops_s\": {:.0}, \"speedup_vs_sync\": null, \
-                 \"speedup_vs_unbatched\": {:.4}, \"batch_occupancy_mean\": {:.4}, \
-                 \"flush_ratio\": {:.6}, \
-                 \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-                 \"store_lines\": {}, \"data_flushes\": {}, \
-                 \"chosen_capacity\": null, \"online_knee\": null, \
-                 \"offline_knee\": null, \"windows_to_knee\": null, \
-                 \"engine\": \"hash\", \"scan_p99_ns\": null}}",
-                json_str(mix.label()),
-                json_str(r.path),
-                r.throughput,
-                speedup_vs_unbatched,
-                r.occupancy,
-                flush_ratio,
-                r.p50,
-                r.p99,
-                r.p999,
-                r.serving.store_lines,
-                r.serving.data_flushes,
-            ));
+        let runs = best.map(|b| b.expect("at least one repeat"));
+        assert_eq!(
+            runs[0].occupancy,
+            Some(1.0),
+            "{}: max_batch = 1 served a batch of more than one request",
+            mix.label()
+        );
+        for (r, path) in runs.iter().zip(["mpsc-unbatched", "mpsc-grouped"]) {
+            emit(Row {
+                mix: mix.label(),
+                policy: "SC",
+                path,
+                clients,
+                net: None,
+                speedup_vs_sync: None,
+                speedup_vs_unbatched: Some(r.throughput / runs[0].throughput),
+                run: r,
+            });
         }
     }
     // ---- network serving: framed wire protocol over the MPSC runtime ----
@@ -572,20 +583,14 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
     // the submission queue when it is not, and responses are acked out
     // of order after the owning FASE commits. The grid
     // varies connections × pipeline depth; with both at their high
-    // setting the per-lane pile-up reappears through the network path
-    // (batch occupancy > 1), which is the acceptance signal that
-    // pipelining reaches group commit rather than serializing at the
-    // socket.
+    // setting a reader groups the frames of one read into one batch
+    // (occupancy ≈ depth), so batch occupancy > 1 there is structural —
+    // the acceptance signal that pipelining reaches group commit rather
+    // than serializing at the socket.
     for (conns, depth) in [(1usize, 1usize), (1, 4), (8, 1), (8, 4)] {
-        let mut best: Option<NetRun> = None;
+        let mut best: Option<Run> = None;
         for _ in 0..repeats {
-            let server = Arc::new(KvServer::new(
-                &KvConfig {
-                    shards: conc_shards,
-                    ..config_for("SC", burst, true)
-                },
-                &ServerConfig::default(),
-            ));
+            let server = Arc::new(KvServer::new(&lane_cfg, &ServerConfig::default()));
             load_on(server.as_ref(), keys, VALUE_LEN);
             server.take_stats(); // isolate the serving phase
             let qs0 = server.queue_stats();
@@ -611,80 +616,132 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
             );
             assert_eq!(rep.ops_answered, rep.ops_sent, "every request answered");
             net.shutdown();
-            let qs1 = server.queue_stats();
-            let batches = qs1.batches - qs0.batches;
-            let occupancy = if batches == 0 {
-                0.0
-            } else {
-                (qs1.drained - qs0.drained) as f64 / batches as f64
-            };
-            let serving = server.stats();
-            let mut merged = Histogram::new();
-            merged.merge(rep.snapshot.hist(HistId::KvGetNs));
-            merged.merge(rep.snapshot.hist(HistId::KvPutNs));
-            let (p50, p99, p999) = merged.percentiles();
+            let mut this = Run::new(rep.ops_per_sec(), server.stats(), &rep.snapshot);
+            this.occupancy = Some(occupancy_between(&qs0, &server.queue_stats()));
             server.close();
-            let this = NetRun {
-                throughput: rep.ops_per_sec(),
-                occupancy,
-                serving,
-                p50,
-                p99,
-                p999,
-            };
-            if best.as_ref().is_none_or(|b| this.throughput > b.throughput) {
-                best = Some(this);
-            }
+            keep_best(&mut best, this);
         }
         let r = best.expect("at least one repeat");
-        let flush_ratio = r.serving.flush_ratio();
-        t.row(vec![
-            "A".to_string(),
-            "SC".to_string(),
-            format!("net c{conns} d{depth}"),
-            conns.to_string(),
-            format!("{:.0}", r.throughput / 1e3),
-            "-".to_string(),
-            "-".to_string(),
-            format!("{:.1}", r.occupancy),
-            format!("{flush_ratio:.4}"),
-            format!("{}/{}/{}", r.p50, r.p99, r.p999),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
-        ]);
-        records.push(format!(
-            "    {{\"mix\": \"A\", \"policy\": \"SC\", \"flush_path\": \"net\", \
-             \"clients\": {conns}, \
-             \"connections\": {conns}, \"pipeline_depth\": {depth}, \
-             \"throughput_ops_s\": {:.0}, \"speedup_vs_sync\": null, \
-             \"speedup_vs_unbatched\": null, \"batch_occupancy_mean\": {:.4}, \
-             \"flush_ratio\": {:.6}, \
-             \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
-             \"store_lines\": {}, \"data_flushes\": {}, \
-             \"chosen_capacity\": null, \"online_knee\": null, \
-             \"offline_knee\": null, \"windows_to_knee\": null, \
-             \"engine\": \"hash\", \"scan_p99_ns\": null}}",
-            r.throughput,
-            r.occupancy,
-            flush_ratio,
-            r.p50,
-            r.p99,
-            r.p999,
-            r.serving.store_lines,
-            r.serving.data_flushes,
-        ));
+        assert!(
+            (conns, depth) != (8, 4) || r.occupancy > Some(1.0),
+            "net c{conns} d{depth}: pipelined connections never reached group commit"
+        );
+        emit(Row {
+            mix: "A",
+            policy: "SC",
+            path: "net",
+            clients: conns,
+            net: Some((conns, depth)),
+            speedup_vs_sync: None,
+            speedup_vs_unbatched: None,
+            run: &r,
+        });
     }
-    let json = format!(
-        "{{\n  \"experiment\": \"kv_ycsb\",\n  \"shards\": {SHARDS},\n  \
-         \"workers\": {workers},\n  \"keys\": {keys},\n  \"ops\": {total_ops},\n  \
-         \"value_len\": {VALUE_LEN},\n  \"batch\": {BATCH},\n  \
-         \"zipfian_theta\": 0.99,\n  \"results\": [\n{}\n  ]\n}}\n",
-        records.join(",\n")
-    );
-    if let Err(e) = std::fs::write("BENCH_kv.json", &json) {
-        eprintln!("warning: could not write BENCH_kv.json: {e}");
+    // smoke sizes are for the checks above, not for publication
+    if !smoke {
+        let json = envelope(workers, keys, total_ops, &records);
+        if let Err(e) = std::fs::write("BENCH_kv.json", &json) {
+            eprintln!("warning: could not write BENCH_kv.json: {e}");
+        }
     }
     t
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::jsonv::{parse, Json};
+
+    const ROW_KEYS: &str = "mix policy flush_path clients connections pipeline_depth \
+        throughput_ops_s speedup_vs_sync speedup_vs_unbatched batch_occupancy_mean flush_ratio \
+        p50_ns p99_ns p999_ns store_lines data_flushes \
+        chosen_capacity online_knee offline_knee windows_to_knee";
+
+    fn a_run(occupancy: Option<f64>) -> Run {
+        let no_latency = TelemetrySnapshot::from_threads(vec![]);
+        let mut r = Run::new(123_456.4, FaseStats::default(), &no_latency);
+        (r.p50, r.p99, r.p999, r.occupancy) = (100, 900, 9_000, occupancy);
+        r
+    }
+
+    fn row<'a>(path: &'a str, net: Option<(usize, usize)>, run: &'a Run) -> Row<'a> {
+        Row {
+            mix: "A",
+            policy: "S\"C",
+            path,
+            clients: 8,
+            net,
+            speedup_vs_sync: (path == "pipelined").then_some(1.07),
+            speedup_vs_unbatched: (path == "mpsc-unbatched").then_some(1.0),
+            run,
+        }
+    }
+
+    /// What CI's `kv-bench smoke` script did with `json.load`: one row
+    /// of each grid and the file around them, through the functions
+    /// `kv_bench` uses, must be JSON with one column set.
+    #[test]
+    fn a_row_of_each_grid_and_the_envelope_parse_back() {
+        let mut adaptive = a_run(None);
+        adaptive.caps = vec![Some(24), None, Some(24), Some(25)];
+        adaptive.wtk = vec![Some(1), None, Some(2), Some(1)];
+        let (queued, served) = (a_run(Some(1.0)), a_run(Some(4.0)));
+        let rows = [
+            row("pipelined", None, &adaptive),
+            row("mpsc-unbatched", None, &queued),
+            row("net", Some((8, 4)), &served),
+        ];
+        for r in &rows {
+            r.check();
+            assert_eq!(r.table_cells().len(), 14, "one cell per table header");
+        }
+        assert_eq!(rows[2].table_cells()[2], "net c8 d4");
+        let records: Vec<String> = rows.iter().map(Row::json).collect();
+        let v = parse(&envelope(2, 400, 8_000, &records)).expect("BENCH_kv.json is JSON");
+        assert_eq!(v.get("experiment").and_then(Json::as_str), Some("kv_ycsb"));
+        assert_eq!(v.get("shards").and_then(Json::as_f64), Some(SHARDS as f64));
+        for key in [
+            "workers",
+            "keys",
+            "ops",
+            "value_len",
+            "batch",
+            "zipfian_theta",
+        ] {
+            assert!(v.get(key).and_then(Json::as_f64).is_some(), "{key}");
+        }
+        let parsed = v.get("results").and_then(Json::as_arr).unwrap();
+        assert_eq!(parsed.len(), 3);
+        for rec in parsed {
+            let Json::Obj(members) = rec else {
+                panic!("a row is an object")
+            };
+            let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ROW_KEYS.split_whitespace().collect::<Vec<_>>());
+            assert_eq!(rec.get("policy").and_then(Json::as_str), Some("S\"C"));
+            assert_eq!(rec.get("throughput_ops_s"), Some(&Json::Num(123_456.0)));
+        }
+        let (first, conc, net) = (&parsed[0], &parsed[1], &parsed[2]);
+        let caps = first.get("chosen_capacity").and_then(Json::as_arr).unwrap();
+        assert_eq!(caps.len(), SHARDS);
+        assert_eq!((&caps[0], &caps[1]), (&Json::Num(24.0), &Json::Null));
+        assert_eq!(first.get("online_knee"), Some(&Json::Null));
+        assert_eq!(first.get("speedup_vs_sync"), Some(&Json::Num(1.07)));
+        assert_eq!(first.get("connections"), Some(&Json::Null));
+        assert_eq!(conc.get("batch_occupancy_mean"), Some(&Json::Num(1.0)));
+        assert_eq!(conc.get("speedup_vs_sync"), Some(&Json::Null));
+        assert_eq!(conc.get("windows_to_knee"), Some(&Json::Null));
+        assert_eq!(net.get("flush_path").and_then(Json::as_str), Some("net"));
+        assert_eq!(net.get("connections"), Some(&Json::Num(8.0)));
+        assert_eq!(net.get("pipeline_depth"), Some(&Json::Num(4.0)));
+        assert_eq!(net.get("batch_occupancy_mean"), Some(&Json::Num(4.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "latency percentiles out of order")]
+    fn a_row_with_disordered_percentiles_fails_the_check() {
+        let mut run = a_run(None);
+        run.p99 = run.p50 - 1;
+        row("sync", None, &run).check();
+    }
 }

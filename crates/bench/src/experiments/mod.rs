@@ -4,7 +4,6 @@ pub mod ablations;
 pub mod figs;
 pub mod kv;
 pub mod tables;
-pub mod tree;
 
 use crate::calibrate::{adaptive_config_for, machine_for, offline_capacity};
 use crate::telemetry;
@@ -28,7 +27,6 @@ pub const THREAD_SWEEP: &[usize] = &[1, 2, 4, 8, 16, 32];
 pub fn timed(trace: &Trace, kind: &PolicyKind) -> RunReport {
     let cfg = RunConfig {
         machine: machine_for(trace.num_threads()),
-        ..Default::default()
     };
     if telemetry::is_enabled() {
         let (report, snap) = run_policy_traced(

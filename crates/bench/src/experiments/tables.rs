@@ -192,7 +192,6 @@ pub fn table4(scale: f64, threads: &[usize]) -> Table {
         let tr = nvcache_workloads::Workload::trace(&w, tc);
         let cfg = RunConfig {
             machine: machine_for(tc),
-            ..Default::default()
         };
         let at = run_policy(&tr, &atlas(), &cfg);
         let sc = run_policy(&tr, &sc_online(&tr), &cfg);

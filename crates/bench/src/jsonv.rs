@@ -1,10 +1,12 @@
 //! A minimal hand-rolled JSON value parser — the read-side counterpart
 //! of the hand-rolled writers in [`crate::report`] and the experiment
-//! modules (the workspace takes no serde dependency).
+//! modules (the workspace takes no serde dependency). Compiled only
+//! under `cfg(test)`: it is the in-repo proof that what those writers
+//! format is JSON, and their unit tests parse their output with it.
 //!
 //! Scope: everything the harness itself emits — objects, arrays,
 //! strings with the standard escapes, f64 numbers, booleans, null.
-//! Object key order is preserved so diffs read in emission order.
+//! Object key order is preserved so tests can pin the emission order.
 
 /// One parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,18 +56,6 @@ impl Json {
         match self {
             Json::Arr(v) => Some(v),
             _ => None,
-        }
-    }
-
-    /// A short name for the value's type (for error messages).
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Json::Null => "null",
-            Json::Bool(_) => "bool",
-            Json::Num(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
         }
     }
 }

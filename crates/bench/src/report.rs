@@ -115,7 +115,7 @@ fn json_str_array(items: &[String]) -> String {
 /// The `repro --telemetry` JSON artifact: an envelope identifying the
 /// experiment plus one snapshot per collected run and cross-run totals.
 /// Top-level keys (`experiment`, `scale`, `runs`, `totals`) are stable —
-/// CI validates them.
+/// the unit tests parse them back.
 pub fn telemetry_envelope(
     experiment: &str,
     scale: f64,
@@ -214,6 +214,13 @@ mod tests {
         assert!(j.contains("\"two\\n\""));
         let empty = Table::new("e", &["h"]).to_json();
         assert!(empty.contains("\"rows\": []"));
+        // and it is JSON: the escapes parse back to the cells
+        use crate::jsonv::{parse, Json};
+        let v = parse(&j).expect("Table::to_json is JSON");
+        assert_eq!(v.get("title").and_then(Json::as_str), Some("q\"x"));
+        let rows = v.get("rows").and_then(Json::as_arr).unwrap();
+        assert_eq!(rows[0].as_arr().unwrap()[1].as_str(), Some("two\n"));
+        assert!(parse(&empty).is_ok());
     }
 
     #[test]
@@ -238,6 +245,40 @@ mod tests {
         let empty = telemetry_envelope("x", 1.0, &[]);
         assert!(empty.contains("\"runs\": []"));
         assert!(empty.contains("\"totals\": {\"runs\": 0"));
+    }
+
+    /// What CI's `telemetry smoke` script used to check on the file
+    /// `repro fig4 --telemetry` writes: the envelope of a real traced
+    /// replay is JSON with the documented shape.
+    #[test]
+    fn envelope_of_a_traced_replay_parses_with_the_documented_shape() {
+        use crate::jsonv::{parse, Json};
+        use nvcache_core::{run_policy_traced, PolicyKind, ReplayOptions, RunConfig};
+        use nvcache_trace::synth::{cyclic, replicate, SynthOpts};
+        let opts = SynthOpts {
+            writes_per_fase: 50,
+            ..SynthOpts::default()
+        };
+        let (_, snap) = run_policy_traced(
+            &replicate(&cyclic(12, 200, &opts), 2),
+            &PolicyKind::ScFixed { capacity: 12 },
+            &RunConfig::default(),
+            &ReplayOptions::sequential(),
+            &nvcache_telemetry::TelemetryConfig::default(),
+        );
+        let runs = vec![("SC \"12\"@2t".to_string(), snap)];
+        let v = parse(&telemetry_envelope("fig4", 0.01, &runs)).expect("envelope is JSON");
+        assert_eq!(v.get("experiment").and_then(Json::as_str), Some("fig4"));
+        assert_eq!(v.get("scale").and_then(Json::as_f64), Some(0.01));
+        let parsed = v.get("runs").and_then(Json::as_arr).unwrap();
+        assert_eq!(parsed.len(), 1);
+        let totals = v.get("totals").unwrap();
+        assert_eq!(totals.get("runs").and_then(Json::as_f64), Some(1.0));
+        assert!(totals.get("stores").and_then(Json::as_f64) > Some(0.0));
+        let snap = parsed[0].get("snapshot").unwrap();
+        for key in ["counters", "histograms", "timeline", "per_thread"] {
+            assert!(snap.get(key).is_some(), "snapshot lacks {key}");
+        }
     }
 
     #[test]

@@ -227,33 +227,6 @@ impl Machine {
         self.flushes_sync += 1;
     }
 
-    /// Flush a contiguous run of `n` lines starting at `start` as one
-    /// coalesced ranged sweep at a FASE boundary. A single issue cost
-    /// covers the whole run — the pipelined commit path's win — while
-    /// each line still pays its per-flush instruction, its L1 effect,
-    /// and serialized memory-side service. Write-backs stay in flight;
-    /// the fence that follows pays the drain, and the wait is accounted
-    /// as FASE stall exactly like [`Machine::flush_sync`]'s.
-    pub fn flush_run(&mut self, start: Line, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.now += self.cfg.timing.t_flush_issue;
-        let stall_before = self.queue.stall_cycles;
-        for i in 0..n {
-            let line = Line(start.0 + i);
-            self.instructions += self.cfg.instr_flush;
-            if self.cfg.flush_invalidates {
-                self.l1.flush(line);
-            } else {
-                self.l1.writeback_keep(line);
-            }
-            self.now = self.queue.issue_async(self.now);
-            self.flushes_sync += 1;
-        }
-        self.fase_stall += self.queue.stall_cycles - stall_before;
-    }
-
     /// Fence at the end of a FASE: drain the write-back queue and pay the
     /// ordering cost.
     #[inline]
@@ -465,61 +438,6 @@ mod tests {
         assert_eq!(r.flushes(), 2);
         assert!((r.flush_ratio(10) - 0.2).abs() < 1e-12);
         assert_eq!(r.flush_ratio(0), 0.0);
-    }
-
-    #[test]
-    fn flush_run_amortizes_the_issue_cost() {
-        let cfg = MachineConfig::default();
-        let run_of = |coalesced: bool| {
-            let mut m = Machine::new(cfg);
-            for i in 0..32u64 {
-                m.store(Line(i));
-            }
-            if coalesced {
-                m.flush_run(Line(0), 32);
-            } else {
-                for i in 0..32u64 {
-                    m.flush_sync(Line(i));
-                }
-            }
-            m.fence();
-            m.finish()
-        };
-        let swept = run_of(true);
-        let sync = run_of(false);
-        assert_eq!(swept.flushes_sync, sync.flushes_sync, "same flush count");
-        assert!(
-            swept.cycles < sync.cycles,
-            "sweep {} !< per-line sync {}",
-            swept.cycles,
-            sync.cycles
-        );
-        // the saving is at least the amortized issue cost
-        assert!(sync.cycles - swept.cycles >= 31 * cfg.timing.t_flush_issue / 2);
-    }
-
-    #[test]
-    fn flush_run_invalidates_every_line_in_the_run() {
-        let mut m = machine();
-        for i in 0..8u64 {
-            m.store(Line(i));
-        }
-        m.flush_run(Line(0), 8);
-        for i in 0..8u64 {
-            m.store(Line(i));
-        }
-        let r = m.finish();
-        assert_eq!(r.l1.misses, 16, "every post-sweep access must re-miss");
-        assert_eq!(r.flushes_sync, 8);
-    }
-
-    #[test]
-    fn empty_flush_run_is_free() {
-        let mut m = machine();
-        m.flush_run(Line(5), 0);
-        let r = m.finish();
-        assert_eq!(r.cycles, 0);
-        assert_eq!(r.flushes(), 0);
     }
 
     #[test]

@@ -419,38 +419,11 @@ fn aggregate_flushes(kind: &PolicyKind, per: Vec<ThreadFlushes>) -> FlushStats {
     stats
 }
 
-/// How FASE-boundary flush batches reach the memory system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlushPath {
-    /// One synchronous flush per line: issue, then wait for the
-    /// write-back to complete before the next line (the Atlas
-    /// baseline).
-    #[default]
-    Sync,
-    /// Sort the batch and issue it as coalesced ranged sweeps: one
-    /// issue cost per contiguous run, write-backs in flight until the
-    /// commit fence drains them. Flush *counts* are identical to
-    /// [`FlushPath::Sync`] — only the cycle cost changes.
-    Pipelined,
-}
-
-impl FlushPath {
-    /// Stable label for reports ("sync" / "pipelined").
-    pub fn label(&self) -> &'static str {
-        match self {
-            FlushPath::Sync => "sync",
-            FlushPath::Pipelined => "pipelined",
-        }
-    }
-}
-
 /// Configuration of a timed run.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunConfig {
     /// Per-thread hardware context configuration.
     pub machine: MachineConfig,
-    /// FASE-boundary flush mechanism.
-    pub flush_path: FlushPath,
 }
 
 /// Outcome of a timed run.
@@ -497,53 +470,16 @@ impl RunReport {
 /// the harness.
 const FLUSH_BUF_CAPACITY: usize = 64;
 
-/// Drain one FASE-boundary flush batch into the machine over the
-/// configured [`FlushPath`], with per-flush telemetry when enabled.
-///
-/// Sync: one synchronous flush per line, in policy emission order.
-/// Pipelined: sort the batch and issue each maximal contiguous run as
-/// one ranged sweep ([`Machine::flush_run`]); a duplicate line — no
-/// current policy emits one at a FASE end, but the contract must not
-/// depend on that — terminates its run and is swept again as a
-/// singleton, so the flush *count* matches the sync path exactly. The
-/// caller's fence pays the drain either way.
-fn drain_fase_buf<R: Recorder>(
-    m: &mut Machine,
-    buf: &mut Vec<nvcache_trace::Line>,
-    path: FlushPath,
-    rec: &mut R,
-) {
-    match path {
-        FlushPath::Sync => {
-            for line in buf.drain(..) {
-                m.flush_sync(line);
-                if R::ENABLED {
-                    rec.incr(CounterId::FlushesSync);
-                    rec.emit(EventKind::FlushSync, m.now(), line.0, 0);
-                    rec.observe(HistId::QueueDepth, m.queue_depth() as u64);
-                }
-            }
-        }
-        FlushPath::Pipelined => {
-            buf.sort_unstable();
-            let mut i = 0;
-            while i < buf.len() {
-                let start = buf[i];
-                let mut len = 1u64;
-                while i + (len as usize) < buf.len() && buf[i + len as usize].0 == start.0 + len {
-                    len += 1;
-                }
-                m.flush_run(start, len);
-                if R::ENABLED {
-                    for k in 0..len {
-                        rec.incr(CounterId::FlushesSync);
-                        rec.emit(EventKind::FlushSync, m.now(), start.0 + k, 0);
-                    }
-                    rec.observe(HistId::QueueDepth, m.queue_depth() as u64);
-                }
-                i += len as usize;
-            }
-            buf.clear();
+/// Drain one FASE-boundary flush batch into the machine: one
+/// synchronous flush per line, in policy emission order, with per-flush
+/// telemetry when enabled. The caller's fence pays the drain.
+fn drain_fase_buf<R: Recorder>(m: &mut Machine, buf: &mut Vec<nvcache_trace::Line>, rec: &mut R) {
+    for line in buf.drain(..) {
+        m.flush_sync(line);
+        if R::ENABLED {
+            rec.incr(CounterId::FlushesSync);
+            rec.emit(EventKind::FlushSync, m.now(), line.0, 0);
+            rec.observe(HistId::QueueDepth, m.queue_depth() as u64);
         }
     }
 }
@@ -638,7 +574,7 @@ fn replay_thread<P: PersistPolicy + ?Sized, R: Recorder>(
                         if R::ENABLED {
                             let n = buf.len() as u64;
                             let stall_before = m.fase_stall_cycles();
-                            drain_fase_buf(&mut m, &mut buf, cfg.flush_path, rec);
+                            drain_fase_buf(&mut m, &mut buf, rec);
                             let sync_stall = m.fase_stall_cycles() - stall_before;
                             rec.observe(HistId::SyncFlushStall, sync_stall);
                             let drain_before = m.fase_stall_cycles();
@@ -666,7 +602,7 @@ fn replay_thread<P: PersistPolicy + ?Sized, R: Recorder>(
                                 });
                             }
                         } else {
-                            drain_fase_buf(&mut m, &mut buf, cfg.flush_path, rec);
+                            drain_fase_buf(&mut m, &mut buf, rec);
                             m.fence();
                         }
                     }
@@ -678,7 +614,7 @@ fn replay_thread<P: PersistPolicy + ?Sized, R: Recorder>(
     }
     // flush whatever the policy still buffers at program end
     policy.on_fase_end(&mut buf);
-    drain_fase_buf(&mut m, &mut buf, cfg.flush_path, rec);
+    drain_fase_buf(&mut m, &mut buf, rec);
     m.fence();
     if R::ENABLED {
         rec.incr(CounterId::Fences);
@@ -1118,103 +1054,6 @@ mod tests {
             snap.counter(nvcache_telemetry::CounterId::CapacityChanges),
             1
         );
-    }
-
-    #[test]
-    fn pipelined_path_keeps_counts_and_cuts_cycles() {
-        // Lazy over a sequential working set is the coalescing best
-        // case: the FASE-end batch is one contiguous run. Counts must
-        // not move; cycles must.
-        let tr = sequential(32, 400, &opts(64));
-        let sync_cfg = RunConfig::default();
-        let pipe_cfg = RunConfig {
-            flush_path: FlushPath::Pipelined,
-            ..Default::default()
-        };
-        for kind in [
-            PolicyKind::Lazy,
-            PolicyKind::ScFixed { capacity: 32 },
-            PolicyKind::Atlas { size: 8 },
-            PolicyKind::Eager,
-        ] {
-            let s = run_policy(&tr, &kind, &sync_cfg);
-            let p = run_policy(&tr, &kind, &pipe_cfg);
-            assert_eq!(s.flushes(), p.flushes(), "{}: count parity", kind.label());
-            assert_eq!(s.stores, p.stores);
-            assert!(
-                p.cycles <= s.cycles,
-                "{}: pipelined {} !<= sync {}",
-                kind.label(),
-                p.cycles,
-                s.cycles
-            );
-        }
-        // and for a flush-bound configuration the win is a real step
-        // change: under clwb (no re-miss dilution) the FASE-end drain
-        // is almost pure flush time, where the sweep saves the per-line
-        // issue cost (94 → ~70 cycles/line)
-        let clwb = MachineConfig {
-            flush_invalidates: false,
-            ..Default::default()
-        };
-        let s = run_policy(
-            &tr,
-            &PolicyKind::Lazy,
-            &RunConfig {
-                machine: clwb,
-                flush_path: FlushPath::Sync,
-            },
-        );
-        let p = run_policy(
-            &tr,
-            &PolicyKind::Lazy,
-            &RunConfig {
-                machine: clwb,
-                flush_path: FlushPath::Pipelined,
-            },
-        );
-        assert_eq!(s.flushes(), p.flushes());
-        assert!(
-            s.cycles as f64 / p.cycles as f64 >= 1.15,
-            "lazy sweep win must exceed 1.15x: sync {} pipelined {}",
-            s.cycles,
-            p.cycles
-        );
-    }
-
-    #[test]
-    fn pipelined_replay_is_parallelism_invariant_and_traceable() {
-        let single = cyclic(12, 200, &opts(50));
-        let tr = nvcache_trace::synth::replicate(&single, 4);
-        let cfg = RunConfig {
-            flush_path: FlushPath::Pipelined,
-            ..Default::default()
-        };
-        let kind = PolicyKind::ScFixed { capacity: 12 };
-        let seq = run_policy_with(&tr, &kind, &cfg, &ReplayOptions::sequential());
-        for par in [2, 4] {
-            let p = run_policy_with(&tr, &kind, &cfg, &ReplayOptions::with_parallelism(par));
-            assert_eq!(seq, p, "parallelism={par}");
-        }
-        let (rep, snap) = run_policy_traced(
-            &tr,
-            &kind,
-            &cfg,
-            &ReplayOptions::sequential(),
-            &TelemetryConfig::default(),
-        );
-        assert_eq!(seq, rep, "telemetry must not perturb the pipelined path");
-        assert_eq!(
-            snap.counter(nvcache_telemetry::CounterId::FlushesSync),
-            rep.per_thread.iter().map(|r| r.flushes_sync).sum::<u64>()
-        );
-    }
-
-    #[test]
-    fn flush_path_labels() {
-        assert_eq!(FlushPath::Sync.label(), "sync");
-        assert_eq!(FlushPath::Pipelined.label(), "pipelined");
-        assert_eq!(FlushPath::default(), FlushPath::Sync);
     }
 
     #[test]

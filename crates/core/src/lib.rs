@@ -43,7 +43,7 @@ pub use best::BestPolicy;
 pub use driver::{
     flush_stats, flush_stats_dyn, flush_stats_traced, flush_stats_traced_dyn, flush_stats_with,
     run_policy, run_policy_dyn, run_policy_traced, run_policy_traced_dyn, run_policy_with,
-    FlushPath, FlushStats, ReplayOptions, RunConfig, RunReport,
+    FlushStats, ReplayOptions, RunConfig, RunReport,
 };
 pub use eager::EagerPolicy;
 pub use group::{group_threads, grouped_capacities, ThreadGroup};
