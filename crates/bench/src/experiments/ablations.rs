@@ -3,7 +3,7 @@
 
 use super::{sc_online, timed};
 use crate::calibrate::machine_for;
-use crate::pool::par_map;
+use crate::par_map;
 use crate::report::{ratio, Table};
 use nvcache_core::{flush_stats, grouped_capacities, run_policy, PolicyKind, RunConfig};
 use nvcache_locality::{knee::knees, lru_mrc, reuse_all_k, select_cache_size, KneeConfig, Mrc};
@@ -344,7 +344,7 @@ mod tests {
                 .parse()
                 .unwrap();
             // the full-trace timescale choice must be nearly as good as
-            // the exact-MRC oracle choice (same criterion as Fig. 7,
+            // the exact-MRC oracle choice (same rule as Fig. 7,
             // with the conversion's ±1 size quantization allowed)
             let best_near = exact.mr(full).min(exact.mr(full + 1));
             assert!(

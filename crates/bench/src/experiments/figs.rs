@@ -2,7 +2,7 @@
 
 use super::{atlas, sc_offline, sc_online, timed, THREAD_SWEEP};
 use crate::calibrate::offline_capacity;
-use crate::pool::par_map;
+use crate::par_map;
 use crate::report::{pct, speedup, Table};
 use nvcache_core::PolicyKind;
 use nvcache_locality::{lru_mrc, reuse_all_k, select_cache_size, BurstSampler, KneeConfig, Mrc};

@@ -2,7 +2,7 @@
 
 use super::{atlas, sc_offline, sc_online, timed};
 use crate::calibrate::machine_for;
-use crate::pool::par_map;
+use crate::par_map;
 use crate::report::{pct, ratio, speedup, Table};
 use nvcache_core::{flush_stats, run_policy, PolicyKind, RunConfig};
 use nvcache_workloads::splash2::WaterSpatial;

@@ -6,20 +6,26 @@
 //! the network smoke/serve/load trio and one wall-clock grid
 //! (`repro kv-bench`); see EXPERIMENTS.md for the paper-vs-measured
 //! record. Comparing commits is the repo benchmark's job (`benchmark/`),
-//! not this crate's. Criterion benches in `benches/` cover component
-//! costs (LRU ops, linear-time MRC, policy throughput) and the ablations
-//! called out in DESIGN.md.
+//! not this crate's, and so are component costs
+//! (`core.replay_ns_per_store.*`, `locality.mrc_ns_per_line`, …).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod calibrate;
 pub mod experiments;
 #[cfg(test)]
 mod jsonv;
-pub mod pool;
 pub mod report;
 pub mod telemetry;
 
 pub use calibrate::{adaptive_config_for, machine_for, offline_capacity, Calibration};
-pub use pool::{par_map, par_map_with};
 pub use report::Table;
+
+/// Apply `f` to every item of an experiment grid on one worker per
+/// hardware thread, returning results in input order — printed tables
+/// are byte-identical to a sequential run.
+pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let workers = nvcache_core::ReplayOptions::parallel().parallelism;
+    nvcache_core::fan_out(items, workers, |_, t| f(t))
+}

@@ -18,6 +18,7 @@
 //!   both plus a thread-count-dependent contention model, producing a
 //!   [`machine::MachineReport`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

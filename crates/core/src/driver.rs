@@ -78,7 +78,7 @@ impl ReplayOptions {
 /// results in item order. Work is claimed from a shared atomic cursor,
 /// so scheduling is dynamic, but each result is keyed by its index —
 /// the output is independent of which worker ran what.
-fn fan_out<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
+pub fn fan_out<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,

@@ -24,6 +24,7 @@
 //! flushes exactly (Table III) or against the full machine timing model
 //! (Tables I/II/IV, Figures 4–6).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adaptive;
@@ -41,9 +42,9 @@ pub use adaptive::{rename_for_epoch, AdaptiveConfig, AdaptiveScPolicy};
 pub use atlas::AtlasPolicy;
 pub use best::BestPolicy;
 pub use driver::{
-    flush_stats, flush_stats_dyn, flush_stats_traced, flush_stats_traced_dyn, flush_stats_with,
-    run_policy, run_policy_dyn, run_policy_traced, run_policy_traced_dyn, run_policy_with,
-    FlushStats, ReplayOptions, RunConfig, RunReport,
+    fan_out, flush_stats, flush_stats_dyn, flush_stats_traced, flush_stats_traced_dyn,
+    flush_stats_with, run_policy, run_policy_dyn, run_policy_traced, run_policy_traced_dyn,
+    run_policy_with, FlushStats, ReplayOptions, RunConfig, RunReport,
 };
 pub use eager::EagerPolicy;
 pub use group::{group_threads, grouped_capacities, ThreadGroup};

@@ -17,23 +17,19 @@
 //!   store routes through [`runtime::FaseRuntime::store`], which logs,
 //!   writes, and hands the touched cache line to the pluggable
 //!   persistence policy (ER/LA/AT/SC/…) from `nvcache-core`.
-//! * [`cell::PVar`] / [`cell::PArray`] — typed persistent variables over
-//!   the runtime: the ergonomic equivalent of compiler-instrumented
-//!   stores.
 //! * crash/recovery — [`runtime::FaseRuntime::crash_and_recover`]
 //!   injects a power failure via any [`nvcache_pmem::CrashMode`] and
 //!   rolls back incomplete FASEs, restoring the "all or none" guarantee
 //!   that the property tests in `tests/` verify.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cell;
 pub mod error;
 pub mod fuzz;
 pub mod log;
 pub mod runtime;
 
-pub use cell::{PArray, PValue, PVar};
 pub use error::RecoveryError;
 pub use fuzz::{crash_fuzz, CrashFuzzConfig, CrashFuzzReport, FuzzFailure};
 pub use log::{LogStats, UndoLog};

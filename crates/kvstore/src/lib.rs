@@ -42,6 +42,8 @@
 //! assert!(store.stats().data_flushes > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod net;
 pub mod netload;

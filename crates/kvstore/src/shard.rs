@@ -639,27 +639,6 @@ impl Shard {
         out
     }
 
-    /// Read-only lookup over the shard's region (no `&mut`): the
-    /// serving layer's fast path for `Get`s that bypass the submission
-    /// queue. Safe to run under a shared lock held concurrently with
-    /// nothing — the worker takes the exclusive lock for the whole
-    /// batch, so a reader never observes a mid-FASE region.
-    pub fn get_ro(&self, key: u64) -> Option<Vec<u8>> {
-        let region = self.rt.region();
-        let boff = self.bucket_off(key);
-        let mut p = region.read_u64(boff) as usize;
-        while p != 0 {
-            if region.read_u64(p) == key {
-                let vlen = region.read_u64(p + 16) as usize;
-                let mut v = vec![0u8; vlen];
-                region.read(p + NODE_HEADER, &mut v);
-                return Some(v);
-            }
-            p = region.read_u64(p + 8) as usize;
-        }
-        None
-    }
-
     /// Recover the shard after a panic unwound through one of its
     /// operations (see [`FaseRuntime::heal_after_panic`]): the abandoned
     /// FASE rolls back, volatile runtime residue is dropped, and the
@@ -762,11 +741,6 @@ impl Shard {
     /// [`AdaptConfig::record_stream`] was set.
     pub fn stream(&self) -> Option<&[u64]> {
         self.stream.as_deref()
-    }
-
-    /// Store lines buffered in the current sampling burst.
-    pub fn sampler_buffered(&self) -> usize {
-        self.sampler.as_ref().map_or(0, |s| s.buffered())
     }
 
     /// Restart adaptation measurement: discard the sampler's partial
@@ -1174,21 +1148,6 @@ mod tests {
             .collect();
         assert_eq!(got, want, "replies diverge from sequential execution");
         assert_eq!(batched.dump(), seq.dump(), "end states diverge");
-    }
-
-    #[test]
-    fn get_ro_matches_get() {
-        let mut s = Shard::new(&small(PolicyKind::Lazy));
-        for i in 0..100u64 {
-            assert!(s.put(i, &(i * 3).to_le_bytes()));
-        }
-        s.delete(4);
-        s.put(5, b"");
-        for i in 0..100u64 {
-            let want = s.get(i);
-            assert_eq!(s.get_ro(i), want, "key {i}");
-        }
-        assert_eq!(s.get_ro(1234), None);
     }
 
     /// The pipelined path (ring + grouped prelog + slab) is a pure

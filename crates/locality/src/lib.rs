@@ -21,6 +21,7 @@
 //! write trace after FASE renaming
 //! (`nvcache_trace::ThreadTrace::renamed_writes`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod footprint;

@@ -21,10 +21,9 @@
 //! evicted them on its own) — exactly the uncertainty that makes
 //! persistence ordering bugs observable.
 //!
-//! [`flush`] additionally exposes the *real* x86 flush instructions
-//! (`clflush`/`clflushopt`/`clwb` + `sfence`) behind runtime feature
-//! detection, so the library exercises the true instruction path on
-//! x86-64 hosts, like the paper's emulator does.
+//! No real flush instruction is issued anywhere: a flush is a state
+//! transition of the emulated region, and its cost belongs to the cycle
+//! model in `nvcache-cachesim`.
 //!
 //! [`alloc::PAlloc`] is a small recoverable allocator over a region
 //! (bump + size-segregated free lists, metadata in-region), standing in
@@ -37,18 +36,17 @@
 //! volatile size-classed free lists over `PAlloc` so hot-path node
 //! allocation stops paying a fence per block.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;
 pub mod crash;
-pub mod flush;
 pub mod region;
 pub mod ring;
 pub mod slab;
 
 pub use alloc::PAlloc;
 pub use crash::{CrashMode, CrashPlan};
-pub use flush::{detect_flush_instr, flush_ptr, sfence, FlushInstr};
 pub use region::{PmemRegion, PmemStats, LINE_SIZE};
 pub use ring::{coalesce_sorted, FenceToken, FlushRing, RingStats};
 pub use slab::{SlabAlloc, SlabStats};

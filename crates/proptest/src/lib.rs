@@ -14,6 +14,7 @@
 //! which keeps the engine small while preserving the suite's power to
 //! detect invariant violations.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod strategy;

@@ -14,6 +14,7 @@
 //! relies on — is exactly reproducible for a given seed on every
 //! platform.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// Core trait for generators: produce the next 64 random bits.

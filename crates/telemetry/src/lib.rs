@@ -16,6 +16,7 @@
 //! order**, so parallel replay produces a bit-identical snapshot to
 //! sequential replay.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -12,6 +12,7 @@
 //! only *writes* at cache-line granularity plus FASE begin/end events;
 //! everything else is opaque computation.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;

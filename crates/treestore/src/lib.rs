@@ -25,10 +25,11 @@
 //! a second engine, so group commit, crash fuzzing, telemetry spans,
 //! and the network layer apply to both the hash and tree stores.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod pager;
 pub mod tree;
 
 pub use pager::{FasePager, MemPager, PageRead, PageStore, PageWrite, RootStore, TreeConfig, PAGE};
-pub use tree::{Cursor, Snapshot, Tree, TreeError, MAX_VALUE};
+pub use tree::{Snapshot, Tree, TreeError, MAX_VALUE};

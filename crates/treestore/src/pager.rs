@@ -126,7 +126,6 @@ impl Default for TreeConfig {
 /// optional slab + pipelined flush ring, undo log, crash plumbing).
 pub struct FasePager {
     rt: FaseRuntime,
-    cfg: TreeConfig,
 }
 
 impl FasePager {
@@ -137,10 +136,7 @@ impl FasePager {
             rt.set_flush_mode(FlushMode::Pipelined);
             rt.enable_slab();
         }
-        FasePager {
-            rt,
-            cfg: cfg.clone(),
-        }
+        FasePager { rt }
     }
 
     /// Re-attach to a crash image (runs FASE recovery; the caller
@@ -152,10 +148,7 @@ impl FasePager {
             rt.set_flush_mode(FlushMode::Pipelined);
             rt.enable_slab();
         }
-        Ok(FasePager {
-            rt,
-            cfg: cfg.clone(),
-        })
+        Ok(FasePager { rt })
     }
 
     /// The underlying runtime (trace capture, telemetry, stats).
@@ -191,10 +184,6 @@ impl FasePager {
     /// In-process power failure + FASE recovery.
     pub fn crash_and_recover(&mut self, mode: &CrashMode) {
         self.rt.crash_and_recover(mode);
-        if self.cfg.pipelined {
-            self.rt.set_flush_mode(FlushMode::Pipelined);
-            self.rt.enable_slab();
-        }
     }
 
     /// Clear non-durable residue after a panicked section.
@@ -353,6 +342,30 @@ mod tests {
         let mut back = [0u8; PAGE];
         p.read_page(off, &mut back);
         assert_eq!(back, [0xabu8; PAGE]);
+    }
+
+    #[test]
+    fn crash_keeps_flush_mode_and_cumulative_slab_stats() {
+        let cfg = TreeConfig {
+            data_len: 1 << 16,
+            log_len: 1 << 14,
+            ..Default::default()
+        };
+        let mut p = FasePager::new(&cfg);
+        p.alloc_block(PAGE).unwrap();
+        p.alloc_block(PAGE).unwrap();
+        let before = p.runtime_mut().slab_stats().unwrap();
+        assert!(before.chunks + before.fast_allocs + before.fallback_allocs > 0);
+        p.crash_and_recover(&CrashMode::StrictDurableOnly);
+        let after = p.runtime_mut().slab_stats().unwrap();
+        assert!(
+            after.chunks >= before.chunks
+                && after.fast_allocs >= before.fast_allocs
+                && after.fallback_allocs >= before.fallback_allocs
+                && after.frees >= before.frees,
+            "slab counters went backwards: {before:?} -> {after:?}"
+        );
+        assert_eq!(p.runtime_mut().flush_mode(), FlushMode::Pipelined);
     }
 
     #[test]

@@ -61,7 +61,7 @@
 //! mark need no such care: the mark only advances over pages the
 //! advancing transaction itself rewrites.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use nvcache_fase::{FaseStats, RecoveryError};
@@ -338,9 +338,8 @@ struct Volatile {
 /// Writes are transactional: [`Tree::begin`] opens a failure-atomic
 /// section, [`Tree::put`] / [`Tree::delete`] stage CoW pages under the
 /// next version, [`Tree::commit`] makes the whole group durable and
-/// visible at once. Reads ([`Tree::get`], [`Tree::scan`],
-/// [`Tree::cursor`]) take `&self` and may target a pinned
-/// [`Snapshot`].
+/// visible at once. Reads ([`Tree::get`], [`Tree::scan`]) take `&self`
+/// and may target a pinned [`Snapshot`].
 pub struct Tree<S: PageStore = FasePager> {
     store: S,
     meta_off: u64,
@@ -841,22 +840,6 @@ impl<S: PageStore> Tree<S> {
         }
     }
 
-    /// Streaming cursor over `lo..=hi` (no limit; stop consuming when
-    /// done). Holds `&self`, so pair it with a pinned snapshot when a
-    /// writer may run between pulls.
-    pub fn cursor(&self, snap: Option<&Snapshot>, lo: u64, hi: u64) -> Cursor<'_, S> {
-        let (version, root) = snap.map_or_else(|| self.view(), |s| (s.version, s.root_lpid));
-        Cursor {
-            tree: self,
-            version,
-            root,
-            next: lo,
-            hi,
-            done: lo > hi,
-            buf: VecDeque::new(),
-        }
-    }
-
     /// `(version, root)` of the current read view.
     fn view(&self) -> (u64, u64) {
         self.txn
@@ -1203,56 +1186,6 @@ impl Tree<FasePager> {
     /// Persistence counters since the last take.
     pub fn take_stats(&mut self) -> FaseStats {
         self.store.take_stats()
-    }
-}
-
-// ---- cursor -----------------------------------------------------------
-
-/// Iterator over a key range in ascending order, produced by
-/// [`Tree::cursor`]. Re-seeks leaf by leaf, so it needs no sibling
-/// pointers and never blocks writers when reading a pinned snapshot.
-pub struct Cursor<'a, S: PageStore> {
-    tree: &'a Tree<S>,
-    version: u64,
-    root: u64,
-    next: u64,
-    hi: u64,
-    done: bool,
-    buf: VecDeque<(u64, Vec<u8>)>,
-}
-
-impl<S: PageStore> Iterator for Cursor<'_, S> {
-    type Item = (u64, Vec<u8>);
-
-    fn next(&mut self) -> Option<(u64, Vec<u8>)> {
-        loop {
-            if let Some(e) = self.buf.pop_front() {
-                return Some(e);
-            }
-            if self.done {
-                return None;
-            }
-            let (leaf, ub) = self.tree.find_leaf(self.version, self.root, self.next);
-            let n = hdr_count(&leaf);
-            for i in 0..n {
-                let k = leaf_key(&leaf, i);
-                if k < self.next {
-                    continue;
-                }
-                if k > self.hi {
-                    self.done = true;
-                    break;
-                }
-                self.buf
-                    .push_back((k, self.tree.read_value(leaf_vptr(&leaf, i))));
-            }
-            if !self.done {
-                match ub {
-                    Some(u) if u <= self.hi => self.next = u,
-                    _ => self.done = true,
-                }
-            }
-        }
     }
 }
 
@@ -1603,19 +1536,6 @@ mod tests {
         );
         assert!(t.scan(None, 401, 409, usize::MAX).is_empty());
         assert!(t.scan(None, 10, 5, usize::MAX).is_empty());
-    }
-
-    #[test]
-    fn cursor_streams_in_order() {
-        let mut t = mem_tree();
-        t.begin();
-        for k in 0..300u64 {
-            t.put(k * 3, &[1]).unwrap();
-        }
-        t.commit();
-        let got: Vec<u64> = t.cursor(None, 30, 600).map(|(k, _)| k).collect();
-        let want: Vec<u64> = (10..=200u64).map(|i| i * 3).collect();
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -14,13 +14,14 @@
 //!   evaluates (substitution documented in DESIGN.md §2.2): genuine
 //!   little computations whose per-FASE working sets and reuse structure
 //!   put the MRC knees where Section IV-G reports them.
-//! * [`mdb`] — an LMDB-style copy-on-write B+-tree key-value store with
-//!   snapshot reads, plus the Mtest workload (1M inserts with traversals
-//!   and deletions, scaled).
+//! * [`mdb`] — the Mtest workload (1M inserts with traversals and
+//!   deletions, scaled) over `nvcache-treestore`'s LMDB-style
+//!   copy-on-write B+-tree.
 //!
 //! [`Workload`] is the uniform interface the reproduction harness
 //! drives; [`registry::all_workloads`] enumerates the paper's twelve.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod mdb;

@@ -1,10 +1,8 @@
-//! `mdb` — a memory-mapped-database stand-in (paper Section IV-B/C):
-//! a copy-on-write B+-tree key-value store in the style of LMDB/MDB,
-//! with snapshot reads and failure-atomic write transactions, plus the
-//! Mtest workload used in the paper's case study.
+//! `mdb` — the paper's memory-mapped-database case study (Section
+//! IV-B/C): the Mtest workload, driven straight against the
+//! copy-on-write B+-tree engine in `nvcache-treestore` (snapshot reads,
+//! failure-atomic write transactions, LMDB/MDB style).
 
-pub mod btree;
 pub mod mtest;
 
-pub use btree::PBTree;
 pub use mtest::MdbWorkload;

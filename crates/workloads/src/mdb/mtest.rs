@@ -2,11 +2,14 @@
 //! in write transactions of ~10 operations, interleaved with traversals
 //! and deletions — ~650 persistent stores per durable FASE at paper
 //! scale (65.5M stores / 100.5K FASEs).
+//!
+//! The store underneath is [`nvcache_treestore::Tree`] over a
+//! [`FasePager`]; one engine transaction is one FASE.
 
-use super::btree::PBTree;
 use crate::workload::{paper_row, PaperRow, Workload};
 use nvcache_core::PolicyKind;
 use nvcache_trace::Trace;
+use nvcache_treestore::{FasePager, Tree, TreeConfig};
 
 /// The MDB/Mtest workload.
 #[derive(Debug, Clone)]
@@ -15,6 +18,41 @@ pub struct MdbWorkload {
     pub n: usize,
     /// Operations per write transaction (paper: ~10).
     pub batch: usize,
+}
+
+/// The tree Mtest runs against, sized for roughly `capacity` key/value
+/// pairs, plus the heap offset of its LMDB-style meta block.
+fn mtest_tree(capacity: usize, policy: &PolicyKind) -> (Tree<FasePager>, usize) {
+    let cap = capacity.max(64);
+    // each live key needs one 256 B value cell plus its share of a
+    // leaf; double it for CoW churn between reclaims and add fixed
+    // slack for meta/table blocks and allocator overhead. Tree pages
+    // are unlogged shadow memory; what a transaction logs is its
+    // commit head plus 48 B per `touch_meta`.
+    let cfg = TreeConfig {
+        data_len: (cap * 2 + 1024) * 256,
+        log_len: 1 << 20,
+        policy: policy.clone(),
+        pipelined: false,
+    };
+    let mut t = Tree::create(&cfg).expect("format tree heap");
+    let meta = t.store_mut().runtime_mut().alloc(64).expect("meta block") as usize;
+    (t, meta)
+}
+
+/// Mtest's LMDB meta-page traffic: txnid + dirty-page count share one
+/// hot cache line, stored on every insert and delete.
+fn touch_meta(t: &mut Tree<FasePager>, meta: usize, txid: &mut u64) {
+    *txid += 1;
+    let rt = t.store_mut().runtime_mut();
+    rt.store_u64(meta, *txid);
+    rt.store_u64(meta + 8, *txid & 0x3f);
+    rt.work(4);
+}
+
+/// Mtest's shuffled insert order.
+fn key_of(k: usize) -> u64 {
+    (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 16
 }
 
 impl MdbWorkload {
@@ -26,34 +64,36 @@ impl MdbWorkload {
         }
     }
 
-    /// Run the workload against a tree; returns (inserted, deleted,
-    /// traversed) op counts for verification.
-    pub fn run(&self, t: &mut PBTree) -> (usize, usize, usize) {
+    /// Run the workload against a tree whose meta block sits at heap
+    /// offset `meta`; returns (inserted, deleted, traversed) op counts
+    /// for verification.
+    fn run(&self, t: &mut Tree<FasePager>, meta: usize) -> (usize, usize, usize) {
         let mut inserted = 0usize;
         let mut deleted = 0usize;
         let mut traversed = 0usize;
+        let mut txid = 0u64;
         let mut i = 0usize;
         while i < self.n {
             let hi = (i + self.batch).min(self.n);
-            t.begin_txn();
+            t.begin();
             for k in i..hi {
-                // pseudo-random key order, like Mtest's shuffled inserts
-                let key = (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 16;
-                t.insert(key, k as u64);
+                t.put(key_of(k), &(k as u64).to_le_bytes())
+                    .expect("btree heap exhausted");
+                touch_meta(t, meta, &mut txid);
                 inserted += 1;
             }
             t.commit();
             t.reclaim();
             // periodic traversal (read-only; exercises snapshot reads)
             if (i / self.batch) % 64 == 63 {
-                traversed += t.scan().len();
+                traversed += t.scan(None, 0, u64::MAX, usize::MAX).len();
             }
             // periodic deletions
             if (i / self.batch) % 16 == 15 {
-                t.begin_txn();
+                t.begin();
                 for k in (i.saturating_sub(8))..i {
-                    let key = (k as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 16;
-                    t.delete(key);
+                    t.delete(key_of(k)).expect("btree heap exhausted");
+                    touch_meta(t, meta, &mut txid);
                     deleted += 1;
                 }
                 t.commit();
@@ -79,10 +119,10 @@ impl Workload for MdbWorkload {
                 n: per,
                 batch: self.batch,
             };
-            let mut tree = PBTree::new(per + 64, &PolicyKind::Best);
-            tree.record_trace();
-            w.run(&mut tree);
-            recs.push(tree.runtime_mut().take_trace().unwrap());
+            let (mut tree, meta) = mtest_tree(per + 64, &PolicyKind::Best);
+            tree.store_mut().runtime_mut().record_trace();
+            w.run(&mut tree, meta);
+            recs.push(tree.store_mut().runtime_mut().take_trace().unwrap());
         }
         Trace { threads: recs }
     }
@@ -101,12 +141,12 @@ mod tests {
     #[test]
     fn run_keeps_tree_consistent() {
         let w = MdbWorkload { n: 500, batch: 10 };
-        let mut t = PBTree::new(600, &PolicyKind::ScFixed { capacity: 20 });
-        let (ins, del, _) = w.run(&mut t);
+        let (mut t, meta) = mtest_tree(600, &PolicyKind::ScFixed { capacity: 20 });
+        let (ins, del, _) = w.run(&mut t, meta);
         assert_eq!(ins, 500);
         assert!(del > 0);
-        assert_eq!(t.len(), ins - del);
-        let v = t.scan();
+        assert_eq!(t.len() as usize, ins - del);
+        let v = t.scan(None, 0, u64::MAX, usize::MAX);
         assert!(v.windows(2).all(|x| x[0].0 < x[1].0), "sorted");
     }
 
@@ -152,6 +192,22 @@ mod tests {
         let sc = flush_stats(&tr, &PolicyKind::ScFixed { capacity: 20 }).flush_ratio();
         assert!(la <= sc + 1e-9, "LA {la} ≤ SC {sc}");
         assert!(sc < at, "SC {sc} < AT {at}");
+    }
+
+    #[test]
+    fn recorded_trace_is_pinned() {
+        // `replay_mdb`'s flush_ratio / nvm_flushes_per_op and Tables
+        // II/III are functions of this event stream: a change that
+        // moves it must say so by moving these constants.
+        use std::hash::Hasher;
+        let tr = MdbWorkload { n: 400, batch: 10 }.trace(1);
+        let mut h = nvcache_trace::FxHasher::default();
+        for w in tr.threads[0].renamed_writes() {
+            h.write_u64(w);
+        }
+        assert_eq!(tr.total_writes(), 3269);
+        assert_eq!(tr.total_fases(), 42);
+        assert_eq!(h.finish(), 0x8401_cc2f_b762_8e47);
     }
 
     #[test]

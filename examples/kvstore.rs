@@ -8,65 +8,70 @@
 
 use nvcache::core::PolicyKind;
 use nvcache::pmem::CrashMode;
-use nvcache::workloads::mdb::PBTree;
+use nvcache::treestore::{Tree, TreeConfig};
+
+fn value(v: Option<Vec<u8>>) -> Option<u64> {
+    v.map(|b| u64::from_le_bytes(b[..8].try_into().expect("8-byte value")))
+}
 
 fn main() {
     // the store persists through an adaptive software cache
-    let mut db = PBTree::new(10_000, &PolicyKind::ScAdaptive(Default::default()));
+    let mut db = Tree::create(&TreeConfig {
+        data_len: 8 << 20,
+        policy: PolicyKind::ScAdaptive(Default::default()),
+        ..Default::default()
+    })
+    .expect("format tree heap");
 
     // --- transactional writes -----------------------------------------
-    db.begin_txn();
+    db.begin();
     for i in 0..1_000u64 {
-        db.insert(i, i * i);
+        db.put(i, &(i * i).to_le_bytes()).expect("heap space");
     }
     db.commit();
     println!("loaded 1000 keys; len = {}", db.len());
 
     // --- snapshot isolation ---------------------------------------------
-    let snap = db.snapshot();
-    db.begin_txn();
+    let snap = db.pin();
+    db.begin();
     for i in 0..1_000u64 {
-        db.insert(i, 0xdead);
+        db.put(i, &0xdead_u64.to_le_bytes()).expect("heap space");
     }
     db.commit();
     println!(
         "after overwrite: current get(7) = {:?}, snapshot get(7) = {:?}",
-        db.get(7),
-        db.get_at(snap, 7)
+        value(db.get(7)),
+        value(db.get_at(&snap, 7))
     );
-    assert_eq!(db.get_at(snap, 7), Some(49), "reader still sees version 1");
+    assert_eq!(
+        value(db.get_at(&snap, 7)),
+        Some(49),
+        "reader still sees version 1"
+    );
+    db.unpin(snap);
 
     // --- crash in the middle of a transaction ---------------------------
-    db.begin_txn();
+    db.begin();
     for i in 0..500u64 {
-        db.insert(i, 0xbeef);
+        db.put(i, &0xbeef_u64.to_le_bytes()).expect("heap space");
     }
     // power fails before commit — worst case: every in-flight line lands
-    db.crash_and_recover(&CrashMode::AllInFlightLands);
-    println!(
-        "after mid-transaction crash: get(7) = {:?} (rolled back)",
-        {
-            let v = db.get(7);
-            assert_eq!(v, Some(0xdead), "uncommitted txn must vanish");
-            v
-        }
-    );
+    db.crash_and_recover(&CrashMode::AllInFlightLands)
+        .expect("tree recovery");
+    let v = value(db.get(7));
+    assert_eq!(v, Some(0xdead), "uncommitted txn must vanish");
+    println!("after mid-transaction crash: get(7) = {v:?} (rolled back)");
 
     // --- deletes --------------------------------------------------------
-    // (fresh txn state after recovery)
-    let mut db2 = PBTree::new(1_000, &PolicyKind::ScFixed { capacity: 20 });
-    db2.begin_txn();
-    for i in 0..100u64 {
-        db2.insert(i, i);
+    db.begin();
+    for i in (0..1_000u64).step_by(2) {
+        db.delete(i).expect("heap space");
     }
-    for i in (0..100u64).step_by(2) {
-        db2.delete(i);
-    }
-    db2.commit();
-    println!("insert 100 / delete evens: len = {}", db2.len());
-    assert_eq!(db2.len(), 50);
+    db.commit();
+    println!("delete evens: len = {}", db.len());
+    assert_eq!(db.len(), 500);
 
-    let stats = db2.runtime_mut().stats();
+    let stats = db.stats();
     println!(
         "runtime: {} stores, {} data flushes (ratio {:.4}), {} FASEs",
         stats.stores,

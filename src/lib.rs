@@ -16,12 +16,12 @@
 //! | [`trace`] | `nvcache-trace` | persistent-write event model, recorder, synthetic generators |
 //! | [`locality`] | `nvcache-locality` | `reuse(k)`, footprint, MRC, knees, bursty sampling, exact LRU oracle |
 //! | [`cachesim`] | `nvcache-cachesim` | L1 simulator + machine timing model |
-//! | [`pmem`] | `nvcache-pmem` | emulated NVRAM: dual-image regions, real flush intrinsics, crash injection |
+//! | [`pmem`] | `nvcache-pmem` | emulated NVRAM: dual-image regions, flush ring, allocators, crash injection |
 //! | [`core`] | `nvcache-core` | the software cache and the six persistence policies |
 //! | [`fase`] | `nvcache-fase` | FASE runtime: undo log, recovery, instrumentation API |
 //! | [`kvstore`] | `nvcache-kvstore` | sharded persistent KV store, YCSB loadgen, live MRC-driven adaptation |
 //! | [`treestore`] | `nvcache-treestore` | recoverable copy-on-write B+-tree engine: MVCC snapshots, range scans |
-//! | [`workloads`] | `nvcache-workloads` | micro-benchmarks, SPLASH2-style kernels, MDB B+-tree |
+//! | [`workloads`] | `nvcache-workloads` | micro-benchmarks, SPLASH2-style kernels, MDB's Mtest over `treestore` |
 //!
 //! ## Quickstart
 //!
@@ -45,6 +45,7 @@
 //! `nvcache-bench` crate's `repro` binary for the paper's tables and
 //! figures.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use nvcache_cachesim as cachesim;

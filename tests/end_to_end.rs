@@ -6,7 +6,8 @@ use nvcache::core::{flush_stats, run_policy, PolicyKind, RunConfig};
 use nvcache::fase::FaseRuntime;
 use nvcache::locality::{lru_mrc, select_cache_size, KneeConfig};
 use nvcache::pmem::{CrashMode, PmemRegion};
-use nvcache::workloads::{all_workloads, mdb::PBTree, micro::PQueue};
+use nvcache::treestore::{Tree, TreeConfig};
+use nvcache::workloads::{all_workloads, micro::PQueue};
 
 #[test]
 fn every_workload_flows_through_every_policy() {
@@ -124,20 +125,43 @@ fn per_thread_runtimes_are_independent() {
 
 #[test]
 fn mdb_store_survives_process_restart_with_recovery() {
-    let mut db = PBTree::new(2_000, &PolicyKind::ScAdaptive(Default::default()));
-    db.begin_txn();
+    let mut db = Tree::create(&TreeConfig {
+        policy: PolicyKind::ScAdaptive(Default::default()),
+        ..Default::default()
+    })
+    .unwrap();
+    let check = |db: &Tree, n: u64, seed: u64| {
+        for i in 0..n {
+            let v = db
+                .get(i * 7)
+                .map(|b| u64::from_le_bytes(b[..8].try_into().unwrap()));
+            assert_eq!(v, Some(i), "seed {seed} key {}", i * 7);
+        }
+    };
+    db.begin();
     for i in 0..300u64 {
-        db.insert(i * 7, i);
+        db.put(i * 7, &i.to_le_bytes()).unwrap();
     }
     db.commit();
-    // crash with arbitrary in-flight subsets, five different schedules
+    // crash mid-transaction with arbitrary in-flight subsets, five
+    // different schedules: the open overwrite must vanish every time
     for seed in 0..5 {
-        db.runtime_mut()
-            .crash_and_recover(&CrashMode::random(0.5, 0.5, seed));
-        for i in 0..300u64 {
-            assert_eq!(db.get(i * 7), Some(i), "seed {seed} key {}", i * 7);
+        db.begin();
+        for i in 0..50u64 {
+            db.put(i * 7, &u64::MAX.to_le_bytes()).unwrap();
         }
+        db.crash_and_recover(&CrashMode::random(0.5, 0.5, seed))
+            .unwrap();
+        check(&db, 300, seed);
     }
+    // recovery must leave the volatile remap/free list usable: write on
+    db.begin();
+    for i in 300..400u64 {
+        db.put(i * 7, &i.to_le_bytes()).unwrap();
+    }
+    db.commit();
+    check(&db, 400, 5);
+    assert_eq!(db.len(), 400);
 }
 
 #[test]
