@@ -65,6 +65,9 @@ pub struct UndoLog {
     base: usize,
     len: usize,
     stats: LogStats,
+    /// Pre-image scratch of [`UndoLog::append_group`] (reused, never
+    /// shrunk).
+    old: Vec<u8>,
 }
 
 impl UndoLog {
@@ -79,6 +82,7 @@ impl UndoLog {
             base,
             len,
             stats: LogStats::default(),
+            old: Vec::new(),
         }
     }
 
@@ -108,6 +112,7 @@ impl UndoLog {
             base,
             len,
             stats: LogStats::default(),
+            old: Vec::new(),
         })
     }
 
@@ -175,7 +180,6 @@ impl UndoLog {
     pub fn append_group(&mut self, region: &mut PmemRegion, ranges: &[(u64, u64)]) {
         let tail = self.tail(region);
         let mut pos = tail;
-        let mut old = Vec::new();
         for &(offset, len) in ranges {
             if len == 0 {
                 continue;
@@ -188,11 +192,12 @@ impl UndoLog {
                 self.len
             );
             let at = self.base + pos as usize;
-            old.resize(len as usize, 0);
-            region.read(offset as usize, &mut old);
+            self.old.clear();
+            self.old
+                .extend_from_slice(region.slice(offset as usize, len as usize));
             region.write_u64(at, offset);
             region.write_u64(at + 8, len);
-            region.write(at + 16, &old);
+            region.write(at + 16, &self.old);
             pos += rec_len;
             self.stats.entries += 1;
             self.stats.bytes_logged += len;

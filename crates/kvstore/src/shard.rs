@@ -157,6 +157,50 @@ pub struct Shard {
     stream: Option<Vec<u64>>,
     /// Pipelined flush path + grouped prelogging active.
     pipelined: bool,
+    /// [`Shard::put_many`]'s plan, kept between batches.
+    plan: PutPlan,
+}
+
+/// One planned write of a [`Shard::put_many`] batch.
+#[derive(Debug, Clone, Copy)]
+enum PlannedOp {
+    /// In-place value write to `node`.
+    Write { node: usize },
+    /// Splice `node` at the head of its bucket chain.
+    Insert {
+        node: usize,
+        boff: usize,
+        key: u64,
+        head: u64,
+    },
+}
+
+/// What [`Shard::put_many`] works out before it opens the FASE. The
+/// shard owns it so that a batch clears these buffers instead of
+/// building and dropping them.
+#[derive(Debug, Default)]
+struct PutPlan {
+    /// Key → `(node, value length)`, for every key the batch has
+    /// located or planned an insert for.
+    located: FxHashMap<u64, (usize, usize)>,
+    /// Bucket offset → chain head after the batch's inserts so far.
+    heads: FxHashMap<usize, u64>,
+    /// Nodes allocated for the batch (given back if it is refused).
+    new_allocs: Vec<(u64, usize)>,
+    /// The writes, each with the index of the item it carries.
+    ops: Vec<(PlannedOp, usize)>,
+    /// The write set handed to the grouped prelog.
+    ranges: Vec<(u64, u64)>,
+}
+
+impl PutPlan {
+    fn clear(&mut self) {
+        self.located.clear();
+        self.heads.clear();
+        self.new_allocs.clear();
+        self.ops.clear();
+        self.ranges.clear();
+    }
 }
 
 fn bucket_hash(key: u64) -> u64 {
@@ -221,6 +265,7 @@ impl Shard {
             chosen: Vec::new(),
             stream,
             pipelined: cfg.pipelined,
+            plan: PutPlan::default(),
         }
     }
 
@@ -357,66 +402,59 @@ impl Shard {
     /// length. Returns `false` — with the map unchanged — when any
     /// value is oversized, changes an existing length, or allocation
     /// fails (planned nodes are given back to the free list).
-    pub fn put_many(&mut self, items: &[(u64, Vec<u8>)]) -> bool {
+    pub fn put_many<V: AsRef<[u8]>>(&mut self, items: &[(u64, V)]) -> bool {
         if items.is_empty() {
             return true;
         }
-        enum Op {
-            /// In-place value write to `node`.
-            Write { node: usize },
-            /// Splice `node` at the head of its bucket chain.
-            Insert {
-                node: usize,
-                boff: usize,
-                key: u64,
-                head: u64,
-            },
-        }
+        let mut plan = std::mem::take(&mut self.plan);
+        let ok = self.put_many_with(items, &mut plan);
+        self.plan = plan;
+        ok
+    }
+
+    fn put_many_with<V: AsRef<[u8]>>(&mut self, items: &[(u64, V)], plan: &mut PutPlan) -> bool {
         // plan outside the FASE: locate nodes, allocate fresh ones, and
         // thread chain heads for multiple inserts into one bucket
-        let mut planned: FxHashMap<u64, (usize, usize)> = FxHashMap::default();
-        let mut heads: FxHashMap<usize, u64> = FxHashMap::default();
-        let mut new_allocs: Vec<(u64, usize)> = Vec::new();
-        let mut ops: Vec<(Op, usize)> = Vec::with_capacity(items.len());
+        plan.clear();
         let mut inserts = 0usize;
         let mut ok = true;
         for (i, (key, value)) in items.iter().enumerate() {
-            if value.len() > MAX_VALUE_LEN {
+            let vlen = value.as_ref().len();
+            if vlen > MAX_VALUE_LEN {
                 ok = false;
                 break;
             }
-            let known = planned.get(key).copied().or_else(|| {
+            let known = plan.located.get(key).copied().or_else(|| {
                 let (_, node, _) = self.find(*key);
                 (node != 0).then(|| {
-                    let vlen = self.rt.load_u64(node + 16) as usize;
-                    planned.insert(*key, (node, vlen));
-                    (node, vlen)
+                    let at = (node, self.rt.load_u64(node + 16) as usize);
+                    plan.located.insert(*key, at);
+                    at
                 })
             });
             match known {
-                Some((node, vlen)) => {
-                    if vlen != value.len() {
+                Some((node, old_vlen)) => {
+                    if old_vlen != vlen {
                         ok = false; // batches are fixed-length per key
                         break;
                     }
-                    ops.push((Op::Write { node }, i));
+                    plan.ops.push((PlannedOp::Write { node }, i));
                 }
                 None => {
                     let boff = self.bucket_off(*key);
-                    let Some(new) = self.rt.alloc(NODE_HEADER + value.len()) else {
+                    let Some(new) = self.rt.alloc(NODE_HEADER + vlen) else {
                         ok = false;
                         break;
                     };
-                    new_allocs.push((new, NODE_HEADER + value.len()));
-                    let head = heads
-                        .get(&boff)
-                        .copied()
+                    plan.new_allocs.push((new, NODE_HEADER + vlen));
+                    let head = plan
+                        .heads
+                        .insert(boff, new)
                         .unwrap_or_else(|| self.rt.load_u64(boff));
-                    heads.insert(boff, new);
-                    planned.insert(*key, (new as usize, value.len()));
+                    plan.located.insert(*key, (new as usize, vlen));
                     inserts += 1;
-                    ops.push((
-                        Op::Insert {
+                    plan.ops.push((
+                        PlannedOp::Insert {
                             node: new as usize,
                             boff,
                             key: *key,
@@ -428,7 +466,7 @@ impl Shard {
             }
         }
         if !ok {
-            for (off, size) in new_allocs {
+            for &(off, size) in &plan.new_allocs {
                 self.rt.free(off, size);
             }
             return false;
@@ -440,29 +478,28 @@ impl Shard {
             // ranges (repeated keys, shared bucket heads) all capture
             // pre-FASE bytes, so rollback still lands on the pre-batch
             // state.
-            let mut ranges: Vec<(u64, u64)> = Vec::with_capacity(ops.len() * 2);
-            for (op, i) in &ops {
-                let vlen = items[*i].1.len() as u64;
-                match *op {
-                    Op::Write { node } => {
-                        ranges.push(((node + NODE_HEADER) as u64, vlen));
+            for &(op, i) in &plan.ops {
+                let vlen = items[i].1.as_ref().len() as u64;
+                match op {
+                    PlannedOp::Write { node } => {
+                        plan.ranges.push(((node + NODE_HEADER) as u64, vlen));
                     }
-                    Op::Insert { node, boff, .. } => {
-                        ranges.push((node as u64, NODE_HEADER as u64 + vlen));
-                        ranges.push((boff as u64, 8));
+                    PlannedOp::Insert { node, boff, .. } => {
+                        plan.ranges.push((node as u64, NODE_HEADER as u64 + vlen));
+                        plan.ranges.push((boff as u64, 8));
                     }
                 }
             }
-            self.rt.prelog(&ranges);
+            self.rt.prelog(&plan.ranges);
         }
-        for (op, i) in &ops {
-            let value = &items[*i].1;
-            match *op {
-                Op::Write { node } => {
+        for &(op, i) in &plan.ops {
+            let value = items[i].1.as_ref();
+            match op {
+                PlannedOp::Write { node } => {
                     self.rt.store(node + NODE_HEADER, value);
                     self.observe(node + NODE_HEADER, value.len().max(1));
                 }
-                Op::Insert {
+                PlannedOp::Insert {
                     node,
                     boff,
                     key,
@@ -515,7 +552,8 @@ impl Shard {
     pub fn serve_batch(&mut self, reqs: &[BatchRequest]) -> Vec<BatchReply> {
         let mut replies: Vec<BatchReply> = Vec::with_capacity(reqs.len());
         // current segment: grouped writes + the request span they cover
-        let mut group: Vec<(u64, Vec<u8>)> = Vec::new();
+        // (values stay where the requests hold them)
+        let mut group: Vec<(u64, &[u8])> = Vec::new();
         let mut overlay: FxHashMap<u64, usize> = FxHashMap::default();
         let mut seg_start = 0usize;
 
@@ -525,7 +563,7 @@ impl Shard {
             shard: &mut Shard,
             reqs: &[BatchRequest],
             replies: &mut Vec<BatchReply>,
-            group: &mut Vec<(u64, Vec<u8>)>,
+            group: &mut Vec<(u64, &[u8])>,
             overlay: &mut FxHashMap<u64, usize>,
             seg_start: usize,
             seg_end: usize,
@@ -553,14 +591,14 @@ impl Shard {
             match req {
                 BatchRequest::Get(k) => {
                     let value = match overlay.get(k) {
-                        Some(&gi) => Some(group[gi].1.clone()),
+                        Some(&gi) => Some(group[gi].1.to_vec()),
                         None => self.get(*k),
                     };
                     replies.push(BatchReply::Value(value));
                 }
                 BatchRequest::Put(k, v) => {
                     overlay.insert(*k, group.len());
-                    group.push((*k, v.clone()));
+                    group.push((*k, v));
                     replies.push(BatchReply::Done(true));
                 }
                 BatchRequest::PutMany(items) => {
@@ -569,7 +607,7 @@ impl Shard {
                     for (j, (k, _)) in items.iter().enumerate() {
                         overlay.insert(*k, group.len() + j);
                     }
-                    group.extend(items.iter().cloned());
+                    group.extend(items.iter().map(|(k, v)| (*k, &v[..])));
                     replies.push(BatchReply::Done(true));
                 }
                 BatchRequest::Delete(k) => {

@@ -87,9 +87,16 @@ impl KvStore {
     /// if any shard rejected its slice (that slice is unapplied; other
     /// shards' slices still commit — atomicity is per shard).
     pub fn put_many(&self, items: &[(u64, Vec<u8>)]) -> bool {
-        let mut by_shard: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); self.shards.len()];
+        // route borrowed values into vectors sized by a counting pass:
+        // what this allocates depends on the shard count alone
+        let mut counts = vec![0usize; self.shards.len()];
+        for (k, _) in items {
+            counts[self.shard_of(*k)] += 1;
+        }
+        let mut by_shard: Vec<Vec<(u64, &[u8])>> =
+            counts.into_iter().map(Vec::with_capacity).collect();
         for (k, v) in items {
-            by_shard[self.shard_of(*k)].push((*k, v.clone()));
+            by_shard[self.shard_of(*k)].push((*k, v));
         }
         let mut ok = true;
         for (i, group) in by_shard.into_iter().enumerate() {

@@ -1,0 +1,131 @@
+//! Heap allocations on the batched write path, counted.
+//!
+//! `Shard::put_many` plans a batch in scratch buffers the shard owns
+//! and every layer below it (undo log, flush ring, region) reuses its
+//! own, so a steady-state batch of in-place updates allocates nothing;
+//! `KvStore::put_many` and `Shard::serve_batch` route *borrowed* values
+//! down to it, so what they allocate does not grow with the number of
+//! values written. This is an integration test — a crate of its own —
+//! because a counting `GlobalAlloc` needs `unsafe`, which every library
+//! crate forbids.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use nvcache_core::PolicyKind;
+use nvcache_kvstore::{BatchReply, BatchRequest, KvConfig, KvStore, Shard, ShardConfig};
+
+thread_local! {
+    /// Allocations made by this thread (the test harness runs the
+    /// tests of one binary on parallel threads).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds
+// the `GlobalAlloc` contract; the only addition is a bump of a
+// const-initialised, destructor-free thread-local counter, which
+// neither allocates nor unwinds (`try_with` covers thread teardown).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc`/`realloc` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: forwarded with the caller's own arguments.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations (and reallocations) `f` performs on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = ALLOCS.with(Cell::get);
+    let r = f();
+    (ALLOCS.with(Cell::get) - before, r)
+}
+
+/// A pipelined fixed-capacity shard with no live controller: nothing
+/// but the write path itself runs inside a `put_many`.
+fn shard_config() -> ShardConfig {
+    ShardConfig {
+        buckets: 64,
+        data_len: 1 << 18,
+        log_len: 1 << 15,
+        policy: PolicyKind::ScFixed { capacity: 8 },
+        adapt: None,
+        pipelined: true,
+    }
+}
+
+fn batch(keys: impl Iterator<Item = u64>, tag: u8) -> Vec<(u64, Vec<u8>)> {
+    keys.map(|k| (k, vec![tag; 40])).collect()
+}
+
+#[test]
+fn steady_state_put_many_allocates_nothing() {
+    let mut shard = Shard::new(&shard_config());
+    assert!(shard.put_many(&batch(0..32, 0)), "preload: 32 inserts");
+    assert!(
+        shard.put_many(&batch(0..32, 1)),
+        "warm-up: sizes the scratch"
+    );
+    let updates = batch(0..32, 2);
+    let (n, ok) = allocations(|| shard.put_many(&updates));
+    assert!(ok);
+    assert_eq!(n, 0, "32 in-place 40-byte updates must not allocate");
+    assert_eq!(shard.get(31).as_deref(), Some(&[2u8; 40][..]));
+}
+
+#[test]
+fn store_put_many_allocates_per_shard_not_per_item() {
+    const SHARDS: usize = 4;
+    let store = KvStore::new(&KvConfig {
+        shards: SHARDS,
+        shard: shard_config(),
+    });
+    let keys = || (0..128u64).map(|i| i % 96);
+    assert!(store.put_many(&batch(keys(), 0)), "preload");
+    assert!(store.put_many(&batch(keys(), 1)), "warm-up");
+    let updates = batch(keys(), 2);
+    let (n, ok) = allocations(|| store.put_many(&updates));
+    assert!(ok);
+    assert!(
+        n <= 2 * SHARDS as u64,
+        "128 items over {SHARDS} shards allocated {n} times: routing may \
+         allocate per shard, never per item"
+    );
+    assert_eq!(store.get(95).as_deref(), Some(&[2u8; 40][..]));
+}
+
+#[test]
+fn serve_batch_does_not_clone_written_values() {
+    let mut shard = Shard::new(&shard_config());
+    let puts = |tag: u8| -> Vec<BatchRequest> {
+        (0..64u64)
+            .map(|k| BatchRequest::Put(k, vec![tag; 40]))
+            .collect()
+    };
+    shard.serve_batch(&puts(0)); // preload: 64 inserts
+    shard.serve_batch(&puts(1)); // warm-up
+    let reqs = puts(2);
+    let (n, replies) = allocations(|| shard.serve_batch(&reqs));
+    assert!(replies.iter().all(|r| *r == BatchReply::Done(true)));
+    assert!(
+        n <= 16,
+        "64 Puts allocated {n} times: the reply vector and the growth of \
+         the group and its overlay, not one clone per value"
+    );
+    assert_eq!(shard.get(63).as_deref(), Some(&[2u8; 40][..]));
+}

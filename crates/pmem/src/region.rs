@@ -2,13 +2,16 @@
 //! flush tracking, plus file-backed persistence across "processes".
 
 use crate::crash::{CrashMode, CrashPlan};
-use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
 /// Cache-line size in bytes (matches the trace model).
 pub const LINE_SIZE: usize = 64;
+
+/// Bit of a line's state word set while the line is dirty; the bits
+/// below it hold 1 + the index of the line's pending capture (0 = none).
+const DIRTY: u32 = 1 << 31;
 
 /// Flush/fence/write counters of a region.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,11 +36,18 @@ pub struct PmemStats {
 pub struct PmemRegion {
     volatile: Vec<u8>,
     durable: Vec<u8>,
-    /// Lines whose volatile bytes differ from the last flush capture
-    /// (i.e. dirty in the transient CPU cache).
-    dirty: std::collections::HashSet<u64>,
-    /// Lines flushed but not yet fenced: captured bytes at flush time.
-    pending: HashMap<u64, [u8; LINE_SIZE]>,
+    /// One word per line. [`DIRTY`] is set while the line's volatile
+    /// bytes differ from the last flush capture (i.e. it is dirty in
+    /// the transient CPU cache); the low bits are 1 + the line's index
+    /// in `pending_lines` while a capture of it awaits a fence.
+    state: Vec<u32>,
+    /// Lines whose [`DIRTY`] bit is set.
+    dirty_count: usize,
+    /// Lines flushed but not yet fenced, in first-flush order.
+    pending_lines: Vec<u64>,
+    /// Their bytes as captured at flush time, `LINE_SIZE` per entry of
+    /// `pending_lines`.
+    pending_bytes: Vec<u8>,
     stats: PmemStats,
     /// Persistence micro-steps executed (stores + flushes + fences).
     step: u64,
@@ -50,12 +60,24 @@ pub struct PmemRegion {
 impl PmemRegion {
     /// A fresh zeroed region of `len` bytes (rounded up to a line).
     pub fn new(len: usize) -> Self {
+        // two zeroed allocations, not one and a copy of it: the pages
+        // of a large region stay untouched until something writes them
         let len = len.div_ceil(LINE_SIZE) * LINE_SIZE;
+        Self::with_images(vec![0; len], vec![0; len])
+    }
+
+    /// A quiescent region over two equal images (a whole number of
+    /// lines each).
+    fn with_images(volatile: Vec<u8>, durable: Vec<u8>) -> Self {
+        let lines = durable.len() / LINE_SIZE;
+        assert!(lines < DIRTY as usize, "region too large: {lines} lines");
         PmemRegion {
-            volatile: vec![0; len],
-            durable: vec![0; len],
-            dirty: Default::default(),
-            pending: Default::default(),
+            volatile,
+            durable,
+            state: vec![0; lines],
+            dirty_count: 0,
+            pending_lines: Vec::new(),
+            pending_bytes: Vec::new(),
             stats: PmemStats::default(),
             step: 0,
             plan: None,
@@ -75,16 +97,7 @@ impl PmemRegion {
             "image not line-aligned: {} bytes",
             image.len()
         );
-        PmemRegion {
-            volatile: image.clone(),
-            durable: image,
-            dirty: Default::default(),
-            pending: Default::default(),
-            stats: PmemStats::default(),
-            step: 0,
-            plan: None,
-            crash_image: None,
-        }
+        Self::with_images(image.clone(), image)
     }
 
     /// Region length in bytes.
@@ -110,7 +123,7 @@ impl PmemRegion {
     /// Lines currently dirty (unflushed) — what a whole-cache flush
     /// would have to write back.
     pub fn dirty_lines(&self) -> usize {
-        self.dirty.len()
+        self.dirty_count
     }
 
     // ----- crash-point enumeration ---------------------------------------
@@ -163,15 +176,23 @@ impl PmemRegion {
     /// re-dirtied can be selected through both lists — the dirty copy
     /// is the newer write and wins.
     pub fn image_after_crash(&self, mode: &CrashMode) -> Vec<u8> {
-        let pending: Vec<u64> = self.pending.keys().copied().collect();
-        let dirty: Vec<u64> = self.dirty.iter().copied().collect();
-        let (landed_pending, landed_dirty) = mode.select_landed_split(&pending, &dirty);
+        // the one O(lines) pass over the state words, and only on the
+        // crash path (which clones the whole durable image anyway)
+        let dirty: Vec<u64> = if self.dirty_count == 0 {
+            Vec::new()
+        } else {
+            (0u64..)
+                .zip(&self.state)
+                .filter_map(|(line, s)| (s & DIRTY != 0).then_some(line))
+                .collect()
+        };
+        let (landed_pending, landed_dirty) = mode.select_landed_split(&self.pending_lines, &dirty);
         let mut image = self.durable.clone();
         for line in landed_pending {
-            if let Some(bytes) = self.pending.get(&line) {
-                let off = line as usize * LINE_SIZE;
-                image[off..off + LINE_SIZE].copy_from_slice(bytes);
-            }
+            let slot = (self.state[line as usize] & !DIRTY) as usize - 1;
+            let off = line as usize * LINE_SIZE;
+            image[off..off + LINE_SIZE]
+                .copy_from_slice(&self.pending_bytes[slot * LINE_SIZE..][..LINE_SIZE]);
         }
         for line in landed_dirty {
             let off = line as usize * LINE_SIZE;
@@ -198,9 +219,9 @@ impl PmemRegion {
     }
 
     /// Write `bytes` at `offset` into the volatile image, dirtying the
-    /// covered lines. Returns the first covered line index (callers
-    /// instrumenting per-line notify their policy via
-    /// [`PmemRegion::lines_of`]).
+    /// covered lines (callers instrumenting per-line notify their policy
+    /// via [`PmemRegion::lines_of`]). An empty write still counts as a
+    /// store and dirties the line `offset` lies in, if there is one.
     pub fn write(&mut self, offset: usize, bytes: &[u8]) {
         assert!(
             offset + bytes.len() <= self.volatile.len(),
@@ -214,7 +235,12 @@ impl PmemRegion {
         self.stats.stores += 1;
         self.stats.bytes_written += bytes.len() as u64;
         for l in Self::lines_of(offset, bytes.len()) {
-            self.dirty.insert(l);
+            // an empty write at the very end names a line past the
+            // region: nothing to mark
+            if let Some(s) = self.state.get_mut(l as usize) {
+                self.dirty_count += (*s & DIRTY == 0) as usize;
+                *s |= DIRTY;
+            }
         }
     }
 
@@ -240,13 +266,26 @@ impl PmemRegion {
     pub fn flush_line(&mut self, line: u64) {
         self.micro_step();
         self.stats.flushes += 1;
-        if !self.dirty.remove(&line) {
+        let Some(s) = self.state.get_mut(line as usize) else {
+            return;
+        };
+        if *s & DIRTY == 0 {
             return;
         }
+        *s &= !DIRTY;
+        self.dirty_count -= 1;
         let off = line as usize * LINE_SIZE;
-        let mut buf = [0u8; LINE_SIZE];
-        buf.copy_from_slice(&self.volatile[off..off + LINE_SIZE]);
-        self.pending.insert(line, buf);
+        let bytes = &self.volatile[off..off + LINE_SIZE];
+        if *s == 0 {
+            self.pending_lines.push(line);
+            self.pending_bytes.extend_from_slice(bytes);
+            *s = self.pending_lines.len() as u32;
+        } else {
+            // re-flush of a re-dirtied pending line: the newer capture
+            // replaces the older one in place
+            let slot = *s as usize - 1;
+            self.pending_bytes[slot * LINE_SIZE..][..LINE_SIZE].copy_from_slice(bytes);
+        }
     }
 
     /// Flush every line covering `[offset, offset+len)`.
@@ -270,17 +309,23 @@ impl PmemRegion {
     /// Gates FliT-style flush elision: a clean line flushed earlier in
     /// the same commit epoch has nothing new to write back.
     pub fn line_is_dirty(&self, line: u64) -> bool {
-        self.dirty.contains(&line)
+        self.state
+            .get(line as usize)
+            .is_some_and(|s| s & DIRTY != 0)
     }
 
     /// `sfence`: commit all pending flush captures to the durable image.
     pub fn fence(&mut self) {
         self.micro_step();
         self.stats.fences += 1;
-        for (line, bytes) in self.pending.drain() {
+        let captures = self.pending_bytes.chunks_exact(LINE_SIZE);
+        for (&line, bytes) in self.pending_lines.iter().zip(captures) {
             let off = line as usize * LINE_SIZE;
-            self.durable[off..off + LINE_SIZE].copy_from_slice(&bytes);
+            self.durable[off..off + LINE_SIZE].copy_from_slice(bytes);
+            self.state[line as usize] &= DIRTY;
         }
+        self.pending_lines.clear();
+        self.pending_bytes.clear();
     }
 
     /// Convenience: flush a range and fence (persist).
@@ -296,10 +341,11 @@ impl PmemRegion {
     /// Dirty/pending state is cleared — the cache contents are gone.
     pub fn crash(&mut self, mode: &CrashMode) {
         self.stats.crashes += 1;
-        let image = self.image_after_crash(mode);
-        self.durable.copy_from_slice(&image);
-        self.pending.clear();
-        self.dirty.clear();
+        self.durable = self.image_after_crash(mode);
+        self.pending_lines.clear();
+        self.pending_bytes.clear();
+        self.state.fill(0);
+        self.dirty_count = 0;
         self.volatile.copy_from_slice(&self.durable);
     }
 
@@ -311,7 +357,7 @@ impl PmemRegion {
 
     /// Is the whole region persisted (no dirty or pending lines)?
     pub fn is_quiescent(&self) -> bool {
-        self.dirty.is_empty() && self.pending.is_empty()
+        self.dirty_count == 0 && self.pending_lines.is_empty()
     }
 
     /// Write the durable image to `path` (tmpfs-style persistence across
@@ -334,16 +380,7 @@ impl PmemRegion {
                 "region file not line-aligned",
             ));
         }
-        Ok(PmemRegion {
-            volatile: durable.clone(),
-            durable,
-            dirty: Default::default(),
-            pending: Default::default(),
-            stats: PmemStats::default(),
-            step: 0,
-            plan: None,
-            crash_image: None,
-        })
+        Ok(Self::with_images(durable.clone(), durable))
     }
 }
 
@@ -351,6 +388,9 @@ impl PmemRegion {
 mod tests {
     use super::*;
     use crate::crash::CrashMode;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn write_then_read() {
@@ -614,5 +654,268 @@ mod tests {
     #[should_panic(expected = "image not line-aligned")]
     fn from_image_rejects_unaligned() {
         PmemRegion::from_image(vec![0u8; 100]);
+    }
+
+    #[test]
+    fn empty_write_at_region_end_dirties_no_line() {
+        // `lines_of(len(), 0)` names line `line_count()`; marking it
+        // dirty left the region non-quiescent with nothing to flush and
+        // made the next crash slice the volatile image out of range
+        let mut r = PmemRegion::new(128);
+        r.write(r.len(), &[]);
+        assert_eq!(r.step(), 1, "still a micro-step");
+        assert_eq!(r.stats().stores, 1, "still a store");
+        assert_eq!(r.stats().bytes_written, 0);
+        assert_eq!(r.dirty_lines(), 0);
+        assert!(r.is_quiescent());
+        assert_eq!(r.image_after_crash(&CrashMode::AllInFlightLands), [0; 128]);
+        r.crash(&CrashMode::AllInFlightLands);
+        // inside the region an empty write keeps dirtying its line
+        r.write(64, &[]);
+        assert!(r.line_is_dirty(1));
+        assert_eq!(r.dirty_lines(), 1);
+    }
+
+    #[test]
+    fn lines_past_the_region_are_counted_noops() {
+        // the flush ring probes and sweeps whatever line it was handed
+        let mut r = PmemRegion::new(128);
+        r.write(0, b"x");
+        let lines = r.line_count();
+        assert!(!r.line_is_dirty(lines));
+        assert!(!r.line_is_dirty(u64::MAX));
+        r.flush_line(lines);
+        r.flush_line_run(lines + 3, 2);
+        r.flush_line_run(1, 3); // lines 1, 2, 3: one inside, two past
+        assert_eq!(r.stats().flushes, 6, "every instruction is counted");
+        assert_eq!(r.step(), 7);
+        assert_eq!(r.dirty_lines(), 1, "line 0 untouched");
+        r.fence();
+        assert_eq!(r.durable_image(), [0; 128], "nothing was captured");
+    }
+
+    /// The region as it tracked lines before the dense state array: a
+    /// `HashSet` of dirty lines and a `HashMap` of flush captures. Kept
+    /// as the reference the real region is driven against.
+    struct ModelRegion {
+        volatile: Vec<u8>,
+        durable: Vec<u8>,
+        dirty: HashSet<u64>,
+        pending: HashMap<u64, [u8; LINE_SIZE]>,
+        stats: PmemStats,
+        step: u64,
+        plan: Option<CrashPlan>,
+        crash_image: Option<Vec<u8>>,
+    }
+
+    impl ModelRegion {
+        fn new(len: usize) -> Self {
+            ModelRegion {
+                volatile: vec![0; len],
+                durable: vec![0; len],
+                dirty: HashSet::new(),
+                pending: HashMap::new(),
+                stats: PmemStats::default(),
+                step: 0,
+                plan: None,
+                crash_image: None,
+            }
+        }
+
+        fn micro_step(&mut self) {
+            if let Some(plan) = self.plan.clone() {
+                if plan.at_step == self.step && self.crash_image.is_none() {
+                    self.crash_image = Some(self.image_after_crash(&plan.mode));
+                }
+            }
+            self.step += 1;
+        }
+
+        fn image_after_crash(&self, mode: &CrashMode) -> Vec<u8> {
+            let pending: Vec<u64> = self.pending.keys().copied().collect();
+            let dirty: Vec<u64> = self.dirty.iter().copied().collect();
+            let (landed_pending, landed_dirty) = mode.select_landed_split(&pending, &dirty);
+            let mut image = self.durable.clone();
+            for line in landed_pending {
+                let off = line as usize * LINE_SIZE;
+                image[off..off + LINE_SIZE].copy_from_slice(&self.pending[&line]);
+            }
+            for line in landed_dirty {
+                let off = line as usize * LINE_SIZE;
+                image[off..off + LINE_SIZE].copy_from_slice(&self.volatile[off..off + LINE_SIZE]);
+            }
+            image
+        }
+
+        fn write(&mut self, offset: usize, bytes: &[u8]) {
+            self.micro_step();
+            self.volatile[offset..offset + bytes.len()].copy_from_slice(bytes);
+            self.stats.stores += 1;
+            self.stats.bytes_written += bytes.len() as u64;
+            let lines = (self.volatile.len() / LINE_SIZE) as u64;
+            self.dirty
+                .extend(PmemRegion::lines_of(offset, bytes.len()).filter(|&l| l < lines));
+        }
+
+        fn flush_line(&mut self, line: u64) {
+            self.micro_step();
+            self.stats.flushes += 1;
+            if self.dirty.remove(&line) {
+                let off = line as usize * LINE_SIZE;
+                let capture = self.volatile[off..off + LINE_SIZE].try_into().unwrap();
+                self.pending.insert(line, capture);
+            }
+        }
+
+        fn flush_line_run(&mut self, start: u64, n: u64) {
+            (start..start + n).for_each(|l| self.flush_line(l));
+        }
+
+        fn fence(&mut self) {
+            self.micro_step();
+            self.stats.fences += 1;
+            for (line, bytes) in self.pending.drain() {
+                let off = line as usize * LINE_SIZE;
+                self.durable[off..off + LINE_SIZE].copy_from_slice(&bytes);
+            }
+        }
+
+        fn crash(&mut self, mode: &CrashMode) {
+            self.stats.crashes += 1;
+            self.durable = self.image_after_crash(mode);
+            self.pending.clear();
+            self.dirty.clear();
+            self.volatile.clone_from(&self.durable);
+        }
+    }
+
+    enum Op {
+        Write(usize, Vec<u8>),
+        Flush(u64),
+        Run(u64, u64),
+        Fence,
+        Crash(CrashMode),
+    }
+
+    /// The same op on either region type.
+    macro_rules! apply {
+        ($region:expr, $op:expr) => {
+            match $op {
+                Op::Write(off, bytes) => $region.write(*off, bytes),
+                Op::Flush(line) => $region.flush_line(*line),
+                Op::Run(start, n) => $region.flush_line_run(*start, *n),
+                Op::Fence => $region.fence(),
+                Op::Crash(mode) => $region.crash(mode),
+            }
+        };
+    }
+
+    const MODEL_LEN: usize = 16 * LINE_SIZE;
+
+    fn random_mode(rng: &mut SmallRng) -> CrashMode {
+        match rng.gen_range(0..4u32) {
+            0 => CrashMode::StrictDurableOnly,
+            1 => CrashMode::AllInFlightLands,
+            _ => {
+                let p = [0.0, 0.3, 0.5, 0.7, 1.0];
+                CrashMode::random(
+                    p[rng.gen_range(0..p.len())],
+                    p[rng.gen_range(0..p.len())],
+                    rng.gen(),
+                )
+            }
+        }
+    }
+
+    /// Writes of 0–200 bytes anywhere they fit (line-straddling, empty,
+    /// empty at the very end), flushes and sweeps that may run past the
+    /// last line, fences, and `crash_per_mille` ‰ crashes.
+    fn random_op(rng: &mut SmallRng, crash_per_mille: u32) -> Op {
+        if rng.gen_range(0..1000u32) < crash_per_mille {
+            return Op::Crash(random_mode(rng));
+        }
+        let lines = (MODEL_LEN / LINE_SIZE) as u64;
+        match rng.gen_range(0..10u32) {
+            0..=4 => {
+                let len = rng.gen_range(0..201usize);
+                let off = rng.gen_range(0..MODEL_LEN - len + 1);
+                Op::Write(off, (0..len).map(|_| rng.gen::<u64>() as u8).collect())
+            }
+            5..=6 => Op::Flush(rng.gen_range(0..lines + 2)),
+            7 => Op::Run(rng.gen_range(0..lines + 2), rng.gen_range(0..5u64)),
+            _ => Op::Fence,
+        }
+    }
+
+    #[test]
+    fn dense_line_state_matches_the_hash_map_model() {
+        for seed in 0..24u64 {
+            let mut rng = SmallRng::seed_from_u64(0x5eed_0000 + seed);
+            let mut real = PmemRegion::new(MODEL_LEN);
+            let mut model = ModelRegion::new(MODEL_LEN);
+            for i in 0..400 {
+                let op = random_op(&mut rng, 30);
+                apply!(real, &op);
+                apply!(model, &op);
+                let at = format!("seed {seed}, op {i}");
+                assert_eq!(real.step(), model.step, "{at}");
+                assert_eq!(real.stats(), model.stats, "{at}");
+                assert_eq!(real.dirty_lines(), model.dirty.len(), "{at}");
+                assert_eq!(
+                    real.is_quiescent(),
+                    model.dirty.is_empty() && model.pending.is_empty(),
+                    "{at}"
+                );
+                for l in 0..real.line_count() + 2 {
+                    assert_eq!(
+                        real.line_is_dirty(l),
+                        model.dirty.contains(&l),
+                        "{at}, line {l}"
+                    );
+                }
+                assert_eq!(real.durable_image(), model.durable, "{at}");
+                assert_eq!(real.volatile, model.volatile, "{at}");
+                for mode in [
+                    CrashMode::StrictDurableOnly,
+                    CrashMode::AllInFlightLands,
+                    CrashMode::random(0.5, 0.5, seed * 1000 + i),
+                ] {
+                    assert_eq!(
+                        real.image_after_crash(&mode),
+                        model.image_after_crash(&mode),
+                        "{at}, {mode:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn armed_plan_captures_the_models_image_at_every_step() {
+        let mut rng = SmallRng::seed_from_u64(0xa53d);
+        let program: Vec<Op> = (0..120).map(|_| random_op(&mut rng, 0)).collect();
+        let steps = {
+            let mut probe = PmemRegion::new(MODEL_LEN);
+            program.iter().for_each(|op| apply!(probe, op));
+            probe.step()
+        };
+        assert!(steps >= 120, "one micro-step per op at least");
+        for at_step in 0..steps {
+            let plan = CrashPlan {
+                at_step,
+                mode: random_mode(&mut rng),
+            };
+            let mut real = PmemRegion::new(MODEL_LEN);
+            let mut model = ModelRegion::new(MODEL_LEN);
+            real.arm_crash(plan.clone());
+            model.plan = Some(plan.clone());
+            for op in &program {
+                apply!(real, op);
+                apply!(model, op);
+            }
+            let image = real.take_crash_image();
+            assert!(image.is_some(), "step {at_step} was executed");
+            assert_eq!(image, model.crash_image, "{plan:?}");
+        }
     }
 }

@@ -16,10 +16,10 @@
 //!   by line. It publishes a [`FenceToken`] (a tail snapshot) and asks
 //!   the drain side to retire everything submitted at or before the
 //!   token ([`FlushRing::drain_upto`]).
-//! * **Ranged sweeps** — the drain sorts and dedups the batch, then
-//!   coalesces adjacent lines into contiguous runs
-//!   ([`coalesce_sorted`]) swept with one ranged
-//!   `clwb`/`clflushopt`-style pass per run.
+//! * **Ranged sweeps** — the drain sorts and dedups the batch in its
+//!   scratch buffer, then walks it once, sweeping each maximal run of
+//!   adjacent lines (the runs [`coalesce_sorted`] returns) with one
+//!   ranged `clwb`/`clflushopt`-style pass.
 //! * **FliT-style elision** — a per-line epoch map records lines
 //!   already flushed in the current commit epoch; a re-submitted line
 //!   that is still clean is skipped entirely. This is safe in the
@@ -71,27 +71,19 @@ pub struct FenceToken(u64);
 /// suite). Unsorted or duplicated input is a logic error; debug builds
 /// assert.
 pub fn coalesce_sorted(lines: &[u64]) -> Vec<(u64, u64)> {
+    runs_of(lines)
+        .map(|run| (run[0], run.len() as u64))
+        .collect()
+}
+
+/// The maximal runs of consecutive line indices in a sorted,
+/// deduplicated slice, in order.
+fn runs_of(lines: &[u64]) -> impl Iterator<Item = &[u64]> {
     debug_assert!(
         lines.windows(2).all(|w| w[0] < w[1]),
         "input must be sorted+deduped"
     );
-    let mut runs = Vec::new();
-    let mut it = lines.iter().copied();
-    let Some(first) = it.next() else {
-        return runs;
-    };
-    let (mut start, mut len) = (first, 1u64);
-    for l in it {
-        if l == start + len {
-            len += 1;
-        } else {
-            runs.push((start, len));
-            start = l;
-            len = 1;
-        }
-    }
-    runs.push((start, len));
-    runs
+    lines.chunk_by(|a, b| a + 1 == *b)
 }
 
 /// The flush submission ring. Submit side is mutex-free (atomics only);
@@ -249,12 +241,11 @@ impl FlushRing {
             }
         }
         self.scratch.truncate(kept);
-        let mut issued = 0u64;
-        for (start, len) in coalesce_sorted(&self.scratch) {
-            region.flush_line_run(start, len);
+        for run in runs_of(&self.scratch) {
+            region.flush_line_run(run[0], run.len() as u64);
             self.stats.sweeps += 1;
-            issued += len;
         }
+        let issued = kept as u64;
         self.stats.flushed += issued;
         self.stats.drains += 1;
         issued
