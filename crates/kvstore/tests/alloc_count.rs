@@ -1,19 +1,29 @@
-//! Heap allocations on the batched write path, counted.
+//! Heap allocations on the batched write paths, counted.
 //!
 //! `Shard::put_many` plans a batch in scratch buffers the shard owns
 //! and every layer below it (undo log, flush ring, region) reuses its
 //! own, so a steady-state batch of in-place updates allocates nothing;
 //! `KvStore::put_many` and `Shard::serve_batch` route *borrowed* values
 //! down to it, so what they allocate does not grow with the number of
-//! values written. This is an integration test — a crate of its own —
-//! because a counting `GlobalAlloc` needs `unsafe`, which every library
-//! crate forbids.
+//! values written. The tree lane is bounded the same way: a
+//! transaction's staged / retired lists and `put`'s path are buffers the
+//! tree owns, its remap is an array indexed by logical page id and a
+//! page read is a borrow, so a steady-state transaction (no split — the
+//! slot table grows by amortised doubling, and no claim is made about
+//! that) allocates nothing and a point read allocates the value it
+//! returns. This is an integration test — a crate of its own — because a
+//! counting `GlobalAlloc` needs `unsafe`, which every library crate
+//! forbids.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use nvcache_core::PolicyKind;
-use nvcache_kvstore::{BatchReply, BatchRequest, KvConfig, KvStore, Shard, ShardConfig};
+use nvcache_kvstore::{
+    BatchReply, BatchRequest, Engine, KvConfig, KvStore, Shard, ShardConfig, TreeEngine,
+    TreeEngineConfig,
+};
+use nvcache_treestore::{MemPager, PageStore, Tree, TreeConfig};
 
 thread_local! {
     /// Allocations made by this thread (the test harness runs the
@@ -128,4 +138,100 @@ fn serve_batch_does_not_clone_written_values() {
          the group and its overlay, not one clone per value"
     );
     assert_eq!(shard.get(63).as_deref(), Some(&[2u8; 40][..]));
+}
+
+/// A pipelined fixed-capacity tree heap, as the tree lanes run it.
+fn tree_config() -> TreeConfig {
+    TreeConfig {
+        data_len: 1 << 20,
+        log_len: 1 << 16,
+        policy: PolicyKind::ScFixed { capacity: 8 },
+        pipelined: true,
+    }
+}
+
+/// One transaction over `keys`: `begin`, a 40-byte `put` each,
+/// `commit`, `reclaim`.
+fn tree_txn<S: PageStore>(t: &mut Tree<S>, keys: &[u64], tag: u8) {
+    t.begin();
+    for &k in keys {
+        t.put(k, &[tag; 40]).expect("put within capacity");
+    }
+    t.commit();
+    t.reclaim();
+}
+
+/// 200 preloaded keys (three levels), two warm-up transactions over
+/// eight of them, then the counted one over the same eight.
+fn steady_state_tree_txn_allocations<S: PageStore>(mut t: Tree<S>) -> u64 {
+    let preload: Vec<u64> = (0..200).collect();
+    tree_txn(&mut t, &preload, 0);
+    assert!(t.height() >= 3, "reads must cross inner pages");
+    let keys: Vec<u64> = (0..8).map(|i| 3 + 25 * i).collect();
+    tree_txn(&mut t, &keys, 1);
+    tree_txn(&mut t, &keys, 2);
+    let (n, ()) = allocations(|| tree_txn(&mut t, &keys, 3));
+    assert_eq!(t.get(178).as_deref(), Some(&[3u8; 40][..]));
+    assert_eq!(t.len(), 200);
+    n
+}
+
+#[test]
+fn steady_state_tree_txn_allocates_nothing() {
+    let persistent = Tree::create(&tree_config()).expect("format tree heap");
+    assert_eq!(
+        steady_state_tree_txn_allocations(persistent),
+        0,
+        "begin + 8 puts + commit + reclaim over the FASE pager"
+    );
+    let volatile = Tree::format(MemPager::new()).expect("format mem tree");
+    assert_eq!(
+        steady_state_tree_txn_allocations(volatile),
+        0,
+        "begin + 8 puts + commit + reclaim over the volatile pager"
+    );
+}
+
+#[test]
+fn tree_get_allocates_only_the_value_it_returns() {
+    let mut t = Tree::create(&tree_config()).expect("format tree heap");
+    let preload: Vec<u64> = (0..200).map(|k| 2 * k).collect();
+    tree_txn(&mut t, &preload, 7);
+    let (n, hit) = allocations(|| t.get(246));
+    assert_eq!(hit.as_deref(), Some(&[7u8; 40][..]));
+    assert_eq!(n, 1, "a hit allocates the returned value and nothing else");
+    let (n, miss) = allocations(|| t.get(247));
+    assert_eq!(miss, None);
+    assert_eq!(n, 0, "a miss borrows its way down and returns");
+}
+
+#[test]
+fn tree_engine_serve_batch_allocates_the_reply_vector_only() {
+    let mut e = TreeEngine::new(&TreeEngineConfig {
+        tree: tree_config(),
+    });
+    let puts = |tag: u8| -> Vec<BatchRequest> {
+        (0..64u64)
+            .map(|k| BatchRequest::Put(k, vec![tag; 40]))
+            .collect()
+    };
+    for tag in 0..3 {
+        e.serve_batch(&puts(tag)); // inserts, then two rounds of updates
+    }
+    let reqs = puts(3);
+    let (n, replies) = allocations(|| e.serve_batch(&reqs));
+    assert!(replies.iter().all(|r| *r == BatchReply::Done(true)));
+    assert!(
+        n <= 2,
+        "64 Puts in one transaction allocated {n} times: the reply \
+         vector, not a map, a path or a page list per put"
+    );
+
+    let get = [BatchRequest::Get(63)];
+    let (n, replies) = allocations(|| e.serve_batch(&get));
+    assert_eq!(replies, [BatchReply::Value(Some(vec![3u8; 40]))]);
+    assert!(
+        n <= 2,
+        "one Get allocated {n} times: the reply vector and the value"
+    );
 }

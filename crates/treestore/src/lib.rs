@@ -12,9 +12,11 @@
 //!   production [`FasePager`] over a [`nvcache_fase::FaseRuntime`]
 //!   (PAlloc heap, undo log, optional slab + pipelined flush ring,
 //!   crash-point injection) and the volatile [`MemPager`] test double.
-//! * [`tree`] — the [`Tree`] itself: 256-byte pages, logical-page
-//!   indirection (`lpid -> {version -> phys}`) so copy-on-write never
-//!   rewrites ancestors, transactions that publish a whole group of
+//! * [`tree`] — the [`Tree`] itself: 256-byte pages read by borrow,
+//!   logical-page indirection (a slot table indexed by logical id:
+//!   newest committed copy, staged copy, copies pins still reach) so
+//!   copy-on-write never rewrites ancestors and a descent hashes and
+//!   copies nothing, transactions that publish a whole group of
 //!   updates in one FASE commit, [`Snapshot`] pinning for
 //!   non-blocking consistent reads and range scans, free-list
 //!   reclamation bounded by the oldest pin, and typed recovery that

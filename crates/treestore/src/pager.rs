@@ -9,9 +9,9 @@
 //!
 //! The contract mirrors how the hash shard drives the runtime:
 //!
-//! - **reads** go straight to the region (no logging, `&self`), so
-//!   snapshot readers never serialize against a writer's `&mut`
-//!   bookkeeping;
+//! - **reads** borrow straight from the region (no logging, no copy,
+//!   `&self`), so snapshot readers never serialize against a writer's
+//!   `&mut` bookkeeping;
 //! - **writes** happen inside an open failure-atomic section
 //!   (`begin`/`commit` = `begin_fase`/`end_fase`): `write` undo-logs
 //!   the old bytes (in-place updates of reachable state), `write_fresh`
@@ -30,14 +30,24 @@ use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
 pub const PAGE: usize = 256;
 
 /// Read-only page access. `&self` so pinned-snapshot readers can
-/// proceed while a writer owns the mutable half of the store.
+/// proceed while a writer owns the mutable half of the store. The
+/// primitive is a borrow of the store's own bytes: walking the tree
+/// copies nothing, and whoever needs an owned page (copy-on-write)
+/// makes that one copy itself.
 pub trait PageRead {
-    /// Copy `buf.len()` bytes starting at byte offset `off`.
-    fn read_bytes(&self, off: u64, buf: &mut [u8]);
+    /// Borrow `len` bytes starting at byte offset `off`.
+    fn bytes(&self, off: u64, len: usize) -> &[u8];
 
-    /// Read one page.
-    fn read_page(&self, off: u64, buf: &mut [u8; PAGE]) {
-        self.read_bytes(off, buf);
+    /// Borrow one page.
+    fn page(&self, off: u64) -> &[u8; PAGE] {
+        self.bytes(off, PAGE)
+            .try_into()
+            .expect("bytes() returns the length asked for")
+    }
+
+    /// Copy `buf.len()` bytes starting at byte offset `off`.
+    fn read_bytes(&self, off: u64, buf: &mut [u8]) {
+        buf.copy_from_slice(self.bytes(off, buf.len()));
     }
 
     /// Read a little-endian u64.
@@ -198,8 +208,8 @@ impl FasePager {
 }
 
 impl PageRead for FasePager {
-    fn read_bytes(&self, off: u64, buf: &mut [u8]) {
-        self.rt.region().read(off as usize, buf);
+    fn bytes(&self, off: u64, len: usize) -> &[u8] {
+        self.rt.region().slice(off as usize, len)
     }
 }
 
@@ -264,9 +274,9 @@ impl MemPager {
 }
 
 impl PageRead for MemPager {
-    fn read_bytes(&self, off: u64, buf: &mut [u8]) {
+    fn bytes(&self, off: u64, len: usize) -> &[u8] {
         let off = off as usize;
-        buf.copy_from_slice(&self.data[off..off + buf.len()]);
+        &self.data[off..off + len]
     }
 }
 
@@ -318,9 +328,7 @@ mod tests {
         p.begin();
         p.write(off, &page);
         p.commit();
-        let mut back = [0u8; PAGE];
-        p.read_page(off, &mut back);
-        assert_eq!(page, back);
+        assert_eq!(p.page(off), &page);
         assert_eq!(p.commits, 1);
     }
 
@@ -339,9 +347,7 @@ mod tests {
         p.set_root(off);
         p.crash_and_recover(&CrashMode::StrictDurableOnly);
         assert_eq!(p.root(), off);
-        let mut back = [0u8; PAGE];
-        p.read_page(off, &mut back);
-        assert_eq!(back, [0xabu8; PAGE]);
+        assert_eq!(p.page(off), &[0xabu8; PAGE]);
     }
 
     #[test]
@@ -385,8 +391,6 @@ mod tests {
         p.begin();
         p.write(off, &[2u8; PAGE]);
         p.crash_and_recover(&CrashMode::AllInFlightLands);
-        let mut back = [0u8; PAGE];
-        p.read_page(off, &mut back);
-        assert_eq!(back, [1u8; PAGE], "open section rolled back");
+        assert_eq!(p.page(off), &[1u8; PAGE], "open section rolled back");
     }
 }

@@ -22,32 +22,40 @@
 //! # Logical indirection and MVCC
 //!
 //! Tree nodes reference children by **logical** page id; a volatile
-//! remap table (`lpid -> [(version, phys)]`, ascending) names which
+//! slot table indexed by it (logical ids come from a counter and are
+//! never freed, so the table is an array — see [`Slot`]) names which
 //! physical copy serves which commit version. Copy-on-write keeps the
 //! logical id stable, so rewriting a leaf touches *no* ancestor — only
-//! structural changes (splits) edit parents. A writer stages CoW
-//! copies under `version + 1` inside one failure-atomic section and
-//! publishes the new root + remap entries at commit. The staged pages
-//! are shadow memory — nothing committed can reach them until the meta
-//! head flips — so they are written **unlogged**
-//! ([`crate::PageWrite::write_fresh`]); the 64-byte meta head is the only
-//! in-place update and the only undo record of a commit. A reader calls
-//! [`Tree::pin`] to freeze a `(version, root)` pair and scans it
-//! without blocking the writer. Superseded copies are retired with the
-//! version that replaced them and recycled by [`Tree::reclaim`] once
-//! no pin can still reach them.
+//! structural changes (splits) edit parents. Reading a page is a borrow
+//! of the store's bytes ([`crate::PageRead::page`]): a descent copies
+//! nothing, and the one page copy a transaction makes is the page it is
+//! about to edit and write whole to its new home (`cow`).
+//!
+//! A writer stages CoW copies under `version + 1` inside one
+//! failure-atomic section and publishes the new root + remap entries at
+//! commit. The staged pages are shadow memory — nothing committed can
+//! reach them until the meta head flips — so they are written
+//! **unlogged** ([`crate::PageWrite::write_fresh`]); the 64-byte meta
+//! head is the only in-place update and the only undo record of a
+//! commit. A reader calls [`Tree::pin`] to freeze a `(version, root)`
+//! pair and scans it without blocking the writer. Superseded copies are
+//! retired with the version that replaced them and recycled by
+//! [`Tree::reclaim`] once no pin can still reach them.
 //!
 //! # Recovery
 //!
 //! The durable facts are: the meta block (root lpid, version, page
 //! high-water mark, segment table, key count) published atomically per
 //! commit, and the page headers. [`Tree::attach`] rebuilds everything
-//! else: scan headers keeping the newest copy per lpid at or below the
-//! committed version, walk the tree from the durable root to mark
-//! reachable pages (validating tags, fanouts, key order, and depth),
-//! and put every unreachable page — orphaned CoW copies from the
-//! crashed transaction included — back on the free list. Structural
-//! damage surfaces as a typed [`TreeError`], never as undefined reads.
+//! else: check the meta fields against each other (every logical page
+//! owns a live physical one, so `next_lpid <= bump` — the slot table is
+//! sized from it only after that), scan headers keeping the newest copy
+//! per lpid at or below the committed version, walk the tree from the
+//! durable root to mark reachable pages (validating tags, fanouts, key
+//! order, and depth), and put every unreachable page — orphaned CoW
+//! copies from the crashed transaction included — back on the free
+//! list. Structural damage surfaces as a typed [`TreeError`], never as
+//! undefined reads.
 //!
 //! A dead transaction's shadow pages keep whatever part of them
 //! reached NVRAM, headers stamped `(lpid, committed + 1)` included —
@@ -61,7 +69,7 @@
 //! mark need no such care: the mark only advances over pages the
 //! advancing transaction itself rewrites.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use nvcache_fase::{FaseStats, RecoveryError};
@@ -85,6 +93,8 @@ const INNER_CAP: usize = 14;
 const CHILD0: usize = HDR + 8 * INNER_CAP;
 /// Header lpid used by value cells (they have no logical id).
 const LPID_NONE: u64 = u64::MAX;
+/// "No physical page" in a [`Slot`].
+const PHYS_NONE: u64 = u64::MAX;
 /// Largest value a single cell can hold.
 pub const MAX_VALUE: usize = PAGE - HDR;
 /// Hard bound on tree depth (fanout 8+ makes real trees far shallower).
@@ -199,6 +209,29 @@ fn set_inner_child(buf: &mut [u8; PAGE], i: usize, child: u64) {
     set64(buf, CHILD0 + 8 * i, child);
 }
 
+/// Index of the child of inner page `buf` whose range covers `key`.
+#[inline]
+fn child_index(buf: &[u8; PAGE], key: u64) -> usize {
+    let n = hdr_count(buf);
+    let mut idx = 0;
+    while idx < n && key >= inner_key(buf, idx) {
+        idx += 1;
+    }
+    idx
+}
+
+/// `(count, pos)` of leaf `buf`: `pos` is the first entry whose key is
+/// not below `key` (`count` when there is none).
+#[inline]
+fn leaf_position(buf: &[u8; PAGE], key: u64) -> (usize, usize) {
+    let n = hdr_count(buf);
+    let mut pos = 0;
+    while pos < n && leaf_key(buf, pos) < key {
+        pos += 1;
+    }
+    (n, pos)
+}
+
 // ---- errors -----------------------------------------------------------
 
 /// Typed failures from the tree engine. Structural variants
@@ -289,8 +322,39 @@ struct Retired {
     version: u64,
 }
 
+/// One entry of the remap table, indexed by logical page id: which
+/// physical copy of the page a reader at a given version sees.
+#[derive(Debug, Clone)]
+struct Slot {
+    /// Version of the newest committed copy (`u64::MAX` when there is
+    /// none yet, so no reader's version reaches it).
+    version: u64,
+    /// The newest committed copy ([`PHYS_NONE`] when there is none).
+    phys: u64,
+    /// The open transaction's copy ([`PHYS_NONE`] when it has not
+    /// touched the page): where its second write to the page lands and
+    /// what a read at its version sees.
+    staged: u64,
+    /// Superseded copies a pin can still reach, ascending by version.
+    /// Only ever non-empty while a snapshot is pinned: with no pin at
+    /// commit time nothing can read below the new version and the
+    /// commit's own `reclaim` frees every copy it superseded.
+    older: Vec<(u64, u64)>,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        version: u64::MAX,
+        phys: PHYS_NONE,
+        staged: PHYS_NONE,
+        older: Vec::new(),
+    };
+}
+
 /// Open-transaction state: everything staged under `version`, published
-/// to the volatile maps only when the FASE commits.
+/// to readers only when the FASE commits. What the transaction staged
+/// and retired is listed in buffers the tree owns (`Tree::staged`,
+/// `Tree::txn_retired`), so opening one allocates nothing.
 struct Txn {
     version: u64,
     root_lpid: u64,
@@ -303,11 +367,6 @@ struct Txn {
     /// Index into `seg_tables` where this transaction's new table
     /// blocks begin (their directory entries are written at commit).
     first_new_table: usize,
-    /// lpid -> phys CoW'd this transaction (second write hits the same
-    /// physical copy in place).
-    dirty: HashMap<u64, u64>,
-    /// Pages this commit supersedes.
-    retired: Vec<(u64, u64)>,
 }
 
 /// Volatile state rebuilt from the durable image by
@@ -325,7 +384,7 @@ struct Volatile {
     seg_tables: Vec<u64>,
     segs: Vec<u64>,
     free: Vec<u64>,
-    remap: HashMap<u64, Vec<(u64, u64)>>,
+    slots: Vec<Slot>,
     /// Dead-transaction node pages whose headers were voided.
     voided: usize,
 }
@@ -360,13 +419,21 @@ pub struct Tree<S: PageStore = FasePager> {
     free: Vec<u64>,
     /// Superseded pages awaiting a safe reclaim horizon.
     retired: Vec<Retired>,
-    /// lpid -> [(version, phys)] ascending by version.
-    remap: HashMap<u64, Vec<(u64, u64)>>,
+    /// The remap table: one [`Slot`] per logical page id.
+    slots: Vec<Slot>,
     /// version -> pin count.
     pins: BTreeMap<u64, u64>,
     /// Stale shadow headers the last attach / recovery voided.
     voided: usize,
     txn: Option<Txn>,
+    /// Logical ids the open transaction holds a staged copy of, in the
+    /// order it first touched them (what `commit` publishes).
+    staged: Vec<u64>,
+    /// `(phys, lpid)` of the pages the open transaction supersedes, in
+    /// the order it did (the order they later enter the free list).
+    txn_retired: Vec<(u64, u64)>,
+    /// The inner `(lpid, child index)` path of the `put` in progress.
+    path: Vec<(u64, usize)>,
 }
 
 impl<S: PageStore> Tree<S> {
@@ -419,10 +486,13 @@ impl<S: PageStore> Tree<S> {
             segs: v.segs,
             free: v.free,
             retired: Vec::new(),
-            remap: v.remap,
+            slots: v.slots,
             pins: BTreeMap::new(),
             voided: v.voided,
             txn: None,
+            staged: Vec::new(),
+            txn_retired: Vec::new(),
+            path: Vec::new(),
         })
     }
 
@@ -441,10 +511,12 @@ impl<S: PageStore> Tree<S> {
         self.seg_tables = v.seg_tables;
         self.segs = v.segs;
         self.free = v.free;
-        self.remap = v.remap;
+        self.slots = v.slots;
         self.voided = v.voided;
         self.retired.clear();
         self.pins.clear();
+        self.staged.clear();
+        self.txn_retired.clear();
         Ok(())
     }
 
@@ -535,23 +607,22 @@ impl<S: PageStore> Tree<S> {
     /// were recycled. Runs automatically on commit and unpin.
     pub fn reclaim(&mut self) -> usize {
         let floor = self.min_pinned().unwrap_or(self.version);
-        let mut freed = 0;
-        let mut kept = Vec::new();
-        for r in std::mem::take(&mut self.retired) {
-            if r.version <= floor {
-                if r.lpid != LPID_NONE {
-                    if let Some(vs) = self.remap.get_mut(&r.lpid) {
-                        vs.retain(|&(_, p)| p != r.phys);
-                    }
-                }
-                self.free.push(r.phys);
-                freed += 1;
-            } else {
-                kept.push(r);
+        let before = self.retired.len();
+        // in place and in order: the free list is a stack, so the order
+        // pages enter it decides which page the next allocation gets
+        self.retired.retain(|r| {
+            if r.version > floor {
+                return true;
             }
-        }
-        self.retired = kept;
-        freed
+            if r.lpid != LPID_NONE {
+                self.slots[r.lpid as usize]
+                    .older
+                    .retain(|&(_, p)| p != r.phys);
+            }
+            self.free.push(r.phys);
+            false
+        });
+        before - self.retired.len()
     }
 
     // ---- transactions ----
@@ -573,9 +644,8 @@ impl<S: PageStore> Tree<S> {
             height: self.height,
             first_new_seg: self.segs.len(),
             first_new_table: self.seg_tables.len(),
-            dirty: HashMap::new(),
-            retired: Vec::new(),
         });
+        debug_assert!(self.staged.is_empty() && self.txn_retired.is_empty());
     }
 
     /// Commit the open transaction: publish the new meta block inside
@@ -609,14 +679,19 @@ impl<S: PageStore> Tree<S> {
             self.store.write_fresh(off, &self.segs[i].to_le_bytes());
         }
         self.store.commit();
-        for (lpid, phys) in txn.dirty {
-            // versions only grow, so pushing keeps the list ascending
-            self.remap
-                .entry(lpid)
-                .or_default()
-                .push((txn.version, phys));
+        // a superseded copy stays resolvable only if some pin can still
+        // read below this commit; otherwise the `reclaim` below frees it
+        let pinned = !self.pins.is_empty();
+        for lpid in self.staged.drain(..) {
+            let s = &mut self.slots[lpid as usize];
+            if pinned && s.phys != PHYS_NONE {
+                // versions only grow, so pushing keeps the list ascending
+                s.older.push((s.version, s.phys));
+            }
+            s.version = txn.version;
+            s.phys = std::mem::replace(&mut s.staged, PHYS_NONE);
         }
-        for (phys, lpid) in txn.retired {
+        for (phys, lpid) in self.txn_retired.drain(..) {
             self.retired.push(Retired {
                 phys,
                 lpid,
@@ -656,37 +731,27 @@ impl<S: PageStore> Tree<S> {
         let tv = self.txn.as_ref().unwrap().version;
 
         // descend, remembering the inner path for possible splits
-        let mut path: Vec<(u64, usize)> = Vec::new();
+        self.path.clear();
         let mut lpid = self.txn.as_ref().unwrap().root_lpid;
-        let leaf = loop {
+        let (n, pos) = loop {
             let b = self.load_page(lpid, tv)?;
-            if hdr_tag(&b) == TAG_LEAF {
-                break b;
+            if hdr_tag(b) == TAG_LEAF {
+                break leaf_position(b, key);
             }
-            let n = hdr_count(&b);
-            let mut idx = 0;
-            while idx < n && key >= inner_key(&b, idx) {
-                idx += 1;
-            }
-            path.push((lpid, idx));
-            lpid = inner_child(&b, idx);
+            let idx = child_index(b, key);
+            let child = inner_child(b, idx);
+            self.path.push((lpid, idx));
+            lpid = child;
         };
-
-        let n = hdr_count(&leaf);
-        let mut pos = 0;
-        while pos < n && leaf_key(&leaf, pos) < key {
-            pos += 1;
-        }
-        let exists = pos < n && leaf_key(&leaf, pos) == key;
 
         let vptr = self.write_value_cell(val)?;
         let (lphys, mut lbuf) = self.cow(lpid)?;
 
-        if exists {
+        if pos < n && leaf_key(&lbuf, pos) == key {
             let old = leaf_vptr(&lbuf, pos);
             set_leaf_entry(&mut lbuf, pos, key, vptr);
             self.write_page(lphys, &lbuf);
-            self.txn.as_mut().unwrap().retired.push((old, LPID_NONE));
+            self.txn_retired.push((old, LPID_NONE));
             return Ok(());
         }
 
@@ -734,10 +799,10 @@ impl<S: PageStore> Tree<S> {
             set_leaf_entry(&mut rbuf, i - LEFT, ks[i], vs[i]);
         }
         self.write_page(rphys, &rbuf);
-        self.txn.as_mut().unwrap().dirty.insert(rlpid, rphys);
+        self.stage(rlpid, rphys);
         self.txn.as_mut().unwrap().len += 1;
 
-        self.insert_into_parents(path, ks[LEFT], rlpid)
+        self.insert_into_parents(ks[LEFT], rlpid)
     }
 
     /// Remove `key`; returns whether it was present. Deletes are lazy:
@@ -750,26 +815,17 @@ impl<S: PageStore> Tree<S> {
         self.ensure_capacity(2)?;
         let tv = self.txn.as_ref().unwrap().version;
         let mut lpid = self.txn.as_ref().unwrap().root_lpid;
-        let leaf = loop {
+        let (n, pos) = loop {
             let b = self.load_page(lpid, tv)?;
-            if hdr_tag(&b) == TAG_LEAF {
-                break b;
+            if hdr_tag(b) == TAG_LEAF {
+                let (n, pos) = leaf_position(b, key);
+                if pos == n || leaf_key(b, pos) != key {
+                    return Ok(false);
+                }
+                break (n, pos);
             }
-            let n = hdr_count(&b);
-            let mut idx = 0;
-            while idx < n && key >= inner_key(&b, idx) {
-                idx += 1;
-            }
-            lpid = inner_child(&b, idx);
+            lpid = inner_child(b, child_index(b, key));
         };
-        let n = hdr_count(&leaf);
-        let mut pos = 0;
-        while pos < n && leaf_key(&leaf, pos) < key {
-            pos += 1;
-        }
-        if pos == n || leaf_key(&leaf, pos) != key {
-            return Ok(false);
-        }
         let (lphys, mut lbuf) = self.cow(lpid)?;
         let old = leaf_vptr(&lbuf, pos);
         for i in pos..n - 1 {
@@ -778,9 +834,8 @@ impl<S: PageStore> Tree<S> {
         }
         set_count(&mut lbuf, n - 1);
         self.write_page(lphys, &lbuf);
-        let t = self.txn.as_mut().unwrap();
-        t.retired.push((old, LPID_NONE));
-        t.len -= 1;
+        self.txn_retired.push((old, LPID_NONE));
+        self.txn.as_mut().unwrap().len -= 1;
         Ok(true)
     }
 
@@ -790,12 +845,13 @@ impl<S: PageStore> Tree<S> {
     /// staged state if one is live, else the latest commit).
     pub fn get(&self, key: u64) -> Option<Vec<u8>> {
         let (v, root) = self.view();
-        self.lookup(v, root, key)
+        self.lookup(v, root, key).map(<[u8]>::to_vec)
     }
 
     /// Look up `key` as of a pinned snapshot.
     pub fn get_at(&self, snap: &Snapshot, key: u64) -> Option<Vec<u8>> {
         self.lookup(snap.version, snap.root_lpid, key)
+            .map(<[u8]>::to_vec)
     }
 
     /// Range scan over `lo..=hi`, at most `limit` entries, in key
@@ -817,16 +873,16 @@ impl<S: PageStore> Tree<S> {
         let mut next = lo;
         loop {
             let (leaf, ub) = self.find_leaf(v, root, next);
-            let n = hdr_count(&leaf);
+            let n = hdr_count(leaf);
             for i in 0..n {
-                let k = leaf_key(&leaf, i);
+                let k = leaf_key(leaf, i);
                 if k < next {
                     continue;
                 }
                 if k > hi {
                     return out;
                 }
-                out.push((k, self.read_value(leaf_vptr(&leaf, i))));
+                out.push((k, self.read_value(leaf_vptr(leaf, i)).to_vec()));
                 if out.len() == limit {
                     return out;
                 }
@@ -847,25 +903,17 @@ impl<S: PageStore> Tree<S> {
             .map_or((self.version, self.root_lpid), |t| (t.version, t.root_lpid))
     }
 
-    fn lookup(&self, version: u64, root: u64, key: u64) -> Option<Vec<u8>> {
+    /// The value under `key` at `version`, borrowed from the store.
+    fn lookup(&self, version: u64, root: u64, key: u64) -> Option<&[u8]> {
         let (leaf, _) = self.find_leaf(version, root, key);
-        let n = hdr_count(&leaf);
-        for i in 0..n {
-            let k = leaf_key(&leaf, i);
-            if k == key {
-                return Some(self.read_value(leaf_vptr(&leaf, i)));
-            }
-            if k > key {
-                break;
-            }
-        }
-        None
+        let (n, pos) = leaf_position(leaf, key);
+        (pos < n && leaf_key(leaf, pos) == key).then(|| self.read_value(leaf_vptr(leaf, pos)))
     }
 
     /// Descend to the leaf covering `key` at `version`, returning the
-    /// leaf image and the smallest separator above the leaf's range
-    /// (the next leaf's first possible key).
-    fn find_leaf(&self, version: u64, root: u64, key: u64) -> ([u8; PAGE], Option<u64>) {
+    /// leaf (borrowed from the store) and the smallest separator above
+    /// the leaf's range (the next leaf's first possible key).
+    fn find_leaf(&self, version: u64, root: u64, key: u64) -> (&[u8; PAGE], Option<u64>) {
         let mut lpid = root;
         let mut ub = None;
         let mut depth = 0u64;
@@ -875,27 +923,22 @@ impl<S: PageStore> Tree<S> {
                 .unwrap_or_else(|e| panic!("treestore read at v{version}: {e}"));
             depth += 1;
             assert!(depth <= MAX_DEPTH, "treestore descent depth exceeded");
-            if hdr_tag(&b) == TAG_LEAF {
+            if hdr_tag(b) == TAG_LEAF {
                 return (b, ub);
             }
-            let n = hdr_count(&b);
-            let mut idx = 0;
-            while idx < n && key >= inner_key(&b, idx) {
-                idx += 1;
+            let idx = child_index(b, key);
+            if idx < hdr_count(b) {
+                ub = Some(inner_key(b, idx));
             }
-            if idx < n {
-                ub = Some(inner_key(&b, idx));
-            }
-            lpid = inner_child(&b, idx);
+            lpid = inner_child(b, idx);
         }
     }
 
-    fn read_value(&self, vptr: u64) -> Vec<u8> {
-        let mut b = [0u8; PAGE];
-        self.store.read_page(self.page_off(vptr), &mut b);
-        debug_assert_eq!(hdr_tag(&b), TAG_VAL, "leaf points at a non-value page");
-        let n = hdr_count(&b).min(MAX_VALUE);
-        b[HDR..HDR + n].to_vec()
+    /// The bytes of value cell `vptr`, borrowed from the store.
+    fn read_value(&self, vptr: u64) -> &[u8] {
+        let b = self.store.page(self.page_off(vptr));
+        debug_assert_eq!(hdr_tag(b), TAG_VAL, "leaf points at a non-value page");
+        &b[HDR..HDR + hdr_count(b).min(MAX_VALUE)]
     }
 
     // ---- internals ----
@@ -903,27 +946,38 @@ impl<S: PageStore> Tree<S> {
     /// Latest physical copy of `lpid` visible at `version` (the open
     /// transaction's staged copy when reading at its version).
     fn resolve(&self, lpid: u64, version: u64) -> Option<u64> {
-        if let Some(t) = &self.txn {
-            if version >= t.version {
-                if let Some(&p) = t.dirty.get(&lpid) {
-                    return Some(p);
-                }
-            }
+        let s = self.slots.get(lpid as usize)?;
+        // only the open transaction reads above the committed version
+        if s.staged != PHYS_NONE && version > self.version {
+            return Some(s.staged);
         }
-        let vs = self.remap.get(&lpid)?;
-        vs.iter()
+        if s.version <= version {
+            return Some(s.phys);
+        }
+        s.older
+            .iter()
             .rev()
             .find(|&&(w, _)| w <= version)
             .map(|&(_, p)| p)
     }
 
-    fn load_page(&self, lpid: u64, version: u64) -> Result<[u8; PAGE], TreeError> {
+    /// The copy of `lpid` visible at `version`, borrowed from the store.
+    fn load_page(&self, lpid: u64, version: u64) -> Result<&[u8; PAGE], TreeError> {
         let phys = self
             .resolve(lpid, version)
             .ok_or(TreeError::UnresolvedChild { lpid })?;
-        let mut b = [0u8; PAGE];
-        self.store.read_page(self.page_off(phys), &mut b);
-        Ok(b)
+        Ok(self.store.page(self.page_off(phys)))
+    }
+
+    /// Record `phys` as the open transaction's copy of `lpid`.
+    fn stage(&mut self, lpid: u64, phys: u64) {
+        let i = lpid as usize;
+        if i >= self.slots.len() {
+            // a logical id this transaction allocated
+            self.slots.resize(i + 1, Slot::EMPTY);
+        }
+        self.slots[i].staged = phys;
+        self.staged.push(lpid);
     }
 
     fn page_off(&self, phys: u64) -> u64 {
@@ -990,26 +1044,23 @@ impl<S: PageStore> Tree<S> {
     }
 
     /// Copy-on-write `lpid` for the open transaction: returns the
-    /// staged physical copy and its current image. The first touch per
-    /// transaction allocates and retires the committed copy; later
+    /// staged physical copy and an owned image of it to edit and write
+    /// back whole — the one page copy the tree makes. The first touch
+    /// per transaction allocates and retires the committed copy; later
     /// touches edit the staged copy in place.
     fn cow(&mut self, lpid: u64) -> Result<(u64, [u8; PAGE]), TreeError> {
         let tv = self.txn.as_ref().unwrap().version;
-        if let Some(&p) = self.txn.as_ref().unwrap().dirty.get(&lpid) {
-            let mut b = [0u8; PAGE];
-            self.store.read_page(self.page_off(p), &mut b);
-            return Ok((p, b));
-        }
         let old = self
             .resolve(lpid, tv)
             .ok_or(TreeError::UnresolvedChild { lpid })?;
-        let mut b = [0u8; PAGE];
-        self.store.read_page(self.page_off(old), &mut b);
+        let mut b = *self.store.page(self.page_off(old));
+        if self.slots[lpid as usize].staged == old {
+            return Ok((old, b));
+        }
         set_version(&mut b, tv);
         let p = self.alloc_page().ok_or(TreeError::Full)?;
-        let t = self.txn.as_mut().unwrap();
-        t.dirty.insert(lpid, p);
-        t.retired.push((old, lpid));
+        self.stage(lpid, p);
+        self.txn_retired.push((old, lpid));
         Ok((p, b))
     }
 
@@ -1025,17 +1076,12 @@ impl<S: PageStore> Tree<S> {
     }
 
     /// Propagate a split: insert `(sep, right)` into the parents along
-    /// `path`, splitting them in turn as needed; an empty path grows a
-    /// new root.
-    fn insert_into_parents(
-        &mut self,
-        mut path: Vec<(u64, usize)>,
-        mut sep: u64,
-        mut right: u64,
-    ) -> Result<(), TreeError> {
+    /// `self.path` (what `put`'s descent recorded), splitting them in
+    /// turn as needed; an empty path grows a new root.
+    fn insert_into_parents(&mut self, mut sep: u64, mut right: u64) -> Result<(), TreeError> {
         let tv = self.txn.as_ref().unwrap().version;
         loop {
-            let Some((plpid, idx)) = path.pop() else {
+            let Some((plpid, idx)) = self.path.pop() else {
                 let nl = self.alloc_lpid();
                 let np = self.alloc_page().ok_or(TreeError::Full)?;
                 let old_root = self.txn.as_ref().unwrap().root_lpid;
@@ -1045,8 +1091,8 @@ impl<S: PageStore> Tree<S> {
                 set_inner_child(&mut b, 0, old_root);
                 set_inner_child(&mut b, 1, right);
                 self.write_page(np, &b);
+                self.stage(nl, np);
                 let t = self.txn.as_mut().unwrap();
-                t.dirty.insert(nl, np);
                 t.root_lpid = nl;
                 t.height += 1;
                 return Ok(());
@@ -1115,7 +1161,7 @@ impl<S: PageStore> Tree<S> {
                 set_inner_child(&mut rbuf, i - (LEFTK + 1), c);
             }
             self.write_page(rphys, &rbuf);
-            self.txn.as_mut().unwrap().dirty.insert(rlpid, rphys);
+            self.stage(rlpid, rphys);
 
             sep = ks[LEFTK];
             right = rlpid;
@@ -1193,30 +1239,33 @@ impl Tree<FasePager> {
 
 /// Rebuild the volatile view from the durable image: read and validate
 /// the meta block, scan page headers keeping the newest committed copy
-/// per logical id, walk the tree from the durable root (validating
-/// structure as it goes), free every unreachable page, and — only once
-/// the image has proven sound — void the headers dead transactions left
-/// above the committed version.
+/// per logical id (in the slot table itself), walk the tree from the
+/// durable root (validating structure as it goes), free every
+/// unreachable page, and — only once the image has proven sound — void
+/// the headers dead transactions left above the committed version.
 fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
     let meta_off = store.root();
     if meta_off == 0 {
         return Err(TreeError::BadMeta("no durable root pointer"));
     }
-    let mut head = [0u8; SEG_TABLE as usize];
-    store.read_bytes(meta_off, &mut head);
-    if get64(&head, 0) != MAGIC {
+    let head = store.bytes(meta_off, SEG_TABLE as usize);
+    if get64(head, 0) != MAGIC {
         return Err(TreeError::BadMeta("bad magic"));
     }
-    let version = get64(&head, 8);
-    let root_lpid = get64(&head, 16);
-    let next_lpid = get64(&head, 24);
-    let bump = get64(&head, 32);
-    let nsegs = get64(&head, 40);
-    let len = get64(&head, 48);
-    let height = get64(&head, 56);
+    let version = get64(head, 8);
+    let root_lpid = get64(head, 16);
+    let next_lpid = get64(head, 24);
+    let bump = get64(head, 32);
+    let nsegs = get64(head, 40);
+    let len = get64(head, 48);
+    let height = get64(head, 56);
+    // every logical page owns a live physical one (leaves never merge,
+    // logical ids are never freed), so `next_lpid <= bump`; the slot
+    // table below is sized from it, so it is checked here, first
     if nsegs as usize > MAX_SEGS
         || nsegs == 0
         || bump > nsegs * PAGES_PER_SEG
+        || next_lpid > bump
         || root_lpid >= next_lpid
         || height == 0
         || height > MAX_DEPTH
@@ -1244,19 +1293,18 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
     // newest committed copy per logical id: stale copies of an lpid
     // always carry an older version than its live one (pages are only
     // retired when a newer commit supersedes them), so max-wins is safe
-    let mut winners: HashMap<u64, (u64, u64)> = HashMap::new();
+    let mut slots = vec![Slot::EMPTY; next_lpid as usize];
     // headers of a dead transaction's shadow pages (whatever their lpid:
     // the retry hands the same fresh lpids out again)
     let mut stale: Vec<u64> = Vec::new();
     for phys in 0..bump {
-        let mut b = [0u8; PAGE];
-        store.read_page(page_off(phys), &mut b);
-        let tag = hdr_tag(&b);
+        let b = store.page(page_off(phys));
+        let tag = hdr_tag(b);
         if tag != TAG_LEAF && tag != TAG_INNER {
             continue;
         }
-        let l = hdr_lpid(&b);
-        let v = hdr_version(&b);
+        let l = hdr_lpid(b);
+        let v = hdr_version(b);
         if v > version {
             stale.push(page_off(phys));
             continue;
@@ -1264,40 +1312,33 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
         if l >= next_lpid {
             continue;
         }
-        match winners.entry(l) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                if v > e.get().0 {
-                    e.insert((v, phys));
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert((v, phys));
-            }
+        let s = &mut slots[l as usize];
+        if s.phys == PHYS_NONE || v > s.version {
+            (s.version, s.phys) = (v, phys);
         }
     }
 
     // reachability walk from the durable root, validating structure
     let mut reach = vec![false; bump as usize];
-    let mut remap: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
-    let mut visited: HashSet<u64> = HashSet::new();
     let mut counted = 0u64;
     let mut stack = vec![(root_lpid, 1u64)];
     while let Some((l, depth)) = stack.pop() {
-        let &(v, phys) = winners
-            .get(&l)
-            .ok_or(TreeError::UnresolvedChild { lpid: l })?;
-        if !visited.insert(l) {
+        let phys = slots[l as usize].phys;
+        if phys == PHYS_NONE {
+            return Err(TreeError::UnresolvedChild { lpid: l });
+        }
+        // a node page carries one logical id, so reaching the page
+        // twice is reaching its id twice (value cells, the other pages
+        // marked below, are never node pages: their tag is checked)
+        if std::mem::replace(&mut reach[phys as usize], true) {
             return Err(TreeError::BadPage {
                 phys,
                 why: "logical page reached twice (cycle)",
             });
         }
-        reach[phys as usize] = true;
-        remap.insert(l, vec![(v, phys)]);
-        let mut b = [0u8; PAGE];
-        store.read_page(page_off(phys), &mut b);
-        let n = hdr_count(&b);
-        if hdr_tag(&b) == TAG_LEAF {
+        let b = store.page(page_off(phys));
+        let n = hdr_count(b);
+        if hdr_tag(b) == TAG_LEAF {
             if n > LEAF_CAP {
                 return Err(TreeError::BadPage {
                     phys,
@@ -1312,7 +1353,7 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
             }
             let mut prev: Option<u64> = None;
             for i in 0..n {
-                let k = leaf_key(&b, i);
+                let k = leaf_key(b, i);
                 if prev.is_some_and(|p| p >= k) {
                     return Err(TreeError::BadPage {
                         phys,
@@ -1320,16 +1361,15 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
                     });
                 }
                 prev = Some(k);
-                let vp = leaf_vptr(&b, i);
+                let vp = leaf_vptr(b, i);
                 if vp >= bump {
                     return Err(TreeError::BadPage {
                         phys,
                         why: "value pointer out of range",
                     });
                 }
-                let mut vb = [0u8; PAGE];
-                store.read_page(page_off(vp), &mut vb);
-                if hdr_tag(&vb) != TAG_VAL || hdr_count(&vb) > MAX_VALUE {
+                let vb = store.page(page_off(vp));
+                if hdr_tag(vb) != TAG_VAL || hdr_count(vb) > MAX_VALUE {
                     return Err(TreeError::BadPage {
                         phys: vp,
                         why: "leaf points at a non-value page",
@@ -1352,7 +1392,7 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
                 });
             }
             for i in 0..=n {
-                let c = inner_child(&b, i);
+                let c = inner_child(b, i);
                 if c >= next_lpid {
                     return Err(TreeError::BadPage {
                         phys,
@@ -1365,6 +1405,13 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
     }
     if counted != len {
         return Err(TreeError::BadMeta("key count does not match the tree"));
+    }
+    // a winner the root never reaches serves nobody (only a damaged
+    // image has one); its page goes on the free list below
+    for s in &mut slots {
+        if s.phys != PHYS_NONE && !reach[s.phys as usize] {
+            *s = Slot::EMPTY;
+        }
     }
     let free = (0..bump).filter(|&p| !reach[p as usize]).collect();
     for batch in stale.chunks(VOID_BATCH) {
@@ -1386,7 +1433,7 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
         seg_tables,
         segs,
         free,
-        remap,
+        slots,
         voided: stale.len(),
     })
 }
@@ -1661,6 +1708,37 @@ mod tests {
         let t3 = Tree::attach(t2.store).unwrap();
         assert_eq!(t3.voided_pages(), 0);
         assert_eq!(t3.scan(None, 0, u64::MAX, usize::MAX), want);
+    }
+
+    /// A 100-key tree whose durable `next_lpid` (word 3 of the meta
+    /// head) is overwritten with `f(bump)`, then re-attached.
+    fn attach_with_next_lpid(f: impl Fn(u64) -> u64) -> Result<Tree<MemPager>, TreeError> {
+        let mut t = mem_tree();
+        t.begin();
+        for k in 0..100u64 {
+            t.put(k, &k.to_le_bytes()).unwrap();
+        }
+        t.commit();
+        let next_lpid = f(t.bump);
+        t.store.begin();
+        t.store.write(t.meta_off + 24, &next_lpid.to_le_bytes());
+        t.store.commit();
+        Tree::attach(t.store)
+    }
+
+    #[test]
+    fn attach_rejects_next_lpid_above_the_page_high_water_mark() {
+        // every logical page owns a physical one, so no sound image
+        // counts more of them than it has pages — and the slot table is
+        // sized from this field
+        for hostile in [|_| 1u64 << 40, |bump| bump + 1] {
+            let err = attach_with_next_lpid(hostile).map(|_| ()).unwrap_err();
+            assert_eq!(err, TreeError::BadMeta("inconsistent header fields"));
+        }
+        // the bound itself is legal: unused ids are merely skipped
+        let t = attach_with_next_lpid(|bump| bump).unwrap();
+        assert_eq!(t.len(), 100);
+        assert_eq!(t.get(99).as_deref(), Some(&99u64.to_le_bytes()[..]));
     }
 
     #[test]

@@ -1,18 +1,23 @@
-//! The persistence counts of one fixed program, as literals.
+//! The persistence counts of two fixed programs, as literals.
 //!
 //! Every layer under `Shard::put_many` — the region's line tracking,
 //! the flush ring's drain, the undo log's grouped append, the shard's
-//! own planning — may get faster, but none may execute one store, flush
-//! or fence more or less than it did: the crash matrices index crash
-//! points by micro-step, and the benchmark's `flush_ratio` /
-//! `nvm_flushes_per_op` are these counters divided. The numbers below
-//! were recorded before PR 17 replaced the region's hash maps with a
-//! dense line-state array, and carried over unchanged.
+//! own planning — and every volatile structure of the tree — its remap,
+//! its free list, its transaction bookkeeping — may get faster, but
+//! none may execute one store, flush or fence more or less than it did:
+//! the crash matrices index crash points by micro-step, and the
+//! benchmark's `flush_ratio` / `nvm_flushes_per_op` are these counters
+//! divided. The shard program's numbers were recorded before PR 17
+//! replaced the region's hash maps with a dense line-state array, the
+//! tree program's before PR 18 replaced the tree's hashed remap with a
+//! slot table and its page copies with borrows; both were carried over
+//! unchanged.
 
 use nvcache::core::PolicyKind;
 use nvcache::fase::FaseStats;
 use nvcache::kvstore::{Shard, ShardConfig};
-use nvcache::pmem::{PmemStats, RingStats};
+use nvcache::pmem::{CrashMode, PmemStats, RingStats};
+use nvcache::treestore::{Tree, TreeConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -79,6 +84,89 @@ fn put_many_program_counts_are_pinned() {
             elided: 0,
             sweeps: 2_538,
             drains: 200,
+        }
+    );
+}
+
+/// 150 seeded transactions of 1..=12 puts and deletes over 400 keys on
+/// a pipelined tree: leaf and inner splits, in-transaction second
+/// touches, a snapshot pinned across fifteen commits (retired pages
+/// held back, then recycled in one sweep) and a power failure two
+/// thirds of the way through. Which physical page a transaction gets
+/// is decided by the order pages entered the free list, and a different
+/// page is a different line under the cache — so these literals also
+/// pin the order `reclaim` and recovery free pages in.
+#[test]
+fn tree_txn_program_counts_are_pinned() {
+    let mut t = Tree::create(&TreeConfig {
+        data_len: 1 << 21,
+        log_len: 1 << 16,
+        policy: PolicyKind::ScFixed { capacity: 8 },
+        pipelined: true,
+    })
+    .expect("format tree heap");
+    let mut rng = SmallRng::seed_from_u64(0x18_c0de);
+    let mut snap = None;
+    for txn in 0..150u64 {
+        match txn {
+            40 => snap = Some(t.pin()),
+            55 => t.unpin(snap.take().expect("pinned at 40")),
+            100 => t
+                .crash_and_recover(&CrashMode::StrictDurableOnly)
+                .expect("recover"),
+            _ => {}
+        }
+        t.begin();
+        for _ in 0..rng.gen_range(1..13usize) {
+            let key = rng.gen_range(0..400u64);
+            if rng.gen_range(0..8u32) == 0 {
+                t.delete(key).expect("delete");
+            } else {
+                let len = match key % 16 {
+                    0 => 0,
+                    1..=3 => 100,
+                    _ => 40,
+                };
+                t.put(key, &vec![txn as u8; len]).expect("put");
+            }
+        }
+        t.commit();
+    }
+    assert_eq!(t.len(), 301);
+    assert_eq!(t.height(), 3);
+    assert_eq!(t.pages_allocated(), 357);
+    assert_eq!(t.free_pages(), 22);
+    assert_eq!(t.steps(), 7_945);
+    let rt = t.store_mut().runtime_mut();
+    assert_eq!(
+        rt.region().stats(),
+        PmemStats {
+            bytes_written: 313_672,
+            stores: 2_645,
+            flushes: 4_685,
+            fences: 615,
+            crashes: 1,
+        }
+    );
+    assert_eq!(
+        rt.stats(),
+        FaseStats {
+            fases: 151,
+            stores: 1_860,
+            store_lines: 4_728,
+            data_flushes: 4_480,
+            fences: 151,
+            rollbacks: 0,
+        }
+    );
+    assert_eq!(
+        rt.ring_stats(),
+        RingStats {
+            submitted: 4_480,
+            flushed: 4_064,
+            elided: 0,
+            sweeps: 1_523,
+            drains: 151,
         }
     );
 }

@@ -5,7 +5,8 @@
 //! and its MVCC snapshots must stay frozen while writers commit.
 
 use nvcache::core::PolicyKind;
-use nvcache::treestore::{Tree, TreeConfig, MAX_VALUE};
+use nvcache::pmem::CrashMode;
+use nvcache::treestore::{Snapshot, Tree, TreeConfig, MAX_VALUE};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -255,4 +256,128 @@ fn snapshots_observe_version_ordered_history() {
     }
     t.reclaim();
     assert_eq!(t.retired_pages(), 0);
+}
+
+type Model = BTreeMap<u64, Vec<u8>>;
+
+/// Pin a new snapshot (at most four live, each with a clone of the
+/// committed model) or release a random live one.
+fn churn_pins(t: &mut Tree, pins: &mut Vec<(Snapshot, Model)>, committed: &Model, s: &mut u64) {
+    match splitmix(s) % 4 {
+        0 if pins.len() < 4 => pins.push((t.pin(), committed.clone())),
+        1 if !pins.is_empty() => {
+            let (snap, _) = pins.swap_remove(splitmix(s) as usize % pins.len());
+            t.unpin(snap);
+        }
+        _ => {}
+    }
+}
+
+/// The current view must answer from `view`, every live snapshot from
+/// the model cloned when it was pinned: point reads and bounded scans.
+fn check_views(t: &Tree, view: &Model, pins: &[(Snapshot, Model)], keys: u64, s: &mut u64) {
+    for _ in 0..4 {
+        let key = splitmix(s) % keys;
+        let (a, b) = (splitmix(s) % keys, splitmix(s) % (keys + 20));
+        let limit = (splitmix(s) % 24) as usize + 1;
+        assert_eq!(t.get(key), view.get(&key).cloned(), "get({key})");
+        assert_eq!(
+            t.scan(None, a, b, limit),
+            model_scan(view, a, b, limit),
+            "scan({a}..={b}, {limit})"
+        );
+        for (snap, frozen) in pins {
+            let v = snap.version();
+            assert_eq!(
+                t.get_at(snap, key),
+                frozen.get(&key).cloned(),
+                "get_at(v{v}, {key})"
+            );
+            assert_eq!(
+                t.scan(Some(snap), a, b, limit),
+                model_scan(frozen, a, b, limit),
+                "scan(v{v}, {a}..={b}, {limit})"
+            );
+        }
+    }
+}
+
+/// Randomized MVCC differential: transactions of 1..=12 puts and
+/// deletes over 300 keys with up to four live snapshots, pinned between
+/// *and inside* transactions and released in random order, and a power
+/// failure every hundred rounds. While each transaction is open the
+/// current view must answer from the staged model and every snapshot
+/// from its own clone — and again once it has committed.
+#[test]
+fn snapshots_and_the_open_transaction_each_read_their_own_version() {
+    const KEYS: u64 = 300;
+    for seed in [18u64, 0x5eed, 0xfeed_f00d] {
+        let mut t = Tree::create(&cfg()).expect("format tree heap");
+        let mut committed = Model::new();
+        let mut pins: Vec<(Snapshot, Model)> = Vec::new();
+        let mut s = seed;
+        for round in 1..=400 {
+            if round % 100 == 0 {
+                t.crash_and_recover(&CrashMode::StrictDurableOnly)
+                    .expect("recover");
+                pins.clear(); // a crash drops every pin
+                assert_eq!(
+                    t.retired_pages(),
+                    0,
+                    "round {round}: recovery holds nothing"
+                );
+                assert_eq!(t.min_pinned(), None);
+            }
+            churn_pins(&mut t, &mut pins, &committed, &mut s);
+
+            t.begin();
+            let mut staged = committed.clone();
+            for _ in 0..1 + splitmix(&mut s) % 12 {
+                let key = splitmix(&mut s) % KEYS;
+                if splitmix(&mut s).is_multiple_of(4) {
+                    let existed = t.delete(key).expect("delete");
+                    assert_eq!(existed, staged.remove(&key).is_some(), "delete({key})");
+                } else {
+                    let len = match key % 8 {
+                        0 => 0,
+                        1 => 100 + (splitmix(&mut s) % 100) as usize,
+                        _ => 8 + (splitmix(&mut s) % 40) as usize,
+                    };
+                    let v = value(splitmix(&mut s), len);
+                    t.put(key, &v).expect("put within capacity");
+                    staged.insert(key, v);
+                }
+                // a pin taken inside a transaction freezes the last
+                // *committed* state, not what is staged
+                churn_pins(&mut t, &mut pins, &committed, &mut s);
+            }
+            check_views(&t, &staged, &pins, KEYS, &mut s);
+            t.commit();
+            committed = staged;
+            check_views(&t, &committed, &pins, KEYS, &mut s);
+            assert_eq!(t.len(), committed.len() as u64, "round {round}");
+            if pins.is_empty() {
+                assert_eq!(
+                    t.retired_pages(),
+                    0,
+                    "round {round}: nothing to hold a superseded page back"
+                );
+            }
+        }
+        for (snap, frozen) in pins.drain(..) {
+            assert_eq!(
+                t.scan(Some(&snap), 0, u64::MAX, usize::MAX),
+                model_scan(&frozen, 0, u64::MAX, usize::MAX),
+                "full dump at v{}",
+                snap.version()
+            );
+            t.unpin(snap);
+        }
+        assert_eq!(t.retired_pages(), 0);
+        assert_eq!(
+            t.scan(None, 0, u64::MAX, usize::MAX),
+            model_scan(&committed, 0, u64::MAX, usize::MAX),
+            "full dump"
+        );
+    }
 }
