@@ -11,27 +11,18 @@
 //!              kv-bench     (YCSB grids over the sharded KV store
 //!                            → BENCH_kv.json; --smoke for CI sizes,
 //!                            checks only, no file)
-//!              tree-crash   (crash-point sweep over tree transactions:
-//!                            committed-prefix oracle on both flush
-//!                            paths × crash modes; nonzero on failure)
-//!              crash-matrix (crash-point fuzz: all policies × crash
-//!                            modes × seeds; exits nonzero on failure)
 //!              all          (tables + figures)
 //!              ablations    (all seven ablations)
 //! ```
 //!
-//! `crash-matrix` takes `--seeds N` (default 3): programs per cell. It
-//! is the CI smoke form of `tests/crash_fuzz.rs` — every micro-step of
-//! each program is crashed, recovered and checked against the oracle.
+//! `repro` measures; it judges nothing. Comparing two commits is the
+//! repo benchmark's job (`benchmark/`, `BENCHMARK.json`), and crash
+//! consistency is the test suites' (`tests/crash_fuzz.rs`,
+//! `tests/tree_crash.rs`, `tests/kv_crash.rs`,
+//! `crates/kvstore/tests/net_e2e.rs` — DESIGN.md §6.2, §9–§11).
 //!
-//! Comparing two commits is not `repro`'s job: the repo benchmark
-//! (`benchmark/`, `BENCHMARK.json`) runs and judges them.
-//!
-//! `repro net-smoke` runs the network serving path end to end over the
-//! in-process transport — pipelined multi-connection loadgen, crash,
-//! recover, ack-after-commit audit — and exits nonzero if any acked
-//! write did not survive. `repro kv-serve` / `repro kv-load` are the
-//! real-TCP forms: a server that runs until killed and an open-loop
+//! `repro kv-serve` / `repro kv-load` drive the network serving path
+//! over real TCP: a server that runs until killed and an open-loop
 //! loadgen printing one JSON summary line.
 //!
 //! `--scale` is the fraction of the paper's problem sizes (default
@@ -48,8 +39,6 @@ use nvcache_bench::experiments::{ablations, figs, kv, tables, DEFAULT_SCALE, THR
 use nvcache_bench::report::{telemetry_envelope, telemetry_table};
 use nvcache_bench::{telemetry, Table};
 use nvcache_core::{AdaptiveConfig, PolicyKind};
-use nvcache_fase::{crash_fuzz, CrashFuzzConfig};
-use nvcache_pmem::CrashMode;
 
 struct Args {
     experiment: String,
@@ -57,7 +46,6 @@ struct Args {
     threads: Vec<usize>,
     json: bool,
     telemetry: Option<String>,
-    seeds: u64,
     smoke: bool,
 }
 
@@ -68,7 +56,6 @@ fn parse_args() -> Args {
         threads: THREAD_SWEEP.to_vec(),
         json: false,
         telemetry: None,
-        seeds: 3,
         smoke: false,
     };
     let mut it = std::env::args().skip(1);
@@ -89,13 +76,6 @@ fn parse_args() -> Args {
             }
             "--json" => args.json = true,
             "--smoke" => args.smoke = true,
-            "--seeds" => {
-                args.seeds = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| usage("missing or bad value for --seeds"));
-            }
             "--telemetry" => {
                 args.telemetry = Some(it.next().unwrap_or_else(|| usage("missing --telemetry")));
             }
@@ -116,17 +96,11 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro <experiment> [--scale S] [--threads a,b,c] [--json] [--telemetry FILE]\n\
-         \x20      repro crash-matrix [--seeds N] [--json]\n\
          experiments: table1 table2 table3 table4 fig2 fig4 fig5 fig6 fig7 fig8\n\
          \x20            ablation-knee ablation-atlas ablation-bound ablation-burst\n\
          \x20            ablation-clwb ablation-phased ablation-groups\n\
          \x20            kv-bench [--smoke] (YCSB grids; writes BENCH_kv.json\n\
          \x20                     unless --smoke)\n\
-         \x20            tree-crash [--seeds N] (tree txn crash-point sweep;\n\
-         \x20                       nonzero exit on a torn transaction)\n\
-         \x20            crash-matrix (crash-point fuzz; nonzero exit on failure)\n\
-         \x20            net-smoke [--connections N] [--depth D] [--ops N]\n\
-         \x20                      (in-process wire-protocol sweep + crash audit)\n\
          \x20            kv-serve [--addr HOST:PORT] (TCP server; SIGINT/SIGTERM prints a summary)\n\
          \x20            kv-load  [--addr HOST:PORT] [--connections N] [--depth D]\n\
          \x20                     [--ops N] [--rate R] (open-loop TCP loadgen)\n\
@@ -184,263 +158,8 @@ fn run_one(name: &str, scale: f64, threads: &[usize], smoke: bool) -> Vec<Table>
     }
 }
 
-/// Crash-point fuzz matrix: every policy × every crash adversary ×
-/// `seeds` deterministic programs, a crash injected at every micro-step
-/// of each, recovery checked against the atomicity oracle. Returns the
-/// per-cell table, the total schedule count, and whether all passed.
-fn crash_matrix(seeds: u64) -> (Table, u64, bool) {
-    let cfg = CrashFuzzConfig::default();
-    let policies = [
-        PolicyKind::Eager,
-        PolicyKind::Lazy,
-        PolicyKind::Atlas { size: 8 },
-        PolicyKind::ScFixed { capacity: 4 },
-        PolicyKind::ScAdaptive(AdaptiveConfig {
-            burst_len: 16,
-            ..Default::default()
-        }),
-        PolicyKind::Best,
-    ];
-    let mut t = Table::new(
-        &format!(
-            "Crash-point matrix: {} FASEs/program, {seeds} seeds, crash at every micro-step",
-            cfg.fases
-        ),
-        &[
-            "policy",
-            "mode",
-            "clients",
-            "seeds",
-            "schedules",
-            "failures",
-            "result",
-        ],
-    );
-    let mut total = 0u64;
-    let mut all_ok = true;
-    for kind in &policies {
-        for mode_name in ["strict", "all-in-flight", "random"] {
-            // clients > 1 sweeps the concurrent submission path: each
-            // FASE is a cross-client group commit (a smaller program,
-            // since per-FASE step mass grows with the merge width).
-            for clients in [1usize, 4] {
-                let cell_cfg = if clients == 1 {
-                    cfg.clone()
-                } else {
-                    CrashFuzzConfig {
-                        fases: 3,
-                        stores_per_fase: 4,
-                        clients,
-                        ..cfg.clone()
-                    }
-                };
-                let mut schedules = 0u64;
-                let mut failures = 0u64;
-                for seed in 0..seeds {
-                    let mode = match mode_name {
-                        "strict" => CrashMode::StrictDurableOnly,
-                        "all-in-flight" => CrashMode::AllInFlightLands,
-                        _ => CrashMode::random(0.5, 0.5, seed),
-                    };
-                    let r = crash_fuzz(kind, &mode, seed, &cell_cfg);
-                    schedules += r.schedules;
-                    failures += r.failure_count;
-                    if let Some(f) = r.failures.first() {
-                        eprintln!(
-                            "FAIL {} {mode_name} clients {clients} seed {seed} step {}: {}",
-                            kind.label(),
-                            f.step,
-                            f.detail
-                        );
-                    }
-                }
-                total += schedules;
-                all_ok &= failures == 0;
-                t.row(vec![
-                    kind.label().to_string(),
-                    mode_name.to_string(),
-                    clients.to_string(),
-                    seeds.to_string(),
-                    schedules.to_string(),
-                    failures.to_string(),
-                    if failures == 0 { "pass" } else { "FAIL" }.to_string(),
-                ]);
-            }
-        }
-    }
-    (t, total, all_ok)
-}
-
-/// `repro tree-crash [--seeds N]` — the CI smoke form of
-/// `tests/tree_crash.rs`: deterministic programs of committed CoW
-/// transactions per seed, a crash injected at strided micro-steps under
-/// all three adversaries on both flush paths, recovery via
-/// `Tree::reopen_from_image`, and the committed-prefix oracle — the
-/// recovered tree must equal the state after a whole number of
-/// committed transactions. Every recovered image then goes a second
-/// round (one-leaf retry commit, strict power failure, in-place
-/// recovery, exact state), because a stale shadow page only shows at
-/// the recovery *after* a retry. Returns the per-cell table, the total
-/// recovery count, and whether all held.
-fn tree_crash_matrix(seeds: u64) -> (Table, u64, bool) {
-    use nvcache_pmem::CrashPlan;
-    use nvcache_treestore::{Tree, TreeConfig};
-    fn mix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-    /// Key universe of the programs.
-    const KEYS: u64 = 32;
-    // one txn = (key, Some(value-tag)) puts and (key, None) deletes
-    type Txn = Vec<(u64, Option<u64>)>;
-    fn program(seed: u64, txns: usize, keys: u64) -> Vec<Txn> {
-        let mut s = seed;
-        (0..txns)
-            .map(|_| {
-                let n = 3 + (mix64(&mut s) % 6) as usize;
-                (0..n)
-                    .map(|_| {
-                        let r = mix64(&mut s);
-                        let key = mix64(&mut s) % keys;
-                        if r.is_multiple_of(5) {
-                            (key, None)
-                        } else {
-                            (key, Some(mix64(&mut s)))
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-    fn apply(t: &mut nvcache_treestore::Tree, txn: &Txn) {
-        t.begin();
-        for (key, tag) in txn {
-            match tag {
-                Some(tag) => {
-                    let len = 8 + (tag % 40) as usize;
-                    let v: Vec<u8> = (0..len).map(|i| (tag >> (8 * (i % 8))) as u8).collect();
-                    t.put(*key, &v).expect("put within capacity");
-                }
-                None => {
-                    t.delete(*key).expect("delete");
-                }
-            }
-        }
-        t.commit();
-    }
-    let cfg_for = |pipelined| TreeConfig {
-        data_len: 1 << 21,
-        log_len: 1 << 18,
-        policy: PolicyKind::ScFixed { capacity: 8 },
-        pipelined,
-    };
-    let dump = |t: &nvcache_treestore::Tree| t.scan(None, 0, u64::MAX, usize::MAX);
-    let mut t = Table::new(
-        &format!("Tree crash-point matrix: 12 txns/program, {seeds} seeds, strided micro-steps"),
-        &["path", "mode", "seeds", "recoveries", "failures", "result"],
-    );
-    let mut total = 0u64;
-    let mut all_ok = true;
-    for pipelined in [false, true] {
-        let cfg = cfg_for(pipelined);
-        let path = if pipelined { "pipelined" } else { "sync" };
-        for mode_name in ["strict", "all-in-flight", "random"] {
-            let mut recoveries = 0u64;
-            let mut failures = 0u64;
-            for seed in 0..seeds {
-                let prog = program(0xa11ce + seed, 12, KEYS);
-                let mut rec_tree = Tree::create(&cfg).expect("format tree heap");
-                let mut commit_steps = vec![rec_tree.steps()];
-                let mut snaps = vec![dump(&rec_tree)];
-                for txn in &prog {
-                    apply(&mut rec_tree, txn);
-                    commit_steps.push(rec_tree.steps());
-                    snaps.push(dump(&rec_tree));
-                }
-                let setup = commit_steps[0];
-                let total_steps = *commit_steps.last().unwrap();
-                let stride = ((total_steps - setup) / 12).max(1);
-                let mut k = setup + 1;
-                while k < total_steps {
-                    let mode = match mode_name {
-                        "strict" => CrashMode::StrictDurableOnly,
-                        "all-in-flight" => CrashMode::AllInFlightLands,
-                        _ => CrashMode::random(0.5, 0.5, seed),
-                    };
-                    let mut tr = Tree::create(&cfg).expect("format tree heap");
-                    tr.arm_crash(CrashPlan { at_step: k, mode });
-                    for txn in &prog {
-                        apply(&mut tr, txn);
-                    }
-                    let image = tr.take_crash_image().expect("crash step within program");
-                    recoveries += 1;
-                    match Tree::reopen_from_image(image, &cfg) {
-                        Ok(mut rec) => {
-                            let committed = commit_steps.iter().rposition(|&c| c <= k).unwrap();
-                            let got = dump(&rec);
-                            if !(got == snaps[committed] || Some(&got) == snaps.get(committed + 1))
-                            {
-                                failures += 1;
-                                eprintln!(
-                                    "FAIL {path} {mode_name} seed {seed} step {k}: \
-                                     torn transaction (neither txn {committed}'s \
-                                     state nor txn {}'s)",
-                                    committed + 1
-                                );
-                            }
-                            // round two: a one-leaf retry commits under
-                            // the version the dead attempt used, then
-                            // power fails again — a shadow header the
-                            // first recovery left behind would win here
-                            apply(&mut rec, &vec![(k % KEYS, Some(k))]);
-                            let want = dump(&rec);
-                            recoveries += 1;
-                            match rec.crash_and_recover(&CrashMode::StrictDurableOnly) {
-                                Ok(()) if dump(&rec) == want => {}
-                                Ok(()) => {
-                                    failures += 1;
-                                    eprintln!(
-                                        "FAIL {path} {mode_name} seed {seed} step {k}: \
-                                         retry commit lost or mixed with the dead attempt"
-                                    );
-                                }
-                                Err(e) => {
-                                    failures += 1;
-                                    eprintln!(
-                                        "FAIL {path} {mode_name} seed {seed} step {k} \
-                                         (second recovery): {e:?}"
-                                    );
-                                }
-                            }
-                        }
-                        Err(e) => {
-                            failures += 1;
-                            eprintln!("FAIL {path} {mode_name} seed {seed} step {k}: {e:?}");
-                        }
-                    }
-                    k += stride;
-                }
-            }
-            total += recoveries;
-            all_ok &= failures == 0;
-            t.row(vec![
-                path.to_string(),
-                mode_name.to_string(),
-                seeds.to_string(),
-                recoveries.to_string(),
-                failures.to_string(),
-                if failures == 0 { "pass" } else { "FAIL" }.to_string(),
-            ]);
-        }
-    }
-    (t, total, all_ok)
-}
-
-/// Build the KV server the network subcommands share: SC-adaptive
-/// policy, pipelined flush path, group commit on.
+/// Build the KV server `kv-serve` runs: SC-adaptive policy, pipelined
+/// flush path, group commit on.
 fn net_kv_server(shards: usize) -> std::sync::Arc<nvcache_kvstore::KvServer> {
     use nvcache_kvstore::{AdaptConfig, KvConfig, KvServer, ServerConfig, ShardConfig};
     std::sync::Arc::new(KvServer::new(
@@ -474,92 +193,6 @@ fn lane_paths(qs: &nvcache_kvstore::QueueStats) -> String {
         qs.queued_occupancy_mean(),
         qs.rejected,
     )
-}
-
-/// `repro net-smoke [--connections N] [--depth D] [--ops N]` — the CI
-/// acceptance sweep for the network serving path: an in-process
-/// transport, an open-loop pipelined loadgen with ack tracking, then a
-/// crash + recover and the ack-after-commit audit. Exits nonzero if any
-/// acked write is missing, stale, or corrupt after recovery.
-fn net_smoke(rest: Vec<String>) -> ! {
-    use nvcache_kvstore::{run_net, verify_acked, InProcTransport, NetLoadConfig, NetServer};
-    let (mut connections, mut depth, mut ops) = (8usize, 4usize, 2_000u64);
-    let mut it = rest.into_iter();
-    while let Some(a) = it.next() {
-        let mut num = |name: &str| {
-            it.next()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or_else(|| usage(&format!("missing or bad value for {name}")))
-        };
-        match a.as_str() {
-            "--connections" => connections = num("--connections") as usize,
-            "--depth" => depth = num("--depth") as usize,
-            "--ops" => ops = num("--ops"),
-            "--help" | "-h" => usage(""),
-            other => usage(&format!("unexpected argument {other}")),
-        }
-    }
-    let kv = net_kv_server(2);
-    let transport = InProcTransport::new();
-    let srv = NetServer::start(&transport, "inproc", std::sync::Arc::clone(&kv))
-        .expect("in-process listener");
-    let rep = run_net(
-        &transport,
-        "inproc",
-        &NetLoadConfig {
-            connections,
-            pipeline_depth: depth,
-            ops_per_conn: ops,
-            keys: 512,
-            track_acks: true,
-            target_ops_per_sec: 100_000.0,
-            ..Default::default()
-        },
-    );
-    let frames_in = srv
-        .stats()
-        .frames_in
-        .load(std::sync::atomic::Ordering::Relaxed);
-    srv.shutdown();
-    let lanes = lane_paths(&kv.queue_stats());
-    let answered_all = rep.ops_answered == rep.ops_sent;
-    // the audit only means something after the server actually died:
-    // drop every non-durable line, recover, then check the acks
-    kv.crash_and_recover_all(&CrashMode::StrictDurableOnly);
-    let audit = verify_acked(&kv, &rep);
-    kv.close();
-    let snap = &rep.snapshot;
-    let mut merged = nvcache_telemetry::Histogram::new();
-    merged.merge(snap.hist(nvcache_telemetry::HistId::KvGetNs));
-    merged.merge(snap.hist(nvcache_telemetry::HistId::KvPutNs));
-    let (p50, p99, p999) = merged.percentiles();
-    eprintln!(
-        "[net-smoke: {connections} conns x depth {depth}, {}/{} answered, \
-         {} frames in, {:.0} ops/s, p50/p99/p999 {p50}/{p99}/{p999} ns]",
-        rep.ops_answered,
-        rep.ops_sent,
-        frames_in,
-        rep.ops_per_sec(),
-    );
-    eprintln!("[net-smoke: lanes served {lanes}]");
-    match (&audit, answered_all) {
-        (Ok(()), true) => {
-            eprintln!("[net-smoke: every acked write survived crash + recover]");
-            std::process::exit(0);
-        }
-        (Ok(()), false) => {
-            eprintln!(
-                "error: {} requests went unanswered",
-                rep.ops_sent - rep.ops_answered
-            );
-            std::process::exit(1);
-        }
-        (Err(e), _) => {
-            eprintln!("error: ack-after-commit violated: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 /// Set by SIGINT/SIGTERM so `kv-serve` can shut down and print its
@@ -700,50 +333,11 @@ fn kv_load(rest: Vec<String>) -> ! {
 fn main() {
     let mut argv = std::env::args().skip(1);
     match argv.next().as_deref() {
-        Some("net-smoke") => net_smoke(argv.collect()),
         Some("kv-serve") => kv_serve(argv.collect()),
         Some("kv-load") => kv_load(argv.collect()),
         _ => {}
     }
     let args = parse_args();
-    if args.experiment == "crash-matrix" {
-        let start = std::time::Instant::now();
-        let (t, schedules, ok) = crash_matrix(args.seeds);
-        if args.json {
-            println!("{}", t.to_json());
-        } else {
-            t.print();
-        }
-        eprintln!(
-            "[crash-matrix: {schedules} schedules, {} in {:.1}s]",
-            if ok {
-                "all consistent"
-            } else {
-                "ORACLE VIOLATED"
-            },
-            start.elapsed().as_secs_f64()
-        );
-        std::process::exit(if ok { 0 } else { 1 });
-    }
-    if args.experiment == "tree-crash" {
-        let start = std::time::Instant::now();
-        let (t, recoveries, ok) = tree_crash_matrix(args.seeds);
-        if args.json {
-            println!("{}", t.to_json());
-        } else {
-            t.print();
-        }
-        eprintln!(
-            "[tree-crash: {recoveries} recoveries, {} in {:.1}s]",
-            if ok {
-                "all committed-prefix"
-            } else {
-                "ORACLE VIOLATED"
-            },
-            start.elapsed().as_secs_f64()
-        );
-        std::process::exit(if ok { 0 } else { 1 });
-    }
     if args.telemetry.is_some() {
         telemetry::enable();
     }

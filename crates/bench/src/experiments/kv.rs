@@ -15,8 +15,8 @@ use crate::report::{json_str, Table};
 use nvcache_core::{AdaptiveConfig, PolicyKind};
 use nvcache_fase::FaseStats;
 use nvcache_kvstore::{
-    load, load_on, run, run_net, run_on, AdaptConfig, InProcTransport, KeyDist, KvConfig, KvServer,
-    KvStore, Mix, NetLoadConfig, NetServer, QueueStats, ServerConfig, ShardConfig, YcsbConfig,
+    load, run, run_net, AdaptConfig, InProcTransport, KeyDist, KvConfig, KvServer, KvStore, Mix,
+    NetLoadConfig, NetServer, QueueStats, ServerConfig, ShardConfig, YcsbConfig,
 };
 use nvcache_locality::{lru_mrc, select_cache_size, KneeConfig};
 use nvcache_telemetry::{
@@ -531,7 +531,7 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
                         ..Default::default()
                     },
                 );
-                load_on(&server, keys, VALUE_LEN);
+                load(&server, keys, VALUE_LEN);
                 // queue counters accumulate from birth; snapshot after
                 // the load phase so occupancy reflects the measurement
                 let qs0 = server.queue_stats();
@@ -542,7 +542,7 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
                     batch: 1,
                     ..ycsb.clone()
                 };
-                let rep = run_on(&server, &cfg);
+                let rep = run(&server, &cfg);
                 let mut this = Run::new(
                     rep.throughput_ops_per_sec,
                     rep.windows.iter().map(|w| w.stats).sum(),
@@ -591,7 +591,7 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
         let mut best: Option<Run> = None;
         for _ in 0..repeats {
             let server = Arc::new(KvServer::new(&lane_cfg, &ServerConfig::default()));
-            load_on(server.as_ref(), keys, VALUE_LEN);
+            load(server.as_ref(), keys, VALUE_LEN);
             server.take_stats(); // isolate the serving phase
             let qs0 = server.queue_stats();
             let transport = InProcTransport::new();

@@ -25,11 +25,6 @@ pub struct AdaptiveConfig {
     /// Writes to skip between bursts; `None` analyzes exactly once
     /// (paper behaviour).
     pub hibernation: Option<u64>,
-    /// Modeled bookkeeping instructions to record one sampled write.
-    pub sample_instr_per_write: u64,
-    /// Modeled instructions per sampled write for the linear-time MRC
-    /// analysis at burst end (reuse(k) for all k + knee pick).
-    pub analysis_instr_per_write: u64,
     /// Disable the built-in burst sampler: capacity changes only through
     /// [`AdaptiveScPolicy::apply_capacity`]. This is the serving-layer
     /// configuration, where an external controller (one per KV shard)
@@ -44,8 +39,6 @@ impl Default for AdaptiveConfig {
             knee: KneeConfig::default(),
             burst_len: 1 << 16,
             hibernation: None,
-            sample_instr_per_write: 1,
-            analysis_instr_per_write: 10,
             external_control: false,
         }
     }
@@ -113,6 +106,12 @@ impl AdaptiveScPolicy {
     }
 }
 
+/// Modeled bookkeeping instructions to record one sampled write.
+const SAMPLE_INSTR_PER_WRITE: u64 = 1;
+/// Modeled instructions per sampled write for the linear-time MRC
+/// analysis at burst end (reuse(k) for all k + knee pick).
+const ANALYSIS_INSTR_PER_WRITE: u64 = 10;
+
 /// Low line-address bits preserved by FASE renaming.
 const RENAME_ADDR_BITS: u32 = 40;
 /// Epoch bits folded above the address bits. The renamed key is
@@ -161,7 +160,7 @@ impl PersistPolicy for AdaptiveScPolicy {
             self.sampler.phase(),
             nvcache_locality::sampling::SamplerPhase::Burst
         ) {
-            self.pending_instrs += self.cfg.sample_instr_per_write;
+            self.pending_instrs += SAMPLE_INSTR_PER_WRITE;
         }
         if let Some(mrc) = self.sampler.push(renamed) {
             // +1 safety entry: the timescale conversion's c-axis is
@@ -172,7 +171,7 @@ impl PersistPolicy for AdaptiveScPolicy {
             let size = (knee + 1).min(self.cfg.knee.max_size);
             self.selections.push(size);
             self.last_change = Some((knee, size));
-            self.pending_instrs += self.cfg.analysis_instr_per_write * self.cfg.burst_len as u64;
+            self.pending_instrs += ANALYSIS_INSTR_PER_WRITE * self.cfg.burst_len as u64;
             self.sc.set_capacity_into(size, out);
         }
         self.sc.on_store(line, out)

@@ -357,16 +357,15 @@ pub fn flush_stats_traced(
             (flushes, rec)
         })
     });
-    let mut flushes = Vec::with_capacity(per.len());
-    let mut shards = Vec::with_capacity(per.len());
-    for (f, r) in per {
-        flushes.push(f);
-        shards.push(r);
-    }
-    (
-        aggregate_flushes(kind, flushes),
-        TelemetrySnapshot::from_threads(shards),
-    )
+    let (flushes, snapshot) = split_shards(per);
+    (aggregate_flushes(kind, flushes), snapshot)
+}
+
+/// Split a traced replay's per-thread `(result, recorder)` pairs (in
+/// thread-id order) into the results and the merged snapshot.
+fn split_shards<T>(per: Vec<(T, ThreadRecorder)>) -> (Vec<T>, TelemetrySnapshot) {
+    let (results, shards): (Vec<T>, Vec<ThreadRecorder>) = per.into_iter().unzip();
+    (results, TelemetrySnapshot::from_threads(shards))
 }
 
 /// [`flush_stats_with`] through the boxed `dyn PersistPolicy` shim —
@@ -378,30 +377,6 @@ pub fn flush_stats_dyn(trace: &Trace, kind: &PolicyKind, opts: &ReplayOptions) -
         flush_thread(t, &mut *kind.build(), &mut NullRecorder)
     });
     aggregate_flushes(kind, per)
-}
-
-/// [`flush_stats_traced`] through the boxed `dyn` shim (reference).
-pub fn flush_stats_traced_dyn(
-    trace: &Trace,
-    kind: &PolicyKind,
-    opts: &ReplayOptions,
-    tcfg: &TelemetryConfig,
-) -> (FlushStats, TelemetrySnapshot) {
-    let per = fan_out(&trace.threads, opts.parallelism, |tid, t| {
-        let mut rec = ThreadRecorder::new(tid as u32, tcfg);
-        let flushes = flush_thread(t, &mut *kind.build(), &mut rec);
-        (flushes, rec)
-    });
-    let mut flushes = Vec::with_capacity(per.len());
-    let mut shards = Vec::with_capacity(per.len());
-    for (f, r) in per {
-        flushes.push(f);
-        shards.push(r);
-    }
-    (
-        aggregate_flushes(kind, flushes),
-        TelemetrySnapshot::from_threads(shards),
-    )
 }
 
 fn aggregate_flushes(kind: &PolicyKind, per: Vec<ThreadFlushes>) -> FlushStats {
@@ -667,16 +642,8 @@ pub fn run_policy_traced(
             (out, rec)
         })
     });
-    let mut runs = Vec::with_capacity(per.len());
-    let mut shards = Vec::with_capacity(per.len());
-    for (r, rec) in per {
-        runs.push(r);
-        shards.push(rec);
-    }
-    (
-        aggregate_runs(kind, runs),
-        TelemetrySnapshot::from_threads(shards),
-    )
+    let (runs, snapshot) = split_shards(per);
+    (aggregate_runs(kind, runs), snapshot)
 }
 
 /// [`run_policy_with`] through the boxed `dyn PersistPolicy` shim —
@@ -691,31 +658,6 @@ pub fn run_policy_dyn(
         replay_thread(t, tid, &mut *kind.build(), cfg, &mut NullRecorder)
     });
     aggregate_runs(kind, per)
-}
-
-/// [`run_policy_traced`] through the boxed `dyn` shim (reference).
-pub fn run_policy_traced_dyn(
-    trace: &Trace,
-    kind: &PolicyKind,
-    cfg: &RunConfig,
-    opts: &ReplayOptions,
-    tcfg: &TelemetryConfig,
-) -> (RunReport, TelemetrySnapshot) {
-    let per = fan_out(&trace.threads, opts.parallelism, |tid, t| {
-        let mut rec = ThreadRecorder::new(tid as u32, tcfg);
-        let out = replay_thread(t, tid, &mut *kind.build(), cfg, &mut rec);
-        (out, rec)
-    });
-    let mut runs = Vec::with_capacity(per.len());
-    let mut shards = Vec::with_capacity(per.len());
-    for (r, rec) in per {
-        runs.push(r);
-        shards.push(rec);
-    }
-    (
-        aggregate_runs(kind, runs),
-        TelemetrySnapshot::from_threads(shards),
-    )
 }
 
 fn aggregate_runs(kind: &PolicyKind, per: Vec<(u64, MachineReport)>) -> RunReport {

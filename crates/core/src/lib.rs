@@ -42,9 +42,9 @@ pub use adaptive::{rename_for_epoch, AdaptiveConfig, AdaptiveScPolicy};
 pub use atlas::AtlasPolicy;
 pub use best::BestPolicy;
 pub use driver::{
-    fan_out, flush_stats, flush_stats_dyn, flush_stats_traced, flush_stats_traced_dyn,
-    flush_stats_with, run_policy, run_policy_dyn, run_policy_traced, run_policy_traced_dyn,
-    run_policy_with, FlushStats, ReplayOptions, RunConfig, RunReport,
+    fan_out, flush_stats, flush_stats_dyn, flush_stats_traced, flush_stats_with, run_policy,
+    run_policy_dyn, run_policy_traced, run_policy_with, FlushStats, ReplayOptions, RunConfig,
+    RunReport,
 };
 pub use eager::EagerPolicy;
 pub use group::{group_threads, grouped_capacities, ThreadGroup};

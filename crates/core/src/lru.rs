@@ -173,14 +173,6 @@ impl LruCache {
         }
     }
 
-    /// Remove and return every cached line, LRU first. Allocating
-    /// wrapper over [`LruCache::drain_lru_first_into`].
-    pub fn drain_lru_first(&mut self) -> Vec<Line> {
-        let mut out = Vec::with_capacity(self.map.len());
-        self.drain_lru_first_into(&mut out);
-        out
-    }
-
     /// Change the capacity; if shrinking below the current length,
     /// evicts LRU lines, appending them to `out`.
     pub fn set_capacity_into(&mut self, capacity: usize, out: &mut Vec<Line>) {
@@ -189,14 +181,6 @@ impl LruCache {
         while self.map.len() > capacity {
             out.push(self.pop_lru());
         }
-    }
-
-    /// Change the capacity, returning any evicted LRU lines. Allocating
-    /// wrapper over [`LruCache::set_capacity_into`].
-    pub fn set_capacity(&mut self, capacity: usize) -> Vec<Line> {
-        let mut evicted = Vec::new();
-        self.set_capacity_into(capacity, &mut evicted);
-        evicted
     }
 
     /// Forget every cached line without reporting them (reset path —
@@ -278,20 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_is_lru_first_and_empties() {
-        let mut c = LruCache::new(3);
-        c.touch(l(1));
-        c.touch(l(2));
-        c.touch(l(3));
-        let d: Vec<u64> = c.drain_lru_first().iter().map(|x| x.0).collect();
-        assert_eq!(d, vec![1, 2, 3]);
-        assert!(c.is_empty());
-        // reusable after drain
-        c.touch(l(9));
-        assert!(c.contains(l(9)));
-    }
-
-    #[test]
     fn drain_into_appends_without_clearing_destination() {
         let mut c = LruCache::new(3);
         c.touch(l(1));
@@ -300,6 +270,9 @@ mod tests {
         c.drain_lru_first_into(&mut out);
         assert_eq!(out, vec![l(99), l(1), l(2)]);
         assert!(c.is_empty());
+        // reusable after drain
+        c.touch(l(9));
+        assert!(c.contains(l(9)));
     }
 
     #[test]
@@ -313,6 +286,7 @@ mod tests {
         assert_eq!(out, vec![l(99), l(1), l(2)]);
         assert_eq!(c.capacity(), 2);
         assert_eq!(c.len(), 2);
+        assert!(c.contains(l(3)) && c.contains(l(4)));
     }
 
     #[test]
@@ -330,24 +304,13 @@ mod tests {
     }
 
     #[test]
-    fn shrink_evicts_lru() {
-        let mut c = LruCache::new(4);
-        for i in 1..=4 {
-            c.touch(l(i));
-        }
-        let ev: Vec<u64> = c.set_capacity(2).iter().map(|x| x.0).collect();
-        assert_eq!(ev, vec![1, 2]);
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.capacity(), 2);
-        assert!(c.contains(l(3)) && c.contains(l(4)));
-    }
-
-    #[test]
     fn grow_keeps_contents() {
         let mut c = LruCache::new(2);
         c.touch(l(1));
         c.touch(l(2));
-        assert!(c.set_capacity(5).is_empty());
+        let mut evicted = Vec::new();
+        c.set_capacity_into(5, &mut evicted);
+        assert!(evicted.is_empty());
         c.touch(l(3));
         assert_eq!(c.len(), 3);
         assert!(c.contains(l(1)));
@@ -449,7 +412,8 @@ mod tests {
                 }
                 5 if i % 35 == 5 => {
                     cap = if cap == 6 { 3 } else { 6 };
-                    let evicted = c.set_capacity(cap);
+                    let mut evicted = Vec::new();
+                    c.set_capacity_into(cap, &mut evicted);
                     let mut expect_ev = Vec::new();
                     while oracle.len() > cap {
                         expect_ev.push(oracle.remove(0));

@@ -30,11 +30,6 @@ impl ScPolicy {
         self.cache.capacity()
     }
 
-    /// Resize the cache; evicted lines are returned for flushing.
-    pub fn set_capacity(&mut self, capacity: usize) -> Vec<Line> {
-        self.cache.set_capacity(capacity)
-    }
-
     /// Resize the cache, appending evicted lines to `out` (the
     /// allocation-free path the adaptive controller uses mid-replay).
     pub fn set_capacity_into(&mut self, capacity: usize, out: &mut Vec<Line>) {
@@ -169,8 +164,8 @@ mod tests {
         for i in 0..4u64 {
             p.on_store(Line(i), &mut out);
         }
-        let ev = p.set_capacity(2);
-        assert_eq!(ev.len(), 2);
+        p.set_capacity_into(2, &mut out);
+        assert_eq!(out.len(), 2);
         assert_eq!(p.capacity(), 2);
     }
 

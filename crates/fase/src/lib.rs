@@ -26,11 +26,9 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod fuzz;
 pub mod log;
 pub mod runtime;
 
 pub use error::RecoveryError;
-pub use fuzz::{crash_fuzz, CrashFuzzConfig, CrashFuzzReport, FuzzFailure};
 pub use log::{LogStats, UndoLog};
 pub use runtime::{FaseRuntime, FaseStats, FlushMode};

@@ -243,30 +243,10 @@ impl FaseRuntime {
     }
 
     /// Re-attach to a region that previously backed a runtime (e.g.
-    /// reopened from disk or after a crash), running recovery first.
-    ///
-    /// Convenience wrapper over [`FaseRuntime::try_reopen`] for regions
-    /// known to be well-formed (e.g. produced by this process).
-    ///
-    /// # Panics
-    /// When the region does not contain a FASE log — use `try_reopen`
-    /// for images of unknown provenance.
-    pub fn reopen(
-        region: PmemRegion,
-        data_len: usize,
-        log_len: usize,
-        policy: &PolicyKind,
-    ) -> Self {
-        match Self::try_reopen(region, data_len, log_len, policy) {
-            Ok(rt) => rt,
-            Err(e) => panic!("region does not contain a FASE log: {e}"),
-        }
-    }
-
-    /// Re-attach to a region, running recovery first. A region that was
-    /// never formatted as a FASE runtime (or whose log header is
-    /// corrupted beyond what a crash can produce) surfaces as a typed
-    /// [`RecoveryError`] instead of a panic, so callers handling
+    /// reopened from disk or after a crash), running recovery first. A
+    /// region that was never formatted as a FASE runtime (or whose log
+    /// header is corrupted beyond what a crash can produce) surfaces as
+    /// a typed [`RecoveryError`] instead of a panic, so callers handling
     /// untrusted images — disk files, fuzzer crash captures — can
     /// report the condition.
     pub fn try_reopen(
@@ -1173,7 +1153,8 @@ mod tests {
         let mut r = rt(PolicyKind::Lazy);
         r.fase(|r| r.store_u64(0, 42));
         let region = r.into_region();
-        let r2 = FaseRuntime::reopen(region, 1 << 16, 1 << 16, &PolicyKind::Lazy);
+        let r2 = FaseRuntime::try_reopen(region, 1 << 16, 1 << 16, &PolicyKind::Lazy)
+            .expect("region was formatted by this test");
         assert!(r2.last_recovery_ns().is_some(), "reopen timed its recovery");
     }
 
@@ -1311,12 +1292,13 @@ mod tests {
             region
         };
         region.crash(&CrashMode::AllInFlightLands);
-        let mut r2 = FaseRuntime::reopen(
+        let mut r2 = FaseRuntime::try_reopen(
             region,
             data_len,
             1 << 16,
             &PolicyKind::ScFixed { capacity: 8 },
-        );
+        )
+        .expect("region was formatted by this test");
         assert_eq!(r2.load_u64(0), 5, "reopen rolled back the open FASE");
         assert_eq!(r2.stats().rollbacks, 1);
     }

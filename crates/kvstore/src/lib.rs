@@ -5,22 +5,38 @@
 //! software write-combining cache, resized online from a miss-ratio
 //! curve sampled off the store's own write stream.
 //!
-//! Three layers:
+//! Nine modules, bottom up:
 //!
 //! - [`shard`] — one persistent open-chaining hash table per shard,
-//!   owning a private `FaseRuntime` (every `put`/`delete` is a FASE)
+//!   owning a private `FaseRuntime` (every `put`/`delete` is one FASE)
 //!   with `PAlloc`-backed buckets and value nodes, plus the shard's
 //!   live adaptation controller: a `BurstSampler` fed the shard's
 //!   FASE-renamed store-line stream, whose MRC knee resizes the
 //!   `AdaptiveScPolicy` capacity *between* FASEs while the shard keeps
 //!   serving. Capacity changes are pinned in the telemetry timeline.
+//! - [`engine`] — what a lane needs from the structure it serves
+//!   (`serve_batch`, crash / heal / sync, stats); [`Shard`] and the
+//!   CoW B+-tree of `nvcache-treestore` ([`TreeEngine`]) implement it.
 //! - [`store`] — hash-routes keys over `N` mutex-guarded shards, so the
 //!   per-thread cache model of the paper maps onto a concurrent server:
 //!   different shards serve in parallel, each runtime stays
 //!   single-owner.
+//! - [`queue`] — the bounded MPSC submission queue and completion slots
+//!   of a busy lane.
+//! - [`server`] — [`KvServer`]: a lane is one engine behind a mutex, one
+//!   queue and one worker, served by whichever thread finds it idle;
+//!   everything queued behind a FASE in progress commits as one
+//!   cross-client group. Acknowledged ⇒ durable.
+//! - [`proto`] — the length-prefixed, checksummed wire frames.
+//! - [`net`] — [`NetServer`] over a [`Transport`] (TCP, or in-process
+//!   pipes for tests): readers decode frames into lane groups, replies
+//!   go out after the owning FASE commits.
 //! - [`ycsb`] — a YCSB-style load generator (zipfian/uniform key
-//!   popularity, mixes A/B/C/D, deterministic per-worker seeds, open-
-//!   or closed-loop issue) with live per-window `FaseStats` scraping.
+//!   popularity, mixes A–F, deterministic per-worker seeds, open- or
+//!   closed-loop issue) with live per-window `FaseStats` scraping, over
+//!   any [`KvTarget`] (the direct store or the server).
+//! - [`netload`] — the open-loop pipelined loadgen for the wire path,
+//!   with ack tracking and the post-crash ack audit ([`verify_acked`]).
 //!
 //! ```
 //! use nvcache_kvstore::{load, run, KvConfig, KvStore, Mix, YcsbConfig};
@@ -68,6 +84,6 @@ pub use shard::{
 };
 pub use store::{KvConfig, KvStore};
 pub use ycsb::{
-    load, load_on, run, run_on, scheduled_latency_ns, value_bytes, KeyDist, KvTarget, Mix, OpMix,
-    ThetaShift, WindowStats, YcsbConfig, YcsbReport, Zipfian,
+    load, run, scheduled_latency_ns, value_bytes, KeyDist, KvTarget, Mix, OpMix, ThetaShift,
+    WindowStats, YcsbConfig, YcsbReport, Zipfian,
 };

@@ -13,11 +13,12 @@
 //! ```
 //!
 //! Every mutation is one FASE (insert: node fields + bucket head;
-//! in-place update: value bytes; delete: unlink), so recovery always
-//! lands on a committed-prefix-consistent map. Node allocation happens
-//! *before* and `free` *after* the FASE: a crash in the gap can leak a
-//! block (never corrupt the map) — the same discipline as the `hash`
-//! micro-benchmark and Atlas's Makalu heap.
+//! in-place update: value bytes; update to another length: the new
+//! node's fields + the link that pointed at the old node; delete:
+//! unlink), so recovery always lands on a committed-prefix-consistent
+//! map. Node allocation happens *before* and `free` *after* the FASE: a
+//! crash in the gap can leak a block (never corrupt the map) — the same
+//! discipline as the `hash` micro-benchmark and Atlas's Makalu heap.
 
 use nvcache_core::{rename_for_epoch, PolicyKind};
 use nvcache_fase::{FaseRuntime, FaseStats, FlushMode, RecoveryError};
@@ -341,38 +342,40 @@ impl Shard {
         Some(v)
     }
 
-    /// Insert or update `key → value` (one FASE; two when the value
-    /// length changes and the node must be replaced). Returns `false`
-    /// if the heap is exhausted or the value exceeds
-    /// [`MAX_VALUE_LEN`] — the map is unchanged in that case.
+    /// Insert or update `key → value` in one FASE. Returns `false` if
+    /// the heap is exhausted or the value exceeds [`MAX_VALUE_LEN`] —
+    /// the map is unchanged in that case.
     pub fn put(&mut self, key: u64, value: &[u8]) -> bool {
         if value.len() > MAX_VALUE_LEN {
             return false;
         }
-        let (boff, node, _) = self.find(key);
-        if node != 0 {
-            let vlen = self.rt.load_u64(node + 16) as usize;
-            if vlen == value.len() {
-                // hot path: in-place update, a single small FASE
-                self.rt.begin_fase();
-                self.rt.store(node + NODE_HEADER, value);
-                self.observe(node + NODE_HEADER, value.len().max(1));
-                self.rt.end_fase();
-                self.after_op();
-                return true;
-            }
-            // size change: replace the node (unlink+insert, two FASEs)
-            self.delete(key);
+        let (boff, node, prev) = self.find(key);
+        let old_vlen = (node != 0).then(|| self.rt.load_u64(node + 16) as usize);
+        if old_vlen == Some(value.len()) {
+            // hot path: in-place update, a single small FASE
+            self.rt.begin_fase();
+            self.rt.store(node + NODE_HEADER, value);
+            self.observe(node + NODE_HEADER, value.len().max(1));
+            self.rt.end_fase();
+            self.after_op();
+            return true;
         }
         let Some(new) = self.rt.alloc(NODE_HEADER + value.len()) else {
             return false;
         };
         let new = new as usize;
-        let head = self.rt.load_u64(boff);
+        // A fresh key goes to the head of its chain. A value of another
+        // length needs another node, which takes the old one's place in
+        // the chain: the key is reachable with one value or the other
+        // at every crash point, never absent.
+        let (link, next) = match old_vlen {
+            None => (boff, self.rt.load_u64(boff)),
+            Some(_) => (prev.map_or(boff, |p| p + 8), self.rt.load_u64(node + 8)),
+        };
         self.rt.begin_fase();
         self.rt.store_u64(new, key);
         self.observe(new, 8);
-        self.rt.store_u64(new + 8, head);
+        self.rt.store_u64(new + 8, next);
         self.observe(new + 8, 8);
         self.rt.store_u64(new + 16, value.len() as u64);
         self.observe(new + 16, 8);
@@ -380,10 +383,13 @@ impl Shard {
             self.rt.store(new + NODE_HEADER, value);
             self.observe(new + NODE_HEADER, value.len());
         }
-        self.rt.store_u64(boff, new as u64);
-        self.observe(boff, 8);
+        self.rt.store_u64(link, new as u64);
+        self.observe(link, 8);
         self.rt.end_fase();
-        self.len += 1;
+        match old_vlen {
+            None => self.len += 1,
+            Some(vlen) => self.rt.free(node as u64, NODE_HEADER + vlen),
+        }
         self.after_op();
         true
     }
@@ -924,6 +930,11 @@ mod tests {
         for i in 0..inserted {
             assert!(s.get(i).is_some(), "key {i} survived the failed put");
         }
+        // nor is an acknowledged value the price of finding out that
+        // its replacement (another length, so another node) does not fit
+        assert!(!s.put(1, &[2u8; 200]));
+        assert_eq!(s.get(1).as_deref(), Some(&[0u8; 100][..]));
+        assert_eq!(s.len() as u64, inserted);
         // deleting frees a node the next put can reuse
         assert!(s.delete(0));
         assert!(s.put(99_999, &[1u8; 100]), "free list satisfies the put");

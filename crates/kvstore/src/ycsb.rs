@@ -353,15 +353,10 @@ pub fn value_bytes(key: u64, version: u64, len: usize) -> Vec<u8> {
     v
 }
 
-/// Preload `keys` keys (version-0 values) — the YCSB load phase.
-/// Returns how many inserts the store accepted (all, unless a shard
-/// heap is undersized).
-pub fn load(store: &KvStore, keys: usize, value_len: usize) -> usize {
-    load_on(store, keys, value_len)
-}
-
-/// [`load`] over any [`KvTarget`] (direct store or concurrent server).
-pub fn load_on<T: KvTarget>(target: &T, keys: usize, value_len: usize) -> usize {
+/// Preload `keys` keys (version-0 values) into any [`KvTarget`] — the
+/// YCSB load phase. Returns how many inserts the target accepted (all,
+/// unless a shard heap is undersized).
+pub fn load<T: KvTarget>(target: &T, keys: usize, value_len: usize) -> usize {
     (0..keys as u64)
         .filter(|&k| target.put(k, &value_bytes(k, 0, value_len)))
         .count()
@@ -407,19 +402,15 @@ fn timed<T>(
     }
 }
 
-/// Run the timed phase of `cfg` against `store` (already loaded).
+/// Run the timed phase of `cfg` against `store` (already loaded) — any
+/// [`KvTarget`]: the same loadgen drives the direct store and the
+/// concurrent server, so their measurements differ only in the serving
+/// path.
 ///
 /// Closed loop by default; set [`YcsbConfig::target_ops_per_sec`] for
 /// open-loop pacing. Worker `w` uses seed `cfg.seed ⊕ mix(w)`, so runs
 /// are reproducible per worker regardless of interleaving.
-pub fn run(store: &KvStore, cfg: &YcsbConfig) -> YcsbReport {
-    run_on(store, cfg)
-}
-
-/// [`run`] over any [`KvTarget`]: the same loadgen drives the direct
-/// store and the concurrent server, so their measurements differ only
-/// in the serving path.
-pub fn run_on<T: KvTarget>(store: &T, cfg: &YcsbConfig) -> YcsbReport {
+pub fn run<T: KvTarget>(store: &T, cfg: &YcsbConfig) -> YcsbReport {
     assert!(cfg.workers >= 1 && cfg.ops_per_worker >= 1);
     // One read-only zipfian table, shared by reference across every
     // client thread below. The zetan normalizer is an O(keys) sum — at
@@ -1034,7 +1025,7 @@ mod tests {
     /// over both lane paths (caller-run and queued) under 4 closed-loop
     /// clients, and nothing is stranded.
     #[test]
-    fn run_on_drives_the_concurrent_server() {
+    fn run_drives_the_concurrent_server() {
         use crate::server::{KvServer, ServerConfig};
         use crate::shard::ShardConfig;
         use crate::store::KvConfig;
@@ -1053,8 +1044,8 @@ mod tests {
             },
             &ServerConfig::default(),
         );
-        assert_eq!(load_on(&server, 400, 24), 400);
-        let rep = run_on(
+        assert_eq!(load(&server, 400, 24), 400);
+        let rep = run(
             &server,
             &YcsbConfig {
                 keys: 400,

@@ -3,7 +3,6 @@
 use crate::event::{Event, Line};
 use crate::stats::TraceStats;
 use std::collections::HashSet;
-use std::io::{self, Read, Write};
 
 /// The event sequence observed by one thread.
 ///
@@ -177,177 +176,6 @@ impl Trace {
     pub fn stats(&self) -> TraceStats {
         TraceStats::of(self)
     }
-
-    /// Serialize as JSON to a writer (experiment artifacts are
-    /// human-inspectable). Events are compact tagged tuples:
-    /// `["W",line]`, `["R",line]`, `["B"]`, `["E"]`, `["K",units]`.
-    pub fn save_json<W: Write>(&self, mut w: W) -> io::Result<()> {
-        let mut out = String::from("{\"threads\":[");
-        for (ti, t) in self.threads.iter().enumerate() {
-            if ti > 0 {
-                out.push(',');
-            }
-            out.push('[');
-            for (ei, e) in t.events.iter().enumerate() {
-                if ei > 0 {
-                    out.push(',');
-                }
-                match e {
-                    Event::Write(l) => out.push_str(&format!("[\"W\",{}]", l.0)),
-                    Event::Read(l) => out.push_str(&format!("[\"R\",{}]", l.0)),
-                    Event::FaseBegin => out.push_str("[\"B\"]"),
-                    Event::FaseEnd => out.push_str("[\"E\"]"),
-                    Event::Work(u) => out.push_str(&format!("[\"K\",{u}]")),
-                }
-            }
-            out.push(']');
-        }
-        out.push_str("]}");
-        w.write_all(out.as_bytes())
-    }
-
-    /// Deserialize from the JSON produced by [`Trace::save_json`].
-    pub fn load_json<R: Read>(mut r: R) -> io::Result<Self> {
-        let mut text = String::new();
-        r.read_to_string(&mut text)?;
-        parse_trace_json(&text).map_err(io::Error::other)
-    }
-}
-
-/// Minimal recursive-descent parser for the trace JSON format.
-fn parse_trace_json(text: &str) -> Result<Trace, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.expect(b'{')?;
-    p.expect_literal("\"threads\"")?;
-    p.expect(b':')?;
-    p.expect(b'[')?;
-    let mut threads = Vec::new();
-    if !p.try_consume(b']') {
-        loop {
-            threads.push(p.parse_thread()?);
-            if !p.try_consume(b',') {
-                p.expect(b']')?;
-                break;
-            }
-        }
-    }
-    p.expect(b'}')?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(Trace { threads })
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn try_consume(&mut self, b: u8) -> bool {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect_literal(&mut self, lit: &str) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected {lit} at byte {}", self.pos))
-        }
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn parse_thread(&mut self) -> Result<ThreadTrace, String> {
-        self.expect(b'[')?;
-        let mut events = Vec::new();
-        if !self.try_consume(b']') {
-            loop {
-                events.push(self.parse_event()?);
-                if !self.try_consume(b',') {
-                    self.expect(b']')?;
-                    break;
-                }
-            }
-        }
-        Ok(ThreadTrace { events })
-    }
-
-    fn parse_event(&mut self) -> Result<Event, String> {
-        self.expect(b'[')?;
-        self.expect(b'"')?;
-        let tag = *self
-            .bytes
-            .get(self.pos)
-            .ok_or_else(|| "truncated event tag".to_string())?;
-        self.pos += 1;
-        self.expect(b'"')?;
-        let ev = match tag {
-            b'W' => {
-                self.expect(b',')?;
-                Event::Write(Line(self.parse_u64()?))
-            }
-            b'R' => {
-                self.expect(b',')?;
-                Event::Read(Line(self.parse_u64()?))
-            }
-            b'B' => Event::FaseBegin,
-            b'E' => Event::FaseEnd,
-            b'K' => {
-                self.expect(b',')?;
-                let u = self.parse_u64()?;
-                Event::Work(u32::try_from(u).map_err(|_| "work units overflow".to_string())?)
-            }
-            other => return Err(format!("unknown event tag {:?}", other as char)),
-        };
-        self.expect(b']')?;
-        Ok(ev)
-    }
 }
 
 #[cfg(test)]
@@ -458,34 +286,5 @@ mod tests {
         assert_eq!(tr.total_fases(), 2);
         assert_eq!(tr.distinct_lines(), 2);
         assert_eq!(tr.num_threads(), 2);
-    }
-
-    #[test]
-    fn json_roundtrip_empty_and_multithreaded() {
-        for tr in [Trace::default(), Trace::with_threads(3)] {
-            let mut buf = Vec::new();
-            tr.save_json(&mut buf).unwrap();
-            assert_eq!(Trace::load_json(&buf[..]).unwrap(), tr);
-        }
-    }
-
-    #[test]
-    fn json_load_rejects_garbage() {
-        assert!(Trace::load_json(&b"not json"[..]).is_err());
-        assert!(Trace::load_json(&b"{\"threads\":[[[\"Q\"]]]}"[..]).is_err());
-        assert!(Trace::load_json(&b"{\"threads\":[]}extra"[..]).is_err());
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut tr = Trace::with_threads(1);
-        tr.threads[0].fase_begin();
-        tr.threads[0].write(l(42));
-        tr.threads[0].work(7);
-        tr.threads[0].fase_end();
-        let mut buf = Vec::new();
-        tr.save_json(&mut buf).unwrap();
-        let back = Trace::load_json(&buf[..]).unwrap();
-        assert_eq!(tr, back);
     }
 }

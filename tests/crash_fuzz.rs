@@ -4,7 +4,8 @@
 //! transitively, since the undo log runs through region primitives),
 //! the image is recovered via `FaseRuntime::try_reopen`, and the
 //! recovered state must equal the last committed snapshot (see
-//! `nvcache::fase::fuzz` for the oracle).
+//! `support/fuzz.rs` for the program generator and the oracle, which
+//! this binary alone compiles: they are test code, not product API).
 //!
 //! This is the systematic complement of `crash_atomicity.rs`: that
 //! suite crashes at FASE boundaries chosen by a property generator;
@@ -13,10 +14,14 @@
 //! flush and fence, inside the commit window — has no place to hide.
 
 use nvcache::core::{AdaptiveConfig, PolicyKind};
-use nvcache::fase::{crash_fuzz, CrashFuzzConfig, FaseRuntime, FlushMode, RecoveryError};
+use nvcache::fase::{FaseRuntime, FlushMode, RecoveryError};
 use nvcache::pmem::{CrashMode, CrashPlan, PmemRegion};
 use nvcache::telemetry::{CounterId, EventKind, TelemetryConfig};
 use proptest::prelude::*;
+
+#[path = "support/fuzz.rs"]
+mod fuzz;
+use fuzz::{crash_fuzz, CrashFuzzConfig};
 
 fn all_policies() -> Vec<PolicyKind> {
     vec![

@@ -13,7 +13,7 @@
 
 use nvcache::core::{AdaptiveConfig, PolicyKind};
 use nvcache::kvstore::{
-    BatchRequest, KvConfig, KvServer, KvStore, ServerConfig, Shard, ShardConfig,
+    BatchReply, BatchRequest, KvConfig, KvServer, KvStore, ServerConfig, Shard, ShardConfig,
 };
 use nvcache::pmem::{CrashMode, CrashPlan};
 use std::collections::HashMap;
@@ -161,33 +161,16 @@ fn shard_recovers_committed_prefix_at_sampled_micro_steps() {
                     .unwrap_or_else(|e| panic!("recovery failed at step {k}: {e:?}"));
                 let committed = commit_steps.iter().rposition(|&c| c <= k).unwrap();
                 let got = rec.dump();
-                // A size-changing put is documented as TWO FASEs
-                // (unlink, then insert), so a crash inside the op may
-                // also expose the state with just that key removed —
-                // but never a torn value or broken chain.
-                let mid = match prog.get(committed) {
-                    Some(Op::Put(key, v))
-                        if snaps[committed]
-                            .iter()
-                            .any(|(k2, v2)| k2 == key && v2.len() != v.len()) =>
-                    {
-                        let mut m = snaps[committed].clone();
-                        m.retain(|(k2, _)| k2 != key);
-                        Some(m)
-                    }
-                    _ => None,
-                };
                 // The op in progress may already have committed its
                 // FASE (post-commit bookkeeping — freeing an unlinked
-                // node, applying a pending capacity — also advances the
-                // step counter), so its own snapshot is legal too.
+                // or replaced node, applying a pending capacity — also
+                // advances the step counter), so its own snapshot is
+                // legal too. Nothing else is: a size-changing put
+                // replaces its node inside one FASE.
                 assert!(
-                    got == snaps[committed]
-                        || Some(&got) == snaps.get(committed + 1)
-                        || mid.as_ref() == Some(&got),
+                    got == snaps[committed] || Some(&got) == snaps.get(committed + 1),
                     "policy {} path {} mode {mode:?} crash at step {k}: state is \
-                     neither op {committed}'s snapshot, nor op {}'s, nor the \
-                     replace mid-state",
+                     neither op {committed}'s snapshot nor op {}'s",
                     cfg.policy.label(),
                     if pipelined { "pipelined" } else { "sync" },
                     committed + 1,
@@ -275,6 +258,22 @@ fn batch_program(seed: u64, batches: usize, keys: u64) -> Vec<Vec<BatchRequest>>
         .collect()
 }
 
+/// Serve `prog` on a fresh shard with a crash armed at micro-step `k`,
+/// then recover the captured image.
+fn recover_at(cfg: &ShardConfig, prog: &[Vec<BatchRequest>], k: u64, mode: &CrashMode) -> Shard {
+    let mut s = Shard::new(cfg);
+    s.arm_crash(CrashPlan {
+        at_step: k,
+        mode: mode.clone(),
+    });
+    for batch in prog {
+        s.serve_batch(batch);
+    }
+    let image = s.take_crash_image().expect("crash step within program");
+    Shard::reopen_from_image(image, cfg)
+        .unwrap_or_else(|e| panic!("recovery failed at step {k}: {e:?}"))
+}
+
 /// The concurrent submission path's committed-prefix oracle: drive a
 /// shard through `serve_batch` group commits, crash at sampled
 /// micro-steps, recover. The recovered table must equal the state after
@@ -308,17 +307,7 @@ fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
             let mut k = setup + 1;
             while k < total {
                 let mode = modes(mode_seed).swap_remove(mi);
-                let mut s = Shard::new(&cfg);
-                s.arm_crash(CrashPlan {
-                    at_step: k,
-                    mode: mode.clone(),
-                });
-                for batch in &prog {
-                    s.serve_batch(batch);
-                }
-                let image = s.take_crash_image().expect("crash step within program");
-                let mut rec = Shard::reopen_from_image(image, &cfg)
-                    .unwrap_or_else(|e| panic!("recovery failed at step {k}: {e:?}"));
+                let mut rec = recover_at(&cfg, &prog, k, &mode);
                 let committed = commit_steps.iter().rposition(|&c| c <= k).unwrap();
                 let got = rec.dump();
                 assert!(
@@ -331,6 +320,75 @@ fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
                     committed + 1,
                 );
                 k += stride;
+            }
+        }
+    }
+
+    // Resizing `Put`s over acknowledged keys (3 per batch, a length
+    // class drawn per request over 6 keys): the grouped commit rejects
+    // the segment and `serve_batch` replays it request by request
+    // through `Shard::put`'s node replacement, so the cut may fall
+    // between two requests of one batch and the oracle is per key. A key
+    // recovers to the value the last acknowledged batch left or to one
+    // the batch in flight writes to it, and an acknowledged key is never
+    // absent. Every micro-step, both flush paths, all three adversaries.
+    let mut seed = 77u64;
+    let prog: Vec<Vec<BatchRequest>> = (0..8)
+        .map(|_| {
+            (0..3)
+                .map(|_| {
+                    let r = splitmix(&mut seed);
+                    let len = 8 + 16 * (r >> 8 & 3) as usize;
+                    BatchRequest::Put(r % 6, value(splitmix(&mut seed), len))
+                })
+                .collect()
+        })
+        .collect();
+    for pipelined in [false, true] {
+        // a small region: one image is copied per cut
+        let cfg = ShardConfig {
+            data_len: 1 << 14,
+            log_len: 1 << 13,
+            ..shard_cfg(PolicyKind::ScFixed { capacity: 8 }, pipelined)
+        };
+        let mut s = Shard::new(&cfg);
+        let mut commit_steps = vec![s.steps()];
+        let mut snaps = vec![s.dump()];
+        let mut resizes = 0;
+        for batch in &prog {
+            for req in batch {
+                if let BatchRequest::Put(key, v) = req {
+                    resizes += usize::from(s.get(*key).is_some_and(|old| old.len() != v.len()));
+                }
+            }
+            let replies = s.serve_batch(batch);
+            assert!(replies.iter().all(|r| *r == BatchReply::Done(true)));
+            commit_steps.push(s.steps());
+            snaps.push(s.dump());
+        }
+        assert!(resizes >= 10, "only {resizes} puts resize an acked key");
+        for (mi, mode_seed) in [31u64, 32, 33].into_iter().enumerate() {
+            let mode = modes(mode_seed).swap_remove(mi);
+            for k in commit_steps[0] + 1..*commit_steps.last().unwrap() {
+                let got = recover_at(&cfg, &prog, k, &mode).dump();
+                let committed = commit_steps.iter().rposition(|&c| c <= k).unwrap();
+                let acked = &snaps[committed];
+                let ctx = || format!("pipelined {pipelined} mode {mode:?} crash at step {k}");
+                for (key, _) in acked {
+                    assert!(
+                        got.iter().any(|(k2, _)| k2 == key),
+                        "{}: acknowledged key {key} is absent after recovery",
+                        ctx()
+                    );
+                }
+                for (key, v) in &got {
+                    let put = BatchRequest::Put(*key, v.clone());
+                    assert!(
+                        acked.contains(&(*key, v.clone())) || prog[committed].contains(&put),
+                        "{}: key {key} recovered a value no request wrote",
+                        ctx()
+                    );
+                }
             }
         }
     }

@@ -27,11 +27,10 @@
 //! Everything is keyed on a `u64` seed: same seed, same program, same
 //! step schedule, same verdict.
 
-use nvcache_core::PolicyKind;
-use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
+use nvcache::core::PolicyKind;
+use nvcache::fase::{FaseRuntime, FlushMode};
+use nvcache::pmem::{CrashMode, CrashPlan, PmemRegion};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-
-use crate::runtime::{FaseRuntime, FlushMode};
 
 /// Slot array starts one line in, keeping line 0 (where a persistent
 /// heap would put its magic) out of the fuzzed address range.
@@ -83,6 +82,7 @@ impl Default for CrashFuzzConfig {
 
 /// One oracle violation found by the fuzzer.
 #[derive(Debug, Clone)]
+#[allow(dead_code)] // read through `Debug` only, in the suite's assert messages
 pub struct FuzzFailure {
     /// Micro-step index the crash was injected at.
     pub step: u64,
