@@ -1,6 +1,6 @@
 //! Figures 2 and 4–8 of the paper's evaluation, as printed series.
 
-use super::{atlas, sc_offline, sc_online, timed, THREAD_SWEEP};
+use super::{atlas, sc_offline, sc_online, timed};
 use crate::calibrate::offline_capacity;
 use crate::par_map;
 use crate::report::{pct, speedup, Table};
@@ -251,11 +251,6 @@ pub fn fig8(scale: f64) -> Table {
         pct(sum[1] / n as f64),
     ]);
     t
-}
-
-/// The `fig5`/`fig6` default thread sweep, re-exported for the CLI.
-pub fn default_threads() -> Vec<usize> {
-    THREAD_SWEEP.to_vec()
 }
 
 #[cfg(test)]

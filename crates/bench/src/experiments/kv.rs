@@ -251,7 +251,7 @@ fn envelope(workers: usize, keys: usize, ops: u64, records: &[String]) -> String
     )
 }
 
-/// Run the YCSB grid (mixes A/B/C × ER/AT/SC-adaptive at [`SHARDS`]
+/// Run the YCSB grid (mixes A/B/C × ER/AT/SC-adaptive at `SHARDS`
 /// shards), each cell once over the sync flush path and once over the
 /// pipelined one (submission ring + grouped prelog + slab), print the
 /// table, and write `BENCH_kv.json`. Per cell, a deterministic
@@ -271,9 +271,10 @@ fn envelope(workers: usize, keys: usize, ops: u64, records: &[String]) -> String
 /// A third, *network* grid drives the same single-lane grouped server
 /// through [`NetServer`] and the framed wire protocol over the
 /// in-process transport: connections × pipeline-depth cells
-/// ({1,8} × {1,4}), each an open-window loadgen whose per-connection
-/// reader serves idle lanes itself and queues on busy ones, and whose
-/// acks return out of order after commit. Rows carry `connections`/`pipeline_depth`
+/// ({1,8} × {1,4}), each an open-window loadgen against a server whose
+/// one thread per connection serves idle lanes itself and queues on
+/// busy ones, and whose acks return by id after commit. Rows carry
+/// `connections`/`pipeline_depth`
 /// (null on the other grids' rows). `smoke` shrinks the sizes to CI
 /// scale (same grids, same checks) and writes no file.
 ///
@@ -335,7 +336,6 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
         dist: KeyDist::Zipfian { theta: 0.99 },
         value_len: VALUE_LEN,
         seed: 42,
-        target_ops_per_sec: None,
         windows: 4,
         latency: true,
         ..Default::default()
@@ -578,12 +578,12 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
     //
     // The same single-lane grouped server, now behind the in-process
     // transport and the length-prefixed frame protocol: N loadgen
-    // connections pipeline requests up to `depth` in flight, the
-    // per-connection reader serves the lane when it is idle and feeds
-    // the submission queue when it is not, and responses are acked out
-    // of order after the owning FASE commits. The grid
+    // connections pipeline requests up to `depth` in flight, each
+    // connection's thread serves the lane when it is idle and feeds
+    // the submission queue (and waits) when it is not, and responses
+    // are acked by id after the owning FASE commits. The grid
     // varies connections × pipeline depth; with both at their high
-    // setting a reader groups the frames of one read into one batch
+    // setting a connection groups the frames of one read into one batch
     // (occupancy ≈ depth), so batch occupancy > 1 there is structural —
     // the acceptance signal that pipelining reaches group commit rather
     // than serializing at the socket.

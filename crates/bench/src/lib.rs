@@ -2,10 +2,10 @@
 //! paper's evaluation (Section IV) from this workspace's implementation.
 //!
 //! The `repro` binary exposes one subcommand per experiment
-//! (`repro table3`, `repro fig5`, …, `repro all`), the crash matrices,
-//! the network smoke/serve/load trio and one wall-clock grid
+//! (`repro table3`, `repro fig5`, …, `repro all`), the TCP pair
+//! `repro kv-serve` / `repro kv-load`, and one wall-clock grid
 //! (`repro kv-bench`); see EXPERIMENTS.md for the paper-vs-measured
-//! record. Comparing commits is the repo benchmark's job (`benchmark/`),
+//! record. Correctness is the test suites' job, not a subcommand's. Comparing commits is the repo benchmark's job (`benchmark/`),
 //! not this crate's, and so are component costs
 //! (`core.replay_ns_per_store.*`, `locality.mrc_ns_per_line`, …).
 

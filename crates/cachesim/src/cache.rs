@@ -146,11 +146,6 @@ impl SetAssocCache {
         self.stats
     }
 
-    /// Reset counters (keep contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Decompose a line id into (set index, tag). Identical results on
     /// both paths: for a power-of-two set count `n`, `x & (n−1) == x % n`
     /// and `x >> log2(n) == x / n`.

@@ -29,11 +29,11 @@
 //!   cross-client group. Acknowledged ⇒ durable.
 //! - [`proto`] — the length-prefixed, checksummed wire frames.
 //! - [`net`] — [`NetServer`] over a [`Transport`] (TCP, or in-process
-//!   pipes for tests): readers decode frames into lane groups, replies
-//!   go out after the owning FASE commits.
+//!   pipes for tests): one thread per connection decodes frames into
+//!   lane groups, replies go out after the owning FASE commits.
 //! - [`ycsb`] — a YCSB-style load generator (zipfian/uniform key
-//!   popularity, mixes A–F, deterministic per-worker seeds, open- or
-//!   closed-loop issue) with live per-window `FaseStats` scraping, over
+//!   popularity, mixes A–F, deterministic per-worker seeds, closed-loop
+//!   issue) with live per-window `FaseStats` scraping, over
 //!   any [`KvTarget`] (the direct store or the server).
 //! - [`netload`] — the open-loop pipelined loadgen for the wire path,
 //!   with ack tracking and the post-crash ack audit ([`verify_acked`]).
@@ -77,7 +77,7 @@ pub use net::{
 pub use netload::{
     run_net, stored_version, verify_acked, versioned_value, NetLoadConfig, NetLoadReport,
 };
-pub use queue::{Backpressure, Completion, Notify, PushError, QueueStats, SubmissionQueue};
+pub use queue::{Backpressure, Completion, PushError, QueueStats, SubmissionQueue};
 pub use server::{KvClient, KvServer, ServerConfig};
 pub use shard::{
     AdaptConfig, BatchReply, BatchRequest, CapacityChoice, Shard, ShardConfig, MAX_VALUE_LEN,

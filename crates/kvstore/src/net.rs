@@ -17,44 +17,45 @@
 //!
 //! ## Per-connection pipelining
 //!
-//! Each accepted connection gets a **reader** thread and a **writer**
-//! thread. The reader decodes every frame one read delivered, groups
-//! them per shard lane, and submits each group at once. A lane it finds
-//! idle it serves itself ([`crate::server`]): the replies come straight
-//! back, and the reader encodes and writes them — the request never
-//! changes threads between the wire and the engine. A busy lane gets
-//! the whole group queued under one lock; requests from *different*
-//! connections meet in that queue, where the next drain (the lane
-//! worker's, or a submitter's that finds the lane free) turns them into
-//! one grouped FASE (cross-client group commit), and the answers to
-//! those come back through the writer: it sleeps on the connection's
-//! [`Notify`], which is posted once per served batch, sweeps the
-//! outstanding completions and sends what became ready — **in
-//! completion order, not submission order**; responses carry the
-//! request id, so the client reorders. Either thread encodes everything
-//! it has into one buffer and hands the transport a single write of
-//! whole frames.
+//! Each accepted connection gets **one thread**. It decodes every frame
+//! one read delivered, groups them per shard lane, and submits each
+//! group at once. A lane it finds idle it serves itself
+//! ([`crate::server`]): the replies come straight back — the request
+//! never changes threads between the wire and the engine. A busy lane
+//! gets the whole group queued under one lock; requests from
+//! *different* connections meet in that queue, where the next drain
+//! (the lane worker's, or a submitter's that finds the lane free) turns
+//! them into one grouped FASE (cross-client group commit). Only once
+//! *every* lane has its group does the thread wait — in
+//! [`Completion::wait`], as a blocking [`KvClient`] call does — for what
+//! it queued; then it encodes the read's responses into one buffer and
+//! hands the transport a single write of whole frames. Responses carry
+//! the request id and leave **in no promised order**: what was served
+//! here is encoded before what was queued, so the client matches by id.
 //!
-//! The connection's write half sits behind one mutex shared by the two
-//! threads. It is never taken while a lane is held (the reader writes
-//! after `try_serve` returned), so a slow peer cannot stall a lane. A
-//! peer that stops reading its replies fills the transport's buffer
-//! (the in-process pipe is bounded like a socket buffer, see
-//! [`PIPE_CAPACITY`]) and the write blocks: the reader's own, which
-//! stops it reading requests, or the writer thread's, after which the
-//! queued-but-unanswered set runs into its cap and the reader waits for
-//! it to drain. Either way back-pressure lands on the peer that caused
-//! it instead of growing the server's buffers.
+//! What this shape gives up: a connection does not decode its *next*
+//! read while a lane it queued on is still busy, and the replies of one
+//! read leave together. Its whole window is still submitted before it
+//! waits, and other connections are untouched.
+//!
+//! The thread never holds a lane while it writes (every group has been
+//! served or queued, and its lane released, before the read's one
+//! write), so a slow peer cannot stall a lane. A peer that stops reading its replies
+//! fills the transport's buffer (the in-process pipe is bounded like a
+//! socket buffer, see [`PIPE_CAPACITY`]) and the write blocks — and
+//! with it the only thread that would read that peer's requests.
+//! Back-pressure lands on the peer that caused it instead of growing
+//! the server's buffers: at most the pipe plus one read's worth of
+//! replies is ever outstanding.
 //!
 //! ## Ack contract
 //!
 //! A response frame for a write is encoded only after its reply exists
-//! — returned by the reader's own `serve_batch`, or filled into the
+//! — returned by the thread's own `serve_batch`, or filled into the
 //! completion slot by whoever served the queued batch — and replies
-//! exist only after the
-//! batch's FASE committed: **a response on the wire implies the write
-//! is durable**. The crash sweep in `tests/net_e2e.rs` and the
-//! `repro net-smoke` CI step enforce exactly this.
+//! exist only after the batch's FASE committed: **a response on the
+//! wire implies the write is durable**. The crash sweep in
+//! `tests/net_e2e.rs` (all three crash modes) enforces exactly this.
 //!
 //! [`proto`]: crate::proto
 
@@ -65,12 +66,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use nvcache_telemetry::{CounterId, Recorder};
-
 use crate::engine::Engine;
 use crate::proto::{encode_response_into, fit_entries, FrameDecoder, Request, Response};
-use crate::queue::{Completion, Notify};
-use crate::server::{KvClient, KvServer, Queued};
+use crate::queue::Completion;
+use crate::server::{merge_scan, Answer, KvClient, KvServer};
 use crate::shard::{BatchReply, BatchRequest};
 
 /// Default TCP listen address (wrongodb-style: a fixed well-known
@@ -99,8 +98,10 @@ pub fn listen_addr(cli: Option<&str>) -> String {
 // ---- transport abstraction -------------------------------------------
 
 /// One byte-stream connection end. Implementations must support
-/// *independent* cloned handles (reader and writer threads each own
-/// one) and an out-of-band shutdown that unblocks a blocked read.
+/// *independent* cloned handles (a client's reader and writer threads
+/// each own one; the server keeps one to shut a connection down from
+/// outside its thread) and an out-of-band shutdown that unblocks a
+/// blocked read or write.
 pub trait Conn: Send {
     /// Read up to `buf.len()` bytes; `Ok(0)` means the peer closed.
     fn read_some(&mut self, buf: &mut [u8]) -> io::Result<usize>;
@@ -108,7 +109,7 @@ pub trait Conn: Send {
     /// writing at once keep their buffers apart is the transport's
     /// business (the in-process pipe does, a TCP stream's partial writes
     /// do not): writers that share a direction serialize among
-    /// themselves, as the server's two threads do behind one mutex.
+    /// themselves.
     fn write_all_bytes(&mut self, buf: &[u8]) -> io::Result<()>;
     /// A second handle over the same connection.
     fn try_clone_conn(&self) -> io::Result<Box<dyn Conn>>;
@@ -464,8 +465,7 @@ impl Transport for TcpTransport {
 
 // ---- server ----------------------------------------------------------
 
-/// Connection-level counters, scraped by benchmarks and folded into
-/// telemetry snapshots via [`NetStats::record_into`].
+/// Connection-level counters, scraped by benchmarks.
 #[derive(Debug, Default)]
 pub struct NetStats {
     /// Connections accepted.
@@ -480,107 +480,43 @@ pub struct NetStats {
     pub proto_errors: AtomicU64,
 }
 
-impl NetStats {
-    /// Fold the counters into a [`Recorder`] under the `Net*` counter
-    /// ids, so one snapshot carries compute- and network-side totals.
-    pub fn record_into<R: Recorder>(&self, r: &mut R) {
-        r.add(
-            CounterId::NetConnections,
-            self.connections.load(Ordering::Relaxed),
-        );
-        r.add(
-            CounterId::NetFramesIn,
-            self.frames_in.load(Ordering::Relaxed),
-        );
-        r.add(
-            CounterId::NetFramesOut,
-            self.frames_out.load(Ordering::Relaxed),
-        );
-        r.add(
-            CounterId::NetProtoErrors,
-            self.proto_errors.load(Ordering::Relaxed),
-        );
-    }
-}
-
-/// A wire request whose answer is assembled from several lanes'
-/// replies: a `PutMany` split over lanes (ack = the conjunction) or a
-/// `Scan` fanned out to every lane (keys are hash-routed; the response
-/// is the merged, sorted, limit-truncated union).
+/// A wire request whose answer is assembled from the replies of every
+/// lane it touches: a `PutMany` split over lanes (ack = the conjunction)
+/// or a `Scan` fanned out to all of them (keys are hash-routed; the
+/// response is the merged, sorted, limit-truncated union).
 struct Fan {
     id: u64,
     /// `Some(limit)` for a scan, `None` for a multi-put.
     scan_limit: Option<usize>,
-    parts: Vec<Part>,
-}
-
-/// One lane's share of a [`Fan`].
-enum Part {
-    /// The reply is in — served by the reader, or collected from a slot.
-    Got(BatchReply),
-    /// Queued on a busy lane.
-    Wait(Completion<BatchReply>),
-    /// The lane refused it (full under `Reject`, or shut down).
-    Refused,
+    /// One per lane the request was routed to, filed as its group is
+    /// submitted.
+    parts: Vec<Answer>,
 }
 
 impl Fan {
-    /// A fan over `lanes` lanes. Every part starts as a positive ack:
-    /// each lane the request is routed to overwrites its part when the
-    /// group is submitted, and the lanes a multi-put has no slice for
-    /// keep it (nothing to do there is trivially done).
-    fn new(id: u64, scan_limit: Option<usize>, lanes: usize) -> Fan {
+    fn new(id: u64, scan_limit: Option<usize>) -> Fan {
         Fan {
             id,
             scan_limit,
-            parts: (0..lanes)
-                .map(|_| Part::Got(BatchReply::Done(true)))
-                .collect(),
+            parts: Vec::new(),
         }
     }
 
-    /// Collect whatever landed; `true` once every part is settled.
-    fn poll(&mut self) -> bool {
-        let mut settled = true;
-        for p in &mut self.parts {
-            if let Part::Wait(c) = p {
-                match c.try_take() {
-                    Some(r) => *p = Part::Got(r),
-                    None => settled = false,
-                }
-            }
-        }
-        settled
-    }
-
-    /// The response of a fan [`poll`](Fan::poll) found settled. A
-    /// refused part makes the whole request `Rejected` (slices that
-    /// *were* accepted still commit — at-most-once acks).
-    fn response(&mut self) -> Response {
+    /// The response, waiting for the parts that were queued. A refused
+    /// part makes the whole request `Rejected` (slices that *were*
+    /// accepted still commit — at-most-once acks).
+    fn response(self) -> Response {
         let id = self.id;
-        if self.parts.iter().any(|p| matches!(p, Part::Refused)) {
+        let replies: Option<Vec<BatchReply>> = self.parts.into_iter().map(Answer::wait).collect();
+        let Some(replies) = replies else {
             return Response::Rejected { id };
-        }
-        let replies = self.parts.drain(..).filter_map(|p| match p {
-            Part::Got(r) => Some(r),
-            _ => None,
-        });
+        };
         match self.scan_limit {
             None => Response::Done {
                 id,
-                ok: replies.fold(true, |ok, r| ok & (r == BatchReply::Done(true))),
+                ok: replies.iter().all(|r| *r == BatchReply::Done(true)),
             },
-            Some(limit) => {
-                let mut items: Vec<(u64, Vec<u8>)> = replies
-                    .flat_map(|r| match r {
-                        BatchReply::Entries(e) => e,
-                        _ => Vec::new(),
-                    })
-                    .collect();
-                items.sort_unstable_by_key(|&(k, _)| k);
-                items.truncate(limit);
-                entries_response(id, items)
-            }
+            Some(limit) => entries_response(id, merge_scan(replies, limit)),
         }
     }
 }
@@ -592,7 +528,7 @@ fn entries_response(id: u64, mut items: Vec<(u64, Vec<u8>)>) -> Response {
     Response::Entries { id, items }
 }
 
-/// The wire response for a single-lane request's reply.
+/// The wire response for a reply that is the whole answer.
 fn response_of(id: u64, reply: BatchReply) -> Response {
     match reply {
         BatchReply::Value(value) => Response::Value { id, value },
@@ -601,88 +537,10 @@ fn response_of(id: u64, reply: BatchReply) -> Response {
     }
 }
 
-/// One request queued on a busy lane (or a fan with a queued part),
-/// keyed by wire id. The writer sweeps these and emits a response as
-/// soon as the entry is ready — possibly out of submission order.
-enum Pending {
-    One {
-        id: u64,
-        slot: Completion<BatchReply>,
-    },
-    Fan(Fan),
-}
-
-impl Pending {
-    /// The response, once every reply it needs is in.
-    fn take_ready(&mut self) -> Option<Response> {
-        match self {
-            Pending::One { id, slot } => slot.try_take().map(|r| response_of(*id, r)),
-            Pending::Fan(fan) => fan.poll().then(|| fan.response()),
-        }
-    }
-
-    /// Ready, without building a response nobody will read.
-    fn reap(&mut self) -> bool {
-        match self {
-            Pending::One { slot, .. } => slot.try_take().is_some(),
-            Pending::Fan(fan) => fan.poll(),
-        }
-    }
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Queued-but-unanswered requests one connection may hold before its
-/// reader stops taking in more: with the writer stuck behind a peer that
-/// does not read, the pending set stays under this plus one read's
-/// worth. The write mutex alone does not bound it: a reader that merely
-/// passes that mutex every round gets as many rounds in as the
-/// scheduler gives it before the writer thread runs into the full pipe
-/// (`a_peer_that_never_reads_stalls_only_itself` then sees three rounds
-/// pending in about one run of thirty).
-const PENDING_CAP: usize = 1024;
-
-/// The requests a connection's reader queued on busy lanes, awaiting a
-/// worker's reply and the writer's sweep.
-#[derive(Default)]
-struct PendingSet {
-    entries: VecDeque<Pending>,
-    /// The reader sleeps on `ConnShared::drained` (set over the cap).
-    reader_waiting: bool,
-}
-
-/// Shared between one connection's reader and writer threads.
-struct ConnShared {
-    pending: Mutex<PendingSet>,
-    /// The reader parks here while `pending` is over [`PENDING_CAP`];
-    /// the writer notifies after a sweep that removed entries.
-    drained: Condvar,
-    /// Posted by whoever served a queued batch (once per batch) and by
-    /// the reader when it registered a fan late or is done.
-    notify: Arc<Notify>,
-    /// The connection's write half: whole frames per write, and never
-    /// taken while a lane's engine lock is held.
-    write_half: Mutex<Box<dyn Conn>>,
-    /// Reader finished (EOF or fatal error): writer drains and exits.
-    done: AtomicBool,
-}
-
-impl ConnShared {
-    /// Count and write `frames` encoded responses. Counted before the
-    /// write: a client that has read a reply must never observe
-    /// `frames_in > frames_out`.
-    fn send(&self, wire: &[u8], frames: u64, stats: &NetStats) -> io::Result<()> {
-        stats.frames_out.fetch_add(frames, Ordering::Relaxed);
-        lock(&self.write_half).write_all_bytes(wire)
-    }
-}
-
 struct ConnHandle {
+    /// Kept to shut the connection down from outside its thread.
     conn: Box<dyn Conn>,
-    reader: JoinHandle<()>,
-    writer: JoinHandle<()>,
+    thread: JoinHandle<()>,
 }
 
 /// The framed-protocol server: accepts connections from a
@@ -699,7 +557,7 @@ pub struct NetServer {
 
 impl NetServer {
     /// Bind `transport` on `addr` and start accepting. Every accepted
-    /// connection gets a reader + writer thread pair over `kv`'s lanes.
+    /// connection gets one thread over `kv`'s lanes.
     pub fn start<E: Engine>(
         transport: &dyn Transport,
         addr: &str,
@@ -769,8 +627,7 @@ impl NetServer {
             h.conn.shutdown_conn();
         }
         for h in handles {
-            let _ = h.reader.join();
-            let _ = h.writer.join();
+            let _ = h.thread.join();
         }
     }
 }
@@ -781,39 +638,15 @@ impl Drop for NetServer {
     }
 }
 
-/// Spawn the reader/writer pair for one accepted connection.
+/// Spawn the thread serving one accepted connection.
 fn spawn_conn<E: Engine>(
     conn: Box<dyn Conn>,
     kv: Arc<KvServer<E>>,
     stats: Arc<NetStats>,
 ) -> io::Result<ConnHandle> {
-    let read_half = conn.try_clone_conn()?;
-    let shared = Arc::new(ConnShared {
-        pending: Mutex::default(),
-        drained: Condvar::new(),
-        notify: Arc::new(Notify::new()),
-        write_half: Mutex::new(conn.try_clone_conn()?),
-        done: AtomicBool::new(false),
-    });
-    let reader = {
-        let shared = Arc::clone(&shared);
-        let stats = Arc::clone(&stats);
-        std::thread::spawn(move || {
-            reader_loop(read_half, &kv, &shared, &stats);
-            shared.done.store(true, Ordering::Release);
-            shared.notify.post(); // writer: drain and exit
-        })
-    };
-    let writer = {
-        let shared = Arc::clone(&shared);
-        let stats = Arc::clone(&stats);
-        std::thread::spawn(move || writer_loop(&shared, &stats))
-    };
-    Ok(ConnHandle {
-        conn,
-        reader,
-        writer,
-    })
+    let io = conn.try_clone_conn()?;
+    let thread = std::thread::spawn(move || conn_loop(io, &kv, &stats));
+    Ok(ConnHandle { conn, thread })
 }
 
 /// Where a lane reply of the current read belongs.
@@ -821,18 +654,21 @@ fn spawn_conn<E: Engine>(
 enum Tag {
     /// It is the whole answer to wire request `id`.
     One(u64),
-    /// It is part `lane` of `fans[fan]`.
+    /// It is one lane's part of `fans[fan]`.
     Part(usize),
 }
 
-/// Everything one read delivered, grouped per lane, plus the replies
-/// the reader produced itself. Buffers are reused across reads.
+/// Everything one read delivered, grouped per lane, and the responses
+/// to it. Buffers are reused across reads.
 struct Round {
     /// Per lane: the requests of this read, and where each reply goes.
     groups: Vec<(Vec<BatchRequest>, Vec<Tag>)>,
-    /// Multi-lane requests of this read.
+    /// The `PutMany` and `Scan` requests of this read.
     fans: Vec<Fan>,
-    /// Encoded responses the reader will write, and how many.
+    /// Single-lane requests of this read queued on a busy lane, by
+    /// wire id.
+    queued: Vec<(u64, Completion<BatchReply>)>,
+    /// The encoded responses, and how many.
     wire: Vec<u8>,
     frames: u64,
 }
@@ -842,6 +678,7 @@ impl Round {
         Round {
             groups: (0..lanes).map(|_| (Vec::new(), Vec::new())).collect(),
             fans: Vec::new(),
+            queued: Vec::new(),
             wire: Vec::new(),
             frames: 0,
         }
@@ -860,7 +697,6 @@ impl Round {
 
     /// File one decoded request under the lane(s) that serve it.
     fn add(&mut self, client: &KvClient, req: Request) {
-        let lanes = client.num_lanes();
         match req {
             Request::Ping { id } => self.answer(&Response::Pong { id }),
             Request::Get { id, key } => {
@@ -875,26 +711,13 @@ impl Round {
                 self.route(client.lane_of(key), BatchRequest::Delete(key), Tag::One(id))
             }
             Request::PutMany { id, items } => {
-                let mut by_lane: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); lanes];
-                for (k, v) in items {
-                    by_lane[client.lane_of(k)].push((k, v));
-                }
-                let mut slices = by_lane
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(_, group)| !group.is_empty());
-                let Some((lane, group)) = slices.next() else {
-                    return self.answer(&Response::Done { id, ok: true });
-                };
-                let Some(second) = slices.next() else {
-                    // one lane involved: its ack is the answer
-                    return self.route(lane, BatchRequest::PutMany(group), Tag::One(id));
-                };
+                // the ack is the conjunction of the touched lanes' acks
+                // (of none, for an empty batch: trivially done)
                 let tag = Tag::Part(self.fans.len());
-                for (lane, group) in [(lane, group), second].into_iter().chain(slices) {
+                for (lane, group) in client.split_by_lane(items) {
                     self.route(lane, BatchRequest::PutMany(group), tag);
                 }
-                self.fans.push(Fan::new(id, None, lanes));
+                self.fans.push(Fan::new(id, None));
             }
             Request::Scan { id, lo, hi, limit } => {
                 if lo > hi || limit == 0 {
@@ -903,28 +726,33 @@ impl Round {
                         items: Vec::new(),
                     });
                 }
-                if lanes == 1 {
-                    return self.route(0, BatchRequest::Scan(lo, hi, limit), Tag::One(id));
-                }
                 // keys are hash-routed: every lane may hold part of the
                 // range, so fan the scan out and merge the replies
-                for lane in 0..lanes {
-                    self.route(
-                        lane,
-                        BatchRequest::Scan(lo, hi, limit),
-                        Tag::Part(self.fans.len()),
-                    );
+                let tag = Tag::Part(self.fans.len());
+                for lane in 0..client.num_lanes() {
+                    self.route(lane, BatchRequest::Scan(lo, hi, limit), tag);
                 }
-                self.fans.push(Fan::new(id, Some(limit as usize), lanes));
+                self.fans.push(Fan::new(id, Some(limit as usize)));
             }
         }
     }
 
-    /// Submit every lane's group: serve the lanes found idle on this
-    /// thread, queue on the busy ones. Afterwards `wire` holds the
-    /// responses of everything served here (and of anything refused);
-    /// what was queued is registered in `shared.pending` for the writer.
-    fn submit(&mut self, client: &KvClient, shared: &ConnShared) {
+    /// File one lane reply (or the slot it will arrive in, or the
+    /// lane's refusal) where its tag says.
+    fn settle(&mut self, tag: Tag, answer: Answer) {
+        match (tag, answer) {
+            (Tag::Part(f), answer) => self.fans[f].parts.push(answer),
+            (Tag::One(id), Answer::Served(reply)) => self.answer(&response_of(id, reply)),
+            (Tag::One(id), Answer::Queued(slot)) => self.queued.push((id, slot)),
+            (Tag::One(id), Answer::Refused) => self.answer(&Response::Rejected { id }),
+        }
+    }
+
+    /// Submit every lane's group — serve the lanes found idle on this
+    /// thread, queue on the busy ones — and only then wait for what was
+    /// queued. Afterwards `wire` holds the response to every request of
+    /// the read.
+    fn submit(&mut self, client: &KvClient) {
         for lane in 0..self.groups.len() {
             if self.groups[lane].0.is_empty() {
                 continue;
@@ -933,86 +761,34 @@ impl Round {
             match client.try_serve(lane, &reqs) {
                 Some(replies) => {
                     for (&tag, reply) in tags.iter().zip(replies) {
-                        match tag {
-                            Tag::One(id) => self.answer(&response_of(id, reply)),
-                            Tag::Part(f) => self.fans[f].parts[lane] = Part::Got(reply),
-                        }
+                        self.settle(tag, Answer::Served(reply));
                     }
                     reqs.clear();
                 }
-                None => self.queue_group(client, shared, lane, &mut reqs, &tags),
+                None => {
+                    let answers = client.enqueue(lane, reqs.drain(..));
+                    for (&tag, answer) in tags.iter().zip(answers) {
+                        self.settle(tag, answer);
+                    }
+                }
             }
             tags.clear();
             self.groups[lane] = (reqs, tags);
         }
-        let mut late = false;
-        for mut fan in std::mem::take(&mut self.fans) {
-            if fan.poll() {
-                self.answer(&fan.response());
-            } else {
-                // some part is queued and may already have been filled
-                // and posted: post again once the entry is registered
-                lock(&shared.pending).entries.push_back(Pending::Fan(fan));
-                late = true;
-            }
+        for (id, slot) in std::mem::take(&mut self.queued) {
+            self.answer(&response_of(id, slot.wait()));
         }
-        if late {
-            shared.notify.post();
-        }
-    }
-
-    /// The busy-lane path for one lane's group: register the pending
-    /// entries **before** the push, so the writer's notify-count
-    /// snapshot can never miss a fill, then queue the whole group.
-    fn queue_group(
-        &mut self,
-        client: &KvClient,
-        shared: &ConnShared,
-        lane: usize,
-        reqs: &mut Vec<BatchRequest>,
-        tags: &[Tag],
-    ) {
-        let mut items: Vec<Queued> = Vec::with_capacity(reqs.len());
-        {
-            let mut pending = lock(&shared.pending);
-            for (req, &tag) in reqs.drain(..).zip(tags) {
-                let slot = Completion::with_notify(Arc::clone(&shared.notify));
-                match tag {
-                    Tag::One(id) => pending.entries.push_back(Pending::One {
-                        id,
-                        slot: slot.clone(),
-                    }),
-                    Tag::Part(f) => self.fans[f].parts[lane] = Part::Wait(slot.clone()),
-                }
-                items.push(Queued { req, slot });
-            }
-        }
-        let accepted = client.enqueue(lane, &mut items);
-        // the refused tail is answered from here. Its `One` entries are
-        // the last this reader pushed and can never become ready, so
-        // they are still the back of `pending`.
-        for &tag in tags[accepted..].iter().rev() {
-            match tag {
-                Tag::One(id) => {
-                    lock(&shared.pending).entries.pop_back();
-                    self.answer(&Response::Rejected { id });
-                }
-                Tag::Part(f) => self.fans[f].parts[lane] = Part::Refused,
-            }
+        for fan in std::mem::take(&mut self.fans) {
+            self.answer(&fan.response());
         }
     }
 }
 
-/// Decode frames off the connection and submit them, one read at a
-/// time; write what this thread served. Returns on EOF, read or write
-/// error, or a fatal protocol error (which also tears the connection
-/// down so the peer notices).
-fn reader_loop<E: Engine>(
-    mut conn: Box<dyn Conn>,
-    kv: &KvServer<E>,
-    shared: &ConnShared,
-    stats: &NetStats,
-) {
+/// Serve one connection: decode the frames of one read, submit them,
+/// wait for what was queued, write the responses; repeat. Returns on
+/// EOF, read or write error, or a fatal protocol error (which also
+/// tears the connection down so the peer notices).
+fn conn_loop<E: Engine>(mut conn: Box<dyn Conn>, kv: &KvServer<E>, stats: &NetStats) {
     let client = kv.handle();
     let mut dec = FrameDecoder::new();
     let mut buf = vec![0u8; 64 * 1024];
@@ -1038,83 +814,22 @@ fn reader_loop<E: Engine>(
             }
         };
         stats.frames_in.fetch_add(frames_in, Ordering::Relaxed);
-        round.submit(client, shared);
+        round.submit(client);
+        // counted before the write: a client that has read a reply must
+        // never observe `frames_in > frames_out`
+        stats.frames_out.fetch_add(round.frames, Ordering::Relaxed);
         // a peer that has stopped reading stalls its own connection
         // here instead of growing the server's buffers: this write
-        // blocks on the transport's bound, and what was queued for the
-        // writer thread (blocked on the same bound) runs into the cap
-        let sent = match round.frames {
-            0 => Ok(()),
-            frames => shared.send(&round.wire, frames, stats),
-        };
+        // blocks on the transport's bound, and nothing else reads the
+        // peer's requests (a read that completed no frame writes nothing)
+        let sent = conn.write_all_bytes(&round.wire);
         round.wire.clear();
         round.frames = 0;
-        let mut pending = lock(&shared.pending);
-        while pending.entries.len() > PENDING_CAP {
-            pending.reader_waiting = true;
-            pending = shared
-                .drained
-                .wait(pending)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-        drop(pending);
         if fatal {
             conn.shutdown_conn();
         }
         if fatal || sent.is_err() {
             return;
-        }
-    }
-}
-
-/// Answer what the lane workers served: sweep the pending set whenever
-/// one posts, encode every response that became ready (possibly out of
-/// submission order), and write them back as one buffer per sweep.
-fn writer_loop(shared: &ConnShared, stats: &NetStats) {
-    let mut wire = Vec::new();
-    let mut broken = false;
-    loop {
-        let seen = shared.notify.count();
-        let done = shared.done.load(Ordering::Acquire);
-        let mut frames = 0u64;
-        let empty = {
-            let mut pending = lock(&shared.pending);
-            let before = pending.entries.len();
-            pending.entries.retain_mut(|entry| {
-                if broken {
-                    // peer gone: keep reaping what the workers fill,
-                    // encode nothing
-                    return !entry.reap();
-                }
-                match entry.take_ready() {
-                    Some(resp) => {
-                        encode_response_into(&mut wire, &resp);
-                        frames += 1;
-                        false
-                    }
-                    None => true,
-                }
-            });
-            let empty = pending.entries.is_empty();
-            let wake_reader =
-                pending.entries.len() < before && std::mem::take(&mut pending.reader_waiting);
-            drop(pending);
-            if wake_reader {
-                shared.drained.notify_one();
-            }
-            empty
-        };
-        if frames > 0 {
-            broken = shared.send(&wire, frames, stats).is_err();
-            wire.clear();
-        }
-        if done && empty {
-            return;
-        }
-        if frames == 0 {
-            // nothing was ready: sleep until a post lands past our
-            // pre-scan snapshot (one during the scan returns at once)
-            shared.notify.wait_past(seen);
         }
     }
 }
@@ -1358,9 +1073,8 @@ mod tests {
         });
     }
 
-    /// Idle lanes: one connection's whole session is served by its
-    /// reader thread — no request ever reaches a lane worker, and the
-    /// writer thread has nothing to answer.
+    /// Idle lanes: one connection's whole session is served by its own
+    /// thread — no request ever reaches a lane worker.
     #[test]
     fn one_connection_is_served_by_its_reader() {
         let kv = kv(2);
@@ -1436,18 +1150,16 @@ mod tests {
         }
         let (fin, fout) = last;
         // a reply frame is 221 bytes: the pipe holds under 4 745 of
-        // them; the reader and the writer thread can each be blocked on
-        // one more buffer — a read's worth (2 622 requests of 25 bytes)
-        // and, for the writer, the capped pending set on top
+        // them, and the connection's thread is blocked writing one more
+        // buffer — a read's worth (2 622 requests of 25 bytes)
         let reply = (crate::proto::HEADER_LEN + 8 + 1 + 4 + 200) as u64;
         let round = 64 * 1024 / 25 + 1;
-        let pending_max = PENDING_CAP as u64 + round;
         assert!(
-            fout <= PIPE_CAPACITY as u64 / reply + pending_max + round,
+            fout <= PIPE_CAPACITY as u64 / reply + round,
             "replies: {fout}"
         );
         assert!(
-            fin - fout <= pending_max + round,
+            fin - fout <= round,
             "answered {fout} of {fin} decoded: unanswered requests pile up"
         );
         assert!(fin < FLOOD / 2, "the connection kept reading: {fin}");
@@ -1456,6 +1168,104 @@ mod tests {
                         // releases it with an error — or may just have fitted its last
                         // bytes in)
         flood.join().unwrap();
+        kv.close();
+    }
+
+    /// The busy-lane path, forced: while another thread holds lane 0, a
+    /// connection pipelines a burst over both lanes. Its thread queues
+    /// on the held lane, serves the other itself, waits, and answers
+    /// every request once — and what it acked is durable.
+    #[test]
+    fn a_burst_over_a_busy_and_an_idle_lane_is_answered_once_each() {
+        let kv = kv(2);
+        let t = InProcTransport::new();
+        let srv = NetServer::start(&t, "inproc", Arc::clone(&kv)).unwrap();
+        let client = kv.client();
+        let value = |k: u64| (k * 31).to_le_bytes().to_vec();
+        // ids 0..8 put key `id`, 8..16 get it back (each behind its put
+        // in its lane's group), 16 is a multi-put over both lanes and
+        // 17 a scan of what it wrote
+        let many: Vec<(u64, Vec<u8>)> = (1000..1016).map(|k| (k, value(k))).collect();
+        let mut burst: Vec<Request> = Vec::new();
+        burst.extend((0..8).map(|id| Request::Put {
+            id,
+            key: id,
+            value: value(id),
+        }));
+        burst.extend((0..8).map(|key| Request::Get { id: 8 + key, key }));
+        let items = many.clone();
+        burst.push(Request::PutMany { id: 16, items });
+        let (id, lo, hi, limit) = (17, 1000, 1015, 100);
+        burst.push(Request::Scan { id, lo, hi, limit });
+        let mut wire = Vec::new();
+        for req in &burst {
+            crate::proto::encode_request_into(&mut wire, req);
+        }
+        // what lane 0 gets: its keys' puts and gets, a slice of the
+        // multi-put, its share of the scan
+        let held_keys = (0..8).filter(|&k| client.lane_of(k) == 0).count() as u64;
+        assert!(
+            0 < held_keys && held_keys < 8,
+            "single-lane requests on both"
+        );
+        let spanned: std::collections::HashSet<usize> =
+            many.iter().map(|&(k, _)| client.lane_of(k)).collect();
+        assert_eq!(spanned.len(), 2, "the multi-put spans both lanes");
+        let queued_on_held = 2 * held_keys + 2;
+
+        let mut conn = t.connect("inproc").unwrap();
+        let gate = std::sync::Barrier::new(2);
+        let mut got: Vec<Response> = Vec::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                kv.with_shard(0, |_| {
+                    gate.wait(); // the lane is held ...
+                    gate.wait(); // ... until the burst is queued on it
+                })
+            });
+            gate.wait();
+            conn.write_all_bytes(&wire).unwrap();
+            let t0 = std::time::Instant::now();
+            while {
+                let qs = kv.queue_stats();
+                qs.enqueued - qs.drained < queued_on_held
+            } {
+                assert!(t0.elapsed().as_secs() < 20, "the burst never queued");
+                std::thread::yield_now();
+            }
+            gate.wait();
+            let mut dec = FrameDecoder::new();
+            let mut buf = vec![0u8; 4096];
+            while got.len() < burst.len() {
+                let n = conn.read_some(&mut buf).unwrap();
+                assert!(n > 0, "server closed early");
+                dec.extend_from(&buf[..n]);
+                while let Some(resp) = dec.next_response().unwrap() {
+                    got.push(resp);
+                }
+            }
+        });
+        got.sort_unstable_by_key(|r| r.id());
+        let mut want: Vec<Response> = Vec::new();
+        want.extend((0..8).map(|id| Response::Done { id, ok: true }));
+        want.extend((0..8).map(|k| Response::Value {
+            id: 8 + k,
+            value: Some(value(k)),
+        }));
+        want.push(Response::Done { id: 16, ok: true });
+        let items = many.clone();
+        want.push(Response::Entries { id: 17, items });
+        assert_eq!(got, want, "every id once; the scan sorted and complete");
+        let qs = kv.queue_stats();
+        assert!(qs.queued_batches() > 0, "the busy-lane path ran");
+        assert!(qs.inline_batches > 0, "and so did the idle-lane one");
+        assert_eq!(qs.enqueued, qs.drained, "nothing left behind");
+        // ack => durable, on both paths
+        kv.crash_and_recover_all(&nvcache_pmem::CrashMode::StrictDurableOnly);
+        for (k, v) in (0..8).map(|k| (k, value(k))).chain(many) {
+            assert_eq!(client.get(k), Some(v), "acked key {k} lost");
+        }
+        srv.shutdown();
         kv.close();
     }
 
@@ -1473,6 +1283,8 @@ mod tests {
             .put_many(&[(3, b"three".to_vec()), (4, b"four".to_vec())])
             .unwrap());
         assert_eq!(c.get(4).unwrap().as_deref(), Some(&b"four"[..]));
+        assert!(c.put_many(&[]).unwrap(), "an empty batch is trivially done");
+        assert!(c.put_many(&[(4, b"four".to_vec())]).unwrap(), "one lane");
         assert_eq!(
             c.scan(0, 10, 16).unwrap(),
             vec![

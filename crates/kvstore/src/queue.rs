@@ -31,9 +31,9 @@
 //!
 //! Every condvar in this module is notified only when a waiter has
 //! registered itself under the same mutex: the notifier takes the
-//! registration off as it wakes, so a burst of pushes, fills or posts
-//! against one sleeper costs one `futex` call, and none at all when
-//! nobody sleeps.
+//! registration off as it wakes, so a burst of pushes or fills against
+//! one sleeper costs one `futex` call, and none at all when nobody
+//! sleeps.
 //!
 //! [`push`]: SubmissionQueue::push
 //! [`push_group`]: SubmissionQueue::push_group
@@ -399,64 +399,6 @@ impl<T> SubmissionQueue<T> {
     }
 }
 
-/// A shared fill-counter + condvar: every [`Completion`] built with
-/// [`Completion::with_notify`] bumps it on fill, so one collector
-/// thread can sleep on *many* outstanding completions at once (the
-/// network writer task does this to reap pipelined requests possibly
-/// out of order) instead of blocking on each slot in turn.
-#[derive(Debug, Default)]
-pub struct Notify {
-    state: Mutex<NotifyState>,
-    cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct NotifyState {
-    count: u64,
-    /// Collectors asleep in [`Notify::wait_past`].
-    waiting: usize,
-}
-
-impl Notify {
-    /// A fresh notifier with a zero fill count.
-    pub fn new() -> Self {
-        Notify::default()
-    }
-
-    /// Total posts observed so far. Snapshot this *before* scanning the
-    /// pending set, then [`wait_past`](Notify::wait_past) the snapshot:
-    /// a fill that lands mid-scan bumps the count past the snapshot and
-    /// the wait returns immediately — no lost wakeup.
-    pub fn count(&self) -> u64 {
-        self.lock().count
-    }
-
-    /// Record one post and wake whoever sleeps.
-    pub fn post(&self) {
-        let mut g = self.lock();
-        g.count += 1;
-        if std::mem::take(&mut g.waiting) > 0 {
-            drop(g);
-            self.cv.notify_all();
-        }
-    }
-
-    /// Block until the count exceeds `seen` (a snapshot taken with
-    /// [`count`](Notify::count)). Returns the current count.
-    pub fn wait_past(&self, seen: u64) -> u64 {
-        let mut g = self.lock();
-        while g.count <= seen {
-            g.waiting += 1;
-            g = self.cv.wait(g).unwrap_or_else(|e| e.into_inner());
-        }
-        g.count
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, NotifyState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 #[derive(Debug)]
 struct Slot<T> {
     value: Option<T>,
@@ -475,14 +417,12 @@ struct Slot<T> {
 #[derive(Debug)]
 pub struct Completion<T> {
     slot: Arc<(Mutex<Slot<T>>, Condvar)>,
-    notify: Option<Arc<Notify>>,
 }
 
 impl<T> Clone for Completion<T> {
     fn clone(&self) -> Self {
         Completion {
             slot: Arc::clone(&self.slot),
-            notify: self.notify.clone(),
         }
     }
 }
@@ -504,31 +444,11 @@ impl<T> Completion<T> {
                 }),
                 Condvar::new(),
             )),
-            notify: None,
-        }
-    }
-
-    /// An unfilled slot whose fill additionally posts to `notify`, so a
-    /// collector multiplexed over many slots learns something landed.
-    pub fn with_notify(notify: Arc<Notify>) -> Self {
-        Completion {
-            notify: Some(notify),
-            ..Completion::new()
         }
     }
 
     /// Deliver the result (exactly once; a second fill is a bug).
     pub fn fill(&self, value: T) {
-        if let Some(n) = self.fill_unposted(value) {
-            n.post();
-        }
-    }
-
-    /// [`fill`](Completion::fill) without the [`Notify`] post: the
-    /// notifier, if the slot has one, is handed back so a worker that
-    /// fills a whole batch can post each collector once, after the last
-    /// of its slots is in.
-    pub fn fill_unposted(&self, value: T) -> Option<&Arc<Notify>> {
         let (m, cv) = &*self.slot;
         let mut g = m.lock().unwrap_or_else(|e| e.into_inner());
         debug_assert!(g.value.is_none(), "completion filled twice");
@@ -537,7 +457,6 @@ impl<T> Completion<T> {
             drop(g);
             cv.notify_all();
         }
-        self.notify.as_ref()
     }
 
     /// Block until the worker fills the slot, then take the result.
@@ -807,55 +726,6 @@ mod tests {
         let mut out = Vec::new();
         assert!(q.drain_into(&mut out, 4));
         assert!(!q.wait_ready(), "closed and empty");
-    }
-
-    #[test]
-    fn fill_unposted_leaves_the_post_to_the_filler() {
-        let n = Arc::new(Notify::new());
-        let a: Completion<u32> = Completion::with_notify(Arc::clone(&n));
-        let b: Completion<u32> = Completion::with_notify(Arc::clone(&n));
-        let na = a.fill_unposted(1).expect("slot has a notifier");
-        let nb = b.fill_unposted(2).expect("slot has a notifier");
-        assert!(Arc::ptr_eq(na, nb));
-        assert_eq!(n.count(), 0, "nothing posted yet");
-        na.post();
-        assert_eq!(n.count(), 1, "one post for the batch");
-        assert_eq!((a.try_take(), b.try_take()), (Some(1), Some(2)));
-        let plain: Completion<u32> = Completion::new();
-        assert!(plain.fill_unposted(3).is_none());
-        assert_eq!(plain.wait(), 3);
-    }
-
-    #[test]
-    fn notify_multiplexes_many_completions() {
-        let n = Arc::new(Notify::new());
-        let slots: Vec<Completion<u32>> = (0..4)
-            .map(|_| Completion::with_notify(Arc::clone(&n)))
-            .collect();
-        assert_eq!(n.count(), 0);
-        std::thread::scope(|s| {
-            for (i, c) in slots.iter().enumerate() {
-                let c = c.clone();
-                s.spawn(move || c.fill(i as u32));
-            }
-            // collector: snapshot-then-wait loop reaps all four fills
-            // without ever blocking on an individual slot
-            let mut got = Vec::new();
-            while got.len() < 4 {
-                let seen = n.count();
-                for c in &slots {
-                    if let Some(v) = c.try_take() {
-                        got.push(v);
-                    }
-                }
-                if got.len() < 4 {
-                    n.wait_past(seen);
-                }
-            }
-            got.sort_unstable();
-            assert_eq!(got, vec![0, 1, 2, 3]);
-        });
-        assert_eq!(n.count(), 4);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! by **whichever thread finds it idle**.
 //!
 //! A submitter (a blocking [`KvClient`] call, or a network connection's
-//! reader with every frame of one read grouped per lane) `try_lock`s
+//! thread with every frame of one read grouped per lane) `try_lock`s
 //! the lane's engine. If it gets the lock while the queue is open and
 //! empty and its group fits [`ServerConfig::max_batch`], it runs
 //! [`Engine::serve_batch`] itself and has its replies in hand: no
@@ -16,7 +16,11 @@
 //! *under that lock* and serves the convoy as one grouped FASE:
 //! cross-client group commit. The worker is what guarantees a queued
 //! request is served when no further submitter comes by. All of them
-//! run the one [`serve_group`].
+//! run the one `serve_group`.
+//!
+//! There is one way to wait for a lane: a submitter — client call or
+//! connection thread alike — hands every lane its group first and only
+//! then blocks, in [`Completion::wait`], on what it queued.
 //!
 //! Which path serves a request is decided from what the code observes
 //! (engine lock free, queue empty), not from configuration. The batch
@@ -41,7 +45,7 @@
 //! request of its group, including those whose segment had already
 //! committed — acks are at-most-once, not exactly-once.
 //!
-//! Panics do not wedge the lane, on any thread: [`serve_group`]
+//! Panics do not wedge the lane, on any thread: `serve_group`
 //! catches the unwind, heals the engine in place
 //! ([`Engine::heal_after_panic`] rolls the abandoned FASE back and drops
 //! volatile runtime residue), fails that group's requests, and the lane
@@ -56,7 +60,7 @@ use nvcache_fase::FaseStats;
 use nvcache_pmem::CrashMode;
 
 use crate::engine::{Engine, TreeEngine, TreeEngineConfig};
-use crate::queue::{Backpressure, Completion, Notify, QueueStats, SubmissionQueue};
+use crate::queue::{Backpressure, Completion, QueueStats, SubmissionQueue};
 use crate::shard::{BatchReply, BatchRequest, CapacityChoice, Shard};
 use crate::store::{route_hash, KvConfig};
 
@@ -85,14 +89,11 @@ impl Default for ServerConfig {
     }
 }
 
-/// Sorted `(key, value)` entries a scan hands back.
-pub type ScanEntries = Vec<(u64, Vec<u8>)>;
-
 /// A request on the busy-lane path: the operation plus the completion
 /// slot its reply flows back through.
-pub(crate) struct Queued {
-    pub(crate) req: BatchRequest,
-    pub(crate) slot: Completion<BatchReply>,
+struct Queued {
+    req: BatchRequest,
+    slot: Completion<BatchReply>,
 }
 
 /// Negative reply for a request that was accepted but could not be
@@ -213,19 +214,9 @@ impl<E: Engine> LaneCore<E> {
             batch.into_iter().map(|q| (q.req, q.slot)).unzip();
         let replies = serve_group(&mut *engine, &reqs, &self.healed);
         drop(engine);
-        // acks go out with the lane already released. One post per
-        // collector, after its last slot of this batch is in: a
-        // connection's writer wakes once per batch, not once per fill.
-        let mut collectors: Vec<&Arc<Notify>> = Vec::new();
+        // acks go out with the lane already released
         for (slot, reply) in slots.iter().zip(replies) {
-            if let Some(n) = slot.fill_unposted(reply) {
-                if !collectors.iter().any(|c| Arc::ptr_eq(c, n)) {
-                    collectors.push(n);
-                }
-            }
-        }
-        for n in collectors {
-            n.post();
+            slot.fill(reply);
         }
     }
 }
@@ -473,15 +464,22 @@ impl std::fmt::Debug for KvClient {
     }
 }
 
-/// Where one request of a blocking call stands after submission.
-enum Answer {
+/// Where one submitted request stands: every submitter — a blocking
+/// [`KvClient`] call, a connection's thread — submits all it has, then
+/// [`wait`](Answer::wait)s.
+pub(crate) enum Answer {
+    /// The lane was idle: served on the submitter's thread.
     Served(BatchReply),
+    /// Queued on a busy lane; whoever serves the batch fills the slot.
     Queued(Completion<BatchReply>),
+    /// The lane refused it (full under [`Backpressure::Reject`], or
+    /// shut down).
     Refused,
 }
 
 impl Answer {
-    fn wait(self) -> Option<BatchReply> {
+    /// The reply, blocking for a queued one; `None` for a refusal.
+    pub(crate) fn wait(self) -> Option<BatchReply> {
         match self {
             Answer::Served(r) => Some(r),
             Answer::Queued(c) => Some(c.wait()),
@@ -501,21 +499,49 @@ impl KvClient {
         (route_hash(key) % self.lanes.len() as u64) as usize
     }
 
+    /// A multi-put's items split by the lane serving each key, in item
+    /// order: `(lane, slice)` for every lane the batch touches.
+    pub(crate) fn split_by_lane(
+        &self,
+        items: impl IntoIterator<Item = (u64, Vec<u8>)>,
+    ) -> impl Iterator<Item = (usize, Vec<(u64, Vec<u8>)>)> {
+        let mut by_lane = vec![Vec::new(); self.lanes.len()];
+        for (k, v) in items {
+            by_lane[self.lane_of(k)].push((k, v));
+        }
+        let touched = |(_, slice): &(usize, Vec<_>)| !slice.is_empty();
+        by_lane.into_iter().enumerate().filter(touched)
+    }
+
     /// The idle-lane path for a submitter that handles its own replies
-    /// (the network reader): serve `reqs` on this thread if `lane` is
-    /// idle. `None`: the lane is busy — [`enqueue`](KvClient::enqueue).
+    /// (a network connection's thread): serve `reqs` on this thread if
+    /// `lane` is idle. `None`: the lane is busy —
+    /// [`enqueue`](KvClient::enqueue).
     pub(crate) fn try_serve(&self, lane: usize, reqs: &[BatchRequest]) -> Option<Vec<BatchReply>> {
         self.lanes[lane].try_serve(reqs)
     }
 
-    /// The busy-lane path: queue `items` on `lane`, in order, under one
+    /// The busy-lane path: queue `reqs` on `lane`, in order, under one
     /// lock, and serve the queue from this thread if the lane turns out
-    /// to be free — or else wake the worker, once. Returns how many
-    /// were accepted;
-    /// the refused tail (full queue under [`Backpressure::Reject`], or
-    /// a closed server) stays in `items` and its slots are never filled.
-    pub(crate) fn enqueue(&self, lane: usize, items: &mut Vec<Queued>) -> usize {
-        self.lanes[lane].enqueue(items)
+    /// to be free — or else wake the worker, once. One [`Answer`] per
+    /// request: `Queued` with the slot its reply arrives in, `Refused`
+    /// for the tail the lane did not accept (full queue under
+    /// [`Backpressure::Reject`], or a closed server).
+    pub(crate) fn enqueue(
+        &self,
+        lane: usize,
+        reqs: impl IntoIterator<Item = BatchRequest>,
+    ) -> Vec<Answer> {
+        let (mut items, mut answers) = (Vec::new(), Vec::new());
+        for req in reqs {
+            let slot = Completion::new();
+            answers.push(Answer::Queued(slot.clone()));
+            items.push(Queued { req, slot });
+        }
+        // the refused tail stays in `items`; its slots are never filled
+        let accepted = self.lanes[lane].enqueue(&mut items);
+        answers[accepted..].fill_with(|| Answer::Refused);
+        answers
     }
 
     /// Submit one request to `lane` without waiting for a queued reply.
@@ -524,16 +550,8 @@ impl KvClient {
         if let Some(mut replies) = self.try_serve(lane, &reqs) {
             return Answer::Served(replies.pop().expect("one reply per request"));
         }
-        let [req] = reqs;
-        let slot = Completion::new();
-        let mut items = vec![Queued {
-            req,
-            slot: slot.clone(),
-        }];
-        match self.enqueue(lane, &mut items) {
-            1 => Answer::Queued(slot),
-            _ => Answer::Refused,
-        }
+        let mut answers = self.enqueue(lane, reqs);
+        answers.pop().expect("one answer per request")
     }
 
     /// Look up `key`. `None` covers both absence and a refused
@@ -570,15 +588,9 @@ impl KvClient {
     /// additionally absorb other clients' concurrent writes (that is
     /// the point).
     pub fn put_many(&self, items: &[(u64, Vec<u8>)]) -> bool {
-        let mut by_lane: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); self.lanes.len()];
-        for (k, v) in items {
-            by_lane[self.lane_of(*k)].push((*k, v.clone()));
-        }
         // submit to every lane before waiting on any
-        let answers: Vec<Answer> = by_lane
-            .into_iter()
-            .enumerate()
-            .filter(|(_, group)| !group.is_empty())
+        let answers: Vec<Answer> = self
+            .split_by_lane(items.iter().cloned())
             .map(|(lane, group)| self.submit(lane, BatchRequest::PutMany(group)))
             .collect();
         answers.into_iter().fold(true, |ok, a| {
@@ -600,16 +612,26 @@ impl KvClient {
         let answers: Vec<Answer> = (0..self.lanes.len())
             .map(|lane| self.submit(lane, BatchRequest::Scan(lo, hi, per_lane)))
             .collect();
-        let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
-        for a in answers {
-            if let Some(BatchReply::Entries(e)) = a.wait() {
-                out.extend(e);
-            }
-        }
-        out.sort_unstable_by_key(|&(k, _)| k);
-        out.truncate(limit);
-        out
+        merge_scan(answers.into_iter().filter_map(Answer::wait), limit)
     }
+}
+
+/// The answer to a scan fanned out over every lane: the lanes' entries
+/// merged, sorted by key and cut to `limit`.
+pub(crate) fn merge_scan(
+    replies: impl IntoIterator<Item = BatchReply>,
+    limit: usize,
+) -> Vec<(u64, Vec<u8>)> {
+    let mut out: Vec<(u64, Vec<u8>)> = replies
+        .into_iter()
+        .flat_map(|r| match r {
+            BatchReply::Entries(e) => e,
+            _ => Vec::new(),
+        })
+        .collect();
+    out.sort_unstable_by_key(|&(k, _)| k);
+    out.truncate(limit);
+    out
 }
 
 /// The lane's worker: whenever the queue holds something, take the

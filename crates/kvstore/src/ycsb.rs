@@ -1,7 +1,8 @@
 //! YCSB-style concurrent load generation for [`KvStore`]: zipfian or
 //! uniform key choice, the classic mixes A–F (reads, updates, inserts,
 //! short range scans, read-modify-writes), deterministic per-worker
-//! seeds, and open- or closed-loop issue.
+//! seeds, closed-loop issue (the open-loop generator is
+//! [`crate::netload`]).
 //!
 //! The harness mirrors the paper's memcached evaluation shape: a
 //! long-running store serving a skewed key-popularity stream while each
@@ -18,7 +19,7 @@ use std::time::Instant;
 
 use nvcache_fase::FaseStats;
 use nvcache_telemetry::{
-    Clock, MonoClock, Recorder, SpanId, TelemetryConfig, TelemetrySnapshot, ThreadRecorder,
+    MonoClock, Recorder, SpanId, TelemetryConfig, TelemetrySnapshot, ThreadRecorder,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -103,12 +104,16 @@ pub enum Mix {
     /// insert-bearing mix; YCSB-D-shaped working-set growth).
     D,
     /// 95% short range scans / 5% inserts (YCSB-E; the ordered-engine
-    /// workload — scan lengths drawn zipfian up to
-    /// [`YcsbConfig::max_scan_len`]).
+    /// workload — scan lengths drawn zipfian over `1..=100`).
     E,
     /// 50% reads / 50% read-modify-writes (YCSB-F).
     F,
 }
+
+/// Largest range-scan length of the scan-bearing mixes (YCSB-E):
+/// per-scan lengths are drawn zipfian over `1..=MAX_SCAN_LEN`, so most
+/// scans are short and a few sweep the full window.
+const MAX_SCAN_LEN: usize = 100;
 
 /// Per-op-type fractions of one [`Mix`]; sums to 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -260,9 +265,6 @@ pub struct YcsbConfig {
     /// what gives write FASEs intra-FASE locality for the software
     /// cache — single-write FASEs have none, by construction.
     pub batch: usize,
-    /// Open-loop pacing: target op rate *per worker*; `None` = closed
-    /// loop (issue as fast as the store serves).
-    pub target_ops_per_sec: Option<f64>,
     /// Stat windows sampled live during the run.
     pub windows: usize,
     /// Optional single mid-run zipfian skew change (workload phase
@@ -273,10 +275,6 @@ pub struct YcsbConfig {
     /// in tid order into [`YcsbReport::latency`]. Off by default: the
     /// timed closed loop stays free of clock reads.
     pub latency: bool,
-    /// Largest range-scan length for the scan-bearing mixes (YCSB-E);
-    /// per-scan lengths are drawn zipfian over `1..=max_scan_len`, so
-    /// most scans are short and a few sweep the full window.
-    pub max_scan_len: usize,
 }
 
 impl Default for YcsbConfig {
@@ -290,11 +288,9 @@ impl Default for YcsbConfig {
             value_len: 56,
             seed: 42,
             batch: 1,
-            target_ops_per_sec: None,
             windows: 8,
             theta_shift: None,
             latency: false,
-            max_scan_len: 100,
         }
     }
 }
@@ -362,7 +358,8 @@ pub fn load<T: KvTarget>(target: &T, keys: usize, value_len: usize) -> usize {
         .count()
 }
 
-/// Open-loop latency accounting: elapsed nanoseconds from an op's
+/// Open-loop latency accounting (what [`crate::netload`] charges each
+/// request): elapsed nanoseconds from an op's
 /// *intended* (scheduled) arrival to its completion. Measuring from
 /// the intended time — not the actual submit time — is what defeats
 /// coordinated omission: when the store stalls and the issuing loop
@@ -374,30 +371,20 @@ pub fn scheduled_latency_ns(intended_ns: u64, completed_ns: u64) -> u64 {
     completed_ns.saturating_sub(intended_ns)
 }
 
-/// Run `f` under latency accounting when a recorder is live; plain
-/// call otherwise. Closed loop (`intended_ns` = `None`) spans from the
-/// call (the span guard reads the clock twice); open loop measures
-/// from the op's scheduled arrival via [`scheduled_latency_ns`].
+/// Run `f` under a latency span when a recorder is live (the span guard
+/// reads the clock twice); plain call otherwise.
 #[inline]
 fn timed<T>(
     rec: &mut Option<ThreadRecorder>,
     clock: &MonoClock,
     id: SpanId,
-    intended_ns: Option<u64>,
     f: impl FnOnce() -> T,
 ) -> T {
     match rec {
-        Some(r) => match intended_ns {
-            Some(t0) => {
-                let out = f();
-                r.observe(id.hist(), scheduled_latency_ns(t0, clock.now_ns()));
-                out
-            }
-            None => {
-                let _g = r.span(clock, id);
-                f()
-            }
-        },
+        Some(r) => {
+            let _g = r.span(clock, id);
+            f()
+        }
         None => f(),
     }
 }
@@ -407,9 +394,9 @@ fn timed<T>(
 /// concurrent server, so their measurements differ only in the serving
 /// path.
 ///
-/// Closed loop by default; set [`YcsbConfig::target_ops_per_sec`] for
-/// open-loop pacing. Worker `w` uses seed `cfg.seed ⊕ mix(w)`, so runs
-/// are reproducible per worker regardless of interleaving.
+/// Closed loop: every worker issues as fast as the store serves. Worker
+/// `w` uses seed `cfg.seed ⊕ mix(w)`, so runs are reproducible per
+/// worker regardless of interleaving.
 pub fn run<T: KvTarget>(store: &T, cfg: &YcsbConfig) -> YcsbReport {
     assert!(cfg.workers >= 1 && cfg.ops_per_worker >= 1);
     // One read-only zipfian table, shared by reference across every
@@ -432,7 +419,7 @@ pub fn run<T: KvTarget>(store: &T, cfg: &YcsbConfig) -> YcsbReport {
     let (read_f, update_f, insert_f, scan_f) = (m.read, m.update, m.insert, m.scan);
     // scan lengths are themselves zipfian (YCSB-E: mostly-short scans
     // with an occasional window-wide sweep)
-    let scan_len = (scan_f > 0.0).then(|| Zipfian::new(cfg.max_scan_len.max(2), 0.99));
+    let scan_len = (scan_f > 0.0).then(|| Zipfian::new(MAX_SCAN_LEN, 0.99));
     let recorders: Mutex<Vec<ThreadRecorder>> = Mutex::new(Vec::new());
     let completed = AtomicU64::new(0);
     let next_key = AtomicU64::new(cfg.keys as u64);
@@ -473,38 +460,20 @@ pub fn run<T: KvTarget>(store: &T, cfg: &YcsbConfig) -> YcsbReport {
                     .latency
                     .then(|| ThreadRecorder::new(w as u32, &TelemetryConfig::default()));
                 // group-commit buffer (batch > 1): writes park here and
-                // land together via put_many as one FASE per shard;
-                // under open loop the batch is charged from its first
-                // member's intended arrival (the op that waited longest)
+                // land together via put_many as one FASE per shard
                 let mut pending: Vec<(u64, Vec<u8>)> = Vec::new();
-                let mut pending_intended: Option<u64> = None;
                 let flush = |pending: &mut Vec<(u64, Vec<u8>)>,
-                             pending_intended: &mut Option<u64>,
                              rec: &mut Option<ThreadRecorder>| {
                     if pending.is_empty() {
                         return;
                     }
-                    let intended = pending_intended.take();
-                    if !timed(rec, &clock, SpanId::KvPutMany, intended, || {
-                        store.put_many(pending)
-                    }) {
+                    if !timed(rec, &clock, SpanId::KvPutMany, || store.put_many(pending)) {
                         rejected.fetch_add(pending.len() as u64, Ordering::Relaxed);
                     }
                     completed.fetch_add(pending.len() as u64, Ordering::Relaxed);
                     pending.clear();
                 };
                 for i in 0..cfg.ops_per_worker {
-                    // open loop: op i is *intended* at t0 + i/rate on
-                    // the worker's own clock; wait out any head start,
-                    // and charge latency from this scheduled instant
-                    let intended_ns = cfg
-                        .target_ops_per_sec
-                        .map(|rate| (i as f64 * 1e9 / rate) as u64);
-                    if let Some(due) = intended_ns {
-                        while clock.now_ns() < due {
-                            std::hint::spin_loop();
-                        }
-                    }
                     // after the phase shift, key popularity follows the
                     // shifted zipfian (every worker shifts at the same
                     // local op index: deterministic per worker)
@@ -519,11 +488,7 @@ pub fn run<T: KvTarget>(store: &T, cfg: &YcsbConfig) -> YcsbReport {
                     let r = rng.gen::<f64>();
                     if r < read_f {
                         reads.fetch_add(1, Ordering::Relaxed);
-                        if timed(&mut rec, &clock, SpanId::KvGet, intended_ns, || {
-                            store.get(key)
-                        })
-                        .is_none()
-                        {
+                        if timed(&mut rec, &clock, SpanId::KvGet, || store.get(key)).is_none() {
                             not_found.fetch_add(1, Ordering::Relaxed);
                         }
                         completed.fetch_add(1, Ordering::Relaxed);
@@ -538,7 +503,7 @@ pub fn run<T: KvTarget>(store: &T, cfg: &YcsbConfig) -> YcsbReport {
                                 .map_or(1, |z| z.rank(rng.gen::<f64>()) + 1)
                                 as usize;
                             let hi = key.saturating_add(len as u64 - 1);
-                            let got = timed(&mut rec, &clock, SpanId::KvScan, intended_ns, || {
+                            let got = timed(&mut rec, &clock, SpanId::KvScan, || {
                                 store.scan(key, hi, len)
                             });
                             if got.is_empty() {
@@ -551,7 +516,7 @@ pub fn run<T: KvTarget>(store: &T, cfg: &YcsbConfig) -> YcsbReport {
                             // put histogram as one sample
                             rmws.fetch_add(1, Ordering::Relaxed);
                             let v = value_bytes(key, i as u64 + 1, cfg.value_len);
-                            let ok = timed(&mut rec, &clock, SpanId::KvPut, intended_ns, || {
+                            let ok = timed(&mut rec, &clock, SpanId::KvPut, || {
                                 if store.get(key).is_none() {
                                     not_found.fetch_add(1, Ordering::Relaxed);
                                 }
@@ -573,23 +538,18 @@ pub fn run<T: KvTarget>(store: &T, cfg: &YcsbConfig) -> YcsbReport {
                         (k, value_bytes(k, 0, cfg.value_len))
                     };
                     if cfg.batch > 1 {
-                        if pending.is_empty() {
-                            pending_intended = intended_ns;
-                        }
                         pending.push((k, v));
                         if pending.len() >= cfg.batch {
-                            flush(&mut pending, &mut pending_intended, &mut rec);
+                            flush(&mut pending, &mut rec);
                         }
                     } else {
-                        if !timed(&mut rec, &clock, SpanId::KvPut, intended_ns, || {
-                            store.put(k, &v)
-                        }) {
+                        if !timed(&mut rec, &clock, SpanId::KvPut, || store.put(k, &v)) {
                             rejected.fetch_add(1, Ordering::Relaxed);
                         }
                         completed.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                flush(&mut pending, &mut pending_intended, &mut rec);
+                flush(&mut pending, &mut rec);
                 if let Some(r) = rec {
                     recorders.lock().unwrap_or_else(|e| e.into_inner()).push(r);
                 }
@@ -848,7 +808,6 @@ mod tests {
                 seed: 11,
                 windows: 0,
                 latency: true,
-                max_scan_len: 50,
                 ..Default::default()
             },
         );
@@ -887,32 +846,6 @@ mod tests {
         assert_eq!(rep.not_found, 0, "rmw rereads always hit loaded keys");
         assert_eq!(store.len(), 300, "rmw rewrites in place, no growth");
         assert!(store.stats().stores > 0, "rmws persisted new versions");
-    }
-
-    #[test]
-    fn open_loop_paces_the_issue_rate() {
-        let store = small_store(2);
-        load(&store, 100, 16);
-        let rep = run(
-            &store,
-            &YcsbConfig {
-                keys: 100,
-                ops_per_worker: 200,
-                workers: 2,
-                mix: Mix::B,
-                value_len: 16,
-                target_ops_per_sec: Some(10_000.0),
-                windows: 2,
-                ..Default::default()
-            },
-        );
-        // 200 ops at 10k/s per worker ≥ 20ms; closed loop would finish
-        // far faster on this trivial store
-        assert!(
-            rep.elapsed_secs >= 0.018,
-            "open loop must pace: {}s",
-            rep.elapsed_secs
-        );
     }
 
     #[test]

@@ -63,7 +63,6 @@ fn online_knee_matches_offline_mattson_within_one_bucket() {
             value_len,
             seed: 20_17,
             batch: 128,
-            target_ops_per_sec: None,
             windows: 4,
             ..Default::default()
         },

@@ -145,11 +145,6 @@ impl PmemRegion {
         self.crash_image = None;
     }
 
-    /// Disarm any armed plan, returning it.
-    pub fn disarm_crash(&mut self) -> Option<CrashPlan> {
-        self.plan.take()
-    }
-
     /// The image captured by an armed plan, if its step was reached.
     /// Draining: subsequent calls return `None`.
     pub fn take_crash_image(&mut self) -> Option<Vec<u8>> {

@@ -53,7 +53,7 @@ impl Clock for MonoClock {
 #[derive(Debug, Clone)]
 pub struct FakeClock {
     now: Cell<u64>,
-    step: Cell<u64>,
+    step: u64,
 }
 
 impl FakeClock {
@@ -62,7 +62,7 @@ impl FakeClock {
     pub fn new(start: u64, step: u64) -> Self {
         FakeClock {
             now: Cell::new(start),
-            step: Cell::new(step),
+            step,
         }
     }
 
@@ -70,18 +70,13 @@ impl FakeClock {
     pub fn advance(&self, delta: u64) {
         self.now.set(self.now.get().saturating_add(delta));
     }
-
-    /// Change the per-read auto-advance step.
-    pub fn set_step(&self, step: u64) {
-        self.step.set(step);
-    }
 }
 
 impl Clock for FakeClock {
     #[inline]
     fn now_ns(&self) -> u64 {
         let t = self.now.get();
-        self.now.set(t.saturating_add(self.step.get()));
+        self.now.set(t.saturating_add(self.step));
         t
     }
 }

@@ -8,8 +8,6 @@
 //! take to find the knee* (`windows_to_knee`), and *did it re-converge
 //! after a workload phase shift* ([`analyze_shift`]).
 
-use std::collections::BTreeMap;
-
 /// One capacity decision: at time `t` the controller observed MRC knee
 /// `knee` and chose `capacity` lines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,23 +122,6 @@ pub fn analyze_shift(
     }
 }
 
-/// Group a snapshot's `capacity_timeline()` rows — `(t, tid, knee,
-/// new_capacity)` — into per-shard decision streams keyed by tid, each
-/// in time order.
-pub fn streams_by_tid(timeline: &[(u64, u32, u64, u64)]) -> BTreeMap<u32, Vec<CapacityEvent>> {
-    let mut by_tid: BTreeMap<u32, Vec<CapacityEvent>> = BTreeMap::new();
-    for &(t, tid, knee, capacity) in timeline {
-        by_tid
-            .entry(tid)
-            .or_default()
-            .push(CapacityEvent { t, knee, capacity });
-    }
-    for evs in by_tid.values_mut() {
-        evs.sort_by_key(|e| e.t);
-    }
-    by_tid
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,22 +201,5 @@ mod tests {
         assert_eq!(r.pre.windows, 2);
         assert_eq!(r.post.windows, 0);
         assert!(!r.reconverged);
-    }
-
-    #[test]
-    fn timeline_rows_group_by_shard() {
-        let timeline = vec![
-            (5, 1, 63, 64),
-            (3, 0, 31, 32),
-            (9, 1, 63, 64),
-            (4, 0, 31, 32),
-        ];
-        let streams = streams_by_tid(&timeline);
-        assert_eq!(streams.len(), 2);
-        assert_eq!(streams[&0].len(), 2);
-        assert_eq!(streams[&0][0].t, 3);
-        assert_eq!(streams[&1][1].t, 9);
-        let c = analyze(&streams[&1], &ConvergenceConfig::default());
-        assert_eq!(c.windows_to_knee, Some(1));
     }
 }

@@ -49,7 +49,7 @@ impl SpanId {
 
 /// Live span: measures from construction to drop and records into
 /// `R`'s histogram for the span's id. Create via
-/// [`Recorder::span`](crate::Recorder::span).
+/// [`Recorder::span`].
 pub struct SpanGuard<'a, R: Recorder, C: Clock> {
     rec: &'a mut R,
     clock: &'a C,
@@ -58,7 +58,7 @@ pub struct SpanGuard<'a, R: Recorder, C: Clock> {
 }
 
 impl<'a, R: Recorder, C: Clock> SpanGuard<'a, R, C> {
-    /// Start a span now. Prefer [`Recorder::span`](crate::Recorder::span).
+    /// Start a span now. Prefer [`Recorder::span`].
     #[inline]
     pub fn start(rec: &'a mut R, clock: &'a C, id: SpanId) -> Self {
         // Guarded by the const: the NullRecorder instantiation never

@@ -102,11 +102,6 @@ pub fn fx_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
     FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
 }
 
-/// An empty [`FxHashSet`] with room for `cap` entries.
-pub fn fx_set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
-    FxHashSet::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,9 +172,5 @@ mod tests {
         }
         assert_eq!(m.len(), 100);
         assert_eq!(m[&7], 14);
-        let mut s = fx_set_with_capacity::<crate::Line>(8);
-        s.insert(crate::Line(3));
-        assert!(s.contains(&crate::Line(3)));
-        assert!(!s.contains(&crate::Line(4)));
     }
 }

@@ -101,20 +101,6 @@ pub fn phased(w1: u64, n1: usize, w2: u64, n2: usize, opts: &SynthOpts) -> Trace
     emit(a.chain(b), opts)
 }
 
-/// The paper's micro-benchmark access shape: an inner loop touching a
-/// small contiguous array region repeatedly (2-level nested loop,
-/// Section IV-B "persistent-array"). `inner` element-writes per pass over
-/// `wss_lines` lines, `outer` passes, all in one FASE.
-pub fn nested_loop(wss_lines: u64, inner: usize, outer: usize, opts: &SynthOpts) -> Trace {
-    let mut o = opts.clone();
-    o.writes_per_fase = 0; // single FASE
-    emit(
-        (0..outer)
-            .flat_map(move |_| (0..inner).map(move |i| (i as u64 * 16 / 64).min(wss_lines - 1))),
-        &o,
-    )
-}
-
 /// Clone a single-threaded trace into `t` identical threads (strong-scaling
 /// shape: same total work split across threads handled by callers; this
 /// helper replicates, used by tests only).
@@ -183,14 +169,6 @@ mod tests {
         let tr = phased(8, 100, 32, 100, &SynthOpts::default());
         assert_eq!(tr.distinct_lines(), 40);
         assert_eq!(tr.total_writes(), 200);
-    }
-
-    #[test]
-    fn nested_loop_single_fase() {
-        let tr = nested_loop(25, 400, 10, &SynthOpts::default());
-        assert_eq!(tr.total_fases(), 1);
-        assert_eq!(tr.total_writes(), 4000);
-        assert!(tr.distinct_lines() <= 25);
     }
 
     #[test]

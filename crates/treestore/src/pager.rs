@@ -34,7 +34,12 @@ pub const PAGE: usize = 256;
 /// primitive is a borrow of the store's own bytes: walking the tree
 /// copies nothing, and whoever needs an owned page (copy-on-write)
 /// makes that one copy itself.
+#[allow(clippy::len_without_is_empty)] // a bound for offsets, not a collection
 pub trait PageRead {
+    /// Bytes the store holds: every valid offset lies below this.
+    /// Offsets read out of an image are checked against it before use.
+    fn len(&self) -> u64;
+
     /// Borrow `len` bytes starting at byte offset `off`.
     fn bytes(&self, off: u64, len: usize) -> &[u8];
 
@@ -208,6 +213,10 @@ impl FasePager {
 }
 
 impl PageRead for FasePager {
+    fn len(&self) -> u64 {
+        self.rt.data_len() as u64
+    }
+
     fn bytes(&self, off: u64, len: usize) -> &[u8] {
         self.rt.region().slice(off as usize, len)
     }
@@ -274,6 +283,10 @@ impl MemPager {
 }
 
 impl PageRead for MemPager {
+    fn len(&self) -> u64 {
+        self.data.len() as u64
+    }
+
     fn bytes(&self, off: u64, len: usize) -> &[u8] {
         let off = off as usize;
         &self.data[off..off + len]

@@ -23,7 +23,7 @@
 //!
 //! Tree nodes reference children by **logical** page id; a volatile
 //! slot table indexed by it (logical ids come from a counter and are
-//! never freed, so the table is an array — see [`Slot`]) names which
+//! never freed, so the table is an array — see `Slot`) names which
 //! physical copy serves which commit version. Copy-on-write keeps the
 //! logical id stable, so rewriting a leaf touches *no* ancestor — only
 //! structural changes (splits) edit parents. Reading a page is a borrow
@@ -1248,6 +1248,18 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
     if meta_off == 0 {
         return Err(TreeError::BadMeta("no durable root pointer"));
     }
+    // every offset read out of the image is looked at before it is
+    // followed: a carved block is cache-line aligned and lies inside the
+    // store (0 is "never set")
+    let end = store.len();
+    let block_ok = |off: u64, bytes: usize| {
+        off != 0
+            && off.is_multiple_of(64)
+            && off.checked_add(bytes as u64).is_some_and(|e| e <= end)
+    };
+    if !block_ok(meta_off, META_BYTES) {
+        return Err(TreeError::BadMeta("root pointer outside the store"));
+    }
     let head = store.bytes(meta_off, SEG_TABLE as usize);
     if get64(head, 0) != MAGIC {
         return Err(TreeError::BadMeta("bad magic"));
@@ -1276,16 +1288,19 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
     let mut seg_tables = Vec::with_capacity(ntables);
     for t in 0..ntables {
         let tb = store.read_u64_at(meta_off + SEG_TABLE + 8 * t as u64);
-        if tb == 0 {
-            return Err(TreeError::BadMeta("missing segment table block"));
+        if !block_ok(tb, SEG_BYTES) {
+            return Err(TreeError::BadMeta("bad segment table block"));
         }
         seg_tables.push(tb);
     }
     let mut segs = Vec::with_capacity(nsegs as usize);
     for i in 0..nsegs as usize {
-        segs.push(
-            store.read_u64_at(seg_tables[i / SEG_TABLE_SLOTS] + 8 * (i % SEG_TABLE_SLOTS) as u64),
-        );
+        let seg =
+            store.read_u64_at(seg_tables[i / SEG_TABLE_SLOTS] + 8 * (i % SEG_TABLE_SLOTS) as u64);
+        if !block_ok(seg, SEG_BYTES) {
+            return Err(TreeError::BadMeta("bad page segment"));
+        }
+        segs.push(seg);
     }
     let page_off =
         |phys: u64| segs[(phys / PAGES_PER_SEG) as usize] + (phys % PAGES_PER_SEG) * PAGE as u64;
@@ -1441,7 +1456,7 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pager::{MemPager, PageRead, PageWrite};
+    use crate::pager::{MemPager, PageRead, PageWrite, RootStore};
 
     fn mem_tree() -> Tree<MemPager> {
         Tree::format(MemPager::new()).unwrap()
@@ -1710,20 +1725,27 @@ mod tests {
         assert_eq!(t3.scan(None, 0, u64::MAX, usize::MAX), want);
     }
 
-    /// A 100-key tree whose durable `next_lpid` (word 3 of the meta
-    /// head) is overwritten with `f(bump)`, then re-attached.
-    fn attach_with_next_lpid(f: impl Fn(u64) -> u64) -> Result<Tree<MemPager>, TreeError> {
+    /// A 100-key tree with one durable word overwritten — `word` picks
+    /// its offset and its hostile value — then re-attached.
+    fn attach_with_word(
+        word: impl Fn(&Tree<MemPager>) -> (u64, u64),
+    ) -> Result<Tree<MemPager>, TreeError> {
         let mut t = mem_tree();
         t.begin();
         for k in 0..100u64 {
             t.put(k, &k.to_le_bytes()).unwrap();
         }
         t.commit();
-        let next_lpid = f(t.bump);
+        let (off, hostile) = word(&t);
         t.store.begin();
-        t.store.write(t.meta_off + 24, &next_lpid.to_le_bytes());
+        t.store.write(off, &hostile.to_le_bytes());
         t.store.commit();
         Tree::attach(t.store)
+    }
+
+    /// The durable `next_lpid` is word 3 of the meta head.
+    fn attach_with_next_lpid(f: impl Fn(u64) -> u64) -> Result<Tree<MemPager>, TreeError> {
+        attach_with_word(|t| (t.meta_off + 24, f(t.bump)))
     }
 
     #[test]
@@ -1747,6 +1769,30 @@ mod tests {
         assert!(matches!(err, TreeError::BadMeta(_)));
     }
 
+    /// Every offset the image names is checked before it is followed:
+    /// past the end, or off the cache-line grid, is `BadMeta`, not an
+    /// out-of-range slice.
+    #[test]
+    fn attach_rejects_offsets_outside_the_store() {
+        const FAR: u64 = 1 << 40;
+        type Word = fn(&Tree<MemPager>) -> (u64, u64);
+        let table_word: Word = |t| (t.meta_off + SEG_TABLE, FAR);
+        let segment_word: Word = |t| (t.seg_tables[0], FAR);
+        let misaligned: Word = |t| (t.seg_tables[0], t.segs[0] + 8);
+        let past_the_end: Word = |t| (t.seg_tables[0], t.store.len() - 64);
+        for word in [table_word, segment_word, misaligned, past_the_end] {
+            let err = attach_with_word(word).map(|_| ()).unwrap_err();
+            assert!(matches!(err, TreeError::BadMeta(_)), "{err:?}");
+        }
+        let mut t = mem_tree();
+        t.store.set_root(FAR);
+        let err = Tree::attach(t.store).map(|_| ()).unwrap_err();
+        assert!(
+            matches!(err, TreeError::BadMeta(_)),
+            "root pointer: {err:?}"
+        );
+    }
+
     // ---- FasePager-backed ----
 
     fn small_cfg() -> TreeConfig {
@@ -1754,6 +1800,35 @@ mod tests {
             data_len: 1 << 19,
             log_len: 1 << 18,
             ..TreeConfig::default()
+        }
+    }
+
+    #[test]
+    fn reopen_from_image_rejects_a_segment_word_outside_the_store() {
+        let cfg = small_cfg();
+        let mut t = Tree::create(&cfg).unwrap();
+        t.begin();
+        for k in 0..100u64 {
+            t.put(k, &k.to_le_bytes()).unwrap();
+        }
+        t.commit();
+        let word = t.seg_tables[0] as usize;
+        let sound = t.store.runtime_mut().region().durable_image().to_vec();
+        assert_eq!(
+            Tree::reopen_from_image(sound.clone(), &cfg).unwrap().len(),
+            100
+        );
+        // inside the region, but in the undo log behind the data area
+        for hostile in [1u64 << 40, cfg.data_len as u64] {
+            let mut image = sound.clone();
+            image[word..word + 8].copy_from_slice(&hostile.to_le_bytes());
+            let err = Tree::reopen_from_image(image, &cfg)
+                .map(|_| ())
+                .unwrap_err();
+            assert!(
+                matches!(err, TreeError::BadMeta(_)),
+                "{hostile:#x}: {err:?}"
+            );
         }
     }
 

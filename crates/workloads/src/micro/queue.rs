@@ -1,5 +1,5 @@
 //! A persistent FIFO queue after Michael & Scott's two-lock blocking
-//! algorithm (paper Section IV-B cites [35]): head and tail operate
+//! algorithm (paper Section IV-B cites \[35\]): head and tail operate
 //! independently; every mutation is one FASE so the queue is always
 //! recoverable to a consistent prefix of operations.
 //!
