@@ -3,9 +3,9 @@
 //! Recovery runs against bytes the process does not control — an image
 //! read back from disk, or a crash capture from the fuzzer — so every
 //! failure mode must surface as a value, never a panic. Conditions a
-//! legitimate crash can produce (torn tail word, half-written final
-//! record) are *not* errors: the log treats them as a torn log and
-//! recovers the sane prefix. Errors are reserved for images that were
+//! legitimate crash can produce (a group of which only some lines
+//! landed, a stale group of an earlier FASE) are *not* errors: the log
+//! rejects the group and recovers the groups before it. Errors are reserved for images that were
 //! never a FASE region at all (or were corrupted beyond what the crash
 //! model can produce).
 
@@ -43,3 +43,26 @@ impl std::fmt::Display for RecoveryError {
 }
 
 impl std::error::Error for RecoveryError {}
+
+/// A group of undo records that does not fit in what is left of the log
+/// area. Nothing of it was written: the FASE can still close (empty) or
+/// carry on with a smaller write set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogFull {
+    /// Log bytes the group takes (after elision, headers included).
+    pub need: usize,
+    /// Log bytes free.
+    pub have: usize,
+}
+
+impl std::fmt::Display for LogFull {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "undo log overflow: the write set needs {} bytes of log, {} are free",
+            self.need, self.have
+        )
+    }
+}
+
+impl std::error::Error for LogFull {}

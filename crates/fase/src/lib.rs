@@ -9,9 +9,9 @@
 //!
 //! This crate provides:
 //!
-//! * [`log::UndoLog`] — the in-region undo log (append, commit by
-//!   truncation, recovery scan) with the log-before-data ordering
-//!   discipline.
+//! * [`log::UndoLog`] — the in-region undo log (self-validating record
+//!   groups, commit by epoch bump, recovery scan) with the
+//!   log-before-data ordering discipline.
 //! * [`runtime::FaseRuntime`] — the per-thread runtime that Atlas's LLVM
 //!   instrumentation pass would drive (DESIGN.md §2.4): every persistent
 //!   store routes through [`runtime::FaseRuntime::store`], which logs,
@@ -29,6 +29,6 @@ pub mod error;
 pub mod log;
 pub mod runtime;
 
-pub use error::RecoveryError;
+pub use error::{LogFull, RecoveryError};
 pub use log::{LogStats, UndoLog};
 pub use runtime::{FaseRuntime, FaseStats, FlushMode};

@@ -13,9 +13,9 @@
 //! [`FaseRuntime::store_fresh`]; steps 2–4 and the commit are the same.
 //!
 //! At the end of an outermost FASE the policy's buffered lines are
-//! flushed, a fence orders them, and the log commits by truncating
-//! itself (one persisted tail word — the commit point) — making the
-//! FASE's updates durable atomically.
+//! flushed, a fence orders them, and the log commits by bumping its
+//! epoch (one persisted word — the commit point) — making the FASE's
+//! updates durable atomically.
 
 use nvcache_core::{PersistPolicy, Policy, PolicyKind, StoreOutcome};
 use nvcache_pmem::{
@@ -27,8 +27,8 @@ use nvcache_telemetry::{
 };
 use nvcache_trace::{Line, StoreSink, ThreadTrace, TraceRecorder};
 
-use crate::error::RecoveryError;
-use crate::log::UndoLog;
+use crate::error::{LogFull, RecoveryError};
+use crate::log::{LogStats, UndoLog};
 
 /// Policy flush buffer capacity reserved up front (and preserved across
 /// FASEs) — sized for the largest per-store eviction burst the policies
@@ -145,8 +145,6 @@ pub struct FaseRuntime {
     data_len: usize,
     depth: usize,
     flush_buf: Vec<Line>,
-    /// Pre-image scratch for logged stores (reused, never shrunk).
-    undo_buf: Vec<u8>,
     recorder: Option<TraceRecorder>,
     stats: FaseStats,
     /// Cumulative counters at the last [`FaseRuntime::take_stats`] call
@@ -165,8 +163,6 @@ pub struct FaseRuntime {
     /// (`try_reopen`/`reopen` or `crash_and_recover`); `None` until one
     /// runs.
     last_recovery_ns: Option<u64>,
-    /// Log bytes used when the current outermost FASE began.
-    fase_log_start: u64,
     /// Store lines inside the current outermost FASE.
     fase_store_lines: u64,
     /// Active flush path (sync baseline or pipelined ring).
@@ -211,7 +207,6 @@ impl FaseRuntime {
             data_len,
             depth: 0,
             flush_buf: Vec::with_capacity(FLUSH_BUF_CAPACITY),
-            undo_buf: Vec::new(),
             recorder: None,
             stats: FaseStats::default(),
             stats_taken: FaseStats::default(),
@@ -219,7 +214,6 @@ impl FaseRuntime {
             clock: ClockSource::mono(),
             ring_fallbacks: 0,
             last_recovery_ns: None,
-            fase_log_start: 0,
             fase_store_lines: 0,
             flush_mode: FlushMode::Sync,
             ring: FlushRing::new(RING_CAPACITY),
@@ -276,7 +270,6 @@ impl FaseRuntime {
             // reopen paths used to rebuild this cold (zero capacity);
             // reserve up front so the first FASEs do not re-grow it
             flush_buf: Vec::with_capacity(FLUSH_BUF_CAPACITY),
-            undo_buf: Vec::new(),
             recorder: None,
             stats,
             stats_taken: FaseStats::default(),
@@ -284,7 +277,6 @@ impl FaseRuntime {
             clock,
             ring_fallbacks: 0,
             last_recovery_ns: Some(recovery_ns),
-            fase_log_start: 0,
             fase_store_lines: 0,
             flush_mode: FlushMode::Sync,
             ring: FlushRing::new(RING_CAPACITY),
@@ -345,6 +337,12 @@ impl FaseRuntime {
     /// Runtime counters.
     pub fn stats(&self) -> FaseStats {
         self.stats
+    }
+
+    /// Undo-log counters: records written and elided, and the log's
+    /// share of the region's flushes by kind.
+    pub fn log_stats(&self) -> LogStats {
+        self.log.stats()
     }
 
     /// Counters accumulated since the previous `take_stats` call (or
@@ -429,34 +427,32 @@ impl FaseRuntime {
         self.slab.as_ref().map(|s| s.stats())
     }
 
-    /// Undo-log the *current* contents of `ranges` as one grouped
-    /// append: all records are written contiguously and persisted with
-    /// a single ranged flush + fence, then the tail publishes with one
-    /// more — two fences for the whole write set instead of two per
-    /// store ([`UndoLog::append_group`]). For the rest of this
-    /// outermost FASE per-store logging is suppressed, so **every**
-    /// subsequent store must target a prelogged range (debug builds
-    /// assert coverage). Call before the FASE's first store.
-    pub fn prelog(&mut self, ranges: &[(u64, u64)]) {
+    /// Undo-log the *current* contents of `ranges` as one group: all
+    /// records are written contiguously and persisted with a single
+    /// ranged flush + fence — one fence for the whole write set instead
+    /// of one per store, and no record for a range another one covers
+    /// ([`UndoLog::append_group`]). For the rest of this outermost FASE
+    /// per-store logging is suppressed, so **every** subsequent logged
+    /// store must target a prelogged range (debug builds assert
+    /// coverage). Call before the FASE's first store.
+    ///
+    /// A write set the log has no room for is refused with nothing
+    /// written: the FASE is still open, empty and not prelogged, and
+    /// the caller closes it.
+    pub fn prelog(&mut self, ranges: &[(u64, u64)]) -> Result<(), LogFull> {
         assert_eq!(
             self.depth, 1,
             "prelog belongs at the top of an outermost FASE"
         );
         assert!(!self.prelogged, "prelog once per FASE");
-        for &(off, len) in ranges {
-            assert!(
-                off.checked_add(len)
-                    .is_some_and(|end| end <= self.data_len as u64),
-                "prelog range outside data area"
-            );
-        }
-        self.log.append_group(&mut self.region, ranges);
+        self.log.append_group(&mut self.region, ranges)?;
         self.prelogged = true;
         #[cfg(debug_assertions)]
         {
             self.prelog_ranges.clear();
             self.prelog_ranges.extend_from_slice(ranges);
         }
+        Ok(())
     }
 
     /// Drain the policy's buffered flush obligations through the active
@@ -502,7 +498,6 @@ impl FaseRuntime {
         if self.depth == 1 {
             self.policy.on_fase_begin();
             if self.telemetry.is_some() {
-                self.fase_log_start = self.log.used(&self.region);
                 self.fase_store_lines = 0;
                 let t = self.stats.store_lines;
                 if let Some(tel) = &mut self.telemetry {
@@ -556,7 +551,7 @@ impl FaseRuntime {
                 self.ring.end_epoch();
             }
             if self.telemetry.is_some() {
-                let log_bytes = self.log.used(&self.region) - self.fase_log_start;
+                let log_bytes = self.log.used();
                 let t = self.stats.store_lines;
                 let stores = self.fase_store_lines;
                 if let Some(tel) = &mut self.telemetry {
@@ -617,17 +612,23 @@ impl FaseRuntime {
     // ----- persistent accesses -------------------------------------------
 
     /// Persistent store of `bytes` at `offset` (must lie in the data
-    /// area). Inside a FASE the old value is undo-logged first.
+    /// area). Inside a FASE the old value is undo-logged first, as a
+    /// group of one unless the FASE was prelogged.
+    ///
+    /// # Panics
+    /// When the log area overflows (size the log for the largest FASE,
+    /// or announce the write set with [`FaseRuntime::prelog`], which
+    /// refuses instead).
     pub fn store(&mut self, offset: usize, bytes: &[u8]) {
         assert!(
             offset + bytes.len() <= self.data_len,
             "store outside data area"
         );
         if self.depth > 0 && !self.prelogged {
-            self.undo_buf.resize(bytes.len(), 0);
-            self.region.read(offset, &mut self.undo_buf);
-            self.log
-                .append_entry(&mut self.region, offset as u64, &self.undo_buf);
+            let range = (offset as u64, bytes.len() as u64);
+            if let Err(full) = self.log.append_group(&mut self.region, &[range]) {
+                panic!("{full}");
+            }
         }
         #[cfg(debug_assertions)]
         if self.depth > 0 && self.prelogged {
@@ -842,9 +843,10 @@ impl FaseRuntime {
         let open =
             self.depth > 0 || !self.flush_buf.is_empty() || self.prelogged || !self.ring.is_empty();
         if !open {
-            // nothing abandoned: still run log recovery, which is a
-            // no-op on a committed log (idempotent and cheap)
-            return self.log.recover(&mut self.region).unwrap_or(0) > 0;
+            // nothing abandoned, so nothing logged: the tail is
+            // volatile and only an open FASE moves it
+            debug_assert_eq!(self.log.used(), 0);
+            return false;
         }
         self.depth = 0;
         self.flush_buf.clear();
@@ -1467,13 +1469,13 @@ mod tests {
         r.set_flush_mode(FlushMode::Pipelined);
         // committed prelogged FASE
         r.begin_fase();
-        r.prelog(&[(0, 8), (64, 8)]);
+        r.prelog(&[(0, 8), (64, 8)]).unwrap();
         r.store_u64(0, 7);
         r.store_u64(64, 8);
         r.end_fase();
         // uncommitted prelogged FASE rolls back to the committed state
         r.begin_fase();
-        r.prelog(&[(0, 8), (64, 8)]);
+        r.prelog(&[(0, 8), (64, 8)]).unwrap();
         r.store_u64(0, 77);
         r.store_u64(64, 88);
         r.crash_and_recover(&CrashMode::AllInFlightLands);
@@ -1483,10 +1485,10 @@ mod tests {
     }
 
     #[test]
-    fn prelog_spends_two_fences_per_batch() {
+    fn prelog_spends_one_fence_per_batch() {
         let mut r = rt(PolicyKind::Lazy);
         let fences_of = |r: &FaseRuntime| r.region().stats().fences;
-        // per-store logging: 2 fences per store
+        // per-store logging: a group, so a fence, per store
         r.begin_fase();
         let before = fences_of(&r);
         for i in 0..8usize {
@@ -1494,17 +1496,49 @@ mod tests {
         }
         let per_store = fences_of(&r) - before;
         r.end_fase();
-        assert_eq!(per_store, 16, "2 fences × 8 stores");
-        // grouped prelog: 2 fences for the whole batch
+        assert_eq!(per_store, 8, "1 fence × 8 stores");
+        // grouped prelog: one fence for the whole batch
         r.begin_fase();
         let before = fences_of(&r);
-        r.prelog(&(0..8u64).map(|i| (i * 8, 8)).collect::<Vec<_>>());
+        r.prelog(&(0..8u64).map(|i| (i * 8, 8)).collect::<Vec<_>>())
+            .unwrap();
         for i in 0..8usize {
             r.store_u64(i * 8, 2);
         }
         let grouped = fences_of(&r) - before;
         r.end_fase();
-        assert_eq!(grouped, 2, "record span + tail publish only");
+        assert_eq!(grouped, 1, "the group's one persist");
+        assert_eq!(r.log_stats().entries, 16);
+    }
+
+    #[test]
+    fn an_oversized_prelog_is_refused_and_the_fase_closes_empty() {
+        let mut r = FaseRuntime::new(1 << 12, 256, &PolicyKind::Lazy);
+        r.fase(|r| r.store_u64(0, 7));
+        let ranges: Vec<(u64, u64)> = (0..64u64).map(|i| (i * 8, 8)).collect();
+        r.begin_fase();
+        let (log0, pmem0) = (r.log_stats(), r.region().stats());
+        let full = r.prelog(&ranges).unwrap_err();
+        assert_eq!((full.need, full.have), (16 + 64 * 16, 256 - 16));
+        assert_eq!((r.log_stats(), r.region().stats()), (log0, pmem0));
+        r.end_fase();
+        // the runtime is as good as new: a smaller write set commits
+        r.begin_fase();
+        r.prelog(&ranges[..8]).unwrap();
+        r.store_u64(0, 8);
+        r.end_fase();
+        r.crash_and_recover(&CrashMode::StrictDurableOnly);
+        assert_eq!(r.load_u64(0), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "undo log overflow")]
+    fn a_per_store_fase_that_outgrows_the_log_panics() {
+        let mut r = FaseRuntime::new(1 << 12, 128, &PolicyKind::Lazy);
+        r.begin_fase();
+        for i in 0..10 {
+            r.store(i * 64, &[1u8; 32]);
+        }
     }
 
     #[test]
@@ -1518,7 +1552,7 @@ mod tests {
         r.store_u64(512, 1);
         assert_eq!(r.log.stats().entries, log0.entries + 1);
         assert_eq!(r.log.stats().bytes_logged, log0.bytes_logged + 8);
-        assert_eq!(r.region().stats().fences, fences0 + 2, "record + tail");
+        assert_eq!(r.region().stats().fences, fences0 + 1, "the record");
         r.end_fase();
     }
 
@@ -1557,7 +1591,7 @@ mod tests {
     fn store_fresh_needs_no_prelog_cover() {
         let mut r = rt(PolicyKind::ScFixed { capacity: 8 });
         r.begin_fase();
-        r.prelog(&[(0, 8)]);
+        r.prelog(&[(0, 8)]).unwrap();
         r.store_u64(0, 5);
         // a logged store here would trip the debug coverage assertion
         r.store_fresh(4096, &[1u8; 64]);
@@ -1671,7 +1705,7 @@ mod tests {
         r.set_flush_mode(FlushMode::Pipelined);
         r.fase(|r| r.store_u64(64, 1));
         r.begin_fase();
-        r.prelog(&[(128, 8)]);
+        r.prelog(&[(128, 8)]).unwrap();
         r.store_u64(128, 2);
         assert!(r.heal_after_panic());
         assert_eq!(r.load_u64(128), 0, "prelogged store rolled back");

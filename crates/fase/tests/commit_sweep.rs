@@ -1,34 +1,73 @@
 //! The commit point, swept: a crash is armed at every micro-step from
 //! the first log append of a FASE to the return of `UndoLog::commit`,
-//! under three adversaries and on both flush paths. The truncating tail
-//! write is the only thing that separates "rolled back" from
-//! "committed", so:
+//! under three kinds of adversary and on both flush paths. The epoch
+//! write — the log's truncation: it retires every group at once — is
+//! the only thing that separates "rolled back" from "committed", so:
 //!
 //! * before that write executes, recovery yields the pre-FASE image;
 //! * after its fence, the post-FASE image;
 //! * in the two steps between (written, not yet fenced) the outcome is
-//!   the adversary's: strict keeps the records live (pre), all-lands
-//!   lets the tail line land (post), random picks either — never a mix.
+//!   the adversary's: strict keeps the groups valid (pre), all-lands
+//!   lets the epoch line land (post), random picks either — never a mix.
 //!
-//! The sweep is what fails when the truncation is issued before the
-//! data fence: the tail then lands while data lines are still in
-//! flight, and the recovered bytes are neither image.
+//! The sweep is what fails when the epoch is bumped before the data
+//! fence (the bump then lands while data lines are still in flight, and
+//! the recovered bytes are neither image), when a group is applied
+//! that only partly reached NVRAM (the log area is full of an earlier
+//! FASE's groups, so the part that did not land is *their* bytes), or
+//! when eliding a covered range loses a pre-image.
 
 use nvcache_core::PolicyKind;
-use nvcache_fase::{FaseRuntime, FlushMode};
+use nvcache_fase::{FaseRuntime, FlushMode, UndoLog};
 use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
+use proptest::prelude::*;
 
 const DATA: usize = 1024;
 const LOG: usize = 8192;
-/// `(offset, len)` the swept FASE rewrites: three lines, one of them
-/// spanning a line boundary.
-const RANGES: [(u64, u64); 3] = [(0, 8), (120, 16), (512, 8)];
+
+/// One swept FASE: what it prelogs (`None`: every store logs itself, a
+/// group of one each) and the `(offset, len)` it stores to, in order.
+struct Shape {
+    prelog: Option<&'static [(u64, u64)]>,
+    stores: &'static [(u64, u64)],
+}
+
+/// Three lines, one store spanning a line boundary: three groups.
+const PER_STORE: Shape = Shape {
+    prelog: None,
+    stores: &[(0, 8), (120, 16), (512, 8)],
+};
+/// Groups of 32, 40 and 32 bytes from log offset 16: the second
+/// straddles a line.
+const PER_STORE_RECORD_LINES: u64 = 4;
+
+/// A write set announced with a duplicate, an empty range, ranges that
+/// another one covers (same start and shorter; strictly inside) and two
+/// that overlap in part; a location is stored to twice.
+const GROUPED: Shape = Shape {
+    prelog: Some(&[
+        (0, 8),
+        (120, 16),
+        (0, 8),
+        (300, 0),
+        (124, 4),
+        (128, 16),
+        (512, 8),
+        (512, 4),
+        (130, 2),
+    ]),
+    stores: &[(0, 8), (120, 16), (128, 16), (512, 8), (124, 4), (130, 2)],
+};
+/// Of `GROUPED.prelog`, what needs a record: `(0, 8) (120, 16)
+/// (128, 16) (512, 8)` — 16 + 4 × 8 + 48 bytes from log offset 16.
+const GROUPED_RECORD_LINES: u64 = 2;
 
 fn policy() -> PolicyKind {
     PolicyKind::ScFixed { capacity: 2 }
 }
 
-/// A runtime whose data area holds a committed, fully durable pattern.
+/// A runtime whose data area holds a committed, fully durable pattern
+/// (and whose log area holds the 128 groups that wrote it).
 fn seeded(mode: FlushMode) -> FaseRuntime {
     let mut rt = FaseRuntime::new(DATA, LOG, &policy());
     rt.set_flush_mode(mode);
@@ -44,62 +83,61 @@ fn data_of(rt: &FaseRuntime) -> Vec<u8> {
     rt.region().slice(0, DATA).to_vec()
 }
 
-/// The swept FASE, grouped (`prelog` → `append_group`) or per-store
-/// (`append_entry`).
-fn swept_fase(rt: &mut FaseRuntime, grouped: bool) {
+fn swept_fase(rt: &mut FaseRuntime, shape: &Shape) {
     rt.begin_fase();
-    if grouped {
-        rt.prelog(&RANGES);
+    if let Some(ranges) = shape.prelog {
+        rt.prelog(ranges).expect("fits");
     }
-    for (i, &(off, len)) in RANGES.iter().enumerate() {
+    for (i, &(off, len)) in shape.stores.iter().enumerate() {
         let bytes = vec![0xA0 + i as u8; len as usize];
         rt.store(off as usize, &bytes);
     }
     rt.end_fase();
 }
 
-fn recovered_data(image: Vec<u8>) -> Vec<u8> {
-    let rt = FaseRuntime::try_reopen(PmemRegion::from_image(image), DATA, LOG, &policy())
-        .expect("a crash image always reopens");
-    data_of(&rt)
+fn reopened(image: Vec<u8>) -> FaseRuntime {
+    FaseRuntime::try_reopen(PmemRegion::from_image(image), DATA, LOG, &policy())
+        .expect("a crash image always reopens")
+}
+
+fn adversaries() -> Vec<CrashMode> {
+    let mut modes = vec![CrashMode::StrictDurableOnly, CrashMode::AllInFlightLands];
+    modes.extend((0..16).map(|seed| CrashMode::random(0.5, 0.5, seed)));
+    modes
 }
 
 #[test]
 fn every_step_up_to_the_truncate_fence_recovers_pre_and_after_it_post() {
-    let mut modes = vec![CrashMode::StrictDurableOnly, CrashMode::AllInFlightLands];
-    modes.extend((0..16).map(|seed| CrashMode::random(0.5, 0.5, seed)));
     for flush in [FlushMode::Sync, FlushMode::Pipelined] {
-        for grouped in [true, false] {
+        for (name, shape) in [("grouped", &GROUPED), ("per-store", &PER_STORE)] {
             // counting run: where the FASE's log activity begins and
             // where commit returns
             let mut rt = seeded(flush);
             let pre = data_of(&rt);
             let first = rt.steps();
-            swept_fase(&mut rt, grouped);
+            swept_fase(&mut rt, shape);
             let end = rt.steps();
             let post = data_of(&rt);
             assert_ne!(pre, post);
-            // commit = tail write, tail-line flush, fence
-            let truncate_write = end - 3;
-            for mode in &modes {
+            // commit = epoch write, epoch-line flush, fence
+            let epoch_write = end - 3;
+            for mode in &adversaries() {
                 for at in first..=end {
                     let mut rt = seeded(flush);
                     rt.arm_crash(CrashPlan {
                         at_step: at,
                         mode: mode.clone(),
                     });
-                    swept_fase(&mut rt, grouped);
+                    swept_fase(&mut rt, shape);
                     let image = if at == end {
                         // power fails the instant commit returned
                         rt.region().image_after_crash(mode)
                     } else {
                         rt.take_crash_image().expect("armed step reached")
                     };
-                    let got = recovered_data(image);
-                    let ctx = format!(
-                        "{flush:?} grouped={grouped} {mode:?} step {at} of {first}..={end}"
-                    );
-                    if at <= truncate_write {
+                    let got = data_of(&reopened(image));
+                    let ctx = format!("{flush:?} {name} {mode:?} step {at} of {first}..={end}");
+                    if at <= epoch_write {
                         assert_eq!(got, pre, "not rolled back: {ctx}");
                     } else if at == end {
                         assert_eq!(got, post, "committed FASE lost: {ctx}");
@@ -119,16 +157,73 @@ fn every_step_up_to_the_truncate_fence_recovers_pre_and_after_it_post() {
 }
 
 #[test]
-fn a_fase_costs_two_fixed_log_persists_and_four_fences() {
+fn a_group_of_which_any_proper_subset_of_lines_landed_is_never_applied() {
+    let mut rt = seeded(FlushMode::Sync);
+    let pre = data_of(&rt);
+    let before = rt.region().durable_image().to_vec();
+    rt.begin_fase();
+    rt.prelog(GROUPED.prelog.expect("the grouped shape"))
+        .expect("fits");
+    // durable and valid, and no data store has happened yet
+    let after = rt.region().durable_image().to_vec();
+    let lines: Vec<usize> = (DATA..DATA + LOG)
+        .step_by(64)
+        .filter(|&l| before[l..l + 64] != after[l..l + 64])
+        .collect();
+    assert_eq!(lines.len() as u64, GROUPED_RECORD_LINES);
+    for landed in 0u32..(1 << lines.len()) {
+        let mut image = before.clone();
+        for (i, &l) in lines.iter().enumerate() {
+            if landed >> i & 1 == 1 {
+                image[l..l + 64].copy_from_slice(&after[l..l + 64]);
+            }
+        }
+        // the rest of the group's span is the seeding FASE's groups:
+        // applying them would restore the zeroes they saved
+        let rt = reopened(image);
+        let all = landed == (1 << lines.len()) - 1;
+        assert_eq!(rt.stats().rollbacks, all as u64, "subset {landed:#b}");
+        assert_eq!(data_of(&rt), pre, "subset {landed:#b}");
+    }
+}
+
+#[test]
+fn a_fase_costs_one_log_persist_per_group_and_the_epoch_bump() {
     for flush in [FlushMode::Sync, FlushMode::Pipelined] {
+        // flush instructions the data took: every obligation on the
+        // sync path, what the ring's dedup left of them when pipelined
+        let data_flushes = |rt: &FaseRuntime| match flush {
+            FlushMode::Sync => rt.stats().data_flushes,
+            FlushMode::Pipelined => rt.ring_stats().flushed,
+        };
+        for (shape, groups, record_lines) in [
+            (&GROUPED, 1, GROUPED_RECORD_LINES),
+            (&PER_STORE, 3, PER_STORE_RECORD_LINES),
+        ] {
+            let mut rt = seeded(flush);
+            let (pmem0, log0, data0) = (rt.region().stats(), rt.log_stats(), data_flushes(&rt));
+            swept_fase(&mut rt, shape);
+            let (pmem, log) = (rt.region().stats(), rt.log_stats());
+            assert_eq!(
+                pmem.fences - pmem0.fences,
+                groups + 2,
+                "{flush:?}: one per group, data, epoch"
+            );
+            assert_eq!(log.record_lines - log0.record_lines, record_lines);
+            assert_eq!(log.commit_lines - log0.commit_lines, 1);
+            assert_eq!(
+                pmem.flushes - pmem0.flushes - (data_flushes(&rt) - data0),
+                record_lines + 1,
+                "{flush:?}: the log's share is record lines + 1"
+            );
+        }
         let mut rt = seeded(flush);
-        let before = rt.region().stats();
-        swept_fase(&mut rt, true);
-        let after = rt.region().stats();
+        let log0 = rt.log_stats();
+        swept_fase(&mut rt, &GROUPED);
+        let log = rt.log_stats();
         assert_eq!(
-            after.fences - before.fences,
-            4,
-            "{flush:?}: records, tail publish, data, truncate"
+            (log.entries - log0.entries, log.elided - log0.elided),
+            (4, 4)
         );
         // an empty FASE logs nothing, so only the data fence remains
         let before = rt.region().stats();
@@ -138,5 +233,95 @@ fn a_fase_costs_two_fixed_log_persists_and_four_fences() {
         assert_eq!(after.fences - before.fences, 1, "{flush:?}");
         assert_eq!(after.flushes - before.flushes, 0, "{flush:?}");
         assert_eq!(after.stores - before.stores, 0, "{flush:?}");
+    }
+}
+
+fn old_data() -> Vec<u8> {
+    (0..DATA).map(|i| (i % 251) as u8).collect()
+}
+
+/// A FASE by hand over a bare region and log: log `ranges` — as one
+/// group, or every range in a group of its own, which elides nothing —
+/// then run the first `ops` of [stores…, one flush per store, fence,
+/// commit] and lose power under `mode`. Returns the recovered data.
+fn crashed_fase(
+    one_group: bool,
+    ranges: &[(u64, u64)],
+    stores: &[(usize, Vec<u8>)],
+    ops: usize,
+    mode: &CrashMode,
+) -> Vec<u8> {
+    let mut region = PmemRegion::new(DATA + LOG);
+    let mut log = UndoLog::format(&mut region, DATA, LOG);
+    region.write(0, &old_data());
+    region.persist(0, DATA);
+    if one_group {
+        log.append_group(&mut region, ranges).expect("fits");
+    } else {
+        for range in ranges {
+            log.append_group(&mut region, &[*range]).expect("fits");
+        }
+    }
+    let n = stores.len();
+    for op in 0..ops {
+        match op {
+            _ if op < n => region.write(stores[op].0, &stores[op].1),
+            _ if op < 2 * n => region.flush_range(stores[op - n].0, stores[op - n].1.len()),
+            _ if op == 2 * n => region.fence(),
+            _ => log.commit(&mut region),
+        }
+    }
+    region.crash(mode);
+    let mut log = UndoLog::open(&region, DATA, LOG).expect("formatted above");
+    log.recover(&mut region).expect("formatted above");
+    region.slice(0, DATA).to_vec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Eliding covered ranges changes nothing recovery can see: random
+    /// overlapping write sets, random stores inside them and a crash at
+    /// a random point recover to the same bytes as the run that logs
+    /// every range.
+    #[test]
+    fn elision_recovers_the_bytes_that_logging_every_range_does(
+        ranges in prop::collection::vec((0u64..960, 0u64..64), 1..12),
+        picks in prop::collection::vec((any::<u32>(), any::<u32>(), any::<u32>(), any::<u8>()), 1..16),
+        crash_at in any::<u32>(),
+        seed in any::<u64>(),
+        mode_ix in 0usize..3,
+    ) {
+        // every store lies inside one announced range
+        let stores: Vec<(usize, Vec<u8>)> = picks
+            .iter()
+            .filter_map(|&(r, a, b, byte)| {
+                let (off, len) = ranges[r as usize % ranges.len()];
+                (len > 0).then(|| {
+                    let skip = a as u64 % len;
+                    let n = 1 + b as u64 % (len - skip);
+                    ((off + skip) as usize, vec![byte; n as usize])
+                })
+            })
+            .collect();
+        let commit = 2 * stores.len() + 2;
+        let ops = crash_at as usize % (commit + 1);
+        let mode = [
+            CrashMode::StrictDurableOnly,
+            CrashMode::AllInFlightLands,
+            CrashMode::random(0.5, 0.5, seed),
+        ][mode_ix]
+            .clone();
+        let elided = crashed_fase(true, &ranges, &stores, ops, &mode);
+        let reference = crashed_fase(false, &ranges, &stores, ops, &mode);
+        prop_assert_eq!(&elided, &reference, "{:?} {:?} ops {}", ranges, stores, ops);
+        // and both are the pre-image, or after the commit the post-image
+        let mut want = old_data();
+        if ops == commit {
+            for (off, bytes) in &stores {
+                want[*off..off + bytes.len()].copy_from_slice(bytes);
+            }
+        }
+        prop_assert_eq!(elided, want);
     }
 }

@@ -19,6 +19,14 @@
 //! map. Node allocation happens *before* and `free` *after* the FASE: a
 //! crash in the gap can leak a block (never corrupt the map) — the same
 //! discipline as the `hash` micro-benchmark and Atlas's Makalu heap.
+//!
+//! A freshly allocated node is **shadow memory** until the 8-byte link
+//! store of the same FASE publishes it (the tree's rule for a
+//! copy-on-write page): nothing committed reaches it, so its fields and
+//! value are written unlogged ([`FaseRuntime::store_fresh`]) and only
+//! the link is undo-logged. If the FASE rolls back, the link is restored
+//! and the node keeps whatever reached NVRAM — garbage nobody can see,
+//! in a block that leaks like any other allocated in the gap.
 
 use nvcache_core::{rename_for_epoch, PolicyKind};
 use nvcache_fase::{FaseRuntime, FaseStats, FlushMode, RecoveryError};
@@ -121,8 +129,8 @@ pub struct ShardConfig {
     pub adapt: Option<AdaptConfig>,
     /// Drive the pipelined flush path: policy flushes go through the
     /// submission ring (coalesced ranged sweeps + FliT elision), batch
-    /// write sets are grouped-prelogged (two log fences per batch
-    /// instead of two per store), and node allocation runs through the
+    /// write sets are grouped-prelogged (one log fence per batch
+    /// instead of one per store), and node allocation runs through the
     /// volatile slab. Flush counts/ratios stay bit-identical to the
     /// sync path.
     pub pipelined: bool,
@@ -165,8 +173,9 @@ pub struct Shard {
 /// One planned write of a [`Shard::put_many`] batch.
 #[derive(Debug, Clone, Copy)]
 enum PlannedOp {
-    /// In-place value write to `node`.
-    Write { node: usize },
+    /// In-place value write to `node`; `fresh` when an earlier
+    /// `Insert` of the batch allocated it.
+    Write { node: usize, fresh: bool },
     /// Splice `node` at the head of its bucket chain.
     Insert {
         node: usize,
@@ -181,16 +190,17 @@ enum PlannedOp {
 /// building and dropping them.
 #[derive(Debug, Default)]
 struct PutPlan {
-    /// Key → `(node, value length)`, for every key the batch has
-    /// located or planned an insert for.
-    located: FxHashMap<u64, (usize, usize)>,
+    /// Key → `(node, value length, allocated by this batch)`, for every
+    /// key the batch has located or planned an insert for.
+    located: FxHashMap<u64, (usize, usize, bool)>,
     /// Bucket offset → chain head after the batch's inserts so far.
     heads: FxHashMap<usize, u64>,
     /// Nodes allocated for the batch (given back if it is refused).
     new_allocs: Vec<(u64, usize)>,
     /// The writes, each with the index of the item it carries.
     ops: Vec<(PlannedOp, usize)>,
-    /// The write set handed to the grouped prelog.
+    /// The logged part of the write set, handed to the grouped prelog
+    /// (which keeps one record per location).
     ranges: Vec<(u64, u64)>,
 }
 
@@ -373,16 +383,7 @@ impl Shard {
             Some(_) => (prev.map_or(boff, |p| p + 8), self.rt.load_u64(node + 8)),
         };
         self.rt.begin_fase();
-        self.rt.store_u64(new, key);
-        self.observe(new, 8);
-        self.rt.store_u64(new + 8, next);
-        self.observe(new + 8, 8);
-        self.rt.store_u64(new + 16, value.len() as u64);
-        self.observe(new + 16, 8);
-        if !value.is_empty() {
-            self.rt.store(new + NODE_HEADER, value);
-            self.observe(new + NODE_HEADER, value.len());
-        }
+        self.write_fresh_node(new, key, next, value);
         self.rt.store_u64(link, new as u64);
         self.observe(link, 8);
         self.rt.end_fase();
@@ -392,6 +393,20 @@ impl Shard {
         }
         self.after_op();
         true
+    }
+
+    /// Fill a freshly allocated node, unlogged: it is shadow memory
+    /// until the caller's logged link store publishes it.
+    fn write_fresh_node(&mut self, node: usize, key: u64, next: u64, value: &[u8]) {
+        let words = [key, next, value.len() as u64];
+        for (i, word) in words.into_iter().enumerate() {
+            self.rt.store_fresh(node + i * 8, &word.to_le_bytes());
+            self.observe(node + i * 8, 8);
+        }
+        if !value.is_empty() {
+            self.rt.store_fresh(node + NODE_HEADER, value);
+            self.observe(node + NODE_HEADER, value.len());
+        }
     }
 
     /// Apply a whole batch of writes as **one FASE** (group commit):
@@ -406,8 +421,9 @@ impl Shard {
     /// Repeated keys in `items` are written repeatedly (that reuse is
     /// the point); all writes to one key in a batch must keep its value
     /// length. Returns `false` — with the map unchanged — when any
-    /// value is oversized, changes an existing length, or allocation
-    /// fails (planned nodes are given back to the free list).
+    /// value is oversized, changes an existing length, allocation
+    /// fails, or the write set's pre-images do not fit in the undo log
+    /// (planned nodes are given back to the free list).
     pub fn put_many<V: AsRef<[u8]>>(&mut self, items: &[(u64, V)]) -> bool {
         if items.is_empty() {
             return true;
@@ -433,18 +449,18 @@ impl Shard {
             let known = plan.located.get(key).copied().or_else(|| {
                 let (_, node, _) = self.find(*key);
                 (node != 0).then(|| {
-                    let at = (node, self.rt.load_u64(node + 16) as usize);
+                    let at = (node, self.rt.load_u64(node + 16) as usize, false);
                     plan.located.insert(*key, at);
                     at
                 })
             });
             match known {
-                Some((node, old_vlen)) => {
+                Some((node, old_vlen, fresh)) => {
                     if old_vlen != vlen {
                         ok = false; // batches are fixed-length per key
                         break;
                     }
-                    plan.ops.push((PlannedOp::Write { node }, i));
+                    plan.ops.push((PlannedOp::Write { node, fresh }, i));
                 }
                 None => {
                     let boff = self.bucket_off(*key);
@@ -457,7 +473,7 @@ impl Shard {
                         .heads
                         .insert(boff, new)
                         .unwrap_or_else(|| self.rt.load_u64(boff));
-                    plan.located.insert(*key, (new as usize, vlen));
+                    plan.located.insert(*key, (new as usize, vlen, true));
                     inserts += 1;
                     plan.ops.push((
                         PlannedOp::Insert {
@@ -471,38 +487,47 @@ impl Shard {
                 }
             }
         }
+        if ok {
+            self.rt.begin_fase();
+            if self.pipelined {
+                // Grouped prelog: undo-capture the planned write set
+                // with one log fence instead of one per store — the
+                // values written in place and the bucket heads; nodes
+                // of the batch's own are shadow memory. A repeated key
+                // or a shared bucket head names its range again and
+                // the log keeps one record.
+                for &(op, i) in &plan.ops {
+                    match op {
+                        PlannedOp::Write { fresh: true, .. } => {}
+                        PlannedOp::Write { node, .. } => {
+                            let vlen = items[i].1.as_ref().len() as u64;
+                            plan.ranges.push(((node + NODE_HEADER) as u64, vlen));
+                        }
+                        PlannedOp::Insert { boff, .. } => plan.ranges.push((boff as u64, 8)),
+                    }
+                }
+                if self.rt.prelog(&plan.ranges).is_err() {
+                    // refused before anything was logged or stored
+                    self.rt.end_fase();
+                    ok = false;
+                }
+            }
+        }
         if !ok {
             for &(off, size) in &plan.new_allocs {
                 self.rt.free(off, size);
             }
             return false;
         }
-        self.rt.begin_fase();
-        if self.pipelined {
-            // Grouped prelog: undo-capture the whole planned write set
-            // with two log fences instead of two per store. Duplicate
-            // ranges (repeated keys, shared bucket heads) all capture
-            // pre-FASE bytes, so rollback still lands on the pre-batch
-            // state.
-            for &(op, i) in &plan.ops {
-                let vlen = items[i].1.as_ref().len() as u64;
-                match op {
-                    PlannedOp::Write { node } => {
-                        plan.ranges.push(((node + NODE_HEADER) as u64, vlen));
-                    }
-                    PlannedOp::Insert { node, boff, .. } => {
-                        plan.ranges.push((node as u64, NODE_HEADER as u64 + vlen));
-                        plan.ranges.push((boff as u64, 8));
-                    }
-                }
-            }
-            self.rt.prelog(&plan.ranges);
-        }
         for &(op, i) in &plan.ops {
             let value = items[i].1.as_ref();
             match op {
-                PlannedOp::Write { node } => {
-                    self.rt.store(node + NODE_HEADER, value);
+                PlannedOp::Write { node, fresh } => {
+                    if fresh {
+                        self.rt.store_fresh(node + NODE_HEADER, value);
+                    } else {
+                        self.rt.store(node + NODE_HEADER, value);
+                    }
                     self.observe(node + NODE_HEADER, value.len().max(1));
                 }
                 PlannedOp::Insert {
@@ -511,16 +536,7 @@ impl Shard {
                     key,
                     head,
                 } => {
-                    self.rt.store_u64(node, key);
-                    self.observe(node, 8);
-                    self.rt.store_u64(node + 8, head);
-                    self.observe(node + 8, 8);
-                    self.rt.store_u64(node + 16, value.len() as u64);
-                    self.observe(node + 16, 8);
-                    if !value.is_empty() {
-                        self.rt.store(node + NODE_HEADER, value);
-                        self.observe(node + NODE_HEADER, value.len());
-                    }
+                    self.write_fresh_node(node, key, head, value);
                     self.rt.store_u64(boff, node as u64);
                     self.observe(boff, 8);
                 }
@@ -1269,5 +1285,53 @@ mod tests {
             assert!(r.put(100, b"after"));
             assert_eq!(r.get(100).as_deref(), Some(&b"after"[..]));
         }
+    }
+
+    /// A batch whose pre-images outgrow the undo log is refused whole —
+    /// sized before anything is logged, never a panic inside an open
+    /// FASE — and `serve_batch` falls back to per-request FASEs.
+    #[test]
+    fn oversized_write_set_is_refused_not_a_panic() {
+        let cfg = ShardConfig {
+            log_len: 4096,
+            pipelined: true,
+            ..small(PolicyKind::ScFixed { capacity: 4 })
+        };
+        let mut s = Shard::new(&cfg);
+        let load: Vec<(u64, Vec<u8>)> = (0..1000u64).map(|k| (k, vec![1u8; 40])).collect();
+        for chunk in load.chunks(25) {
+            assert!(s.put_many(chunk), "25 inserts log 25 bucket heads");
+        }
+        let before = s.dump();
+        let big: Vec<(u64, Vec<u8>)> = (0..1000u64).map(|k| (k, vec![2u8; 40])).collect();
+        assert!(
+            !s.put_many(&big),
+            "1000 x 48 bytes of records on a 4 KiB log"
+        );
+        // with fresh keys in it, their planned nodes go back to the
+        // allocator
+        let mut mixed = big.clone();
+        mixed.extend((5000..5010u64).map(|k| (k, vec![2u8; 40])));
+        let frees = s.runtime_mut().slab_stats().expect("pipelined").frees;
+        assert!(!s.put_many(&mixed));
+        let freed = s.runtime_mut().slab_stats().expect("pipelined").frees - frees;
+        assert_eq!(freed, 10);
+        assert_eq!(s.dump(), before, "map unchanged");
+        assert_eq!(s.len(), 1000);
+        // the shard still serves, and a batch that fits commits
+        assert_eq!(s.get(7).as_deref(), Some(&[1u8; 40][..]));
+        assert!(s.put_many(&big[..32]));
+        s.crash_and_recover(&CrashMode::StrictDurableOnly);
+        assert_eq!(s.get(7).as_deref(), Some(&[2u8; 40][..]));
+        assert_eq!(s.get(32).as_deref(), Some(&[1u8; 40][..]));
+        // through the lane, every request of the refused group gets a
+        // definite answer from its own FASE
+        let reqs: Vec<BatchRequest> = big
+            .iter()
+            .map(|(k, v)| BatchRequest::Put(*k, v.clone()))
+            .collect();
+        let replies = s.serve_batch(&reqs);
+        assert!(replies.iter().all(|r| *r == BatchReply::Done(true)));
+        assert_eq!(s.get(999).as_deref(), Some(&[2u8; 40][..]));
     }
 }

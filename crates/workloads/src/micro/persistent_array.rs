@@ -62,8 +62,10 @@ impl Workload for PersistentArray {
         for _ in 0..threads.max(1) {
             let mut rt = FaseRuntime::new(
                 self.inner * 4 + 64,
-                // log holds old values of every store in the single FASE
-                (self.inner * self.outer) * 24 + 4096,
+                // log holds the old value of every store in the single
+                // FASE: a group header, a record header and the padded
+                // pre-image each
+                (self.inner * self.outer) * 32 + 4096,
                 &PolicyKind::Best,
             );
             rt.record_trace();
@@ -146,7 +148,7 @@ mod tests {
         };
         let mut rt = FaseRuntime::new(
             64 * 4 + 64,
-            64 * 3 * 24 + 4096,
+            64 * 3 * 32 + 4096,
             &PolicyKind::ScFixed { capacity: 8 },
         );
         w.run(&mut rt);

@@ -254,29 +254,64 @@ fn recovery_errors_are_typed_not_panics() {
     ));
 }
 
-/// Regression (tail validation): a torn tail word pointing outside the
-/// log area must not panic recovery — the sane record prefix still
-/// rolls back.
-#[test]
-fn corrupt_durable_tail_is_clamped_not_trusted() {
-    let kind = PolicyKind::Lazy;
-    let mut rt = FaseRuntime::new(4096, 4096, &kind);
-    rt.fase(|r| r.store_u64(64, 5));
+/// A runtime with one committed FASE (64 ← 5, 128 ← 6, in two groups)
+/// and an open one that rewrote 64 ← 9 under one durable group, as the
+/// region a power failure leaves (everything in flight landing).
+fn open_fase_image(kind: &PolicyKind) -> (PmemRegion, usize) {
+    let mut rt = FaseRuntime::new(4096, 4096, kind);
+    rt.fase(|r| {
+        r.store_u64(64, 5);
+        r.store_u64(128, 6);
+    });
     rt.begin_fase();
-    rt.store_u64(64, 9); // leaves an uncommitted record in the log
-    let data_len = rt.data_len();
-    let mut region = {
-        rt.arm_crash(CrashPlan {
-            at_step: rt.steps(),
-            mode: CrashMode::AllInFlightLands,
-        });
-        rt.store_u64(128, 1); // trip the capture
-        PmemRegion::from_image(rt.take_crash_image().unwrap())
-    };
-    // corrupt the durable tail word (offset data_len + 8)
-    region.write_u64(data_len + 8, u64::MAX - 7);
-    region.persist(data_len + 8, 8);
-    let mut rt2 = FaseRuntime::try_reopen(region, data_len, 4096, &kind)
-        .expect("clamped tail recovers, never panics");
-    assert_eq!(rt2.load_u64(64), 5, "uncommitted store rolled back");
+    rt.store_u64(64, 9);
+    let image = rt.region().image_after_crash(&CrashMode::AllInFlightLands);
+    (PmemRegion::from_image(image), rt.data_len())
+}
+
+/// Hostile log bytes (nothing durable says where the log ends, so
+/// recovery validates what it finds): each corruption below makes a
+/// group invalid, and an invalid group is ignored — never applied,
+/// never a panic, never a way to lead the scan past the log area. The
+/// variants a checksum would mask (an out-of-range record under a
+/// *matching* sum) are forged in `fase::log`'s unit tests.
+#[test]
+fn corrupt_log_bytes_are_ignored_not_trusted() {
+    let kind = PolicyKind::Lazy;
+    // log-relative: magic 0, epoch 8, first group header 16 (payload
+    // bytes, checksum), its first record's header word 32
+    for (what, at, word) in [
+        ("epoch word", 8, u64::MAX - 7),
+        ("group length past the log area", 16, 4096),
+        ("group length absurd", 16, !7u64),
+        ("record range outside the data area", 32, (4090 << 16) | 8),
+        ("record range absurd", 32, u64::MAX),
+    ] {
+        let (mut region, data_len) = open_fase_image(&kind);
+        region.write_u64(data_len + at, word);
+        region.persist(data_len + at, 8);
+        let mut rt = FaseRuntime::try_reopen(region, data_len, 4096, &kind)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(rt.stats().rollbacks, 0, "{what}: the group is invalid");
+        assert_eq!(rt.load_u64(64), 9, "{what}: nothing applied");
+        assert_eq!(rt.load_u64(128), 6, "{what}");
+    }
+    // untouched, the same image rolls back
+    let (region, data_len) = open_fase_image(&kind);
+    let mut rt = FaseRuntime::try_reopen(region, data_len, 4096, &kind).unwrap();
+    assert_eq!((rt.load_u64(64), rt.load_u64(128)), (5, 6));
+}
+
+/// The natural leftover of a longer previous FASE: its second group,
+/// well-formed, sits right after the open FASE's only group. It belongs
+/// to an older epoch and must not be replayed — doing so would put back
+/// the zero that 128 held before the first FASE.
+#[test]
+fn stale_group_of_an_older_epoch_after_the_live_one_is_ignored() {
+    let kind = PolicyKind::Lazy;
+    let (region, data_len) = open_fase_image(&kind);
+    let mut rt = FaseRuntime::try_reopen(region, data_len, 4096, &kind).unwrap();
+    assert_eq!(rt.stats().rollbacks, 1);
+    assert_eq!(rt.load_u64(64), 5, "the open FASE rolled back");
+    assert_eq!(rt.load_u64(128), 6, "the committed FASE stands");
 }

@@ -11,10 +11,16 @@
 //! replaced the region's hash maps with a dense line-state array, the
 //! tree program's before PR 18 replaced the tree's hashed remap with a
 //! slot table and its page copies with borrows; both were carried over
-//! unchanged.
+//! unchanged until PR 21 changed the undo log's on-media protocol on
+//! purpose (self-validating groups written with one store, one record
+//! per location, unlogged fresh nodes, commit by epoch bump): `steps()`
+//! and `PmemStats` were re-recorded there, with the log's share of the
+//! flushes pinned by kind — while `FaseStats`, `RingStats` and the tree's
+//! shape are the literals they have always been, because what the
+//! programs store, and what the policy flushes, did not move.
 
 use nvcache::core::PolicyKind;
-use nvcache::fase::FaseStats;
+use nvcache::fase::{FaseStats, LogStats};
 use nvcache::kvstore::{Shard, ShardConfig};
 use nvcache::pmem::{CrashMode, PmemStats, RingStats};
 use nvcache::treestore::{Tree, TreeConfig};
@@ -53,17 +59,43 @@ fn put_many_program_counts_are_pinned() {
         assert!(shard.put_many(&batch), "batch {op}");
     }
     assert_eq!(shard.len(), 96, "every key was inserted");
-    assert_eq!(shard.steps(), 23_564);
+    assert_eq!(shard.steps(), 12_052);
     let rt = shard.runtime_mut();
     assert_eq!(
         rt.region().stats(),
         PmemStats {
-            bytes_written: 405_848,
-            stores: 14_660,
-            flushes: 8_029,
-            fences: 875,
+            bytes_written: 356_616,
+            stores: 4_394,
+            flushes: 7_015,
+            fences: 643,
             crashes: 0,
         }
+    );
+    assert_eq!(
+        rt.log_stats(),
+        LogStats {
+            entries: 3_009,
+            elided: 302,
+            commits: 201,
+            rollbacks: 0,
+            bytes_logged: 151_020,
+            record_lines: 2_989,
+            commit_lines: 201,
+        }
+    );
+    // the flushes by kind: data through the ring plus the four of the
+    // set-up FASE (which ran before the shard switched to the ring),
+    // the log's groups and epoch bumps, the heap's own ten persists
+    let (pmem, fase, ring, log) = (
+        rt.region().stats(),
+        rt.stats(),
+        rt.ring_stats(),
+        rt.log_stats(),
+    );
+    let data = ring.flushed + (fase.data_flushes - ring.submitted);
+    assert_eq!(
+        pmem.flushes,
+        data + log.record_lines + log.commit_lines + 10
     );
     assert_eq!(
         rt.stats(),
@@ -136,17 +168,36 @@ fn tree_txn_program_counts_are_pinned() {
     assert_eq!(t.height(), 3);
     assert_eq!(t.pages_allocated(), 357);
     assert_eq!(t.free_pages(), 22);
-    assert_eq!(t.steps(), 7_945);
+    assert_eq!(t.steps(), 7_178);
     let rt = t.store_mut().runtime_mut();
     assert_eq!(
         rt.region().stats(),
         PmemStats {
-            bytes_written: 313_672,
-            stores: 2_645,
-            flushes: 4_685,
-            fences: 615,
+            bytes_written: 313_680,
+            stores: 2_184,
+            flushes: 4_532,
+            fences: 462,
             crashes: 1,
         }
+    );
+    assert_eq!(
+        rt.log_stats(),
+        LogStats {
+            entries: 154,
+            elided: 0,
+            commits: 151,
+            rollbacks: 0,
+            bytes_logged: 9_936,
+            record_lines: 310,
+            commit_lines: 152,
+        }
+    );
+    // the flushes by kind: data through the ring, the log's groups, its
+    // epoch bumps (151 commits and the recovery), the heap's six persists
+    let (pmem, ring, log) = (rt.region().stats(), rt.ring_stats(), rt.log_stats());
+    assert_eq!(
+        pmem.flushes,
+        ring.flushed + log.record_lines + log.commit_lines + 6
     );
     assert_eq!(
         rt.stats(),

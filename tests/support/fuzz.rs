@@ -53,7 +53,7 @@ pub struct CrashFuzzConfig {
     /// Flush path the fuzzed programs drive. `Pipelined` also routes
     /// each FASE's write set through [`FaseRuntime::prelog`], so the
     /// sweep covers the grouped-append commit protocol's micro-steps
-    /// (record span flush, tail publish, ring drains, fence token).
+    /// (group flush, ring drains, fence token, epoch bump).
     pub flush_mode: FlushMode,
     /// Concurrent submitters per group commit. With `clients > 1` each
     /// FASE is a *cross-client batch*: every client contributes its own
@@ -169,7 +169,7 @@ fn run_program(
                 .iter()
                 .map(|&(slot, _)| ((SLOT_BASE + slot * 8) as u64, 8))
                 .collect();
-            rt.prelog(&ranges);
+            rt.prelog(&ranges).expect("the log holds a FASE's slots");
         }
         for &(slot, value) in fase {
             rt.store_u64(SLOT_BASE + slot * 8, value);
@@ -328,7 +328,7 @@ mod tests {
     fn every_step_of_a_small_program_recovers_consistently() {
         let cfg = CrashFuzzConfig {
             slots: 8,
-            fases: 3,
+            fases: 5,
             stores_per_fase: 4,
             ..CrashFuzzConfig::default()
         };
