@@ -233,7 +233,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "red since PR 10: ROADMAP Fix first (MDB write path)"]
     fn table2_ordering() {
         let t = table2(TINY);
         let cyc: Vec<f64> = t

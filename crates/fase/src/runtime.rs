@@ -19,7 +19,7 @@
 
 use nvcache_core::{PersistPolicy, Policy, PolicyKind, StoreOutcome};
 use nvcache_pmem::{
-    CrashMode, CrashPlan, FlushRing, PAlloc, PmemRegion, RingStats, SlabAlloc, SlabStats,
+    CrashMode, CrashPlan, FlushRing, PAlloc, PmemRegion, RingStats, SlabAlloc, SlabStats, LINE_SIZE,
 };
 use nvcache_telemetry::{
     Clock, ClockSource, CounterId, EventKind, HistId, Recorder, Sample, TelemetryConfig,
@@ -664,7 +664,16 @@ impl FaseRuntime {
         for line in PmemRegion::lines_of(offset, bytes.len()) {
             self.stats.store_lines += 1;
             if let Some(r) = &mut self.recorder {
-                r.persistent_store(Line(line));
+                // the recorded trace is what an instrumentation pass
+                // sees: a multi-word store is the `memcpy` it stands
+                // for, one store event per started word inside the line
+                // (an empty store still shows the policy a line: one)
+                let base = line as usize * LINE_SIZE;
+                let end = (offset + bytes.len()).min(base + LINE_SIZE);
+                let in_line = end - offset.max(base);
+                for _ in 0..in_line.div_ceil(8).max(1) {
+                    r.persistent_store(Line(line));
+                }
             }
             let outcome = self.policy.on_store(Line(line), &mut self.flush_buf);
             if let Some(tel) = &mut self.telemetry {
@@ -1064,6 +1073,41 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn a_multi_word_store_is_recorded_word_by_word() {
+        let mut r = rt(PolicyKind::ScFixed { capacity: 8 });
+        r.record_trace();
+        // 152 B from a line boundary: 64 + 64 + 24 bytes on three lines
+        r.fase(|r| r.store_fresh(64, &[7u8; 152]));
+        let t = r.take_trace().unwrap();
+        let lines: Vec<u64> = t
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                nvcache_trace::Event::Write(l) => Some(l.0),
+                _ => None,
+            })
+            .collect();
+        let mut want = vec![1u64; 8];
+        want.extend([2; 8]);
+        want.extend([3; 3]);
+        assert_eq!(lines, want, "8 + 8 + 3 word events, line by line");
+        // the live side still counts (and calls the policy) per line
+        let s = r.stats();
+        assert_eq!((s.stores, s.store_lines, s.data_flushes), (1, 3, 3));
+
+        // a store of at most a word inside one line is one event, as
+        // ever — aligned or not — and a straddling one is one per line
+        r.record_trace();
+        r.fase(|r| {
+            r.store_u64(256, 1);
+            r.store(323, &[1u8; 8]);
+            r.store(380, &[1u8; 8]);
+        });
+        let t = r.take_trace().unwrap();
+        assert_eq!(t.write_count(), 4);
     }
 
     #[test]

@@ -68,9 +68,14 @@ pub fn stack_distances(trace: &[u64]) -> Vec<Option<usize>> {
 
 /// Exact LRU MRC up to `max_size`, from Mattson stack distances.
 pub fn lru_mrc(trace: &[u64], max_size: usize) -> Mrc {
-    let dists = stack_distances(trace);
+    // a repeat of the datum just accessed is a distance-1 hit that moves
+    // nothing in the LRU stack: only the head of each run goes through
+    // the Fenwick tree and the hash map
+    let mut heads = trace.to_vec();
+    heads.dedup();
     let mut hist = vec![0u64; max_size + 2];
-    for d in dists.into_iter().flatten() {
+    hist[1.min(max_size + 1)] = (trace.len() - heads.len()) as u64;
+    for d in stack_distances(&heads).into_iter().flatten() {
         hist[d.min(max_size + 1)] += 1;
     }
     // hits(c) = Σ_{d ≤ c} hist[d]

@@ -28,8 +28,7 @@
 //! logical id stable, so rewriting a leaf touches *no* ancestor — only
 //! structural changes (splits) edit parents. Reading a page is a borrow
 //! of the store's bytes ([`crate::PageRead::page`]): a descent copies
-//! nothing, and the one page copy a transaction makes is the page it is
-//! about to edit and write whole to its new home (`cow`).
+//! nothing.
 //!
 //! A writer stages CoW copies under `version + 1` inside one
 //! failure-atomic section and publishes the new root + remap entries at
@@ -37,7 +36,35 @@
 //! reach them until the meta head flips — so they are written
 //! **unlogged** ([`crate::PageWrite::write_fresh`]); the 64-byte meta
 //! head is the only in-place update and the only undo record of a
-//! commit. A reader calls [`Tree::pin`] to freeze a `(version, root)`
+//! commit.
+//!
+//! # What a write stores
+//!
+//! A page is never written whole. The **used bytes** of a page are its
+//! header plus what `count` covers — leaf `[0, HDR + 16·count)`, inner
+//! `[0, HDR + 8·count)` and `[CHILD0, CHILD0 + 8·(count + 1))`, value
+//! cell `[0, HDR + len)` — and nothing ever reads past them, so a
+//! recycled page keeps whatever its tail held. `cow` tells the two
+//! kinds of touch apart (crab-db's `LoadMut::{Clean, Dirty}`):
+//!
+//! - **Clean** — the transaction's first touch of the page: allocate
+//!   the shadow page and copy the used bytes of the committed copy,
+//!   version restamped (the page copy LMDB's `mdb_page_touch` makes);
+//! - **Dirty** — `Slot::staged` already names the transaction's own
+//!   copy: no copy at all.
+//!
+//! On either kind the edit then stores exactly the bytes it changed: an
+//! overwrite is the 8-byte value pointer; an insert the shifted run of
+//! entries `[pos, n]` and the count word; a delete the run
+//! `[pos, n − 1)` and the count word; an inner insert the key run, the
+//! child run and the count word. A page that splits is not copied
+//! first: both halves (and a new root) are composed in memory and
+//! written once, used bytes only. The persistence stack below sees
+//! stores of the words the program changed — which is what lets the
+//! paper's write-combining cache combine a transaction's second and
+//! third touch of a leaf into the line flushes of the first.
+//!
+//! A reader calls [`Tree::pin`] to freeze a `(version, root)`
 //! pair and scans it without blocking the writer. Superseded copies are
 //! retired with the version that replaced them and recycled by
 //! [`Tree::reclaim`] once no pin can still reach them.
@@ -71,6 +98,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use nvcache_fase::{FaseStats, RecoveryError};
 use nvcache_pmem::{CrashMode, CrashPlan};
@@ -207,6 +235,46 @@ fn inner_child(buf: &[u8; PAGE], i: usize) -> u64 {
 #[inline]
 fn set_inner_child(buf: &mut [u8; PAGE], i: usize, child: u64) {
     set64(buf, CHILD0 + 8 * i, child);
+}
+
+/// Byte range of leaf entries `[from, to)`.
+#[inline]
+fn leaf_run(from: usize, to: usize) -> Range<usize> {
+    HDR + 16 * from..HDR + 16 * to
+}
+
+/// The value-pointer word of leaf entry `i`.
+#[inline]
+fn vptr_word(i: usize) -> Range<usize> {
+    HDR + 16 * i + 8..HDR + 16 * i + 16
+}
+
+/// Byte range of inner separator keys `[from, to)`.
+#[inline]
+fn key_run(from: usize, to: usize) -> Range<usize> {
+    HDR + 8 * from..HDR + 8 * to
+}
+
+/// Byte range of inner child slots `[from, to)`.
+#[inline]
+fn child_run(from: usize, to: usize) -> Range<usize> {
+    CHILD0 + 8 * from..CHILD0 + 8 * to
+}
+
+/// The header word holding tag and count.
+const COUNT_WORD: Range<usize> = 0..8;
+
+/// The used bytes of node page `buf` — its header and what its count
+/// covers: one run for a leaf, two for an inner page (the second run of
+/// a leaf is empty). Nothing reads a node page outside them.
+#[inline]
+fn used_runs(buf: &[u8; PAGE]) -> [Range<usize>; 2] {
+    let n = hdr_count(buf);
+    if hdr_tag(buf) == TAG_LEAF {
+        [0..leaf_run(0, n).end, 0..0]
+    } else {
+        [0..key_run(0, n).end, child_run(0, n + 1)]
+    }
 }
 
 /// Index of the child of inner page `buf` whose range covers `key`.
@@ -434,6 +502,10 @@ pub struct Tree<S: PageStore = FasePager> {
     txn_retired: Vec<(u64, u64)>,
     /// The inner `(lpid, child index)` path of the `put` in progress.
     path: Vec<(u64, usize)>,
+    /// The differential reference: every store of part of a page
+    /// rewrites the whole page from the in-memory image instead.
+    #[cfg(test)]
+    whole_pages: bool,
 }
 
 impl<S: PageStore> Tree<S> {
@@ -458,7 +530,7 @@ impl<S: PageStore> Tree<S> {
         store.write(meta_off, &head);
         store.write(meta_off + SEG_TABLE, &table0.to_le_bytes());
         store.write(table0, &seg0.to_le_bytes());
-        store.write(seg0, &leaf);
+        store.write(seg0, &leaf[..HDR]);
         store.commit();
         store.set_root(meta_off);
         Tree::attach(store)
@@ -493,6 +565,8 @@ impl<S: PageStore> Tree<S> {
             staged: Vec::new(),
             txn_retired: Vec::new(),
             path: Vec::new(),
+            #[cfg(test)]
+            whole_pages: false,
         })
     }
 
@@ -733,10 +807,11 @@ impl<S: PageStore> Tree<S> {
         // descend, remembering the inner path for possible splits
         self.path.clear();
         let mut lpid = self.txn.as_ref().unwrap().root_lpid;
-        let (n, pos) = loop {
+        let (n, pos, hit) = loop {
             let b = self.load_page(lpid, tv)?;
             if hdr_tag(b) == TAG_LEAF {
-                break leaf_position(b, key);
+                let (n, pos) = leaf_position(b, key);
+                break (n, pos, pos < n && leaf_key(b, pos) == key);
             }
             let idx = child_index(b, key);
             let child = inner_child(b, idx);
@@ -745,26 +820,23 @@ impl<S: PageStore> Tree<S> {
         };
 
         let vptr = self.write_value_cell(val)?;
-        let (lphys, mut lbuf) = self.cow(lpid)?;
+        let splits = !hit && n == LEAF_CAP;
+        let (lphys, mut lbuf) = self.cow(lpid, !splits)?;
 
-        if pos < n && leaf_key(&lbuf, pos) == key {
+        if hit {
             let old = leaf_vptr(&lbuf, pos);
             set_leaf_entry(&mut lbuf, pos, key, vptr);
-            self.write_page(lphys, &lbuf);
+            self.write_run(lphys, &lbuf, vptr_word(pos));
             self.txn_retired.push((old, LPID_NONE));
             return Ok(());
         }
 
-        if n < LEAF_CAP {
-            let mut i = n;
-            while i > pos {
-                let (k, v) = (leaf_key(&lbuf, i - 1), leaf_vptr(&lbuf, i - 1));
-                set_leaf_entry(&mut lbuf, i, k, v);
-                i -= 1;
-            }
+        if !splits {
+            lbuf.copy_within(leaf_run(pos, n), leaf_run(pos + 1, n + 1).start);
             set_leaf_entry(&mut lbuf, pos, key, vptr);
             set_count(&mut lbuf, n + 1);
-            self.write_page(lphys, &lbuf);
+            self.write_run(lphys, &lbuf, leaf_run(pos, n + 1));
+            self.write_run(lphys, &lbuf, COUNT_WORD);
             self.txn.as_mut().unwrap().len += 1;
             return Ok(());
         }
@@ -789,7 +861,7 @@ impl<S: PageStore> Tree<S> {
             set_leaf_entry(&mut lbuf, i, ks[i], vs[i]);
         }
         set_count(&mut lbuf, LEFT);
-        self.write_page(lphys, &lbuf);
+        self.write_used(lphys, &lbuf);
 
         let rlpid = self.alloc_lpid();
         let rphys = self.alloc_page().ok_or(TreeError::Full)?;
@@ -798,7 +870,7 @@ impl<S: PageStore> Tree<S> {
         for i in LEFT..LEAF_CAP + 1 {
             set_leaf_entry(&mut rbuf, i - LEFT, ks[i], vs[i]);
         }
-        self.write_page(rphys, &rbuf);
+        self.write_used(rphys, &rbuf);
         self.stage(rlpid, rphys);
         self.txn.as_mut().unwrap().len += 1;
 
@@ -826,14 +898,12 @@ impl<S: PageStore> Tree<S> {
             }
             lpid = inner_child(b, child_index(b, key));
         };
-        let (lphys, mut lbuf) = self.cow(lpid)?;
+        let (lphys, mut lbuf) = self.cow(lpid, true)?;
         let old = leaf_vptr(&lbuf, pos);
-        for i in pos..n - 1 {
-            let (k, v) = (leaf_key(&lbuf, i + 1), leaf_vptr(&lbuf, i + 1));
-            set_leaf_entry(&mut lbuf, i, k, v);
-        }
+        lbuf.copy_within(leaf_run(pos + 1, n), leaf_run(pos, n - 1).start);
         set_count(&mut lbuf, n - 1);
-        self.write_page(lphys, &lbuf);
+        self.write_run(lphys, &lbuf, leaf_run(pos, n - 1));
+        self.write_run(lphys, &lbuf, COUNT_WORD);
         self.txn_retired.push((old, LPID_NONE));
         self.txn.as_mut().unwrap().len -= 1;
         Ok(true)
@@ -865,10 +935,30 @@ impl<S: PageStore> Tree<S> {
         hi: u64,
         limit: usize,
     ) -> Vec<(u64, Vec<u8>)> {
-        let (v, root) = snap.map_or_else(|| self.view(), |s| (s.version, s.root_lpid));
         let mut out = Vec::new();
-        if limit == 0 || lo > hi {
-            return out;
+        if limit > 0 {
+            self.visit(snap, lo, hi, |k, v| {
+                out.push((k, v.to_vec()));
+                out.len() < limit
+            });
+        }
+        out
+    }
+
+    /// Walk the entries of `lo..=hi` in key order, handing `f` each key
+    /// with its value borrowed from the store (nothing is copied), until
+    /// the range ends or `f` returns `false`. `snap = None` reads the
+    /// current view.
+    pub fn visit(
+        &self,
+        snap: Option<&Snapshot>,
+        lo: u64,
+        hi: u64,
+        mut f: impl FnMut(u64, &[u8]) -> bool,
+    ) {
+        let (v, root) = snap.map_or_else(|| self.view(), |s| (s.version, s.root_lpid));
+        if lo > hi {
+            return;
         }
         let mut next = lo;
         loop {
@@ -879,19 +969,15 @@ impl<S: PageStore> Tree<S> {
                 if k < next {
                     continue;
                 }
-                if k > hi {
-                    return out;
-                }
-                out.push((k, self.read_value(leaf_vptr(leaf, i)).to_vec()));
-                if out.len() == limit {
-                    return out;
+                if k > hi || !f(k, self.read_value(leaf_vptr(leaf, i))) {
+                    return;
                 }
             }
             match ub {
                 // separators are strictly above every key to their
                 // left, so `next` advances every iteration
                 Some(u) if u <= hi => next = u,
-                _ => return out,
+                _ => return,
             }
         }
     }
@@ -984,11 +1070,24 @@ impl<S: PageStore> Tree<S> {
         self.segs[(phys / PAGES_PER_SEG) as usize] + (phys % PAGES_PER_SEG) * PAGE as u64
     }
 
-    /// Write a page the open transaction allocated: shadow memory
-    /// until the commit's head flip, hence unlogged.
-    fn write_page(&mut self, phys: u64, buf: &[u8; PAGE]) {
-        let off = self.page_off(phys);
-        self.store.write_fresh(off, buf);
+    /// Store bytes `run` of `buf` at the same place in page `phys`, a
+    /// page the open transaction allocated: shadow memory until the
+    /// commit's head flip, hence unlogged. An empty run stores nothing.
+    fn write_run(&mut self, phys: u64, buf: &[u8; PAGE], run: Range<usize>) {
+        if run.is_empty() {
+            return;
+        }
+        #[cfg(test)]
+        let run = if self.whole_pages { 0..PAGE } else { run };
+        let off = self.page_off(phys) + run.start as u64;
+        self.store.write_fresh(off, &buf[run]);
+    }
+
+    /// Store the used bytes of node page `buf` to page `phys`.
+    fn write_used(&mut self, phys: u64, buf: &[u8; PAGE]) {
+        for run in used_runs(buf) {
+            self.write_run(phys, buf, run);
+        }
     }
 
     fn alloc_lpid(&mut self) -> u64 {
@@ -1044,11 +1143,14 @@ impl<S: PageStore> Tree<S> {
     }
 
     /// Copy-on-write `lpid` for the open transaction: returns the
-    /// staged physical copy and an owned image of it to edit and write
-    /// back whole — the one page copy the tree makes. The first touch
-    /// per transaction allocates and retires the committed copy; later
-    /// touches edit the staged copy in place.
-    fn cow(&mut self, lpid: u64) -> Result<(u64, [u8; PAGE]), TreeError> {
+    /// staged physical copy and an image of it in memory, for the
+    /// caller to edit and store the changed bytes of. A *Clean* page —
+    /// the transaction's first touch — gets a shadow page, retires the
+    /// committed copy and, when `copy` is set, receives the committed
+    /// copy's used bytes under the new version (a page about to split
+    /// passes `false`: its halves are written once, after the split). A
+    /// *Dirty* page is the staged copy itself: nothing is stored.
+    fn cow(&mut self, lpid: u64, copy: bool) -> Result<(u64, [u8; PAGE]), TreeError> {
         let tv = self.txn.as_ref().unwrap().version;
         let old = self
             .resolve(lpid, tv)
@@ -1061,6 +1163,9 @@ impl<S: PageStore> Tree<S> {
         let p = self.alloc_page().ok_or(TreeError::Full)?;
         self.stage(lpid, p);
         self.txn_retired.push((old, lpid));
+        if copy {
+            self.write_used(p, &b);
+        }
         Ok((p, b))
     }
 
@@ -1090,32 +1195,24 @@ impl<S: PageStore> Tree<S> {
                 set_inner_key(&mut b, 0, sep);
                 set_inner_child(&mut b, 0, old_root);
                 set_inner_child(&mut b, 1, right);
-                self.write_page(np, &b);
+                self.write_used(np, &b);
                 self.stage(nl, np);
                 let t = self.txn.as_mut().unwrap();
                 t.root_lpid = nl;
                 t.height += 1;
                 return Ok(());
             };
-            let (pphys, mut pbuf) = self.cow(plpid)?;
-            let n = hdr_count(&pbuf);
+            let n = hdr_count(self.load_page(plpid, tv)?);
+            let (pphys, mut pbuf) = self.cow(plpid, n < INNER_CAP)?;
             if n < INNER_CAP {
-                let mut i = n;
-                while i > idx {
-                    let k = inner_key(&pbuf, i - 1);
-                    set_inner_key(&mut pbuf, i, k);
-                    i -= 1;
-                }
-                let mut i = n + 1;
-                while i > idx + 1 {
-                    let c = inner_child(&pbuf, i - 1);
-                    set_inner_child(&mut pbuf, i, c);
-                    i -= 1;
-                }
+                pbuf.copy_within(key_run(idx, n), key_run(idx + 1, n + 1).start);
+                pbuf.copy_within(child_run(idx + 1, n + 1), child_run(idx + 2, n + 2).start);
                 set_inner_key(&mut pbuf, idx, sep);
                 set_inner_child(&mut pbuf, idx + 1, right);
                 set_count(&mut pbuf, n + 1);
-                self.write_page(pphys, &pbuf);
+                self.write_run(pphys, &pbuf, key_run(idx, n + 1));
+                self.write_run(pphys, &pbuf, child_run(idx + 1, n + 2));
+                self.write_run(pphys, &pbuf, COUNT_WORD);
                 return Ok(());
             }
             // inner split: 15 keys / 16 children -> left 7/8, middle
@@ -1148,7 +1245,7 @@ impl<S: PageStore> Tree<S> {
                 set_inner_child(&mut pbuf, i, c);
             }
             set_count(&mut pbuf, LEFTK);
-            self.write_page(pphys, &pbuf);
+            self.write_used(pphys, &pbuf);
 
             let rlpid = self.alloc_lpid();
             let rphys = self.alloc_page().ok_or(TreeError::Full)?;
@@ -1160,7 +1257,7 @@ impl<S: PageStore> Tree<S> {
             for (i, &c) in cs.iter().enumerate().take(INNER_CAP + 2).skip(LEFTK + 1) {
                 set_inner_child(&mut rbuf, i - (LEFTK + 1), c);
             }
-            self.write_page(rphys, &rbuf);
+            self.write_used(rphys, &rbuf);
             self.stage(rlpid, rphys);
 
             sep = ks[LEFTK];
@@ -1793,6 +1890,155 @@ mod tests {
         );
     }
 
+    // ---- what a write stores ----
+
+    /// The used bytes of the node page at `phys` (header and what its
+    /// count covers), with those of every value cell a leaf points at.
+    fn used_bytes(t: &Tree<MemPager>, phys: u64) -> Vec<u8> {
+        let b = t.store.page(t.page_off(phys));
+        let [head, children] = used_runs(b);
+        let mut out = [&b[head], &b[children]].concat();
+        if hdr_tag(b) == TAG_LEAF {
+            for i in 0..hdr_count(b) {
+                let cell = t.store.page(t.page_off(leaf_vptr(b, i)));
+                out.extend_from_slice(&cell[..HDR + hdr_count(cell)]);
+            }
+        }
+        out
+    }
+
+    /// Transactions that come back to the leaves they staged: a run of
+    /// adjacent fresh keys (the leaf fills and splits while Dirty), then
+    /// overwrites and deletes among them.
+    fn revisiting_txn(s: &mut u64) -> Vec<(u64, Option<Vec<u8>>)> {
+        let base = splitmix(s) % 600;
+        let mut ops = Vec::new();
+        for i in 0..4 + splitmix(s) % 20 {
+            ops.push((base + i, Some(vec![i as u8; (splitmix(s) % 60) as usize])));
+        }
+        for _ in 0..6 {
+            let key = base + splitmix(s) % 24;
+            let put = !splitmix(s).is_multiple_of(3);
+            ops.push((key, put.then(|| vec![0xee; (splitmix(s) % 60) as usize])));
+        }
+        ops
+    }
+
+    #[test]
+    fn changed_byte_writes_match_the_whole_page_reference() {
+        let mut t = mem_tree();
+        let mut r = mem_tree();
+        r.whole_pages = true;
+        let mut s = 0xd1ffu64;
+        let mut snap = None;
+        for round in 0..80 {
+            match round {
+                20 => snap = Some((t.pin(), r.pin())),
+                35 => {
+                    let (ts, rs) = snap.take().unwrap();
+                    t.unpin(ts);
+                    r.unpin(rs);
+                }
+                _ => {}
+            }
+            t.begin();
+            r.begin();
+            for (key, val) in revisiting_txn(&mut s) {
+                match val {
+                    Some(v) => {
+                        t.put(key, &v).unwrap();
+                        r.put(key, &v).unwrap();
+                    }
+                    None => assert_eq!(t.delete(key).unwrap(), r.delete(key).unwrap()),
+                }
+            }
+            // the open transaction reads its own partial writes
+            assert_eq!(
+                t.scan(None, 0, u64::MAX, usize::MAX),
+                r.scan(None, 0, u64::MAX, usize::MAX),
+                "round {round}, staged"
+            );
+            t.commit();
+            r.commit();
+            if round == 0 {
+                // the root leaf was staged by the first put: it split Dirty
+                assert!(t.height() >= 2, "first transaction must split its leaf");
+            }
+            assert_eq!(
+                (t.len(), t.height()),
+                (r.len(), r.height()),
+                "round {round}"
+            );
+            assert_eq!(
+                t.scan(None, 0, u64::MAX, usize::MAX),
+                r.scan(None, 0, u64::MAX, usize::MAX),
+                "round {round}"
+            );
+        }
+        assert!(t.height() >= 3, "inner pages must have split too");
+        // both trees took the same pages in the same order, and hold
+        // the same bytes wherever anything will ever read
+        assert_eq!((t.bump, &t.free), (r.bump, &r.free));
+        for lpid in 0..t.next_lpid as usize {
+            let phys = t.slots[lpid].phys;
+            assert_eq!(phys, r.slots[lpid].phys, "lpid {lpid}");
+            assert_eq!(used_bytes(&t, phys), used_bytes(&r, phys), "lpid {lpid}");
+        }
+        let cold = Tree::attach(t.store).unwrap();
+        assert_eq!(
+            cold.scan(None, 0, u64::MAX, usize::MAX),
+            r.scan(None, 0, u64::MAX, usize::MAX)
+        );
+    }
+
+    #[test]
+    fn a_recycled_page_with_a_longer_pages_tail_attaches_and_scans() {
+        let mut t = mem_tree();
+        let mut model = std::collections::BTreeMap::new();
+        let mut s = 0x7a11u64;
+        let check = |t: &Tree<MemPager>, model: &std::collections::BTreeMap<u64, Vec<u8>>| {
+            let want: Vec<_> = model.iter().map(|(k, v)| (*k, v.clone())).collect();
+            assert_eq!(t.scan(None, 0, u64::MAX, usize::MAX), want);
+            assert_eq!(t.len(), want.len() as u64);
+        };
+        for round in 0..2 {
+            for _ in 0..40 {
+                t.begin();
+                for (key, val) in revisiting_txn(&mut s) {
+                    match val {
+                        Some(v) => {
+                            t.put(key, &v).unwrap();
+                            model.insert(key, v);
+                        }
+                        None => assert_eq!(t.delete(key).unwrap(), model.remove(&key).is_some()),
+                    }
+                }
+                t.commit();
+            }
+            check(&t, &model);
+            // the scenario is real: live node pages sit on recycled
+            // pages whose bytes past the used ones are an older, longer
+            // page's entries
+            let stale_tails = (0..t.next_lpid as usize)
+                .filter(|&lpid| {
+                    let b = t.store.page(t.page_off(t.slots[lpid].phys));
+                    let n = hdr_count(b);
+                    let tail = match hdr_tag(b) {
+                        TAG_LEAF => leaf_run(n, LEAF_CAP),
+                        _ => key_run(n, INNER_CAP),
+                    };
+                    b[tail].iter().any(|&x| x != 0)
+                })
+                .count();
+            assert!(
+                stale_tails > 0,
+                "round {round}: no live page has a stale tail"
+            );
+            t = Tree::attach(t.store).unwrap();
+            check(&t, &model);
+        }
+    }
+
     // ---- FasePager-backed ----
 
     fn small_cfg() -> TreeConfig {
@@ -1830,6 +2076,51 @@ mod tests {
                 "{hostile:#x}: {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn second_touch_of_a_staged_leaf_stores_only_the_changed_bytes() {
+        let mut t = Tree::create(&small_cfg()).unwrap();
+        t.begin();
+        for k in [10u64, 20, 30, 40] {
+            t.put(k, &[k as u8; 40]).unwrap();
+        }
+        t.commit();
+        // bytes stored so far, pages in use
+        let counts = |t: &mut Tree<FasePager>| {
+            let bytes = t.store.runtime_mut().region().stats().bytes_written;
+            (bytes, t.bump - t.free.len() as u64)
+        };
+        const CELL: u64 = (HDR + 40) as u64;
+
+        t.begin();
+        // first touch: shadow page, used-byte copy, then the edit
+        t.put(25, &[1; 40]).unwrap();
+        let shadow = t.slots[0].staged;
+        assert_ne!(shadow, PHYS_NONE);
+        let (b0, p0) = counts(&mut t);
+        // insert at position 1 of 5: the value cell, the shifted run of
+        // entries [1, 5] and the count word
+        t.put(15, &[2; 40]).unwrap();
+        let (b1, p1) = counts(&mut t);
+        assert_eq!((b1 - b0, p1 - p0), (CELL + 5 * 16 + 8, 1));
+        // overwrite: the value cell and the 8-byte pointer to it
+        t.put(20, &[3; 40]).unwrap();
+        let (b2, p2) = counts(&mut t);
+        assert_eq!((b2 - b1, p2 - p1), (CELL + 8, 1));
+        // delete position 3 of 6: the run [3, 5) and the count word
+        assert!(t.delete(25).unwrap());
+        let (b3, p3) = counts(&mut t);
+        assert_eq!((b3 - b2, p3 - p2), (2 * 16 + 8, 0));
+        // one staged copy throughout; only value cells were allocated
+        assert_eq!(
+            (t.slots[0].staged, t.staged.as_slice()),
+            (shadow, &[0u64][..])
+        );
+        t.commit();
+        let keys: Vec<u64> = t.scan(None, 0, u64::MAX, 9).iter().map(|e| e.0).collect();
+        assert_eq!(keys, [10, 15, 20, 30, 40]);
+        assert_eq!(t.get(20).as_deref(), Some(&[3u8; 40][..]));
     }
 
     #[test]

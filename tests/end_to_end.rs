@@ -38,23 +38,29 @@ fn every_workload_flows_through_every_policy() {
 
 #[test]
 fn offline_knee_never_loses_to_default_capacity() {
-    // The selected capacity must never produce more flushes than the
-    // blind default of 8 (the Atlas-equivalent size).
+    // The knee rule takes the smallest capacity whose miss ratio is
+    // within `tolerance_frac` of the curve's whole drop from the best
+    // bounded size, so that is all it may lose to any capacity — the
+    // blind default of 8 (the Atlas-equivalent size) included. A miss
+    // of the FASE-renamed trace is one flush, so the bound is stated in
+    // flushes (mdb: knee 6 gives 17 173 against 17 165 at capacity 8).
+    let cfg = KneeConfig::default();
     for w in all_workloads(0.003) {
         let tr = w.trace(1);
-        let knee = select_cache_size(
-            &lru_mrc(&tr.threads[0].renamed_writes(), 50),
-            &KneeConfig::default(),
-        );
+        let mrc = lru_mrc(&tr.threads[0].renamed_writes(), cfg.max_size);
+        let knee = select_cache_size(&mrc, &cfg);
         let tuned = flush_stats(&tr, &PolicyKind::ScFixed { capacity: knee });
         let blind = flush_stats(&tr, &PolicyKind::ScFixed { capacity: 8 });
+        let drop = mrc.mr(0) - mrc.mr(cfg.max_size);
+        let tolerance = (cfg.tolerance_frac * drop * mrc.accesses as f64) as u64;
         assert!(
-            tuned.flushes() <= blind.flushes(),
-            "{}: knee {} flushes {} > default-8 {}",
+            tuned.flushes() <= blind.flushes() + tolerance,
+            "{}: knee {} flushes {} > default-8 {} + tolerance {}",
             w.name(),
             knee,
             tuned.flushes(),
-            blind.flushes()
+            blind.flushes(),
+            tolerance
         );
     }
 }

@@ -7,12 +7,24 @@ use nvcache::locality::{
     footprint::{footprint_all_k, footprint_all_k_naive},
     lru_mrc,
     reuse::{reuse_all_k, reuse_all_k_naive},
-    select_cache_size, KneeConfig, Mrc,
+    select_cache_size,
+    sim::{lru_hits_at, stack_distances},
+    KneeConfig, Mrc,
 };
 use proptest::prelude::*;
 
 fn trace_strategy(max_len: usize, alphabet: u64) -> impl Strategy<Value = Vec<u64>> {
     prop::collection::vec(0..alphabet, 1..max_len)
+}
+
+/// Traces made of runs: each drawn datum repeated 1..=9 times, the way
+/// a word-by-word copy of a page repeats its lines.
+fn run_trace_strategy(max_runs: usize, alphabet: u64) -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec((0..alphabet, 1usize..10), 1..max_runs).prop_map(|runs| {
+        runs.into_iter()
+            .flat_map(|(id, n)| std::iter::repeat_n(id, n))
+            .collect()
+    })
 }
 
 proptest! {
@@ -92,6 +104,22 @@ proptest! {
             (mrc.mr(16) - floor).abs() < 1e-9 || distinct > 16,
             "cache ≥ alphabet ⇒ only cold misses"
         );
+    }
+
+    /// `lru_mrc` sends only the head of each run of one datum through
+    /// the stack (a repeat is a distance-1 hit that moves nothing): the
+    /// curve equals the histogram of every access's Mattson distance,
+    /// and the hit count of a direct LRU simulation at every size.
+    #[test]
+    fn run_compressed_mrc_equals_uncompressed_mattson(trace in run_trace_strategy(120, 14)) {
+        let mrc = lru_mrc(&trace, 16);
+        let dists = stack_distances(&trace);
+        for c in 0..=16 {
+            let hits = dists.iter().flatten().filter(|&&d| d <= c).count();
+            let want = 1.0 - hits as f64 / trace.len() as f64;
+            prop_assert!((mrc.mr(c) - want).abs() < 1e-12, "c={c}: {} vs {want}", mrc.mr(c));
+            prop_assert_eq!(hits as u64, lru_hits_at(&trace, c), "c={}", c);
+        }
     }
 
     /// Knee selection always lands inside the configured bounds and is

@@ -143,3 +143,39 @@ fn table3_rows_attach_and_order() {
         assert!(la.flushes() <= at.flushes(), "{}", w.name());
     }
 }
+
+/// Table II: Mtest on MDB, eight threads. Eager flushing is far behind
+/// everything that combines (paper: AT 2.94×, SC 5.07× over ER), the
+/// adaptive cache stays with Atlas's table, and no persistence is the
+/// ceiling.
+#[test]
+fn table2_mdb_execution_orders_as_in_the_paper() {
+    let tr = workload_by_name("mdb", SCALE).unwrap().trace(8);
+    let cfg = RunConfig::default();
+    let cycles = |kind: &PolicyKind| run_policy(&tr, kind, &cfg).cycles as f64;
+    let er = cycles(&PolicyKind::Eager);
+    let at = cycles(&PolicyKind::Atlas { size: 8 });
+    let sc = cycles(&sc_for(&tr));
+    let best = cycles(&PolicyKind::Best);
+    assert!(er > 2.0 * at, "ER {er} ≫ AT {at}");
+    assert!(sc <= 1.25 * at, "SC {sc} ≲ AT {at}");
+    assert!(
+        best < sc && best < at,
+        "BEST {best} fastest (SC {sc}, AT {at})"
+    );
+}
+
+/// Table III's `mdb` row (paper: LA 0.052, AT 0.301, SC 0.113): a put
+/// stores the words it changed, so most stores of a transaction land on
+/// lines it has already dirtied — the lazy floor is low and the
+/// adaptive cache sits on it.
+#[test]
+fn table3_mdb_row_is_in_the_papers_band() {
+    let tr = workload_by_name("mdb", SCALE).unwrap().trace(1);
+    let la = flush_stats(&tr, &PolicyKind::Lazy).flush_ratio();
+    let at = flush_stats(&tr, &PolicyKind::Atlas { size: 8 }).flush_ratio();
+    let sc = flush_stats(&tr, &sc_for(&tr)).flush_ratio();
+    assert!(la <= 0.2, "LA {la}");
+    assert!(la <= sc && sc <= at, "LA {la} ≤ SC {sc} ≤ AT {at}");
+    assert!(sc <= 1.1 * la, "SC {sc} within 1.1× of LA {la}");
+}

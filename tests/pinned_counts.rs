@@ -16,8 +16,16 @@
 //! per location, unlogged fresh nodes, commit by epoch bump): `steps()`
 //! and `PmemStats` were re-recorded there, with the log's share of the
 //! flushes pinned by kind — while `FaseStats`, `RingStats` and the tree's
-//! shape are the literals they have always been, because what the
-//! programs store, and what the policy flushes, did not move.
+//! shape stayed the literals they had always been, because what the
+//! programs store, and what the policy flushes, did not move. PR 22
+//! changed what the *tree* program stores, on purpose: a put writes the
+//! bytes it changed (used-byte shadow copies, in-place edits of pages
+//! the transaction already holds) instead of the page, so that
+//! program's `steps()`, `PmemStats`, `FaseStats`, `RingStats` and the
+//! log's record lines (`format` logs a header, not a page) were
+//! re-recorded — more, smaller stores (1 860 → 3 019), fewer flushes
+//! (4 532 → 4 116) — while its `len`, `height`, page and free-page
+//! counts and every literal of the shard program did not move.
 
 use nvcache::core::PolicyKind;
 use nvcache::fase::{FaseStats, LogStats};
@@ -168,14 +176,14 @@ fn tree_txn_program_counts_are_pinned() {
     assert_eq!(t.height(), 3);
     assert_eq!(t.pages_allocated(), 357);
     assert_eq!(t.free_pages(), 22);
-    assert_eq!(t.steps(), 7_178);
+    assert_eq!(t.steps(), 7_921);
     let rt = t.store_mut().runtime_mut();
     assert_eq!(
         rt.region().stats(),
         PmemStats {
-            bytes_written: 313_680,
-            stores: 2_184,
-            flushes: 4_532,
+            bytes_written: 257_064,
+            stores: 3_343,
+            flushes: 4_116,
             fences: 462,
             crashes: 1,
         }
@@ -187,8 +195,8 @@ fn tree_txn_program_counts_are_pinned() {
             elided: 0,
             commits: 151,
             rollbacks: 0,
-            bytes_logged: 9_936,
-            record_lines: 310,
+            bytes_logged: 9_704,
+            record_lines: 307,
             commit_lines: 152,
         }
     );
@@ -203,9 +211,9 @@ fn tree_txn_program_counts_are_pinned() {
         rt.stats(),
         FaseStats {
             fases: 151,
-            stores: 1_860,
-            store_lines: 4_728,
-            data_flushes: 4_480,
+            stores: 3_019,
+            store_lines: 5_467,
+            data_flushes: 3_853,
             fences: 151,
             rollbacks: 0,
         }
@@ -213,10 +221,10 @@ fn tree_txn_program_counts_are_pinned() {
     assert_eq!(
         rt.ring_stats(),
         RingStats {
-            submitted: 4_480,
-            flushed: 4_064,
+            submitted: 3_853,
+            flushed: 3_651,
             elided: 0,
-            sweeps: 1_523,
+            sweeps: 1_622,
             drains: 151,
         }
     );

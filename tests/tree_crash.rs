@@ -268,6 +268,71 @@ fn mid_split_crash_recovers_the_old_root_graph() {
     }
 }
 
+/// One transaction that keeps coming back to a leaf it has staged — an
+/// insert (the first touch: shadow page + used-byte copy), an overwrite
+/// and a delete edited in place, then enough inserts to fill the staged
+/// leaf and split it while Dirty — crashed at *every* micro-step, under
+/// every adversary, on both flush paths. In-place edits of a shadow
+/// page are stores of a few words each, landing (or not) line by line:
+/// none of them may be visible before the head flip, all of them after.
+#[test]
+fn dirty_leaf_edits_and_split_are_atomic_at_every_micro_step() {
+    let base_txn: Vec<TxnOp> = (0..10u64)
+        .map(|k| TxnOp::Put(k * 10, value(k, 24)))
+        .collect();
+    let mut dirty_txn = vec![
+        TxnOp::Put(5, value(5, 24)),    // insert: Clean touch
+        TxnOp::Put(10, value(0xa, 40)), // overwrite: Dirty
+        TxnOp::Delete(20),              // delete: Dirty, third touch
+    ];
+    // 10 entries now; five more overflow the 14-entry leaf while Dirty
+    dirty_txn.extend((11..=15u64).map(|k| TxnOp::Put(k, value(k, 8))));
+    for pipelined in [false, true] {
+        let cfg = TreeConfig {
+            data_len: 1 << 18,
+            ..cfg(pipelined)
+        };
+        let mut t = Tree::create(&cfg).unwrap();
+        apply_txn(&mut t, &base_txn);
+        let (base_steps, base) = (t.steps(), dump(&t));
+        apply_txn(&mut t, &dirty_txn);
+        let (end_steps, full) = (t.steps(), dump(&t));
+        assert_eq!(t.height(), 2, "the staged leaf must have split");
+        assert_eq!(full.len(), base.len() + 5);
+        for k in base_steps + 1..end_steps {
+            for mode in modes(k) {
+                let mut t = Tree::create(&cfg).unwrap();
+                apply_txn(&mut t, &base_txn);
+                t.arm_crash(CrashPlan {
+                    at_step: k,
+                    mode: mode.clone(),
+                });
+                apply_txn(&mut t, &dirty_txn);
+                let image = t.take_crash_image().expect("crash inside the txn");
+                let mut rec = Tree::reopen_from_image(image, &cfg)
+                    .unwrap_or_else(|e| panic!("recovery failed at step {k}: {e:?}"));
+                let got = dump(&rec);
+                assert!(
+                    got == base || got == full,
+                    "path {} mode {mode:?} crash at step {k}: torn transaction \
+                     ({} entries, base {}, full {})",
+                    if pipelined { "pipelined" } else { "sync" },
+                    got.len(),
+                    base.len(),
+                    full.len(),
+                );
+                assert_eq!(rec.len(), got.len() as u64, "len() vs full scan");
+                // the retry runs over whatever the dead attempt left in
+                // its shadow pages
+                if got == base {
+                    apply_txn(&mut rec, &dirty_txn);
+                    assert_eq!(dump(&rec), full, "retry after a crash at step {k}");
+                }
+            }
+        }
+    }
+}
+
 /// The hazard un-logging the shadow pages opens: a rolled-back attempt
 /// leaves node pages stamped `(lpid, N+1)` on the free list, the retry
 /// commits under the same version N+1 without touching them, and the
