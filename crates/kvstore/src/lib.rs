@@ -80,7 +80,8 @@ pub use netload::{
 pub use queue::{Backpressure, Completion, PushError, QueueStats, SubmissionQueue};
 pub use server::{KvClient, KvServer, ServerConfig};
 pub use shard::{
-    AdaptConfig, BatchReply, BatchRequest, CapacityChoice, Shard, ShardConfig, MAX_VALUE_LEN,
+    AdaptConfig, BatchReply, BatchRequest, CapacityChoice, Shard, ShardConfig, ShardImageError,
+    MAX_VALUE_LEN,
 };
 pub use store::{KvConfig, KvStore};
 pub use ycsb::{

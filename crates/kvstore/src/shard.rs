@@ -27,11 +27,43 @@
 //! the link is undo-logged. If the FASE rolls back, the link is restored
 //! and the node keeps whatever reached NVRAM — garbage nobody can see,
 //! in a block that leaks like any other allocated in the gap.
+//!
+//! # What is volatile
+//!
+//! One thing: the **index**, a DRAM map from each reachable key to the
+//! offset of its node ([`Shard::len`] is its size). It is never stored
+//! through the runtime, never logged, never flushed, and it is the only
+//! way a lookup — `get`, the in-place `put`, `put_many`'s planner,
+//! `serve_batch`'s reads, `scan` — locates a node: one probe, then the
+//! node itself. The chains are walked only to find the *link* that
+//! points at a node about to be unlinked (`delete`, a `put` of another
+//! length) and by `dump`, which audits what is persistent.
+//!
+//! NVTraverse's observation is the licence: in a durable structure only
+//! the *destination* of a traversal has to be persistent, the *journey*
+//! need not touch persistent memory at all. Every byte a recovery reads
+//! is still written by the same stores in the same order, so the
+//! persistent layout, the crash contract and every flush, fence and
+//! store count are those of the chain-walking shard.
+//!
+//! The index changes only **after the commit point** of the FASE that
+//! justifies it: a fresh or replacing node is entered, a deleted key
+//! dropped, once `end_fase` has returned; a refused batch (oversized
+//! value, length change, full heap, full undo log) or a FASE abandoned
+//! by a panic never touches it. After anything that can roll a FASE
+//! back — reopening an image, an injected crash, a healed panic — it is
+//! rebuilt by one walk over the buckets, which is also where a foreign
+//! image is checked: every link must be an 8-aligned node inside the
+//! data area, every key in its own bucket and in one node only
+//! ([`ShardImageError`]).
+
+use std::collections::{BinaryHeap, HashMap};
+use std::fmt;
 
 use nvcache_core::{rename_for_epoch, PolicyKind};
 use nvcache_fase::{FaseRuntime, FaseStats, FlushMode, RecoveryError};
 use nvcache_locality::{select_cache_size, BurstSampler, KneeConfig, Mrc};
-use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
+use nvcache_pmem::{CrashMode, CrashPlan, PAlloc, PmemRegion};
 use nvcache_trace::FxHashMap;
 
 /// Node header bytes: key, next pointer, value length.
@@ -41,6 +73,8 @@ const BUCKET_BLOCK: usize = 4096;
 /// Largest value the node layout can hold (PAlloc max class minus
 /// header).
 pub const MAX_VALUE_LEN: usize = BUCKET_BLOCK - NODE_HEADER;
+/// Why rebuilding the index cannot fail on the two in-process paths.
+const OWN_REGION: &str = "a region only this shard wrote recovers to sound chains";
 
 /// One request of a lane batch — a submitter's own group, or what the
 /// worker drained from the submission queue — without any completion
@@ -149,13 +183,57 @@ impl Default for ShardConfig {
     }
 }
 
+/// Why an image cannot be served as a shard.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ShardImageError {
+    /// The FASE layer itself could not recover the image.
+    Recovery(RecoveryError),
+    /// The image has no heap, or its root is not a bucket array inside
+    /// the data area.
+    BadRoot(u64),
+    /// A hash chain breaks a structural invariant.
+    BadChain {
+        /// Index of the bucket whose chain holds the offender.
+        bucket: usize,
+        /// The offending link (a node offset).
+        link: u64,
+        /// Which invariant broke.
+        why: &'static str,
+    },
+}
+
+impl fmt::Display for ShardImageError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ShardImageError::Recovery(e) => write!(f, "FASE recovery failed: {e}"),
+            ShardImageError::BadRoot(root) => write!(f, "no bucket array at root {root:#x}"),
+            ShardImageError::BadChain { bucket, link, why } => {
+                write!(f, "bad chain in bucket {bucket} at link {link:#x}: {why}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ShardImageError {}
+
+impl From<RecoveryError> for ShardImageError {
+    fn from(e: RecoveryError) -> Self {
+        ShardImageError::Recovery(e)
+    }
+}
+
 /// A single-owner persistent KV shard.
 #[derive(Debug)]
 pub struct Shard {
     rt: FaseRuntime,
     buckets: usize,
     bucket_base: usize,
-    len: usize,
+    /// Volatile: every reachable key → the offset of its node (module
+    /// doc, "What is volatile"). Keys are the clients', so the hasher is
+    /// `std`'s keyed one: under the unkeyed multiplicative `FxHashMap`,
+    /// 4 000 keys that differ only above bit 20 share one probe sequence
+    /// (440 ns a `get` against 46).
+    index: HashMap<u64, usize>,
     ops: u64,
     /// FASE epoch for store-line renaming (one op = one FASE).
     epoch: u64,
@@ -190,9 +268,9 @@ enum PlannedOp {
 /// building and dropping them.
 #[derive(Debug, Default)]
 struct PutPlan {
-    /// Key → `(node, value length, allocated by this batch)`, for every
-    /// key the batch has located or planned an insert for.
-    located: FxHashMap<u64, (usize, usize, bool)>,
+    /// Key → `(node, value length)` of the nodes this batch allocated:
+    /// what the index cannot know before the batch commits.
+    fresh: FxHashMap<u64, (usize, usize)>,
     /// Bucket offset → chain head after the batch's inserts so far.
     heads: FxHashMap<usize, u64>,
     /// Nodes allocated for the batch (given back if it is refused).
@@ -206,7 +284,7 @@ struct PutPlan {
 
 impl PutPlan {
     fn clear(&mut self) {
-        self.located.clear();
+        self.fresh.clear();
         self.heads.clear();
         self.new_allocs.clear();
         self.ops.clear();
@@ -233,21 +311,30 @@ impl Shard {
                 rt.store_u64(base + b * 8, 0);
             }
         });
-        Self::assemble(rt, base, cfg, 0)
+        Self::assemble(rt, base, cfg)
     }
 
     /// Re-attach to a crash image (or saved region): run recovery, then
-    /// rebuild the volatile index state by walking the buckets.
-    pub fn reopen_from_image(image: Vec<u8>, cfg: &ShardConfig) -> Result<Self, RecoveryError> {
+    /// rebuild the index by walking the buckets. The image may be
+    /// anything: a table the walk cannot vouch for is a typed error,
+    /// never a hang or a panic.
+    pub fn reopen_from_image(image: Vec<u8>, cfg: &ShardConfig) -> Result<Self, ShardImageError> {
         let region = PmemRegion::from_image(image);
         let rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &cfg.policy)?;
-        let base = rt.root() as usize;
-        let mut shard = Self::assemble(rt, base, cfg, 0);
-        shard.len = shard.walk_len();
+        let root = match PAlloc::open(rt.region()) {
+            Some(_) => rt.root(),
+            None => return Err(ShardImageError::BadRoot(0)),
+        };
+        let end = root.saturating_add(BUCKET_BLOCK as u64);
+        if root == 0 || !root.is_multiple_of(8) || end > rt.data_len() as u64 {
+            return Err(ShardImageError::BadRoot(root));
+        }
+        let mut shard = Self::assemble(rt, root as usize, cfg);
+        shard.rebuild_volatile()?;
         Ok(shard)
     }
 
-    fn assemble(mut rt: FaseRuntime, bucket_base: usize, cfg: &ShardConfig, len: usize) -> Self {
+    fn assemble(mut rt: FaseRuntime, bucket_base: usize, cfg: &ShardConfig) -> Self {
         if cfg.pipelined {
             rt.set_flush_mode(FlushMode::Pipelined);
             rt.enable_slab();
@@ -267,7 +354,7 @@ impl Shard {
             rt,
             buckets: cfg.buckets,
             bucket_base,
-            len,
+            index: HashMap::new(),
             ops: 0,
             epoch: 0,
             sampler,
@@ -325,31 +412,39 @@ impl Shard {
         }
     }
 
-    /// Locate `key`: `(bucket offset, node offset, predecessor node)`.
-    fn find(&mut self, key: u64) -> (usize, usize, Option<usize>) {
-        let boff = self.bucket_off(key);
-        let mut prev = None;
-        let mut p = self.rt.load_u64(boff) as usize;
-        while p != 0 {
-            if self.rt.load_u64(p) == key {
-                return (boff, p, prev);
+    /// `key`'s node and the length of the value in it: one index probe
+    /// and the node's own header, no chain walk.
+    fn locate(&mut self, key: u64) -> Option<(usize, usize)> {
+        let node = *self.index.get(&key)?;
+        Some((node, self.rt.load_u64(node + 16) as usize))
+    }
+
+    /// The word that links `node` into `key`'s chain — its bucket head
+    /// or its predecessor's `next` field. Only unlinking a node needs
+    /// it, so this is the one chain walk left on the serving path.
+    fn link_of(&mut self, key: u64, node: usize) -> usize {
+        let mut link = self.bucket_off(key);
+        loop {
+            let p = self.rt.load_u64(link) as usize;
+            if p == node {
+                return link;
             }
-            prev = Some(p);
-            p = self.rt.load_u64(p + 8) as usize;
+            assert!(p != 0, "indexed node {node:#x} is not on its chain");
+            link = p + 8;
         }
-        (boff, 0, prev)
+    }
+
+    /// A copy of the value `node` holds.
+    fn value_at(&mut self, node: usize) -> Vec<u8> {
+        let mut v = vec![0u8; self.rt.load_u64(node + 16) as usize];
+        self.rt.load(node + NODE_HEADER, &mut v);
+        v
     }
 
     /// Look up `key`.
     pub fn get(&mut self, key: u64) -> Option<Vec<u8>> {
-        let (_, node, _) = self.find(key);
-        if node == 0 {
-            return None;
-        }
-        let vlen = self.rt.load_u64(node + 16) as usize;
-        let mut v = vec![0u8; vlen];
-        self.rt.load(node + NODE_HEADER, &mut v);
-        Some(v)
+        let node = *self.index.get(&key)?;
+        Some(self.value_at(node))
     }
 
     /// Insert or update `key → value` in one FASE. Returns `false` if
@@ -359,9 +454,8 @@ impl Shard {
         if value.len() > MAX_VALUE_LEN {
             return false;
         }
-        let (boff, node, prev) = self.find(key);
-        let old_vlen = (node != 0).then(|| self.rt.load_u64(node + 16) as usize);
-        if old_vlen == Some(value.len()) {
+        let old = self.locate(key);
+        if let Some((node, _)) = old.filter(|&(_, vlen)| vlen == value.len()) {
             // hot path: in-place update, a single small FASE
             self.rt.begin_fase();
             self.rt.store(node + NODE_HEADER, value);
@@ -378,18 +472,21 @@ impl Shard {
         // length needs another node, which takes the old one's place in
         // the chain: the key is reachable with one value or the other
         // at every crash point, never absent.
-        let (link, next) = match old_vlen {
-            None => (boff, self.rt.load_u64(boff)),
-            Some(_) => (prev.map_or(boff, |p| p + 8), self.rt.load_u64(node + 8)),
+        let (link, next) = match old {
+            None => {
+                let boff = self.bucket_off(key);
+                (boff, self.rt.load_u64(boff))
+            }
+            Some((node, _)) => (self.link_of(key, node), self.rt.load_u64(node + 8)),
         };
         self.rt.begin_fase();
         self.write_fresh_node(new, key, next, value);
         self.rt.store_u64(link, new as u64);
         self.observe(link, 8);
         self.rt.end_fase();
-        match old_vlen {
-            None => self.len += 1,
-            Some(vlen) => self.rt.free(node as u64, NODE_HEADER + vlen),
+        self.index.insert(key, new);
+        if let Some((node, vlen)) = old {
+            self.rt.free(node as u64, NODE_HEADER + vlen);
         }
         self.after_op();
         true
@@ -438,7 +535,6 @@ impl Shard {
         // plan outside the FASE: locate nodes, allocate fresh ones, and
         // thread chain heads for multiple inserts into one bucket
         plan.clear();
-        let mut inserts = 0usize;
         let mut ok = true;
         for (i, (key, value)) in items.iter().enumerate() {
             let vlen = value.as_ref().len();
@@ -446,14 +542,10 @@ impl Shard {
                 ok = false;
                 break;
             }
-            let known = plan.located.get(key).copied().or_else(|| {
-                let (_, node, _) = self.find(*key);
-                (node != 0).then(|| {
-                    let at = (node, self.rt.load_u64(node + 16) as usize, false);
-                    plan.located.insert(*key, at);
-                    at
-                })
-            });
+            let known = match self.locate(*key) {
+                Some((node, old_vlen)) => Some((node, old_vlen, false)),
+                None => plan.fresh.get(key).map(|&(node, vlen)| (node, vlen, true)),
+            };
             match known {
                 Some((node, old_vlen, fresh)) => {
                     if old_vlen != vlen {
@@ -473,8 +565,7 @@ impl Shard {
                         .heads
                         .insert(boff, new)
                         .unwrap_or_else(|| self.rt.load_u64(boff));
-                    plan.located.insert(*key, (new as usize, vlen, true));
-                    inserts += 1;
+                    plan.fresh.insert(*key, (new as usize, vlen));
                     plan.ops.push((
                         PlannedOp::Insert {
                             node: new as usize,
@@ -543,7 +634,8 @@ impl Shard {
             }
         }
         self.rt.end_fase();
-        self.len += inserts;
+        let committed = plan.fresh.iter().map(|(&key, &(node, _))| (key, node));
+        self.index.extend(committed);
         self.after_op();
         true
     }
@@ -673,80 +765,71 @@ impl Shard {
     }
 
     /// Range scan `lo..=hi`, at most `limit` entries, sorted by key.
-    /// A hash table has no key order, so this is a full bucket walk +
-    /// sort — the structural price the tree engine's B+-tree avoids
-    /// (that contrast is exactly what YCSB-E measures across engines).
+    /// A hash table has no key order, so this is a pass over every
+    /// indexed key, keeping the `limit` smallest in range — the
+    /// structural price the tree engine's B+-tree avoids (that contrast
+    /// is exactly what YCSB-E measures across engines). Only the values
+    /// it returns are read from the region.
     pub fn scan(&mut self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, Vec<u8>)> {
+        let limit = limit.min(self.index.len());
         if lo > hi || limit == 0 {
             return Vec::new();
         }
-        let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
-        for b in 0..self.buckets {
-            let mut p = self.rt.load_u64(self.bucket_base + b * 8) as usize;
-            while p != 0 {
-                let key = self.rt.load_u64(p);
-                if (lo..=hi).contains(&key) {
-                    let vlen = self.rt.load_u64(p + 16) as usize;
-                    let mut v = vec![0u8; vlen];
-                    self.rt.load(p + NODE_HEADER, &mut v);
-                    out.push((key, v));
+        let mut hits = BinaryHeap::with_capacity(limit + 1);
+        for (&key, &node) in &self.index {
+            if (lo..=hi).contains(&key) {
+                hits.push((key, node));
+                if hits.len() > limit {
+                    hits.pop(); // the largest: out of the first `limit`
                 }
-                p = self.rt.load_u64(p + 8) as usize;
             }
         }
-        out.sort_unstable_by_key(|&(k, _)| k);
-        out.truncate(limit);
+        let mut out = Vec::with_capacity(hits.len());
+        for (key, node) in hits.into_sorted_vec() {
+            out.push((key, self.value_at(node)));
+        }
         out
     }
 
     /// Recover the shard after a panic unwound through one of its
     /// operations (see [`FaseRuntime::heal_after_panic`]): the abandoned
     /// FASE rolls back, volatile runtime residue is dropped, and the
-    /// shard's length is rebuilt from the region. Returns whether
-    /// anything was healed.
+    /// index is rebuilt from the region. Returns whether anything was
+    /// healed.
     pub fn heal_after_panic(&mut self) -> bool {
         let healed = self.rt.heal_after_panic();
         if healed {
             self.pending_mrc = None;
-            self.len = self.walk_len();
+            self.rebuild_volatile().expect(OWN_REGION);
         }
         healed
     }
 
     /// Remove `key` (one FASE when present). Returns whether it existed.
     pub fn delete(&mut self, key: u64) -> bool {
-        let (boff, node, prev) = self.find(key);
-        if node == 0 {
+        let Some((node, vlen)) = self.locate(key) else {
             return false;
-        }
+        };
+        let link = self.link_of(key, node);
         let next = self.rt.load_u64(node + 8);
-        let vlen = self.rt.load_u64(node + 16) as usize;
         self.rt.begin_fase();
-        match prev {
-            Some(p) => {
-                self.rt.store_u64(p + 8, next);
-                self.observe(p + 8, 8);
-            }
-            None => {
-                self.rt.store_u64(boff, next);
-                self.observe(boff, 8);
-            }
-        }
+        self.rt.store_u64(link, next);
+        self.observe(link, 8);
         self.rt.end_fase();
+        self.index.remove(&key);
         self.rt.free(node as u64, NODE_HEADER + vlen);
-        self.len -= 1;
         self.after_op();
         true
     }
 
     /// Number of live keys.
     pub fn len(&self) -> usize {
-        self.len
+        self.index.len()
     }
 
     /// Is the shard empty?
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.index.is_empty()
     }
 
     /// Operations served so far.
@@ -754,18 +837,16 @@ impl Shard {
         self.ops
     }
 
-    /// Every `(key, value)` pair, sorted by key (full bucket walk; used
-    /// by recovery verification, not the serving path).
+    /// Every `(key, value)` pair, sorted by key. A full bucket walk
+    /// that never consults the index: this is what recovery
+    /// verification compares, so it reads what is persistent.
     pub fn dump(&mut self) -> Vec<(u64, Vec<u8>)> {
-        let mut out = Vec::with_capacity(self.len);
+        let mut out = Vec::with_capacity(self.len());
         for b in 0..self.buckets {
             let mut p = self.rt.load_u64(self.bucket_base + b * 8) as usize;
             while p != 0 {
                 let key = self.rt.load_u64(p);
-                let vlen = self.rt.load_u64(p + 16) as usize;
-                let mut v = vec![0u8; vlen];
-                self.rt.load(p + NODE_HEADER, &mut v);
-                out.push((key, v));
+                out.push((key, self.value_at(p)));
                 p = self.rt.load_u64(p + 8) as usize;
             }
         }
@@ -773,16 +854,46 @@ impl Shard {
         out
     }
 
-    fn walk_len(&mut self) -> usize {
-        let mut n = 0;
-        for b in 0..self.buckets {
-            let mut p = self.rt.load_u64(self.bucket_base + b * 8) as usize;
-            while p != 0 {
-                n += 1;
-                p = self.rt.load_u64(p + 8) as usize;
+    /// Rebuild the index from the region: the one bucket walk that
+    /// reopening, an injected crash and a healed panic share. The region
+    /// may be a foreign image, so a link is checked before it is
+    /// followed, and since every step enters a key the index did not
+    /// hold, the walk ends within the number of nodes the data area has
+    /// room for — a cycle is a node met twice.
+    fn rebuild_volatile(&mut self) -> Result<(), ShardImageError> {
+        let data_len = self.rt.data_len();
+        self.index.clear();
+        for bucket in 0..self.buckets {
+            let boff = self.bucket_base + bucket * 8;
+            let mut link = self.rt.load_u64(boff);
+            while link != 0 {
+                let bad = |why| ShardImageError::BadChain { bucket, link, why };
+                if !link.is_multiple_of(8) {
+                    return Err(bad("misaligned link"));
+                }
+                if link > (data_len - NODE_HEADER) as u64 {
+                    return Err(bad("link outside the data area"));
+                }
+                let node = link as usize;
+                if self.rt.load_u64(node + 16) > (data_len - NODE_HEADER - node) as u64 {
+                    return Err(bad("value runs off the data area"));
+                }
+                let key = self.rt.load_u64(node);
+                if self.bucket_off(key) != boff {
+                    return Err(bad("key in another bucket's chain"));
+                }
+                match self.index.insert(key, node) {
+                    None => {}
+                    Some(first) if first == node => return Err(bad("node linked twice")),
+                    Some(_) => return Err(bad("key in two nodes")),
+                }
+                if self.index.len() > data_len / NODE_HEADER {
+                    return Err(bad("more nodes than the data area holds"));
+                }
+                link = self.rt.load_u64(node + 8);
             }
         }
-        n
+        Ok(())
     }
 
     // ----- adaptation introspection --------------------------------------
@@ -857,17 +968,49 @@ impl Shard {
         self.rt.take_crash_image()
     }
 
-    /// Inject a power failure in-process and recover; the volatile
-    /// index state is rebuilt from the recovered region.
+    /// Inject a power failure in-process and recover; the index is
+    /// rebuilt from the recovered region.
+    ///
+    /// # Panics
+    /// When the recovered chains are unsound, which takes a policy that
+    /// is not crash-consistent (`Best`) under an adversary that tears.
     pub fn crash_and_recover(&mut self, mode: &CrashMode) {
         self.rt.crash_and_recover(mode);
         self.pending_mrc = None;
-        self.len = self.walk_len();
+        self.rebuild_volatile().expect(OWN_REGION);
     }
 
     /// Persist everything still buffered (clean shutdown).
     pub fn sync(&mut self) {
         self.rt.sync();
+    }
+}
+
+#[cfg(test)]
+impl Shard {
+    /// The index is the chains: every node reachable from a bucket is
+    /// the index's entry for its key, and nothing else is indexed (so a
+    /// key in two nodes, a stale entry and a missing one all fail).
+    fn index_matches_chains(&mut self) -> Result<(), String> {
+        let mut reached = 0;
+        for b in 0..self.buckets {
+            let mut p = self.rt.load_u64(self.bucket_base + b * 8) as usize;
+            while p != 0 {
+                let key = self.rt.load_u64(p);
+                if self.index.get(&key) != Some(&p) {
+                    let at = self.index.get(&key);
+                    return Err(format!(
+                        "key {key}: node {p:#x} on its chain, {at:x?} indexed"
+                    ));
+                }
+                reached += 1;
+                p = self.rt.load_u64(p + 8) as usize;
+            }
+        }
+        if reached != self.len() {
+            return Err(format!("{reached} nodes reachable, {} indexed", self.len()));
+        }
+        Ok(())
     }
 }
 
@@ -1333,5 +1476,394 @@ mod tests {
         let replies = s.serve_batch(&reqs);
         assert!(replies.iter().all(|r| *r == BatchReply::Done(true)));
         assert_eq!(s.get(999).as_deref(), Some(&[2u8; 40][..]));
+    }
+
+    // ----- hostile images ------------------------------------------------
+
+    /// A sound two-bucket image holding keys `0..8`, with the offsets of
+    /// two nodes that share a chain (`a` links to `b`).
+    fn sound_image(cfg: &ShardConfig) -> (Vec<u8>, usize, usize) {
+        let mut s = Shard::new(cfg);
+        for k in 0..8u64 {
+            assert!(s.put(k, &[k as u8; 16]));
+        }
+        s.sync();
+        let mut nodes = s.index.values();
+        let a = *nodes
+            .find(|&&node| s.rt.load_u64(node + 8) != 0)
+            .expect("eight keys in two buckets: some node links to another");
+        let b = s.rt.load_u64(a + 8) as usize;
+        (s.rt.region().durable_image().to_vec(), a, b)
+    }
+
+    fn patched(image: &[u8], at: usize, word: u64) -> Vec<u8> {
+        let mut image = image.to_vec();
+        image[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        image
+    }
+
+    fn word_at(image: &[u8], at: usize) -> u64 {
+        u64::from_le_bytes(image[at..at + 8].try_into().unwrap())
+    }
+
+    /// Every way a chain can lie ends in a typed error — no walk past
+    /// the data area, no spin on a cycle — and names the broken rule.
+    #[test]
+    fn reopen_rejects_hostile_chains_with_a_typed_error() {
+        let cfg = ShardConfig {
+            buckets: 2,
+            ..small(PolicyKind::ScFixed { capacity: 8 })
+        };
+        let (sound, a, b) = sound_image(&cfg);
+        let data_len = cfg.data_len;
+        let mut back = Shard::reopen_from_image(sound.clone(), &cfg).expect("sound image");
+        assert_eq!(back.len(), 8);
+        back.index_matches_chains().unwrap();
+        // a key that hashes to the other bucket of the two
+        let key_a = word_at(&sound, a);
+        let stranger = (100..)
+            .find(|&k| back.bucket_off(k) != back.bucket_off(key_a))
+            .unwrap();
+        let (next, vlen) = (a + 8, a + 16);
+        let cases: [(&str, Vec<u8>, &str); 10] = [
+            (
+                "self-cycle",
+                patched(&sound, next, a as u64),
+                "node linked twice",
+            ),
+            (
+                "two-node cycle",
+                patched(&sound, b + 8, a as u64),
+                "node linked twice",
+            ),
+            (
+                "link into the log area",
+                patched(&sound, next, data_len as u64 + 64),
+                "link outside the data area",
+            ),
+            (
+                "link past the image",
+                patched(&sound, next, sound.len() as u64 + 8),
+                "link outside the data area",
+            ),
+            (
+                "no room for a header",
+                patched(&sound, next, data_len as u64 - 16),
+                "link outside the data area",
+            ),
+            (
+                "misaligned link",
+                patched(&sound, next, b as u64 + 4),
+                "misaligned link",
+            ),
+            (
+                "value runs off the heap",
+                patched(&sound, vlen, (data_len - a) as u64),
+                "value runs off the data area",
+            ),
+            (
+                "value length wraps",
+                patched(&sound, vlen, u64::MAX - 8),
+                "value runs off the data area",
+            ),
+            (
+                "one key in two nodes",
+                patched(&sound, b, key_a),
+                "key in two nodes",
+            ),
+            (
+                "key on a chain that is not its bucket's",
+                patched(&sound, a, stranger),
+                "key in another bucket's chain",
+            ),
+        ];
+        for (name, image, rule) in cases {
+            match Shard::reopen_from_image(image, &cfg) {
+                Err(ShardImageError::BadChain { why, .. }) => assert_eq!(why, rule, "{name}"),
+                other => panic!("{name}: expected BadChain, got {other:?}"),
+            }
+        }
+    }
+
+    /// Nodes may overlap in a hostile image, so distinct keys alone do
+    /// not bound the walk by the heap's size: a chain of nodes 8 bytes
+    /// apart, each word both a key and the link to the next node, is
+    /// cut off at the number of nodes the data area has room for.
+    #[test]
+    fn reopen_bounds_the_walk_by_the_nodes_the_heap_can_hold() {
+        let cfg = ShardConfig {
+            buckets: 1,
+            ..small(PolicyKind::ScFixed { capacity: 8 })
+        };
+        let mut s = Shard::new(&cfg);
+        s.sync();
+        let mut image = s.rt.region().durable_image().to_vec();
+        let first = s.bucket_base + BUCKET_BLOCK;
+        let nodes = cfg.data_len / NODE_HEADER + 2;
+        for i in 0..nodes + 2 {
+            let at = first + 8 * i;
+            image[at..at + 8].copy_from_slice(&(at as u64).to_le_bytes());
+        }
+        image = patched(&image, s.bucket_base, first as u64);
+        match Shard::reopen_from_image(image, &cfg) {
+            Err(ShardImageError::BadChain { why, .. }) => {
+                assert_eq!(why, "more nodes than the data area holds")
+            }
+            other => panic!("expected BadChain, got {other:?}"),
+        }
+    }
+
+    /// The table's root is input too: an image with no heap, no root or
+    /// a root whose bucket array would leave the data area is refused
+    /// before a bucket is read.
+    #[test]
+    fn reopen_rejects_an_image_without_a_bucket_array() {
+        let cfg = small(PolicyKind::Lazy);
+        let bare = FaseRuntime::new(cfg.data_len, cfg.log_len, &cfg.policy);
+        let image = bare.into_region().durable_image().to_vec();
+        let got = Shard::reopen_from_image(image, &cfg).map(|s| s.len());
+        assert_eq!(got, Err(ShardImageError::BadRoot(0)), "no heap");
+        let mut rootless = FaseRuntime::with_heap(cfg.data_len, cfg.log_len, &cfg.policy);
+        let image = rootless.region().durable_image().to_vec();
+        let got = Shard::reopen_from_image(image, &cfg).map(|s| s.len());
+        assert_eq!(got, Err(ShardImageError::BadRoot(0)), "root never set");
+        for root in [
+            cfg.data_len as u64 - 8,
+            cfg.data_len as u64 + 64,
+            4100,
+            u64::MAX,
+        ] {
+            rootless.set_root(root);
+            let image = rootless.region().durable_image().to_vec();
+            let got = Shard::reopen_from_image(image, &cfg).map(|s| s.len());
+            assert_eq!(got, Err(ShardImageError::BadRoot(root)));
+        }
+        let not_a_log = vec![0u8; cfg.data_len + cfg.log_len];
+        assert!(matches!(
+            Shard::reopen_from_image(not_a_log, &cfg),
+            Err(ShardImageError::Recovery(RecoveryError::BadMagic { .. }))
+        ));
+    }
+
+    // ----- the index is the chains ---------------------------------------
+
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Small keys of the differential; five more (`BIG..BIG + 5`) hold
+    /// 1000-byte values, so one group over all five outgrows the log.
+    const KEYS: u64 = 28;
+    const BIG: u64 = 1000;
+
+    /// The length a key keeps across `put_many` groups.
+    fn group_len(model: &BTreeMap<u64, Vec<u8>>, key: u64) -> usize {
+        model.get(&key).map_or(13 * (key % 4) as usize, Vec::len)
+    }
+
+    /// The three adversaries; `Best` is not crash-consistent, so it only
+    /// meets the two that tear nothing.
+    fn adversary(sel: u64, cfg: &ShardConfig) -> CrashMode {
+        match sel % if cfg.policy == PolicyKind::Best { 2 } else { 3 } {
+            0 => CrashMode::StrictDurableOnly,
+            1 => CrashMode::AllInFlightLands,
+            _ => CrashMode::random(0.5, 0.5, sel),
+        }
+    }
+
+    /// After every step: index ↔ chains, `len`, and `get` of every key
+    /// the program can name (present or not) against the model.
+    fn check(s: &mut Shard, model: &BTreeMap<u64, Vec<u8>>, step: &str) {
+        if let Err(e) = s.index_matches_chains() {
+            panic!("after {step}: {e}");
+        }
+        assert_eq!(s.len(), model.len(), "after {step}");
+        for key in (0..KEYS + 2).chain(BIG..BIG + 6) {
+            assert_eq!(
+                s.get(key),
+                model.get(&key).cloned(),
+                "get({key}) after {step}"
+            );
+        }
+    }
+
+    /// Apply a committed group to the model.
+    fn commit(model: &mut BTreeMap<u64, Vec<u8>>, group: &[(u64, Vec<u8>)]) {
+        model.extend(group.iter().cloned());
+    }
+
+    fn run_differential(cfg: &ShardConfig, prog: &[(u8, u64, u8, u64)]) {
+        let consistent = cfg.policy != PolicyKind::Best;
+        let mut s = Shard::new(cfg);
+        let mut model = BTreeMap::new();
+        for key in BIG..BIG + 5 {
+            assert!(s.put(key, &[7; 1000]));
+            model.insert(key, vec![7; 1000]);
+        }
+        for (i, &(op, key, sel, aux)) in prog.iter().enumerate() {
+            let tag = i as u8;
+            // a group of `n` writes over keys drawn from `aux`: repeats
+            // and fresh keys both turn up, every key keeps its length
+            let group = |model: &BTreeMap<u64, Vec<u8>>, n: u64| -> Vec<(u64, Vec<u8>)> {
+                (0..n)
+                    .map(|j| (aux.wrapping_mul(2 * j + 3) >> 3) % KEYS)
+                    .map(|k| (k, vec![tag; group_len(model, k)]))
+                    .collect()
+            };
+            let step = format!("step {i} {:?}", (op, key, sel, aux));
+            match op {
+                // put: fresh, same length (in place) or another length
+                0..=3 => {
+                    let v = vec![tag; 13 * sel as usize];
+                    if s.put(key, &v) {
+                        model.insert(key, v);
+                    }
+                }
+                4..=6 => {
+                    let g = group(&model, 1 + aux % 12);
+                    if s.put_many(&g) {
+                        commit(&mut model, &g);
+                    }
+                }
+                7 | 8 => assert_eq!(s.delete(key), model.remove(&key).is_some(), "{step}"),
+                // one lane batch, replies checked in submission order
+                9 | 10 => {
+                    let reqs: Vec<BatchRequest> = (0..4 + aux % 6)
+                        .map(|j| {
+                            let x = aux.wrapping_mul(2 * j + 5) >> 2;
+                            let k = (key + x) % KEYS;
+                            match x % 6 {
+                                0 => BatchRequest::Get(k),
+                                1 => BatchRequest::Delete(k),
+                                2 => BatchRequest::Scan(k, k + 9, 1 + sel as u32),
+                                3 => BatchRequest::PutMany(group(&model, 3)),
+                                // now and then another length: the
+                                // segment's group is refused and replayed
+                                _ => BatchRequest::Put(k, vec![tag; 13 * (x % 5) as usize]),
+                            }
+                        })
+                        .collect();
+                    let replies = s.serve_batch(&reqs);
+                    for (req, reply) in reqs.iter().zip(replies) {
+                        let want = match req {
+                            BatchRequest::Get(k) => BatchReply::Value(model.get(k).cloned()),
+                            BatchRequest::Delete(k) => BatchReply::Done(model.remove(k).is_some()),
+                            BatchRequest::Scan(lo, hi, limit) => BatchReply::Entries(
+                                model
+                                    .range(lo..=hi)
+                                    .take(*limit as usize)
+                                    .map(|(k, v)| (*k, v.clone()))
+                                    .collect(),
+                            ),
+                            BatchRequest::Put(k, v) => {
+                                if reply == BatchReply::Done(true) {
+                                    model.insert(*k, v.clone());
+                                }
+                                reply.clone()
+                            }
+                            BatchRequest::PutMany(g) => {
+                                if reply == BatchReply::Done(true) {
+                                    commit(&mut model, g);
+                                }
+                                reply.clone()
+                            }
+                        };
+                        assert_eq!(reply, want, "{step}: {req:?}");
+                    }
+                }
+                // groups that must be refused whole, each led by a fresh
+                // key whose planned node has to leave no trace
+                11 | 12 => {
+                    let fresh = (KEYS + 1, vec![tag; 13]);
+                    let bigs = (BIG..BIG + 5).map(|k| (k, vec![tag; 1000]));
+                    let (g, refused): (Vec<(u64, Vec<u8>)>, bool) = match sel % 4 {
+                        0 => (vec![fresh, (key, vec![0; MAX_VALUE_LEN + 1])], true),
+                        1 => {
+                            let other = vec![tag; group_len(&model, key) + 1];
+                            (vec![fresh, (key, other)], model.contains_key(&key))
+                        }
+                        // five 1000-byte pre-images on a 4 KiB log:
+                        // `LogFull` when prelogged, a panic in the
+                        // middle of the FASE when logged store by store
+                        2 => {
+                            let all_there = (BIG..BIG + 5).all(|k| model.contains_key(&k));
+                            (std::iter::once(fresh).chain(bigs).collect(), all_there)
+                        }
+                        // more 4 KiB nodes than the heap has room for
+                        _ if aux % 4 == 0 => {
+                            ((0..80).map(|j| (2000 + j, vec![tag; 4000])).collect(), true)
+                        }
+                        _ => continue,
+                    };
+                    match catch_unwind(AssertUnwindSafe(|| s.put_many(&g))) {
+                        Ok(true) => {
+                            assert!(!refused, "{step}: group must be refused");
+                            commit(&mut model, &g);
+                        }
+                        Ok(false) => {}
+                        Err(_) => {
+                            assert!(!cfg.pipelined, "{step}: a prelogged group is refused");
+                            assert!(s.heal_after_panic(), "{step}: a FASE was open");
+                        }
+                    }
+                }
+                // power failure at an armed micro-step of a group commit:
+                // the image reopens to the state before or after it
+                13 | 14 if consistent => {
+                    let g = group(&model, 10);
+                    s.arm_crash(CrashPlan {
+                        at_step: s.steps() + 1 + aux % 90,
+                        mode: adversary(sel as u64 + aux, cfg),
+                    });
+                    let before = model.clone();
+                    if s.put_many(&g) {
+                        commit(&mut model, &g);
+                    }
+                    if let Some(image) = s.take_crash_image() {
+                        s = Shard::reopen_from_image(image, cfg).expect("recovery");
+                        let got: BTreeMap<_, _> = s.dump().into_iter().collect();
+                        assert!(got == before || got == model, "{step}: torn group");
+                        model = got;
+                    }
+                }
+                // power failure between operations
+                _ => {
+                    s.crash_and_recover(&adversary(sel as u64 + aux, cfg));
+                    let got: BTreeMap<_, _> = s.dump().into_iter().collect();
+                    if consistent {
+                        assert_eq!(got, model, "{step}: committed state lost");
+                    }
+                    model = got; // `Best`: whatever the region kept
+                }
+            }
+            check(&mut s, &model, &step);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The index never says anything the chains do not: after every
+        /// step of a program of puts of all three kinds, groups, deletes,
+        /// lane batches with barriers, refused groups, panics inside a
+        /// FASE and power failures under every adversary.
+        #[test]
+        fn index_is_the_chains(
+            prog in prop::collection::vec((0u8..16, 0u64..KEYS, 0u8..5, any::<u64>()), 1..70),
+        ) {
+            for (policy, pipelined) in [
+                (PolicyKind::ScFixed { capacity: 8 }, true),
+                (PolicyKind::Atlas { size: 8 }, false),
+                (PolicyKind::Best, true),
+            ] {
+                let cfg = ShardConfig {
+                    buckets: 8, // chains of several nodes: link surgery
+                    log_len: 4096,
+                    pipelined,
+                    ..small(policy)
+                };
+                run_differential(&cfg, &prog);
+            }
+        }
     }
 }

@@ -3,6 +3,10 @@
 //! `Shard::put_many` plans a batch in scratch buffers the shard owns
 //! and every layer below it (undo log, flush ring, region) reuses its
 //! own, so a steady-state batch of in-place updates allocates nothing;
+//! a shard finds a node through its volatile index — a probe, not a
+//! plan — so a point read allocates the value it returns, a miss
+//! nothing, a scan what it returns plus two buffers, and a batch of
+//! fresh keys only what the index's amortised doubling costs;
 //! `KvStore::put_many` and `Shard::serve_batch` route *borrowed* values
 //! down to it, so what they allocate does not grow with the number of
 //! values written. The tree lane is bounded the same way: a
@@ -96,6 +100,49 @@ fn steady_state_put_many_allocates_nothing() {
     assert!(ok);
     assert_eq!(n, 0, "32 in-place 40-byte updates must not allocate");
     assert_eq!(shard.get(31).as_deref(), Some(&[2u8; 40][..]));
+}
+
+#[test]
+fn shard_get_allocates_only_the_value_it_returns() {
+    let mut shard = Shard::new(&shard_config());
+    assert!(shard.put_many(&batch(0..200, 7)), "chains of three nodes");
+    let (n, hit) = allocations(|| shard.get(137));
+    assert_eq!(hit.as_deref(), Some(&[7u8; 40][..]));
+    assert_eq!(n, 1, "a hit allocates the returned value and nothing else");
+    let (n, miss) = allocations(|| shard.get(200));
+    assert_eq!(miss, None);
+    assert_eq!(n, 0, "a miss is one index probe");
+}
+
+#[test]
+fn fresh_key_put_many_allocates_for_index_growth_only() {
+    let mut shard = Shard::new(&shard_config());
+    assert!(shard.put_many(&batch(0..32, 0)), "sizes the scratch");
+    let batches: Vec<_> = (1..32u64)
+        .map(|b| batch(32 * b..32 * (b + 1), b as u8))
+        .collect();
+    let (n, ok) = allocations(|| batches.iter().all(|b| shard.put_many(b)));
+    assert!(ok);
+    assert_eq!(shard.len(), 1024);
+    assert!(
+        n <= 8,
+        "992 fresh keys in 31 batches allocated {n} times: the index \
+         doubles five times, nothing is per key or per batch"
+    );
+}
+
+#[test]
+fn shard_scan_allocates_what_it_returns() {
+    let mut shard = Shard::new(&shard_config());
+    assert!(shard.put_many(&batch(0..200, 3)));
+    let (n, hits) = allocations(|| shard.scan(20, 180, 10));
+    let keys: Vec<u64> = hits.iter().map(|(k, _)| *k).collect();
+    assert_eq!(keys, (20..30).collect::<Vec<_>>());
+    assert!(
+        n <= 10 + 2,
+        "161 keys in range, 10 returned, {n} allocations: the selection, \
+         the result and ten values, not a copy of every value in range"
+    );
 }
 
 #[test]

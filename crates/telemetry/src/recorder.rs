@@ -43,19 +43,10 @@ pub enum CounterId {
     /// Recoveries that rolled back an incomplete FASE (FASE runtime
     /// only: crash injection or reopen found un-committed undo records).
     Rollbacks,
-    /// Network connections accepted by the serving layer.
-    NetConnections,
-    /// Request frames decoded off the wire.
-    NetFramesIn,
-    /// Response frames written back to clients.
-    NetFramesOut,
-    /// Recoverable protocol errors (corrupt checksum, malformed body)
-    /// skipped by the frame decoder without dropping the connection.
-    NetProtoErrors,
 }
 
 /// Number of counters (length of a shard).
-pub const NUM_COUNTERS: usize = 18;
+pub const NUM_COUNTERS: usize = 14;
 
 /// All counters, in shard order.
 pub const ALL_COUNTERS: [CounterId; NUM_COUNTERS] = [
@@ -73,10 +64,6 @@ pub const ALL_COUNTERS: [CounterId; NUM_COUNTERS] = [
     CounterId::FaseStallCycles,
     CounterId::LogBytes,
     CounterId::Rollbacks,
-    CounterId::NetConnections,
-    CounterId::NetFramesIn,
-    CounterId::NetFramesOut,
-    CounterId::NetProtoErrors,
 ];
 
 impl CounterId {
@@ -97,10 +84,6 @@ impl CounterId {
             CounterId::FaseStallCycles => "fase_stall_cycles",
             CounterId::LogBytes => "log_bytes",
             CounterId::Rollbacks => "rollbacks",
-            CounterId::NetConnections => "net_connections",
-            CounterId::NetFramesIn => "net_frames_in",
-            CounterId::NetFramesOut => "net_frames_out",
-            CounterId::NetProtoErrors => "net_proto_errors",
         }
     }
 }
