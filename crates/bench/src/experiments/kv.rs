@@ -67,9 +67,13 @@ fn store_for(policy_label: &str, burst: usize, pipelined: bool) -> KvStore {
     KvStore::new(&config_for(policy_label, burst, pipelined))
 }
 
-/// The reported (best-throughput) run behind one row of any grid.
+/// One timed run; the one a row reports is the median by throughput of
+/// the row's repeats ([`median_run`]).
 struct Run {
     throughput: f64,
+    /// `[q1, q3]` of throughput over the repeats this run is the median
+    /// of (itself, until `median_run` says otherwise).
+    quartiles: [f64; 2],
     serving: FaseStats,
     /// Merged op-latency percentiles (ns).
     p50: u64,
@@ -99,6 +103,7 @@ impl Run {
         let (p50, p99, p999) = merged.percentiles();
         Run {
             throughput,
+            quartiles: [throughput; 2],
             serving,
             p50,
             p99,
@@ -112,13 +117,18 @@ impl Run {
     }
 }
 
-/// Keep the faster of `best` and `this`; says whether `this` won.
-fn keep_best(best: &mut Option<Run>, this: Run) -> bool {
-    let won = best.as_ref().is_none_or(|b| this.throughput > b.throughput);
-    if won {
-        *best = Some(this);
-    }
-    won
+/// The median run by throughput (the lower middle of an even count),
+/// carrying the quartiles of all the runs' throughputs. Host noise —
+/// preemption, frequency shifts — moves single repeats by tens of
+/// percent, so a row is a run from the middle, shown with its spread.
+fn median_run(mut runs: Vec<Run>) -> Run {
+    assert!(!runs.is_empty(), "at least one repeat");
+    runs.sort_by(|a, b| a.throughput.total_cmp(&b.throughput));
+    let at = |quarter: usize| (runs.len() - 1) * quarter / 4;
+    let quartiles = [runs[at(1)].throughput, runs[at(3)].throughput];
+    let mut median = runs.swap_remove(at(2));
+    median.quartiles = quartiles;
+    median
 }
 
 /// Mean requests per batch served between two queue snapshots.
@@ -186,7 +196,12 @@ impl Row<'_> {
                 None => self.path.to_string(),
             },
             self.clients.to_string(),
-            format!("{:.0}", r.throughput / 1e3),
+            format!(
+                "{:.0} [{:.0}, {:.0}]",
+                r.throughput / 1e3,
+                r.quartiles[0] / 1e3,
+                r.quartiles[1] / 1e3
+            ),
             ratio(self.speedup_vs_sync),
             ratio(self.speedup_vs_unbatched),
             r.occupancy.map_or("-".to_string(), |o| format!("{o:.1}")),
@@ -261,12 +276,13 @@ fn envelope(workers: usize, keys: usize, ops: u64, records: &[String]) -> String
 ///
 /// A second, *concurrent* grid (mixes A/B, 8 closed-loop clients on
 /// one contended lane) drives a [`KvServer`] — each lane served by the
-/// client that finds it idle, or else queued for the lane's worker —
-/// once with group commit off (`mpsc-unbatched`, `max_batch = 1`: one
-/// request per FASE on both paths) and once with everything queued
-/// behind a busy lane drained into a single cross-client FASE
-/// (`mpsc-grouped`); `speedup_vs_unbatched` and the mean batch
-/// occupancy (caller-run batches included) land in the same JSON.
+/// client that finds it idle, or else by the first queued client to get
+/// the lane's lock — once with group commit off (`mpsc-unbatched`,
+/// `max_batch = 1`: one request per FASE on both paths) and once with
+/// everything queued behind a busy lane drained into a single
+/// cross-client FASE (`mpsc-grouped`); `speedup_vs_unbatched` and the
+/// mean batch occupancy (caller-run batches included) land in the same
+/// JSON.
 ///
 /// A third, *network* grid drives the same single-lane grouped server
 /// through [`NetServer`] and the framed wire protocol over the
@@ -277,6 +293,11 @@ fn envelope(workers: usize, keys: usize, ops: u64, records: &[String]) -> String
 /// `connections`/`pipeline_depth`
 /// (null on the other grids' rows). `smoke` shrinks the sizes to CI
 /// scale (same grids, same checks) and writes no file.
+///
+/// Every row is the median run by throughput of a fixed number of
+/// repeats, interleaved with the rows it is compared with; the table
+/// shows the repeats' `[q1, q3]` next to it (`throughput_ops_s` in the
+/// JSON is the median).
 ///
 /// # Panics
 /// When a row breaks what must hold on any host: flush-path parity,
@@ -299,8 +320,8 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
             4_096,
         )
     };
-    // Wall-clock repeats per path; the best run is reported (noise —
-    // preemption, frequency shifts — only ever slows a run down).
+    // Wall-clock repeats per row, interleaved across the rows they are
+    // compared with; the median run is reported, with [q1, q3].
     let repeats = if smoke { 1 } else { 5 };
     let mut t = Table::new(
         &format!(
@@ -312,7 +333,7 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
             "policy",
             "path",
             "clients",
-            "Kops/s",
+            "Kops/s [q1, q3]",
             "x sync",
             "x unbatch",
             "occ",
@@ -381,7 +402,7 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
             // Interleave the repeats (sync, pipelined, sync, ...) so any
             // monotonic drift of the host (thermal, frequency) hits both
             // paths equally instead of biasing whichever ran last.
-            let mut best: [Option<Run>; 2] = [None, None];
+            let mut repeated: [Vec<Run>; 2] = [Vec::new(), Vec::new()];
             for _ in 0..repeats {
                 for pipelined in [false, true] {
                     let store = store_for(policy, burst, pipelined);
@@ -433,10 +454,10 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
                             });
                         }
                     }
-                    keep_best(&mut best[pipelined as usize], this);
+                    repeated[pipelined as usize].push(this);
                 }
             }
-            let runs = best.map(|b| b.expect("at least one repeat"));
+            let runs = repeated.map(median_run);
             // every put rewrites one line of a preloaded key, so the
             // timed runs store the same lines whatever the interleaving
             assert_eq!(
@@ -480,12 +501,12 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
     // N closed-loop clients submit single-op requests (batch = 1, so the
     // loadgen does no client-side write combining) to one lane. A client
     // that finds the lane idle serves its request itself; the ones that
-    // collide with it queue, and whoever holds the lane next — the
-    // worker, or a client that has just queued — serves the queue: one
-    // request per FASE ("mpsc-unbatched", max_batch = 1 — the
-    // no-group-commit baseline) or everything in flight as one
-    // cross-client FASE ("mpsc-grouped"). Same server, same lane; the
-    // variable is `max_batch`. `speedup_vs_unbatched` is not the price
+    // collide with it queue and line up on the lane's lock, and the
+    // first of them to get it serves the queue: one request per FASE
+    // ("mpsc-unbatched", max_batch = 1 — the no-group-commit baseline)
+    // or everything in flight as one cross-client FASE
+    // ("mpsc-grouped"). Same server, same lane; the variable is
+    // `max_batch`. `speedup_vs_unbatched` is not the price
     // of the saved FASEs alone: a grouped drain empties the queue, which
     // puts the lane back on the caller-runs path, while an unbatched
     // lane with a backlog works it off one request per lock hold. The
@@ -494,7 +515,7 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
     // asserted: how often eight clients collide is the host's business.
     let clients = 8usize;
     // One lane: group commit needs requests *piling up* behind a busy
-    // worker, so the contended regime is clients ≥ lanes. (The legacy
+    // lane, so the contended regime is clients ≥ lanes. (The legacy
     // grid above measures shard-parallel scaling; this grid measures
     // per-lane batching.)
     let lane_cfg = KvConfig {
@@ -510,20 +531,10 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
     } else {
         ops_per_worker.max(10_000)
     };
-    // The measured effect on the read-heavy mix is a few percent —
-    // close to host noise on a shared single-core machine. That noise
-    // is one-sided (load only ever slows a run down), so each path's
-    // best-observed throughput converges to its true ceiling from
-    // below: keep interleaving repeats until neither path's best has
-    // improved for `settle` consecutive rounds, rather than trusting a
-    // fixed repeat count to have sampled both ceilings.
-    let (min_rounds, settle, max_rounds) = if smoke { (1, 0, 1) } else { (repeats, 3, 24) };
     for mix in [Mix::A, Mix::B] {
-        let mut best: [Option<Run>; 2] = [None, None];
-        let (mut rounds, mut stale) = (0usize, 0usize);
-        while rounds < min_rounds || (stale < settle && rounds < max_rounds) {
-            let mut improved = false;
-            for (slot, max_batch) in best.iter_mut().zip([1, usize::MAX]) {
+        let mut repeated: [Vec<Run>; 2] = [Vec::new(), Vec::new()];
+        for _ in 0..repeats {
+            for (runs, max_batch) in repeated.iter_mut().zip([1, usize::MAX]) {
                 let server = KvServer::new(
                     &lane_cfg,
                     &ServerConfig {
@@ -549,12 +560,10 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
                     rep.latency.as_ref().expect("latency recording on"),
                 );
                 this.occupancy = Some(occupancy_between(&qs0, &server.queue_stats()));
-                improved |= keep_best(slot, this);
+                runs.push(this);
             }
-            rounds += 1;
-            stale = if improved { 0 } else { stale + 1 };
         }
-        let runs = best.map(|b| b.expect("at least one repeat"));
+        let runs = repeated.map(median_run);
         assert_eq!(
             runs[0].occupancy,
             Some(1.0),
@@ -588,7 +597,7 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
     // the acceptance signal that pipelining reaches group commit rather
     // than serializing at the socket.
     for (conns, depth) in [(1usize, 1usize), (1, 4), (8, 1), (8, 4)] {
-        let mut best: Option<Run> = None;
+        let mut repeated: Vec<Run> = Vec::new();
         for _ in 0..repeats {
             let server = Arc::new(KvServer::new(&lane_cfg, &ServerConfig::default()));
             load(server.as_ref(), keys, VALUE_LEN);
@@ -619,9 +628,9 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
             let mut this = Run::new(rep.ops_per_sec(), server.stats(), &rep.snapshot);
             this.occupancy = Some(occupancy_between(&qs0, &server.queue_stats()));
             server.close();
-            keep_best(&mut best, this);
+            repeated.push(this);
         }
-        let r = best.expect("at least one repeat");
+        let r = median_run(repeated);
         assert!(
             (conns, depth) != (8, 4) || r.occupancy > Some(1.0),
             "net c{conns} d{depth}: pipelined connections never reached group commit"
@@ -735,6 +744,27 @@ mod tests {
         assert_eq!(net.get("connections"), Some(&Json::Num(8.0)));
         assert_eq!(net.get("pipeline_depth"), Some(&Json::Num(4.0)));
         assert_eq!(net.get("batch_occupancy_mean"), Some(&Json::Num(4.0)));
+    }
+
+    #[test]
+    fn a_row_reports_the_median_run_and_the_quartiles_of_its_repeats() {
+        let repeats = |tputs: &[f64]| {
+            let runs = tputs.iter().map(|&t| {
+                let mut r = a_run(Some(t));
+                r.throughput = t;
+                r
+            });
+            median_run(runs.collect())
+        };
+        let r = repeats(&[500.0, 100.0, 300.0, 900.0, 200.0]);
+        assert_eq!((r.throughput, r.quartiles), (300.0, [200.0, 500.0]));
+        assert_eq!(r.occupancy, Some(300.0), "the median *run*, whole");
+        let r = repeats(&[7.0]);
+        assert_eq!((r.throughput, r.quartiles), (7.0, [7.0, 7.0]));
+        let r = repeats(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!((r.throughput, r.quartiles), (2.0, [1.0, 3.0]));
+        let cells = row("net", Some((8, 1)), &repeats(&[3e3, 1e3, 2e3])).table_cells();
+        assert_eq!(cells[4], "2 [1, 2]");
     }
 
     #[test]

@@ -242,7 +242,9 @@ impl FaseRuntime {
     /// header is corrupted beyond what a crash can produce) surfaces as
     /// a typed [`RecoveryError`] instead of a panic, so callers handling
     /// untrusted images — disk files, fuzzer crash captures — can
-    /// report the condition.
+    /// report the condition. A heap header [`PAlloc::open`] does not
+    /// accept, or one whose limit reaches past the data area, leaves
+    /// the runtime without a heap ([`FaseRuntime::has_heap`]).
     pub fn try_reopen(
         mut region: PmemRegion,
         data_len: usize,
@@ -255,7 +257,8 @@ impl FaseRuntime {
         let mut log = UndoLog::open(&region, data_len, log_len)?;
         let rolled = log.recover(&mut region)?;
         let recovery_ns = clock.now_ns().saturating_sub(t0);
-        let heap = PAlloc::open(&region);
+        // a heap that reaches into the log area is not this runtime's
+        let heap = PAlloc::open(&region).filter(|h| h.limit(&region) <= data_len as u64);
         let mut stats = FaseStats::default();
         if rolled > 0 {
             stats.rollbacks = 1;
@@ -755,6 +758,13 @@ impl FaseRuntime {
             Some(slab) => slab.free(offset, size),
             None => heap.free(&mut self.region, offset, size),
         }
+    }
+
+    /// Does the region hold a persistent heap this runtime vouches for
+    /// (formatted by [`FaseRuntime::with_heap`]; on reopen, a header
+    /// [`PAlloc::open`] accepts whose limit lies inside the data area)?
+    pub fn has_heap(&self) -> bool {
+        self.heap.is_some()
     }
 
     /// Durable root pointer.

@@ -9,10 +9,11 @@
 //!   (ordered scans stream leaves; every batch with a write is one CoW
 //!   transaction published by one FASE commit).
 //!
-//! Whoever serves a lane — a submitter that found it idle, or its
-//! worker — drives exactly [`Engine::serve_batch`] +
-//! [`Engine::heal_after_panic`]; everything else is server plumbing
-//! (stats scraping, crash injection, verification dumps).
+//! Whoever serves a lane — a submitter that found it idle, or one that
+//! queued and then got the lane's lock — drives exactly
+//! [`Engine::serve_batch`] + [`Engine::heal_after_panic`]; everything
+//! else is server plumbing (stats scraping, crash injection,
+//! verification dumps).
 
 use nvcache_fase::FaseStats;
 use nvcache_pmem::{CrashMode, CrashPlan};
@@ -23,8 +24,8 @@ use crate::shard::{BatchReply, BatchRequest, CapacityChoice, Shard};
 /// A storage engine servable by a `KvServer` lane.
 #[allow(clippy::len_without_is_empty)]
 pub trait Engine: Send + 'static {
-    /// Serve one batch (a submitter's own group, or what the worker
-    /// drained from the submission queue) with sequential
+    /// Serve one batch (a submitter's own group, or what the lane's
+    /// holder drained from the submission queue) with sequential
     /// semantics (a request observes every earlier request of its own
     /// batch) and the committed-prefix crash contract: after this
     /// returns, every reply's effect is durable; a crash mid-batch

@@ -21,10 +21,11 @@
 //!   per-thread cache model of the paper maps onto a concurrent server:
 //!   different shards serve in parallel, each runtime stays
 //!   single-owner.
-//! - [`queue`] — the bounded MPSC submission queue and completion slots
-//!   of a busy lane.
-//! - [`server`] — [`KvServer`]: a lane is one engine behind a mutex, one
-//!   queue and one worker, served by whichever thread finds it idle;
+//! - [`queue`] — the bounded submission queue and completion slots of
+//!   a busy lane.
+//! - [`server`] — [`KvServer`]: a lane is one engine behind a mutex and
+//!   one queue, no thread: it is served by whichever thread finds it
+//!   idle, or else by the first queued submitter to get its lock;
 //!   everything queued behind a FASE in progress commits as one
 //!   cross-client group. Acknowledged ⇒ durable.
 //! - [`proto`] — the length-prefixed, checksummed wire frames.

@@ -24,11 +24,12 @@
 //! never changes threads between the wire and the engine. A busy lane
 //! gets the whole group queued under one lock; requests from
 //! *different* connections meet in that queue, where the next drain
-//! (the lane worker's, or a submitter's that finds the lane free) turns
-//! them into one grouped FASE (cross-client group commit). Only once
-//! *every* lane has its group does the thread wait — in
-//! [`Completion::wait`], as a blocking [`KvClient`] call does — for what
-//! it queued; then it encodes the read's responses into one buffer and
+//! (by whichever of their threads next holds the lane) turns them into
+//! one grouped FASE (cross-client group commit). Only once *every* lane
+//! has its group does the thread wait for what it queued — as a
+//! blocking [`KvClient`] call does: it lines up on the busy lane's lock
+//! and serves the queue itself unless another thread already has; then
+//! it encodes the read's responses into one buffer and
 //! hands the transport a single write of whole frames. Responses carry
 //! the request id and leave **in no promised order**: what was served
 //! here is encoded before what was queued, so the client matches by id.
@@ -68,8 +69,7 @@ use std::thread::JoinHandle;
 
 use crate::engine::Engine;
 use crate::proto::{encode_response_into, fit_entries, FrameDecoder, Request, Response};
-use crate::queue::Completion;
-use crate::server::{merge_scan, Answer, KvClient, KvServer};
+use crate::server::{merge_scan, Answer, KvClient, KvServer, Pending};
 use crate::shard::{BatchReply, BatchRequest};
 
 /// Default TCP listen address (wrongodb-style: a fixed well-known
@@ -667,7 +667,7 @@ struct Round {
     fans: Vec<Fan>,
     /// Single-lane requests of this read queued on a busy lane, by
     /// wire id.
-    queued: Vec<(u64, Completion<BatchReply>)>,
+    queued: Vec<(u64, Pending)>,
     /// The encoded responses, and how many.
     wire: Vec<u8>,
     frames: u64,
@@ -743,7 +743,7 @@ impl Round {
         match (tag, answer) {
             (Tag::Part(f), answer) => self.fans[f].parts.push(answer),
             (Tag::One(id), Answer::Served(reply)) => self.answer(&response_of(id, reply)),
-            (Tag::One(id), Answer::Queued(slot)) => self.queued.push((id, slot)),
+            (Tag::One(id), Answer::Queued(pending)) => self.queued.push((id, pending)),
             (Tag::One(id), Answer::Refused) => self.answer(&Response::Rejected { id }),
         }
     }
@@ -775,8 +775,8 @@ impl Round {
             tags.clear();
             self.groups[lane] = (reqs, tags);
         }
-        for (id, slot) in std::mem::take(&mut self.queued) {
-            self.answer(&response_of(id, slot.wait()));
+        for (id, pending) in std::mem::take(&mut self.queued) {
+            self.answer(&response_of(id, pending.wait()));
         }
         for fan in std::mem::take(&mut self.fans) {
             self.answer(&fan.response());
@@ -1074,7 +1074,7 @@ mod tests {
     }
 
     /// Idle lanes: one connection's whole session is served by its own
-    /// thread — no request ever reaches a lane worker.
+    /// thread — no request ever goes through a queue.
     #[test]
     fn one_connection_is_served_by_its_reader() {
         let kv = kv(2);
@@ -1090,7 +1090,7 @@ mod tests {
         assert_eq!(c.scan(1000, 1015, 100).unwrap(), items);
         assert!(c.delete(3).unwrap());
         let qs = kv.queue_stats();
-        assert_eq!(qs.queued_batches(), 0, "the workers never drained");
+        assert_eq!(qs.queued_batches(), 0, "nothing was queued");
         assert_eq!(qs.enqueued, qs.drained);
         assert_eq!(qs.inline_requests, qs.drained);
         srv.shutdown();

@@ -1,6 +1,6 @@
-//! The concurrent shard runtime: a lane — one [`Engine`] behind a
-//! mutex, one bounded [`SubmissionQueue`], one worker thread — is served
-//! by **whichever thread finds it idle**.
+//! The concurrent shard runtime: a lane is one [`Engine`] behind a
+//! mutex and one bounded [`SubmissionQueue`] — **no thread**. Whoever
+//! queued serves the queue.
 //!
 //! A submitter (a blocking [`KvClient`] call, or a network connection's
 //! thread with every frame of one read grouped per lane) `try_lock`s
@@ -8,26 +8,38 @@
 //! empty and its group fits [`ServerConfig::max_batch`], it runs
 //! [`Engine::serve_batch`] itself and has its replies in hand: no
 //! queue entry, no completion slot, no thread hand-off. Otherwise the
-//! lane is busy, and the whole group goes into the queue under one lock
-//! with one wake-up, each request carrying a [`Completion`] slot.
-//! Whoever next holds the engine lock with work queued — the lane's
-//! worker, or a submitter that has just queued its own group and finds
-//! the lock free — drains everything in flight (up to `max_batch`)
-//! *under that lock* and serves the convoy as one grouped FASE:
-//! cross-client group commit. The worker is what guarantees a queued
-//! request is served when no further submitter comes by. All of them
-//! run the one `serve_group`.
+//! lane is busy, and the whole group goes into the queue under one
+//! lock, each request carrying a [`Completion`] slot. Whoever next
+//! holds the engine lock with work queued drains everything in flight
+//! (up to `max_batch`) *under that lock* and serves the convoy as one
+//! grouped FASE: cross-client group commit. All of them run the one
+//! `serve_group`.
 //!
 //! There is one way to wait for a lane: a submitter — client call or
 //! connection thread alike — hands every lane its group first and only
-//! then blocks, in [`Completion::wait`], on what it queued.
+//! then waits for what it queued, and it waits **on the engine lock**:
+//! it takes the lock, blocking, and serves queued batches until its own
+//! slot is filled or the queue is empty. Only then — its request left
+//! the queue in a batch another holder is still answering — does it
+//! sleep in [`Completion::wait`]. A submitter that finds the queue full
+//! under [`Backpressure::Block`] makes room the same way (lock, serve
+//! one batch, push the rest), so a group larger than the queue needs
+//! nobody else to come by.
+//!
+//! Liveness rests on one fact: **every queued request has a live
+//! submitter that will take the engine lock.** While someone holds a
+//! lane ([`KvServer::with_shard`], a long batch) the queued submitters
+//! line up on that lock, and the first one in serves them all; the rest
+//! find their slots filled. A [`KvServer::close`] with a tail still
+//! queued serves nothing itself — the tail's own submitters do.
 //!
 //! Which path serves a request is decided from what the code observes
 //! (engine lock free, queue empty), not from configuration. The batch
 //! size stays adaptive by construction: an idle lane serves a caller's
 //! own group at per-op latency, a contended lane amortizes its log
 //! persists and commit fence over every client that queued behind the
-//! FASE in progress.
+//! FASE in progress. `max_batch: 1` means one request per FASE on both
+//! paths.
 //!
 //! Ordering: a client's later request never runs ahead of an earlier
 //! one. Requests leave the queue only under the engine lock, so
@@ -38,14 +50,15 @@
 //! Ack contract: a reply exists only after [`Engine::serve_batch`]
 //! returned, i.e. after the FASE holding the request committed — the
 //! caller-run path returns it, the queued path fills the completion
-//! with it. **Acknowledged ⇒ durable**: a crash can only take back
+//! with it; which thread ran the batch does not enter into it.
+//! **Acknowledged ⇒ durable**: a crash can only take back
 //! requests that were never answered (they roll back whole — the
 //! committed-prefix oracle in `tests/kv_crash.rs` sweeps exactly this).
 //! The converse does not hold: a `serve_batch` that panics fails every
 //! request of its group, including those whose segment had already
 //! committed — acks are at-most-once, not exactly-once.
 //!
-//! Panics do not wedge the lane, on any thread: `serve_group`
+//! Panics do not wedge the lane, on any path: `serve_group`
 //! catches the unwind, heals the engine in place
 //! ([`Engine::heal_after_panic`] rolls the abandoned FASE back and drops
 //! volatile runtime residue), fails that group's requests, and the lane
@@ -54,7 +67,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
-use std::thread::JoinHandle;
 
 use nvcache_fase::FaseStats;
 use nvcache_pmem::CrashMode;
@@ -108,11 +120,11 @@ fn failed_reply(req: &BatchRequest) -> BatchReply {
     }
 }
 
-/// Serve one group as one batch on the calling thread — a submitter's
-/// or the worker's — under the engine lock the caller holds. Replies
-/// are positional and exist only after the batch committed. A panic
-/// inside the engine is caught here: the lane heals and every request
-/// of this group, and only of this group, gets its negative reply.
+/// Serve one group as one batch on the calling thread under the engine
+/// lock the caller holds. Replies are positional and exist only after
+/// the batch committed. A panic inside the engine is caught here: the
+/// lane heals and every request of this group, and only of this group,
+/// gets its negative reply.
 fn serve_group<E: Engine>(
     engine: &mut E,
     reqs: &[BatchRequest],
@@ -137,9 +149,17 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// What a lane's threads share: the engine, the busy-lane queue and the
-/// batch cap.
-struct LaneCore<E> {
+fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
+    match m.try_lock() {
+        Ok(g) => Some(g),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
+        Err(TryLockError::WouldBlock) => None,
+    }
+}
+
+/// A lane: the engine, the busy-lane queue and the batch cap. It has no
+/// thread; its submitters serve it.
+struct Lane<E> {
     engine: Mutex<E>,
     queue: SubmissionQueue<Queued>,
     max_batch: usize,
@@ -155,21 +175,24 @@ trait LanePort: Send + Sync {
     fn try_serve(&self, reqs: &[BatchRequest]) -> Option<Vec<BatchReply>>;
 
     /// The busy-lane path: queue the group (see
-    /// [`SubmissionQueue::push_group`]), then serve the queue on this
-    /// thread if the engine lock is free by now, else wake the worker.
+    /// [`SubmissionQueue::push_group`]), making room by serving a batch
+    /// when the queue is full under [`Backpressure::Block`]; then serve
+    /// the queue on this thread if the engine lock is free by now.
+    /// Returns how many requests the lane accepted.
     fn enqueue(&self, items: &mut Vec<Queued>) -> usize;
+
+    /// The reply to a request this thread queued: serve the queue under
+    /// the engine lock until `slot` is filled or nothing is queued,
+    /// then wait for whoever has the request in a batch in flight.
+    fn wait(&self, slot: &Completion<BatchReply>) -> BatchReply;
 }
 
-impl<E: Engine> LanePort for LaneCore<E> {
+impl<E: Engine> LanePort for Lane<E> {
     fn try_serve(&self, reqs: &[BatchRequest]) -> Option<Vec<BatchReply>> {
         if reqs.len() > self.max_batch {
             return None;
         }
-        let mut engine = match self.engine.try_lock() {
-            Ok(g) => g,
-            Err(TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
-        };
+        let mut engine = try_lock(&self.engine)?;
         // holding the engine lock: whatever is not yet served is still
         // in the queue (it is drained only under this lock), so an
         // empty queue means nothing of anyone's is ahead of this group
@@ -180,35 +203,51 @@ impl<E: Engine> LanePort for LaneCore<E> {
     }
 
     fn enqueue(&self, items: &mut Vec<Queued>) -> usize {
-        let accepted = self.queue.push_group(items);
+        let mut accepted = self.queue.push_group(items);
+        while !items.is_empty() && self.queue.makes_room() {
+            self.serve_queued(lock(&self.engine));
+            accepted += self.queue.push_group(items);
+        }
         if accepted > 0 {
             // The lane may be free by now, or may have been free all
             // along with other clients' requests queued ahead of this
-            // group: then be the worker for one batch rather than wait
-            // for it to be scheduled — everything queued, this group
+            // group: then serve a batch now rather than after the other
+            // lanes have their groups — everything queued, this group
             // included, commits as one FASE on this thread.
-            match self.engine.try_lock() {
-                Ok(engine) => self.serve_queued(engine),
-                Err(TryLockError::Poisoned(e)) => self.serve_queued(e.into_inner()),
-                Err(TryLockError::WouldBlock) => {}
+            if let Some(engine) = try_lock(&self.engine) {
+                self.serve_queued(engine);
             }
-            // whatever is still queued is the worker's
-            self.queue.kick();
         }
         accepted
     }
+
+    fn wait(&self, slot: &Completion<BatchReply>) -> BatchReply {
+        loop {
+            if let Some(reply) = slot.try_take() {
+                return reply;
+            }
+            // unfilled, so the request is still queued or in a batch a
+            // holder of this lock is serving: line up behind that holder
+            if !self.serve_queued(lock(&self.engine)) {
+                // nothing queued: that batch's server has released the
+                // lock and is filling its slots
+                return slot.wait();
+            }
+        }
+    }
 }
 
-impl<E: Engine> LaneCore<E> {
+impl<E: Engine> Lane<E> {
     /// Drain everything in flight (up to `max_batch`) under the engine
     /// lock the caller took and serve it as one grouped batch; ack after
-    /// commit. Draining under the lock is what keeps per-client FIFO
-    /// across the two paths — a request is never out of the queue and
-    /// unserved while a submitter could get the lock.
-    fn serve_queued(&self, mut engine: MutexGuard<'_, E>) {
+    /// commit. `false` if nothing was queued. Draining under the lock is
+    /// what keeps per-client FIFO across the two paths — a request is
+    /// never out of the queue and unserved while a submitter could get
+    /// the lock.
+    fn serve_queued(&self, mut engine: MutexGuard<'_, E>) -> bool {
         let mut batch: Vec<Queued> = Vec::new();
         if self.queue.drain_ready(&mut batch, self.max_batch) == 0 {
-            return; // another thread served it already
+            return false; // another thread served it already
         }
         let (reqs, slots): (Vec<BatchRequest>, Vec<Completion<BatchReply>>) =
             batch.into_iter().map(|q| (q.req, q.slot)).unzip();
@@ -218,27 +257,21 @@ impl<E: Engine> LaneCore<E> {
         for (slot, reply) in slots.iter().zip(replies) {
             slot.fill(reply);
         }
+        true
     }
 }
 
-struct Lane<E> {
-    core: Arc<LaneCore<E>>,
-    /// Behind a mutex so shutdown can join through `&self` — the
-    /// network layer shares the server via `Arc<KvServer>`.
-    worker: Mutex<Option<JoinHandle<()>>>,
-}
-
-/// A [`KvStore`]-shaped store of engine lanes, each served by the
-/// thread that finds it idle or else by its worker (see the module
-/// docs), generic over the lane [`Engine`]: hash shards by default
-/// ([`KvServer::new`]), B+-tree lanes via [`KvServer::new_tree`],
-/// arbitrary engines via [`KvServer::with_engines`]. Hand out cheap
-/// [`KvClient`] handles with [`KvServer::client`], and shut down with
-/// [`KvServer::shutdown`] (or let `Drop` do it).
+/// A [`KvStore`]-shaped store of engine lanes, each served by its own
+/// submitters (see the module docs), generic over the lane [`Engine`]:
+/// hash shards by default ([`KvServer::new`]), B+-tree lanes via
+/// [`KvServer::new_tree`], arbitrary engines via
+/// [`KvServer::with_engines`]. Hand out cheap [`KvClient`] handles with
+/// [`KvServer::client`], and shut down with [`KvServer::shutdown`] (or
+/// let `Drop` do it).
 ///
 /// [`KvStore`]: crate::store::KvStore
 pub struct KvServer<E: Engine = Shard> {
-    lanes: Vec<Lane<E>>,
+    lanes: Vec<Arc<Lane<E>>>,
     /// A resident client handle for callers that drive the server
     /// directly (e.g. the loadgen's `KvTarget` impl) without paying a
     /// handle allocation per op.
@@ -256,8 +289,7 @@ impl<E: Engine> std::fmt::Debug for KvServer<E> {
 }
 
 impl KvServer<Shard> {
-    /// Spawn one lane (engine, queue, worker thread) per hash shard of
-    /// `cfg`.
+    /// One lane (engine and queue) per hash shard of `cfg`.
     pub fn new(cfg: &KvConfig, scfg: &ServerConfig) -> Self {
         assert!(cfg.shards >= 1, "at least one shard");
         KvServer::with_engines((0..cfg.shards).map(|_| Shard::new(&cfg.shard)), scfg)
@@ -265,8 +297,8 @@ impl KvServer<Shard> {
 }
 
 impl KvServer<TreeEngine> {
-    /// Spawn `lanes` B+-tree engine lanes (each a private CoW tree over
-    /// its own FASE heap) behind the same queues and group commit.
+    /// `lanes` B+-tree engine lanes (each a private CoW tree over its
+    /// own FASE heap) behind the same queues and group commit.
     pub fn new_tree(lanes: usize, cfg: &TreeEngineConfig, scfg: &ServerConfig) -> Self {
         assert!(lanes >= 1, "at least one lane");
         KvServer::with_engines((0..lanes).map(|_| TreeEngine::new(cfg)), scfg)
@@ -274,35 +306,27 @@ impl KvServer<TreeEngine> {
 }
 
 impl<E: Engine> KvServer<E> {
-    /// Spawn one lane (queue and worker thread) per engine.
+    /// One lane per engine. Starts no thread.
     pub fn with_engines(engines: impl IntoIterator<Item = E>, scfg: &ServerConfig) -> Self {
         assert!(scfg.max_batch >= 1, "a batch holds at least one request");
         let healed_panics = Arc::new(AtomicU64::new(0));
         let max_batch = scfg.max_batch.min(scfg.queue_capacity);
-        let lanes = engines
+        let lanes: Vec<Arc<Lane<E>>> = engines
             .into_iter()
             .map(|engine| {
-                let core = Arc::new(LaneCore {
+                Arc::new(Lane {
                     engine: Mutex::new(engine),
                     queue: SubmissionQueue::new(scfg.queue_capacity, scfg.backpressure),
                     max_batch,
                     healed: Arc::clone(&healed_panics),
-                });
-                let worker = {
-                    let core = Arc::clone(&core);
-                    std::thread::spawn(move || worker_loop(&core))
-                };
-                Lane {
-                    core,
-                    worker: Mutex::new(Some(worker)),
-                }
+                })
             })
-            .collect::<Vec<Lane<E>>>();
+            .collect();
         assert!(!lanes.is_empty(), "at least one engine lane");
         let client = KvClient {
             lanes: lanes
                 .iter()
-                .map(|l| Arc::clone(&l.core) as Arc<dyn LanePort>)
+                .map(|l| Arc::clone(l) as Arc<dyn LanePort>)
                 .collect(),
         };
         KvServer {
@@ -336,17 +360,19 @@ impl<E: Engine> KvServer<E> {
     }
 
     fn engine(&self, i: usize) -> MutexGuard<'_, E> {
-        lock(&self.lanes[i].core.engine)
+        lock(&self.lanes[i].engine)
     }
 
     fn engines(&self) -> impl Iterator<Item = MutexGuard<'_, E>> {
-        self.lanes.iter().map(|l| lock(&l.core.engine))
+        self.lanes.iter().map(|l| lock(&l.engine))
     }
 
     /// Run `f` with engine `i` locked (stats scraping, crash plumbing in
     /// tests). Serializes with the lane's batches: whoever serves holds
     /// the same lock while serving, never between batches — and while
-    /// `f` runs the lane is busy, so submissions queue up behind it.
+    /// `f` runs the lane is busy, so submissions queue and their
+    /// submitters line up on the lock; when `f` returns, the first one
+    /// in serves them all.
     pub fn with_shard<R>(&self, i: usize, f: impl FnOnce(&mut E) -> R) -> R {
         f(&mut self.engine(i))
     }
@@ -367,13 +393,12 @@ impl<E: Engine> KvServer<E> {
     pub fn queue_stats(&self) -> QueueStats {
         let mut s = QueueStats::default();
         for l in &self.lanes {
-            s.merge(&l.core.queue.stats());
+            s.merge(&l.queue.stats());
         }
         s
     }
 
-    /// Panics healed in place so far (on a worker's or a caller's
-    /// thread).
+    /// Panics healed in place so far (on either lane path).
     pub fn healed_panics(&self) -> u64 {
         self.healed_panics.load(Ordering::Relaxed)
     }
@@ -419,24 +444,19 @@ impl<E: Engine> KvServer<E> {
         self.engines().for_each(|mut e| e.sync());
     }
 
-    /// Close the queues, drain the tails, and join the workers. Pending
-    /// requests still get served (close lets queued work finish);
+    /// Close every lane's queue. Requests already queued are still
+    /// served — by their own submitters, which are waiting on the lane;
     /// submissions racing the close are refused, on both lane paths.
     pub fn shutdown(self) {
         self.close();
     }
 
     /// [`shutdown`](KvServer::shutdown) through a shared reference —
-    /// what the network layer calls on its `Arc<KvServer>`. Idempotent.
+    /// what the network layer calls on its `Arc<KvServer>`. Idempotent;
+    /// waits for nothing.
     pub fn close(&self) {
         for l in &self.lanes {
-            l.core.queue.close();
-        }
-        for l in &self.lanes {
-            let h = lock(&l.worker).take();
-            if let Some(h) = h {
-                let _ = h.join();
-            }
+            l.queue.close();
         }
     }
 }
@@ -464,14 +484,30 @@ impl std::fmt::Debug for KvClient {
     }
 }
 
+/// A request queued on a busy lane: the slot whoever serves its batch
+/// fills, and the lane its submitter helps serve while it waits.
+pub(crate) struct Pending {
+    slot: Completion<BatchReply>,
+    lane: Arc<dyn LanePort>,
+}
+
+impl Pending {
+    /// The reply, once the batch holding the request has committed —
+    /// served on this thread if nobody else got to it (see
+    /// `LanePort::wait`).
+    pub(crate) fn wait(self) -> BatchReply {
+        self.lane.wait(&self.slot)
+    }
+}
+
 /// Where one submitted request stands: every submitter — a blocking
 /// [`KvClient`] call, a connection's thread — submits all it has, then
 /// [`wait`](Answer::wait)s.
 pub(crate) enum Answer {
     /// The lane was idle: served on the submitter's thread.
     Served(BatchReply),
-    /// Queued on a busy lane; whoever serves the batch fills the slot.
-    Queued(Completion<BatchReply>),
+    /// Queued on a busy lane.
+    Queued(Pending),
     /// The lane refused it (full under [`Backpressure::Reject`], or
     /// shut down).
     Refused,
@@ -482,7 +518,7 @@ impl Answer {
     pub(crate) fn wait(self) -> Option<BatchReply> {
         match self {
             Answer::Served(r) => Some(r),
-            Answer::Queued(c) => Some(c.wait()),
+            Answer::Queued(p) => Some(p.wait()),
             Answer::Refused => None,
         }
     }
@@ -523,10 +559,9 @@ impl KvClient {
 
     /// The busy-lane path: queue `reqs` on `lane`, in order, under one
     /// lock, and serve the queue from this thread if the lane turns out
-    /// to be free — or else wake the worker, once. One [`Answer`] per
-    /// request: `Queued` with the slot its reply arrives in, `Refused`
-    /// for the tail the lane did not accept (full queue under
-    /// [`Backpressure::Reject`], or a closed server).
+    /// to be free. One [`Answer`] per request: `Queued` with what to
+    /// wait on, `Refused` for the tail the lane did not accept (full
+    /// queue under [`Backpressure::Reject`], or a closed server).
     pub(crate) fn enqueue(
         &self,
         lane: usize,
@@ -535,7 +570,10 @@ impl KvClient {
         let (mut items, mut answers) = (Vec::new(), Vec::new());
         for req in reqs {
             let slot = Completion::new();
-            answers.push(Answer::Queued(slot.clone()));
+            answers.push(Answer::Queued(Pending {
+                slot: slot.clone(),
+                lane: Arc::clone(&self.lanes[lane]),
+            }));
             items.push(Queued { req, slot });
         }
         // the refused tail stays in `items`; its slots are never filled
@@ -632,17 +670,6 @@ pub(crate) fn merge_scan(
     out.sort_unstable_by_key(|&(k, _)| k);
     out.truncate(limit);
     out
-}
-
-/// The lane's worker: whenever the queue holds something, take the
-/// engine lock and serve what is (still) queued. It is the thread that
-/// guarantees queued work gets served when no submitter comes by — a
-/// submitter that queues and finds the lane free serves the batch
-/// itself ([`LanePort::enqueue`]).
-fn worker_loop<E: Engine>(lane: &LaneCore<E>) {
-    while lane.queue.wait_ready() {
-        lane.serve_queued(lock(&lane.engine));
-    }
 }
 
 #[cfg(test)]
@@ -948,7 +975,7 @@ mod tests {
     }
 
     /// Idle lane: a blocking client's whole session is served on its own
-    /// thread — the worker never drains anything.
+    /// thread — nothing ever goes through the queue.
     #[test]
     fn idle_lanes_are_served_by_the_caller() {
         let server = KvServer::new(&cfg(2, true), &ServerConfig::default());
@@ -980,17 +1007,18 @@ mod tests {
         assert_eq!(server.dump(), model.into_iter().collect::<Vec<_>>());
         let qs = server.queue_stats();
         assert!(qs.batches >= 1000);
-        assert_eq!(qs.queued_batches(), 0, "the worker never drained");
+        assert_eq!(qs.queued_batches(), 0, "nothing was queued");
         assert_eq!(qs.inline_requests, qs.drained);
         assert_eq!(qs.enqueued, qs.drained);
         assert!(qs.occupancy_mean() >= 1.0);
         server.shutdown();
     }
 
-    /// Busy lane: while someone holds the engine, submissions queue up;
-    /// the worker then serves all of them as one grouped batch.
+    /// Busy lane: while someone holds the engine, submissions queue up
+    /// and their submitters line up on the engine lock; the first one in
+    /// then serves all of them as one grouped batch.
     #[test]
-    fn a_busy_lane_queues_and_the_worker_serves_one_grouped_batch() {
+    fn a_busy_lane_queues_and_the_first_submitter_in_serves_one_grouped_batch() {
         let server = KvServer::new(&cfg(1, true), &ServerConfig::default());
         std::thread::scope(|scope| {
             let release = hold_lane(scope, &server);
@@ -998,7 +1026,7 @@ mod tests {
                 let c = server.client();
                 scope.spawn(move || assert!(c.put(w, &w.to_le_bytes())));
             }
-            spin_until("8 queued puts", || server.lanes[0].core.queue.len() == 8);
+            spin_until("8 queued puts", || server.lanes[0].queue.len() == 8);
             drop(release);
         });
         let qs = server.queue_stats();
@@ -1008,10 +1036,9 @@ mod tests {
         server.shutdown();
     }
 
-    /// A submitter that queues and finds the lane free does not wait for
-    /// the worker: it serves everything queued — other clients' requests
-    /// and its own, in queue order — as one batch on its own thread. (A
-    /// bare lane without a worker thread, so nothing else can drain.)
+    /// A submitter that queues and finds the lane free serves everything
+    /// queued — other clients' requests and its own, in queue order — as
+    /// one batch on its own thread, before it goes on to its other lanes.
     #[test]
     fn a_submitter_that_finds_the_lane_free_serves_what_is_queued() {
         fn queued(k: u64, v: u8) -> (Queued, Completion<BatchReply>) {
@@ -1025,7 +1052,7 @@ mod tests {
                 slot,
             )
         }
-        let lane = |max_batch| LaneCore {
+        let lane = |max_batch| Lane {
             engine: Mutex::new(GateEngine::new(&Gate::open())),
             queue: SubmissionQueue::new(16, Backpressure::Block),
             max_batch,
@@ -1063,18 +1090,18 @@ mod tests {
     }
 
     /// Per-client FIFO across the two paths. `Put(k, 1)` is queued on a
-    /// busy lane; the worker drains it and parks inside `serve_batch`.
+    /// busy lane; its submitter drains it and parks inside `serve_batch`.
     /// The moment the queue reads empty the client submits `Put(k, 2)`.
-    /// Because the worker drained *under* the engine lock, that second
+    /// Because the drain happened *under* the engine lock, that second
     /// put cannot find the lane idle: it queues behind, and `k` ends at
-    /// 2. A worker that drained before locking would leave a window —
+    /// 2. A server that drained before locking would leave a window —
     /// queue empty, lock free, `Put(k, 1)` unserved — in which the
     /// second put is served on the caller's thread first.
     #[test]
     fn a_later_request_never_overtakes_an_earlier_one() {
         let gate = Arc::new(Gate::default());
         let server = gate_server(&gate);
-        let queue = &server.lanes[0].core.queue;
+        let queue = &server.lanes[0].queue;
         let k = 5u64;
         for round in 0..1000u32 {
             gate.set(0);
@@ -1133,7 +1160,7 @@ mod tests {
         assert_eq!(c.get(1).as_deref(), Some(&b"before"[..]));
         assert!(c.put(2, b"after"), "the lane lives on");
         assert_eq!(server.queue_stats().queued_batches(), 0, "all caller-run");
-        // and the same on the worker's thread: only the poisoned batch
+        // and the same on the queued path: only the poisoned batch
         // fails, its neighbours in the queue are served
         std::thread::scope(|scope| {
             gate.set(0);
@@ -1142,7 +1169,7 @@ mod tests {
             spin_until("holder parked", || gate.parked() == 1);
             let c1 = server.client();
             scope.spawn(move || assert!(!c1.put(POISON_KEY, b"boom")));
-            spin_until("poison queued", || server.lanes[0].core.queue.len() == 1);
+            spin_until("poison queued", || server.lanes[0].queue.len() == 1);
             gate.set(OPEN);
         });
         assert_eq!(server.healed_panics(), 2);
@@ -1151,12 +1178,12 @@ mod tests {
     }
 
     /// `close()` with work queued behind a held lane and no further
-    /// submitter: the worker still drains the tail, every queued request
-    /// is acked, and submissions after the close are refused.
+    /// submitter: the tail's own submitters still serve it, every queued
+    /// request is acked, and submissions after the close are refused.
     #[test]
     fn close_drains_the_queued_tail_without_a_further_submitter() {
         let server = KvServer::new(&cfg(1, false), &ServerConfig::default());
-        let queue = &server.lanes[0].core.queue;
+        let queue = &server.lanes[0].queue;
         std::thread::scope(|scope| {
             let release = hold_lane(scope, &server);
             for w in 0..3u64 {

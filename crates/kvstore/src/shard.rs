@@ -63,7 +63,7 @@ use std::fmt;
 use nvcache_core::{rename_for_epoch, PolicyKind};
 use nvcache_fase::{FaseRuntime, FaseStats, FlushMode, RecoveryError};
 use nvcache_locality::{select_cache_size, BurstSampler, KneeConfig, Mrc};
-use nvcache_pmem::{CrashMode, CrashPlan, PAlloc, PmemRegion};
+use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
 use nvcache_trace::FxHashMap;
 
 /// Node header bytes: key, next pointer, value length.
@@ -321,10 +321,10 @@ impl Shard {
     pub fn reopen_from_image(image: Vec<u8>, cfg: &ShardConfig) -> Result<Self, ShardImageError> {
         let region = PmemRegion::from_image(image);
         let rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &cfg.policy)?;
-        let root = match PAlloc::open(rt.region()) {
-            Some(_) => rt.root(),
-            None => return Err(ShardImageError::BadRoot(0)),
-        };
+        if !rt.has_heap() {
+            return Err(ShardImageError::BadRoot(0));
+        }
+        let root = rt.root();
         let end = root.saturating_add(BUCKET_BLOCK as u64);
         if root == 0 || !root.is_multiple_of(8) || end > rt.data_len() as u64 {
             return Err(ShardImageError::BadRoot(root));
@@ -1643,6 +1643,35 @@ mod tests {
             Shard::reopen_from_image(not_a_log, &cfg),
             Err(ShardImageError::Recovery(RecoveryError::BadMagic { .. }))
         ));
+    }
+
+    /// The allocator's header is input as well: a bump cursor, limit or
+    /// free-list head no allocator wrote means the image has no heap
+    /// this shard will allocate from.
+    #[test]
+    fn reopen_rejects_a_hostile_allocator_header() {
+        let cfg = ShardConfig {
+            buckets: 2,
+            ..small(PolicyKind::ScFixed { capacity: 8 })
+        };
+        let (sound, ..) = sound_image(&cfg);
+        // `PAlloc`'s header words: cursor, limit, first free-list head
+        let (bump, limit, free) = (16, 24, 32);
+        let region_len = sound.len() as u64;
+        for (what, image) in [
+            ("cursor inside the header", patched(&sound, bump, 8)),
+            (
+                "64-byte free list outside the region",
+                patched(&sound, free + 2 * 8, region_len + 64),
+            ),
+            (
+                "a heap that runs on into the undo log",
+                patched(&sound, limit, region_len),
+            ),
+        ] {
+            let got = Shard::reopen_from_image(image, &cfg).map(|s| s.len());
+            assert_eq!(got, Err(ShardImageError::BadRoot(0)), "{what}");
+        }
     }
 
     // ----- the index is the chains ---------------------------------------

@@ -6,18 +6,25 @@
 //!   adversaries — strict (only durable lines survive), all-in-flight
 //!   lands, and randomized partial landings — for a pipelined
 //!   multi-connection open-loop load: every write the server acked is
-//!   readable, at an acked-or-newer version, after crash + recover.
+//!   readable, at an acked-or-newer version, after crash + recover;
+//! - a lane needs no thread of its own: one connection alone gets a
+//!   burst larger than a held lane's queue served, acked and durable.
 
 use std::sync::Arc;
 
 use nvcache_core::PolicyKind;
+use nvcache_kvstore::proto::{encode_request, FrameDecoder, Request, Response};
 use nvcache_kvstore::{
     run_net, verify_acked, InProcTransport, KvConfig, KvServer, NetClient, NetLoadConfig,
-    NetServer, ServerConfig, ShardConfig, TcpTransport,
+    NetServer, ServerConfig, ShardConfig, TcpTransport, Transport,
 };
 use nvcache_pmem::CrashMode;
 
 fn kv(shards: usize) -> Arc<KvServer> {
+    kv_with(shards, &ServerConfig::default())
+}
+
+fn kv_with(shards: usize, scfg: &ServerConfig) -> Arc<KvServer> {
     Arc::new(KvServer::new(
         &KvConfig {
             shards,
@@ -30,7 +37,7 @@ fn kv(shards: usize) -> Arc<KvServer> {
                 pipelined: true,
             },
         },
-        &ServerConfig::default(),
+        scfg,
     ))
 }
 
@@ -113,4 +120,103 @@ fn every_acked_write_survives_each_crash_mode() {
 fn mode_seed(name: &str) -> u64 {
     name.bytes()
         .fold(0u64, |h, b| h.wrapping_mul(31) + b as u64)
+}
+
+/// The path a lane thread used to exist for: one connection sends,
+/// in one write, more puts for a held lane than the lane's queue
+/// holds (plus a multi-put and a scan over both lanes). Nobody but
+/// the connection's own thread can make room or serve the tail —
+/// the holder only lets go — and still every id is answered once,
+/// nothing is refused, and what was acked is durable.
+#[test]
+fn a_burst_larger_than_the_queue_needs_no_thread_but_its_own() {
+    const CAPACITY: usize = 8;
+    let kv = kv_with(
+        2,
+        &ServerConfig {
+            queue_capacity: CAPACITY,
+            ..ServerConfig::default()
+        },
+    );
+    let t = InProcTransport::new();
+    let srv = NetServer::start(&t, "inproc", Arc::clone(&kv)).unwrap();
+    let client = kv.client();
+    let value = |k: u64| (k * 31).to_le_bytes().to_vec();
+    let held: Vec<u64> = (0u64..)
+        .filter(|&k| client.lane_of(k) == 0)
+        .take(3 * CAPACITY)
+        .collect();
+    let many: Vec<(u64, Vec<u8>)> = (1000..1016).map(|k| (k, value(k))).collect();
+    assert!(many.iter().any(|&(k, _)| client.lane_of(k) == 1), "spans");
+    let mut burst: Vec<Request> = Vec::new();
+    burst.extend(held.iter().enumerate().map(|(id, &key)| Request::Put {
+        id: id as u64,
+        key,
+        value: value(key),
+    }));
+    let (many_id, scan_id) = (held.len() as u64, held.len() as u64 + 1);
+    let items = many.clone();
+    burst.push(Request::PutMany { id: many_id, items });
+    let (id, lo, hi, limit) = (scan_id, 1000, 1015, 100);
+    burst.push(Request::Scan { id, lo, hi, limit });
+    let mut wire = Vec::new();
+    for req in &burst {
+        wire.extend_from_slice(&encode_request(req));
+    }
+    assert!(wire.len() < 64 * 1024, "one read, so one group per lane");
+
+    let mut conn = t.connect("inproc").unwrap();
+    let gate = std::sync::Barrier::new(2);
+    let mut got: Vec<Response> = Vec::new();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            kv.with_shard(0, |_| {
+                gate.wait(); // the lane is held ...
+                gate.wait(); // ... until its queue is full
+            })
+        });
+        gate.wait();
+        conn.write_all_bytes(&wire).unwrap();
+        let t0 = std::time::Instant::now();
+        while {
+            let qs = kv.queue_stats();
+            qs.enqueued - qs.drained < CAPACITY as u64
+        } {
+            assert!(t0.elapsed().as_secs() < 20, "the burst never queued");
+            std::thread::yield_now();
+        }
+        gate.wait();
+        let mut dec = FrameDecoder::new();
+        let mut buf = vec![0u8; 4096];
+        while got.len() < burst.len() {
+            let n = conn.read_some(&mut buf).unwrap();
+            assert!(n > 0, "server closed early");
+            dec.extend_from(&buf[..n]);
+            while let Some(resp) = dec.next_response().unwrap() {
+                got.push(resp);
+            }
+        }
+    });
+    got.sort_unstable_by_key(|r| r.id());
+    let mut want: Vec<Response> = (0..many_id)
+        .map(|id| Response::Done { id, ok: true })
+        .collect();
+    want.push(Response::Done {
+        id: many_id,
+        ok: true,
+    });
+    let items = many.clone();
+    want.push(Response::Entries { id: scan_id, items });
+    assert_eq!(got, want, "every id once, none rejected");
+    let qs = kv.queue_stats();
+    assert!(qs.max_batch <= CAPACITY);
+    assert_eq!(qs.rejected, 0);
+    assert_eq!(qs.enqueued, qs.drained, "nothing left behind");
+    // ack => durable
+    kv.crash_and_recover_all(&CrashMode::StrictDurableOnly);
+    for (k, v) in held.iter().map(|&k| (k, value(k))).chain(many) {
+        assert_eq!(client.get(k), Some(v), "acked key {k} lost");
+    }
+    srv.shutdown();
+    kv.close();
 }

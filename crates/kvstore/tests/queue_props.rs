@@ -1,89 +1,172 @@
-//! Property suite for the bounded MPSC submission queue — the three
-//! invariants cross-client group commit leans on:
+//! Property suite for a lane's busy path — the three invariants
+//! cross-client group commit leans on, checked where the behaviour
+//! lives: on a [`KvServer`] lane that has no thread of its own, driven
+//! over the wire so that one submitter hands the lane whole groups.
 //!
-//! 1. **Per-client FIFO**: a single producer's requests appear in the
-//!    drained stream in exactly the order it pushed them, whatever the
-//!    interleaving with other producers and however the consumer's
-//!    batch cap slices the stream.
-//! 2. **No acknowledged request is dropped (or duplicated)**: every
-//!    push that returned `Ok` is drained exactly once — under blocking
-//!    *and* rejecting backpressure, with producers racing a live
-//!    consumer. Rejected pushes ride back to the caller.
-//! 3. **Occupancy is bounded**: no drained batch exceeds the queue
-//!    capacity or the consumer's batch cap.
+//! 1. **Per-client FIFO**: a single client's requests are served in
+//!    exactly the order it sent them, whatever the interleaving with
+//!    other clients, whichever thread serves and however the batch cap
+//!    slices the stream.
+//! 2. **Every accepted request is served exactly once**: under
+//!    [`Backpressure::Block`] everything is accepted — including one
+//!    submitter's group larger than the queue with no other thread
+//!    alive to make room; under [`Backpressure::Reject`] accepted +
+//!    refused = submitted, and refused requests ride back as
+//!    `Rejected`.
+//! 3. **Occupancy is bounded**: no batch exceeds the queue capacity or
+//!    the batch cap, on either lane path.
 
-use nvcache_kvstore::{Backpressure, PushError, SubmissionQueue};
+use std::sync::{Arc, Barrier, Mutex};
+
+use nvcache_fase::FaseStats;
+use nvcache_kvstore::proto::{encode_request, FrameDecoder, Request, Response};
+use nvcache_kvstore::{
+    Backpressure, BatchReply, BatchRequest, Engine, InProcTransport, KvServer, NetServer,
+    ServerConfig, SubmissionQueue, Transport,
+};
+use nvcache_pmem::{CrashMode, CrashPlan};
 use proptest::prelude::*;
-use std::sync::Mutex;
 
-/// Tag items `(producer, seq)` so the drained stream can be audited
-/// per producer afterwards.
-type Item = (usize, u64);
+/// Batches in the order the lane served them, each the keys of its puts.
+type Batches = Arc<Mutex<Vec<Vec<u64>>>>;
 
-struct Audit {
-    /// Per-producer sequences that were accepted (push returned `Ok`).
-    accepted: Vec<Vec<u64>>,
-    /// Batches in drain order.
-    batches: Vec<Vec<Item>>,
+/// An engine that only writes down what it was asked to serve.
+struct Recorder(Batches);
+
+impl Engine for Recorder {
+    fn serve_batch(&mut self, reqs: &[BatchRequest]) -> Vec<BatchReply> {
+        let keys = reqs.iter().map(|r| match r {
+            BatchRequest::Put(k, _) => *k,
+            other => panic!("the suite sends puts only, got {other:?}"),
+        });
+        self.0.lock().unwrap().push(keys.collect());
+        vec![BatchReply::Done(true); reqs.len()]
+    }
+    fn heal_after_panic(&mut self) -> bool {
+        false
+    }
+    fn crash_and_recover(&mut self, _: &CrashMode) {}
+    fn sync(&mut self) {}
+    fn len(&self) -> usize {
+        0
+    }
+    fn dump(&mut self) -> Vec<(u64, Vec<u8>)> {
+        Vec::new()
+    }
+    fn stats(&self) -> FaseStats {
+        FaseStats::default()
+    }
+    fn take_stats(&mut self) -> FaseStats {
+        FaseStats::default()
+    }
+    fn steps(&self) -> u64 {
+        0
+    }
+    fn arm_crash(&mut self, _: CrashPlan) {}
+    fn take_crash_image(&mut self) -> Option<Vec<u8>> {
+        None
+    }
 }
 
-fn drive(
-    producers: usize,
-    per_producer: u64,
-    capacity: usize,
-    max_batch: usize,
-    backpressure: Backpressure,
-) -> Audit {
-    let q = SubmissionQueue::new(capacity, backpressure);
-    let accepted: Vec<Mutex<Vec<u64>>> = (0..producers).map(|_| Mutex::new(Vec::new())).collect();
-    let batches: Mutex<Vec<Vec<Item>>> = Mutex::new(Vec::new());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..producers)
-            .map(|p| {
-                let q = &q;
-                let accepted = &accepted;
-                scope.spawn(move || {
-                    for seq in 0..per_producer {
-                        match q.push((p, seq)) {
-                            Ok(()) => accepted[p].lock().unwrap().push(seq),
-                            Err(PushError::Full((bp, bseq))) => {
-                                // the refused request came back intact
-                                assert_eq!((bp, bseq), (p, seq));
-                            }
-                            Err(PushError::Closed(_)) => {
-                                panic!("queue closed while producers live")
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        let consumer = {
-            let q = &q;
-            let batches = &batches;
-            scope.spawn(move || {
-                let mut out: Vec<Item> = Vec::new();
-                loop {
-                    out.clear();
-                    if !q.drain_into(&mut out, max_batch) {
-                        return;
-                    }
-                    batches.lock().unwrap().push(out.clone());
-                }
-            })
-        };
-        for h in handles {
-            h.join().unwrap();
+/// Request `seq` of `client`, as a key.
+fn key(client: usize, seq: u64) -> u64 {
+    (client as u64) << 32 | seq
+}
+
+/// One connection's session: requests `0..total` as puts, `burst` per
+/// write (one write is one read on the server, so one group on the
+/// lane), each burst answered in full before the next goes out. Returns
+/// the sequence numbers the lane accepted, ascending; the rest came
+/// back `Rejected`.
+fn session(t: &InProcTransport, client: usize, total: u64, burst: u64) -> Vec<u64> {
+    let mut conn = t.connect("inproc").unwrap();
+    let (mut dec, mut buf) = (FrameDecoder::new(), vec![0u8; 4096]);
+    let mut accepted = Vec::new();
+    let mut seq = 0;
+    while seq < total {
+        let n = burst.min(total - seq);
+        let mut wire = Vec::new();
+        for id in seq..seq + n {
+            let (key, value) = (key(client, id), vec![0]);
+            wire.extend_from_slice(&encode_request(&Request::Put { id, key, value }));
         }
-        q.close();
-        consumer.join().unwrap();
+        conn.write_all_bytes(&wire).unwrap();
+        let mut answered = 0;
+        while answered < n {
+            let got = conn.read_some(&mut buf).unwrap();
+            assert!(got > 0, "server closed early");
+            dec.extend_from(&buf[..got]);
+            while let Some(resp) = dec.next_response().unwrap() {
+                match resp {
+                    Response::Done { id, ok: true } => accepted.push(id),
+                    Response::Rejected { .. } => {}
+                    other => panic!("unexpected {other:?}"),
+                }
+                answered += 1;
+            }
+        }
+        seq += n;
+    }
+    accepted.sort_unstable();
+    accepted
+}
+
+struct Audit {
+    /// Per client (the lone last one included): what was accepted.
+    accepted: Vec<Vec<u64>>,
+    /// How many requests were sent in all.
+    submitted: u64,
+    batches: Vec<Vec<u64>>,
+    rejected: u64,
+}
+
+/// `clients` concurrent sessions against one lane whose engine is held
+/// until their first bursts have queued (so requests really queue),
+/// then — every other thread gone — one more session whose single burst
+/// is larger than the queue.
+fn drive(clients: usize, per_client: u64, burst: u64, scfg: &ServerConfig) -> Audit {
+    let batches = Batches::default();
+    let kv = Arc::new(KvServer::with_engines(
+        [Recorder(Arc::clone(&batches))],
+        scfg,
+    ));
+    let t = InProcTransport::new();
+    let srv = NetServer::start(&t, "inproc", Arc::clone(&kv)).unwrap();
+    let first_bursts = clients as u64 * burst.min(per_client);
+    let gate = Barrier::new(2);
+    let mut accepted: Vec<Vec<u64>> = std::thread::scope(|s| {
+        s.spawn(|| {
+            kv.with_shard(0, |_| {
+                gate.wait(); // the lane is held ...
+                gate.wait(); // ... until the first bursts are queued
+            })
+        });
+        gate.wait();
+        let t = &t;
+        let sessions: Vec<_> = (0..clients)
+            .map(|c| s.spawn(move || session(t, c, per_client, burst)))
+            .collect();
+        while {
+            let qs = kv.queue_stats();
+            qs.enqueued - qs.drained < first_bursts.min(scfg.queue_capacity as u64)
+        } {
+            std::thread::yield_now();
+        }
+        gate.wait();
+        sessions.into_iter().map(|h| h.join().unwrap()).collect()
     });
+    let lone = scfg.queue_capacity as u64 + 3;
+    accepted.push(session(&t, clients, lone, lone));
+    srv.shutdown();
+    let qs = kv.queue_stats();
+    assert_eq!(qs.enqueued, qs.drained, "nothing left behind");
+    kv.close();
+    let batches = std::mem::take(&mut *batches.lock().unwrap());
     Audit {
-        accepted: accepted
-            .into_iter()
-            .map(|m| m.into_inner().unwrap())
-            .collect(),
-        batches: batches.into_inner().unwrap(),
+        accepted,
+        submitted: clients as u64 * per_client + lone,
+        batches,
+        rejected: qs.rejected,
     }
 }
 
@@ -92,38 +175,39 @@ proptest! {
 
     #[test]
     fn fifo_no_drops_bounded_occupancy(
-        producers in 1usize..5,
-        per_producer in 1u64..120,
-        capacity in 1usize..17,
+        clients in 1usize..5,
+        per_client in 1u64..120,
+        burst in 1u64..25,
+        queue_capacity in 1usize..17,
         max_batch in 1usize..33,
         reject in any::<bool>(),
     ) {
-        let bp = if reject { Backpressure::Reject } else { Backpressure::Block };
-        let audit = drive(producers, per_producer, capacity, max_batch, bp);
+        let backpressure = if reject { Backpressure::Reject } else { Backpressure::Block };
+        let scfg = ServerConfig { queue_capacity, backpressure, max_batch };
+        let audit = drive(clients, per_client, burst, &scfg);
 
         // (3) occupancy ≤ min(capacity, batch cap), and never empty
         for b in &audit.batches {
             prop_assert!(!b.is_empty());
-            prop_assert!(b.len() <= capacity.min(max_batch.max(1)));
+            prop_assert!(b.len() <= queue_capacity.min(max_batch));
         }
 
-        // (1) per-producer FIFO across the concatenated drain stream
-        let drained: Vec<Item> = audit.batches.iter().flatten().copied().collect();
-        for p in 0..producers {
-            let got: Vec<u64> = drained
-                .iter()
-                .filter(|(who, _)| *who == p)
-                .map(|&(_, seq)| seq)
-                .collect();
-            prop_assert_eq!(&got, &audit.accepted[p], "producer {} reordered", p);
+        // (1) per-client FIFO across the concatenated served stream
+        let served: Vec<u64> = audit.batches.iter().flatten().copied().collect();
+        for (c, accepted) in audit.accepted.iter().enumerate() {
+            let got: Vec<u64> = served.iter().filter(|&&k| k >> 32 == c as u64).copied().collect();
+            let want: Vec<u64> = accepted.iter().map(|&seq| key(c, seq)).collect();
+            prop_assert_eq!(got, want, "client {} reordered, dropped or served twice", c);
         }
 
-        // (2) accepted ⇔ drained, exactly once
-        let total_accepted: usize = audit.accepted.iter().map(Vec::len).sum();
-        prop_assert_eq!(drained.len(), total_accepted);
+        // (2) accepted ⇔ served exactly once; refused ones rode back
+        let total_accepted = audit.accepted.iter().map(Vec::len).sum::<usize>();
+        prop_assert_eq!(served.len(), total_accepted);
+        prop_assert_eq!(total_accepted as u64 + audit.rejected, audit.submitted);
         if !reject {
-            // blocking backpressure accepts everything eventually
-            prop_assert_eq!(total_accepted as u64, producers as u64 * per_producer);
+            // making room accepts everything — the lone oversized
+            // group included
+            prop_assert_eq!(audit.rejected, 0);
         }
     }
 

@@ -8,6 +8,13 @@
 //! flushed and fenced before the allocator returns, so a reopened region
 //! always sees a consistent heap. (Atomicity of *user data* inside
 //! allocated blocks is the FASE runtime's job, not the allocator's.)
+//!
+//! A reopened region may be anything — a disk file, a fuzzer's image —
+//! so the header is looked at before it is believed: [`PAlloc::open`]
+//! vouches for the cursor, the limit and every free-list head, and
+//! [`PAlloc::alloc`] for each link it is about to make the new head. A
+//! heap that fails the check is refused or runs dry; it never hands out
+//! an offset outside `[HEAP_START, bump)`.
 
 use crate::region::{PmemRegion, LINE_SIZE};
 
@@ -47,6 +54,27 @@ pub(crate) fn class_size(i: usize) -> usize {
     16usize << i
 }
 
+/// Could the heap have handed out `block` bytes at `off`: 16-aligned
+/// and inside `[HEAP_START, bump)`?
+fn in_heap(off: u64, block: usize, bump: u64) -> bool {
+    off.is_multiple_of(16)
+        && off >= HEAP_START as u64
+        && off.checked_add(block as u64).is_some_and(|end| end <= bump)
+}
+
+/// Advance the bump cursor by `span` bytes with one metadata persist:
+/// the old cursor, or `None` when that would pass the limit.
+fn bump_by(region: &mut PmemRegion, span: u64) -> Option<u64> {
+    let bump = region.read_u64(OFF_BUMP);
+    let end = bump.checked_add(span)?;
+    if end > region.read_u64(OFF_LIMIT) {
+        return None;
+    }
+    region.write_u64(OFF_BUMP, end);
+    region.persist(OFF_BUMP, 8);
+    Some(bump)
+}
+
 impl PAlloc {
     /// Initialize a fresh region as an empty heap spanning the whole
     /// region.
@@ -71,14 +99,29 @@ impl PAlloc {
         PAlloc { _priv: () }
     }
 
-    /// Open an existing heap; fails if the magic is absent (fresh or
-    /// corrupt region).
+    /// Open an existing heap; fails if the magic is absent (fresh
+    /// region) or the header is one no allocator wrote: `HEAP_START ≤
+    /// bump ≤ limit ≤ region.len()`, the cursor 16-aligned, every
+    /// free-list head 0 or a block of its class below the cursor.
     pub fn open(region: &PmemRegion) -> Option<Self> {
-        if region.len() > HEAP_START && region.read_u64(OFF_MAGIC) == MAGIC {
-            Some(PAlloc { _priv: () })
-        } else {
-            None
+        if region.len() <= HEAP_START || region.read_u64(OFF_MAGIC) != MAGIC {
+            return None;
         }
+        let (bump, limit) = (region.read_u64(OFF_BUMP), region.read_u64(OFF_LIMIT));
+        let cursor_ok = HEAP_START as u64 <= bump
+            && bump <= limit
+            && limit <= region.len() as u64
+            && bump.is_multiple_of(16);
+        let heads_ok = (0..NUM_CLASSES).all(|class| {
+            let head = region.read_u64(OFF_FREE + class * 8);
+            head == 0 || in_heap(head, class_size(class), bump)
+        });
+        (cursor_ok && heads_ok).then_some(PAlloc { _priv: () })
+    }
+
+    /// End of the bump region (see [`PAlloc::format_with_limit`]).
+    pub fn limit(&self, region: &PmemRegion) -> u64 {
+        region.read_u64(OFF_LIMIT)
     }
 
     /// The user root object offset (0 = unset).
@@ -93,25 +136,25 @@ impl PAlloc {
     }
 
     /// Allocate `size` bytes; returns the offset, or `None` when the
-    /// region is exhausted or the size exceeds the largest class (4 KiB).
+    /// region is exhausted, the size exceeds the largest class (4 KiB),
+    /// or the class's free list runs into a link no `free` wrote.
     pub fn alloc(&self, region: &mut PmemRegion, size: usize) -> Option<u64> {
         let class = class_of(size)?;
+        let block = class_size(class);
         let head_off = OFF_FREE + class * 8;
         let head = region.read_u64(head_off);
         if head != 0 {
+            // the head was vouched for when it became the head; its
+            // link is a word of the image and is looked at now
             let next = region.read_u64(head as usize);
+            if next != 0 && !in_heap(next, block, region.read_u64(OFF_BUMP)) {
+                return None;
+            }
             region.write_u64(head_off, next);
             region.persist(head_off, 8);
             return Some(head);
         }
-        let bump = region.read_u64(OFF_BUMP);
-        let block = class_size(class) as u64;
-        if bump + block > region.read_u64(OFF_LIMIT) {
-            return None;
-        }
-        region.write_u64(OFF_BUMP, bump + block);
-        region.persist(OFF_BUMP, 8);
-        Some(bump)
+        bump_by(region, block as u64)
     }
 
     /// Free the block at `offset` previously allocated with `size`.
@@ -141,16 +184,9 @@ impl PAlloc {
         if count == 0 {
             return None;
         }
-        let class = class_of(size)?;
-        let block = class_size(class);
-        let bump = region.read_u64(OFF_BUMP);
-        let span = (block * count) as u64;
-        if bump + span > region.read_u64(OFF_LIMIT) {
-            return None;
-        }
-        region.write_u64(OFF_BUMP, bump + span);
-        region.persist(OFF_BUMP, 8);
-        Some((bump, block))
+        let block = class_size(class_of(size)?);
+        let span = (block as u64).checked_mul(count as u64)?;
+        Some((bump_by(region, span)?, block))
     }
 
     /// Bytes remaining for fresh (bump) allocation.
@@ -244,6 +280,70 @@ mod tests {
     fn open_rejects_unformatted() {
         let r = PmemRegion::new(1 << 16);
         assert!(PAlloc::open(&r).is_none());
+    }
+
+    /// A heap header is bytes of an image: four headers no allocator
+    /// wrote (each, believed, panics or hands out memory the heap does
+    /// not own) are refused at `open`.
+    #[test]
+    fn open_rejects_a_header_no_allocator_wrote() {
+        let len = 1u64 << 16;
+        let hostile: [(&str, &[(usize, u64)]); 4] = [
+            (
+                "free-list head past the region",
+                &[(OFF_FREE + 2 * 8, len + 64)],
+            ),
+            (
+                "limit and cursor past the region",
+                &[(OFF_LIMIT, 1 << 40), (OFF_BUMP, 1 << 30)],
+            ),
+            ("cursor inside the header", &[(OFF_BUMP, OFF_ROOT as u64)]),
+            ("cursor past the limit", &[(OFF_BUMP, len + 16)]),
+        ];
+        for (what, words) in hostile {
+            let (mut r, a) = fresh(len as usize);
+            let x = a.alloc(&mut r, 64).unwrap();
+            a.free(&mut r, x, 64);
+            assert!(PAlloc::open(&r).is_some(), "sound before the edit");
+            for &(off, word) in words {
+                r.write_u64(off, word);
+            }
+            assert!(PAlloc::open(&r).is_none(), "{what}");
+        }
+        // a head may not even point at a block of another class's size
+        // that straddles the cursor, or at an unaligned one
+        let (mut r, a) = fresh(len as usize);
+        let x = a.alloc(&mut r, 16).unwrap();
+        r.write_u64(OFF_FREE + 8 * 8, x);
+        assert!(
+            PAlloc::open(&r).is_none(),
+            "4 KiB block at the cursor's edge"
+        );
+        r.write_u64(OFF_FREE + 8 * 8, 0);
+        r.write_u64(OFF_FREE, x + 8);
+        assert!(PAlloc::open(&r).is_none(), "unaligned head");
+    }
+
+    /// `open` sees the heads, not the chains: a corrupted link two
+    /// blocks down ends that list when `alloc` reaches it — `None`,
+    /// never the bad offset and never a read outside the region.
+    #[test]
+    fn alloc_stops_at_a_link_no_free_wrote() {
+        for bad in [8, 1 << 40, u64::MAX - 7, HEAP_START as u64 + 8] {
+            let (mut r, a) = fresh(1 << 16);
+            let blocks: Vec<u64> = (0..3).map(|_| a.alloc(&mut r, 64).unwrap()).collect();
+            for &b in &blocks {
+                a.free(&mut r, b, 64);
+            }
+            // the list is 2 -> 1 -> 0; block 1's link now lies
+            r.write_u64(blocks[1] as usize, bad);
+            let a = PAlloc::open(&r).expect("the heads are sound");
+            assert_eq!(a.alloc(&mut r, 64), Some(blocks[2]));
+            assert_eq!(a.alloc(&mut r, 64), None, "link {bad:#x} refused");
+            assert_eq!(a.alloc(&mut r, 64), None, "and the list stays ended");
+            // the other classes are untouched
+            assert!(a.alloc(&mut r, 16).is_some());
+        }
     }
 
     #[test]

@@ -155,11 +155,13 @@ impl FasePager {
     }
 
     /// Re-attach to a crash image (runs FASE recovery; the caller
-    /// rebuilds the tree's volatile state afterwards).
+    /// rebuilds the tree's volatile state afterwards). An image whose
+    /// heap header the runtime does not vouch for reopens with no root
+    /// ([`RootStore::root`] reads 0), which the tree's attach refuses.
     pub fn reopen_from_image(image: Vec<u8>, cfg: &TreeConfig) -> Result<FasePager, RecoveryError> {
         let region = PmemRegion::from_image(image);
         let mut rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &cfg.policy)?;
-        if cfg.pipelined {
+        if cfg.pipelined && rt.has_heap() {
             rt.set_flush_mode(FlushMode::Pipelined);
             rt.enable_slab();
         }
@@ -246,7 +248,11 @@ impl PageWrite for FasePager {
 
 impl RootStore for FasePager {
     fn root(&self) -> u64 {
-        self.rt.root()
+        if self.rt.has_heap() {
+            self.rt.root()
+        } else {
+            0
+        }
     }
 
     fn set_root(&mut self, off: u64) {

@@ -2078,6 +2078,30 @@ mod tests {
         }
     }
 
+    /// The allocator's header is part of the image: one no allocator
+    /// wrote (here a bump cursor inside the header) is a typed refusal,
+    /// pipelined or not — not a tree that allocates over its own root.
+    #[test]
+    fn reopen_from_image_rejects_a_hostile_allocator_header() {
+        for pipelined in [false, true] {
+            let cfg = TreeConfig {
+                pipelined,
+                ..small_cfg()
+            };
+            let mut t = Tree::create(&cfg).unwrap();
+            t.begin();
+            t.put(1, b"one").unwrap();
+            t.commit();
+            let mut image = t.store.runtime_mut().region().durable_image().to_vec();
+            assert!(Tree::reopen_from_image(image.clone(), &cfg).is_ok());
+            image[16..24].copy_from_slice(&8u64.to_le_bytes()); // `PAlloc`'s cursor
+            let err = Tree::reopen_from_image(image, &cfg)
+                .map(|_| ())
+                .unwrap_err();
+            assert_eq!(err, TreeError::BadMeta("no durable root pointer"));
+        }
+    }
+
     #[test]
     fn second_touch_of_a_staged_leaf_stores_only_the_changed_bytes() {
         let mut t = Tree::create(&small_cfg()).unwrap();
