@@ -19,16 +19,14 @@
 //! return `(tid, result)` pairs that are re-assembled in tid order
 //! before any aggregation happens.
 //!
-//! Dispatch architecture: the replay loops are generic over
-//! `P: PersistPolicy + ?Sized`, and the public entry points match on
-//! [`PolicyKind`] **once** (via `dispatch_kind!`) to instantiate them
-//! with each concrete policy type. Every `on_store` in the hot loop is
-//! therefore a direct, inlinable call — no vtable, no box. The same
-//! generic loops instantiated with `dyn PersistPolicy` form the
-//! reference engine ([`flush_stats_dyn`] & friends), kept for
-//! differential testing and for benchmarking the dispatch win.
+//! Dispatch: each trace thread builds its policy with
+//! [`PolicyKind::build_policy`] and matches on the
+//! [`Policy`](crate::Policy) variant **once**, outside the loop, so the
+//! replay loops (generic over `P: PersistPolicy`) compile once per
+//! concrete policy × recorder. Every `on_store` in the hot loop is a
+//! direct, inlinable call — no per-event match, no vtable, no box.
 
-use crate::policy::{PersistPolicy, PolicyKind, StoreOutcome};
+use crate::policy::{each_variant, PersistPolicy, PolicyKind, StoreOutcome};
 use nvcache_cachesim::{Machine, MachineConfig, MachineReport};
 use nvcache_telemetry::{
     CounterId, EventKind, HistId, NullRecorder, Recorder, Sample, TelemetryConfig,
@@ -199,13 +197,12 @@ impl StoreBatch {
 
 /// Replay one thread through `policy`, counting flushes.
 ///
-/// Generic over the policy (`?Sized`, so both concrete types and
-/// `dyn PersistPolicy` instantiate the same loop) and the telemetry
-/// [`Recorder`]: with [`NullRecorder`] every `R::ENABLED` block is a
-/// constant-false branch the optimizer deletes, so the uninstrumented
-/// path is byte-for-byte the pre-telemetry loop. Timeline timestamps in
-/// this (untimed) driver are the per-thread trace-event ordinal.
-fn flush_thread<P: PersistPolicy + ?Sized, R: Recorder>(
+/// Generic over the concrete policy and the telemetry [`Recorder`]: with
+/// [`NullRecorder`] every `R::ENABLED` block is a constant-false branch
+/// the optimizer deletes, so the uninstrumented path is byte-for-byte
+/// the pre-telemetry loop. Timeline timestamps in this (untimed) driver
+/// are the per-thread trace-event ordinal.
+fn flush_thread<P: PersistPolicy, R: Recorder>(
     thread: &ThreadTrace,
     policy: &mut P,
     rec: &mut R,
@@ -287,41 +284,6 @@ fn flush_thread<P: PersistPolicy + ?Sized, R: Recorder>(
     acc
 }
 
-/// Monomorphize `$body` over the concrete policy type `$kind` names.
-/// `$build` binds to a fresh-instance constructor in each arm, so a
-/// replay loop inside `$body` compiles once per policy (and per
-/// recorder), with the policy callbacks devirtualized and inlined.
-macro_rules! dispatch_kind {
-    ($kind:expr, $build:ident => $body:expr) => {
-        match $kind {
-            PolicyKind::Eager => {
-                let $build = crate::eager::EagerPolicy::new;
-                $body
-            }
-            PolicyKind::Lazy => {
-                let $build = crate::lazy::LazyPolicy::new;
-                $body
-            }
-            PolicyKind::Atlas { size } => {
-                let $build = || crate::atlas::AtlasPolicy::new(*size);
-                $body
-            }
-            PolicyKind::ScFixed { capacity } => {
-                let $build = || crate::sc::ScPolicy::new(*capacity);
-                $body
-            }
-            PolicyKind::ScAdaptive(cfg) => {
-                let $build = || crate::adaptive::AdaptiveScPolicy::new(cfg.clone());
-                $body
-            }
-            PolicyKind::Best => {
-                let $build = crate::best::BestPolicy::new;
-                $body
-            }
-        }
-    };
-}
-
 /// Count flushes exactly, without the timing model (sequentially).
 pub fn flush_stats(trace: &Trace, kind: &PolicyKind) -> FlushStats {
     flush_stats_with(trace, kind, &ReplayOptions::sequential())
@@ -331,10 +293,9 @@ pub fn flush_stats(trace: &Trace, kind: &PolicyKind) -> FlushStats {
 /// `opts.parallelism` OS threads. Identical output to [`flush_stats`]
 /// for every `opts`.
 pub fn flush_stats_with(trace: &Trace, kind: &PolicyKind, opts: &ReplayOptions) -> FlushStats {
-    let per = dispatch_kind!(kind, build => {
-        fan_out(&trace.threads, opts.parallelism, |_tid, t| {
-            flush_thread(t, &mut build(), &mut NullRecorder)
-        })
+    let per = fan_out(&trace.threads, opts.parallelism, |_tid, t| {
+        let mut policy = kind.build_policy();
+        each_variant!(&mut policy, p => flush_thread(t, p, &mut NullRecorder))
     });
     aggregate_flushes(kind, per)
 }
@@ -350,12 +311,10 @@ pub fn flush_stats_traced(
     opts: &ReplayOptions,
     tcfg: &TelemetryConfig,
 ) -> (FlushStats, TelemetrySnapshot) {
-    let per = dispatch_kind!(kind, build => {
-        fan_out(&trace.threads, opts.parallelism, |tid, t| {
-            let mut rec = ThreadRecorder::new(tid as u32, tcfg);
-            let flushes = flush_thread(t, &mut build(), &mut rec);
-            (flushes, rec)
-        })
+    let per = fan_out(&trace.threads, opts.parallelism, |tid, t| {
+        let (mut policy, mut rec) = (kind.build_policy(), ThreadRecorder::new(tid as u32, tcfg));
+        let flushes = each_variant!(&mut policy, p => flush_thread(t, p, &mut rec));
+        (flushes, rec)
     });
     let (flushes, snapshot) = split_shards(per);
     (aggregate_flushes(kind, flushes), snapshot)
@@ -368,15 +327,10 @@ fn split_shards<T>(per: Vec<(T, ThreadRecorder)>) -> (Vec<T>, TelemetrySnapshot)
     (results, TelemetrySnapshot::from_threads(shards))
 }
 
-/// [`flush_stats_with`] through the boxed `dyn PersistPolicy` shim —
-/// the reference engine. Instantiates the *same* generic loop with
-/// `dyn PersistPolicy`, so any divergence from the monomorphized path
-/// is a dispatch bug; the differential suite pins them bit-identical.
+/// [`flush_stats_with`] under a second name, kept only because the repo
+/// benchmark (`benchmark/src/adapter.rs`) calls it.
 pub fn flush_stats_dyn(trace: &Trace, kind: &PolicyKind, opts: &ReplayOptions) -> FlushStats {
-    let per = fan_out(&trace.threads, opts.parallelism, |_tid, t| {
-        flush_thread(t, &mut *kind.build(), &mut NullRecorder)
-    });
-    aggregate_flushes(kind, per)
+    flush_stats_with(trace, kind, opts)
 }
 
 fn aggregate_flushes(kind: &PolicyKind, per: Vec<ThreadFlushes>) -> FlushStats {
@@ -467,7 +421,7 @@ fn drain_fase_buf<R: Recorder>(m: &mut Machine, buf: &mut Vec<nvcache_trace::Lin
 /// the timeline time axis is the machine's simulated cycle clock, and
 /// the instrumentation additionally samples flush-queue depth and
 /// attributes stall cycles to sync flushes vs. FASE-end drains.
-fn replay_thread<P: PersistPolicy + ?Sized, R: Recorder>(
+fn replay_thread<P: PersistPolicy, R: Recorder>(
     thread: &ThreadTrace,
     tid: usize,
     policy: &mut P,
@@ -616,10 +570,9 @@ pub fn run_policy_with(
     cfg: &RunConfig,
     opts: &ReplayOptions,
 ) -> RunReport {
-    let per = dispatch_kind!(kind, build => {
-        fan_out(&trace.threads, opts.parallelism, |tid, t| {
-            replay_thread(t, tid, &mut build(), cfg, &mut NullRecorder)
-        })
+    let per = fan_out(&trace.threads, opts.parallelism, |tid, t| {
+        let mut policy = kind.build_policy();
+        each_variant!(&mut policy, p => replay_thread(t, tid, p, cfg, &mut NullRecorder))
     });
     aggregate_runs(kind, per)
 }
@@ -635,29 +588,24 @@ pub fn run_policy_traced(
     opts: &ReplayOptions,
     tcfg: &TelemetryConfig,
 ) -> (RunReport, TelemetrySnapshot) {
-    let per = dispatch_kind!(kind, build => {
-        fan_out(&trace.threads, opts.parallelism, |tid, t| {
-            let mut rec = ThreadRecorder::new(tid as u32, tcfg);
-            let out = replay_thread(t, tid, &mut build(), cfg, &mut rec);
-            (out, rec)
-        })
+    let per = fan_out(&trace.threads, opts.parallelism, |tid, t| {
+        let (mut policy, mut rec) = (kind.build_policy(), ThreadRecorder::new(tid as u32, tcfg));
+        let out = each_variant!(&mut policy, p => replay_thread(t, tid, p, cfg, &mut rec));
+        (out, rec)
     });
     let (runs, snapshot) = split_shards(per);
     (aggregate_runs(kind, runs), snapshot)
 }
 
-/// [`run_policy_with`] through the boxed `dyn PersistPolicy` shim —
-/// the timed reference engine (same generic loop, vtable dispatch).
+/// [`run_policy_with`] under a second name, kept only because the repo
+/// benchmark (`benchmark/src/adapter.rs`) calls it.
 pub fn run_policy_dyn(
     trace: &Trace,
     kind: &PolicyKind,
     cfg: &RunConfig,
     opts: &ReplayOptions,
 ) -> RunReport {
-    let per = fan_out(&trace.threads, opts.parallelism, |tid, t| {
-        replay_thread(t, tid, &mut *kind.build(), cfg, &mut NullRecorder)
-    });
-    aggregate_runs(kind, per)
+    run_policy_with(trace, kind, cfg, opts)
 }
 
 fn aggregate_runs(kind: &PolicyKind, per: Vec<(u64, MachineReport)>) -> RunReport {

@@ -15,10 +15,10 @@
 //!
 //! The cache itself ([`lru::LruCache`]) is the paper's hash-map +
 //! doubly-linked-list design with O(1) lookup, insertion, promotion,
-//! eviction and resize. It is strictly per-thread: policies are `!Sync`
-//! by construction and each simulated or real thread owns one instance,
-//! so there is no locking anywhere on the store path (paper Section
-//! II-B).
+//! eviction and resize. It is strictly per-thread by ownership: each
+//! simulated or real thread builds and owns its own policy instance and
+//! every call takes `&mut self`, so there is no locking anywhere on the
+//! store path (paper Section II-B).
 //!
 //! [`driver`] replays recorded traces through a policy, either counting
 //! flushes exactly (Table III) or against the full machine timing model

@@ -74,7 +74,8 @@ pub trait PersistPolicy {
 }
 
 /// Factory enumeration of the six techniques, used by the harness to
-/// instantiate one policy instance per thread.
+/// instantiate one policy instance per thread
+/// ([`PolicyKind::build_policy`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolicyKind {
     /// ER: flush on every store.
@@ -99,27 +100,9 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Instantiate a fresh per-thread policy behind a `Box<dyn …>`.
-    ///
-    /// Compatibility shim: external callers that want type erasure keep
-    /// working, but every call through the box is a virtual dispatch.
-    /// Hot paths should use [`PolicyKind::build_policy`] (enum dispatch)
-    /// or monomorphize over the concrete types like `driver` does.
-    pub fn build(&self) -> Box<dyn PersistPolicy + Send> {
-        match self {
-            PolicyKind::Eager => Box::new(crate::eager::EagerPolicy::new()),
-            PolicyKind::Lazy => Box::new(crate::lazy::LazyPolicy::new()),
-            PolicyKind::Atlas { size } => Box::new(crate::atlas::AtlasPolicy::new(*size)),
-            PolicyKind::ScFixed { capacity } => Box::new(crate::sc::ScPolicy::new(*capacity)),
-            PolicyKind::ScAdaptive(cfg) => {
-                Box::new(crate::adaptive::AdaptiveScPolicy::new(cfg.clone()))
-            }
-            PolicyKind::Best => Box::new(crate::best::BestPolicy::new()),
-        }
-    }
-
     /// Instantiate a fresh per-thread policy as a stack-allocated
-    /// [`Policy`] enum — no heap allocation, no vtable.
+    /// [`Policy`] enum — no heap allocation, no vtable. The one place a
+    /// kind becomes a policy.
     pub fn build_policy(&self) -> Policy {
         match self {
             PolicyKind::Eager => Policy::Eager(crate::eager::EagerPolicy::new()),
@@ -151,12 +134,11 @@ impl PolicyKind {
 /// A concrete, stack-allocated policy instance — one variant per
 /// technique, built by [`PolicyKind::build_policy`].
 ///
-/// Unlike the boxed `dyn` shim, every [`PersistPolicy`] method on this
-/// enum is an `#[inline]` six-way match: callers that hold a `Policy`
-/// pay one predictable branch per call instead of a virtual dispatch,
-/// and callers that match on the variant once (the replay drivers in
-/// [`crate::driver`]) monomorphize their whole loop per concrete policy
-/// type with zero dispatch cost.
+/// Every [`PersistPolicy`] method on this enum is an `#[inline]` six-way
+/// match: callers that hold a `Policy` across calls (`FaseRuntime`) pay
+/// one predictable branch per call, and callers that match on the
+/// variant once (the replay drivers in [`crate::driver`]) monomorphize
+/// their whole loop per concrete policy type with zero dispatch cost.
 // size skew (ScAdaptive carries the burst sampler) is fine: instances
 // live one-per-thread on the stack, never in bulk collections, so the
 // boxing clippy suggests would only buy back a pointer chase
@@ -177,31 +159,24 @@ pub enum Policy {
     Best(crate::best::BestPolicy),
 }
 
+/// Evaluate `$e` with `$p` bound to the concrete policy inside a
+/// [`Policy`]: `$e` compiles once per variant, so a replay loop called
+/// from it is monomorphized per concrete policy type.
 macro_rules! each_variant {
     ($self:expr, $p:ident => $e:expr) => {
         match $self {
-            Policy::Eager($p) => $e,
-            Policy::Lazy($p) => $e,
-            Policy::Atlas($p) => $e,
-            Policy::ScFixed($p) => $e,
-            Policy::ScAdaptive($p) => $e,
-            Policy::Best($p) => $e,
+            $crate::policy::Policy::Eager($p) => $e,
+            $crate::policy::Policy::Lazy($p) => $e,
+            $crate::policy::Policy::Atlas($p) => $e,
+            $crate::policy::Policy::ScFixed($p) => $e,
+            $crate::policy::Policy::ScAdaptive($p) => $e,
+            $crate::policy::Policy::Best($p) => $e,
         }
     };
 }
+pub(crate) use each_variant;
 
 impl Policy {
-    /// Current software-cache capacity, for the two SC variants; `None`
-    /// for policies without a resizable cache. Lets a serving loop
-    /// report the live capacity without knowing the concrete variant.
-    pub fn sc_capacity(&self) -> Option<usize> {
-        match self {
-            Policy::ScFixed(p) => Some(p.capacity()),
-            Policy::ScAdaptive(p) => Some(p.capacity()),
-            _ => None,
-        }
-    }
-
     /// Resize the software cache to `capacity` on behalf of an external
     /// controller (`knee` = the MRC knee that motivated it). Evicted
     /// entries are appended to `out` for the caller to flush. Returns
@@ -260,7 +235,7 @@ impl PersistPolicy for Policy {
 
     #[inline]
     fn sc_capacity(&self) -> Option<usize> {
-        Policy::sc_capacity(self)
+        each_variant!(self, p => p.sc_capacity())
     }
 
     #[inline]
@@ -288,8 +263,7 @@ mod tests {
         ];
         for (kind, label) in kinds {
             assert_eq!(kind.label(), label);
-            let p = kind.build();
-            assert!(!p.name().is_empty());
+            assert_eq!(kind.build_policy().name(), label);
         }
     }
 
@@ -317,53 +291,62 @@ mod tests {
         assert_eq!(adaptive.take_capacity_change(), Some((9, 10)));
     }
 
-    #[test]
-    fn enum_policy_behaves_like_boxed_policy() {
+    /// Drive `concrete` and the [`Policy`] `kind` builds through the same
+    /// event stream: the enum's forwarding must be invisible.
+    fn behaves_like<P: PersistPolicy>(kind: PolicyKind, mut concrete: P) {
         use nvcache_trace::Line;
-        let kinds = [
-            PolicyKind::Eager,
-            PolicyKind::Lazy,
-            PolicyKind::Atlas { size: 4 },
-            PolicyKind::ScFixed { capacity: 4 },
-            PolicyKind::ScAdaptive(crate::adaptive::AdaptiveConfig {
-                burst_len: 64,
-                ..Default::default()
-            }),
-            PolicyKind::Best,
-        ];
-        for kind in kinds {
-            let mut boxed = kind.build();
-            let mut inline = kind.build_policy();
-            assert_eq!(boxed.name(), inline.name());
-            let (mut b_out, mut e_out) = (Vec::new(), Vec::new());
-            for i in 0..200u64 {
-                let line = Line(i % 7);
-                assert_eq!(
-                    boxed.on_store(line, &mut b_out),
-                    inline.on_store(line, &mut e_out),
-                    "{} store {i}",
-                    kind.label()
-                );
-                assert_eq!(boxed.drain_extra_instrs(), inline.drain_extra_instrs());
-                assert_eq!(boxed.take_capacity_change(), inline.take_capacity_change());
-                if i % 50 == 49 {
-                    boxed.on_fase_end(&mut b_out);
-                    inline.on_fase_end(&mut e_out);
-                    boxed.on_fase_begin();
-                    inline.on_fase_begin();
-                }
-            }
-            boxed.on_fase_end(&mut b_out);
-            inline.on_fase_end(&mut e_out);
-            assert_eq!(b_out, e_out, "{}", kind.label());
+        let mut inline = kind.build_policy();
+        assert_eq!(concrete.name(), inline.name());
+        let (mut c_out, mut e_out) = (Vec::new(), Vec::new());
+        for i in 0..200u64 {
+            let line = Line(i % 7);
             assert_eq!(
-                boxed.store_overhead_instrs(),
-                inline.store_overhead_instrs()
+                concrete.on_store(line, &mut c_out),
+                inline.on_store(line, &mut e_out),
+                "{} store {i}",
+                kind.label()
             );
-            inline.reset();
-            e_out.clear();
-            inline.on_fase_end(&mut e_out);
-            assert!(e_out.is_empty(), "{}: reset drops state", kind.label());
+            assert_eq!(concrete.drain_extra_instrs(), inline.drain_extra_instrs());
+            assert_eq!(
+                concrete.take_capacity_change(),
+                inline.take_capacity_change()
+            );
+            assert_eq!(concrete.sc_capacity(), inline.sc_capacity());
+            if i % 50 == 49 {
+                concrete.on_fase_end(&mut c_out);
+                inline.on_fase_end(&mut e_out);
+                concrete.on_fase_begin();
+                inline.on_fase_begin();
+            }
         }
+        concrete.on_fase_end(&mut c_out);
+        inline.on_fase_end(&mut e_out);
+        assert_eq!(c_out, e_out, "{}", kind.label());
+        assert_eq!(
+            concrete.store_overhead_instrs(),
+            inline.store_overhead_instrs()
+        );
+        inline.reset();
+        e_out.clear();
+        inline.on_fase_end(&mut e_out);
+        assert!(e_out.is_empty(), "{}: reset drops state", kind.label());
+    }
+
+    #[test]
+    fn enum_policy_behaves_like_its_concrete_policy() {
+        use crate::*;
+        behaves_like(PolicyKind::Eager, EagerPolicy::new());
+        behaves_like(PolicyKind::Lazy, LazyPolicy::new());
+        behaves_like(PolicyKind::Atlas { size: 4 }, AtlasPolicy::new(4));
+        behaves_like(PolicyKind::ScFixed { capacity: 4 }, ScPolicy::new(4));
+        let cfg = AdaptiveConfig {
+            burst_len: 64,
+            ..Default::default()
+        };
+        behaves_like(
+            PolicyKind::ScAdaptive(cfg.clone()),
+            AdaptiveScPolicy::new(cfg),
+        );
+        behaves_like(PolicyKind::Best, BestPolicy::new());
     }
 }

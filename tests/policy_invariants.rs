@@ -3,7 +3,7 @@
 //! by its commit), ordering relations between techniques, and LRU
 //! behaviour of the software cache against a reference model.
 
-use nvcache::core::{AdaptiveConfig, LruCache, PolicyKind};
+use nvcache::core::{AdaptiveConfig, LruCache, PersistPolicy, PolicyKind};
 use nvcache::trace::{Line, ThreadTrace, Trace};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -45,7 +45,7 @@ fn all_consistent_policies() -> Vec<PolicyKind> {
 fn check_consistency(trace: &Trace, kind: &PolicyKind) -> Result<u64, String> {
     let mut flushes = 0u64;
     for thread in &trace.threads {
-        let mut policy = kind.build();
+        let mut policy = kind.build_policy();
         let mut unflushed: HashSet<Line> = HashSet::new();
         let mut out = Vec::new();
         for e in &thread.events {
