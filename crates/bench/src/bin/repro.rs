@@ -158,8 +158,8 @@ fn run_one(name: &str, scale: f64, threads: &[usize], smoke: bool) -> Vec<Table>
     }
 }
 
-/// Build the KV server `kv-serve` runs: SC-adaptive policy, pipelined
-/// flush path, group commit on.
+/// Build the KV server `kv-serve` runs: SC-adaptive policy, slab
+/// allocation, group commit on.
 fn net_kv_server(shards: usize) -> std::sync::Arc<nvcache_kvstore::KvServer> {
     use nvcache_kvstore::{AdaptConfig, KvConfig, KvServer, ServerConfig, ShardConfig};
     std::sync::Arc::new(KvServer::new(

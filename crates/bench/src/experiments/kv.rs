@@ -30,7 +30,7 @@ const VALUE_LEN: usize = 40;
 /// Writes per group-commit batch (what gives FASEs intra-FASE reuse).
 const BATCH: usize = 128;
 
-fn config_for(policy_label: &str, burst: usize, pipelined: bool) -> KvConfig {
+fn config_for(policy_label: &str, burst: usize) -> KvConfig {
     let (policy, adapt) = match policy_label {
         "ER" => (PolicyKind::Eager, None),
         "AT" => (PolicyKind::Atlas { size: 8 }, None),
@@ -58,13 +58,13 @@ fn config_for(policy_label: &str, burst: usize, pipelined: bool) -> KvConfig {
             log_len: 1 << 17,
             policy,
             adapt,
-            pipelined,
+            pipelined: true,
         },
     }
 }
 
-fn store_for(policy_label: &str, burst: usize, pipelined: bool) -> KvStore {
-    KvStore::new(&config_for(policy_label, burst, pipelined))
+fn store_for(policy_label: &str, burst: usize) -> KvStore {
+    KvStore::new(&config_for(policy_label, burst))
 }
 
 /// One timed run; the one a row reports is the median by throughput of
@@ -156,13 +156,12 @@ fn per_shard(v: &[Option<usize>], absent: &str, sep: &str) -> Option<String> {
 struct Row<'a> {
     mix: &'a str,
     policy: &'a str,
-    /// The `flush_path` column: "sync" / "pipelined", "mpsc-unbatched" /
+    /// The `flush_path` column: "direct", "mpsc-unbatched" /
     /// "mpsc-grouped", or "net".
     path: &'a str,
     clients: usize,
     /// (connections, pipeline depth) — the network grid's axes.
     net: Option<(usize, usize)>,
-    speedup_vs_sync: Option<f64>,
     speedup_vs_unbatched: Option<f64>,
     run: &'a Run,
 }
@@ -202,7 +201,6 @@ impl Row<'_> {
                 r.quartiles[0] / 1e3,
                 r.quartiles[1] / 1e3
             ),
-            ratio(self.speedup_vs_sync),
             ratio(self.speedup_vs_unbatched),
             r.occupancy.map_or("-".to_string(), |o| format!("{o:.1}")),
             format!("{:.4}", r.serving.flush_ratio()),
@@ -224,7 +222,7 @@ impl Row<'_> {
             "    {{\"mix\": {}, \"policy\": {}, \"flush_path\": {}, \
              \"clients\": {}, \
              \"connections\": {}, \"pipeline_depth\": {}, \
-             \"throughput_ops_s\": {:.0}, \"speedup_vs_sync\": {}, \
+             \"throughput_ops_s\": {:.0}, \
              \"speedup_vs_unbatched\": {}, \"batch_occupancy_mean\": {}, \
              \"flush_ratio\": {:.6}, \
              \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \
@@ -238,7 +236,6 @@ impl Row<'_> {
             int(self.net.map(|n| n.0)),
             int(self.net.map(|n| n.1)),
             r.throughput,
-            num(self.speedup_vs_sync),
             num(self.speedup_vs_unbatched),
             num(r.occupancy),
             r.serving.flush_ratio(),
@@ -267,22 +264,17 @@ fn envelope(workers: usize, keys: usize, ops: u64, records: &[String]) -> String
 }
 
 /// Run the YCSB grid (mixes A/B/C × ER/AT/SC-adaptive at `SHARDS`
-/// shards), each cell once over the sync flush path and once over the
-/// pipelined one (submission ring + grouped prelog + slab), print the
-/// table, and write `BENCH_kv.json`. Per cell, a deterministic
-/// single-worker parity run asserts that the two paths agree
-/// bit-for-bit on store lines and policy flush counts — only wall-clock
-/// may differ — and the timed rows must agree on store lines too.
+/// shards, one `direct` row per cell: workers call the [`KvStore`]
+/// themselves), print the table, and write `BENCH_kv.json`.
 ///
 /// A second, *concurrent* grid (mixes A/B, 8 closed-loop clients on
 /// one contended lane) drives a [`KvServer`] — each lane served by the
 /// client that finds it idle, or else by the first queued client to get
 /// the lane's lock — once with group commit off (`mpsc-unbatched`,
-/// `max_batch = 1`: one request per FASE on both paths) and once with
-/// everything queued behind a busy lane drained into a single
-/// cross-client FASE (`mpsc-grouped`); `speedup_vs_unbatched` and the
-/// mean batch occupancy (caller-run batches included) land in the same
-/// JSON.
+/// `max_batch = 1`: one request per FASE) and once with everything
+/// queued behind a busy lane drained into a single cross-client FASE
+/// (`mpsc-grouped`); `speedup_vs_unbatched` and the mean batch
+/// occupancy (caller-run batches included) land in the same JSON.
 ///
 /// A third, *network* grid drives the same single-lane grouped server
 /// through [`NetServer`] and the framed wire protocol over the
@@ -295,15 +287,15 @@ fn envelope(workers: usize, keys: usize, ops: u64, records: &[String]) -> String
 /// scale (same grids, same checks) and writes no file.
 ///
 /// Every row is the median run by throughput of a fixed number of
-/// repeats, interleaved with the rows it is compared with; the table
-/// shows the repeats' `[q1, q3]` next to it (`throughput_ops_s` in the
-/// JSON is the median).
+/// repeats (the concurrent grid interleaves its two rows' repeats); the
+/// table shows the repeats' `[q1, q3]` next to it (`throughput_ops_s`
+/// in the JSON is the median).
 ///
 /// # Panics
-/// When a row breaks what must hold on any host: flush-path parity,
-/// ordered nonzero latency percentiles, an adaptive shard on smoke-size
-/// mix A and none under ER/AT, `max_batch = 1` occupancy of exactly 1,
-/// net c8×d4 occupancy above 1, every net request answered.
+/// When a row breaks what must hold on any host: ordered nonzero
+/// latency percentiles, an adaptive shard on smoke-size mix A and none
+/// under ER/AT, `max_batch = 1` occupancy of exactly 1, net c8×d4
+/// occupancy above 1, every net request answered.
 pub fn kv_bench(scale: f64, smoke: bool) -> Table {
     // Oversubscribing the host measures scheduler churn, not the
     // store: cap the worker pool at the hardware's parallelism (a
@@ -334,7 +326,6 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
             "path",
             "clients",
             "Kops/s [q1, q3]",
-            "x sync",
             "x unbatch",
             "occ",
             "flush ratio",
@@ -366,133 +357,85 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
     for mix in [Mix::A, Mix::B, Mix::C] {
         for policy in ["ER", "AT", "SC"] {
             let cell = format!("{}/{policy}", mix.label());
-            // Deterministic parity check first: one worker (no
-            // cross-worker interleaving on the shard locks), sync vs
-            // pipelined. The pipeline reorders and elides *region*
-            // flushes, never the policy's decisions, so these counts
-            // must match bit-for-bit. The multi-worker measurement
-            // below reuses the same grid cell but its shard-level op
-            // interleaving is scheduler-dependent, which is why the
-            // exactness contract is checked here.
-            let parity: Vec<FaseStats> = [false, true]
-                .into_iter()
-                .map(|pipelined| {
-                    let store = store_for(policy, burst, pipelined);
-                    load(&store, keys, VALUE_LEN);
-                    let cfg = YcsbConfig {
-                        mix,
-                        ops_per_worker: ops_per_worker.min(20_000),
-                        workers: 1,
-                        batch: BATCH,
-                        windows: 1,
-                        latency: false,
-                        ..ycsb.clone()
-                    };
-                    run(&store, &cfg).windows.iter().map(|w| w.stats).sum()
-                })
-                .collect();
-            assert_eq!(
-                parity[0].store_lines, parity[1].store_lines,
-                "{cell}: store lines diverge between flush paths"
-            );
-            assert_eq!(
-                parity[0].data_flushes, parity[1].data_flushes,
-                "{cell}: policy flush counts diverge between flush paths"
-            );
-            // Interleave the repeats (sync, pipelined, sync, ...) so any
-            // monotonic drift of the host (thermal, frequency) hits both
-            // paths equally instead of biasing whichever ran last.
-            let mut repeated: [Vec<Run>; 2] = [Vec::new(), Vec::new()];
+            let mut repeated = Vec::new();
             for _ in 0..repeats {
-                for pipelined in [false, true] {
-                    let store = store_for(policy, burst, pipelined);
-                    load(&store, keys, VALUE_LEN);
-                    let cfg = YcsbConfig {
-                        mix,
-                        ops_per_worker,
-                        workers,
-                        batch: BATCH,
-                        ..ycsb.clone()
-                    };
-                    let rep = run(&store, &cfg);
-                    total_ops = rep.ops;
-                    let mut this = Run::new(
-                        rep.throughput_ops_per_sec,
-                        rep.windows.iter().map(|w| w.stats).sum(),
-                        rep.latency.as_ref().expect("latency recording on"),
-                    );
-                    // live-controller outcomes (SC only), gathered while
-                    // the store is still alive
-                    if policy == "SC" {
-                        for s in 0..SHARDS {
-                            store.with_shard(s, |sh| {
-                                if let Some(c) = sh.chosen().first() {
-                                    this.caps[s] = Some(c.capacity);
-                                    this.online[s] = Some(c.knee);
-                                }
-                                // convergence over the shard's full decision
-                                // stream: how many MRC windows until the
-                                // controller landed on (and kept) the knee
-                                let evs: Vec<CapacityEvent> = sh
-                                    .chosen()
-                                    .iter()
-                                    .map(|c| CapacityEvent {
-                                        t: c.op,
-                                        knee: c.knee as u64,
-                                        capacity: c.capacity as u64,
-                                    })
-                                    .collect();
-                                this.wtk[s] =
-                                    convergence::analyze(&evs, &ConvergenceConfig::default())
-                                        .windows_to_knee;
-                                if let Some(w) = sh.stream().and_then(|st| st.get(..burst)) {
-                                    this.offline[s] = Some(select_cache_size(
-                                        &lru_mrc(w, knee_cfg.max_size),
-                                        &knee_cfg,
-                                    ));
-                                }
-                            });
-                        }
+                let store = store_for(policy, burst);
+                load(&store, keys, VALUE_LEN);
+                let cfg = YcsbConfig {
+                    mix,
+                    ops_per_worker,
+                    workers,
+                    batch: BATCH,
+                    ..ycsb.clone()
+                };
+                let rep = run(&store, &cfg);
+                total_ops = rep.ops;
+                let mut this = Run::new(
+                    rep.throughput_ops_per_sec,
+                    rep.windows.iter().map(|w| w.stats).sum(),
+                    rep.latency.as_ref().expect("latency recording on"),
+                );
+                // live-controller outcomes (SC only), gathered while the
+                // store is still alive
+                if policy == "SC" {
+                    for s in 0..SHARDS {
+                        store.with_shard(s, |sh| {
+                            if let Some(c) = sh.chosen().first() {
+                                this.caps[s] = Some(c.capacity);
+                                this.online[s] = Some(c.knee);
+                            }
+                            // convergence over the shard's full decision
+                            // stream: how many MRC windows until the
+                            // controller landed on (and kept) the knee
+                            let evs: Vec<CapacityEvent> = sh
+                                .chosen()
+                                .iter()
+                                .map(|c| CapacityEvent {
+                                    t: c.op,
+                                    knee: c.knee as u64,
+                                    capacity: c.capacity as u64,
+                                })
+                                .collect();
+                            this.wtk[s] = convergence::analyze(&evs, &ConvergenceConfig::default())
+                                .windows_to_knee;
+                            if let Some(w) = sh.stream().and_then(|st| st.get(..burst)) {
+                                this.offline[s] = Some(select_cache_size(
+                                    &lru_mrc(w, knee_cfg.max_size),
+                                    &knee_cfg,
+                                ));
+                            }
+                        });
                     }
-                    repeated[pipelined as usize].push(this);
                 }
+                repeated.push(this);
             }
-            let runs = repeated.map(median_run);
-            // every put rewrites one line of a preloaded key, so the
-            // timed runs store the same lines whatever the interleaving
-            assert_eq!(
-                runs[0].serving.store_lines, runs[1].serving.store_lines,
-                "{cell}: store-line totals diverge between the timed flush paths"
-            );
-            for (r, path) in runs.iter().zip(["sync", "pipelined"]) {
-                if policy != "SC" {
-                    assert!(
-                        r.caps.iter().chain(&r.wtk).all(Option::is_none),
-                        "{cell}: a fixed policy reports controller decisions"
-                    );
-                } else if smoke && mix == Mix::A {
-                    // smoke sizes are fixed: load + the write-heavy mix
-                    // fill the first 512-line MRC window of the busier
-                    // shards, so some live controller must have chosen
-                    // a capacity and settled on its knee
-                    assert!(
-                        r.wtk.iter().any(|w| w.is_some_and(|w| w >= 1)),
-                        "{cell}/{path}: no shard adapted: capacities {:?}, windows to knee {:?}",
-                        r.caps,
-                        r.wtk
-                    );
-                }
-                emit(Row {
-                    mix: mix.label(),
-                    policy,
-                    path,
-                    clients: workers,
-                    net: None,
-                    speedup_vs_sync: Some(r.throughput / runs[0].throughput),
-                    speedup_vs_unbatched: None,
-                    run: r,
-                });
+            let r = median_run(repeated);
+            if policy != "SC" {
+                assert!(
+                    r.caps.iter().chain(&r.wtk).all(Option::is_none),
+                    "{cell}: a fixed policy reports controller decisions"
+                );
+            } else if smoke && mix == Mix::A {
+                // smoke sizes are fixed: load + the write-heavy mix fill
+                // the first 512-line MRC window of the busier shards, so
+                // some live controller must have chosen a capacity and
+                // settled on its knee
+                assert!(
+                    r.wtk.iter().any(|w| w.is_some_and(|w| w >= 1)),
+                    "{cell}: no shard adapted: capacities {:?}, windows to knee {:?}",
+                    r.caps,
+                    r.wtk
+                );
             }
+            emit(Row {
+                mix: mix.label(),
+                policy,
+                path: "direct",
+                clients: workers,
+                net: None,
+                speedup_vs_unbatched: None,
+                run: &r,
+            });
         }
     }
 
@@ -520,7 +463,7 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
     // per-lane batching.)
     let lane_cfg = KvConfig {
         shards: 1,
-        ..config_for("SC", burst, true)
+        ..config_for("SC", burst)
     };
     // Long enough per run (~0.3 s at single-core throughput) that a
     // scheduler burst can't swallow a whole repeat — the queue handoff
@@ -577,7 +520,6 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
                 path,
                 clients,
                 net: None,
-                speedup_vs_sync: None,
                 speedup_vs_unbatched: Some(r.throughput / runs[0].throughput),
                 run: r,
             });
@@ -641,7 +583,6 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
             path: "net",
             clients: conns,
             net: Some((conns, depth)),
-            speedup_vs_sync: None,
             speedup_vs_unbatched: None,
             run: &r,
         });
@@ -662,7 +603,7 @@ mod tests {
     use crate::jsonv::{parse, Json};
 
     const ROW_KEYS: &str = "mix policy flush_path clients connections pipeline_depth \
-        throughput_ops_s speedup_vs_sync speedup_vs_unbatched batch_occupancy_mean flush_ratio \
+        throughput_ops_s speedup_vs_unbatched batch_occupancy_mean flush_ratio \
         p50_ns p99_ns p999_ns store_lines data_flushes \
         chosen_capacity online_knee offline_knee windows_to_knee";
 
@@ -680,7 +621,6 @@ mod tests {
             path,
             clients: 8,
             net,
-            speedup_vs_sync: (path == "pipelined").then_some(1.07),
             speedup_vs_unbatched: (path == "mpsc-unbatched").then_some(1.0),
             run,
         }
@@ -696,13 +636,13 @@ mod tests {
         adaptive.wtk = vec![Some(1), None, Some(2), Some(1)];
         let (queued, served) = (a_run(Some(1.0)), a_run(Some(4.0)));
         let rows = [
-            row("pipelined", None, &adaptive),
+            row("direct", None, &adaptive),
             row("mpsc-unbatched", None, &queued),
             row("net", Some((8, 4)), &served),
         ];
         for r in &rows {
             r.check();
-            assert_eq!(r.table_cells().len(), 14, "one cell per table header");
+            assert_eq!(r.table_cells().len(), 13, "one cell per table header");
         }
         assert_eq!(rows[2].table_cells()[2], "net c8 d4");
         let records: Vec<String> = rows.iter().map(Row::json).collect();
@@ -735,10 +675,8 @@ mod tests {
         assert_eq!(caps.len(), SHARDS);
         assert_eq!((&caps[0], &caps[1]), (&Json::Num(24.0), &Json::Null));
         assert_eq!(first.get("online_knee"), Some(&Json::Null));
-        assert_eq!(first.get("speedup_vs_sync"), Some(&Json::Num(1.07)));
         assert_eq!(first.get("connections"), Some(&Json::Null));
         assert_eq!(conc.get("batch_occupancy_mean"), Some(&Json::Num(1.0)));
-        assert_eq!(conc.get("speedup_vs_sync"), Some(&Json::Null));
         assert_eq!(conc.get("windows_to_knee"), Some(&Json::Null));
         assert_eq!(net.get("flush_path").and_then(Json::as_str), Some("net"));
         assert_eq!(net.get("connections"), Some(&Json::Num(8.0)));
@@ -772,6 +710,6 @@ mod tests {
     fn a_row_with_disordered_percentiles_fails_the_check() {
         let mut run = a_run(None);
         run.p99 = run.p50 - 1;
-        row("sync", None, &run).check();
+        row("direct", None, &run).check();
     }
 }

@@ -5,17 +5,20 @@
 //! 1. makes the undo entry durable (log-before-data),
 //! 2. updates the data in place (volatile),
 //! 3. reports the touched cache line(s) to the pluggable persistence
-//!    policy, and issues whatever flushes the policy requests,
+//!    policy, and submits whatever flushes the policy requests to the
+//!    runtime's [`FlushRing`],
 //! 4. optionally records the event stream for offline analysis.
 //!
 //! Shadow memory — bytes nothing committed can reach until a logged
 //! store of the same FASE publishes them — skips step 1 through
 //! [`FaseRuntime::store_fresh`]; steps 2–4 and the commit are the same.
 //!
-//! At the end of an outermost FASE the policy's buffered lines are
-//! flushed, a fence orders them, and the log commits by bumping its
-//! epoch (one persisted word — the commit point) — making the FASE's
-//! updates durable atomically.
+//! At the end of an outermost FASE the policy's buffered lines join the
+//! ring, the ring drains as sorted, coalesced ranged sweeps, a fence
+//! orders them, and the log commits by bumping its epoch (one persisted
+//! word — the commit point) — making the FASE's updates durable
+//! atomically. The ring is the only flush path: a flush reaches NVRAM
+//! before commit only when a full ring drains inline.
 
 use nvcache_core::{PersistPolicy, Policy, PolicyKind, StoreOutcome};
 use nvcache_pmem::{
@@ -35,35 +38,20 @@ use crate::log::{LogStats, UndoLog};
 /// emit plus typical FASE-end batches.
 const FLUSH_BUF_CAPACITY: usize = 64;
 
-/// Submission-ring slots for the pipelined flush path. Sized so whole
-/// KV batches fit without tripping the inline-drain fallback.
+/// Submission-ring slots. Sized so whole KV batches fit without
+/// tripping the inline-drain fallback.
 const RING_CAPACITY: usize = 1024;
 
-/// Which flush path the runtime drives.
-///
-/// Both paths report **bit-identical** [`FaseStats::data_flushes`] /
-/// flush ratios: flush obligations are counted when the policy emits
-/// them, before the pipelined path dedups or elides the actual
-/// instructions.
+/// The runtime's flush path. There is one, so this names it and selects
+/// nothing; it is kept, with [`FaseRuntime::set_flush_mode`], for
+/// `benchmark/src/adapter.rs`, which asks for it by name.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FlushMode {
-    /// Blocking per-line flush loop at FASE exit (the baseline).
-    #[default]
-    Sync,
     /// Policy flushes are submitted into a [`FlushRing`]; commit
-    /// publishes a fence token and drains sorted, coalesced, FliT-elided
-    /// ranged sweeps before the ordering fence.
+    /// publishes a fence token and drains sorted, coalesced ranged
+    /// sweeps before the ordering fence.
+    #[default]
     Pipelined,
-}
-
-impl FlushMode {
-    /// Stable label for benchmark tables ("sync" / "pipelined").
-    pub fn label(&self) -> &'static str {
-        match self {
-            FlushMode::Sync => "sync",
-            FlushMode::Pipelined => "pipelined",
-        }
-    }
 }
 
 /// Counters of runtime activity.
@@ -156,8 +144,8 @@ pub struct FaseRuntime {
     /// Span-timing clock; swap in a [`ClockSource::fake`] for
     /// deterministic latency tests. Only read when telemetry is on.
     clock: ClockSource,
-    /// Ring-full inline-drain fallbacks (the pipelined path's stall
-    /// analog, reported by the runtime sampler).
+    /// Ring-full inline-drain fallbacks (the flush path's stall analog,
+    /// reported by the runtime sampler).
     ring_fallbacks: u64,
     /// Wall nanoseconds the most recent recovery took
     /// (`try_reopen`/`reopen` or `crash_and_recover`); `None` until one
@@ -165,9 +153,7 @@ pub struct FaseRuntime {
     last_recovery_ns: Option<u64>,
     /// Store lines inside the current outermost FASE.
     fase_store_lines: u64,
-    /// Active flush path (sync baseline or pipelined ring).
-    flush_mode: FlushMode,
-    /// The flush submission ring (idle in sync mode).
+    /// The flush submission ring every policy flush goes through.
     ring: FlushRing,
     /// Optional slab layer over the heap (see
     /// [`FaseRuntime::enable_slab`]).
@@ -215,7 +201,6 @@ impl FaseRuntime {
             ring_fallbacks: 0,
             last_recovery_ns: None,
             fase_store_lines: 0,
-            flush_mode: FlushMode::Sync,
             ring: FlushRing::new(RING_CAPACITY),
             slab: None,
             prelogged: false,
@@ -281,7 +266,6 @@ impl FaseRuntime {
             ring_fallbacks: 0,
             last_recovery_ns: Some(recovery_ns),
             fase_store_lines: 0,
-            flush_mode: FlushMode::Sync,
             ring: FlushRing::new(RING_CAPACITY),
             slab: None,
             prelogged: false,
@@ -399,19 +383,11 @@ impl FaseRuntime {
         &self.region
     }
 
-    /// Select the flush path. Switching requires an empty ring (switch
-    /// between FASEs, not inside one).
-    pub fn set_flush_mode(&mut self, mode: FlushMode) {
-        debug_assert!(self.ring.is_empty(), "switch flush modes between FASEs");
-        self.flush_mode = mode;
-    }
+    /// Does nothing: the ring is the only flush path ([`FlushMode`]).
+    /// Kept for `benchmark/src/adapter.rs`, which still calls it.
+    pub fn set_flush_mode(&mut self, _mode: FlushMode) {}
 
-    /// The active flush path.
-    pub fn flush_mode(&self) -> FlushMode {
-        self.flush_mode
-    }
-
-    /// Submission-ring counters (all zero while in sync mode).
+    /// Submission-ring counters.
     pub fn ring_stats(&self) -> RingStats {
         self.ring.stats()
     }
@@ -458,30 +434,20 @@ impl FaseRuntime {
         Ok(())
     }
 
-    /// Drain the policy's buffered flush obligations through the active
-    /// flush path, counting them into `data_flushes` at emission time —
-    /// so sync and pipelined runs report bit-identical flush counts
-    /// even when the ring later dedups or elides instructions. Returns
-    /// the obligation count.
+    /// Submit the policy's buffered flush obligations to the ring,
+    /// counting them into `data_flushes` at emission time — the paper's
+    /// count, before the drain dedups the instructions. Returns the
+    /// obligation count.
     fn emit_flushes(&mut self) -> u64 {
         let n = self.flush_buf.len() as u64;
-        match self.flush_mode {
-            FlushMode::Sync => {
-                for line in self.flush_buf.drain(..) {
-                    self.region.flush_line(line.0);
-                }
-            }
-            FlushMode::Pipelined => {
-                for line in self.flush_buf.drain(..) {
-                    if !self.ring.submit(line.0) {
-                        // inline-drain fallback: single-thread mode
-                        // empties the full ring, then the submit retries
-                        self.ring_fallbacks += 1;
-                        self.ring.drain_all(&mut self.region);
-                        let ok = self.ring.submit(line.0);
-                        debug_assert!(ok, "ring accepts after a full drain");
-                    }
-                }
+        for line in self.flush_buf.drain(..) {
+            if !self.ring.submit(line.0) {
+                // inline-drain fallback: single-thread mode empties the
+                // full ring, then the submit retries
+                self.ring_fallbacks += 1;
+                self.ring.drain_all(&mut self.region);
+                let ok = self.ring.submit(line.0);
+                debug_assert!(ok, "ring accepts after a full drain");
             }
         }
         self.stats.data_flushes += n;
@@ -530,29 +496,21 @@ impl FaseRuntime {
             };
             self.policy.on_fase_end(&mut self.flush_buf);
             let n = self.emit_flushes();
-            if self.flush_mode == FlushMode::Pipelined {
-                // pipelined commit: publish the epoch fence token, then
-                // retire everything submitted ≤ token as coalesced
-                // ranged sweeps — instead of the blocking per-line loop
-                let drain_t0 = if self.telemetry.is_some() {
-                    self.clock.now_ns()
-                } else {
-                    0
-                };
-                let token = self.ring.fence_token();
-                self.ring.drain_upto(token, &mut self.region);
-                if let Some(tel) = &mut self.telemetry {
-                    let dt = self.clock.now_ns().saturating_sub(drain_t0);
-                    tel.observe(HistId::RingDrainNs, dt);
-                }
+            // publish the epoch fence token, then retire everything
+            // submitted ≤ token as coalesced ranged sweeps
+            let drain_t0 = if self.telemetry.is_some() {
+                self.clock.now_ns()
+            } else {
+                0
+            };
+            let token = self.ring.fence_token();
+            self.ring.drain_upto(token, &mut self.region);
+            if let Some(tel) = &mut self.telemetry {
+                let dt = self.clock.now_ns().saturating_sub(drain_t0);
+                tel.observe(HistId::RingDrainNs, dt);
             }
             self.region.fence();
             self.stats.fences += 1;
-            if self.flush_mode == FlushMode::Pipelined {
-                // the epoch's captures are durable; later re-flushes of
-                // these lines must not be elided against this epoch
-                self.ring.end_epoch();
-            }
             if self.telemetry.is_some() {
                 let log_bytes = self.log.used();
                 let t = self.stats.store_lines;
@@ -784,14 +742,9 @@ impl FaseRuntime {
     pub fn sync(&mut self) {
         self.policy.on_fase_end(&mut self.flush_buf);
         let n = self.emit_flushes();
-        if self.flush_mode == FlushMode::Pipelined {
-            self.ring.drain_all(&mut self.region);
-        }
+        self.ring.drain_all(&mut self.region);
         self.region.fence();
         self.stats.fences += 1;
-        if self.flush_mode == FlushMode::Pipelined {
-            self.ring.end_epoch();
-        }
         if let Some(tel) = &mut self.telemetry {
             tel.add(CounterId::FlushesSync, n);
             tel.incr(CounterId::Fences);
@@ -808,7 +761,7 @@ impl FaseRuntime {
         self.flush_buf.clear();
         self.policy.reset();
         // the cache contents are gone: forget submitted-but-undrained
-        // lines and all elision history, and drop slab free lists
+        // lines, and drop slab free lists
         // (blocks leak; the persisted bump cursor stays consistent)
         self.ring.reset();
         debug_assert!(self.ring.is_empty(), "ring empty after recovery reset");
@@ -1153,9 +1106,9 @@ mod tests {
         use nvcache_telemetry::HistId;
         let mut r = rt(PolicyKind::ScFixed { capacity: 8 });
         r.enable_telemetry(&TelemetryConfig::default());
-        // every clock read advances by exactly 10ns: a sync-mode commit
-        // reads the clock twice (start + observe), so each FaseCommitNs
-        // sample is exactly 10
+        // every clock read advances by exactly 10ns: a commit reads the
+        // clock four times (start, drain start, drain end, observe), so
+        // each FaseCommitNs sample is exactly 30 and each drain 10
         r.set_clock(ClockSource::fake(0, 10));
         for i in 0..4 {
             r.fase(|r| r.store_u64(i * 8, i as u64));
@@ -1163,21 +1116,19 @@ mod tests {
         let snap = r.take_telemetry().unwrap();
         let h = snap.hist(HistId::FaseCommitNs);
         assert_eq!(h.count, 4);
-        assert_eq!(h.sum, 40, "10ns per commit, deterministic");
-        assert_eq!(h.max, 10);
+        assert_eq!(h.sum, 120, "30ns per commit, deterministic");
+        assert_eq!(h.max, 30);
+        // p50 interpolates inside the [16, 32) bucket; the tail is `max`
         let (p50, p99, p999) = h.percentiles();
-        assert_eq!((p50, p99, p999), (10, 10, 10));
-        assert!(
-            snap.hist(HistId::RingDrainNs).is_empty(),
-            "sync mode never drains the ring"
-        );
+        assert_eq!((p50, p99, p999), (24, 30, 30));
+        let d = snap.hist(HistId::RingDrainNs);
+        assert_eq!((d.count, d.sum), (4, 40), "a 10ns drain per commit");
     }
 
     #[test]
     fn pipelined_commits_record_ring_drain_spans() {
         use nvcache_telemetry::HistId;
         let mut r = rt(PolicyKind::Lazy);
-        r.set_flush_mode(FlushMode::Pipelined);
         r.enable_telemetry(&TelemetryConfig::default());
         r.set_clock(ClockSource::fake(0, 5));
         for i in 0..3 {
@@ -1230,7 +1181,7 @@ mod tests {
         for s in &snap.series {
             assert_eq!(s.capacity, 8, "ScFixed capacity on the series");
             assert!(s.hit_ratio_bp <= 10_000);
-            assert_eq!(s.ring_depth, 0, "sync mode keeps the ring empty");
+            assert_eq!(s.ring_depth, 0, "the commit drained the ring");
         }
         // time axis is the store-line ordinal: strictly increasing here
         assert!(snap.series.windows(2).all(|w| w[0].t < w[1].t));
@@ -1433,54 +1384,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_flush_counts_are_bit_identical_to_sync() {
-        // the acceptance contract: FaseStats (flushes, ratios, fences)
-        // must not depend on the flush path, only the region-level
-        // instruction count may shrink (dedup + elision)
-        for kind in [
-            PolicyKind::Eager,
-            PolicyKind::Lazy,
-            PolicyKind::Atlas { size: 8 },
-            PolicyKind::ScFixed { capacity: 4 },
-        ] {
-            let run = |mode: FlushMode| {
-                let mut r = rt(kind.clone());
-                r.set_flush_mode(mode);
-                for round in 0..6u64 {
-                    r.fase(|r| {
-                        for rep in 0..3 {
-                            for i in 0..8usize {
-                                r.store_u64(i * 64, round * 100 + rep * 10 + i as u64);
-                            }
-                        }
-                    });
-                }
-                r
-            };
-            let sync = run(FlushMode::Sync);
-            let piped = run(FlushMode::Pipelined);
-            assert_eq!(sync.stats(), piped.stats(), "policy {}", kind.label());
-            assert!(
-                piped.region().stats().flushes <= sync.region().stats().flushes,
-                "pipelined path never issues more instructions ({})",
-                kind.label()
-            );
-            // both durable images agree after a clean shutdown
-            let a = {
-                let mut s = sync;
-                s.sync();
-                s.into_region().durable_image().to_vec()
-            };
-            let b = {
-                let mut p = piped;
-                p.sync();
-                p.into_region().durable_image().to_vec()
-            };
-            assert_eq!(a, b, "policy {}", kind.label());
-        }
-    }
-
-    #[test]
     fn pipelined_path_preserves_atomicity() {
         for kind in [
             PolicyKind::Eager,
@@ -1493,7 +1396,6 @@ mod tests {
                 CrashMode::random(0.5, 0.5, 23),
             ] {
                 let mut r = rt(kind.clone());
-                r.set_flush_mode(FlushMode::Pipelined);
                 r.fase(|r| {
                     for i in 0..16 {
                         r.store_u64(i * 8, 1000 + i as u64);
@@ -1520,7 +1422,6 @@ mod tests {
     #[test]
     fn prelogged_fase_commits_and_rolls_back() {
         let mut r = rt(PolicyKind::ScFixed { capacity: 8 });
-        r.set_flush_mode(FlushMode::Pipelined);
         // committed prelogged FASE
         r.begin_fase();
         r.prelog(&[(0, 8), (64, 8)]).unwrap();
@@ -1612,13 +1513,10 @@ mod tests {
 
     #[test]
     fn store_fresh_is_durable_after_end_fase() {
-        for mode in [FlushMode::Sync, FlushMode::Pipelined] {
-            let mut r = rt(PolicyKind::ScFixed { capacity: 2 });
-            r.set_flush_mode(mode);
-            r.fase(|r| r.store_fresh(64, &[0x5au8; 640]));
-            r.crash_and_recover(&CrashMode::StrictDurableOnly);
-            assert_eq!(r.region().slice(64, 640), &[0x5au8; 640][..], "{mode:?}");
-        }
+        let mut r = rt(PolicyKind::ScFixed { capacity: 2 });
+        r.fase(|r| r.store_fresh(64, &[0x5au8; 640]));
+        r.crash_and_recover(&CrashMode::StrictDurableOnly);
+        assert_eq!(r.region().slice(64, 640), &[0x5au8; 640][..]);
     }
 
     #[test]
@@ -1751,19 +1649,83 @@ mod tests {
         assert_eq!(r.load_u64(64), 0xDDDD);
     }
 
-    /// Healing the pipelined runtime also drops submitted-but-undrained
-    /// ring entries and the prelogged write set of the abandoned FASE.
+    /// The ring is the only flush path, so a full ring's inline drain is
+    /// the only way a flush reaches NVRAM before its FASE commits. One
+    /// FASE whose obligations outnumber the ring's slots drains in the
+    /// middle, the sampler reports the stall, and a power failure at any
+    /// step of it still recovers one whole image.
+    #[test]
+    fn a_fase_that_overflows_the_ring_drains_inline_and_stays_atomic() {
+        const LINES: usize = RING_CAPACITY + 76;
+        let (data, log) = (LINES * LINE_SIZE, 1 << 16);
+        let fase_of = |r: &mut FaseRuntime, v: u64| {
+            r.fase(|r| (0..LINES).for_each(|l| r.store_u64(l * LINE_SIZE, v)));
+        };
+        let seeded = || {
+            let mut r = FaseRuntime::new(data, log, &PolicyKind::Eager);
+            r.enable_telemetry(&TelemetryConfig {
+                sample_every: 1,
+                ..Default::default()
+            });
+            fase_of(&mut r, 1);
+            r
+        };
+        let mut r = seeded();
+        let (pre, first, drains) = (
+            r.region().slice(0, data).to_vec(),
+            r.steps(),
+            r.ring_stats().drains,
+        );
+        fase_of(&mut r, 2);
+        let (post, end) = (r.region().slice(0, data).to_vec(), r.steps());
+        assert_eq!(r.ring_stats().drains - drains, 2, "inline + commit drain");
+        let series = r.take_telemetry().unwrap().series;
+        let stalls: Vec<u64> = series.iter().map(|s| s.stalls).collect();
+        assert_eq!(stalls, [1, 2], "one inline drain per FASE");
+        // commit = epoch write, epoch-line flush, fence
+        let epoch_write = end - 3;
+        for mode in [
+            CrashMode::StrictDurableOnly,
+            CrashMode::AllInFlightLands,
+            CrashMode::random(0.5, 0.5, 41),
+        ] {
+            for at in (first..end).step_by(97) {
+                let mut r = seeded();
+                r.arm_crash(CrashPlan {
+                    at_step: at,
+                    mode: mode.clone(),
+                });
+                fase_of(&mut r, 2);
+                let image = r.take_crash_image().expect("armed step reached");
+                let back = FaseRuntime::try_reopen(
+                    PmemRegion::from_image(image),
+                    data,
+                    log,
+                    &PolicyKind::Eager,
+                )
+                .expect("a crash image reopens");
+                let got = back.region().slice(0, data);
+                if at < epoch_write {
+                    assert!(got == pre, "{mode:?} step {at}: not rolled back");
+                } else {
+                    assert!(got == pre || got == post, "{mode:?} step {at}: torn FASE");
+                }
+            }
+        }
+    }
+
+    /// Healing also drops submitted-but-undrained ring entries and the
+    /// prelogged write set of the abandoned FASE.
     #[test]
     fn heal_after_panic_clears_pipelined_residue() {
         let mut r = rt(PolicyKind::Eager);
-        r.set_flush_mode(FlushMode::Pipelined);
         r.fase(|r| r.store_u64(64, 1));
         r.begin_fase();
         r.prelog(&[(128, 8)]).unwrap();
         r.store_u64(128, 2);
         assert!(r.heal_after_panic());
         assert_eq!(r.load_u64(128), 0, "prelogged store rolled back");
-        // ring is usable again: a clean pipelined FASE commits
+        // ring is usable again: a clean FASE commits
         r.fase(|r| r.store_u64(128, 3));
         assert_eq!(r.load_u64(128), 3);
         r.crash_and_recover(&CrashMode::StrictDurableOnly);

@@ -1,6 +1,7 @@
 //! The commit point, swept: a crash is armed at every micro-step from
 //! the first log append of a FASE to the return of `UndoLog::commit`,
-//! under three kinds of adversary and on both flush paths. The epoch
+//! under three kinds of adversary, for a grouped and a per-store logged
+//! write set. The epoch
 //! write — the log's truncation: it retires every group at once — is
 //! the only thing that separates "rolled back" from "committed", so:
 //!
@@ -18,7 +19,7 @@
 //! when eliding a covered range loses a pre-image.
 
 use nvcache_core::PolicyKind;
-use nvcache_fase::{FaseRuntime, FlushMode, UndoLog};
+use nvcache_fase::{FaseRuntime, UndoLog};
 use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
 use proptest::prelude::*;
 
@@ -68,9 +69,8 @@ fn policy() -> PolicyKind {
 
 /// A runtime whose data area holds a committed, fully durable pattern
 /// (and whose log area holds the 128 groups that wrote it).
-fn seeded(mode: FlushMode) -> FaseRuntime {
+fn seeded() -> FaseRuntime {
     let mut rt = FaseRuntime::new(DATA, LOG, &policy());
-    rt.set_flush_mode(mode);
     rt.begin_fase();
     for i in 0..(DATA / 8) {
         rt.store_u64(i * 8, 0x1111_0000 + i as u64);
@@ -108,46 +108,44 @@ fn adversaries() -> Vec<CrashMode> {
 
 #[test]
 fn every_step_up_to_the_truncate_fence_recovers_pre_and_after_it_post() {
-    for flush in [FlushMode::Sync, FlushMode::Pipelined] {
-        for (name, shape) in [("grouped", &GROUPED), ("per-store", &PER_STORE)] {
-            // counting run: where the FASE's log activity begins and
-            // where commit returns
-            let mut rt = seeded(flush);
-            let pre = data_of(&rt);
-            let first = rt.steps();
-            swept_fase(&mut rt, shape);
-            let end = rt.steps();
-            let post = data_of(&rt);
-            assert_ne!(pre, post);
-            // commit = epoch write, epoch-line flush, fence
-            let epoch_write = end - 3;
-            for mode in &adversaries() {
-                for at in first..=end {
-                    let mut rt = seeded(flush);
-                    rt.arm_crash(CrashPlan {
-                        at_step: at,
-                        mode: mode.clone(),
-                    });
-                    swept_fase(&mut rt, shape);
-                    let image = if at == end {
-                        // power fails the instant commit returned
-                        rt.region().image_after_crash(mode)
-                    } else {
-                        rt.take_crash_image().expect("armed step reached")
-                    };
-                    let got = data_of(&reopened(image));
-                    let ctx = format!("{flush:?} {name} {mode:?} step {at} of {first}..={end}");
-                    if at <= epoch_write {
-                        assert_eq!(got, pre, "not rolled back: {ctx}");
-                    } else if at == end {
-                        assert_eq!(got, post, "committed FASE lost: {ctx}");
-                    } else {
-                        match mode {
-                            CrashMode::StrictDurableOnly => assert_eq!(got, pre, "{ctx}"),
-                            CrashMode::AllInFlightLands => assert_eq!(got, post, "{ctx}"),
-                            CrashMode::Random { .. } => {
-                                assert!(got == pre || got == post, "torn FASE: {ctx}")
-                            }
+    for (name, shape) in [("grouped", &GROUPED), ("per-store", &PER_STORE)] {
+        // counting run: where the FASE's log activity begins and where
+        // commit returns
+        let mut rt = seeded();
+        let pre = data_of(&rt);
+        let first = rt.steps();
+        swept_fase(&mut rt, shape);
+        let end = rt.steps();
+        let post = data_of(&rt);
+        assert_ne!(pre, post);
+        // commit = epoch write, epoch-line flush, fence
+        let epoch_write = end - 3;
+        for mode in &adversaries() {
+            for at in first..=end {
+                let mut rt = seeded();
+                rt.arm_crash(CrashPlan {
+                    at_step: at,
+                    mode: mode.clone(),
+                });
+                swept_fase(&mut rt, shape);
+                let image = if at == end {
+                    // power fails the instant commit returned
+                    rt.region().image_after_crash(mode)
+                } else {
+                    rt.take_crash_image().expect("armed step reached")
+                };
+                let got = data_of(&reopened(image));
+                let ctx = format!("{name} {mode:?} step {at} of {first}..={end}");
+                if at <= epoch_write {
+                    assert_eq!(got, pre, "not rolled back: {ctx}");
+                } else if at == end {
+                    assert_eq!(got, post, "committed FASE lost: {ctx}");
+                } else {
+                    match mode {
+                        CrashMode::StrictDurableOnly => assert_eq!(got, pre, "{ctx}"),
+                        CrashMode::AllInFlightLands => assert_eq!(got, post, "{ctx}"),
+                        CrashMode::Random { .. } => {
+                            assert!(got == pre || got == post, "torn FASE: {ctx}")
                         }
                     }
                 }
@@ -158,7 +156,7 @@ fn every_step_up_to_the_truncate_fence_recovers_pre_and_after_it_post() {
 
 #[test]
 fn a_group_of_which_any_proper_subset_of_lines_landed_is_never_applied() {
-    let mut rt = seeded(FlushMode::Sync);
+    let mut rt = seeded();
     let pre = data_of(&rt);
     let before = rt.region().durable_image().to_vec();
     rt.begin_fase();
@@ -189,51 +187,46 @@ fn a_group_of_which_any_proper_subset_of_lines_landed_is_never_applied() {
 
 #[test]
 fn a_fase_costs_one_log_persist_per_group_and_the_epoch_bump() {
-    for flush in [FlushMode::Sync, FlushMode::Pipelined] {
-        // flush instructions the data took: every obligation on the
-        // sync path, what the ring's dedup left of them when pipelined
-        let data_flushes = |rt: &FaseRuntime| match flush {
-            FlushMode::Sync => rt.stats().data_flushes,
-            FlushMode::Pipelined => rt.ring_stats().flushed,
-        };
-        for (shape, groups, record_lines) in [
-            (&GROUPED, 1, GROUPED_RECORD_LINES),
-            (&PER_STORE, 3, PER_STORE_RECORD_LINES),
-        ] {
-            let mut rt = seeded(flush);
-            let (pmem0, log0, data0) = (rt.region().stats(), rt.log_stats(), data_flushes(&rt));
-            swept_fase(&mut rt, shape);
-            let (pmem, log) = (rt.region().stats(), rt.log_stats());
-            assert_eq!(
-                pmem.fences - pmem0.fences,
-                groups + 2,
-                "{flush:?}: one per group, data, epoch"
-            );
-            assert_eq!(log.record_lines - log0.record_lines, record_lines);
-            assert_eq!(log.commit_lines - log0.commit_lines, 1);
-            assert_eq!(
-                pmem.flushes - pmem0.flushes - (data_flushes(&rt) - data0),
-                record_lines + 1,
-                "{flush:?}: the log's share is record lines + 1"
-            );
-        }
-        let mut rt = seeded(flush);
-        let log0 = rt.log_stats();
-        swept_fase(&mut rt, &GROUPED);
-        let log = rt.log_stats();
+    // flush instructions the data took: what the ring's dedup left of
+    // the policy's obligations
+    let data_flushes = |rt: &FaseRuntime| rt.ring_stats().flushed;
+    for (shape, groups, record_lines) in [
+        (&GROUPED, 1, GROUPED_RECORD_LINES),
+        (&PER_STORE, 3, PER_STORE_RECORD_LINES),
+    ] {
+        let mut rt = seeded();
+        let (pmem0, log0, data0) = (rt.region().stats(), rt.log_stats(), data_flushes(&rt));
+        swept_fase(&mut rt, shape);
+        let (pmem, log) = (rt.region().stats(), rt.log_stats());
         assert_eq!(
-            (log.entries - log0.entries, log.elided - log0.elided),
-            (4, 4)
+            pmem.fences - pmem0.fences,
+            groups + 2,
+            "one per group, data, epoch"
         );
-        // an empty FASE logs nothing, so only the data fence remains
-        let before = rt.region().stats();
-        rt.begin_fase();
-        rt.end_fase();
-        let after = rt.region().stats();
-        assert_eq!(after.fences - before.fences, 1, "{flush:?}");
-        assert_eq!(after.flushes - before.flushes, 0, "{flush:?}");
-        assert_eq!(after.stores - before.stores, 0, "{flush:?}");
+        assert_eq!(log.record_lines - log0.record_lines, record_lines);
+        assert_eq!(log.commit_lines - log0.commit_lines, 1);
+        assert_eq!(
+            pmem.flushes - pmem0.flushes - (data_flushes(&rt) - data0),
+            record_lines + 1,
+            "the log's share is record lines + 1"
+        );
     }
+    let mut rt = seeded();
+    let log0 = rt.log_stats();
+    swept_fase(&mut rt, &GROUPED);
+    let log = rt.log_stats();
+    assert_eq!(
+        (log.entries - log0.entries, log.elided - log0.elided),
+        (4, 4)
+    );
+    // an empty FASE logs nothing, so only the data fence remains
+    let before = rt.region().stats();
+    rt.begin_fase();
+    rt.end_fase();
+    let after = rt.region().stats();
+    assert_eq!(after.fences - before.fences, 1);
+    assert_eq!(after.flushes - before.flushes, 0);
+    assert_eq!(after.stores - before.stores, 0);
 }
 
 fn old_data() -> Vec<u8> {

@@ -678,7 +678,7 @@ mod tests {
     use crate::shard::ShardConfig;
     use nvcache_core::PolicyKind;
 
-    fn cfg(shards: usize, pipelined: bool) -> KvConfig {
+    fn cfg(shards: usize, slab: bool) -> KvConfig {
         KvConfig {
             shards,
             shard: ShardConfig {
@@ -687,7 +687,7 @@ mod tests {
                 log_len: 1 << 15,
                 policy: PolicyKind::ScFixed { capacity: 8 },
                 adapt: None,
-                pipelined,
+                pipelined: slab,
             },
         }
     }

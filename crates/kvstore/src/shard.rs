@@ -61,7 +61,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
 use nvcache_core::{rename_for_epoch, PolicyKind};
-use nvcache_fase::{FaseRuntime, FaseStats, FlushMode, RecoveryError};
+use nvcache_fase::{FaseRuntime, FaseStats, RecoveryError};
 use nvcache_locality::{select_cache_size, BurstSampler, KneeConfig, Mrc};
 use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
 use nvcache_trace::FxHashMap;
@@ -161,12 +161,10 @@ pub struct ShardConfig {
     pub policy: PolicyKind,
     /// Live adaptation; `None` = fixed policy behaviour.
     pub adapt: Option<AdaptConfig>,
-    /// Drive the pipelined flush path: policy flushes go through the
-    /// submission ring (coalesced ranged sweeps + FliT elision), batch
-    /// write sets are grouped-prelogged (one log fence per batch
-    /// instead of one per store), and node allocation runs through the
-    /// volatile slab. Flush counts/ratios stay bit-identical to the
-    /// sync path.
+    /// Allocate nodes through the volatile slab
+    /// ([`FaseRuntime::enable_slab`]). That is all it selects: every
+    /// shard flushes through the runtime's ring and prelogs a
+    /// `put_many` write set as one group.
     pub pipelined: bool,
 }
 
@@ -242,8 +240,6 @@ pub struct Shard {
     pending_mrc: Option<Mrc>,
     chosen: Vec<CapacityChoice>,
     stream: Option<Vec<u64>>,
-    /// Pipelined flush path + grouped prelogging active.
-    pipelined: bool,
     /// [`Shard::put_many`]'s plan, kept between batches.
     plan: PutPlan,
 }
@@ -336,7 +332,6 @@ impl Shard {
 
     fn assemble(mut rt: FaseRuntime, bucket_base: usize, cfg: &ShardConfig) -> Self {
         if cfg.pipelined {
-            rt.set_flush_mode(FlushMode::Pipelined);
             rt.enable_slab();
         }
         let (sampler, stream) = match &cfg.adapt {
@@ -362,7 +357,6 @@ impl Shard {
             pending_mrc: None,
             chosen: Vec::new(),
             stream,
-            pipelined: cfg.pipelined,
             plan: PutPlan::default(),
         }
     }
@@ -580,28 +574,26 @@ impl Shard {
         }
         if ok {
             self.rt.begin_fase();
-            if self.pipelined {
-                // Grouped prelog: undo-capture the planned write set
-                // with one log fence instead of one per store — the
-                // values written in place and the bucket heads; nodes
-                // of the batch's own are shadow memory. A repeated key
-                // or a shared bucket head names its range again and
-                // the log keeps one record.
-                for &(op, i) in &plan.ops {
-                    match op {
-                        PlannedOp::Write { fresh: true, .. } => {}
-                        PlannedOp::Write { node, .. } => {
-                            let vlen = items[i].1.as_ref().len() as u64;
-                            plan.ranges.push(((node + NODE_HEADER) as u64, vlen));
-                        }
-                        PlannedOp::Insert { boff, .. } => plan.ranges.push((boff as u64, 8)),
+            // Grouped prelog: undo-capture the planned write set with
+            // one log fence instead of one per store — the values
+            // written in place and the bucket heads; nodes of the
+            // batch's own are shadow memory. A repeated key or a shared
+            // bucket head names its range again and the log keeps one
+            // record.
+            for &(op, i) in &plan.ops {
+                match op {
+                    PlannedOp::Write { fresh: true, .. } => {}
+                    PlannedOp::Write { node, .. } => {
+                        let vlen = items[i].1.as_ref().len() as u64;
+                        plan.ranges.push(((node + NODE_HEADER) as u64, vlen));
                     }
+                    PlannedOp::Insert { boff, .. } => plan.ranges.push((boff as u64, 8)),
                 }
-                if self.rt.prelog(&plan.ranges).is_err() {
-                    // refused before anything was logged or stored
-                    self.rt.end_fase();
-                    ok = false;
-                }
+            }
+            if self.rt.prelog(&plan.ranges).is_err() {
+                // refused before anything was logged or stored
+                self.rt.end_fase();
+                ok = false;
             }
         }
         if !ok {
@@ -1358,37 +1350,8 @@ mod tests {
         assert_eq!(batched.dump(), seq.dump(), "end states diverge");
     }
 
-    /// The pipelined path (ring + grouped prelog + slab) is a pure
-    /// mechanism change: same contents, same store lines, same policy
-    /// flush counts as the sync path over an identical op sequence.
-    #[test]
-    fn pipelined_shard_is_bit_identical_to_sync() {
-        let sync_cfg = small(PolicyKind::ScFixed { capacity: 4 });
-        let pipe_cfg = ShardConfig {
-            pipelined: true,
-            ..sync_cfg.clone()
-        };
-        let mut sync = Shard::new(&sync_cfg);
-        let mut pipe = Shard::new(&pipe_cfg);
-        let batch: Vec<(u64, Vec<u8>)> = (0..64u64).map(|i| (i % 24, vec![i as u8; 40])).collect();
-        for s in [&mut sync, &mut pipe] {
-            assert!(s.put_many(&batch));
-            assert!(s.put_many(&batch)); // second pass: all in-place
-            assert!(s.put(99, b"solo"));
-            assert!(s.delete(3));
-        }
-        for i in 0..24u64 {
-            assert_eq!(sync.get(i), pipe.get(i), "key {i}");
-        }
-        assert_eq!(sync.len(), pipe.len());
-        let (a, b) = (sync.stats(), pipe.stats());
-        assert_eq!(a.store_lines, b.store_lines, "store lines diverged");
-        assert_eq!(a.data_flushes, b.data_flushes, "flush counts diverged");
-        assert_eq!(a.fases, b.fases);
-    }
-
-    /// A crash mid-batch on the pipelined path rolls the whole group
-    /// back: grouped prelogging keeps the all-or-nothing FASE contract.
+    /// A crash mid-batch on a slab shard rolls the whole group back:
+    /// grouped prelogging keeps the all-or-nothing FASE contract.
     #[test]
     fn pipelined_put_many_is_atomic_under_crash() {
         let cfg = ShardConfig {
@@ -1455,9 +1418,9 @@ mod tests {
         // allocator
         let mut mixed = big.clone();
         mixed.extend((5000..5010u64).map(|k| (k, vec![2u8; 40])));
-        let frees = s.runtime_mut().slab_stats().expect("pipelined").frees;
+        let frees = s.runtime_mut().slab_stats().expect("slab shard").frees;
         assert!(!s.put_many(&mixed));
-        let freed = s.runtime_mut().slab_stats().expect("pipelined").frees - frees;
+        let freed = s.runtime_mut().slab_stats().expect("slab shard").frees - frees;
         assert_eq!(freed, 10);
         assert_eq!(s.dump(), before, "map unchanged");
         assert_eq!(s.len(), 1000);
@@ -1476,6 +1439,36 @@ mod tests {
         let replies = s.serve_batch(&reqs);
         assert!(replies.iter().all(|r| *r == BatchReply::Done(true)));
         assert_eq!(s.get(999).as_deref(), Some(&[2u8; 40][..]));
+    }
+
+    /// Regression: a default-config shard (no slab) used to log
+    /// `put_many` store by store, so a write set too large for the undo
+    /// log hit `panic!` in the middle of an open FASE. Every shard
+    /// prelogs the group now, and an oversized one is refused whole.
+    #[test]
+    fn a_default_shard_refuses_an_oversized_group_instead_of_panicking() {
+        let cfg = ShardConfig {
+            log_len: 4096,
+            // the set-up FASE logs each bucket head in a 32-byte group:
+            // the default 256 would not fit this log
+            buckets: 64,
+            ..Default::default()
+        };
+        let mut s = Shard::new(&cfg);
+        for k in 0..5u64 {
+            assert!(s.put(k, &[1u8; 1000]));
+        }
+        let before = s.dump();
+        let big: Vec<(u64, Vec<u8>)> = (0..5u64).map(|k| (k, vec![2u8; 1000])).collect();
+        assert!(!s.put_many(&big), "5 KB of pre-images, 4 KiB of log");
+        assert_eq!(s.dump(), before, "map unchanged");
+        // no FASE was left open: the shard keeps serving
+        assert!(s.put_many(&big[..2]));
+        assert!(s.put(7, b"after"));
+        s.crash_and_recover(&CrashMode::StrictDurableOnly);
+        assert_eq!(s.get(0).as_deref(), Some(&[2u8; 1000][..]));
+        assert_eq!(s.get(4).as_deref(), Some(&[1u8; 1000][..]));
+        assert_eq!(s.get(7).as_deref(), Some(&b"after"[..]));
     }
 
     // ----- hostile images ------------------------------------------------
@@ -1678,7 +1671,6 @@ mod tests {
 
     use proptest::prelude::*;
     use std::collections::BTreeMap;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Small keys of the differential; five more (`BIG..BIG + 5`) hold
     /// 1000-byte values, so one group over all five outgrows the log.
@@ -1812,8 +1804,7 @@ mod tests {
                             (vec![fresh, (key, other)], model.contains_key(&key))
                         }
                         // five 1000-byte pre-images on a 4 KiB log:
-                        // `LogFull` when prelogged, a panic in the
-                        // middle of the FASE when logged store by store
+                        // the prelog's `LogFull`
                         2 => {
                             let all_there = (BIG..BIG + 5).all(|k| model.contains_key(&k));
                             (std::iter::once(fresh).chain(bigs).collect(), all_there)
@@ -1822,18 +1813,21 @@ mod tests {
                         _ if aux % 4 == 0 => {
                             ((0..80).map(|j| (2000 + j, vec![tag; 4000])).collect(), true)
                         }
+                        // a worker that dies inside a FASE: healing rolls
+                        // its store back, persists the restored head and
+                        // rebuilds the index (under `Best` that head may
+                        // name a node that never reached NVRAM)
+                        _ if consistent => {
+                            s.rt.begin_fase();
+                            s.rt.store_u64(s.bucket_off(key), 0);
+                            assert!(s.heal_after_panic(), "{step}: a FASE was open");
+                            (Vec::new(), false)
+                        }
                         _ => continue,
                     };
-                    match catch_unwind(AssertUnwindSafe(|| s.put_many(&g))) {
-                        Ok(true) => {
-                            assert!(!refused, "{step}: group must be refused");
-                            commit(&mut model, &g);
-                        }
-                        Ok(false) => {}
-                        Err(_) => {
-                            assert!(!cfg.pipelined, "{step}: a prelogged group is refused");
-                            assert!(s.heal_after_panic(), "{step}: a FASE was open");
-                        }
+                    if s.put_many(&g) {
+                        assert!(!refused, "{step}: group must be refused");
+                        commit(&mut model, &g);
                     }
                 }
                 // power failure at an armed micro-step of a group commit:
@@ -1874,13 +1868,13 @@ mod tests {
 
         /// The index never says anything the chains do not: after every
         /// step of a program of puts of all three kinds, groups, deletes,
-        /// lane batches with barriers, refused groups, panics inside a
-        /// FASE and power failures under every adversary.
+        /// lane batches with barriers, refused groups, FASEs abandoned
+        /// by a dying worker and power failures under every adversary.
         #[test]
         fn index_is_the_chains(
             prog in prop::collection::vec((0u8..16, 0u64..KEYS, 0u8..5, any::<u64>()), 1..70),
         ) {
-            for (policy, pipelined) in [
+            for (policy, slab) in [
                 (PolicyKind::ScFixed { capacity: 8 }, true),
                 (PolicyKind::Atlas { size: 8 }, false),
                 (PolicyKind::Best, true),
@@ -1888,7 +1882,7 @@ mod tests {
                 let cfg = ShardConfig {
                     buckets: 8, // chains of several nodes: link surgery
                     log_len: 4096,
-                    pipelined,
+                    pipelined: slab,
                     ..small(policy)
                 };
                 run_differential(&cfg, &prog);

@@ -70,7 +70,7 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.with(Cell::get) - before, r)
 }
 
-/// A pipelined fixed-capacity shard with no live controller: nothing
+/// A slab fixed-capacity shard with no live controller: nothing
 /// but the write path itself runs inside a `put_many`.
 fn shard_config() -> ShardConfig {
     ShardConfig {
@@ -187,7 +187,7 @@ fn serve_batch_does_not_clone_written_values() {
     assert_eq!(shard.get(63).as_deref(), Some(&[2u8; 40][..]));
 }
 
-/// A pipelined fixed-capacity tree heap, as the tree lanes run it.
+/// A slab fixed-capacity tree heap, as the tree lanes run it.
 fn tree_config() -> TreeConfig {
     TreeConfig {
         data_len: 1 << 20,

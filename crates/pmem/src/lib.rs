@@ -30,8 +30,8 @@
 //! for the Makalu-style allocation Atlas relies on.
 //!
 //! [`ring::FlushRing`] is the asynchronous flush pipeline: a mutex-free
-//! submission ring whose drain side sorts, dedups, FliT-elides, and
-//! coalesces lines into ranged sweeps — while keeping every swept line
+//! submission ring whose drain side sorts, dedups and coalesces lines
+//! into ranged sweeps — while keeping every swept line
 //! an individual crash-visible micro-step. [`slab::SlabAlloc`] layers
 //! volatile size-classed free lists over `PAlloc` so hot-path node
 //! allocation stops paying a fence per block.

@@ -301,8 +301,7 @@ impl PmemRegion {
     }
 
     /// Is `line` dirty (volatile bytes newer than any flush capture)?
-    /// Gates FliT-style flush elision: a clean line flushed earlier in
-    /// the same commit epoch has nothing new to write back.
+    #[cfg(test)]
     pub fn line_is_dirty(&self, line: u64) -> bool {
         self.state
             .get(line as usize)

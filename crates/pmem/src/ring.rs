@@ -3,7 +3,7 @@
 //!
 //! The paper's central mechanism is overlapping cache-line write-backs
 //! with computation; the remaining software cost is the *submission*
-//! path itself. This module provides the pipelined flush path:
+//! path itself. This module provides the FASE runtime's one flush path:
 //!
 //! * **Submission ring** — a fixed-capacity power-of-two ring of
 //!   `AtomicU64` slots. The submit side ([`FlushRing::submit`]) is
@@ -12,22 +12,15 @@
 //!   `false` and the caller drains inline (the single-thread fallback
 //!   the runtime uses, since the emulated [`PmemRegion`] is
 //!   single-owner).
-//! * **Fence tokens** — commit no longer walks a buffer flushing line
-//!   by line. It publishes a [`FenceToken`] (a tail snapshot) and asks
-//!   the drain side to retire everything submitted at or before the
-//!   token ([`FlushRing::drain_upto`]).
+//! * **Fence tokens** — commit does not walk a buffer flushing line by
+//!   line. It publishes a [`FenceToken`] (a tail snapshot) and asks the
+//!   drain side to retire everything submitted at or before the token
+//!   ([`FlushRing::drain_upto`]).
 //! * **Ranged sweeps** — the drain sorts and dedups the batch in its
 //!   scratch buffer, then walks it once, sweeping each maximal run of
 //!   adjacent lines (the runs [`coalesce_sorted`] returns) with one
-//!   ranged `clwb`/`clflushopt`-style pass.
-//! * **FliT-style elision** — a per-line epoch map records lines
-//!   already flushed in the current commit epoch; a re-submitted line
-//!   that is still clean is skipped entirely. This is safe in the
-//!   region model because flushing a clean line is a no-op, and safe on
-//!   hardware because the line's latest bytes are already in flight and
-//!   nothing re-dirtied it ([`PmemRegion::line_is_dirty`] gates the
-//!   skip). [`FlushRing::end_epoch`] advances the epoch after the fence
-//!   that makes the captures durable.
+//!   ranged `clwb`/`clflushopt`-style pass. A line submitted twice
+//!   before one drain is swept once.
 //!
 //! **Crash visibility.** Every line actually swept still executes its
 //! own `flush_line` micro-step against the region (hardware executes
@@ -49,7 +42,8 @@ pub struct RingStats {
     pub submitted: u64,
     /// Lines actually swept (flush instructions issued).
     pub flushed: u64,
-    /// Lines skipped by same-epoch flush elision.
+    /// Always 0: the ring elides nothing. Kept for
+    /// `benchmark/src/adapter.rs`, which reports it.
     pub elided: u64,
     /// Contiguous ranged sweeps issued (≤ `flushed`).
     pub sweeps: u64,
@@ -98,13 +92,6 @@ pub struct FlushRing {
     /// Next sequence number to publish.
     tail: AtomicU64,
     mask: u64,
-    /// Current commit epoch (advanced by [`FlushRing::end_epoch`]).
-    epoch: u64,
-    /// Per-line epoch stamp (`epoch + 1`; 0 = never swept), indexed by
-    /// line and lazily sized to the region on first drain. Dense so the
-    /// drain hot path does an array index per line instead of a hash
-    /// probe.
-    flushed_epoch: Vec<u64>,
     /// Drain-side scratch buffer, reused across drains.
     scratch: Vec<u64>,
     stats: RingStats,
@@ -122,8 +109,6 @@ impl Clone for FlushRing {
             head: AtomicU64::new(self.head.load(Ordering::Relaxed)),
             tail: AtomicU64::new(self.tail.load(Ordering::Relaxed)),
             mask: self.mask,
-            epoch: self.epoch,
-            flushed_epoch: self.flushed_epoch.clone(),
             scratch: Vec::new(),
             stats: self.stats,
         }
@@ -141,8 +126,6 @@ impl FlushRing {
             head: AtomicU64::new(0),
             tail: AtomicU64::new(0),
             mask: (cap - 1) as u64,
-            epoch: 0,
-            flushed_epoch: Vec::new(),
             scratch: Vec::new(),
             stats: RingStats::default(),
         }
@@ -195,11 +178,11 @@ impl FlushRing {
         FenceToken(self.tail.load(Ordering::Acquire))
     }
 
-    /// Retire every submitted line up to `token`: pop, sort, dedup,
-    /// elide same-epoch clean lines, then sweep the rest as coalesced
-    /// contiguous runs of per-line flushes. Each swept line is one
-    /// persistence micro-step on `region` (crash plans can fire inside
-    /// the drain). Returns the number of flush instructions issued.
+    /// Retire every submitted line up to `token`: pop, sort, dedup, then
+    /// sweep the lines as coalesced contiguous runs of per-line flushes.
+    /// Each swept line is one persistence micro-step on `region` (crash
+    /// plans can fire inside the drain). Returns the number of flush
+    /// instructions issued.
     pub fn drain_upto(&mut self, token: FenceToken, region: &mut PmemRegion) -> u64 {
         let head = self.head.load(Ordering::Relaxed);
         let upto = token.0.min(self.tail.load(Ordering::Acquire));
@@ -218,34 +201,11 @@ impl FlushRing {
         self.stats.submitted += popped;
         self.scratch.sort_unstable();
         self.scratch.dedup();
-        // FliT-style elision: a line already swept this epoch whose
-        // bytes have not been re-dirtied since has nothing new to write
-        // back — skip the instruction entirely.
-        let lines = region.line_count() as usize;
-        if self.flushed_epoch.len() < lines {
-            self.flushed_epoch.resize(lines, 0);
-        }
-        let stamp = self.epoch.wrapping_add(1);
-        let mut kept = 0usize;
-        for i in 0..self.scratch.len() {
-            let line = self.scratch[i];
-            let seen = self.flushed_epoch.get(line as usize) == Some(&stamp);
-            if seen && !region.line_is_dirty(line) {
-                self.stats.elided += 1;
-            } else {
-                if let Some(slot) = self.flushed_epoch.get_mut(line as usize) {
-                    *slot = stamp;
-                }
-                self.scratch[kept] = line;
-                kept += 1;
-            }
-        }
-        self.scratch.truncate(kept);
         for run in runs_of(&self.scratch) {
             region.flush_line_run(run[0], run.len() as u64);
             self.stats.sweeps += 1;
         }
-        let issued = kept as u64;
+        let issued = self.scratch.len() as u64;
         self.stats.flushed += issued;
         self.stats.drains += 1;
         issued
@@ -257,21 +217,16 @@ impl FlushRing {
         self.drain_upto(token, region)
     }
 
-    /// Close the current commit epoch (call after the fence that made
-    /// this epoch's captures durable): subsequently submitted lines are
-    /// never elided against pre-fence flushes.
-    pub fn end_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-    }
+    /// Does nothing: the ring keeps no state across commits. Kept for
+    /// `benchmark/src/adapter.rs`, which still calls it after a fence.
+    pub fn end_epoch(&mut self) {}
 
-    /// Forget all submitted-but-undrained lines and elision history.
-    /// Used on crash recovery: the cache content is gone, so the ring's
-    /// view of it must go too.
+    /// Forget all submitted-but-undrained lines. Used on crash
+    /// recovery: the cache content is gone, so the ring's view of it
+    /// must go too.
     pub fn reset(&mut self) {
         let tail = self.tail.load(Ordering::Relaxed);
         self.head.store(tail, Ordering::Relaxed);
-        self.flushed_epoch.fill(0);
-        self.epoch = 0;
         self.scratch.clear();
     }
 }
@@ -333,37 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn same_epoch_clean_line_is_elided() {
-        let mut ring = FlushRing::new(16);
-        let mut r = PmemRegion::new(1024);
-        r.write(0, b"a");
-        ring.submit(0);
-        assert_eq!(ring.drain_all(&mut r), 1);
-        // resubmitted in the same epoch, not re-dirtied: elided
-        ring.submit(0);
-        assert_eq!(ring.drain_all(&mut r), 0);
-        assert_eq!(ring.stats().elided, 1);
-        // re-dirtied: must flush again even in the same epoch
-        r.write(0, b"b");
-        ring.submit(0);
-        assert_eq!(ring.drain_all(&mut r), 1);
-    }
-
-    #[test]
-    fn epoch_end_disables_elision() {
-        let mut ring = FlushRing::new(16);
-        let mut r = PmemRegion::new(1024);
-        r.write(0, b"a");
-        ring.submit(0);
-        ring.drain_all(&mut r);
-        r.fence();
-        ring.end_epoch();
-        ring.submit(0);
-        assert_eq!(ring.drain_all(&mut r), 1, "new epoch: swept again");
-        assert_eq!(ring.stats().elided, 0);
-    }
-
-    #[test]
     fn fence_token_bounds_the_drain() {
         let mut ring = FlushRing::new(16);
         let mut r = PmemRegion::new(1024);
@@ -410,7 +334,8 @@ mod tests {
         assert!(ring.is_empty());
         r.write(0, b"b");
         ring.submit(0);
-        assert_eq!(ring.drain_all(&mut r), 1, "history gone after reset");
+        assert_eq!(ring.drain_all(&mut r), 1, "serves on after a reset");
+        assert_eq!(ring.stats().submitted, 2, "the dropped line never drained");
     }
 
     #[test]
@@ -425,7 +350,6 @@ mod tests {
                 assert!(ring.submit(line));
             }
             total += ring.drain_all(&mut r);
-            ring.end_epoch();
         }
         assert_eq!(total, 40);
         assert_eq!(ring.stats().drains, 10);

@@ -10,7 +10,7 @@
 //! * [`pager`] — the split storage trait surface ([`PageRead`] /
 //!   [`PageWrite`] / [`RootStore`]) and its two backends: the
 //!   production [`FasePager`] over a [`nvcache_fase::FaseRuntime`]
-//!   (PAlloc heap, undo log, optional slab + pipelined flush ring,
+//!   (PAlloc heap, undo log, flush ring, optional slab,
 //!   crash-point injection) and the volatile [`MemPager`] test double.
 //! * [`tree`] — the [`Tree`] itself: 256-byte pages read by borrow,
 //!   logical-page indirection (a slot table indexed by logical id:

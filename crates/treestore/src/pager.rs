@@ -3,7 +3,7 @@
 //! the B+-tree logic is written against a narrow page-store contract
 //! and the production backend — [`FasePager`], a thin shell over the
 //! shared [`FaseRuntime`] — brings PAlloc, the slab layer, and the
-//! pipelined flush ring along for free. A volatile [`MemPager`] test
+//! runtime's flush ring along for free. A volatile [`MemPager`] test
 //! double exercises the tree's structural logic without any
 //! persistence machinery.
 //!
@@ -23,7 +23,7 @@
 //!   its own page arena on top and never frees carved blocks back.
 
 use nvcache_core::PolicyKind;
-use nvcache_fase::{FaseRuntime, FaseStats, FlushMode, RecoveryError};
+use nvcache_fase::{FaseRuntime, FaseStats, RecoveryError};
 use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
 
 /// Bytes per tree page (also per value cell).
@@ -121,7 +121,9 @@ pub struct TreeConfig {
     pub log_len: usize,
     /// Write-combining cache policy for the runtime.
     pub policy: PolicyKind,
-    /// Route flushes through the pipelined ring + slab allocator.
+    /// Carve pages through the volatile slab
+    /// ([`FaseRuntime::enable_slab`]). That is all it selects: every
+    /// tree flushes through the runtime's ring.
     pub pipelined: bool,
 }
 
@@ -138,7 +140,7 @@ impl Default for TreeConfig {
 
 /// The production page store: a private [`FaseRuntime`] with a heap,
 /// sharing the exact persistence stack of the hash shards (PAlloc,
-/// optional slab + pipelined flush ring, undo log, crash plumbing).
+/// optional slab, flush ring, undo log, crash plumbing).
 pub struct FasePager {
     rt: FaseRuntime,
 }
@@ -148,7 +150,6 @@ impl FasePager {
     pub fn new(cfg: &TreeConfig) -> FasePager {
         let mut rt = FaseRuntime::with_heap(cfg.data_len, cfg.log_len, &cfg.policy);
         if cfg.pipelined {
-            rt.set_flush_mode(FlushMode::Pipelined);
             rt.enable_slab();
         }
         FasePager { rt }
@@ -162,7 +163,6 @@ impl FasePager {
         let region = PmemRegion::from_image(image);
         let mut rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &cfg.policy)?;
         if cfg.pipelined && rt.has_heap() {
-            rt.set_flush_mode(FlushMode::Pipelined);
             rt.enable_slab();
         }
         Ok(FasePager { rt })
@@ -377,7 +377,7 @@ mod tests {
             ..Default::default()
         };
         let mut p = FasePager::new(&cfg);
-        p.alloc_block(PAGE).unwrap();
+        let off = p.alloc_block(PAGE).unwrap();
         p.alloc_block(PAGE).unwrap();
         let before = p.runtime_mut().slab_stats().unwrap();
         assert!(before.chunks + before.fast_allocs + before.fallback_allocs > 0);
@@ -390,7 +390,12 @@ mod tests {
                 && after.frees >= before.frees,
             "slab counters went backwards: {before:?} -> {after:?}"
         );
-        assert_eq!(p.runtime_mut().flush_mode(), FlushMode::Pipelined);
+        // the recovered runtime still commits through the ring
+        let drains = p.runtime_mut().ring_stats().drains;
+        p.begin();
+        p.write(off, &[7u8; PAGE]);
+        p.commit();
+        assert_eq!(p.runtime_mut().ring_stats().drains, drains + 1);
     }
 
     #[test]

@@ -2080,12 +2080,13 @@ mod tests {
 
     /// The allocator's header is part of the image: one no allocator
     /// wrote (here a bump cursor inside the header) is a typed refusal,
-    /// pipelined or not — not a tree that allocates over its own root.
+    /// with the slab or without — not a tree that allocates over its own
+    /// root.
     #[test]
     fn reopen_from_image_rejects_a_hostile_allocator_header() {
-        for pipelined in [false, true] {
+        for slab in [false, true] {
             let cfg = TreeConfig {
-                pipelined,
+                pipelined: slab,
                 ..small_cfg()
             };
             let mut t = Tree::create(&cfg).unwrap();

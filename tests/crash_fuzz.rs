@@ -14,7 +14,7 @@
 //! flush and fence, inside the commit window — has no place to hide.
 
 use nvcache::core::{AdaptiveConfig, PolicyKind};
-use nvcache::fase::{FaseRuntime, FlushMode, RecoveryError};
+use nvcache::fase::{FaseRuntime, RecoveryError};
 use nvcache::pmem::{CrashMode, CrashPlan, PmemRegion};
 use nvcache::telemetry::{CounterId, EventKind, TelemetryConfig};
 use proptest::prelude::*;
@@ -46,18 +46,17 @@ fn all_modes(seed: u64) -> Vec<CrashMode> {
 }
 
 /// The acceptance matrix: all six policies × all three crash
-/// adversaries × both flush paths × several program seeds, crashing at
-/// every micro-step. The pipelined path's ring drain executes per-line
-/// micro-steps, so the armed crash plan cuts inside its coalesced
-/// sweeps exactly as it cuts inside the sync loop. Must cover ≥ 1000
-/// distinct (program, step, mode, policy, path) schedules and pass the
-/// oracle on every one.
+/// adversaries × grouped and per-store logging × several program
+/// seeds, crashing at every micro-step. The ring drain executes
+/// per-line micro-steps, so the armed crash plan cuts inside its
+/// coalesced sweeps. Must cover ≥ 1000 distinct (program, step, mode,
+/// policy, logging) schedules and pass the oracle on every one.
 #[test]
 fn full_matrix_every_step_every_policy_every_mode() {
     let mut schedules = 0u64;
-    for flush_mode in [FlushMode::Sync, FlushMode::Pipelined] {
+    for prelog in [false, true] {
         let cfg = CrashFuzzConfig {
-            flush_mode,
+            prelog,
             ..CrashFuzzConfig::default()
         };
         for kind in all_policies() {
@@ -66,10 +65,9 @@ fn full_matrix_every_step_every_policy_every_mode() {
                     let r = crash_fuzz(&kind, &mode, seed, &cfg);
                     assert!(
                         r.passed(),
-                        "policy {} mode {:?} path {} seed {seed}: {} failures, first: {:?}",
+                        "policy {} mode {:?} prelog {prelog} seed {seed}: {} failures, first: {:?}",
                         kind.label(),
                         mode,
-                        flush_mode.label(),
                         r.failure_count,
                         r.failures.first()
                     );
@@ -87,19 +85,19 @@ fn full_matrix_every_step_every_policy_every_mode() {
 /// The concurrent-submission matrix: with `clients > 1` each FASE is a
 /// cross-client group commit — several submitters' store streams
 /// drained into one batch, the shape the shard worker produces. All six
-/// policies × all three adversaries × both flush paths, crashing at
-/// every micro-step: recovery must always land on a whole number of
-/// batches, never exposing one client's writes without the rest of the
-/// same acknowledged group.
+/// policies × all three adversaries × grouped and per-store logging,
+/// crashing at every micro-step: recovery must always land on a whole
+/// number of batches, never exposing one client's writes without the
+/// rest of the same acknowledged group.
 #[test]
 fn concurrent_submission_matrix_never_tears_a_group() {
     let mut schedules = 0u64;
-    for flush_mode in [FlushMode::Sync, FlushMode::Pipelined] {
+    for prelog in [false, true] {
         let cfg = CrashFuzzConfig {
             fases: 3,
             stores_per_fase: 4,
             clients: 4,
-            flush_mode,
+            prelog,
             ..CrashFuzzConfig::default()
         };
         for kind in all_policies() {
@@ -107,10 +105,9 @@ fn concurrent_submission_matrix_never_tears_a_group() {
                 let r = crash_fuzz(&kind, &mode, 17, &cfg);
                 assert!(
                     r.passed(),
-                    "policy {} mode {:?} path {} clients 4: {} failures, first: {:?}",
+                    "policy {} mode {:?} prelog {prelog} clients 4: {} failures, first: {:?}",
                     kind.label(),
                     mode,
-                    flush_mode.label(),
                     r.failure_count,
                     r.failures.first()
                 );
@@ -142,19 +139,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Property form: arbitrary program seeds and adversary seeds, a
-    /// strided sample of crash steps, any policy, either flush path —
-    /// the oracle holds.
+    /// strided sample of crash steps, any policy, grouped or per-store
+    /// logging — the oracle holds.
     #[test]
     fn random_programs_recover_to_committed_snapshot(
         seed in any::<u64>(),
         policy_ix in 0usize..6,
         mode_ix in 0usize..3,
         stride in 3u64..11,
-        pipelined in any::<bool>(),
+        prelog in any::<bool>(),
     ) {
         let cfg = CrashFuzzConfig {
             step_stride: stride,
-            flush_mode: if pipelined { FlushMode::Pipelined } else { FlushMode::Sync },
+            prelog,
             ..Default::default()
         };
         let kind = all_policies()[policy_ix].clone();

@@ -1,4 +1,4 @@
-//! Property tests for the pipelined flush path: the submission ring's
+//! Property tests for the flush path: the submission ring's
 //! sorted + coalesced drain must flush **exactly** the submitted line
 //! set — duplicates collapse, adjacent lines merge into ranged sweeps,
 //! nothing is dropped — and the bytes that become durable must be
@@ -83,12 +83,12 @@ proptest! {
         );
     }
 
-    /// Interleaved writes, submits, drains and epoch ends: elision may
-    /// skip clean same-epoch lines, but whatever the program wrote and
-    /// submitted before its final drain+fence must be durable — the
-    /// ring never loses a line, under any interleaving.
+    /// Interleaved writes, submits, mid-stream drains and commits:
+    /// whatever the program wrote and submitted before its final
+    /// drain+fence must be durable — the ring never loses a line, under
+    /// any interleaving.
     #[test]
-    fn elision_never_loses_a_submitted_write(
+    fn interleaved_drains_never_lose_a_submitted_write(
         ops in prop::collection::vec((0u64..LINES, 0u8..4), 1..64),
     ) {
         let mut ring = FlushRing::new(256);
@@ -106,11 +106,10 @@ proptest! {
                 2 => {
                     ring.drain_all(&mut r);
                 }
-                // commit boundary: drain, fence, close the epoch
+                // commit boundary: drain, fence
                 _ => {
                     ring.drain_all(&mut r);
                     r.fence();
-                    ring.end_epoch();
                     reference.fence();
                 }
             }

@@ -81,14 +81,14 @@ fn apply(s: &mut Shard, op: &Op) {
     }
 }
 
-fn shard_cfg(policy: PolicyKind, pipelined: bool) -> ShardConfig {
+fn shard_cfg(policy: PolicyKind, slab: bool) -> ShardConfig {
     ShardConfig {
         buckets: 16, // few buckets → long chains → bucket threading under stress
         data_len: 1 << 18,
         log_len: 1 << 15,
         policy,
         adapt: None,
-        pipelined,
+        pipelined: slab,
     }
 }
 
@@ -133,11 +133,11 @@ fn record(cfg: &ShardConfig, prog: &[Op]) -> (Vec<u64>, Vec<Snapshot>) {
 #[test]
 fn shard_recovers_committed_prefix_at_sampled_micro_steps() {
     let prog = program(2017, 30, 24);
-    for (policy, pipelined) in policies()
+    for (policy, slab) in policies()
         .into_iter()
         .flat_map(|p| [(p.clone(), false), (p, true)])
     {
-        let cfg = shard_cfg(policy, pipelined);
+        let cfg = shard_cfg(policy, slab);
         let (commit_steps, snaps) = record(&cfg, &prog);
         let setup = commit_steps[0];
         let total = *commit_steps.last().unwrap();
@@ -169,10 +169,10 @@ fn shard_recovers_committed_prefix_at_sampled_micro_steps() {
                 // replaces its node inside one FASE.
                 assert!(
                     got == snaps[committed] || Some(&got) == snaps.get(committed + 1),
-                    "policy {} path {} mode {mode:?} crash at step {k}: state is \
+                    "policy {} alloc {} mode {mode:?} crash at step {k}: state is \
                      neither op {committed}'s snapshot nor op {}'s",
                     cfg.policy.label(),
-                    if pipelined { "pipelined" } else { "sync" },
+                    if slab { "slab" } else { "heap" },
                     committed + 1,
                 );
                 assert_eq!(rec.len(), got.len());
@@ -283,13 +283,13 @@ fn recover_at(cfg: &ShardConfig, prog: &[Vec<BatchRequest>], k: u64, mode: &Cras
 #[test]
 fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
     let prog = batch_program(4242, 14, 24);
-    for (policy, pipelined) in [
+    for (policy, slab) in [
         (PolicyKind::ScFixed { capacity: 8 }, true),
         (PolicyKind::ScFixed { capacity: 8 }, false),
         (PolicyKind::Eager, true),
         (PolicyKind::Atlas { size: 8 }, false),
     ] {
-        let cfg = shard_cfg(policy, pipelined);
+        let cfg = shard_cfg(policy, slab);
         // counting pass: commit step + full dump after each acked batch
         let mut s = Shard::new(&cfg);
         let mut commit_steps = vec![s.steps()];
@@ -312,11 +312,11 @@ fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
                 let got = rec.dump();
                 assert!(
                     got == snaps[committed] || Some(&got) == snaps.get(committed + 1),
-                    "policy {} path {} mode {mode:?} crash at step {k}: torn group \
+                    "policy {} alloc {} mode {mode:?} crash at step {k}: torn group \
                      commit — state is neither batch {committed}'s snapshot nor \
                      batch {}'s",
                     cfg.policy.label(),
-                    if pipelined { "pipelined" } else { "sync" },
+                    if slab { "slab" } else { "heap" },
                     committed + 1,
                 );
                 k += stride;
@@ -331,7 +331,8 @@ fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
     // between two requests of one batch and the oracle is per key. A key
     // recovers to the value the last acknowledged batch left or to one
     // the batch in flight writes to it, and an acknowledged key is never
-    // absent. Every micro-step, both flush paths, all three adversaries.
+    // absent. Every micro-step, slab and heap allocation, all three
+    // adversaries.
     let mut seed = 77u64;
     let prog: Vec<Vec<BatchRequest>> = (0..8)
         .map(|_| {
@@ -344,12 +345,12 @@ fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
                 .collect()
         })
         .collect();
-    for pipelined in [false, true] {
+    for slab in [false, true] {
         // a small region: one image is copied per cut
         let cfg = ShardConfig {
             data_len: 1 << 14,
             log_len: 1 << 13,
-            ..shard_cfg(PolicyKind::ScFixed { capacity: 8 }, pipelined)
+            ..shard_cfg(PolicyKind::ScFixed { capacity: 8 }, slab)
         };
         let mut s = Shard::new(&cfg);
         let mut commit_steps = vec![s.steps()];
@@ -373,7 +374,7 @@ fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
                 let got = recover_at(&cfg, &prog, k, &mode).dump();
                 let committed = commit_steps.iter().rposition(|&c| c <= k).unwrap();
                 let acked = &snaps[committed];
-                let ctx = || format!("pipelined {pipelined} mode {mode:?} crash at step {k}");
+                let ctx = || format!("slab {slab} mode {mode:?} crash at step {k}");
                 for (key, _) in acked {
                     assert!(
                         got.iter().any(|(k2, _)| k2 == key),

@@ -28,7 +28,7 @@
 //! step schedule, same verdict.
 
 use nvcache::core::PolicyKind;
-use nvcache::fase::{FaseRuntime, FlushMode};
+use nvcache::fase::FaseRuntime;
 use nvcache::pmem::{CrashMode, CrashPlan, PmemRegion};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -50,11 +50,11 @@ pub struct CrashFuzzConfig {
     /// Crash-step stride: 1 replays every micro-step; `k` replays steps
     /// `first, first+k, …` (a deterministic sample for smoke runs).
     pub step_stride: u64,
-    /// Flush path the fuzzed programs drive. `Pipelined` also routes
-    /// each FASE's write set through [`FaseRuntime::prelog`], so the
-    /// sweep covers the grouped-append commit protocol's micro-steps
-    /// (group flush, ring drains, fence token, epoch bump).
-    pub flush_mode: FlushMode,
+    /// Undo-log each FASE's write set up front as one group
+    /// ([`FaseRuntime::prelog`]) instead of store by store, so the
+    /// sweep covers both logging protocols' micro-steps (one group
+    /// persist or one per store) on the one flush path.
+    pub prelog: bool,
     /// Concurrent submitters per group commit. With `clients > 1` each
     /// FASE is a *cross-client batch*: every client contributes its own
     /// deterministic store stream and the worker drains them into one
@@ -74,7 +74,7 @@ impl Default for CrashFuzzConfig {
             stores_per_fase: 8,
             log_len: 1 << 14,
             step_stride: 1,
-            flush_mode: FlushMode::Sync,
+            prelog: false,
             clients: 1,
         }
     }
@@ -154,7 +154,6 @@ fn run_program(
     snapshots: Option<&mut Vec<Vec<u64>>>,
 ) -> FaseRuntime {
     let mut rt = FaseRuntime::new(data_len(cfg), cfg.log_len, kind);
-    rt.set_flush_mode(cfg.flush_mode);
     if let Some(plan) = plan {
         rt.arm_crash(plan);
     }
@@ -162,9 +161,8 @@ fn run_program(
     let mut snapshots = snapshots;
     for fase in program {
         rt.begin_fase();
-        if cfg.flush_mode == FlushMode::Pipelined {
-            // the pipelined commit protocol pairs with grouped
-            // prelogging: capture the whole write set up front
+        if cfg.prelog {
+            // capture the whole write set up front
             let ranges: Vec<(u64, u64)> = fase
                 .iter()
                 .map(|&(slot, _)| ((SLOT_BASE + slot * 8) as u64, 8))
@@ -360,7 +358,7 @@ mod tests {
             slots: 8,
             fases: 3,
             stores_per_fase: 4,
-            flush_mode: FlushMode::Pipelined,
+            prelog: true,
             ..CrashFuzzConfig::default()
         };
         for mode in [
@@ -417,7 +415,7 @@ mod tests {
             fases: 3,
             stores_per_fase: 3,
             clients: 3,
-            flush_mode: FlushMode::Pipelined,
+            prelog: true,
             ..CrashFuzzConfig::default()
         };
         for mode in [

@@ -73,12 +73,12 @@ fn apply_txn(t: &mut Tree, txn: &[TxnOp]) {
     t.commit();
 }
 
-fn cfg(pipelined: bool) -> TreeConfig {
+fn cfg(slab: bool) -> TreeConfig {
     TreeConfig {
         data_len: 1 << 21,
         log_len: 1 << 18,
         policy: PolicyKind::ScFixed { capacity: 8 },
-        pipelined,
+        pipelined: slab,
     }
 }
 
@@ -112,12 +112,12 @@ fn record(cfg: &TreeConfig, prog: &[Vec<TxnOp>]) -> (Vec<u64>, Vec<Snapshot>) {
 
 /// Crash at micro-step `k` (sampled), recover, compare to the snapshot
 /// of the last txn whose commit step is ≤ `k` — committed-prefix
-/// semantics over whole transactions, on both flush paths.
+/// semantics over whole transactions, with the slab and without.
 #[test]
 fn tree_recovers_committed_prefix_at_sampled_micro_steps() {
     let prog = program(1986, 24, 48);
-    for pipelined in [false, true] {
-        let cfg = cfg(pipelined);
+    for slab in [false, true] {
+        let cfg = cfg(slab);
         let (commit_steps, snaps) = record(&cfg, &prog);
         let setup = commit_steps[0];
         let total = *commit_steps.last().unwrap();
@@ -148,9 +148,9 @@ fn tree_recovers_committed_prefix_at_sampled_micro_steps() {
                 // in between ever is: a txn is never visible in part.
                 assert!(
                     got == snaps[committed] || Some(&got) == snaps.get(committed + 1),
-                    "path {} mode {mode:?} crash at step {k}: torn transaction — \
+                    "alloc {} mode {mode:?} crash at step {k}: torn transaction — \
                      state is neither txn {committed}'s snapshot nor txn {}'s",
-                    if pipelined { "pipelined" } else { "sync" },
+                    if slab { "slab" } else { "heap" },
                     committed + 1,
                 );
                 // recovered structural metadata must agree with the data
@@ -272,7 +272,7 @@ fn mid_split_crash_recovers_the_old_root_graph() {
 /// insert (the first touch: shadow page + used-byte copy), an overwrite
 /// and a delete edited in place, then enough inserts to fill the staged
 /// leaf and split it while Dirty — crashed at *every* micro-step, under
-/// every adversary, on both flush paths. In-place edits of a shadow
+/// every adversary, with the slab and without. In-place edits of a shadow
 /// page are stores of a few words each, landing (or not) line by line:
 /// none of them may be visible before the head flip, all of them after.
 #[test]
@@ -287,10 +287,10 @@ fn dirty_leaf_edits_and_split_are_atomic_at_every_micro_step() {
     ];
     // 10 entries now; five more overflow the 14-entry leaf while Dirty
     dirty_txn.extend((11..=15u64).map(|k| TxnOp::Put(k, value(k, 8))));
-    for pipelined in [false, true] {
+    for slab in [false, true] {
         let cfg = TreeConfig {
             data_len: 1 << 18,
-            ..cfg(pipelined)
+            ..cfg(slab)
         };
         let mut t = Tree::create(&cfg).unwrap();
         apply_txn(&mut t, &base_txn);
@@ -314,9 +314,9 @@ fn dirty_leaf_edits_and_split_are_atomic_at_every_micro_step() {
                 let got = dump(&rec);
                 assert!(
                     got == base || got == full,
-                    "path {} mode {mode:?} crash at step {k}: torn transaction \
+                    "alloc {} mode {mode:?} crash at step {k}: torn transaction \
                      ({} entries, base {}, full {})",
-                    if pipelined { "pipelined" } else { "sync" },
+                    if slab { "slab" } else { "heap" },
                     got.len(),
                     base.len(),
                     full.len(),
@@ -341,8 +341,8 @@ fn dirty_leaf_edits_and_split_are_atomic_at_every_micro_step() {
 /// two crash rounds are needed to see it (one recovery alone passes).
 #[test]
 fn retry_under_the_same_version_never_resurrects_a_dead_attempt() {
-    for pipelined in [false, true] {
-        let cfg = cfg(pipelined);
+    for slab in [false, true] {
+        let cfg = cfg(slab);
         let mut first_modes = vec![CrashMode::AllInFlightLands];
         first_modes.extend((0..16).map(|seed| CrashMode::random(0.5, 0.5, seed)));
         for mode in first_modes {
@@ -396,8 +396,8 @@ fn retry_under_the_same_version_never_resurrects_a_dead_attempt() {
             let want: Snapshot = model.iter().map(|(k, v)| (*k, v.clone())).collect();
             assert!(
                 dump(&t) == want,
-                "path {} first crash {mode:?}: a dead attempt's page won the header scan",
-                if pipelined { "pipelined" } else { "sync" },
+                "alloc {} first crash {mode:?}: a dead attempt's page won the header scan",
+                if slab { "slab" } else { "heap" },
             );
         }
     }
