@@ -7,14 +7,22 @@
 //! ```text
 //! 0   magic   u64
 //! 8   epoch   u64   (the durable commit counter)
-//! 16… groups, back to back:
+//! 16… unused: the header has its cache line to itself
+//! 64… groups, back to back:
 //!       [payload bytes u64][checksum u64]            group header
 //!       [offset << 16 | len][old bytes, padded to 8]  one record, 1+ times
 //! ```
 //!
+//! The header line holds only what the commit rewrites, so a FASE's
+//! first group starts on a line of its own: a group of up to 64 bytes
+//! is one line, not two.
+//!
 //! A group is one append: the whole write set of a FASE that announced
-//! it up front (`FaseRuntime::prelog`), or a single range on the
-//! per-store path. Its checksum is Fx over the **epoch**, the payload
+//! it up front (`FaseRuntime::prelog`), or, on the per-store path, the
+//! words the store changes — one record per run of changed 8-byte
+//! words, and no group at all when the store changes nothing (the
+//! runtime compares the new bytes with the region before it appends).
+//! Its checksum is Fx over the **epoch**, the payload
 //! length and the payload — so a group validates only against the epoch
 //! it was written under. Each Fx step is a bijection of the state, so
 //! the same bytes under another epoch, or bytes that differ in one word,
@@ -50,8 +58,9 @@
 //!   epoch was appended by the FASE that is open now.
 //!
 //! Fixed log cost per FASE is therefore one persist per group plus the
-//! epoch bump; with the data fence between them a prelogged FASE pays
-//! **three fences** and (record lines + 1) log flushes.
+//! epoch bump: (group lines + 1) log flushes, where the group lines are
+//! the lines the FASE's groups span from byte 64 on. With the data fence
+//! between them a prelogged FASE pays **three fences**.
 //!
 //! Recovery never trusts durable bytes: a group whose length runs past
 //! the log area, whose checksum fails (torn, stale, or of another
@@ -65,12 +74,17 @@ use nvcache_pmem::PmemRegion;
 use nvcache_trace::FxHasher;
 use std::hash::Hasher;
 
-const LOG_MAGIC: u64 = 0x4641_5345_4c4f_4732; // "FASELOG2"
+/// "FASELOG3". An image of an earlier layout ("FASELOG2" put its first
+/// group at byte 16) is refused as [`RecoveryError::BadMagic`] instead
+/// of being scanned from the wrong offset.
+const LOG_MAGIC: u64 = 0x4641_5345_4c4f_4733;
 const OFF_MAGIC: usize = 0;
 const OFF_EPOCH: usize = 8;
-const RECORDS_START: usize = 16;
-/// `[payload bytes][checksum]`.
-const GROUP_HEADER: usize = 16;
+/// Log offset of the first group: the line after the header's.
+pub const RECORDS_START: usize = 64;
+/// Bytes of a group's header, `[payload bytes][checksum]`; its first
+/// record follows.
+pub const GROUP_HEADER: usize = 16;
 /// Low bits of a record's header word that hold its length.
 const LEN_BITS: u32 = 16;
 const LEN_MASK: u64 = (1 << LEN_BITS) - 1;
@@ -652,6 +666,24 @@ mod tests {
     }
 
     #[test]
+    fn open_rejects_an_image_of_the_second_format() {
+        // "FASELOG2": this header, but the first group at byte 16 — a
+        // live one here, which a scan from byte 64 would never see
+        let (mut r, _) = setup();
+        seed(&mut r, 0, b"AAAA");
+        r.write_u64(LOG_BASE + OFF_MAGIC, 0x4641_5345_4c4f_4732);
+        r.persist(LOG_BASE, 16);
+        forge_group(&mut r, 16, 0, &[(4, b"ZZZZ")]);
+        assert!(matches!(
+            UndoLog::open(&r, LOG_BASE, LOG_LEN),
+            Err(RecoveryError::BadMagic {
+                found: 0x4641_5345_4c4f_4732
+            })
+        ));
+        assert_eq!(r.slice(0, 4), b"AAAA", "nothing applied");
+    }
+
+    #[test]
     fn open_rejects_undersized_region() {
         let r = PmemRegion::new(1024);
         match UndoLog::open(&r, 4096, 4096) {
@@ -754,8 +786,10 @@ mod tests {
 
     #[test]
     fn a_group_that_does_not_fit_is_refused_whole() {
-        let mut r = PmemRegion::new(4096 + 128);
-        let mut l = UndoLog::format(&mut r, 4096, 128);
+        // 112 bytes for groups
+        let log_len = RECORDS_START + 112;
+        let mut r = PmemRegion::new(4096 + log_len);
+        let mut l = UndoLog::format(&mut r, 4096, log_len);
         l.append_group(&mut r, &[(0, 32)]).unwrap();
         let (used, stats, pmem) = (l.used(), l.stats(), r.stats());
         // 16 + 3 × (8 + 32) against the 56 bytes left
@@ -786,10 +820,21 @@ mod tests {
             "records publish themselves"
         );
         assert_eq!(after.stores - before.stores, 1, "one write of the group");
-        // 16 + 8 × 16 bytes from offset 16: lines 0..=2 of the log
+        // 16 + 8 × 16 bytes from offset 64: lines 1..=3 of the log
         assert_eq!(after.flushes - before.flushes, 3);
         assert_eq!(l.stats().record_lines, 3);
         assert_eq!(l.stats().entries, 8);
+    }
+
+    #[test]
+    fn a_first_group_of_64_bytes_is_one_line() {
+        // 16 + 8 + 40 bytes: exactly the line after the header's
+        let (mut r, mut l) = setup();
+        let before = r.stats().flushes;
+        l.append_group(&mut r, &[(0, 40)]).unwrap();
+        assert_eq!(l.used(), 64);
+        assert_eq!(r.stats().flushes - before, 1);
+        assert_eq!(l.stats().record_lines, 1);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 //! instrumentation pass plus a runtime library. Every persistent store
 //! goes through [`FaseRuntime::store`], which
 //!
-//! 1. makes the undo entry durable (log-before-data),
+//! 1. makes the undo entry durable (log-before-data) — the pre-image of
+//!    the words the store changes, nothing for a store that changes
+//!    nothing,
 //! 2. updates the data in place (volatile),
 //! 3. reports the touched cache line(s) to the pluggable persistence
 //!    policy, and submits whatever flushes the policy requests to the
@@ -161,6 +163,9 @@ pub struct FaseRuntime {
     /// The current outermost FASE grouped-prelogged its write set;
     /// per-store undo logging is suppressed until it commits.
     prelogged: bool,
+    /// The changed-word runs of the store being logged (reused, never
+    /// shrunk: the per-store path allocates nothing once warm).
+    runs: Vec<(u64, u64)>,
     /// Debug-only shadow of the prelogged ranges, to assert every
     /// unlogged store is actually covered.
     #[cfg(debug_assertions)]
@@ -204,6 +209,7 @@ impl FaseRuntime {
             ring: FlushRing::new(RING_CAPACITY),
             slab: None,
             prelogged: false,
+            runs: Vec::new(),
             #[cfg(debug_assertions)]
             prelog_ranges: Vec::new(),
         }
@@ -269,6 +275,7 @@ impl FaseRuntime {
             ring: FlushRing::new(RING_CAPACITY),
             slab: None,
             prelogged: false,
+            runs: Vec::new(),
             #[cfg(debug_assertions)]
             prelog_ranges: Vec::new(),
         };
@@ -573,8 +580,10 @@ impl FaseRuntime {
     // ----- persistent accesses -------------------------------------------
 
     /// Persistent store of `bytes` at `offset` (must lie in the data
-    /// area). Inside a FASE the old value is undo-logged first, as a
-    /// group of one unless the FASE was prelogged.
+    /// area). Inside a FASE that was not prelogged, the old value of
+    /// what the store changes is undo-logged first, as one group of one
+    /// record per run of changed 8-byte words; a store that changes
+    /// nothing logs nothing.
     ///
     /// # Panics
     /// When the log area overflows (size the log for the largest FASE,
@@ -586,10 +595,7 @@ impl FaseRuntime {
             "store outside data area"
         );
         if self.depth > 0 && !self.prelogged {
-            let range = (offset as u64, bytes.len() as u64);
-            if let Err(full) = self.log.append_group(&mut self.region, &[range]) {
-                panic!("{full}");
-            }
+            self.log_changed_words(offset, bytes);
         }
         #[cfg(debug_assertions)]
         if self.depth > 0 && self.prelogged {
@@ -603,6 +609,37 @@ impl FaseRuntime {
             );
         }
         self.store_fresh(offset, bytes);
+    }
+
+    /// Undo-log the 8-byte-aligned words a store of `new` at `offset`
+    /// changes: one group, one record per run of changed words (the
+    /// run's ends clipped to the store). Runs one unchanged word apart
+    /// merge, since a record header costs as much as that word. A store
+    /// that changes nothing appends no group — no flush, no fence.
+    ///
+    /// Leaving an unchanged word out loses nothing: the value it holds
+    /// is either the committed one, or one an earlier store of this
+    /// FASE wrote after logging its pre-image, which the reverse replay
+    /// then restores.
+    fn log_changed_words(&mut self, offset: usize, new: &[u8]) {
+        let old = self.region.slice(offset, new.len());
+        self.runs.clear();
+        let mut from = 0;
+        while from < new.len() {
+            // the store's bytes inside one aligned word
+            let to = (((offset + from) | 7) + 1 - offset).min(new.len());
+            if old[from..to] != new[from..to] {
+                let (at, end) = ((offset + from) as u64, (offset + to) as u64);
+                match self.runs.last_mut() {
+                    Some((start, len)) if at - (*start + *len) <= 8 => *len = end - *start,
+                    _ => self.runs.push((at, end - at)),
+                }
+            }
+            from = to;
+        }
+        if let Err(full) = self.log.append_group(&mut self.region, &self.runs) {
+            panic!("{full}");
+        }
     }
 
     /// Persistent store into **shadow memory**: bytes no committed
@@ -1474,7 +1511,10 @@ mod tests {
         r.begin_fase();
         let (log0, pmem0) = (r.log_stats(), r.region().stats());
         let full = r.prelog(&ranges).unwrap_err();
-        assert_eq!((full.need, full.have), (16 + 64 * 16, 256 - 16));
+        assert_eq!(
+            (full.need, full.have),
+            (16 + 64 * 16, 256 - crate::log::RECORDS_START)
+        );
         assert_eq!((r.log_stats(), r.region().stats()), (log0, pmem0));
         r.end_fase();
         // the runtime is as good as new: a smaller write set commits
@@ -1578,7 +1618,11 @@ mod tests {
         assert_eq!(logged, fresh);
         assert!(fresh.store_lines > fresh.stores, "stores span lines");
         assert!(fresh.data_flushes > 0);
-        assert_eq!((logged_entries, fresh_entries), (48, 0));
+        // a logged store records only what it changes: round 0 writes
+        // zeros over zeros, and in each later round slots 4, 9, 2 and 7
+        // (both neighbours already written this FASE) rewrite only bytes
+        // their neighbours did — 3 rounds × 8 stores of one run each
+        assert_eq!((logged_entries, fresh_entries), (24, 0));
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! The commit point, swept: a crash is armed at every micro-step from
 //! the first log append of a FASE to the return of `UndoLog::commit`,
 //! under three kinds of adversary, for a grouped and a per-store logged
-//! write set. The epoch
-//! write — the log's truncation: it retires every group at once — is
-//! the only thing that separates "rolled back" from "committed", so:
+//! write set, and for a per-store FASE whose stores log only the words
+//! they change (none, two runs, an identical rewrite, an unaligned
+//! store across a word boundary, two runs merged across one word). The
+//! epoch write — the log's truncation: it retires every group at once —
+//! is the only thing that separates "rolled back" from "committed", so:
 //!
 //! * before that write executes, recovery yields the pre-FASE image;
 //! * after its fence, the post-FASE image;
@@ -15,8 +17,9 @@
 //! fence (the bump then lands while data lines are still in flight, and
 //! the recovered bytes are neither image), when a group is applied
 //! that only partly reached NVRAM (the log area is full of an earlier
-//! FASE's groups, so the part that did not land is *their* bytes), or
-//! when eliding a covered range loses a pre-image.
+//! FASE's groups, so the part that did not land is *their* bytes), when
+//! eliding a covered range loses a pre-image, or when leaving an
+//! unchanged word out of a store's records does.
 
 use nvcache_core::PolicyKind;
 use nvcache_fase::{FaseRuntime, UndoLog};
@@ -38,7 +41,7 @@ const PER_STORE: Shape = Shape {
     prelog: None,
     stores: &[(0, 8), (120, 16), (512, 8)],
 };
-/// Groups of 32, 40 and 32 bytes from log offset 16: the second
+/// Groups of 32, 40 and 32 bytes from log offset 64: the second
 /// straddles a line.
 const PER_STORE_RECORD_LINES: u64 = 4;
 
@@ -60,7 +63,7 @@ const GROUPED: Shape = Shape {
     stores: &[(0, 8), (120, 16), (128, 16), (512, 8), (124, 4), (130, 2)],
 };
 /// Of `GROUPED.prelog`, what needs a record: `(0, 8) (120, 16)
-/// (128, 16) (512, 8)` — 16 + 4 × 8 + 48 bytes from log offset 16.
+/// (128, 16) (512, 8)` — 16 + 4 × 8 + 48 bytes from log offset 64.
 const GROUPED_RECORD_LINES: u64 = 2;
 
 fn policy() -> PolicyKind {
@@ -106,52 +109,116 @@ fn adversaries() -> Vec<CrashMode> {
     modes
 }
 
-#[test]
-fn every_step_up_to_the_truncate_fence_recovers_pre_and_after_it_post() {
-    for (name, shape) in [("grouped", &GROUPED), ("per-store", &PER_STORE)] {
-        // counting run: where the FASE's log activity begins and where
-        // commit returns
-        let mut rt = seeded();
-        let pre = data_of(&rt);
-        let first = rt.steps();
-        swept_fase(&mut rt, shape);
-        let end = rt.steps();
-        let post = data_of(&rt);
-        assert_ne!(pre, post);
-        // commit = epoch write, epoch-line flush, fence
-        let epoch_write = end - 3;
-        for mode in &adversaries() {
-            for at in first..=end {
-                let mut rt = seeded();
-                rt.arm_crash(CrashPlan {
-                    at_step: at,
-                    mode: mode.clone(),
-                });
-                swept_fase(&mut rt, shape);
-                let image = if at == end {
-                    // power fails the instant commit returned
-                    rt.region().image_after_crash(mode)
-                } else {
-                    rt.take_crash_image().expect("armed step reached")
-                };
-                let got = data_of(&reopened(image));
-                let ctx = format!("{name} {mode:?} step {at} of {first}..={end}");
-                if at <= epoch_write {
-                    assert_eq!(got, pre, "not rolled back: {ctx}");
-                } else if at == end {
-                    assert_eq!(got, post, "committed FASE lost: {ctx}");
-                } else {
-                    match mode {
-                        CrashMode::StrictDurableOnly => assert_eq!(got, pre, "{ctx}"),
-                        CrashMode::AllInFlightLands => assert_eq!(got, post, "{ctx}"),
-                        CrashMode::Random { .. } => {
-                            assert!(got == pre || got == post, "torn FASE: {ctx}")
-                        }
+/// Run `fase` on a seeded runtime with a crash armed at every step from
+/// its first micro-step to the return of its commit, under every
+/// adversary, and check the recovered data against the pre- and
+/// post-FASE images (see the module doc).
+fn sweep(name: &str, fase: impl Fn(&mut FaseRuntime)) {
+    // counting run: where the FASE's log activity begins and where
+    // commit returns
+    let mut rt = seeded();
+    let pre = data_of(&rt);
+    let first = rt.steps();
+    fase(&mut rt);
+    let end = rt.steps();
+    let post = data_of(&rt);
+    assert_ne!(pre, post);
+    // commit = epoch write, epoch-line flush, fence
+    let epoch_write = end - 3;
+    for mode in &adversaries() {
+        for at in first..=end {
+            let mut rt = seeded();
+            rt.arm_crash(CrashPlan {
+                at_step: at,
+                mode: mode.clone(),
+            });
+            fase(&mut rt);
+            let image = if at == end {
+                // power fails the instant commit returned
+                rt.region().image_after_crash(mode)
+            } else {
+                rt.take_crash_image().expect("armed step reached")
+            };
+            let got = data_of(&reopened(image));
+            let ctx = format!("{name} {mode:?} step {at} of {first}..={end}");
+            if at <= epoch_write {
+                assert_eq!(got, pre, "not rolled back: {ctx}");
+            } else if at == end {
+                assert_eq!(got, post, "committed FASE lost: {ctx}");
+            } else {
+                match mode {
+                    CrashMode::StrictDurableOnly => assert_eq!(got, pre, "{ctx}"),
+                    CrashMode::AllInFlightLands => assert_eq!(got, post, "{ctx}"),
+                    CrashMode::Random { .. } => {
+                        assert!(got == pre || got == post, "torn FASE: {ctx}")
                     }
                 }
             }
         }
     }
+}
+
+#[test]
+fn every_step_up_to_the_truncate_fence_recovers_pre_and_after_it_post() {
+    for (name, shape) in [("grouped", &GROUPED), ("per-store", &PER_STORE)] {
+        sweep(name, |rt| swept_fase(rt, shape));
+    }
+}
+
+/// `store` `bytes` at `off` and return what it cost the log: (records,
+/// flushes, fences). The data's flushes wait in the ring until commit,
+/// so every flush and fence here is the store's group.
+fn logged_store(rt: &mut FaseRuntime, off: usize, bytes: &[u8]) -> (u64, u64, u64) {
+    let (log0, pmem0) = (rt.log_stats(), rt.region().stats());
+    rt.store(off, bytes);
+    let (log, pmem) = (rt.log_stats(), rt.region().stats());
+    (
+        log.entries - log0.entries,
+        pmem.flushes - pmem0.flushes,
+        pmem.fences - pmem0.fences,
+    )
+}
+
+/// A per-store FASE whose stores change some of the words they write.
+fn changed_words_fase(rt: &mut FaseRuntime) {
+    let current = |rt: &FaseRuntime, off: usize, len: usize| rt.region().slice(off, len).to_vec();
+    rt.begin_fase();
+    let same = current(rt, 256, 24);
+    assert_eq!(logged_store(rt, 256, &same), (0, 0, 0), "all unchanged");
+    // words 40 and 43 change, the two between do not: two records in a
+    // 48-byte group — the FASE's first, so one line
+    let mut two = current(rt, 320, 32);
+    two[0] ^= 0xFF;
+    two[24] ^= 0xFF;
+    assert_eq!(logged_store(rt, 320, &two), (2, 1, 1), "two runs");
+    assert_eq!(
+        logged_store(rt, 320, &two[..8]),
+        (0, 0, 0),
+        "a rewrite of what this FASE already changed"
+    );
+    // bytes 405..410 straddle words 50 and 51: one record of 5 bytes in
+    // a 32-byte group at log offset 112, across lines 1 and 2
+    assert_eq!(logged_store(rt, 405, &[0xEE; 5]), (1, 2, 1), "unaligned");
+    // words 60 and 62 change, the one between does not: one record of
+    // 24 bytes, since a second record's header would cost what the
+    // word does — a 48-byte group at log offset 144, inside line 2
+    let mut merged = current(rt, 480, 24);
+    merged[0] ^= 0xFF;
+    merged[16] ^= 0xFF;
+    assert_eq!(logged_store(rt, 480, &merged), (1, 1, 1), "merged runs");
+    rt.end_fase();
+}
+
+#[test]
+fn every_step_of_a_fase_of_changed_word_runs_recovers_pre_or_post() {
+    sweep("changed words", changed_words_fase);
+    let mut rt = seeded();
+    let log0 = rt.log_stats();
+    changed_words_fase(&mut rt);
+    let log = rt.log_stats();
+    assert_eq!(log.entries - log0.entries, 4);
+    assert_eq!(log.bytes_logged - log0.bytes_logged, 8 + 8 + 5 + 24);
+    assert_eq!(log.record_lines - log0.record_lines, 4);
 }
 
 #[test]

@@ -1449,12 +1449,11 @@ mod tests {
     fn a_default_shard_refuses_an_oversized_group_instead_of_panicking() {
         let cfg = ShardConfig {
             log_len: 4096,
-            // the set-up FASE logs each bucket head in a 32-byte group:
-            // the default 256 would not fit this log
-            buckets: 64,
             ..Default::default()
         };
         let mut s = Shard::new(&cfg);
+        // the set-up FASE writes zeros onto a fresh heap: nothing to log
+        assert_eq!(s.rt.log_stats().entries, 0);
         for k in 0..5u64 {
             assert!(s.put(k, &[1u8; 1000]));
         }

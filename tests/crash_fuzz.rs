@@ -14,6 +14,7 @@
 //! flush and fence, inside the commit window — has no place to hide.
 
 use nvcache::core::{AdaptiveConfig, PolicyKind};
+use nvcache::fase::log::{GROUP_HEADER, RECORDS_START};
 use nvcache::fase::{FaseRuntime, RecoveryError};
 use nvcache::pmem::{CrashMode, CrashPlan, PmemRegion};
 use nvcache::telemetry::{CounterId, EventKind, TelemetryConfig};
@@ -275,14 +276,19 @@ fn open_fase_image(kind: &PolicyKind) -> (PmemRegion, usize) {
 #[test]
 fn corrupt_log_bytes_are_ignored_not_trusted() {
     let kind = PolicyKind::Lazy;
-    // log-relative: magic 0, epoch 8, first group header 16 (payload
-    // bytes, checksum), its first record's header word 32
+    // log-relative: magic 0, epoch 8, the first group's header (payload
+    // bytes, checksum), then its first record's header word
+    let (group, record) = (RECORDS_START, RECORDS_START + GROUP_HEADER);
     for (what, at, word) in [
         ("epoch word", 8, u64::MAX - 7),
-        ("group length past the log area", 16, 4096),
-        ("group length absurd", 16, !7u64),
-        ("record range outside the data area", 32, (4090 << 16) | 8),
-        ("record range absurd", 32, u64::MAX),
+        ("group length past the log area", group, 4096),
+        ("group length absurd", group, !7u64),
+        (
+            "record range outside the data area",
+            record,
+            (4090 << 16) | 8,
+        ),
+        ("record range absurd", record, u64::MAX),
     ] {
         let (mut region, data_len) = open_fase_image(&kind);
         region.write_u64(data_len + at, word);
