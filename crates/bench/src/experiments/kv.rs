@@ -264,8 +264,9 @@ fn envelope(workers: usize, keys: usize, ops: u64, records: &[String]) -> String
 }
 
 /// Run the YCSB grid (mixes A/B/C × ER/AT/SC-adaptive at `SHARDS`
-/// shards, one `direct` row per cell: workers call the [`KvStore`]
-/// themselves), print the table, and write `BENCH_kv.json`.
+/// shards, one `direct` row per cell: workers call the embedded
+/// [`KvStore`], running a shard on their own thread when its lane is
+/// idle), print the table, and write `BENCH_kv.json`.
 ///
 /// A second, *concurrent* grid (mixes A/B, 8 closed-loop clients on
 /// one contended lane) drives a [`KvServer`] — each lane served by the

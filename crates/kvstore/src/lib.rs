@@ -17,10 +17,10 @@
 //! - [`engine`] — what a lane needs from the structure it serves
 //!   (`serve_batch`, crash / heal / sync, stats); [`Shard`] and the
 //!   CoW B+-tree of `nvcache-treestore` ([`TreeEngine`]) implement it.
-//! - [`store`] — hash-routes keys over `N` mutex-guarded shards, so the
-//!   per-thread cache model of the paper maps onto a concurrent server:
-//!   different shards serve in parallel, each runtime stays
-//!   single-owner.
+//! - [`store`] — [`KvStore`], the embedded store: a [`KvServer`] over
+//!   hash shards whose calls run the shard on the caller's thread, with
+//!   borrowed arguments, when its lane is idle. Different shards serve
+//!   in parallel; each runtime stays single-owner.
 //! - [`queue`] — the bounded submission queue and completion slots of
 //!   a busy lane.
 //! - [`server`] — [`KvServer`]: a lane is one engine behind a mutex and
@@ -57,6 +57,8 @@
 //! );
 //! assert_eq!(rep.ops, 4_000);
 //! assert!(store.stats().data_flushes > 0);
+//! let qs = store.queue_stats();
+//! assert_eq!(qs.enqueued, qs.drained, "every call was served");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -714,7 +714,7 @@ impl Round {
                 // the ack is the conjunction of the touched lanes' acks
                 // (of none, for an empty batch: trivially done)
                 let tag = Tag::Part(self.fans.len());
-                for (lane, group) in client.split_by_lane(items) {
+                for (lane, group) in client.split_by_lane(items, |item| item) {
                     self.route(lane, BatchRequest::PutMany(group), tag);
                 }
                 self.fans.push(Fan::new(id, None));

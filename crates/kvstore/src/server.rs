@@ -62,11 +62,16 @@
 //! catches the unwind, heals the engine in place
 //! ([`Engine::heal_after_panic`] rolls the abandoned FASE back and drops
 //! volatile runtime residue), fails that group's requests, and the lane
-//! keeps serving.
+//! keeps serving. A panic out of any other holder of the engine lock
+//! ([`KvServer::with_shard`], an embedded [`KvStore`] call) poisons it,
+//! and whoever takes the lock next heals the engine first. Both count
+//! in [`KvServer::healed_panics`].
+//!
+//! [`KvStore`]: crate::store::KvStore
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use nvcache_fase::FaseStats;
 use nvcache_pmem::CrashMode;
@@ -145,21 +150,9 @@ fn serve_group<E: Engine>(
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn try_lock<T>(m: &Mutex<T>) -> Option<MutexGuard<'_, T>> {
-    match m.try_lock() {
-        Ok(g) => Some(g),
-        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
-        Err(TryLockError::WouldBlock) => None,
-    }
-}
-
 /// A lane: the engine, the busy-lane queue and the batch cap. It has no
 /// thread; its submitters serve it.
-struct Lane<E> {
+pub(crate) struct Lane<E> {
     engine: Mutex<E>,
     queue: SubmissionQueue<Queued>,
     max_batch: usize,
@@ -189,23 +182,13 @@ trait LanePort: Send + Sync {
 
 impl<E: Engine> LanePort for Lane<E> {
     fn try_serve(&self, reqs: &[BatchRequest]) -> Option<Vec<BatchReply>> {
-        if reqs.len() > self.max_batch {
-            return None;
-        }
-        let mut engine = try_lock(&self.engine)?;
-        // holding the engine lock: whatever is not yet served is still
-        // in the queue (it is drained only under this lock), so an
-        // empty queue means nothing of anyone's is ahead of this group
-        if !self.queue.claim_idle(reqs.len()) {
-            return None;
-        }
-        Some(serve_group(&mut *engine, reqs, &self.healed))
+        self.try_run(reqs.len(), |engine| serve_group(engine, reqs, &self.healed))
     }
 
     fn enqueue(&self, items: &mut Vec<Queued>) -> usize {
         let mut accepted = self.queue.push_group(items);
         while !items.is_empty() && self.queue.makes_room() {
-            self.serve_queued(lock(&self.engine));
+            self.serve_queued(self.lock());
             accepted += self.queue.push_group(items);
         }
         if accepted > 0 {
@@ -214,7 +197,7 @@ impl<E: Engine> LanePort for Lane<E> {
             // group: then serve a batch now rather than after the other
             // lanes have their groups — everything queued, this group
             // included, commits as one FASE on this thread.
-            if let Some(engine) = try_lock(&self.engine) {
+            if let Some(engine) = self.try_lock() {
                 self.serve_queued(engine);
             }
         }
@@ -228,7 +211,7 @@ impl<E: Engine> LanePort for Lane<E> {
             }
             // unfilled, so the request is still queued or in a batch a
             // holder of this lock is serving: line up behind that holder
-            if !self.serve_queued(lock(&self.engine)) {
+            if !self.serve_queued(self.lock()) {
                 // nothing queued: that batch's server has released the
                 // lock and is filling its slots
                 return slot.wait();
@@ -238,6 +221,54 @@ impl<E: Engine> LanePort for Lane<E> {
 }
 
 impl<E: Engine> Lane<E> {
+    /// The idle-lane path, for any work on the engine (a group of
+    /// requests, or an embedded [`KvStore`] call with borrowed
+    /// arguments): run `f` on this thread, counted as a caller-run batch
+    /// of `n` requests, if `n` is within the batch cap, the engine lock
+    /// is free and the queue open and empty. `None` means the lane is
+    /// busy (or shut) and nothing ran.
+    ///
+    /// [`KvStore`]: crate::store::KvStore
+    pub(crate) fn try_run<R>(&self, n: usize, f: impl FnOnce(&mut E) -> R) -> Option<R> {
+        if n > self.max_batch {
+            return None;
+        }
+        let mut engine = self.try_lock()?;
+        // holding the engine lock: whatever is not yet served is still
+        // in the queue (it is drained only under this lock), so an
+        // empty queue means nothing of anyone's is ahead of this group
+        if !self.queue.claim_idle(n) {
+            return None;
+        }
+        Some(f(&mut engine))
+    }
+
+    /// The engine lock, blocking.
+    fn lock(&self) -> MutexGuard<'_, E> {
+        self.engine.lock().unwrap_or_else(|e| self.heal(e))
+    }
+
+    /// The engine lock if it is free.
+    fn try_lock(&self) -> Option<MutexGuard<'_, E>> {
+        match self.engine.try_lock() {
+            Ok(g) => Some(g),
+            Err(TryLockError::Poisoned(e)) => Some(self.heal(e)),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    /// A thread panicked holding the engine outside `serve_group`'s
+    /// catch, possibly mid-FASE: handed out as it is, the next batch
+    /// would nest inside the abandoned section and nothing would commit
+    /// again. Roll it back and drop volatile residue first.
+    fn heal<'a>(&'a self, poisoned: PoisonError<MutexGuard<'a, E>>) -> MutexGuard<'a, E> {
+        let mut engine = poisoned.into_inner();
+        engine.heal_after_panic();
+        self.engine.clear_poison();
+        self.healed.fetch_add(1, Ordering::Relaxed);
+        engine
+    }
+
     /// Drain everything in flight (up to `max_batch`) under the engine
     /// lock the caller took and serve it as one grouped batch; ack after
     /// commit. `false` if nothing was queued. Draining under the lock is
@@ -261,17 +292,18 @@ impl<E: Engine> Lane<E> {
     }
 }
 
-/// A [`KvStore`]-shaped store of engine lanes, each served by its own
-/// submitters (see the module docs), generic over the lane [`Engine`]:
-/// hash shards by default ([`KvServer::new`]), B+-tree lanes via
+/// A sharded store of engine lanes, each served by its own submitters
+/// (see the module docs), generic over the lane [`Engine`]: hash shards
+/// by default ([`KvServer::new`]), B+-tree lanes via
 /// [`KvServer::new_tree`], arbitrary engines via
 /// [`KvServer::with_engines`]. Hand out cheap [`KvClient`] handles with
 /// [`KvServer::client`], and shut down with [`KvServer::shutdown`] (or
-/// let `Drop` do it).
+/// let `Drop` do it). The embedded [`KvStore`] is this over hash shards,
+/// with calls that borrow.
 ///
 /// [`KvStore`]: crate::store::KvStore
 pub struct KvServer<E: Engine = Shard> {
-    lanes: Vec<Arc<Lane<E>>>,
+    pub(crate) lanes: Vec<Arc<Lane<E>>>,
     /// A resident client handle for callers that drive the server
     /// directly (e.g. the loadgen's `KvTarget` impl) without paying a
     /// handle allocation per op.
@@ -352,19 +384,13 @@ impl<E: Engine> KvServer<E> {
         self.lanes.len()
     }
 
-    /// Shard lane serving `key` (same routing as [`KvStore`]).
-    ///
-    /// [`KvStore`]: crate::store::KvStore
+    /// Shard lane serving `key` (same routing as [`KvClient::lane_of`]).
     pub fn shard_of(&self, key: u64) -> usize {
         (route_hash(key) % self.lanes.len() as u64) as usize
     }
 
-    fn engine(&self, i: usize) -> MutexGuard<'_, E> {
-        lock(&self.lanes[i].engine)
-    }
-
     fn engines(&self) -> impl Iterator<Item = MutexGuard<'_, E>> {
-        self.lanes.iter().map(|l| lock(&l.engine))
+        self.lanes.iter().map(|l| l.lock())
     }
 
     /// Run `f` with engine `i` locked (stats scraping, crash plumbing in
@@ -372,9 +398,11 @@ impl<E: Engine> KvServer<E> {
     /// the same lock while serving, never between batches — and while
     /// `f` runs the lane is busy, so submissions queue and their
     /// submitters line up on the lock; when `f` returns, the first one
-    /// in serves them all.
+    /// in serves them all. A panic inside `f` poisons the lock; the next
+    /// holder heals the engine and counts it in
+    /// [`healed_panics`](KvServer::healed_panics).
     pub fn with_shard<R>(&self, i: usize, f: impl FnOnce(&mut E) -> R) -> R {
-        f(&mut self.engine(i))
+        f(&mut self.lanes[i].lock())
     }
 
     /// Cumulative runtime counters summed over shards.
@@ -522,6 +550,11 @@ impl Answer {
             Answer::Refused => None,
         }
     }
+
+    /// Did the write succeed? `false` for a failed write and a refusal.
+    pub(crate) fn done(self) -> bool {
+        matches!(self.wait(), Some(BatchReply::Done(true)))
+    }
 }
 
 impl KvClient {
@@ -536,13 +569,25 @@ impl KvClient {
     }
 
     /// A multi-put's items split by the lane serving each key, in item
-    /// order: `(lane, slice)` for every lane the batch touches.
-    pub(crate) fn split_by_lane(
+    /// order: `(lane, slice)` for every lane the batch touches. `entry`
+    /// turns an item into what the slice holds — the item itself, moved
+    /// (the wire's owned `PutMany`), or its value borrowed or copied. A
+    /// counting pass over the keys sizes every slice exactly, so what
+    /// this allocates depends on the lane count alone.
+    pub(crate) fn split_by_lane<I, W, V>(
         &self,
-        items: impl IntoIterator<Item = (u64, Vec<u8>)>,
-    ) -> impl Iterator<Item = (usize, Vec<(u64, Vec<u8>)>)> {
-        let mut by_lane = vec![Vec::new(); self.lanes.len()];
-        for (k, v) in items {
+        items: I,
+        entry: impl FnMut(I::Item) -> (u64, V),
+    ) -> impl Iterator<Item = (usize, Vec<(u64, V)>)>
+    where
+        I: IntoIterator + AsRef<[(u64, W)]>,
+    {
+        let mut counts = vec![0usize; self.lanes.len()];
+        for (k, _) in items.as_ref() {
+            counts[self.lane_of(*k)] += 1;
+        }
+        let mut by_lane: Vec<Vec<(u64, V)>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (k, v) in items.into_iter().map(entry) {
             by_lane[self.lane_of(k)].push((k, v));
         }
         let touched = |(_, slice): &(usize, Vec<_>)| !slice.is_empty();
@@ -583,7 +628,7 @@ impl KvClient {
     }
 
     /// Submit one request to `lane` without waiting for a queued reply.
-    fn submit(&self, lane: usize, req: BatchRequest) -> Answer {
+    pub(crate) fn submit(&self, lane: usize, req: BatchRequest) -> Answer {
         let reqs = [req];
         if let Some(mut replies) = self.try_serve(lane, &reqs) {
             return Answer::Served(replies.pop().expect("one reply per request"));
@@ -617,7 +662,7 @@ impl KvClient {
     }
 
     fn write(&self, lane: usize, req: BatchRequest) -> bool {
-        matches!(self.submit(lane, req).wait(), Some(BatchReply::Done(true)))
+        self.submit(lane, req).done()
     }
 
     /// Apply a client-side batch: split by shard, submit one `PutMany`
@@ -628,12 +673,10 @@ impl KvClient {
     pub fn put_many(&self, items: &[(u64, Vec<u8>)]) -> bool {
         // submit to every lane before waiting on any
         let answers: Vec<Answer> = self
-            .split_by_lane(items.iter().cloned())
+            .split_by_lane(items, |(k, v)| (*k, v.clone()))
             .map(|(lane, group)| self.submit(lane, BatchRequest::PutMany(group)))
             .collect();
-        answers.into_iter().fold(true, |ok, a| {
-            ok & matches!(a.wait(), Some(BatchReply::Done(true)))
-        })
+        answers.into_iter().fold(true, |ok, a| ok & a.done())
     }
 
     /// Range scan `lo..=hi`, at most `limit` entries, sorted by key:
@@ -676,6 +719,7 @@ pub(crate) fn merge_scan(
 mod tests {
     use super::*;
     use crate::shard::ShardConfig;
+    use crate::store::KvStore;
     use nvcache_core::PolicyKind;
 
     fn cfg(shards: usize, slab: bool) -> KvConfig {
@@ -831,6 +875,10 @@ mod tests {
     use std::collections::BTreeMap;
     use std::sync::atomic::AtomicBool;
     use std::sync::{mpsc, Condvar};
+
+    fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+        m.lock().unwrap()
+    }
 
     /// A turnstile `GateEngine::serve_batch` passes through: one permit
     /// per batch, so a test decides when a batch may run — and can see a
@@ -1036,6 +1084,41 @@ mod tests {
         server.shutdown();
     }
 
+    /// The embedded store's fallback: a `KvStore` call that finds its
+    /// lane held queues an owned copy behind the clients' requests, in
+    /// submission order, and its thread lines up on the lane like any
+    /// client's. An embedded call on an idle lane is a caller-run batch.
+    #[test]
+    fn an_embedded_call_on_a_busy_lane_queues_behind_the_clients() {
+        let store = KvStore::new(&cfg(1, true));
+        let queue = &store.lanes[0].queue;
+        std::thread::scope(|scope| {
+            let release = hold_lane(scope, &*store);
+            let store = &store;
+            let c = store.client();
+            scope.spawn(move || assert!(c.put(1, b"client")));
+            spin_until("client put queued", || queue.len() == 1);
+            scope.spawn(move || assert!(store.put(1, b"stored")));
+            spin_until("embedded put queued", || queue.len() == 2);
+            let c = store.client();
+            scope.spawn(move || assert!(c.put(2, b"client")));
+            spin_until("second client put queued", || queue.len() == 3);
+            scope.spawn(move || assert!(store.put_many(&[(2, b"stored".to_vec())])));
+            spin_until("embedded put_many queued", || queue.len() == 4);
+            drop(release);
+        });
+        assert_eq!(store.get(1).as_deref(), Some(&b"stored"[..]), "in order");
+        assert_eq!(store.get(2).as_deref(), Some(&b"stored"[..]), "in order");
+        let qs = store.queue_stats();
+        assert_eq!((qs.batches, qs.drained, qs.max_batch), (3, 6, 4));
+        assert_eq!(
+            (qs.inline_batches, qs.inline_requests),
+            (2, 2),
+            "the two gets"
+        );
+        assert_eq!(qs.enqueued, qs.drained);
+    }
+
     /// A submitter that queues and finds the lane free serves everything
     /// queued — other clients' requests and its own, in queue order — as
     /// one batch on its own thread, before it goes on to its other lanes.
@@ -1071,7 +1154,7 @@ mod tests {
         for slot in [a_slot, b_slot, c_slot] {
             assert_eq!(slot.try_take(), Some(BatchReply::Done(true)));
         }
-        assert_eq!(lock(&core.engine).map.get(&1), Some(&vec![3]), "in order");
+        assert_eq!(core.lock().map.get(&1), Some(&vec![3]), "in order");
         let qs = core.queue.stats();
         assert_eq!((qs.batches, qs.drained, qs.max_batch), (1, 3, 3));
         assert_eq!((qs.inline_batches, qs.enqueued), (0, 3));

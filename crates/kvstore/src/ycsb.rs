@@ -28,10 +28,11 @@ use crate::engine::Engine;
 use crate::server::KvServer;
 use crate::store::KvStore;
 
-/// Anything the loadgen can drive: the direct [`KvStore`] (callers
-/// lock shards themselves) or the concurrent [`KvServer`] (an idle lane
-/// is served on the caller's thread, a busy one queues requests into
-/// cross-client group commits).
+/// Anything the loadgen can drive: the embedded [`KvStore`] (an idle
+/// lane runs the shard on the caller's thread with borrowed arguments)
+/// or the concurrent [`KvServer`] through its client (an idle lane
+/// serves the caller's request on its thread, a busy one queues
+/// requests into cross-client group commits).
 /// Data ops are issued from the worker threads; the stats pair is
 /// scraped from the main thread while the run serves.
 pub trait KvTarget: Sync {
@@ -60,13 +61,13 @@ impl KvTarget for KvStore {
         KvStore::put_many(self, items)
     }
     fn scan(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, Vec<u8>)> {
-        KvStore::scan(self, lo, hi, limit)
+        self.handle().scan(lo, hi, limit)
     }
     fn take_stats(&self) -> FaseStats {
-        KvStore::take_stats(self)
+        KvServer::take_stats(self)
     }
     fn reset_samplers(&self) {
-        KvStore::reset_samplers(self)
+        KvServer::reset_samplers(self)
     }
 }
 

@@ -105,7 +105,7 @@ fn online_knee_matches_offline_mattson_within_one_bucket() {
             "shard {s}"
         );
         assert_eq!(
-            store.sc_capacities()[s],
+            store.with_shard(s, |sh| sh.sc_capacity()),
             Some(online.capacity),
             "shard {s}: the live cache runs at the chosen capacity"
         );
@@ -258,9 +258,8 @@ fn adaptation_decisions_are_per_shard() {
         assert!(store.put_many(&cold_batch));
         round = round.wrapping_add(1);
     }
-    let caps = store.sc_capacities();
-    let hot_cap = caps[hot_shard].unwrap();
-    let cold_cap = caps[1 - hot_shard].unwrap();
+    let cap = |s: usize| store.with_shard(s, |sh| sh.sc_capacity()).unwrap();
+    let (hot_cap, cold_cap) = (cap(hot_shard), cap(1 - hot_shard));
     assert!(
         hot_cap < cold_cap,
         "tight per-FASE working set ({hot_cap}) must pick a smaller cache \

@@ -9,7 +9,9 @@
 //! fresh keys only what the index's amortised doubling costs;
 //! `KvStore::put_many` and `Shard::serve_batch` route *borrowed* values
 //! down to it, so what they allocate does not grow with the number of
-//! values written. The tree lane is bounded the same way: a
+//! values written, and `KvStore::get` runs `Shard::get` on an idle lane
+//! with nothing around it, so it allocates what `Shard::get` does. The
+//! tree lane is bounded the same way: a
 //! transaction's staged / retired lists and `put`'s path are buffers the
 //! tree owns, its remap is an array indexed by logical page id and a
 //! page read is a borrow, so a steady-state transaction (no split — the
@@ -164,6 +166,25 @@ fn store_put_many_allocates_per_shard_not_per_item() {
          allocate per shard, never per item"
     );
     assert_eq!(store.get(95).as_deref(), Some(&[2u8; 40][..]));
+}
+
+#[test]
+fn store_get_allocates_only_the_value_it_returns() {
+    let store = KvStore::new(&KvConfig {
+        shards: 4,
+        shard: shard_config(),
+    });
+    assert!(store.put_many(&batch(0..200, 7)));
+    let (n, hit) = allocations(|| store.get(137));
+    assert_eq!(hit.as_deref(), Some(&[7u8; 40][..]));
+    assert_eq!(
+        n, 1,
+        "a hit allocates the returned value and nothing else: no request, \
+         no reply vector"
+    );
+    let (n, miss) = allocations(|| store.get(200));
+    assert_eq!(miss, None);
+    assert_eq!(n, 0, "a miss is one route and one index probe");
 }
 
 #[test]
