@@ -16,7 +16,9 @@
 //!   instrumentation pass would drive (DESIGN.md §2.4): every persistent
 //!   store routes through [`runtime::FaseRuntime::store`], which logs,
 //!   writes, and hands the touched cache line to the pluggable
-//!   persistence policy (ER/LA/AT/SC/…) from `nvcache-core`.
+//!   persistence policy (ER/LA/AT/SC/…) from `nvcache-core`. A FASE
+//!   that logs nothing can commit by one published record instead
+//!   ([`runtime::FaseRuntime::publish`]): two fences, no log line.
 //! * crash/recovery — [`runtime::FaseRuntime::crash_and_recover`]
 //!   injects a power failure via any [`nvcache_pmem::CrashMode`] and
 //!   rolls back incomplete FASEs, restoring the "all or none" guarantee
@@ -30,5 +32,5 @@ pub mod log;
 pub mod runtime;
 
 pub use error::{LogFull, RecoveryError};
-pub use log::{LogStats, UndoLog};
+pub use log::{checksum, LogStats, UndoLog};
 pub use runtime::{FaseRuntime, FaseStats, FlushMode};

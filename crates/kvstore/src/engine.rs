@@ -129,11 +129,11 @@ pub struct TreeEngineConfig {
 /// A batch lazily opens a transaction at its first write and commits at
 /// the end; reads inside the batch go through the staged root, so
 /// read-your-batch holds without an overlay and scans need no barrier.
-/// The transaction's pages are unlogged shadow memory (the undo log
-/// holds the 64-byte meta head and nothing else), so no batch size can
-/// outgrow the log, and one batch = one commit satisfies the
-/// committed-prefix contract trivially: a crash exposes the batch whole
-/// or not at all.
+/// The transaction's pages are unlogged shadow memory and its meta head
+/// is the FASE's published commit record, so the transaction logs
+/// nothing and no batch size can outgrow the log; one batch = one
+/// commit satisfies the committed-prefix contract trivially: a crash
+/// exposes the batch whole or not at all.
 pub struct TreeEngine {
     t: Tree<FasePager>,
 }

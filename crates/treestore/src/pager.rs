@@ -13,10 +13,12 @@
 //!   `&self`), so snapshot readers never serialize against a writer's
 //!   `&mut` bookkeeping;
 //! - **writes** happen inside an open failure-atomic section
-//!   (`begin`/`commit` = `begin_fase`/`end_fase`): `write` undo-logs
-//!   the old bytes (in-place updates of reachable state), `write_fresh`
-//!   does not (shadow pages nothing committed can reach yet), and
-//!   `commit` flushes + fences + commits both kinds, after which the
+//!   (`begin`/`commit` = `begin_fase`/`end_fase`) and are never
+//!   undo-logged: `write_fresh` stores shadow bytes nothing committed
+//!   can reach yet, and `publish` announces the section's one commit
+//!   record, the in-place write that makes them reachable. `commit`
+//!   flushes and fences the shadow bytes, then writes, flushes and
+//!   fences the record ([`FaseRuntime::publish`]), after which the
 //!   section is durable as a unit;
 //! - **block carving** (`alloc_block`) talks to the persistent heap
 //!   directly and is durable the moment it returns — the tree layers
@@ -74,21 +76,20 @@ pub trait PageWrite {
     /// returns.
     fn commit(&mut self);
 
-    /// Write `bytes` at `off` inside the open section (undo-logged by
-    /// the backend).
-    fn write(&mut self, off: u64, bytes: &[u8]);
-
     /// Write `bytes` at `off` inside the open section where no
     /// committed state can reach them (a shadow page, a table slot past
-    /// the committed length): durable at `commit` like [`write`], but
-    /// with no undo entry — after a rollback the range holds whatever
-    /// part of the write landed. Backends without an undo log treat it
-    /// as [`write`].
-    ///
-    /// [`write`]: PageWrite::write
-    fn write_fresh(&mut self, off: u64, bytes: &[u8]) {
-        self.write(off, bytes);
-    }
+    /// the committed length): durable at `commit`, with no undo entry —
+    /// if the section never commits, the range holds whatever part of
+    /// the write landed.
+    fn write_fresh(&mut self, off: u64, bytes: &[u8]);
+
+    /// The open section's commit record: `bytes` at `off`, one 8-aligned
+    /// range inside one cache line, at most one per section and its last
+    /// write. It becomes durable only after every `write_fresh` of the
+    /// section, and a section that never commits leaves the bytes it
+    /// would replace. It may land torn (8-byte words, some new, some
+    /// old), so the record must let a reader tell.
+    fn publish(&mut self, off: u64, bytes: &[u8]);
 
     /// Carve `size` fresh bytes from the heap; durable immediately,
     /// independent of any open section. `None` when exhausted. Blocks
@@ -233,12 +234,12 @@ impl PageWrite for FasePager {
         self.rt.end_fase();
     }
 
-    fn write(&mut self, off: u64, bytes: &[u8]) {
-        self.rt.store(off as usize, bytes);
-    }
-
     fn write_fresh(&mut self, off: u64, bytes: &[u8]) {
         self.rt.store_fresh(off as usize, bytes);
+    }
+
+    fn publish(&mut self, off: u64, bytes: &[u8]) {
+        self.rt.publish(off as usize, bytes);
     }
 
     fn alloc_block(&mut self, size: usize) -> Option<u64> {
@@ -311,10 +312,14 @@ impl PageWrite for MemPager {
         self.commits += 1;
     }
 
-    fn write(&mut self, off: u64, bytes: &[u8]) {
+    fn write_fresh(&mut self, off: u64, bytes: &[u8]) {
         assert!(self.open, "write outside a section");
         let off = off as usize;
         self.data[off..off + bytes.len()].copy_from_slice(bytes);
+    }
+
+    fn publish(&mut self, off: u64, bytes: &[u8]) {
+        self.write_fresh(off, bytes);
     }
 
     fn alloc_block(&mut self, size: usize) -> Option<u64> {
@@ -345,7 +350,7 @@ mod tests {
         let mut page = [7u8; PAGE];
         page[0] = 42;
         p.begin();
-        p.write(off, &page);
+        p.write_fresh(off, &page);
         p.commit();
         assert_eq!(p.page(off), &page);
         assert_eq!(p.commits, 1);
@@ -361,7 +366,7 @@ mod tests {
         let mut p = FasePager::new(&cfg);
         let off = p.alloc_block(PAGE).unwrap();
         p.begin();
-        p.write(off, &[0xabu8; PAGE]);
+        p.write_fresh(off, &[0xabu8; PAGE]);
         p.commit();
         p.set_root(off);
         p.crash_and_recover(&CrashMode::StrictDurableOnly);
@@ -393,7 +398,7 @@ mod tests {
         // the recovered runtime still commits through the ring
         let drains = p.runtime_mut().ring_stats().drains;
         p.begin();
-        p.write(off, &[7u8; PAGE]);
+        p.write_fresh(off, &[7u8; PAGE]);
         p.commit();
         assert_eq!(p.runtime_mut().ring_stats().drains, drains + 1);
     }
@@ -407,14 +412,18 @@ mod tests {
             ..Default::default()
         };
         let mut p = FasePager::new(&cfg);
-        let off = p.alloc_block(PAGE).unwrap();
+        let (head, off) = (p.alloc_block(64).unwrap(), p.alloc_block(PAGE).unwrap());
         p.begin();
-        p.write(off, &[1u8; PAGE]);
+        p.write_fresh(off, &[1u8; PAGE]);
+        p.publish(head, &1u64.to_le_bytes());
         p.commit();
-        // second section left open at the crash: must roll back
+        // the second section is open at the crash: its record was never
+        // written, whatever else of it landed
         p.begin();
-        p.write(off, &[2u8; PAGE]);
+        p.write_fresh(off, &[2u8; PAGE]);
+        p.publish(head, &2u64.to_le_bytes());
         p.crash_and_recover(&CrashMode::AllInFlightLands);
-        assert_eq!(p.page(off), &[1u8; PAGE], "open section rolled back");
+        assert_eq!(p.read_u64_at(head), 1, "the committed record stands");
+        assert_eq!(p.page(off), &[2u8; PAGE], "fresh bytes are not rolled back");
     }
 }

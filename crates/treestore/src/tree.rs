@@ -34,9 +34,16 @@
 //! failure-atomic section and publishes the new root + remap entries at
 //! commit. The staged pages are shadow memory — nothing committed can
 //! reach them until the meta head flips — so they are written
-//! **unlogged** ([`crate::PageWrite::write_fresh`]); the 64-byte meta
-//! head is the only in-place update and the only undo record of a
-//! commit.
+//! **unlogged** ([`crate::PageWrite::write_fresh`]). The 64-byte meta
+//! head is the only in-place update of a commit, and it is the commit
+//! record itself ([`crate::PageWrite::publish`]): written after the
+//! data fence, flushed and fenced, with nothing logged. The meta block
+//! holds two head slots and a commit writes the one its version names
+//! (`version & 1`), so the head it supersedes stays intact. Word 0 of a
+//! slot is a checksum of words 1–7 seeded with the tree's magic
+//! ([`nvcache_fase::checksum`]): hardware lands 8-byte words, not lines,
+//! so a torn slot fails its check and attach falls back to the other
+//! one — LMDB's two meta pages, one line each.
 //!
 //! # What a write stores
 //!
@@ -74,7 +81,9 @@
 //! The durable facts are: the meta block (root lpid, version, page
 //! high-water mark, segment table, key count) published atomically per
 //! commit, and the page headers. [`Tree::attach`] rebuilds everything
-//! else: check the meta fields against each other (every logical page
+//! else: take the valid head slot with the higher version (two valid
+//! slots of one version, or none, is `BadMeta`), check its fields
+//! against each other (every logical page
 //! owns a live physical one, so `next_lpid <= bump` — the slot table is
 //! sized from it only after that), scan headers keeping the newest copy
 //! per lpid at or below the committed version, walk the tree from the
@@ -88,11 +97,13 @@
 //! reached NVRAM, headers stamped `(lpid, committed + 1)` included —
 //! and the retry commits under that same version. Left alone, such a
 //! header would outrank the live, older copy of its lpid in the *next*
-//! attach's scan. So before accepting writes, attach durably voids
-//! (zeroes, in logged sections — a crash mid-void rolls back and the
-//! next attach redoes it) the header of every node page below the
-//! high-water mark whose version exceeds the committed one
-//! ([`Tree::voided_pages`] reports how many). Pages past the high-water
+//! attach's scan. So before accepting writes, attach durably voids the
+//! header of every node page below the high-water mark whose version
+//! exceeds the committed one ([`Tree::voided_pages`] reports how many).
+//! Voiding is zeroing, which is idempotent: the pages are dead, so the
+//! zeroes are unlogged fresh writes in a section that publishes
+//! nothing, and a crash mid-void leaves headers the next attach voids
+//! again. Pages past the high-water
 //! mark need no such care: the mark only advances over pages the
 //! advancing transaction itself rewrites.
 
@@ -100,7 +111,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 
-use nvcache_fase::{FaseStats, RecoveryError};
+use nvcache_fase::{checksum, FaseStats, RecoveryError};
 use nvcache_pmem::{CrashMode, CrashPlan};
 
 use crate::pager::{FasePager, PageStore, TreeConfig, PAGE};
@@ -128,12 +139,16 @@ pub const MAX_VALUE: usize = PAGE - HDR;
 /// Hard bound on tree depth (fanout 8+ makes real trees far shallower).
 const MAX_DEPTH: u64 = 32;
 
-/// Meta-block magic ("TREESTOR").
+/// Meta-head magic ("TREESTOR"): the seed of a head slot's checksum.
 const MAGIC: u64 = 0x5452_4545_5354_4f52;
 /// Meta block size (one PAlloc max-class allocation).
 const META_BYTES: usize = 4096;
-/// Byte offset of the table-block directory inside the meta block.
-const SEG_TABLE: u64 = 64;
+/// Bytes of one meta-head slot: one cache line. The meta block opens
+/// with two of them.
+const HEAD: usize = 64;
+/// Byte offset of the table-block directory inside the meta block,
+/// after the two head slots.
+const SEG_TABLE: u64 = 2 * HEAD as u64;
 /// Table-block directory capacity (meta block tail).
 const SEG_SLOTS: usize = (META_BYTES - SEG_TABLE as usize) / 8;
 /// Bytes per page segment (PAlloc's largest size class).
@@ -147,9 +162,6 @@ const PAGES_PER_SEG: u64 = (SEG_BYTES / PAGE) as u64;
 const SEG_TABLE_SLOTS: usize = SEG_BYTES / 8;
 /// Hard segment-count cap.
 const MAX_SEGS: usize = SEG_SLOTS * SEG_TABLE_SLOTS;
-/// Stale headers voided per logged section at attach (40 B of undo log
-/// each, so recovery fits any log a commit fits).
-const VOID_BATCH: usize = 64;
 
 // ---- byte helpers -----------------------------------------------------
 
@@ -300,6 +312,72 @@ fn leaf_position(buf: &[u8; PAGE], key: u64) -> (usize, usize) {
     (n, pos)
 }
 
+// ---- meta head --------------------------------------------------------
+
+/// What a commit publishes, into one of the meta block's two slots:
+///
+/// ```text
+/// w0: checksum of w1..w7, seeded with MAGIC
+/// w1: version      w2: root lpid   w3: next lpid   w4: bump
+/// w5: nsegs        w6: len         w7: height
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Head {
+    version: u64,
+    root_lpid: u64,
+    next_lpid: u64,
+    /// Physical-page high-water mark.
+    bump: u64,
+    nsegs: u64,
+    len: u64,
+    height: u64,
+}
+
+impl Head {
+    /// Offset of the slot the head of `version` is published to: the
+    /// slots alternate, so a commit never overwrites the head it
+    /// supersedes.
+    fn slot(meta_off: u64, version: u64) -> u64 {
+        meta_off + HEAD as u64 * (version & 1)
+    }
+
+    /// The slot's bytes, sealed with their checksum.
+    fn encode(&self) -> [u8; HEAD] {
+        let Head {
+            version,
+            root_lpid,
+            next_lpid,
+            bump,
+            nsegs,
+            len,
+            height,
+        } = *self;
+        let mut b = [0u8; HEAD];
+        let words = [version, root_lpid, next_lpid, bump, nsegs, len, height];
+        for (i, w) in words.into_iter().enumerate() {
+            set64(&mut b, 8 * (i + 1), w);
+        }
+        let sum = checksum(MAGIC, &b[8..]);
+        set64(&mut b, 0, sum);
+        b
+    }
+
+    /// The head in slot bytes `b`, if their checksum holds: a torn or
+    /// never-written slot reads as `None`.
+    fn decode(b: &[u8]) -> Option<Head> {
+        let w = |i: usize| get64(b, 8 * i);
+        (w(0) == checksum(MAGIC, &b[8..HEAD])).then(|| Head {
+            version: w(1),
+            root_lpid: w(2),
+            next_lpid: w(3),
+            bump: w(4),
+            nsegs: w(5),
+            len: w(6),
+            height: w(7),
+        })
+    }
+}
+
 // ---- errors -----------------------------------------------------------
 
 /// Typed failures from the tree engine. Structural variants
@@ -442,13 +520,7 @@ struct Txn {
 /// reloads.
 struct Volatile {
     meta_off: u64,
-    version: u64,
-    root_lpid: u64,
-    next_lpid: u64,
-    bump: u64,
-    nsegs: u64,
-    len: u64,
-    height: u64,
+    head: Head,
     seg_tables: Vec<u64>,
     segs: Vec<u64>,
     free: Vec<u64>,
@@ -517,20 +589,22 @@ impl<S: PageStore> Tree<S> {
         let seg0 = store.alloc_block(SEG_BYTES).ok_or(TreeError::Full)?;
         let mut leaf = [0u8; PAGE];
         hdr_write(&mut leaf, TAG_LEAF, 0, 0, 1);
-        let mut head = [0u8; SEG_TABLE as usize];
-        set64(&mut head, 0, MAGIC);
-        set64(&mut head, 8, 1); // version
-        set64(&mut head, 16, 0); // root lpid
-        set64(&mut head, 24, 1); // next lpid
-        set64(&mut head, 32, 1); // bump: page 0 = root leaf
-        set64(&mut head, 40, 1); // nsegs
-        set64(&mut head, 48, 0); // len
-        set64(&mut head, 56, 1); // height
+        // page 0 is the root leaf; the other slot of the freshly carved
+        // (zeroed) meta block fails its check
+        let head = Head {
+            version: 1,
+            root_lpid: 0,
+            next_lpid: 1,
+            bump: 1,
+            nsegs: 1,
+            len: 0,
+            height: 1,
+        };
         store.begin();
-        store.write(meta_off, &head);
-        store.write(meta_off + SEG_TABLE, &table0.to_le_bytes());
-        store.write(table0, &seg0.to_le_bytes());
-        store.write(seg0, &leaf[..HDR]);
+        store.write_fresh(meta_off + SEG_TABLE, &table0.to_le_bytes());
+        store.write_fresh(table0, &seg0.to_le_bytes());
+        store.write_fresh(seg0, &leaf[..HDR]);
+        store.publish(Head::slot(meta_off, head.version), &head.encode());
         store.commit();
         store.set_root(meta_off);
         Tree::attach(store)
@@ -547,13 +621,13 @@ impl<S: PageStore> Tree<S> {
         Ok(Tree {
             store,
             meta_off: v.meta_off,
-            version: v.version,
-            root_lpid: v.root_lpid,
-            next_lpid: v.next_lpid,
-            bump: v.bump,
-            nsegs: v.nsegs,
-            len: v.len,
-            height: v.height,
+            version: v.head.version,
+            root_lpid: v.head.root_lpid,
+            next_lpid: v.head.next_lpid,
+            bump: v.head.bump,
+            nsegs: v.head.nsegs,
+            len: v.head.len,
+            height: v.head.height,
             seg_tables: v.seg_tables,
             segs: v.segs,
             free: v.free,
@@ -575,13 +649,13 @@ impl<S: PageStore> Tree<S> {
     fn reload(&mut self) -> Result<(), TreeError> {
         let v = rebuild_state(&mut self.store)?;
         self.meta_off = v.meta_off;
-        self.version = v.version;
-        self.root_lpid = v.root_lpid;
-        self.next_lpid = v.next_lpid;
-        self.bump = v.bump;
-        self.nsegs = v.nsegs;
-        self.len = v.len;
-        self.height = v.height;
+        self.version = v.head.version;
+        self.root_lpid = v.head.root_lpid;
+        self.next_lpid = v.head.next_lpid;
+        self.bump = v.head.bump;
+        self.nsegs = v.head.nsegs;
+        self.len = v.head.len;
+        self.height = v.head.height;
         self.seg_tables = v.seg_tables;
         self.segs = v.segs;
         self.free = v.free;
@@ -722,27 +796,16 @@ impl<S: PageStore> Tree<S> {
         debug_assert!(self.staged.is_empty() && self.txn_retired.is_empty());
     }
 
-    /// Commit the open transaction: publish the new meta block inside
-    /// the section, close it (durable), then expose the staged remap
-    /// entries to readers and retire superseded pages.
+    /// Commit the open transaction: publish the new meta head as the
+    /// section's commit record, close it (durable), then expose the
+    /// staged remap entries to readers and retire superseded pages.
     ///
     /// # Panics
     /// When no transaction is open.
     pub fn commit(&mut self) {
         let txn = self.txn.take().expect("commit without begin");
-        let mut head = [0u8; SEG_TABLE as usize];
-        set64(&mut head, 0, MAGIC);
-        set64(&mut head, 8, txn.version);
-        set64(&mut head, 16, txn.root_lpid);
-        set64(&mut head, 24, txn.next_lpid);
-        set64(&mut head, 32, self.bump);
-        set64(&mut head, 40, self.nsegs);
-        set64(&mut head, 48, txn.len);
-        set64(&mut head, 56, txn.height);
-        // the head is the one in-place update (and undo record) of a
-        // commit; table slots at or past the committed `nsegs` are read
-        // by nobody until the head that counts them is durable
-        self.store.write(self.meta_off, &head);
+        // table slots at or past the committed `nsegs` are read by
+        // nobody until the head that counts them is durable
         for i in txn.first_new_table..self.seg_tables.len() {
             let off = self.meta_off + SEG_TABLE + 8 * i as u64;
             self.store
@@ -752,6 +815,19 @@ impl<S: PageStore> Tree<S> {
             let off = self.seg_tables[i / SEG_TABLE_SLOTS] + 8 * (i % SEG_TABLE_SLOTS) as u64;
             self.store.write_fresh(off, &self.segs[i].to_le_bytes());
         }
+        // the one in-place update of a commit, into the slot the head it
+        // supersedes does not occupy
+        let head = Head {
+            version: txn.version,
+            root_lpid: txn.root_lpid,
+            next_lpid: txn.next_lpid,
+            bump: self.bump,
+            nsegs: self.nsegs,
+            len: txn.len,
+            height: txn.height,
+        };
+        self.store
+            .publish(Head::slot(self.meta_off, txn.version), &head.encode());
         self.store.commit();
         // a superseded copy stays resolvable only if some pin can still
         // read below this commit; otherwise the `reclaim` below frees it
@@ -1357,17 +1433,26 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
     if !block_ok(meta_off, META_BYTES) {
         return Err(TreeError::BadMeta("root pointer outside the store"));
     }
-    let head = store.bytes(meta_off, SEG_TABLE as usize);
-    if get64(head, 0) != MAGIC {
-        return Err(TreeError::BadMeta("bad magic"));
-    }
-    let version = get64(head, 8);
-    let root_lpid = get64(head, 16);
-    let next_lpid = get64(head, 24);
-    let bump = get64(head, 32);
-    let nsegs = get64(head, 40);
-    let len = get64(head, 48);
-    let height = get64(head, 56);
+    // the newer of the two heads whose checksum holds: a commit that
+    // never finished left its slot torn or stale, and the other intact
+    let slot = |version| Head::decode(store.bytes(Head::slot(meta_off, version), HEAD));
+    let head = match (slot(0), slot(1)) {
+        (Some(a), Some(b)) if a.version == b.version => {
+            return Err(TreeError::BadMeta("two head slots of one version"))
+        }
+        (Some(a), Some(b)) => std::cmp::max_by_key(a, b, |h| h.version),
+        (Some(h), None) | (None, Some(h)) => h,
+        (None, None) => return Err(TreeError::BadMeta("no valid head slot")),
+    };
+    let Head {
+        version,
+        root_lpid,
+        next_lpid,
+        bump,
+        nsegs,
+        len,
+        height,
+    } = head;
     // every logical page owns a live physical one (leaves never merge,
     // logical ids are never freed), so `next_lpid <= bump`; the slot
     // table below is sized from it, so it is checked here, first
@@ -1526,22 +1611,19 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
         }
     }
     let free = (0..bump).filter(|&p| !reach[p as usize]).collect();
-    for batch in stale.chunks(VOID_BATCH) {
+    // the pages are dead, so their zeroes need no undo record, and the
+    // section publishes nothing: a crash in it leaves headers the next
+    // attach voids again
+    if !stale.is_empty() {
         store.begin();
-        for &off in batch {
-            store.write(off, &[0u8; HDR]);
+        for &off in &stale {
+            store.write_fresh(off, &[0u8; HDR]);
         }
         store.commit();
     }
     Ok(Volatile {
         meta_off,
-        version,
-        root_lpid,
-        next_lpid,
-        bump,
-        nsegs,
-        len,
-        height,
+        head,
         seg_tables,
         segs,
         free,
@@ -1822,27 +1904,123 @@ mod tests {
         assert_eq!(t3.scan(None, 0, u64::MAX, usize::MAX), want);
     }
 
-    /// A 100-key tree with one durable word overwritten — `word` picks
-    /// its offset and its hostile value — then re-attached.
-    fn attach_with_word(
-        word: impl Fn(&Tree<MemPager>) -> (u64, u64),
-    ) -> Result<Tree<MemPager>, TreeError> {
+    fn hundred_keys() -> Tree<MemPager> {
         let mut t = mem_tree();
         t.begin();
         for k in 0..100u64 {
             t.put(k, &k.to_le_bytes()).unwrap();
         }
         t.commit();
+        t
+    }
+
+    /// A 100-key tree with one durable word overwritten — `word` picks
+    /// its offset and its hostile value — then re-attached. A word of a
+    /// head slot is resealed with the slot's checksum, so that attach
+    /// judges the hostile field, not a torn slot.
+    fn attach_with_word(
+        word: impl Fn(&Tree<MemPager>) -> (u64, u64),
+    ) -> Result<Tree<MemPager>, TreeError> {
+        let mut t = hundred_keys();
         let (off, hostile) = word(&t);
         t.store.begin();
-        t.store.write(off, &hostile.to_le_bytes());
+        t.store.write_fresh(off, &hostile.to_le_bytes());
+        if (t.meta_off..t.meta_off + SEG_TABLE).contains(&off) {
+            let slot = off - (off - t.meta_off) % HEAD as u64;
+            let sum = checksum(MAGIC, t.store.bytes(slot + 8, HEAD - 8));
+            t.store.write_fresh(slot, &sum.to_le_bytes());
+        }
         t.store.commit();
         Tree::attach(t.store)
     }
 
-    /// The durable `next_lpid` is word 3 of the meta head.
+    /// The durable `next_lpid` is word 3 of the winning head slot.
     fn attach_with_next_lpid(f: impl Fn(u64) -> u64) -> Result<Tree<MemPager>, TreeError> {
-        attach_with_word(|t| (t.meta_off + 24, f(t.bump)))
+        attach_with_word(|t| (Head::slot(t.meta_off, t.version) + 24, f(t.bump)))
+    }
+
+    #[test]
+    fn attach_rejects_a_meta_block_with_no_valid_head() {
+        let mut t = hundred_keys();
+        assert!(Head::decode(t.store.bytes(t.meta_off, HEAD)).is_some());
+        assert!(Head::decode(t.store.bytes(t.meta_off + HEAD as u64, HEAD)).is_some());
+        // one word of each slot changed, neither resealed
+        t.store.begin();
+        for slot in [t.meta_off, t.meta_off + HEAD as u64] {
+            t.store.write_fresh(slot + 24, &7u64.to_le_bytes());
+        }
+        t.store.commit();
+        let err = Tree::attach(t.store).map(|_| ()).unwrap_err();
+        assert_eq!(err, TreeError::BadMeta("no valid head slot"));
+    }
+
+    #[test]
+    fn attach_rejects_two_head_slots_of_one_version() {
+        let mut t = hundred_keys();
+        let (live, other) = (
+            Head::slot(t.meta_off, t.version),
+            Head::slot(t.meta_off, t.version + 1),
+        );
+        let copy = t.store.bytes(live, HEAD).to_vec();
+        t.store.begin();
+        t.store.write_fresh(other, &copy);
+        t.store.commit();
+        let err = Tree::attach(t.store).map(|_| ()).unwrap_err();
+        assert_eq!(err, TreeError::BadMeta("two head slots of one version"));
+    }
+
+    /// Hardware lands a line as 8-byte words: a commit whose head slot
+    /// landed only in part must read as not committed. Every mix of the
+    /// newer slot's old and new words attaches to the older slot's
+    /// version and tree, unless the mix is the new slot whole.
+    #[test]
+    fn a_torn_newer_head_falls_back_to_the_older_slot() {
+        // version 2 holds 40 keys; version 3 rewrites them, adds 40 more
+        // and splits the root, so the two heads differ in most words
+        let two_commits = || {
+            let mut t = mem_tree();
+            t.begin();
+            for k in 0..40u64 {
+                t.put(k, &[1]).unwrap();
+            }
+            t.commit();
+            let older = t.scan(None, 0, u64::MAX, usize::MAX);
+            let slot = Head::slot(t.meta_off, t.version + 1);
+            let before = t.store.bytes(slot, HEAD).to_vec();
+            t.begin();
+            for k in 0..80u64 {
+                t.put(k, &[2]).unwrap();
+            }
+            t.commit();
+            (t, older, slot, before)
+        };
+        let (t, _, slot, before) = two_commits();
+        let after = t.store.bytes(slot, HEAD).to_vec();
+        let differ = (0..8).filter(|w| before[8 * w..][..8] != after[8 * w..][..8]);
+        assert!(differ.count() >= 6, "the heads must differ in most words");
+        for mask in 0u32..256 {
+            let (mut t, older, slot, _) = two_commits();
+            let torn: Vec<u8> = (0..HEAD)
+                .map(|i| {
+                    if mask >> (i / 8) & 1 == 1 {
+                        after[i]
+                    } else {
+                        before[i]
+                    }
+                })
+                .collect();
+            t.store.begin();
+            t.store.write_fresh(slot, &torn);
+            t.store.commit();
+            let newer = t.scan(None, 0, u64::MAX, usize::MAX);
+            let back = Tree::attach(t.store).unwrap_or_else(|e| panic!("mask {mask:#x}: {e}"));
+            let (version, scan) = (back.version(), back.scan(None, 0, u64::MAX, usize::MAX));
+            if torn == after {
+                assert_eq!((version, scan), (3, newer), "mask {mask:#x}");
+            } else {
+                assert_eq!((version, scan), (2, older), "mask {mask:#x}");
+            }
+        }
     }
 
     #[test]
@@ -2231,6 +2409,67 @@ mod tests {
         assert_eq!(t2.get(5).as_deref(), Some(&[5u8; 32][..]));
         let scanned = t2.scan(None, 0, u64::MAX, usize::MAX);
         assert_eq!(scanned.len() as u64, n);
+    }
+
+    /// The void pass is unlogged: a crash anywhere inside it, under any
+    /// adversary, leaves headers the next attach voids again, and the
+    /// tree it recovers is the committed one.
+    #[test]
+    fn a_crash_inside_the_void_pass_revoids_on_the_next_attach() {
+        let cfg = small_cfg();
+        let mut t = Tree::create(&cfg).unwrap();
+        // rewrites, so the free list holds recycled node pages below the
+        // high-water mark for the dead transaction to take
+        for round in 0..3 {
+            t.begin();
+            for k in 0..60u64 {
+                t.put(k, &[round; 24]).unwrap();
+            }
+            t.commit();
+        }
+        let model = t.scan(None, 0, u64::MAX, usize::MAX);
+        // a dead transaction whose shadow pages all landed
+        t.begin();
+        for k in 0..60u64 {
+            t.put(k * 7, &[2; 24]).unwrap();
+        }
+        let image = t
+            .store
+            .runtime_mut()
+            .region()
+            .image_after_crash(&CrashMode::AllInFlightLands);
+        let reopened = || FasePager::reopen_from_image(image.clone(), &cfg).unwrap();
+        let pager = reopened();
+        let first = pager.steps();
+        let clean = Tree::attach(pager).unwrap();
+        let (voided, end) = (clean.voided_pages(), clean.steps());
+        assert!(voided > 4, "the dead transaction left {voided} headers");
+        assert_eq!(clean.scan(None, 0, u64::MAX, usize::MAX), model);
+        for at in first..end {
+            for mode in [
+                CrashMode::StrictDurableOnly,
+                CrashMode::AllInFlightLands,
+                CrashMode::random(0.5, 0.5, at),
+            ] {
+                let mut pager = reopened();
+                pager.arm_crash(CrashPlan {
+                    at_step: at,
+                    mode: mode.clone(),
+                });
+                let mut cut = Tree::attach(pager).unwrap();
+                let image = cut.take_crash_image().expect("the step is in the pass");
+                let back = Tree::reopen_from_image(image, &cfg).unwrap();
+                assert_eq!(
+                    back.scan(None, 0, u64::MAX, usize::MAX),
+                    model,
+                    "{mode:?} step {at}"
+                );
+                if mode == CrashMode::StrictDurableOnly {
+                    assert_eq!(back.voided_pages(), voided, "step {at}: nothing was fenced");
+                }
+                assert_eq!(Tree::attach(back.store).unwrap().voided_pages(), 0);
+            }
+        }
     }
 
     #[test]

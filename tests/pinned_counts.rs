@@ -41,7 +41,19 @@
 //! head that change instead of all 64 bytes (records 154 → 261, bytes
 //! logged 9 704 → 3 368, record lines 307 → 171). `FaseStats`,
 //! `RingStats` and the tree's shape stayed the literals they were: what
-//! the programs store, and what the policy flushes, did not move.
+//! the programs store, and what the policy flushes, did not move. Then
+//! the tree stopped logging its commits: the meta head became the FASE's
+//! commit record (`FaseRuntime::publish`), written after the data fence
+//! into one of two self-checking slots, flushed through the ring and
+//! fenced, and the attach's void pass became unlogged. Only the tree
+//! program was re-recorded. Its log went to no group at all (records
+//! 261 → 0, record lines 171 → 0, commit lines 152 → 1, the recovery's),
+//! its fences to two per FASE (462 → 308) and its flushes 3 980 →
+//! 3 658. In `RingStats`, only `drains` (151 → 300) and `sweeps`
+//! (1 622 → 1 623) moved, for the reasons given at the literal. The
+//! head is still one store of one line and one data flush, so
+//! `FaseStats` and the tree's shape did not move, and the shard program
+//! was not touched.
 
 use nvcache::core::PolicyKind;
 use nvcache::fase::{FaseStats, LogStats};
@@ -185,37 +197,46 @@ fn tree_txn_program_counts_are_pinned() {
     assert_eq!(t.height(), 3);
     assert_eq!(t.pages_allocated(), 357);
     assert_eq!(t.free_pages(), 22);
-    assert_eq!(t.steps(), 7_785);
+    assert_eq!(t.steps(), 7_004);
     let rt = t.store_mut().runtime_mut();
     assert_eq!(
         rt.region().stats(),
         PmemStats {
-            bytes_written: 251_584,
-            stores: 3_343,
-            flushes: 3_980,
-            fences: 462,
+            bytes_written: 242_456,
+            stores: 3_038,
+            flushes: 3_658,
+            fences: 308,
             crashes: 1,
         }
     );
     assert_eq!(
         rt.log_stats(),
         LogStats {
-            entries: 261,
+            entries: 0,
             elided: 0,
             commits: 151,
             rollbacks: 0,
-            bytes_logged: 3_368,
-            record_lines: 171,
-            commit_lines: 152,
+            bytes_logged: 0,
+            record_lines: 0,
+            commit_lines: 1,
         }
     );
-    // the flushes by kind: data through the ring, the log's groups, its
-    // epoch bumps (151 commits and the recovery), the heap's six persists
-    let (pmem, ring, log) = (rt.region().stats(), rt.ring_stats(), rt.log_stats());
+    // the flushes by kind: data through the ring — the policy's lines
+    // and each FASE's published head — the recovery's epoch bump, the
+    // heap's six persists; the log holds no group
+    let (pmem, ring, log, fase) = (
+        rt.region().stats(),
+        rt.ring_stats(),
+        rt.log_stats(),
+        rt.stats(),
+    );
     assert_eq!(
         pmem.flushes,
         ring.flushed + log.record_lines + log.commit_lines + 6
     );
+    // and the fences: a data fence and a publish fence per FASE, the
+    // recovery's epoch bump, and five for those six persisted lines
+    assert_eq!(pmem.fences, fase.fences + fase.fases + log.commit_lines + 5);
     assert_eq!(
         rt.stats(),
         FaseStats {
@@ -227,14 +248,19 @@ fn tree_txn_program_counts_are_pinned() {
             rollbacks: 0,
         }
     );
+    // a published head is a drain and a sweep of its own: 151 more
+    // drains, less the two FASEs (empty transactions) whose head was all
+    // their data, so their data drain now finds nothing; one more sweep,
+    // because the format FASE's head no longer shares a sweep with the
+    // adjacent line of the segment-table directory
     assert_eq!(
         rt.ring_stats(),
         RingStats {
             submitted: 3_853,
             flushed: 3_651,
             elided: 0,
-            sweeps: 1_622,
-            drains: 151,
+            sweeps: 1_623,
+            drains: 300,
         }
     );
 }

@@ -1,6 +1,7 @@
 //! Crash-point sweeps over the CoW B+-tree engine: deterministic
 //! programs of committed transactions, a crash injected at sampled
-//! persistence micro-steps under all three crash adversaries, recovery
+//! persistence micro-steps under all three crash adversaries (and, in
+//! the every-step sweep, a fourth that tears the meta head), recovery
 //! via `Tree::reopen_from_image` — the recovered tree must equal the
 //! state after the last *committed* transaction, exactly (each
 //! `begin()..commit()` is one FASE: the whole batch of puts and
@@ -14,7 +15,7 @@
 
 use nvcache::core::PolicyKind;
 use nvcache::pmem::{CrashMode, CrashPlan};
-use nvcache::treestore::{Tree, TreeConfig};
+use nvcache::treestore::{RootStore, Tree, TreeConfig};
 use std::collections::BTreeMap;
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -268,6 +269,32 @@ fn mid_split_crash_recovers_the_old_root_graph() {
     }
 }
 
+/// Hardware lands 8-byte words, not lines. When the one line in flight
+/// at a cut is a meta-head slot — the first two lines of the meta block
+/// at `meta`, written by the commit's publish — every proper mix of its
+/// durable and in-flight words, as images. Any other cut: none.
+fn torn_head_images(durable: &[u8], landed: &[u8], meta: usize) -> Vec<Vec<u8>> {
+    let mut in_flight = (0..durable.len())
+        .step_by(64)
+        .filter(|&l| durable[l..l + 64] != landed[l..l + 64]);
+    let (Some(line), None) = (in_flight.next(), in_flight.next()) else {
+        return Vec::new();
+    };
+    if !(meta..meta + 128).contains(&line) {
+        return Vec::new();
+    }
+    (1u32..255)
+        .map(|mask| {
+            let mut image = durable.to_vec();
+            for w in (0..8).filter(|w| mask >> w & 1 == 1) {
+                let at = line + 8 * w;
+                image[at..at + 8].copy_from_slice(&landed[at..at + 8]);
+            }
+            image
+        })
+        .collect()
+}
+
 /// One transaction that keeps coming back to a leaf it has staged — an
 /// insert (the first touch: shadow page + used-byte copy), an overwrite
 /// and a delete edited in place, then enough inserts to fill the staged
@@ -275,6 +302,8 @@ fn mid_split_crash_recovers_the_old_root_graph() {
 /// every adversary, with the slab and without. In-place edits of a shadow
 /// page are stores of a few words each, landing (or not) line by line:
 /// none of them may be visible before the head flip, all of them after.
+/// The head itself may land torn: a fourth adversary tears it word by
+/// word in the publish window, and only the whole new head may commit.
 #[test]
 fn dirty_leaf_edits_and_split_are_atomic_at_every_micro_step() {
     let base_txn: Vec<TxnOp> = (0..10u64)
@@ -293,13 +322,16 @@ fn dirty_leaf_edits_and_split_are_atomic_at_every_micro_step() {
             ..cfg(slab)
         };
         let mut t = Tree::create(&cfg).unwrap();
+        let meta = t.store().root() as usize;
         apply_txn(&mut t, &base_txn);
         let (base_steps, base) = (t.steps(), dump(&t));
         apply_txn(&mut t, &dirty_txn);
         let (end_steps, full) = (t.steps(), dump(&t));
         assert_eq!(t.height(), 2, "the staged leaf must have split");
         assert_eq!(full.len(), base.len() + 5);
+        let mut torn_cuts = 0;
         for k in base_steps + 1..end_steps {
+            let mut images = Vec::new();
             for mode in modes(k) {
                 let mut t = Tree::create(&cfg).unwrap();
                 apply_txn(&mut t, &base_txn);
@@ -309,6 +341,7 @@ fn dirty_leaf_edits_and_split_are_atomic_at_every_micro_step() {
                 });
                 apply_txn(&mut t, &dirty_txn);
                 let image = t.take_crash_image().expect("crash inside the txn");
+                images.push(image.clone());
                 let mut rec = Tree::reopen_from_image(image, &cfg)
                     .unwrap_or_else(|e| panic!("recovery failed at step {k}: {e:?}"));
                 let got = dump(&rec);
@@ -329,7 +362,23 @@ fn dirty_leaf_edits_and_split_are_atomic_at_every_micro_step() {
                     assert_eq!(dump(&rec), full, "retry after a crash at step {k}");
                 }
             }
+            // modes() is strict, all-lands, random
+            let (strict, landed) = (&images[0], &images[1]);
+            let torn = torn_head_images(strict, landed, meta);
+            torn_cuts += !torn.is_empty() as usize;
+            for image in torn {
+                let whole = image == *landed;
+                let rec = Tree::reopen_from_image(image, &cfg)
+                    .unwrap_or_else(|e| panic!("torn head at step {k}: recovery failed: {e:?}"));
+                let want = if whole { &full } else { &base };
+                assert!(
+                    dump(&rec) == *want,
+                    "alloc {} step {k}: a torn head was taken for a commit",
+                    if slab { "slab" } else { "heap" },
+                );
+            }
         }
+        assert_eq!(torn_cuts, 2, "the publish window: written, then flushed");
     }
 }
 
