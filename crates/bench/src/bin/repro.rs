@@ -18,8 +18,8 @@
 //! `repro` measures; it judges nothing. Comparing two commits is the
 //! repo benchmark's job (`benchmark/`, `BENCHMARK.json`), and crash
 //! consistency is the test suites' (`tests/crash_fuzz.rs`,
-//! `tests/tree_crash.rs`, `tests/kv_crash.rs`,
-//! `crates/kvstore/tests/net_e2e.rs` — DESIGN.md §6.2, §9–§11).
+//! `tests/engine_crash.rs`, `crates/kvstore/tests/net_e2e.rs` —
+//! DESIGN.md §6.2, §9–§11).
 //!
 //! `repro kv-serve` / `repro kv-load` drive the network serving path
 //! over real TCP: a server that runs until killed and an open-loop

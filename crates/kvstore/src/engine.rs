@@ -188,11 +188,7 @@ impl Engine for TreeEngine {
                 }
                 BatchRequest::PutMany(items) => {
                     self.stage();
-                    let mut ok = true;
-                    for (k, v) in items {
-                        ok &= self.t.put(*k, v).is_ok();
-                    }
-                    replies.push(BatchReply::Done(ok));
+                    replies.push(BatchReply::Done(self.t.put_many(items).is_ok()));
                 }
                 BatchRequest::Delete(k) => {
                     self.stage();
@@ -353,13 +349,20 @@ mod tests {
                 _ => BatchRequest::Put(key, vec![i as u8; 16]),
             });
         }
-        let a = Engine::serve_batch(&mut tree, &reqs);
-        let b = Engine::serve_batch(&mut hash, &reqs);
-        assert_eq!(a, b, "engines diverge on replies");
-        assert_eq!(
-            Engine::dump(&mut tree),
-            Engine::dump(&mut hash),
-            "engines diverge on end state"
-        );
+        // a `PutMany` one of whose values fits no engine is refused whole
+        let refused = vec![BatchRequest::PutMany(vec![
+            (1, b"fits".to_vec()),
+            (2, vec![0; 5000]),
+        ])];
+        for reqs in [reqs, refused] {
+            let a = Engine::serve_batch(&mut tree, &reqs);
+            let b = Engine::serve_batch(&mut hash, &reqs);
+            assert_eq!(a, b, "engines diverge on replies");
+            assert_eq!(
+                Engine::dump(&mut tree),
+                Engine::dump(&mut hash),
+                "engines diverge on end state"
+            );
+        }
     }
 }

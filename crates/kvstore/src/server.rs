@@ -53,7 +53,8 @@
 //! with it; which thread ran the batch does not enter into it.
 //! **Acknowledged ⇒ durable**: a crash can only take back
 //! requests that were never answered (they roll back whole — the
-//! committed-prefix oracle in `tests/kv_crash.rs` sweeps exactly this).
+//! committed-prefix sweep in `tests/engine_crash.rs` checks exactly
+//! this, on both engines).
 //! The converse does not hold: a `serve_batch` that panics fails every
 //! request of its group, including those whose segment had already
 //! committed — acks are at-most-once, not exactly-once.

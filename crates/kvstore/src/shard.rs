@@ -88,7 +88,9 @@ pub enum BatchRequest {
     /// Insert or update one key.
     Put(u64, Vec<u8>),
     /// A client-side group that must stay per-request atomic even on
-    /// the replay path.
+    /// the replay path. The engines differ on one refusal: a hash shard
+    /// refuses a group that changes an existing key's value length
+    /// ([`Shard::put_many`]), the tree engine accepts it.
     PutMany(Vec<(u64, Vec<u8>)>),
     /// Remove a key. Acts as a segment barrier inside a batch.
     Delete(u64),

@@ -953,6 +953,31 @@ impl<S: PageStore> Tree<S> {
         self.insert_into_parents(ks[LEFT], rlpid)
     }
 
+    /// Insert or overwrite every `(key, value)` of `items`, in order, as
+    /// one all-or-nothing step of the open transaction: every value is
+    /// checked and the group's worst case reserved (`put`'s bound per
+    /// item) before any item is staged, so a refused group stages
+    /// nothing.
+    ///
+    /// # Panics
+    /// When no transaction is open.
+    pub fn put_many<V: AsRef<[u8]>>(&mut self, items: &[(u64, V)]) -> Result<(), TreeError> {
+        assert!(self.txn.is_some(), "put outside a transaction");
+        if let Some(len) = items.iter().map(|(_, v)| v.as_ref().len()).max() {
+            if len > MAX_VALUE {
+                return Err(TreeError::ValueTooLarge {
+                    len,
+                    max: MAX_VALUE,
+                });
+            }
+        }
+        self.ensure_capacity(items.len() as u64 * (2 * self.height() + 4))?;
+        for (key, val) in items {
+            self.put(*key, val.as_ref())?;
+        }
+        Ok(())
+    }
+
     /// Remove `key`; returns whether it was present. Deletes are lazy:
     /// leaves are never merged, so an emptied leaf simply stays.
     ///

@@ -7,11 +7,11 @@
 //! `support/fuzz.rs` for the program generator and the oracle, which
 //! this binary alone compiles: they are test code, not product API).
 //!
-//! This is the systematic complement of `crash_atomicity.rs`: that
-//! suite crashes at FASE boundaries chosen by a property generator;
-//! this one enumerates the step index space itself, so a bug at any
+//! The suite enumerates the step index space itself, so a bug at any
 //! single intermediate persistence step — mid log-append, between
-//! flush and fence, inside the commit window — has no place to hide.
+//! flush and fence, inside the commit window — has no place to hide,
+//! and every recovered image is power-failed a second time in process
+//! to check that recovery is idempotent.
 
 use nvcache::core::{AdaptiveConfig, PolicyKind};
 use nvcache::fase::log::{GROUP_HEADER, RECORDS_START};
@@ -120,6 +120,30 @@ fn concurrent_submission_matrix_never_tears_a_group() {
         schedules >= 500,
         "concurrent matrix must exercise at least 500 schedules, got {schedules}"
     );
+}
+
+/// Recovery is idempotent: under `ScFixed` and adversaries that land a
+/// random half of the in-flight lines, every micro-step's recovered
+/// image is power-failed again in process by `crash_fuzz`'s oracle, and
+/// no slot may move. Catches a recovery that restores bytes without
+/// persisting them.
+#[test]
+fn double_crash_recovery_is_idempotent() {
+    let kind = PolicyKind::ScFixed { capacity: 4 };
+    for prelog in [false, true] {
+        let cfg = CrashFuzzConfig {
+            prelog,
+            ..CrashFuzzConfig::default()
+        };
+        for seed in 0..4u64 {
+            let r = crash_fuzz(&kind, &CrashMode::random(0.5, 0.5, seed), seed, &cfg);
+            assert!(
+                r.schedules > 0 && r.passed(),
+                "seed {seed}: {:?}",
+                r.failures.first()
+            );
+        }
+    }
 }
 
 /// The sweep itself is deterministic: same (policy, mode, seed, cfg) →

@@ -24,6 +24,11 @@
 //!   never survive, because its undo entry is durable before the data
 //!   store and recovery rolls it back.
 //!
+//! Either way, recovery must be idempotent: the recovered runtime is
+//! power-failed and recovered again in process
+//! ([`FaseRuntime::crash_and_recover`]) under the same adversary, and
+//! its slots must not move.
+//!
 //! Everything is keyed on a `u64` seed: same seed, same program, same
 //! step schedule, same verdict.
 
@@ -270,7 +275,8 @@ pub fn crash_fuzz(
             continue;
         };
         let region = PmemRegion::from_image(image);
-        let recovered = match FaseRuntime::try_reopen(region, data_len(cfg), cfg.log_len, kind) {
+        let mut recovered = match FaseRuntime::try_reopen(region, data_len(cfg), cfg.log_len, kind)
+        {
             Ok(rt) => rt,
             Err(e) => {
                 fail(&mut report, step, format!("recovery failed: {e}"));
@@ -304,6 +310,16 @@ pub fn crash_fuzz(
                     f,
                     &got[..got.len().min(8)]
                 ),
+            );
+        }
+        // Recovery is idempotent: it persisted what it restored, so a
+        // second power failure right after it changes nothing.
+        recovered.crash_and_recover(mode);
+        if read_slots(recovered.region(), cfg) != got {
+            fail(
+                &mut report,
+                step,
+                format!("a second crash after recovery at step {step} changed the state"),
             );
         }
         step += cfg.step_stride;
