@@ -31,9 +31,7 @@
 //! full ring drains inline.
 
 use nvcache_core::{PersistPolicy, Policy, PolicyKind, StoreOutcome};
-use nvcache_pmem::{
-    CrashMode, CrashPlan, FlushRing, PAlloc, PmemRegion, RingStats, SlabAlloc, SlabStats, LINE_SIZE,
-};
+use nvcache_pmem::{CrashMode, CrashPlan, FlushRing, PAlloc, PmemRegion, RingStats, LINE_SIZE};
 use nvcache_telemetry::{
     Clock, ClockSource, CounterId, EventKind, HistId, Recorder, Sample, TelemetryConfig,
     TelemetrySnapshot, ThreadRecorder,
@@ -62,6 +60,19 @@ pub enum FlushMode {
     /// sweeps before the ordering fence.
     #[default]
     Pipelined,
+}
+
+/// Counters of the volatile slab allocator that heaps no longer have:
+/// [`FaseRuntime::slab_stats`] never returns one. Kept, with it, for
+/// `benchmark/src/adapter.rs`, which reads them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SlabStats {
+    /// Allocations served without a persist.
+    pub fast_allocs: u64,
+    /// Chunks carved from the heap.
+    pub chunks: u64,
+    /// Allocations that fell back to the heap's free lists.
+    pub fallback_allocs: u64,
 }
 
 /// Counters of runtime activity.
@@ -183,9 +194,6 @@ pub struct FaseRuntime {
     fase_store_lines: u64,
     /// The flush submission ring every policy flush goes through.
     ring: FlushRing,
-    /// Optional slab layer over the heap (see
-    /// [`FaseRuntime::enable_slab`]).
-    slab: Option<SlabAlloc>,
     /// The current outermost FASE grouped-prelogged its write set;
     /// per-store undo logging is suppressed until it commits.
     prelogged: bool,
@@ -218,11 +226,23 @@ impl FaseRuntime {
         let data_len = data_len.div_ceil(64) * 64;
         let mut region = PmemRegion::new(data_len + log_len);
         let log = UndoLog::format(&mut region, data_len, log_len);
+        Self::from_parts(region, log, policy, None, data_len)
+    }
+
+    /// A runtime over `region` and its `log`, with no FASE open, an
+    /// empty ring and zeroed counters: what both constructors share.
+    fn from_parts(
+        region: PmemRegion,
+        log: UndoLog,
+        policy: &PolicyKind,
+        heap: Option<PAlloc>,
+        data_len: usize,
+    ) -> Self {
         FaseRuntime {
             region,
             log,
             policy: policy.build_policy(),
-            heap: None,
+            heap,
             data_len,
             depth: 0,
             flush_buf: Vec::with_capacity(FLUSH_BUF_CAPACITY),
@@ -235,7 +255,6 @@ impl FaseRuntime {
             last_recovery_ns: None,
             fase_store_lines: 0,
             ring: FlushRing::new(RING_CAPACITY),
-            slab: None,
             prelogged: false,
             publish: Publish::None,
             runs: Vec::new(),
@@ -279,40 +298,10 @@ impl FaseRuntime {
         let recovery_ns = clock.now_ns().saturating_sub(t0);
         // a heap that reaches into the log area is not this runtime's
         let heap = PAlloc::open(&region).filter(|h| h.limit(&region) <= data_len as u64);
-        let mut stats = FaseStats::default();
-        if rolled > 0 {
-            stats.rollbacks = 1;
-        }
-        let rt = FaseRuntime {
-            region,
-            log,
-            policy: policy.build_policy(),
-            heap,
-            data_len,
-            depth: 0,
-            // reopen paths used to rebuild this cold (zero capacity);
-            // reserve up front so the first FASEs do not re-grow it
-            flush_buf: Vec::with_capacity(FLUSH_BUF_CAPACITY),
-            recorder: None,
-            stats,
-            stats_taken: FaseStats::default(),
-            telemetry: None,
-            clock,
-            ring_fallbacks: 0,
-            last_recovery_ns: Some(recovery_ns),
-            fase_store_lines: 0,
-            ring: FlushRing::new(RING_CAPACITY),
-            slab: None,
-            prelogged: false,
-            publish: Publish::None,
-            runs: Vec::new(),
-            #[cfg(debug_assertions)]
-            prelog_ranges: Vec::new(),
-        };
-        debug_assert!(
-            rt.ring.is_empty(),
-            "reopened runtime starts with an empty ring"
-        );
+        let mut rt = Self::from_parts(region, log, policy, heap, data_len);
+        rt.stats.rollbacks = u64::from(rolled > 0);
+        rt.clock = clock;
+        rt.last_recovery_ns = Some(recovery_ns);
         Ok(rt)
     }
 
@@ -429,18 +418,10 @@ impl FaseRuntime {
         self.ring.stats()
     }
 
-    /// Layer a volatile slab allocator over the heap: node allocation
-    /// amortizes persistent metadata updates to one per chunk and frees
-    /// become persist-free (crash leaks spare blocks, never corrupts —
-    /// see [`SlabAlloc`]). Requires [`FaseRuntime::with_heap`].
-    pub fn enable_slab(&mut self) {
-        assert!(self.heap.is_some(), "runtime has no heap");
-        self.slab = Some(SlabAlloc::default());
-    }
-
-    /// Slab counters, when [`FaseRuntime::enable_slab`] was called.
+    /// Always `None`: the heap ([`PAlloc`]) is the only allocator. Kept
+    /// for `benchmark/src/adapter.rs`, which reads [`SlabStats`].
     pub fn slab_stats(&self) -> Option<SlabStats> {
-        self.slab.as_ref().map(|s| s.stats())
+        None
     }
 
     /// Undo-log the *current* contents of `ranges` as one group: all
@@ -856,25 +837,17 @@ impl FaseRuntime {
     // ----- heap ----------------------------------------------------------
 
     /// Allocate from the persistent heap (requires
-    /// [`FaseRuntime::with_heap`]). With the slab enabled, hot-path
-    /// allocation pops a volatile free list and only touches the heap's
-    /// persistent metadata once per carved chunk.
+    /// [`FaseRuntime::with_heap`]); durable when it returns.
     pub fn alloc(&mut self, size: usize) -> Option<u64> {
         let heap = self.heap.expect("runtime has no heap");
-        match &mut self.slab {
-            Some(slab) => slab.alloc(&heap, &mut self.region, size),
-            None => heap.alloc(&mut self.region, size),
-        }
+        heap.alloc(&mut self.region, size)
     }
 
-    /// Free a heap block. With the slab enabled this is persist-free
-    /// (the block recycles through a volatile list).
+    /// Free a heap block onto the heap's persistent free list: a power
+    /// failure after this returns keeps it free.
     pub fn free(&mut self, offset: u64, size: usize) {
         let heap = self.heap.expect("runtime has no heap");
-        match &mut self.slab {
-            Some(slab) => slab.free(offset, size),
-            None => heap.free(&mut self.region, offset, size),
-        }
+        heap.free(&mut self.region, offset, size);
     }
 
     /// Does the region hold a persistent heap this runtime vouches for
@@ -916,40 +889,8 @@ impl FaseRuntime {
     pub fn crash_and_recover(&mut self, mode: &CrashMode) {
         let recovery_t0 = self.clock.now_ns();
         self.region.crash(mode);
-        self.depth = 0;
-        self.flush_buf.clear();
-        self.policy.reset();
-        // the cache contents are gone: forget submitted-but-undrained
-        // lines, and drop slab free lists
-        // (blocks leak; the persisted bump cursor stays consistent)
-        self.ring.reset();
-        debug_assert!(self.ring.is_empty(), "ring empty after recovery reset");
-        if let Some(slab) = &mut self.slab {
-            slab.reset();
-        }
-        self.prelogged = false;
-        self.publish = Publish::None;
-        #[cfg(debug_assertions)]
-        self.prelog_ranges.clear();
-        // The log was formatted by this runtime; a crash can tear it but
-        // never strip the magic, so recovery cannot fail here.
-        let rolled = self
-            .log
-            .recover(&mut self.region)
-            .expect("in-process log lost its header");
-        if rolled > 0 {
-            self.stats.rollbacks += 1;
-            if let Some(tel) = &mut self.telemetry {
-                let t = self.stats.store_lines;
-                tel.incr(CounterId::Rollbacks);
-                tel.emit(
-                    EventKind::Rollback,
-                    t,
-                    rolled as u64,
-                    self.region.stats().crashes,
-                );
-            }
-        }
+        let crashes = self.region.stats().crashes;
+        self.roll_back(crashes);
         let recovery_ns = self.clock.now_ns().saturating_sub(recovery_t0);
         self.last_recovery_ns = Some(recovery_ns);
         if let Some(tel) = &mut self.telemetry {
@@ -981,17 +922,26 @@ impl FaseRuntime {
             debug_assert_eq!(self.log.used(), 0);
             return false;
         }
+        self.roll_back(0);
+        true
+    }
+
+    /// Drop the volatile residue of whatever FASE was open — depth,
+    /// flush buffer, the policy's cache, submitted-but-undrained lines,
+    /// the prelogged write set, an unwritten commit record — and roll
+    /// the region back through the undo log. The rollback's telemetry
+    /// event carries `crashes`.
+    fn roll_back(&mut self, crashes: u64) {
         self.depth = 0;
         self.flush_buf.clear();
         self.policy.reset();
         self.ring.reset();
-        if let Some(slab) = &mut self.slab {
-            slab.reset();
-        }
         self.prelogged = false;
         self.publish = Publish::None;
         #[cfg(debug_assertions)]
         self.prelog_ranges.clear();
+        // The log was formatted by this runtime; a crash can tear it but
+        // never strip the magic, so recovery cannot fail here.
         let rolled = self
             .log
             .recover(&mut self.region)
@@ -1001,10 +951,9 @@ impl FaseRuntime {
             if let Some(tel) = &mut self.telemetry {
                 let t = self.stats.store_lines;
                 tel.incr(CounterId::Rollbacks);
-                tel.emit(EventKind::Rollback, t, rolled as u64, 0);
+                tel.emit(EventKind::Rollback, t, rolled as u64, crashes);
             }
         }
-        true
     }
 
     /// Arm a crash plan on the underlying region: the crash image is
@@ -1838,29 +1787,6 @@ mod tests {
         r.begin_fase();
         r.publish(0, &[1u8; 8]);
         r.store_fresh(128, &[1u8; 8]);
-    }
-
-    #[test]
-    fn slab_routes_alloc_and_free_volatilely() {
-        let mut r = FaseRuntime::with_heap(1 << 16, 1 << 16, &PolicyKind::Lazy);
-        r.enable_slab();
-        let a = r.alloc(64).unwrap();
-        let fences = r.region().stats().fences;
-        r.free(a, 64);
-        let b = r.alloc(64).unwrap();
-        assert_eq!(a, b, "volatile recycle");
-        assert_eq!(
-            r.region().stats().fences,
-            fences,
-            "no persists on the hot path"
-        );
-        let s = r.slab_stats().unwrap();
-        assert_eq!(s.fast_allocs, 2);
-        assert_eq!(s.frees, 1);
-        // crash: slab resets, heap stays consistent, fresh blocks only
-        r.crash_and_recover(&CrashMode::StrictDurableOnly);
-        let c = r.alloc(64).unwrap();
-        assert_ne!(c, a, "leaked chunk never re-handed out");
     }
 
     #[test]

@@ -723,7 +723,7 @@ mod tests {
     use crate::store::KvStore;
     use nvcache_core::PolicyKind;
 
-    fn cfg(shards: usize, slab: bool) -> KvConfig {
+    fn cfg(shards: usize) -> KvConfig {
         KvConfig {
             shards,
             shard: ShardConfig {
@@ -732,14 +732,14 @@ mod tests {
                 log_len: 1 << 15,
                 policy: PolicyKind::ScFixed { capacity: 8 },
                 adapt: None,
-                pipelined: slab,
+                pipelined: true,
             },
         }
     }
 
     #[test]
     fn single_client_roundtrip() {
-        let server = KvServer::new(&cfg(2, false), &ServerConfig::default());
+        let server = KvServer::new(&cfg(2), &ServerConfig::default());
         let c = server.client();
         for k in 0..200u64 {
             assert!(c.put(k, &k.to_le_bytes()));
@@ -756,7 +756,7 @@ mod tests {
 
     #[test]
     fn concurrent_clients_disjoint_keys() {
-        let server = KvServer::new(&cfg(4, true), &ServerConfig::default());
+        let server = KvServer::new(&cfg(4), &ServerConfig::default());
         std::thread::scope(|scope| {
             for w in 0..4u64 {
                 let c = server.client();
@@ -778,7 +778,7 @@ mod tests {
 
     #[test]
     fn put_many_spans_shards_and_commits_per_lane() {
-        let server = KvServer::new(&cfg(4, true), &ServerConfig::default());
+        let server = KvServer::new(&cfg(4), &ServerConfig::default());
         let c = server.client();
         let items: Vec<(u64, Vec<u8>)> = (0..64u64).map(|i| (i, vec![i as u8; 24])).collect();
         assert!(c.put_many(&items));
@@ -791,7 +791,7 @@ mod tests {
     #[test]
     fn max_batch_one_still_serves_correctly() {
         let server = KvServer::new(
-            &cfg(2, false),
+            &cfg(2),
             &ServerConfig {
                 max_batch: 1,
                 ..Default::default()
@@ -811,7 +811,7 @@ mod tests {
     fn acks_only_after_commit() {
         // every acked write must already be durable: crash immediately
         // after the ack and the value must survive
-        let server = KvServer::new(&cfg(2, true), &ServerConfig::default());
+        let server = KvServer::new(&cfg(2), &ServerConfig::default());
         let c = server.client();
         for k in 0..50u64 {
             assert!(c.put(k, &(k * 7).to_le_bytes()));
@@ -827,7 +827,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_tail_and_fails_late_pushes() {
-        let server = KvServer::new(&cfg(1, false), &ServerConfig::default());
+        let server = KvServer::new(&cfg(1), &ServerConfig::default());
         let c = server.client();
         assert!(c.put(1, b"x"));
         let dump = {
@@ -849,7 +849,7 @@ mod tests {
     /// cross-client grouping actually happens under contention.
     #[test]
     fn grouped_lanes_form_multi_request_batches() {
-        let server = KvServer::new(&cfg(1, true), &ServerConfig::default());
+        let server = KvServer::new(&cfg(1), &ServerConfig::default());
         std::thread::scope(|scope| {
             for w in 0..4u64 {
                 let c = server.client();
@@ -1027,7 +1027,7 @@ mod tests {
     /// thread — nothing ever goes through the queue.
     #[test]
     fn idle_lanes_are_served_by_the_caller() {
-        let server = KvServer::new(&cfg(2, true), &ServerConfig::default());
+        let server = KvServer::new(&cfg(2), &ServerConfig::default());
         let c = server.client();
         let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
         for i in 0..1000u64 {
@@ -1068,7 +1068,7 @@ mod tests {
     /// then serves all of them as one grouped batch.
     #[test]
     fn a_busy_lane_queues_and_the_first_submitter_in_serves_one_grouped_batch() {
-        let server = KvServer::new(&cfg(1, true), &ServerConfig::default());
+        let server = KvServer::new(&cfg(1), &ServerConfig::default());
         std::thread::scope(|scope| {
             let release = hold_lane(scope, &server);
             for w in 0..8u64 {
@@ -1091,7 +1091,7 @@ mod tests {
     /// client's. An embedded call on an idle lane is a caller-run batch.
     #[test]
     fn an_embedded_call_on_a_busy_lane_queues_behind_the_clients() {
-        let store = KvStore::new(&cfg(1, true));
+        let store = KvStore::new(&cfg(1));
         let queue = &store.lanes[0].queue;
         std::thread::scope(|scope| {
             let release = hold_lane(scope, &*store);
@@ -1266,7 +1266,7 @@ mod tests {
     /// request is acked, and submissions after the close are refused.
     #[test]
     fn close_drains_the_queued_tail_without_a_further_submitter() {
-        let server = KvServer::new(&cfg(1, false), &ServerConfig::default());
+        let server = KvServer::new(&cfg(1), &ServerConfig::default());
         let queue = &server.lanes[0].queue;
         std::thread::scope(|scope| {
             let release = hold_lane(scope, &server);

@@ -163,10 +163,9 @@ pub struct ShardConfig {
     pub policy: PolicyKind,
     /// Live adaptation; `None` = fixed policy behaviour.
     pub adapt: Option<AdaptConfig>,
-    /// Allocate nodes through the volatile slab
-    /// ([`FaseRuntime::enable_slab`]). That is all it selects: every
-    /// shard flushes through the runtime's ring and prelogs a
-    /// `put_many` write set as one group.
+    /// Selects nothing: every shard allocates from the runtime's heap,
+    /// flushes through its ring and prelogs a `put_many` write set as
+    /// one group. Kept for `benchmark/src/adapter.rs`, which sets it.
     pub pipelined: bool,
 }
 
@@ -332,10 +331,7 @@ impl Shard {
         Ok(shard)
     }
 
-    fn assemble(mut rt: FaseRuntime, bucket_base: usize, cfg: &ShardConfig) -> Self {
-        if cfg.pipelined {
-            rt.enable_slab();
-        }
+    fn assemble(rt: FaseRuntime, bucket_base: usize, cfg: &ShardConfig) -> Self {
         let (sampler, stream) = match &cfg.adapt {
             Some(a) => (
                 Some(BurstSampler::new(
@@ -1011,6 +1007,7 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvcache_pmem::PAlloc;
 
     fn small(policy: PolicyKind) -> ShardConfig {
         ShardConfig {
@@ -1091,6 +1088,48 @@ mod tests {
         // deleting frees a node the next put can reuse
         assert!(s.delete(0));
         assert!(s.put(99_999, &[1u8; 100]), "free list satisfies the put");
+    }
+
+    /// `crash_and_recover` rebuilds the index from what the region
+    /// kept: `Best` flushes no data, so a strict power failure loses
+    /// acknowledged puts, and the index must lose them with it.
+    #[test]
+    fn crash_and_recover_rebuilds_the_index_from_the_region() {
+        let mut s = Shard::new(&small(PolicyKind::Best));
+        for k in 0..20u64 {
+            assert!(s.put(k, &[1u8; 40]));
+        }
+        s.crash_and_recover(&CrashMode::StrictDurableOnly);
+        assert!(s.dump().len() < 20, "Best kept every put");
+        s.index_matches_chains().unwrap();
+        for k in 0..20u64 {
+            let kept = s.dump().into_iter().find(|&(key, _)| key == k);
+            assert_eq!(s.get(k), kept.map(|(_, v)| v), "key {k}");
+        }
+    }
+
+    /// A freed node is the heap's, durably: on a full heap, the nodes
+    /// that deleting half the keys gave back are still free after a
+    /// power failure, and as many fresh keys fit again.
+    #[test]
+    fn freed_nodes_survive_a_power_failure() {
+        let cfg = ShardConfig {
+            data_len: 16 << 10,
+            pipelined: true,
+            ..small(PolicyKind::ScFixed { capacity: 8 })
+        };
+        let mut s = Shard::new(&cfg);
+        let mut n = 0u64;
+        while s.put(n, &[1u8; 40]) {
+            n += 1;
+        }
+        let deleted = (0..n).step_by(2).filter(|&k| s.delete(k)).count() as u64;
+        assert!(deleted >= 64, "{n} keys filled the heap");
+        s.crash_and_recover(&CrashMode::StrictDurableOnly);
+        for k in n..n + deleted {
+            assert!(s.put(k, &[2u8; 40]), "fresh key {k} after the crash");
+        }
+        assert_eq!(s.len() as u64, n);
     }
 
     #[test]
@@ -1352,14 +1391,11 @@ mod tests {
         assert_eq!(batched.dump(), seq.dump(), "end states diverge");
     }
 
-    /// A crash mid-batch on a slab shard rolls the whole group back:
-    /// grouped prelogging keeps the all-or-nothing FASE contract.
+    /// A crash mid-batch rolls the whole group back: grouped prelogging
+    /// keeps the all-or-nothing FASE contract.
     #[test]
     fn pipelined_put_many_is_atomic_under_crash() {
-        let cfg = ShardConfig {
-            pipelined: true,
-            ..small(PolicyKind::ScFixed { capacity: 4 })
-        };
+        let cfg = small(PolicyKind::ScFixed { capacity: 4 });
         for mode in [
             CrashMode::StrictDurableOnly,
             CrashMode::AllInFlightLands,
@@ -1402,7 +1438,6 @@ mod tests {
     fn oversized_write_set_is_refused_not_a_panic() {
         let cfg = ShardConfig {
             log_len: 4096,
-            pipelined: true,
             ..small(PolicyKind::ScFixed { capacity: 4 })
         };
         let mut s = Shard::new(&cfg);
@@ -1417,15 +1452,19 @@ mod tests {
             "1000 x 48 bytes of records on a 4 KiB log"
         );
         // with fresh keys in it, their planned nodes go back to the
-        // allocator
+        // heap: the same ten keys put again carve no fresh block
         let mut mixed = big.clone();
         mixed.extend((5000..5010u64).map(|k| (k, vec![2u8; 40])));
-        let frees = s.runtime_mut().slab_stats().expect("slab shard").frees;
+        let bump = |s: &Shard| {
+            let region = s.rt.region();
+            PAlloc::open(region).expect("heap").bump_remaining(region)
+        };
         assert!(!s.put_many(&mixed));
-        let freed = s.runtime_mut().slab_stats().expect("slab shard").frees - frees;
-        assert_eq!(freed, 10);
         assert_eq!(s.dump(), before, "map unchanged");
         assert_eq!(s.len(), 1000);
+        let carved = bump(&s);
+        assert!(s.put_many(&mixed[1000..]));
+        assert_eq!(bump(&s), carved, "the ten freed nodes were reused");
         // the shard still serves, and a batch that fits commits
         assert_eq!(s.get(7).as_deref(), Some(&[1u8; 40][..]));
         assert!(s.put_many(&big[..32]));
@@ -1851,13 +1890,28 @@ mod tests {
                     }
                 }
                 // power failure between operations
-                _ => {
+                _ if consistent => {
                     s.crash_and_recover(&adversary(sel as u64 + aux, cfg));
                     let got: BTreeMap<_, _> = s.dump().into_iter().collect();
-                    if consistent {
-                        assert_eq!(got, model, "{step}: committed state lost");
-                    }
-                    model = got; // `Best`: whatever the region kept
+                    assert_eq!(got, model, "{step}: committed state lost");
+                }
+                // `Best` flushes no data, but a free persists the freed
+                // node's line: its image may chain through a node the
+                // heap holds free, which the walk cannot always tell. It
+                // reopens as a foreign image would, a typed refusal ends
+                // the program, and so does the first check of a shard
+                // that reopened: nothing it serves after is owed.
+                _ => {
+                    let mode = adversary(sel as u64 + aux, cfg);
+                    let image = s.rt.region().image_after_crash(&mode);
+                    let mut r = match Shard::reopen_from_image(image, cfg) {
+                        Ok(r) => r,
+                        Err(ShardImageError::BadChain { .. }) => return,
+                        Err(e) => panic!("{step}: {e}"),
+                    };
+                    let kept = r.dump().into_iter().collect();
+                    check(&mut r, &kept, &step);
+                    return;
                 }
             }
             check(&mut s, &model, &step);
@@ -1875,15 +1929,14 @@ mod tests {
         fn index_is_the_chains(
             prog in prop::collection::vec((0u8..16, 0u64..KEYS, 0u8..5, any::<u64>()), 1..70),
         ) {
-            for (policy, slab) in [
-                (PolicyKind::ScFixed { capacity: 8 }, true),
-                (PolicyKind::Atlas { size: 8 }, false),
-                (PolicyKind::Best, true),
+            for policy in [
+                PolicyKind::ScFixed { capacity: 8 },
+                PolicyKind::Atlas { size: 8 },
+                PolicyKind::Best,
             ] {
                 let cfg = ShardConfig {
                     buckets: 8, // chains of several nodes: link surgery
                     log_len: 4096,
-                    pipelined: slab,
                     ..small(policy)
                 };
                 run_differential(&cfg, &prog);

@@ -6,8 +6,15 @@
 //! size-segregated free-list heads; freed blocks thread their next
 //! pointer through their own first 8 bytes. Every metadata update is
 //! flushed and fenced before the allocator returns, so a reopened region
-//! always sees a consistent heap. (Atomicity of *user data* inside
-//! allocated blocks is the FASE runtime's job, not the allocator's.)
+//! always sees a consistent heap — free blocks included. (Atomicity of
+//! *user data* inside allocated blocks is the FASE runtime's job, not
+//! the allocator's.)
+//!
+//! A fresh block starts on a multiple of `min(block, LINE_SIZE)`: a
+//! block of a line or more starts on a line, a smaller one never
+//! straddles one. Mixed-size heaps leave a gap before a block that
+//! would not; a heap of one class bumps exactly as an unaligned cursor
+//! would, since `HEAP_START` is line-aligned.
 //!
 //! A reopened region may be anything — a disk file, a fuzzer's image —
 //! so the header is looked at before it is believed: [`PAlloc::open`]
@@ -35,7 +42,7 @@ pub struct PAlloc {
     _priv: (),
 }
 
-pub(crate) fn class_of(size: usize) -> Option<usize> {
+fn class_of(size: usize) -> Option<usize> {
     if size == 0 {
         return None;
     }
@@ -50,7 +57,7 @@ pub(crate) fn class_of(size: usize) -> Option<usize> {
 }
 
 /// Byte size of class `i`.
-pub(crate) fn class_size(i: usize) -> usize {
+fn class_size(i: usize) -> usize {
     16usize << i
 }
 
@@ -62,17 +69,19 @@ fn in_heap(off: u64, block: usize, bump: u64) -> bool {
         && off.checked_add(block as u64).is_some_and(|end| end <= bump)
 }
 
-/// Advance the bump cursor by `span` bytes with one metadata persist:
-/// the old cursor, or `None` when that would pass the limit.
-fn bump_by(region: &mut PmemRegion, span: u64) -> Option<u64> {
-    let bump = region.read_u64(OFF_BUMP);
-    let end = bump.checked_add(span)?;
+/// Carve a fresh `block`-byte block past the bump cursor, aligned to
+/// `min(block, LINE_SIZE)`, with one metadata persist: its offset, or
+/// `None` when it would pass the limit.
+fn bump_by(region: &mut PmemRegion, block: usize) -> Option<u64> {
+    let align = block.min(LINE_SIZE) as u64;
+    let start = region.read_u64(OFF_BUMP).checked_next_multiple_of(align)?;
+    let end = start.checked_add(block as u64)?;
     if end > region.read_u64(OFF_LIMIT) {
         return None;
     }
     region.write_u64(OFF_BUMP, end);
     region.persist(OFF_BUMP, 8);
-    Some(bump)
+    Some(start)
 }
 
 impl PAlloc {
@@ -154,7 +163,7 @@ impl PAlloc {
             region.persist(head_off, 8);
             return Some(head);
         }
-        bump_by(region, block as u64)
+        bump_by(region, block)
     }
 
     /// Free the block at `offset` previously allocated with `size`.
@@ -166,27 +175,6 @@ impl PAlloc {
         region.persist(offset as usize, 8);
         region.write_u64(head_off, offset);
         region.persist(head_off, 8);
-    }
-
-    /// Carve `count` contiguous blocks of the size class covering
-    /// `size` from the bump region with a **single** metadata persist
-    /// (one cursor update instead of one per block) — the chunk feed
-    /// for [`crate::slab::SlabAlloc`]. Returns `(first_offset,
-    /// block_bytes)`; block `i` starts at `first_offset + i *
-    /// block_bytes`. `None` when the size has no class or the whole
-    /// chunk does not fit below the limit.
-    pub fn bump_chunk(
-        &self,
-        region: &mut PmemRegion,
-        size: usize,
-        count: usize,
-    ) -> Option<(u64, usize)> {
-        if count == 0 {
-            return None;
-        }
-        let block = class_size(class_of(size)?);
-        let span = (block as u64).checked_mul(count as u64)?;
-        Some((bump_by(region, span)?, block))
     }
 
     /// Bytes remaining for fresh (bump) allocation.
@@ -428,5 +416,35 @@ mod tests {
         }
         let after = a.bump_remaining(&r);
         assert_eq!(before - after, 256, "only the first alloc bumped");
+    }
+
+    /// A fresh block starts on a multiple of `min(block, LINE_SIZE)`:
+    /// mixed sizes skip to the next boundary, one size alone packs as
+    /// tightly as a cursor that never aligns.
+    #[test]
+    fn fresh_blocks_keep_their_line_placement() {
+        let (mut r, a) = fresh(1 << 20);
+        let small = a.alloc(&mut r, 16).unwrap();
+        let line = a.alloc(&mut r, 64).unwrap();
+        assert_eq!(small as usize, PAlloc::heap_start());
+        assert_eq!(
+            line,
+            small + LINE_SIZE as u64,
+            "a 64-byte block starts on a line"
+        );
+        let pair = a.alloc(&mut r, 32).unwrap();
+        let page = a.alloc(&mut r, 4096).unwrap();
+        assert_eq!(
+            (pair, page),
+            (line + 64, line + 128),
+            "32 packs, 4096 on a line"
+        );
+        for size in [16usize, 32, 4096] {
+            let (mut r, a) = fresh(1 << 20);
+            for i in 0..16 {
+                let want = (PAlloc::heap_start() + i * size) as u64;
+                assert_eq!(a.alloc(&mut r, size), Some(want), "{size} B block {i}");
+            }
+        }
     }
 }

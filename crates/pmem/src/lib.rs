@@ -27,14 +27,12 @@
 //!
 //! [`alloc::PAlloc`] is a small recoverable allocator over a region
 //! (bump + size-segregated free lists, metadata in-region), standing in
-//! for the Makalu-style allocation Atlas relies on.
+//! for the Makalu-style allocation Atlas relies on; it is the only one.
 //!
-//! [`ring::FlushRing`] is the asynchronous flush pipeline: a mutex-free
-//! submission ring whose drain side sorts, dedups and coalesces lines
-//! into ranged sweeps — while keeping every swept line
-//! an individual crash-visible micro-step. [`slab::SlabAlloc`] layers
-//! volatile size-classed free lists over `PAlloc` so hot-path node
-//! allocation stops paying a fence per block.
+//! [`ring::FlushRing`] is the flush pipeline: a bounded batch of
+//! submitted lines whose drain sorts, dedups and coalesces them into
+//! ranged sweeps — while keeping every swept line an individual
+//! crash-visible micro-step.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,10 +41,8 @@ pub mod alloc;
 pub mod crash;
 pub mod region;
 pub mod ring;
-pub mod slab;
 
 pub use alloc::PAlloc;
 pub use crash::{CrashMode, CrashPlan};
 pub use region::{PmemRegion, PmemStats, LINE_SIZE};
 pub use ring::{coalesce_sorted, FenceToken, FlushRing, RingStats};
-pub use slab::{SlabAlloc, SlabStats};

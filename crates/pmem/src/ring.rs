@@ -1,39 +1,36 @@
-//! Asynchronous flush pipeline: a mutex-free submission ring that turns
-//! per-line blocking flushes into sorted, coalesced ranged sweeps.
+//! The flush pipeline: a bounded batch of submitted lines that commit
+//! turns into sorted, coalesced ranged sweeps instead of per-line
+//! blocking flushes.
 //!
 //! The paper's central mechanism is overlapping cache-line write-backs
 //! with computation; the remaining software cost is the *submission*
-//! path itself. This module provides the FASE runtime's one flush path:
+//! path itself. This module provides the FASE runtime's one flush path,
+//! owned by that runtime alone:
 //!
-//! * **Submission ring** — a fixed-capacity power-of-two ring of
-//!   `AtomicU64` slots. The submit side ([`FlushRing::submit`]) is
-//!   mutex-free: one relaxed tail load, one acquire head load, one
-//!   release tail publish. Producers never block — a full ring returns
-//!   `false` and the caller drains inline (the single-thread fallback
-//!   the runtime uses, since the emulated [`PmemRegion`] is
-//!   single-owner).
+//! * **Submission** — [`FlushRing::submit`] appends a line to a bounded
+//!   batch. A full batch returns `false` and the caller drains inline,
+//!   then submits again.
 //! * **Fence tokens** — commit does not walk a buffer flushing line by
-//!   line. It publishes a [`FenceToken`] (a tail snapshot) and asks the
-//!   drain side to retire everything submitted at or before the token
+//!   line. It takes a [`FenceToken`] (a position in the submission
+//!   stream) and retires everything submitted before it
 //!   ([`FlushRing::drain_upto`]).
-//! * **Ranged sweeps** — the drain sorts and dedups the batch in its
-//!   scratch buffer, then walks it once, sweeping each maximal run of
-//!   adjacent lines (the runs [`coalesce_sorted`] returns) with one
-//!   ranged `clwb`/`clflushopt`-style pass. A line submitted twice
-//!   before one drain is swept once.
+//! * **Ranged sweeps** — the drain sorts the retired lines, then walks
+//!   them once, sweeping each maximal run of adjacent lines (the runs
+//!   [`coalesce_sorted`] returns) with one ranged
+//!   `clwb`/`clflushopt`-style pass. A line submitted twice before one
+//!   drain is swept once.
 //!
 //! **Crash visibility.** Every line actually swept still executes its
 //! own `flush_line` micro-step against the region (hardware executes
 //! one write-back per line inside a ranged sweep too), so an armed
 //! [`crate::CrashPlan`] can cut execution *inside* a drain exactly as
-//! it could inside the old blocking loop. Submits and fence-token
-//! publishes are volatile transitions — they move bytes into no cache
-//! and therefore are not persistence micro-steps; a crash between
-//! submit and drain simply loses the (still volatile, still dirty)
-//! lines, which the dirty-eviction adversaries already model.
+//! it could inside the old blocking loop. Submits and fence tokens are
+//! volatile transitions — they move bytes into no cache and therefore
+//! are not persistence micro-steps; a crash between submit and drain
+//! simply loses the (still volatile, still dirty) lines, which the
+//! dirty-eviction adversaries already model.
 
 use crate::region::PmemRegion;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counters of one [`FlushRing`]'s lifetime activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -65,87 +62,50 @@ pub struct FenceToken(u64);
 /// suite). Unsorted or duplicated input is a logic error; debug builds
 /// assert.
 pub fn coalesce_sorted(lines: &[u64]) -> Vec<(u64, u64)> {
-    runs_of(lines)
-        .map(|run| (run[0], run.len() as u64))
-        .collect()
-}
-
-/// The maximal runs of consecutive line indices in a sorted,
-/// deduplicated slice, in order.
-fn runs_of(lines: &[u64]) -> impl Iterator<Item = &[u64]> {
     debug_assert!(
         lines.windows(2).all(|w| w[0] < w[1]),
         "input must be sorted+deduped"
     );
-    lines.chunk_by(|a, b| a + 1 == *b)
+    lines
+        .chunk_by(|a, b| a + 1 == *b)
+        .map(|run| (run[0], run.len() as u64))
+        .collect()
 }
 
-/// The flush submission ring. Submit side is mutex-free (atomics only);
-/// the drain side is exclusive (`&mut self`), matching the
-/// single-owner region it sweeps into.
-#[derive(Debug)]
+/// The flush submission batch of one owner (`&mut self` throughout):
+/// at most `capacity` lines wait for a drain.
+#[derive(Debug, Clone)]
 pub struct FlushRing {
-    /// Line indices, indexed by sequence number & mask.
-    slots: Box<[AtomicU64]>,
-    /// Next sequence number to consume.
-    head: AtomicU64,
-    /// Next sequence number to publish.
-    tail: AtomicU64,
-    mask: u64,
-    /// Drain-side scratch buffer, reused across drains.
-    scratch: Vec<u64>,
+    /// Submitted lines not yet drained, in submission order.
+    batch: Vec<u64>,
+    /// The most lines `batch` holds.
+    capacity: usize,
+    /// Lines drained or dropped so far: the stream position of
+    /// `batch[0]`.
+    retired: u64,
     stats: RingStats,
 }
 
-impl Clone for FlushRing {
-    fn clone(&self) -> Self {
-        let slots: Box<[AtomicU64]> = self
-            .slots
-            .iter()
-            .map(|s| AtomicU64::new(s.load(Ordering::Relaxed)))
-            .collect();
-        FlushRing {
-            slots,
-            head: AtomicU64::new(self.head.load(Ordering::Relaxed)),
-            tail: AtomicU64::new(self.tail.load(Ordering::Relaxed)),
-            mask: self.mask,
-            scratch: Vec::new(),
-            stats: self.stats,
-        }
-    }
-}
-
 impl FlushRing {
-    /// A ring with at least `capacity` slots (rounded up to a power of
-    /// two, minimum 2).
+    /// A ring that holds at most `capacity` lines (minimum 1).
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        let slots: Box<[AtomicU64]> = (0..cap).map(|_| AtomicU64::new(0)).collect();
+        let capacity = capacity.max(1);
         FlushRing {
-            slots,
-            head: AtomicU64::new(0),
-            tail: AtomicU64::new(0),
-            mask: (cap - 1) as u64,
-            scratch: Vec::new(),
+            batch: Vec::with_capacity(capacity),
+            capacity,
+            retired: 0,
             stats: RingStats::default(),
         }
     }
 
-    /// Slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Lines submitted but not yet drained.
     pub fn pending(&self) -> usize {
-        let tail = self.tail.load(Ordering::Acquire);
-        let head = self.head.load(Ordering::Acquire);
-        tail.wrapping_sub(head) as usize
+        self.batch.len()
     }
 
     /// True iff no submitted line awaits a drain.
     pub fn is_empty(&self) -> bool {
-        self.pending() == 0
+        self.batch.is_empty()
     }
 
     /// Lifetime counters.
@@ -153,59 +113,49 @@ impl FlushRing {
         self.stats
     }
 
-    /// Push one line into the ring. Mutex-free: a relaxed tail read, an
-    /// acquire head read, a release publish. Returns `false` when the
-    /// ring is full — the caller must drain (inline-drain fallback) and
-    /// retry.
+    /// Append one line. Returns `false` when the ring is full — the
+    /// caller must drain (inline-drain fallback) and retry.
     #[inline]
-    pub fn submit(&self, line: u64) -> bool {
-        let tail = self.tail.load(Ordering::Relaxed);
-        let head = self.head.load(Ordering::Acquire);
-        if tail.wrapping_sub(head) >= self.slots.len() as u64 {
+    pub fn submit(&mut self, line: u64) -> bool {
+        if self.batch.len() == self.capacity {
             return false;
         }
-        self.slots[(tail & self.mask) as usize].store(line, Ordering::Relaxed);
-        self.tail.store(tail.wrapping_add(1), Ordering::Release);
+        self.batch.push(line);
         true
     }
 
     /// Snapshot the submission stream: a subsequent
     /// [`FlushRing::drain_upto`] with this token retires every line
-    /// submitted before the snapshot. This is the "publish epoch fence
-    /// token" half of pipelined commit.
+    /// submitted before the snapshot.
     #[inline]
     pub fn fence_token(&self) -> FenceToken {
-        FenceToken(self.tail.load(Ordering::Acquire))
+        FenceToken(self.retired + self.batch.len() as u64)
     }
 
-    /// Retire every submitted line up to `token`: pop, sort, dedup, then
-    /// sweep the lines as coalesced contiguous runs of per-line flushes.
-    /// Each swept line is one persistence micro-step on `region` (crash
-    /// plans can fire inside the drain). Returns the number of flush
-    /// instructions issued.
+    /// Retire every submitted line up to `token`: sort them, then sweep
+    /// them as coalesced contiguous runs of per-line flushes, each line
+    /// once. Each swept line is one persistence micro-step on `region`
+    /// (crash plans can fire inside the drain). Returns the number of
+    /// flush instructions issued.
     pub fn drain_upto(&mut self, token: FenceToken, region: &mut PmemRegion) -> u64 {
-        let head = self.head.load(Ordering::Relaxed);
-        let upto = token.0.min(self.tail.load(Ordering::Acquire));
-        if upto.wrapping_sub(head) == 0 {
+        let n = (token.0.saturating_sub(self.retired) as usize).min(self.batch.len());
+        if n == 0 {
             return 0;
         }
-        self.scratch.clear();
-        let mut seq = head;
-        while seq != upto {
-            self.scratch
-                .push(self.slots[(seq & self.mask) as usize].load(Ordering::Relaxed));
-            seq = seq.wrapping_add(1);
-        }
-        self.head.store(upto, Ordering::Release);
-        let popped = self.scratch.len() as u64;
-        self.stats.submitted += popped;
-        self.scratch.sort_unstable();
-        self.scratch.dedup();
-        for run in runs_of(&self.scratch) {
-            region.flush_line_run(run[0], run.len() as u64);
+        self.retired += n as u64;
+        self.stats.submitted += n as u64;
+        let lines = &mut self.batch[..n];
+        lines.sort_unstable();
+        let mut issued = 0;
+        // sorted, so a run of adjacent lines may repeat one: it spans
+        // its first line to its last
+        for run in lines.chunk_by(|a, b| b - a <= 1) {
+            let len = run[run.len() - 1] - run[0] + 1;
+            region.flush_line_run(run[0], len);
+            issued += len;
             self.stats.sweeps += 1;
         }
-        let issued = self.scratch.len() as u64;
+        self.batch.drain(..n);
         self.stats.flushed += issued;
         self.stats.drains += 1;
         issued
@@ -225,9 +175,8 @@ impl FlushRing {
     /// recovery: the cache content is gone, so the ring's view of it
     /// must go too.
     pub fn reset(&mut self) {
-        let tail = self.tail.load(Ordering::Relaxed);
-        self.head.store(tail, Ordering::Relaxed);
-        self.scratch.clear();
+        self.retired += self.batch.len() as u64;
+        self.batch.clear();
     }
 }
 
@@ -267,7 +216,7 @@ mod tests {
 
     #[test]
     fn full_ring_rejects_submit() {
-        let ring = FlushRing::new(4);
+        let mut ring = FlushRing::new(4);
         for i in 0..4 {
             assert!(ring.submit(i));
         }

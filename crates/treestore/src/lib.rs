@@ -10,8 +10,8 @@
 //! * [`pager`] — the split storage trait surface ([`PageRead`] /
 //!   [`PageWrite`] / [`RootStore`]) and its two backends: the
 //!   production [`FasePager`] over a [`nvcache_fase::FaseRuntime`]
-//!   (PAlloc heap, undo log, flush ring, optional slab,
-//!   crash-point injection) and the volatile [`MemPager`] test double.
+//!   (PAlloc heap, undo log, flush ring, crash-point injection) and
+//!   the volatile [`MemPager`] test double.
 //! * [`tree`] — the [`Tree`] itself: 256-byte pages read by borrow,
 //!   logical-page indirection (a slot table indexed by logical id:
 //!   newest committed copy, staged copy, copies pins still reach) so

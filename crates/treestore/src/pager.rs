@@ -2,8 +2,8 @@
 //! [`PageWrite`] / [`RootStore`] (a wrongodb-style decomposition), so
 //! the B+-tree logic is written against a narrow page-store contract
 //! and the production backend — [`FasePager`], a thin shell over the
-//! shared [`FaseRuntime`] — brings PAlloc, the slab layer, and the
-//! runtime's flush ring along for free. A volatile [`MemPager`] test
+//! shared [`FaseRuntime`] — brings PAlloc and the runtime's flush ring
+//! along for free. A volatile [`MemPager`] test
 //! double exercises the tree's structural logic without any
 //! persistence machinery.
 //!
@@ -122,9 +122,9 @@ pub struct TreeConfig {
     pub log_len: usize,
     /// Write-combining cache policy for the runtime.
     pub policy: PolicyKind,
-    /// Carve pages through the volatile slab
-    /// ([`FaseRuntime::enable_slab`]). That is all it selects: every
-    /// tree flushes through the runtime's ring.
+    /// Selects nothing: every tree carves pages from the runtime's heap
+    /// and flushes through its ring. Kept for
+    /// `benchmark/src/adapter.rs`, which sets it.
     pub pipelined: bool,
 }
 
@@ -141,7 +141,7 @@ impl Default for TreeConfig {
 
 /// The production page store: a private [`FaseRuntime`] with a heap,
 /// sharing the exact persistence stack of the hash shards (PAlloc,
-/// optional slab, flush ring, undo log, crash plumbing).
+/// flush ring, undo log, crash plumbing).
 pub struct FasePager {
     rt: FaseRuntime,
 }
@@ -149,11 +149,9 @@ pub struct FasePager {
 impl FasePager {
     /// Fresh store over a new heap region.
     pub fn new(cfg: &TreeConfig) -> FasePager {
-        let mut rt = FaseRuntime::with_heap(cfg.data_len, cfg.log_len, &cfg.policy);
-        if cfg.pipelined {
-            rt.enable_slab();
+        FasePager {
+            rt: FaseRuntime::with_heap(cfg.data_len, cfg.log_len, &cfg.policy),
         }
-        FasePager { rt }
     }
 
     /// Re-attach to a crash image (runs FASE recovery; the caller
@@ -162,10 +160,7 @@ impl FasePager {
     /// ([`RootStore::root`] reads 0), which the tree's attach refuses.
     pub fn reopen_from_image(image: Vec<u8>, cfg: &TreeConfig) -> Result<FasePager, RecoveryError> {
         let region = PmemRegion::from_image(image);
-        let mut rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &cfg.policy)?;
-        if cfg.pipelined && rt.has_heap() {
-            rt.enable_slab();
-        }
+        let rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &cfg.policy)?;
         Ok(FasePager { rt })
     }
 
@@ -375,40 +370,10 @@ mod tests {
     }
 
     #[test]
-    fn crash_keeps_flush_mode_and_cumulative_slab_stats() {
-        let cfg = TreeConfig {
-            data_len: 1 << 16,
-            log_len: 1 << 14,
-            ..Default::default()
-        };
-        let mut p = FasePager::new(&cfg);
-        let off = p.alloc_block(PAGE).unwrap();
-        p.alloc_block(PAGE).unwrap();
-        let before = p.runtime_mut().slab_stats().unwrap();
-        assert!(before.chunks + before.fast_allocs + before.fallback_allocs > 0);
-        p.crash_and_recover(&CrashMode::StrictDurableOnly);
-        let after = p.runtime_mut().slab_stats().unwrap();
-        assert!(
-            after.chunks >= before.chunks
-                && after.fast_allocs >= before.fast_allocs
-                && after.fallback_allocs >= before.fallback_allocs
-                && after.frees >= before.frees,
-            "slab counters went backwards: {before:?} -> {after:?}"
-        );
-        // the recovered runtime still commits through the ring
-        let drains = p.runtime_mut().ring_stats().drains;
-        p.begin();
-        p.write_fresh(off, &[7u8; PAGE]);
-        p.commit();
-        assert_eq!(p.runtime_mut().ring_stats().drains, drains + 1);
-    }
-
-    #[test]
     fn fase_pager_uncommitted_section_rolls_back() {
         let cfg = TreeConfig {
             data_len: 1 << 16,
             log_len: 1 << 14,
-            pipelined: false,
             ..Default::default()
         };
         let mut p = FasePager::new(&cfg);

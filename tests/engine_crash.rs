@@ -247,32 +247,31 @@ fn sweep<E: Engine>(rig: &Rig<E>, prog: &[Vec<BatchRequest>], cuts: u64) -> Swep
     }
 }
 
-fn shard_cfg(policy: PolicyKind, slab: bool) -> ShardConfig {
+fn shard_cfg(policy: PolicyKind) -> ShardConfig {
     ShardConfig {
         buckets: 16, // few buckets → long chains → bucket threading under stress
         data_len: 1 << 18,
         log_len: 1 << 15,
         policy,
         adapt: None,
-        pipelined: slab,
+        pipelined: true,
     }
 }
 
-fn tree_cfg(data_len: usize, slab: bool) -> TreeEngineConfig {
+fn tree_cfg(data_len: usize) -> TreeEngineConfig {
     TreeEngineConfig {
         tree: TreeConfig {
             data_len,
             log_len: 1 << 18,
             policy: PolicyKind::ScFixed { capacity: 8 },
-            pipelined: slab,
+            pipelined: true,
         },
     }
 }
 
 /// The hash shard's direct calls — puts of varying value classes
 /// (in-place updates and node replacements), deletes, groups (one
-/// refused whole) — crashed at ~42 micro-steps per policy × slab /
-/// heap allocation × adversary.
+/// refused whole) — crashed at ~84 micro-steps per policy × adversary.
 #[test]
 fn shard_recovers_committed_prefix_at_sampled_micro_steps() {
     let mut prog = program(
@@ -299,26 +298,24 @@ fn shard_recovers_committed_prefix_at_sampled_micro_steps() {
             ..Default::default()
         }),
     ] {
-        for slab in [false, true] {
-            let rig = Rig {
-                apply: direct,
-                ..shard_rig(shard_cfg(policy.clone(), slab))
-            };
-            let r = sweep(&rig, &prog, 42);
-            assert!(r.refused >= 1, "the model never saw a refusal");
-            recoveries += r.recoveries;
-        }
+        let rig = Rig {
+            apply: direct,
+            ..shard_rig(shard_cfg(policy))
+        };
+        let r = sweep(&rig, &prog, 84);
+        assert!(r.refused >= 1, "the model never saw a refusal");
+        recoveries += r.recoveries;
     }
-    assert!(recoveries >= 1008, "{recoveries} recoveries");
+    assert!(recoveries >= 1044, "{recoveries} recoveries");
 }
 
 /// The cross-client group commit through `serve_batch`. Fixed-length
 /// Gets, Puts and groups with no deletes: every batch commits as one
-/// FASE and must recover whole or not at all (~54 cuts per
-/// configuration). Then resizing Puts over acknowledged keys, which the
-/// grouped commit refuses and `serve_batch` replays request by request
-/// (node replacement), so a cut may fall between two requests of one
-/// batch: every micro-step, slab and heap.
+/// FASE and must recover whole or not at all (~108 cuts per policy).
+/// Then resizing Puts over acknowledged keys, which the grouped commit
+/// refuses and `serve_batch` replays request by request (node
+/// replacement), so a cut may fall between two requests of one batch:
+/// every micro-step.
 #[test]
 fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
     let fixed = program(
@@ -335,17 +332,16 @@ fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
         },
     );
     let mut recoveries = 0;
-    for (policy, slab) in [
-        (PolicyKind::ScFixed { capacity: 8 }, true),
-        (PolicyKind::ScFixed { capacity: 8 }, false),
-        (PolicyKind::Eager, true),
-        (PolicyKind::Atlas { size: 8 }, false),
+    for policy in [
+        PolicyKind::ScFixed { capacity: 8 },
+        PolicyKind::Eager,
+        PolicyKind::Atlas { size: 8 },
     ] {
-        let r = sweep(&shard_rig(shard_cfg(policy, slab)), &fixed, 54);
+        let r = sweep(&shard_rig(shard_cfg(policy)), &fixed, 108);
         assert_eq!(r.whole, fixed.len(), "a fixed-length batch is one FASE");
         recoveries += r.recoveries;
     }
-    assert!(recoveries >= 648, "{recoveries} recoveries");
+    assert!(recoveries >= 702, "{recoveries} recoveries");
 
     let resizing = program(
         77,
@@ -353,26 +349,22 @@ fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
         |_| 3,
         |r, s| BatchRequest::Put(r % 6, value(splitmix(s), 8 + 16 * (r >> 8 & 3) as usize)),
     );
-    let mut recoveries = 0;
-    for slab in [false, true] {
-        // a small region: one image is copied per cut
-        let cfg = ShardConfig {
-            data_len: 1 << 14,
-            log_len: 1 << 13,
-            ..shard_cfg(PolicyKind::ScFixed { capacity: 8 }, slab)
-        };
-        let r = sweep(&shard_rig(cfg), &resizing, EVERY);
-        assert_eq!(r.refused, 0);
-        assert_eq!(r.whole, 0, "every batch resizes an acked key");
-        recoveries += r.recoveries;
-    }
-    assert!(recoveries >= 2418, "{recoveries} recoveries");
+    // a small region: one image is copied per cut
+    let cfg = ShardConfig {
+        data_len: 1 << 14,
+        log_len: 1 << 13,
+        ..shard_cfg(PolicyKind::ScFixed { capacity: 8 })
+    };
+    let r = sweep(&shard_rig(cfg), &resizing, EVERY);
+    assert_eq!(r.refused, 0);
+    assert_eq!(r.whole, 0, "every batch resizes an acked key");
+    assert!(r.recoveries >= 1404, "{} recoveries", r.recoveries);
 }
 
 /// Committed CoW transactions — puts of varying value classes (leaf
 /// churn, splits, value-cell reallocation), deletes (free-list
-/// traffic), one refused group — crashed at ~47 micro-steps per slab /
-/// heap allocation × adversary: a transaction is never visible in part.
+/// traffic), one refused group — crashed at ~98 micro-steps per
+/// adversary: a transaction is never visible in part.
 #[test]
 fn tree_recovers_committed_prefix_at_sampled_micro_steps() {
     let mut prog = program(
@@ -389,13 +381,9 @@ fn tree_recovers_committed_prefix_at_sampled_micro_steps() {
         },
     );
     prog[5].push(refused(7));
-    let mut recoveries = 0;
-    for slab in [false, true] {
-        let r = sweep(&tree_rig(tree_cfg(1 << 21, slab), Vec::new()), &prog, 47);
-        assert_eq!((r.whole, r.refused), (prog.len(), 1));
-        recoveries += r.recoveries;
-    }
-    assert!(recoveries >= 279, "{recoveries} recoveries");
+    let r = sweep(&tree_rig(tree_cfg(1 << 21), Vec::new()), &prog, 98);
+    assert_eq!((r.whole, r.refused), (prog.len(), 1));
+    assert!(r.recoveries >= 294, "{} recoveries", r.recoveries);
 }
 
 /// A crash inside one structure-heavy transaction — 300 inserts over 40
@@ -410,9 +398,9 @@ fn mid_split_crash_recovers_the_old_root_graph() {
     let big = vec![(1000..1300u64)
         .map(|k| BatchRequest::Put(k, value(k, 24)))
         .collect()];
-    let r = sweep(&tree_rig(tree_cfg(1 << 21, true), base), &big, 30);
+    let r = sweep(&tree_rig(tree_cfg(1 << 21), base), &big, 60);
     assert_eq!(r.whole, 1);
-    assert!(r.recoveries >= 31, "{} recoveries", r.recoveries);
+    assert!(r.recoveries >= 93, "{} recoveries", r.recoveries);
 }
 
 /// Hardware lands 8-byte words, not lines. When the one line in flight
@@ -475,7 +463,7 @@ fn torn_heads(rig: &Rig<TreeEngine>, prog: &[Vec<BatchRequest>]) -> usize {
 /// insert (the first touch: shadow page + used-byte copy), an overwrite
 /// and a delete edited in place, then enough inserts to fill the staged
 /// leaf and split it while Dirty — crashed at *every* micro-step, under
-/// every adversary, with the slab and without. In-place edits of a shadow
+/// every adversary. In-place edits of a shadow
 /// page are stores of a few words each, landing (or not) line by line:
 /// none of them may be visible before the head flip, all of them after.
 /// The head itself may land torn: a fourth adversary tears it word by
@@ -493,16 +481,12 @@ fn dirty_leaf_edits_and_split_are_atomic_at_every_micro_step() {
     // 10 entries now; five more overflow the 14-entry leaf while Dirty
     dirty.extend((11..=15u64).map(|k| BatchRequest::Put(k, value(k, 8))));
     let prog = [dirty];
-    let (mut recoveries, mut torn) = (0, 0);
-    for slab in [false, true] {
-        let rig = tree_rig(tree_cfg(1 << 18, slab), base.clone());
-        let r = sweep(&rig, &prog, EVERY);
-        assert_eq!(r.whole, 1);
-        recoveries += r.recoveries;
-        torn += torn_heads(&rig, &prog);
-    }
-    assert!(recoveries >= 264, "{recoveries} recoveries");
-    assert!(torn >= 1016, "{torn} torn heads");
+    let rig = tree_rig(tree_cfg(1 << 18), base);
+    let r = sweep(&rig, &prog, EVERY);
+    assert_eq!(r.whole, 1);
+    assert!(r.recoveries >= 132, "{} recoveries", r.recoveries);
+    let torn = torn_heads(&rig, &prog);
+    assert!(torn >= 508, "{torn} torn heads");
 }
 
 /// The hazard un-logging the shadow pages opens: a rolled-back attempt
@@ -513,71 +497,69 @@ fn dirty_leaf_edits_and_split_are_atomic_at_every_micro_step() {
 /// two crash rounds are needed to see it (one recovery alone passes).
 #[test]
 fn retry_under_the_same_version_never_resurrects_a_dead_attempt() {
-    for slab in [false, true] {
-        let cfg = tree_cfg(1 << 21, slab).tree;
-        let mut first_modes = vec![CrashMode::AllInFlightLands];
-        first_modes.extend((0..16).map(|seed| CrashMode::random(0.5, 0.5, seed)));
-        for mode in first_modes {
-            let mut t = Tree::create(&cfg).expect("format tree heap");
-            let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-            // several commits, overwrites included, so the free list
-            // holds recycled node pages for the next attempt to reuse
-            for round in 0..8u64 {
-                t.begin();
-                for i in 0..25u64 {
-                    let key = (round * 25 + i) * 10;
-                    let v = value(key ^ 0xabcd, 24);
-                    t.put(key, &v).unwrap();
-                    model.insert(key, v);
-                }
-                for i in 0..10u64 {
-                    let key = ((round * 7 + i * 19) % (round * 25 + 25)) * 10;
-                    let v = value(key + round, 16);
-                    t.put(key, &v).unwrap();
-                    model.insert(key, v);
-                }
-                t.commit();
-            }
-            assert_eq!(t.len(), 200);
-            assert!(t.free_pages() > 0, "load must populate the free list");
-
-            // the doomed attempt: three far-apart leaves + a fresh key
+    let cfg = tree_cfg(1 << 21).tree;
+    let mut first_modes = vec![CrashMode::AllInFlightLands];
+    first_modes.extend((0..16).map(|seed| CrashMode::random(0.5, 0.5, seed)));
+    for mode in first_modes {
+        let mut t = Tree::create(&cfg).expect("format tree heap");
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        // several commits, overwrites included, so the free list
+        // holds recycled node pages for the next attempt to reuse
+        for round in 0..8u64 {
             t.begin();
-            for key in [10u64, 990, 1950] {
-                t.put(key, b"doomed").unwrap();
+            for i in 0..25u64 {
+                let key = (round * 25 + i) * 10;
+                let v = value(key ^ 0xabcd, 24);
+                t.put(key, &v).unwrap();
+                model.insert(key, v);
             }
-            t.put(5, b"doomed-insert").unwrap();
-            t.crash_and_recover(&mode)
-                .unwrap_or_else(|e| panic!("first recovery under {mode:?}: {e:?}"));
-            if mode == CrashMode::AllInFlightLands {
-                assert!(
-                    t.voided_pages() > 0,
-                    "every shadow header landed, so recovery must void some"
-                );
+            for i in 0..10u64 {
+                let key = ((round * 7 + i * 19) % (round * 25 + 25)) * 10;
+                let v = value(key + round, 16);
+                t.put(key, &v).unwrap();
+                model.insert(key, v);
             }
-
-            // the retry commits under the same version, elsewhere
-            t.begin();
-            t.put(1500, b"retry").unwrap();
             t.commit();
-            model.insert(1500, b"retry".to_vec());
+        }
+        assert_eq!(t.len(), 200);
+        assert!(t.free_pages() > 0, "load must populate the free list");
 
-            t.crash_and_recover(&CrashMode::StrictDurableOnly)
-                .unwrap_or_else(|e| panic!("second recovery after {mode:?}: {e:?}"));
-            assert_eq!(t.voided_pages(), 0, "nothing was in flight");
-            let want: State = model.into_iter().collect();
+        // the doomed attempt: three far-apart leaves + a fresh key
+        t.begin();
+        for key in [10u64, 990, 1950] {
+            t.put(key, b"doomed").unwrap();
+        }
+        t.put(5, b"doomed-insert").unwrap();
+        t.crash_and_recover(&mode)
+            .unwrap_or_else(|e| panic!("first recovery under {mode:?}: {e:?}"));
+        if mode == CrashMode::AllInFlightLands {
             assert!(
-                t.scan(None, 0, u64::MAX, usize::MAX) == want,
-                "slab {slab} first crash {mode:?}: a dead attempt's page won the header scan",
+                t.voided_pages() > 0,
+                "every shadow header landed, so recovery must void some"
             );
         }
+
+        // the retry commits under the same version, elsewhere
+        t.begin();
+        t.put(1500, b"retry").unwrap();
+        t.commit();
+        model.insert(1500, b"retry".to_vec());
+
+        t.crash_and_recover(&CrashMode::StrictDurableOnly)
+            .unwrap_or_else(|e| panic!("second recovery after {mode:?}: {e:?}"));
+        assert_eq!(t.voided_pages(), 0, "nothing was in flight");
+        let want: State = model.into_iter().collect();
+        assert!(
+            t.scan(None, 0, u64::MAX, usize::MAX) == want,
+            "first crash {mode:?}: a dead attempt's page won the header scan",
+        );
     }
 }
 
 fn hash_lanes(shards: usize) -> KvConfig {
     KvConfig {
         shards,
-        shard: shard_cfg(PolicyKind::ScFixed { capacity: 8 }, true),
+        shard: shard_cfg(PolicyKind::ScFixed { capacity: 8 }),
     }
 }
 
@@ -628,7 +610,7 @@ fn store_survives_repeated_all_shard_crashes_between_ops() {
 /// through a client, one transaction per call.
 #[test]
 fn tree_survives_repeated_crashes_between_transactions() {
-    let tree = KvServer::new_tree(4, &tree_cfg(1 << 21, true), &ServerConfig::default());
+    let tree = KvServer::new_tree(4, &tree_cfg(1 << 21), &ServerConfig::default());
     let c = tree.handle();
     survives_crashes_between_batches(&tree, |k, v| c.put(k, v), |k| c.delete(k));
 }
@@ -693,20 +675,18 @@ fn acked_writes_survive<E: Engine>(server: KvServer<E>) {
 #[test]
 fn acked_writes_survive_live_crashes_under_concurrent_clients() {
     acked_writes_survive(KvServer::new(&hash_lanes(2), &ServerConfig::default()));
-    let tree = tree_cfg(1 << 21, true);
+    let tree = tree_cfg(1 << 21);
     acked_writes_survive(KvServer::new_tree(2, &tree, &ServerConfig::default()));
 }
 
 /// Group commit is per-lane atomic: a crash armed a few micro-steps
 /// into each lane's FASE, one client `put_many` spanning every lane, and
 /// each captured image recovers either the lane's entire slice of the
-/// group or none of it. `rig(slab)` builds the lanes; returns the images
-/// recovered.
-fn put_many_cuts<E: Engine>(rig: impl Fn(bool) -> Rig<E>) -> usize {
+/// group or none of it. Returns the images recovered.
+fn put_many_cuts<E: Engine>(rig: Rig<E>) -> usize {
     const LANES: usize = 2;
     let mut recoveries = 0;
     for (delta, mode_seed) in [(1u64, 0u64), (3, 1), (7, 2), (13, 3), (29, 4), (53, 5)] {
-        let rig = rig(mode_seed.is_multiple_of(2));
         let lanes = (0..LANES).map(|_| (rig.fresh)());
         let server = KvServer::with_engines(lanes, &ServerConfig::default());
         let c = server.handle();
@@ -750,11 +730,9 @@ fn put_many_cuts<E: Engine>(rig: impl Fn(bool) -> Rig<E>) -> usize {
 #[test]
 fn put_many_is_all_or_nothing_per_shard_at_every_armed_cut() {
     let atlas = PolicyKind::Atlas { size: 8 };
-    let hash = put_many_cuts(|slab| shard_rig(shard_cfg(atlas.clone(), slab)));
-    let tree = put_many_cuts(|slab| {
-        let mut cfg = tree_cfg(1 << 21, slab);
-        cfg.tree.policy = atlas.clone();
-        tree_rig(cfg, Vec::new())
-    });
+    let hash = put_many_cuts(shard_rig(shard_cfg(atlas.clone())));
+    let mut cfg = tree_cfg(1 << 21);
+    cfg.tree.policy = atlas;
+    let tree = put_many_cuts(tree_rig(cfg, Vec::new()));
     assert!(hash >= 12 && tree >= 12, "{hash} + {tree} recoveries");
 }

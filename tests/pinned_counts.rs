@@ -53,7 +53,20 @@
 //! (1 622 → 1 623) moved, for the reasons given at the literal. The
 //! head is still one store of one line and one data flush, so
 //! `FaseStats` and the tree's shape did not move, and the shard program
-//! was not touched.
+//! was not touched. Then the volatile slab went, and both programs
+//! allocate from the persistent heap alone, which persists each fresh
+//! block and each free instead of one cursor update per 32-block chunk.
+//! The heap places a fresh block on a multiple of `min(block, 64)`, as
+//! the slab's per-class chunks did, so the shard program's nodes sit on
+//! the lines they sat on and `store_lines` stayed 4 587. Re-recorded:
+//! the shard's `steps()` (11 885 → 12 171), `PmemStats` (flushes
+//! 6 914 → 7 018, fences 610 → 701), `FaseStats.data_flushes` (4 016 →
+//! 4 026) and `RingStats` (the policy sees the same lines in other
+//! places, so it evicts and sweeps a little differently); the tree's
+//! `steps()` (7 004 → 7 073) and `PmemStats` (flushes 3 658 → 3 681,
+//! fences 308 → 331), one persist per 4 KiB segment. The heap's term in
+//! each flush and fence identity moved with them. The tree's
+//! `FaseStats`, `RingStats`, shape and the shard's `LogStats` did not.
 
 use nvcache::core::PolicyKind;
 use nvcache::fase::{FaseStats, LogStats};
@@ -64,7 +77,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// 200 seeded `put_many` batches of 1..=32 items over 96 keys on a
-/// slab shard: fresh inserts, in-place updates, repeated keys
+/// shard: fresh inserts, in-place updates, repeated keys
 /// inside one batch, bucket-head threading, 100-byte values that
 /// straddle cache lines, and — every 16th key — empty values, whose
 /// in-place update is a zero-length region write.
@@ -95,15 +108,15 @@ fn put_many_program_counts_are_pinned() {
         assert!(shard.put_many(&batch), "batch {op}");
     }
     assert_eq!(shard.len(), 96, "every key was inserted");
-    assert_eq!(shard.steps(), 11_885);
+    assert_eq!(shard.steps(), 12_171);
     let rt = shard.runtime_mut();
     assert_eq!(
         rt.region().stats(),
         PmemStats {
-            bytes_written: 355_584,
-            stores: 4_361,
-            flushes: 6_914,
-            fences: 610,
+            bytes_written: 356_312,
+            stores: 4_452,
+            flushes: 7_018,
+            fences: 701,
             crashes: 0,
         }
     );
@@ -120,11 +133,12 @@ fn put_many_program_counts_are_pinned() {
         }
     );
     // the flushes by kind: data through the ring, the log's groups and
-    // epoch bumps, the heap's own ten persists
+    // epoch bumps, and 101 persists of the heap and the log's format:
+    // one per node, the bucket array and the root, three to format
     let (pmem, ring, log) = (rt.region().stats(), rt.ring_stats(), rt.log_stats());
     assert_eq!(
         pmem.flushes,
-        ring.flushed + log.record_lines + log.commit_lines + 10
+        ring.flushed + log.record_lines + log.commit_lines + 101
     );
     assert_eq!(
         rt.stats(),
@@ -132,7 +146,7 @@ fn put_many_program_counts_are_pinned() {
             fases: 201,
             stores: 3_939,
             store_lines: 4_587,
-            data_flushes: 4_016,
+            data_flushes: 4_026,
             fences: 201,
             rollbacks: 0,
         }
@@ -140,17 +154,17 @@ fn put_many_program_counts_are_pinned() {
     assert_eq!(
         rt.ring_stats(),
         RingStats {
-            submitted: 4_016,
-            flushed: 3_815,
+            submitted: 4_026,
+            flushed: 3_828,
             elided: 0,
-            sweeps: 2_539,
+            sweeps: 2_526,
             drains: 201,
         }
     );
 }
 
 /// 150 seeded transactions of 1..=12 puts and deletes over 400 keys on
-/// a slab tree: leaf and inner splits, in-transaction second
+/// a tree: leaf and inner splits, in-transaction second
 /// touches, a snapshot pinned across fifteen commits (retired pages
 /// held back, then recycled in one sweep) and a power failure two
 /// thirds of the way through. Which physical page a transaction gets
@@ -197,15 +211,15 @@ fn tree_txn_program_counts_are_pinned() {
     assert_eq!(t.height(), 3);
     assert_eq!(t.pages_allocated(), 357);
     assert_eq!(t.free_pages(), 22);
-    assert_eq!(t.steps(), 7_004);
+    assert_eq!(t.steps(), 7_073);
     let rt = t.store_mut().runtime_mut();
     assert_eq!(
         rt.region().stats(),
         PmemStats {
-            bytes_written: 242_456,
-            stores: 3_038,
-            flushes: 3_658,
-            fences: 308,
+            bytes_written: 242_640,
+            stores: 3_061,
+            flushes: 3_681,
+            fences: 331,
             crashes: 1,
         }
     );
@@ -223,7 +237,8 @@ fn tree_txn_program_counts_are_pinned() {
     );
     // the flushes by kind: data through the ring — the policy's lines
     // and each FASE's published head — the recovery's epoch bump, the
-    // heap's six persists; the log holds no group
+    // 29 persisted lines of the heap and the log's format; the log
+    // holds no group
     let (pmem, ring, log, fase) = (
         rt.region().stats(),
         rt.ring_stats(),
@@ -232,11 +247,14 @@ fn tree_txn_program_counts_are_pinned() {
     );
     assert_eq!(
         pmem.flushes,
-        ring.flushed + log.record_lines + log.commit_lines + 6
+        ring.flushed + log.record_lines + log.commit_lines + 29
     );
     // and the fences: a data fence and a publish fence per FASE, the
-    // recovery's epoch bump, and five for those six persisted lines
-    assert_eq!(pmem.fences, fase.fences + fase.fases + log.commit_lines + 5);
+    // recovery's epoch bump, and 28 for those 29 persisted lines
+    assert_eq!(
+        pmem.fences,
+        fase.fences + fase.fases + log.commit_lines + 28
+    );
     assert_eq!(
         rt.stats(),
         FaseStats {
