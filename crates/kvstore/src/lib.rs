@@ -9,7 +9,12 @@
 //!
 //! - [`shard`] — one persistent open-chaining hash table per shard,
 //!   owning a private `FaseRuntime` (every `put`/`delete` is one FASE)
-//!   with `PAlloc`-backed buckets and value nodes, plus the shard's
+//!   with `PAlloc`-backed buckets and value nodes. A node holds its
+//!   value in two stamped slots, so an update writes the slot not
+//!   committed and commits by publishing the shard's epoch word, with
+//!   no undo record; two slots in a 4 KiB block cap a value at
+//!   [`MAX_VALUE_LEN`] = 2 032 bytes (the tree engine's cap is 232).
+//!   Beside the table runs the shard's
 //!   live adaptation controller: a `BurstSampler` fed the shard's
 //!   FASE-renamed store-line stream, whose MRC knee resizes the
 //!   `AdaptiveScPolicy` capacity *between* FASEs while the shard keeps

@@ -8,54 +8,82 @@
 //! Persistent layout (all offsets inside the shard's region):
 //!
 //! ```text
-//! [PAlloc header | bucket array (root) | value nodes …]     [undo log]
-//! node := key u64 | next u64 | vlen u64 | value bytes
+//! [PAlloc header | bucket array | head (root) | value nodes …]  [undo log]
+//! head := bucket array offset u64 | epoch u64
+//! node := key u64 | next u64 | slot 0 | slot 1
+//! slot := stamp << 12 | vlen  u64 | value bytes (vlen of them)
 //! ```
 //!
-//! Every mutation is one FASE (insert: node fields + bucket head;
-//! in-place update: value bytes; update to another length: the new
-//! node's fields + the link that pointed at the old node; delete:
-//! unlink), so recovery always lands on a committed-prefix-consistent
-//! map. Node allocation happens *before* and `free` *after* the FASE: a
-//! crash in the gap can leak a block (never corrupt the map) — the same
-//! discipline as the `hash` micro-benchmark and Atlas's Makalu heap.
+//! A node holds its value twice over: each slot carries the **stamp** of
+//! the FASE that wrote it, and the head's **epoch word** says which
+//! stamps are committed. A node's value is its slot with the highest
+//! stamp in `1..=epoch`; stamp 0 is a void slot. With 40-byte values a
+//! node is 112 bytes (a 128-byte block on a line boundary) and each slot
+//! lies inside one cache line.
 //!
-//! A freshly allocated node is **shadow memory** until the 8-byte link
-//! store of the same FASE publishes it (the tree's rule for a
-//! copy-on-write page): nothing committed reaches it, so its fields and
-//! value are written unlogged ([`FaseRuntime::store_fresh`]) and only
-//! the link is undo-logged. If the FASE rolls back, the link is restored
-//! and the node keeps whatever reached NVRAM — garbage nobody can see,
-//! in a block that leaks like any other allocated in the gap.
+//! Every mutation is one FASE, so recovery always lands on a
+//! committed-prefix-consistent map:
+//!
+//! - **Update** (a `put` of an indexed key at its length, and every such
+//!   item of a `put_many` group): the value goes into the node's *other*
+//!   slot, stamped `epoch + 1`, as one unlogged store
+//!   ([`FaseRuntime::store_fresh`]) — nothing committed reads that slot.
+//!   The FASE then commits by publishing `epoch + 1` as the head's epoch
+//!   word ([`FaseRuntime::publish`]): the data fence, then the word, its
+//!   flush and its fence. No undo record, two fences. Repeated keys of
+//!   one group rewrite the same slot.
+//! - **Insert** (and a `put` to another length, whose new node takes the
+//!   old one's place in its chain): a freshly allocated node is
+//!   **shadow memory** until the 8-byte link store of the same FASE
+//!   publishes it (the tree's rule for a copy-on-write page), so its
+//!   fields and slot 0 are written unlogged, stamped with the epoch the
+//!   FASE commits under, with slot 1 void (a reused block holds old
+//!   bytes). Only the link is undo-logged; the log's epoch bump commits.
+//!   A group that inserts *and* updates prelogs its bucket heads and the
+//!   epoch word together, and the log's bump commits both.
+//! - **Delete**: the unlink, logged.
+//!
+//! If a logged FASE rolls back, the link is restored and a fresh node
+//! keeps whatever reached NVRAM — garbage nobody can see, in a block
+//! that leaks like any other allocated in the gap: node allocation
+//! happens *before* and `free` *after* the FASE, the same discipline as
+//! the `hash` micro-benchmark and Atlas's Makalu heap. A rolled-back
+//! update leaves slots stamped above the epoch word. Before the shard
+//! opens another FASE, recovery **voids** them (stamp 0, by unlogged
+//! stores in a FASE that publishes nothing — a crash inside it leaves
+//! slots the next recovery voids again): otherwise the next FASE, which
+//! publishes the same epoch, would commit them.
 //!
 //! # What is volatile
 //!
-//! One thing: the **index**, a DRAM map from each reachable key to the
-//! offset of its node ([`Shard::len`] is its size). It is never stored
-//! through the runtime, never logged, never flushed, and it is the only
-//! way a lookup — `get`, the in-place `put`, `put_many`'s planner,
-//! `serve_batch`'s reads, `scan` — locates a node: one probe, then the
-//! node itself. The chains are walked only to find the *link* that
+//! Two things. The shard's copy of the epoch word, and the **index**, a
+//! DRAM map from each reachable key to one word: its node's offset, the
+//! committed slot in bit 0 and the value length in the top bits
+//! ([`Shard::len`] is its size). The index is never stored through the
+//! runtime, never logged, never flushed, and it is the only way a lookup
+//! — `get`, `put`, `put_many`'s planner, `serve_batch`'s reads, `scan` —
+//! locates a value: one probe, then the value itself; planning an update
+//! reads nothing persistent. The chains are walked only to find the *link* that
 //! points at a node about to be unlinked (`delete`, a `put` of another
 //! length) and by `dump`, which audits what is persistent.
 //!
 //! NVTraverse's observation is the licence: in a durable structure only
 //! the *destination* of a traversal has to be persistent, the *journey*
-//! need not touch persistent memory at all. Every byte a recovery reads
-//! is still written by the same stores in the same order, so the
-//! persistent layout, the crash contract and every flush, fence and
-//! store count are those of the chain-walking shard.
+//! need not touch persistent memory at all; and of a destination, only
+//! what a commit point makes reachable.
 //!
 //! The index changes only **after the commit point** of the FASE that
-//! justifies it: a fresh or replacing node is entered, a deleted key
-//! dropped, once `end_fase` has returned; a refused batch (oversized
-//! value, length change, full heap, full undo log) or a FASE abandoned
-//! by a panic never touches it. After anything that can roll a FASE
-//! back — reopening an image, an injected crash, a healed panic — it is
-//! rebuilt by one walk over the buckets, which is also where a foreign
-//! image is checked: every link must be an 8-aligned node inside the
-//! data area, every key in its own bucket and in one node only
-//! ([`ShardImageError`]).
+//! justifies it: a fresh or replacing node is entered, an updated key
+//! moved to its other slot, a deleted key dropped, once `end_fase` has
+//! returned; a refused batch (oversized value, length change, full heap,
+//! full undo log) or a FASE abandoned by a panic never touches it. After
+//! anything that can roll a FASE back — reopening an image, an injected
+//! crash, a healed panic — it is rebuilt by one walk over the buckets,
+//! followed by the void pass. The walk is also where a foreign image is
+//! checked: the head must name a bucket array inside the data area and
+//! an epoch below 2⁵² − 1, every link must be an 8-aligned node inside
+//! the data area, every key in its own bucket and in one node only, and
+//! every node must hold a committed slot ([`ShardImageError`]).
 
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -66,15 +94,113 @@ use nvcache_locality::{select_cache_size, BurstSampler, KneeConfig, Mrc};
 use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
 use nvcache_trace::FxHashMap;
 
-/// Node header bytes: key, next pointer, value length.
-const NODE_HEADER: usize = 24;
+/// Node header bytes: key, next pointer.
+const NODE_HEADER: usize = 16;
+/// A slot's header: one word, its stamp above its value length.
+const SLOT_HEADER: usize = 8;
+/// Low bits of a slot header that hold the value length.
+const LEN_BITS: u32 = 12;
+const LEN_MASK: u64 = (1 << LEN_BITS) - 1;
+/// Epoch words stay below this: a stamp has the 52 bits a slot header
+/// leaves, and the epoch after the word must fit one.
+const EPOCH_LIMIT: u64 = (1 << (64 - LEN_BITS)) - 1;
+/// The head block (the root): the bucket array's offset, then the epoch
+/// word, on a line of their own.
+const HEAD_BLOCK: usize = 64;
+/// Offset of the epoch word inside the head block.
+const EPOCH_WORD: usize = 8;
 /// Bucket-array block (one `PAlloc` max-class allocation).
 const BUCKET_BLOCK: usize = 4096;
-/// Largest value the node layout can hold (PAlloc max class minus
-/// header).
-pub const MAX_VALUE_LEN: usize = BUCKET_BLOCK - NODE_HEADER;
+/// Largest value the node layout can hold: two slots in a `PAlloc`
+/// max-class block.
+pub const MAX_VALUE_LEN: usize = (BUCKET_BLOCK - NODE_HEADER) / 2 - SLOT_HEADER;
+/// The smallest node: two empty slots.
+const MIN_NODE: usize = NODE_HEADER + 2 * SLOT_HEADER;
 /// Why rebuilding the index cannot fail on the two in-process paths.
 const OWN_REGION: &str = "a region only this shard wrote recovers to sound chains";
+
+/// Bytes of a node whose values are `vlen` long.
+fn node_size(vlen: usize) -> usize {
+    NODE_HEADER + 2 * (SLOT_HEADER + vlen)
+}
+
+/// What the index holds for a key: its node's offset with the committed
+/// slot in bit 0 (a node is at least 16-aligned), and the value length
+/// from bit 48 up (data offsets stay below 2⁴⁸, as the undo log's
+/// records require) — so a lookup reads the value and nothing else.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry(u64);
+
+impl Entry {
+    const VLEN_SHIFT: u32 = 48;
+
+    fn new(node: usize, slot: usize, vlen: usize) -> Self {
+        Entry(node as u64 | slot as u64 | (vlen as u64) << Self::VLEN_SHIFT)
+    }
+
+    fn node(self) -> usize {
+        (self.0 & ((1 << Self::VLEN_SHIFT) - 2)) as usize
+    }
+
+    fn vlen(self) -> usize {
+        (self.0 >> Self::VLEN_SHIFT) as usize
+    }
+
+    /// The node's other slot.
+    fn other(self) -> Self {
+        Entry(self.0 ^ 1)
+    }
+
+    /// Offset of the slot's header.
+    fn slot_off(self) -> usize {
+        self.node() + NODE_HEADER + (self.0 & 1) as usize * (SLOT_HEADER + self.vlen())
+    }
+}
+
+/// A slot header: the stamp above the value length.
+fn slot_header(stamp: u64, vlen: usize) -> u64 {
+    stamp << LEN_BITS | vlen as u64
+}
+
+/// What a node's slot headers say under an epoch word.
+struct Slots {
+    /// The node's index entry: the slot holding the committed value.
+    entry: Entry,
+    /// The headers of slots stamped above the epoch: a rolled-back
+    /// FASE's, to be voided.
+    above: [Option<usize>; 2],
+}
+
+/// Read `node`'s slot headers under the epoch word `epoch`, or say which
+/// rule the node breaks.
+fn read_slots(rt: &mut FaseRuntime, node: usize, epoch: u64) -> Result<Slots, &'static str> {
+    let first = rt.load_u64(node + NODE_HEADER);
+    let vlen = (first & LEN_MASK) as usize;
+    if vlen > MAX_VALUE_LEN {
+        return Err("value longer than a node holds");
+    }
+    if node + node_size(vlen) > rt.data_len() {
+        return Err("value runs off the data area");
+    }
+    let slot0 = Entry::new(node, 0, vlen);
+    let offs = [slot0.slot_off(), slot0.other().slot_off()];
+    let second = rt.load_u64(offs[1]);
+    if second & LEN_MASK != vlen as u64 {
+        return Err("slots disagree on the value length");
+    }
+    let stamps = [first >> LEN_BITS, second >> LEN_BITS];
+    let committed = stamps.map(|s| (1..=epoch).contains(&s));
+    let slot = match committed {
+        [false, false] => return Err("no committed slot"),
+        [true, true] => usize::from(stamps[1] > stamps[0]),
+        [c0, _] => usize::from(!c0),
+    };
+    let above = [0, 1].map(|i| (stamps[i] > epoch).then_some(offs[i]));
+    Ok(Slots {
+        entry: Entry::new(node, slot, vlen),
+        above,
+    })
+}
 
 /// One request of a lane batch — a submitter's own group, or what the
 /// worker drained from the submission queue — without any completion
@@ -187,8 +313,9 @@ impl Default for ShardConfig {
 pub enum ShardImageError {
     /// The FASE layer itself could not recover the image.
     Recovery(RecoveryError),
-    /// The image has no heap, or its root is not a bucket array inside
-    /// the data area.
+    /// The image has no heap (0), or its root is not a head block inside
+    /// the data area naming a bucket array inside it and an epoch below
+    /// 2⁵² − 1 (the root).
     BadRoot(u64),
     /// A hash chain breaks a structural invariant.
     BadChain {
@@ -205,7 +332,7 @@ impl fmt::Display for ShardImageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ShardImageError::Recovery(e) => write!(f, "FASE recovery failed: {e}"),
-            ShardImageError::BadRoot(root) => write!(f, "no bucket array at root {root:#x}"),
+            ShardImageError::BadRoot(root) => write!(f, "no shard head at root {root:#x}"),
             ShardImageError::BadChain { bucket, link, why } => {
                 write!(f, "bad chain in bucket {bucket} at link {link:#x}: {why}")
             }
@@ -226,13 +353,19 @@ impl From<RecoveryError> for ShardImageError {
 pub struct Shard {
     rt: FaseRuntime,
     buckets: usize,
+    /// The head block: the bucket array's offset, then the epoch word.
+    head: usize,
     bucket_base: usize,
-    /// Volatile: every reachable key → the offset of its node (module
-    /// doc, "What is volatile"). Keys are the clients', so the hasher is
+    /// Volatile: the epoch word. An update stamps its slot one above
+    /// and publishes that.
+    committed: u64,
+    /// Volatile: every reachable key → its node's committed slot and
+    /// value length (module doc, "What is volatile").
+    /// Keys are the clients', so the hasher is
     /// `std`'s keyed one: under the unkeyed multiplicative `FxHashMap`,
     /// 4 000 keys that differ only above bit 20 share one probe sequence
     /// (440 ns a `get` against 46).
-    index: HashMap<u64, usize>,
+    index: HashMap<u64, Entry>,
     ops: u64,
     /// FASE epoch for store-line renaming (one op = one FASE).
     epoch: u64,
@@ -243,14 +376,18 @@ pub struct Shard {
     stream: Option<Vec<u64>>,
     /// [`Shard::put_many`]'s plan, kept between batches.
     plan: PutPlan,
+    /// A slot, or a fresh node's first bytes, composed for its one store
+    /// (reused).
+    slot_buf: Vec<u8>,
 }
 
 /// One planned write of a [`Shard::put_many`] batch.
 #[derive(Debug, Clone, Copy)]
 enum PlannedOp {
-    /// In-place value write to `node`; `fresh` when an earlier
-    /// `Insert` of the batch allocated it.
-    Write { node: usize, fresh: bool },
+    /// Write the value into the slot an index entry names: an indexed
+    /// node's other slot, or slot 0 of a node the batch allocated. It
+    /// is the key's index entry once the batch commits.
+    Write(Entry),
     /// Splice `node` at the head of its bucket chain.
     Insert {
         node: usize,
@@ -265,17 +402,18 @@ enum PlannedOp {
 /// building and dropping them.
 #[derive(Debug, Default)]
 struct PutPlan {
-    /// Key → `(node, value length)` of the nodes this batch allocated:
-    /// what the index cannot know before the batch commits.
-    fresh: FxHashMap<u64, (usize, usize)>,
+    /// Key → index entry of the nodes this batch allocated: what the
+    /// index cannot know before the batch commits.
+    fresh: FxHashMap<u64, Entry>,
     /// Bucket offset → chain head after the batch's inserts so far.
     heads: FxHashMap<usize, u64>,
     /// Nodes allocated for the batch (given back if it is refused).
     new_allocs: Vec<(u64, usize)>,
     /// The writes, each with the index of the item it carries.
     ops: Vec<(PlannedOp, usize)>,
-    /// The logged part of the write set, handed to the grouped prelog
-    /// (which keeps one record per location).
+    /// The logged part of the write set — the inserts' bucket heads,
+    /// and the epoch word if the batch also updates — handed to the
+    /// grouped prelog.
     ranges: Vec<(u64, u64)>,
 }
 
@@ -302,28 +440,47 @@ impl Shard {
         );
         let mut rt = FaseRuntime::with_heap(cfg.data_len, cfg.log_len, &cfg.policy);
         let base = rt.alloc(BUCKET_BLOCK).expect("bucket array allocation") as usize;
-        rt.set_root(base as u64);
+        let head = rt.alloc(HEAD_BLOCK).expect("head block allocation") as usize;
         rt.fase(|rt| {
             for b in 0..cfg.buckets {
                 rt.store_u64(base + b * 8, 0);
             }
+            // the head is this FASE's commit record, so it is durable
+            // under every policy before the root names it
+            let mut words = [0u8; 16];
+            words[..8].copy_from_slice(&(base as u64).to_le_bytes());
+            words[EPOCH_WORD..].copy_from_slice(&1u64.to_le_bytes());
+            rt.publish(head, &words);
         });
-        Self::assemble(rt, base, cfg)
+        rt.set_root(head as u64);
+        Self::assemble(rt, head, cfg)
     }
 
     /// Re-attach to a crash image (or saved region): run recovery, then
-    /// rebuild the index by walking the buckets. The image may be
-    /// anything: a table the walk cannot vouch for is a typed error,
-    /// never a hang or a panic.
+    /// rebuild the index by walking the buckets and void what a
+    /// rolled-back update left. The image may be anything: a table the
+    /// walk cannot vouch for is a typed error, never a hang or a panic.
     pub fn reopen_from_image(image: Vec<u8>, cfg: &ShardConfig) -> Result<Self, ShardImageError> {
         let region = PmemRegion::from_image(image);
-        let rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &cfg.policy)?;
+        let mut rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &cfg.policy)?;
         if !rt.has_heap() {
             return Err(ShardImageError::BadRoot(0));
         }
         let root = rt.root();
-        let end = root.saturating_add(BUCKET_BLOCK as u64);
-        if root == 0 || !root.is_multiple_of(8) || end > rt.data_len() as u64 {
+        let data_len = rt.data_len() as u64;
+        let inside = |off: u64, len: usize| {
+            off != 0
+                && off.is_multiple_of(8)
+                && off
+                    .checked_add(len as u64)
+                    .is_some_and(|end| end <= data_len)
+        };
+        if !inside(root, HEAD_BLOCK) {
+            return Err(ShardImageError::BadRoot(root));
+        }
+        let base = rt.load_u64(root as usize);
+        let epoch = rt.load_u64(root as usize + EPOCH_WORD);
+        if !inside(base, BUCKET_BLOCK) || !(1..EPOCH_LIMIT).contains(&epoch) {
             return Err(ShardImageError::BadRoot(root));
         }
         let mut shard = Self::assemble(rt, root as usize, cfg);
@@ -331,7 +488,9 @@ impl Shard {
         Ok(shard)
     }
 
-    fn assemble(rt: FaseRuntime, bucket_base: usize, cfg: &ShardConfig) -> Self {
+    fn assemble(mut rt: FaseRuntime, head: usize, cfg: &ShardConfig) -> Self {
+        let bucket_base = rt.load_u64(head) as usize;
+        let committed = rt.load_u64(head + EPOCH_WORD);
         let (sampler, stream) = match &cfg.adapt {
             Some(a) => (
                 Some(BurstSampler::new(
@@ -346,7 +505,9 @@ impl Shard {
         Shard {
             rt,
             buckets: cfg.buckets,
+            head,
             bucket_base,
+            committed,
             index: HashMap::new(),
             ops: 0,
             epoch: 0,
@@ -356,6 +517,7 @@ impl Shard {
             chosen: Vec::new(),
             stream,
             plan: PutPlan::default(),
+            slot_buf: Vec::new(),
         }
     }
 
@@ -404,11 +566,9 @@ impl Shard {
         }
     }
 
-    /// `key`'s node and the length of the value in it: one index probe
-    /// and the node's own header, no chain walk.
-    fn locate(&mut self, key: u64) -> Option<(usize, usize)> {
-        let node = *self.index.get(&key)?;
-        Some((node, self.rt.load_u64(node + 16) as usize))
+    /// `key`'s index entry: one probe, no chain walk.
+    fn locate(&self, key: u64) -> Option<Entry> {
+        self.index.get(&key).copied()
     }
 
     /// The word that links `node` into `key`'s chain — its bucket head
@@ -426,17 +586,17 @@ impl Shard {
         }
     }
 
-    /// A copy of the value `node` holds.
-    fn value_at(&mut self, node: usize) -> Vec<u8> {
-        let mut v = vec![0u8; self.rt.load_u64(node + 16) as usize];
-        self.rt.load(node + NODE_HEADER, &mut v);
+    /// A copy of the value in the slot an index entry names.
+    fn value_at(&mut self, entry: Entry) -> Vec<u8> {
+        let mut v = vec![0u8; entry.vlen()];
+        self.rt.load(entry.slot_off() + SLOT_HEADER, &mut v);
         v
     }
 
     /// Look up `key`.
     pub fn get(&mut self, key: u64) -> Option<Vec<u8>> {
-        let node = *self.index.get(&key)?;
-        Some(self.value_at(node))
+        let entry = self.locate(key)?;
+        Some(self.value_at(entry))
     }
 
     /// Insert or update `key → value` in one FASE. Returns `false` if
@@ -446,61 +606,62 @@ impl Shard {
         if value.len() > MAX_VALUE_LEN {
             return false;
         }
-        let old = self.locate(key);
-        if let Some((node, _)) = old.filter(|&(_, vlen)| vlen == value.len()) {
-            // hot path: in-place update, a single small FASE
-            self.rt.begin_fase();
-            self.rt.store(node + NODE_HEADER, value);
-            self.observe(node + NODE_HEADER, value.len().max(1));
-            self.rt.end_fase();
-            self.after_op();
-            return true;
-        }
-        let Some(new) = self.rt.alloc(NODE_HEADER + value.len()) else {
+        // a fresh key, or an update at the key's length, is a group of one
+        let Some(old) = self.locate(key).filter(|old| old.vlen() != value.len()) else {
+            return self.put_many(&[(key, value)]);
+        };
+        // A value of another length needs another node, which takes the
+        // old one's place in the chain: the key is reachable with one
+        // value or the other at every crash point, never absent.
+        let Some(new) = self.rt.alloc(node_size(value.len())) else {
             return false;
         };
-        let new = new as usize;
-        // A fresh key goes to the head of its chain. A value of another
-        // length needs another node, which takes the old one's place in
-        // the chain: the key is reachable with one value or the other
-        // at every crash point, never absent.
-        let (link, next) = match old {
-            None => {
-                let boff = self.bucket_off(key);
-                (boff, self.rt.load_u64(boff))
-            }
-            Some((node, _)) => (self.link_of(key, node), self.rt.load_u64(node + 8)),
-        };
+        let (new, node) = (new as usize, old.node());
+        let (link, next) = (self.link_of(key, node), self.rt.load_u64(node + 8));
         self.rt.begin_fase();
-        self.write_fresh_node(new, key, next, value);
+        self.write_fresh_node(new, key, next, self.committed, value);
         self.rt.store_u64(link, new as u64);
         self.observe(link, 8);
         self.rt.end_fase();
-        self.index.insert(key, new);
-        if let Some((node, vlen)) = old {
-            self.rt.free(node as u64, NODE_HEADER + vlen);
-        }
+        self.index.insert(key, Entry::new(new, 0, value.len()));
+        self.rt.free(node as u64, node_size(old.vlen()));
         self.after_op();
         true
     }
 
-    /// Fill a freshly allocated node, unlogged: it is shadow memory
+    /// Write `value` into the slot an index entry names, stamped
+    /// `stamp`: header and value as one unlogged store, since no
+    /// committed state reads the slot until the FASE commits.
+    fn write_slot(&mut self, entry: Entry, stamp: u64, value: &[u8]) {
+        let at = entry.slot_off();
+        self.slot_buf.clear();
+        self.slot_buf
+            .extend_from_slice(&slot_header(stamp, value.len()).to_le_bytes());
+        self.slot_buf.extend_from_slice(value);
+        self.rt.store_fresh(at, &self.slot_buf);
+        self.observe(at, self.slot_buf.len());
+    }
+
+    /// Fill a freshly allocated node as one unlogged store — key, next,
+    /// slot 0 stamped `stamp`, slot 1's header void: it is shadow memory
     /// until the caller's logged link store publishes it.
-    fn write_fresh_node(&mut self, node: usize, key: u64, next: u64, value: &[u8]) {
-        let words = [key, next, value.len() as u64];
-        for (i, word) in words.into_iter().enumerate() {
-            self.rt.store_fresh(node + i * 8, &word.to_le_bytes());
-            self.observe(node + i * 8, 8);
+    fn write_fresh_node(&mut self, node: usize, key: u64, next: u64, stamp: u64, value: &[u8]) {
+        self.slot_buf.clear();
+        for word in [key, next, slot_header(stamp, value.len())] {
+            self.slot_buf.extend_from_slice(&word.to_le_bytes());
         }
-        if !value.is_empty() {
-            self.rt.store_fresh(node + NODE_HEADER, value);
-            self.observe(node + NODE_HEADER, value.len());
-        }
+        self.slot_buf.extend_from_slice(value);
+        self.slot_buf
+            .extend_from_slice(&slot_header(0, value.len()).to_le_bytes());
+        self.rt.store_fresh(node, &self.slot_buf);
+        self.observe(node, self.slot_buf.len());
     }
 
     /// Apply a whole batch of writes as **one FASE** (group commit):
-    /// every item either updates an existing node in place or splices a
-    /// fresh node, and the batch commits or rolls back atomically. This
+    /// every item either writes an existing node's other slot or splices
+    /// a fresh node, and the batch commits or rolls back atomically — by
+    /// its published epoch word alone when it only updates, through the
+    /// undo log when it inserts (module doc). This
     /// is the serving configuration that actually gives the software
     /// cache something to do — per-op FASEs of one or two lines carry no
     /// intra-FASE reuse (FASE renaming hides reuse across commits, by
@@ -511,8 +672,8 @@ impl Shard {
     /// the point); all writes to one key in a batch must keep its value
     /// length. Returns `false` — with the map unchanged — when any
     /// value is oversized, changes an existing length, allocation
-    /// fails, or the write set's pre-images do not fit in the undo log
-    /// (planned nodes are given back to the free list).
+    /// fails, or the bucket heads its inserts swing do not fit in the
+    /// undo log (planned nodes are given back to the free list).
     pub fn put_many<V: AsRef<[u8]>>(&mut self, items: &[(u64, V)]) -> bool {
         if items.is_empty() {
             return true;
@@ -528,36 +689,42 @@ impl Shard {
         // thread chain heads for multiple inserts into one bucket
         plan.clear();
         let mut ok = true;
+        let mut updates = false;
         for (i, (key, value)) in items.iter().enumerate() {
             let vlen = value.as_ref().len();
             if vlen > MAX_VALUE_LEN {
                 ok = false;
                 break;
             }
+            // an indexed key writes its node's other slot, the same one
+            // each time the batch repeats it
             let known = match self.locate(*key) {
-                Some((node, old_vlen)) => Some((node, old_vlen, false)),
-                None => plan.fresh.get(key).map(|&(node, vlen)| (node, vlen, true)),
+                Some(entry) => {
+                    updates = true;
+                    Some(entry.other())
+                }
+                None => plan.fresh.get(key).copied(),
             };
             match known {
-                Some((node, old_vlen, fresh)) => {
-                    if old_vlen != vlen {
+                Some(slot) => {
+                    if slot.vlen() != vlen {
                         ok = false; // batches are fixed-length per key
                         break;
                     }
-                    plan.ops.push((PlannedOp::Write { node, fresh }, i));
+                    plan.ops.push((PlannedOp::Write(slot), i));
                 }
                 None => {
                     let boff = self.bucket_off(*key);
-                    let Some(new) = self.rt.alloc(NODE_HEADER + vlen) else {
+                    let Some(new) = self.rt.alloc(node_size(vlen)) else {
                         ok = false;
                         break;
                     };
-                    plan.new_allocs.push((new, NODE_HEADER + vlen));
+                    plan.new_allocs.push((new, node_size(vlen)));
                     let head = plan
                         .heads
                         .insert(boff, new)
                         .unwrap_or_else(|| self.rt.load_u64(boff));
-                    plan.fresh.insert(*key, (new as usize, vlen));
+                    plan.fresh.insert(*key, Entry::new(new as usize, 0, vlen));
                     plan.ops.push((
                         PlannedOp::Insert {
                             node: new as usize,
@@ -572,26 +739,25 @@ impl Shard {
         }
         if ok {
             self.rt.begin_fase();
-            // Grouped prelog: undo-capture the planned write set with
-            // one log fence instead of one per store — the values
-            // written in place and the bucket heads; nodes of the
-            // batch's own are shadow memory. A repeated key or a shared
-            // bucket head names its range again and the log keeps one
-            // record.
-            for &(op, i) in &plan.ops {
-                match op {
-                    PlannedOp::Write { fresh: true, .. } => {}
-                    PlannedOp::Write { node, .. } => {
-                        let vlen = items[i].1.as_ref().len() as u64;
-                        plan.ranges.push(((node + NODE_HEADER) as u64, vlen));
-                    }
-                    PlannedOp::Insert { boff, .. } => plan.ranges.push((boff as u64, 8)),
+            // Grouped prelog of what the batch logs: the bucket heads its
+            // inserts swing, and the epoch word if it also updates, with
+            // one log fence. Slots and fresh nodes are shadow memory. A
+            // shared bucket head names its range again and the log keeps
+            // one record. A batch that only updates logs nothing.
+            for &(op, _) in &plan.ops {
+                if let PlannedOp::Insert { boff, .. } = op {
+                    plan.ranges.push((boff as u64, 8));
                 }
             }
-            if self.rt.prelog(&plan.ranges).is_err() {
-                // refused before anything was logged or stored
-                self.rt.end_fase();
-                ok = false;
+            if !plan.ranges.is_empty() {
+                if updates {
+                    plan.ranges.push(((self.head + EPOCH_WORD) as u64, 8));
+                }
+                if self.rt.prelog(&plan.ranges).is_err() {
+                    // refused before anything was logged or stored
+                    self.rt.end_fase();
+                    ok = false;
+                }
             }
         }
         if !ok {
@@ -600,32 +766,39 @@ impl Shard {
             }
             return false;
         }
+        // every slot the batch writes carries the epoch it commits under:
+        // one above the epoch word if it updates
+        let stamp = self.committed + u64::from(updates);
+        assert!(stamp <= EPOCH_LIMIT, "2⁵² − 1 updates stamped");
         for &(op, i) in &plan.ops {
             let value = items[i].1.as_ref();
             match op {
-                PlannedOp::Write { node, fresh } => {
-                    if fresh {
-                        self.rt.store_fresh(node + NODE_HEADER, value);
-                    } else {
-                        self.rt.store(node + NODE_HEADER, value);
-                    }
-                    self.observe(node + NODE_HEADER, value.len().max(1));
-                }
+                PlannedOp::Write(slot) => self.write_slot(slot, stamp, value),
                 PlannedOp::Insert {
                     node,
                     boff,
                     key,
                     head,
                 } => {
-                    self.write_fresh_node(node, key, head, value);
+                    self.write_fresh_node(node, key, head, stamp, value);
                     self.rt.store_u64(boff, node as u64);
                     self.observe(boff, 8);
                 }
             }
         }
+        if updates {
+            self.rt
+                .publish(self.head + EPOCH_WORD, &stamp.to_le_bytes());
+        }
         self.rt.end_fase();
-        let committed = plan.fresh.iter().map(|(&key, &(node, _))| (key, node));
-        self.index.extend(committed);
+        self.committed = stamp;
+        for &(op, i) in &plan.ops {
+            let entry = match op {
+                PlannedOp::Write(slot) => slot,
+                PlannedOp::Insert { node, .. } => Entry::new(node, 0, items[i].1.as_ref().len()),
+            };
+            self.index.insert(items[i].0, entry);
+        }
         self.after_op();
         true
     }
@@ -634,8 +807,8 @@ impl Shard {
     /// commit at the heart of the concurrent shard runtime. Requests are
     /// processed in drain (= FIFO submission) order with *sequential*
     /// semantics, but all writes between delete barriers accumulate into
-    /// a single [`Shard::put_many`] group — one FASE, one grouped
-    /// prelog, one ring publish — regardless of how many clients
+    /// a single [`Shard::put_many`] group — one FASE, one commit, one
+    /// ring drain — regardless of how many clients
     /// contributed them. Reads are answered from the pending-write
     /// overlay first, so a `Get` observes every earlier write of its own
     /// batch exactly as it would have under per-op execution.
@@ -766,17 +939,17 @@ impl Shard {
             return Vec::new();
         }
         let mut hits = BinaryHeap::with_capacity(limit + 1);
-        for (&key, &node) in &self.index {
+        for (&key, &entry) in &self.index {
             if (lo..=hi).contains(&key) {
-                hits.push((key, node));
+                hits.push((key, entry));
                 if hits.len() > limit {
                     hits.pop(); // the largest: out of the first `limit`
                 }
             }
         }
         let mut out = Vec::with_capacity(hits.len());
-        for (key, node) in hits.into_sorted_vec() {
-            out.push((key, self.value_at(node)));
+        for (key, entry) in hits.into_sorted_vec() {
+            out.push((key, self.value_at(entry)));
         }
         out
     }
@@ -797,9 +970,10 @@ impl Shard {
 
     /// Remove `key` (one FASE when present). Returns whether it existed.
     pub fn delete(&mut self, key: u64) -> bool {
-        let Some((node, vlen)) = self.locate(key) else {
+        let Some(entry) = self.locate(key) else {
             return false;
         };
+        let node = entry.node();
         let link = self.link_of(key, node);
         let next = self.rt.load_u64(node + 8);
         self.rt.begin_fase();
@@ -807,7 +981,7 @@ impl Shard {
         self.observe(link, 8);
         self.rt.end_fase();
         self.index.remove(&key);
-        self.rt.free(node as u64, NODE_HEADER + vlen);
+        self.rt.free(node as u64, node_size(entry.vlen()));
         self.after_op();
         true
     }
@@ -836,7 +1010,8 @@ impl Shard {
             let mut p = self.rt.load_u64(self.bucket_base + b * 8) as usize;
             while p != 0 {
                 let key = self.rt.load_u64(p);
-                out.push((key, self.value_at(p)));
+                let slots = read_slots(&mut self.rt, p, self.committed).expect(OWN_REGION);
+                out.push((key, self.value_at(slots.entry)));
                 p = self.rt.load_u64(p + 8) as usize;
             }
         }
@@ -844,14 +1019,17 @@ impl Shard {
         out
     }
 
-    /// Rebuild the index from the region: the one bucket walk that
-    /// reopening, an injected crash and a healed panic share. The region
-    /// may be a foreign image, so a link is checked before it is
+    /// Rebuild the index from the region — the one bucket walk that
+    /// reopening, an injected crash and a healed panic share — then void
+    /// the slots a rolled-back update stamped above the epoch word. The
+    /// region may be a foreign image, so a link is checked before it is
     /// followed, and since every step enters a key the index did not
     /// hold, the walk ends within the number of nodes the data area has
-    /// room for — a cycle is a node met twice.
+    /// room for — a cycle is a node met twice. Only then are the nodes'
+    /// slots read: overlapping nodes are a walk the bound must end.
     fn rebuild_volatile(&mut self) -> Result<(), ShardImageError> {
         let data_len = self.rt.data_len();
+        self.committed = self.rt.load_u64(self.head + EPOCH_WORD);
         self.index.clear();
         for bucket in 0..self.buckets {
             let boff = self.bucket_base + bucket * 8;
@@ -861,27 +1039,51 @@ impl Shard {
                 if !link.is_multiple_of(8) {
                     return Err(bad("misaligned link"));
                 }
-                if link > (data_len - NODE_HEADER) as u64 {
+                if link > (data_len - MIN_NODE) as u64 {
                     return Err(bad("link outside the data area"));
                 }
                 let node = link as usize;
-                if self.rt.load_u64(node + 16) > (data_len - NODE_HEADER - node) as u64 {
-                    return Err(bad("value runs off the data area"));
-                }
                 let key = self.rt.load_u64(node);
                 if self.bucket_off(key) != boff {
                     return Err(bad("key in another bucket's chain"));
                 }
-                match self.index.insert(key, node) {
+                // the node alone until its slots are read, below
+                match self.index.insert(key, Entry::new(node, 0, 0)) {
                     None => {}
-                    Some(first) if first == node => return Err(bad("node linked twice")),
+                    Some(first) if first.node() == node => return Err(bad("node linked twice")),
                     Some(_) => return Err(bad("key in two nodes")),
                 }
-                if self.index.len() > data_len / NODE_HEADER {
+                if self.index.len() > data_len / MIN_NODE {
                     return Err(bad("more nodes than the data area holds"));
                 }
                 link = self.rt.load_u64(node + 8);
             }
+        }
+        let mut stale = Vec::new();
+        for (&key, entry) in &mut self.index {
+            let node = entry.node();
+            let slots = read_slots(&mut self.rt, node, self.committed).map_err(|why| {
+                let bucket = bucket_hash(key) as usize % self.buckets;
+                ShardImageError::BadChain {
+                    bucket,
+                    link: node as u64,
+                    why,
+                }
+            })?;
+            *entry = slots.entry;
+            let vlen = entry.vlen();
+            stale.extend(slots.above.into_iter().flatten().map(|at| (at, vlen)));
+        }
+        // The void pass: stamp 0 on what nothing committed reads, so the
+        // stores need no undo record, in a FASE that publishes nothing —
+        // a crash inside it leaves slots the next rebuild voids again.
+        if !stale.is_empty() {
+            stale.sort_unstable(); // the index's order is per process
+            self.rt.begin_fase();
+            for &(at, vlen) in &stale {
+                self.rt.store_fresh(at, &slot_header(0, vlen).to_le_bytes());
+            }
+            self.rt.end_fase();
         }
         Ok(())
     }
@@ -978,19 +1180,23 @@ impl Shard {
 
 #[cfg(test)]
 impl Shard {
-    /// The index is the chains: every node reachable from a bucket is
-    /// the index's entry for its key, and nothing else is indexed (so a
-    /// key in two nodes, a stale entry and a missing one all fail).
+    /// The index is the chains: every node reachable from a bucket, with
+    /// its committed slot, is the index's entry for its key, and nothing
+    /// else is indexed (so a key in two nodes, a stale entry or slot and
+    /// a missing one all fail).
     fn index_matches_chains(&mut self) -> Result<(), String> {
         let mut reached = 0;
         for b in 0..self.buckets {
             let mut p = self.rt.load_u64(self.bucket_base + b * 8) as usize;
             while p != 0 {
                 let key = self.rt.load_u64(p);
-                if self.index.get(&key) != Some(&p) {
+                let slots = read_slots(&mut self.rt, p, self.committed)
+                    .map_err(|why| format!("key {key}: node {p:#x}: {why}"))?;
+                let entry = slots.entry;
+                if self.index.get(&key) != Some(&entry) {
                     let at = self.index.get(&key);
                     return Err(format!(
-                        "key {key}: node {p:#x} on its chain, {at:x?} indexed"
+                        "key {key}: {entry:x?} on its chain, {at:x?} indexed"
                     ));
                 }
                 reached += 1;
@@ -1007,6 +1213,7 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvcache_fase::LogStats;
     use nvcache_pmem::PAlloc;
 
     fn small(policy: PolicyKind) -> ShardConfig {
@@ -1114,7 +1321,7 @@ mod tests {
     #[test]
     fn freed_nodes_survive_a_power_failure() {
         let cfg = ShardConfig {
-            data_len: 16 << 10,
+            data_len: 32 << 10,
             pipelined: true,
             ..small(PolicyKind::ScFixed { capacity: 8 })
         };
@@ -1178,7 +1385,7 @@ mod tests {
         assert!(s.put(1, b"one-ost"));
         assert!(s.put(2, b"two-old"));
         let fases_before = s.stats().fases;
-        // one batch: two in-place updates (one key twice — last wins),
+        // one batch: two slot updates (one key twice — last wins),
         // two fresh inserts (one bucket-colliding pair is fine)
         let batch: Vec<(u64, Vec<u8>)> = vec![
             (1, b"one-new".to_vec()),
@@ -1232,8 +1439,8 @@ mod tests {
         };
         let mut s = Shard::new(&cfg);
         let default_cap = s.sc_capacity().unwrap();
-        // steady-state in-place updates over a fixed working set: the
-        // store stream cycles over the value lines of `wss` keys
+        // steady-state updates over a fixed working set: the store
+        // stream cycles over the slot lines of `wss` keys
         let wss = 40u64;
         for i in 0..wss {
             s.put(i, &[0u8; 56]);
@@ -1391,8 +1598,9 @@ mod tests {
         assert_eq!(batched.dump(), seq.dump(), "end states diverge");
     }
 
-    /// A crash mid-batch rolls the whole group back: grouped prelogging
-    /// keeps the all-or-nothing FASE contract.
+    /// A crash mid-batch rolls the whole group back: the prelogged
+    /// bucket heads and epoch word keep the all-or-nothing FASE
+    /// contract.
     #[test]
     fn pipelined_put_many_is_atomic_under_crash() {
         let cfg = small(PolicyKind::ScFixed { capacity: 4 });
@@ -1431,61 +1639,158 @@ mod tests {
         }
     }
 
-    /// A batch whose pre-images outgrow the undo log is refused whole —
-    /// sized before anything is logged, never a panic inside an open
-    /// FASE — and `serve_batch` falls back to per-request FASEs.
+    /// An update-only group and a same-length `put` write no undo
+    /// record: each commits by its published epoch word with two fences,
+    /// and every flush is a data line through the ring — one per
+    /// updated slot, one for the epoch word.
+    #[test]
+    fn an_update_commits_by_its_epoch_word_alone() {
+        let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
+        let group = |tag| (0..32u64).map(|k| (k, vec![tag; 40])).collect::<Vec<_>>();
+        assert!(s.put_many(&group(1)));
+        type Update = Box<dyn Fn(&mut Shard) -> bool>;
+        let updates: [(&str, Update, u64); 2] = [
+            ("put_many", Box::new(move |s| s.put_many(&group(2))), 32),
+            ("put", Box::new(|s| s.put(7, &[3; 40])), 1),
+        ];
+        for (what, update, slots) in updates {
+            let (log, pmem) = (s.rt.log_stats(), s.rt.region().stats());
+            let (ring, fase) = (s.rt.ring_stats(), s.rt.stats());
+            assert!(update(&mut s));
+            let one_more_commit = LogStats {
+                commits: log.commits + 1,
+                ..log
+            };
+            assert_eq!(s.rt.log_stats(), one_more_commit, "{what}: a record");
+            let (p, r, f) = (s.rt.region().stats(), s.rt.ring_stats(), s.rt.stats());
+            assert_eq!(p.fences - pmem.fences, 2, "{what}: data fence, epoch fence");
+            assert_eq!(f.data_flushes - fase.data_flushes, slots + 1, "{what}");
+            assert_eq!(r.flushed - ring.flushed, slots + 1, "{what}");
+            assert_eq!(
+                p.flushes - pmem.flushes,
+                slots + 1,
+                "{what}: a flush off the ring"
+            );
+        }
+        assert_eq!(s.get(7).as_deref(), Some(&[3u8; 40][..]));
+        assert_eq!(s.get(8).as_deref(), Some(&[2u8; 40][..]));
+    }
+
+    /// A power failure between an update group's slot writes and its
+    /// epoch word, at every micro-step and under every adversary: the
+    /// image reopens to the old values; reopening what that recovery
+    /// left changes no byte of the data area; and the next update, which
+    /// publishes the very epoch the dead group stamped its slots with,
+    /// does not bring them back.
+    #[test]
+    fn a_crashed_update_stays_dead() {
+        let cfg = small(PolicyKind::ScFixed { capacity: 4 });
+        let data = cfg.data_len;
+        let old: Vec<(u64, Vec<u8>)> = (0..13u64).map(|k| (k, vec![1u8; 40])).collect();
+        let dead: Vec<(u64, Vec<u8>)> = (0..12u64).map(|k| (k, vec![2u8; 40])).collect();
+        let loaded = || {
+            let mut s = Shard::new(&cfg);
+            assert!(s.put_many(&old));
+            s
+        };
+        let mut probe = loaded();
+        let start = probe.steps();
+        assert!(probe.put_many(&dead));
+        // the epoch word's write, flush and fence end the FASE
+        let publish = probe.steps() - 3;
+        let mut after = old.clone();
+        after[12].1 = vec![3u8; 40];
+        let mut voided = 0;
+        for k in start..=publish {
+            for mode in [
+                CrashMode::StrictDurableOnly,
+                CrashMode::AllInFlightLands,
+                CrashMode::random(0.5, 0.5, k),
+            ] {
+                let ctx = format!("{mode:?} crash at step {k}");
+                let mut s = loaded();
+                s.arm_crash(CrashPlan { at_step: k, mode });
+                assert!(s.put_many(&dead));
+                let image = s.take_crash_image().expect("the cut falls in the group");
+                let mut r = Shard::reopen_from_image(image.clone(), &cfg).expect(&ctx);
+                assert_eq!(r.dump(), old, "{ctx}: the group is visible");
+                let recovered = r.rt.region().durable_image().to_vec();
+                voided += usize::from(recovered[..data] != image[..data]);
+                let mut again = Shard::reopen_from_image(recovered.clone(), &cfg).expect(&ctx);
+                let twice = again.rt.region().durable_image();
+                assert!(twice[..data] == recovered[..data], "{ctx}: voided twice");
+                assert_eq!(again.dump(), old, "{ctx}");
+                assert!(r.put(12, &[3; 40]), "{ctx}: the dead group's epoch");
+                assert_eq!(r.dump(), after, "{ctx}: the group came back");
+                r.crash_and_recover(&CrashMode::StrictDurableOnly);
+                assert_eq!(r.dump(), after, "{ctx}: the group came back");
+            }
+        }
+        assert!(voided > 0, "no cut left a slot to void");
+    }
+
+    /// A batch whose inserts swing more bucket heads than the undo log
+    /// holds records for is refused whole — sized before anything is
+    /// logged, never a panic inside an open FASE — and `serve_batch`
+    /// falls back to per-request FASEs. Updates log nothing, so no
+    /// number of them is refused.
     #[test]
     fn oversized_write_set_is_refused_not_a_panic() {
+        // 448 bytes of records: a group of at most 27 bucket heads
         let cfg = ShardConfig {
-            log_len: 4096,
+            log_len: 512,
             ..small(PolicyKind::ScFixed { capacity: 4 })
         };
         let mut s = Shard::new(&cfg);
         let load: Vec<(u64, Vec<u8>)> = (0..1000u64).map(|k| (k, vec![1u8; 40])).collect();
         for chunk in load.chunks(25) {
-            assert!(s.put_many(chunk), "25 inserts log 25 bucket heads");
+            assert!(s.put_many(chunk), "25 inserts log at most 25 bucket heads");
         }
-        let before = s.dump();
         let big: Vec<(u64, Vec<u8>)> = (0..1000u64).map(|k| (k, vec![2u8; 40])).collect();
-        assert!(
-            !s.put_many(&big),
-            "1000 x 48 bytes of records on a 4 KiB log"
-        );
-        // with fresh keys in it, their planned nodes go back to the
-        // heap: the same ten keys put again carve no fresh block
+        let logged = s.rt.log_stats().entries;
+        assert!(s.put_many(&big), "1000 updates log nothing");
+        assert_eq!(s.rt.log_stats().entries, logged);
+        let before = s.dump();
+        // 100 fresh keys over 64 buckets, alone or after the updates:
+        // their planned nodes go back to the heap, so the same keys put
+        // again carve no fresh block
+        let fresh: Vec<(u64, Vec<u8>)> = (5000..5100u64).map(|k| (k, vec![3u8; 40])).collect();
         let mut mixed = big.clone();
-        mixed.extend((5000..5010u64).map(|k| (k, vec![2u8; 40])));
+        mixed.extend(fresh.iter().cloned());
         let bump = |s: &Shard| {
             let region = s.rt.region();
             PAlloc::open(region).expect("heap").bump_remaining(region)
         };
+        assert!(!s.put_many(&fresh), "more bucket heads than records");
         assert!(!s.put_many(&mixed));
         assert_eq!(s.dump(), before, "map unchanged");
         assert_eq!(s.len(), 1000);
         let carved = bump(&s);
-        assert!(s.put_many(&mixed[1000..]));
-        assert_eq!(bump(&s), carved, "the ten freed nodes were reused");
+        assert!(s.put_many(&fresh[..20]));
+        assert_eq!(bump(&s), carved, "freed nodes were reused");
         // the shard still serves, and a batch that fits commits
-        assert_eq!(s.get(7).as_deref(), Some(&[1u8; 40][..]));
-        assert!(s.put_many(&big[..32]));
+        assert!(s.put_many(&load[..32]));
         s.crash_and_recover(&CrashMode::StrictDurableOnly);
-        assert_eq!(s.get(7).as_deref(), Some(&[2u8; 40][..]));
-        assert_eq!(s.get(32).as_deref(), Some(&[1u8; 40][..]));
+        assert_eq!(s.get(7).as_deref(), Some(&[1u8; 40][..]));
+        assert_eq!(s.get(32).as_deref(), Some(&[2u8; 40][..]));
+        assert_eq!(s.get(5000).as_deref(), Some(&[3u8; 40][..]));
         // through the lane, every request of the refused group gets a
         // definite answer from its own FASE
-        let reqs: Vec<BatchRequest> = big
+        let reqs: Vec<BatchRequest> = fresh[20..]
             .iter()
             .map(|(k, v)| BatchRequest::Put(*k, v.clone()))
             .collect();
         let replies = s.serve_batch(&reqs);
         assert!(replies.iter().all(|r| *r == BatchReply::Done(true)));
-        assert_eq!(s.get(999).as_deref(), Some(&[2u8; 40][..]));
+        assert_eq!(s.get(5099).as_deref(), Some(&[3u8; 40][..]));
+        assert_eq!(s.len(), 1100);
     }
 
-    /// Regression: a default-config shard (no slab) used to log
-    /// `put_many` store by store, so a write set too large for the undo
-    /// log hit `panic!` in the middle of an open FASE. Every shard
-    /// prelogs the group now, and an oversized one is refused whole.
+    /// Regression: a default-config shard used to log `put_many` store
+    /// by store, so a write set too large for the undo log hit `panic!`
+    /// in the middle of an open FASE. Every shard prelogs a group's
+    /// bucket heads now, and a group with more than the log holds is
+    /// refused whole; its 1000-byte updates log nothing at all.
     #[test]
     fn a_default_shard_refuses_an_oversized_group_instead_of_panicking() {
         let cfg = ShardConfig {
@@ -1498,17 +1803,22 @@ mod tests {
         for k in 0..5u64 {
             assert!(s.put(k, &[1u8; 1000]));
         }
-        let before = s.dump();
         let big: Vec<(u64, Vec<u8>)> = (0..5u64).map(|k| (k, vec![2u8; 1000])).collect();
-        assert!(!s.put_many(&big), "5 KB of pre-images, 4 KiB of log");
+        assert!(s.put_many(&big), "5 KB of updates, 4 KiB of log");
+        let before = s.dump();
+        // 2000 fresh keys swing (nearly) all 256 bucket heads: past 251
+        // records of 16 bytes, a group outgrows 4 032 bytes of log
+        let fresh: Vec<(u64, Vec<u8>)> = (100..2100u64).map(|k| (k, vec![3u8; 8])).collect();
+        assert!(!s.put_many(&fresh));
         assert_eq!(s.dump(), before, "map unchanged");
         // no FASE was left open: the shard keeps serving
-        assert!(s.put_many(&big[..2]));
+        assert!(s.put_many(&fresh[..100]));
         assert!(s.put(7, b"after"));
         s.crash_and_recover(&CrashMode::StrictDurableOnly);
         assert_eq!(s.get(0).as_deref(), Some(&[2u8; 1000][..]));
-        assert_eq!(s.get(4).as_deref(), Some(&[1u8; 1000][..]));
+        assert_eq!(s.get(199).as_deref(), Some(&[3u8; 8][..]));
         assert_eq!(s.get(7).as_deref(), Some(&b"after"[..]));
+        assert_eq!(s.len(), 106);
     }
 
     // ----- hostile images ------------------------------------------------
@@ -1521,9 +1831,9 @@ mod tests {
             assert!(s.put(k, &[k as u8; 16]));
         }
         s.sync();
-        let mut nodes = s.index.values();
-        let a = *nodes
-            .find(|&&node| s.rt.load_u64(node + 8) != 0)
+        let mut nodes = s.index.values().map(|entry| entry.node());
+        let a = nodes
+            .find(|&node| s.rt.load_u64(node + 8) != 0)
             .expect("eight keys in two buckets: some node links to another");
         let b = s.rt.load_u64(a + 8) as usize;
         (s.rt.region().durable_image().to_vec(), a, b)
@@ -1539,8 +1849,9 @@ mod tests {
         u64::from_le_bytes(image[at..at + 8].try_into().unwrap())
     }
 
-    /// Every way a chain can lie ends in a typed error — no walk past
-    /// the data area, no spin on a cycle — and names the broken rule.
+    /// Every way a chain or a node can lie ends in a typed error — no
+    /// walk past the data area, no spin on a cycle — and names the
+    /// broken rule.
     #[test]
     fn reopen_rejects_hostile_chains_with_a_typed_error() {
         let cfg = ShardConfig {
@@ -1552,13 +1863,22 @@ mod tests {
         let mut back = Shard::reopen_from_image(sound.clone(), &cfg).expect("sound image");
         assert_eq!(back.len(), 8);
         back.index_matches_chains().unwrap();
-        // a key that hashes to the other bucket of the two
+        // a key that hashes to the other bucket of the two, and one
+        // that is absent but would belong on `a`'s chain
         let key_a = word_at(&sound, a);
         let stranger = (100..)
             .find(|&k| back.bucket_off(k) != back.bucket_off(key_a))
             .unwrap();
-        let (next, vlen) = (a + 8, a + 16);
-        let cases: [(&str, Vec<u8>, &str); 10] = [
+        let kin = (100..)
+            .find(|&k| back.bucket_off(k) == back.bucket_off(key_a))
+            .unwrap();
+        // `a`'s slot headers (its values are 16 bytes long), and a node
+        // in the data area's last line
+        let (next, first, second) = (a + 8, a + 16, a + 40);
+        let epoch = back.committed;
+        let last = data_len - 64;
+        let at_the_end = patched(&patched(&sound, next, last as u64), last, kin);
+        let cases: [(&str, Vec<u8>, &str); 13] = [
             (
                 "self-cycle",
                 patched(&sound, next, a as u64),
@@ -1580,8 +1900,8 @@ mod tests {
                 "link outside the data area",
             ),
             (
-                "no room for a header",
-                patched(&sound, next, data_len as u64 - 16),
+                "no room for two slot headers",
+                patched(&sound, next, data_len as u64 - 24),
                 "link outside the data area",
             ),
             (
@@ -1590,14 +1910,33 @@ mod tests {
                 "misaligned link",
             ),
             (
-                "value runs off the heap",
-                patched(&sound, vlen, (data_len - a) as u64),
+                "values of 232 bytes in the last 64",
+                patched(&at_the_end, last + 16, slot_header(1, 100)),
                 "value runs off the data area",
             ),
             (
-                "value length wraps",
-                patched(&sound, vlen, u64::MAX - 8),
-                "value runs off the data area",
+                "a value no node holds",
+                patched(&sound, first, slot_header(1, MAX_VALUE_LEN + 1)),
+                "value longer than a node holds",
+            ),
+            (
+                "slot lengths that differ",
+                patched(&sound, second, slot_header(0, 17)),
+                "slots disagree on the value length",
+            ),
+            (
+                "both slots above the epoch",
+                patched(
+                    &patched(&sound, first, slot_header(epoch + 1, 16)),
+                    second,
+                    slot_header(epoch + 2, 16),
+                ),
+                "no committed slot",
+            ),
+            (
+                "both slots void",
+                patched(&sound, first, slot_header(0, 16)),
+                "no committed slot",
             ),
             (
                 "one key in two nodes",
@@ -1621,7 +1960,8 @@ mod tests {
     /// Nodes may overlap in a hostile image, so distinct keys alone do
     /// not bound the walk by the heap's size: a chain of nodes 8 bytes
     /// apart, each word both a key and the link to the next node, is
-    /// cut off at the number of nodes the data area has room for.
+    /// cut off at the number of nodes the data area has room for —
+    /// before any node's slots are read.
     #[test]
     fn reopen_bounds_the_walk_by_the_nodes_the_heap_can_hold() {
         let cfg = ShardConfig {
@@ -1631,8 +1971,8 @@ mod tests {
         let mut s = Shard::new(&cfg);
         s.sync();
         let mut image = s.rt.region().durable_image().to_vec();
-        let first = s.bucket_base + BUCKET_BLOCK;
-        let nodes = cfg.data_len / NODE_HEADER + 2;
+        let first = s.head + HEAD_BLOCK;
+        let nodes = cfg.data_len / MIN_NODE + 2;
         for i in 0..nodes + 2 {
             let at = first + 8 * i;
             image[at..at + 8].copy_from_slice(&(at as u64).to_le_bytes());
@@ -1646,12 +1986,30 @@ mod tests {
         }
     }
 
-    /// The table's root is input too: an image with no heap, no root or
-    /// a root whose bucket array would leave the data area is refused
-    /// before a bucket is read.
+    /// The table's root is input too: an image with no heap, no root, a
+    /// root whose head would leave the data area, or a head that names a
+    /// bucket array outside it or an epoch no stamp can follow is
+    /// refused before a bucket is read.
     #[test]
     fn reopen_rejects_an_image_without_a_bucket_array() {
         let cfg = small(PolicyKind::Lazy);
+        let s = Shard::new(&cfg);
+        let head = s.head;
+        let sound = s.rt.region().durable_image().to_vec();
+        for (what, at, word) in [
+            ("buckets past the data area", head, cfg.data_len as u64 - 8),
+            ("no buckets", head, 0),
+            ("epoch 0", head + EPOCH_WORD, 0),
+            ("a 53-bit epoch", head + EPOCH_WORD, 1 << 52),
+            ("the last 52-bit epoch", head + EPOCH_WORD, (1 << 52) - 1),
+        ] {
+            let got = Shard::reopen_from_image(patched(&sound, at, word), &cfg).map(|s| s.len());
+            assert_eq!(got, Err(ShardImageError::BadRoot(head as u64)), "{what}");
+        }
+        let below = patched(&sound, head + EPOCH_WORD, (1 << 52) - 2);
+        let mut r = Shard::reopen_from_image(below, &cfg).expect("one stamp left");
+        assert!(r.put(1, b"one") && r.put(1, b"two"), "an insert, an update");
+        assert_eq!(r.committed, (1 << 52) - 1);
         let bare = FaseRuntime::new(cfg.data_len, cfg.log_len, &cfg.policy);
         let image = bare.into_region().durable_image().to_vec();
         let got = Shard::reopen_from_image(image, &cfg).map(|s| s.len());
@@ -1712,10 +2070,8 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
-    /// Small keys of the differential; five more (`BIG..BIG + 5`) hold
-    /// 1000-byte values, so one group over all five outgrows the log.
+    /// Keys of the differential.
     const KEYS: u64 = 28;
-    const BIG: u64 = 1000;
 
     /// The length a key keeps across `put_many` groups.
     fn group_len(model: &BTreeMap<u64, Vec<u8>>, key: u64) -> usize {
@@ -1739,7 +2095,7 @@ mod tests {
             panic!("after {step}: {e}");
         }
         assert_eq!(s.len(), model.len(), "after {step}");
-        for key in (0..KEYS + 2).chain(BIG..BIG + 6) {
+        for key in 0..KEYS + 2 {
             assert_eq!(
                 s.get(key),
                 model.get(&key).cloned(),
@@ -1757,10 +2113,12 @@ mod tests {
         let consistent = cfg.policy != PolicyKind::Best;
         let mut s = Shard::new(cfg);
         let mut model = BTreeMap::new();
-        for key in BIG..BIG + 5 {
-            assert!(s.put(key, &[7; 1000]));
-            model.insert(key, vec![7; 1000]);
-        }
+        // one absent key per bucket: a group of them logs every bucket
+        // head, more records than the log holds
+        let spread: Vec<(u64, Vec<u8>)> = (0..cfg.buckets)
+            .map(|b| (3000..).find(|&k| s.bucket_off(k) == s.bucket_base + 8 * b))
+            .map(|k| (k.expect("some key hashes to every bucket"), vec![1; 13]))
+            .collect();
         for (i, &(op, key, sel, aux)) in prog.iter().enumerate() {
             let tag = i as u8;
             // a group of `n` writes over keys drawn from `aux`: repeats
@@ -1773,7 +2131,7 @@ mod tests {
             };
             let step = format!("step {i} {:?}", (op, key, sel, aux));
             match op {
-                // put: fresh, same length (in place) or another length
+                // put: fresh, same length (a slot) or another length
                 0..=3 => {
                     let v = vec![tag; 13 * sel as usize];
                     if s.put(key, &v) {
@@ -1836,22 +2194,18 @@ mod tests {
                 // key whose planned node has to leave no trace
                 11 | 12 => {
                     let fresh = (KEYS + 1, vec![tag; 13]);
-                    let bigs = (BIG..BIG + 5).map(|k| (k, vec![tag; 1000]));
                     let (g, refused): (Vec<(u64, Vec<u8>)>, bool) = match sel % 4 {
                         0 => (vec![fresh, (key, vec![0; MAX_VALUE_LEN + 1])], true),
                         1 => {
                             let other = vec![tag; group_len(&model, key) + 1];
                             (vec![fresh, (key, other)], model.contains_key(&key))
                         }
-                        // five 1000-byte pre-images on a 4 KiB log:
-                        // the prelog's `LogFull`
-                        2 => {
-                            let all_there = (BIG..BIG + 5).all(|k| model.contains_key(&k));
-                            (std::iter::once(fresh).chain(bigs).collect(), all_there)
-                        }
+                        // eight bucket heads on a seven-record log: the
+                        // prelog's `LogFull`
+                        2 => (std::iter::once(fresh).chain(spread.clone()).collect(), true),
                         // more 4 KiB nodes than the heap has room for
                         _ if aux % 4 == 0 => {
-                            ((0..80).map(|j| (2000 + j, vec![tag; 4000])).collect(), true)
+                            ((0..80).map(|j| (2000 + j, vec![tag; 2000])).collect(), true)
                         }
                         // a worker that dies inside a FASE: healing rolls
                         // its store back, persists the restored head and
@@ -1936,7 +2290,10 @@ mod tests {
             ] {
                 let cfg = ShardConfig {
                     buckets: 8, // chains of several nodes: link surgery
-                    log_len: 4096,
+                    // a group of seven records: a FASE's logged ranges
+                    // are bucket heads and the epoch word, so only
+                    // inserts into seven or eight buckets outgrow it
+                    log_len: 64 + 16 + 7 * 16,
                     ..small(policy)
                 };
                 run_differential(&cfg, &prog);

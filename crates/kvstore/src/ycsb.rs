@@ -255,8 +255,8 @@ pub struct YcsbConfig {
     pub mix: Mix,
     /// Key-popularity distribution.
     pub dist: KeyDist,
-    /// Value bytes (fixed length keeps updates on the one-FASE
-    /// in-place path).
+    /// Value bytes (fixed length keeps updates on the one-FASE slot
+    /// path, where they log nothing).
     pub value_len: usize,
     /// Base seed; worker `w` derives its own deterministic stream.
     pub seed: u64,

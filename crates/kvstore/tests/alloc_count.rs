@@ -2,7 +2,8 @@
 //!
 //! `Shard::put_many` plans a batch in scratch buffers the shard owns
 //! and every layer below it (undo log, flush ring, region) reuses its
-//! own, so a steady-state batch of in-place updates allocates nothing;
+//! own, so a steady-state batch of slot updates allocates nothing, nor
+//! does a `Shard::put` of an existing key (a group of one);
 //! a shard finds a node through its volatile index — a probe, not a
 //! plan — so a point read allocates the value it returns, a miss
 //! nothing, a scan what it returns plus two buffers, and a batch of
@@ -100,8 +101,15 @@ fn steady_state_put_many_allocates_nothing() {
     let updates = batch(0..32, 2);
     let (n, ok) = allocations(|| shard.put_many(&updates));
     assert!(ok);
-    assert_eq!(n, 0, "32 in-place 40-byte updates must not allocate");
+    assert_eq!(n, 0, "32 40-byte slot updates must not allocate");
     assert_eq!(shard.get(31).as_deref(), Some(&[2u8; 40][..]));
+    let (n, ok) = allocations(|| shard.put(7, &[3u8; 40]));
+    assert!(ok);
+    assert_eq!(
+        n, 0,
+        "a put of an existing key at its length must not allocate"
+    );
+    assert_eq!(shard.get(7).as_deref(), Some(&[3u8; 40][..]));
 }
 
 #[test]

@@ -306,7 +306,7 @@ fn shard_recovers_committed_prefix_at_sampled_micro_steps() {
         assert!(r.refused >= 1, "the model never saw a refusal");
         recoveries += r.recoveries;
     }
-    assert!(recoveries >= 1044, "{recoveries} recoveries");
+    assert!(recoveries >= 1164, "{recoveries} recoveries");
 }
 
 /// The cross-client group commit through `serve_batch`. Fixed-length
@@ -341,7 +341,7 @@ fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
         assert_eq!(r.whole, fixed.len(), "a fixed-length batch is one FASE");
         recoveries += r.recoveries;
     }
-    assert!(recoveries >= 702, "{recoveries} recoveries");
+    assert!(recoveries >= 990, "{recoveries} recoveries");
 
     let resizing = program(
         77,
@@ -358,7 +358,8 @@ fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
     let r = sweep(&shard_rig(cfg), &resizing, EVERY);
     assert_eq!(r.refused, 0);
     assert_eq!(r.whole, 0, "every batch resizes an acked key");
-    assert!(r.recoveries >= 1404, "{} recoveries", r.recoveries);
+    // 402 steps: a same-length put logs nothing
+    assert!(r.recoveries >= 1206, "{} recoveries", r.recoveries);
 }
 
 /// Committed CoW transactions — puts of varying value classes (leaf

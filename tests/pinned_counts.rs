@@ -67,6 +67,23 @@
 //! fences 308 → 331), one persist per 4 KiB segment. The heap's term in
 //! each flush and fence identity moved with them. The tree's
 //! `FaseStats`, `RingStats`, shape and the shard's `LogStats` did not.
+//! Then hash updates stopped logging: a node holds two stamped value
+//! slots, an update writes the one not committed and the FASE commits
+//! by publishing the shard's epoch word, which a one-line head block
+//! now holds beside the bucket array's offset. Only the shard program
+//! was re-recorded, every literal of it: `steps()` 12 171 → 9 101;
+//! `PmemStats` flushes 7 018 → 4 567, fences 701 → 523, stores 4 452 →
+//! 4 011 (a fresh node is one store, a slot is one store), bytes written
+//! 356 312 → 206 672; `LogStats` records 2 977 → 107, record lines 2 889
+//! → 37 and commit lines 200 → 20, all of them now the 20 batches that
+//! insert; `FaseStats` stores 3 939 → 3 857, store lines 4 587 → 4 906
+//! (the published epoch, a fresh node's void second slot header on the
+//! next line, and 100-byte slots that span three lines) and data
+//! flushes 4 026 → 4 647; `RingStats` submitted 4 647, flushed 4 408,
+//! sweeps 3 175 and drains 382 (each published epoch drains on its
+//! own). The heap's term in the flush identity went 101 → 102 (the
+//! head block), and the program gained the fence identity the tree's
+//! has. The tree program did not move.
 
 use nvcache::core::PolicyKind;
 use nvcache::fase::{FaseStats, LogStats};
@@ -77,10 +94,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// 200 seeded `put_many` batches of 1..=32 items over 96 keys on a
-/// shard: fresh inserts, in-place updates, repeated keys
+/// shard: fresh inserts, slot updates, repeated keys
 /// inside one batch, bucket-head threading, 100-byte values that
 /// straddle cache lines, and — every 16th key — empty values, whose
-/// in-place update is a zero-length region write.
+/// update writes a slot header and nothing else.
 #[test]
 fn put_many_program_counts_are_pinned() {
     let mut shard = Shard::new(&ShardConfig {
@@ -108,57 +125,74 @@ fn put_many_program_counts_are_pinned() {
         assert!(shard.put_many(&batch), "batch {op}");
     }
     assert_eq!(shard.len(), 96, "every key was inserted");
-    assert_eq!(shard.steps(), 12_171);
+    assert_eq!(shard.steps(), 9_101);
     let rt = shard.runtime_mut();
     assert_eq!(
         rt.region().stats(),
         PmemStats {
-            bytes_written: 356_312,
-            stores: 4_452,
-            flushes: 7_018,
-            fences: 701,
+            bytes_written: 206_672,
+            stores: 4_011,
+            flushes: 4_567,
+            fences: 523,
             crashes: 0,
         }
     );
+    // only the 20 batches that insert log: their bucket heads, and the
+    // epoch word when they also update
     assert_eq!(
         rt.log_stats(),
         LogStats {
-            entries: 2_977,
-            elided: 302,
+            entries: 107,
+            elided: 8,
             commits: 201,
             rollbacks: 0,
-            bytes_logged: 150_764,
-            record_lines: 2_889,
-            commit_lines: 200,
+            bytes_logged: 856,
+            record_lines: 37,
+            commit_lines: 20,
         }
     );
-    // the flushes by kind: data through the ring, the log's groups and
-    // epoch bumps, and 101 persists of the heap and the log's format:
-    // one per node, the bucket array and the root, three to format
-    let (pmem, ring, log) = (rt.region().stats(), rt.ring_stats(), rt.log_stats());
+    // the flushes by kind: data through the ring — the policy's lines
+    // and each published epoch word — the log's groups and epoch bumps,
+    // and 102 persists of the heap and the log's format: one per node,
+    // the bucket array, the head block and the root, three to format
+    let (pmem, ring, log, fase) = (
+        rt.region().stats(),
+        rt.ring_stats(),
+        rt.log_stats(),
+        rt.stats(),
+    );
     assert_eq!(
         pmem.flushes,
-        ring.flushed + log.record_lines + log.commit_lines + 101
+        ring.flushed + log.record_lines + log.commit_lines + 102
+    );
+    // and the fences: a data fence and a commit fence — the published
+    // epoch's or the log's bump — per FASE, the prelog's fence of each
+    // FASE that logged, and 101 for those 102 persisted lines
+    assert_eq!(
+        pmem.fences,
+        fase.fences + fase.fases + log.commit_lines + 101
     );
     assert_eq!(
         rt.stats(),
         FaseStats {
             fases: 201,
-            stores: 3_939,
-            store_lines: 4_587,
-            data_flushes: 4_026,
+            stores: 3_857,
+            store_lines: 4_906,
+            data_flushes: 4_647,
             fences: 201,
             rollbacks: 0,
         }
     );
+    // a published epoch is a drain of its own: 181 more drains, one per
+    // FASE that logged nothing (the set-up FASE among them)
     assert_eq!(
         rt.ring_stats(),
         RingStats {
-            submitted: 4_026,
-            flushed: 3_828,
+            submitted: 4_647,
+            flushed: 4_408,
             elided: 0,
-            sweeps: 2_526,
-            drains: 201,
+            sweeps: 3_175,
+            drains: 382,
         }
     );
 }
