@@ -3,8 +3,9 @@
 //! run when idle, queued and group-committed when busy), crash
 //! plumbing, and network layer:
 //!
-//! * [`Shard`] — the open-chaining persistent hash table (point ops in
-//!   O(1), scans pay a full bucket walk + sort);
+//! * [`Shard`] — the persistent hash map (point ops in O(1) through its
+//!   volatile index; a scan is a pass over the index that keeps the
+//!   `limit` smallest keys in range);
 //! * [`TreeEngine`] — the copy-on-write B+-tree from `nvcache-treestore`
 //!   (ordered scans stream leaves; every batch with a write is one CoW
 //!   transaction published by one FASE commit).

@@ -1,89 +1,86 @@
-//! One KV shard: a persistent open-chaining hash table owning a private
-//! [`FaseRuntime`] (per-thread cache model, paper Section II-B) with
-//! `PAlloc`-backed buckets and value nodes, plus the shard's **live
-//! adaptation controller** — a [`BurstSampler`] fed the shard's own
-//! store-line stream (FASE-renamed), whose MRC knee resizes the
-//! software cache *while the shard keeps serving*.
+//! One KV shard: a persistent hash map owning a private [`FaseRuntime`]
+//! (per-thread cache model, paper Section II-B) whose image holds no
+//! pointers, plus the shard's **live adaptation controller** — a
+//! [`BurstSampler`] fed the shard's own store-line stream (FASE-renamed),
+//! whose MRC knee resizes the software cache *while the shard keeps
+//! serving*.
 //!
-//! Persistent layout (all offsets inside the shard's region):
+//! Persistent layout (offsets inside the shard's data area; the runtime
+//! formats its undo log after it, and no shard FASE writes a record):
 //!
 //! ```text
-//! [PAlloc header | bucket array | head (root) | value nodes …]  [undo log]
-//! head := bucket array offset u64 | epoch u64
-//! node := key u64 | next u64 | slot 0 | slot 1
-//! slot := stamp << 12 | vlen  u64 | value bytes (vlen of them)
+//! [head line | class table | segment 0 | segment 1 | …]  [undo log]
+//! head    := magic u64 | epoch u64
+//! class   := u8 per segment: 0 = never carved, c = blocks of 16 << c bytes
+//! segment := 4 KiB of equal blocks, one node each
+//! node    := key u64 | slot 0 @ 8 | slot 1 @ block / 2
+//! slot    := stamp << 12 | vlen  u64 | value bytes (vlen of them)
 //! ```
 //!
 //! A node holds its value twice over: each slot carries the **stamp** of
 //! the FASE that wrote it, and the head's **epoch word** says which
-//! stamps are committed. A node's value is its slot with the highest
-//! stamp in `1..=epoch`; stamp 0 is a void slot. With 40-byte values a
-//! node is 112 bytes (a 128-byte block on a line boundary) and each slot
-//! lies inside one cache line.
+//! stamps are committed. The slot with the highest stamp in `1..=epoch`
+//! **decides** the block: a value makes it a live node, a **tombstone**
+//! (the reserved length `LEN_MASK`) or no committed slot makes it free.
+//! Stamp 0 is a void slot. Slot offsets follow the class, not the value
+//! length: a 40-byte value takes a 128-byte block with slot 0 in its
+//! first line and slot 1 in its second.
 //!
-//! Every mutation is one FASE, so recovery always lands on a
-//! committed-prefix-consistent map:
+//! Every mutation is one FASE, and every FASE commits the same way: it
+//! writes only slots no committed state reads, stamped `epoch + 1`, as
+//! unlogged stores ([`FaseRuntime::store_fresh`]), then publishes
+//! `epoch + 1` as the epoch word ([`FaseRuntime::publish`]): the data
+//! fence, then the word, its flush and its fence. No undo record, two
+//! fences. A `put` is a group of one.
 //!
-//! - **Update** (a `put` of an indexed key at its length, and every such
-//!   item of a `put_many` group): the value goes into the node's *other*
-//!   slot, stamped `epoch + 1`, as one unlogged store
-//!   ([`FaseRuntime::store_fresh`]) — nothing committed reads that slot.
-//!   The FASE then commits by publishing `epoch + 1` as the head's epoch
-//!   word ([`FaseRuntime::publish`]): the data fence, then the word, its
-//!   flush and its fence. No undo record, two fences. Repeated keys of
-//!   one group rewrite the same slot.
-//! - **Insert** (and a `put` to another length, whose new node takes the
-//!   old one's place in its chain): a freshly allocated node is
-//!   **shadow memory** until the 8-byte link store of the same FASE
-//!   publishes it (the tree's rule for a copy-on-write page), so its
-//!   fields and slot 0 are written unlogged, stamped with the epoch the
-//!   FASE commits under, with slot 1 void (a reused block holds old
-//!   bytes). Only the link is undo-logged; the log's epoch bump commits.
-//!   A group that inserts *and* updates prelogs its bucket heads and the
-//!   epoch word together, and the log's bump commits both.
-//! - **Delete**: the unlink, logged.
+//! - **Update** (an indexed key whose new length keeps its class): the
+//!   value goes into the node's *other* slot. Repeated keys of one group
+//!   rewrite the same slot.
+//! - **Insert**: the key and the value go into a free block's slot that
+//!   does not decide it (slot 0 of a never-used block).
+//! - **Delete**: a tombstone into the node's other slot.
+//! - **Length change to another class**: an insert into a block of the
+//!   new class plus a tombstone on the old node, in the one FASE.
 //!
-//! If a logged FASE rolls back, the link is restored and a fresh node
-//! keeps whatever reached NVRAM — garbage nobody can see, in a block
-//! that leaks like any other allocated in the gap: node allocation
-//! happens *before* and `free` *after* the FASE, the same discipline as
-//! the `hash` micro-benchmark and Atlas's Makalu heap. A rolled-back
-//! update leaves slots stamped above the epoch word. Before the shard
-//! opens another FASE, recovery **voids** them (stamp 0, by unlogged
-//! stores in a FASE that publishes nothing — a crash inside it leaves
-//! slots the next recovery voids again): otherwise the next FASE, which
-//! publishes the same epoch, would commit them.
+//! A segment is **carved** — its class byte written and persisted in a
+//! one-store FASE of its own — before its first node is written, so a
+//! segment that was never carved is all zeros.
+//!
+//! A FASE that dies before its epoch word lands leaves slots stamped
+//! above it. Before the shard opens another FASE, recovery **voids** them
+//! (stamp 0, by unlogged stores in a FASE that publishes nothing — a
+//! crash inside it leaves slots the next recovery voids again): otherwise
+//! the next FASE, which publishes the same epoch, would commit them.
 //!
 //! # What is volatile
 //!
-//! Two things. The shard's copy of the epoch word, and the **index**, a
-//! DRAM map from each reachable key to one word: its node's offset, the
-//! committed slot in bit 0 and the value length in the top bits
-//! ([`Shard::len`] is its size). The index is never stored through the
-//! runtime, never logged, never flushed, and it is the only way a lookup
-//! — `get`, `put`, `put_many`'s planner, `serve_batch`'s reads, `scan` —
-//! locates a value: one probe, then the value itself; planning an update
-//! reads nothing persistent. The chains are walked only to find the *link* that
-//! points at a node about to be unlinked (`delete`, a `put` of another
-//! length) and by `dump`, which audits what is persistent.
+//! The shard's copy of the epoch word; the **index**, a DRAM map from
+//! each live key to one word — its node's offset and class, the committed
+//! slot and the value length ([`Shard::len`] is its size); and, per
+//! class, a **free list** of blocks with the slot an insert writes. None
+//! of it is stored through the runtime. The index is the only way a
+//! lookup — `get`, `put_many`'s planner, `serve_batch`'s reads, `scan`,
+//! `delete` — locates a value: one probe, then the value itself.
 //!
 //! NVTraverse's observation is the licence: in a durable structure only
 //! the *destination* of a traversal has to be persistent, the *journey*
-//! need not touch persistent memory at all; and of a destination, only
-//! what a commit point makes reachable.
+//! need not touch persistent memory at all. *Durable Queues* finds its
+//! nodes at recovery by scanning the area they were allocated from; so
+//! does this shard.
 //!
-//! The index changes only **after the commit point** of the FASE that
-//! justifies it: a fresh or replacing node is entered, an updated key
-//! moved to its other slot, a deleted key dropped, once `end_fase` has
-//! returned; a refused batch (oversized value, length change, full heap,
-//! full undo log) or a FASE abandoned by a panic never touches it. After
-//! anything that can roll a FASE back — reopening an image, an injected
-//! crash, a healed panic — it is rebuilt by one walk over the buckets,
-//! followed by the void pass. The walk is also where a foreign image is
-//! checked: the head must name a bucket array inside the data area and
-//! an epoch below 2⁵² − 1, every link must be an 8-aligned node inside
-//! the data area, every key in its own bucket and in one node only, and
-//! every node must hold a committed slot ([`ShardImageError`]).
+//! The index and the free lists change only **after the commit point**
+//! of the FASE that justifies them; a refused group (oversized value,
+//! full heap) gives back the blocks it took and a FASE abandoned by a
+//! panic touches neither. After anything that can leave a FASE half done
+//! — reopening an image, an injected crash, a healed panic — both are
+//! rebuilt by one pass over the segments in order, followed by the void
+//! pass: a block a crashed insert took is free again. The pass is also
+//! where a foreign image is checked ([`ShardImageError`]): the head must
+//! hold the magic word and an epoch in `1..2⁵² − 1`, every class byte
+//! name a class, every segment never carved be zeros, and every block
+//! hold committed slots its class can hold, stamped apart, with each key
+//! live in one node only. Nothing in the image is an offset, so the pass
+//! reads each segment once and cannot be led anywhere else.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -94,56 +91,88 @@ use nvcache_locality::{select_cache_size, BurstSampler, KneeConfig, Mrc};
 use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
 use nvcache_trace::FxHashMap;
 
-/// Node header bytes: key, next pointer.
-const NODE_HEADER: usize = 16;
+/// The head line's first word.
+const MAGIC: u64 = u64::from_le_bytes(*b"NVSHARD1");
+/// Offset of the epoch word in the head line.
+const EPOCH_WORD: usize = 8;
+/// The class table starts on the line after the head.
+const CLASS_TABLE: usize = 64;
+/// Bytes of a segment: one `PAlloc` max-class block.
+const SEGMENT: usize = 4096;
+/// Classes `1..=MAX_CLASS`; class `c` holds blocks of `16 << c` bytes.
+const MAX_CLASS: usize = 8;
 /// A slot's header: one word, its stamp above its value length.
 const SLOT_HEADER: usize = 8;
 /// Low bits of a slot header that hold the value length.
 const LEN_BITS: u32 = 12;
+/// The length a tombstone's header carries: longer than any value.
 const LEN_MASK: u64 = (1 << LEN_BITS) - 1;
 /// Epoch words stay below this: a stamp has the 52 bits a slot header
 /// leaves, and the epoch after the word must fit one.
 const EPOCH_LIMIT: u64 = (1 << (64 - LEN_BITS)) - 1;
-/// The head block (the root): the bucket array's offset, then the epoch
-/// word, on a line of their own.
-const HEAD_BLOCK: usize = 64;
-/// Offset of the epoch word inside the head block.
-const EPOCH_WORD: usize = 8;
-/// Bucket-array block (one `PAlloc` max-class allocation).
-const BUCKET_BLOCK: usize = 4096;
-/// Largest value the node layout can hold: two slots in a `PAlloc`
-/// max-class block.
-pub const MAX_VALUE_LEN: usize = (BUCKET_BLOCK - NODE_HEADER) / 2 - SLOT_HEADER;
-/// The smallest node: two empty slots.
-const MIN_NODE: usize = NODE_HEADER + 2 * SLOT_HEADER;
-/// Why rebuilding the index cannot fail on the two in-process paths.
-const OWN_REGION: &str = "a region only this shard wrote recovers to sound chains";
+/// Largest value the node layout can hold: slot 1 of a max-class block.
+pub const MAX_VALUE_LEN: usize = SEGMENT / 2 - 2 * SLOT_HEADER;
+/// Why rebuilding the volatile state cannot fail on the in-process paths.
+const OWN_REGION: &str = "a region only this shard wrote scans sound";
 
-/// Bytes of a node whose values are `vlen` long.
-fn node_size(vlen: usize) -> usize {
-    NODE_HEADER + 2 * (SLOT_HEADER + vlen)
+/// Bytes of a class's blocks.
+fn block_of(class: usize) -> usize {
+    16 << class
 }
 
-/// What the index holds for a key: its node's offset with the committed
-/// slot in bit 0 (a node is at least 16-aligned), and the value length
-/// from bit 48 up (data offsets stay below 2⁴⁸, as the undo log's
-/// records require) — so a lookup reads the value and nothing else.
+/// The longest value a class's slots hold: slot 1 has the smaller half,
+/// after the key and slot 0's header.
+fn capacity(class: usize) -> usize {
+    block_of(class) / 2 - 2 * SLOT_HEADER
+}
+
+/// The class of a `vlen`-byte value's node: the smallest that holds it.
+fn class_of(vlen: usize) -> usize {
+    (1..=MAX_CLASS)
+        .find(|&c| vlen <= capacity(c))
+        .expect("values are checked against MAX_VALUE_LEN")
+}
+
+/// Segments a `data_len`-byte data area has room for after the head line
+/// and a table byte each.
+fn segments_in(data_len: usize) -> usize {
+    data_len.saturating_sub(CLASS_TABLE + 63) / (SEGMENT + 1)
+}
+
+/// A slot of a node: its offset with the node's class in bits 1..5 and
+/// the slot in bit 0 (a node is 32-aligned), and the value length from
+/// bit 48 up (data offsets stay below 2⁴⁸) — so a lookup reads the value
+/// and nothing else. The index holds a live node's committed slot, a
+/// free list the slot an insert writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Entry(u64);
 
 impl Entry {
     const VLEN_SHIFT: u32 = 48;
+    const LOW: u64 = (1 << Self::VLEN_SHIFT) - 1;
 
-    fn new(node: usize, slot: usize, vlen: usize) -> Self {
-        Entry(node as u64 | slot as u64 | (vlen as u64) << Self::VLEN_SHIFT)
+    fn new(node: usize, class: usize, slot: usize, vlen: usize) -> Self {
+        Entry(node as u64 | (class as u64) << 1 | slot as u64 | (vlen as u64) << Self::VLEN_SHIFT)
     }
 
     fn node(self) -> usize {
-        (self.0 & ((1 << Self::VLEN_SHIFT) - 2)) as usize
+        (self.0 & Self::LOW & !31) as usize
+    }
+
+    fn class(self) -> usize {
+        (self.0 >> 1 & 15) as usize
+    }
+
+    fn slot(self) -> usize {
+        (self.0 & 1) as usize
     }
 
     fn vlen(self) -> usize {
         (self.0 >> Self::VLEN_SHIFT) as usize
+    }
+
+    fn with_len(self, vlen: usize) -> Self {
+        Entry(self.0 & Self::LOW | (vlen as u64) << Self::VLEN_SHIFT)
     }
 
     /// The node's other slot.
@@ -153,53 +182,24 @@ impl Entry {
 
     /// Offset of the slot's header.
     fn slot_off(self) -> usize {
-        self.node() + NODE_HEADER + (self.0 & 1) as usize * (SLOT_HEADER + self.vlen())
+        self.node() + [SLOT_HEADER, block_of(self.class()) / 2][self.slot()]
     }
 }
 
 /// A slot header: the stamp above the value length.
-fn slot_header(stamp: u64, vlen: usize) -> u64 {
-    stamp << LEN_BITS | vlen as u64
+fn slot_header(stamp: u64, vlen: u64) -> u64 {
+    stamp << LEN_BITS | vlen
 }
 
-/// What a node's slot headers say under an epoch word.
-struct Slots {
-    /// The node's index entry: the slot holding the committed value.
-    entry: Entry,
-    /// The headers of slots stamped above the epoch: a rolled-back
-    /// FASE's, to be voided.
-    above: [Option<usize>; 2],
-}
-
-/// Read `node`'s slot headers under the epoch word `epoch`, or say which
-/// rule the node breaks.
-fn read_slots(rt: &mut FaseRuntime, node: usize, epoch: u64) -> Result<Slots, &'static str> {
-    let first = rt.load_u64(node + NODE_HEADER);
-    let vlen = (first & LEN_MASK) as usize;
-    if vlen > MAX_VALUE_LEN {
-        return Err("value longer than a node holds");
-    }
-    if node + node_size(vlen) > rt.data_len() {
-        return Err("value runs off the data area");
-    }
-    let slot0 = Entry::new(node, 0, vlen);
-    let offs = [slot0.slot_off(), slot0.other().slot_off()];
-    let second = rt.load_u64(offs[1]);
-    if second & LEN_MASK != vlen as u64 {
-        return Err("slots disagree on the value length");
-    }
-    let stamps = [first >> LEN_BITS, second >> LEN_BITS];
-    let committed = stamps.map(|s| (1..=epoch).contains(&s));
-    let slot = match committed {
-        [false, false] => return Err("no committed slot"),
-        [true, true] => usize::from(stamps[1] > stamps[0]),
-        [c0, _] => usize::from(!c0),
-    };
-    let above = [0, 1].map(|i| (stamps[i] > epoch).then_some(offs[i]));
-    Ok(Slots {
-        entry: Entry::new(node, slot, vlen),
-        above,
-    })
+/// What one pass over the segments finds.
+struct Survey {
+    /// Every live key's committed slot.
+    live: HashMap<u64, Entry>,
+    /// Per class, the free blocks in address order, each with the slot
+    /// that does not decide it.
+    free: [Vec<Entry>; MAX_CLASS + 1],
+    /// Headers of slots stamped above the epoch: a dead FASE's, to void.
+    stale: Vec<usize>,
 }
 
 /// One request of a lane batch — a submitter's own group, or what the
@@ -214,9 +214,8 @@ pub enum BatchRequest {
     /// Insert or update one key.
     Put(u64, Vec<u8>),
     /// A client-side group that must stay per-request atomic even on
-    /// the replay path. The engines differ on one refusal: a hash shard
-    /// refuses a group that changes an existing key's value length
-    /// ([`Shard::put_many`]), the tree engine accepts it.
+    /// the replay path. Either engine refuses a group whole only when a
+    /// value is longer than it holds or its heap is full.
     PutMany(Vec<(u64, Vec<u8>)>),
     /// Remove a key. Acts as a segment barrier inside a batch.
     Delete(u64),
@@ -279,19 +278,22 @@ pub struct CapacityChoice {
 /// Static shape of one shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardConfig {
-    /// Hash-chain count (≤ 512: the bucket array is one 4 KiB block).
+    /// Selects nothing: the image has no buckets. Kept for
+    /// `benchmark/src/adapter.rs`, which sets it.
     pub buckets: usize,
-    /// Data-area bytes (heap: buckets + nodes).
+    /// Data-area bytes: the head line, the class table and as many
+    /// 4 KiB segments as fit.
     pub data_len: usize,
-    /// Undo-log bytes.
+    /// Undo-log bytes. The runtime formats the log; the shard never
+    /// writes a record to it.
     pub log_len: usize,
     /// Persistence policy for this shard's runtime.
     pub policy: PolicyKind,
     /// Live adaptation; `None` = fixed policy behaviour.
     pub adapt: Option<AdaptConfig>,
-    /// Selects nothing: every shard allocates from the runtime's heap,
-    /// flushes through its ring and prelogs a `put_many` write set as
-    /// one group. Kept for `benchmark/src/adapter.rs`, which sets it.
+    /// Selects nothing: every shard flushes through its runtime's ring
+    /// and commits a `put_many` group as one FASE. Kept for
+    /// `benchmark/src/adapter.rs`, which sets it.
     pub pipelined: bool,
 }
 
@@ -313,17 +315,21 @@ impl Default for ShardConfig {
 pub enum ShardImageError {
     /// The FASE layer itself could not recover the image.
     Recovery(RecoveryError),
-    /// The image has no heap (0), or its root is not a head block inside
-    /// the data area naming a bucket array inside it and an epoch below
-    /// 2⁵² − 1 (the root).
-    BadRoot(u64),
-    /// A hash chain breaks a structural invariant.
-    BadChain {
-        /// Index of the bucket whose chain holds the offender.
-        bucket: usize,
-        /// The offending link (a node offset).
-        link: u64,
-        /// Which invariant broke.
+    /// The head line is not a shard's: the magic word is missing, or the
+    /// epoch word is 0 or leaves no stamp to follow it.
+    BadHead(&'static str),
+    /// A class byte or a segment breaks a rule of the layout.
+    BadSegment {
+        /// Index of the segment.
+        segment: usize,
+        /// Which rule broke.
+        why: &'static str,
+    },
+    /// A node breaks a rule of the layout.
+    BadNode {
+        /// The node's offset in the data area.
+        at: usize,
+        /// Which rule broke.
         why: &'static str,
     },
 }
@@ -332,10 +338,11 @@ impl fmt::Display for ShardImageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ShardImageError::Recovery(e) => write!(f, "FASE recovery failed: {e}"),
-            ShardImageError::BadRoot(root) => write!(f, "no shard head at root {root:#x}"),
-            ShardImageError::BadChain { bucket, link, why } => {
-                write!(f, "bad chain in bucket {bucket} at link {link:#x}: {why}")
+            ShardImageError::BadHead(why) => write!(f, "no shard head: {why}"),
+            ShardImageError::BadSegment { segment, why } => {
+                write!(f, "bad segment {segment}: {why}")
             }
+            ShardImageError::BadNode { at, why } => write!(f, "bad node at {at:#x}: {why}"),
         }
     }
 }
@@ -352,20 +359,23 @@ impl From<RecoveryError> for ShardImageError {
 #[derive(Debug)]
 pub struct Shard {
     rt: FaseRuntime,
-    buckets: usize,
-    /// The head block: the bucket array's offset, then the epoch word.
-    head: usize,
-    bucket_base: usize,
-    /// Volatile: the epoch word. An update stamps its slot one above
+    /// Segments the data area holds, and the offset of the first.
+    segments: usize,
+    seg_base: usize,
+    /// Volatile: the first segment never carved (`segments` if none).
+    uncarved: usize,
+    /// Volatile: the epoch word. Every FASE stamps its slots one above
     /// and publishes that.
     committed: u64,
-    /// Volatile: every reachable key → its node's committed slot and
-    /// value length (module doc, "What is volatile").
+    /// Volatile: every live key → its node's committed slot and value
+    /// length (module doc, "What is volatile").
     /// Keys are the clients', so the hasher is
     /// `std`'s keyed one: under the unkeyed multiplicative `FxHashMap`,
     /// 4 000 keys that differ only above bit 20 share one probe sequence
     /// (440 ns a `get` against 46).
     index: HashMap<u64, Entry>,
+    /// Volatile: per class, the free blocks, next one last.
+    free: [Vec<Entry>; MAX_CLASS + 1],
     ops: u64,
     /// FASE epoch for store-line renaming (one op = one FASE).
     epoch: u64,
@@ -381,116 +391,76 @@ pub struct Shard {
     slot_buf: Vec<u8>,
 }
 
-/// One planned write of a [`Shard::put_many`] batch.
+/// One planned write of a [`Shard::put_many`] group: the value of the
+/// item it carries into the slot the entry names.
 #[derive(Debug, Clone, Copy)]
 enum PlannedOp {
-    /// Write the value into the slot an index entry names: an indexed
-    /// node's other slot, or slot 0 of a node the batch allocated. It
-    /// is the key's index entry once the batch commits.
+    /// A slot of a node that already holds the key.
     Write(Entry),
-    /// Splice `node` at the head of its bucket chain.
-    Insert {
-        node: usize,
-        boff: usize,
-        key: u64,
-        head: u64,
-    },
+    /// The first write into a block taken off a free list: the key too.
+    Insert(Entry),
 }
 
 /// What [`Shard::put_many`] works out before it opens the FASE. The
-/// shard owns it so that a batch clears these buffers instead of
+/// shard owns it so that a group clears these buffers instead of
 /// building and dropping them.
 #[derive(Debug, Default)]
 struct PutPlan {
-    /// Key → index entry of the nodes this batch allocated: what the
-    /// index cannot know before the batch commits.
-    fresh: FxHashMap<u64, Entry>,
-    /// Bucket offset → chain head after the batch's inserts so far.
-    heads: FxHashMap<usize, u64>,
-    /// Nodes allocated for the batch (given back if it is refused).
-    new_allocs: Vec<(u64, usize)>,
+    /// Key → the slot the group writes for it, at the length of its last
+    /// write, and whether the key itself is still to be written.
+    targets: FxHashMap<u64, (Entry, bool)>,
+    /// Blocks taken off the free lists (given back if the group is
+    /// refused).
+    taken: Vec<Entry>,
+    /// Nodes whose keys move to another class: each gets a tombstone,
+    /// then goes to its free list.
+    moved: Vec<Entry>,
     /// The writes, each with the index of the item it carries.
     ops: Vec<(PlannedOp, usize)>,
-    /// The logged part of the write set — the inserts' bucket heads,
-    /// and the epoch word if the batch also updates — handed to the
-    /// grouped prelog.
-    ranges: Vec<(u64, u64)>,
 }
 
 impl PutPlan {
     fn clear(&mut self) {
-        self.fresh.clear();
-        self.heads.clear();
-        self.new_allocs.clear();
+        self.targets.clear();
+        self.taken.clear();
+        self.moved.clear();
         self.ops.clear();
-        self.ranges.clear();
     }
-}
-
-fn bucket_hash(key: u64) -> u64 {
-    key.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(31)
 }
 
 impl Shard {
     /// Create a fresh shard.
     pub fn new(cfg: &ShardConfig) -> Self {
-        assert!(
-            cfg.buckets >= 1 && cfg.buckets * 8 <= BUCKET_BLOCK,
-            "1..=512 buckets per shard"
-        );
-        let mut rt = FaseRuntime::with_heap(cfg.data_len, cfg.log_len, &cfg.policy);
-        let base = rt.alloc(BUCKET_BLOCK).expect("bucket array allocation") as usize;
-        let head = rt.alloc(HEAD_BLOCK).expect("head block allocation") as usize;
-        rt.fase(|rt| {
-            for b in 0..cfg.buckets {
-                rt.store_u64(base + b * 8, 0);
-            }
-            // the head is this FASE's commit record, so it is durable
-            // under every policy before the root names it
-            let mut words = [0u8; 16];
-            words[..8].copy_from_slice(&(base as u64).to_le_bytes());
-            words[EPOCH_WORD..].copy_from_slice(&1u64.to_le_bytes());
-            rt.publish(head, &words);
-        });
-        rt.set_root(head as u64);
-        Self::assemble(rt, head, cfg)
+        let mut rt = FaseRuntime::new(cfg.data_len, cfg.log_len, &cfg.policy);
+        let mut head = [0u8; 16];
+        head[..8].copy_from_slice(&MAGIC.to_le_bytes());
+        head[EPOCH_WORD..].copy_from_slice(&1u64.to_le_bytes());
+        rt.fase(|rt| rt.publish(0, &head));
+        Self::assemble(rt, cfg)
     }
 
     /// Re-attach to a crash image (or saved region): run recovery, then
-    /// rebuild the index by walking the buckets and void what a
-    /// rolled-back update left. The image may be anything: a table the
-    /// walk cannot vouch for is a typed error, never a hang or a panic.
+    /// rebuild the index and the free lists by one pass over the
+    /// segments and void what a dead FASE left. The image may be
+    /// anything: one the pass cannot vouch for is a typed error, never a
+    /// hang or a panic.
     pub fn reopen_from_image(image: Vec<u8>, cfg: &ShardConfig) -> Result<Self, ShardImageError> {
         let region = PmemRegion::from_image(image);
         let mut rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &cfg.policy)?;
-        if !rt.has_heap() {
-            return Err(ShardImageError::BadRoot(0));
+        if rt.data_len() < CLASS_TABLE || rt.load_u64(0) != MAGIC {
+            return Err(ShardImageError::BadHead("no magic word"));
         }
-        let root = rt.root();
-        let data_len = rt.data_len() as u64;
-        let inside = |off: u64, len: usize| {
-            off != 0
-                && off.is_multiple_of(8)
-                && off
-                    .checked_add(len as u64)
-                    .is_some_and(|end| end <= data_len)
-        };
-        if !inside(root, HEAD_BLOCK) {
-            return Err(ShardImageError::BadRoot(root));
+        if !(1..EPOCH_LIMIT).contains(&rt.load_u64(EPOCH_WORD)) {
+            return Err(ShardImageError::BadHead("an epoch outside 1..2⁵² − 1"));
         }
-        let base = rt.load_u64(root as usize);
-        let epoch = rt.load_u64(root as usize + EPOCH_WORD);
-        if !inside(base, BUCKET_BLOCK) || !(1..EPOCH_LIMIT).contains(&epoch) {
-            return Err(ShardImageError::BadRoot(root));
-        }
-        let mut shard = Self::assemble(rt, root as usize, cfg);
+        let mut shard = Self::assemble(rt, cfg);
         shard.rebuild_volatile()?;
         Ok(shard)
     }
 
-    fn assemble(mut rt: FaseRuntime, head: usize, cfg: &ShardConfig) -> Self {
-        let bucket_base = rt.load_u64(head) as usize;
-        let committed = rt.load_u64(head + EPOCH_WORD);
+    fn assemble(mut rt: FaseRuntime, cfg: &ShardConfig) -> Self {
+        let segments = segments_in(rt.data_len());
+        let committed = rt.load_u64(EPOCH_WORD);
         let (sampler, stream) = match &cfg.adapt {
             Some(a) => (
                 Some(BurstSampler::new(
@@ -504,11 +474,12 @@ impl Shard {
         };
         Shard {
             rt,
-            buckets: cfg.buckets,
-            head,
-            bucket_base,
+            segments,
+            seg_base: (CLASS_TABLE + segments).next_multiple_of(64),
+            uncarved: 0,
             committed,
             index: HashMap::new(),
+            free: Default::default(),
             ops: 0,
             epoch: 0,
             sampler,
@@ -519,10 +490,6 @@ impl Shard {
             plan: PutPlan::default(),
             slot_buf: Vec::new(),
         }
-    }
-
-    fn bucket_off(&self, key: u64) -> usize {
-        self.bucket_base + (bucket_hash(key) as usize % self.buckets) * 8
     }
 
     /// Feed one persistent store into the controller's sampler (and the
@@ -566,24 +533,9 @@ impl Shard {
         }
     }
 
-    /// `key`'s index entry: one probe, no chain walk.
+    /// `key`'s index entry: one probe.
     fn locate(&self, key: u64) -> Option<Entry> {
         self.index.get(&key).copied()
-    }
-
-    /// The word that links `node` into `key`'s chain — its bucket head
-    /// or its predecessor's `next` field. Only unlinking a node needs
-    /// it, so this is the one chain walk left on the serving path.
-    fn link_of(&mut self, key: u64, node: usize) -> usize {
-        let mut link = self.bucket_off(key);
-        loop {
-            let p = self.rt.load_u64(link) as usize;
-            if p == node {
-                return link;
-            }
-            assert!(p != 0, "indexed node {node:#x} is not on its chain");
-            link = p + 8;
-        }
     }
 
     /// A copy of the value in the slot an index entry names.
@@ -599,81 +551,89 @@ impl Shard {
         Some(self.value_at(entry))
     }
 
-    /// Insert or update `key → value` in one FASE. Returns `false` if
-    /// the heap is exhausted or the value exceeds [`MAX_VALUE_LEN`] —
-    /// the map is unchanged in that case.
+    /// Insert or update `key → value` in one FASE: a group of one.
+    /// Returns `false` if the heap is exhausted or the value exceeds
+    /// [`MAX_VALUE_LEN`] — the map is unchanged in that case.
     pub fn put(&mut self, key: u64, value: &[u8]) -> bool {
-        if value.len() > MAX_VALUE_LEN {
-            return false;
-        }
-        // a fresh key, or an update at the key's length, is a group of one
-        let Some(old) = self.locate(key).filter(|old| old.vlen() != value.len()) else {
-            return self.put_many(&[(key, value)]);
-        };
-        // A value of another length needs another node, which takes the
-        // old one's place in the chain: the key is reachable with one
-        // value or the other at every crash point, never absent.
-        let Some(new) = self.rt.alloc(node_size(value.len())) else {
-            return false;
-        };
-        let (new, node) = (new as usize, old.node());
-        let (link, next) = (self.link_of(key, node), self.rt.load_u64(node + 8));
-        self.rt.begin_fase();
-        self.write_fresh_node(new, key, next, self.committed, value);
-        self.rt.store_u64(link, new as u64);
-        self.observe(link, 8);
-        self.rt.end_fase();
-        self.index.insert(key, Entry::new(new, 0, value.len()));
-        self.rt.free(node as u64, node_size(old.vlen()));
-        self.after_op();
-        true
+        self.put_many(&[(key, value)])
     }
 
-    /// Write `value` into the slot an index entry names, stamped
-    /// `stamp`: header and value as one unlogged store, since no
-    /// committed state reads the slot until the FASE commits.
-    fn write_slot(&mut self, entry: Entry, stamp: u64, value: &[u8]) {
-        let at = entry.slot_off();
+    /// Segment `segment`'s class byte.
+    fn class_byte(&self, segment: usize) -> usize {
+        self.rt.region().slice(CLASS_TABLE + segment, 1)[0] as usize
+    }
+
+    /// The first segment at or after `from` never carved (`segments`
+    /// if none).
+    fn uncarved_from(&self, from: usize) -> usize {
+        (from..self.segments)
+            .find(|&s| self.class_byte(s) == 0)
+            .unwrap_or(self.segments)
+    }
+
+    /// A free block of `class`, carving a segment for it if the class
+    /// has none; `None` when every segment is carved.
+    fn take(&mut self, class: usize) -> Option<Entry> {
+        if self.free[class].is_empty() {
+            let seg = self.uncarved;
+            if seg == self.segments {
+                return None;
+            }
+            // the class byte is the carve's commit record, durable under
+            // every policy before a node of the segment is written
+            let at = CLASS_TABLE + (seg & !7);
+            let mut word = self.rt.load_u64(at).to_le_bytes();
+            word[seg % 8] = class as u8;
+            self.rt.fase(|rt| rt.publish(at, &word));
+            let base = self.seg_base + seg * SEGMENT;
+            let blocks = (base..base + SEGMENT).step_by(block_of(class)).rev();
+            self.free[class].extend(blocks.map(|node| Entry::new(node, class, 0, 0)));
+            self.uncarved = self.uncarved_from(seg + 1);
+        }
+        self.free[class].pop()
+    }
+
+    /// One unlogged store at `at`: `words`, then `value`. Nothing
+    /// committed reads what it writes until the FASE publishes.
+    fn store_words(&mut self, at: usize, words: &[u64], value: &[u8]) {
         self.slot_buf.clear();
-        self.slot_buf
-            .extend_from_slice(&slot_header(stamp, value.len()).to_le_bytes());
+        for word in words {
+            self.slot_buf.extend_from_slice(&word.to_le_bytes());
+        }
         self.slot_buf.extend_from_slice(value);
         self.rt.store_fresh(at, &self.slot_buf);
         self.observe(at, self.slot_buf.len());
     }
 
-    /// Fill a freshly allocated node as one unlogged store — key, next,
-    /// slot 0 stamped `stamp`, slot 1's header void: it is shadow memory
-    /// until the caller's logged link store publishes it.
-    fn write_fresh_node(&mut self, node: usize, key: u64, next: u64, stamp: u64, value: &[u8]) {
-        self.slot_buf.clear();
-        for word in [key, next, slot_header(stamp, value.len())] {
-            self.slot_buf.extend_from_slice(&word.to_le_bytes());
-        }
-        self.slot_buf.extend_from_slice(value);
-        self.slot_buf
-            .extend_from_slice(&slot_header(0, value.len()).to_le_bytes());
-        self.rt.store_fresh(node, &self.slot_buf);
-        self.observe(node, self.slot_buf.len());
+    /// The stamp of the FASE about to open.
+    fn next_stamp(&self) -> u64 {
+        let stamp = self.committed + 1;
+        assert!(stamp <= EPOCH_LIMIT, "2⁵² − 1 FASEs stamped");
+        stamp
+    }
+
+    /// Close the open FASE by publishing `stamp` as the epoch word.
+    fn commit(&mut self, stamp: u64) {
+        self.rt.publish(EPOCH_WORD, &stamp.to_le_bytes());
+        self.rt.end_fase();
+        self.committed = stamp;
     }
 
     /// Apply a whole batch of writes as **one FASE** (group commit):
-    /// every item either writes an existing node's other slot or splices
-    /// a fresh node, and the batch commits or rolls back atomically — by
-    /// its published epoch word alone when it only updates, through the
-    /// undo log when it inserts (module doc). This
-    /// is the serving configuration that actually gives the software
-    /// cache something to do — per-op FASEs of one or two lines carry no
-    /// intra-FASE reuse (FASE renaming hides reuse across commits, by
-    /// design), while a transaction over a skewed key set revisits its
-    /// hot lines before the commit flush.
+    /// every item writes a node's other slot or a free block, a key that
+    /// changes class leaves a tombstone behind, and the batch commits or
+    /// rolls back atomically by its published epoch word (module doc).
+    /// This is the serving configuration that actually gives the
+    /// software cache something to do — per-op FASEs of one or two
+    /// lines carry no intra-FASE reuse (FASE renaming hides reuse across
+    /// commits, by design), while a transaction over a skewed key set
+    /// revisits its hot lines before the commit flush.
     ///
     /// Repeated keys in `items` are written repeatedly (that reuse is
-    /// the point); all writes to one key in a batch must keep its value
-    /// length. Returns `false` — with the map unchanged — when any
-    /// value is oversized, changes an existing length, allocation
-    /// fails, or the bucket heads its inserts swing do not fit in the
-    /// undo log (planned nodes are given back to the free list).
+    /// the point) into one slot, in the class of the key's last write;
+    /// an earlier write of another class is superseded within the group
+    /// and not stored. Returns `false` — with the map unchanged — when
+    /// any value is oversized or the heap has no block left for a node.
     pub fn put_many<V: AsRef<[u8]>>(&mut self, items: &[(u64, V)]) -> bool {
         if items.is_empty() {
             return true;
@@ -685,119 +645,76 @@ impl Shard {
     }
 
     fn put_many_with<V: AsRef<[u8]>>(&mut self, items: &[(u64, V)], plan: &mut PutPlan) -> bool {
-        // plan outside the FASE: locate nodes, allocate fresh ones, and
-        // thread chain heads for multiple inserts into one bucket
+        // plan outside the FASE: each key's last length (on node 0, which
+        // is the head line: not yet placed), then its slot
         plan.clear();
-        let mut ok = true;
-        let mut updates = false;
-        for (i, (key, value)) in items.iter().enumerate() {
+        for (key, value) in items {
             let vlen = value.as_ref().len();
             if vlen > MAX_VALUE_LEN {
-                ok = false;
-                break;
+                return false;
             }
-            // an indexed key writes its node's other slot, the same one
-            // each time the batch repeats it
-            let known = match self.locate(*key) {
-                Some(entry) => {
-                    updates = true;
-                    Some(entry.other())
-                }
-                None => plan.fresh.get(key).copied(),
-            };
-            match known {
-                Some(slot) => {
-                    if slot.vlen() != vlen {
-                        ok = false; // batches are fixed-length per key
-                        break;
+            plan.targets
+                .insert(*key, (Entry::new(0, 0, 0, vlen), false));
+        }
+        for (i, (key, value)) in items.iter().enumerate() {
+            let (target, unkeyed) = plan.targets.get_mut(key).expect("planned above");
+            if target.node() == 0 {
+                let (len, old) = (target.vlen(), self.locate(*key));
+                let class = class_of(len);
+                *target = match old {
+                    Some(old) if old.class() == class => old.other(),
+                    _ => {
+                        let Some(block) = self.take(class) else {
+                            for &block in plan.taken.iter().rev() {
+                                self.free[block.class()].push(block);
+                            }
+                            return false;
+                        };
+                        plan.taken.push(block);
+                        plan.moved.extend(old);
+                        *unkeyed = true;
+                        block
                     }
-                    plan.ops.push((PlannedOp::Write(slot), i));
                 }
-                None => {
-                    let boff = self.bucket_off(*key);
-                    let Some(new) = self.rt.alloc(node_size(vlen)) else {
-                        ok = false;
-                        break;
-                    };
-                    plan.new_allocs.push((new, node_size(vlen)));
-                    let head = plan
-                        .heads
-                        .insert(boff, new)
-                        .unwrap_or_else(|| self.rt.load_u64(boff));
-                    plan.fresh.insert(*key, Entry::new(new as usize, 0, vlen));
-                    plan.ops.push((
-                        PlannedOp::Insert {
-                            node: new as usize,
-                            boff,
-                            key: *key,
-                            head,
-                        },
-                        i,
-                    ));
-                }
+                .with_len(len);
+            }
+            let vlen = value.as_ref().len();
+            if class_of(vlen) == target.class() {
+                let slot = target.with_len(vlen);
+                let op = if *unkeyed {
+                    PlannedOp::Insert(slot)
+                } else {
+                    PlannedOp::Write(slot)
+                };
+                plan.ops.push((op, i));
+                *unkeyed = false;
             }
         }
-        if ok {
-            self.rt.begin_fase();
-            // Grouped prelog of what the batch logs: the bucket heads its
-            // inserts swing, and the epoch word if it also updates, with
-            // one log fence. Slots and fresh nodes are shadow memory. A
-            // shared bucket head names its range again and the log keeps
-            // one record. A batch that only updates logs nothing.
-            for &(op, _) in &plan.ops {
-                if let PlannedOp::Insert { boff, .. } = op {
-                    plan.ranges.push((boff as u64, 8));
-                }
-            }
-            if !plan.ranges.is_empty() {
-                if updates {
-                    plan.ranges.push(((self.head + EPOCH_WORD) as u64, 8));
-                }
-                if self.rt.prelog(&plan.ranges).is_err() {
-                    // refused before anything was logged or stored
-                    self.rt.end_fase();
-                    ok = false;
-                }
-            }
+        let stamp = self.next_stamp();
+        self.rt.begin_fase();
+        for &old in &plan.moved {
+            self.store_words(old.other().slot_off(), &[slot_header(stamp, LEN_MASK)], &[]);
         }
-        if !ok {
-            for &(off, size) in &plan.new_allocs {
-                self.rt.free(off, size);
-            }
-            return false;
-        }
-        // every slot the batch writes carries the epoch it commits under:
-        // one above the epoch word if it updates
-        let stamp = self.committed + u64::from(updates);
-        assert!(stamp <= EPOCH_LIMIT, "2⁵² − 1 updates stamped");
         for &(op, i) in &plan.ops {
             let value = items[i].1.as_ref();
+            let header = slot_header(stamp, value.len() as u64);
             match op {
-                PlannedOp::Write(slot) => self.write_slot(slot, stamp, value),
-                PlannedOp::Insert {
-                    node,
-                    boff,
-                    key,
-                    head,
-                } => {
-                    self.write_fresh_node(node, key, head, stamp, value);
-                    self.rt.store_u64(boff, node as u64);
-                    self.observe(boff, 8);
+                PlannedOp::Insert(slot) if slot.slot() == 0 => {
+                    self.store_words(slot.node(), &[items[i].0, header], value)
                 }
+                PlannedOp::Insert(slot) => {
+                    self.store_words(slot.node(), &[items[i].0], &[]);
+                    self.store_words(slot.slot_off(), &[header], value);
+                }
+                PlannedOp::Write(slot) => self.store_words(slot.slot_off(), &[header], value),
             }
         }
-        if updates {
-            self.rt
-                .publish(self.head + EPOCH_WORD, &stamp.to_le_bytes());
+        self.commit(stamp);
+        for (&key, &(target, _)) in &plan.targets {
+            self.index.insert(key, target);
         }
-        self.rt.end_fase();
-        self.committed = stamp;
-        for &(op, i) in &plan.ops {
-            let entry = match op {
-                PlannedOp::Write(slot) => slot,
-                PlannedOp::Insert { node, .. } => Entry::new(node, 0, items[i].1.as_ref().len()),
-            };
-            self.index.insert(items[i].0, entry);
+        for &old in &plan.moved {
+            self.free[old.class()].push(old.with_len(0));
         }
         self.after_op();
         true
@@ -813,13 +730,14 @@ impl Shard {
     /// overlay first, so a `Get` observes every earlier write of its own
     /// batch exactly as it would have under per-op execution.
     ///
-    /// Deletes split the batch into segments (unlinking inside a grouped
-    /// write set would need ordering the group can't express); each
-    /// segment commits before the delete runs. When a segment's group is
-    /// rejected (oversized value, length-changing update, heap
-    /// exhaustion), the segment — whose group left no trace — is
-    /// replayed with per-request ops, so per-request failure is precise
-    /// and the surviving requests still land.
+    /// Deletes split the batch into segments (a group writes the values
+    /// its keys end with, so a delete between two writes of one key
+    /// would need ordering the group can't express); each segment
+    /// commits before the delete runs. When a segment's group is
+    /// rejected (oversized value, heap exhaustion), the segment — whose
+    /// group left no trace — is replayed with per-request ops, so
+    /// per-request failure is precise and the surviving requests still
+    /// land.
     ///
     /// Crash contract: replies must only be released to clients after
     /// this returns. Every state the region can expose after a crash
@@ -956,9 +874,9 @@ impl Shard {
 
     /// Recover the shard after a panic unwound through one of its
     /// operations (see [`FaseRuntime::heal_after_panic`]): the abandoned
-    /// FASE rolls back, volatile runtime residue is dropped, and the
-    /// index is rebuilt from the region. Returns whether anything was
-    /// healed.
+    /// FASE is dropped, volatile runtime residue with it, and the index
+    /// and free lists are rebuilt from the region. Returns whether
+    /// anything was healed.
     pub fn heal_after_panic(&mut self) -> bool {
         let healed = self.rt.heal_after_panic();
         if healed {
@@ -968,20 +886,19 @@ impl Shard {
         healed
     }
 
-    /// Remove `key` (one FASE when present). Returns whether it existed.
+    /// Remove `key` (one FASE when present): a tombstone into its node's
+    /// other slot. Returns whether it existed.
     pub fn delete(&mut self, key: u64) -> bool {
         let Some(entry) = self.locate(key) else {
             return false;
         };
-        let node = entry.node();
-        let link = self.link_of(key, node);
-        let next = self.rt.load_u64(node + 8);
+        let stamp = self.next_stamp();
         self.rt.begin_fase();
-        self.rt.store_u64(link, next);
-        self.observe(link, 8);
-        self.rt.end_fase();
+        let tomb = slot_header(stamp, LEN_MASK);
+        self.store_words(entry.other().slot_off(), &[tomb], &[]);
+        self.commit(stamp);
         self.index.remove(&key);
-        self.rt.free(node as u64, node_size(entry.vlen()));
+        self.free[entry.class()].push(entry.with_len(0));
         self.after_op();
         true
     }
@@ -1001,87 +918,105 @@ impl Shard {
         self.ops
     }
 
-    /// Every `(key, value)` pair, sorted by key. A full bucket walk
-    /// that never consults the index: this is what recovery
+    /// Every `(key, value)` pair, sorted by key. A pass over the
+    /// segments that never consults the index: this is what recovery
     /// verification compares, so it reads what is persistent.
     pub fn dump(&mut self) -> Vec<(u64, Vec<u8>)> {
-        let mut out = Vec::with_capacity(self.len());
-        for b in 0..self.buckets {
-            let mut p = self.rt.load_u64(self.bucket_base + b * 8) as usize;
-            while p != 0 {
-                let key = self.rt.load_u64(p);
-                let slots = read_slots(&mut self.rt, p, self.committed).expect(OWN_REGION);
-                out.push((key, self.value_at(slots.entry)));
-                p = self.rt.load_u64(p + 8) as usize;
-            }
-        }
+        let live = self.survey().expect(OWN_REGION).live;
+        let mut out: Vec<_> = live
+            .into_iter()
+            .map(|(key, entry)| (key, self.value_at(entry)))
+            .collect();
         out.sort_unstable_by_key(|&(k, _)| k);
         out
     }
 
-    /// Rebuild the index from the region — the one bucket walk that
-    /// reopening, an injected crash and a healed panic share — then void
-    /// the slots a rolled-back update stamped above the epoch word. The
-    /// region may be a foreign image, so a link is checked before it is
-    /// followed, and since every step enters a key the index did not
-    /// hold, the walk ends within the number of nodes the data area has
-    /// room for — a cycle is a node met twice. Only then are the nodes'
-    /// slots read: overlapping nodes are a walk the bound must end.
-    fn rebuild_volatile(&mut self) -> Result<(), ShardImageError> {
-        let data_len = self.rt.data_len();
-        self.committed = self.rt.load_u64(self.head + EPOCH_WORD);
-        self.index.clear();
-        for bucket in 0..self.buckets {
-            let boff = self.bucket_base + bucket * 8;
-            let mut link = self.rt.load_u64(boff);
-            while link != 0 {
-                let bad = |why| ShardImageError::BadChain { bucket, link, why };
-                if !link.is_multiple_of(8) {
-                    return Err(bad("misaligned link"));
+    /// The one pass over the segments that recovery, [`Shard::dump`] and
+    /// the index check share. The region may be a foreign image, so
+    /// every class byte, every segment never carved and every node is
+    /// checked against the rules of the module doc.
+    fn survey(&mut self) -> Result<Survey, ShardImageError> {
+        let mut survey = Survey {
+            live: HashMap::new(),
+            free: Default::default(),
+            stale: Vec::new(),
+        };
+        for segment in 0..self.segments {
+            let base = self.seg_base + segment * SEGMENT;
+            let bad = |why| ShardImageError::BadSegment { segment, why };
+            let class = self.class_byte(segment);
+            if class == 0 {
+                // a fold, not a search: it vectorizes
+                let bytes = self.rt.region().slice(base, SEGMENT);
+                if bytes.iter().fold(0, |all, &b| all | b) != 0 {
+                    return Err(bad("bytes in a segment never carved"));
                 }
-                if link > (data_len - MIN_NODE) as u64 {
-                    return Err(bad("link outside the data area"));
+                continue;
+            }
+            if class > MAX_CLASS {
+                return Err(bad("a class past the largest"));
+            }
+            for node in (base..base + SEGMENT).step_by(block_of(class)) {
+                let slot0 = Entry::new(node, class, 0, 0);
+                let slots = [slot0, slot0.other()];
+                let headers = slots.map(|slot| self.rt.load_u64(slot.slot_off()));
+                let (stamps, lens) = (
+                    headers.map(|h| h >> LEN_BITS),
+                    headers.map(|h| h & LEN_MASK),
+                );
+                let committed = stamps.map(|s| (1..=self.committed).contains(&s));
+                let bad = |why| ShardImageError::BadNode { at: node, why };
+                for (i, slot) in slots.into_iter().enumerate() {
+                    if stamps[i] > self.committed {
+                        survey.stale.push(slot.slot_off());
+                    }
+                    if committed[i] && lens[i] != LEN_MASK && lens[i] > capacity(class) as u64 {
+                        return Err(bad("a slot longer than its class holds"));
+                    }
                 }
-                let node = link as usize;
-                let key = self.rt.load_u64(node);
-                if self.bucket_off(key) != boff {
-                    return Err(bad("key in another bucket's chain"));
+                let deciding = match committed {
+                    [false, false] => None,
+                    [true, true] if stamps[0] == stamps[1] => {
+                        return Err(bad("two committed slots with one stamp"))
+                    }
+                    [true, true] => Some(usize::from(stamps[1] > stamps[0])),
+                    [c0, _] => Some(usize::from(!c0)),
+                };
+                match deciding {
+                    Some(d) if lens[d] != LEN_MASK => {
+                        let key = self.rt.load_u64(node);
+                        let entry = slots[d].with_len(lens[d] as usize);
+                        if survey.live.insert(key, entry).is_some() {
+                            return Err(bad("a key live in two nodes"));
+                        }
+                    }
+                    // an insert writes the slot that does not decide
+                    _ => survey.free[class].push(slots[deciding.map_or(0, |d| 1 - d)]),
                 }
-                // the node alone until its slots are read, below
-                match self.index.insert(key, Entry::new(node, 0, 0)) {
-                    None => {}
-                    Some(first) if first.node() == node => return Err(bad("node linked twice")),
-                    Some(_) => return Err(bad("key in two nodes")),
-                }
-                if self.index.len() > data_len / MIN_NODE {
-                    return Err(bad("more nodes than the data area holds"));
-                }
-                link = self.rt.load_u64(node + 8);
             }
         }
-        let mut stale = Vec::new();
-        for (&key, entry) in &mut self.index {
-            let node = entry.node();
-            let slots = read_slots(&mut self.rt, node, self.committed).map_err(|why| {
-                let bucket = bucket_hash(key) as usize % self.buckets;
-                ShardImageError::BadChain {
-                    bucket,
-                    link: node as u64,
-                    why,
-                }
-            })?;
-            *entry = slots.entry;
-            let vlen = entry.vlen();
-            stale.extend(slots.above.into_iter().flatten().map(|at| (at, vlen)));
-        }
+        Ok(survey)
+    }
+
+    /// Rebuild the index and the free lists from the region — the one
+    /// pass that reopening, an injected crash and a healed panic share —
+    /// then void the slots a dead FASE stamped above the epoch word.
+    fn rebuild_volatile(&mut self) -> Result<(), ShardImageError> {
+        self.committed = self.rt.load_u64(EPOCH_WORD);
+        let survey = self.survey()?;
+        self.index = survey.live;
+        self.free = survey.free.map(|mut blocks| {
+            blocks.reverse(); // the lowest address is taken first
+            blocks
+        });
+        self.uncarved = self.uncarved_from(0);
         // The void pass: stamp 0 on what nothing committed reads, so the
         // stores need no undo record, in a FASE that publishes nothing —
         // a crash inside it leaves slots the next rebuild voids again.
-        if !stale.is_empty() {
-            stale.sort_unstable(); // the index's order is per process
+        if !survey.stale.is_empty() {
             self.rt.begin_fase();
-            for &(at, vlen) in &stale {
-                self.rt.store_fresh(at, &slot_header(0, vlen).to_le_bytes());
+            for &at in &survey.stale {
+                self.rt.store_fresh(at, &0u64.to_le_bytes());
             }
             self.rt.end_fase();
         }
@@ -1160,12 +1095,13 @@ impl Shard {
         self.rt.take_crash_image()
     }
 
-    /// Inject a power failure in-process and recover; the index is
-    /// rebuilt from the recovered region.
+    /// Inject a power failure in-process and recover; the index and the
+    /// free lists are rebuilt from the recovered region.
     ///
     /// # Panics
-    /// When the recovered chains are unsound, which takes a policy that
-    /// is not crash-consistent (`Best`) under an adversary that tears.
+    /// When the recovered segments are unsound, which takes a policy
+    /// that is not crash-consistent (`Best`) under an adversary that
+    /// tears.
     pub fn crash_and_recover(&mut self, mode: &CrashMode) {
         self.rt.crash_and_recover(mode);
         self.pending_mrc = None;
@@ -1180,31 +1116,32 @@ impl Shard {
 
 #[cfg(test)]
 impl Shard {
-    /// The index is the chains: every node reachable from a bucket, with
-    /// its committed slot, is the index's entry for its key, and nothing
-    /// else is indexed (so a key in two nodes, a stale entry or slot and
-    /// a missing one all fail).
-    fn index_matches_chains(&mut self) -> Result<(), String> {
-        let mut reached = 0;
-        for b in 0..self.buckets {
-            let mut p = self.rt.load_u64(self.bucket_base + b * 8) as usize;
-            while p != 0 {
-                let key = self.rt.load_u64(p);
-                let slots = read_slots(&mut self.rt, p, self.committed)
-                    .map_err(|why| format!("key {key}: node {p:#x}: {why}"))?;
-                let entry = slots.entry;
-                if self.index.get(&key) != Some(&entry) {
-                    let at = self.index.get(&key);
-                    return Err(format!(
-                        "key {key}: {entry:x?} on its chain, {at:x?} indexed"
-                    ));
-                }
-                reached += 1;
-                p = self.rt.load_u64(p + 8) as usize;
-            }
+    /// The index and the free lists are the heap: the pass over the
+    /// segments finds exactly the live keys the index holds, each in the
+    /// slot it names, and exactly the free blocks the free lists hold,
+    /// each with the slot an insert would write (so a key in two nodes,
+    /// a stale entry or slot, a missing one and a leaked block all fail).
+    fn index_matches_heap(&mut self) -> Result<(), String> {
+        let survey = self.survey().map_err(|e| e.to_string())?;
+        if survey.live != self.index {
+            return Err(format!(
+                "{} keys live on the heap, {} indexed; first difference: {:x?}",
+                survey.live.len(),
+                self.index.len(),
+                survey
+                    .live
+                    .iter()
+                    .find(|(k, e)| self.index.get(k) != Some(e))
+            ));
         }
-        if reached != self.len() {
-            return Err(format!("{reached} nodes reachable, {} indexed", self.len()));
+        for (class, found) in survey.free.into_iter().enumerate() {
+            let mut listed = self.free[class].clone();
+            listed.sort_unstable();
+            if found != listed {
+                return Err(format!(
+                    "class {class}: free {found:x?}, listed {listed:x?}"
+                ));
+            }
         }
         Ok(())
     }
@@ -1214,7 +1151,6 @@ impl Shard {
 mod tests {
     use super::*;
     use nvcache_fase::LogStats;
-    use nvcache_pmem::PAlloc;
 
     fn small(policy: PolicyKind) -> ShardConfig {
         ShardConfig {
@@ -1240,7 +1176,7 @@ mod tests {
         }
         assert!(s.put(7, b"same-len"));
         assert_eq!(s.get(7).as_deref(), Some(&b"same-len"[..]));
-        // size-changing update replaces the node
+        // a value of another class moves the key to another node
         assert!(s.put(7, b"a much longer value than before"));
         assert_eq!(
             s.get(7).as_deref(),
@@ -1252,6 +1188,7 @@ mod tests {
         assert_eq!(s.get(7), None);
         assert_eq!(s.len(), 199);
         assert_eq!(s.get(1000), None);
+        s.index_matches_heap().unwrap();
     }
 
     #[test]
@@ -1288,13 +1225,14 @@ mod tests {
             assert!(s.get(i).is_some(), "key {i} survived the failed put");
         }
         // nor is an acknowledged value the price of finding out that
-        // its replacement (another length, so another node) does not fit
+        // its replacement (another class, so another node) does not fit
         assert!(!s.put(1, &[2u8; 200]));
         assert_eq!(s.get(1).as_deref(), Some(&[0u8; 100][..]));
         assert_eq!(s.len() as u64, inserted);
         // deleting frees a node the next put can reuse
         assert!(s.delete(0));
         assert!(s.put(99_999, &[1u8; 100]), "free list satisfies the put");
+        s.index_matches_heap().unwrap();
     }
 
     /// `crash_and_recover` rebuilds the index from what the region
@@ -1308,16 +1246,16 @@ mod tests {
         }
         s.crash_and_recover(&CrashMode::StrictDurableOnly);
         assert!(s.dump().len() < 20, "Best kept every put");
-        s.index_matches_chains().unwrap();
+        s.index_matches_heap().unwrap();
         for k in 0..20u64 {
             let kept = s.dump().into_iter().find(|&(key, _)| key == k);
             assert_eq!(s.get(k), kept.map(|(_, v)| v), "key {k}");
         }
     }
 
-    /// A freed node is the heap's, durably: on a full heap, the nodes
-    /// that deleting half the keys gave back are still free after a
-    /// power failure, and as many fresh keys fit again.
+    /// A deleted node's block stays free across a power failure — its
+    /// tombstone decides it — so on a full heap, as many fresh keys fit
+    /// after the crash as deleting half the keys gave back.
     #[test]
     fn freed_nodes_survive_a_power_failure() {
         let cfg = ShardConfig {
@@ -1385,19 +1323,20 @@ mod tests {
         assert!(s.put(1, b"one-ost"));
         assert!(s.put(2, b"two-old"));
         let fases_before = s.stats().fases;
-        // one batch: two slot updates (one key twice — last wins),
-        // two fresh inserts (one bucket-colliding pair is fine)
+        // one batch: two slot updates (one key twice — last wins), two
+        // fresh inserts, and a key that moves to another class
         let batch: Vec<(u64, Vec<u8>)> = vec![
             (1, b"one-new".to_vec()),
             (10, b"ten".to_vec()),
             (1, b"one-fin".to_vec()),
             (11, b"eleven".to_vec()),
             (10, b"TEN".to_vec()), // insert then update, same batch
+            (2, b"two, now in a 128-byte block".to_vec()),
         ];
         assert!(s.put_many(&batch));
-        assert_eq!(s.stats().fases, fases_before + 1, "whole batch is one FASE");
+        assert_eq!(s.stats().fases, fases_before + 2, "a carve, then the batch");
         assert_eq!(s.get(1).as_deref(), Some(&b"one-fin"[..]));
-        assert_eq!(s.get(2).as_deref(), Some(&b"two-old"[..]));
+        assert_eq!(s.get(2).as_deref(), Some(&batch[5].1[..]));
         assert_eq!(s.get(10).as_deref(), Some(&b"TEN"[..]));
         assert_eq!(s.get(11).as_deref(), Some(&b"eleven"[..]));
         assert_eq!(s.len(), 4);
@@ -1407,19 +1346,53 @@ mod tests {
         assert_eq!(s.dump(), expect);
     }
 
+    /// A group may write one key at lengths of several classes: the
+    /// last write's class places the node, and an earlier write of
+    /// another class is superseded without a store.
+    #[test]
+    fn a_group_places_a_key_by_its_last_write() {
+        let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
+        assert!(s.put(1, &[1; 8]));
+        let stores = s.stats().stores;
+        let group = [
+            (1, vec![2; 40]),
+            (1, vec![3; 4]),
+            (2, vec![4; 100]),
+            (2, vec![5; 40]),
+        ];
+        assert!(s.put_many(&group));
+        assert_eq!(s.get(1).as_deref(), Some(&[3u8; 4][..]));
+        assert_eq!(s.get(2).as_deref(), Some(&[5u8; 40][..]));
+        // key 1: an update of its 64-byte node; key 2: an insert into a
+        // 128-byte block, whose segment is carved first; the epoch word
+        assert_eq!(s.stats().stores - stores, 4);
+        s.index_matches_heap().unwrap();
+    }
+
     #[test]
     fn put_many_rejects_without_side_effects() {
         let mut s = Shard::new(&small(PolicyKind::Lazy));
         assert!(s.put(5, b"12345"));
-        let before = s.dump();
-        // length change for an existing key aborts the whole batch…
-        assert!(!s.put_many(&[(9, b"nine".to_vec()), (5, b"much-longer".to_vec())]));
-        // …as does an oversized value
-        assert!(!s.put_many(&[(7, vec![0u8; MAX_VALUE_LEN + 1])]));
-        assert_eq!(s.dump(), before, "aborted batches leave no trace");
-        // aborted planned allocations went back to the free list: the
-        // same insert succeeds afterwards
-        assert!(s.put_many(&[(9, b"nine".to_vec())]));
+        let (before, free) = (s.dump(), s.free.clone());
+        // an oversized value refuses the whole batch before a block is
+        // taken…
+        let mut group = vec![
+            (9, b"nine".to_vec()),
+            (5, b"much-longer-than-sixteen".to_vec()),
+            (7, vec![0u8; MAX_VALUE_LEN + 1]),
+        ];
+        assert!(!s.put_many(&group));
+        assert_eq!(s.free, free);
+        // …and a full heap after the fresh key and the key that moves to
+        // another class took theirs: they go back, and the segments the
+        // group carved stay carved, every block free
+        group.truncate(2);
+        let huge = (100..200).map(|k| (k, vec![1; 2000]));
+        assert!(!s.put_many(&group.iter().cloned().chain(huge).collect::<Vec<_>>()));
+        assert_eq!(s.dump(), before, "refused batches leave no trace");
+        assert_eq!(s.free[class_of(4)], free[class_of(4)]);
+        s.index_matches_heap().unwrap();
+        assert!(s.put_many(&group));
         assert_eq!(s.get(9).as_deref(), Some(&b"nine"[..]));
     }
 
@@ -1503,6 +1476,8 @@ mod tests {
     #[test]
     fn serve_batch_delete_barrier_splits_segments() {
         let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
+        // carves the segment the batch's 1-byte values go to
+        assert!(s.put(9, b"z"));
         let fases = s.stats().fases;
         let replies = s.serve_batch(&[
             BatchRequest::Put(1, b"a".to_vec()),
@@ -1523,13 +1498,12 @@ mod tests {
         );
         // segment group + delete + trailing segment group = 3 FASEs
         assert_eq!(s.stats().fases, fases + 3);
-        assert_eq!(s.len(), 2);
+        assert_eq!(s.len(), 3);
     }
 
-    /// A segment whose grouped commit is rejected (here: a
-    /// length-changing update, which `put_many` refuses) replays
-    /// per-request: the length change succeeds through the replace
-    /// path, neighbours still land, replies are exact.
+    /// A segment whose grouped commit is rejected (here: an oversized
+    /// value) replays per-request: the length change beside it still
+    /// lands, replies are exact.
     #[test]
     fn serve_batch_replays_rejected_segment_per_request() {
         let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
@@ -1598,9 +1572,8 @@ mod tests {
         assert_eq!(batched.dump(), seq.dump(), "end states diverge");
     }
 
-    /// A crash mid-batch rolls the whole group back: the prelogged
-    /// bucket heads and epoch word keep the all-or-nothing FASE
-    /// contract.
+    /// A crash mid-batch rolls the whole group back: the epoch word it
+    /// never published keeps the all-or-nothing FASE contract.
     #[test]
     fn pipelined_put_many_is_atomic_under_crash() {
         let cfg = small(PolicyKind::ScFixed { capacity: 4 });
@@ -1639,6 +1612,41 @@ mod tests {
         }
     }
 
+    /// The counters one call moves: log, region, ring and runtime.
+    fn counters(s: &Shard) -> (LogStats, nvcache_pmem::PmemStats, u64, FaseStats) {
+        let rt = &s.rt;
+        let ring = rt.ring_stats().flushed;
+        (rt.log_stats(), rt.region().stats(), ring, rt.stats())
+    }
+
+    /// Assert that `op` committed as one FASE by its epoch word alone:
+    /// no undo record, two fences, and `lines` data lines plus the
+    /// epoch word's, each flushed once off the ring.
+    fn commits_by_its_epoch_word(
+        s: &mut Shard,
+        what: &str,
+        lines: u64,
+        op: impl Fn(&mut Shard) -> bool,
+    ) {
+        let (log, pmem, ring, fase) = counters(s);
+        assert!(op(s), "{what}");
+        let (log2, p, r, f) = counters(s);
+        let one_more_commit = LogStats {
+            commits: log.commits + 1,
+            ..log
+        };
+        assert_eq!(log2, one_more_commit, "{what}: a record");
+        assert_eq!(f.fases - fase.fases, 1, "{what}");
+        assert_eq!(p.fences - pmem.fences, 2, "{what}: data fence, epoch fence");
+        assert_eq!(f.data_flushes - fase.data_flushes, lines + 1, "{what}");
+        assert_eq!(r - ring, lines + 1, "{what}");
+        assert_eq!(
+            p.flushes - pmem.flushes,
+            lines + 1,
+            "{what}: a flush off the ring"
+        );
+    }
+
     /// An update-only group and a same-length `put` write no undo
     /// record: each commits by its published epoch word with two fences,
     /// and every flush is a data line through the ring — one per
@@ -1648,32 +1656,36 @@ mod tests {
         let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
         let group = |tag| (0..32u64).map(|k| (k, vec![tag; 40])).collect::<Vec<_>>();
         assert!(s.put_many(&group(1)));
-        type Update = Box<dyn Fn(&mut Shard) -> bool>;
-        let updates: [(&str, Update, u64); 2] = [
-            ("put_many", Box::new(move |s| s.put_many(&group(2))), 32),
-            ("put", Box::new(|s| s.put(7, &[3; 40])), 1),
-        ];
-        for (what, update, slots) in updates {
-            let (log, pmem) = (s.rt.log_stats(), s.rt.region().stats());
-            let (ring, fase) = (s.rt.ring_stats(), s.rt.stats());
-            assert!(update(&mut s));
-            let one_more_commit = LogStats {
-                commits: log.commits + 1,
-                ..log
-            };
-            assert_eq!(s.rt.log_stats(), one_more_commit, "{what}: a record");
-            let (p, r, f) = (s.rt.region().stats(), s.rt.ring_stats(), s.rt.stats());
-            assert_eq!(p.fences - pmem.fences, 2, "{what}: data fence, epoch fence");
-            assert_eq!(f.data_flushes - fase.data_flushes, slots + 1, "{what}");
-            assert_eq!(r.flushed - ring.flushed, slots + 1, "{what}");
-            assert_eq!(
-                p.flushes - pmem.flushes,
-                slots + 1,
-                "{what}: a flush off the ring"
-            );
-        }
+        commits_by_its_epoch_word(&mut s, "put_many", 32, |s| s.put_many(&group(2)));
+        commits_by_its_epoch_word(&mut s, "put", 1, |s| s.put(7, &[3; 40]));
         assert_eq!(s.get(7).as_deref(), Some(&[3u8; 40][..]));
         assert_eq!(s.get(8).as_deref(), Some(&[2u8; 40][..]));
+    }
+
+    /// A delete writes no undo record either: one tombstone line, the
+    /// epoch word's line, two fences — and so does an insert into a
+    /// carved segment.
+    #[test]
+    fn a_delete_commits_by_its_epoch_word_alone() {
+        let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
+        // 24 of the segment's 32 blocks
+        assert!(s.put_many(&(0..24u64).map(|k| (k, [1; 40])).collect::<Vec<_>>()));
+        commits_by_its_epoch_word(&mut s, "delete", 1, |s| s.delete(7));
+        commits_by_its_epoch_word(&mut s, "reuse", 1, |s| s.put(7, &[3; 40]));
+        commits_by_its_epoch_word(&mut s, "insert", 1, |s| s.put(40, &[2; 40]));
+        commits_by_its_epoch_word(&mut s, "delete", 1, |s| s.delete(40));
+        assert_eq!(s.get(40), None);
+        assert_eq!(s.get(7).as_deref(), Some(&[3u8; 40][..]));
+        s.index_matches_heap().unwrap();
+    }
+
+    /// The three adversaries.
+    fn modes(seed: u64) -> [CrashMode; 3] {
+        [
+            CrashMode::StrictDurableOnly,
+            CrashMode::AllInFlightLands,
+            CrashMode::random(0.5, 0.5, seed),
+        ]
     }
 
     /// A power failure between an update group's slot writes and its
@@ -1702,11 +1714,7 @@ mod tests {
         after[12].1 = vec![3u8; 40];
         let mut voided = 0;
         for k in start..=publish {
-            for mode in [
-                CrashMode::StrictDurableOnly,
-                CrashMode::AllInFlightLands,
-                CrashMode::random(0.5, 0.5, k),
-            ] {
+            for mode in modes(k) {
                 let ctx = format!("{mode:?} crash at step {k}");
                 let mut s = loaded();
                 s.arm_crash(CrashPlan { at_step: k, mode });
@@ -1729,305 +1737,166 @@ mod tests {
         assert!(voided > 0, "no cut left a slot to void");
     }
 
-    /// A batch whose inserts swing more bucket heads than the undo log
-    /// holds records for is refused whole — sized before anything is
-    /// logged, never a panic inside an open FASE — and `serve_batch`
-    /// falls back to per-request FASEs. Updates log nothing, so no
-    /// number of them is refused.
+    /// Delete A, then insert B into the block A held — once with A's
+    /// value in slot 0, once (after an update) in slot 1 — with a power
+    /// failure at every micro-step of the insert under every adversary:
+    /// A never comes back, B is whole or absent, the next FASE, which
+    /// publishes the epoch B's dead insert was stamped with, brings
+    /// neither back, and B's retry takes the block again.
     #[test]
-    fn oversized_write_set_is_refused_not_a_panic() {
-        // 448 bytes of records: a group of at most 27 bucket heads
-        let cfg = ShardConfig {
-            log_len: 512,
-            ..small(PolicyKind::ScFixed { capacity: 4 })
-        };
-        let mut s = Shard::new(&cfg);
-        let load: Vec<(u64, Vec<u8>)> = (0..1000u64).map(|k| (k, vec![1u8; 40])).collect();
-        for chunk in load.chunks(25) {
-            assert!(s.put_many(chunk), "25 inserts log at most 25 bucket heads");
+    fn a_crashed_insert_into_a_freed_block_stays_dead() {
+        let cfg = small(PolicyKind::ScFixed { capacity: 4 });
+        let (a, b) = (1u64, 2u64);
+        for updates in 0..2 {
+            let loaded = || {
+                let mut s = Shard::new(&cfg);
+                assert!(s.put_many(&[(a, [1u8; 40]), (9, [9u8; 40])]));
+                for _ in 0..updates {
+                    assert!(s.put(a, &[3u8; 40]));
+                }
+                let block = s.locate(a).unwrap().node();
+                assert!(s.delete(a));
+                (s, block)
+            };
+            let (mut probe, block) = loaded();
+            let start = probe.steps();
+            assert!(probe.put(b, &[2u8; 40]));
+            assert_eq!(probe.locate(b).unwrap().node(), block, "B takes A's block");
+            let publish = probe.steps() - 3;
+            for k in start..=publish {
+                for mode in modes(k) {
+                    let ctx = format!("{updates} updates: {mode:?} crash at step {k}");
+                    let (mut s, _) = loaded();
+                    s.arm_crash(CrashPlan { at_step: k, mode });
+                    assert!(s.put(b, &[2u8; 40]));
+                    let image = s.take_crash_image().expect("the cut falls in the insert");
+                    let mut r = Shard::reopen_from_image(image, &cfg).expect(&ctx);
+                    assert_eq!(r.dump(), vec![(9, vec![9u8; 40])], "{ctx}");
+                    assert!(r.put(9, &[4u8; 40]), "{ctx}: the dead insert's epoch");
+                    assert_eq!(r.dump(), vec![(9, vec![4u8; 40])], "{ctx}");
+                    assert!(r.put(b, &[5u8; 40]));
+                    let got = r.locate(b).map(|entry| entry.node());
+                    assert_eq!(got, Some(block), "{ctx}: the dead insert's block leaked");
+                    r.crash_and_recover(&CrashMode::StrictDurableOnly);
+                    let want = vec![(b, vec![5u8; 40]), (9, vec![4u8; 40])];
+                    assert_eq!(r.dump(), want, "{ctx}");
+                }
+            }
         }
-        let big: Vec<(u64, Vec<u8>)> = (0..1000u64).map(|k| (k, vec![2u8; 40])).collect();
-        let logged = s.rt.log_stats().entries;
-        assert!(s.put_many(&big), "1000 updates log nothing");
-        assert_eq!(s.rt.log_stats().entries, logged);
-        let before = s.dump();
-        // 100 fresh keys over 64 buckets, alone or after the updates:
-        // their planned nodes go back to the heap, so the same keys put
-        // again carve no fresh block
-        let fresh: Vec<(u64, Vec<u8>)> = (5000..5100u64).map(|k| (k, vec![3u8; 40])).collect();
-        let mut mixed = big.clone();
-        mixed.extend(fresh.iter().cloned());
-        let bump = |s: &Shard| {
-            let region = s.rt.region();
-            PAlloc::open(region).expect("heap").bump_remaining(region)
-        };
-        assert!(!s.put_many(&fresh), "more bucket heads than records");
-        assert!(!s.put_many(&mixed));
-        assert_eq!(s.dump(), before, "map unchanged");
-        assert_eq!(s.len(), 1000);
-        let carved = bump(&s);
-        assert!(s.put_many(&fresh[..20]));
-        assert_eq!(bump(&s), carved, "freed nodes were reused");
-        // the shard still serves, and a batch that fits commits
-        assert!(s.put_many(&load[..32]));
-        s.crash_and_recover(&CrashMode::StrictDurableOnly);
-        assert_eq!(s.get(7).as_deref(), Some(&[1u8; 40][..]));
-        assert_eq!(s.get(32).as_deref(), Some(&[2u8; 40][..]));
-        assert_eq!(s.get(5000).as_deref(), Some(&[3u8; 40][..]));
-        // through the lane, every request of the refused group gets a
-        // definite answer from its own FASE
-        let reqs: Vec<BatchRequest> = fresh[20..]
-            .iter()
-            .map(|(k, v)| BatchRequest::Put(*k, v.clone()))
-            .collect();
-        let replies = s.serve_batch(&reqs);
-        assert!(replies.iter().all(|r| *r == BatchReply::Done(true)));
-        assert_eq!(s.get(5099).as_deref(), Some(&[3u8; 40][..]));
-        assert_eq!(s.len(), 1100);
     }
 
-    /// Regression: a default-config shard used to log `put_many` store
-    /// by store, so a write set too large for the undo log hit `panic!`
-    /// in the middle of an open FASE. Every shard prelogs a group's
-    /// bucket heads now, and a group with more than the log holds is
-    /// refused whole; its 1000-byte updates log nothing at all.
+    /// The heap a crashed insert took a block from is whole again after
+    /// recovery: after eight inserts each cut short by a power failure
+    /// just before its epoch word, as many keys fit as in a shard that
+    /// never crashed.
     #[test]
-    fn a_default_shard_refuses_an_oversized_group_instead_of_panicking() {
+    fn a_block_a_crashed_insert_took_is_free_after_recovery() {
         let cfg = ShardConfig {
-            log_len: 4096,
-            ..Default::default()
+            data_len: 16 << 10,
+            ..small(PolicyKind::ScFixed { capacity: 4 })
         };
-        let mut s = Shard::new(&cfg);
-        // the set-up FASE writes zeros onto a fresh heap: nothing to log
-        assert_eq!(s.rt.log_stats().entries, 0);
-        for k in 0..5u64 {
-            assert!(s.put(k, &[1u8; 1000]));
+        let fill = |s: &mut Shard| (1000u64..).take_while(|&k| s.put(k, &[1u8; 40])).count();
+        let fits = fill(&mut Shard::new(&cfg));
+        let mut image = Shard::new(&cfg).rt.region().durable_image().to_vec();
+        for key in 0..8u64 {
+            let mut probe = Shard::reopen_from_image(image.clone(), &cfg).unwrap();
+            assert!(probe.put(key, &[2u8; 40]));
+            let mut s = Shard::reopen_from_image(image, &cfg).unwrap();
+            s.arm_crash(CrashPlan {
+                at_step: probe.steps() - 3,
+                mode: CrashMode::AllInFlightLands,
+            });
+            assert!(s.put(key, &[2u8; 40]));
+            image = s.take_crash_image().expect("the cut falls in the insert");
         }
-        let big: Vec<(u64, Vec<u8>)> = (0..5u64).map(|k| (k, vec![2u8; 1000])).collect();
-        assert!(s.put_many(&big), "5 KB of updates, 4 KiB of log");
-        let before = s.dump();
-        // 2000 fresh keys swing (nearly) all 256 bucket heads: past 251
-        // records of 16 bytes, a group outgrows 4 032 bytes of log
-        let fresh: Vec<(u64, Vec<u8>)> = (100..2100u64).map(|k| (k, vec![3u8; 8])).collect();
-        assert!(!s.put_many(&fresh));
-        assert_eq!(s.dump(), before, "map unchanged");
-        // no FASE was left open: the shard keeps serving
-        assert!(s.put_many(&fresh[..100]));
-        assert!(s.put(7, b"after"));
-        s.crash_and_recover(&CrashMode::StrictDurableOnly);
-        assert_eq!(s.get(0).as_deref(), Some(&[2u8; 1000][..]));
-        assert_eq!(s.get(199).as_deref(), Some(&[3u8; 8][..]));
-        assert_eq!(s.get(7).as_deref(), Some(&b"after"[..]));
-        assert_eq!(s.len(), 106);
+        let mut s = Shard::reopen_from_image(image, &cfg).unwrap();
+        assert!(s.is_empty());
+        assert_eq!(fill(&mut s), fits, "blocks leaked");
+    }
+
+    /// Where a key hashes does not matter any more: deleting a key of a
+    /// sparse set (`i << 48`) and one of a dense set, and moving each to
+    /// another class, take the same micro-steps and persistence counts.
+    #[test]
+    fn sparse_and_dense_keys_cost_the_same() {
+        let cost = |keys: &[u64], op: &dyn Fn(&mut Shard, u64) -> bool| {
+            let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
+            assert!(s.put_many(&keys.iter().map(|&k| (k, [1u8; 40])).collect::<Vec<_>>()));
+            let (steps, pmem) = (s.steps(), s.rt.region().stats());
+            assert!(op(&mut s, keys[300]));
+            let p = s.rt.region().stats();
+            let delta = [p.bytes_written, p.stores, p.flushes, p.fences]
+                .iter()
+                .zip([pmem.bytes_written, pmem.stores, pmem.flushes, pmem.fences])
+                .map(|(now, then)| now - then)
+                .collect::<Vec<_>>();
+            (s.steps() - steps, delta)
+        };
+        let sparse: Vec<u64> = (0..1000u64).map(|i| i << 48).collect();
+        let dense: Vec<u64> = (0..1000u64).collect();
+        let delete = |s: &mut Shard, k| s.delete(k);
+        let resize = |s: &mut Shard, k| s.put(k, &[2u8; 100]);
+        assert_eq!(cost(&sparse, &delete), cost(&dense, &delete));
+        assert_eq!(cost(&sparse, &resize), cost(&dense, &resize));
     }
 
     // ----- hostile images ------------------------------------------------
 
-    /// A sound two-bucket image holding keys `0..8`, with the offsets of
-    /// two nodes that share a chain (`a` links to `b`).
-    fn sound_image(cfg: &ShardConfig) -> (Vec<u8>, usize, usize) {
+    /// A sound image holding keys `0..8` with 16-byte values (64-byte
+    /// nodes in segment 0), and the shard it came from.
+    fn sound_image(cfg: &ShardConfig) -> (Vec<u8>, Shard) {
         let mut s = Shard::new(cfg);
         for k in 0..8u64 {
             assert!(s.put(k, &[k as u8; 16]));
         }
         s.sync();
-        let mut nodes = s.index.values().map(|entry| entry.node());
-        let a = nodes
-            .find(|&node| s.rt.load_u64(node + 8) != 0)
-            .expect("eight keys in two buckets: some node links to another");
-        let b = s.rt.load_u64(a + 8) as usize;
-        (s.rt.region().durable_image().to_vec(), a, b)
+        (s.rt.region().durable_image().to_vec(), s)
     }
 
-    fn patched(image: &[u8], at: usize, word: u64) -> Vec<u8> {
+    fn patched(image: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
         let mut image = image.to_vec();
-        image[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        image[at..at + bytes.len()].copy_from_slice(bytes);
         image
     }
 
-    fn word_at(image: &[u8], at: usize) -> u64 {
-        u64::from_le_bytes(image[at..at + 8].try_into().unwrap())
+    fn word(w: u64) -> [u8; 8] {
+        w.to_le_bytes()
     }
 
-    /// Every way a chain or a node can lie ends in a typed error — no
-    /// walk past the data area, no spin on a cycle — and names the
-    /// broken rule.
-    #[test]
-    fn reopen_rejects_hostile_chains_with_a_typed_error() {
-        let cfg = ShardConfig {
-            buckets: 2,
-            ..small(PolicyKind::ScFixed { capacity: 8 })
-        };
-        let (sound, a, b) = sound_image(&cfg);
-        let data_len = cfg.data_len;
-        let mut back = Shard::reopen_from_image(sound.clone(), &cfg).expect("sound image");
-        assert_eq!(back.len(), 8);
-        back.index_matches_chains().unwrap();
-        // a key that hashes to the other bucket of the two, and one
-        // that is absent but would belong on `a`'s chain
-        let key_a = word_at(&sound, a);
-        let stranger = (100..)
-            .find(|&k| back.bucket_off(k) != back.bucket_off(key_a))
-            .unwrap();
-        let kin = (100..)
-            .find(|&k| back.bucket_off(k) == back.bucket_off(key_a))
-            .unwrap();
-        // `a`'s slot headers (its values are 16 bytes long), and a node
-        // in the data area's last line
-        let (next, first, second) = (a + 8, a + 16, a + 40);
-        let epoch = back.committed;
-        let last = data_len - 64;
-        let at_the_end = patched(&patched(&sound, next, last as u64), last, kin);
-        let cases: [(&str, Vec<u8>, &str); 13] = [
-            (
-                "self-cycle",
-                patched(&sound, next, a as u64),
-                "node linked twice",
-            ),
-            (
-                "two-node cycle",
-                patched(&sound, b + 8, a as u64),
-                "node linked twice",
-            ),
-            (
-                "link into the log area",
-                patched(&sound, next, data_len as u64 + 64),
-                "link outside the data area",
-            ),
-            (
-                "link past the image",
-                patched(&sound, next, sound.len() as u64 + 8),
-                "link outside the data area",
-            ),
-            (
-                "no room for two slot headers",
-                patched(&sound, next, data_len as u64 - 24),
-                "link outside the data area",
-            ),
-            (
-                "misaligned link",
-                patched(&sound, next, b as u64 + 4),
-                "misaligned link",
-            ),
-            (
-                "values of 232 bytes in the last 64",
-                patched(&at_the_end, last + 16, slot_header(1, 100)),
-                "value runs off the data area",
-            ),
-            (
-                "a value no node holds",
-                patched(&sound, first, slot_header(1, MAX_VALUE_LEN + 1)),
-                "value longer than a node holds",
-            ),
-            (
-                "slot lengths that differ",
-                patched(&sound, second, slot_header(0, 17)),
-                "slots disagree on the value length",
-            ),
-            (
-                "both slots above the epoch",
-                patched(
-                    &patched(&sound, first, slot_header(epoch + 1, 16)),
-                    second,
-                    slot_header(epoch + 2, 16),
-                ),
-                "no committed slot",
-            ),
-            (
-                "both slots void",
-                patched(&sound, first, slot_header(0, 16)),
-                "no committed slot",
-            ),
-            (
-                "one key in two nodes",
-                patched(&sound, b, key_a),
-                "key in two nodes",
-            ),
-            (
-                "key on a chain that is not its bucket's",
-                patched(&sound, a, stranger),
-                "key in another bucket's chain",
-            ),
-        ];
-        for (name, image, rule) in cases {
-            match Shard::reopen_from_image(image, &cfg) {
-                Err(ShardImageError::BadChain { why, .. }) => assert_eq!(why, rule, "{name}"),
-                other => panic!("{name}: expected BadChain, got {other:?}"),
-            }
-        }
-    }
-
-    /// Nodes may overlap in a hostile image, so distinct keys alone do
-    /// not bound the walk by the heap's size: a chain of nodes 8 bytes
-    /// apart, each word both a key and the link to the next node, is
-    /// cut off at the number of nodes the data area has room for —
-    /// before any node's slots are read.
-    #[test]
-    fn reopen_bounds_the_walk_by_the_nodes_the_heap_can_hold() {
-        let cfg = ShardConfig {
-            buckets: 1,
-            ..small(PolicyKind::ScFixed { capacity: 8 })
-        };
-        let mut s = Shard::new(&cfg);
-        s.sync();
-        let mut image = s.rt.region().durable_image().to_vec();
-        let first = s.head + HEAD_BLOCK;
-        let nodes = cfg.data_len / MIN_NODE + 2;
-        for i in 0..nodes + 2 {
-            let at = first + 8 * i;
-            image[at..at + 8].copy_from_slice(&(at as u64).to_le_bytes());
-        }
-        image = patched(&image, s.bucket_base, first as u64);
-        match Shard::reopen_from_image(image, &cfg) {
-            Err(ShardImageError::BadChain { why, .. }) => {
-                assert_eq!(why, "more nodes than the data area holds")
-            }
-            other => panic!("expected BadChain, got {other:?}"),
-        }
-    }
-
-    /// The table's root is input too: an image with no heap, no root, a
-    /// root whose head would leave the data area, or a head that names a
-    /// bucket array outside it or an epoch no stamp can follow is
-    /// refused before a bucket is read.
+    /// An image whose head is not this layout's — another heap's magic,
+    /// an epoch outside `1..2⁵² − 1`, not even a log — is refused with a
+    /// typed error before any segment is read. (The name is the one the
+    /// test had when a bucket array hung off the head.)
     #[test]
     fn reopen_rejects_an_image_without_a_bucket_array() {
-        let cfg = small(PolicyKind::Lazy);
-        let s = Shard::new(&cfg);
-        let head = s.head;
-        let sound = s.rt.region().durable_image().to_vec();
-        for (what, at, word) in [
-            ("buckets past the data area", head, cfg.data_len as u64 - 8),
-            ("no buckets", head, 0),
-            ("epoch 0", head + EPOCH_WORD, 0),
-            ("a 53-bit epoch", head + EPOCH_WORD, 1 << 52),
-            ("the last 52-bit epoch", head + EPOCH_WORD, (1 << 52) - 1),
-        ] {
-            let got = Shard::reopen_from_image(patched(&sound, at, word), &cfg).map(|s| s.len());
-            assert_eq!(got, Err(ShardImageError::BadRoot(head as u64)), "{what}");
-        }
-        let below = patched(&sound, head + EPOCH_WORD, (1 << 52) - 2);
-        let mut r = Shard::reopen_from_image(below, &cfg).expect("one stamp left");
-        assert!(r.put(1, b"one") && r.put(1, b"two"), "an insert, an update");
-        assert_eq!(r.committed, (1 << 52) - 1);
-        let bare = FaseRuntime::new(cfg.data_len, cfg.log_len, &cfg.policy);
-        let image = bare.into_region().durable_image().to_vec();
-        let got = Shard::reopen_from_image(image, &cfg).map(|s| s.len());
-        assert_eq!(got, Err(ShardImageError::BadRoot(0)), "no heap");
-        let mut rootless = FaseRuntime::with_heap(cfg.data_len, cfg.log_len, &cfg.policy);
-        let image = rootless.region().durable_image().to_vec();
-        let got = Shard::reopen_from_image(image, &cfg).map(|s| s.len());
-        assert_eq!(got, Err(ShardImageError::BadRoot(0)), "root never set");
-        for root in [
-            cfg.data_len as u64 - 8,
-            cfg.data_len as u64 + 64,
-            4100,
-            u64::MAX,
-        ] {
-            rootless.set_root(root);
-            let image = rootless.region().durable_image().to_vec();
+        let cfg = small(PolicyKind::ScFixed { capacity: 8 });
+        let (sound, _) = sound_image(&cfg);
+        let head = |why| ShardImageError::BadHead(why);
+        let cases: Vec<(&str, Vec<u8>, ShardImageError)> = vec![
+            (
+                "a heap of another kind",
+                patched(&sound, 0, b"NVCACHE1"),
+                head("no magic word"),
+            ),
+            (
+                "epoch 0",
+                patched(&sound, EPOCH_WORD, &word(0)),
+                head("an epoch outside 1..2⁵² − 1"),
+            ),
+            (
+                "the last 52-bit epoch",
+                patched(&sound, EPOCH_WORD, &word((1 << 52) - 1)),
+                head("an epoch outside 1..2⁵² − 1"),
+            ),
+            (
+                "a 64-bit epoch",
+                patched(&sound, EPOCH_WORD, &word(u64::MAX)),
+                head("an epoch outside 1..2⁵² − 1"),
+            ),
+        ];
+        for (name, image, want) in cases {
             let got = Shard::reopen_from_image(image, &cfg).map(|s| s.len());
-            assert_eq!(got, Err(ShardImageError::BadRoot(root)));
+            assert_eq!(got, Err(want), "{name}");
         }
         let not_a_log = vec![0u8; cfg.data_len + cfg.log_len];
         assert!(matches!(
@@ -2036,36 +1905,102 @@ mod tests {
         ));
     }
 
-    /// The allocator's header is input as well: a bump cursor, limit or
-    /// free-list head no allocator wrote means the image has no heap
-    /// this shard will allocate from.
+    /// Every rule of the segment layout a hostile image can break below
+    /// its head ends in a typed error that names it — no panic, no read
+    /// outside the data area — and slots no FASE committed are not one
+    /// of them. (The name is the one the test had when nodes were chained
+    /// off a bucket array.)
     #[test]
-    fn reopen_rejects_a_hostile_allocator_header() {
-        let cfg = ShardConfig {
-            buckets: 2,
-            ..small(PolicyKind::ScFixed { capacity: 8 })
-        };
-        let (sound, ..) = sound_image(&cfg);
-        // `PAlloc`'s header words: cursor, limit, first free-list head
-        let (bump, limit, free) = (16, 24, 32);
-        let region_len = sound.len() as u64;
-        for (what, image) in [
-            ("cursor inside the header", patched(&sound, bump, 8)),
+    fn reopen_rejects_hostile_chains_with_a_typed_error() {
+        let cfg = small(PolicyKind::ScFixed { capacity: 8 });
+        let (sound, s) = sound_image(&cfg);
+        let mut back = Shard::reopen_from_image(sound.clone(), &cfg).expect("sound image");
+        assert_eq!(back.len(), 8);
+        back.index_matches_heap().unwrap();
+        let (a, b) = (s.index[&0], s.index[&1]);
+        let (node, first, second) = (a.node(), a.slot_off(), a.other().slot_off());
+        let epoch = s.committed;
+        let uncarved = s.seg_base + SEGMENT;
+        let segment = |segment, why| ShardImageError::BadSegment { segment, why };
+        let bad_node = |at, why| ShardImageError::BadNode { at, why };
+        let cases: Vec<(&str, Vec<u8>, ShardImageError)> = vec![
             (
-                "64-byte free list outside the region",
-                patched(&sound, free + 2 * 8, region_len + 64),
+                "a class past the largest",
+                patched(&sound, CLASS_TABLE, &[MAX_CLASS as u8 + 1]),
+                segment(0, "a class past the largest"),
             ),
             (
-                "a heap that runs on into the undo log",
-                patched(&sound, limit, region_len),
+                "a class byte that never landed",
+                patched(&sound, CLASS_TABLE, &[0]),
+                segment(0, "bytes in a segment never carved"),
+            ),
+            (
+                "one byte in a segment never carved",
+                patched(&sound, uncarved + SEGMENT - 1, &[1]),
+                segment(1, "bytes in a segment never carved"),
+            ),
+            (
+                "a value longer than the class holds",
+                patched(&sound, first, &word(slot_header(epoch, 17))),
+                bad_node(node, "a slot longer than its class holds"),
+            ),
+            (
+                "a length only a tombstone may have",
+                patched(&sound, second, &word(slot_header(epoch, LEN_MASK - 1))),
+                bad_node(node, "a slot longer than its class holds"),
+            ),
+            (
+                "two committed slots with one stamp",
+                patched(&sound, second, &sound[first..first + 8]),
+                bad_node(node, "two committed slots with one stamp"),
+            ),
+            (
+                "one key in two live nodes",
+                patched(&sound, b.node(), &word(0)),
+                bad_node(b.node().max(node), "a key live in two nodes"),
+            ),
+        ];
+        for (name, image, want) in cases {
+            let got = Shard::reopen_from_image(image, &cfg).map(|s| s.len());
+            assert_eq!(got, Err(want), "{name}");
+        }
+        // slots no FASE committed decide nothing: a node whose slots are
+        // both void, or both above the epoch, is a free block
+        for (name, image) in [
+            ("both void", patched(&sound, first, &word(0))),
+            (
+                "both above the epoch",
+                patched(
+                    &patched(&sound, first, &word(slot_header(epoch + 1, 9))),
+                    second,
+                    &word(slot_header(epoch + 2, 4000)),
+                ),
             ),
         ] {
-            let got = Shard::reopen_from_image(image, &cfg).map(|s| s.len());
-            assert_eq!(got, Err(ShardImageError::BadRoot(0)), "{what}");
+            let mut r = Shard::reopen_from_image(image, &cfg).expect(name);
+            assert_eq!(r.len(), 7, "{name}");
+            assert_eq!(r.get(0), None, "{name}");
+            r.index_matches_heap().unwrap();
+            assert_eq!(
+                r.free[a.class()].last(),
+                Some(&Entry::new(node, a.class(), 0, 0))
+            );
         }
     }
 
-    // ----- the index is the chains ---------------------------------------
+    /// An image one stamp short of the limit serves one more FASE.
+    #[test]
+    fn the_last_stamp_is_served() {
+        let cfg = small(PolicyKind::Lazy);
+        let (sound, _) = sound_image(&cfg);
+        let below = patched(&sound, EPOCH_WORD, &word((1 << 52) - 2));
+        let mut r = Shard::reopen_from_image(below, &cfg).expect("one stamp left");
+        assert!(r.put(1, b"one"), "an update");
+        assert_eq!(r.committed, (1 << 52) - 1);
+        assert_eq!(r.get(1).as_deref(), Some(&b"one"[..]));
+    }
+
+    // ----- the index is the heap -----------------------------------------
 
     use proptest::prelude::*;
     use std::collections::BTreeMap;
@@ -2088,10 +2023,11 @@ mod tests {
         }
     }
 
-    /// After every step: index ↔ chains, `len`, and `get` of every key
-    /// the program can name (present or not) against the model.
+    /// After every step: index and free lists ↔ heap, `len`, and `get`
+    /// of every key the program can name (present or not) against the
+    /// model.
     fn check(s: &mut Shard, model: &BTreeMap<u64, Vec<u8>>, step: &str) {
-        if let Err(e) = s.index_matches_chains() {
+        if let Err(e) = s.index_matches_heap() {
             panic!("after {step}: {e}");
         }
         assert_eq!(s.len(), model.len(), "after {step}");
@@ -2113,12 +2049,6 @@ mod tests {
         let consistent = cfg.policy != PolicyKind::Best;
         let mut s = Shard::new(cfg);
         let mut model = BTreeMap::new();
-        // one absent key per bucket: a group of them logs every bucket
-        // head, more records than the log holds
-        let spread: Vec<(u64, Vec<u8>)> = (0..cfg.buckets)
-            .map(|b| (3000..).find(|&k| s.bucket_off(k) == s.bucket_base + 8 * b))
-            .map(|k| (k.expect("some key hashes to every bucket"), vec![1; 13]))
-            .collect();
         for (i, &(op, key, sel, aux)) in prog.iter().enumerate() {
             let tag = i as u8;
             // a group of `n` writes over keys drawn from `aux`: repeats
@@ -2131,7 +2061,7 @@ mod tests {
             };
             let step = format!("step {i} {:?}", (op, key, sel, aux));
             match op {
-                // put: fresh, same length (a slot) or another length
+                // put: fresh, same class (a slot) or another class
                 0..=3 => {
                     let v = vec![tag; 13 * sel as usize];
                     if s.put(key, &v) {
@@ -2156,8 +2086,8 @@ mod tests {
                                 1 => BatchRequest::Delete(k),
                                 2 => BatchRequest::Scan(k, k + 9, 1 + sel as u32),
                                 3 => BatchRequest::PutMany(group(&model, 3)),
-                                // now and then another length: the
-                                // segment's group is refused and replayed
+                                // now and then another class: the key
+                                // moves inside the segment's group
                                 _ => BatchRequest::Put(k, vec![tag; 13 * (x % 5) as usize]),
                             }
                         })
@@ -2190,34 +2120,37 @@ mod tests {
                         assert_eq!(reply, want, "{step}: {req:?}");
                     }
                 }
-                // groups that must be refused whole, each led by a fresh
-                // key whose planned node has to leave no trace
+                // groups led by a fresh key and a key of another class,
+                // whose blocks a refused group has to give back
                 11 | 12 => {
                     let fresh = (KEYS + 1, vec![tag; 13]);
+                    let other = (key, vec![tag; group_len(&model, key) + 100]);
                     let (g, refused): (Vec<(u64, Vec<u8>)>, bool) = match sel % 4 {
-                        0 => (vec![fresh, (key, vec![0; MAX_VALUE_LEN + 1])], true),
-                        1 => {
-                            let other = vec![tag; group_len(&model, key) + 1];
-                            (vec![fresh, (key, other)], model.contains_key(&key))
-                        }
-                        // eight bucket heads on a seven-record log: the
-                        // prelog's `LogFull`
-                        2 => (std::iter::once(fresh).chain(spread.clone()).collect(), true),
+                        0 => (vec![fresh, other, (key, vec![0; MAX_VALUE_LEN + 1])], true),
+                        // one key at two classes: the last write places it
+                        1 => (vec![fresh, other, (key, vec![tag; 1])], false),
                         // more 4 KiB nodes than the heap has room for
-                        _ if aux % 4 == 0 => {
-                            ((0..80).map(|j| (2000 + j, vec![tag; 2000])).collect(), true)
-                        }
-                        // a worker that dies inside a FASE: healing rolls
-                        // its store back, persists the restored head and
-                        // rebuilds the index (under `Best` that head may
-                        // name a node that never reached NVRAM)
-                        _ if consistent => {
-                            s.rt.begin_fase();
-                            s.rt.store_u64(s.bucket_off(key), 0);
-                            assert!(s.heal_after_panic(), "{step}: a FASE was open");
+                        2 => (
+                            [fresh, other]
+                                .into_iter()
+                                .chain((0..80).map(|j| (2000 + j, vec![tag; 2000])))
+                                .collect(),
+                            true,
+                        ),
+                        // a worker that dies inside a FASE, half way
+                        // through an update: healing drops the FASE and
+                        // rebuilds the index and the free lists
+                        _ => {
+                            if let Some(entry) = s.locate(key) {
+                                let stamp = s.next_stamp();
+                                s.rt.begin_fase();
+                                let (at, len) = (entry.other().slot_off(), entry.vlen());
+                                let dead = slot_header(stamp, len as u64);
+                                s.store_words(at, &[dead], &vec![0xee; len]);
+                                assert!(s.heal_after_panic(), "{step}: a FASE was open");
+                            }
                             (Vec::new(), false)
                         }
-                        _ => continue,
                     };
                     if s.put_many(&g) {
                         assert!(!refused, "{step}: group must be refused");
@@ -2249,18 +2182,19 @@ mod tests {
                     let got: BTreeMap<_, _> = s.dump().into_iter().collect();
                     assert_eq!(got, model, "{step}: committed state lost");
                 }
-                // `Best` flushes no data, but a free persists the freed
-                // node's line: its image may chain through a node the
-                // heap holds free, which the walk cannot always tell. It
-                // reopens as a foreign image would, a typed refusal ends
-                // the program, and so does the first check of a shard
-                // that reopened: nothing it serves after is owed.
+                // `Best` flushes no data, but publishes its epoch words
+                // and class bytes: its image may hold a key's new node
+                // without the old one's tombstone, which the pass cannot
+                // tell from a hostile image. It reopens as a foreign
+                // image would, a typed refusal ends the program, and so
+                // does the first check of a shard that reopened: nothing
+                // it serves after is owed.
                 _ => {
                     let mode = adversary(sel as u64 + aux, cfg);
                     let image = s.rt.region().image_after_crash(&mode);
                     let mut r = match Shard::reopen_from_image(image, cfg) {
                         Ok(r) => r,
-                        Err(ShardImageError::BadChain { .. }) => return,
+                        Err(ShardImageError::BadNode { .. }) => return,
                         Err(e) => panic!("{step}: {e}"),
                     };
                     let kept = r.dump().into_iter().collect();
@@ -2275,12 +2209,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
-        /// The index never says anything the chains do not: after every
-        /// step of a program of puts of all three kinds, groups, deletes,
-        /// lane batches with barriers, refused groups, FASEs abandoned
-        /// by a dying worker and power failures under every adversary.
+        /// The index and the free lists never say anything the heap does
+        /// not: after every step of a program of puts of all three kinds,
+        /// groups, deletes, lane batches with barriers, refused groups,
+        /// FASEs abandoned by a dying worker and power failures under
+        /// every adversary.
         #[test]
-        fn index_is_the_chains(
+        fn index_is_the_heap(
             prog in prop::collection::vec((0u8..16, 0u64..KEYS, 0u8..5, any::<u64>()), 1..70),
         ) {
             for policy in [
@@ -2289,11 +2224,10 @@ mod tests {
                 PolicyKind::Best,
             ] {
                 let cfg = ShardConfig {
-                    buckets: 8, // chains of several nodes: link surgery
-                    // a group of seven records: a FASE's logged ranges
-                    // are bucket heads and the epoch word, so only
-                    // inserts into seven or eight buckets outgrow it
-                    log_len: 64 + 16 + 7 * 16,
+                    // seven segments: deleted blocks are reused, keys
+                    // move between five classes, and 80 max-class nodes
+                    // do not fit
+                    data_len: 32 << 10,
                     ..small(policy)
                 };
                 run_differential(&cfg, &prog);

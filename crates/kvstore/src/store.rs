@@ -27,9 +27,9 @@ impl Default for KvConfig {
     }
 }
 
-/// SplitMix64 finalizer — the shard router. Deliberately a different
-/// mix than the in-shard bucket hash so shard choice and bucket choice
-/// are uncorrelated. Every lane router (`KvServer::shard_of`,
+/// SplitMix64 finalizer — the shard router. A shard's index hashes with
+/// `std`'s keyed hasher, so shard choice and a key's place in its
+/// shard's index are uncorrelated. Every lane router (`KvServer::shard_of`,
 /// `KvClient::lane_of`) is this modulo the lane count.
 pub(crate) fn route_hash(key: u64) -> u64 {
     let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);

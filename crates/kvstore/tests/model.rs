@@ -14,8 +14,12 @@ fn single_shard(policy: PolicyKind) -> KvStore {
     KvStore::new(&KvConfig {
         shards: 1,
         shard: ShardConfig {
-            buckets: 32, // small: force chains and chain surgery
-            data_len: 1 << 20,
+            buckets: 32, // selects nothing
+            // five 4 KiB segments: as many as 24 keys can need at the
+            // five lengths below (one segment per class, two for 52
+            // bytes), so a deleted block is the next insert's and a key
+            // that changes class leaves one for the next move
+            data_len: 21 << 10,
             log_len: 1 << 16,
             policy,
             adapt: None,
@@ -37,8 +41,8 @@ fn policies() -> [PolicyKind; 5] {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random op soup over a small key space (collisions, in-place and
-    /// size-changing updates, deletes of absent keys) matches the model.
+    /// Random op soup over a small key space (in-place updates, class
+    /// moves, deletes of absent keys, block reuse) matches the model.
     #[test]
     fn store_matches_hashmap_model(
         ops in prop::collection::vec((0u8..4, 0u64..24, 0u8..5), 0..250),
@@ -49,7 +53,7 @@ proptest! {
             for (i, &(op, key, lensel)) in ops.iter().enumerate() {
                 match op {
                     // put: value length varies with lensel so updates
-                    // exercise both the in-place and replace paths
+                    // exercise both the in-place and the class-move paths
                     0 | 1 => {
                         let v = value_bytes(key, i as u64, lensel as usize * 13);
                         prop_assert!(store.put(key, &v), "heap sized for the op count");

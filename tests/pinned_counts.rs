@@ -1,8 +1,7 @@
 //! The persistence counts of two fixed programs, as literals.
 //!
 //! Every layer under `Shard::put_many` — the region's line tracking,
-//! the flush ring's drain, the undo log's grouped append, the shard's
-//! own planning — and every volatile structure of the tree — its remap,
+//! the flush ring's drain, the shard's own planning — and every volatile structure of the tree — its remap,
 //! its free list, its transaction bookkeeping — may get faster, but
 //! none may execute one store, flush or fence more or less than it did:
 //! the crash matrices index crash points by micro-step, and the
@@ -84,6 +83,23 @@
 //! own). The heap's term in the flush identity went 101 → 102 (the
 //! head block), and the program gained the fence identity the tree's
 //! has. The tree program did not move.
+//! Then the shard stopped storing pointers: its data area became a head
+//! line, a class table and 4 KiB segments of equal blocks that recovery
+//! scans, and inserts, deletes and class moves began to commit as
+//! updates do, by the published epoch word. Only the shard program was
+//! re-recorded, every literal of it: `steps()` 9 101 → 8 126;
+//! `PmemStats` flushes 4 567 → 3 973, fences 523 → 415, stores 4 011 →
+//! 3 738, bytes written 206 672 → 201 080; `LogStats` records 107 → 0,
+//! record lines 37 → 0 and commit lines 20 → 0 — the shard logs
+//! nothing; `FaseStats` FASEs 201 → 207 (six segments carved, each by a
+//! FASE of its own), stores 3 857 → 3 736, store lines 4 906 → 4 384
+//! (a fresh node is its key and one slot, no bucket head, no void
+//! second header, and a slot's offset follows its class: a 100-byte
+//! slot spans two lines, not three) and data flushes 4 647 → 4 153;
+//! `RingStats` submitted 4 153, flushed 3 972, sweeps 3 183 and drains
+//! 407 (every FASE's commit record drains on its own). Neither heap nor
+//! root persists any more: the flush identity's constant went 102 → 1,
+//! the log's format. The tree program did not move.
 
 use nvcache::core::PolicyKind;
 use nvcache::fase::{FaseStats, LogStats};
@@ -94,10 +110,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// 200 seeded `put_many` batches of 1..=32 items over 96 keys on a
-/// shard: fresh inserts, slot updates, repeated keys
-/// inside one batch, bucket-head threading, 100-byte values that
-/// straddle cache lines, and — every 16th key — empty values, whose
-/// update writes a slot header and nothing else.
+/// shard: fresh inserts, slot updates, repeated keys inside one batch,
+/// segments of three classes carved, 100-byte values that straddle
+/// cache lines, and — every 16th key — empty values, whose update
+/// writes a slot header and nothing else.
 #[test]
 fn put_many_program_counts_are_pinned() {
     let mut shard = Shard::new(&ShardConfig {
@@ -125,74 +141,64 @@ fn put_many_program_counts_are_pinned() {
         assert!(shard.put_many(&batch), "batch {op}");
     }
     assert_eq!(shard.len(), 96, "every key was inserted");
-    assert_eq!(shard.steps(), 9_101);
+    assert_eq!(shard.steps(), 8_126);
     let rt = shard.runtime_mut();
     assert_eq!(
         rt.region().stats(),
         PmemStats {
-            bytes_written: 206_672,
-            stores: 4_011,
-            flushes: 4_567,
-            fences: 523,
+            bytes_written: 201_080,
+            stores: 3_738,
+            flushes: 3_973,
+            fences: 415,
             crashes: 0,
         }
     );
-    // only the 20 batches that insert log: their bucket heads, and the
-    // epoch word when they also update
+    // the shard logs nothing: every FASE commits by its commit record
+    let log = rt.log_stats();
+    assert_eq!((log.entries, log.record_lines, log.commit_lines), (0, 0, 0));
     assert_eq!(
-        rt.log_stats(),
+        log,
         LogStats {
-            entries: 107,
-            elided: 8,
-            commits: 201,
+            entries: 0,
+            elided: 0,
+            commits: 207,
             rollbacks: 0,
-            bytes_logged: 856,
-            record_lines: 37,
-            commit_lines: 20,
+            bytes_logged: 0,
+            record_lines: 0,
+            commit_lines: 0,
         }
     );
     // the flushes by kind: data through the ring — the policy's lines
-    // and each published epoch word — the log's groups and epoch bumps,
-    // and 102 persists of the heap and the log's format: one per node,
-    // the bucket array, the head block and the root, three to format
-    let (pmem, ring, log, fase) = (
-        rt.region().stats(),
-        rt.ring_stats(),
-        rt.log_stats(),
-        rt.stats(),
-    );
-    assert_eq!(
-        pmem.flushes,
-        ring.flushed + log.record_lines + log.commit_lines + 102
-    );
-    // and the fences: a data fence and a commit fence — the published
-    // epoch's or the log's bump — per FASE, the prelog's fence of each
-    // FASE that logged, and 101 for those 102 persisted lines
-    assert_eq!(
-        pmem.fences,
-        fase.fences + fase.fases + log.commit_lines + 101
-    );
+    // and each FASE's commit record, the head, a class byte or the
+    // epoch word — and the one persist of the log's format
+    let (pmem, ring, fase) = (rt.region().stats(), rt.ring_stats(), rt.stats());
+    assert_eq!(pmem.flushes, ring.flushed + 1);
+    // and the fences: a data fence and a commit fence per FASE, and the
+    // format's
+    assert_eq!(pmem.fences, fase.fences + fase.fases + 1);
+    // 200 batches, the set-up FASE that writes the head, and six carves:
+    // one segment of empty values, two of 100-byte, three of 40-byte
     assert_eq!(
         rt.stats(),
         FaseStats {
-            fases: 201,
-            stores: 3_857,
-            store_lines: 4_906,
-            data_flushes: 4_647,
-            fences: 201,
+            fases: 207,
+            stores: 3_736,
+            store_lines: 4_384,
+            data_flushes: 4_153,
+            fences: 207,
             rollbacks: 0,
         }
     );
-    // a published epoch is a drain of its own: 181 more drains, one per
-    // FASE that logged nothing (the set-up FASE among them)
+    // a commit record is a drain of its own: 407 drains, one per FASE
+    // and one per FASE that stored data (not the set-up, not a carve)
     assert_eq!(
         rt.ring_stats(),
         RingStats {
-            submitted: 4_647,
-            flushed: 4_408,
+            submitted: 4_153,
+            flushed: 3_972,
             elided: 0,
-            sweeps: 3_175,
-            drains: 382,
+            sweeps: 3_183,
+            drains: 407,
         }
     );
 }
