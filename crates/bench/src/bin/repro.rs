@@ -161,7 +161,7 @@ fn run_one(name: &str, scale: f64, threads: &[usize], smoke: bool) -> Vec<Table>
 /// Build the KV server `kv-serve` runs: SC-adaptive policy, group
 /// commit on.
 fn net_kv_server(shards: usize) -> std::sync::Arc<nvcache_kvstore::KvServer> {
-    use nvcache_kvstore::{AdaptConfig, KvConfig, KvServer, ServerConfig, ShardConfig};
+    use nvcache_kvstore::{KvConfig, KvServer, ServerConfig, ShardConfig};
     std::sync::Arc::new(KvServer::new(
         &KvConfig {
             shards,
@@ -170,10 +170,10 @@ fn net_kv_server(shards: usize) -> std::sync::Arc<nvcache_kvstore::KvServer> {
                 data_len: 1 << 21,
                 log_len: 1 << 17,
                 policy: PolicyKind::ScAdaptive(AdaptiveConfig {
-                    external_control: true,
+                    burst_len: 4096,
                     ..Default::default()
                 }),
-                adapt: Some(AdaptConfig::default()),
+                adapt: None,
                 pipelined: true,
             },
         },

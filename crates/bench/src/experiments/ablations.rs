@@ -225,7 +225,10 @@ pub fn ablation_phased(scale: f64) -> Table {
         t.row(vec![
             name.into(),
             ratio(f.flush_ratio()),
-            format!("8 → {:?}", p.selections()),
+            format!(
+                "8 → {:?}",
+                p.choices().iter().map(|c| c.capacity).collect::<Vec<_>>()
+            ),
         ]);
     }
     // oracle rows for reference

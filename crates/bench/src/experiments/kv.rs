@@ -3,9 +3,9 @@
 //! shards, each shard one FASE runtime behind ER / AT / live-adaptive
 //! SC, writes issued in group-commit batches. Reports wall-clock
 //! throughput, the serving-phase flush ratio, and — for SC — the
-//! capacity each shard's live controller chose, alongside the knee an
-//! *offline* exact-Mattson analysis of the same recorded store-line
-//! window would have picked. A full-size run writes `BENCH_kv.json`; a
+//! capacity each shard's adaptive policy chose, alongside the knee an
+//! *offline* exact-Mattson analysis of the store-line window that
+//! policy analysed would have picked. A full-size run writes `BENCH_kv.json`; a
 //! `--smoke` run only checks what must hold on any host and exits
 //! non-zero (panics) when it does not.
 
@@ -15,8 +15,8 @@ use crate::report::{json_str, Table};
 use nvcache_core::{AdaptiveConfig, PolicyKind};
 use nvcache_fase::FaseStats;
 use nvcache_kvstore::{
-    load, run, run_net, AdaptConfig, InProcTransport, KeyDist, KvConfig, KvServer, KvStore, Mix,
-    NetLoadConfig, NetServer, QueueStats, ServerConfig, ShardConfig, YcsbConfig,
+    load, run, run_net, InProcTransport, KeyDist, KvConfig, KvServer, KvStore, Mix, NetLoadConfig,
+    NetServer, QueueStats, ServerConfig, ShardConfig, YcsbConfig,
 };
 use nvcache_locality::{lru_mrc, select_cache_size, KneeConfig};
 use nvcache_telemetry::{
@@ -31,20 +31,13 @@ const VALUE_LEN: usize = 40;
 const BATCH: usize = 128;
 
 fn config_for(policy_label: &str, burst: usize) -> KvConfig {
-    let (policy, adapt) = match policy_label {
-        "ER" => (PolicyKind::Eager, None),
-        "AT" => (PolicyKind::Atlas { size: 8 }, None),
-        "SC" => (
-            PolicyKind::ScAdaptive(AdaptiveConfig {
-                external_control: true,
-                ..Default::default()
-            }),
-            Some(AdaptConfig {
-                burst_len: burst,
-                record_stream: true,
-                ..Default::default()
-            }),
-        ),
+    let policy = match policy_label {
+        "ER" => PolicyKind::Eager,
+        "AT" => PolicyKind::Atlas { size: 8 },
+        "SC" => PolicyKind::ScAdaptive(AdaptiveConfig {
+            burst_len: burst,
+            ..Default::default()
+        }),
         other => unreachable!("unknown policy label {other}"),
     };
     KvConfig {
@@ -57,7 +50,7 @@ fn config_for(policy_label: &str, burst: usize) -> KvConfig {
             data_len: 1 << 21,
             log_len: 1 << 17,
             policy,
-            adapt,
+            adapt: None,
             pipelined: true,
         },
     }
@@ -82,9 +75,9 @@ struct Run {
     /// Mean requests per served batch, caller-run batches of 1 included
     /// (concurrent and network grids).
     occupancy: Option<f64>,
-    /// Per-shard live-controller outcomes (first grid, SC only; all
+    /// Per-shard adaptive-policy outcomes (first grid, SC only; all
     /// `None` otherwise): chosen capacity, its online knee, the offline
-    /// exact-Mattson knee over the same recorded window, and
+    /// exact-Mattson knee over the same analysed window, and
     /// windows-to-knee from the decision stream.
     caps: Vec<Option<usize>>,
     online: Vec<Option<usize>>,
@@ -376,7 +369,7 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
                     rep.windows.iter().map(|w| w.stats).sum(),
                     rep.latency.as_ref().expect("latency recording on"),
                 );
-                // live-controller outcomes (SC only), gathered while the
+                // adaptive-policy outcomes (SC only), gathered while the
                 // store is still alive
                 if policy == "SC" {
                     for s in 0..SHARDS {
@@ -387,12 +380,12 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
                             }
                             // convergence over the shard's full decision
                             // stream: how many MRC windows until the
-                            // controller landed on (and kept) the knee
+                            // policy landed on (and kept) the knee
                             let evs: Vec<CapacityEvent> = sh
                                 .chosen()
                                 .iter()
                                 .map(|c| CapacityEvent {
-                                    t: c.op,
+                                    t: c.fase,
                                     knee: c.knee as u64,
                                     capacity: c.capacity as u64,
                                 })
@@ -419,7 +412,7 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
             } else if smoke && mix == Mix::A {
                 // smoke sizes are fixed: load + the write-heavy mix fill
                 // the first 512-line MRC window of the busier shards, so
-                // some live controller must have chosen a capacity and
+                // some shard's policy must have chosen a capacity and
                 // settled on its knee
                 assert!(
                     r.wtk.iter().any(|w| w.is_some_and(|w| w >= 1)),

@@ -25,11 +25,8 @@ pub struct AdaptiveConfig {
     /// Writes to skip between bursts; `None` analyzes exactly once
     /// (paper behaviour).
     pub hibernation: Option<u64>,
-    /// Disable the built-in burst sampler: capacity changes only through
-    /// [`AdaptiveScPolicy::apply_capacity`]. This is the serving-layer
-    /// configuration, where an external controller (one per KV shard)
-    /// owns the sampler and resizes the cache between requests instead
-    /// of inside the store hot path.
+    /// Selects nothing: the policy is the only adaptive controller. Kept
+    /// for `benchmark/src/adapter.rs`, which sets it.
     pub external_control: bool,
 }
 
@@ -44,6 +41,17 @@ impl Default for AdaptiveConfig {
     }
 }
 
+/// One capacity decision of the adaptive policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CapacityChoice {
+    /// The policy's renaming epoch (FASEs ended) at the resize.
+    pub fase: u64,
+    /// The MRC knee the analysis found.
+    pub knee: usize,
+    /// The capacity it installed (knee + 1 safety entry, clamped).
+    pub capacity: usize,
+}
+
 /// The online adaptive software-cache policy ("SC").
 #[derive(Debug, Clone)]
 pub struct AdaptiveScPolicy {
@@ -54,8 +62,8 @@ pub struct AdaptiveScPolicy {
     epoch: u64,
     /// Modeled instruction overhead not yet charged to the machine.
     pending_instrs: u64,
-    /// Capacities chosen so far (diagnostics; Fig. 8 / Section IV-G).
-    selections: Vec<usize>,
+    /// Decisions made so far (diagnostics; Fig. 8 / Section IV-G).
+    choices: Vec<CapacityChoice>,
     /// Most recent resize as `(knee, new_capacity)`, drained by the
     /// telemetry-enabled driver via `take_capacity_change`.
     last_change: Option<(usize, usize)>,
@@ -69,7 +77,7 @@ impl AdaptiveScPolicy {
             sampler: BurstSampler::new(cfg.burst_len, cfg.knee.max_size, cfg.hibernation),
             epoch: 0,
             pending_instrs: 0,
-            selections: Vec::new(),
+            choices: Vec::new(),
             last_change: None,
             cfg,
         }
@@ -80,9 +88,15 @@ impl AdaptiveScPolicy {
         self.sc.capacity()
     }
 
-    /// Capacities selected by completed analyses, in order.
-    pub fn selections(&self) -> &[usize] {
-        &self.selections
+    /// Decisions of the completed analyses, in order.
+    pub fn choices(&self) -> &[CapacityChoice] {
+        &self.choices
+    }
+
+    /// The FASE-renamed store lines the last completed burst analysed
+    /// (empty before the first analysis and while a later burst fills).
+    pub fn last_window(&self) -> &[u64] {
+        self.sampler.last_window()
     }
 
     /// The wrapped fixed-capacity cache (hit/miss counters).
@@ -90,19 +104,17 @@ impl AdaptiveScPolicy {
         &self.sc
     }
 
-    /// Apply a capacity decision made by an **external** controller (a
-    /// KV-shard adaptation loop that runs its own [`BurstSampler`] over
-    /// the serving write stream). `knee` is the MRC knee that motivated
-    /// the choice, `size` the new capacity; the clamp to
-    /// `[min_size, max_size]` and the bookkeeping (selection history,
-    /// pending `take_capacity_change`) match the internal path, so
-    /// telemetry pins the resize identically. Entries evicted by a
-    /// shrink are appended to `out` for the caller to flush.
-    pub fn apply_capacity(&mut self, knee: usize, size: usize, out: &mut Vec<Line>) {
-        let size = size.clamp(self.cfg.knee.min_size.max(1), self.cfg.knee.max_size);
-        self.selections.push(size);
-        self.last_change = Some((knee, size));
-        self.sc.set_capacity_into(size, out);
+    /// Restart measurement: a fresh sampler and an empty decision list,
+    /// at the current capacity, so the next burst begins at the next
+    /// store. A server calls this after a bulk load, so that decisions
+    /// reflect the serving write stream, not the loader's.
+    pub fn restart_sampling(&mut self) {
+        self.sampler = BurstSampler::new(
+            self.cfg.burst_len,
+            self.cfg.knee.max_size,
+            self.cfg.hibernation,
+        );
+        self.choices.clear();
     }
 }
 
@@ -127,12 +139,8 @@ const RENAME_EPOCH_BITS: u32 = 64 - RENAME_ADDR_BITS;
 /// handful of FASEs, nowhere near 16M — but the masking must be explicit
 /// rather than relying on `epoch << 40` discarding high bits, which
 /// reads as (and previously was) a silent overflow.
-///
-/// Public so external adaptation controllers (e.g. the KV serving
-/// layer's per-shard sampler) rename their store streams identically to
-/// the in-policy sampler.
 #[inline]
-pub fn rename_for_epoch(epoch: u64, line: u64) -> u64 {
+fn rename_for_epoch(epoch: u64, line: u64) -> u64 {
     let window = epoch & ((1u64 << RENAME_EPOCH_BITS) - 1);
     (window << RENAME_ADDR_BITS) | (line & ((1u64 << RENAME_ADDR_BITS) - 1))
 }
@@ -148,11 +156,6 @@ impl PersistPolicy for AdaptiveScPolicy {
 
     #[inline]
     fn on_store(&mut self, line: Line, out: &mut Vec<Line>) -> StoreOutcome {
-        if self.cfg.external_control {
-            // Serving-layer mode: the shard controller samples and
-            // resizes; the hot path is a plain fixed-capacity cache.
-            return self.sc.on_store(line, out);
-        }
         // Sample with FASE renaming (Section III-B): an address reused
         // across FASEs must look like a fresh datum.
         let renamed = rename_for_epoch(self.epoch, line.0);
@@ -169,7 +172,11 @@ impl PersistPolicy for AdaptiveScPolicy {
             // guards the cliff foot at negligible cost.
             let knee = select_cache_size(&mrc, &self.cfg.knee);
             let size = (knee + 1).min(self.cfg.knee.max_size);
-            self.selections.push(size);
+            self.choices.push(CapacityChoice {
+                fase: self.epoch,
+                knee,
+                capacity: size,
+            });
             self.last_change = Some((knee, size));
             self.pending_instrs += ANALYSIS_INSTR_PER_WRITE * self.cfg.burst_len as u64;
             self.sc.set_capacity_into(size, out);
@@ -268,7 +275,7 @@ mod tests {
         let mut p = AdaptiveScPolicy::new(small_cfg(2000));
         let mut out = Vec::new();
         feed_cyclic(&mut p, 23, 200, &mut out);
-        assert_eq!(p.selections().len(), 1, "one burst analyzed");
+        assert_eq!(p.choices().len(), 1, "one burst analyzed");
         let cap = p.capacity();
         assert!(
             (21..=24).contains(&cap),
@@ -297,7 +304,7 @@ mod tests {
         let mut p = AdaptiveScPolicy::new(small_cfg(500));
         let mut out = Vec::new();
         feed_cyclic(&mut p, 10, 1000, &mut out);
-        assert_eq!(p.selections().len(), 1);
+        assert_eq!(p.choices().len(), 1);
     }
 
     #[test]
@@ -315,7 +322,7 @@ mod tests {
             }
         }
         let second = p.capacity();
-        assert!(p.selections().len() >= 2);
+        assert!(p.choices().len() >= 2);
         assert!(
             second > first,
             "re-adaptation must grow the cache: {first} → {second}"
@@ -334,7 +341,7 @@ mod tests {
             p.on_store(Line(2), &mut out);
             p.on_fase_end(&mut out);
         }
-        assert_eq!(p.selections().len(), 1);
+        assert_eq!(p.choices().len(), 1);
         assert_eq!(
             p.capacity(),
             KneeConfig::default().max_size,
@@ -353,38 +360,23 @@ mod tests {
     }
 
     #[test]
-    fn external_control_disables_internal_sampling() {
-        let mut cfg = small_cfg(100);
-        cfg.external_control = true;
-        let mut p = AdaptiveScPolicy::new(cfg);
+    fn restart_sampling_keeps_the_capacity_and_decides_again() {
+        let mut p = AdaptiveScPolicy::new(small_cfg(500));
         let mut out = Vec::new();
-        feed_cyclic(&mut p, 30, 100, &mut out);
-        assert!(p.selections().is_empty(), "no internal analysis may run");
-        assert_eq!(p.capacity(), KneeConfig::default().default_size);
-        assert_eq!(p.drain_extra_instrs(), 0, "no sampling cost either");
-        assert!(p.take_capacity_change().is_none());
-    }
-
-    #[test]
-    fn apply_capacity_resizes_and_records_like_internal_path() {
-        let mut cfg = small_cfg(100);
-        cfg.external_control = true;
-        let mut p = AdaptiveScPolicy::new(cfg);
-        let mut out = Vec::new();
-        feed_cyclic(&mut p, 20, 5, &mut out);
-        out.clear();
-        p.apply_capacity(23, 24, &mut out);
-        assert_eq!(p.capacity(), 24);
-        assert_eq!(p.selections(), &[24]);
-        assert_eq!(p.take_capacity_change(), Some((23, 24)));
-        assert!(p.take_capacity_change().is_none(), "drained once");
-        // shrink below the live working set evicts into `out`
-        p.apply_capacity(2, 3, &mut out);
-        assert_eq!(p.capacity(), 3);
-        assert!(!out.is_empty(), "shrink must surface evictions");
-        // clamped to the knee config bounds
-        p.apply_capacity(99, 10_000, &mut out);
-        assert_eq!(p.capacity(), KneeConfig::default().max_size);
+        feed_cyclic(&mut p, 20, 100, &mut out);
+        let first = p.choices().to_vec();
+        assert_eq!(first.len(), 1);
+        assert_eq!(p.last_window().len(), 500);
+        p.on_fase_end(&mut out);
+        p.restart_sampling();
+        assert!(p.choices().is_empty());
+        assert!(p.last_window().is_empty());
+        assert_eq!(p.capacity(), first[0].capacity, "the capacity stays");
+        feed_cyclic(&mut p, 20, 100, &mut out);
+        let again = p.choices();
+        assert_eq!(again.len(), 1, "the next burst decides again");
+        assert_eq!(again[0].fase, 1, "one FASE ended before it");
+        assert_eq!(again[0].knee, first[0].knee);
     }
 
     #[test]
@@ -394,6 +386,6 @@ mod tests {
         feed_cyclic(&mut p, 30, 50, &mut out);
         p.reset();
         assert_eq!(p.capacity(), KneeConfig::default().default_size);
-        assert!(p.selections().is_empty());
+        assert!(p.choices().is_empty());
     }
 }

@@ -38,7 +38,7 @@ pub mod lru;
 pub mod policy;
 pub mod sc;
 
-pub use adaptive::{rename_for_epoch, AdaptiveConfig, AdaptiveScPolicy};
+pub use adaptive::{AdaptiveConfig, AdaptiveScPolicy, CapacityChoice};
 pub use atlas::AtlasPolicy;
 pub use best::BestPolicy;
 pub use driver::{

@@ -176,27 +176,6 @@ macro_rules! each_variant {
 }
 pub(crate) use each_variant;
 
-impl Policy {
-    /// Resize the software cache to `capacity` on behalf of an external
-    /// controller (`knee` = the MRC knee that motivated it). Evicted
-    /// entries are appended to `out` for the caller to flush. Returns
-    /// `false` (and does nothing) for policies without a resizable
-    /// cache — ER/LA/AT/BEST have no capacity to steer.
-    pub fn apply_capacity(&mut self, knee: usize, capacity: usize, out: &mut Vec<Line>) -> bool {
-        match self {
-            Policy::ScFixed(p) => {
-                p.set_capacity_into(capacity.max(1), out);
-                true
-            }
-            Policy::ScAdaptive(p) => {
-                p.apply_capacity(knee, capacity, out);
-                true
-            }
-            _ => false,
-        }
-    }
-}
-
 impl PersistPolicy for Policy {
     #[inline]
     fn name(&self) -> &'static str {
@@ -268,27 +247,14 @@ mod tests {
     }
 
     #[test]
-    fn sc_capacity_and_apply_capacity_cover_only_sc_variants() {
-        use nvcache_trace::Line;
-        let mut out = Vec::new();
+    fn sc_capacity_covers_only_sc_variants() {
         for kind in [PolicyKind::Eager, PolicyKind::Lazy, PolicyKind::Best] {
-            let mut p = kind.build_policy();
-            assert_eq!(p.sc_capacity(), None, "{}", kind.label());
-            assert!(!p.apply_capacity(5, 12, &mut out), "{}", kind.label());
+            assert_eq!(kind.build_policy().sc_capacity(), None, "{}", kind.label());
         }
-        let mut fixed = PolicyKind::ScFixed { capacity: 4 }.build_policy();
+        let fixed = PolicyKind::ScFixed { capacity: 4 }.build_policy();
         assert_eq!(fixed.sc_capacity(), Some(4));
-        for i in 0..4u64 {
-            fixed.on_store(Line(i), &mut out);
-        }
-        out.clear();
-        assert!(fixed.apply_capacity(2, 2, &mut out));
-        assert_eq!(fixed.sc_capacity(), Some(2));
-        assert_eq!(out.len(), 2, "shrink 4→2 evicts two LRU lines");
-        let mut adaptive = PolicyKind::ScAdaptive(Default::default()).build_policy();
-        assert!(adaptive.apply_capacity(9, 10, &mut out));
-        assert_eq!(adaptive.sc_capacity(), Some(10));
-        assert_eq!(adaptive.take_capacity_change(), Some((9, 10)));
+        let adaptive = PolicyKind::ScAdaptive(Default::default()).build_policy();
+        assert_eq!(adaptive.sc_capacity(), Some(8));
     }
 
     /// Drive `concrete` and the [`Policy`] `kind` builds through the same

@@ -30,7 +30,7 @@
 //! the only flush path: a flush reaches NVRAM before commit only when a
 //! full ring drains inline.
 
-use nvcache_core::{PersistPolicy, Policy, PolicyKind, StoreOutcome};
+use nvcache_core::{AdaptiveScPolicy, PersistPolicy, Policy, PolicyKind, StoreOutcome};
 use nvcache_pmem::{CrashMode, CrashPlan, FlushRing, PAlloc, PmemRegion, RingStats, LINE_SIZE};
 use nvcache_telemetry::{
     Clock, ClockSource, CounterId, EventKind, HistId, Recorder, Sample, TelemetryConfig,
@@ -375,33 +375,24 @@ impl FaseRuntime {
         self.policy.sc_capacity()
     }
 
-    /// Resize the policy's software cache on behalf of an external
-    /// adaptation controller: `knee` is the MRC knee that motivated the
-    /// choice, `capacity` the new size. Entries evicted by a shrink are
-    /// flushed immediately (they are still flush obligations), and the
-    /// resize is pinned on the telemetry timeline as a
-    /// `CapacityChange` event exactly like an in-policy adaptation.
-    /// Returns `false` for policies with nothing to resize.
-    pub fn apply_capacity(&mut self, knee: usize, capacity: usize) -> bool {
-        debug_assert!(self.flush_buf.is_empty());
-        if !self
-            .policy
-            .apply_capacity(knee, capacity, &mut self.flush_buf)
-        {
-            return false;
+    /// The adaptive policy, when the runtime runs SC: its decisions,
+    /// the window it analysed, and [`AdaptiveScPolicy::restart_sampling`]
+    /// through [`FaseRuntime::adaptive_mut`]. It samples and resizes
+    /// inside the store path; a resize is pinned on the telemetry
+    /// timeline as a `CapacityChange` event.
+    pub fn adaptive(&self) -> Option<&AdaptiveScPolicy> {
+        match &self.policy {
+            Policy::ScAdaptive(p) => Some(p),
+            _ => None,
         }
-        let n = self.emit_flushes();
-        // Drain the policy's pending change so the next telemetered
-        // store does not emit the event a second time.
-        let change = self.policy.take_capacity_change();
-        if let Some(tel) = &mut self.telemetry {
-            let (k, cap) = change.unwrap_or((knee, capacity));
-            let t = self.stats.store_lines;
-            tel.incr(CounterId::CapacityChanges);
-            tel.add(CounterId::FlushesAsync, n);
-            tel.emit(EventKind::CapacityChange, t, k as u64, cap as u64);
+    }
+
+    /// [`FaseRuntime::adaptive`], mutably.
+    pub fn adaptive_mut(&mut self) -> Option<&mut AdaptiveScPolicy> {
+        match &mut self.policy {
+            Policy::ScAdaptive(p) => Some(p),
+            _ => None,
         }
-        true
     }
 
     /// The underlying region (read access for verification).
@@ -1347,25 +1338,28 @@ mod tests {
     }
 
     #[test]
-    fn apply_capacity_resizes_flushes_evictions_and_pins_telemetry() {
+    fn an_adaptive_resize_is_pinned_on_the_timeline() {
+        use nvcache_core::AdaptiveConfig;
         use nvcache_telemetry::CounterId;
-        let mut r = rt(PolicyKind::ScAdaptive(Default::default()));
+        let mut r = rt(PolicyKind::ScAdaptive(AdaptiveConfig {
+            burst_len: 400,
+            ..Default::default()
+        }));
         r.enable_telemetry(&TelemetryConfig::default());
         assert_eq!(r.sc_capacity(), Some(8));
-        // fill the cache past the target so a shrink must evict
-        r.begin_fase();
-        for i in 0..8usize {
-            r.store_u64(i * 64, 7);
+        // 40 passes over 20 lines inside each FASE: a knee near 20
+        for _ in 0..2 {
+            r.fase(|r| {
+                for i in 0..800usize {
+                    r.store_u64(i % 20 * 64, i as u64);
+                }
+            });
         }
-        let flushes_before = r.stats().data_flushes;
-        assert!(r.apply_capacity(3, 4));
-        assert_eq!(r.sc_capacity(), Some(4));
-        assert_eq!(
-            r.stats().data_flushes - flushes_before,
-            4,
-            "shrink 8→4 flushes the four evicted LRU lines"
-        );
-        r.end_fase();
+        let choices = r.adaptive().unwrap().choices().to_vec();
+        assert_eq!(choices.len(), 1, "one burst, one decision");
+        assert_eq!(choices[0].fase, 0, "the first FASE's burst");
+        assert_eq!(r.sc_capacity(), Some(choices[0].capacity));
+        assert_eq!(r.adaptive().unwrap().last_window().len(), 400);
         let snap = r.take_telemetry().unwrap();
         assert_eq!(snap.counter(CounterId::CapacityChanges), 1);
         let ev: Vec<_> = snap
@@ -1374,17 +1368,10 @@ mod tests {
             .filter(|e| e.kind == EventKind::CapacityChange)
             .collect();
         assert_eq!(ev.len(), 1, "resize pinned exactly once on the timeline");
-        assert_eq!(ev[0].a, 3, "knee recorded");
-        assert_eq!(ev[0].b, 4, "capacity recorded");
-    }
-
-    #[test]
-    fn apply_capacity_is_a_noop_for_unresizable_policies() {
-        let mut r = rt(PolicyKind::Eager);
-        assert_eq!(r.sc_capacity(), None);
-        let before = r.stats();
-        assert!(!r.apply_capacity(5, 10));
-        assert_eq!(r.stats(), before);
+        assert_eq!(ev[0].t, 400, "at the store that completed the burst");
+        assert_eq!(ev[0].a, choices[0].knee as u64, "knee recorded");
+        assert_eq!(ev[0].b, choices[0].capacity as u64, "capacity recorded");
+        assert!(rt(PolicyKind::Eager).adaptive().is_none());
     }
 
     #[test]

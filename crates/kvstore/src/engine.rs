@@ -65,15 +65,13 @@ pub trait Engine: Send + 'static {
     /// The crash image captured by an armed plan, if reached.
     fn take_crash_image(&mut self) -> Option<Vec<u8>>;
 
-    /// Restart adaptation measurement (no-op for engines without a
-    /// live controller).
-    fn reset_sampler(&mut self) {}
+    /// Restart the adaptive policy's measurement at its current
+    /// capacity (nothing under other policies).
+    fn reset_sampler(&mut self);
 
-    /// Capacity decisions the live controller has made, in order
-    /// (empty for engines without one).
-    fn chosen(&self) -> Vec<CapacityChoice> {
-        Vec::new()
-    }
+    /// Capacity decisions the adaptive policy has made, in order (none
+    /// under other policies).
+    fn chosen(&self) -> Vec<CapacityChoice>;
 }
 
 impl Engine for Shard {
@@ -252,6 +250,17 @@ impl Engine for TreeEngine {
     fn take_crash_image(&mut self) -> Option<Vec<u8>> {
         self.t.take_crash_image()
     }
+
+    fn reset_sampler(&mut self) {
+        if let Some(p) = self.t.store_mut().runtime_mut().adaptive_mut() {
+            p.restart_sampling();
+        }
+    }
+
+    fn chosen(&self) -> Vec<CapacityChoice> {
+        let adaptive = self.t.store().runtime().adaptive();
+        adaptive.map_or_else(Vec::new, |p| p.choices().to_vec())
+    }
 }
 
 #[cfg(test)]
@@ -321,6 +330,44 @@ mod tests {
         assert_eq!(replies[0], BatchReply::Done(false));
         assert_eq!(replies[1], BatchReply::Done(true));
         assert_eq!(e.len(), 1);
+    }
+
+    /// A tree lane adapts when its `TreeConfig` picks SC, through the
+    /// same policy as a hash lane; under another policy it reports no
+    /// decision.
+    #[test]
+    fn a_tree_lane_adapts_by_configuration() {
+        use nvcache_core::{AdaptiveConfig, PolicyKind};
+        let cfg = |policy| TreeEngineConfig {
+            tree: TreeConfig {
+                policy,
+                ..small().tree
+            },
+        };
+        let mut e = TreeEngine::new(&cfg(PolicyKind::ScAdaptive(AdaptiveConfig {
+            burst_len: 2000,
+            ..Default::default()
+        })));
+        let batch: Vec<BatchRequest> = (0..64u64)
+            .map(|i| BatchRequest::Put(i % 16, vec![i as u8; 16]))
+            .collect();
+        let mut served = 0;
+        while e.chosen().is_empty() {
+            e.serve_batch(&batch);
+            served += 1;
+            assert!(served < 1000, "the tree lane never decided");
+        }
+        let capacity = e.tree().store().runtime().sc_capacity();
+        assert_eq!(capacity, Some(e.chosen()[0].capacity));
+        Engine::reset_sampler(&mut e);
+        assert!(e.chosen().is_empty());
+        assert_eq!(e.tree().store().runtime().sc_capacity(), capacity);
+
+        let mut fixed = TreeEngine::new(&cfg(PolicyKind::ScFixed { capacity: 8 }));
+        for _ in 0..served {
+            fixed.serve_batch(&batch);
+        }
+        assert!(fixed.chosen().is_empty());
     }
 
     #[test]

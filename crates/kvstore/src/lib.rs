@@ -15,11 +15,11 @@
 //!   committed state reads and commits by publishing the shard's epoch
 //!   word, with no undo record; two slots in a 4 KiB block cap a value
 //!   at [`MAX_VALUE_LEN`] = 2 032 bytes (the tree engine's cap is 232).
-//!   Beside the table runs the shard's
-//!   live adaptation controller: a `BurstSampler` fed the shard's
-//!   FASE-renamed store-line stream, whose MRC knee resizes the
-//!   `AdaptiveScPolicy` capacity *between* FASEs while the shard keeps
-//!   serving. Capacity changes are pinned in the telemetry timeline.
+//!   Under SC the runtime's `AdaptiveScPolicy` is the one adaptive
+//!   controller, for hash and tree lanes alike: it samples the lane's
+//!   FASE-renamed store lines and resizes its cache at the store that
+//!   completes a burst, while the lane keeps serving. Capacity changes
+//!   are pinned in the telemetry timeline.
 //! - [`engine`] — what a lane needs from the structure it serves
 //!   (`serve_batch`, crash / heal / sync, stats); [`Shard`] and the
 //!   CoW B+-tree of `nvcache-treestore` ([`TreeEngine`]) implement it.

@@ -437,7 +437,7 @@ impl<E: Engine> KvServer<E> {
         self.engines().for_each(|mut e| e.reset_sampler());
     }
 
-    /// Live-controller capacity decisions per shard.
+    /// The adaptive policy's capacity decisions, per lane.
     pub fn chosen(&self) -> Vec<Vec<CapacityChoice>> {
         self.engines().map(|e| e.chosen()).collect()
     }
@@ -990,6 +990,10 @@ mod tests {
         fn arm_crash(&mut self, _: nvcache_pmem::CrashPlan) {}
         fn take_crash_image(&mut self) -> Option<Vec<u8>> {
             None
+        }
+        fn reset_sampler(&mut self) {}
+        fn chosen(&self) -> Vec<CapacityChoice> {
+            Vec::new()
         }
     }
 

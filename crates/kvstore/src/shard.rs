@@ -1,9 +1,9 @@
 //! One KV shard: a persistent hash map owning a private [`FaseRuntime`]
 //! (per-thread cache model, paper Section II-B) whose image holds no
-//! pointers, plus the shard's **live adaptation controller** — a
-//! [`BurstSampler`] fed the shard's own store-line stream (FASE-renamed),
-//! whose MRC knee resizes the software cache *while the shard keeps
-//! serving*.
+//! pointers. Under SC the runtime's
+//! [`AdaptiveScPolicy`](nvcache_core::AdaptiveScPolicy) samples the
+//! shard's store lines and resizes the software cache while the shard
+//! keeps serving; [`Shard::chosen`] reads its decisions.
 //!
 //! Persistent layout (offsets inside the shard's data area; the runtime
 //! formats its undo log after it, and no shard FASE writes a record):
@@ -85,9 +85,10 @@
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
-use nvcache_core::{rename_for_epoch, PolicyKind};
+pub use nvcache_core::CapacityChoice;
+use nvcache_core::{AdaptiveConfig, PolicyKind};
 use nvcache_fase::{FaseRuntime, FaseStats, RecoveryError};
-use nvcache_locality::{select_cache_size, BurstSampler, KneeConfig, Mrc};
+use nvcache_locality::KneeConfig;
 use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
 use nvcache_trace::FxHashMap;
 
@@ -237,19 +238,20 @@ pub enum BatchReply {
     Entries(Vec<(u64, Vec<u8>)>),
 }
 
-/// Live-adaptation controller configuration for one shard.
+/// Sampling settings for a shard whose policy is `ScAdaptive`: they
+/// replace the policy's own `burst_len`, `knee` and `hibernation`
+/// (see `ShardConfig::runtime_policy`). Kept for
+/// `benchmark/src/adapter.rs`, which sets it; set [`AdaptiveConfig`]
+/// instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptConfig {
-    /// Store lines per sampling burst (paper: 64M on full-size runs;
-    /// shards here serve scaled-down working sets).
+    /// Store lines per sampling burst.
     pub burst_len: usize,
     /// Knee-selection tunables (bounds, tolerance).
     pub knee: KneeConfig,
-    /// Store lines to skip between bursts; `None` analyzes once
-    /// (paper default), `Some(h)` re-adapts periodically.
+    /// Store lines to skip between bursts; `None` analyzes once.
     pub hibernation: Option<u64>,
-    /// Also keep the full renamed store-line stream (offline
-    /// exact-Mattson comparison in tests and `repro kv-bench`).
+    /// Selects nothing: [`Shard::stream`] is always the analysed window.
     pub record_stream: bool,
 }
 
@@ -262,17 +264,6 @@ impl Default for AdaptConfig {
             record_stream: false,
         }
     }
-}
-
-/// One capacity decision made by the live controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CapacityChoice {
-    /// Operation index (per shard) at which the resize was applied.
-    pub op: u64,
-    /// The MRC knee the controller found.
-    pub knee: usize,
-    /// The capacity it installed (knee + 1 safety entry, clamped).
-    pub capacity: usize,
 }
 
 /// Static shape of one shard.
@@ -289,12 +280,30 @@ pub struct ShardConfig {
     pub log_len: usize,
     /// Persistence policy for this shard's runtime.
     pub policy: PolicyKind,
-    /// Live adaptation; `None` = fixed policy behaviour.
+    /// Overrides an `ScAdaptive` policy's sampling settings
+    /// ([`AdaptConfig`]); `None` keeps them.
     pub adapt: Option<AdaptConfig>,
     /// Selects nothing: every shard flushes through its runtime's ring
     /// and commits a `put_many` group as one FASE. Kept for
     /// `benchmark/src/adapter.rs`, which sets it.
     pub pipelined: bool,
+}
+
+impl ShardConfig {
+    /// The policy the shard's runtime runs: `policy`, with an
+    /// `ScAdaptive` policy's burst, knee and hibernation taken from
+    /// `adapt` when it is set.
+    fn runtime_policy(&self) -> PolicyKind {
+        match (&self.policy, &self.adapt) {
+            (PolicyKind::ScAdaptive(cfg), Some(a)) => PolicyKind::ScAdaptive(AdaptiveConfig {
+                knee: a.knee.clone(),
+                burst_len: a.burst_len,
+                hibernation: a.hibernation,
+                ..cfg.clone()
+            }),
+            (policy, _) => policy.clone(),
+        }
+    }
 }
 
 impl Default for ShardConfig {
@@ -376,14 +385,6 @@ pub struct Shard {
     index: HashMap<u64, Entry>,
     /// Volatile: per class, the free blocks, next one last.
     free: [Vec<Entry>; MAX_CLASS + 1],
-    ops: u64,
-    /// FASE epoch for store-line renaming (one op = one FASE).
-    epoch: u64,
-    sampler: Option<BurstSampler>,
-    adapt: Option<AdaptConfig>,
-    pending_mrc: Option<Mrc>,
-    chosen: Vec<CapacityChoice>,
-    stream: Option<Vec<u64>>,
     /// [`Shard::put_many`]'s plan, kept between batches.
     plan: PutPlan,
     /// A slot, or a fresh node's first bytes, composed for its one store
@@ -431,12 +432,12 @@ impl PutPlan {
 impl Shard {
     /// Create a fresh shard.
     pub fn new(cfg: &ShardConfig) -> Self {
-        let mut rt = FaseRuntime::new(cfg.data_len, cfg.log_len, &cfg.policy);
+        let mut rt = FaseRuntime::new(cfg.data_len, cfg.log_len, &cfg.runtime_policy());
         let mut head = [0u8; 16];
         head[..8].copy_from_slice(&MAGIC.to_le_bytes());
         head[EPOCH_WORD..].copy_from_slice(&1u64.to_le_bytes());
         rt.fase(|rt| rt.publish(0, &head));
-        Self::assemble(rt, cfg)
+        Self::assemble(rt)
     }
 
     /// Re-attach to a crash image (or saved region): run recovery, then
@@ -446,32 +447,22 @@ impl Shard {
     /// hang or a panic.
     pub fn reopen_from_image(image: Vec<u8>, cfg: &ShardConfig) -> Result<Self, ShardImageError> {
         let region = PmemRegion::from_image(image);
-        let mut rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &cfg.policy)?;
+        let policy = cfg.runtime_policy();
+        let mut rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &policy)?;
         if rt.data_len() < CLASS_TABLE || rt.load_u64(0) != MAGIC {
             return Err(ShardImageError::BadHead("no magic word"));
         }
         if !(1..EPOCH_LIMIT).contains(&rt.load_u64(EPOCH_WORD)) {
             return Err(ShardImageError::BadHead("an epoch outside 1..2⁵² − 1"));
         }
-        let mut shard = Self::assemble(rt, cfg);
+        let mut shard = Self::assemble(rt);
         shard.rebuild_volatile()?;
         Ok(shard)
     }
 
-    fn assemble(mut rt: FaseRuntime, cfg: &ShardConfig) -> Self {
+    fn assemble(mut rt: FaseRuntime) -> Self {
         let segments = segments_in(rt.data_len());
         let committed = rt.load_u64(EPOCH_WORD);
-        let (sampler, stream) = match &cfg.adapt {
-            Some(a) => (
-                Some(BurstSampler::new(
-                    a.burst_len,
-                    a.knee.max_size,
-                    a.hibernation,
-                )),
-                a.record_stream.then(Vec::new),
-            ),
-            None => (None, None),
-        };
         Shard {
             rt,
             segments,
@@ -480,56 +471,8 @@ impl Shard {
             committed,
             index: HashMap::new(),
             free: Default::default(),
-            ops: 0,
-            epoch: 0,
-            sampler,
-            adapt: cfg.adapt.clone(),
-            pending_mrc: None,
-            chosen: Vec::new(),
-            stream,
             plan: PutPlan::default(),
             slot_buf: Vec::new(),
-        }
-    }
-
-    /// Feed one persistent store into the controller's sampler (and the
-    /// recorded stream), FASE-renamed exactly like the in-policy path.
-    fn observe(&mut self, offset: usize, len: usize) {
-        if self.sampler.is_none() && self.stream.is_none() {
-            return;
-        }
-        for line in PmemRegion::lines_of(offset, len) {
-            let renamed = rename_for_epoch(self.epoch, line);
-            if let Some(s) = &mut self.stream {
-                s.push(renamed);
-            }
-            if let Some(sam) = &mut self.sampler {
-                if let Some(mrc) = sam.push(renamed) {
-                    self.pending_mrc = Some(mrc);
-                }
-            }
-        }
-    }
-
-    /// End-of-op bookkeeping: bump the renaming epoch and, if a burst
-    /// just completed, pick the knee and resize the live cache. The
-    /// resize happens *between* FASEs — the shard never stops serving.
-    fn after_op(&mut self) {
-        self.ops += 1;
-        self.epoch += 1;
-        if let Some(mrc) = self.pending_mrc.take() {
-            let knee_cfg = &self.adapt.as_ref().expect("mrc implies adapt").knee;
-            let knee = select_cache_size(&mrc, knee_cfg);
-            // +1 safety entry, same rationale as AdaptiveScPolicy: the
-            // timescale curve can put a sharp cliff one size early.
-            let capacity = (knee + 1).min(knee_cfg.max_size);
-            if self.rt.apply_capacity(knee, capacity) {
-                self.chosen.push(CapacityChoice {
-                    op: self.ops,
-                    knee,
-                    capacity,
-                });
-            }
         }
     }
 
@@ -602,7 +545,6 @@ impl Shard {
         }
         self.slot_buf.extend_from_slice(value);
         self.rt.store_fresh(at, &self.slot_buf);
-        self.observe(at, self.slot_buf.len());
     }
 
     /// The stamp of the FASE about to open.
@@ -716,7 +658,6 @@ impl Shard {
         for &old in &plan.moved {
             self.free[old.class()].push(old.with_len(0));
         }
-        self.after_op();
         true
     }
 
@@ -880,7 +821,6 @@ impl Shard {
     pub fn heal_after_panic(&mut self) -> bool {
         let healed = self.rt.heal_after_panic();
         if healed {
-            self.pending_mrc = None;
             self.rebuild_volatile().expect(OWN_REGION);
         }
         healed
@@ -899,7 +839,6 @@ impl Shard {
         self.commit(stamp);
         self.index.remove(&key);
         self.free[entry.class()].push(entry.with_len(0));
-        self.after_op();
         true
     }
 
@@ -911,11 +850,6 @@ impl Shard {
     /// Is the shard empty?
     pub fn is_empty(&self) -> bool {
         self.index.is_empty()
-    }
-
-    /// Operations served so far.
-    pub fn ops(&self) -> u64 {
-        self.ops
     }
 
     /// Every `(key, value)` pair, sorted by key. A pass over the
@@ -1025,9 +959,11 @@ impl Shard {
 
     // ----- adaptation introspection --------------------------------------
 
-    /// Capacity decisions the live controller has made, in order.
+    /// Capacity decisions the runtime's adaptive policy has made since
+    /// it started or last restarted sampling, in order (none under
+    /// other policies).
     pub fn chosen(&self) -> &[CapacityChoice] {
-        &self.chosen
+        self.rt.adaptive().map_or(&[], |p| p.choices())
     }
 
     /// Current software-cache capacity (`None` for non-SC policies).
@@ -1035,30 +971,20 @@ impl Shard {
         self.rt.sc_capacity()
     }
 
-    /// The recorded FASE-renamed store-line stream, when
-    /// [`AdaptConfig::record_stream`] was set.
+    /// The FASE-renamed store lines the adaptive policy's last burst
+    /// analysed (`None` under other policies).
     pub fn stream(&self) -> Option<&[u64]> {
-        self.stream.as_deref()
+        self.rt.adaptive().map(|p| p.last_window())
     }
 
-    /// Restart adaptation measurement: discard the sampler's partial
-    /// burst, the recorded stream, any not-yet-applied MRC, and the
-    /// decision history, so the next burst begins at the next store.
-    /// The serving layer calls this after a bulk-load phase so capacity
+    /// Restart adaptation measurement at the current capacity
+    /// ([`nvcache_core::AdaptiveScPolicy::restart_sampling`]). The
+    /// serving layer calls this after a bulk-load phase so that capacity
     /// decisions (and [`Shard::chosen`]) reflect the *serving* write
     /// stream, not the loader's.
     pub fn reset_sampler(&mut self) {
-        if let Some(a) = &self.adapt {
-            self.sampler = Some(BurstSampler::new(
-                a.burst_len,
-                a.knee.max_size,
-                a.hibernation,
-            ));
-            self.pending_mrc = None;
-            self.chosen.clear();
-            if let Some(s) = &mut self.stream {
-                s.clear();
-            }
+        if let Some(p) = self.rt.adaptive_mut() {
+            p.restart_sampling();
         }
     }
 
@@ -1104,7 +1030,6 @@ impl Shard {
     /// tears.
     pub fn crash_and_recover(&mut self, mode: &CrashMode) {
         self.rt.crash_and_recover(mode);
-        self.pending_mrc = None;
         self.rebuild_volatile().expect(OWN_REGION);
     }
 
@@ -1396,21 +1321,29 @@ mod tests {
         assert_eq!(s.get(9).as_deref(), Some(&b"nine"[..]));
     }
 
+    fn adaptive(burst_len: usize) -> ShardConfig {
+        small(PolicyKind::ScAdaptive(AdaptiveConfig {
+            burst_len,
+            ..Default::default()
+        }))
+    }
+
+    /// Update groups of 4 passes over `keys` keys until the shard has
+    /// made `want` capacity decisions.
+    fn serve_until_chosen(s: &mut Shard, keys: u64, want: usize) {
+        let mut round = 0u8;
+        while s.chosen().len() < want {
+            let group: Vec<(u64, [u8; 40])> =
+                (0..4 * keys).map(|i| (i % keys, [round; 40])).collect();
+            assert!(s.put_many(&group));
+            round = round.wrapping_add(1);
+            assert!(s.stats().fases < 50_000, "the policy never decided");
+        }
+    }
+
     #[test]
     fn live_adaptation_resizes_while_serving() {
-        let cfg = ShardConfig {
-            policy: PolicyKind::ScAdaptive(nvcache_core::AdaptiveConfig {
-                external_control: true,
-                ..Default::default()
-            }),
-            adapt: Some(AdaptConfig {
-                burst_len: 2000,
-                record_stream: true,
-                ..Default::default()
-            }),
-            ..small(PolicyKind::Best)
-        };
-        let mut s = Shard::new(&cfg);
+        let mut s = Shard::new(&adaptive(2000));
         let default_cap = s.sc_capacity().unwrap();
         // steady-state updates over a fixed working set: the store
         // stream cycles over the slot lines of `wss` keys
@@ -1424,7 +1357,7 @@ mod tests {
                 s.put(i, &[round; 56]);
             }
             round = round.wrapping_add(1);
-            assert!(s.ops() < 50_000, "controller never fired");
+            assert!(s.stats().fases < 50_000, "the policy never decided");
         }
         let choice = s.chosen()[0];
         assert_eq!(s.sc_capacity(), Some(choice.capacity));
@@ -1437,7 +1370,87 @@ mod tests {
         for i in 0..wss {
             assert!(s.get(i).is_some());
         }
-        assert!(s.stream().unwrap().len() >= 2000);
+        assert_eq!(s.stream().unwrap().len(), 2000, "the analysed window");
+    }
+
+    /// A crash or a healed panic restarts the policy at the default
+    /// capacity with no decisions; what `chosen` reports is what the
+    /// cache runs at, and the next burst decides again.
+    #[test]
+    fn an_adaptive_shard_readapts_after_a_crash() {
+        let mut s = Shard::new(&adaptive(1000));
+        let default_cap = s.sc_capacity().unwrap();
+        let runs_at_its_last_choice = |s: &Shard| {
+            let last = s.chosen().last().map_or(default_cap, |c| c.capacity);
+            assert_eq!(s.sc_capacity(), Some(last));
+        };
+        serve_until_chosen(&mut s, 12, 1);
+        assert_ne!(s.sc_capacity(), Some(default_cap));
+        runs_at_its_last_choice(&s);
+
+        s.crash_and_recover(&CrashMode::StrictDurableOnly);
+        runs_at_its_last_choice(&s);
+        serve_until_chosen(&mut s, 12, 1);
+        runs_at_its_last_choice(&s);
+
+        // a worker dies inside an update's FASE
+        let entry = s.locate(0).unwrap();
+        let stamp = s.next_stamp();
+        s.rt.begin_fase();
+        s.store_words(
+            entry.other().slot_off(),
+            &[slot_header(stamp, 40)],
+            &[9; 40],
+        );
+        assert!(s.heal_after_panic());
+        runs_at_its_last_choice(&s);
+        serve_until_chosen(&mut s, 12, 1);
+        runs_at_its_last_choice(&s);
+        assert_eq!(s.get(0).as_deref().map(<[u8]>::len), Some(40));
+    }
+
+    #[test]
+    fn a_default_shard_reports_its_decisions() {
+        let mut s = Shard::new(&ShardConfig::default());
+        serve_until_chosen(&mut s, 30, 1);
+        assert_eq!(s.chosen().last().map(|c| c.capacity), s.sc_capacity());
+        assert_eq!(
+            s.stream().map(<[u64]>::len),
+            Some(AdaptiveConfig::default().burst_len)
+        );
+    }
+
+    /// The forward: an `AdaptConfig` on an `ScAdaptive` policy that
+    /// asks for external control samples exactly as the same settings
+    /// in the policy's own `AdaptiveConfig` do.
+    #[test]
+    fn adapt_config_forwards_to_the_policy() {
+        let forwarded = ShardConfig {
+            adapt: Some(AdaptConfig {
+                burst_len: 4096,
+                hibernation: Some(512),
+                ..Default::default()
+            }),
+            ..small(PolicyKind::ScAdaptive(AdaptiveConfig {
+                external_control: true,
+                ..Default::default()
+            }))
+        };
+        let direct = small(PolicyKind::ScAdaptive(AdaptiveConfig {
+            burst_len: 4096,
+            hibernation: Some(512),
+            ..Default::default()
+        }));
+        let [mut a, mut b] = [forwarded, direct].map(|cfg| Shard::new(&cfg));
+        for keys in [10, 30, 20] {
+            let want = a.chosen().len() + 1;
+            serve_until_chosen(&mut a, keys, want);
+            serve_until_chosen(&mut b, keys, want);
+        }
+        assert_eq!(a.chosen().len(), 3);
+        assert_eq!(a.chosen(), b.chosen());
+        assert_eq!(a.stream(), b.stream());
+        assert_eq!(a.sc_capacity(), b.sc_capacity());
     }
 
     #[test]

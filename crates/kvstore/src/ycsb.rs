@@ -6,8 +6,8 @@
 //!
 //! The harness mirrors the paper's memcached evaluation shape: a
 //! long-running store serving a skewed key-popularity stream while each
-//! shard's adaptation controller samples and resizes its software
-//! cache. The main thread scrapes per-window [`FaseStats`] deltas from
+//! shard's adaptive policy samples its store lines and resizes its
+//! software cache. The main thread scrapes per-window [`FaseStats`] deltas from
 //! the shards *while they serve* (via [`Shard::take_stats`]), yielding
 //! the per-window flush ratios `repro kv-bench` reports.
 //!

@@ -1,9 +1,10 @@
 //! Acceptance test for live adaptation accuracy: on a zipfian YCSB mix,
 //! every shard's *online* knee (timescale-approximate MRC computed by
-//! the in-band `BurstSampler`) must land within one MRC bucket of the
-//! *offline* exact-Mattson knee computed from the same recorded
-//! store-line window — the paper's claim that the cheap approximation
-//! picks (nearly) the same capacity as exact stack-distance profiling.
+//! the burst sampler of the shard runtime's `AdaptiveScPolicy`) must
+//! land within one MRC bucket of the *offline* exact-Mattson knee
+//! computed from the store-line window that burst analysed — the
+//! paper's claim that the cheap approximation picks (nearly) the same
+//! capacity as exact stack-distance profiling.
 //!
 //! Writes are issued in group-commit batches (one FASE per shard per
 //! batch): single-write FASEs carry no intra-FASE reuse by construction
@@ -13,7 +14,7 @@
 
 use nvcache_core::{AdaptiveConfig, PolicyKind};
 use nvcache_kvstore::{
-    load, run, AdaptConfig, KeyDist, KvConfig, KvStore, Mix, ShardConfig, ThetaShift, YcsbConfig,
+    load, run, KeyDist, KvConfig, KvStore, Mix, ShardConfig, ThetaShift, YcsbConfig,
 };
 use nvcache_locality::{lru_mrc, select_cache_size, KneeConfig};
 use nvcache_telemetry::{convergence, CapacityEvent, ConvergenceConfig};
@@ -28,14 +29,10 @@ fn adaptive_store(shards: usize) -> KvStore {
             data_len: 1 << 21,
             log_len: 1 << 17,
             policy: PolicyKind::ScAdaptive(AdaptiveConfig {
-                external_control: true,
-                ..Default::default()
-            }),
-            adapt: Some(AdaptConfig {
                 burst_len: BURST,
-                record_stream: true,
                 ..Default::default()
             }),
+            adapt: None,
             pipelined: false,
         },
     })
@@ -75,7 +72,7 @@ fn online_knee_matches_offline_mattson_within_one_bucket() {
         let (choices, window) = store.with_shard(s, |sh| {
             (
                 sh.chosen().to_vec(),
-                sh.stream().expect("record_stream set")[..BURST].to_vec(),
+                sh.stream().expect("an adaptive policy")[..BURST].to_vec(),
             )
         });
         assert!(
@@ -128,24 +125,22 @@ fn controller_reconverges_after_theta_shift() {
             data_len: 1 << 21,
             log_len: 1 << 17,
             policy: PolicyKind::ScAdaptive(AdaptiveConfig {
-                external_control: true,
-                ..Default::default()
-            }),
-            adapt: Some(AdaptConfig {
                 burst_len: 2048,
                 hibernation: Some(1024),
                 ..Default::default()
             }),
+            adapt: None,
             pipelined: false,
         },
     });
     let keys = 2000;
     let value_len = 40;
     assert_eq!(load(&store, keys, value_len), keys);
-    // the shard op counter also ticks during load; record it so the
-    // serving-phase midpoint can be located on each shard's op axis
-    let load_ops: Vec<u64> = (0..shards)
-        .map(|s| store.with_shard(s, |sh| sh.ops()))
+    // the shard's FASE counter also ticks during load; record it so the
+    // serving-phase midpoint can be located on each shard's FASE axis,
+    // the axis a decision's `fase` is on
+    let load_fases: Vec<u64> = (0..shards)
+        .map(|s| store.with_shard(s, |sh| sh.stats().fases))
         .collect();
     let rep = run(
         &store,
@@ -182,7 +177,7 @@ fn controller_reconverges_after_theta_shift() {
         let evs: Vec<CapacityEvent> = choices
             .iter()
             .map(|c| CapacityEvent {
-                t: c.op,
+                t: c.fase,
                 knee: c.knee as u64,
                 capacity: c.capacity as u64,
             })
@@ -193,11 +188,11 @@ fn controller_reconverges_after_theta_shift() {
             evs.len()
         );
         // A single worker spreads ops evenly over shards, so the shift
-        // lands at the midpoint of each shard's serving ops. Add a 10%
+        // lands at the midpoint of each shard's serving FASEs. Add a 10%
         // settle margin: the MRC window straddling the shift mixes both
         // phases and belongs to neither.
-        let serving = store.with_shard(s, |sh| sh.ops()) - load_ops[s];
-        let shift_t = load_ops[s] + serving / 2 + serving / 10;
+        let serving = store.with_shard(s, |sh| sh.stats().fases) - load_fases[s];
+        let shift_t = load_fases[s] + serving / 2 + serving / 10;
         let r = convergence::analyze_shift(&evs, shift_t, &cfg);
         assert!(r.pre.windows >= 1, "shard {s}: no pre-shift decisions");
         assert!(

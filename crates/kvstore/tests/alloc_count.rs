@@ -73,8 +73,8 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.with(Cell::get) - before, r)
 }
 
-/// A fixed-capacity shard with no live controller: nothing
-/// but the write path itself runs inside a `put_many`.
+/// A fixed-capacity shard, so no burst sampler: nothing but the
+/// write path itself runs inside a `put_many`.
 fn shard_config() -> ShardConfig {
     ShardConfig {
         buckets: 64,

@@ -21,8 +21,8 @@ use std::sync::{Arc, Barrier, Mutex};
 use nvcache_fase::FaseStats;
 use nvcache_kvstore::proto::{encode_request, FrameDecoder, Request, Response};
 use nvcache_kvstore::{
-    Backpressure, BatchReply, BatchRequest, Engine, InProcTransport, KvServer, NetServer,
-    ServerConfig, SubmissionQueue, Transport,
+    Backpressure, BatchReply, BatchRequest, CapacityChoice, Engine, InProcTransport, KvServer,
+    NetServer, ServerConfig, SubmissionQueue, Transport,
 };
 use nvcache_pmem::{CrashMode, CrashPlan};
 use proptest::prelude::*;
@@ -65,6 +65,10 @@ impl Engine for Recorder {
     fn arm_crash(&mut self, _: CrashPlan) {}
     fn take_crash_image(&mut self) -> Option<Vec<u8>> {
         None
+    }
+    fn reset_sampler(&mut self) {}
+    fn chosen(&self) -> Vec<CapacityChoice> {
+        Vec::new()
     }
 }
 

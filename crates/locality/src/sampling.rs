@@ -64,7 +64,22 @@ impl BurstSampler {
 
     /// Writes currently buffered in the active burst.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        if self.phase == SamplerPhase::Burst {
+            self.buf.len()
+        } else {
+            0
+        }
+    }
+
+    /// The write ids the last completed burst analysed; empty before the
+    /// first analysis and once the next burst has started. The window
+    /// stays in the burst buffer until then, so keeping it copies nothing.
+    pub fn last_window(&self) -> &[u64] {
+        if self.phase == SamplerPhase::Burst {
+            &[]
+        } else {
+            &self.buf
+        }
     }
 
     /// Observe one write. Returns `Some(mrc)` exactly when this write
@@ -74,6 +89,8 @@ impl BurstSampler {
             SamplerPhase::Done => None,
             SamplerPhase::Hibernating { remaining } => {
                 if remaining <= 1 {
+                    // the next burst starts: the analysed window goes
+                    self.buf.clear();
                     self.phase = SamplerPhase::Burst;
                 } else {
                     self.phase = SamplerPhase::Hibernating {
@@ -86,7 +103,6 @@ impl BurstSampler {
                 self.buf.push(id);
                 if self.buf.len() >= self.burst_len {
                     let mrc = self.analyze();
-                    self.buf.clear();
                     self.bursts_done += 1;
                     self.phase = match self.hibernation {
                         None => SamplerPhase::Done,
@@ -101,13 +117,13 @@ impl BurstSampler {
     }
 
     /// Force analysis of whatever is buffered (e.g. the program ended
-    /// before the burst filled). Returns `None` for an empty buffer.
+    /// before the burst filled). Returns `None` when no burst is open or
+    /// it is empty.
     pub fn flush(&mut self) -> Option<Mrc> {
-        if self.buf.is_empty() {
+        if self.buffered() == 0 {
             return None;
         }
         let mrc = self.analyze();
-        self.buf.clear();
         self.bursts_done += 1;
         self.phase = SamplerPhase::Done;
         Some(mrc)
@@ -179,6 +195,26 @@ mod tests {
         let mrc = s.flush().expect("partial burst");
         assert!(mrc.mr(4) < 0.2);
         assert!(s.flush().is_none(), "buffer drained");
+    }
+
+    #[test]
+    fn the_analysed_window_stays_until_the_next_burst() {
+        let mut s = BurstSampler::new(4, 8, Some(2));
+        for id in 0..3u64 {
+            s.push(id);
+            assert!(s.last_window().is_empty(), "no burst analysed yet");
+        }
+        assert!(s.push(3).is_some());
+        assert_eq!(s.last_window(), &[0, 1, 2, 3]);
+        assert_eq!(s.buffered(), 0);
+        s.push(10); // hibernating: skipped
+        assert_eq!(s.last_window(), &[0, 1, 2, 3], "kept while hibernating");
+        s.push(11); // the next burst starts (and skips this write)
+        assert!(s.last_window().is_empty());
+        for id in 20..24u64 {
+            s.push(id);
+        }
+        assert_eq!(s.last_window(), &[20, 21, 22, 23]);
     }
 
     #[test]

@@ -164,6 +164,11 @@ impl FasePager {
         Ok(FasePager { rt })
     }
 
+    /// The underlying runtime (its adaptive policy's decisions).
+    pub fn runtime(&self) -> &FaseRuntime {
+        &self.rt
+    }
+
     /// The underlying runtime (trace capture, telemetry, stats).
     pub fn runtime_mut(&mut self) -> &mut FaseRuntime {
         &mut self.rt

@@ -62,7 +62,7 @@ fn main() {
     for (i, &w) in writes.iter().enumerate() {
         policy.on_store(Line(w), &mut out);
         out.clear();
-        if !policy.selections().is_empty() {
+        if !policy.choices().is_empty() {
             println!(
                 "  burst complete at write {}: capacity → {}",
                 i + 1,
