@@ -18,7 +18,11 @@
 //!   writes, and hands the touched cache line to the pluggable
 //!   persistence policy (ER/LA/AT/SC/…) from `nvcache-core`. A FASE
 //!   that logs nothing can commit by one published record instead
-//!   ([`runtime::FaseRuntime::publish`]): two fences, no log line.
+//!   ([`runtime::FaseRuntime::publish`]: two fences, no log line), as
+//!   the tree's meta head does; a FASE whose stores seal themselves
+//!   needs neither and ends with one fence, as a hash shard's does, and
+//!   [`runtime::FaseRuntime::persist`] makes one line durable outside
+//!   any FASE (a segment's class byte).
 //! * crash/recovery — [`runtime::FaseRuntime::crash_and_recover`]
 //!   injects a power failure via any [`nvcache_pmem::CrashMode`] and
 //!   rolls back incomplete FASEs, restoring the "all or none" guarantee

@@ -477,13 +477,23 @@ impl FaseRuntime {
         let Publish::Pending { offset, len, bytes } = self.publish else {
             return 0;
         };
-        self.region.write(offset, &bytes[..len]);
-        let accepted = self.ring.submit((offset / LINE_SIZE) as u64);
-        assert!(accepted, "the data drain left the ring empty");
+        self.write_through(offset, &bytes[..len]);
+        1
+    }
+
+    /// Write `bytes` (inside one line) at `offset`, submit the line to
+    /// the ring, drain it and fence: one data flush. What a published
+    /// record and [`FaseRuntime::persist`] share.
+    fn write_through(&mut self, offset: usize, bytes: &[u8]) {
+        self.region.write(offset, bytes);
+        let line = (offset / LINE_SIZE) as u64;
+        if !self.ring.submit(line) {
+            self.ring.drain_all(&mut self.region);
+            self.ring.submit(line);
+        }
         self.stats.data_flushes += 1;
         self.ring.drain_all(&mut self.region);
         self.region.fence();
-        1
     }
 
     /// Current FASE nesting depth.
@@ -796,6 +806,34 @@ impl FaseRuntime {
         };
     }
 
+    /// Persist `bytes` at `offset` outside any FASE, under every policy:
+    /// one store, its line flushed through the ring, one fence. For a
+    /// record that must be durable before anything that depends on it is
+    /// written, and that no FASE's commit makes reachable (a hash
+    /// segment's class byte). It counts as one store of one line, one
+    /// data flush and one fence; the policy never sees it, and it is not
+    /// traced.
+    ///
+    /// # Panics
+    /// Inside a FASE (its fence would order the FASE's data early), and
+    /// for a range that is empty or leaves its line or the data area.
+    pub fn persist(&mut self, offset: usize, bytes: &[u8]) {
+        let len = bytes.len();
+        assert_eq!(self.depth, 0, "persist outside a FASE");
+        assert!(
+            len > 0 && offset % LINE_SIZE + len <= LINE_SIZE && offset + len <= self.data_len,
+            "a persisted range is inside one line of the data area"
+        );
+        self.stats.stores += 1;
+        self.stats.store_lines += 1;
+        self.write_through(offset, bytes);
+        self.stats.fences += 1;
+        if let Some(tel) = &mut self.telemetry {
+            tel.incr(CounterId::Stores);
+            tel.incr(CounterId::Fences);
+        }
+    }
+
     /// Persistent store of a little-endian u64.
     pub fn store_u64(&mut self, offset: usize, v: u64) {
         self.store(offset, &v.to_le_bytes());
@@ -991,6 +1029,34 @@ mod tests {
         });
         r.crash_and_recover(&CrashMode::StrictDurableOnly);
         assert_eq!(r.region().slice(0, 22), b"hello persistent world");
+    }
+
+    /// A persist is durable under every policy, `BEST` included, when it
+    /// returns: one store of one line, one data flush, one fence, no FASE.
+    #[test]
+    fn persist_is_one_store_one_flush_one_fence_under_every_policy() {
+        for kind in [
+            PolicyKind::Eager,
+            PolicyKind::ScFixed { capacity: 8 },
+            PolicyKind::Best,
+        ] {
+            let mut r = rt(kind);
+            let (stats, pmem) = (r.stats(), r.region().stats());
+            r.persist(72, &[7]);
+            let (s, p) = (r.stats(), r.region().stats());
+            assert_eq!((s.fases, s.stores, s.store_lines), (0, 1, 1));
+            assert_eq!((s.data_flushes, s.fences), (1, 1));
+            assert_eq!(
+                (
+                    stats.fences,
+                    p.flushes - pmem.flushes,
+                    p.fences - pmem.fences
+                ),
+                (0, 1, 1)
+            );
+            r.crash_and_recover(&CrashMode::StrictDurableOnly);
+            assert_eq!(r.region().slice(72, 1), [7]);
+        }
     }
 
     #[test]

@@ -10,28 +10,37 @@
 //!
 //! ```text
 //! [head line | class table | segment 0 | segment 1 | …]  [undo log]
-//! head    := magic u64 | epoch u64
+//! head    := magic u64
 //! class   := u8 per segment: 0 = never carved, c = blocks of 16 << c bytes
 //! segment := 4 KiB of equal blocks, one node each
 //! node    := key u64 | slot 0 @ 8 | slot 1 @ block / 2
-//! slot    := stamp << 12 | vlen  u64 | value bytes (vlen of them)
+//! slot    := stamp << 12 | vlen  u64 | seal u64 | value bytes (vlen of them)
+//! seal    := n << 32 | checksum (32 bits)
 //! ```
 //!
-//! A node holds its value twice over: each slot carries the **stamp** of
-//! the FASE that wrote it, and the head's **epoch word** says which
-//! stamps are committed. The slot with the highest stamp in `1..=epoch`
-//! **decides** the block: a value makes it a live node, a **tombstone**
-//! (the reserved length `LEN_MASK`) or no committed slot makes it free.
-//! Stamp 0 is a void slot. Slot offsets follow the class, not the value
-//! length: a 40-byte value takes a 128-byte block with slot 0 in its
-//! first line and slot 1 in its second.
+//! A node holds its value twice over. Each slot carries the **stamp** of
+//! the FASE that wrote it and a **seal**: the number *n* of slots that
+//! FASE wrote, and a checksum of the slot's header, *n*, its value and —
+//! for a value, not a tombstone — the node's key. A slot is **whole**
+//! when its seal checks, so recovery can tell it from a torn one on
+//! hardware that lands 8-byte words. The slot with the highest committed
+//! stamp **decides** the block: a value makes it a live node, a
+//! **tombstone** (the reserved length `LEN_MASK`) or no committed slot
+//! makes it free. Stamp 0 is a void slot. Slot offsets follow the class,
+//! not the value length: a 40-byte value takes a 128-byte block, slot 0
+//! (key, header, seal, value: 64 bytes) its first line and slot 1 its
+//! second. A class holds values of up to half its block less three words:
+//! class 1 (32-byte blocks) holds none and is never carved, class 2
+//! holds 8 bytes, class 3 40, class 4 104, and class 8
+//! [`MAX_VALUE_LEN`] = 2 024.
 //!
 //! Every mutation is one FASE, and every FASE commits the same way: it
-//! writes only slots no committed state reads, stamped `epoch + 1`, as
-//! unlogged stores ([`FaseRuntime::store_fresh`]), then publishes
-//! `epoch + 1` as the epoch word ([`FaseRuntime::publish`]): the data
-//! fence, then the word, its flush and its fence. No undo record, two
-//! fences. A `put` is a group of one.
+//! writes only slots no committed state reads, stamped one above the
+//! last committed FASE and sealed with its *n*, as unlogged stores
+//! ([`FaseRuntime::store_fresh`]), and `end_fase` drains and fences
+//! once. No undo record, no commit record, one fence. A `put` is a group
+//! of one, and a group that writes one key more than once seals only the
+//! last write: an earlier one that lands is not whole.
 //!
 //! - **Update** (an indexed key whose new length keeps its class): the
 //!   value goes into the node's *other* slot. Repeated keys of one group
@@ -42,19 +51,27 @@
 //! - **Length change to another class**: an insert into a block of the
 //!   new class plus a tombstone on the old node, in the one FASE.
 //!
-//! A segment is **carved** — its class byte written and persisted in a
-//! one-store FASE of its own — before its first node is written, so a
-//! segment that was never carved is all zeros.
+//! A segment is **carved** — its class byte persisted by one store, one
+//! flush and one fence ([`FaseRuntime::persist`]) — before its first
+//! node is written, so a segment that was never carved is all zeros.
 //!
-//! A FASE that dies before its epoch word lands leaves slots stamped
-//! above it. Before the shard opens another FASE, recovery **voids** them
-//! (stamp 0, by unlogged stores in a FASE that publishes nothing — a
-//! crash inside it leaves slots the next recovery voids again): otherwise
-//! the next FASE, which publishes the same epoch, would commit them.
+//! FASE *E* + 1 stores nothing before *E*'s fence, so only the FASE with
+//! the highest stamp *E* in an image can be torn, and recovery checks
+//! only that one: *E* is committed when exactly *n* whole slots carry
+//! it. Otherwise recovery **voids** every slot stamped *E* (stamp 0, by
+//! unlogged stores in a FASE that commits nothing — a crash inside it
+//! leaves slots the next recovery voids again) before the shard opens
+//! another FASE: that FASE reuses *E*, and must not commit what is left
+//! of the dead one. A seal covers no word a later committed FASE may
+//! rewrite: an insert into a free block rewrites its key word, so the
+//! tombstone that freed the block leaves the key out of its seal, and a
+//! key word that lands without its slot tears nothing. A FASE abandoned
+//! by a panic is voided outright, even when all its slots are stored:
+//! healing knows the last committed stamp and counts nothing.
 //!
 //! # What is volatile
 //!
-//! The shard's copy of the epoch word; the **index**, a DRAM map from
+//! The stamp of the last committed FASE; the **index**, a DRAM map from
 //! each live key to one word — its node's offset and class, the committed
 //! slot and the value length ([`Shard::len`] is its size); and, per
 //! class, a **free list** of blocks with the slot an insert writes. None
@@ -73,13 +90,18 @@
 //! full heap) gives back the blocks it took and a FASE abandoned by a
 //! panic touches neither. After anything that can leave a FASE half done
 //! — reopening an image, an injected crash, a healed panic — both are
-//! rebuilt by one pass over the segments in order, followed by the void
-//! pass: a block a crashed insert took is free again. The pass is also
-//! where a foreign image is checked ([`ShardImageError`]): the head must
-//! hold the magic word and an epoch in `1..2⁵² − 1`, every class byte
-//! name a class, every segment never carved be zeros, and every block
-//! hold committed slots its class can hold, stamped apart, with each key
-//! live in one node only. Nothing in the image is an offset, so the pass
+//! rebuilt from the segments: after a power failure one pass over the
+//! slot headers finds the last FASE and counts its whole slots, then one
+//! pass over the segments in order builds the index and the free lists,
+//! and the void pass follows ([`Shard::voided_slots`] says how many
+//! slots it voided): a block a crashed insert took is free again. The
+//! passes are also where a foreign image is checked
+//! ([`ShardImageError`]): the head must hold the magic word, every class
+//! byte name a class that holds a slot, every segment never carved be
+//! zeros, every stamp lie below 2⁵² − 1, the highest stamp carry one *n*
+//! on at most *n* whole slots, and every block hold slots its class can
+//! hold, its deciding slot whole, committed stamps apart, with each key
+//! live in one node only. Nothing in the image is an offset, so a pass
 //! reads each segment once and cannot be led anywhere else.
 
 use std::collections::{BinaryHeap, HashMap};
@@ -90,29 +112,31 @@ use nvcache_core::{AdaptiveConfig, PolicyKind};
 use nvcache_fase::{FaseRuntime, FaseStats, RecoveryError};
 use nvcache_locality::KneeConfig;
 use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
-use nvcache_trace::FxHashMap;
+use nvcache_trace::{FxHashMap, FxHasher};
+use std::hash::Hasher;
 
 /// The head line's first word.
-const MAGIC: u64 = u64::from_le_bytes(*b"NVSHARD1");
-/// Offset of the epoch word in the head line.
-const EPOCH_WORD: usize = 8;
+const MAGIC: u64 = u64::from_le_bytes(*b"NVSHARD2");
 /// The class table starts on the line after the head.
 const CLASS_TABLE: usize = 64;
 /// Bytes of a segment: one `PAlloc` max-class block.
 const SEGMENT: usize = 4096;
-/// Classes `1..=MAX_CLASS`; class `c` holds blocks of `16 << c` bytes.
+/// Classes `MIN_CLASS..=MAX_CLASS` hold slots; class `c` holds blocks of
+/// `16 << c` bytes.
+const MIN_CLASS: usize = 2;
 const MAX_CLASS: usize = 8;
-/// A slot's header: one word, its stamp above its value length.
-const SLOT_HEADER: usize = 8;
+/// A slot's header word (its stamp above its value length) and its seal.
+const SLOT_HEADER: usize = 16;
+/// Offset of a node's slot 0: after the key word.
+const SLOT_0: usize = 8;
 /// Low bits of a slot header that hold the value length.
 const LEN_BITS: u32 = 12;
 /// The length a tombstone's header carries: longer than any value.
 const LEN_MASK: u64 = (1 << LEN_BITS) - 1;
-/// Epoch words stay below this: a stamp has the 52 bits a slot header
-/// leaves, and the epoch after the word must fit one.
+/// Stamps stay below this: a stamp has the 52 bits a slot header leaves.
 const EPOCH_LIMIT: u64 = (1 << (64 - LEN_BITS)) - 1;
-/// Largest value the node layout can hold: slot 1 of a max-class block.
-pub const MAX_VALUE_LEN: usize = SEGMENT / 2 - 2 * SLOT_HEADER;
+/// Largest value the node layout can hold: slot 0 of a max-class block.
+pub const MAX_VALUE_LEN: usize = SEGMENT / 2 - SLOT_0 - SLOT_HEADER;
 /// Why rebuilding the volatile state cannot fail on the in-process paths.
 const OWN_REGION: &str = "a region only this shard wrote scans sound";
 
@@ -121,15 +145,15 @@ fn block_of(class: usize) -> usize {
     16 << class
 }
 
-/// The longest value a class's slots hold: slot 1 has the smaller half,
-/// after the key and slot 0's header.
+/// The longest value a class's slots hold: slot 0 has the smaller half,
+/// after the key.
 fn capacity(class: usize) -> usize {
-    block_of(class) / 2 - 2 * SLOT_HEADER
+    block_of(class) / 2 - SLOT_0 - SLOT_HEADER
 }
 
 /// The class of a `vlen`-byte value's node: the smallest that holds it.
 fn class_of(vlen: usize) -> usize {
-    (1..=MAX_CLASS)
+    (MIN_CLASS..=MAX_CLASS)
         .find(|&c| vlen <= capacity(c))
         .expect("values are checked against MAX_VALUE_LEN")
 }
@@ -141,7 +165,7 @@ fn segments_in(data_len: usize) -> usize {
 }
 
 /// A slot of a node: its offset with the node's class in bits 1..5 and
-/// the slot in bit 0 (a node is 32-aligned), and the value length from
+/// the slot in bit 0 (a node is 64-aligned), and the value length from
 /// bit 48 up (data offsets stay below 2⁴⁸) — so a lookup reads the value
 /// and nothing else. The index holds a live node's committed slot, a
 /// free list the slot an insert writes.
@@ -183,13 +207,32 @@ impl Entry {
 
     /// Offset of the slot's header.
     fn slot_off(self) -> usize {
-        self.node() + [SLOT_HEADER, block_of(self.class()) / 2][self.slot()]
+        self.node() + [SLOT_0, block_of(self.class()) / 2][self.slot()]
     }
 }
 
 /// A slot header: the stamp above the value length.
 fn slot_header(stamp: u64, vlen: u64) -> u64 {
     stamp << LEN_BITS | vlen
+}
+
+/// The seal of a slot whose FASE writes `n` slots: `n` above a checksum
+/// of the header, `n`, the node's key (`None` for a tombstone, which a
+/// later insert may outlive) and the value, zero-padded to whole words.
+/// A seal is never 0: `n` is at least 1.
+fn seal(header: u64, n: u64, key: Option<u64>, value: &[u8]) -> u64 {
+    let mut sum = FxHasher::default();
+    sum.write_u64(header);
+    sum.write_u64(n);
+    if let Some(key) = key {
+        sum.write_u64(key);
+    }
+    for chunk in value.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        sum.write_u64(u64::from_le_bytes(word));
+    }
+    n << 32 | sum.finish() >> 32
 }
 
 /// What one pass over the segments finds.
@@ -324,8 +367,7 @@ impl Default for ShardConfig {
 pub enum ShardImageError {
     /// The FASE layer itself could not recover the image.
     Recovery(RecoveryError),
-    /// The head line is not a shard's: the magic word is missing, or the
-    /// epoch word is 0 or leaves no stamp to follow it.
+    /// The head line is not a shard's: the magic word is missing.
     BadHead(&'static str),
     /// A class byte or a segment breaks a rule of the layout.
     BadSegment {
@@ -373,9 +415,11 @@ pub struct Shard {
     seg_base: usize,
     /// Volatile: the first segment never carved (`segments` if none).
     uncarved: usize,
-    /// Volatile: the epoch word. Every FASE stamps its slots one above
-    /// and publishes that.
+    /// Volatile: the stamp of the last committed FASE. Every FASE stamps
+    /// its slots one above.
     committed: u64,
+    /// Volatile: slots the last rebuild voided.
+    voided: usize,
     /// Volatile: every live key → its node's committed slot and value
     /// length (module doc, "What is volatile").
     /// Keys are the clients', so the hasher is
@@ -387,19 +431,12 @@ pub struct Shard {
     free: [Vec<Entry>; MAX_CLASS + 1],
     /// [`Shard::put_many`]'s plan, kept between batches.
     plan: PutPlan,
+    /// [`Shard::serve_batch`]'s write group and overlay, kept between
+    /// batches.
+    batch: BatchScratch,
     /// A slot, or a fresh node's first bytes, composed for its one store
     /// (reused).
     slot_buf: Vec<u8>,
-}
-
-/// One planned write of a [`Shard::put_many`] group: the value of the
-/// item it carries into the slot the entry names.
-#[derive(Debug, Clone, Copy)]
-enum PlannedOp {
-    /// A slot of a node that already holds the key.
-    Write(Entry),
-    /// The first write into a block taken off a free list: the key too.
-    Insert(Entry),
 }
 
 /// What [`Shard::put_many`] works out before it opens the FASE. The
@@ -408,16 +445,19 @@ enum PlannedOp {
 #[derive(Debug, Default)]
 struct PutPlan {
     /// Key → the slot the group writes for it, at the length of its last
-    /// write, and whether the key itself is still to be written.
-    targets: FxHashMap<u64, (Entry, bool)>,
+    /// write; whether the key itself is still to be written; and the
+    /// index of its last write, the one that is sealed.
+    targets: FxHashMap<u64, (Entry, bool, usize)>,
     /// Blocks taken off the free lists (given back if the group is
     /// refused).
     taken: Vec<Entry>,
     /// Nodes whose keys move to another class: each gets a tombstone,
     /// then goes to its free list.
     moved: Vec<Entry>,
-    /// The writes, each with the index of the item it carries.
-    ops: Vec<(PlannedOp, usize)>,
+    /// The writes: the slot, the index of the item whose value it
+    /// carries, whether it stores the key too (the first write into a
+    /// block taken off a free list) and whether it is its key's last.
+    ops: Vec<(Entry, usize, bool, bool)>,
 }
 
 impl PutPlan {
@@ -429,49 +469,65 @@ impl PutPlan {
     }
 }
 
+/// [`Shard::serve_batch`]'s scratch, kept between batches: the pending
+/// segment's writes, each as the index of its request and of the item
+/// inside a `PutMany`, and the overlay from each key to its last write
+/// in the group.
+#[derive(Debug, Default)]
+struct BatchScratch {
+    group: Vec<(usize, usize)>,
+    overlay: FxHashMap<u64, usize>,
+}
+
+/// The write a group entry of [`BatchScratch`] names: a `Put`, or one
+/// item of a `PutMany`.
+fn write_of(reqs: &[BatchRequest], (req, item): (usize, usize)) -> (u64, &[u8]) {
+    match &reqs[req] {
+        BatchRequest::Put(key, value) => (*key, value),
+        BatchRequest::PutMany(items) => (items[item].0, &items[item].1),
+        _ => unreachable!("a group holds writes only"),
+    }
+}
+
 impl Shard {
     /// Create a fresh shard.
     pub fn new(cfg: &ShardConfig) -> Self {
         let mut rt = FaseRuntime::new(cfg.data_len, cfg.log_len, &cfg.runtime_policy());
-        let mut head = [0u8; 16];
-        head[..8].copy_from_slice(&MAGIC.to_le_bytes());
-        head[EPOCH_WORD..].copy_from_slice(&1u64.to_le_bytes());
-        rt.fase(|rt| rt.publish(0, &head));
+        rt.persist(0, &MAGIC.to_le_bytes());
         Self::assemble(rt)
     }
 
     /// Re-attach to a crash image (or saved region): run recovery, then
-    /// rebuild the index and the free lists by one pass over the
-    /// segments and void what a dead FASE left. The image may be
-    /// anything: one the pass cannot vouch for is a typed error, never a
-    /// hang or a panic.
+    /// find the last committed FASE, rebuild the index and the free lists
+    /// by one pass over the segments and void what a dead FASE left. The
+    /// image may be anything: one the passes cannot vouch for is a typed
+    /// error, never a hang or a panic.
     pub fn reopen_from_image(image: Vec<u8>, cfg: &ShardConfig) -> Result<Self, ShardImageError> {
         let region = PmemRegion::from_image(image);
         let policy = cfg.runtime_policy();
-        let mut rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &policy)?;
-        if rt.data_len() < CLASS_TABLE || rt.load_u64(0) != MAGIC {
+        let rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &policy)?;
+        if rt.data_len() < CLASS_TABLE || rt.region().read_u64(0) != MAGIC {
             return Err(ShardImageError::BadHead("no magic word"));
         }
-        if !(1..EPOCH_LIMIT).contains(&rt.load_u64(EPOCH_WORD)) {
-            return Err(ShardImageError::BadHead("an epoch outside 1..2⁵² − 1"));
-        }
         let mut shard = Self::assemble(rt);
+        shard.committed = shard.last_committed()?;
         shard.rebuild_volatile()?;
         Ok(shard)
     }
 
-    fn assemble(mut rt: FaseRuntime) -> Self {
+    fn assemble(rt: FaseRuntime) -> Self {
         let segments = segments_in(rt.data_len());
-        let committed = rt.load_u64(EPOCH_WORD);
         Shard {
             rt,
             segments,
             seg_base: (CLASS_TABLE + segments).next_multiple_of(64),
             uncarved: 0,
-            committed,
+            committed: 0,
+            voided: 0,
             index: HashMap::new(),
             free: Default::default(),
             plan: PutPlan::default(),
+            batch: BatchScratch::default(),
             slot_buf: Vec::new(),
         }
     }
@@ -522,12 +578,9 @@ impl Shard {
             if seg == self.segments {
                 return None;
             }
-            // the class byte is the carve's commit record, durable under
-            // every policy before a node of the segment is written
-            let at = CLASS_TABLE + (seg & !7);
-            let mut word = self.rt.load_u64(at).to_le_bytes();
-            word[seg % 8] = class as u8;
-            self.rt.fase(|rt| rt.publish(at, &word));
+            // durable under every policy before a node of the segment
+            // is written
+            self.rt.persist(CLASS_TABLE + seg, &[class as u8]);
             let base = self.seg_base + seg * SEGMENT;
             let blocks = (base..base + SEGMENT).step_by(block_of(class)).rev();
             self.free[class].extend(blocks.map(|node| Entry::new(node, class, 0, 0)));
@@ -536,27 +589,54 @@ impl Shard {
         self.free[class].pop()
     }
 
-    /// One unlogged store at `at`: `words`, then `value`. Nothing
-    /// committed reads what it writes until the FASE publishes.
-    fn store_words(&mut self, at: usize, words: &[u64], value: &[u8]) {
+    /// One unlogged store of `slot` for the FASE stamped `stamp` that
+    /// writes `n` slots: its header, its seal and `value`, or a
+    /// tombstone for `None`. `n` = 0 leaves the slot unsealed (a write
+    /// its FASE repeats). With `keyed`, the node's key word is stored
+    /// too: in the same store in front of slot 0, on its own before
+    /// slot 1. Nothing committed reads what it writes.
+    fn store_slot(
+        &mut self,
+        slot: Entry,
+        (stamp, n): (u64, u64),
+        key: u64,
+        keyed: bool,
+        value: Option<&[u8]>,
+    ) {
         self.slot_buf.clear();
-        for word in words {
-            self.slot_buf.extend_from_slice(&word.to_le_bytes());
-        }
-        self.slot_buf.extend_from_slice(value);
+        let at = match (keyed, slot.slot()) {
+            (true, 0) => {
+                self.slot_buf.extend_from_slice(&key.to_le_bytes());
+                slot.node()
+            }
+            (true, _) => {
+                self.rt.store_fresh(slot.node(), &key.to_le_bytes());
+                slot.slot_off()
+            }
+            (false, _) => slot.slot_off(),
+        };
+        let (vlen, bytes) = value.map_or((LEN_MASK, &[][..]), |v| (v.len() as u64, v));
+        let header = slot_header(stamp, vlen);
+        let seal = match n {
+            0 => 0,
+            n => seal(header, n, value.map(|_| key), bytes),
+        };
+        self.slot_buf.extend_from_slice(&header.to_le_bytes());
+        self.slot_buf.extend_from_slice(&seal.to_le_bytes());
+        self.slot_buf.extend_from_slice(bytes);
         self.rt.store_fresh(at, &self.slot_buf);
     }
 
     /// The stamp of the FASE about to open.
     fn next_stamp(&self) -> u64 {
         let stamp = self.committed + 1;
-        assert!(stamp <= EPOCH_LIMIT, "2⁵² − 1 FASEs stamped");
+        assert!(stamp < EPOCH_LIMIT, "2⁵² − 2 FASEs stamped");
         stamp
     }
 
-    /// Close the open FASE by publishing `stamp` as the epoch word.
+    /// Close the open FASE stamped `stamp`: one drain, one fence. Its
+    /// sealed slots are its commit.
     fn commit(&mut self, stamp: u64) {
-        self.rt.publish(EPOCH_WORD, &stamp.to_le_bytes());
         self.rt.end_fase();
         self.committed = stamp;
     }
@@ -564,7 +644,7 @@ impl Shard {
     /// Apply a whole batch of writes as **one FASE** (group commit):
     /// every item writes a node's other slot or a free block, a key that
     /// changes class leaves a tombstone behind, and the batch commits or
-    /// rolls back atomically by its published epoch word (module doc).
+    /// rolls back atomically by its sealed slots (module doc).
     /// This is the serving configuration that actually gives the
     /// software cache something to do — per-op FASEs of one or two
     /// lines carry no intra-FASE reuse (FASE renaming hides reuse across
@@ -577,32 +657,60 @@ impl Shard {
     /// and not stored. Returns `false` — with the map unchanged — when
     /// any value is oversized or the heap has no block left for a node.
     pub fn put_many<V: AsRef<[u8]>>(&mut self, items: &[(u64, V)]) -> bool {
-        if items.is_empty() {
+        self.put_writes(items.len(), |i| (items[i].0, items[i].1.as_ref()))
+    }
+
+    /// [`Shard::put_many`] of the `len` writes `item` names, planned in
+    /// the plan the shard keeps.
+    fn put_writes<'a>(&mut self, len: usize, item: impl Fn(usize) -> (u64, &'a [u8])) -> bool {
+        if len == 0 {
             return true;
         }
         let mut plan = std::mem::take(&mut self.plan);
-        let ok = self.put_many_with(items, &mut plan);
+        let ok = self.plan_group(len, &item, &mut plan);
+        if ok {
+            let stamp = self.next_stamp();
+            self.rt.begin_fase();
+            self.write_group(&item, &plan, stamp);
+            self.commit(stamp);
+            for (&key, &(target, ..)) in &plan.targets {
+                self.index.insert(key, target);
+            }
+            for &old in &plan.moved {
+                self.free[old.class()].push(old.with_len(0));
+            }
+        }
         self.plan = plan;
         ok
     }
 
-    fn put_many_with<V: AsRef<[u8]>>(&mut self, items: &[(u64, V)], plan: &mut PutPlan) -> bool {
-        // plan outside the FASE: each key's last length (on node 0, which
-        // is the head line: not yet placed), then its slot
+    /// Plan a group outside the FASE: each key's slot at the length of
+    /// its last write, the blocks it takes and the nodes it moves out
+    /// of. `false` — with every block given back — when a value is
+    /// oversized or the heap is full.
+    fn plan_group<'a>(
+        &mut self,
+        len: usize,
+        item: &impl Fn(usize) -> (u64, &'a [u8]),
+        plan: &mut PutPlan,
+    ) -> bool {
+        // each key's last length and write (on node 0, which is the head
+        // line: not yet placed), then its slot
         plan.clear();
-        for (key, value) in items {
-            let vlen = value.as_ref().len();
-            if vlen > MAX_VALUE_LEN {
+        for i in 0..len {
+            let (key, value) = item(i);
+            if value.len() > MAX_VALUE_LEN {
                 return false;
             }
-            plan.targets
-                .insert(*key, (Entry::new(0, 0, 0, vlen), false));
+            let unplaced = Entry::new(0, 0, 0, value.len());
+            plan.targets.insert(key, (unplaced, false, i));
         }
-        for (i, (key, value)) in items.iter().enumerate() {
-            let (target, unkeyed) = plan.targets.get_mut(key).expect("planned above");
+        for i in 0..len {
+            let (key, value) = item(i);
+            let (target, unkeyed, last) = plan.targets.get_mut(&key).expect("planned above");
             if target.node() == 0 {
-                let (len, old) = (target.vlen(), self.locate(*key));
-                let class = class_of(len);
+                let (vlen, old) = (target.vlen(), self.locate(key));
+                let class = class_of(vlen);
                 *target = match old {
                     Some(old) if old.class() == class => old.other(),
                     _ => {
@@ -618,47 +726,36 @@ impl Shard {
                         block
                     }
                 }
-                .with_len(len);
+                .with_len(vlen);
             }
-            let vlen = value.as_ref().len();
-            if class_of(vlen) == target.class() {
-                let slot = target.with_len(vlen);
-                let op = if *unkeyed {
-                    PlannedOp::Insert(slot)
-                } else {
-                    PlannedOp::Write(slot)
-                };
-                plan.ops.push((op, i));
+            if class_of(value.len()) == target.class() {
+                let slot = target.with_len(value.len());
+                plan.ops.push((slot, i, *unkeyed, i == *last));
                 *unkeyed = false;
             }
         }
-        let stamp = self.next_stamp();
-        self.rt.begin_fase();
-        for &old in &plan.moved {
-            self.store_words(old.other().slot_off(), &[slot_header(stamp, LEN_MASK)], &[]);
-        }
-        for &(op, i) in &plan.ops {
-            let value = items[i].1.as_ref();
-            let header = slot_header(stamp, value.len() as u64);
-            match op {
-                PlannedOp::Insert(slot) if slot.slot() == 0 => {
-                    self.store_words(slot.node(), &[items[i].0, header], value)
-                }
-                PlannedOp::Insert(slot) => {
-                    self.store_words(slot.node(), &[items[i].0], &[]);
-                    self.store_words(slot.slot_off(), &[header], value);
-                }
-                PlannedOp::Write(slot) => self.store_words(slot.slot_off(), &[header], value),
-            }
-        }
-        self.commit(stamp);
-        for (&key, &(target, _)) in &plan.targets {
-            self.index.insert(key, target);
-        }
-        for &old in &plan.moved {
-            self.free[old.class()].push(old.with_len(0));
-        }
         true
+    }
+
+    /// The stores of a planned group, inside its open FASE stamped
+    /// `stamp`: the moved nodes' tombstones, then every write, sealed
+    /// when it is its key's last.
+    fn write_group<'a>(
+        &mut self,
+        item: &impl Fn(usize) -> (u64, &'a [u8]),
+        plan: &PutPlan,
+        stamp: u64,
+    ) {
+        // one slot per key, one tombstone per move
+        let n = (plan.targets.len() + plan.moved.len()) as u64;
+        for &old in &plan.moved {
+            self.store_slot(old.other(), (stamp, n), 0, false, None);
+        }
+        for &(slot, i, keyed, last) in &plan.ops {
+            let (key, value) = item(i);
+            let fase = (stamp, if last { n } else { 0 });
+            self.store_slot(slot, fase, key, keyed, Some(value));
+        }
     }
 
     /// Serve one drained submission-queue batch: the cross-client group
@@ -687,103 +784,78 @@ impl Shard {
     /// rolls back whole, never torn.
     pub fn serve_batch(&mut self, reqs: &[BatchRequest]) -> Vec<BatchReply> {
         let mut replies: Vec<BatchReply> = Vec::with_capacity(reqs.len());
-        // current segment: grouped writes + the request span they cover
-        // (values stay where the requests hold them)
-        let mut group: Vec<(u64, &[u8])> = Vec::new();
-        let mut overlay: FxHashMap<u64, usize> = FxHashMap::default();
+        // the current segment: its grouped writes, by index into the
+        // requests (values stay where the requests hold them), and the
+        // first request it covers
+        let mut scratch = std::mem::take(&mut self.batch);
         let mut seg_start = 0usize;
-
-        // Commit the pending segment group; on rejection, replay the
-        // segment's requests individually (recomputing its replies).
-        fn close_segment(
-            shard: &mut Shard,
-            reqs: &[BatchRequest],
-            replies: &mut Vec<BatchReply>,
-            group: &mut Vec<(u64, &[u8])>,
-            overlay: &mut FxHashMap<u64, usize>,
-            seg_start: usize,
-            seg_end: usize,
-        ) {
-            if !group.is_empty() && !shard.put_many(group) {
-                // the grouped commit left no trace: replay this segment
-                // sequentially for exact per-request outcomes
-                replies.truncate(seg_start);
-                for req in &reqs[seg_start..seg_end] {
-                    replies.push(match req {
-                        BatchRequest::Get(k) => BatchReply::Value(shard.get(*k)),
-                        BatchRequest::Put(k, v) => BatchReply::Done(shard.put(*k, v)),
-                        BatchRequest::PutMany(items) => BatchReply::Done(shard.put_many(items)),
-                        BatchRequest::Delete(_) | BatchRequest::Scan(..) => {
-                            unreachable!("barriers end segments")
-                        }
-                    });
-                }
-            }
-            group.clear();
-            overlay.clear();
-        }
-
         for (i, req) in reqs.iter().enumerate() {
             match req {
                 BatchRequest::Get(k) => {
-                    let value = match overlay.get(k) {
-                        Some(&gi) => Some(group[gi].1.to_vec()),
+                    let value = match scratch.overlay.get(k) {
+                        Some(&gi) => Some(write_of(reqs, scratch.group[gi]).1.to_vec()),
                         None => self.get(*k),
                     };
                     replies.push(BatchReply::Value(value));
                 }
-                BatchRequest::Put(k, v) => {
-                    overlay.insert(*k, group.len());
-                    group.push((*k, v));
+                BatchRequest::Put(k, _) => {
+                    scratch.overlay.insert(*k, scratch.group.len());
+                    scratch.group.push((i, 0));
                     replies.push(BatchReply::Done(true));
                 }
                 BatchRequest::PutMany(items) => {
                     // overlay points at each key's *last* write in the
                     // group (later inserts overwrite earlier ones)
                     for (j, (k, _)) in items.iter().enumerate() {
-                        overlay.insert(*k, group.len() + j);
+                        scratch.overlay.insert(*k, scratch.group.len());
+                        scratch.group.push((i, j));
                     }
-                    group.extend(items.iter().map(|(k, v)| (*k, &v[..])));
                     replies.push(BatchReply::Done(true));
                 }
                 BatchRequest::Delete(k) => {
-                    close_segment(
-                        self,
-                        reqs,
-                        &mut replies,
-                        &mut group,
-                        &mut overlay,
-                        seg_start,
-                        i,
-                    );
+                    self.close_segment(reqs, &mut replies, &mut scratch, seg_start..i);
                     replies.push(BatchReply::Done(self.delete(*k)));
                     seg_start = i + 1;
                 }
                 BatchRequest::Scan(lo, hi, limit) => {
-                    close_segment(
-                        self,
-                        reqs,
-                        &mut replies,
-                        &mut group,
-                        &mut overlay,
-                        seg_start,
-                        i,
-                    );
+                    self.close_segment(reqs, &mut replies, &mut scratch, seg_start..i);
                     replies.push(BatchReply::Entries(self.scan(*lo, *hi, *limit as usize)));
                     seg_start = i + 1;
                 }
             }
         }
-        close_segment(
-            self,
-            reqs,
-            &mut replies,
-            &mut group,
-            &mut overlay,
-            seg_start,
-            reqs.len(),
-        );
+        self.close_segment(reqs, &mut replies, &mut scratch, seg_start..reqs.len());
+        self.batch = scratch;
         replies
+    }
+
+    /// Commit the pending segment's group; on rejection, replay the
+    /// segment's requests individually (recomputing their replies).
+    fn close_segment(
+        &mut self,
+        reqs: &[BatchRequest],
+        replies: &mut Vec<BatchReply>,
+        scratch: &mut BatchScratch,
+        segment: std::ops::Range<usize>,
+    ) {
+        let group = &scratch.group;
+        if !self.put_writes(group.len(), |g| write_of(reqs, group[g])) {
+            // the grouped commit left no trace: replay this segment
+            // sequentially for exact per-request outcomes
+            replies.truncate(segment.start);
+            for req in &reqs[segment] {
+                replies.push(match req {
+                    BatchRequest::Get(k) => BatchReply::Value(self.get(*k)),
+                    BatchRequest::Put(k, v) => BatchReply::Done(self.put(*k, v)),
+                    BatchRequest::PutMany(items) => BatchReply::Done(self.put_many(items)),
+                    BatchRequest::Delete(_) | BatchRequest::Scan(..) => {
+                        unreachable!("barriers end segments")
+                    }
+                });
+            }
+        }
+        scratch.group.clear();
+        scratch.overlay.clear();
     }
 
     /// Range scan `lo..=hi`, at most `limit` entries, sorted by key.
@@ -815,9 +887,10 @@ impl Shard {
 
     /// Recover the shard after a panic unwound through one of its
     /// operations (see [`FaseRuntime::heal_after_panic`]): the abandoned
-    /// FASE is dropped, volatile runtime residue with it, and the index
-    /// and free lists are rebuilt from the region. Returns whether
-    /// anything was healed.
+    /// FASE is dropped, volatile runtime residue with it; its slots are
+    /// voided, however many of them it stored; and the index and free
+    /// lists are rebuilt from the region. Returns whether anything was
+    /// healed.
     pub fn heal_after_panic(&mut self) -> bool {
         let healed = self.rt.heal_after_panic();
         if healed {
@@ -834,8 +907,7 @@ impl Shard {
         };
         let stamp = self.next_stamp();
         self.rt.begin_fase();
-        let tomb = slot_header(stamp, LEN_MASK);
-        self.store_words(entry.other().slot_off(), &[tomb], &[]);
+        self.store_slot(entry.other(), (stamp, 1), key, false, None);
         self.commit(stamp);
         self.index.remove(&key);
         self.free[entry.class()].push(entry.with_len(0));
@@ -852,6 +924,13 @@ impl Shard {
         self.index.is_empty()
     }
 
+    /// Slots the last recovery voided — reopening an image, an injected
+    /// crash or a healed panic: those of a FASE that did not commit. 0
+    /// for a fresh shard.
+    pub fn voided_slots(&self) -> usize {
+        self.voided
+    }
+
     /// Every `(key, value)` pair, sorted by key. A pass over the
     /// segments that never consults the index: this is what recovery
     /// verification compares, so it reads what is persistent.
@@ -865,68 +944,158 @@ impl Shard {
         out
     }
 
+    /// The class of segment `segment`, checked: `None` if it was never
+    /// carved (its bytes must then be zeros), an error if the class byte
+    /// names no class that holds a slot.
+    fn carved_class(&self, segment: usize) -> Result<Option<usize>, ShardImageError> {
+        let bad = |why| ShardImageError::BadSegment { segment, why };
+        match self.class_byte(segment) {
+            0 => {
+                // a fold, not a search: it vectorizes
+                let base = self.seg_base + segment * SEGMENT;
+                let bytes = self.rt.region().slice(base, SEGMENT);
+                if bytes.iter().fold(0, |all, &b| all | b) != 0 {
+                    return Err(bad("bytes in a segment never carved"));
+                }
+                Ok(None)
+            }
+            class if class > MAX_CLASS => Err(bad("a class past the largest")),
+            class if class < MIN_CLASS => Err(bad("a class too small for a slot")),
+            class => Ok(Some(class)),
+        }
+    }
+
+    /// Slot 0 of every node of every carved segment, in address order.
+    fn nodes(&self) -> Result<Vec<Entry>, ShardImageError> {
+        let mut nodes = Vec::new();
+        for segment in 0..self.segments {
+            if let Some(class) = self.carved_class(segment)? {
+                let base = self.seg_base + segment * SEGMENT;
+                let blocks = (base..base + SEGMENT).step_by(block_of(class));
+                nodes.extend(blocks.map(|node| Entry::new(node, class, 0, 0)));
+            }
+        }
+        Ok(nodes)
+    }
+
+    /// The header of a slot, split into its stamp and value length.
+    fn header(&self, slot: Entry) -> (u64, u64) {
+        let h = self.rt.region().read_u64(slot.slot_off());
+        (h >> LEN_BITS, h & LEN_MASK)
+    }
+
+    /// The `n` of a whole slot; `None` for a void, torn or unsealed one.
+    fn sealed(&self, slot: Entry) -> Option<u64> {
+        let region = self.rt.region();
+        let at = slot.slot_off();
+        let (header, found) = (region.read_u64(at), region.read_u64(at + 8));
+        let (stamp, vlen) = (header >> LEN_BITS, header & LEN_MASK);
+        let (n, key) = (found >> 32, region.read_u64(slot.node()));
+        let whole = match vlen {
+            LEN_MASK => seal(header, n, None, &[]) == found,
+            len if len as usize <= capacity(slot.class()) => {
+                let value = region.slice(at + SLOT_HEADER, len as usize);
+                seal(header, n, Some(key), value) == found
+            }
+            _ => false,
+        };
+        (stamp != 0 && n != 0 && whole).then_some(n)
+    }
+
+    /// The stamp of the last committed FASE, after a power failure: the
+    /// highest stamp *E* in the image if exactly its sealed *n* whole
+    /// slots carry it, else *E* − 1 — *E* is torn, and the rebuild voids
+    /// it (module doc). An image with a stamp at or past the limit, two
+    /// `n` under *E* or more whole slots than *E*'s `n` is hostile.
+    fn last_committed(&self) -> Result<u64, ShardImageError> {
+        let (mut top, mut at_top) = (0, Vec::new());
+        for node in self.nodes()? {
+            for slot in [node, node.other()] {
+                let (stamp, _) = self.header(slot);
+                if stamp >= EPOCH_LIMIT {
+                    let at = node.node();
+                    return Err(ShardImageError::BadNode {
+                        at,
+                        why: "a stamp past the last",
+                    });
+                }
+                if stamp > top {
+                    (top, at_top) = (stamp, Vec::new());
+                }
+                if stamp == top && top > 0 {
+                    at_top.push(slot);
+                }
+            }
+        }
+        let (mut sealed_n, mut whole) = (None, 0);
+        for slot in at_top {
+            let Some(n) = self.sealed(slot) else { continue };
+            let bad = |why| ShardImageError::BadNode {
+                at: slot.node(),
+                why,
+            };
+            if sealed_n.replace(n).is_some_and(|m| m != n) {
+                return Err(bad("two sizes of one FASE"));
+            }
+            whole += 1;
+            if whole > n {
+                return Err(bad("more whole slots than their FASE wrote"));
+            }
+        }
+        Ok(if sealed_n == Some(whole) {
+            top
+        } else {
+            top.saturating_sub(1)
+        })
+    }
+
     /// The one pass over the segments that recovery, [`Shard::dump`] and
-    /// the index check share. The region may be a foreign image, so
-    /// every class byte, every segment never carved and every node is
-    /// checked against the rules of the module doc.
+    /// the index check share, with stamps `1..=committed` committed. The
+    /// region may be a foreign image, so every class byte, every segment
+    /// never carved and every node is checked against the rules of the
+    /// module doc.
     fn survey(&mut self) -> Result<Survey, ShardImageError> {
         let mut survey = Survey {
             live: HashMap::new(),
             free: Default::default(),
             stale: Vec::new(),
         };
-        for segment in 0..self.segments {
-            let base = self.seg_base + segment * SEGMENT;
-            let bad = |why| ShardImageError::BadSegment { segment, why };
-            let class = self.class_byte(segment);
-            if class == 0 {
-                // a fold, not a search: it vectorizes
-                let bytes = self.rt.region().slice(base, SEGMENT);
-                if bytes.iter().fold(0, |all, &b| all | b) != 0 {
-                    return Err(bad("bytes in a segment never carved"));
+        for slot0 in self.nodes()? {
+            let (node, class) = (slot0.node(), slot0.class());
+            let slots = [slot0, slot0.other()];
+            let [(s0, l0), (s1, l1)] = slots.map(|slot| self.header(slot));
+            let (stamps, lens) = ([s0, s1], [l0, l1]);
+            let committed = stamps.map(|s| (1..=self.committed).contains(&s));
+            let bad = |why| ShardImageError::BadNode { at: node, why };
+            for (i, slot) in slots.into_iter().enumerate() {
+                if stamps[i] > self.committed {
+                    survey.stale.push(slot.slot_off());
                 }
-                continue;
+                if stamps[i] != 0 && lens[i] != LEN_MASK && lens[i] > capacity(class) as u64 {
+                    return Err(bad("a slot longer than its class holds"));
+                }
             }
-            if class > MAX_CLASS {
-                return Err(bad("a class past the largest"));
+            let deciding = match committed {
+                [false, false] => None,
+                [true, true] if stamps[0] == stamps[1] => {
+                    return Err(bad("two committed slots with one stamp"))
+                }
+                [true, true] => Some(usize::from(stamps[1] > stamps[0])),
+                [c0, _] => Some(usize::from(!c0)),
+            };
+            if deciding.is_some_and(|d| self.sealed(slots[d]).is_none()) {
+                return Err(bad("a deciding slot whose seal fails"));
             }
-            for node in (base..base + SEGMENT).step_by(block_of(class)) {
-                let slot0 = Entry::new(node, class, 0, 0);
-                let slots = [slot0, slot0.other()];
-                let headers = slots.map(|slot| self.rt.load_u64(slot.slot_off()));
-                let (stamps, lens) = (
-                    headers.map(|h| h >> LEN_BITS),
-                    headers.map(|h| h & LEN_MASK),
-                );
-                let committed = stamps.map(|s| (1..=self.committed).contains(&s));
-                let bad = |why| ShardImageError::BadNode { at: node, why };
-                for (i, slot) in slots.into_iter().enumerate() {
-                    if stamps[i] > self.committed {
-                        survey.stale.push(slot.slot_off());
-                    }
-                    if committed[i] && lens[i] != LEN_MASK && lens[i] > capacity(class) as u64 {
-                        return Err(bad("a slot longer than its class holds"));
+            match deciding {
+                Some(d) if lens[d] != LEN_MASK => {
+                    let key = self.rt.load_u64(node);
+                    let entry = slots[d].with_len(lens[d] as usize);
+                    if survey.live.insert(key, entry).is_some() {
+                        return Err(bad("a key live in two nodes"));
                     }
                 }
-                let deciding = match committed {
-                    [false, false] => None,
-                    [true, true] if stamps[0] == stamps[1] => {
-                        return Err(bad("two committed slots with one stamp"))
-                    }
-                    [true, true] => Some(usize::from(stamps[1] > stamps[0])),
-                    [c0, _] => Some(usize::from(!c0)),
-                };
-                match deciding {
-                    Some(d) if lens[d] != LEN_MASK => {
-                        let key = self.rt.load_u64(node);
-                        let entry = slots[d].with_len(lens[d] as usize);
-                        if survey.live.insert(key, entry).is_some() {
-                            return Err(bad("a key live in two nodes"));
-                        }
-                    }
-                    // an insert writes the slot that does not decide
-                    _ => survey.free[class].push(slots[deciding.map_or(0, |d| 1 - d)]),
-                }
+                // an insert writes the slot that does not decide
+                _ => survey.free[class].push(slots[deciding.map_or(0, |d| 1 - d)]),
             }
         }
         Ok(survey)
@@ -934,9 +1103,8 @@ impl Shard {
 
     /// Rebuild the index and the free lists from the region — the one
     /// pass that reopening, an injected crash and a healed panic share —
-    /// then void the slots a dead FASE stamped above the epoch word.
+    /// then void the slots stamped above the last committed FASE.
     fn rebuild_volatile(&mut self) -> Result<(), ShardImageError> {
-        self.committed = self.rt.load_u64(EPOCH_WORD);
         let survey = self.survey()?;
         self.index = survey.live;
         self.free = survey.free.map(|mut blocks| {
@@ -945,8 +1113,9 @@ impl Shard {
         });
         self.uncarved = self.uncarved_from(0);
         // The void pass: stamp 0 on what nothing committed reads, so the
-        // stores need no undo record, in a FASE that publishes nothing —
-        // a crash inside it leaves slots the next rebuild voids again.
+        // stores need no undo record, in a FASE that commits nothing — a
+        // crash inside it leaves slots the next rebuild voids again.
+        self.voided = survey.stale.len();
         if !survey.stale.is_empty() {
             self.rt.begin_fase();
             for &at in &survey.stale {
@@ -1030,6 +1199,7 @@ impl Shard {
     /// tears.
     pub fn crash_and_recover(&mut self, mode: &CrashMode) {
         self.rt.crash_and_recover(mode);
+        self.committed = self.last_committed().expect(OWN_REGION);
         self.rebuild_volatile().expect(OWN_REGION);
     }
 
@@ -1258,8 +1428,15 @@ mod tests {
             (10, b"TEN".to_vec()), // insert then update, same batch
             (2, b"two, now in a 128-byte block".to_vec()),
         ];
+        let fences = s.rt.region().stats().fences;
         assert!(s.put_many(&batch));
-        assert_eq!(s.stats().fases, fases_before + 2, "a carve, then the batch");
+        assert_eq!(
+            s.stats().fases,
+            fases_before + 1,
+            "the batch: a carve is no FASE"
+        );
+        let fences = s.rt.region().stats().fences - fences;
+        assert_eq!(fences, 2, "one for the carve, one for the batch");
         assert_eq!(s.get(1).as_deref(), Some(&b"one-fin"[..]));
         assert_eq!(s.get(2).as_deref(), Some(&batch[5].1[..]));
         assert_eq!(s.get(10).as_deref(), Some(&b"TEN"[..]));
@@ -1289,8 +1466,8 @@ mod tests {
         assert_eq!(s.get(1).as_deref(), Some(&[3u8; 4][..]));
         assert_eq!(s.get(2).as_deref(), Some(&[5u8; 40][..]));
         // key 1: an update of its 64-byte node; key 2: an insert into a
-        // 128-byte block, whose segment is carved first; the epoch word
-        assert_eq!(s.stats().stores - stores, 4);
+        // 128-byte block, whose segment is carved first
+        assert_eq!(s.stats().stores - stores, 3);
         s.index_matches_heap().unwrap();
     }
 
@@ -1397,12 +1574,9 @@ mod tests {
         let entry = s.locate(0).unwrap();
         let stamp = s.next_stamp();
         s.rt.begin_fase();
-        s.store_words(
-            entry.other().slot_off(),
-            &[slot_header(stamp, 40)],
-            &[9; 40],
-        );
+        s.store_slot(entry.other(), (stamp, 1), 0, false, Some(&[9; 40]));
         assert!(s.heal_after_panic());
+        assert_eq!(s.voided_slots(), 1);
         runs_at_its_last_choice(&s);
         serve_until_chosen(&mut s, 12, 1);
         runs_at_its_last_choice(&s);
@@ -1585,8 +1759,9 @@ mod tests {
         assert_eq!(batched.dump(), seq.dump(), "end states diverge");
     }
 
-    /// A crash mid-batch rolls the whole group back: the epoch word it
-    /// never published keeps the all-or-nothing FASE contract.
+    /// A crash among a batch's stores rolls the whole group back: the
+    /// slots it had not landed leave its stamp short of its `n`, which
+    /// keeps the all-or-nothing FASE contract.
     #[test]
     fn pipelined_put_many_is_atomic_under_crash() {
         let cfg = small(PolicyKind::ScFixed { capacity: 4 });
@@ -1599,9 +1774,10 @@ mod tests {
             let before: Vec<(u64, Vec<u8>)> = (0..16u64).map(|i| (i, vec![1u8; 16])).collect();
             assert!(s.put_many(&before));
             s.sync();
-            // updates + fresh inserts in one batch, crashed mid-FASE
+            // updates + fresh inserts in one batch, crashed among its
+            // 24 stores
             let batch: Vec<(u64, Vec<u8>)> = (8..32u64).map(|i| (i, vec![2u8; 16])).collect();
-            let step = s.steps() + 40;
+            let step = s.steps() + 10;
             s.arm_crash(CrashPlan {
                 at_step: step,
                 mode: mode.clone(),
@@ -1632,10 +1808,10 @@ mod tests {
         (rt.log_stats(), rt.region().stats(), ring, rt.stats())
     }
 
-    /// Assert that `op` committed as one FASE by its epoch word alone:
-    /// no undo record, two fences, and `lines` data lines plus the
-    /// epoch word's, each flushed once off the ring.
-    fn commits_by_its_epoch_word(
+    /// Assert that `op` committed as one FASE by its sealed slots alone:
+    /// no undo record, no commit record, one fence, and `lines` data
+    /// lines, each flushed once off the ring.
+    fn commits_by_its_slots(
         s: &mut Shard,
         what: &str,
         lines: u64,
@@ -1650,46 +1826,53 @@ mod tests {
         };
         assert_eq!(log2, one_more_commit, "{what}: a record");
         assert_eq!(f.fases - fase.fases, 1, "{what}");
-        assert_eq!(p.fences - pmem.fences, 2, "{what}: data fence, epoch fence");
-        assert_eq!(f.data_flushes - fase.data_flushes, lines + 1, "{what}");
-        assert_eq!(r - ring, lines + 1, "{what}");
+        assert_eq!(p.fences - pmem.fences, 1, "{what}: one fence");
+        assert_eq!(f.data_flushes - fase.data_flushes, lines, "{what}");
+        assert_eq!(r - ring, lines, "{what}");
         assert_eq!(
             p.flushes - pmem.flushes,
-            lines + 1,
+            lines,
             "{what}: a flush off the ring"
         );
     }
 
     /// An update-only group and a same-length `put` write no undo
-    /// record: each commits by its published epoch word with two fences,
-    /// and every flush is a data line through the ring — one per
-    /// updated slot, one for the epoch word.
+    /// record and no commit record: each commits by its sealed slots
+    /// with one fence, and every flush is a data line through the ring,
+    /// one per updated slot.
     #[test]
-    fn an_update_commits_by_its_epoch_word_alone() {
+    fn an_update_commits_by_its_slots_alone() {
         let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
         let group = |tag| (0..32u64).map(|k| (k, vec![tag; 40])).collect::<Vec<_>>();
         assert!(s.put_many(&group(1)));
-        commits_by_its_epoch_word(&mut s, "put_many", 32, |s| s.put_many(&group(2)));
-        commits_by_its_epoch_word(&mut s, "put", 1, |s| s.put(7, &[3; 40]));
+        commits_by_its_slots(&mut s, "put_many", 32, |s| s.put_many(&group(2)));
+        commits_by_its_slots(&mut s, "put", 1, |s| s.put(7, &[3; 40]));
         assert_eq!(s.get(7).as_deref(), Some(&[3u8; 40][..]));
         assert_eq!(s.get(8).as_deref(), Some(&[2u8; 40][..]));
     }
 
-    /// A delete writes no undo record either: one tombstone line, the
-    /// epoch word's line, two fences — and so does an insert into a
-    /// carved segment.
+    /// A delete writes no undo record either: one tombstone line, one
+    /// fence — and so does an insert into a carved segment. Carving a
+    /// segment is one store, one flush and one fence, and no FASE.
     #[test]
-    fn a_delete_commits_by_its_epoch_word_alone() {
+    fn a_delete_commits_by_its_slot_alone() {
         let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
         // 24 of the segment's 32 blocks
         assert!(s.put_many(&(0..24u64).map(|k| (k, [1; 40])).collect::<Vec<_>>()));
-        commits_by_its_epoch_word(&mut s, "delete", 1, |s| s.delete(7));
-        commits_by_its_epoch_word(&mut s, "reuse", 1, |s| s.put(7, &[3; 40]));
-        commits_by_its_epoch_word(&mut s, "insert", 1, |s| s.put(40, &[2; 40]));
-        commits_by_its_epoch_word(&mut s, "delete", 1, |s| s.delete(40));
+        commits_by_its_slots(&mut s, "delete", 1, |s| s.delete(7));
+        commits_by_its_slots(&mut s, "reuse", 1, |s| s.put(7, &[3; 40]));
+        commits_by_its_slots(&mut s, "insert", 1, |s| s.put(40, &[2; 40]));
+        commits_by_its_slots(&mut s, "delete", 1, |s| s.delete(40));
         assert_eq!(s.get(40), None);
         assert_eq!(s.get(7).as_deref(), Some(&[3u8; 40][..]));
         s.index_matches_heap().unwrap();
+        // a 100-byte value's class has no segment yet: the carve's one
+        // line and fence come before the insert's FASE
+        let (_, pmem, _, fase) = counters(&s);
+        assert!(s.put(50, &[4; 100]));
+        let (_, p, _, f) = counters(&s);
+        assert_eq!((f.fases - fase.fases, p.fences - pmem.fences), (1, 2));
+        assert_eq!((f.stores - fase.stores, p.flushes - pmem.flushes), (2, 3));
     }
 
     /// The three adversaries.
@@ -1701,18 +1884,23 @@ mod tests {
         ]
     }
 
-    /// A power failure between an update group's slot writes and its
-    /// epoch word, at every micro-step and under every adversary: the
-    /// image reopens to the old values; reopening what that recovery
-    /// left changes no byte of the data area; and the next update, which
-    /// publishes the very epoch the dead group stamped its slots with,
-    /// does not bring them back.
+    /// A power failure at every micro-step of an update group up to its
+    /// fence, under every adversary: the image reopens to the old values
+    /// or the new ones, and to the old ones at every cut under the
+    /// adversary that lands only fenced lines; a second reopen voids
+    /// nothing; and the next update, which reuses the stamp a dead group
+    /// stamped its slots with, does not bring them back. The group
+    /// writes one key twice, so its first write — unsealed — may land
+    /// without its second.
     #[test]
     fn a_crashed_update_stays_dead() {
         let cfg = small(PolicyKind::ScFixed { capacity: 4 });
-        let data = cfg.data_len;
         let old: Vec<(u64, Vec<u8>)> = (0..13u64).map(|k| (k, vec![1u8; 40])).collect();
-        let dead: Vec<(u64, Vec<u8>)> = (0..12u64).map(|k| (k, vec![2u8; 40])).collect();
+        let mut dead: Vec<(u64, Vec<u8>)> = (0..12u64).map(|k| (k, vec![2u8; 40])).collect();
+        dead.insert(1, (11, vec![5u8; 40]));
+        let new: Vec<(u64, Vec<u8>)> = (0..13u64)
+            .map(|k| (k, vec![1 + u8::from(k < 12); 40]))
+            .collect();
         let loaded = || {
             let mut s = Shard::new(&cfg);
             assert!(s.put_many(&old));
@@ -1721,41 +1909,47 @@ mod tests {
         let mut probe = loaded();
         let start = probe.steps();
         assert!(probe.put_many(&dead));
-        // the epoch word's write, flush and fence end the FASE
-        let publish = probe.steps() - 3;
-        let mut after = old.clone();
-        after[12].1 = vec![3u8; 40];
-        let mut voided = 0;
-        for k in start..=publish {
+        let end = probe.steps();
+        let (mut voided, mut whole) = (0, 0);
+        for k in start..end {
             for mode in modes(k) {
                 let ctx = format!("{mode:?} crash at step {k}");
+                let strict = mode == CrashMode::StrictDurableOnly;
                 let mut s = loaded();
                 s.arm_crash(CrashPlan { at_step: k, mode });
                 assert!(s.put_many(&dead));
                 let image = s.take_crash_image().expect("the cut falls in the group");
-                let mut r = Shard::reopen_from_image(image.clone(), &cfg).expect(&ctx);
-                assert_eq!(r.dump(), old, "{ctx}: the group is visible");
+                let mut r = Shard::reopen_from_image(image, &cfg).expect(&ctx);
+                let got = r.dump();
+                assert!(
+                    got == old || got == new && !strict,
+                    "{ctx}: the group is torn"
+                );
+                voided += r.voided_slots();
+                whole += usize::from(got == new);
                 let recovered = r.rt.region().durable_image().to_vec();
-                voided += usize::from(recovered[..data] != image[..data]);
-                let mut again = Shard::reopen_from_image(recovered.clone(), &cfg).expect(&ctx);
-                let twice = again.rt.region().durable_image();
-                assert!(twice[..data] == recovered[..data], "{ctx}: voided twice");
-                assert_eq!(again.dump(), old, "{ctx}");
-                assert!(r.put(12, &[3; 40]), "{ctx}: the dead group's epoch");
+                let mut again = Shard::reopen_from_image(recovered, &cfg).expect(&ctx);
+                assert_eq!(again.voided_slots(), 0, "{ctx}: voided twice");
+                assert_eq!(again.dump(), got, "{ctx}");
+                assert!(r.put(12, &[3; 40]), "{ctx}: the dead group's stamp");
+                let mut after = got;
+                after[12].1 = vec![3u8; 40];
                 assert_eq!(r.dump(), after, "{ctx}: the group came back");
                 r.crash_and_recover(&CrashMode::StrictDurableOnly);
                 assert_eq!(r.dump(), after, "{ctx}: the group came back");
             }
         }
         assert!(voided > 0, "no cut left a slot to void");
+        assert!(whole > 0, "no cut landed the whole group");
     }
 
     /// Delete A, then insert B into the block A held — once with A's
     /// value in slot 0, once (after an update) in slot 1 — with a power
     /// failure at every micro-step of the insert under every adversary:
-    /// A never comes back, B is whole or absent, the next FASE, which
-    /// publishes the epoch B's dead insert was stamped with, brings
-    /// neither back, and B's retry takes the block again.
+    /// A never comes back, B is whole or absent (absent under the
+    /// adversary that lands only fenced lines), the next FASE, which
+    /// reuses the stamp B's dead insert was stamped with, brings neither
+    /// back, and B's retry takes the block again.
     #[test]
     fn a_crashed_insert_into_a_freed_block_stays_dead() {
         let cfg = small(PolicyKind::ScFixed { capacity: 4 });
@@ -1775,18 +1969,28 @@ mod tests {
             let start = probe.steps();
             assert!(probe.put(b, &[2u8; 40]));
             assert_eq!(probe.locate(b).unwrap().node(), block, "B takes A's block");
-            let publish = probe.steps() - 3;
-            for k in start..=publish {
+            for k in start..probe.steps() {
                 for mode in modes(k) {
                     let ctx = format!("{updates} updates: {mode:?} crash at step {k}");
+                    let strict = mode == CrashMode::StrictDurableOnly;
                     let (mut s, _) = loaded();
                     s.arm_crash(CrashPlan { at_step: k, mode });
                     assert!(s.put(b, &[2u8; 40]));
                     let image = s.take_crash_image().expect("the cut falls in the insert");
                     let mut r = Shard::reopen_from_image(image, &cfg).expect(&ctx);
-                    assert_eq!(r.dump(), vec![(9, vec![9u8; 40])], "{ctx}");
-                    assert!(r.put(9, &[4u8; 40]), "{ctx}: the dead insert's epoch");
-                    assert_eq!(r.dump(), vec![(9, vec![4u8; 40])], "{ctx}");
+                    let got = r.dump();
+                    let with_b = got.len() == 2;
+                    assert!(!(with_b && strict), "{ctx}: B before its fence");
+                    let nine = (9, vec![9u8; 40]);
+                    let want = if with_b {
+                        vec![(b, vec![2u8; 40]), nine]
+                    } else {
+                        vec![nine]
+                    };
+                    assert_eq!(got, want, "{ctx}");
+                    assert!(r.put(9, &[4u8; 40]), "{ctx}: the dead insert's stamp");
+                    assert_eq!(r.get(a), None, "{ctx}");
+                    assert_eq!(r.dump().len(), got.len(), "{ctx}");
                     assert!(r.put(b, &[5u8; 40]));
                     let got = r.locate(b).map(|entry| entry.node());
                     assert_eq!(got, Some(block), "{ctx}: the dead insert's block leaked");
@@ -1799,9 +2003,9 @@ mod tests {
     }
 
     /// The heap a crashed insert took a block from is whole again after
-    /// recovery: after eight inserts each cut short by a power failure
-    /// just before its epoch word, as many keys fit as in a shard that
-    /// never crashed.
+    /// recovery: after eight groups of two inserts, each cut short by a
+    /// power failure after its first slot landed, as many keys fit as in
+    /// a shard that never crashed.
     #[test]
     fn a_block_a_crashed_insert_took_is_free_after_recovery() {
         let cfg = ShardConfig {
@@ -1811,20 +2015,177 @@ mod tests {
         let fill = |s: &mut Shard| (1000u64..).take_while(|&k| s.put(k, &[1u8; 40])).count();
         let fits = fill(&mut Shard::new(&cfg));
         let mut image = Shard::new(&cfg).rt.region().durable_image().to_vec();
-        for key in 0..8u64 {
-            let mut probe = Shard::reopen_from_image(image.clone(), &cfg).unwrap();
-            assert!(probe.put(key, &[2u8; 40]));
+        for key in (0..16u64).step_by(2) {
+            let group = [(key, [2u8; 40]), (key + 1, [2u8; 40])];
             let mut s = Shard::reopen_from_image(image, &cfg).unwrap();
+            // after the first slot's store; the first group carves its
+            // segment first: a store, a flush and a fence
+            let carve = if key == 0 { 3 } else { 0 };
             s.arm_crash(CrashPlan {
-                at_step: probe.steps() - 3,
+                at_step: s.steps() + carve + 1,
                 mode: CrashMode::AllInFlightLands,
             });
-            assert!(s.put(key, &[2u8; 40]));
-            image = s.take_crash_image().expect("the cut falls in the insert");
+            assert!(s.put_many(&group));
+            image = s.take_crash_image().expect("the cut falls in the group");
+            let r = Shard::reopen_from_image(image.clone(), &cfg).unwrap();
+            assert_eq!((r.len(), r.voided_slots()), (0, 1), "group at {key}");
         }
         let mut s = Shard::reopen_from_image(image, &cfg).unwrap();
         assert!(s.is_empty());
         assert_eq!(fill(&mut s), fits, "blocks leaked");
+    }
+
+    /// Images a FASE can leave on hardware that lands 8-byte words, one
+    /// pair per word it changed: `before` with that word landed alone,
+    /// and `after` with that word alone missing.
+    fn word_tears(before: &[u8], after: &[u8]) -> Vec<Vec<u8>> {
+        let mut tears = Vec::new();
+        for at in (0..before.len()).step_by(8) {
+            let (old, new) = (&before[at..at + 8], &after[at..at + 8]);
+            if old != new {
+                tears.push(patched(before, at, new));
+                tears.push(patched(after, at, old));
+            }
+        }
+        tears
+    }
+
+    /// Recover every image [`word_tears`] makes of `op` on the shard
+    /// `loaded` builds: each reopens to the state before `op`, a second
+    /// reopen voids nothing, and the FASE that reuses `op`'s stamp
+    /// brings none of it back across a power failure. Returns how many
+    /// images left slots to void.
+    fn recovers_every_word_tear(
+        cfg: &ShardConfig,
+        loaded: &dyn Fn() -> Shard,
+        op: &dyn Fn(&mut Shard) -> bool,
+    ) -> usize {
+        let mut s = loaded();
+        let old = s.dump();
+        let before = s.rt.region().durable_image().to_vec();
+        assert!(op(&mut s));
+        s.sync();
+        let new = s.dump();
+        assert_ne!(new, old);
+        let after = s.rt.region().durable_image();
+        let whole = Shard::reopen_from_image(after.to_vec(), cfg)
+            .unwrap()
+            .dump();
+        assert_eq!(whole, new, "the whole FASE");
+        let mut voided = 0;
+        for (i, image) in word_tears(&before, after).into_iter().enumerate() {
+            let ctx = format!("torn image {i}");
+            let mut r = Shard::reopen_from_image(image, cfg).expect(&ctx);
+            assert_eq!(r.dump(), old, "{ctx}");
+            voided += usize::from(r.voided_slots() > 0);
+            let recovered = r.rt.region().durable_image().to_vec();
+            let again = Shard::reopen_from_image(recovered, cfg).expect(&ctx);
+            assert_eq!(again.voided_slots(), 0, "{ctx}: voided twice");
+            assert!(r.put(1 << 40, &[6; 8]), "{ctx}: the torn FASE's stamp");
+            let mut want = old.clone();
+            want.push((1 << 40, vec![6; 8]));
+            r.crash_and_recover(&CrashMode::StrictDurableOnly);
+            assert_eq!(r.dump(), want, "{ctx}: the torn FASE came back");
+        }
+        voided
+    }
+
+    /// A FASE torn word by word is absent after recovery, also where its
+    /// slots share lines with committed ones: a 64-byte node holds its
+    /// key and both slots in one line, so an update of one writes the
+    /// line its committed slot lives in, and so does the void pass that
+    /// takes a torn update back. Updates into either slot, an insert
+    /// into a freed block, a class move and a delete.
+    #[test]
+    fn a_fase_torn_word_by_word_is_absent() {
+        let cfg = small(PolicyKind::ScFixed { capacity: 8 });
+        let loaded = || {
+            let mut s = Shard::new(&cfg);
+            assert!(s.put_many(&(0..6u64).map(|k| (k, [k as u8; 8])).collect::<Vec<_>>()));
+            assert!(s.put(3, &[33; 8]), "key 3's slot 1 decides");
+            assert!(s.delete(5));
+            assert!(s.put(9, &[9; 40]));
+            s
+        };
+        let updates = |s: &mut Shard| s.put_many(&[(0, [1; 8]), (3, [2; 8]), (1, [3; 8])]);
+        let voided = [
+            recovers_every_word_tear(&cfg, &loaded, &updates),
+            recovers_every_word_tear(&cfg, &loaded, &|s| s.put(7, &[7; 8])),
+            recovers_every_word_tear(&cfg, &loaded, &|s| s.put(2, &[4; 40])),
+            recovers_every_word_tear(&cfg, &loaded, &|s| s.delete(4)),
+        ];
+        for (what, voided) in ["updates", "an insert", "a class move", "a delete"]
+            .iter()
+            .zip(voided)
+        {
+            assert!(voided > 0, "{what}: no tear left a slot to void");
+        }
+    }
+
+    /// Delete A, whose slot 1 decides, so that its tombstone lands in
+    /// slot 0; then insert B into A's block: B's key word shares line 0
+    /// with the tombstone and B's slot goes to line 1. When only the key
+    /// word lands, the tombstone's FASE — the last one — is still whole,
+    /// because its seal leaves the key out: A stays deleted, nothing is
+    /// voided, and B is absent.
+    #[test]
+    fn a_key_word_that_lands_without_its_slot_tears_nothing() {
+        let cfg = small(PolicyKind::ScFixed { capacity: 8 });
+        let (a, b) = (1u64, 2u64);
+        let mut s = Shard::new(&cfg);
+        assert!(s.put_many(&[(a, [1u8; 40]), (9, [9u8; 40])]));
+        assert!(s.put(a, &[3u8; 40]));
+        let tombstone = s.locate(a).unwrap().other();
+        assert_eq!(tombstone.slot(), 0);
+        assert!(s.delete(a));
+        s.sync();
+        let before = s.rt.region().durable_image().to_vec();
+        let key_word = tombstone.node();
+        let image = patched(&before, key_word, &word(b));
+        let mut r = Shard::reopen_from_image(image, &cfg).expect("a key word alone");
+        assert_eq!(r.voided_slots(), 0, "the tombstone's FASE is whole");
+        assert_eq!(r.dump(), vec![(9, vec![9u8; 40])]);
+        assert!(r.put(b, &[2u8; 40]));
+        assert_eq!(r.locate(b).unwrap().node(), key_word, "B takes A's block");
+        r.crash_and_recover(&CrashMode::StrictDurableOnly);
+        assert_eq!(r.dump(), vec![(b, vec![2u8; 40]), (9, vec![9u8; 40])]);
+    }
+
+    /// A group abandoned by a panic after its last store — every slot
+    /// stored, whole and sealed, so that counting them would commit it —
+    /// rolls back: healing voids its stamp outright, and neither the FASE
+    /// that reuses the stamp nor a power failure that lands every line
+    /// brings it back.
+    #[test]
+    fn a_fase_abandoned_after_its_last_store_rolls_back() {
+        let cfg = small(PolicyKind::ScFixed { capacity: 4 });
+        let mut s = Shard::new(&cfg);
+        assert!(s.put_many(&(0..8u64).map(|k| (k, [1u8; 40])).collect::<Vec<_>>()));
+        let old = s.dump();
+        // two updates, an insert and a class move
+        let items = [
+            (0, vec![7u8; 40]),
+            (1, vec![7; 40]),
+            (20, vec![7; 40]),
+            (2, vec![7; 100]),
+        ];
+        let item = |i: usize| (items[i].0, &items[i].1[..]);
+        let mut plan = PutPlan::default();
+        assert!(s.plan_group(items.len(), &item, &mut plan));
+        let stamp = s.next_stamp();
+        s.rt.begin_fase();
+        s.write_group(&item, &plan, stamp);
+        assert_eq!(s.last_committed(), Ok(stamp), "the group's slots are whole");
+        assert!(s.heal_after_panic());
+        assert_eq!(s.voided_slots(), 5, "four writes and a tombstone");
+        assert_eq!(s.dump(), old);
+        s.index_matches_heap().unwrap();
+        assert!(s.put(5, &[8u8; 40]), "the abandoned group's stamp");
+        s.crash_and_recover(&CrashMode::AllInFlightLands);
+        let mut want = old;
+        want[5].1 = vec![8u8; 40];
+        assert_eq!(s.dump(), want);
+        s.index_matches_heap().unwrap();
     }
 
     /// Where a key hashes does not matter any more: deleting a key of a
@@ -1855,12 +2216,13 @@ mod tests {
 
     // ----- hostile images ------------------------------------------------
 
-    /// A sound image holding keys `0..8` with 16-byte values (64-byte
-    /// nodes in segment 0), and the shard it came from.
+    /// A sound image holding keys `0..8` with 8-byte values (64-byte
+    /// nodes in segment 0, key `k` put by the FASE stamped `k + 1`), and
+    /// the shard it came from.
     fn sound_image(cfg: &ShardConfig) -> (Vec<u8>, Shard) {
         let mut s = Shard::new(cfg);
         for k in 0..8u64 {
-            assert!(s.put(k, &[k as u8; 16]));
+            assert!(s.put(k, &[k as u8; 8]));
         }
         s.sync();
         (s.rt.region().durable_image().to_vec(), s)
@@ -1876,40 +2238,30 @@ mod tests {
         w.to_le_bytes()
     }
 
+    /// The bytes of a whole slot holding `value` (a tombstone for
+    /// `None`) of node `key`, stamped `stamp` by a FASE of `n` slots.
+    fn sealed_slot(stamp: u64, n: u64, key: u64, value: Option<&[u8]>) -> Vec<u8> {
+        let vlen = value.map_or(LEN_MASK, |v| v.len() as u64);
+        let header = slot_header(stamp, vlen);
+        let bytes = value.unwrap_or_default();
+        let mut slot = word(header).to_vec();
+        slot.extend(word(seal(header, n, value.map(|_| key), bytes)));
+        slot.extend(bytes);
+        slot
+    }
+
     /// An image whose head is not this layout's — another heap's magic,
-    /// an epoch outside `1..2⁵² − 1`, not even a log — is refused with a
-    /// typed error before any segment is read. (The name is the one the
-    /// test had when a bucket array hung off the head.)
+    /// the magic of the layout before slots were sealed, not even a log —
+    /// is refused with a typed error before any segment is read. (The
+    /// name is the one the test had when a bucket array hung off the
+    /// head.)
     #[test]
     fn reopen_rejects_an_image_without_a_bucket_array() {
         let cfg = small(PolicyKind::ScFixed { capacity: 8 });
         let (sound, _) = sound_image(&cfg);
-        let head = |why| ShardImageError::BadHead(why);
-        let cases: Vec<(&str, Vec<u8>, ShardImageError)> = vec![
-            (
-                "a heap of another kind",
-                patched(&sound, 0, b"NVCACHE1"),
-                head("no magic word"),
-            ),
-            (
-                "epoch 0",
-                patched(&sound, EPOCH_WORD, &word(0)),
-                head("an epoch outside 1..2⁵² − 1"),
-            ),
-            (
-                "the last 52-bit epoch",
-                patched(&sound, EPOCH_WORD, &word((1 << 52) - 1)),
-                head("an epoch outside 1..2⁵² − 1"),
-            ),
-            (
-                "a 64-bit epoch",
-                patched(&sound, EPOCH_WORD, &word(u64::MAX)),
-                head("an epoch outside 1..2⁵² − 1"),
-            ),
-        ];
-        for (name, image, want) in cases {
-            let got = Shard::reopen_from_image(image, &cfg).map(|s| s.len());
-            assert_eq!(got, Err(want), "{name}");
+        for magic in [b"NVCACHE1", b"NVSHARD1"] {
+            let got = Shard::reopen_from_image(patched(&sound, 0, magic), &cfg).map(|s| s.len());
+            assert_eq!(got, Err(ShardImageError::BadHead("no magic word")));
         }
         let not_a_log = vec![0u8; cfg.data_len + cfg.log_len];
         assert!(matches!(
@@ -1918,29 +2270,37 @@ mod tests {
         ));
     }
 
-    /// Every rule of the segment layout a hostile image can break below
-    /// its head ends in a typed error that names it — no panic, no read
-    /// outside the data area — and slots no FASE committed are not one
-    /// of them. (The name is the one the test had when nodes were chained
-    /// off a bucket array.)
+    /// Every rule of the segment layout and of the commit point a hostile
+    /// image can break below its head ends in a typed error that names
+    /// it — no panic, no read outside the data area — and a torn last
+    /// FASE or a slot no FASE committed is not one of them. (The name is
+    /// the one the test had when nodes were chained off a bucket array.)
     #[test]
     fn reopen_rejects_hostile_chains_with_a_typed_error() {
         let cfg = small(PolicyKind::ScFixed { capacity: 8 });
         let (sound, s) = sound_image(&cfg);
         let mut back = Shard::reopen_from_image(sound.clone(), &cfg).expect("sound image");
-        assert_eq!(back.len(), 8);
+        assert_eq!((back.len(), back.voided_slots()), (8, 0));
         back.index_matches_heap().unwrap();
-        let (a, b) = (s.index[&0], s.index[&1]);
+        let (a, b, last) = (s.index[&0], s.index[&1], s.index[&7]);
         let (node, first, second) = (a.node(), a.slot_off(), a.other().slot_off());
-        let epoch = s.committed;
+        let top = s.committed;
+        assert_eq!(top, 8);
+        let block = block_of(a.class());
         let uncarved = s.seg_base + SEGMENT;
         let segment = |segment, why| ShardImageError::BadSegment { segment, why };
         let bad_node = |at, why| ShardImageError::BadNode { at, why };
+        let forged = |stamp, n| sealed_slot(stamp, n, 0, Some(&[9; 8]));
         let cases: Vec<(&str, Vec<u8>, ShardImageError)> = vec![
             (
                 "a class past the largest",
                 patched(&sound, CLASS_TABLE, &[MAX_CLASS as u8 + 1]),
                 segment(0, "a class past the largest"),
+            ),
+            (
+                "a class that holds no slot",
+                patched(&sound, CLASS_TABLE, &[MIN_CLASS as u8 - 1]),
+                segment(0, "a class too small for a slot"),
             ),
             (
                 "a class byte that never landed",
@@ -1954,12 +2314,16 @@ mod tests {
             ),
             (
                 "a value longer than the class holds",
-                patched(&sound, first, &word(slot_header(epoch, 17))),
+                patched(
+                    &sound,
+                    first,
+                    &word(slot_header(1, capacity(a.class()) as u64 + 1)),
+                ),
                 bad_node(node, "a slot longer than its class holds"),
             ),
             (
                 "a length only a tombstone may have",
-                patched(&sound, second, &word(slot_header(epoch, LEN_MASK - 1))),
+                patched(&sound, second, &word(slot_header(top, LEN_MASK - 1))),
                 bad_node(node, "a slot longer than its class holds"),
             ),
             (
@@ -1969,48 +2333,77 @@ mod tests {
             ),
             (
                 "one key in two live nodes",
-                patched(&sound, b.node(), &word(0)),
-                bad_node(b.node().max(node), "a key live in two nodes"),
+                patched(&sound, b.node(), &sound[node..node + block]),
+                bad_node(b.node(), "a key live in two nodes"),
+            ),
+            (
+                "a seal that fails below the highest stamp",
+                patched(&sound, first + SLOT_HEADER, &[7]),
+                bad_node(node, "a deciding slot whose seal fails"),
+            ),
+            (
+                "a stamp at the limit",
+                patched(&sound, second, &word(slot_header(EPOCH_LIMIT, 0))),
+                bad_node(node, "a stamp past the last"),
+            ),
+            (
+                "more whole slots at one stamp than its n",
+                patched(&sound, second, &forged(top, 1)),
+                bad_node(last.node(), "more whole slots than their FASE wrote"),
+            ),
+            (
+                "two n under one stamp",
+                patched(&sound, second, &forged(top, 2)),
+                bad_node(last.node(), "two sizes of one FASE"),
             ),
         ];
         for (name, image, want) in cases {
             let got = Shard::reopen_from_image(image, &cfg).map(|s| s.len());
             assert_eq!(got, Err(want), "{name}");
         }
-        // slots no FASE committed decide nothing: a node whose slots are
-        // both void, or both above the epoch, is a free block
-        for (name, image) in [
-            ("both void", patched(&sound, first, &word(0))),
-            (
-                "both above the epoch",
-                patched(
-                    &patched(&sound, first, &word(slot_header(epoch + 1, 9))),
-                    second,
-                    &word(slot_header(epoch + 2, 4000)),
-                ),
-            ),
+        // a torn last FASE is voided, and slots no FASE committed decide
+        // nothing: a node whose slots are both void is a free block
+        let torn = |slot: Entry| patched(&sound, slot.slot_off() + SLOT_HEADER, &[0xee]);
+        for (name, image, gone, voided) in [
+            ("both void", patched(&sound, first, &word(0)), a, 0),
+            ("the last FASE torn", torn(last), last, 1),
         ] {
             let mut r = Shard::reopen_from_image(image, &cfg).expect(name);
-            assert_eq!(r.len(), 7, "{name}");
-            assert_eq!(r.get(0), None, "{name}");
+            assert_eq!((r.len(), r.voided_slots()), (7, voided), "{name}");
             r.index_matches_heap().unwrap();
-            assert_eq!(
-                r.free[a.class()].last(),
-                Some(&Entry::new(node, a.class(), 0, 0))
-            );
+            let key = s.index.iter().find(|&(_, &e)| e == gone).map(|(&k, _)| k);
+            assert_eq!(r.get(key.unwrap()), None, "{name}");
+            let free = Entry::new(gone.node(), gone.class(), 0, 0);
+            assert_eq!(r.free[gone.class()].last(), Some(&free), "{name}");
         }
+        // a FASE after the last committed one that landed one slot of two
+        let short = patched(&sound, second, &forged(top + 1, 2));
+        let mut r = Shard::reopen_from_image(short, &cfg).expect("one slot short");
+        assert_eq!((r.len(), r.voided_slots(), r.committed), (8, 1, top));
+        assert_eq!(r.get(0).as_deref(), Some(&[0u8; 8][..]));
+        r.index_matches_heap().unwrap();
     }
 
-    /// An image one stamp short of the limit serves one more FASE.
+    /// An image whose last stamp is one short of the last a slot can
+    /// carry serves one more FASE, and reopens after it.
     #[test]
     fn the_last_stamp_is_served() {
         let cfg = small(PolicyKind::Lazy);
-        let (sound, _) = sound_image(&cfg);
-        let below = patched(&sound, EPOCH_WORD, &word((1 << 52) - 2));
-        let mut r = Shard::reopen_from_image(below, &cfg).expect("one stamp left");
+        let mut s = Shard::new(&cfg);
+        assert!(s.put(1, b"zero"));
+        s.sync();
+        let only = s.index[&1];
+        let last = EPOCH_LIMIT - 2;
+        let slot = sealed_slot(last, 1, 1, Some(b"zero"));
+        let image = patched(s.rt.region().durable_image(), only.slot_off(), &slot);
+        let mut r = Shard::reopen_from_image(image, &cfg).expect("one stamp left");
+        assert_eq!(r.committed, last);
         assert!(r.put(1, b"one"), "an update");
-        assert_eq!(r.committed, (1 << 52) - 1);
-        assert_eq!(r.get(1).as_deref(), Some(&b"one"[..]));
+        assert_eq!(r.committed, EPOCH_LIMIT - 1);
+        r.sync();
+        let image = r.rt.region().durable_image().to_vec();
+        let mut again = Shard::reopen_from_image(image, &cfg).expect("the last stamp");
+        assert_eq!(again.get(1).as_deref(), Some(&b"one"[..]));
     }
 
     // ----- the index is the heap -----------------------------------------
@@ -2157,10 +2550,10 @@ mod tests {
                             if let Some(entry) = s.locate(key) {
                                 let stamp = s.next_stamp();
                                 s.rt.begin_fase();
-                                let (at, len) = (entry.other().slot_off(), entry.vlen());
-                                let dead = slot_header(stamp, len as u64);
-                                s.store_words(at, &[dead], &vec![0xee; len]);
+                                let dead = vec![0xee; entry.vlen()];
+                                s.store_slot(entry.other(), (stamp, 1), key, false, Some(&dead));
                                 assert!(s.heal_after_panic(), "{step}: a FASE was open");
+                                assert_eq!(s.voided_slots(), 1, "{step}: the dead slot");
                             }
                             (Vec::new(), false)
                         }
@@ -2195,10 +2588,11 @@ mod tests {
                     let got: BTreeMap<_, _> = s.dump().into_iter().collect();
                     assert_eq!(got, model, "{step}: committed state lost");
                 }
-                // `Best` flushes no data, but publishes its epoch words
-                // and class bytes: its image may hold a key's new node
-                // without the old one's tombstone, which the pass cannot
-                // tell from a hostile image. It reopens as a foreign
+                // `Best` flushes no data, but persists its class bytes:
+                // its image may hold a key's new node without the old
+                // one's tombstone, or a void pass's slots that never
+                // landed beside the FASE that reused their stamp, which
+                // the passes cannot tell from a hostile image. It reopens as a foreign
                 // image would, a typed refusal ends the program, and so
                 // does the first check of a shard that reopened: nothing
                 // it serves after is owed.

@@ -10,7 +10,9 @@
 //! fresh keys only what the index's amortised doubling costs;
 //! `KvStore::put_many` and `Shard::serve_batch` route *borrowed* values
 //! down to it, so what they allocate does not grow with the number of
-//! values written, and `KvStore::get` runs `Shard::get` on an idle lane
+//! values written (a served batch's group and overlay are scratch the
+//! shard keeps, so a steady-state batch allocates its replies and the
+//! values it returns, nothing else), and `KvStore::get` runs `Shard::get` on an idle lane
 //! with nothing around it, so it allocates what `Shard::get` does. The
 //! tree lane is bounded the same way: a
 //! transaction's staged / retired lists and `put`'s path are buffers the
@@ -214,6 +216,39 @@ fn serve_batch_does_not_clone_written_values() {
          the group and its overlay, not one clone per value"
     );
     assert_eq!(shard.get(63).as_deref(), Some(&[2u8; 40][..]));
+}
+
+/// The group and the overlay a served batch builds are scratch the
+/// shard keeps, like the plan: a steady-state batch of updates and hits
+/// allocates its reply vector and the values its `Get`s return, one
+/// each, whether a hit is answered from the region or from an earlier
+/// write of its own batch.
+#[test]
+fn served_batch_allocates_its_replies_and_returned_values_only() {
+    let mut shard = Shard::new(&shard_config());
+    let mixed = |tag: u8| -> Vec<BatchRequest> {
+        (0..64u64)
+            .flat_map(|k| {
+                let put = BatchRequest::Put(k, vec![tag; 40]);
+                // every other Get reads a key its batch wrote
+                [put, BatchRequest::Get((k + 32 * (k % 2)) % 64)]
+            })
+            .collect()
+    };
+    shard.serve_batch(&mixed(0)); // preload: 64 inserts
+    shard.serve_batch(&mixed(1)); // warm-up: sizes the scratch
+    let reqs = mixed(2);
+    let (n, replies) = allocations(|| shard.serve_batch(&reqs));
+    let hits = replies
+        .iter()
+        .filter(|r| matches!(r, BatchReply::Value(Some(_))))
+        .count();
+    assert_eq!(hits, 64);
+    assert_eq!(
+        n,
+        1 + hits as u64,
+        "64 updates and 64 hits: the reply vector and one value per hit"
+    );
 }
 
 /// A fixed-capacity tree heap, as the tree lanes run it.

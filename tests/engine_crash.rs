@@ -359,11 +359,11 @@ fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
     }
     assert!(recoveries >= 1107, "{recoveries} recoveries");
 
-    // 34 batches: a batch commits in about thirteen micro-steps, and the
+    // 38 batches: a batch commits in about eleven micro-steps, and the
     // sweep keeps the 1 206 cuts it made when a class move was logged
     let resizing = program(
         77,
-        34,
+        38,
         |_| 3,
         |r, s| BatchRequest::Put(r % 6, value(splitmix(s), 8 + 16 * (r >> 8 & 3) as usize)),
     );

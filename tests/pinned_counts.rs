@@ -100,6 +100,25 @@
 //! 407 (every FASE's commit record drains on its own). Neither heap nor
 //! root persists any more: the flush identity's constant went 102 → 1,
 //! the log's format. The tree program did not move.
+//! Then hash FASEs began to commit by their own sealed slots: the head
+//! lost its epoch word, a slot gained a seal word (its FASE's slot count
+//! and a checksum), a FASE ends with one drain and one fence, and the
+//! set-up's head and a carve's class byte are persisted outside any FASE
+//! (one store, one flush, one fence each). Only the shard program was
+//! re-recorded, every literal of it: `steps()` 8 126 → 7 539;
+//! `PmemStats` flushes 3 973 → 3 793, fences 415 → 208, stores 3 738 →
+//! 3 538, bytes written 201 080 → 227 662 (a seal word per slot);
+//! `LogStats` commits 207 → 200; `FaseStats` FASEs 207 → 200 (the set-up
+//! and the six carves are no FASEs), stores 3 736 → 3 536 and store
+//! lines 4 384 → 4 184 (200 epoch words fewer: the data stores and
+//! their lines did not move), data flushes 4 153 → 3 968; `RingStats`
+//! submitted 3 968, flushed 3 972 → 3 792, sweeps 3 183 → 3 019, drains
+//! 407 → 207 (one per FASE and per persist). Empty values moved from
+//! 32- to 64-byte blocks — a 32-byte block has no room for a sealed
+//! slot — so two of their nodes no longer share a line: the policy's
+//! own flushes grew by 15, its flushed lines by 20. The identities
+//! became `flushes = ring.flushed + 1` and `fences = fase.fences + 1`.
+//! The tree program did not move.
 
 use nvcache::core::PolicyKind;
 use nvcache::fase::{FaseStats, LogStats};
@@ -141,19 +160,19 @@ fn put_many_program_counts_are_pinned() {
         assert!(shard.put_many(&batch), "batch {op}");
     }
     assert_eq!(shard.len(), 96, "every key was inserted");
-    assert_eq!(shard.steps(), 8_126);
+    assert_eq!(shard.steps(), 7_539);
     let rt = shard.runtime_mut();
     assert_eq!(
         rt.region().stats(),
         PmemStats {
-            bytes_written: 201_080,
-            stores: 3_738,
-            flushes: 3_973,
-            fences: 415,
+            bytes_written: 227_662,
+            stores: 3_538,
+            flushes: 3_793,
+            fences: 208,
             crashes: 0,
         }
     );
-    // the shard logs nothing: every FASE commits by its commit record
+    // the shard logs nothing: every FASE commits by its sealed slots
     let log = rt.log_stats();
     assert_eq!((log.entries, log.record_lines, log.commit_lines), (0, 0, 0));
     assert_eq!(
@@ -161,44 +180,43 @@ fn put_many_program_counts_are_pinned() {
         LogStats {
             entries: 0,
             elided: 0,
-            commits: 207,
+            commits: 200,
             rollbacks: 0,
             bytes_logged: 0,
             record_lines: 0,
             commit_lines: 0,
         }
     );
-    // the flushes by kind: data through the ring — the policy's lines
-    // and each FASE's commit record, the head, a class byte or the
-    // epoch word — and the one persist of the log's format
+    // the flushes by kind: data through the ring — the policy's lines,
+    // the head and the class bytes — and the one persist of the log's
+    // format
     let (pmem, ring, fase) = (rt.region().stats(), rt.ring_stats(), rt.stats());
     assert_eq!(pmem.flushes, ring.flushed + 1);
-    // and the fences: a data fence and a commit fence per FASE, and the
-    // format's
-    assert_eq!(pmem.fences, fase.fences + fase.fases + 1);
-    // 200 batches, the set-up FASE that writes the head, and six carves:
-    // one segment of empty values, two of 100-byte, three of 40-byte
+    // and the fences: one per FASE and one per persist, and the format's
+    assert_eq!(pmem.fences, fase.fences + 1);
+    // 200 batches; seven persists (the head and six carves: one segment
+    // of empty values, two of 100-byte, three of 40-byte) count a store,
+    // a line, a data flush and a fence each
     assert_eq!(
         rt.stats(),
         FaseStats {
-            fases: 207,
-            stores: 3_736,
-            store_lines: 4_384,
-            data_flushes: 4_153,
+            fases: 200,
+            stores: 3_536,
+            store_lines: 4_184,
+            data_flushes: 3_968,
             fences: 207,
             rollbacks: 0,
         }
     );
-    // a commit record is a drain of its own: 407 drains, one per FASE
-    // and one per FASE that stored data (not the set-up, not a carve)
+    // one drain per FASE and one per persist
     assert_eq!(
         rt.ring_stats(),
         RingStats {
-            submitted: 4_153,
-            flushed: 3_972,
+            submitted: 3_968,
+            flushed: 3_792,
             elided: 0,
-            sweeps: 3_183,
-            drains: 407,
+            sweeps: 3_019,
+            drains: 207,
         }
     );
 }
