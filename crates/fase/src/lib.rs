@@ -17,10 +17,9 @@
 //!   store routes through [`runtime::FaseRuntime::store`], which logs,
 //!   writes, and hands the touched cache line to the pluggable
 //!   persistence policy (ER/LA/AT/SC/…) from `nvcache-core`. A FASE
-//!   that logs nothing can commit by one published record instead
-//!   ([`runtime::FaseRuntime::publish`]: two fences, no log line), as
-//!   the tree's meta head does; a FASE whose stores seal themselves
-//!   needs neither and ends with one fence, as a hash shard's does, and
+//!   whose stores seal themselves logs nothing and ends with one drain
+//!   and one fence, as a hash shard's (sealed slots) and a tree
+//!   transaction's (sealed pages) do, and
 //!   [`runtime::FaseRuntime::persist`] makes one line durable outside
 //!   any FASE (a segment's class byte).
 //! * crash/recovery — [`runtime::FaseRuntime::crash_and_recover`]

@@ -61,9 +61,7 @@
 //! epoch bump: (group lines + 1) log flushes, where the group lines are
 //! the lines the FASE's groups span from byte 64 on. With the data fence
 //! between them a prelogged FASE pays **three fences**. A FASE that
-//! logged nothing and commits by its own record
-//! (`FaseRuntime::publish`) pays **two** — the data fence and the
-//! record's — and no log line.
+//! logged nothing pays **one** — the data fence — and no log line.
 //!
 //! Recovery never trusts durable bytes: a group whose length runs past
 //! the log area, whose checksum fails (torn, stale, or of another
@@ -142,15 +140,14 @@ fn record_bytes(len: usize) -> usize {
     8 + len.next_multiple_of(8)
 }
 
-/// Fx over `seed`, the payload's length and its 8-byte words (a payload
-/// is a whole number of them), as four interleaved streams folded at the
+/// Fx over `seed`, the payload's length and its 8-byte words (a trailing
+/// partial word zero-padded), as four interleaved streams folded at the
 /// end (one stream's multiply chain would be most of the cost of
 /// appending a 1 KiB group). A word goes to one stream and every Fx step
 /// is a bijection of the state, so the guarantees of a single stream
 /// hold: another seed, or a change in one word, always changes the sum.
-/// The log seeds a group's sum with the epoch it is written under; a
-/// record published with [`crate::FaseRuntime::publish`] can seal itself
-/// the same way, so that a torn one fails its check.
+/// The log seeds a group's sum with the epoch it is written under, so
+/// that a torn or stale group fails its check.
 pub fn checksum(seed: u64, payload: &[u8]) -> u64 {
     let mut lanes = [FxHasher::default(); 4];
     lanes[0].write_u64(seed);
@@ -162,8 +159,10 @@ pub fn checksum(seed: u64, payload: &[u8]) -> u64 {
             lane.write_u64(word(bytes));
         }
     }
-    for (lane, bytes) in lanes.iter_mut().zip(quads.remainder().chunks_exact(8)) {
-        lane.write_u64(word(bytes));
+    for (lane, bytes) in lanes.iter_mut().zip(quads.remainder().chunks(8)) {
+        let mut padded = [0u8; 8];
+        padded[..bytes.len()].copy_from_slice(bytes);
+        lane.write_u64(u64::from_le_bytes(padded));
     }
     let [mut sum, b, c, d] = lanes;
     for lane in [b, c, d] {

@@ -11,24 +11,20 @@
 //!    runtime's [`FlushRing`],
 //! 4. optionally records the event stream for offline analysis.
 //!
-//! Shadow memory — bytes nothing committed can reach until the FASE
-//! publishes them — skips step 1 through [`FaseRuntime::store_fresh`];
-//! steps 2–4 and the commit are the same.
+//! Shadow memory — bytes no committed state names until the FASE
+//! commits — skips step 1 through [`FaseRuntime::store_fresh`]; steps
+//! 2–4 and the commit are the same.
 //!
 //! At the end of an outermost FASE the policy's buffered lines join the
 //! ring, the ring drains as sorted, coalesced ranged sweeps, and a fence
-//! orders them. Then the FASE commits, by one of two records:
+//! orders them. Then the log's epoch bump commits whatever the FASE
+//! logged (one persisted word — the commit point); a FASE that logged
+//! nothing commits for free, by the data fence alone, so it must be
+//! able to tell from its own stores whether they all landed (the hash
+//! shard's sealed slots, the tree's sealed pages).
 //!
-//! - a FASE that logged something commits by the log's epoch bump (one
-//!   persisted word — the commit point);
-//! - a FASE that logged nothing and announced a commit record with
-//!   [`FaseRuntime::publish`] commits by writing that record now, after
-//!   the data fence, then flushing its line and fencing it. That is two
-//!   fences and no log line.
-//!
-//! Either way the FASE's updates become durable atomically. The ring is
-//! the only flush path: a flush reaches NVRAM before commit only when a
-//! full ring drains inline.
+//! The ring is the only flush path: a flush reaches NVRAM before commit
+//! only when a full ring drains inline.
 
 use nvcache_core::{AdaptiveScPolicy, PersistPolicy, Policy, PolicyKind, StoreOutcome};
 use nvcache_pmem::{CrashMode, CrashPlan, FlushRing, PAlloc, PmemRegion, RingStats, LINE_SIZE};
@@ -85,10 +81,11 @@ pub struct FaseStats {
     /// Cache lines touched by stores (≥ stores; a store may span lines).
     pub store_lines: u64,
     /// Data-line flushes issued by the policy (the paper's flush count),
-    /// and one per published commit record.
+    /// and one per [`FaseRuntime::persist`].
     pub data_flushes: u64,
-    /// Fences issued for data ordering. A commit's own fence — the log's
-    /// epoch persist or a published record's — is not counted.
+    /// Fences issued for data ordering: one per FASE and one per
+    /// [`FaseRuntime::persist`]. A commit's own fence — the log's epoch
+    /// persist — is not counted.
     pub fences: u64,
     /// Recoveries that rolled back an incomplete FASE.
     pub rollbacks: u64,
@@ -144,22 +141,6 @@ impl std::iter::Sum for FaseStats {
     }
 }
 
-/// The commit record of the open outermost FASE ([`FaseRuntime::publish`]).
-#[derive(Debug, Clone, Copy)]
-enum Publish {
-    /// Not published yet.
-    None,
-    /// Stored as a logged store: the epoch bump commits it.
-    Logged,
-    /// Held (no allocation) until the outermost `end_fase` writes it
-    /// after the data fence.
-    Pending {
-        offset: usize,
-        len: usize,
-        bytes: [u8; LINE_SIZE],
-    },
-}
-
 /// A per-thread failure-atomic-section runtime over one region.
 pub struct FaseRuntime {
     region: PmemRegion,
@@ -197,8 +178,6 @@ pub struct FaseRuntime {
     /// The current outermost FASE grouped-prelogged its write set;
     /// per-store undo logging is suppressed until it commits.
     prelogged: bool,
-    /// The current outermost FASE's commit record, if it published one.
-    publish: Publish,
     /// The changed-word runs of the store being logged (reused, never
     /// shrunk: the per-store path allocates nothing once warm).
     runs: Vec<(u64, u64)>,
@@ -256,7 +235,6 @@ impl FaseRuntime {
             fase_store_lines: 0,
             ring: FlushRing::new(RING_CAPACITY),
             prelogged: false,
-            publish: Publish::None,
             runs: Vec::new(),
             #[cfg(debug_assertions)]
             prelog_ranges: Vec::new(),
@@ -463,39 +441,6 @@ impl FaseRuntime {
         n
     }
 
-    /// Write the pending commit record, if there is one: store it, flush
-    /// its one line through the ring and fence — the commit point of a
-    /// FASE that logged nothing. The outermost `end_fase` calls this
-    /// after the data fence, so the record never lands before what it
-    /// makes reachable. Returns its data flushes (1, or 0).
-    ///
-    /// Kept out of line: inlined into `end_fase`, it slowed every
-    /// workload of the repo benchmark by 2–9 % on a 2-vCPU x86-64 host,
-    /// hash lanes included.
-    #[inline(never)]
-    fn write_publish(&mut self) -> u64 {
-        let Publish::Pending { offset, len, bytes } = self.publish else {
-            return 0;
-        };
-        self.write_through(offset, &bytes[..len]);
-        1
-    }
-
-    /// Write `bytes` (inside one line) at `offset`, submit the line to
-    /// the ring, drain it and fence: one data flush. What a published
-    /// record and [`FaseRuntime::persist`] share.
-    fn write_through(&mut self, offset: usize, bytes: &[u8]) {
-        self.region.write(offset, bytes);
-        let line = (offset / LINE_SIZE) as u64;
-        if !self.ring.submit(line) {
-            self.ring.drain_all(&mut self.region);
-            self.ring.submit(line);
-        }
-        self.stats.data_flushes += 1;
-        self.ring.drain_all(&mut self.region);
-        self.region.fence();
-    }
-
     /// Current FASE nesting depth.
     pub fn depth(&self) -> usize {
         self.depth
@@ -553,7 +498,6 @@ impl FaseRuntime {
             }
             self.region.fence();
             self.stats.fences += 1;
-            let n = n + self.write_publish();
             if self.telemetry.is_some() {
                 let log_bytes = self.log.used();
                 let t = self.stats.store_lines;
@@ -570,7 +514,6 @@ impl FaseRuntime {
             }
             self.log.commit(&mut self.region);
             self.prelogged = false;
-            self.publish = Publish::None;
             #[cfg(debug_assertions)]
             self.prelog_ranges.clear();
             self.stats.fases += 1;
@@ -680,24 +623,18 @@ impl FaseRuntime {
     }
 
     /// Persistent store into **shadow memory**: bytes no committed
-    /// state can reach until this FASE's commit record
-    /// ([`FaseRuntime::publish`]) or a later logged store of it
-    /// publishes them (a freshly allocated copy-on-write page, a table
-    /// slot past the committed length). Identical to
+    /// state names until this FASE commits (a freshly allocated
+    /// copy-on-write page, a slot no committed state reads). Identical to
     /// [`FaseRuntime::store`] — policy cache, trace, telemetry, flushed
     /// and fenced by the outermost `end_fase` — except that no undo
     /// entry is written: if the FASE rolls back, the range keeps
     /// whatever part of the store reached NVRAM, so the caller must
-    /// treat it as garbage until it is republished. Allowed anywhere
+    /// be able to tell it from committed data. Allowed anywhere
     /// in a prelogged FASE (the range needs no prelog cover).
     pub fn store_fresh(&mut self, offset: usize, bytes: &[u8]) {
         assert!(
             offset + bytes.len() <= self.data_len,
             "store outside data area"
-        );
-        assert!(
-            matches!(self.publish, Publish::None),
-            "nothing is stored after a FASE's commit record"
         );
         self.region.write(offset, bytes);
         self.stats.stores += 1;
@@ -744,68 +681,6 @@ impl FaseRuntime {
         }
     }
 
-    /// Announce the FASE's commit record: `bytes` to land at `offset`.
-    /// It is one 8-aligned range inside one line, at most one per FASE,
-    /// and the FASE's last store. It is what makes the FASE's shadow
-    /// memory ([`FaseRuntime::store_fresh`]) reachable.
-    ///
-    /// A FASE that has logged nothing so far commits by this record
-    /// alone, with no allocation. The outermost `end_fase` drains and
-    /// fences the data, then writes the record, flushes its line through
-    /// the ring and fences it: two fences and no log line. A crash before
-    /// the record lands leaves the bytes it replaces. The record counts
-    /// as one store of one line and one data flush and is traced like a
-    /// store, but the policy never sees it. The region lands whole lines;
-    /// hardware promises only 8-byte words. So a reader must be able to
-    /// tell a torn record from a whole one: the record should seal itself
-    /// (e.g. with [`crate::checksum`]) and leave the record it supersedes
-    /// intact (e.g. by alternating between two slots).
-    ///
-    /// A FASE that has already logged (or prelogged, whose ranges must
-    /// then cover the record) stores the record like any logged store,
-    /// and the epoch bump commits it.
-    ///
-    /// # Panics
-    /// Outside a FASE, for a second record in one FASE, and for a range
-    /// that is empty, not 8-aligned, or leaves its line or the data area.
-    pub fn publish(&mut self, offset: usize, bytes: &[u8]) {
-        let len = bytes.len();
-        assert!(self.depth > 0, "publish outside a FASE");
-        assert!(
-            matches!(self.publish, Publish::None),
-            "one commit record per FASE"
-        );
-        assert!(
-            len > 0 && (offset | len).is_multiple_of(8) && offset % LINE_SIZE + len <= LINE_SIZE,
-            "a commit record is one 8-aligned range inside one line"
-        );
-        if self.prelogged || self.log.used() > 0 {
-            self.store(offset, bytes);
-            self.publish = Publish::Logged;
-            return;
-        }
-        assert!(offset + len <= self.data_len, "store outside data area");
-        self.stats.stores += 1;
-        self.stats.store_lines += 1;
-        if let Some(r) = &mut self.recorder {
-            let line = Line((offset / LINE_SIZE) as u64);
-            for _ in 0..len / 8 {
-                r.persistent_store(line);
-            }
-        }
-        if let Some(tel) = &mut self.telemetry {
-            self.fase_store_lines += 1;
-            tel.incr(CounterId::Stores);
-        }
-        let mut held = [0u8; LINE_SIZE];
-        held[..len].copy_from_slice(bytes);
-        self.publish = Publish::Pending {
-            offset,
-            len,
-            bytes: held,
-        };
-    }
-
     /// Persist `bytes` at `offset` outside any FASE, under every policy:
     /// one store, its line flushed through the ring, one fence. For a
     /// record that must be durable before anything that depends on it is
@@ -826,7 +701,15 @@ impl FaseRuntime {
         );
         self.stats.stores += 1;
         self.stats.store_lines += 1;
-        self.write_through(offset, bytes);
+        self.region.write(offset, bytes);
+        let line = (offset / LINE_SIZE) as u64;
+        if !self.ring.submit(line) {
+            self.ring.drain_all(&mut self.region);
+            self.ring.submit(line);
+        }
+        self.stats.data_flushes += 1;
+        self.ring.drain_all(&mut self.region);
+        self.region.fence();
         self.stats.fences += 1;
         if let Some(tel) = &mut self.telemetry {
             tel.incr(CounterId::Stores);
@@ -966,7 +849,6 @@ impl FaseRuntime {
         self.policy.reset();
         self.ring.reset();
         self.prelogged = false;
-        self.publish = Publish::None;
         #[cfg(debug_assertions)]
         self.prelog_ranges.clear();
         // The log was formatted by this runtime; a crash can tear it but
@@ -1750,96 +1632,6 @@ mod tests {
         // (both neighbours already written this FASE) rewrite only bytes
         // their neighbours did — 3 rounds × 8 stores of one run each
         assert_eq!((logged_entries, fresh_entries), (24, 0));
-    }
-
-    #[test]
-    fn a_fase_that_logged_nothing_commits_by_its_publish_with_two_fences() {
-        let mut r = rt(PolicyKind::ScFixed { capacity: 8 });
-        r.record_trace();
-        let (pmem0, log0, stats0) = (r.region().stats(), r.log_stats(), r.stats());
-        r.begin_fase();
-        r.store_fresh(256, &[7u8; 100]);
-        r.publish(64, &[9u8; 16]);
-        assert_eq!(r.load_u64(64), 0, "held until the data fence");
-        r.end_fase();
-        let (pmem, log, stats) = (r.region().stats(), r.log_stats(), r.stats());
-        assert_eq!(pmem.fences - pmem0.fences, 2, "data, then the record");
-        assert_eq!(
-            (log.record_lines, log.commit_lines),
-            (log0.record_lines, log0.commit_lines)
-        );
-        // one store of one line, one data flush, past the policy
-        let d = stats - stats0;
-        assert_eq!((d.stores, d.store_lines, d.data_flushes), (2, 3, 3));
-        assert_eq!(pmem.flushes - pmem0.flushes, 3, "no log line");
-        assert_eq!(r.ring_stats().submitted, stats.data_flushes);
-        // 13 word events of the fresh store, then the record's two
-        assert_eq!(r.take_trace().unwrap().write_count(), 15);
-        r.crash_and_recover(&CrashMode::StrictDurableOnly);
-        assert_eq!(r.region().slice(64, 16), &[9u8; 16][..]);
-        assert_eq!(r.region().slice(256, 100), &[7u8; 100][..]);
-    }
-
-    #[test]
-    fn a_publish_after_a_logged_store_is_a_logged_store() {
-        let mut r = rt(PolicyKind::ScFixed { capacity: 8 });
-        r.fase(|r| r.store_u64(0, 1));
-        r.begin_fase();
-        r.store_u64(0, 2);
-        let entries = r.log_stats().entries;
-        r.publish(64, &5u64.to_le_bytes());
-        assert_eq!(r.load_u64(64), 5, "stored in place");
-        assert_eq!(r.log_stats().entries, entries + 1, "and logged");
-        // the epoch is the commit point: an open FASE rolls both back
-        r.crash_and_recover(&CrashMode::AllInFlightLands);
-        assert_eq!((r.load_u64(0), r.load_u64(64)), (1, 0));
-        let (pmem0, log0) = (r.region().stats(), r.log_stats());
-        r.fase(|r| {
-            r.store_u64(0, 3);
-            r.publish(64, &6u64.to_le_bytes());
-        });
-        assert_eq!(r.region().stats().fences - pmem0.fences, 4);
-        assert_eq!(r.log_stats().commit_lines - log0.commit_lines, 1);
-        r.crash_and_recover(&CrashMode::StrictDurableOnly);
-        assert_eq!((r.load_u64(0), r.load_u64(64)), (3, 6));
-    }
-
-    #[test]
-    fn heal_after_panic_drops_an_unwritten_publish() {
-        let mut r = rt(PolicyKind::Lazy);
-        r.fase(|r| r.publish(64, &1u64.to_le_bytes()));
-        r.begin_fase();
-        r.publish(64, &2u64.to_le_bytes());
-        assert!(r.heal_after_panic());
-        assert_eq!(r.load_u64(64), 1, "the record never landed");
-        r.fase(|r| r.publish(64, &3u64.to_le_bytes()));
-        assert_eq!(r.load_u64(64), 3, "the next FASE publishes again");
-    }
-
-    #[test]
-    #[should_panic(expected = "one 8-aligned range inside one line")]
-    fn a_publish_across_a_line_panics() {
-        let mut r = rt(PolicyKind::Lazy);
-        r.begin_fase();
-        r.publish(56, &[1u8; 16]);
-    }
-
-    #[test]
-    #[should_panic(expected = "one commit record per FASE")]
-    fn a_second_publish_panics() {
-        let mut r = rt(PolicyKind::Lazy);
-        r.begin_fase();
-        r.publish(0, &[1u8; 8]);
-        r.publish(64, &[1u8; 8]);
-    }
-
-    #[test]
-    #[should_panic(expected = "nothing is stored after a FASE's commit record")]
-    fn a_store_after_the_publish_panics() {
-        let mut r = rt(PolicyKind::Lazy);
-        r.begin_fase();
-        r.publish(0, &[1u8; 8]);
-        r.store_fresh(128, &[1u8; 8]);
     }
 
     #[test]

@@ -20,13 +20,6 @@
 //! FASE's groups, so the part that did not land is *their* bytes), when
 //! eliding a covered range loses a pre-image, or when leaving an
 //! unchanged word out of a store's records does.
-//!
-//! Two more FASEs commit by a published record (`FaseRuntime::publish`)
-//! instead: one that logs nothing, and one that logs a word first. Their
-//! new data is shadow memory, so what the sweep compares is what a
-//! reader reaches through the record. The record's write takes the
-//! epoch write's place, and the sweep fails when it is written before
-//! the data fence.
 
 use nvcache_core::PolicyKind;
 use nvcache_fase::{FaseRuntime, UndoLog};
@@ -136,8 +129,7 @@ fn sweep(name: &str, fase: impl Fn(&mut FaseRuntime), view: impl Fn(&[u8]) -> Ve
     let end = rt.steps();
     let post = view_of(&rt);
     assert_ne!(pre, post);
-    // commit = epoch (or published record) write, its line's flush,
-    // fence
+    // commit = epoch write, its line's flush, fence
     let epoch_write = end - 3;
     for mode in &adversaries() {
         for at in first..=end {
@@ -179,80 +171,33 @@ fn every_step_up_to_the_truncate_fence_recovers_pre_and_after_it_post() {
     }
 }
 
-/// The publishing FASEs' commit record: a version and the offset of the
-/// area it makes reachable, at the start of line 1.
-const HEAD: usize = 64;
-/// The area the seeded head names (words the seeding FASE wrote), and
-/// the shadow area the swept FASE fills before it publishes.
-const OLD_AREA: usize = 128;
+/// The shadow area a log-free FASE fills, and the word a logged one
+/// stores first.
 const NEW_AREA: usize = 512;
 const AREA: usize = 256;
-/// The word the fallback FASE logs before it publishes.
 const LOGGED: usize = 0;
 
-fn new_head() -> Vec<u8> {
-    [2u64, NEW_AREA as u64]
-        .iter()
-        .flat_map(|w| w.to_le_bytes())
-        .collect()
-}
-
-/// What a reader recovers of a publishing FASE: the head, the area it
-/// names, and the logged word. Whatever the swept FASE left in the area
-/// the recovered head does not name is garbage nobody reads.
-fn through_the_head(data: &[u8]) -> Vec<u8> {
-    let head = &data[HEAD..HEAD + 16];
-    let area = if head == new_head() {
-        NEW_AREA
-    } else {
-        OLD_AREA
-    };
-    [head, &data[area..area + AREA], &data[LOGGED..LOGGED + 8]].concat()
-}
-
-/// Fill the new area with unlogged stores (unaligned, across lines),
-/// then publish the head that names it — after one logged store when
-/// `log_first`, which makes the head a logged store too.
-fn publishing_fase(rt: &mut FaseRuntime, log_first: bool) {
+/// Fill the new area with unlogged stores (unaligned, across lines) —
+/// after one logged store when `log_first`.
+fn fresh_fase(rt: &mut FaseRuntime, log_first: bool) {
     rt.begin_fase();
     if log_first {
         rt.store_u64(LOGGED, 0xF00D);
     }
     rt.store_fresh(NEW_AREA, &[0xA1; 100]);
     rt.store_fresh(NEW_AREA + 100, &[0xA2; AREA - 100]);
-    rt.publish(HEAD, &new_head());
     rt.end_fase();
 }
 
-/// A FASE that commits by publishing a record instead of through the
-/// log, swept like the logged ones: until the record's write the reader
-/// recovers the old head and the data it names, after its fence the new
-/// head and all of the new data — never the new head with new data
-/// missing. The same holds when the FASE logged before it published.
+/// A FASE that logged nothing commits by its data fence alone: one
+/// fence, and no log line. One that logged first pays the log as ever:
+/// its group's persist, the data fence and the epoch bump.
 #[test]
-fn every_step_of_a_publishing_fase_recovers_the_old_head_or_the_new_head_and_all_its_data() {
-    sweep(
-        "log-free",
-        |rt| publishing_fase(rt, false),
-        through_the_head,
-    );
-    sweep(
-        "logged, then published",
-        |rt| publishing_fase(rt, true),
-        through_the_head,
-    );
-}
-
-/// A FASE that logged nothing commits by its record alone: the data
-/// fence and the record's, and no log line. One that logged first pays
-/// the log as ever: a group per logged store (the head's among them),
-/// the data fence and the epoch bump.
-#[test]
-fn a_log_free_fase_pays_two_fences_and_no_log_line() {
-    for (log_first, fences, commit_lines) in [(false, 2, 0), (true, 4, 1)] {
+fn a_log_free_fase_pays_one_fence_and_no_log_line() {
+    for (log_first, fences, commit_lines) in [(false, 1, 0), (true, 3, 1)] {
         let mut rt = seeded();
         let (pmem0, log0, ring0) = (rt.region().stats(), rt.log_stats(), rt.ring_stats());
-        publishing_fase(&mut rt, log_first);
+        fresh_fase(&mut rt, log_first);
         let (pmem, log, ring) = (rt.region().stats(), rt.log_stats(), rt.ring_stats());
         assert_eq!(
             pmem.fences - pmem0.fences,
@@ -265,7 +210,7 @@ fn a_log_free_fase_pays_two_fences_and_no_log_line() {
             assert_eq!(
                 pmem.flushes - pmem0.flushes,
                 ring.flushed - ring0.flushed,
-                "every flush is data's or the head's"
+                "every flush is data's"
             );
         }
     }

@@ -8,7 +8,7 @@
 //!   `limit` smallest keys in range);
 //! * [`TreeEngine`] — the copy-on-write B+-tree from `nvcache-treestore`
 //!   (ordered scans stream leaves; every batch with a write is one CoW
-//!   transaction published by one FASE commit).
+//!   transaction, committed by one FASE).
 //!
 //! Whoever serves a lane — a submitter that found it idle, or one that
 //! queued and then got the lane's lock — drives exactly
@@ -128,11 +128,11 @@ pub struct TreeEngineConfig {
 /// A batch lazily opens a transaction at its first write and commits at
 /// the end; reads inside the batch go through the staged root, so
 /// read-your-batch holds without an overlay and scans need no barrier.
-/// The transaction's pages are unlogged shadow memory and its meta head
-/// is the FASE's published commit record, so the transaction logs
-/// nothing and no batch size can outgrow the log; one batch = one
-/// commit satisfies the committed-prefix contract trivially: a crash
-/// exposes the batch whole or not at all.
+/// The transaction's pages are unlogged shadow memory that seal
+/// themselves, so the transaction logs nothing and no batch size can
+/// outgrow the log; one batch = one commit satisfies the
+/// committed-prefix contract trivially: a crash exposes the batch whole
+/// or not at all.
 pub struct TreeEngine {
     t: Tree<FasePager>,
 }

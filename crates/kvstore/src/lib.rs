@@ -12,9 +12,9 @@
 //!   no pointers: 4 KiB segments of equal blocks, one class each, which
 //!   recovery scans. A node holds its value in two stamped slots, so
 //!   every FASE — update, insert, tombstone delete — writes slots no
-//!   committed state reads and commits by publishing the shard's epoch
-//!   word, with no undo record; two slots in a 4 KiB block cap a value
-//!   at [`MAX_VALUE_LEN`] = 2 032 bytes (the tree engine's cap is 232).
+//!   committed state reads, sealed, and commits by the FASE's one
+//!   fence, with no undo record; two slots in a 4 KiB block cap a value
+//!   at [`MAX_VALUE_LEN`] = 2 024 bytes (the tree engine's cap is 232).
 //!   Under SC the runtime's `AdaptiveScPolicy` is the one adaptive
 //!   controller, for hash and tree lanes alike: it samples the lane's
 //!   FASE-renamed store lines and resizes its cache at the store that

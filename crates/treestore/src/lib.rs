@@ -16,12 +16,14 @@
 //!   logical-page indirection (a slot table indexed by logical id:
 //!   newest committed copy, staged copy, copies pins still reach) so
 //!   copy-on-write never rewrites ancestors and a descent hashes and
-//!   copies nothing, transactions that publish a whole group of
-//!   updates in one FASE commit, [`Snapshot`] pinning for
-//!   non-blocking consistent reads and range scans, free-list
-//!   reclamation bounded by the oldest pin, and typed recovery that
-//!   rebuilds the remap table from the durable root while sweeping
-//!   orphaned CoW pages.
+//!   copies nothing, transactions that commit a whole group of updates
+//!   in one FASE by their own sealed pages (one drain, one fence, no
+//!   commit record), [`Snapshot`] pinning for non-blocking consistent
+//!   reads and range scans, free-list reclamation bounded by the oldest
+//!   pin, and typed recovery that judges the last transaction by
+//!   counting its whole pages, rebuilds the remap table, root and
+//!   counts from a scan of the page headers, and voids what a dead
+//!   transaction left.
 //!
 //! The `kvstore` crate wires [`Tree`] behind its submission queues as
 //! a second engine, so group commit, crash fuzzing, telemetry spans,

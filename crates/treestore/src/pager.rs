@@ -14,12 +14,15 @@
 //!   `&mut` bookkeeping;
 //! - **writes** happen inside an open failure-atomic section
 //!   (`begin`/`commit` = `begin_fase`/`end_fase`) and are never
-//!   undo-logged: `write_fresh` stores shadow bytes nothing committed
-//!   can reach yet, and `publish` announces the section's one commit
-//!   record, the in-place write that makes them reachable. `commit`
-//!   flushes and fences the shadow bytes, then writes, flushes and
-//!   fences the record ([`FaseRuntime::publish`]), after which the
-//!   section is durable as a unit;
+//!   undo-logged: `write_fresh` stores shadow bytes no committed state
+//!   names. `commit` drains the section's flushes and fences once, after
+//!   which every byte it wrote is durable; what makes them a commit is
+//!   the tree's own business (its pages seal themselves). Stores the
+//!   caller logs through the runtime itself are not part of that
+//!   commit: the tree commits at the section's fence, before the undo
+//!   log does, so a crash between the two keeps the transaction and
+//!   rolls those stores back. A transaction that needs them atomic with
+//!   it does not share its section with them;
 //! - **block carving** (`alloc_block`) talks to the persistent heap
 //!   directly and is durable the moment it returns — the tree layers
 //!   its own page arena on top and never frees carved blocks back.
@@ -77,19 +80,16 @@ pub trait PageWrite {
     fn commit(&mut self);
 
     /// Write `bytes` at `off` inside the open section where no
-    /// committed state can reach them (a shadow page, a table slot past
-    /// the committed length): durable at `commit`, with no undo entry —
+    /// committed state can reach them (a shadow page, a table entry past
+    /// the table's last): durable at `commit`, with no undo entry —
     /// if the section never commits, the range holds whatever part of
     /// the write landed.
     fn write_fresh(&mut self, off: u64, bytes: &[u8]);
 
-    /// The open section's commit record: `bytes` at `off`, one 8-aligned
-    /// range inside one cache line, at most one per section and its last
-    /// write. It becomes durable only after every `write_fresh` of the
-    /// section, and a section that never commits leaves the bytes it
-    /// would replace. It may land torn (8-byte words, some new, some
-    /// old), so the record must let a reader tell.
-    fn publish(&mut self, off: u64, bytes: &[u8]);
+    /// Whether part of the open section's writes was flushed before its
+    /// end (its flush ring filled and drained): an earlier state of a
+    /// range the section rewrote since may then be durable on its own.
+    fn flushed_early(&self) -> bool;
 
     /// Carve `size` fresh bytes from the heap; durable immediately,
     /// independent of any open section. `None` when exhausted. Blocks
@@ -144,6 +144,8 @@ impl Default for TreeConfig {
 /// flush ring, undo log, crash plumbing).
 pub struct FasePager {
     rt: FaseRuntime,
+    /// The ring's drain count when the open section began.
+    drains: u64,
 }
 
 impl FasePager {
@@ -151,6 +153,7 @@ impl FasePager {
     pub fn new(cfg: &TreeConfig) -> FasePager {
         FasePager {
             rt: FaseRuntime::with_heap(cfg.data_len, cfg.log_len, &cfg.policy),
+            drains: 0,
         }
     }
 
@@ -161,7 +164,7 @@ impl FasePager {
     pub fn reopen_from_image(image: Vec<u8>, cfg: &TreeConfig) -> Result<FasePager, RecoveryError> {
         let region = PmemRegion::from_image(image);
         let rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &cfg.policy)?;
-        Ok(FasePager { rt })
+        Ok(FasePager { rt, drains: 0 })
     }
 
     /// The underlying runtime (its adaptive policy's decisions).
@@ -227,6 +230,7 @@ impl PageRead for FasePager {
 
 impl PageWrite for FasePager {
     fn begin(&mut self) {
+        self.drains = self.rt.ring_stats().drains;
         self.rt.begin_fase();
     }
 
@@ -238,8 +242,8 @@ impl PageWrite for FasePager {
         self.rt.store_fresh(off as usize, bytes);
     }
 
-    fn publish(&mut self, off: u64, bytes: &[u8]) {
-        self.rt.publish(off as usize, bytes);
+    fn flushed_early(&self) -> bool {
+        self.rt.ring_stats().drains != self.drains
     }
 
     fn alloc_block(&mut self, size: usize) -> Option<u64> {
@@ -318,8 +322,8 @@ impl PageWrite for MemPager {
         self.data[off..off + bytes.len()].copy_from_slice(bytes);
     }
 
-    fn publish(&mut self, off: u64, bytes: &[u8]) {
-        self.write_fresh(off, bytes);
+    fn flushed_early(&self) -> bool {
+        false
     }
 
     fn alloc_block(&mut self, size: usize) -> Option<u64> {
@@ -372,28 +376,5 @@ mod tests {
         p.crash_and_recover(&CrashMode::StrictDurableOnly);
         assert_eq!(p.root(), off);
         assert_eq!(p.page(off), &[0xabu8; PAGE]);
-    }
-
-    #[test]
-    fn fase_pager_uncommitted_section_rolls_back() {
-        let cfg = TreeConfig {
-            data_len: 1 << 16,
-            log_len: 1 << 14,
-            ..Default::default()
-        };
-        let mut p = FasePager::new(&cfg);
-        let (head, off) = (p.alloc_block(64).unwrap(), p.alloc_block(PAGE).unwrap());
-        p.begin();
-        p.write_fresh(off, &[1u8; PAGE]);
-        p.publish(head, &1u64.to_le_bytes());
-        p.commit();
-        // the second section is open at the crash: its record was never
-        // written, whatever else of it landed
-        p.begin();
-        p.write_fresh(off, &[2u8; PAGE]);
-        p.publish(head, &2u64.to_le_bytes());
-        p.crash_and_recover(&CrashMode::AllInFlightLands);
-        assert_eq!(p.read_u64_at(head), 1, "the committed record stands");
-        assert_eq!(p.page(off), &[2u8; PAGE], "fresh bytes are not rolled back");
     }
 }

@@ -8,9 +8,10 @@
 //! of three little-endian words:
 //!
 //! ```text
-//! w0: tag (low 8 bits) | count (bits 8..32)
-//! w1: logical page id (value cells store LPID_NONE)
-//! w2: version of the commit that wrote the page
+//! w0: tag (low 8 bits) | count (bits 8..32) | checksum (bits 32..64)
+//! w1: logical page id (low 32 bits; value cells store LPID_NONE)
+//!     | n (bits 32..64; 0 except on a transaction's closing page)
+//! w2: stamp: the version of the transaction that wrote the page
 //! ```
 //!
 //! Leaves hold up to 14 `(key, value-cell phys)` pairs; inner nodes up
@@ -18,6 +19,15 @@
 //! up to 232 raw bytes (`count` = length). Values larger than one cell
 //! are rejected up front (`TreeError::ValueTooLarge`) — the KV engine
 //! layered above enforces the same cap at its boundary.
+//!
+//! The checksum is 32 bits of a hash of the page's **used bytes** (see
+//! below) — its header but for the checksum itself, then what the
+//! count covers — seeded with the tree's magic. A page whose checksum
+//! holds is **whole**. Together, the stamp, the checksum and — on the
+//! one page a transaction wrote last, its **closing page** — the number
+//! `n` of pages the transaction leaves live are the page's **seal**.
+//! The meta block the durable root names holds the table-block
+//! directory and nothing else.
 //!
 //! # Logical indirection and MVCC
 //!
@@ -31,19 +41,16 @@
 //! nothing.
 //!
 //! A writer stages CoW copies under `version + 1` inside one
-//! failure-atomic section and publishes the new root + remap entries at
-//! commit. The staged pages are shadow memory — nothing committed can
-//! reach them until the meta head flips — so they are written
-//! **unlogged** ([`crate::PageWrite::write_fresh`]). The 64-byte meta
-//! head is the only in-place update of a commit, and it is the commit
-//! record itself ([`crate::PageWrite::publish`]): written after the
-//! data fence, flushed and fenced, with nothing logged. The meta block
-//! holds two head slots and a commit writes the one its version names
-//! (`version & 1`), so the head it supersedes stays intact. Word 0 of a
-//! slot is a checksum of words 1–7 seeded with the tree's magic
-//! ([`nvcache_fase::checksum`]): hardware lands 8-byte words, not lines,
-//! so a torn slot fails its check and attach falls back to the other
-//! one — LMDB's two meta pages, one line each.
+//! failure-atomic section. The staged pages are shadow memory — no
+//! committed page names them — so they are written **unlogged**
+//! ([`crate::PageWrite::write_fresh`]), and the transaction commits by
+//! its own sealed pages: [`Tree::commit`] stores `n` and the reseal into
+//! the closing page's first two words, then ends the section — one
+//! drain and one fence, no commit record. A transaction leaves no dead
+//! page stamped with its version: a key it puts twice rewrites the
+//! value cell it allocated for the first put, a key it puts and then
+//! deletes voids that cell, and a transaction that writes nothing
+//! stamps nothing (and takes no version).
 //!
 //! # What a write stores
 //!
@@ -56,20 +63,23 @@
 //!
 //! - **Clean** — the transaction's first touch of the page: allocate
 //!   the shadow page and copy the used bytes of the committed copy,
-//!   version restamped (the page copy LMDB's `mdb_page_touch` makes);
+//!   restamped and with no `n` (the page copy LMDB's `mdb_page_touch`
+//!   makes);
 //! - **Dirty** — `Slot::staged` already names the transaction's own
 //!   copy: no copy at all.
 //!
-//! On either kind the edit then stores exactly the bytes it changed: an
-//! overwrite is the 8-byte value pointer; an insert the shifted run of
-//! entries `[pos, n]` and the count word; a delete the run
-//! `[pos, n − 1)` and the count word; an inner insert the key run, the
-//! child run and the count word. A page that splits is not copied
-//! first: both halves (and a new root) are composed in memory and
-//! written once, used bytes only. The persistence stack below sees
-//! stores of the words the program changed — which is what lets the
-//! paper's write-combining cache combine a transaction's second and
-//! third touch of a leaf into the line flushes of the first.
+//! On either kind the edit then stores exactly the bytes it changed and
+//! the header word that holds the page's new checksum: an overwrite is
+//! the 8-byte value pointer and w0; an insert the shifted run of entries
+//! `[pos, n]` and the count word (w0); a delete the run `[pos, n − 1)`
+//! and the count word; an inner insert the key run, the child run and
+//! the count word. A page that splits is not copied first: both halves
+//! (and a new root) are composed in memory and written once, used bytes
+//! only. The persistence stack below sees stores of the words the
+//! program changed — which is what lets the paper's write-combining
+//! cache combine a transaction's second and third touch of a leaf into
+//! the line flushes of the first, and the closing store into the line
+//! of the transaction's last edit.
 //!
 //! A reader calls [`Tree::pin`] to freeze a `(version, root)`
 //! pair and scans it without blocking the writer. Superseded copies are
@@ -78,34 +88,53 @@
 //!
 //! # Recovery
 //!
-//! The durable facts are: the meta block (root lpid, version, page
-//! high-water mark, segment table, key count) published atomically per
-//! commit, and the page headers. [`Tree::attach`] rebuilds everything
-//! else: take the valid head slot with the higher version (two valid
-//! slots of one version, or none, is `BadMeta`), check its fields
-//! against each other (every logical page
-//! owns a live physical one, so `next_lpid <= bump` — the slot table is
-//! sized from it only after that), scan headers keeping the newest copy
-//! per lpid at or below the committed version, walk the tree from the
-//! durable root to mark reachable pages (validating tags, fanouts, key
-//! order, and depth), and put every unreachable page — orphaned CoW
-//! copies from the crashed transaction included — back on the free
-//! list. Structural damage surfaces as a typed [`TreeError`], never as
-//! undefined reads.
+//! The durable facts are the segment table and the pages. A segment's
+//! heap block is carved (durable) before its table entry is written, so
+//! a table entry that landed names a carved segment, whether or not its
+//! transaction committed. [`Tree::attach`] reads the table up to its
+//! first empty entry and scans every page header. Transaction *E* + 1
+//! stores nothing before *E*'s fence, so only the transaction with the
+//! highest stamp *E* can be torn, and attach judges that one alone by
+//! counting its whole pages:
 //!
-//! A dead transaction's shadow pages keep whatever part of them
-//! reached NVRAM, headers stamped `(lpid, committed + 1)` included —
-//! and the retry commits under that same version. Left alone, such a
-//! header would outrank the live, older copy of its lpid in the *next*
-//! attach's scan. So before accepting writes, attach durably voids the
-//! header of every node page below the high-water mark whose version
-//! exceeds the committed one ([`Tree::voided_pages`] reports how many).
+//! - exactly the `n` of one whole closing page: *E* committed;
+//! - fewer, or no whole closing page: *E* − 1 committed;
+//! - more than `n`, two whole closing pages, or a stamp in the reserved
+//!   range (`STAMP_LIMIT` and up): a typed [`TreeError`].
+//!
+//! Then it keeps the newest **whole** copy per logical id at or below
+//! the committed version (a dead transaction's page that landed torn
+//! can carry any older stamp, and is never whole), takes as root the
+//! one logical id no inner page names, walks the tree from it to mark
+//! reachable pages (validating tags, fanouts, key order, depth and
+//! every value cell's checksum), and derives `len`, `height`, the next
+//! logical id and the page high-water mark from that scan and walk.
+//! Every unreachable page goes on the free list. Structural damage
+//! surfaces as a typed [`TreeError`], never as undefined reads.
+//!
+//! A dead transaction's pages keep whatever part of them reached
+//! NVRAM, stamps `committed + 1` included — and the retry commits under
+//! that same version. Left alone, such a page would be counted with the
+//! retry's, or outrank a live, older copy of its lpid, at the *next*
+//! attach. So before accepting writes, attach durably voids the header
+//! of every page stamped above the committed version, value cells
+//! included ([`Tree::voided_pages`] reports how many), and clears the
+//! table entries a torn transaction left past the first empty one.
 //! Voiding is zeroing, which is idempotent: the pages are dead, so the
-//! zeroes are unlogged fresh writes in a section that publishes
-//! nothing, and a crash mid-void leaves headers the next attach voids
-//! again. Pages past the high-water
-//! mark need no such care: the mark only advances over pages the
-//! advancing transaction itself rewrites.
+//! zeroes are unlogged fresh writes in a section that commits nothing,
+//! and a crash mid-void leaves headers the next attach voids again.
+//!
+//! The count needs what the runtime guarantees: a transaction's lines
+//! are flushed when its section ends, so a crash lands each word of its
+//! pages either as it was at the last fence or as the transaction last
+//! stored it. A section whose flushes overflow the runtime's flush ring
+//! drains part of them early, and after such a drain a page the
+//! transaction rewrote (a staged leaf, its own value cell, a voided
+//! cell) could be durable in an earlier state that is whole too. So
+//! when its ring drained early ([`crate::PageWrite::flushed_early`]),
+//! [`Tree::commit`] ends the section first — a drain and a fence over
+//! the last states — and makes its closing store in a section of its
+//! own: two sections, each with one fence.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -130,8 +159,9 @@ const LEAF_CAP: usize = 14;
 const INNER_CAP: usize = 14;
 /// Byte offset of child slot 0 in an inner page.
 const CHILD0: usize = HDR + 8 * INNER_CAP;
-/// Header lpid used by value cells (they have no logical id).
-const LPID_NONE: u64 = u64::MAX;
+/// Header lpid used by value cells (they have no logical id); also the
+/// mask of w1's lpid half.
+const LPID_NONE: u64 = u32::MAX as u64;
 /// "No physical page" in a [`Slot`].
 const PHYS_NONE: u64 = u64::MAX;
 /// Largest value a single cell can hold.
@@ -139,18 +169,16 @@ pub const MAX_VALUE: usize = PAGE - HDR;
 /// Hard bound on tree depth (fanout 8+ makes real trees far shallower).
 const MAX_DEPTH: u64 = 32;
 
-/// Meta-head magic ("TREESTOR"): the seed of a head slot's checksum.
+/// The tree's magic ("TREESTOR"): the seed of a page's checksum.
 const MAGIC: u64 = 0x5452_4545_5354_4f52;
-/// Meta block size (one PAlloc max-class allocation).
+/// Stamps lie below this. The range above is reserved: no tree commits
+/// 2⁴⁸ times, so a stamp there is damage (and a version never wraps).
+const STAMP_LIMIT: u64 = 1 << 48;
+/// Meta block size (one PAlloc max-class allocation): the table-block
+/// directory.
 const META_BYTES: usize = 4096;
-/// Bytes of one meta-head slot: one cache line. The meta block opens
-/// with two of them.
-const HEAD: usize = 64;
-/// Byte offset of the table-block directory inside the meta block,
-/// after the two head slots.
-const SEG_TABLE: u64 = 2 * HEAD as u64;
-/// Table-block directory capacity (meta block tail).
-const SEG_SLOTS: usize = (META_BYTES - SEG_TABLE as usize) / 8;
+/// Table-block directory capacity.
+const SEG_SLOTS: usize = META_BYTES / 8;
 /// Bytes per page segment (PAlloc's largest size class).
 const SEG_BYTES: usize = 4096;
 /// Pages per segment.
@@ -194,7 +222,13 @@ fn hdr_count(buf: &[u8; PAGE]) -> usize {
 
 #[inline]
 fn hdr_lpid(buf: &[u8; PAGE]) -> u64 {
-    get64(buf, 8)
+    get64(buf, 8) & LPID_NONE
+}
+
+/// The `n` of a closing page (0 on any other page).
+#[inline]
+fn hdr_closing(buf: &[u8; PAGE]) -> u64 {
+    get64(buf, 8) >> 32
 }
 
 #[inline]
@@ -202,15 +236,59 @@ fn hdr_version(buf: &[u8; PAGE]) -> u64 {
     get64(buf, 16)
 }
 
+/// Set the count, keeping the tag (the checksum is resealed later).
 #[inline]
 fn set_count(buf: &mut [u8; PAGE], count: usize) {
     let tag = get64(buf, 0) & 0xff;
     set64(buf, 0, tag | ((count as u64) << 8));
 }
 
+/// Restamp a page under `version`, with no `n`: what a copy carries.
 #[inline]
-fn set_version(buf: &mut [u8; PAGE], version: u64) {
+fn restamp(buf: &mut [u8; PAGE], version: u64) {
+    let lpid = hdr_lpid(buf);
+    set64(buf, 8, lpid);
     set64(buf, 16, version);
+}
+
+/// Make the page the closing page of a transaction that leaves `n`
+/// pages live.
+#[inline]
+fn set_closing(buf: &mut [u8; PAGE], n: u64) {
+    let lpid = hdr_lpid(buf);
+    set64(buf, 8, lpid | n << 32);
+}
+
+/// The checksum of the used bytes of a page whose tag and count are
+/// sound: [`checksum`] seeded with [`MAGIC`] over the header less the
+/// checksum's own half of w0, then each run the count covers, each run
+/// seeded with the sum so far; 32 bits.
+fn page_checksum(buf: &[u8; PAGE]) -> u64 {
+    let [head, tail] = used_runs(buf);
+    let low = get64(buf, 0) & 0xffff_ffff;
+    let sum = checksum(MAGIC, &low.to_le_bytes());
+    let sum = checksum(sum, &buf[8..head.end]);
+    checksum(sum, &buf[tail]) >> 32
+}
+
+/// Seal page `buf` as stored: its checksum into w0's upper half.
+#[inline]
+fn seal(buf: &mut [u8; PAGE]) {
+    let word = get64(buf, 0) & 0xffff_ffff | page_checksum(buf) << 32;
+    set64(buf, 0, word);
+}
+
+/// Whether `buf` is a whole page: a tag, a count its tag can hold, and
+/// a checksum that holds. Anything else — a never-written or voided
+/// page, or one a dead transaction tore — is not.
+fn whole(buf: &[u8; PAGE]) -> bool {
+    let cap = match hdr_tag(buf) {
+        TAG_LEAF => LEAF_CAP,
+        TAG_INNER => INNER_CAP,
+        TAG_VAL => MAX_VALUE,
+        _ => return false,
+    };
+    hdr_count(buf) <= cap && get64(buf, 0) >> 32 == page_checksum(buf)
 }
 
 #[inline]
@@ -276,16 +354,17 @@ fn child_run(from: usize, to: usize) -> Range<usize> {
 /// The header word holding tag and count.
 const COUNT_WORD: Range<usize> = 0..8;
 
-/// The used bytes of node page `buf` — its header and what its count
-/// covers: one run for a leaf, two for an inner page (the second run of
-/// a leaf is empty). Nothing reads a node page outside them.
+/// The used bytes of page `buf` — its header and what its count
+/// covers: one run for a leaf or a value cell, two for an inner page
+/// (the second run of the others is empty). Nothing reads a page
+/// outside them.
 #[inline]
 fn used_runs(buf: &[u8; PAGE]) -> [Range<usize>; 2] {
     let n = hdr_count(buf);
-    if hdr_tag(buf) == TAG_LEAF {
-        [0..leaf_run(0, n).end, 0..0]
-    } else {
-        [0..key_run(0, n).end, child_run(0, n + 1)]
+    match hdr_tag(buf) {
+        TAG_LEAF => [0..leaf_run(0, n).end, 0..0],
+        TAG_INNER => [0..key_run(0, n).end, child_run(0, n + 1)],
+        _ => [0..HDR + n, 0..0],
     }
 }
 
@@ -310,72 +389,6 @@ fn leaf_position(buf: &[u8; PAGE], key: u64) -> (usize, usize) {
         pos += 1;
     }
     (n, pos)
-}
-
-// ---- meta head --------------------------------------------------------
-
-/// What a commit publishes, into one of the meta block's two slots:
-///
-/// ```text
-/// w0: checksum of w1..w7, seeded with MAGIC
-/// w1: version      w2: root lpid   w3: next lpid   w4: bump
-/// w5: nsegs        w6: len         w7: height
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Head {
-    version: u64,
-    root_lpid: u64,
-    next_lpid: u64,
-    /// Physical-page high-water mark.
-    bump: u64,
-    nsegs: u64,
-    len: u64,
-    height: u64,
-}
-
-impl Head {
-    /// Offset of the slot the head of `version` is published to: the
-    /// slots alternate, so a commit never overwrites the head it
-    /// supersedes.
-    fn slot(meta_off: u64, version: u64) -> u64 {
-        meta_off + HEAD as u64 * (version & 1)
-    }
-
-    /// The slot's bytes, sealed with their checksum.
-    fn encode(&self) -> [u8; HEAD] {
-        let Head {
-            version,
-            root_lpid,
-            next_lpid,
-            bump,
-            nsegs,
-            len,
-            height,
-        } = *self;
-        let mut b = [0u8; HEAD];
-        let words = [version, root_lpid, next_lpid, bump, nsegs, len, height];
-        for (i, w) in words.into_iter().enumerate() {
-            set64(&mut b, 8 * (i + 1), w);
-        }
-        let sum = checksum(MAGIC, &b[8..]);
-        set64(&mut b, 0, sum);
-        b
-    }
-
-    /// The head in slot bytes `b`, if their checksum holds: a torn or
-    /// never-written slot reads as `None`.
-    fn decode(b: &[u8]) -> Option<Head> {
-        let w = |i: usize| get64(b, 8 * i);
-        (w(0) == checksum(MAGIC, &b[8..HEAD])).then(|| Head {
-            version: w(1),
-            root_lpid: w(2),
-            next_lpid: w(3),
-            bump: w(4),
-            nsegs: w(5),
-            len: w(6),
-            height: w(7),
-        })
-    }
 }
 
 // ---- errors -----------------------------------------------------------
@@ -497,22 +510,23 @@ impl Slot {
     };
 }
 
-/// Open-transaction state: everything staged under `version`, published
-/// to readers only when the FASE commits. What the transaction staged
-/// and retired is listed in buffers the tree owns (`Tree::staged`,
-/// `Tree::txn_retired`), so opening one allocates nothing.
+/// Open-transaction state: everything staged under `version`, made
+/// visible to readers only when the FASE commits. What the transaction
+/// staged and retired is listed in buffers the tree owns
+/// (`Tree::staged`, `Tree::txn_retired`), so opening one allocates
+/// nothing.
 struct Txn {
     version: u64,
     root_lpid: u64,
     next_lpid: u64,
     len: u64,
     height: u64,
-    /// Index into `segs` where this transaction's new segments begin
-    /// (their table entries are written at commit).
-    first_new_seg: usize,
-    /// Index into `seg_tables` where this transaction's new table
-    /// blocks begin (their directory entries are written at commit).
-    first_new_table: usize,
+    /// Pages the transaction allocated and leaves live: the `n` its
+    /// closing page carries.
+    pages: u64,
+    /// The live page it wrote last — its closing page ([`PHYS_NONE`]
+    /// until it writes one).
+    last: u64,
 }
 
 /// Volatile state rebuilt from the durable image by
@@ -520,12 +534,17 @@ struct Txn {
 /// reloads.
 struct Volatile {
     meta_off: u64,
-    head: Head,
+    version: u64,
+    root_lpid: u64,
+    next_lpid: u64,
+    bump: u64,
+    len: u64,
+    height: u64,
     seg_tables: Vec<u64>,
     segs: Vec<u64>,
     free: Vec<u64>,
     slots: Vec<Slot>,
-    /// Dead-transaction node pages whose headers were voided.
+    /// Pages of a dead transaction whose headers were voided.
     voided: usize,
 }
 
@@ -548,7 +567,6 @@ pub struct Tree<S: PageStore = FasePager> {
     next_lpid: u64,
     /// Physical-page high-water mark.
     bump: u64,
-    nsegs: u64,
     len: u64,
     height: u64,
     /// Table-block offsets (mirrors the durable directory).
@@ -563,11 +581,11 @@ pub struct Tree<S: PageStore = FasePager> {
     slots: Vec<Slot>,
     /// version -> pin count.
     pins: BTreeMap<u64, u64>,
-    /// Stale shadow headers the last attach / recovery voided.
+    /// Dead pages whose headers the last attach / recovery voided.
     voided: usize,
     txn: Option<Txn>,
     /// Logical ids the open transaction holds a staged copy of, in the
-    /// order it first touched them (what `commit` publishes).
+    /// order it first touched them (what `commit` makes visible).
     staged: Vec<u64>,
     /// `(phys, lpid)` of the pages the open transaction supersedes, in
     /// the order it did (the order they later enter the free list).
@@ -587,24 +605,15 @@ impl<S: PageStore> Tree<S> {
         let meta_off = store.alloc_block(META_BYTES).ok_or(TreeError::Full)?;
         let table0 = store.alloc_block(SEG_BYTES).ok_or(TreeError::Full)?;
         let seg0 = store.alloc_block(SEG_BYTES).ok_or(TreeError::Full)?;
+        // page 0 is the root leaf, and the format's closing page
         let mut leaf = [0u8; PAGE];
         hdr_write(&mut leaf, TAG_LEAF, 0, 0, 1);
-        // page 0 is the root leaf; the other slot of the freshly carved
-        // (zeroed) meta block fails its check
-        let head = Head {
-            version: 1,
-            root_lpid: 0,
-            next_lpid: 1,
-            bump: 1,
-            nsegs: 1,
-            len: 0,
-            height: 1,
-        };
+        set_closing(&mut leaf, 1);
+        seal(&mut leaf);
         store.begin();
-        store.write_fresh(meta_off + SEG_TABLE, &table0.to_le_bytes());
+        store.write_fresh(meta_off, &table0.to_le_bytes());
         store.write_fresh(table0, &seg0.to_le_bytes());
         store.write_fresh(seg0, &leaf[..HDR]);
-        store.publish(Head::slot(meta_off, head.version), &head.encode());
         store.commit();
         store.set_root(meta_off);
         Tree::attach(store)
@@ -612,22 +621,21 @@ impl<S: PageStore> Tree<S> {
 
     /// Attach to a store already holding a formatted tree, rebuilding
     /// all volatile state (remap table, free list) from the durable
-    /// root. Orphaned CoW pages from an interrupted transaction are
-    /// swept onto the free list and their stale headers durably voided
-    /// (see the module docs); structural damage is reported as a typed
-    /// error before anything is written.
+    /// root. A dead transaction's pages are swept onto the free list
+    /// and their headers durably voided (see the module docs);
+    /// structural damage is reported as a typed error before anything
+    /// is written.
     pub fn attach(mut store: S) -> Result<Tree<S>, TreeError> {
         let v = rebuild_state(&mut store)?;
         Ok(Tree {
             store,
             meta_off: v.meta_off,
-            version: v.head.version,
-            root_lpid: v.head.root_lpid,
-            next_lpid: v.head.next_lpid,
-            bump: v.head.bump,
-            nsegs: v.head.nsegs,
-            len: v.head.len,
-            height: v.head.height,
+            version: v.version,
+            root_lpid: v.root_lpid,
+            next_lpid: v.next_lpid,
+            bump: v.bump,
+            len: v.len,
+            height: v.height,
             seg_tables: v.seg_tables,
             segs: v.segs,
             free: v.free,
@@ -649,13 +657,12 @@ impl<S: PageStore> Tree<S> {
     fn reload(&mut self) -> Result<(), TreeError> {
         let v = rebuild_state(&mut self.store)?;
         self.meta_off = v.meta_off;
-        self.version = v.head.version;
-        self.root_lpid = v.head.root_lpid;
-        self.next_lpid = v.head.next_lpid;
-        self.bump = v.head.bump;
-        self.nsegs = v.head.nsegs;
-        self.len = v.head.len;
-        self.height = v.head.height;
+        self.version = v.version;
+        self.root_lpid = v.root_lpid;
+        self.next_lpid = v.next_lpid;
+        self.bump = v.bump;
+        self.len = v.len;
+        self.height = v.height;
         self.seg_tables = v.seg_tables;
         self.segs = v.segs;
         self.free = v.free;
@@ -705,8 +712,8 @@ impl<S: PageStore> Tree<S> {
         self.retired.len()
     }
 
-    /// Node pages of dead transactions whose stale headers the last
-    /// attach (or in-place recovery) voided.
+    /// Pages of a dead transaction — node pages and value cells —
+    /// whose headers the last attach (or in-place recovery) voided.
     pub fn voided_pages(&self) -> usize {
         self.voided
     }
@@ -783,6 +790,10 @@ impl<S: PageStore> Tree<S> {
     /// When a transaction is already open (they do not nest).
     pub fn begin(&mut self) {
         assert!(self.txn.is_none(), "treestore transactions do not nest");
+        assert!(
+            self.version + 1 < STAMP_LIMIT,
+            "treestore versions exhausted"
+        );
         self.store.begin();
         self.txn = Some(Txn {
             version: self.version + 1,
@@ -790,45 +801,46 @@ impl<S: PageStore> Tree<S> {
             next_lpid: self.next_lpid,
             len: self.len,
             height: self.height,
-            first_new_seg: self.segs.len(),
-            first_new_table: self.seg_tables.len(),
+            pages: 0,
+            last: PHYS_NONE,
         });
         debug_assert!(self.staged.is_empty() && self.txn_retired.is_empty());
     }
 
-    /// Commit the open transaction: publish the new meta head as the
-    /// section's commit record, close it (durable), then expose the
-    /// staged remap entries to readers and retire superseded pages.
+    /// Commit the open transaction: seal its closing page with the
+    /// number of pages it leaves live, close the section (one drain and
+    /// one fence: the commit point), then expose the staged remap
+    /// entries to readers and retire superseded pages. A transaction
+    /// whose flush ring drained before its end fences its pages first
+    /// and seals in a second section (module docs, # Recovery). A
+    /// transaction that wrote nothing stamps nothing and takes no
+    /// version.
     ///
     /// # Panics
     /// When no transaction is open.
     pub fn commit(&mut self) {
         let txn = self.txn.take().expect("commit without begin");
-        // table slots at or past the committed `nsegs` are read by
-        // nobody until the head that counts them is durable
-        for i in txn.first_new_table..self.seg_tables.len() {
-            let off = self.meta_off + SEG_TABLE + 8 * i as u64;
-            self.store
-                .write_fresh(off, &self.seg_tables[i].to_le_bytes());
+        if txn.last != PHYS_NONE {
+            if self.store.flushed_early() {
+                // the ring drained mid-section, so an earlier state of a
+                // page rewritten since may be durable: fence the last
+                // states first, then seal in a section of its own
+                self.store.commit();
+                self.store.begin();
+            }
+            // the closing store: `n` beside the lpid and the reseal, the
+            // page's first two words, in the line its last edit dirtied
+            let off = self.page_off(txn.last);
+            let mut b = *self.store.page(off);
+            set_closing(&mut b, txn.pages);
+            seal(&mut b);
+            self.store.write_fresh(off, &b[..16]);
         }
-        for i in txn.first_new_seg..self.segs.len() {
-            let off = self.seg_tables[i / SEG_TABLE_SLOTS] + 8 * (i % SEG_TABLE_SLOTS) as u64;
-            self.store.write_fresh(off, &self.segs[i].to_le_bytes());
-        }
-        // the one in-place update of a commit, into the slot the head it
-        // supersedes does not occupy
-        let head = Head {
-            version: txn.version,
-            root_lpid: txn.root_lpid,
-            next_lpid: txn.next_lpid,
-            bump: self.bump,
-            nsegs: self.nsegs,
-            len: txn.len,
-            height: txn.height,
-        };
-        self.store
-            .publish(Head::slot(self.meta_off, txn.version), &head.encode());
         self.store.commit();
+        if txn.last == PHYS_NONE {
+            debug_assert!(self.staged.is_empty() && self.txn_retired.is_empty());
+            return;
+        }
         // a superseded copy stays resolvable only if some pin can still
         // read below this commit; otherwise the `reclaim` below frees it
         let pinned = !self.pins.is_empty();
@@ -862,7 +874,9 @@ impl<S: PageStore> Tree<S> {
     }
 
     /// Insert or overwrite `key`. Capacity and value-size checks run
-    /// before any page is touched, so a failed put stages nothing.
+    /// before any page is touched, so a failed put stages nothing. A key
+    /// the open transaction already put is overwritten in the value
+    /// cell that put allocated.
     ///
     /// # Panics
     /// When no transaction is open.
@@ -883,11 +897,12 @@ impl<S: PageStore> Tree<S> {
         // descend, remembering the inner path for possible splits
         self.path.clear();
         let mut lpid = self.txn.as_ref().unwrap().root_lpid;
-        let (n, pos, hit) = loop {
+        let (n, pos, old) = loop {
             let b = self.load_page(lpid, tv)?;
             if hdr_tag(b) == TAG_LEAF {
                 let (n, pos) = leaf_position(b, key);
-                break (n, pos, pos < n && leaf_key(b, pos) == key);
+                let hit = pos < n && leaf_key(b, pos) == key;
+                break (n, pos, hit.then(|| leaf_vptr(b, pos)));
             }
             let idx = child_index(b, key);
             let child = inner_child(b, idx);
@@ -895,14 +910,18 @@ impl<S: PageStore> Tree<S> {
             lpid = child;
         };
 
-        let vptr = self.write_value_cell(val)?;
-        let splits = !hit && n == LEAF_CAP;
+        if let Some(cell) = old.filter(|&c| self.is_own_cell(lpid, c, tv)) {
+            self.write_value_cell(cell, val);
+            return Ok(());
+        }
+        let vptr = self.alloc_page().ok_or(TreeError::Full)?;
+        self.write_value_cell(vptr, val);
+        let splits = old.is_none() && n == LEAF_CAP;
         let (lphys, mut lbuf) = self.cow(lpid, !splits)?;
 
-        if hit {
-            let old = leaf_vptr(&lbuf, pos);
+        if let Some(old) = old {
             set_leaf_entry(&mut lbuf, pos, key, vptr);
-            self.write_run(lphys, &lbuf, vptr_word(pos));
+            self.write_edit(lphys, &mut lbuf, [vptr_word(pos), 0..0]);
             self.txn_retired.push((old, LPID_NONE));
             return Ok(());
         }
@@ -911,8 +930,7 @@ impl<S: PageStore> Tree<S> {
             lbuf.copy_within(leaf_run(pos, n), leaf_run(pos + 1, n + 1).start);
             set_leaf_entry(&mut lbuf, pos, key, vptr);
             set_count(&mut lbuf, n + 1);
-            self.write_run(lphys, &lbuf, leaf_run(pos, n + 1));
-            self.write_run(lphys, &lbuf, COUNT_WORD);
+            self.write_edit(lphys, &mut lbuf, [leaf_run(pos, n + 1), 0..0]);
             self.txn.as_mut().unwrap().len += 1;
             return Ok(());
         }
@@ -937,7 +955,7 @@ impl<S: PageStore> Tree<S> {
             set_leaf_entry(&mut lbuf, i, ks[i], vs[i]);
         }
         set_count(&mut lbuf, LEFT);
-        self.write_used(lphys, &lbuf);
+        self.write_page(lphys, &mut lbuf);
 
         let rlpid = self.alloc_lpid();
         let rphys = self.alloc_page().ok_or(TreeError::Full)?;
@@ -946,7 +964,7 @@ impl<S: PageStore> Tree<S> {
         for i in LEFT..LEAF_CAP + 1 {
             set_leaf_entry(&mut rbuf, i - LEFT, ks[i], vs[i]);
         }
-        self.write_used(rphys, &rbuf);
+        self.write_page(rphys, &mut rbuf);
         self.stage(rlpid, rphys);
         self.txn.as_mut().unwrap().len += 1;
 
@@ -979,7 +997,9 @@ impl<S: PageStore> Tree<S> {
     }
 
     /// Remove `key`; returns whether it was present. Deletes are lazy:
-    /// leaves are never merged, so an emptied leaf simply stays.
+    /// leaves are never merged, so an emptied leaf simply stays. A key
+    /// the open transaction put takes its value cell with it: the cell
+    /// is voided and free again.
     ///
     /// # Panics
     /// When no transaction is open.
@@ -988,24 +1008,31 @@ impl<S: PageStore> Tree<S> {
         self.ensure_capacity(2)?;
         let tv = self.txn.as_ref().unwrap().version;
         let mut lpid = self.txn.as_ref().unwrap().root_lpid;
-        let (n, pos) = loop {
+        let (n, pos, old) = loop {
             let b = self.load_page(lpid, tv)?;
             if hdr_tag(b) == TAG_LEAF {
                 let (n, pos) = leaf_position(b, key);
                 if pos == n || leaf_key(b, pos) != key {
                     return Ok(false);
                 }
-                break (n, pos);
+                break (n, pos, leaf_vptr(b, pos));
             }
             lpid = inner_child(b, child_index(b, key));
         };
+        let own = self.is_own_cell(lpid, old, tv);
         let (lphys, mut lbuf) = self.cow(lpid, true)?;
-        let old = leaf_vptr(&lbuf, pos);
+        if own {
+            // a dead page must not stay stamped with the version
+            let off = self.page_off(old);
+            self.store.write_fresh(off, &[0u8; HDR]);
+            self.txn.as_mut().unwrap().pages -= 1;
+            self.free.push(old);
+        } else {
+            self.txn_retired.push((old, LPID_NONE));
+        }
         lbuf.copy_within(leaf_run(pos + 1, n), leaf_run(pos, n - 1).start);
         set_count(&mut lbuf, n - 1);
-        self.write_run(lphys, &lbuf, leaf_run(pos, n - 1));
-        self.write_run(lphys, &lbuf, COUNT_WORD);
-        self.txn_retired.push((old, LPID_NONE));
+        self.write_edit(lphys, &mut lbuf, [leaf_run(pos, n - 1), 0..0]);
         self.txn.as_mut().unwrap().len -= 1;
         Ok(true)
     }
@@ -1172,8 +1199,8 @@ impl<S: PageStore> Tree<S> {
     }
 
     /// Store bytes `run` of `buf` at the same place in page `phys`, a
-    /// page the open transaction allocated: shadow memory until the
-    /// commit's head flip, hence unlogged. An empty run stores nothing.
+    /// page the open transaction allocated: shadow memory no committed
+    /// page names, hence unlogged. An empty run stores nothing.
     fn write_run(&mut self, phys: u64, buf: &[u8; PAGE], run: Range<usize>) {
         if run.is_empty() {
             return;
@@ -1184,11 +1211,34 @@ impl<S: PageStore> Tree<S> {
         self.store.write_fresh(off, &buf[run]);
     }
 
-    /// Store the used bytes of node page `buf` to page `phys`.
-    fn write_used(&mut self, phys: u64, buf: &[u8; PAGE]) {
+    /// Seal node page `buf` and store its used bytes to page `phys`.
+    fn write_page(&mut self, phys: u64, buf: &mut [u8; PAGE]) {
+        seal(buf);
         for run in used_runs(buf) {
             self.write_run(phys, buf, run);
         }
+        self.txn.as_mut().unwrap().last = phys;
+    }
+
+    /// Seal node page `buf` after an edit and store what the edit
+    /// changed — `runs` — and then the header word that holds the new
+    /// checksum (the count word, for an edit that changes the count).
+    fn write_edit(&mut self, phys: u64, buf: &mut [u8; PAGE], runs: [Range<usize>; 2]) {
+        seal(buf);
+        for run in runs {
+            self.write_run(phys, buf, run);
+        }
+        self.write_run(phys, buf, COUNT_WORD);
+        self.txn.as_mut().unwrap().last = phys;
+    }
+
+    /// Whether value cell `vptr`, which leaf `lpid` names, is one the
+    /// open transaction (stamped `tv`) allocated: a cell it may rewrite
+    /// or void in place. Only a leaf the transaction has staged can name
+    /// one, so the cell is read only then.
+    fn is_own_cell(&self, lpid: u64, vptr: u64, tv: u64) -> bool {
+        self.slots[lpid as usize].staged != PHYS_NONE
+            && hdr_version(self.store.page(self.page_off(vptr))) == tv
     }
 
     fn alloc_lpid(&mut self) -> u64 {
@@ -1199,35 +1249,49 @@ impl<S: PageStore> Tree<S> {
     }
 
     /// Carve one more segment (and, every `SEG_TABLE_SLOTS` segments, a
-    /// fresh table block) from the heap. The heap blocks are durable
-    /// immediately; their table entries land with the commit. A crash
-    /// in between leaks the blocks — bounded per crashed transaction.
+    /// fresh table block) from the heap and store its table entry. The
+    /// heap blocks are durable immediately, so an entry that lands names
+    /// a carved block whether or not the transaction commits; a crash
+    /// before the entry lands leaks the block — bounded per crashed
+    /// transaction.
     fn grow_segment(&mut self) -> Option<()> {
-        if self.segs.len() >= MAX_SEGS {
+        let i = self.segs.len();
+        if i >= MAX_SEGS {
             return None;
         }
-        if self.segs.len() == self.seg_tables.len() * SEG_TABLE_SLOTS {
+        if i == self.seg_tables.len() * SEG_TABLE_SLOTS {
             let tb = self.store.alloc_block(SEG_BYTES)?;
+            let off = self.meta_off + 8 * self.seg_tables.len() as u64;
+            self.store.write_fresh(off, &tb.to_le_bytes());
             self.seg_tables.push(tb);
         }
         let seg = self.store.alloc_block(SEG_BYTES)?;
         debug_assert_eq!(seg % 64, 0, "page headers must not straddle lines");
+        let off = self.seg_tables[i / SEG_TABLE_SLOTS] + 8 * (i % SEG_TABLE_SLOTS) as u64;
+        self.store.write_fresh(off, &seg.to_le_bytes());
         self.segs.push(seg);
-        self.nsegs += 1;
         Some(())
     }
 
-    /// Take a physical page from the free list, the bump cursor, or a
-    /// freshly carved segment.
+    /// Pages the segments hold.
+    fn page_count(&self) -> u64 {
+        self.segs.len() as u64 * PAGES_PER_SEG
+    }
+
+    /// Take a physical page for the open transaction from the free
+    /// list, the bump cursor, or a freshly carved segment.
     fn alloc_page(&mut self) -> Option<u64> {
-        if let Some(p) = self.free.pop() {
-            return Some(p);
-        }
-        if self.bump >= self.nsegs * PAGES_PER_SEG {
-            self.grow_segment()?;
-        }
-        let p = self.bump;
-        self.bump += 1;
+        let p = match self.free.pop() {
+            Some(p) => p,
+            None => {
+                if self.bump >= self.page_count() {
+                    self.grow_segment()?;
+                }
+                self.bump += 1;
+                self.bump - 1
+            }
+        };
+        self.txn.as_mut().unwrap().pages += 1;
         Some(p)
     }
 
@@ -1235,7 +1299,7 @@ impl<S: PageStore> Tree<S> {
     /// a multi-page operation cannot fail with half its pages staged.
     fn ensure_capacity(&mut self, needed: u64) -> Result<(), TreeError> {
         loop {
-            let slack = self.nsegs * PAGES_PER_SEG - self.bump;
+            let slack = self.page_count() - self.bump;
             if self.free.len() as u64 + slack >= needed {
                 return Ok(());
             }
@@ -1245,10 +1309,10 @@ impl<S: PageStore> Tree<S> {
 
     /// Copy-on-write `lpid` for the open transaction: returns the
     /// staged physical copy and an image of it in memory, for the
-    /// caller to edit and store the changed bytes of. A *Clean* page —
-    /// the transaction's first touch — gets a shadow page, retires the
-    /// committed copy and, when `copy` is set, receives the committed
-    /// copy's used bytes under the new version (a page about to split
+    /// caller to edit, seal and store the changed bytes of. A *Clean*
+    /// page — the transaction's first touch — gets a shadow page,
+    /// retires the committed copy and, when `copy` is set, receives the
+    /// committed copy's used bytes, restamped (a page about to split
     /// passes `false`: its halves are written once, after the split). A
     /// *Dirty* page is the staged copy itself: nothing is stored.
     fn cow(&mut self, lpid: u64, copy: bool) -> Result<(u64, [u8; PAGE]), TreeError> {
@@ -1260,25 +1324,31 @@ impl<S: PageStore> Tree<S> {
         if self.slots[lpid as usize].staged == old {
             return Ok((old, b));
         }
-        set_version(&mut b, tv);
+        restamp(&mut b, tv);
         let p = self.alloc_page().ok_or(TreeError::Full)?;
         self.stage(lpid, p);
         self.txn_retired.push((old, lpid));
         if copy {
-            self.write_used(p, &b);
+            // the edit that follows reseals the copy
+            for run in used_runs(&b) {
+                self.write_run(p, &b, run);
+            }
         }
         Ok((p, b))
     }
 
-    fn write_value_cell(&mut self, val: &[u8]) -> Result<u64, TreeError> {
+    /// Write `val` into value cell `phys`, sealed, with one store: a
+    /// fresh cell, or one the open transaction allocated and now
+    /// rewrites.
+    fn write_value_cell(&mut self, phys: u64, val: &[u8]) {
         let tv = self.txn.as_ref().unwrap().version;
-        let phys = self.alloc_page().ok_or(TreeError::Full)?;
         let mut b = [0u8; PAGE];
         hdr_write(&mut b, TAG_VAL, val.len() as u64, LPID_NONE, tv);
         b[HDR..HDR + val.len()].copy_from_slice(val);
+        seal(&mut b);
         let off = self.page_off(phys);
         self.store.write_fresh(off, &b[..HDR + val.len()]);
-        Ok(phys)
+        self.txn.as_mut().unwrap().last = phys;
     }
 
     /// Propagate a split: insert `(sep, right)` into the parents along
@@ -1296,7 +1366,7 @@ impl<S: PageStore> Tree<S> {
                 set_inner_key(&mut b, 0, sep);
                 set_inner_child(&mut b, 0, old_root);
                 set_inner_child(&mut b, 1, right);
-                self.write_used(np, &b);
+                self.write_page(np, &mut b);
                 self.stage(nl, np);
                 let t = self.txn.as_mut().unwrap();
                 t.root_lpid = nl;
@@ -1311,9 +1381,8 @@ impl<S: PageStore> Tree<S> {
                 set_inner_key(&mut pbuf, idx, sep);
                 set_inner_child(&mut pbuf, idx + 1, right);
                 set_count(&mut pbuf, n + 1);
-                self.write_run(pphys, &pbuf, key_run(idx, n + 1));
-                self.write_run(pphys, &pbuf, child_run(idx + 1, n + 2));
-                self.write_run(pphys, &pbuf, COUNT_WORD);
+                let runs = [key_run(idx, n + 1), child_run(idx + 1, n + 2)];
+                self.write_edit(pphys, &mut pbuf, runs);
                 return Ok(());
             }
             // inner split: 15 keys / 16 children -> left 7/8, middle
@@ -1346,7 +1415,7 @@ impl<S: PageStore> Tree<S> {
                 set_inner_child(&mut pbuf, i, c);
             }
             set_count(&mut pbuf, LEFTK);
-            self.write_used(pphys, &pbuf);
+            self.write_page(pphys, &mut pbuf);
 
             let rlpid = self.alloc_lpid();
             let rphys = self.alloc_page().ok_or(TreeError::Full)?;
@@ -1358,7 +1427,7 @@ impl<S: PageStore> Tree<S> {
             for (i, &c) in cs.iter().enumerate().take(INNER_CAP + 2).skip(LEFTK + 1) {
                 set_inner_child(&mut rbuf, i - (LEFTK + 1), c);
             }
-            self.write_used(rphys, &rbuf);
+            self.write_page(rphys, &mut rbuf);
             self.stage(rlpid, rphys);
 
             sep = ks[LEFTK];
@@ -1435,12 +1504,13 @@ impl Tree<FasePager> {
 
 // ---- recovery ---------------------------------------------------------
 
-/// Rebuild the volatile view from the durable image: read and validate
-/// the meta block, scan page headers keeping the newest committed copy
-/// per logical id (in the slot table itself), walk the tree from the
-/// durable root (validating structure as it goes), free every
-/// unreachable page, and — only once the image has proven sound — void
-/// the headers dead transactions left above the committed version.
+/// Rebuild the volatile view from the durable image: read the segment
+/// table, judge the transaction with the highest stamp by counting its
+/// whole pages, keep the newest whole committed copy per logical id (in
+/// the slot table itself), find the root and walk the tree from it
+/// (validating structure as it goes), free every unreachable page, and
+/// — only once the image has proven sound — void what a dead
+/// transaction left.
 fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
     let meta_off = store.root();
     if meta_off == 0 {
@@ -1458,91 +1528,150 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
     if !block_ok(meta_off, META_BYTES) {
         return Err(TreeError::BadMeta("root pointer outside the store"));
     }
-    // the newer of the two heads whose checksum holds: a commit that
-    // never finished left its slot torn or stale, and the other intact
-    let slot = |version| Head::decode(store.bytes(Head::slot(meta_off, version), HEAD));
-    let head = match (slot(0), slot(1)) {
-        (Some(a), Some(b)) if a.version == b.version => {
-            return Err(TreeError::BadMeta("two head slots of one version"))
+    // the table up to its first empty entry, at both levels; a torn
+    // transaction's entries past it (`strays`) are cleared below
+    let mut strays: Vec<u64> = Vec::new();
+    let mut seg_tables = Vec::new();
+    for t in 0..SEG_SLOTS {
+        let off = meta_off + 8 * t as u64;
+        let tb = store.read_u64_at(off);
+        if tb != 0 && seg_tables.len() == t {
+            if !block_ok(tb, SEG_BYTES) {
+                return Err(TreeError::BadMeta("bad segment table block"));
+            }
+            seg_tables.push(tb);
+        } else if tb != 0 {
+            strays.push(off);
         }
-        (Some(a), Some(b)) => std::cmp::max_by_key(a, b, |h| h.version),
-        (Some(h), None) | (None, Some(h)) => h,
-        (None, None) => return Err(TreeError::BadMeta("no valid head slot")),
-    };
-    let Head {
-        version,
-        root_lpid,
-        next_lpid,
-        bump,
-        nsegs,
-        len,
-        height,
-    } = head;
-    // every logical page owns a live physical one (leaves never merge,
-    // logical ids are never freed), so `next_lpid <= bump`; the slot
-    // table below is sized from it, so it is checked here, first
-    if nsegs as usize > MAX_SEGS
-        || nsegs == 0
-        || bump > nsegs * PAGES_PER_SEG
-        || next_lpid > bump
-        || root_lpid >= next_lpid
-        || height == 0
-        || height > MAX_DEPTH
-    {
-        return Err(TreeError::BadMeta("inconsistent header fields"));
     }
-    let ntables = (nsegs as usize).div_ceil(SEG_TABLE_SLOTS);
-    let mut seg_tables = Vec::with_capacity(ntables);
-    for t in 0..ntables {
-        let tb = store.read_u64_at(meta_off + SEG_TABLE + 8 * t as u64);
-        if !block_ok(tb, SEG_BYTES) {
-            return Err(TreeError::BadMeta("bad segment table block"));
+    let mut segs = Vec::new();
+    for (t, &tb) in seg_tables.iter().enumerate() {
+        for i in 0..SEG_TABLE_SLOTS {
+            let off = tb + 8 * i as u64;
+            let seg = store.read_u64_at(off);
+            if seg != 0 && segs.len() == t * SEG_TABLE_SLOTS + i {
+                if !block_ok(seg, SEG_BYTES) {
+                    return Err(TreeError::BadMeta("bad page segment"));
+                }
+                segs.push(seg);
+            } else if seg != 0 {
+                strays.push(off);
+            }
         }
-        seg_tables.push(tb);
     }
-    let mut segs = Vec::with_capacity(nsegs as usize);
-    for i in 0..nsegs as usize {
-        let seg =
-            store.read_u64_at(seg_tables[i / SEG_TABLE_SLOTS] + 8 * (i % SEG_TABLE_SLOTS) as u64);
-        if !block_ok(seg, SEG_BYTES) {
-            return Err(TreeError::BadMeta("bad page segment"));
-        }
-        segs.push(seg);
+    if segs.is_empty() {
+        return Err(TreeError::BadMeta("no page segment"));
     }
+    let pages = segs.len() as u64 * PAGES_PER_SEG;
     let page_off =
         |phys: u64| segs[(phys / PAGES_PER_SEG) as usize] + (phys % PAGES_PER_SEG) * PAGE as u64;
 
-    // newest committed copy per logical id: stale copies of an lpid
-    // always carry an older version than its live one (pages are only
-    // retired when a newer commit supersedes them), so max-wins is safe
-    let mut slots = vec![Slot::EMPTY; next_lpid as usize];
-    // headers of a dead transaction's shadow pages (whatever their lpid:
-    // the retry hands the same fresh lpids out again)
-    let mut stale: Vec<u64> = Vec::new();
-    for phys in 0..bump {
+    // the highest stamp, and its transaction's whole and closing pages:
+    // one pass, restarting the count whenever a higher stamp turns up
+    // (two whole closing pages of any one version are damage)
+    let (mut top, mut counted, mut closing) = (0, 0u64, None);
+    for phys in 0..pages {
         let b = store.page(page_off(phys));
-        let tag = hdr_tag(b);
-        if tag != TAG_LEAF && tag != TAG_INNER {
+        let stamp = hdr_version(b);
+        if stamp >= STAMP_LIMIT {
+            return Err(TreeError::BadPage {
+                phys,
+                why: "stamp in the reserved range",
+            });
+        }
+        if stamp > top {
+            (top, counted, closing) = (stamp, 0, None);
+        }
+        if stamp != top || !whole(b) {
+            continue;
+        }
+        counted += 1;
+        let n = hdr_closing(b);
+        if n != 0 && closing.replace(n).is_some() {
+            return Err(TreeError::BadPage {
+                phys,
+                why: "a second closing page of one version",
+            });
+        }
+    }
+    let version = match closing {
+        Some(n) if counted > n => {
+            return Err(TreeError::BadMeta(
+                "more whole pages of the last version than its closing page counts",
+            ))
+        }
+        Some(n) if counted == n => top,
+        _ => top.saturating_sub(1),
+    };
+    if version == 0 {
+        return Err(TreeError::BadMeta("no committed page"));
+    }
+
+    // newest whole committed copy per logical id: stale copies of an
+    // lpid always carry an older version than its live one (pages are
+    // only retired when a newer commit supersedes them), and a page a
+    // dead transaction tore is not whole, whatever stamp it kept; every
+    // page stamped above the committed version is dead
+    let mut slots: Vec<Slot> = Vec::new();
+    let (mut dead, mut bump) = (Vec::new(), 0);
+    for phys in 0..pages {
+        let b = store.page(page_off(phys));
+        let v = hdr_version(b);
+        if v > version {
+            dead.push(page_off(phys));
+            continue;
+        }
+        if v == 0 {
+            continue;
+        }
+        bump = phys + 1;
+        if hdr_tag(b) == TAG_VAL || !whole(b) {
             continue;
         }
         let l = hdr_lpid(b);
-        let v = hdr_version(b);
-        if v > version {
-            stale.push(page_off(phys));
-            continue;
+        if l >= pages {
+            return Err(TreeError::BadPage {
+                phys,
+                why: "logical id past the page count",
+            });
         }
-        if l >= next_lpid {
-            continue;
+        if l as usize >= slots.len() {
+            slots.resize(l as usize + 1, Slot::EMPTY);
         }
         let s = &mut slots[l as usize];
         if s.phys == PHYS_NONE || v > s.version {
             (s.version, s.phys) = (v, phys);
         }
     }
+    let next_lpid = slots.len() as u64;
 
-    // reachability walk from the durable root, validating structure
-    let mut reach = vec![false; bump as usize];
-    let mut counted = 0u64;
+    // the root is the one logical id no inner page names
+    let mut named = vec![false; slots.len()];
+    for s in slots.iter().filter(|s| s.phys != PHYS_NONE) {
+        let b = store.page(page_off(s.phys));
+        if hdr_tag(b) == TAG_INNER {
+            for i in 0..=hdr_count(b) {
+                if let Some(c) = named.get_mut(inner_child(b, i) as usize) {
+                    *c = true;
+                }
+            }
+        }
+    }
+    let mut roots =
+        (0..next_lpid).filter(|&l| !named[l as usize] && slots[l as usize].phys != PHYS_NONE);
+    let root_lpid = roots
+        .next()
+        .ok_or(TreeError::BadMeta("every logical page is named"))?;
+    if let Some(l) = roots.next() {
+        return Err(TreeError::BadPage {
+            phys: slots[l as usize].phys,
+            why: "a second logical page no inner page names",
+        });
+    }
+
+    // reachability walk from the root, validating structure
+    let mut reach = vec![false; pages as usize];
+    let (mut len, mut height) = (0u64, None);
     let mut stack = vec![(root_lpid, 1u64)];
     while let Some((l, depth)) = stack.pop() {
         let phys = slots[l as usize].phys;
@@ -1561,13 +1690,7 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
         let b = store.page(page_off(phys));
         let n = hdr_count(b);
         if hdr_tag(b) == TAG_LEAF {
-            if n > LEAF_CAP {
-                return Err(TreeError::BadPage {
-                    phys,
-                    why: "leaf fanout overflow",
-                });
-            }
-            if depth != height {
+            if *height.get_or_insert(depth) != depth {
                 return Err(TreeError::BadPage {
                     phys,
                     why: "leaf at wrong depth",
@@ -1584,30 +1707,36 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
                 }
                 prev = Some(k);
                 let vp = leaf_vptr(b, i);
-                if vp >= bump {
+                if vp >= pages {
                     return Err(TreeError::BadPage {
                         phys,
                         why: "value pointer out of range",
                     });
                 }
                 let vb = store.page(page_off(vp));
-                if hdr_tag(vb) != TAG_VAL || hdr_count(vb) > MAX_VALUE {
+                if hdr_tag(vb) != TAG_VAL {
                     return Err(TreeError::BadPage {
                         phys: vp,
                         why: "leaf points at a non-value page",
                     });
                 }
+                if !whole(vb) || hdr_version(vb) > version {
+                    return Err(TreeError::BadPage {
+                        phys: vp,
+                        why: "reachable page fails its checksum",
+                    });
+                }
                 reach[vp as usize] = true;
-                counted += 1;
+                len += 1;
             }
         } else {
-            if n == 0 || n > INNER_CAP {
+            if n == 0 {
                 return Err(TreeError::BadPage {
                     phys,
                     why: "inner fanout out of range",
                 });
             }
-            if depth >= height {
+            if height.is_some_and(|h| depth >= h) || depth >= MAX_DEPTH {
                 return Err(TreeError::BadPage {
                     phys,
                     why: "inner node at leaf depth",
@@ -1625,9 +1754,6 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
             }
         }
     }
-    if counted != len {
-        return Err(TreeError::BadMeta("key count does not match the tree"));
-    }
     // a winner the root never reaches serves nobody (only a damaged
     // image has one); its page goes on the free list below
     for s in &mut slots {
@@ -1636,24 +1762,32 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
         }
     }
     let free = (0..bump).filter(|&p| !reach[p as usize]).collect();
-    // the pages are dead, so their zeroes need no undo record, and the
-    // section publishes nothing: a crash in it leaves headers the next
-    // attach voids again
-    if !stale.is_empty() {
+    // the pages are dead and the entries name nothing committed, so
+    // their zeroes need no undo record, and the section stamps nothing:
+    // a crash in it leaves headers the next attach voids again
+    if !dead.is_empty() || !strays.is_empty() {
         store.begin();
-        for &off in &stale {
+        for &off in &dead {
             store.write_fresh(off, &[0u8; HDR]);
+        }
+        for &off in &strays {
+            store.write_fresh(off, &0u64.to_le_bytes());
         }
         store.commit();
     }
     Ok(Volatile {
         meta_off,
-        head,
+        version,
+        root_lpid,
+        next_lpid,
+        bump,
+        len,
+        height: height.expect("the walk reaches a leaf"),
         seg_tables,
         segs,
         free,
         slots,
-        voided: stale.len(),
+        voided: dead.len(),
     })
 }
 
@@ -1940,9 +2074,7 @@ mod tests {
     }
 
     /// A 100-key tree with one durable word overwritten — `word` picks
-    /// its offset and its hostile value — then re-attached. A word of a
-    /// head slot is resealed with the slot's checksum, so that attach
-    /// judges the hostile field, not a torn slot.
+    /// its offset and its hostile value — then re-attached.
     fn attach_with_word(
         word: impl Fn(&Tree<MemPager>) -> (u64, u64),
     ) -> Result<Tree<MemPager>, TreeError> {
@@ -1950,58 +2082,121 @@ mod tests {
         let (off, hostile) = word(&t);
         t.store.begin();
         t.store.write_fresh(off, &hostile.to_le_bytes());
-        if (t.meta_off..t.meta_off + SEG_TABLE).contains(&off) {
-            let slot = off - (off - t.meta_off) % HEAD as u64;
-            let sum = checksum(MAGIC, t.store.bytes(slot + 8, HEAD - 8));
-            t.store.write_fresh(slot, &sum.to_le_bytes());
-        }
         t.store.commit();
         Tree::attach(t.store)
     }
 
-    /// The durable `next_lpid` is word 3 of the winning head slot.
-    fn attach_with_next_lpid(f: impl Fn(u64) -> u64) -> Result<Tree<MemPager>, TreeError> {
-        attach_with_word(|t| (Head::slot(t.meta_off, t.version) + 24, f(t.bump)))
+    /// A 100-key tree with a free page overwritten by what `forge` makes
+    /// of its bytes, then re-attached: the free page and the verdict.
+    fn attach_with_page(
+        forge: impl Fn(&Tree<MemPager>, &mut [u8; PAGE]),
+    ) -> (u64, Result<Tree<MemPager>, TreeError>) {
+        let mut t = hundred_keys();
+        let phys = *t.free.last().expect("the commit freed the format's root");
+        let off = t.page_off(phys);
+        let mut b = *t.store.page(off);
+        forge(&t, &mut b);
+        t.store.begin();
+        t.store.write_fresh(off, &b);
+        t.store.commit();
+        (phys, Tree::attach(t.store))
+    }
+
+    /// A whole leaf of logical id `lpid` with no entries, stamped
+    /// `version`.
+    fn sealed_leaf(b: &mut [u8; PAGE], lpid: u64, version: u64) {
+        hdr_write(b, TAG_LEAF, 0, lpid, version);
+        seal(b);
+    }
+
+    /// The first page the tree's last transaction wrote that is its
+    /// closing page (`closing`) or is not.
+    fn page_of_last_txn(t: &Tree<MemPager>, closing: bool) -> u64 {
+        (0..t.page_count())
+            .find(|&p| {
+                let b = t.store.page(t.page_off(p));
+                hdr_version(b) == t.version && (hdr_closing(b) != 0) == closing
+            })
+            .expect("the last transaction wrote such a page")
     }
 
     #[test]
-    fn attach_rejects_a_meta_block_with_no_valid_head() {
-        let mut t = hundred_keys();
-        assert!(Head::decode(t.store.bytes(t.meta_off, HEAD)).is_some());
-        assert!(Head::decode(t.store.bytes(t.meta_off + HEAD as u64, HEAD)).is_some());
-        // one word of each slot changed, neither resealed
-        t.store.begin();
-        for slot in [t.meta_off, t.meta_off + HEAD as u64] {
-            t.store.write_fresh(slot + 24, &7u64.to_le_bytes());
+    fn attach_rejects_next_lpid_above_the_page_high_water_mark() {
+        // every logical page owns a physical one, so no sound image
+        // names an id past the page count — and the slot table is sized
+        // from the ids the scan finds
+        for lpid in [|_| LPID_NONE - 1, |pages| pages] {
+            let (phys, got) = attach_with_page(|t, b| sealed_leaf(b, lpid(t.page_count()), 1));
+            let why = "logical id past the page count";
+            assert_eq!(got.map(|_| ()), Err(TreeError::BadPage { phys, why }));
         }
-        t.store.commit();
-        let err = Tree::attach(t.store).map(|_| ()).unwrap_err();
-        assert_eq!(err, TreeError::BadMeta("no valid head slot"));
     }
 
     #[test]
-    fn attach_rejects_two_head_slots_of_one_version() {
+    fn attach_rejects_a_reachable_page_whose_checksum_fails() {
+        // one byte of a live value cell's value, written before the last
+        // transaction (a page of that one would make it a torn one)
         let mut t = hundred_keys();
-        let (live, other) = (
-            Head::slot(t.meta_off, t.version),
-            Head::slot(t.meta_off, t.version + 1),
-        );
-        let copy = t.store.bytes(live, HEAD).to_vec();
+        t.begin();
+        t.put(1000, b"last").unwrap();
+        t.commit();
+        let (leaf, _) = t.find_leaf(t.version, t.root_lpid, 50);
+        let (_, pos) = leaf_position(leaf, 50);
+        let cell = leaf_vptr(leaf, pos);
+        let off = t.page_off(cell) + HDR as u64;
         t.store.begin();
-        t.store.write_fresh(other, &copy);
+        t.store.write_fresh(off, &[0xee]);
         t.store.commit();
         let err = Tree::attach(t.store).map(|_| ()).unwrap_err();
-        assert_eq!(err, TreeError::BadMeta("two head slots of one version"));
+        let why = "reachable page fails its checksum";
+        assert_eq!(err, TreeError::BadPage { phys: cell, why });
     }
 
-    /// Hardware lands a line as 8-byte words: a commit whose head slot
-    /// landed only in part must read as not committed. Every mix of the
-    /// newer slot's old and new words attaches to the older slot's
-    /// version and tree, unless the mix is the new slot whole.
     #[test]
-    fn a_torn_newer_head_falls_back_to_the_older_slot() {
+    fn attach_rejects_two_closing_pages_of_one_version() {
+        let (_, got) = attach_with_page(|t, b| {
+            *b = *t.store.page(t.page_off(page_of_last_txn(t, true)));
+        });
+        let err = got.map(|_| ()).unwrap_err();
+        let why = "a second closing page of one version";
+        assert!(
+            matches!(err, TreeError::BadPage { why: w, .. } if w == why),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn attach_rejects_more_whole_pages_of_a_version_than_its_count() {
+        let (_, got) = attach_with_page(|t, b| {
+            *b = *t.store.page(t.page_off(page_of_last_txn(t, false)));
+        });
+        let why = "more whole pages of the last version than its closing page counts";
+        assert_eq!(got.map(|_| ()), Err(TreeError::BadMeta(why)));
+    }
+
+    #[test]
+    fn attach_rejects_a_second_logical_page_no_inner_page_names() {
+        let (phys, got) = attach_with_page(|t, b| sealed_leaf(b, t.next_lpid, 1));
+        let why = "a second logical page no inner page names";
+        assert_eq!(got.map(|_| ()), Err(TreeError::BadPage { phys, why }));
+    }
+
+    #[test]
+    fn attach_rejects_a_stamp_in_the_reserved_range() {
+        let (phys, got) = attach_with_page(|_, b| set64(b, 16, STAMP_LIMIT));
+        let why = "stamp in the reserved range";
+        assert_eq!(got.map(|_| ()), Err(TreeError::BadPage { phys, why }));
+    }
+
+    /// Hardware lands 8-byte words, not lines: a transaction whose
+    /// closing page landed only in part must read as not committed.
+    /// Every image of the closing page with one word of its used bytes
+    /// torn from the rest — the old word among new ones, or the new
+    /// word among old ones — attaches to the older version and tree.
+    #[test]
+    fn a_torn_closing_page_falls_back_to_the_older_version() {
         // version 2 holds 40 keys; version 3 rewrites them, adds 40 more
-        // and splits the root, so the two heads differ in most words
+        // and splits the root
         let two_commits = || {
             let mut t = mem_tree();
             t.begin();
@@ -2010,57 +2205,68 @@ mod tests {
             }
             t.commit();
             let older = t.scan(None, 0, u64::MAX, usize::MAX);
-            let slot = Head::slot(t.meta_off, t.version + 1);
-            let before = t.store.bytes(slot, HEAD).to_vec();
+            let before = t.store.bytes(0, t.store.len() as usize).to_vec();
             t.begin();
             for k in 0..80u64 {
                 t.put(k, &[2]).unwrap();
             }
             t.commit();
-            (t, older, slot, before)
+            (t, older, before)
         };
-        let (t, _, slot, before) = two_commits();
-        let after = t.store.bytes(slot, HEAD).to_vec();
-        let differ = (0..8).filter(|w| before[8 * w..][..8] != after[8 * w..][..8]);
-        assert!(differ.count() >= 6, "the heads must differ in most words");
-        for mask in 0u32..256 {
-            let (mut t, older, slot, _) = two_commits();
-            let torn: Vec<u8> = (0..HEAD)
-                .map(|i| {
-                    if mask >> (i / 8) & 1 == 1 {
-                        after[i]
-                    } else {
-                        before[i]
-                    }
-                })
-                .collect();
-            t.store.begin();
-            t.store.write_fresh(slot, &torn);
-            t.store.commit();
-            let newer = t.scan(None, 0, u64::MAX, usize::MAX);
-            let back = Tree::attach(t.store).unwrap_or_else(|e| panic!("mask {mask:#x}: {e}"));
-            let (version, scan) = (back.version(), back.scan(None, 0, u64::MAX, usize::MAX));
-            if torn == after {
-                assert_eq!((version, scan), (3, newer), "mask {mask:#x}");
-            } else {
-                assert_eq!((version, scan), (2, older), "mask {mask:#x}");
+        let (t, _, before) = two_commits();
+        let closing = page_of_last_txn(&t, true);
+        let off = t.page_off(closing) as usize;
+        let new = *t.store.page(off as u64);
+        let old: [u8; PAGE] = before
+            .get(off..off + PAGE)
+            .map_or([0; PAGE], |b| b.try_into().unwrap());
+        let [head, tail] = used_runs(&new);
+        let words: Vec<usize> = head
+            .chain(tail)
+            .step_by(8)
+            .filter(|&w| old[w..w + 8] != new[w..w + 8])
+            .collect();
+        assert!(words.len() >= 4, "the closing page must be new");
+        for &w in &words {
+            for (base, word) in [(new, old), (old, new)] {
+                let (mut t, older, _) = two_commits();
+                let mut torn = base;
+                torn[w..w + 8].copy_from_slice(&word[w..w + 8]);
+                t.store.begin();
+                t.store.write_fresh(off as u64, &torn);
+                t.store.commit();
+                let back = Tree::attach(t.store).unwrap_or_else(|e| panic!("word {w}: {e}"));
+                let got = (back.version(), back.scan(None, 0, u64::MAX, usize::MAX));
+                assert_eq!(got, (2, older), "word {w}");
             }
         }
     }
 
+    /// A torn transaction's table entries can land past one that did
+    /// not: attach lists the segments up to the first empty entry and
+    /// clears the rest, so a later carve's entry never joins a segment
+    /// whose dead pages no attach voided.
     #[test]
-    fn attach_rejects_next_lpid_above_the_page_high_water_mark() {
-        // every logical page owns a physical one, so no sound image
-        // counts more of them than it has pages — and the slot table is
-        // sized from this field
-        for hostile in [|_| 1u64 << 40, |bump| bump + 1] {
-            let err = attach_with_next_lpid(hostile).map(|_| ()).unwrap_err();
-            assert_eq!(err, TreeError::BadMeta("inconsistent header fields"));
+    fn attach_clears_table_entries_past_the_first_empty_one() {
+        let mut t = hundred_keys();
+        let want = t.scan(None, 0, u64::MAX, usize::MAX);
+        let segs = t.segs.len();
+        t.begin();
+        for k in 1000..1040u64 {
+            t.put(k, &[7; 200]).unwrap();
         }
-        // the bound itself is legal: unused ids are merely skipped
-        let t = attach_with_next_lpid(|bump| bump).unwrap();
-        assert_eq!(t.len(), 100);
-        assert_eq!(t.get(99).as_deref(), Some(&99u64.to_le_bytes()[..]));
+        assert!(
+            t.segs.len() >= segs + 2,
+            "the transaction carved two segments"
+        );
+        let gap = t.seg_tables[0] + 8 * segs as u64;
+        t.store.write_fresh(gap, &0u64.to_le_bytes());
+        // the section ends there: the transaction never committed
+        t.store.commit();
+        let back = Tree::attach(t.store).unwrap();
+        assert_eq!(back.segs.len(), segs);
+        assert_eq!(back.store.read_u64_at(gap + 8), 0, "a stray entry stays");
+        assert_eq!(back.scan(None, 0, u64::MAX, usize::MAX), want);
     }
 
     #[test]
@@ -2076,7 +2282,7 @@ mod tests {
     fn attach_rejects_offsets_outside_the_store() {
         const FAR: u64 = 1 << 40;
         type Word = fn(&Tree<MemPager>) -> (u64, u64);
-        let table_word: Word = |t| (t.meta_off + SEG_TABLE, FAR);
+        let table_word: Word = |t| (t.meta_off, FAR);
         let segment_word: Word = |t| (t.seg_tables[0], FAR);
         let misaligned: Word = |t| (t.seg_tables[0], t.segs[0] + 8);
         let past_the_end: Word = |t| (t.seg_tables[0], t.store.len() - 64);
@@ -2326,14 +2532,17 @@ mod tests {
         t.put(15, &[2; 40]).unwrap();
         let (b1, p1) = counts(&mut t);
         assert_eq!((b1 - b0, p1 - p0), (CELL + 5 * 16 + 8, 1));
-        // overwrite: the value cell and the 8-byte pointer to it
+        // overwrite: the value cell, the 8-byte pointer to it and the
+        // header word that holds the leaf's checksum
         t.put(20, &[3; 40]).unwrap();
         let (b2, p2) = counts(&mut t);
-        assert_eq!((b2 - b1, p2 - p1), (CELL + 8, 1));
-        // delete position 3 of 6: the run [3, 5) and the count word
+        assert_eq!((b2 - b1, p2 - p1), (CELL + 8 + 8, 1));
+        // delete position 3 of 6: the run [3, 5) and the count word —
+        // and, since this transaction put the key, its cell's voided
+        // header: that page is free again
         assert!(t.delete(25).unwrap());
         let (b3, p3) = counts(&mut t);
-        assert_eq!((b3 - b2, p3 - p2), (2 * 16 + 8, 0));
+        assert_eq!((b3 - b2, p2 - p3), (HDR as u64 + 2 * 16 + 8, 1));
         // one staged copy throughout; only value cells were allocated
         assert_eq!(
             (t.slots[0].staged, t.staged.as_slice()),
@@ -2343,6 +2552,176 @@ mod tests {
         let keys: Vec<u64> = t.scan(None, 0, u64::MAX, 9).iter().map(|e| e.0).collect();
         assert_eq!(keys, [10, 15, 20, 30, 40]);
         assert_eq!(t.get(20).as_deref(), Some(&[3u8; 40][..]));
+    }
+
+    /// A transaction of `k` puts ends with one drain and one fence: it
+    /// flushes each line it stored once, and stores nothing into the
+    /// meta block.
+    #[test]
+    fn a_tree_commit_is_one_fence() {
+        let mut t = Tree::create(&small_cfg()).unwrap();
+        let keys: Vec<u64> = (0..8).map(|i| i * 37).collect();
+        for round in 0..3u8 {
+            t.begin();
+            for k in (0..200).chain(keys.iter().copied()) {
+                t.put(k, &[round; 40]).unwrap();
+            }
+            t.commit();
+        }
+        let segs = t.segs.len();
+        let rt = t.store.runtime_mut();
+        rt.record_trace();
+        let (pmem0, fase0) = (rt.region().stats(), rt.stats());
+        t.begin();
+        for &k in &keys {
+            t.put(k, &[9; 40]).unwrap();
+        }
+        let dirty = t.store.runtime_mut().region().dirty_lines() as u64;
+        t.commit();
+        assert_eq!(t.segs.len(), segs, "the transaction carved nothing");
+        let rt = t.store.runtime_mut();
+        let lines: std::collections::BTreeSet<u64> =
+            rt.take_trace().unwrap().writes().map(|l| l.0).collect();
+        let (pmem, fase) = (rt.region().stats(), rt.stats() - fase0);
+        let fences = pmem.fences - pmem0.fences;
+        assert_eq!((fase.fases, fase.fences, fences), (1, 1, 1));
+        let flushes = pmem.flushes - pmem0.flushes;
+        assert_eq!(flushes, lines.len() as u64, "one flush per line");
+        assert_eq!(dirty, lines.len() as u64);
+        let meta = t.meta_off / 64..(t.meta_off + META_BYTES as u64) / 64;
+        assert!(lines.iter().all(|l| !meta.contains(l)), "a meta line");
+        assert_eq!(t.get(37).as_deref(), Some(&[9u8; 40][..]));
+    }
+
+    /// Two puts of one key in one transaction allocate one value cell:
+    /// the second rewrites the cell the first allocated. A crash at
+    /// every micro-step of that transaction, under every adversary,
+    /// recovers the old value or the second one — never the first.
+    #[test]
+    fn a_repeated_key_rewrites_its_own_cell() {
+        let cfg = small_cfg();
+        let mut t = Tree::create(&cfg).unwrap();
+        t.begin();
+        for k in 0..30u64 {
+            t.put(k, &[1; 24]).unwrap();
+        }
+        t.commit();
+        let in_use = |t: &Tree<FasePager>| t.bump - t.free.len() as u64;
+        let txn = |t: &mut Tree<FasePager>| {
+            t.begin();
+            t.put(7, &[2; 40]).unwrap();
+            let first = in_use(t);
+            t.put(7, &[3; 60]).unwrap();
+            assert_eq!(in_use(t), first, "the second put allocated");
+            t.commit();
+        };
+        let image = t.store.runtime_mut().region().durable_image().to_vec();
+        let reopened = || Tree::reopen_from_image(image.clone(), &cfg).unwrap();
+        let mut counted = reopened();
+        let first = counted.steps();
+        txn(&mut counted);
+        assert_eq!(counted.get(7).as_deref(), Some(&[3u8; 60][..]));
+        let end = counted.steps();
+        let mut judged = 0;
+        for at in first..end {
+            for mode in [
+                CrashMode::StrictDurableOnly,
+                CrashMode::AllInFlightLands,
+                CrashMode::random(0.5, 0.5, at),
+            ] {
+                let mut cut = reopened();
+                cut.arm_crash(CrashPlan {
+                    at_step: at,
+                    mode: mode.clone(),
+                });
+                txn(&mut cut);
+                let crashed = cut
+                    .take_crash_image()
+                    .expect("the step is in the transaction");
+                let back = Tree::reopen_from_image(crashed, &cfg).unwrap();
+                let got = back.get(7);
+                assert!(
+                    got.as_deref() == Some(&[1u8; 24][..])
+                        || got.as_deref() == Some(&[3u8; 60][..]),
+                    "{mode:?} step {at}: {got:?}"
+                );
+                assert_eq!(back.len(), 30);
+                judged += 1;
+            }
+        }
+        assert!(judged >= 30, "{judged} recoveries");
+    }
+
+    /// A transaction whose flushes overflow the runtime's flush ring has
+    /// part of them drained before it ends, so an earlier state of a
+    /// page it rewrites afterwards can reach NVRAM ahead of the last
+    /// one. Its closing store waits for a fence over the last states: a
+    /// crash at every later step — pending captures landed and dirty
+    /// lines dropped, or some of them landed, and under the other
+    /// adversaries — recovers the old tree or the new one.
+    #[test]
+    fn an_early_drain_fences_the_pages_before_the_closing_store() {
+        let cfg = TreeConfig {
+            policy: nvcache_core::PolicyKind::Eager,
+            ..small_cfg()
+        };
+        let mut t = Tree::create(&cfg).unwrap();
+        t.begin();
+        for k in 0..30u64 {
+            t.put(k, &[1; 24]).unwrap();
+        }
+        t.commit();
+        let old = t.scan(None, 0, u64::MAX, usize::MAX);
+        let image = t.store.runtime_mut().region().durable_image().to_vec();
+        let reopened = || Tree::reopen_from_image(image.clone(), &cfg).unwrap();
+        let drains = |t: &Tree<FasePager>| t.store.runtime().ring_stats().drains;
+        // the leaf of keys 3 and 5 and the cell of key 5 are written
+        // before the ring drains and again after it, the cell last;
+        // returns the step after the drain
+        let txn = |t: &mut Tree<FasePager>| {
+            t.begin();
+            t.put(5, &[2; 40]).unwrap();
+            let d0 = drains(t);
+            let mut k = 1000;
+            while drains(t) == d0 {
+                t.put(k, &[2; 40]).unwrap();
+                k += 1;
+            }
+            let drained = t.steps();
+            assert!(t.delete(3).unwrap());
+            t.put(5, &[3; 40]).unwrap();
+            t.commit();
+            drained
+        };
+        let mut counted = reopened();
+        let from = txn(&mut counted);
+        let new = counted.scan(None, 0, u64::MAX, usize::MAX);
+        let end = counted.steps();
+        assert!(end - from > 8, "{} steps after the drain", end - from);
+        let mut judged = 0;
+        for at in from..end {
+            let modes = [
+                CrashMode::random(1.0, 0.0, at),
+                CrashMode::StrictDurableOnly,
+                CrashMode::AllInFlightLands,
+                CrashMode::random(0.5, 0.5, at),
+            ];
+            let some_dirty = (0..8).map(|seed| CrashMode::random(1.0, 0.7, at << 8 | seed));
+            for mode in modes.into_iter().chain(some_dirty) {
+                let mut cut = reopened();
+                cut.arm_crash(CrashPlan {
+                    at_step: at,
+                    mode: mode.clone(),
+                });
+                txn(&mut cut);
+                let crashed = cut.take_crash_image().expect("the step is in the txn");
+                let back = Tree::reopen_from_image(crashed, &cfg).unwrap();
+                let got = back.scan(None, 0, u64::MAX, usize::MAX);
+                assert!(got == old || got == new, "{mode:?} step {at}: a mix");
+                judged += 1;
+            }
+        }
+        assert!(judged >= 100, "{judged} recoveries");
     }
 
     #[test]

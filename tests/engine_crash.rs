@@ -18,8 +18,9 @@
 //! What is engine-specific is a generator and a closure: the hash
 //! shard's direct calls (`KvStore`'s idle path) and its fixed-length and
 //! resizing `serve_batch` programs; the tree's transaction, mid-split
-//! and dirty-leaf programs. Two pieces are tree-only: torn meta-head
-//! images and the two-round same-version retry. The three server-level
+//! and dirty-leaf programs. Two pieces are tree-only: the torn-page
+//! adversary, which tears each of those programs' in-flight pages word
+//! by word at the sweep's cuts, and the two-round same-version retry. The three server-level
 //! tests run one generic function each on hash and on tree lanes.
 
 use nvcache::core::{AdaptiveConfig, PolicyKind};
@@ -382,7 +383,8 @@ fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
 /// Committed CoW transactions — puts of varying value classes (leaf
 /// churn, splits, value-cell reallocation), deletes (free-list
 /// traffic), one refused group — crashed at ~98 micro-steps per
-/// adversary: a transaction is never visible in part.
+/// adversary: a transaction is never visible in part, not even when
+/// its pages land torn.
 #[test]
 fn tree_recovers_committed_prefix_at_sampled_micro_steps() {
     let mut prog = program(
@@ -402,90 +404,153 @@ fn tree_recovers_committed_prefix_at_sampled_micro_steps() {
     let r = sweep(&tree_rig(tree_cfg(1 << 21), Vec::new()), &prog, 98);
     assert_eq!((r.whole, r.refused), (prog.len(), 1));
     assert!(r.recoveries >= 294, "{} recoveries", r.recoveries);
+    // a smaller heap: the adversary copies one image per torn word
+    let rig = tree_rig(tree_cfg(1 << 19), Vec::new());
+    let torn = torn_pages(&rig, &prog, 98, 8, 1 << 19);
+    assert!(torn >= 2_200, "{torn} torn pages");
 }
 
 /// A crash inside one structure-heavy transaction — 300 inserts over 40
 /// committed keys, a cascade of leaf splits and a root swing — recovers
 /// the old root's page graph or the whole new one: CoW never modifies
-/// the old graph in place.
+/// the old graph in place, and a torn page of the new one — any of its
+/// hundreds of pages — keeps the old.
 #[test]
 fn mid_split_crash_recovers_the_old_root_graph() {
-    let base = (0..40u64)
+    let base: Vec<_> = (0..40u64)
         .map(|k| BatchRequest::Put(k, value(k, 16)))
         .collect();
     let big = vec![(1000..1300u64)
         .map(|k| BatchRequest::Put(k, value(k, 24)))
         .collect()];
-    let r = sweep(&tree_rig(tree_cfg(1 << 21), base), &big, 60);
+    let r = sweep(&tree_rig(tree_cfg(1 << 21), base.clone()), &big, 60);
     assert_eq!(r.whole, 1);
     assert!(r.recoveries >= 93, "{} recoveries", r.recoveries);
+    let rig = tree_rig(tree_cfg(1 << 19), base);
+    let torn = torn_pages(&rig, &big, 60, 8, 1 << 19);
+    assert!(torn >= 1_500, "{torn} torn pages");
 }
 
-/// Hardware lands 8-byte words, not lines. When the one line in flight
-/// at a cut is a meta-head slot — the first two lines of the meta block
-/// at `meta`, written by the commit's publish — every proper mix of its
-/// durable and in-flight words, as images. Any other cut: none.
-fn torn_head_images(durable: &[u8], landed: &[u8], meta: usize) -> Vec<Vec<u8>> {
-    let mut in_flight = (0..durable.len())
-        .step_by(64)
-        .filter(|&l| durable[l..l + 64] != landed[l..l + 64]);
-    let (Some(line), None) = (in_flight.next(), in_flight.next()) else {
-        return Vec::new();
-    };
-    if !(meta..meta + 128).contains(&line) {
-        return Vec::new();
-    }
-    (1u32..255)
-        .map(|mask| {
-            let mut image = durable.to_vec();
-            for w in (0..8).filter(|w| mask >> w & 1 == 1) {
-                let at = line + 8 * w;
-                image[at..at + 8].copy_from_slice(&landed[at..at + 8]);
-            }
-            image
-        })
+/// The offsets of the tree's pages in `image`: its segment table, read
+/// from the meta block at `meta` up to the first empty entry at both
+/// levels, 16 pages of 256 bytes per segment.
+fn pages_of(image: &[u8], meta: usize) -> Vec<usize> {
+    let word = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
+    let tables = (0..512)
+        .map(|t| word(meta + 8 * t))
+        .take_while(|&tb| tb != 0);
+    let segs = tables.flat_map(|tb| (0..512).map(move |i| word(tb + 8 * i)));
+    segs.take_while(|&seg| seg != 0)
+        .flat_map(|seg| (0..16).map(move |i| seg + 256 * i))
         .collect()
 }
 
-/// The torn-head adversary over every cut of `prog` (one transaction):
-/// a torn head must recover the old tree, only the whole new head the
-/// new one. Returns the torn images recovered.
-fn torn_heads(rig: &Rig<TreeEngine>, prog: &[Vec<BatchRequest>]) -> usize {
+/// Hardware lands 8-byte words, not lines: the torn-page adversary. At
+/// each cut of `prog` that `sweep` makes with `cuts`, under each
+/// adversary, the pages of the tree that differ between the strict
+/// image and the adversary's — landed, not fenced — are torn: the
+/// closing page (the one whose header carries a transaction's page
+/// count) once per changed word, every other such page once, with one
+/// changed word back at its fenced bytes (the word rotates with the
+/// cut). A program whose transactions write hundreds of pages tears at
+/// most `spread` of those others per cut, rotating. Every image
+/// recovers the state before the cut's batch or after it, never a mix,
+/// and a second recovery changes no byte of the data area. Returns the
+/// torn images recovered.
+fn torn_pages(
+    rig: &Rig<TreeEngine>,
+    prog: &[Vec<BatchRequest>],
+    cuts: u64,
+    spread: usize,
+    data_len: usize,
+) -> usize {
     let mut e = (rig.fresh)();
-    let (meta, setup, base) = (e.tree().store().root() as usize, e.steps(), e.dump());
-    (rig.apply)(&mut e, &prog[0]);
-    let (total, full) = (e.steps(), e.dump());
-    assert_eq!(e.tree().height(), 2, "the staged leaf must have split");
-    let (mut images, mut cuts) = (0, 0);
-    for k in setup + 1..total {
+    let meta = e.tree().store().root() as usize;
+    let (mut ends, mut states) = (vec![e.steps()], vec![e.dump()]);
+    for batch in prog {
+        (rig.apply)(&mut e, batch);
+        ends.push(e.steps());
+        states.push(e.dump());
+    }
+    let pages = pages_of(e.tree().store().runtime().region().slice(0, data_len), meta);
+    let data_of = |e: &mut TreeEngine| {
+        let region = e.tree_mut().store_mut().runtime_mut().region();
+        region.durable_image()[..data_len].to_vec()
+    };
+    let (setup, total) = (ends[0], ends[prog.len()]);
+    let stride = ((total - setup) / cuts).max(1) as usize;
+    let mut images = 0;
+    for k in (setup + 1..total).step_by(stride) {
+        let j = ends.iter().rposition(|&c| c <= k).unwrap();
+        let (old, new) = (&states[j], &states[j + 1]);
         let strict = image_at(rig, prog, k, &CrashMode::StrictDurableOnly);
-        let landed = image_at(rig, prog, k, &CrashMode::AllInFlightLands);
-        let torn = torn_head_images(&strict, &landed, meta);
-        cuts += usize::from(!torn.is_empty());
-        for image in torn {
-            let want = if image == landed { &full } else { &base };
-            let mut rec = (rig.reopen)(image)
-                .unwrap_or_else(|e| panic!("torn head at step {k}: recovery failed: {e}"));
-            assert!(
-                rec.dump() == *want,
-                "step {k}: a torn head was taken for a commit"
-            );
-            images += 1;
+        for mode in modes(k) {
+            let landed = image_at(rig, prog, k, &mode);
+            let word = |at: usize| u64::from_le_bytes(landed[at..at + 8].try_into().unwrap());
+            let in_flight: Vec<(usize, Vec<usize>)> = pages
+                .iter()
+                .map(|&p| {
+                    let changed = (p..p + 256).step_by(8);
+                    (
+                        p,
+                        changed
+                            .filter(|&w| strict[w..w + 8] != landed[w..w + 8])
+                            .collect(),
+                    )
+                })
+                .filter(|(_, changed): &(usize, Vec<usize>)| !changed.is_empty())
+                .collect();
+            let every = in_flight.len().div_ceil(spread).max(1);
+            for (n, (page, changed)) in in_flight.iter().enumerate() {
+                let torn = if word(page + 8) >> 32 != 0 {
+                    &changed[..]
+                } else if (n + k as usize).is_multiple_of(every) {
+                    let w = (k as usize + n) % changed.len();
+                    &changed[w..w + 1]
+                } else {
+                    &[][..]
+                };
+                for &w in torn {
+                    let mut image = landed.clone();
+                    image[w..w + 8].copy_from_slice(&strict[w..w + 8]);
+                    let ctx = format!("{mode:?} step {k}, word {w} of page {page} torn");
+                    let mut rec = (rig.reopen)(image)
+                        .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
+                    let got = rec.dump();
+                    assert!(got == *old || got == *new, "{ctx}: a mix of two trees");
+                    let once = data_of(&mut rec);
+                    let image = rec
+                        .tree_mut()
+                        .store_mut()
+                        .runtime_mut()
+                        .region()
+                        .durable_image();
+                    let mut again = (rig.reopen)(image.to_vec())
+                        .unwrap_or_else(|e| panic!("{ctx}: second recovery failed: {e}"));
+                    assert!(
+                        once == data_of(&mut again),
+                        "{ctx}: the second recovery wrote"
+                    );
+                    images += 1;
+                }
+            }
         }
     }
-    assert_eq!(cuts, 2, "the publish window: written, then flushed");
     images
 }
 
 /// One transaction that keeps coming back to a leaf it has staged — an
 /// insert (the first touch: shadow page + used-byte copy), an overwrite
-/// and a delete edited in place, then enough inserts to fill the staged
+/// and a delete edited in place, a second put of the inserted key (its
+/// own value cell, rewritten), then enough inserts to fill the staged
 /// leaf and split it while Dirty — crashed at *every* micro-step, under
-/// every adversary. In-place edits of a shadow
-/// page are stores of a few words each, landing (or not) line by line:
-/// none of them may be visible before the head flip, all of them after.
-/// The head itself may land torn: a fourth adversary tears it word by
-/// word in the publish window, and only the whole new head may commit.
+/// every adversary. In-place edits of a shadow page are stores of a few
+/// words each, landing (or not) line by line: none of them may be
+/// visible before the closing page is sealed, all of them after its
+/// fence. Hardware lands 8-byte words, not lines: the torn-page
+/// adversary tears every in-flight page at every cut, the closing page
+/// word by word, and only a transaction whose every page is whole may
+/// commit.
 #[test]
 fn dirty_leaf_edits_and_split_are_atomic_at_every_micro_step() {
     let base: Vec<_> = (0..10u64)
@@ -495,6 +560,7 @@ fn dirty_leaf_edits_and_split_are_atomic_at_every_micro_step() {
         BatchRequest::Put(5, value(5, 24)),    // insert: Clean touch
         BatchRequest::Put(10, value(0xa, 40)), // overwrite: Dirty
         BatchRequest::Delete(20),              // delete: Dirty, third touch
+        BatchRequest::Put(5, value(0x55, 40)), // its own cell, rewritten
     ];
     // 10 entries now; five more overflow the 14-entry leaf while Dirty
     dirty.extend((11..=15u64).map(|k| BatchRequest::Put(k, value(k, 8))));
@@ -503,15 +569,15 @@ fn dirty_leaf_edits_and_split_are_atomic_at_every_micro_step() {
     let r = sweep(&rig, &prog, EVERY);
     assert_eq!(r.whole, 1);
     assert!(r.recoveries >= 132, "{} recoveries", r.recoveries);
-    let torn = torn_heads(&rig, &prog);
-    assert!(torn >= 508, "{torn} torn heads");
+    let torn = torn_pages(&rig, &prog, EVERY, usize::MAX, 1 << 18);
+    assert!(torn >= 508, "{torn} torn pages");
 }
 
 /// The hazard un-logging the shadow pages opens: a rolled-back attempt
-/// leaves node pages stamped `(lpid, N+1)` on the free list, the retry
-/// commits under the same version N+1 without touching them, and the
-/// *next* recovery's header scan would prefer them to the live, older
-/// copies. Recovery must void such headers before accepting writes —
+/// leaves pages stamped `N+1` on the free list, the retry commits under
+/// the same version N+1 without touching them, and the *next* recovery
+/// would count them with the retry's pages, or its header scan prefer
+/// them to the live, older copies. Recovery must void such headers before accepting writes —
 /// two crash rounds are needed to see it (one recovery alone passes).
 #[test]
 fn retry_under_the_same_version_never_resurrects_a_dead_attempt() {

@@ -119,6 +119,24 @@
 //! own flushes grew by 15, its flushed lines by 20. The identities
 //! became `flushes = ring.flushed + 1` and `fences = fase.fences + 1`.
 //! The tree program did not move.
+//! Then tree transactions began to commit by their own sealed pages, as
+//! hash FASEs do: the meta head and its publish went; a page header
+//! gained a seal (a checksum in w0's upper half and, on the page a
+//! transaction writes last, the count of pages it leaves live, stored by
+//! one closing store at commit); an overwrite of a committed key stores
+//! the leaf's w0 beside the value pointer; a key put twice in one
+//! transaction rewrites the value cell it allocated; and a transaction
+//! that writes nothing stamps nothing. Only the tree program was
+//! re-recorded: `steps()` 7 073 → 7 156; `PmemStats` bytes written
+//! 242 640 → 238 552, stores 3 061 → 3 457, flushes 3 681 → 3 519,
+//! fences 331 → 180; `FaseStats` stores 3 019 → 3 415 and store lines
+//! 5 467 → 5 863 (an overwrite's w0 and a closing store per transaction
+//! against 151 head records), data flushes 3 853 → 3 719; `RingStats`
+//! submitted 3 853 → 3 719, flushed 3 651 → 3 489, sweeps 1 623 → 1 465
+//! and drains 300 → 149 (one per FASE that stored anything). The fence
+//! identity lost its publish term. The tree's `len`, `height`, pages and
+//! free pages, its `LogStats` and its FASEs and fences did not move,
+//! nor did the shard program.
 
 use nvcache::core::PolicyKind;
 use nvcache::fase::{FaseStats, LogStats};
@@ -269,15 +287,15 @@ fn tree_txn_program_counts_are_pinned() {
     assert_eq!(t.height(), 3);
     assert_eq!(t.pages_allocated(), 357);
     assert_eq!(t.free_pages(), 22);
-    assert_eq!(t.steps(), 7_073);
+    assert_eq!(t.steps(), 7_156);
     let rt = t.store_mut().runtime_mut();
     assert_eq!(
         rt.region().stats(),
         PmemStats {
-            bytes_written: 242_640,
-            stores: 3_061,
-            flushes: 3_681,
-            fences: 331,
+            bytes_written: 238_552,
+            stores: 3_457,
+            flushes: 3_519,
+            fences: 180,
             crashes: 1,
         }
     );
@@ -293,10 +311,9 @@ fn tree_txn_program_counts_are_pinned() {
             commit_lines: 1,
         }
     );
-    // the flushes by kind: data through the ring — the policy's lines
-    // and each FASE's published head — the recovery's epoch bump, the
-    // 29 persisted lines of the heap and the log's format; the log
-    // holds no group
+    // the flushes by kind: data through the ring — the policy's lines —
+    // the recovery's epoch bump, the 29 persisted lines of the heap and
+    // the log's format; the log holds no group
     let (pmem, ring, log, fase) = (
         rt.region().stats(),
         rt.ring_stats(),
@@ -307,36 +324,30 @@ fn tree_txn_program_counts_are_pinned() {
         pmem.flushes,
         ring.flushed + log.record_lines + log.commit_lines + 29
     );
-    // and the fences: a data fence and a publish fence per FASE, the
-    // recovery's epoch bump, and 28 for those 29 persisted lines
-    assert_eq!(
-        pmem.fences,
-        fase.fences + fase.fases + log.commit_lines + 28
-    );
+    // and the fences: one per FASE, the recovery's epoch bump, and 28
+    // for those 29 persisted lines
+    assert_eq!(pmem.fences, fase.fences + log.commit_lines + 28);
     assert_eq!(
         rt.stats(),
         FaseStats {
             fases: 151,
-            stores: 3_019,
-            store_lines: 5_467,
-            data_flushes: 3_853,
+            stores: 3_415,
+            store_lines: 5_863,
+            data_flushes: 3_719,
             fences: 151,
             rollbacks: 0,
         }
     );
-    // a published head is a drain and a sweep of its own: 151 more
-    // drains, less the two FASEs (empty transactions) whose head was all
-    // their data, so their data drain now finds nothing; one more sweep,
-    // because the format FASE's head no longer shares a sweep with the
-    // adjacent line of the segment-table directory
+    // one drain per FASE that stored anything: the two empty
+    // transactions drain nothing
     assert_eq!(
         rt.ring_stats(),
         RingStats {
-            submitted: 3_853,
-            flushed: 3_651,
+            submitted: 3_719,
+            flushed: 3_489,
             elided: 0,
-            sweeps: 1_623,
-            drains: 300,
+            sweeps: 1_465,
+            drains: 149,
         }
     );
 }
