@@ -15,12 +15,13 @@
 //! values it returns, nothing else), and `KvStore::get` runs `Shard::get` on an idle lane
 //! with nothing around it, so it allocates what `Shard::get` does. The
 //! tree lane is bounded the same way: a
-//! transaction's staged / retired lists and `put`'s path are buffers the
-//! tree owns, its remap is an array indexed by logical page id and a
-//! page read is a borrow, so a steady-state transaction (no split — the
-//! slot table grows by amortised doubling, and no claim is made about
-//! that) allocates nothing and a point read allocates the value it
-//! returns. This is an integration test — a crate of its own — because a
+//! transaction's staged / retired lists are buffers the tree owns, a
+//! descent's path is a fixed array on the stack, its remap is an array
+//! indexed by logical page id and a page read is a borrow, so a
+//! steady-state transaction (no split — the slot table grows by
+//! amortised doubling, and no claim is made about that) allocates
+//! nothing, a point read allocates the value it returns and a scan its
+//! result, sized once, and the values in it. This is an integration test — a crate of its own — because a
 //! counting `GlobalAlloc` needs `unsafe`, which every library crate
 //! forbids.
 
@@ -344,5 +345,37 @@ fn tree_engine_serve_batch_allocates_the_reply_vector_only() {
     assert!(
         n <= 2,
         "one Get allocated {n} times: the reply vector and the value"
+    );
+}
+
+/// A scan sizes its result once, from the limit and the tree's length,
+/// and walks from leaf to leaf without a buffer: 40 entries allocate
+/// the result and the 40 values, whichever leaves they sit on. A
+/// sequential load of 200 keys leaves 8 a leaf, so the 40 cross at
+/// least five leaves.
+#[test]
+fn tree_scan_allocates_what_it_returns() {
+    let mut t = Tree::create(&tree_config()).expect("format tree heap");
+    let preload: Vec<u64> = (0..200).collect();
+    tree_txn(&mut t, &preload, 5);
+    assert!(t.height() >= 3, "the walk climbs inner pages");
+    let (n, hits) = allocations(|| t.scan(None, 20, 180, 40));
+    let keys: Vec<u64> = hits.iter().map(|(k, _)| *k).collect();
+    assert_eq!(keys, (20..60).collect::<Vec<_>>());
+    assert_eq!(n, 41, "the result and 40 values, not a doubling result");
+
+    let mut e = TreeEngine::new(&TreeEngineConfig {
+        tree: tree_config(),
+    });
+    let puts: Vec<BatchRequest> = (0..200u64)
+        .map(|k| BatchRequest::Put(k, vec![5; 40]))
+        .collect();
+    e.serve_batch(&puts);
+    let scan = [BatchRequest::Scan(20, 180, 40)];
+    let (n, replies) = allocations(|| e.serve_batch(&scan));
+    assert!(matches!(&replies[..], [BatchReply::Entries(es)] if es.len() == 40));
+    assert_eq!(
+        n, 42,
+        "one Scan: the reply vector, the result and its 40 values"
     );
 }

@@ -39,8 +39,8 @@ pub struct RingStats {
     pub submitted: u64,
     /// Lines actually swept (flush instructions issued).
     pub flushed: u64,
-    /// Always 0: the ring elides nothing. Kept for
-    /// `benchmark/src/adapter.rs`, which reports it.
+    /// Submissions a drain collapsed: a line submitted more than once
+    /// before one drain is swept once (`submitted == flushed + elided`).
     pub elided: u64,
     /// Contiguous ranged sweeps issued (≤ `flushed`).
     pub sweeps: u64,
@@ -157,6 +157,7 @@ impl FlushRing {
         }
         self.batch.drain(..n);
         self.stats.flushed += issued;
+        self.stats.elided += n as u64 - issued;
         self.stats.drains += 1;
         issued
     }
@@ -206,6 +207,7 @@ mod tests {
         let issued = ring.drain_all(&mut r);
         assert_eq!(issued, 4, "dedup to {{0,1,2,5}}");
         assert_eq!(ring.stats().sweeps, 2, "runs [0..3) and [5]");
+        assert_eq!(ring.stats().elided, 2, "6 lines submitted, 4 swept");
         r.fence();
         r.crash(&CrashMode::StrictDurableOnly);
         assert_eq!(r.slice(0, 1), b"x");

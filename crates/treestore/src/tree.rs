@@ -38,7 +38,10 @@
 //! logical id stable, so rewriting a leaf touches *no* ancestor — only
 //! structural changes (splits) edit parents. Reading a page is a borrow
 //! of the store's bytes ([`crate::PageRead::page`]): a descent copies
-//! nothing.
+//! nothing. Every read and write descends through one `seek`, which
+//! records the inner path it takes; a scan descends once, and at the
+//! end of each leaf climbs that path to the next child and descends
+//! only that child's leftmost spine.
 //!
 //! A writer stages CoW copies under `version + 1` inside one
 //! failure-atomic section. The staged pages are shadow memory — no
@@ -167,7 +170,7 @@ const PHYS_NONE: u64 = u64::MAX;
 /// Largest value a single cell can hold.
 pub const MAX_VALUE: usize = PAGE - HDR;
 /// Hard bound on tree depth (fanout 8+ makes real trees far shallower).
-const MAX_DEPTH: u64 = 32;
+const MAX_DEPTH: usize = 32;
 
 /// The tree's magic ("TREESTOR"): the seed of a page's checksum.
 const MAGIC: u64 = 0x5452_4545_5354_4f52;
@@ -368,27 +371,46 @@ fn used_runs(buf: &[u8; PAGE]) -> [Range<usize>; 2] {
     }
 }
 
-/// Index of the child of inner page `buf` whose range covers `key`.
+/// `(count, pos, hit)` of leaf `buf`: `pos` is the first entry whose
+/// key is not below `key` (`count` when there is none), `hit` its value
+/// cell when its key is `key`.
 #[inline]
-fn child_index(buf: &[u8; PAGE], key: u64) -> usize {
-    let n = hdr_count(buf);
-    let mut idx = 0;
-    while idx < n && key >= inner_key(buf, idx) {
-        idx += 1;
-    }
-    idx
-}
-
-/// `(count, pos)` of leaf `buf`: `pos` is the first entry whose key is
-/// not below `key` (`count` when there is none).
-#[inline]
-fn leaf_position(buf: &[u8; PAGE], key: u64) -> (usize, usize) {
+fn leaf_position(buf: &[u8; PAGE], key: u64) -> (usize, usize, Option<u64>) {
     let n = hdr_count(buf);
     let mut pos = 0;
     while pos < n && leaf_key(buf, pos) < key {
         pos += 1;
     }
-    (n, pos)
+    let hit = (pos < n && leaf_key(buf, pos) == key).then(|| leaf_vptr(buf, pos));
+    (n, pos, hit)
+}
+
+/// The inner levels one descent crossed, root first: `(logical id,
+/// child index)` each. `put` pops it to propagate a split; a scan
+/// climbs it to the next leaf.
+#[derive(Default)]
+struct Path {
+    steps: [(u64, usize); MAX_DEPTH],
+    depth: usize,
+}
+
+impl Path {
+    fn push(&mut self, lpid: u64, idx: usize) {
+        assert!(self.depth < MAX_DEPTH, "treestore descent depth exceeded");
+        self.steps[self.depth] = (lpid, idx);
+        self.depth += 1;
+    }
+
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        self.depth = self.depth.checked_sub(1)?;
+        Some(self.steps[self.depth])
+    }
+}
+
+/// A read's page, or its panic: reads return no error, because attach
+/// validated every page a committed or staged view can reach.
+fn read<T>(version: u64, r: Result<T, TreeError>) -> T {
+    r.unwrap_or_else(|e| panic!("treestore read at v{version}: {e}"))
 }
 
 // ---- errors -----------------------------------------------------------
@@ -451,16 +473,22 @@ impl From<RecoveryError> for TreeError {
     }
 }
 
+/// Attach's verdict on page `phys`, which breaks rule `why`.
+fn bad_page<T>(phys: u64, why: &'static str) -> Result<T, TreeError> {
+    Err(TreeError::BadPage { phys, why })
+}
+
 // ---- MVCC surface -----------------------------------------------------
 
-/// A pinned read view: `(version, root)` frozen at [`Tree::pin`] time.
-/// Reads through a snapshot never observe commits newer than its
+/// A pinned read view: `(version, root, len)` frozen at [`Tree::pin`]
+/// time. Reads through a snapshot never observe commits newer than its
 /// version; the pages it can reach are not recycled until the snapshot
 /// is passed back to [`Tree::unpin`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Snapshot {
     version: u64,
     root_lpid: u64,
+    len: u64,
 }
 
 impl Snapshot {
@@ -590,8 +618,6 @@ pub struct Tree<S: PageStore = FasePager> {
     /// `(phys, lpid)` of the pages the open transaction supersedes, in
     /// the order it did (the order they later enter the free list).
     txn_retired: Vec<(u64, u64)>,
-    /// The inner `(lpid, child index)` path of the `put` in progress.
-    path: Vec<(u64, usize)>,
     /// The differential reference: every store of part of a page
     /// rewrites the whole page from the in-memory image instead.
     #[cfg(test)]
@@ -646,7 +672,6 @@ impl<S: PageStore> Tree<S> {
             txn: None,
             staged: Vec::new(),
             txn_retired: Vec::new(),
-            path: Vec::new(),
             #[cfg(test)]
             whole_pages: false,
         })
@@ -743,6 +768,7 @@ impl<S: PageStore> Tree<S> {
         Snapshot {
             version: self.version,
             root_lpid: self.root_lpid,
+            len: self.len,
         }
     }
 
@@ -892,23 +918,12 @@ impl<S: PageStore> Tree<S> {
         // split per inner level + a new root
         let needed = 2 * self.height() + 4;
         self.ensure_capacity(needed)?;
-        let tv = self.txn.as_ref().unwrap().version;
+        let (tv, root) = self.view();
 
         // descend, remembering the inner path for possible splits
-        self.path.clear();
-        let mut lpid = self.txn.as_ref().unwrap().root_lpid;
-        let (n, pos, old) = loop {
-            let b = self.load_page(lpid, tv)?;
-            if hdr_tag(b) == TAG_LEAF {
-                let (n, pos) = leaf_position(b, key);
-                let hit = pos < n && leaf_key(b, pos) == key;
-                break (n, pos, hit.then(|| leaf_vptr(b, pos)));
-            }
-            let idx = child_index(b, key);
-            let child = inner_child(b, idx);
-            self.path.push((lpid, idx));
-            lpid = child;
-        };
+        let mut path = Path::default();
+        let b = self.seek(tv, root, key, &mut path)?;
+        let (lpid, (n, pos, old)) = (hdr_lpid(b), leaf_position(b, key));
 
         if let Some(cell) = old.filter(|&c| self.is_own_cell(lpid, c, tv)) {
             self.write_value_cell(cell, val);
@@ -968,7 +983,7 @@ impl<S: PageStore> Tree<S> {
         self.stage(rlpid, rphys);
         self.txn.as_mut().unwrap().len += 1;
 
-        self.insert_into_parents(ks[LEFT], rlpid)
+        self.insert_into_parents(&mut path, ks[LEFT], rlpid)
     }
 
     /// Insert or overwrite every `(key, value)` of `items`, in order, as
@@ -1006,18 +1021,10 @@ impl<S: PageStore> Tree<S> {
     pub fn delete(&mut self, key: u64) -> Result<bool, TreeError> {
         assert!(self.txn.is_some(), "delete outside a transaction");
         self.ensure_capacity(2)?;
-        let tv = self.txn.as_ref().unwrap().version;
-        let mut lpid = self.txn.as_ref().unwrap().root_lpid;
-        let (n, pos, old) = loop {
-            let b = self.load_page(lpid, tv)?;
-            if hdr_tag(b) == TAG_LEAF {
-                let (n, pos) = leaf_position(b, key);
-                if pos == n || leaf_key(b, pos) != key {
-                    return Ok(false);
-                }
-                break (n, pos, leaf_vptr(b, pos));
-            }
-            lpid = inner_child(b, child_index(b, key));
+        let (tv, root) = self.view();
+        let b = self.seek(tv, root, key, &mut Path::default())?;
+        let (lpid, (n, pos, Some(old))) = (hdr_lpid(b), leaf_position(b, key)) else {
+            return Ok(false);
         };
         let own = self.is_own_cell(lpid, old, tv);
         let (lphys, mut lbuf) = self.cow(lpid, true)?;
@@ -1063,7 +1070,11 @@ impl<S: PageStore> Tree<S> {
         hi: u64,
         limit: usize,
     ) -> Vec<(u64, Vec<u8>)> {
-        let mut out = Vec::new();
+        // sized once: no more entries than the limit, the view's keys
+        // or the keys the range can hold
+        let len = snap.map_or(self.len(), |s| s.len);
+        let span = hi.saturating_sub(lo).saturating_add(1);
+        let mut out = Vec::with_capacity((limit as u64).min(len).min(span) as usize);
         if limit > 0 {
             self.visit(snap, lo, hi, |k, v| {
                 out.push((k, v.to_vec()));
@@ -1076,7 +1087,9 @@ impl<S: PageStore> Tree<S> {
     /// Walk the entries of `lo..=hi` in key order, handing `f` each key
     /// with its value borrowed from the store (nothing is copied), until
     /// the range ends or `f` returns `false`. `snap = None` reads the
-    /// current view.
+    /// current view. One descent finds `lo`; from the end of each leaf
+    /// the walk climbs its path to the next child and descends that
+    /// child's leftmost spine.
     pub fn visit(
         &self,
         snap: Option<&Snapshot>,
@@ -1085,28 +1098,33 @@ impl<S: PageStore> Tree<S> {
         mut f: impl FnMut(u64, &[u8]) -> bool,
     ) {
         let (v, root) = snap.map_or_else(|| self.view(), |s| (s.version, s.root_lpid));
-        if lo > hi {
-            return;
-        }
-        let mut next = lo;
+        let mut path = Path::default();
+        let mut leaf = read(v, self.seek(v, root, lo, &mut path));
         loop {
-            let (leaf, ub) = self.find_leaf(v, root, next);
-            let n = hdr_count(leaf);
-            for i in 0..n {
+            // past the first leaf every key is above `lo`: it starts at 0
+            for i in leaf_position(leaf, lo).1..hdr_count(leaf) {
                 let k = leaf_key(leaf, i);
-                if k < next {
-                    continue;
-                }
                 if k > hi || !f(k, self.read_value(leaf_vptr(leaf, i))) {
                     return;
                 }
             }
-            match ub {
-                // separators are strictly above every key to their
-                // left, so `next` advances every iteration
-                Some(u) if u <= hi => next = u,
-                _ => return,
+            // climb to the lowest level with a child right of the path;
+            // every key under that child is at or above its separator,
+            // so seeking the separator descends the leftmost spine
+            let (sep, child) = loop {
+                let Some((lpid, idx)) = path.pop() else {
+                    return;
+                };
+                let b = read(v, self.load_page(lpid, v));
+                if idx < hdr_count(b) {
+                    path.push(lpid, idx + 1);
+                    break (inner_key(b, idx), inner_child(b, idx + 1));
+                }
+            };
+            if sep > hi {
+                return;
             }
+            leaf = read(v, self.seek(v, child, sep, &mut path));
         }
     }
 
@@ -1119,31 +1137,31 @@ impl<S: PageStore> Tree<S> {
 
     /// The value under `key` at `version`, borrowed from the store.
     fn lookup(&self, version: u64, root: u64, key: u64) -> Option<&[u8]> {
-        let (leaf, _) = self.find_leaf(version, root, key);
-        let (n, pos) = leaf_position(leaf, key);
-        (pos < n && leaf_key(leaf, pos) == key).then(|| self.read_value(leaf_vptr(leaf, pos)))
+        let leaf = read(version, self.seek(version, root, key, &mut Path::default()));
+        leaf_position(leaf, key).2.map(|vptr| self.read_value(vptr))
     }
 
-    /// Descend to the leaf covering `key` at `version`, returning the
-    /// leaf (borrowed from the store) and the smallest separator above
-    /// the leaf's range (the next leaf's first possible key).
-    fn find_leaf(&self, version: u64, root: u64, key: u64) -> (&[u8; PAGE], Option<u64>) {
-        let mut lpid = root;
-        let mut ub = None;
-        let mut depth = 0u64;
+    /// The one descent of every read and write: from `lpid` down to the
+    /// leaf covering `key` at version `v`, borrowed from the store,
+    /// pushing each inner level it crosses onto `path`.
+    fn seek(
+        &self,
+        v: u64,
+        mut lpid: u64,
+        key: u64,
+        path: &mut Path,
+    ) -> Result<&[u8; PAGE], TreeError> {
         loop {
-            let b = self
-                .load_page(lpid, version)
-                .unwrap_or_else(|e| panic!("treestore read at v{version}: {e}"));
-            depth += 1;
-            assert!(depth <= MAX_DEPTH, "treestore descent depth exceeded");
+            let b = self.load_page(lpid, v)?;
             if hdr_tag(b) == TAG_LEAF {
-                return (b, ub);
+                return Ok(b);
             }
-            let idx = child_index(b, key);
-            if idx < hdr_count(b) {
-                ub = Some(inner_key(b, idx));
+            // the child whose range covers `key`
+            let mut idx = 0;
+            while idx < hdr_count(b) && key >= inner_key(b, idx) {
+                idx += 1;
             }
+            path.push(lpid, idx);
             lpid = inner_child(b, idx);
         }
     }
@@ -1352,12 +1370,17 @@ impl<S: PageStore> Tree<S> {
     }
 
     /// Propagate a split: insert `(sep, right)` into the parents along
-    /// `self.path` (what `put`'s descent recorded), splitting them in
-    /// turn as needed; an empty path grows a new root.
-    fn insert_into_parents(&mut self, mut sep: u64, mut right: u64) -> Result<(), TreeError> {
+    /// `path` (what `put`'s descent recorded), splitting them in turn as
+    /// needed; an empty path grows a new root.
+    fn insert_into_parents(
+        &mut self,
+        path: &mut Path,
+        mut sep: u64,
+        mut right: u64,
+    ) -> Result<(), TreeError> {
         let tv = self.txn.as_ref().unwrap().version;
         loop {
-            let Some((plpid, idx)) = self.path.pop() else {
+            let Some((plpid, idx)) = path.pop() else {
                 let nl = self.alloc_lpid();
                 let np = self.alloc_page().ok_or(TreeError::Full)?;
                 let old_root = self.txn.as_ref().unwrap().root_lpid;
@@ -1574,10 +1597,7 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
         let b = store.page(page_off(phys));
         let stamp = hdr_version(b);
         if stamp >= STAMP_LIMIT {
-            return Err(TreeError::BadPage {
-                phys,
-                why: "stamp in the reserved range",
-            });
+            return bad_page(phys, "stamp in the reserved range");
         }
         if stamp > top {
             (top, counted, closing) = (stamp, 0, None);
@@ -1588,10 +1608,7 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
         counted += 1;
         let n = hdr_closing(b);
         if n != 0 && closing.replace(n).is_some() {
-            return Err(TreeError::BadPage {
-                phys,
-                why: "a second closing page of one version",
-            });
+            return bad_page(phys, "a second closing page of one version");
         }
     }
     let version = match closing {
@@ -1630,10 +1647,7 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
         }
         let l = hdr_lpid(b);
         if l >= pages {
-            return Err(TreeError::BadPage {
-                phys,
-                why: "logical id past the page count",
-            });
+            return bad_page(phys, "logical id past the page count");
         }
         if l as usize >= slots.len() {
             slots.resize(l as usize + 1, Slot::EMPTY);
@@ -1663,10 +1677,10 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
         .next()
         .ok_or(TreeError::BadMeta("every logical page is named"))?;
     if let Some(l) = roots.next() {
-        return Err(TreeError::BadPage {
-            phys: slots[l as usize].phys,
-            why: "a second logical page no inner page names",
-        });
+        return bad_page(
+            slots[l as usize].phys,
+            "a second logical page no inner page names",
+        );
     }
 
     // reachability walk from the root, validating structure
@@ -1682,73 +1696,46 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
         // twice is reaching its id twice (value cells, the other pages
         // marked below, are never node pages: their tag is checked)
         if std::mem::replace(&mut reach[phys as usize], true) {
-            return Err(TreeError::BadPage {
-                phys,
-                why: "logical page reached twice (cycle)",
-            });
+            return bad_page(phys, "logical page reached twice (cycle)");
         }
         let b = store.page(page_off(phys));
         let n = hdr_count(b);
         if hdr_tag(b) == TAG_LEAF {
             if *height.get_or_insert(depth) != depth {
-                return Err(TreeError::BadPage {
-                    phys,
-                    why: "leaf at wrong depth",
-                });
+                return bad_page(phys, "leaf at wrong depth");
             }
             let mut prev: Option<u64> = None;
             for i in 0..n {
                 let k = leaf_key(b, i);
                 if prev.is_some_and(|p| p >= k) {
-                    return Err(TreeError::BadPage {
-                        phys,
-                        why: "leaf keys out of order",
-                    });
+                    return bad_page(phys, "leaf keys out of order");
                 }
                 prev = Some(k);
                 let vp = leaf_vptr(b, i);
                 if vp >= pages {
-                    return Err(TreeError::BadPage {
-                        phys,
-                        why: "value pointer out of range",
-                    });
+                    return bad_page(phys, "value pointer out of range");
                 }
                 let vb = store.page(page_off(vp));
                 if hdr_tag(vb) != TAG_VAL {
-                    return Err(TreeError::BadPage {
-                        phys: vp,
-                        why: "leaf points at a non-value page",
-                    });
+                    return bad_page(vp, "leaf points at a non-value page");
                 }
                 if !whole(vb) || hdr_version(vb) > version {
-                    return Err(TreeError::BadPage {
-                        phys: vp,
-                        why: "reachable page fails its checksum",
-                    });
+                    return bad_page(vp, "reachable page fails its checksum");
                 }
                 reach[vp as usize] = true;
                 len += 1;
             }
         } else {
             if n == 0 {
-                return Err(TreeError::BadPage {
-                    phys,
-                    why: "inner fanout out of range",
-                });
+                return bad_page(phys, "inner fanout out of range");
             }
-            if height.is_some_and(|h| depth >= h) || depth >= MAX_DEPTH {
-                return Err(TreeError::BadPage {
-                    phys,
-                    why: "inner node at leaf depth",
-                });
+            if height.is_some_and(|h| depth >= h) || depth >= MAX_DEPTH as u64 {
+                return bad_page(phys, "inner node at leaf depth");
             }
             for i in 0..=n {
                 let c = inner_child(b, i);
                 if c >= next_lpid {
-                    return Err(TreeError::BadPage {
-                        phys,
-                        why: "child lpid out of range",
-                    });
+                    return bad_page(phys, "child lpid out of range");
                 }
                 stack.push((c, depth + 1));
             }
@@ -2140,8 +2127,10 @@ mod tests {
         t.begin();
         t.put(1000, b"last").unwrap();
         t.commit();
-        let (leaf, _) = t.find_leaf(t.version, t.root_lpid, 50);
-        let (_, pos) = leaf_position(leaf, 50);
+        let leaf = t
+            .seek(t.version, t.root_lpid, 50, &mut Path::default())
+            .unwrap();
+        let (_, pos, _) = leaf_position(leaf, 50);
         let cell = leaf_vptr(leaf, pos);
         let off = t.page_off(cell) + HDR as u64;
         t.store.begin();

@@ -68,6 +68,8 @@ proptest! {
         let issued = ring.drain_all(&mut piped);
         prop_assert_eq!(issued, distinct.len() as u64, "one flush per distinct line");
         prop_assert_eq!(piped.stats().flushes, distinct.len() as u64);
+        let st = ring.stats();
+        prop_assert_eq!(st.submitted, st.flushed + st.elided, "a duplicate is elided");
         prop_assert!(ring.is_empty());
         for &l in &distinct {
             blocking.flush_line(l);

@@ -137,6 +137,13 @@
 //! identity lost its publish term. The tree's `len`, `height`, pages and
 //! free pages, its `LogStats` and its FASEs and fences did not move,
 //! nor did the shard program.
+//! Then `RingStats::elided`, until then a constant 0, began to count
+//! the submissions a drain collapses (a line submitted twice before one
+//! drain is swept once), so `submitted == flushed + elided`: the
+//! shard's reads 176, the tree's 230. Nothing either program does moved,
+//! and no other literal did. The tree program became a function of its
+//! policy, so a second test runs it unchanged under Eager, SC-8 and
+//! Lazy.
 
 use nvcache::core::PolicyKind;
 use nvcache::fase::{FaseStats, LogStats};
@@ -232,7 +239,7 @@ fn put_many_program_counts_are_pinned() {
         RingStats {
             submitted: 3_968,
             flushed: 3_792,
-            elided: 0,
+            elided: 176,
             sweeps: 3_019,
             drains: 207,
         }
@@ -240,19 +247,15 @@ fn put_many_program_counts_are_pinned() {
 }
 
 /// 150 seeded transactions of 1..=12 puts and deletes over 400 keys on
-/// a tree: leaf and inner splits, in-transaction second
+/// a tree under `policy`: leaf and inner splits, in-transaction second
 /// touches, a snapshot pinned across fifteen commits (retired pages
 /// held back, then recycled in one sweep) and a power failure two
-/// thirds of the way through. Which physical page a transaction gets
-/// is decided by the order pages entered the free list, and a different
-/// page is a different line under the cache — so these literals also
-/// pin the order `reclaim` and recovery free pages in.
-#[test]
-fn tree_txn_program_counts_are_pinned() {
+/// thirds of the way through.
+fn tree_txn_program(policy: PolicyKind) -> Tree {
     let mut t = Tree::create(&TreeConfig {
         data_len: 1 << 21,
         log_len: 1 << 16,
-        policy: PolicyKind::ScFixed { capacity: 8 },
+        policy,
         pipelined: true,
     })
     .expect("format tree heap");
@@ -283,6 +286,16 @@ fn tree_txn_program_counts_are_pinned() {
         }
         t.commit();
     }
+    t
+}
+
+/// The tree program under SC-8. Which physical page a transaction gets
+/// is decided by the order pages entered the free list, and a different
+/// page is a different line under the cache — so these literals also
+/// pin the order `reclaim` and recovery free pages in.
+#[test]
+fn tree_txn_program_counts_are_pinned() {
+    let mut t = tree_txn_program(PolicyKind::ScFixed { capacity: 8 });
     assert_eq!(t.len(), 301);
     assert_eq!(t.height(), 3);
     assert_eq!(t.pages_allocated(), 357);
@@ -345,9 +358,43 @@ fn tree_txn_program_counts_are_pinned() {
         RingStats {
             submitted: 3_719,
             flushed: 3_489,
-            elided: 0,
+            elided: 230,
             sweeps: 1_465,
             drains: 149,
         }
     );
+}
+
+/// The tree program's NVM flushes do not depend on the policy. Every
+/// transaction drains its ring at its end, and a drain sweeps a line
+/// submitted twice only once, so the lines a transaction flushes are the
+/// lines it stored, however early the policy submits them. Eager submits
+/// a store's lines at every store, SC-8 at each eviction and at the end,
+/// and Lazy each line once, at the end. On an engine lane the cache
+/// moves submissions, not flushes.
+#[test]
+fn tree_program_flushes_do_not_depend_on_the_policy() {
+    let policies = [
+        PolicyKind::Eager,
+        PolicyKind::ScFixed { capacity: 8 },
+        PolicyKind::Lazy,
+    ];
+    let [eager, sc, lazy] = policies.map(|policy| {
+        let mut t = tree_txn_program(policy);
+        let rt = t.store_mut().runtime_mut();
+        (rt.region().stats().flushes, rt.ring_stats())
+    });
+    assert_eq!(eager.0, sc.0, "Eager and SC-8 flush alike");
+    assert_eq!(sc.0, lazy.0, "SC-8 and Lazy flush alike");
+    assert!(
+        eager.1.submitted >= sc.1.submitted && sc.1.submitted >= lazy.1.submitted,
+        "submissions: Eager {} ≥ SC-8 {} ≥ Lazy {}",
+        eager.1.submitted,
+        sc.1.submitted,
+        lazy.1.submitted
+    );
+    assert_eq!(lazy.1.submitted, lazy.1.flushed, "Lazy submits a line once");
+    for (_, ring) in [eager, sc, lazy] {
+        assert_eq!(ring.submitted - ring.flushed, ring.elided);
+    }
 }

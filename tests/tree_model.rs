@@ -381,3 +381,99 @@ fn snapshots_and_the_open_transaction_each_read_their_own_version() {
         );
     }
 }
+
+/// Every scan whose `lo` and `hi` each sit at a sampled key, one below
+/// it or one above it, under limits of 1, one leaf's worth (14 entries)
+/// and none, must answer what `model_scan` does over `view` (`snap =
+/// None`: the current view).
+fn check_scan_bounds(t: &Tree, snap: Option<&Snapshot>, view: &Model, samples: &[u64]) {
+    let around = |k: u64| [k.saturating_sub(1), k, k.saturating_add(1)];
+    for &a in samples {
+        for &b in samples {
+            for (lo, hi) in around(a)
+                .into_iter()
+                .flat_map(|lo| around(b).map(|hi| (lo, hi)))
+            {
+                for limit in [1, 14, usize::MAX] {
+                    assert_eq!(
+                        t.scan(snap, lo, hi, limit),
+                        model_scan(view, lo, hi, limit),
+                        "scan({lo}..={hi}, {limit}) at {:?}",
+                        snap.map(Snapshot::version)
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Scan boundaries against the model, where a scan's walk from leaf to
+/// leaf can go wrong: a three-level tree whose deletes emptied a run of
+/// leaves (the walk must cross them and stop at the right separator), a
+/// snapshot pinned before a burst of splits (it reads the pages those
+/// splits superseded), and a scan inside an open transaction whose puts
+/// split leaves (the staged view).
+#[test]
+fn scans_at_key_boundaries_match_the_model() {
+    let mut t = Tree::create(&cfg()).expect("format tree heap");
+    let mut model = Model::new();
+    // keys 4 apart, so neither neighbour of a key is one
+    t.begin();
+    for key in (0..600u64).map(|i| 10 + 4 * i) {
+        let v = value(key, 8);
+        t.put(key, &v).unwrap();
+        model.insert(key, v);
+    }
+    t.commit();
+    assert!(t.height() >= 3, "a three-level tree");
+    // empty a run of leaves: 200 keys, 14 leaves' worth and more
+    t.begin();
+    for key in (800..1600).step_by(4).map(|k| k + 2) {
+        assert!(t.delete(key).unwrap());
+        model.remove(&key);
+    }
+    t.commit();
+    let edges = [0, 10, 798, 1602, 2406, u64::MAX];
+    let samples = |m: &Model| -> Vec<u64> {
+        let mut s: Vec<u64> = m.keys().copied().step_by(37).chain(edges).collect();
+        s.sort_unstable();
+        s.dedup();
+        s
+    };
+    check_scan_bounds(&t, None, &model, &samples(&model));
+
+    let snap = t.pin();
+    let frozen = model.clone();
+    // a burst of splits: a key between every two of a third of the tree
+    // (8 keys a leaf become 15 or 16)
+    t.begin();
+    for key in (400..1200).step_by(4).map(|k| k + 4) {
+        let v = value(key ^ 0xff, 24);
+        t.put(key, &v).unwrap();
+        model.insert(key, v);
+    }
+    t.commit();
+    check_scan_bounds(&t, Some(&snap), &frozen, &samples(&frozen));
+    check_scan_bounds(&t, None, &model, &samples(&model));
+
+    // the staged view: an open transaction's puts refill part of the
+    // emptied run and split leaves again (a sequential load leaves 8
+    // keys a leaf, and one between every two of them makes 15), then
+    // deletes thin the tail
+    t.begin();
+    let mut staged = model.clone();
+    for key in (1200..2000).step_by(4).map(|k| k + 3) {
+        let v = value(key, 40);
+        t.put(key, &v).unwrap();
+        staged.insert(key, v);
+    }
+    for key in (2000..2400).step_by(8).map(|k| k + 2) {
+        assert!(t.delete(key).unwrap());
+        staged.remove(&key);
+    }
+    check_scan_bounds(&t, None, &staged, &samples(&staged));
+    check_scan_bounds(&t, Some(&snap), &frozen, &samples(&frozen));
+    t.commit();
+    check_scan_bounds(&t, None, &staged, &samples(&staged));
+    t.unpin(snap);
+}
