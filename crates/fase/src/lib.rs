@@ -20,8 +20,9 @@
 //!   whose stores seal themselves logs nothing and ends with one drain
 //!   and one fence, as a hash shard's (sealed slots) and a tree
 //!   transaction's (sealed pages) do, and
-//!   [`runtime::FaseRuntime::persist`] makes one line durable outside
-//!   any FASE (a segment's class byte).
+//!   [`runtime::FaseRuntime::persist`] makes one line durable at once.
+//! * [`segments::SegmentTable`] — the class table both engines carve
+//!   their data areas by and recovery surveys.
 //! * crash/recovery — [`runtime::FaseRuntime::crash_and_recover`]
 //!   injects a power failure via any [`nvcache_pmem::CrashMode`] and
 //!   rolls back incomplete FASEs, restoring the "all or none" guarantee
@@ -33,7 +34,9 @@
 pub mod error;
 pub mod log;
 pub mod runtime;
+pub mod segments;
 
 pub use error::{LogFull, RecoveryError};
 pub use log::{checksum, LogStats, UndoLog};
 pub use runtime::{FaseRuntime, FaseStats, FlushMode};
+pub use segments::{SegmentError, SegmentTable};

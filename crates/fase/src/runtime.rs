@@ -205,23 +205,17 @@ impl FaseRuntime {
         let data_len = data_len.div_ceil(64) * 64;
         let mut region = PmemRegion::new(data_len + log_len);
         let log = UndoLog::format(&mut region, data_len, log_len);
-        Self::from_parts(region, log, policy, None, data_len)
+        Self::from_parts(region, log, policy, data_len)
     }
 
     /// A runtime over `region` and its `log`, with no FASE open, an
     /// empty ring and zeroed counters: what both constructors share.
-    fn from_parts(
-        region: PmemRegion,
-        log: UndoLog,
-        policy: &PolicyKind,
-        heap: Option<PAlloc>,
-        data_len: usize,
-    ) -> Self {
+    fn from_parts(region: PmemRegion, log: UndoLog, policy: &PolicyKind, data_len: usize) -> Self {
         FaseRuntime {
             region,
             log,
             policy: policy.build_policy(),
-            heap,
+            heap: None,
             data_len,
             depth: 0,
             flush_buf: Vec::with_capacity(FLUSH_BUF_CAPACITY),
@@ -259,9 +253,8 @@ impl FaseRuntime {
     /// header is corrupted beyond what a crash can produce) surfaces as
     /// a typed [`RecoveryError`] instead of a panic, so callers handling
     /// untrusted images — disk files, fuzzer crash captures — can
-    /// report the condition. A heap header [`PAlloc::open`] does not
-    /// accept, or one whose limit reaches past the data area, leaves
-    /// the runtime without a heap ([`FaseRuntime::has_heap`]).
+    /// report the condition. A reopened runtime has no heap
+    /// ([`FaseRuntime::with_heap`]): no image that is reopened keeps one.
     pub fn try_reopen(
         mut region: PmemRegion,
         data_len: usize,
@@ -274,9 +267,7 @@ impl FaseRuntime {
         let mut log = UndoLog::open(&region, data_len, log_len)?;
         let rolled = log.recover(&mut region)?;
         let recovery_ns = clock.now_ns().saturating_sub(t0);
-        // a heap that reaches into the log area is not this runtime's
-        let heap = PAlloc::open(&region).filter(|h| h.limit(&region) <= data_len as u64);
-        let mut rt = Self::from_parts(region, log, policy, heap, data_len);
+        let mut rt = Self::from_parts(region, log, policy, data_len);
         rt.stats.rollbacks = u64::from(rolled > 0);
         rt.clock = clock;
         rt.last_recovery_ns = Some(recovery_ns);
@@ -681,20 +672,18 @@ impl FaseRuntime {
         }
     }
 
-    /// Persist `bytes` at `offset` outside any FASE, under every policy:
-    /// one store, its line flushed through the ring, one fence. For a
-    /// record that must be durable before anything that depends on it is
-    /// written, and that no FASE's commit makes reachable (a hash
-    /// segment's class byte). It counts as one store of one line, one
-    /// data flush and one fence; the policy never sees it, and it is not
-    /// traced.
+    /// Persist `bytes` at `offset` now, under every policy: one store,
+    /// one flush of its line, one fence — for a record that must be
+    /// durable before what depends on it is written (a segment's class
+    /// byte). It counts as one store of one line, one data flush and one
+    /// fence; the policy and the ring never see it, nor does the trace.
+    /// Inside a FASE it drains none of the FASE's flushes, so its line
+    /// must be one the FASE does not store.
     ///
     /// # Panics
-    /// Inside a FASE (its fence would order the FASE's data early), and
-    /// for a range that is empty or leaves its line or the data area.
+    /// For a range that is empty or leaves its line or the data area.
     pub fn persist(&mut self, offset: usize, bytes: &[u8]) {
         let len = bytes.len();
-        assert_eq!(self.depth, 0, "persist outside a FASE");
         assert!(
             len > 0 && offset % LINE_SIZE + len <= LINE_SIZE && offset + len <= self.data_len,
             "a persisted range is inside one line of the data area"
@@ -702,13 +691,8 @@ impl FaseRuntime {
         self.stats.stores += 1;
         self.stats.store_lines += 1;
         self.region.write(offset, bytes);
-        let line = (offset / LINE_SIZE) as u64;
-        if !self.ring.submit(line) {
-            self.ring.drain_all(&mut self.region);
-            self.ring.submit(line);
-        }
+        self.region.flush_line((offset / LINE_SIZE) as u64);
         self.stats.data_flushes += 1;
-        self.ring.drain_all(&mut self.region);
         self.region.fence();
         self.stats.fences += 1;
         if let Some(tel) = &mut self.telemetry {
@@ -760,13 +744,6 @@ impl FaseRuntime {
     pub fn free(&mut self, offset: u64, size: usize) {
         let heap = self.heap.expect("runtime has no heap");
         heap.free(&mut self.region, offset, size);
-    }
-
-    /// Does the region hold a persistent heap this runtime vouches for
-    /// (formatted by [`FaseRuntime::with_heap`]; on reopen, a header
-    /// [`PAlloc::open`] accepts whose limit lies inside the data area)?
-    pub fn has_heap(&self) -> bool {
-        self.heap.is_some()
     }
 
     /// Durable root pointer.
@@ -938,6 +915,24 @@ mod tests {
             );
             r.crash_and_recover(&CrashMode::StrictDurableOnly);
             assert_eq!(r.region().slice(72, 1), [7]);
+        }
+    }
+
+    /// Inside a FASE a persist flushes its own line and nothing of the
+    /// FASE's: the ring does not drain, and a power failure keeps the
+    /// persisted byte and rolls the FASE back.
+    #[test]
+    fn a_persist_inside_a_fase_leaves_its_flushes_alone() {
+        for kind in [PolicyKind::Eager, PolicyKind::ScFixed { capacity: 8 }] {
+            let mut r = rt(kind);
+            r.begin_fase();
+            r.store_u64(0, 5);
+            let (ring, fences) = (r.ring_stats(), r.region().stats().fences);
+            r.persist(72, &[7]);
+            assert_eq!(r.ring_stats(), ring);
+            assert_eq!(r.region().stats().fences, fences + 1);
+            r.crash_and_recover(&CrashMode::AllInFlightLands);
+            assert_eq!((r.load_u64(0), r.region().slice(72, 1)), (0, &[7][..]));
         }
     }
 

@@ -119,7 +119,7 @@ impl Engine for Shard {
 /// Shape of one tree lane.
 #[derive(Debug, Clone, Default)]
 pub struct TreeEngineConfig {
-    /// The underlying tree heap/log/policy shape.
+    /// The underlying tree's data area, log and policy.
     pub tree: TreeConfig,
 }
 
@@ -138,15 +138,16 @@ pub struct TreeEngine {
 }
 
 impl TreeEngine {
-    /// Fresh engine over a new tree heap.
+    /// Fresh engine over a new tree; panics with [`Tree::create`]'s
+    /// [`TreeError::Full`] when the data area holds no segment.
     pub fn new(cfg: &TreeEngineConfig) -> Self {
         TreeEngine {
-            t: Tree::create(&cfg.tree).expect("format tree heap"),
+            t: Tree::create(&cfg.tree).expect("format tree"),
         }
     }
 
     /// Re-attach to a crash image: FASE recovery, then tree state
-    /// rebuild from the durable root.
+    /// rebuild from the class table and the pages.
     pub fn reopen_from_image(image: Vec<u8>, cfg: &TreeEngineConfig) -> Result<Self, TreeError> {
         Ok(TreeEngine {
             t: Tree::reopen_from_image(image, &cfg.tree)?,

@@ -9,8 +9,10 @@
 //!
 //! - [`shard`] — one persistent hash map per shard, owning a private
 //!   `FaseRuntime` (every `put`/`delete` is one FASE). Its image holds
-//!   no pointers: 4 KiB segments of equal blocks, one class each, which
-//!   recovery scans. A node holds its value in two stamped slots, so
+//!   no pointers: 4 KiB segments of equal blocks, one class each, named
+//!   by the segment table of `nvcache_fase::segments` (the tree engine's
+//!   image is the same table, of 256-byte pages), which recovery scans.
+//!   A node holds its value in two stamped slots, so
 //!   every FASE — update, insert, tombstone delete — writes slots no
 //!   committed state reads, sealed, and commits by the FASE's one
 //!   fence, with no undo record; two slots in a 4 KiB block cap a value

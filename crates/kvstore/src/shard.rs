@@ -6,7 +6,9 @@
 //! keeps serving; [`Shard::chosen`] reads its decisions.
 //!
 //! Persistent layout (offsets inside the shard's data area; the runtime
-//! formats its undo log after it, and no shard FASE writes a record):
+//! formats its undo log after it, and no shard FASE writes a record) —
+//! the segment table of [`nvcache_fase::segments`], which the tree's
+//! image shares:
 //!
 //! ```text
 //! [head line | class table | segment 0 | segment 1 | …]  [undo log]
@@ -52,7 +54,7 @@
 //!   new class plus a tombstone on the old node, in the one FASE.
 //!
 //! A segment is **carved** — its class byte persisted by one store, one
-//! flush and one fence ([`FaseRuntime::persist`]) — before its first
+//! flush and one fence ([`SegmentTable::carve`]) — before its first
 //! node is written, so a segment that was never carved is all zeros.
 //!
 //! FASE *E* + 1 stores nothing before *E*'s fence, so only the FASE with
@@ -97,19 +99,21 @@
 //! slots it voided): a block a crashed insert took is free again. The
 //! passes are also where a foreign image is checked
 //! ([`ShardImageError`]): the head must hold the magic word, every class
-//! byte name a class that holds a slot, every segment never carved be
-//! zeros, every stamp lie below 2⁵² − 1, the highest stamp carry one *n*
-//! on at most *n* whole slots, and every block hold slots its class can
-//! hold, its deciding slot whole, committed stamps apart, with each key
-//! live in one node only. Nothing in the image is an offset, so a pass
-//! reads each segment once and cannot be led anywhere else.
+//! byte keep the table's rules ([`SegmentTable::class`]) for a class
+//! that holds a slot, every stamp lie below 2⁵² − 1, the highest stamp
+//! carry one *n* on at most *n* whole slots, and every block hold slots
+//! its class can hold, its deciding slot whole, committed stamps apart,
+//! with each key live in one node only. Nothing in the image is an
+//! offset, so a pass reads each segment once and cannot be led anywhere
+//! else.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
 pub use nvcache_core::CapacityChoice;
 use nvcache_core::{AdaptiveConfig, PolicyKind};
-use nvcache_fase::{FaseRuntime, FaseStats, RecoveryError};
+use nvcache_fase::segments::{block_of, CLASS_TABLE, MAX_CLASS, SEGMENT};
+use nvcache_fase::{FaseRuntime, FaseStats, RecoveryError, SegmentError, SegmentTable};
 use nvcache_locality::KneeConfig;
 use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
 use nvcache_trace::{FxHashMap, FxHasher};
@@ -117,14 +121,9 @@ use std::hash::Hasher;
 
 /// The head line's first word.
 const MAGIC: u64 = u64::from_le_bytes(*b"NVSHARD2");
-/// The class table starts on the line after the head.
-const CLASS_TABLE: usize = 64;
-/// Bytes of a segment: one `PAlloc` max-class block.
-const SEGMENT: usize = 4096;
 /// Classes `MIN_CLASS..=MAX_CLASS` hold slots; class `c` holds blocks of
 /// `16 << c` bytes.
 const MIN_CLASS: usize = 2;
-const MAX_CLASS: usize = 8;
 /// A slot's header word (its stamp above its value length) and its seal.
 const SLOT_HEADER: usize = 16;
 /// Offset of a node's slot 0: after the key word.
@@ -140,11 +139,6 @@ pub const MAX_VALUE_LEN: usize = SEGMENT / 2 - SLOT_0 - SLOT_HEADER;
 /// Why rebuilding the volatile state cannot fail on the in-process paths.
 const OWN_REGION: &str = "a region only this shard wrote scans sound";
 
-/// Bytes of a class's blocks.
-fn block_of(class: usize) -> usize {
-    16 << class
-}
-
 /// The longest value a class's slots hold: slot 0 has the smaller half,
 /// after the key.
 fn capacity(class: usize) -> usize {
@@ -156,12 +150,6 @@ fn class_of(vlen: usize) -> usize {
     (MIN_CLASS..=MAX_CLASS)
         .find(|&c| vlen <= capacity(c))
         .expect("values are checked against MAX_VALUE_LEN")
-}
-
-/// Segments a `data_len`-byte data area has room for after the head line
-/// and a table byte each.
-fn segments_in(data_len: usize) -> usize {
-    data_len.saturating_sub(CLASS_TABLE + 63) / (SEGMENT + 1)
 }
 
 /// A slot of a node: its offset with the node's class in bits 1..5 and
@@ -369,13 +357,8 @@ pub enum ShardImageError {
     Recovery(RecoveryError),
     /// The head line is not a shard's: the magic word is missing.
     BadHead(&'static str),
-    /// A class byte or a segment breaks a rule of the layout.
-    BadSegment {
-        /// Index of the segment.
-        segment: usize,
-        /// Which rule broke.
-        why: &'static str,
-    },
+    /// A class byte or a segment breaks a rule of the segment table.
+    BadSegment(SegmentError),
     /// A node breaks a rule of the layout.
     BadNode {
         /// The node's offset in the data area.
@@ -390,9 +373,7 @@ impl fmt::Display for ShardImageError {
         match self {
             ShardImageError::Recovery(e) => write!(f, "FASE recovery failed: {e}"),
             ShardImageError::BadHead(why) => write!(f, "no shard head: {why}"),
-            ShardImageError::BadSegment { segment, why } => {
-                write!(f, "bad segment {segment}: {why}")
-            }
+            ShardImageError::BadSegment(e) => write!(f, "{e}"),
             ShardImageError::BadNode { at, why } => write!(f, "bad node at {at:#x}: {why}"),
         }
     }
@@ -410,9 +391,8 @@ impl From<RecoveryError> for ShardImageError {
 #[derive(Debug)]
 pub struct Shard {
     rt: FaseRuntime,
-    /// Segments the data area holds, and the offset of the first.
-    segments: usize,
-    seg_base: usize,
+    /// Where the class table and the segments lie.
+    table: SegmentTable,
     /// Volatile: the first segment never carved (`segments` if none).
     uncarved: usize,
     /// Volatile: the stamp of the last committed FASE. Every FASE stamps
@@ -516,11 +496,9 @@ impl Shard {
     }
 
     fn assemble(rt: FaseRuntime) -> Self {
-        let segments = segments_in(rt.data_len());
         Shard {
+            table: SegmentTable::new(rt.data_len()),
             rt,
-            segments,
-            seg_base: (CLASS_TABLE + segments).next_multiple_of(64),
             uncarved: 0,
             committed: 0,
             voided: 0,
@@ -557,17 +535,9 @@ impl Shard {
         self.put_many(&[(key, value)])
     }
 
-    /// Segment `segment`'s class byte.
-    fn class_byte(&self, segment: usize) -> usize {
-        self.rt.region().slice(CLASS_TABLE + segment, 1)[0] as usize
-    }
-
-    /// The first segment at or after `from` never carved (`segments`
-    /// if none).
-    fn uncarved_from(&self, from: usize) -> usize {
-        (from..self.segments)
-            .find(|&s| self.class_byte(s) == 0)
-            .unwrap_or(self.segments)
+    /// The data area: the head line, the class table and the segments.
+    fn data(&self) -> &[u8] {
+        self.rt.region().slice(0, self.rt.data_len())
     }
 
     /// A free block of `class`, carving a segment for it if the class
@@ -575,16 +545,16 @@ impl Shard {
     fn take(&mut self, class: usize) -> Option<Entry> {
         if self.free[class].is_empty() {
             let seg = self.uncarved;
-            if seg == self.segments {
+            if seg == self.table.segments() {
                 return None;
             }
             // durable under every policy before a node of the segment
             // is written
-            self.rt.persist(CLASS_TABLE + seg, &[class as u8]);
-            let base = self.seg_base + seg * SEGMENT;
+            self.table.carve(&mut self.rt, seg, class);
+            let base = self.table.segment(seg);
             let blocks = (base..base + SEGMENT).step_by(block_of(class)).rev();
             self.free[class].extend(blocks.map(|node| Entry::new(node, class, 0, 0)));
-            self.uncarved = self.uncarved_from(seg + 1);
+            self.uncarved = self.table.first_uncarved(self.data(), seg + 1);
         }
         self.free[class].pop()
     }
@@ -944,33 +914,13 @@ impl Shard {
         out
     }
 
-    /// The class of segment `segment`, checked: `None` if it was never
-    /// carved (its bytes must then be zeros), an error if the class byte
-    /// names no class that holds a slot.
-    fn carved_class(&self, segment: usize) -> Result<Option<usize>, ShardImageError> {
-        let bad = |why| ShardImageError::BadSegment { segment, why };
-        match self.class_byte(segment) {
-            0 => {
-                // a fold, not a search: it vectorizes
-                let base = self.seg_base + segment * SEGMENT;
-                let bytes = self.rt.region().slice(base, SEGMENT);
-                if bytes.iter().fold(0, |all, &b| all | b) != 0 {
-                    return Err(bad("bytes in a segment never carved"));
-                }
-                Ok(None)
-            }
-            class if class > MAX_CLASS => Err(bad("a class past the largest")),
-            class if class < MIN_CLASS => Err(bad("a class too small for a slot")),
-            class => Ok(Some(class)),
-        }
-    }
-
     /// Slot 0 of every node of every carved segment, in address order.
     fn nodes(&self) -> Result<Vec<Entry>, ShardImageError> {
         let mut nodes = Vec::new();
-        for segment in 0..self.segments {
-            if let Some(class) = self.carved_class(segment)? {
-                let base = self.seg_base + segment * SEGMENT;
+        for segment in 0..self.table.segments() {
+            let class = self.table.class(self.data(), segment, MIN_CLASS);
+            if let Some(class) = class.map_err(ShardImageError::BadSegment)? {
+                let base = self.table.segment(segment);
                 let blocks = (base..base + SEGMENT).step_by(block_of(class));
                 nodes.extend(blocks.map(|node| Entry::new(node, class, 0, 0)));
             }
@@ -1111,7 +1061,7 @@ impl Shard {
             blocks.reverse(); // the lowest address is taken first
             blocks
         });
-        self.uncarved = self.uncarved_from(0);
+        self.uncarved = self.table.first_uncarved(self.data(), 0);
         // The void pass: stamp 0 on what nothing committed reads, so the
         // stores need no undo record, in a FASE that commits nothing — a
         // crash inside it leaves slots the next rebuild voids again.
@@ -2270,10 +2220,11 @@ mod tests {
         ));
     }
 
-    /// Every rule of the segment layout and of the commit point a hostile
-    /// image can break below its head ends in a typed error that names
-    /// it — no panic, no read outside the data area — and a torn last
-    /// FASE or a slot no FASE committed is not one of them. (The name is
+    /// Every rule of the node layout and of the commit point a hostile
+    /// image can break below its head, and the shard's own bound on the
+    /// segment table, ends in a typed error that names it — no panic, no
+    /// read outside the data area — and a torn last FASE or a slot no
+    /// FASE committed is not one of them. (The name is
     /// the one the test had when nodes were chained off a bucket array.)
     #[test]
     fn reopen_rejects_hostile_chains_with_a_typed_error() {
@@ -2287,30 +2238,16 @@ mod tests {
         let top = s.committed;
         assert_eq!(top, 8);
         let block = block_of(a.class());
-        let uncarved = s.seg_base + SEGMENT;
-        let segment = |segment, why| ShardImageError::BadSegment { segment, why };
+        let segment = |segment, why| ShardImageError::BadSegment(SegmentError { segment, why });
         let bad_node = |at, why| ShardImageError::BadNode { at, why };
         let forged = |stamp, n| sealed_slot(stamp, n, 0, Some(&[9; 8]));
+        // the segment table's rules have their hostile images in
+        // `nvcache_fase::segments`; this one is the shard's own bound
         let cases: Vec<(&str, Vec<u8>, ShardImageError)> = vec![
-            (
-                "a class past the largest",
-                patched(&sound, CLASS_TABLE, &[MAX_CLASS as u8 + 1]),
-                segment(0, "a class past the largest"),
-            ),
             (
                 "a class that holds no slot",
                 patched(&sound, CLASS_TABLE, &[MIN_CLASS as u8 - 1]),
-                segment(0, "a class too small for a slot"),
-            ),
-            (
-                "a class byte that never landed",
-                patched(&sound, CLASS_TABLE, &[0]),
-                segment(0, "bytes in a segment never carved"),
-            ),
-            (
-                "one byte in a segment never carved",
-                patched(&sound, uncarved + SEGMENT - 1, &[1]),
-                segment(1, "bytes in a segment never carved"),
+                segment(0, "a class too small for the owner"),
             ),
             (
                 "a value longer than the class holds",

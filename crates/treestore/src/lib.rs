@@ -8,11 +8,12 @@
 //! tree into a first-class engine:
 //!
 //! * [`pager`] — the split storage trait surface ([`PageRead`] /
-//!   [`PageWrite`] / [`RootStore`]) and its two backends: the
-//!   production [`FasePager`] over a [`nvcache_fase::FaseRuntime`]
-//!   (PAlloc heap, undo log, flush ring, crash-point injection) and
-//!   the volatile [`MemPager`] test double.
-//! * [`tree`] — the [`Tree`] itself: 256-byte pages read by borrow,
+//!   [`PageWrite`]) and its two backends: the production [`FasePager`]
+//!   over a [`nvcache_fase::FaseRuntime`] (the hash shards' segment
+//!   table, undo log, flush ring, crash-point injection) and the
+//!   volatile [`MemPager`] test double.
+//! * [`tree`] — the [`Tree`] itself: 256-byte pages in segments carved
+//!   from its store's class table, placed by their id, read by borrow,
 //!   logical-page indirection (a slot table indexed by logical id:
 //!   newest committed copy, staged copy, copies pins still reach) so
 //!   copy-on-write never rewrites ancestors and a descent hashes and
@@ -20,8 +21,8 @@
 //!   in one FASE by their own sealed pages (one drain, one fence, no
 //!   commit record), [`Snapshot`] pinning for non-blocking consistent
 //!   reads and range scans, free-list reclamation bounded by the oldest
-//!   pin, and typed recovery that judges the last transaction by
-//!   counting its whole pages, rebuilds the remap table, root and
+//!   pin, and typed recovery that checks the class table, judges the
+//!   last transaction by counting its whole pages, rebuilds the remap table, root and
 //!   counts from a scan of the page headers, and voids what a dead
 //!   transaction left.
 //!
@@ -35,5 +36,5 @@
 pub mod pager;
 pub mod tree;
 
-pub use pager::{FasePager, MemPager, PageRead, PageStore, PageWrite, RootStore, TreeConfig, PAGE};
+pub use pager::{FasePager, MemPager, PageRead, PageStore, PageWrite, TreeConfig, PAGE};
 pub use tree::{Snapshot, Tree, TreeError, MAX_VALUE};

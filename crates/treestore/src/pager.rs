@@ -1,11 +1,16 @@
 //! The split storage trait surface under the tree: [`PageRead`] /
-//! [`PageWrite`] / [`RootStore`] (a wrongodb-style decomposition), so
-//! the B+-tree logic is written against a narrow page-store contract
-//! and the production backend — [`FasePager`], a thin shell over the
-//! shared [`FaseRuntime`] — brings PAlloc and the runtime's flush ring
-//! along for free. A volatile [`MemPager`] test
-//! double exercises the tree's structural logic without any
-//! persistence machinery.
+//! [`PageWrite`] (a wrongodb-style decomposition), so the B+-tree logic
+//! is written against a narrow page-store contract and the production
+//! backend — [`FasePager`], a thin shell over the shared
+//! [`FaseRuntime`] — brings the runtime's flush ring and crash plumbing
+//! along for free. A volatile [`MemPager`] test double exercises the
+//! tree's structural logic without any persistence machinery.
+//!
+//! A store's bytes are a data area laid out as the segment table of
+//! [`nvcache_fase::segments`] — a head line, one class byte per 4 KiB
+//! segment, the segments — as a hash shard's are: the tree carves its
+//! pages the way the shard carves its blocks, and both pagers keep the
+//! table.
 //!
 //! The contract mirrors how the hash shard drives the runtime:
 //!
@@ -23,16 +28,20 @@
 //!   log does, so a crash between the two keeps the transaction and
 //!   rolls those stores back. A transaction that needs them atomic with
 //!   it does not share its section with them;
-//! - **block carving** (`alloc_block`) talks to the persistent heap
-//!   directly and is durable the moment it returns — the tree layers
-//!   its own page arena on top and never frees carved blocks back.
+//! - **carving** (`carve`) persists one class byte of the table and is
+//!   durable the moment it returns, inside the open section or not —
+//!   the tree places its pages in the carved segments itself and never
+//!   gives a segment back.
 
 use nvcache_core::PolicyKind;
-use nvcache_fase::{FaseRuntime, FaseStats, RecoveryError};
+use nvcache_fase::segments::CLASS_TABLE;
+use nvcache_fase::{FaseRuntime, FaseStats, RecoveryError, SegmentTable};
 use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
 
 /// Bytes per tree page (also per value cell).
 pub const PAGE: usize = 256;
+/// The segment class of a page: blocks of `16 << 4` = [`PAGE`] bytes.
+pub(crate) const PAGE_CLASS: usize = 4;
 
 /// Read-only page access. `&self` so pinned-snapshot readers can
 /// proceed while a writer owns the mutable half of the store. The
@@ -41,8 +50,8 @@ pub const PAGE: usize = 256;
 /// makes that one copy itself.
 #[allow(clippy::len_without_is_empty)] // a bound for offsets, not a collection
 pub trait PageRead {
-    /// Bytes the store holds: every valid offset lies below this.
-    /// Offsets read out of an image are checked against it before use.
+    /// Bytes of the store's data area, which [`SegmentTable::new`] lays
+    /// out: every valid offset lies below this.
     fn len(&self) -> u64;
 
     /// Borrow `len` bytes starting at byte offset `off`.
@@ -68,8 +77,8 @@ pub trait PageRead {
     }
 }
 
-/// Mutating page access: failure-atomic sections plus raw block
-/// carving from the backing heap.
+/// Mutating page access: failure-atomic sections plus carving the
+/// segment table.
 pub trait PageWrite {
     /// Open a failure-atomic section. Sections do not nest here (the
     /// tree holds exactly one open transaction).
@@ -91,39 +100,31 @@ pub trait PageWrite {
     /// range the section rewrote since may then be durable on its own.
     fn flushed_early(&self) -> bool;
 
-    /// Carve `size` fresh bytes from the heap; durable immediately,
-    /// independent of any open section. `None` when exhausted. Blocks
-    /// must be cache-line (64 B) aligned: an unlogged page header has
-    /// to land or not land as a unit.
-    fn alloc_block(&mut self, size: usize) -> Option<u64>;
-}
-
-/// The durable root pointer the whole structure is discovered from.
-pub trait RootStore {
-    /// Current root offset (0 = never set).
-    fn root(&self) -> u64;
-
-    /// Durably set the root offset (call outside a section).
-    fn set_root(&mut self, off: u64);
+    /// Carve segment `segment` of the table for pages (class byte 4:
+    /// 256-byte blocks); durable when it returns, independent of any
+    /// open section, whose flushes it leaves alone: one store, one flush
+    /// and one fence of the class byte's line.
+    fn carve(&mut self, segment: usize);
 }
 
 /// Everything the tree needs from a backend.
-pub trait PageStore: PageRead + PageWrite + RootStore {}
-impl<T: PageRead + PageWrite + RootStore> PageStore for T {}
+pub trait PageStore: PageRead + PageWrite {}
+impl<T: PageRead + PageWrite> PageStore for T {}
 
 // ---- production backend ----------------------------------------------
 
 /// Sizing and policy knobs for a [`FasePager`]-backed tree.
 #[derive(Debug, Clone)]
 pub struct TreeConfig {
-    /// Persistent data area (heap) in bytes.
+    /// Persistent data area in bytes: the head line, the class table
+    /// and as many 4 KiB segments of pages as fit.
     pub data_len: usize,
     /// Undo-log area in bytes.
     pub log_len: usize,
     /// Write-combining cache policy for the runtime.
     pub policy: PolicyKind,
-    /// Selects nothing: every tree carves pages from the runtime's heap
-    /// and flushes through its ring. Kept for
+    /// Selects nothing: every tree carves pages from its segment table
+    /// and flushes through the runtime's ring. Kept for
     /// `benchmark/src/adapter.rs`, which sets it.
     pub pipelined: bool,
 }
@@ -139,9 +140,9 @@ impl Default for TreeConfig {
     }
 }
 
-/// The production page store: a private [`FaseRuntime`] with a heap,
-/// sharing the exact persistence stack of the hash shards (PAlloc,
-/// flush ring, undo log, crash plumbing).
+/// The production page store: a private [`FaseRuntime`], sharing the
+/// exact persistence stack of the hash shards (segment table, flush
+/// ring, undo log, crash plumbing).
 pub struct FasePager {
     rt: FaseRuntime,
     /// The ring's drain count when the open section began.
@@ -149,18 +150,17 @@ pub struct FasePager {
 }
 
 impl FasePager {
-    /// Fresh store over a new heap region.
+    /// Fresh store over a new, zeroed region: no segment carved.
     pub fn new(cfg: &TreeConfig) -> FasePager {
         FasePager {
-            rt: FaseRuntime::with_heap(cfg.data_len, cfg.log_len, &cfg.policy),
+            rt: FaseRuntime::new(cfg.data_len, cfg.log_len, &cfg.policy),
             drains: 0,
         }
     }
 
     /// Re-attach to a crash image (runs FASE recovery; the caller
-    /// rebuilds the tree's volatile state afterwards). An image whose
-    /// heap header the runtime does not vouch for reopens with no root
-    /// ([`RootStore::root`] reads 0), which the tree's attach refuses.
+    /// checks the head and the table and rebuilds the tree's volatile
+    /// state afterwards).
     pub fn reopen_from_image(image: Vec<u8>, cfg: &TreeConfig) -> Result<FasePager, RecoveryError> {
         let region = PmemRegion::from_image(image);
         let rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &cfg.policy)?;
@@ -246,34 +246,24 @@ impl PageWrite for FasePager {
         self.rt.ring_stats().drains != self.drains
     }
 
-    fn alloc_block(&mut self, size: usize) -> Option<u64> {
-        self.rt.alloc(size)
-    }
-}
-
-impl RootStore for FasePager {
-    fn root(&self) -> u64 {
-        if self.rt.has_heap() {
-            self.rt.root()
-        } else {
-            0
-        }
-    }
-
-    fn set_root(&mut self, off: u64) {
-        self.rt.set_root(off);
+    fn carve(&mut self, segment: usize) {
+        let table = SegmentTable::new(self.rt.data_len());
+        table.carve(&mut self.rt, segment, PAGE_CLASS);
     }
 }
 
 // ---- volatile test double --------------------------------------------
 
+/// Bytes of a [`MemPager`]'s data area (8 189 segments): allocated
+/// zeroed, so a page costs memory once the tree writes it.
+const MEM_BYTES: usize = 32 << 20;
+
 /// An in-memory page store with no durability at all: structural unit
 /// tests of the tree run against this, proving the tree logic depends
-/// only on the trait surface.
-#[derive(Default)]
+/// only on the trait surface. Its bytes are laid out as a
+/// [`FasePager`]'s, class table included.
 pub struct MemPager {
     data: Vec<u8>,
-    root: u64,
     /// Open-section flag (checked so trait misuse fails fast in tests).
     open: bool,
     /// Sections committed (observability for tests).
@@ -281,15 +271,19 @@ pub struct MemPager {
 }
 
 impl MemPager {
-    /// Fresh empty store.
+    /// Fresh store: zeroes, no segment carved.
     pub fn new() -> MemPager {
         MemPager {
-            // offset 0 doubles as "unset" for roots, so burn it
-            data: vec![0u8; 64],
-            root: 0,
+            data: vec![0u8; MEM_BYTES],
             open: false,
             commits: 0,
         }
+    }
+}
+
+impl Default for MemPager {
+    fn default() -> Self {
+        MemPager::new()
     }
 }
 
@@ -326,20 +320,8 @@ impl PageWrite for MemPager {
         false
     }
 
-    fn alloc_block(&mut self, size: usize) -> Option<u64> {
-        let off = self.data.len() as u64;
-        self.data.resize(self.data.len() + size, 0);
-        Some(off)
-    }
-}
-
-impl RootStore for MemPager {
-    fn root(&self) -> u64 {
-        self.root
-    }
-
-    fn set_root(&mut self, off: u64) {
-        self.root = off;
+    fn carve(&mut self, segment: usize) {
+        self.data[CLASS_TABLE + segment] = PAGE_CLASS as u8;
     }
 }
 
@@ -350,7 +332,8 @@ mod tests {
     #[test]
     fn mem_pager_round_trips_pages() {
         let mut p = MemPager::new();
-        let off = p.alloc_block(PAGE).unwrap();
+        let off = SegmentTable::new(p.len() as usize).segment(0) as u64;
+        p.carve(0);
         let mut page = [7u8; PAGE];
         page[0] = 42;
         p.begin();
@@ -368,13 +351,15 @@ mod tests {
             ..Default::default()
         };
         let mut p = FasePager::new(&cfg);
-        let off = p.alloc_block(PAGE).unwrap();
+        let table = SegmentTable::new(p.len() as usize);
+        let off = table.segment(1) as u64;
+        p.carve(1);
         p.begin();
         p.write_fresh(off, &[0xabu8; PAGE]);
         p.commit();
-        p.set_root(off);
         p.crash_and_recover(&CrashMode::StrictDurableOnly);
-        assert_eq!(p.root(), off);
+        let data = p.bytes(0, p.len() as usize);
+        assert_eq!(table.class(data, 1, PAGE_CLASS), Ok(Some(PAGE_CLASS)));
         assert_eq!(p.page(off), &[0xabu8; PAGE]);
     }
 }

@@ -2,10 +2,21 @@
 //!
 //! # Layout
 //!
-//! Fixed 256-byte pages carved from 4 KiB segments (PAlloc's largest
-//! size class), addressed by *physical page id* `phys` through a
-//! durable segment table. Every tree page opens with a 24-byte header
-//! of three little-endian words:
+//! The store's data area is a hash shard's segment table
+//! ([`nvcache_fase::segments`]):
+//!
+//! ```text
+//! [head line | class table | segment 0 | segment 1 | …]
+//! head    := magic u64 | seven words the tree never writes (a caller's)
+//! class   := u8 per segment: 0 = never carved, 4 = 256-byte pages
+//! segment := 4 KiB: the pages 16·s … 16·s + 15 of segment s
+//! ```
+//!
+//! Fixed 256-byte pages, addressed by *physical page id* `phys`: page
+//! `phys` lies at `seg_base + phys · PAGE`. When the page high-water
+//! mark enters a segment never carved, the tree carves it
+//! ([`crate::PageWrite::carve`]) before writing its first page. Every
+//! tree page opens with a 24-byte header of three little-endian words:
 //!
 //! ```text
 //! w0: tag (low 8 bits) | count (bits 8..32) | checksum (bits 32..64)
@@ -26,8 +37,6 @@
 //! holds is **whole**. Together, the stamp, the checksum and — on the
 //! one page a transaction wrote last, its **closing page** — the number
 //! `n` of pages the transaction leaves live are the page's **seal**.
-//! The meta block the durable root names holds the table-block
-//! directory and nothing else.
 //!
 //! # Logical indirection and MVCC
 //!
@@ -91,11 +100,10 @@
 //!
 //! # Recovery
 //!
-//! The durable facts are the segment table and the pages. A segment's
-//! heap block is carved (durable) before its table entry is written, so
-//! a table entry that landed names a carved segment, whether or not its
-//! transaction committed. [`Tree::attach`] reads the table up to its
-//! first empty entry and scans every page header. Transaction *E* + 1
+//! The durable facts are the head, the class table and the pages.
+//! [`Tree::attach`] checks the magic word and every class byte by the
+//! table's rules and its own (a carved segment holds pages), then scans
+//! every page header of every carved segment. Transaction *E* + 1
 //! stores nothing before *E*'s fence, so only the transaction with the
 //! highest stamp *E* can be torn, and attach judges that one alone by
 //! counting its whole pages:
@@ -121,9 +129,8 @@
 //! retry's, or outrank a live, older copy of its lpid, at the *next*
 //! attach. So before accepting writes, attach durably voids the header
 //! of every page stamped above the committed version, value cells
-//! included ([`Tree::voided_pages`] reports how many), and clears the
-//! table entries a torn transaction left past the first empty one.
-//! Voiding is zeroing, which is idempotent: the pages are dead, so the
+//! included ([`Tree::voided_pages`] reports how many). Voiding is
+//! zeroing, which is idempotent: the pages are dead, so the
 //! zeroes are unlogged fresh writes in a section that commits nothing,
 //! and a crash mid-void leaves headers the next attach voids again.
 //!
@@ -143,10 +150,11 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 
-use nvcache_fase::{checksum, FaseStats, RecoveryError};
+use nvcache_fase::segments::SEGMENT;
+use nvcache_fase::{checksum, FaseStats, RecoveryError, SegmentError, SegmentTable};
 use nvcache_pmem::{CrashMode, CrashPlan};
 
-use crate::pager::{FasePager, PageStore, TreeConfig, PAGE};
+use crate::pager::{FasePager, PageStore, TreeConfig, PAGE, PAGE_CLASS};
 
 /// Page-header bytes (three u64 words).
 const HDR: usize = 24;
@@ -172,27 +180,14 @@ pub const MAX_VALUE: usize = PAGE - HDR;
 /// Hard bound on tree depth (fanout 8+ makes real trees far shallower).
 const MAX_DEPTH: usize = 32;
 
-/// The tree's magic ("TREESTOR"): the seed of a page's checksum.
+/// The tree's magic ("TREESTOR"): the head line's first word and the
+/// seed of a page's checksum.
 const MAGIC: u64 = 0x5452_4545_5354_4f52;
 /// Stamps lie below this. The range above is reserved: no tree commits
 /// 2⁴⁸ times, so a stamp there is damage (and a version never wraps).
 const STAMP_LIMIT: u64 = 1 << 48;
-/// Meta block size (one PAlloc max-class allocation): the table-block
-/// directory.
-const META_BYTES: usize = 4096;
-/// Table-block directory capacity.
-const SEG_SLOTS: usize = META_BYTES / 8;
-/// Bytes per page segment (PAlloc's largest size class).
-const SEG_BYTES: usize = 4096;
 /// Pages per segment.
-const PAGES_PER_SEG: u64 = (SEG_BYTES / PAGE) as u64;
-/// Segment entries per table block. The segment table is two-level —
-/// the meta block indexes table blocks, each indexing segments — so
-/// the tree can address `SEG_SLOTS * SEG_TABLE_SLOTS` segments (~1 GiB
-/// of pages) despite the heap's 4 KiB allocation cap.
-const SEG_TABLE_SLOTS: usize = SEG_BYTES / 8;
-/// Hard segment-count cap.
-const MAX_SEGS: usize = SEG_SLOTS * SEG_TABLE_SLOTS;
+const PAGES_PER_SEG: u64 = (SEGMENT / PAGE) as u64;
 
 // ---- byte helpers -----------------------------------------------------
 
@@ -416,9 +411,9 @@ fn read<T>(version: u64, r: Result<T, TreeError>) -> T {
 // ---- errors -----------------------------------------------------------
 
 /// Typed failures from the tree engine. Structural variants
-/// (`BadMeta` / `BadPage` / `UnresolvedChild`) only arise when
-/// attaching to a damaged image; live operations see `ValueTooLarge`
-/// and `Full`.
+/// (`BadImage` / `BadSegment` / `BadPage` / `UnresolvedChild`) only
+/// arise when attaching to a damaged image; live operations (and a
+/// format) see `ValueTooLarge` and `Full`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TreeError {
     /// The value exceeds one cell ([`MAX_VALUE`] bytes).
@@ -428,10 +423,13 @@ pub enum TreeError {
         /// The cap.
         max: usize,
     },
-    /// The backing heap (or the segment table) is exhausted.
+    /// Every segment of the data area is full (or there is none).
     Full,
-    /// The durable meta block is missing or inconsistent.
-    BadMeta(&'static str),
+    /// The image is not a tree's (no magic word), or its last
+    /// transactions cannot be judged.
+    BadImage(&'static str),
+    /// A class byte or a segment breaks a rule of the segment table.
+    BadSegment(SegmentError),
     /// A reachable page violates a structural invariant.
     BadPage {
         /// Physical page id of the offender.
@@ -455,7 +453,8 @@ impl fmt::Display for TreeError {
                 write!(f, "value of {len} bytes exceeds the {max}-byte cell cap")
             }
             TreeError::Full => write!(f, "tree storage exhausted"),
-            TreeError::BadMeta(why) => write!(f, "bad tree meta block: {why}"),
+            TreeError::BadImage(why) => write!(f, "bad tree image: {why}"),
+            TreeError::BadSegment(e) => write!(f, "{e}"),
             TreeError::BadPage { phys, why } => write!(f, "bad tree page {phys}: {why}"),
             TreeError::UnresolvedChild { lpid } => {
                 write!(f, "no surviving copy of logical page {lpid}")
@@ -560,16 +559,14 @@ struct Txn {
 /// Volatile state rebuilt from the durable image by
 /// [`rebuild_state`] — shared by [`Tree::attach`] and post-crash
 /// reloads.
+#[derive(Default)]
 struct Volatile {
-    meta_off: u64,
     version: u64,
     root_lpid: u64,
     next_lpid: u64,
     bump: u64,
     len: u64,
     height: u64,
-    seg_tables: Vec<u64>,
-    segs: Vec<u64>,
     free: Vec<u64>,
     slots: Vec<Slot>,
     /// Pages of a dead transaction whose headers were voided.
@@ -588,7 +585,8 @@ struct Volatile {
 /// and may target a pinned [`Snapshot`].
 pub struct Tree<S: PageStore = FasePager> {
     store: S,
-    meta_off: u64,
+    /// Where the class table and the segments of the store lie.
+    table: SegmentTable,
     /// Latest committed version.
     version: u64,
     root_lpid: u64,
@@ -597,10 +595,6 @@ pub struct Tree<S: PageStore = FasePager> {
     bump: u64,
     len: u64,
     height: u64,
-    /// Table-block offsets (mirrors the durable directory).
-    seg_tables: Vec<u64>,
-    /// Segment base offsets (mirrors the durable two-level table).
-    segs: Vec<u64>,
     /// Recycled physical pages.
     free: Vec<u64>,
     /// Superseded pages awaiting a safe reclaim horizon.
@@ -625,45 +619,64 @@ pub struct Tree<S: PageStore = FasePager> {
 }
 
 impl<S: PageStore> Tree<S> {
-    /// Format a fresh tree (empty root leaf, version 1) onto `store`
-    /// and attach to it.
+    /// Format a fresh tree (empty root leaf, version 1) onto `store`, a
+    /// store no segment of which is carved: its magic word, segment 0
+    /// carved, and page 0 the root leaf. `Full` when the data area has
+    /// no room for a segment.
     pub fn format(mut store: S) -> Result<Tree<S>, TreeError> {
-        let meta_off = store.alloc_block(META_BYTES).ok_or(TreeError::Full)?;
-        let table0 = store.alloc_block(SEG_BYTES).ok_or(TreeError::Full)?;
-        let seg0 = store.alloc_block(SEG_BYTES).ok_or(TreeError::Full)?;
+        let table = SegmentTable::new(store.len() as usize);
+        if table.segments() == 0 {
+            return Err(TreeError::Full);
+        }
         // page 0 is the root leaf, and the format's closing page
         let mut leaf = [0u8; PAGE];
         hdr_write(&mut leaf, TAG_LEAF, 0, 0, 1);
         set_closing(&mut leaf, 1);
         seal(&mut leaf);
+        store.carve(0);
         store.begin();
-        store.write_fresh(meta_off, &table0.to_le_bytes());
-        store.write_fresh(table0, &seg0.to_le_bytes());
-        store.write_fresh(seg0, &leaf[..HDR]);
+        store.write_fresh(0, &MAGIC.to_le_bytes());
+        store.write_fresh(table.segment(0) as u64, &leaf[..HDR]);
         store.commit();
-        store.set_root(meta_off);
-        Tree::attach(store)
+        // what an attach would rebuild, without the survey
+        let root = Slot {
+            version: 1,
+            phys: 0,
+            ..Slot::EMPTY
+        };
+        let v = Volatile {
+            version: 1,
+            next_lpid: 1,
+            bump: 1,
+            height: 1,
+            slots: vec![root],
+            ..Volatile::default()
+        };
+        Ok(Tree::assemble(store, v))
     }
 
     /// Attach to a store already holding a formatted tree, rebuilding
-    /// all volatile state (remap table, free list) from the durable
-    /// root. A dead transaction's pages are swept onto the free list
-    /// and their headers durably voided (see the module docs);
-    /// structural damage is reported as a typed error before anything
-    /// is written.
+    /// all volatile state (remap table, free list) from its segments. A
+    /// dead transaction's pages are swept onto the free list and their
+    /// headers durably voided (see the module docs); structural damage
+    /// is reported as a typed error before anything is written.
     pub fn attach(mut store: S) -> Result<Tree<S>, TreeError> {
         let v = rebuild_state(&mut store)?;
-        Ok(Tree {
+        Ok(Tree::assemble(store, v))
+    }
+
+    /// The tree over `store` whose volatile state is `v`, with no pin,
+    /// nothing retired and no transaction open.
+    fn assemble(store: S, v: Volatile) -> Tree<S> {
+        Tree {
+            table: SegmentTable::new(store.len() as usize),
             store,
-            meta_off: v.meta_off,
             version: v.version,
             root_lpid: v.root_lpid,
             next_lpid: v.next_lpid,
             bump: v.bump,
             len: v.len,
             height: v.height,
-            seg_tables: v.seg_tables,
-            segs: v.segs,
             free: v.free,
             retired: Vec::new(),
             slots: v.slots,
@@ -674,22 +687,19 @@ impl<S: PageStore> Tree<S> {
             txn_retired: Vec::new(),
             #[cfg(test)]
             whole_pages: false,
-        })
+        }
     }
 
     /// Re-derive volatile state from the durable image (after a crash
     /// or rollback). Discards pins and the retired list.
     fn reload(&mut self) -> Result<(), TreeError> {
         let v = rebuild_state(&mut self.store)?;
-        self.meta_off = v.meta_off;
         self.version = v.version;
         self.root_lpid = v.root_lpid;
         self.next_lpid = v.next_lpid;
         self.bump = v.bump;
         self.len = v.len;
         self.height = v.height;
-        self.seg_tables = v.seg_tables;
-        self.segs = v.segs;
         self.free = v.free;
         self.slots = v.slots;
         self.voided = v.voided;
@@ -1213,7 +1223,7 @@ impl<S: PageStore> Tree<S> {
     }
 
     fn page_off(&self, phys: u64) -> u64 {
-        self.segs[(phys / PAGES_PER_SEG) as usize] + (phys % PAGES_PER_SEG) * PAGE as u64
+        self.table.segment(0) as u64 + phys * PAGE as u64
     }
 
     /// Store bytes `run` of `buf` at the same place in page `phys`, a
@@ -1266,63 +1276,38 @@ impl<S: PageStore> Tree<S> {
         l
     }
 
-    /// Carve one more segment (and, every `SEG_TABLE_SLOTS` segments, a
-    /// fresh table block) from the heap and store its table entry. The
-    /// heap blocks are durable immediately, so an entry that lands names
-    /// a carved block whether or not the transaction commits; a crash
-    /// before the entry lands leaks the block — bounded per crashed
-    /// transaction.
-    fn grow_segment(&mut self) -> Option<()> {
-        let i = self.segs.len();
-        if i >= MAX_SEGS {
-            return None;
-        }
-        if i == self.seg_tables.len() * SEG_TABLE_SLOTS {
-            let tb = self.store.alloc_block(SEG_BYTES)?;
-            let off = self.meta_off + 8 * self.seg_tables.len() as u64;
-            self.store.write_fresh(off, &tb.to_le_bytes());
-            self.seg_tables.push(tb);
-        }
-        let seg = self.store.alloc_block(SEG_BYTES)?;
-        debug_assert_eq!(seg % 64, 0, "page headers must not straddle lines");
-        let off = self.seg_tables[i / SEG_TABLE_SLOTS] + 8 * (i % SEG_TABLE_SLOTS) as u64;
-        self.store.write_fresh(off, &seg.to_le_bytes());
-        self.segs.push(seg);
-        Some(())
-    }
-
-    /// Pages the segments hold.
-    fn page_count(&self) -> u64 {
-        self.segs.len() as u64 * PAGES_PER_SEG
-    }
-
     /// Take a physical page for the open transaction from the free
-    /// list, the bump cursor, or a freshly carved segment.
+    /// list or the high-water mark, carving the mark's segment first
+    /// when the mark enters one never carved. A carve is durable before
+    /// the page is written, and is not the transaction's: a crash keeps
+    /// the segment carved.
     fn alloc_page(&mut self) -> Option<u64> {
         let p = match self.free.pop() {
             Some(p) => p,
             None => {
-                if self.bump >= self.page_count() {
-                    self.grow_segment()?;
+                let p = self.bump;
+                let segment = (p / PAGES_PER_SEG) as usize;
+                if segment == self.table.segments() {
+                    return None;
+                }
+                let data = self.store.bytes(0, self.store.len() as usize);
+                if p.is_multiple_of(PAGES_PER_SEG) && self.table.class_byte(data, segment) == 0 {
+                    self.store.carve(segment);
                 }
                 self.bump += 1;
-                self.bump - 1
+                p
             }
         };
         self.txn.as_mut().unwrap().pages += 1;
         Some(p)
     }
 
-    /// Grow segments until at least `needed` pages are allocatable, so
-    /// a multi-page operation cannot fail with half its pages staged.
-    fn ensure_capacity(&mut self, needed: u64) -> Result<(), TreeError> {
-        loop {
-            let slack = self.page_count() - self.bump;
-            if self.free.len() as u64 + slack >= needed {
-                return Ok(());
-            }
-            self.grow_segment().ok_or(TreeError::Full)?;
-        }
+    /// Whether at least `needed` pages are allocatable, so a multi-page
+    /// operation cannot fail with half its pages staged.
+    fn ensure_capacity(&self, needed: u64) -> Result<(), TreeError> {
+        let slack = self.table.segments() as u64 * PAGES_PER_SEG - self.bump;
+        let room = self.free.len() as u64 + slack >= needed;
+        room.then_some(()).ok_or(TreeError::Full)
     }
 
     /// Copy-on-write `lpid` for the open transaction: returns the
@@ -1527,73 +1512,42 @@ impl Tree<FasePager> {
 
 // ---- recovery ---------------------------------------------------------
 
-/// Rebuild the volatile view from the durable image: read the segment
-/// table, judge the transaction with the highest stamp by counting its
-/// whole pages, keep the newest whole committed copy per logical id (in
-/// the slot table itself), find the root and walk the tree from it
-/// (validating structure as it goes), free every unreachable page, and
-/// — only once the image has proven sound — void what a dead
+/// Rebuild the volatile view from the durable image: check the head and
+/// the class table, judge the transaction with the highest stamp by
+/// counting its whole pages, keep the newest whole committed copy per
+/// logical id (in the slot table itself), find the root and walk the tree
+/// from it (validating structure as it goes), free every unreachable
+/// page, and — only once the image has proven sound — void what a dead
 /// transaction left.
 fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
-    let meta_off = store.root();
-    if meta_off == 0 {
-        return Err(TreeError::BadMeta("no durable root pointer"));
+    let table = SegmentTable::new(store.len() as usize);
+    if table.segments() == 0 || store.read_u64_at(0) != MAGIC {
+        return Err(TreeError::BadImage("no magic word"));
     }
-    // every offset read out of the image is looked at before it is
-    // followed: a carved block is cache-line aligned and lies inside the
-    // store (0 is "never set")
-    let end = store.len();
-    let block_ok = |off: u64, bytes: usize| {
-        off != 0
-            && off.is_multiple_of(64)
-            && off.checked_add(bytes as u64).is_some_and(|e| e <= end)
-    };
-    if !block_ok(meta_off, META_BYTES) {
-        return Err(TreeError::BadMeta("root pointer outside the store"));
-    }
-    // the table up to its first empty entry, at both levels; a torn
-    // transaction's entries past it (`strays`) are cleared below
-    let mut strays: Vec<u64> = Vec::new();
-    let mut seg_tables = Vec::new();
-    for t in 0..SEG_SLOTS {
-        let off = meta_off + 8 * t as u64;
-        let tb = store.read_u64_at(off);
-        if tb != 0 && seg_tables.len() == t {
-            if !block_ok(tb, SEG_BYTES) {
-                return Err(TreeError::BadMeta("bad segment table block"));
-            }
-            seg_tables.push(tb);
-        } else if tb != 0 {
-            strays.push(off);
+    // every class byte keeps the table's rules, and a carved segment
+    // holds pages
+    let data = store.bytes(0, store.len() as usize);
+    let mut is_carved = Vec::with_capacity(table.segments());
+    for segment in 0..table.segments() {
+        let class = table
+            .class(data, segment, PAGE_CLASS)
+            .map_err(TreeError::BadSegment)?;
+        if class.is_some_and(|c| c != PAGE_CLASS) {
+            let why = "a class other than the page class";
+            return Err(TreeError::BadSegment(SegmentError { segment, why }));
         }
+        is_carved.push(class.is_some());
     }
-    let mut segs = Vec::new();
-    for (t, &tb) in seg_tables.iter().enumerate() {
-        for i in 0..SEG_TABLE_SLOTS {
-            let off = tb + 8 * i as u64;
-            let seg = store.read_u64_at(off);
-            if seg != 0 && segs.len() == t * SEG_TABLE_SLOTS + i {
-                if !block_ok(seg, SEG_BYTES) {
-                    return Err(TreeError::BadMeta("bad page segment"));
-                }
-                segs.push(seg);
-            } else if seg != 0 {
-                strays.push(off);
-            }
-        }
-    }
-    if segs.is_empty() {
-        return Err(TreeError::BadMeta("no page segment"));
-    }
-    let pages = segs.len() as u64 * PAGES_PER_SEG;
-    let page_off =
-        |phys: u64| segs[(phys / PAGES_PER_SEG) as usize] + (phys % PAGES_PER_SEG) * PAGE as u64;
+    let pages = table.segments() as u64 * PAGES_PER_SEG;
+    let base = table.segment(0) as u64;
+    let page_off = |phys: u64| base + phys * PAGE as u64;
+    let carved_pages = || (0..pages).filter(|&p| is_carved[(p / PAGES_PER_SEG) as usize]);
 
     // the highest stamp, and its transaction's whole and closing pages:
     // one pass, restarting the count whenever a higher stamp turns up
     // (two whole closing pages of any one version are damage)
     let (mut top, mut counted, mut closing) = (0, 0u64, None);
-    for phys in 0..pages {
+    for phys in carved_pages() {
         let b = store.page(page_off(phys));
         let stamp = hdr_version(b);
         if stamp >= STAMP_LIMIT {
@@ -1613,7 +1567,7 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
     }
     let version = match closing {
         Some(n) if counted > n => {
-            return Err(TreeError::BadMeta(
+            return Err(TreeError::BadImage(
                 "more whole pages of the last version than its closing page counts",
             ))
         }
@@ -1621,7 +1575,7 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
         _ => top.saturating_sub(1),
     };
     if version == 0 {
-        return Err(TreeError::BadMeta("no committed page"));
+        return Err(TreeError::BadImage("no committed page"));
     }
 
     // newest whole committed copy per logical id: stale copies of an
@@ -1631,7 +1585,7 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
     // page stamped above the committed version is dead
     let mut slots: Vec<Slot> = Vec::new();
     let (mut dead, mut bump) = (Vec::new(), 0);
-    for phys in 0..pages {
+    for phys in carved_pages() {
         let b = store.page(page_off(phys));
         let v = hdr_version(b);
         if v > version {
@@ -1675,7 +1629,7 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
         (0..next_lpid).filter(|&l| !named[l as usize] && slots[l as usize].phys != PHYS_NONE);
     let root_lpid = roots
         .next()
-        .ok_or(TreeError::BadMeta("every logical page is named"))?;
+        .ok_or(TreeError::BadImage("every logical page is named"))?;
     if let Some(l) = roots.next() {
         return bad_page(
             slots[l as usize].phys,
@@ -1748,30 +1702,29 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
             *s = Slot::EMPTY;
         }
     }
-    let free = (0..bump).filter(|&p| !reach[p as usize]).collect();
-    // the pages are dead and the entries name nothing committed, so
-    // their zeroes need no undo record, and the section stamps nothing:
-    // a crash in it leaves headers the next attach voids again
-    if !dead.is_empty() || !strays.is_empty() {
+    // (a segment below the mark that was never carved — only a hostile
+    // image has one — stays unused)
+    let free = carved_pages()
+        .take_while(|&p| p < bump)
+        .filter(|&p| !reach[p as usize])
+        .collect();
+    // the pages are dead, so their zeroes need no undo record, and the
+    // section stamps nothing: a crash in it leaves headers the next
+    // attach voids again
+    if !dead.is_empty() {
         store.begin();
         for &off in &dead {
             store.write_fresh(off, &[0u8; HDR]);
         }
-        for &off in &strays {
-            store.write_fresh(off, &0u64.to_le_bytes());
-        }
         store.commit();
     }
     Ok(Volatile {
-        meta_off,
         version,
         root_lpid,
         next_lpid,
         bump,
         len,
         height: height.expect("the walk reaches a leaf"),
-        seg_tables,
-        segs,
         free,
         slots,
         voided: dead.len(),
@@ -1781,7 +1734,8 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pager::{MemPager, PageRead, PageWrite, RootStore};
+    use crate::pager::{MemPager, PageRead, PageWrite};
+    use nvcache_fase::segments::CLASS_TABLE;
 
     fn mem_tree() -> Tree<MemPager> {
         Tree::format(MemPager::new()).unwrap()
@@ -1865,34 +1819,6 @@ mod tests {
         for &k in keys.iter().step_by(37) {
             assert_eq!(t.get(k).as_deref(), Some(&k.to_le_bytes()[..]));
         }
-    }
-
-    #[test]
-    fn growth_spills_into_second_table_block() {
-        // SEG_TABLE_SLOTS segments = 8192 pages; 20k keys need more,
-        // so the segment table must go two-level
-        let mut t = mem_tree();
-        let mut s = 0x1234u64;
-        for chunk in 0..20 {
-            t.begin();
-            for i in 0..1000u64 {
-                let k = chunk * 1000 + i;
-                let _ = splitmix(&mut s);
-                t.put(k, &s.to_le_bytes()).unwrap();
-            }
-            t.commit();
-        }
-        assert_eq!(t.len(), 20_000);
-        assert!(
-            t.pages_allocated() > (SEG_TABLE_SLOTS as u64) * PAGES_PER_SEG,
-            "test must outgrow one table block: bump={}",
-            t.pages_allocated()
-        );
-        // volatile state from a cold rebuild matches
-        let t2 = Tree::attach(t.store).unwrap();
-        assert_eq!(t2.len(), 20_000);
-        assert!(t2.get(19_999).is_some());
-        assert_eq!(t2.scan(None, 500, 520, usize::MAX).len(), 21);
     }
 
     #[test]
@@ -2060,19 +1986,6 @@ mod tests {
         t
     }
 
-    /// A 100-key tree with one durable word overwritten — `word` picks
-    /// its offset and its hostile value — then re-attached.
-    fn attach_with_word(
-        word: impl Fn(&Tree<MemPager>) -> (u64, u64),
-    ) -> Result<Tree<MemPager>, TreeError> {
-        let mut t = hundred_keys();
-        let (off, hostile) = word(&t);
-        t.store.begin();
-        t.store.write_fresh(off, &hostile.to_le_bytes());
-        t.store.commit();
-        Tree::attach(t.store)
-    }
-
     /// A 100-key tree with a free page overwritten by what `forge` makes
     /// of its bytes, then re-attached: the free page and the verdict.
     fn attach_with_page(
@@ -2099,7 +2012,7 @@ mod tests {
     /// The first page the tree's last transaction wrote that is its
     /// closing page (`closing`) or is not.
     fn page_of_last_txn(t: &Tree<MemPager>, closing: bool) -> u64 {
-        (0..t.page_count())
+        (0..t.bump)
             .find(|&p| {
                 let b = t.store.page(t.page_off(p));
                 hdr_version(b) == t.version && (hdr_closing(b) != 0) == closing
@@ -2113,7 +2026,9 @@ mod tests {
         // names an id past the page count — and the slot table is sized
         // from the ids the scan finds
         for lpid in [|_| LPID_NONE - 1, |pages| pages] {
-            let (phys, got) = attach_with_page(|t, b| sealed_leaf(b, lpid(t.page_count()), 1));
+            let (phys, got) = attach_with_page(|t, b| {
+                sealed_leaf(b, lpid(t.table.segments() as u64 * PAGES_PER_SEG), 1)
+            });
             let why = "logical id past the page count";
             assert_eq!(got.map(|_| ()), Err(TreeError::BadPage { phys, why }));
         }
@@ -2160,7 +2075,7 @@ mod tests {
             *b = *t.store.page(t.page_off(page_of_last_txn(t, false)));
         });
         let why = "more whole pages of the last version than its closing page counts";
-        assert_eq!(got.map(|_| ()), Err(TreeError::BadMeta(why)));
+        assert_eq!(got.map(|_| ()), Err(TreeError::BadImage(why)));
     }
 
     #[test]
@@ -2231,61 +2146,10 @@ mod tests {
         }
     }
 
-    /// A torn transaction's table entries can land past one that did
-    /// not: attach lists the segments up to the first empty entry and
-    /// clears the rest, so a later carve's entry never joins a segment
-    /// whose dead pages no attach voided.
-    #[test]
-    fn attach_clears_table_entries_past_the_first_empty_one() {
-        let mut t = hundred_keys();
-        let want = t.scan(None, 0, u64::MAX, usize::MAX);
-        let segs = t.segs.len();
-        t.begin();
-        for k in 1000..1040u64 {
-            t.put(k, &[7; 200]).unwrap();
-        }
-        assert!(
-            t.segs.len() >= segs + 2,
-            "the transaction carved two segments"
-        );
-        let gap = t.seg_tables[0] + 8 * segs as u64;
-        t.store.write_fresh(gap, &0u64.to_le_bytes());
-        // the section ends there: the transaction never committed
-        t.store.commit();
-        let back = Tree::attach(t.store).unwrap();
-        assert_eq!(back.segs.len(), segs);
-        assert_eq!(back.store.read_u64_at(gap + 8), 0, "a stray entry stays");
-        assert_eq!(back.scan(None, 0, u64::MAX, usize::MAX), want);
-    }
-
     #[test]
     fn attach_rejects_unformatted_store() {
         let err = Tree::attach(MemPager::new()).map(|_| ()).unwrap_err();
-        assert!(matches!(err, TreeError::BadMeta(_)));
-    }
-
-    /// Every offset the image names is checked before it is followed:
-    /// past the end, or off the cache-line grid, is `BadMeta`, not an
-    /// out-of-range slice.
-    #[test]
-    fn attach_rejects_offsets_outside_the_store() {
-        const FAR: u64 = 1 << 40;
-        type Word = fn(&Tree<MemPager>) -> (u64, u64);
-        let table_word: Word = |t| (t.meta_off, FAR);
-        let segment_word: Word = |t| (t.seg_tables[0], FAR);
-        let misaligned: Word = |t| (t.seg_tables[0], t.segs[0] + 8);
-        let past_the_end: Word = |t| (t.seg_tables[0], t.store.len() - 64);
-        for word in [table_word, segment_word, misaligned, past_the_end] {
-            let err = attach_with_word(word).map(|_| ()).unwrap_err();
-            assert!(matches!(err, TreeError::BadMeta(_)), "{err:?}");
-        }
-        let mut t = mem_tree();
-        t.store.set_root(FAR);
-        let err = Tree::attach(t.store).map(|_| ()).unwrap_err();
-        assert!(
-            matches!(err, TreeError::BadMeta(_)),
-            "root pointer: {err:?}"
-        );
+        assert_eq!(err, TreeError::BadImage("no magic word"));
     }
 
     // ---- what a write stores ----
@@ -2447,8 +2311,39 @@ mod tests {
         }
     }
 
+    /// A data area with no room for the head line, a class byte and one
+    /// segment is `Full`, not a panic; a tree of one segment fills up
+    /// and says so.
     #[test]
-    fn reopen_from_image_rejects_a_segment_word_outside_the_store() {
+    fn a_data_area_without_a_segment_is_full() {
+        let one = CLASS_TABLE + 64 + SEGMENT;
+        for data_len in [0, 100, 127, one - 64] {
+            let cfg = TreeConfig {
+                data_len,
+                ..small_cfg()
+            };
+            assert!(
+                matches!(Tree::create(&cfg), Err(TreeError::Full)),
+                "{data_len} bytes"
+            );
+        }
+        let cfg = TreeConfig {
+            data_len: one,
+            ..small_cfg()
+        };
+        let mut t = Tree::create(&cfg).unwrap();
+        t.begin();
+        let full = (0..PAGES_PER_SEG).find_map(|k| t.put(k, &[1]).err());
+        assert_eq!(full, Some(TreeError::Full));
+    }
+
+    /// The tree's own rules of its image, through `reopen_from_image`:
+    /// the head holds the magic word, and a carved segment holds pages.
+    /// The segment table's rules — a class past the largest or too small
+    /// for its owner, bytes in a segment never carved — have their
+    /// hostile images in `nvcache_fase::segments`.
+    #[test]
+    fn reopen_from_image_rejects_a_hostile_head_or_class_byte() {
         let cfg = small_cfg();
         let mut t = Tree::create(&cfg).unwrap();
         t.begin();
@@ -2456,43 +2351,29 @@ mod tests {
             t.put(k, &k.to_le_bytes()).unwrap();
         }
         t.commit();
-        let word = t.seg_tables[0] as usize;
+        assert!(t.bump > PAGES_PER_SEG, "segment 1 is carved");
         let sound = t.store.runtime_mut().region().durable_image().to_vec();
-        assert_eq!(
-            Tree::reopen_from_image(sound.clone(), &cfg).unwrap().len(),
-            100
-        );
-        // inside the region, but in the undo log behind the data area
-        for hostile in [1u64 << 40, cfg.data_len as u64] {
+        let reopened = |image| Tree::reopen_from_image(image, &cfg).map(|t| t.len());
+        assert_eq!(reopened(sound.clone()), Ok(100));
+        let patched = |at: usize, bytes: &[u8]| {
             let mut image = sound.clone();
-            image[word..word + 8].copy_from_slice(&hostile.to_le_bytes());
-            let err = Tree::reopen_from_image(image, &cfg)
-                .map(|_| ())
-                .unwrap_err();
-            assert!(
-                matches!(err, TreeError::BadMeta(_)),
-                "{hostile:#x}: {err:?}"
-            );
+            image[at..at + bytes.len()].copy_from_slice(bytes);
+            image
+        };
+        let why = "a class other than the page class";
+        let cases = [
+            (
+                patched(0, b"NVSHARD2"),
+                TreeError::BadImage("no magic word"),
+            ),
+            (
+                patched(CLASS_TABLE + 1, &[PAGE_CLASS as u8 + 1]),
+                TreeError::BadSegment(SegmentError { segment: 1, why }),
+            ),
+        ];
+        for (image, want) in cases {
+            assert_eq!(reopened(image), Err(want));
         }
-    }
-
-    /// The allocator's header is part of the image: one no allocator
-    /// wrote (here a bump cursor inside the header) is a typed refusal —
-    /// not a tree that allocates over its own root.
-    #[test]
-    fn reopen_from_image_rejects_a_hostile_allocator_header() {
-        let cfg = small_cfg();
-        let mut t = Tree::create(&cfg).unwrap();
-        t.begin();
-        t.put(1, b"one").unwrap();
-        t.commit();
-        let mut image = t.store.runtime_mut().region().durable_image().to_vec();
-        assert!(Tree::reopen_from_image(image.clone(), &cfg).is_ok());
-        image[16..24].copy_from_slice(&8u64.to_le_bytes()); // `PAlloc`'s cursor
-        let err = Tree::reopen_from_image(image, &cfg)
-            .map(|_| ())
-            .unwrap_err();
-        assert_eq!(err, TreeError::BadMeta("no durable root pointer"));
     }
 
     #[test]
@@ -2545,7 +2426,7 @@ mod tests {
 
     /// A transaction of `k` puts ends with one drain and one fence: it
     /// flushes each line it stored once, and stores nothing into the
-    /// meta block.
+    /// head line or the class table.
     #[test]
     fn a_tree_commit_is_one_fence() {
         let mut t = Tree::create(&small_cfg()).unwrap();
@@ -2557,7 +2438,7 @@ mod tests {
             }
             t.commit();
         }
-        let segs = t.segs.len();
+        let bump = t.bump;
         let rt = t.store.runtime_mut();
         rt.record_trace();
         let (pmem0, fase0) = (rt.region().stats(), rt.stats());
@@ -2567,7 +2448,7 @@ mod tests {
         }
         let dirty = t.store.runtime_mut().region().dirty_lines() as u64;
         t.commit();
-        assert_eq!(t.segs.len(), segs, "the transaction carved nothing");
+        assert_eq!(t.bump, bump, "the transaction carved nothing");
         let rt = t.store.runtime_mut();
         let lines: std::collections::BTreeSet<u64> =
             rt.take_trace().unwrap().writes().map(|l| l.0).collect();
@@ -2577,8 +2458,8 @@ mod tests {
         let flushes = pmem.flushes - pmem0.flushes;
         assert_eq!(flushes, lines.len() as u64, "one flush per line");
         assert_eq!(dirty, lines.len() as u64);
-        let meta = t.meta_off / 64..(t.meta_off + META_BYTES as u64) / 64;
-        assert!(lines.iter().all(|l| !meta.contains(l)), "a meta line");
+        let table = t.page_off(0) / 64;
+        assert!(lines.iter().all(|&l| l >= table), "a head or table line");
         assert_eq!(t.get(37).as_deref(), Some(&[9u8; 40][..]));
     }
 

@@ -20,14 +20,19 @@ pub struct MdbWorkload {
     pub batch: usize,
 }
 
+/// Where Mtest's LMDB-style meta words live: the second and third
+/// words of the tree's head line, which the tree writes once, at
+/// format (its magic word is the first), and never again.
+const META: usize = 8;
+
 /// The tree Mtest runs against, sized for roughly `capacity` key/value
-/// pairs, plus the heap offset of its LMDB-style meta block.
-fn mtest_tree(capacity: usize, policy: &PolicyKind) -> (Tree<FasePager>, usize) {
+/// pairs.
+fn mtest_tree(capacity: usize, policy: &PolicyKind) -> Tree<FasePager> {
     let cap = capacity.max(64);
     // each live key needs one 256 B value cell plus its share of a
     // leaf; double it for CoW churn between reclaims and add fixed
-    // slack for meta/table blocks and allocator overhead. Tree pages
-    // are unlogged shadow memory; what a transaction logs is 48 B per
+    // slack for the head line and the class table. Tree pages are
+    // unlogged shadow memory; what a transaction logs is 48 B per
     // `touch_meta`.
     let cfg = TreeConfig {
         data_len: (cap * 2 + 1024) * 256,
@@ -35,9 +40,7 @@ fn mtest_tree(capacity: usize, policy: &PolicyKind) -> (Tree<FasePager>, usize) 
         policy: policy.clone(),
         pipelined: false,
     };
-    let mut t = Tree::create(&cfg).expect("format tree heap");
-    let meta = t.store_mut().runtime_mut().alloc(64).expect("meta block") as usize;
-    (t, meta)
+    Tree::create(&cfg).expect("format tree")
 }
 
 /// Mtest's LMDB meta-page traffic: txnid + dirty-page count share one
@@ -45,11 +48,11 @@ fn mtest_tree(capacity: usize, policy: &PolicyKind) -> (Tree<FasePager>, usize) 
 /// stores inside the tree's section, so they are not atomic with its
 /// commit (see `nvcache_treestore::pager`): Mtest records a trace and
 /// never recovers one.
-fn touch_meta(t: &mut Tree<FasePager>, meta: usize, txid: &mut u64) {
+fn touch_meta(t: &mut Tree<FasePager>, txid: &mut u64) {
     *txid += 1;
     let rt = t.store_mut().runtime_mut();
-    rt.store_u64(meta, *txid);
-    rt.store_u64(meta + 8, *txid & 0x3f);
+    rt.store_u64(META, *txid);
+    rt.store_u64(META + 8, *txid & 0x3f);
     rt.work(4);
 }
 
@@ -67,10 +70,9 @@ impl MdbWorkload {
         }
     }
 
-    /// Run the workload against a tree whose meta block sits at heap
-    /// offset `meta`; returns (inserted, deleted, traversed) op counts
-    /// for verification.
-    fn run(&self, t: &mut Tree<FasePager>, meta: usize) -> (usize, usize, usize) {
+    /// Run the workload against a tree; returns (inserted, deleted,
+    /// traversed) op counts for verification.
+    fn run(&self, t: &mut Tree<FasePager>) -> (usize, usize, usize) {
         let mut inserted = 0usize;
         let mut deleted = 0usize;
         let mut traversed = 0usize;
@@ -82,7 +84,7 @@ impl MdbWorkload {
             for k in i..hi {
                 t.put(key_of(k), &(k as u64).to_le_bytes())
                     .expect("btree heap exhausted");
-                touch_meta(t, meta, &mut txid);
+                touch_meta(t, &mut txid);
                 inserted += 1;
             }
             t.commit();
@@ -99,7 +101,7 @@ impl MdbWorkload {
                 t.begin();
                 for k in (i.saturating_sub(8))..i {
                     t.delete(key_of(k)).expect("btree heap exhausted");
-                    touch_meta(t, meta, &mut txid);
+                    touch_meta(t, &mut txid);
                     deleted += 1;
                 }
                 t.commit();
@@ -125,9 +127,9 @@ impl Workload for MdbWorkload {
                 n: per,
                 batch: self.batch,
             };
-            let (mut tree, meta) = mtest_tree(per + 64, &PolicyKind::Best);
+            let mut tree = mtest_tree(per + 64, &PolicyKind::Best);
             tree.store_mut().runtime_mut().record_trace();
-            w.run(&mut tree, meta);
+            w.run(&mut tree);
             recs.push(tree.store_mut().runtime_mut().take_trace().unwrap());
         }
         Trace { threads: recs }
@@ -147,8 +149,8 @@ mod tests {
     #[test]
     fn run_keeps_tree_consistent() {
         let w = MdbWorkload { n: 500, batch: 10 };
-        let (mut t, meta) = mtest_tree(600, &PolicyKind::ScFixed { capacity: 20 });
-        let (ins, del, _) = w.run(&mut t, meta);
+        let mut t = mtest_tree(600, &PolicyKind::ScFixed { capacity: 20 });
+        let (ins, del, _) = w.run(&mut t);
         assert_eq!(ins, 500);
         assert!(del > 0);
         assert_eq!(t.len() as usize, ins - del);
@@ -211,16 +213,21 @@ mod tests {
         // them; the counts did not move. It moved again when the head
         // went: a transaction commits by its sealed pages, so each of
         // the 42 FASEs lost the head's eight word stores and gained the
-        // two of its closing store — 16 600 → 16 348 writes.)
+        // two of its closing store — 16 600 → 16 348 writes. It moved
+        // again when the tree's image became the hash shard's segment
+        // table: each of the 27 segments the run carves lost the
+        // table-entry store its transaction made, and the meta words
+        // moved from a heap block to the head line — 16 348 → 16 321
+        // writes over the same 42 FASEs.)
         use std::hash::Hasher;
         let tr = MdbWorkload { n: 400, batch: 10 }.trace(1);
         let mut h = nvcache_trace::FxHasher::default();
         for w in tr.threads[0].renamed_writes() {
             h.write_u64(w);
         }
-        assert_eq!(tr.total_writes(), 16_348);
+        assert_eq!(tr.total_writes(), 16_321);
         assert_eq!(tr.total_fases(), 42);
-        assert_eq!(h.finish(), 0x568e_67bd_ae7d_8632);
+        assert_eq!(h.finish(), 0xd6d9_d28a_fd4c_99ba);
     }
 
     #[test]

@@ -24,12 +24,14 @@
 //! tests run one generic function each on hash and on tree lanes.
 
 use nvcache::core::{AdaptiveConfig, PolicyKind};
+use nvcache::fase::segments::SEGMENT;
+use nvcache::fase::SegmentTable;
 use nvcache::kvstore::{
     BatchReply, BatchRequest, Engine, KvConfig, KvServer, KvStore, ServerConfig, Shard,
     ShardConfig, TreeEngine, TreeEngineConfig,
 };
 use nvcache::pmem::{CrashMode, CrashPlan};
-use nvcache::treestore::{RootStore, Tree, TreeConfig};
+use nvcache::treestore::{Tree, TreeConfig};
 use std::collections::{BTreeMap, HashMap};
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -431,17 +433,17 @@ fn mid_split_crash_recovers_the_old_root_graph() {
     assert!(torn >= 1_500, "{torn} torn pages");
 }
 
-/// The offsets of the tree's pages in `image`: its segment table, read
-/// from the meta block at `meta` up to the first empty entry at both
-/// levels, 16 pages of 256 bytes per segment.
-fn pages_of(image: &[u8], meta: usize) -> Vec<usize> {
-    let word = |at: usize| u64::from_le_bytes(image[at..at + 8].try_into().unwrap()) as usize;
-    let tables = (0..512)
-        .map(|t| word(meta + 8 * t))
-        .take_while(|&tb| tb != 0);
-    let segs = tables.flat_map(|tb| (0..512).map(move |i| word(tb + 8 * i)));
-    segs.take_while(|&seg| seg != 0)
-        .flat_map(|seg| (0..16).map(move |i| seg + 256 * i))
+/// The offsets of the tree's pages in `image`, its data area: the 16
+/// pages of 256 bytes of every segment its class table names carved.
+fn pages_of(image: &[u8]) -> Vec<usize> {
+    let table = SegmentTable::new(image.len());
+    (0..table.segments())
+        .filter(|&s| table.class_byte(image, s) != 0)
+        .flat_map(|s| {
+            (0..SEGMENT)
+                .step_by(256)
+                .map(move |at| table.segment(s) + at)
+        })
         .collect()
 }
 
@@ -465,14 +467,13 @@ fn torn_pages(
     data_len: usize,
 ) -> usize {
     let mut e = (rig.fresh)();
-    let meta = e.tree().store().root() as usize;
     let (mut ends, mut states) = (vec![e.steps()], vec![e.dump()]);
     for batch in prog {
         (rig.apply)(&mut e, batch);
         ends.push(e.steps());
         states.push(e.dump());
     }
-    let pages = pages_of(e.tree().store().runtime().region().slice(0, data_len), meta);
+    let pages = pages_of(e.tree().store().runtime().region().slice(0, data_len));
     let data_of = |e: &mut TreeEngine| {
         let region = e.tree_mut().store_mut().runtime_mut().region();
         region.durable_image()[..data_len].to_vec()

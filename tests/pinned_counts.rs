@@ -144,6 +144,26 @@
 //! and no other literal did. The tree program became a function of its
 //! policy, so a second test runs it unchanged under Eager, SC-8 and
 //! Lazy.
+//! Then the tree's image became the hash shard's segment table: the
+//! heap, its root pointer, the meta block and the two-level segment
+//! table went, and a segment is carved by persisting its class byte —
+//! one store, one flush of its own line, one fence, inside the
+//! transaction and without draining its ring — where the heap persisted
+//! its cursor and the transaction stored a table entry. For that,
+//! `FaseRuntime::persist` stopped passing its line through the ring, so
+//! the shard program's `RingStats` lost its seven persists' submissions,
+//! sweeps and drains (submitted 3 968 → 3 961, flushed 3 792 → 3 785,
+//! sweeps 3 019 → 3 012, drains 207 → 200) and its flush identity gained
+//! them; no other literal of it moved. The tree program was re-recorded:
+//! `steps()` 7 156 → 7 085; `PmemStats` bytes written 238 552 → 238 079,
+//! stores 3 457 → 3 418, flushes 3 519 → 3 491, fences 180 → 176;
+//! `FaseStats` data flushes 3 719 → 3 714 and fences 151 → 174 (a carve
+//! counts a store, a line, a data flush and a fence, where the table
+//! entry it replaces counted a store and a line); `RingStats` submitted
+//! 3 719 → 3 691, flushed 3 489 → 3 466, elided 230 → 225, sweeps
+//! 1 465 → 1 442. The identities' 29 persisted lines of the heap became
+//! the log's format and one line per carve (23). The tree's shape,
+//! `LogStats` and FASEs did not move.
 
 use nvcache::core::PolicyKind;
 use nvcache::fase::{FaseStats, LogStats};
@@ -212,11 +232,11 @@ fn put_many_program_counts_are_pinned() {
             commit_lines: 0,
         }
     );
-    // the flushes by kind: data through the ring — the policy's lines,
-    // the head and the class bytes — and the one persist of the log's
-    // format
+    // the flushes by kind: the policy's lines through the ring, the
+    // seven persists (the head and the class bytes) and the one persist
+    // of the log's format
     let (pmem, ring, fase) = (rt.region().stats(), rt.ring_stats(), rt.stats());
-    assert_eq!(pmem.flushes, ring.flushed + 1);
+    assert_eq!(pmem.flushes, ring.flushed + 7 + 1);
     // and the fences: one per FASE and one per persist, and the format's
     assert_eq!(pmem.fences, fase.fences + 1);
     // 200 batches; seven persists (the head and six carves: one segment
@@ -233,15 +253,15 @@ fn put_many_program_counts_are_pinned() {
             rollbacks: 0,
         }
     );
-    // one drain per FASE and one per persist
+    // one drain per FASE: a persist flushes its line itself
     assert_eq!(
         rt.ring_stats(),
         RingStats {
-            submitted: 3_968,
-            flushed: 3_792,
+            submitted: 3_961,
+            flushed: 3_785,
             elided: 176,
-            sweeps: 3_019,
-            drains: 207,
+            sweeps: 3_012,
+            drains: 200,
         }
     );
 }
@@ -300,15 +320,17 @@ fn tree_txn_program_counts_are_pinned() {
     assert_eq!(t.height(), 3);
     assert_eq!(t.pages_allocated(), 357);
     assert_eq!(t.free_pages(), 22);
-    assert_eq!(t.steps(), 7_156);
+    // 357 pages: 23 segments carved
+    assert_eq!(t.pages_allocated().div_ceil(16), 23);
+    assert_eq!(t.steps(), 7_085);
     let rt = t.store_mut().runtime_mut();
     assert_eq!(
         rt.region().stats(),
         PmemStats {
-            bytes_written: 238_552,
-            stores: 3_457,
-            flushes: 3_519,
-            fences: 180,
+            bytes_written: 238_079,
+            stores: 3_418,
+            flushes: 3_491,
+            fences: 176,
             crashes: 1,
         }
     );
@@ -324,9 +346,10 @@ fn tree_txn_program_counts_are_pinned() {
             commit_lines: 1,
         }
     );
-    // the flushes by kind: data through the ring — the policy's lines —
-    // the recovery's epoch bump, the 29 persisted lines of the heap and
-    // the log's format; the log holds no group
+    // the flushes by kind: data through the ring — the policy's lines,
+    // the head's among them — the recovery's epoch bump, the log's
+    // format and the class byte of each of the 23 carves; the log holds
+    // no group
     let (pmem, ring, log, fase) = (
         rt.region().stats(),
         rt.ring_stats(),
@@ -335,19 +358,20 @@ fn tree_txn_program_counts_are_pinned() {
     );
     assert_eq!(
         pmem.flushes,
-        ring.flushed + log.record_lines + log.commit_lines + 29
+        ring.flushed + log.record_lines + log.commit_lines + 1 + 23
     );
-    // and the fences: one per FASE, the recovery's epoch bump, and 28
-    // for those 29 persisted lines
-    assert_eq!(pmem.fences, fase.fences + log.commit_lines + 28);
+    // and the fences: one per FASE and one per carve, the recovery's
+    // epoch bump and the log's format
+    assert_eq!(fase.fences, fase.fases + 23);
+    assert_eq!(pmem.fences, fase.fences + log.commit_lines + 1);
     assert_eq!(
         rt.stats(),
         FaseStats {
             fases: 151,
             stores: 3_415,
             store_lines: 5_863,
-            data_flushes: 3_719,
-            fences: 151,
+            data_flushes: 3_714,
+            fences: 174,
             rollbacks: 0,
         }
     );
@@ -356,10 +380,10 @@ fn tree_txn_program_counts_are_pinned() {
     assert_eq!(
         rt.ring_stats(),
         RingStats {
-            submitted: 3_719,
-            flushed: 3_489,
-            elided: 230,
-            sweeps: 1_465,
+            submitted: 3_691,
+            flushed: 3_466,
+            elided: 225,
+            sweeps: 1_442,
             drains: 149,
         }
     );
