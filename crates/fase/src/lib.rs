@@ -17,12 +17,13 @@
 //!   store routes through [`runtime::FaseRuntime::store`], which logs,
 //!   writes, and hands the touched cache line to the pluggable
 //!   persistence policy (ER/LA/AT/SC/…) from `nvcache-core`. A FASE
-//!   whose stores seal themselves logs nothing and ends with one drain
-//!   and one fence, as a hash shard's (sealed slots) and a tree
-//!   transaction's (sealed pages) do, and
-//!   [`runtime::FaseRuntime::persist`] makes one line durable at once.
+//!   whose stores seal themselves ([`seal`]) logs nothing and ends with
+//!   one drain and one fence; [`runtime::FaseRuntime::persist`] makes
+//!   one line durable at once.
 //! * [`segments::SegmentTable`] — the class table both engines carve
 //!   their data areas by and recovery surveys.
+//! * [`seal`] — both engines' commit rule: one checksum, one stamp
+//!   limit and the fold by which recovery decides what committed.
 //! * crash/recovery — [`runtime::FaseRuntime::crash_and_recover`]
 //!   injects a power failure via any [`nvcache_pmem::CrashMode`] and
 //!   rolls back incomplete FASEs, restoring the "all or none" guarantee
@@ -34,9 +35,11 @@
 pub mod error;
 pub mod log;
 pub mod runtime;
+pub mod seal;
 pub mod segments;
 
 pub use error::{LogFull, RecoveryError};
-pub use log::{checksum, LogStats, UndoLog};
+pub use log::{LogStats, UndoLog};
 pub use runtime::{FaseRuntime, FaseStats, FlushMode};
+pub use seal::SealError;
 pub use segments::{SegmentError, SegmentTable};

@@ -20,29 +20,27 @@
 //! seal    := n << 32 | checksum (32 bits)
 //! ```
 //!
-//! A node holds its value twice over. Each slot carries the **stamp** of
-//! the FASE that wrote it and a **seal**: the number *n* of slots that
-//! FASE wrote, and a checksum of the slot's header, *n*, its value and —
-//! for a value, not a tombstone — the node's key. A slot is **whole**
-//! when its seal checks, so recovery can tell it from a torn one on
-//! hardware that lands 8-byte words. The slot with the highest committed
-//! stamp **decides** the block: a value makes it a live node, a
-//! **tombstone** (the reserved length `LEN_MASK`) or no committed slot
-//! makes it free. Stamp 0 is a void slot. Slot offsets follow the class,
-//! not the value length: a 40-byte value takes a 128-byte block, slot 0
-//! (key, header, seal, value: 64 bytes) its first line and slot 1 its
-//! second. A class holds values of up to half its block less three words:
-//! class 1 (32-byte blocks) holds none and is never carved, class 2
-//! holds 8 bytes, class 3 40, class 4 104, and class 8
-//! [`MAX_VALUE_LEN`] = 2 024.
+//! A node holds its value twice over. Each slot is a sealed unit of
+//! [`nvcache_fase::seal`] (DESIGN.md §6.3): the **stamp** of the FASE
+//! that wrote it, and a **seal** — the FASE's slot count *n* on its
+//! closing slot, 0 on the others — above a checksum of the slot's
+//! header, *n*, its value and, for a value, the node's key. The slot
+//! with the highest committed stamp **decides** the block: a value
+//! makes it a live node, a **tombstone** (the reserved length
+//! `LEN_MASK`) or no committed slot makes it free. Stamp 0 is a void
+//! slot. Slot offsets follow the class, not the value length: a 40-byte
+//! value takes a 128-byte block, slot 0 (key, header, seal, value: 64
+//! bytes) its first line and slot 1 its second. A class holds values of
+//! up to half its block less three words: class 1 (32-byte blocks)
+//! holds none and is never carved, class 2 holds 8 bytes, class 3 40,
+//! class 4 104, and class 8 [`MAX_VALUE_LEN`] = 2 024.
 //!
-//! Every mutation is one FASE, and every FASE commits the same way: it
-//! writes only slots no committed state reads, stamped one above the
-//! last committed FASE and sealed with its *n*, as unlogged stores
-//! ([`FaseRuntime::store_fresh`]), and `end_fase` drains and fences
-//! once. No undo record, no commit record, one fence. A `put` is a group
-//! of one, and a group that writes one key more than once seals only the
-//! last write: an earlier one that lands is not whole.
+//! Every mutation is one FASE of unlogged stores
+//! ([`FaseRuntime::store_fresh`]) of slots no committed state reads,
+//! stamped one above the last committed FASE, its last slot the closing
+//! one; `end_fase` drains and fences once. No undo record, no commit
+//! record. A `put` is a group of one; a group that writes one key more
+//! than once seals all but the last write with a checksum that fails.
 //!
 //! - **Update** (an indexed key whose new length keeps its class): the
 //!   value goes into the node's *other* slot. Repeated keys of one group
@@ -53,23 +51,16 @@
 //! - **Length change to another class**: an insert into a block of the
 //!   new class plus a tombstone on the old node, in the one FASE.
 //!
-//! A segment is **carved** — its class byte persisted by one store, one
-//! flush and one fence ([`SegmentTable::carve`]) — before its first
-//! node is written, so a segment that was never carved is all zeros.
+//! A segment is **carved** ([`SegmentTable::carve`]) before its first
+//! node is written, so a segment never carved is all zeros.
 //!
-//! FASE *E* + 1 stores nothing before *E*'s fence, so only the FASE with
-//! the highest stamp *E* in an image can be torn, and recovery checks
-//! only that one: *E* is committed when exactly *n* whole slots carry
-//! it. Otherwise recovery **voids** every slot stamped *E* (stamp 0, by
-//! unlogged stores in a FASE that commits nothing — a crash inside it
-//! leaves slots the next recovery voids again) before the shard opens
-//! another FASE: that FASE reuses *E*, and must not commit what is left
-//! of the dead one. A seal covers no word a later committed FASE may
-//! rewrite: an insert into a free block rewrites its key word, so the
-//! tombstone that freed the block leaves the key out of its seal, and a
-//! key word that lands without its slot tears nothing. A FASE abandoned
-//! by a panic is voided outright, even when all its slots are stored:
-//! healing knows the last committed stamp and counts nothing.
+//! Recovery finds the last committed FASE by the commit rule and
+//! **voids** every slot stamped above it (stamp 0, unlogged, in a FASE
+//! that commits nothing) before the shard opens another FASE. A seal
+//! covers no word a later committed FASE may rewrite: an insert into a
+//! free block rewrites its key word, so the tombstone that freed the
+//! block leaves the key out of its seal. A FASE abandoned by a panic is
+//! voided outright: healing knows the last committed stamp.
 //!
 //! # What is volatile
 //!
@@ -88,24 +79,19 @@
 //! does this shard.
 //!
 //! The index and the free lists change only **after the commit point**
-//! of the FASE that justifies them; a refused group (oversized value,
-//! full heap) gives back the blocks it took and a FASE abandoned by a
-//! panic touches neither. After anything that can leave a FASE half done
-//! — reopening an image, an injected crash, a healed panic — both are
-//! rebuilt from the segments: after a power failure one pass over the
-//! slot headers finds the last FASE and counts its whole slots, then one
-//! pass over the segments in order builds the index and the free lists,
-//! and the void pass follows ([`Shard::voided_slots`] says how many
-//! slots it voided): a block a crashed insert took is free again. The
-//! passes are also where a foreign image is checked
-//! ([`ShardImageError`]): the head must hold the magic word, every class
-//! byte keep the table's rules ([`SegmentTable::class`]) for a class
-//! that holds a slot, every stamp lie below 2⁵² − 1, the highest stamp
-//! carry one *n* on at most *n* whole slots, and every block hold slots
-//! its class can hold, its deciding slot whole, committed stamps apart,
-//! with each key live in one node only. Nothing in the image is an
-//! offset, so a pass reads each segment once and cannot be led anywhere
-//! else.
+//! of the FASE that justifies them; a refused group gives back the
+//! blocks it took and a FASE abandoned by a panic touches neither.
+//! After anything that can leave a FASE half done — reopening an image,
+//! an injected crash, a healed panic — both are rebuilt from the
+//! segments: one pass over the slot headers folds them into the last
+//! committed FASE (skipped after a panic), one over the segments builds
+//! the index and the free lists, and the void pass follows
+//! ([`Shard::voided_slots`]). The passes check a foreign image
+//! ([`ShardImageError`]) against the magic word, the segment table's
+//! rules, the commit rule and the node layout: slots their class can
+//! hold, a whole deciding slot, committed stamps apart, each key live in
+//! one node. Nothing in the image is an offset, so a pass reads each
+//! segment once and cannot be led anywhere else.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -113,14 +99,14 @@ use std::fmt;
 pub use nvcache_core::CapacityChoice;
 use nvcache_core::{AdaptiveConfig, PolicyKind};
 use nvcache_fase::segments::{block_of, CLASS_TABLE, MAX_CLASS, SEGMENT};
-use nvcache_fase::{FaseRuntime, FaseStats, RecoveryError, SegmentError, SegmentTable};
+use nvcache_fase::{seal, FaseRuntime, FaseStats, RecoveryError, SealError};
+use nvcache_fase::{SegmentError, SegmentTable};
 use nvcache_locality::KneeConfig;
 use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
-use nvcache_trace::{FxHashMap, FxHasher};
-use std::hash::Hasher;
+use nvcache_trace::FxHashMap;
 
 /// The head line's first word.
-const MAGIC: u64 = u64::from_le_bytes(*b"NVSHARD2");
+const MAGIC: u64 = u64::from_le_bytes(*b"NVSHARD3");
 /// Classes `MIN_CLASS..=MAX_CLASS` hold slots; class `c` holds blocks of
 /// `16 << c` bytes.
 const MIN_CLASS: usize = 2;
@@ -132,8 +118,6 @@ const SLOT_0: usize = 8;
 const LEN_BITS: u32 = 12;
 /// The length a tombstone's header carries: longer than any value.
 const LEN_MASK: u64 = (1 << LEN_BITS) - 1;
-/// Stamps stay below this: a stamp has the 52 bits a slot header leaves.
-const EPOCH_LIMIT: u64 = (1 << (64 - LEN_BITS)) - 1;
 /// Largest value the node layout can hold: slot 0 of a max-class block.
 pub const MAX_VALUE_LEN: usize = SEGMENT / 2 - SLOT_0 - SLOT_HEADER;
 /// Why rebuilding the volatile state cannot fail on the in-process paths.
@@ -204,23 +188,12 @@ fn slot_header(stamp: u64, vlen: u64) -> u64 {
     stamp << LEN_BITS | vlen
 }
 
-/// The seal of a slot whose FASE writes `n` slots: `n` above a checksum
-/// of the header, `n`, the node's key (`None` for a tombstone, which a
-/// later insert may outlive) and the value, zero-padded to whole words.
-/// A seal is never 0: `n` is at least 1.
-fn seal(header: u64, n: u64, key: Option<u64>, value: &[u8]) -> u64 {
-    let mut sum = FxHasher::default();
-    sum.write_u64(header);
-    sum.write_u64(n);
-    if let Some(key) = key {
-        sum.write_u64(key);
-    }
-    for chunk in value.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        sum.write_u64(u64::from_le_bytes(word));
-    }
-    n << 32 | sum.finish() >> 32
+/// The seal word of a slot: `n` (0 but on a closing slot) above the
+/// checksum of the header, `n`, the node's key (`None` for a tombstone,
+/// which a later insert may outlive) and the value.
+fn seal_word(header: u64, n: u64, key: Option<u64>, value: &[u8]) -> u64 {
+    let words = [header, n, key.unwrap_or(0)].map(u64::to_le_bytes);
+    n << 32 | seal::checksum(MAGIC, [words.as_flattened(), value])
 }
 
 /// What one pass over the segments finds.
@@ -359,6 +332,8 @@ pub enum ShardImageError {
     BadHead(&'static str),
     /// A class byte or a segment breaks a rule of the segment table.
     BadSegment(SegmentError),
+    /// A slot breaks the commit rule.
+    BadSeal(SealError),
     /// A node breaks a rule of the layout.
     BadNode {
         /// The node's offset in the data area.
@@ -374,6 +349,7 @@ impl fmt::Display for ShardImageError {
             ShardImageError::Recovery(e) => write!(f, "FASE recovery failed: {e}"),
             ShardImageError::BadHead(why) => write!(f, "no shard head: {why}"),
             ShardImageError::BadSegment(e) => write!(f, "{e}"),
+            ShardImageError::BadSeal(e) => write!(f, "{e}"),
             ShardImageError::BadNode { at, why } => write!(f, "bad node at {at:#x}: {why}"),
         }
     }
@@ -559,16 +535,16 @@ impl Shard {
         self.free[class].pop()
     }
 
-    /// One unlogged store of `slot` for the FASE stamped `stamp` that
-    /// writes `n` slots: its header, its seal and `value`, or a
-    /// tombstone for `None`. `n` = 0 leaves the slot unsealed (a write
-    /// its FASE repeats). With `keyed`, the node's key word is stored
-    /// too: in the same store in front of slot 0, on its own before
-    /// slot 1. Nothing committed reads what it writes.
+    /// One unlogged store of `slot` for the FASE stamped `stamp`: its
+    /// header, its seal — `n` as the commit rule's fold reads it, or
+    /// `None` for a write its FASE repeats, whose checksum fails — and
+    /// `value`, or a tombstone for `None`. With `keyed`, the node's key
+    /// word is stored too: in the same store in front of slot 0, on its
+    /// own before slot 1. Nothing committed reads what it writes.
     fn store_slot(
         &mut self,
         slot: Entry,
-        (stamp, n): (u64, u64),
+        (stamp, n): (u64, Option<u64>),
         key: u64,
         keyed: bool,
         value: Option<&[u8]>,
@@ -587,21 +563,12 @@ impl Shard {
         };
         let (vlen, bytes) = value.map_or((LEN_MASK, &[][..]), |v| (v.len() as u64, v));
         let header = slot_header(stamp, vlen);
-        let seal = match n {
-            0 => 0,
-            n => seal(header, n, value.map(|_| key), bytes),
-        };
+        let sum = seal_word(header, n.unwrap_or(0), value.map(|_| key), bytes);
+        let seal = n.map_or(!sum & 0xffff_ffff, |_| sum);
         self.slot_buf.extend_from_slice(&header.to_le_bytes());
         self.slot_buf.extend_from_slice(&seal.to_le_bytes());
         self.slot_buf.extend_from_slice(bytes);
         self.rt.store_fresh(at, &self.slot_buf);
-    }
-
-    /// The stamp of the FASE about to open.
-    fn next_stamp(&self) -> u64 {
-        let stamp = self.committed + 1;
-        assert!(stamp < EPOCH_LIMIT, "2⁵² − 2 FASEs stamped");
-        stamp
     }
 
     /// Close the open FASE stamped `stamp`: one drain, one fence. Its
@@ -639,7 +606,7 @@ impl Shard {
         let mut plan = std::mem::take(&mut self.plan);
         let ok = self.plan_group(len, &item, &mut plan);
         if ok {
-            let stamp = self.next_stamp();
+            let stamp = seal::next(self.committed);
             self.rt.begin_fase();
             self.write_group(&item, &plan, stamp);
             self.commit(stamp);
@@ -709,7 +676,7 @@ impl Shard {
 
     /// The stores of a planned group, inside its open FASE stamped
     /// `stamp`: the moved nodes' tombstones, then every write, sealed
-    /// when it is its key's last.
+    /// when it is its key's last, and the last write the closing slot.
     fn write_group<'a>(
         &mut self,
         item: &impl Fn(usize) -> (u64, &'a [u8]),
@@ -719,12 +686,13 @@ impl Shard {
         // one slot per key, one tombstone per move
         let n = (plan.targets.len() + plan.moved.len()) as u64;
         for &old in &plan.moved {
-            self.store_slot(old.other(), (stamp, n), 0, false, None);
+            self.store_slot(old.other(), (stamp, Some(0)), 0, false, None);
         }
-        for &(slot, i, keyed, last) in &plan.ops {
+        let closing = plan.ops.len() - 1;
+        for (j, &(slot, i, keyed, last)) in plan.ops.iter().enumerate() {
             let (key, value) = item(i);
-            let fase = (stamp, if last { n } else { 0 });
-            self.store_slot(slot, fase, key, keyed, Some(value));
+            let n = last.then_some(if j == closing { n } else { 0 });
+            self.store_slot(slot, (stamp, n), key, keyed, Some(value));
         }
     }
 
@@ -875,9 +843,9 @@ impl Shard {
         let Some(entry) = self.locate(key) else {
             return false;
         };
-        let stamp = self.next_stamp();
+        let stamp = seal::next(self.committed);
         self.rt.begin_fase();
-        self.store_slot(entry.other(), (stamp, 1), key, false, None);
+        self.store_slot(entry.other(), (stamp, Some(1)), key, false, None);
         self.commit(stamp);
         self.index.remove(&key);
         self.free[entry.class()].push(entry.with_len(0));
@@ -934,69 +902,32 @@ impl Shard {
         (h >> LEN_BITS, h & LEN_MASK)
     }
 
-    /// The `n` of a whole slot; `None` for a void, torn or unsealed one.
-    fn sealed(&self, slot: Entry) -> Option<u64> {
+    /// The seal's `n` of a whole slot; `None` for a torn one, or one
+    /// whose checksum fails.
+    fn whole(&self, slot: Entry) -> Option<u64> {
         let region = self.rt.region();
         let at = slot.slot_off();
         let (header, found) = (region.read_u64(at), region.read_u64(at + 8));
-        let (stamp, vlen) = (header >> LEN_BITS, header & LEN_MASK);
-        let (n, key) = (found >> 32, region.read_u64(slot.node()));
-        let whole = match vlen {
-            LEN_MASK => seal(header, n, None, &[]) == found,
-            len if len as usize <= capacity(slot.class()) => {
-                let value = region.slice(at + SLOT_HEADER, len as usize);
-                seal(header, n, Some(key), value) == found
-            }
-            _ => false,
+        let key = Some(region.read_u64(slot.node()));
+        let (key, len) = match header & LEN_MASK {
+            LEN_MASK => (None, 0),
+            len if len as usize <= capacity(slot.class()) => (key, len),
+            _ => return None,
         };
-        (stamp != 0 && n != 0 && whole).then_some(n)
+        let value = region.slice(at + SLOT_HEADER, len as usize);
+        let n = found >> 32;
+        (seal_word(header, n, key, value) == found).then_some(n)
     }
 
     /// The stamp of the last committed FASE, after a power failure: the
-    /// highest stamp *E* in the image if exactly its sealed *n* whole
-    /// slots carry it, else *E* − 1 — *E* is torn, and the rebuild voids
-    /// it (module doc). An image with a stamp at or past the limit, two
-    /// `n` under *E* or more whole slots than *E*'s `n` is hostile.
+    /// commit rule's fold over every slot, each named by its offset.
     fn last_committed(&self) -> Result<u64, ShardImageError> {
-        let (mut top, mut at_top) = (0, Vec::new());
-        for node in self.nodes()? {
-            for slot in [node, node.other()] {
-                let (stamp, _) = self.header(slot);
-                if stamp >= EPOCH_LIMIT {
-                    let at = node.node();
-                    return Err(ShardImageError::BadNode {
-                        at,
-                        why: "a stamp past the last",
-                    });
-                }
-                if stamp > top {
-                    (top, at_top) = (stamp, Vec::new());
-                }
-                if stamp == top && top > 0 {
-                    at_top.push(slot);
-                }
-            }
-        }
-        let (mut sealed_n, mut whole) = (None, 0);
-        for slot in at_top {
-            let Some(n) = self.sealed(slot) else { continue };
-            let bad = |why| ShardImageError::BadNode {
-                at: slot.node(),
-                why,
-            };
-            if sealed_n.replace(n).is_some_and(|m| m != n) {
-                return Err(bad("two sizes of one FASE"));
-            }
-            whole += 1;
-            if whole > n {
-                return Err(bad("more whole slots than their FASE wrote"));
-            }
-        }
-        Ok(if sealed_n == Some(whole) {
-            top
-        } else {
-            top.saturating_sub(1)
-        })
+        let slots = self.nodes()?.into_iter().flat_map(|n| [n, n.other()]);
+        let units = slots.map(|slot| {
+            let at = slot.slot_off() as u64;
+            (at, self.header(slot).0, move || self.whole(slot))
+        });
+        seal::committed(units).map_err(ShardImageError::BadSeal)
     }
 
     /// The one pass over the segments that recovery, [`Shard::dump`] and
@@ -1033,7 +964,7 @@ impl Shard {
                 [true, true] => Some(usize::from(stamps[1] > stamps[0])),
                 [c0, _] => Some(usize::from(!c0)),
             };
-            if deciding.is_some_and(|d| self.sealed(slots[d]).is_none()) {
+            if deciding.is_some_and(|d| self.whole(slots[d]).is_none()) {
                 return Err(bad("a deciding slot whose seal fails"));
             }
             match deciding {
@@ -1522,9 +1453,9 @@ mod tests {
 
         // a worker dies inside an update's FASE
         let entry = s.locate(0).unwrap();
-        let stamp = s.next_stamp();
+        let stamp = seal::next(s.committed);
         s.rt.begin_fase();
-        s.store_slot(entry.other(), (stamp, 1), 0, false, Some(&[9; 40]));
+        s.store_slot(entry.other(), (stamp, Some(1)), 0, false, Some(&[9; 40]));
         assert!(s.heal_after_panic());
         assert_eq!(s.voided_slots(), 1);
         runs_at_its_last_choice(&s);
@@ -1840,8 +1771,8 @@ mod tests {
     /// adversary that lands only fenced lines; a second reopen voids
     /// nothing; and the next update, which reuses the stamp a dead group
     /// stamped its slots with, does not bring them back. The group
-    /// writes one key twice, so its first write — unsealed — may land
-    /// without its second.
+    /// writes one key twice, so its first write — whose checksum fails —
+    /// may land without its second.
     #[test]
     fn a_crashed_update_stays_dead() {
         let cfg = small(PolicyKind::ScFixed { capacity: 4 });
@@ -1891,6 +1822,46 @@ mod tests {
         }
         assert!(voided > 0, "no cut left a slot to void");
         assert!(whole > 0, "no cut landed the whole group");
+    }
+
+    /// A group that writes key 1 twice, then key 2 — its closing slot.
+    /// After a ring drain between the two writes of key 1 the first can
+    /// be durable and the second not: that image, with key 2's slot
+    /// landed, holds the group's closing slot and one slot of key 1, and
+    /// commits nothing, because only the last write of a key is sealed
+    /// with a checksum that holds.
+    #[test]
+    fn a_repeated_write_that_lands_alone_is_not_whole() {
+        let cfg = small(PolicyKind::ScFixed { capacity: 8 });
+        let loaded = || {
+            let mut s = Shard::new(&cfg);
+            assert!(s.put_many(&[(1, [1u8; 40]), (2, [1; 40])]));
+            s
+        };
+        let group = [(1, [5u8; 40]), (1, [6; 40]), (2, [7; 40])];
+        let mut s = loaded();
+        let (old, start) = (s.dump(), s.steps());
+        let before = s.rt.region().durable_image().to_vec();
+        let at = s.locate(1).unwrap().other().slot_off();
+        let slot = at..at + SLOT_HEADER + 40;
+        assert!(s.put_many(&group));
+        s.sync();
+        // the first cut at which key 1's first write has landed
+        let first = (start..s.steps())
+            .map(|at_step| {
+                let mut s = loaded();
+                let mode = CrashMode::AllInFlightLands;
+                s.arm_crash(CrashPlan { at_step, mode });
+                assert!(s.put_many(&group));
+                s.take_crash_image().unwrap()
+            })
+            .find(|image| image[slot.clone()] != before[slot.clone()])
+            .unwrap();
+        assert_eq!(first[slot.start + SLOT_HEADER..slot.end], [5; 40]);
+        let after = s.rt.region().durable_image();
+        let image = patched(after, slot.start, &first[slot.clone()]);
+        let mut r = Shard::reopen_from_image(image, &cfg).unwrap();
+        assert_eq!((r.dump(), r.voided_slots()), (old, 2));
     }
 
     /// Delete A, then insert B into the block A held — once with A's
@@ -2122,7 +2093,7 @@ mod tests {
         let item = |i: usize| (items[i].0, &items[i].1[..]);
         let mut plan = PutPlan::default();
         assert!(s.plan_group(items.len(), &item, &mut plan));
-        let stamp = s.next_stamp();
+        let stamp = seal::next(s.committed);
         s.rt.begin_fase();
         s.write_group(&item, &plan, stamp);
         assert_eq!(s.last_committed(), Ok(stamp), "the group's slots are whole");
@@ -2195,21 +2166,22 @@ mod tests {
         let header = slot_header(stamp, vlen);
         let bytes = value.unwrap_or_default();
         let mut slot = word(header).to_vec();
-        slot.extend(word(seal(header, n, value.map(|_| key), bytes)));
+        slot.extend(word(seal_word(header, n, value.map(|_| key), bytes)));
         slot.extend(bytes);
         slot
     }
 
     /// An image whose head is not this layout's — another heap's magic,
-    /// the magic of the layout before slots were sealed, not even a log —
-    /// is refused with a typed error before any segment is read. (The
+    /// the magics of the layouts before slots were sealed and before one
+    /// closing slot carried the count, not even a log — is refused with
+    /// a typed error before any segment is read. (The
     /// name is the one the test had when a bucket array hung off the
     /// head.)
     #[test]
     fn reopen_rejects_an_image_without_a_bucket_array() {
         let cfg = small(PolicyKind::ScFixed { capacity: 8 });
         let (sound, _) = sound_image(&cfg);
-        for magic in [b"NVCACHE1", b"NVSHARD1"] {
+        for magic in [b"NVCACHE1", b"NVSHARD1", b"NVSHARD2"] {
             let got = Shard::reopen_from_image(patched(&sound, 0, magic), &cfg).map(|s| s.len());
             assert_eq!(got, Err(ShardImageError::BadHead("no magic word")));
         }
@@ -2237,9 +2209,14 @@ mod tests {
         let (node, first, second) = (a.node(), a.slot_off(), a.other().slot_off());
         let top = s.committed;
         assert_eq!(top, 8);
-        let block = block_of(a.class());
         let segment = |segment, why| ShardImageError::BadSegment(SegmentError { segment, why });
         let bad_node = |at, why| ShardImageError::BadNode { at, why };
+        let bad_seal = |unit: usize, why| {
+            ShardImageError::BadSeal(SealError {
+                unit: unit as u64,
+                why,
+            })
+        };
         let forged = |stamp, n| sealed_slot(stamp, n, 0, Some(&[9; 8]));
         // the segment table's rules have their hostile images in
         // `nvcache_fase::segments`; this one is the shard's own bound
@@ -2270,7 +2247,12 @@ mod tests {
             ),
             (
                 "one key in two live nodes",
-                patched(&sound, b.node(), &sound[node..node + block]),
+                // key 0 in key 1's node, sealed by key 1's FASE
+                patched(
+                    &patched(&sound, b.node(), &word(0)),
+                    b.slot_off(),
+                    &sealed_slot(2, 1, 0, Some(&[0; 8])),
+                ),
                 bad_node(b.node(), "a key live in two nodes"),
             ),
             (
@@ -2280,18 +2262,18 @@ mod tests {
             ),
             (
                 "a stamp at the limit",
-                patched(&sound, second, &word(slot_header(EPOCH_LIMIT, 0))),
-                bad_node(node, "a stamp past the last"),
+                patched(&sound, second, &word(slot_header(seal::STAMP_LIMIT, 0))),
+                bad_seal(second, "a stamp in the reserved range"),
             ),
             (
                 "more whole slots at one stamp than its n",
-                patched(&sound, second, &forged(top, 1)),
-                bad_node(last.node(), "more whole slots than their FASE wrote"),
+                patched(&sound, second, &forged(top, 0)),
+                bad_seal(last.slot_off(), "more whole units than their FASE wrote"),
             ),
             (
-                "two n under one stamp",
+                "two closing slots of one FASE",
                 patched(&sound, second, &forged(top, 2)),
-                bad_node(last.node(), "two sizes of one FASE"),
+                bad_seal(last.slot_off(), "a second closing unit of one FASE"),
             ),
         ];
         for (name, image, want) in cases {
@@ -2330,13 +2312,13 @@ mod tests {
         assert!(s.put(1, b"zero"));
         s.sync();
         let only = s.index[&1];
-        let last = EPOCH_LIMIT - 2;
+        let last = seal::STAMP_LIMIT - 2;
         let slot = sealed_slot(last, 1, 1, Some(b"zero"));
         let image = patched(s.rt.region().durable_image(), only.slot_off(), &slot);
         let mut r = Shard::reopen_from_image(image, &cfg).expect("one stamp left");
         assert_eq!(r.committed, last);
         assert!(r.put(1, b"one"), "an update");
-        assert_eq!(r.committed, EPOCH_LIMIT - 1);
+        assert_eq!(r.committed, seal::STAMP_LIMIT - 1);
         r.sync();
         let image = r.rt.region().durable_image().to_vec();
         let mut again = Shard::reopen_from_image(image, &cfg).expect("the last stamp");
@@ -2485,10 +2467,16 @@ mod tests {
                         // rebuilds the index and the free lists
                         _ => {
                             if let Some(entry) = s.locate(key) {
-                                let stamp = s.next_stamp();
+                                let stamp = seal::next(s.committed);
                                 s.rt.begin_fase();
                                 let dead = vec![0xee; entry.vlen()];
-                                s.store_slot(entry.other(), (stamp, 1), key, false, Some(&dead));
+                                s.store_slot(
+                                    entry.other(),
+                                    (stamp, Some(1)),
+                                    key,
+                                    false,
+                                    Some(&dead),
+                                );
                                 assert!(s.heal_after_panic(), "{step}: a FASE was open");
                                 assert_eq!(s.voided_slots(), 1, "{step}: the dead slot");
                             }

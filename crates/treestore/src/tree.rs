@@ -31,12 +31,11 @@
 //! are rejected up front (`TreeError::ValueTooLarge`) — the KV engine
 //! layered above enforces the same cap at its boundary.
 //!
-//! The checksum is 32 bits of a hash of the page's **used bytes** (see
-//! below) — its header but for the checksum itself, then what the
-//! count covers — seeded with the tree's magic. A page whose checksum
-//! holds is **whole**. Together, the stamp, the checksum and — on the
-//! one page a transaction wrote last, its **closing page** — the number
-//! `n` of pages the transaction leaves live are the page's **seal**.
+//! A page is a sealed unit of [`nvcache_fase::seal`]: its stamp, the
+//! checksum of its **used bytes** (see below) — its header but for the
+//! checksum itself, then what the count covers — and, on the one page a
+//! transaction wrote last, its **closing page**, the number `n` of pages
+//! the transaction leaves live. A page whose checksum holds is **whole**.
 //!
 //! # Logical indirection and MVCC
 //!
@@ -101,38 +100,26 @@
 //! # Recovery
 //!
 //! The durable facts are the head, the class table and the pages.
-//! [`Tree::attach`] checks the magic word and every class byte by the
-//! table's rules and its own (a carved segment holds pages), then scans
-//! every page header of every carved segment. Transaction *E* + 1
-//! stores nothing before *E*'s fence, so only the transaction with the
-//! highest stamp *E* can be torn, and attach judges that one alone by
-//! counting its whole pages:
+//! [`Tree::attach`] checks the magic word and every class byte (a
+//! carved segment holds pages), folds the pages into the committed
+//! version by the commit rule of [`nvcache_fase::seal`] (DESIGN.md
+//! §6.3), keeps the newest **whole** copy per logical id at or below it
+//! (a dead transaction's torn page can carry any older stamp, and is
+//! never whole), takes as root the one logical id no inner page names,
+//! and walks the tree from it, validating tags, fanouts, depth, every
+//! value cell's checksum and key order: each page's keys ascend within
+//! the bounds its parent's separators give it. `len`, `height`, the
+//! next logical id and the page high-water mark come from that scan and
+//! walk; every unreachable page goes on the free list. Structural
+//! damage is a typed [`TreeError`], never an undefined read.
 //!
-//! - exactly the `n` of one whole closing page: *E* committed;
-//! - fewer, or no whole closing page: *E* − 1 committed;
-//! - more than `n`, two whole closing pages, or a stamp in the reserved
-//!   range (`STAMP_LIMIT` and up): a typed [`TreeError`].
-//!
-//! Then it keeps the newest **whole** copy per logical id at or below
-//! the committed version (a dead transaction's page that landed torn
-//! can carry any older stamp, and is never whole), takes as root the
-//! one logical id no inner page names, walks the tree from it to mark
-//! reachable pages (validating tags, fanouts, key order, depth and
-//! every value cell's checksum), and derives `len`, `height`, the next
-//! logical id and the page high-water mark from that scan and walk.
-//! Every unreachable page goes on the free list. Structural damage
-//! surfaces as a typed [`TreeError`], never as undefined reads.
-//!
-//! A dead transaction's pages keep whatever part of them reached
-//! NVRAM, stamps `committed + 1` included — and the retry commits under
-//! that same version. Left alone, such a page would be counted with the
-//! retry's, or outrank a live, older copy of its lpid, at the *next*
-//! attach. So before accepting writes, attach durably voids the header
-//! of every page stamped above the committed version, value cells
-//! included ([`Tree::voided_pages`] reports how many). Voiding is
-//! zeroing, which is idempotent: the pages are dead, so the
-//! zeroes are unlogged fresh writes in a section that commits nothing,
-//! and a crash mid-void leaves headers the next attach voids again.
+//! Attach then durably voids the header of every page stamped above
+//! the committed version, value cells included
+//! ([`Tree::voided_pages`]): a dead transaction's retry reuses its
+//! version, and a dead page left alone would be counted with the
+//! retry's, or outrank a live, older copy of its lpid. Voiding is
+//! zeroing, by unlogged stores in a section that commits nothing, so a
+//! crash mid-void leaves headers the next attach voids again.
 //!
 //! The count needs what the runtime guarantees: a transaction's lines
 //! are flushed when its section ends, so a crash lands each word of its
@@ -151,7 +138,7 @@ use std::fmt;
 use std::ops::Range;
 
 use nvcache_fase::segments::SEGMENT;
-use nvcache_fase::{checksum, FaseStats, RecoveryError, SegmentError, SegmentTable};
+use nvcache_fase::{seal, FaseStats, RecoveryError, SealError, SegmentError, SegmentTable};
 use nvcache_pmem::{CrashMode, CrashPlan};
 
 use crate::pager::{FasePager, PageStore, TreeConfig, PAGE, PAGE_CLASS};
@@ -183,9 +170,6 @@ const MAX_DEPTH: usize = 32;
 /// The tree's magic ("TREESTOR"): the head line's first word and the
 /// seed of a page's checksum.
 const MAGIC: u64 = 0x5452_4545_5354_4f52;
-/// Stamps lie below this. The range above is reserved: no tree commits
-/// 2⁴⁸ times, so a stamp there is damage (and a version never wraps).
-const STAMP_LIMIT: u64 = 1 << 48;
 /// Pages per segment.
 const PAGES_PER_SEG: u64 = (SEGMENT / PAGE) as u64;
 
@@ -258,15 +242,12 @@ fn set_closing(buf: &mut [u8; PAGE], n: u64) {
 }
 
 /// The checksum of the used bytes of a page whose tag and count are
-/// sound: [`checksum`] seeded with [`MAGIC`] over the header less the
-/// checksum's own half of w0, then each run the count covers, each run
-/// seeded with the sum so far; 32 bits.
+/// sound: the header less the checksum's own half of w0, then each run
+/// the count covers.
 fn page_checksum(buf: &[u8; PAGE]) -> u64 {
     let [head, tail] = used_runs(buf);
-    let low = get64(buf, 0) & 0xffff_ffff;
-    let sum = checksum(MAGIC, &low.to_le_bytes());
-    let sum = checksum(sum, &buf[8..head.end]);
-    checksum(sum, &buf[tail]) >> 32
+    let low = (get64(buf, 0) & 0xffff_ffff).to_le_bytes();
+    seal::checksum(MAGIC, [&low[..], &buf[8..head.end], &buf[tail]])
 }
 
 /// Seal page `buf` as stored: its checksum into w0's upper half.
@@ -366,6 +347,18 @@ fn used_runs(buf: &[u8; PAGE]) -> [Range<usize>; 2] {
     }
 }
 
+/// Whether `keys` ascend strictly within `lo..hi` (no bound above for
+/// `hi` = `None`): the keys of a page whose parent's separators give it
+/// those bounds.
+fn keys_within(mut keys: impl Iterator<Item = u64>, lo: u64, hi: Option<u64>) -> bool {
+    let mut least = Some(lo);
+    keys.all(|k| {
+        let ok = least.is_some_and(|m| k >= m) && hi.is_none_or(|h| k < h);
+        least = k.checked_add(1);
+        ok
+    })
+}
+
 /// `(count, pos, hit)` of leaf `buf`: `pos` is the first entry whose
 /// key is not below `key` (`count` when there is none), `hit` its value
 /// cell when its key is `key`.
@@ -430,6 +423,8 @@ pub enum TreeError {
     BadImage(&'static str),
     /// A class byte or a segment breaks a rule of the segment table.
     BadSegment(SegmentError),
+    /// A page breaks the commit rule.
+    BadSeal(SealError),
     /// A reachable page violates a structural invariant.
     BadPage {
         /// Physical page id of the offender.
@@ -455,6 +450,7 @@ impl fmt::Display for TreeError {
             TreeError::Full => write!(f, "tree storage exhausted"),
             TreeError::BadImage(why) => write!(f, "bad tree image: {why}"),
             TreeError::BadSegment(e) => write!(f, "{e}"),
+            TreeError::BadSeal(e) => write!(f, "{e}"),
             TreeError::BadPage { phys, why } => write!(f, "bad tree page {phys}: {why}"),
             TreeError::UnresolvedChild { lpid } => {
                 write!(f, "no surviving copy of logical page {lpid}")
@@ -826,13 +822,10 @@ impl<S: PageStore> Tree<S> {
     /// When a transaction is already open (they do not nest).
     pub fn begin(&mut self) {
         assert!(self.txn.is_none(), "treestore transactions do not nest");
-        assert!(
-            self.version + 1 < STAMP_LIMIT,
-            "treestore versions exhausted"
-        );
+        let version = seal::next(self.version);
         self.store.begin();
         self.txn = Some(Txn {
-            version: self.version + 1,
+            version,
             root_lpid: self.root_lpid,
             next_lpid: self.next_lpid,
             len: self.len,
@@ -1513,12 +1506,11 @@ impl Tree<FasePager> {
 // ---- recovery ---------------------------------------------------------
 
 /// Rebuild the volatile view from the durable image: check the head and
-/// the class table, judge the transaction with the highest stamp by
-/// counting its whole pages, keep the newest whole committed copy per
-/// logical id (in the slot table itself), find the root and walk the tree
-/// from it (validating structure as it goes), free every unreachable
-/// page, and — only once the image has proven sound — void what a dead
-/// transaction left.
+/// the class table, fold the pages into the committed version, keep the
+/// newest whole committed copy per logical id (in the slot table
+/// itself), find the root and walk the tree from it (validating
+/// structure as it goes), free every unreachable page, and — only once
+/// the image has proven sound — void what a dead transaction left.
 fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
     let table = SegmentTable::new(store.len() as usize);
     if table.segments() == 0 || store.read_u64_at(0) != MAGIC {
@@ -1543,37 +1535,12 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
     let page_off = |phys: u64| base + phys * PAGE as u64;
     let carved_pages = || (0..pages).filter(|&p| is_carved[(p / PAGES_PER_SEG) as usize]);
 
-    // the highest stamp, and its transaction's whole and closing pages:
-    // one pass, restarting the count whenever a higher stamp turns up
-    // (two whole closing pages of any one version are damage)
-    let (mut top, mut counted, mut closing) = (0, 0u64, None);
-    for phys in carved_pages() {
+    let units = carved_pages().map(|phys| {
         let b = store.page(page_off(phys));
-        let stamp = hdr_version(b);
-        if stamp >= STAMP_LIMIT {
-            return bad_page(phys, "stamp in the reserved range");
-        }
-        if stamp > top {
-            (top, counted, closing) = (stamp, 0, None);
-        }
-        if stamp != top || !whole(b) {
-            continue;
-        }
-        counted += 1;
-        let n = hdr_closing(b);
-        if n != 0 && closing.replace(n).is_some() {
-            return bad_page(phys, "a second closing page of one version");
-        }
-    }
-    let version = match closing {
-        Some(n) if counted > n => {
-            return Err(TreeError::BadImage(
-                "more whole pages of the last version than its closing page counts",
-            ))
-        }
-        Some(n) if counted == n => top,
-        _ => top.saturating_sub(1),
-    };
+        let seal = move || whole(b).then(|| hdr_closing(b));
+        (phys, hdr_version(b), seal)
+    });
+    let version = seal::committed(units).map_err(TreeError::BadSeal)?;
     if version == 0 {
         return Err(TreeError::BadImage("no committed page"));
     }
@@ -1637,11 +1604,12 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
         );
     }
 
-    // reachability walk from the root, validating structure
+    // reachability walk from the root, validating structure; each page
+    // with the key bounds its parent's separators give it
     let mut reach = vec![false; pages as usize];
     let (mut len, mut height) = (0u64, None);
-    let mut stack = vec![(root_lpid, 1u64)];
-    while let Some((l, depth)) = stack.pop() {
+    let mut stack = vec![(root_lpid, 1u64, 0, None)];
+    while let Some((l, depth, lo, hi)) = stack.pop() {
         let phys = slots[l as usize].phys;
         if phys == PHYS_NONE {
             return Err(TreeError::UnresolvedChild { lpid: l });
@@ -1653,18 +1621,16 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
             return bad_page(phys, "logical page reached twice (cycle)");
         }
         let b = store.page(page_off(phys));
-        let n = hdr_count(b);
-        if hdr_tag(b) == TAG_LEAF {
+        let (n, leaf) = (hdr_count(b), hdr_tag(b) == TAG_LEAF);
+        let key = if leaf { leaf_key } else { inner_key };
+        if !keys_within((0..n).map(|i| key(b, i)), lo, hi) {
+            return bad_page(phys, "keys out of order or outside the parent's bounds");
+        }
+        if leaf {
             if *height.get_or_insert(depth) != depth {
                 return bad_page(phys, "leaf at wrong depth");
             }
-            let mut prev: Option<u64> = None;
             for i in 0..n {
-                let k = leaf_key(b, i);
-                if prev.is_some_and(|p| p >= k) {
-                    return bad_page(phys, "leaf keys out of order");
-                }
-                prev = Some(k);
                 let vp = leaf_vptr(b, i);
                 if vp >= pages {
                     return bad_page(phys, "value pointer out of range");
@@ -1691,7 +1657,9 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
                 if c >= next_lpid {
                     return bad_page(phys, "child lpid out of range");
                 }
-                stack.push((c, depth + 1));
+                let lo = if i == 0 { lo } else { inner_key(b, i - 1) };
+                let hi = if i == n { hi } else { Some(inner_key(b, i)) };
+                stack.push((c, depth + 1, lo, hi));
             }
         }
     }
@@ -2062,20 +2030,22 @@ mod tests {
             *b = *t.store.page(t.page_off(page_of_last_txn(t, true)));
         });
         let err = got.map(|_| ()).unwrap_err();
-        let why = "a second closing page of one version";
+        let why = "a second closing unit of one FASE";
         assert!(
-            matches!(err, TreeError::BadPage { why: w, .. } if w == why),
+            matches!(err, TreeError::BadSeal(SealError { why: w, .. }) if w == why),
             "{err:?}"
         );
     }
 
     #[test]
     fn attach_rejects_more_whole_pages_of_a_version_than_its_count() {
+        let closing = page_of_last_txn(&hundred_keys(), true);
         let (_, got) = attach_with_page(|t, b| {
             *b = *t.store.page(t.page_off(page_of_last_txn(t, false)));
         });
-        let why = "more whole pages of the last version than its closing page counts";
-        assert_eq!(got.map(|_| ()), Err(TreeError::BadImage(why)));
+        let why = "more whole units than their FASE wrote";
+        let err = SealError { unit: closing, why };
+        assert_eq!(got.map(|_| ()), Err(TreeError::BadSeal(err)));
     }
 
     #[test]
@@ -2087,9 +2057,36 @@ mod tests {
 
     #[test]
     fn attach_rejects_a_stamp_in_the_reserved_range() {
-        let (phys, got) = attach_with_page(|_, b| set64(b, 16, STAMP_LIMIT));
-        let why = "stamp in the reserved range";
-        assert_eq!(got.map(|_| ()), Err(TreeError::BadPage { phys, why }));
+        let (unit, got) = attach_with_page(|_, b| set64(b, 16, seal::STAMP_LIMIT));
+        let why = "a stamp in the reserved range";
+        let err = SealError { unit, why };
+        assert_eq!(got.map(|_| ()), Err(TreeError::BadSeal(err)));
+    }
+
+    /// A root separator moved up past keys of the child to its right:
+    /// every page's keys still ascend, but a descent for such a key
+    /// would end in the left child and miss it. Attach refuses the
+    /// child whose keys leave the bounds its parent gives it.
+    #[test]
+    fn attach_rejects_a_key_outside_its_parents_bounds() {
+        let mut t = hundred_keys();
+        let off = t.page_off(t.slots[t.root_lpid as usize].phys);
+        let mut root = *t.store.page(off);
+        assert_eq!(hdr_tag(&root), TAG_INNER);
+        let (low, high) = (inner_key(&root, 0), inner_key(&root, 1));
+        assert!(
+            high - low >= 2,
+            "child 1 holds a key the new bound cuts off"
+        );
+        set_inner_key(&mut root, 0, high - 1);
+        seal(&mut root);
+        t.store.begin();
+        t.store.write_fresh(off, &root);
+        t.store.commit();
+        let phys = t.slots[inner_child(&root, 1) as usize].phys;
+        let why = "keys out of order or outside the parent's bounds";
+        let got = Tree::attach(t.store).map(|_| ());
+        assert_eq!(got, Err(TreeError::BadPage { phys, why }));
     }
 
     /// Hardware lands 8-byte words, not lines: a transaction whose

@@ -18,10 +18,12 @@
 //! What is engine-specific is a generator and a closure: the hash
 //! shard's direct calls (`KvStore`'s idle path) and its fixed-length and
 //! resizing `serve_batch` programs; the tree's transaction, mid-split
-//! and dirty-leaf programs. Two pieces are tree-only: the torn-page
-//! adversary, which tears each of those programs' in-flight pages word
-//! by word at the sweep's cuts, and the two-round same-version retry. The three server-level
-//! tests run one generic function each on hash and on tree lanes.
+//! and dirty-leaf programs. The torn-word adversary tears the sealed
+//! units of either engine (`nvcache::fase::seal`) — a tree's pages, a
+//! hash shard's nodes — word by word at the sweep's cuts, the closing
+//! unit at every word it changed; the two-round same-version retry is
+//! tree-only. The three server-level tests run one generic function
+//! each on hash and on tree lanes.
 
 use nvcache::core::{AdaptiveConfig, PolicyKind};
 use nvcache::fase::segments::SEGMENT;
@@ -33,6 +35,7 @@ use nvcache::kvstore::{
 use nvcache::pmem::{CrashMode, CrashPlan};
 use nvcache::treestore::{Tree, TreeConfig};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -376,10 +379,13 @@ fn serve_batch_recovers_a_committed_prefix_of_acked_batches() {
         log_len: 1 << 13,
         ..shard_cfg(PolicyKind::ScFixed { capacity: 8 })
     };
-    let r = sweep(&shard_rig(cfg, carve(&[8, 24, 56])), &resizing, EVERY);
+    let rig = shard_rig(cfg.clone(), carve(&[8, 24, 56]));
+    let r = sweep(&rig, &resizing, EVERY);
     assert_eq!(r.refused, 0);
     assert_eq!(r.whole, resizing.len(), "a resizing batch is one FASE");
     assert!(r.recoveries >= 1206, "{} recoveries", r.recoveries);
+    let torn = torn_units(&rig, &resizing, EVERY, 8, cfg.data_len);
+    assert!(torn >= 4_900, "{torn} torn nodes");
 }
 
 /// Committed CoW transactions — puts of varying value classes (leaf
@@ -408,7 +414,7 @@ fn tree_recovers_committed_prefix_at_sampled_micro_steps() {
     assert!(r.recoveries >= 294, "{} recoveries", r.recoveries);
     // a smaller heap: the adversary copies one image per torn word
     let rig = tree_rig(tree_cfg(1 << 19), Vec::new());
-    let torn = torn_pages(&rig, &prog, 98, 8, 1 << 19);
+    let torn = torn_units(&rig, &prog, 98, 8, 1 << 19);
     assert!(torn >= 2_200, "{torn} torn pages");
 }
 
@@ -429,38 +435,95 @@ fn mid_split_crash_recovers_the_old_root_graph() {
     assert_eq!(r.whole, 1);
     assert!(r.recoveries >= 93, "{} recoveries", r.recoveries);
     let rig = tree_rig(tree_cfg(1 << 19), base);
-    let torn = torn_pages(&rig, &big, 60, 8, 1 << 19);
+    let torn = torn_units(&rig, &big, 60, 8, 1 << 19);
     assert!(torn >= 1_500, "{torn} torn pages");
 }
 
-/// The offsets of the tree's pages in `image`, its data area: the 16
-/// pages of 256 bytes of every segment its class table names carved.
-fn pages_of(image: &[u8]) -> Vec<usize> {
-    let table = SegmentTable::new(image.len());
-    (0..table.segments())
-        .filter(|&s| table.class_byte(image, s) != 0)
-        .flat_map(|s| {
-            (0..SEGMENT)
-                .step_by(256)
-                .map(move |at| table.segment(s) + at)
+/// An engine whose FASEs commit by sealed units (`nvcache::fase::seal`),
+/// as the torn-word adversary sees it.
+trait Sealed: Engine {
+    /// The bytes of every unit of data area `data`, and whether it is a
+    /// closing unit: whether a count word of it holds an *n*.
+    fn units(data: &[u8]) -> Vec<(Range<usize>, bool)>;
+
+    /// The durable image of the engine's region.
+    fn durable(&mut self) -> &[u8];
+}
+
+/// The little-endian word at `at`.
+fn word(data: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(data[at..at + 8].try_into().unwrap())
+}
+
+/// The blocks of `block` bytes of every segment of data area `data` that
+/// its class table names carved.
+fn blocks(data: &[u8], block: impl Fn(usize) -> usize) -> Vec<Range<usize>> {
+    let table = SegmentTable::new(data.len());
+    let carved = (0..table.segments()).map(|s| (s, table.class_byte(data, s)));
+    carved
+        .filter(|&(_, class)| class != 0)
+        .flat_map(|(s, class)| {
+            let (at, block) = (table.segment(s), block(class));
+            (at..at + SEGMENT).step_by(block).map(move |b| b..b + block)
         })
         .collect()
 }
 
-/// Hardware lands 8-byte words, not lines: the torn-page adversary. At
+/// A tree's units are its 256-byte pages; `n` sits in w1's upper half.
+impl Sealed for TreeEngine {
+    fn units(data: &[u8]) -> Vec<(Range<usize>, bool)> {
+        let pages = blocks(data, |_| 256).into_iter();
+        pages
+            .map(|p| (p.clone(), word(data, p.start + 8) >> 32 != 0))
+            .collect()
+    }
+
+    fn durable(&mut self) -> &[u8] {
+        self.tree_mut()
+            .store_mut()
+            .runtime_mut()
+            .region()
+            .durable_image()
+    }
+}
+
+/// A hash shard's units are its value slots; the adversary tears whole
+/// nodes (the key and both slots), a node closing when either slot's
+/// seal word — at 16, and at half the block + 8 — holds an `n`.
+impl Sealed for Shard {
+    fn units(data: &[u8]) -> Vec<(Range<usize>, bool)> {
+        let nodes = blocks(data, |class| 16 << class).into_iter();
+        let seal_n = |at| word(data, at) >> 32 != 0;
+        nodes
+            .map(|b| {
+                let half = b.len() / 2;
+                (
+                    b.clone(),
+                    seal_n(b.start + 16) || seal_n(b.start + half + 8),
+                )
+            })
+            .collect()
+    }
+
+    fn durable(&mut self) -> &[u8] {
+        self.runtime_mut().region().durable_image()
+    }
+}
+
+/// Hardware lands 8-byte words, not lines: the torn-word adversary. At
 /// each cut of `prog` that `sweep` makes with `cuts`, under each
-/// adversary, the pages of the tree that differ between the strict
-/// image and the adversary's — landed, not fenced — are torn: the
-/// closing page (the one whose header carries a transaction's page
-/// count) once per changed word, every other such page once, with one
-/// changed word back at its fenced bytes (the word rotates with the
-/// cut). A program whose transactions write hundreds of pages tears at
-/// most `spread` of those others per cut, rotating. Every image
-/// recovers the state before the cut's batch or after it, never a mix,
-/// and a second recovery changes no byte of the data area. Returns the
-/// torn images recovered.
-fn torn_pages(
-    rig: &Rig<TreeEngine>,
+/// adversary, the units of the engine that differ between the strict
+/// image and the adversary's — landed, not fenced — are torn: a closing
+/// unit (one whose count word holds an *n*) once per changed word,
+/// every other such unit once, with one changed word back at its fenced
+/// bytes (the word rotates with the cut). A program whose FASEs write
+/// hundreds of units tears at most `spread` of those others per cut,
+/// rotating. Every image recovers the state before the cut's batch or
+/// after it, never a mix, and a second recovery changes no byte of the
+/// data area, the first `data_len` bytes. Returns the torn images
+/// recovered.
+fn torn_units<E: Sealed>(
+    rig: &Rig<E>,
     prog: &[Vec<BatchRequest>],
     cuts: u64,
     spread: usize,
@@ -473,11 +536,6 @@ fn torn_pages(
         ends.push(e.steps());
         states.push(e.dump());
     }
-    let pages = pages_of(e.tree().store().runtime().region().slice(0, data_len));
-    let data_of = |e: &mut TreeEngine| {
-        let region = e.tree_mut().store_mut().runtime_mut().region();
-        region.durable_image()[..data_len].to_vec()
-    };
     let (setup, total) = (ends[0], ends[prog.len()]);
     let stride = ((total - setup) / cuts).max(1) as usize;
     let mut images = 0;
@@ -487,23 +545,18 @@ fn torn_pages(
         let strict = image_at(rig, prog, k, &CrashMode::StrictDurableOnly);
         for mode in modes(k) {
             let landed = image_at(rig, prog, k, &mode);
-            let word = |at: usize| u64::from_le_bytes(landed[at..at + 8].try_into().unwrap());
-            let in_flight: Vec<(usize, Vec<usize>)> = pages
-                .iter()
-                .map(|&p| {
-                    let changed = (p..p + 256).step_by(8);
-                    (
-                        p,
-                        changed
-                            .filter(|&w| strict[w..w + 8] != landed[w..w + 8])
-                            .collect(),
-                    )
+            let in_flight: Vec<(Range<usize>, bool, Vec<usize>)> = E::units(&landed[..data_len])
+                .into_iter()
+                .map(|(unit, closing)| {
+                    let changed = unit.clone().step_by(8);
+                    let changed = changed.filter(|&w| strict[w..w + 8] != landed[w..w + 8]);
+                    (unit, closing, changed.collect())
                 })
-                .filter(|(_, changed): &(usize, Vec<usize>)| !changed.is_empty())
+                .filter(|(.., changed): &(_, _, Vec<usize>)| !changed.is_empty())
                 .collect();
             let every = in_flight.len().div_ceil(spread).max(1);
-            for (n, (page, changed)) in in_flight.iter().enumerate() {
-                let torn = if word(page + 8) >> 32 != 0 {
+            for (n, (unit, closing, changed)) in in_flight.iter().enumerate() {
+                let torn = if *closing {
                     &changed[..]
                 } else if (n + k as usize).is_multiple_of(every) {
                     let w = (k as usize + n) % changed.len();
@@ -514,22 +567,16 @@ fn torn_pages(
                 for &w in torn {
                     let mut image = landed.clone();
                     image[w..w + 8].copy_from_slice(&strict[w..w + 8]);
-                    let ctx = format!("{mode:?} step {k}, word {w} of page {page} torn");
+                    let ctx = format!("{mode:?} step {k}, word {w} of unit {unit:?} torn");
                     let mut rec = (rig.reopen)(image)
                         .unwrap_or_else(|e| panic!("{ctx}: recovery failed: {e}"));
                     let got = rec.dump();
-                    assert!(got == *old || got == *new, "{ctx}: a mix of two trees");
-                    let once = data_of(&mut rec);
-                    let image = rec
-                        .tree_mut()
-                        .store_mut()
-                        .runtime_mut()
-                        .region()
-                        .durable_image();
-                    let mut again = (rig.reopen)(image.to_vec())
+                    assert!(got == *old || got == *new, "{ctx}: a mix of two states");
+                    let once = rec.durable();
+                    let mut again = (rig.reopen)(once.to_vec())
                         .unwrap_or_else(|e| panic!("{ctx}: second recovery failed: {e}"));
                     assert!(
-                        once == data_of(&mut again),
+                        once[..data_len] == again.durable()[..data_len],
                         "{ctx}: the second recovery wrote"
                     );
                     images += 1;
@@ -570,7 +617,7 @@ fn dirty_leaf_edits_and_split_are_atomic_at_every_micro_step() {
     let r = sweep(&rig, &prog, EVERY);
     assert_eq!(r.whole, 1);
     assert!(r.recoveries >= 132, "{} recoveries", r.recoveries);
-    let torn = torn_pages(&rig, &prog, EVERY, usize::MAX, 1 << 18);
+    let torn = torn_units(&rig, &prog, EVERY, usize::MAX, 1 << 18);
     assert!(torn >= 508, "{torn} torn pages");
 }
 
