@@ -168,13 +168,13 @@ fn net_kv_server(shards: usize) -> std::sync::Arc<nvcache_kvstore::KvServer> {
             shard: ShardConfig {
                 buckets: 512,
                 data_len: 1 << 21,
-                log_len: 1 << 17,
                 policy: PolicyKind::ScAdaptive(AdaptiveConfig {
                     burst_len: 4096,
                     ..Default::default()
                 }),
                 adapt: None,
                 pipelined: true,
+                ..ShardConfig::default()
             },
         },
         &ServerConfig::default(),

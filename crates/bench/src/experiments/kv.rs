@@ -48,10 +48,10 @@ fn config_for(policy_label: &str, burst: usize) -> KvConfig {
             // linked-list traversal
             buckets: 512,
             data_len: 1 << 21,
-            log_len: 1 << 17,
             policy,
             adapt: None,
             pipelined: true,
+            ..ShardConfig::default()
         },
     }
 }

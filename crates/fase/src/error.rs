@@ -12,11 +12,12 @@
 /// Why a region could not be recovered as a FASE log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryError {
-    /// The region is smaller than the advertised data + log areas.
+    /// The region is smaller than the advertised data area plus its
+    /// log area, if it has one.
     RegionTooSmall {
         /// Bytes the region actually holds.
         region_len: usize,
-        /// Bytes the data area plus log area require.
+        /// Bytes the data area plus any log area require.
         need: usize,
     },
     /// The log header's magic word is absent — the image was never
@@ -32,7 +33,7 @@ impl std::fmt::Display for RecoveryError {
         match self {
             RecoveryError::RegionTooSmall { region_len, need } => write!(
                 f,
-                "region too small for a FASE log: {region_len} bytes, need {need}"
+                "region too small for a FASE runtime: {region_len} bytes, need {need}"
             ),
             RecoveryError::BadMagic { found } => write!(
                 f,

@@ -11,7 +11,8 @@
 //!
 //! * [`log::UndoLog`] — the in-region undo log (self-validating record
 //!   groups, commit by epoch bump, recovery scan) with the
-//!   log-before-data ordering discipline.
+//!   log-before-data ordering discipline; optional, and owned by the
+//!   programs that log. Neither engine has one: both commit by [`seal`].
 //! * [`runtime::FaseRuntime`] — the per-thread runtime that Atlas's LLVM
 //!   instrumentation pass would drive (DESIGN.md §2.4): every persistent
 //!   store routes through [`runtime::FaseRuntime::store`], which logs,

@@ -15,13 +15,18 @@
 //! commits — skips step 1 through [`FaseRuntime::store_fresh`]; steps
 //! 2–4 and the commit are the same.
 //!
+//! The undo log is optional, as the heap is, and belongs to the programs
+//! that log. A `log_len` of 0 makes a runtime whose region is the data
+//! area alone and whose logged stores panic: both engines run so, and
+//! commit by their own sealed units ([`crate::seal`]).
+//!
 //! At the end of an outermost FASE the policy's buffered lines join the
 //! ring, the ring drains as sorted, coalesced ranged sweeps, and a fence
 //! orders them. Then the log's epoch bump commits whatever the FASE
 //! logged (one persisted word — the commit point); a FASE that logged
-//! nothing commits for free, by the data fence alone, so it must be
-//! able to tell from its own stores whether they all landed (the hash
-//! shard's sealed slots, the tree's sealed pages).
+//! nothing, or ran with no log, commits by the data fence alone, so it
+//! must be able to tell from its own stores whether they all landed
+//! (the hash shard's sealed slots, the tree's sealed pages).
 //!
 //! The ring is the only flush path: a flush reaches NVRAM before commit
 //! only when a full ring drains inline.
@@ -144,7 +149,8 @@ impl std::iter::Sum for FaseStats {
 /// A per-thread failure-atomic-section runtime over one region.
 pub struct FaseRuntime {
     region: PmemRegion,
-    log: UndoLog,
+    /// `None` for a runtime created with no log area.
+    log: Option<UndoLog>,
     /// Enum-dispatched: the store path calls `on_store` through a match
     /// on six concrete types, not a vtable (same engine as the replay
     /// drivers' monomorphized loops).
@@ -200,17 +206,23 @@ impl std::fmt::Debug for FaseRuntime {
 
 impl FaseRuntime {
     /// Create a runtime over a fresh region: `data_len` bytes of user
-    /// data followed by a `log_len`-byte undo log.
+    /// data followed by a `log_len`-byte undo log, or no log at all for
+    /// a `log_len` of 0.
     pub fn new(data_len: usize, log_len: usize, policy: &PolicyKind) -> Self {
         let data_len = data_len.div_ceil(64) * 64;
         let mut region = PmemRegion::new(data_len + log_len);
-        let log = UndoLog::format(&mut region, data_len, log_len);
+        let log = (log_len > 0).then(|| UndoLog::format(&mut region, data_len, log_len));
         Self::from_parts(region, log, policy, data_len)
     }
 
     /// A runtime over `region` and its `log`, with no FASE open, an
     /// empty ring and zeroed counters: what both constructors share.
-    fn from_parts(region: PmemRegion, log: UndoLog, policy: &PolicyKind, data_len: usize) -> Self {
+    fn from_parts(
+        region: PmemRegion,
+        log: Option<UndoLog>,
+        policy: &PolicyKind,
+        data_len: usize,
+    ) -> Self {
         FaseRuntime {
             region,
             log,
@@ -253,8 +265,10 @@ impl FaseRuntime {
     /// header is corrupted beyond what a crash can produce) surfaces as
     /// a typed [`RecoveryError`] instead of a panic, so callers handling
     /// untrusted images — disk files, fuzzer crash captures — can
-    /// report the condition. A reopened runtime has no heap
-    /// ([`FaseRuntime::with_heap`]): no image that is reopened keeps one.
+    /// report the condition. With a `log_len` of 0 there is nothing to
+    /// recover: the region need only hold the data area. A reopened
+    /// runtime has no heap ([`FaseRuntime::with_heap`]): no image that
+    /// is reopened keeps one.
     pub fn try_reopen(
         mut region: PmemRegion,
         data_len: usize,
@@ -264,8 +278,13 @@ impl FaseRuntime {
         let clock = ClockSource::mono();
         let t0 = clock.now_ns();
         let data_len = data_len.div_ceil(64) * 64;
-        let mut log = UndoLog::open(&region, data_len, log_len)?;
-        let rolled = log.recover(&mut region)?;
+        let (region_len, need) = (region.len(), data_len + log_len);
+        if region_len < need {
+            return Err(RecoveryError::RegionTooSmall { region_len, need });
+        }
+        let opened = (log_len > 0).then(|| UndoLog::open(&region, data_len, log_len));
+        let mut log = opened.transpose()?;
+        let rolled = log.as_mut().map_or(Ok(0), |log| log.recover(&mut region))?;
         let recovery_ns = clock.now_ns().saturating_sub(t0);
         let mut rt = Self::from_parts(region, log, policy, data_len);
         rt.stats.rollbacks = u64::from(rolled > 0);
@@ -322,9 +341,9 @@ impl FaseRuntime {
     }
 
     /// Undo-log counters: records written and elided, and the log's
-    /// share of the region's flushes by kind.
+    /// share of the region's flushes by kind. All zero with no log.
     pub fn log_stats(&self) -> LogStats {
-        self.log.stats()
+        self.log.as_ref().map(UndoLog::stats).unwrap_or_default()
     }
 
     /// Counters accumulated since the previous `take_stats` call (or
@@ -395,14 +414,15 @@ impl FaseRuntime {
     ///
     /// A write set the log has no room for is refused with nothing
     /// written: the FASE is still open, empty and not prelogged, and
-    /// the caller closes it.
+    /// the caller closes it. Panics on a runtime with no undo log.
     pub fn prelog(&mut self, ranges: &[(u64, u64)]) -> Result<(), LogFull> {
         assert_eq!(
             self.depth, 1,
             "prelog belongs at the top of an outermost FASE"
         );
         assert!(!self.prelogged, "prelog once per FASE");
-        self.log.append_group(&mut self.region, ranges)?;
+        let log = self.log.as_mut().expect("runtime has no undo log");
+        log.append_group(&mut self.region, ranges)?;
         self.prelogged = true;
         #[cfg(debug_assertions)]
         {
@@ -490,7 +510,7 @@ impl FaseRuntime {
             self.region.fence();
             self.stats.fences += 1;
             if self.telemetry.is_some() {
-                let log_bytes = self.log.used();
+                let log_bytes = self.log.as_ref().map_or(0, UndoLog::used);
                 let t = self.stats.store_lines;
                 let stores = self.fase_store_lines;
                 if let Some(tel) = &mut self.telemetry {
@@ -503,7 +523,9 @@ impl FaseRuntime {
                     tel.emit(EventKind::FaseEnd, t, stores, n);
                 }
             }
-            self.log.commit(&mut self.region);
+            if let Some(log) = &mut self.log {
+                log.commit(&mut self.region);
+            }
             self.prelogged = false;
             #[cfg(debug_assertions)]
             self.prelog_ranges.clear();
@@ -557,10 +579,11 @@ impl FaseRuntime {
     /// nothing logs nothing.
     ///
     /// # Panics
-    /// When the log area overflows (size the log for the largest FASE,
-    /// or announce the write set with [`FaseRuntime::prelog`], which
-    /// refuses instead).
+    /// On a runtime with no undo log, and when the log area overflows
+    /// (size the log for the largest FASE, or announce the write set
+    /// with [`FaseRuntime::prelog`], which refuses instead).
     pub fn store(&mut self, offset: usize, bytes: &[u8]) {
+        assert!(self.log.is_some(), "runtime has no undo log");
         assert!(
             offset + bytes.len() <= self.data_len,
             "store outside data area"
@@ -608,7 +631,8 @@ impl FaseRuntime {
             }
             from = to;
         }
-        if let Err(full) = self.log.append_group(&mut self.region, &self.runs) {
+        let log = self.log.as_mut().expect("runtime has no undo log");
+        if let Err(full) = log.append_group(&mut self.region, &self.runs) {
             panic!("{full}");
         }
     }
@@ -774,7 +798,7 @@ impl FaseRuntime {
 
     /// Inject a power failure under `mode`, then run recovery; the
     /// runtime continues over the recovered state. Any open FASE is
-    /// rolled back (all-or-nothing).
+    /// rolled back through the undo log, if there is one.
     pub fn crash_and_recover(&mut self, mode: &CrashMode) {
         let recovery_t0 = self.clock.now_ns();
         self.region.crash(mode);
@@ -798,17 +822,17 @@ impl FaseRuntime {
     /// runs, so nothing commits and the in-flight flush buffer leaks).
     ///
     /// Healing drops all of that volatile residue, rolls the abandoned
-    /// section back through the undo log (its entries were durable
-    /// before any data store, so the pre-section state is recoverable
-    /// in place), and leaves the runtime serving again. Returns whether
-    /// there was anything to heal.
+    /// section back through the undo log if there is one (its entries
+    /// were durable before any data store, so the pre-section state is
+    /// recoverable in place), and leaves the runtime serving again.
+    /// Returns whether there was anything to heal.
     pub fn heal_after_panic(&mut self) -> bool {
         let open =
             self.depth > 0 || !self.flush_buf.is_empty() || self.prelogged || !self.ring.is_empty();
         if !open {
             // nothing abandoned, so nothing logged: the tail is
             // volatile and only an open FASE moves it
-            debug_assert_eq!(self.log.used(), 0);
+            debug_assert_eq!(self.log.as_ref().map_or(0, UndoLog::used), 0);
             return false;
         }
         self.roll_back(0);
@@ -818,8 +842,8 @@ impl FaseRuntime {
     /// Drop the volatile residue of whatever FASE was open — depth,
     /// flush buffer, the policy's cache, submitted-but-undrained lines,
     /// the prelogged write set, an unwritten commit record — and roll
-    /// the region back through the undo log. The rollback's telemetry
-    /// event carries `crashes`.
+    /// the region back through the undo log, if there is one. The
+    /// rollback's telemetry event carries `crashes`.
     fn roll_back(&mut self, crashes: u64) {
         self.depth = 0;
         self.flush_buf.clear();
@@ -828,10 +852,12 @@ impl FaseRuntime {
         self.prelogged = false;
         #[cfg(debug_assertions)]
         self.prelog_ranges.clear();
+        let Some(log) = &mut self.log else {
+            return;
+        };
         // The log was formatted by this runtime; a crash can tear it but
         // never strip the magic, so recovery cannot fail here.
-        let rolled = self
-            .log
+        let rolled = log
             .recover(&mut self.region)
             .expect("in-process log lost its header");
         if rolled > 0 {
@@ -1424,6 +1450,19 @@ mod tests {
         assert_eq!(r.load_u64(root), 123);
     }
 
+    /// A runtime made with no log area is its data area alone, and a
+    /// logged store on it panics as a heap call on a runtime without a
+    /// heap does.
+    #[test]
+    #[should_panic(expected = "runtime has no undo log")]
+    fn a_runtime_without_a_log_refuses_a_logged_store() {
+        let mut r = FaseRuntime::new(1000, 0, &PolicyKind::ScFixed { capacity: 8 });
+        assert_eq!(r.region().len(), 1024);
+        r.fase(|r| r.store_fresh(0, &[1; 8]));
+        r.begin_fase();
+        r.store_u64(8, 2);
+    }
+
     #[test]
     fn pipelined_path_preserves_atomicity() {
         for kind in [
@@ -1544,13 +1583,13 @@ mod tests {
     fn store_fresh_skips_the_undo_log_and_its_fences() {
         let mut r = rt(PolicyKind::Lazy);
         r.begin_fase();
-        let (log0, fences0) = (r.log.stats(), r.region().stats().fences);
+        let (log0, fences0) = (r.log_stats(), r.region().stats().fences);
         r.store_fresh(0, &[7u8; 256]);
-        assert_eq!(r.log.stats(), log0, "no entry, no bytes logged");
+        assert_eq!(r.log_stats(), log0, "no entry, no bytes logged");
         assert_eq!(r.region().stats().fences, fences0, "no log fence");
         r.store_u64(512, 1);
-        assert_eq!(r.log.stats().entries, log0.entries + 1);
-        assert_eq!(r.log.stats().bytes_logged, log0.bytes_logged + 8);
+        assert_eq!(r.log_stats().entries, log0.entries + 1);
+        assert_eq!(r.log_stats().bytes_logged, log0.bytes_logged + 8);
         assert_eq!(r.region().stats().fences, fences0 + 1, "the record");
         r.end_fase();
     }
@@ -1615,7 +1654,7 @@ mod tests {
                 }
                 r.end_fase();
             }
-            (r.stats(), r.log.stats().entries)
+            (r.stats(), r.log_stats().entries)
         };
         let (logged, logged_entries) = run(false);
         let (fresh, fresh_entries) = run(true);

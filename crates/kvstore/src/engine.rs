@@ -146,8 +146,8 @@ impl TreeEngine {
         }
     }
 
-    /// Re-attach to a crash image: FASE recovery, then tree state
-    /// rebuild from the class table and the pages.
+    /// Re-attach to a crash image: the tree's state is rebuilt from the
+    /// class table and the pages.
     pub fn reopen_from_image(image: Vec<u8>, cfg: &TreeEngineConfig) -> Result<Self, TreeError> {
         Ok(TreeEngine {
             t: Tree::reopen_from_image(image, &cfg.tree)?,

@@ -5,13 +5,12 @@
 //! shard's store lines and resizes the software cache while the shard
 //! keeps serving; [`Shard::chosen`] reads its decisions.
 //!
-//! Persistent layout (offsets inside the shard's data area; the runtime
-//! formats its undo log after it, and no shard FASE writes a record) —
-//! the segment table of [`nvcache_fase::segments`], which the tree's
-//! image shares:
+//! Persistent layout (offsets inside the shard's region, which is its
+//! data area alone: the runtime has no undo log) — the segment table of
+//! [`nvcache_fase::segments`], which the tree's image shares:
 //!
 //! ```text
-//! [head line | class table | segment 0 | segment 1 | …]  [undo log]
+//! [head line | class table | segment 0 | segment 1 | …]
 //! head    := magic u64
 //! class   := u8 per segment: 0 = never carved, c = blocks of 16 << c bytes
 //! segment := 4 KiB of equal blocks, one node each
@@ -279,8 +278,8 @@ pub struct ShardConfig {
     /// Data-area bytes: the head line, the class table and as many
     /// 4 KiB segments as fit.
     pub data_len: usize,
-    /// Undo-log bytes. The runtime formats the log; the shard never
-    /// writes a record to it.
+    /// Selects nothing: a shard's runtime has no undo log. Kept for
+    /// `benchmark/src/adapter.rs`, which sets it.
     pub log_len: usize,
     /// Persistence policy for this shard's runtime.
     pub policy: PolicyKind,
@@ -315,7 +314,7 @@ impl Default for ShardConfig {
         ShardConfig {
             buckets: 256,
             data_len: 1 << 20,
-            log_len: 1 << 16,
+            log_len: 0,
             policy: PolicyKind::ScAdaptive(Default::default()),
             adapt: None,
             pipelined: false,
@@ -326,7 +325,7 @@ impl Default for ShardConfig {
 /// Why an image cannot be served as a shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardImageError {
-    /// The FASE layer itself could not recover the image.
+    /// The image is shorter than the data area.
     Recovery(RecoveryError),
     /// The head line is not a shard's: the magic word is missing.
     BadHead(&'static str),
@@ -448,20 +447,20 @@ fn write_of(reqs: &[BatchRequest], (req, item): (usize, usize)) -> (u64, &[u8]) 
 impl Shard {
     /// Create a fresh shard.
     pub fn new(cfg: &ShardConfig) -> Self {
-        let mut rt = FaseRuntime::new(cfg.data_len, cfg.log_len, &cfg.runtime_policy());
+        let mut rt = FaseRuntime::new(cfg.data_len, 0, &cfg.runtime_policy());
         rt.persist(0, &MAGIC.to_le_bytes());
         Self::assemble(rt)
     }
 
-    /// Re-attach to a crash image (or saved region): run recovery, then
-    /// find the last committed FASE, rebuild the index and the free lists
-    /// by one pass over the segments and void what a dead FASE left. The
-    /// image may be anything: one the passes cannot vouch for is a typed
-    /// error, never a hang or a panic.
+    /// Re-attach to a crash image (or saved region): find the last
+    /// committed FASE, rebuild the index and the free lists by one pass
+    /// over the segments and void what a dead FASE left. The image may be
+    /// anything: one the passes cannot vouch for is a typed error, never
+    /// a hang or a panic.
     pub fn reopen_from_image(image: Vec<u8>, cfg: &ShardConfig) -> Result<Self, ShardImageError> {
         let region = PmemRegion::from_image(image);
         let policy = cfg.runtime_policy();
-        let rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &policy)?;
+        let rt = FaseRuntime::try_reopen(region, cfg.data_len, 0, &policy)?;
         if rt.data_len() < CLASS_TABLE || rt.region().read_u64(0) != MAGIC {
             return Err(ShardImageError::BadHead("no magic word"));
         }
@@ -1126,7 +1125,6 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvcache_fase::LogStats;
 
     fn small(policy: PolicyKind) -> ShardConfig {
         ShardConfig {
@@ -1682,11 +1680,10 @@ mod tests {
         }
     }
 
-    /// The counters one call moves: log, region, ring and runtime.
-    fn counters(s: &Shard) -> (LogStats, nvcache_pmem::PmemStats, u64, FaseStats) {
+    /// The counters one call moves: region, ring and runtime.
+    fn counters(s: &Shard) -> (nvcache_pmem::PmemStats, u64, FaseStats) {
         let rt = &s.rt;
-        let ring = rt.ring_stats().flushed;
-        (rt.log_stats(), rt.region().stats(), ring, rt.stats())
+        (rt.region().stats(), rt.ring_stats().flushed, rt.stats())
     }
 
     /// Assert that `op` committed as one FASE by its sealed slots alone:
@@ -1698,14 +1695,9 @@ mod tests {
         lines: u64,
         op: impl Fn(&mut Shard) -> bool,
     ) {
-        let (log, pmem, ring, fase) = counters(s);
+        let (pmem, ring, fase) = counters(s);
         assert!(op(s), "{what}");
-        let (log2, p, r, f) = counters(s);
-        let one_more_commit = LogStats {
-            commits: log.commits + 1,
-            ..log
-        };
-        assert_eq!(log2, one_more_commit, "{what}: a record");
+        let (p, r, f) = counters(s);
         assert_eq!(f.fases - fase.fases, 1, "{what}");
         assert_eq!(p.fences - pmem.fences, 1, "{what}: one fence");
         assert_eq!(f.data_flushes - fase.data_flushes, lines, "{what}");
@@ -1749,9 +1741,9 @@ mod tests {
         s.index_matches_heap().unwrap();
         // a 100-byte value's class has no segment yet: the carve's one
         // line and fence come before the insert's FASE
-        let (_, pmem, _, fase) = counters(&s);
+        let (pmem, _, fase) = counters(&s);
         assert!(s.put(50, &[4; 100]));
-        let (_, p, _, f) = counters(&s);
+        let (p, _, f) = counters(&s);
         assert_eq!((f.fases - fase.fases, p.fences - pmem.fences), (1, 2));
         assert_eq!((f.stores - fase.stores, p.flushes - pmem.flushes), (2, 3));
     }
@@ -2173,23 +2165,34 @@ mod tests {
 
     /// An image whose head is not this layout's — another heap's magic,
     /// the magics of the layouts before slots were sealed and before one
-    /// closing slot carried the count, not even a log — is refused with
-    /// a typed error before any segment is read. (The
-    /// name is the one the test had when a bucket array hung off the
-    /// head.)
+    /// closing slot carried the count, all zeros — is refused with a
+    /// typed error before any segment is read, and so is an image
+    /// shorter than the data area, down to an empty one. A shard's
+    /// region is its data area alone. (The name is the one the test had
+    /// when a bucket array hung off the head.)
     #[test]
     fn reopen_rejects_an_image_without_a_bucket_array() {
         let cfg = small(PolicyKind::ScFixed { capacity: 8 });
-        let (sound, _) = sound_image(&cfg);
+        let (sound, s) = sound_image(&cfg);
+        assert_eq!(s.rt.region().len(), cfg.data_len, "no log area");
+        let reopened = |image| Shard::reopen_from_image(image, &cfg).map(|s| s.len());
         for magic in [b"NVCACHE1", b"NVSHARD1", b"NVSHARD2"] {
-            let got = Shard::reopen_from_image(patched(&sound, 0, magic), &cfg).map(|s| s.len());
+            let got = reopened(patched(&sound, 0, magic));
             assert_eq!(got, Err(ShardImageError::BadHead("no magic word")));
         }
-        let not_a_log = vec![0u8; cfg.data_len + cfg.log_len];
-        assert!(matches!(
-            Shard::reopen_from_image(not_a_log, &cfg),
-            Err(ShardImageError::Recovery(RecoveryError::BadMagic { .. }))
-        ));
+        let zeros = vec![0u8; cfg.data_len];
+        assert_eq!(
+            reopened(zeros),
+            Err(ShardImageError::BadHead("no magic word"))
+        );
+        for region_len in [cfg.data_len - 64, 0] {
+            let short = RecoveryError::RegionTooSmall {
+                region_len,
+                need: cfg.data_len,
+            };
+            let got = reopened(sound[..region_len].to_vec());
+            assert_eq!(got, Err(ShardImageError::Recovery(short)));
+        }
     }
 
     /// Every rule of the node layout and of the commit point a hostile

@@ -9,8 +9,8 @@
 //!
 //! * [`pager`] — the split storage trait surface ([`PageRead`] /
 //!   [`PageWrite`]) and its two backends: the production [`FasePager`]
-//!   over a [`nvcache_fase::FaseRuntime`] (the hash shards' segment
-//!   table, undo log, flush ring, crash-point injection) and the
+//!   over a [`nvcache_fase::FaseRuntime`] with no undo log (the hash
+//!   shards' segment table, flush ring, crash-point injection) and the
 //!   volatile [`MemPager`] test double.
 //! * [`tree`] — the [`Tree`] itself: 256-byte pages in segments carved
 //!   from its store's class table, placed by their id, read by borrow,

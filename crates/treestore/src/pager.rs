@@ -20,14 +20,10 @@
 //! - **writes** happen inside an open failure-atomic section
 //!   (`begin`/`commit` = `begin_fase`/`end_fase`) and are never
 //!   undo-logged: `write_fresh` stores shadow bytes no committed state
-//!   names. `commit` drains the section's flushes and fences once, after
-//!   which every byte it wrote is durable; what makes them a commit is
-//!   the tree's own business (its pages seal themselves). Stores the
-//!   caller logs through the runtime itself are not part of that
-//!   commit: the tree commits at the section's fence, before the undo
-//!   log does, so a crash between the two keeps the transaction and
-//!   rolls those stores back. A transaction that needs them atomic with
-//!   it does not share its section with them;
+//!   names, and the runtime has no undo log. `commit` drains the
+//!   section's flushes and fences once, after which every byte it wrote
+//!   is durable; what makes them a commit is the tree's own business
+//!   (its pages seal themselves);
 //! - **carving** (`carve`) persists one class byte of the table and is
 //!   durable the moment it returns, inside the open section or not —
 //!   the tree places its pages in the carved segments itself and never
@@ -35,8 +31,8 @@
 
 use nvcache_core::PolicyKind;
 use nvcache_fase::segments::CLASS_TABLE;
-use nvcache_fase::{FaseRuntime, FaseStats, RecoveryError, SegmentTable};
-use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
+use nvcache_fase::{FaseRuntime, RecoveryError, SegmentTable};
+use nvcache_pmem::PmemRegion;
 
 /// Bytes per tree page (also per value cell).
 pub const PAGE: usize = 256;
@@ -119,7 +115,8 @@ pub struct TreeConfig {
     /// Persistent data area in bytes: the head line, the class table
     /// and as many 4 KiB segments of pages as fit.
     pub data_len: usize,
-    /// Undo-log area in bytes.
+    /// Selects nothing: a tree's runtime has no undo log. Kept for
+    /// `benchmark/src/adapter.rs`, which sets it.
     pub log_len: usize,
     /// Write-combining cache policy for the runtime.
     pub policy: PolicyKind,
@@ -133,16 +130,16 @@ impl Default for TreeConfig {
     fn default() -> Self {
         TreeConfig {
             data_len: 1 << 21,
-            log_len: 1 << 18,
+            log_len: 0,
             policy: PolicyKind::ScFixed { capacity: 8 },
             pipelined: true,
         }
     }
 }
 
-/// The production page store: a private [`FaseRuntime`], sharing the
-/// exact persistence stack of the hash shards (segment table, flush
-/// ring, undo log, crash plumbing).
+/// The production page store: a private [`FaseRuntime`] with no undo
+/// log, sharing the exact persistence stack of the hash shards (segment
+/// table, flush ring, crash plumbing).
 pub struct FasePager {
     rt: FaseRuntime,
     /// The ring's drain count when the open section began.
@@ -153,68 +150,28 @@ impl FasePager {
     /// Fresh store over a new, zeroed region: no segment carved.
     pub fn new(cfg: &TreeConfig) -> FasePager {
         FasePager {
-            rt: FaseRuntime::new(cfg.data_len, cfg.log_len, &cfg.policy),
+            rt: FaseRuntime::new(cfg.data_len, 0, &cfg.policy),
             drains: 0,
         }
     }
 
-    /// Re-attach to a crash image (runs FASE recovery; the caller
-    /// checks the head and the table and rebuilds the tree's volatile
-    /// state afterwards).
+    /// Re-attach to a crash image; an image shorter than the data area
+    /// is refused. The caller checks the head and the table and
+    /// rebuilds the tree's volatile state afterwards.
     pub fn reopen_from_image(image: Vec<u8>, cfg: &TreeConfig) -> Result<FasePager, RecoveryError> {
         let region = PmemRegion::from_image(image);
-        let rt = FaseRuntime::try_reopen(region, cfg.data_len, cfg.log_len, &cfg.policy)?;
+        let rt = FaseRuntime::try_reopen(region, cfg.data_len, 0, &cfg.policy)?;
         Ok(FasePager { rt, drains: 0 })
     }
 
-    /// The underlying runtime (its adaptive policy's decisions).
+    /// The underlying runtime (stats, micro-steps, adaptive policy).
     pub fn runtime(&self) -> &FaseRuntime {
         &self.rt
     }
 
-    /// The underlying runtime (trace capture, telemetry, stats).
+    /// The underlying runtime (trace, telemetry, crash plumbing).
     pub fn runtime_mut(&mut self) -> &mut FaseRuntime {
         &mut self.rt
-    }
-
-    /// Persistence counters since creation.
-    pub fn stats(&self) -> FaseStats {
-        self.rt.stats()
-    }
-
-    /// Persistence counters since the last take.
-    pub fn take_stats(&mut self) -> FaseStats {
-        self.rt.take_stats()
-    }
-
-    /// Micro-step counter for crash-point injection.
-    pub fn steps(&self) -> u64 {
-        self.rt.steps()
-    }
-
-    /// Arm a crash plan (see [`FaseRuntime::arm_crash`]).
-    pub fn arm_crash(&mut self, plan: CrashPlan) {
-        self.rt.arm_crash(plan);
-    }
-
-    /// Take the image captured by a tripped crash plan.
-    pub fn take_crash_image(&mut self) -> Option<Vec<u8>> {
-        self.rt.take_crash_image()
-    }
-
-    /// In-process power failure + FASE recovery.
-    pub fn crash_and_recover(&mut self, mode: &CrashMode) {
-        self.rt.crash_and_recover(mode);
-    }
-
-    /// Clear non-durable residue after a panicked section.
-    pub fn heal_after_panic(&mut self) -> bool {
-        self.rt.heal_after_panic()
-    }
-
-    /// Drain buffered flush obligations (clean shutdown).
-    pub fn sync(&mut self) {
-        self.rt.sync();
     }
 }
 
@@ -357,7 +314,8 @@ mod tests {
         p.begin();
         p.write_fresh(off, &[0xabu8; PAGE]);
         p.commit();
-        p.crash_and_recover(&CrashMode::StrictDurableOnly);
+        p.runtime_mut()
+            .crash_and_recover(&nvcache_pmem::CrashMode::StrictDurableOnly);
         let data = p.bytes(0, p.len() as usize);
         assert_eq!(table.class(data, 1, PAGE_CLASS), Ok(Some(PAGE_CLASS)));
         assert_eq!(p.page(off), &[0xabu8; PAGE]);

@@ -437,7 +437,7 @@ pub enum TreeError {
         /// The unresolvable logical page id.
         lpid: u64,
     },
-    /// The FASE layer itself could not recover the image.
+    /// The image is shorter than the data area.
     Recovery(RecoveryError),
 }
 
@@ -1445,8 +1445,9 @@ impl Tree<FasePager> {
         Tree::format(FasePager::new(cfg))
     }
 
-    /// Re-attach to a crash image: FASE recovery (undo-log rollback)
-    /// first, then the structural rebuild.
+    /// Re-attach to a crash image: an image shorter than the data area
+    /// is [`TreeError::Recovery`]; any other goes to the structural
+    /// rebuild.
     pub fn reopen_from_image(
         image: Vec<u8>,
         cfg: &TreeConfig,
@@ -1459,7 +1460,7 @@ impl Tree<FasePager> {
     /// rolled back; live pins are invalidated.
     pub fn crash_and_recover(&mut self, mode: &CrashMode) -> Result<(), TreeError> {
         self.txn = None;
-        self.store.crash_and_recover(mode);
+        self.store.runtime_mut().crash_and_recover(mode);
         self.reload()
     }
 
@@ -1467,39 +1468,39 @@ impl Tree<FasePager> {
     /// volatile state. Returns whether anything was rolled back.
     pub fn heal_after_panic(&mut self) -> Result<bool, TreeError> {
         self.txn = None;
-        let healed = self.store.heal_after_panic();
+        let healed = self.store.runtime_mut().heal_after_panic();
         self.reload()?;
         Ok(healed)
     }
 
     /// Drain buffered flush obligations (clean shutdown).
     pub fn sync(&mut self) {
-        self.store.sync();
+        self.store.runtime_mut().sync();
     }
 
     /// Micro-step counter for crash-point injection.
     pub fn steps(&self) -> u64 {
-        self.store.steps()
+        self.store.runtime().steps()
     }
 
     /// Arm a crash plan on the backing region.
     pub fn arm_crash(&mut self, plan: CrashPlan) {
-        self.store.arm_crash(plan);
+        self.store.runtime_mut().arm_crash(plan);
     }
 
     /// Take the image captured by a tripped crash plan.
     pub fn take_crash_image(&mut self) -> Option<Vec<u8>> {
-        self.store.take_crash_image()
+        self.store.runtime_mut().take_crash_image()
     }
 
     /// Persistence counters since creation.
     pub fn stats(&self) -> FaseStats {
-        self.store.stats()
+        self.store.runtime().stats()
     }
 
     /// Persistence counters since the last take.
     pub fn take_stats(&mut self) -> FaseStats {
-        self.store.take_stats()
+        self.store.runtime_mut().take_stats()
     }
 }
 
@@ -2335,8 +2336,9 @@ mod tests {
     }
 
     /// The tree's own rules of its image, through `reopen_from_image`:
-    /// the head holds the magic word, and a carved segment holds pages.
-    /// The segment table's rules — a class past the largest or too small
+    /// the image holds the data area (the region is nothing more), the
+    /// head holds the magic word, and a carved segment holds pages. The
+    /// segment table's rules — a class past the largest or too small
     /// for its owner, bytes in a segment never carved — have their
     /// hostile images in `nvcache_fase::segments`.
     #[test]
@@ -2349,9 +2351,22 @@ mod tests {
         }
         t.commit();
         assert!(t.bump > PAGES_PER_SEG, "segment 1 is carved");
+        assert_eq!(
+            t.store.runtime().region().len(),
+            cfg.data_len,
+            "no log area"
+        );
         let sound = t.store.runtime_mut().region().durable_image().to_vec();
         let reopened = |image| Tree::reopen_from_image(image, &cfg).map(|t| t.len());
         assert_eq!(reopened(sound.clone()), Ok(100));
+        for region_len in [cfg.data_len - 64, 0] {
+            let short = RecoveryError::RegionTooSmall {
+                region_len,
+                need: cfg.data_len,
+            };
+            let got = reopened(sound[..region_len].to_vec());
+            assert_eq!(got, Err(TreeError::Recovery(short)));
+        }
         let patched = |at: usize, bytes: &[u8]| {
             let mut image = sound.clone();
             image[at..at + bytes.len()].copy_from_slice(bytes);
@@ -2705,7 +2720,7 @@ mod tests {
             .image_after_crash(&CrashMode::AllInFlightLands);
         let reopened = || FasePager::reopen_from_image(image.clone(), &cfg).unwrap();
         let pager = reopened();
-        let first = pager.steps();
+        let first = pager.runtime().steps();
         let clean = Tree::attach(pager).unwrap();
         let (voided, end) = (clean.voided_pages(), clean.steps());
         assert!(voided > 4, "the dead transaction left {voided} headers");
@@ -2717,7 +2732,7 @@ mod tests {
                 CrashMode::random(0.5, 0.5, at),
             ] {
                 let mut pager = reopened();
-                pager.arm_crash(CrashPlan {
+                pager.runtime_mut().arm_crash(CrashPlan {
                     at_step: at,
                     mode: mode.clone(),
                 });

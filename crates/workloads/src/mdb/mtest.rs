@@ -31,28 +31,25 @@ fn mtest_tree(capacity: usize, policy: &PolicyKind) -> Tree<FasePager> {
     let cap = capacity.max(64);
     // each live key needs one 256 B value cell plus its share of a
     // leaf; double it for CoW churn between reclaims and add fixed
-    // slack for the head line and the class table. Tree pages are
-    // unlogged shadow memory; what a transaction logs is 48 B per
-    // `touch_meta`.
+    // slack for the head line and the class table
     let cfg = TreeConfig {
         data_len: (cap * 2 + 1024) * 256,
-        log_len: 1 << 20,
         policy: policy.clone(),
-        pipelined: false,
+        ..TreeConfig::default()
     };
     Tree::create(&cfg).expect("format tree")
 }
 
 /// Mtest's LMDB meta-page traffic: txnid + dirty-page count share one
-/// hot cache line, stored on every insert and delete. They are logged
-/// stores inside the tree's section, so they are not atomic with its
-/// commit (see `nvcache_treestore::pager`): Mtest records a trace and
-/// never recovers one.
+/// hot cache line, stored on every insert and delete. The stores are
+/// unlogged, as the tree's own are (its runtime has no undo log), and
+/// no recovery reads them: Mtest records a trace and never recovers
+/// one.
 fn touch_meta(t: &mut Tree<FasePager>, txid: &mut u64) {
     *txid += 1;
     let rt = t.store_mut().runtime_mut();
-    rt.store_u64(META, *txid);
-    rt.store_u64(META + 8, *txid & 0x3f);
+    rt.store_fresh(META, &txid.to_le_bytes());
+    rt.store_fresh(META + 8, &(*txid & 0x3f).to_le_bytes());
     rt.work(4);
 }
 

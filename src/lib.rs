@@ -18,7 +18,7 @@
 //! | [`cachesim`] | `nvcache-cachesim` | L1 simulator + machine timing model |
 //! | [`pmem`] | `nvcache-pmem` | emulated NVRAM: dual-image regions, flush ring, allocators, crash injection |
 //! | [`core`] | `nvcache-core` | the software cache and the six persistence policies |
-//! | [`fase`] | `nvcache-fase` | FASE runtime: undo log, recovery, instrumentation API |
+//! | [`fase`] | `nvcache-fase` | FASE runtime: optional undo log, recovery, instrumentation API, the engines' segment table and commit rule |
 //! | [`kvstore`] | `nvcache-kvstore` | sharded persistent KV store, YCSB loadgen, live MRC-driven adaptation |
 //! | [`treestore`] | `nvcache-treestore` | recoverable copy-on-write B+-tree engine: MVCC snapshots, range scans |
 //! | [`workloads`] | `nvcache-workloads` | micro-benchmarks, SPLASH2-style kernels, MDB's Mtest over `treestore` |

@@ -543,7 +543,10 @@ fn torn_units<E: Sealed>(
         let j = ends.iter().rposition(|&c| c <= k).unwrap();
         let (old, new) = (&states[j], &states[j + 1]);
         let strict = image_at(rig, prog, k, &CrashMode::StrictDurableOnly);
-        for mode in modes(k) {
+        // which words are torn, and the random adversary's seed, follow
+        // the cut's step inside the program, not what set-up took
+        let cut = k - setup;
+        for mode in modes(cut) {
             let landed = image_at(rig, prog, k, &mode);
             let in_flight: Vec<(Range<usize>, bool, Vec<usize>)> = E::units(&landed[..data_len])
                 .into_iter()
@@ -558,8 +561,8 @@ fn torn_units<E: Sealed>(
             for (n, (unit, closing, changed)) in in_flight.iter().enumerate() {
                 let torn = if *closing {
                     &changed[..]
-                } else if (n + k as usize).is_multiple_of(every) {
-                    let w = (k as usize + n) % changed.len();
+                } else if (n + cut as usize).is_multiple_of(every) {
+                    let w = (cut as usize + n) % changed.len();
                     &changed[w..w + 1]
                 } else {
                     &[][..]

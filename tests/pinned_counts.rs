@@ -164,6 +164,20 @@
 //! 1 465 → 1 442. The identities' 29 persisted lines of the heap became
 //! the log's format and one line per carve (23). The tree's shape,
 //! `LogStats` and FASEs did not move.
+//! Then the undo log became optional in `FaseRuntime` and both engines
+//! dropped theirs: no engine formats a log, and a crash bumps no epoch.
+//! Re-recorded, both programs: the shard's `steps()` 7 539 → 7 535 and
+//! `PmemStats` bytes written 227 662 → 227 646, stores 3 538 → 3 536,
+//! flushes 3 793 → 3 792, fences 208 → 207 (the format's two words, its
+//! line and its fence); the tree's `steps()` 7 085 → 7 078 and
+//! `PmemStats` bytes written 238 079 → 238 055, stores 3 418 → 3 415,
+//! flushes 3 491 → 3 489, fences 176 → 174 (the format's, and the
+//! recovery's epoch bump: a store, a line and a fence). `LogStats` went
+//! to all zeros (commits 200 → 0 and 151 → 0, the tree's commit lines
+//! 1 → 0), and the flush and fence identities lost their format and
+//! recovery terms. `FaseStats`, `RingStats` and the tree's shape did not
+//! move: what the programs store, and what the policy flushes, is what
+//! it was.
 
 use nvcache::core::PolicyKind;
 use nvcache::fase::{FaseStats, LogStats};
@@ -205,40 +219,26 @@ fn put_many_program_counts_are_pinned() {
         assert!(shard.put_many(&batch), "batch {op}");
     }
     assert_eq!(shard.len(), 96, "every key was inserted");
-    assert_eq!(shard.steps(), 7_539);
+    assert_eq!(shard.steps(), 7_535);
     let rt = shard.runtime_mut();
     assert_eq!(
         rt.region().stats(),
         PmemStats {
-            bytes_written: 227_662,
-            stores: 3_538,
-            flushes: 3_793,
-            fences: 208,
+            bytes_written: 227_646,
+            stores: 3_536,
+            flushes: 3_792,
+            fences: 207,
             crashes: 0,
         }
     );
-    // the shard logs nothing: every FASE commits by its sealed slots
-    let log = rt.log_stats();
-    assert_eq!((log.entries, log.record_lines, log.commit_lines), (0, 0, 0));
-    assert_eq!(
-        log,
-        LogStats {
-            entries: 0,
-            elided: 0,
-            commits: 200,
-            rollbacks: 0,
-            bytes_logged: 0,
-            record_lines: 0,
-            commit_lines: 0,
-        }
-    );
-    // the flushes by kind: the policy's lines through the ring, the
-    // seven persists (the head and the class bytes) and the one persist
-    // of the log's format
+    // the shard has no undo log: every FASE commits by its sealed slots
+    assert_eq!(rt.log_stats(), LogStats::default());
+    // the flushes by kind: the policy's lines through the ring and the
+    // seven persists (the head and the class bytes)
     let (pmem, ring, fase) = (rt.region().stats(), rt.ring_stats(), rt.stats());
-    assert_eq!(pmem.flushes, ring.flushed + 7 + 1);
-    // and the fences: one per FASE and one per persist, and the format's
-    assert_eq!(pmem.fences, fase.fences + 1);
+    assert_eq!(pmem.flushes, ring.flushed + 7);
+    // and the fences: one per FASE and one per persist
+    assert_eq!(pmem.fences, fase.fences);
     // 200 batches; seven persists (the head and six carves: one segment
     // of empty values, two of 100-byte, three of 40-byte) count a store,
     // a line, a data flush and a fence each
@@ -322,48 +322,28 @@ fn tree_txn_program_counts_are_pinned() {
     assert_eq!(t.free_pages(), 22);
     // 357 pages: 23 segments carved
     assert_eq!(t.pages_allocated().div_ceil(16), 23);
-    assert_eq!(t.steps(), 7_085);
+    assert_eq!(t.steps(), 7_078);
     let rt = t.store_mut().runtime_mut();
     assert_eq!(
         rt.region().stats(),
         PmemStats {
-            bytes_written: 238_079,
-            stores: 3_418,
-            flushes: 3_491,
-            fences: 176,
+            bytes_written: 238_055,
+            stores: 3_415,
+            flushes: 3_489,
+            fences: 174,
             crashes: 1,
         }
     );
-    assert_eq!(
-        rt.log_stats(),
-        LogStats {
-            entries: 0,
-            elided: 0,
-            commits: 151,
-            rollbacks: 0,
-            bytes_logged: 0,
-            record_lines: 0,
-            commit_lines: 1,
-        }
-    );
+    // the tree has no undo log
+    assert_eq!(rt.log_stats(), LogStats::default());
     // the flushes by kind: data through the ring — the policy's lines,
-    // the head's among them — the recovery's epoch bump, the log's
-    // format and the class byte of each of the 23 carves; the log holds
-    // no group
-    let (pmem, ring, log, fase) = (
-        rt.region().stats(),
-        rt.ring_stats(),
-        rt.log_stats(),
-        rt.stats(),
-    );
-    assert_eq!(
-        pmem.flushes,
-        ring.flushed + log.record_lines + log.commit_lines + 1 + 23
-    );
-    // and the fences: one per FASE and one per carve, the recovery's
-    // epoch bump and the log's format
+    // the head's among them — and the class byte of each of the 23
+    // carves
+    let (pmem, ring, fase) = (rt.region().stats(), rt.ring_stats(), rt.stats());
+    assert_eq!(pmem.flushes, ring.flushed + 23);
+    // and the fences: one per FASE and one per carve
     assert_eq!(fase.fences, fase.fases + 23);
-    assert_eq!(pmem.fences, fase.fences + log.commit_lines + 1);
+    assert_eq!(pmem.fences, fase.fences);
     assert_eq!(
         rt.stats(),
         FaseStats {
