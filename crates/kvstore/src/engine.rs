@@ -85,7 +85,7 @@ impl Engine for Shard {
         Shard::crash_and_recover(self, mode)
     }
     fn sync(&mut self) {
-        Shard::sync(self)
+        self.rt.sync()
     }
     fn len(&self) -> usize {
         Shard::len(self)
@@ -94,19 +94,19 @@ impl Engine for Shard {
         Shard::dump(self)
     }
     fn stats(&self) -> FaseStats {
-        Shard::stats(self)
+        self.rt.stats()
     }
     fn take_stats(&mut self) -> FaseStats {
-        Shard::take_stats(self)
+        self.rt.take_stats()
     }
     fn steps(&self) -> u64 {
-        Shard::steps(self)
+        self.rt.steps()
     }
     fn arm_crash(&mut self, plan: CrashPlan) {
-        Shard::arm_crash(self, plan)
+        self.rt.arm_crash(plan)
     }
     fn take_crash_image(&mut self) -> Option<Vec<u8>> {
-        Shard::take_crash_image(self)
+        self.rt.take_crash_image()
     }
     fn reset_sampler(&mut self) {
         Shard::reset_sampler(self)

@@ -98,10 +98,10 @@ use std::fmt;
 pub use nvcache_core::CapacityChoice;
 use nvcache_core::{AdaptiveConfig, PolicyKind};
 use nvcache_fase::segments::{block_of, CLASS_TABLE, MAX_CLASS, SEGMENT};
-use nvcache_fase::{seal, FaseRuntime, FaseStats, RecoveryError, SealError};
+use nvcache_fase::{seal, FaseRuntime, RecoveryError, SealError};
 use nvcache_fase::{SegmentError, SegmentTable};
 use nvcache_locality::KneeConfig;
-use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
+use nvcache_pmem::{CrashMode, PmemRegion};
 use nvcache_trace::FxHashMap;
 
 /// The head line's first word.
@@ -365,7 +365,7 @@ impl From<RecoveryError> for ShardImageError {
 /// A single-owner persistent KV shard.
 #[derive(Debug)]
 pub struct Shard {
-    rt: FaseRuntime,
+    pub(crate) rt: FaseRuntime,
     /// Where the class table and the segments lie.
     table: SegmentTable,
     /// Volatile: the first segment never carved (`segments` if none).
@@ -1037,37 +1037,12 @@ impl Shard {
         }
     }
 
-    // ----- stats / crash plumbing ----------------------------------------
+    // ----- crash plumbing -------------------------------------------------
 
-    /// Cumulative runtime counters.
-    pub fn stats(&self) -> FaseStats {
-        self.rt.stats()
-    }
-
-    /// Counters since the last call (per-window flush ratios).
-    pub fn take_stats(&mut self) -> FaseStats {
-        self.rt.take_stats()
-    }
-
-    /// The underlying runtime (telemetry, tracing, verification).
+    /// The underlying runtime (counters, telemetry, tracing, crash
+    /// plans).
     pub fn runtime_mut(&mut self) -> &mut FaseRuntime {
         &mut self.rt
-    }
-
-    /// Persistence micro-steps executed (crash-point index space).
-    pub fn steps(&self) -> u64 {
-        self.rt.steps()
-    }
-
-    /// Arm a crash plan on the shard's region (see
-    /// [`FaseRuntime::arm_crash`]).
-    pub fn arm_crash(&mut self, plan: CrashPlan) {
-        self.rt.arm_crash(plan);
-    }
-
-    /// The crash image captured by an armed plan, if reached.
-    pub fn take_crash_image(&mut self) -> Option<Vec<u8>> {
-        self.rt.take_crash_image()
     }
 
     /// Inject a power failure in-process and recover; the index and the
@@ -1081,11 +1056,6 @@ impl Shard {
         self.rt.crash_and_recover(mode);
         self.committed = self.last_committed().expect(OWN_REGION);
         self.rebuild_volatile().expect(OWN_REGION);
-    }
-
-    /// Persist everything still buffered (clean shutdown).
-    pub fn sync(&mut self) {
-        self.rt.sync();
     }
 }
 
@@ -1125,6 +1095,8 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvcache_fase::FaseStats;
+    use nvcache_pmem::CrashPlan;
 
     fn small(policy: PolicyKind) -> ShardConfig {
         ShardConfig {
@@ -1296,7 +1268,7 @@ mod tests {
         let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
         assert!(s.put(1, b"one-ost"));
         assert!(s.put(2, b"two-old"));
-        let fases_before = s.stats().fases;
+        let fases_before = s.rt.stats().fases;
         // one batch: two slot updates (one key twice — last wins), two
         // fresh inserts, and a key that moves to another class
         let batch: Vec<(u64, Vec<u8>)> = vec![
@@ -1310,7 +1282,7 @@ mod tests {
         let fences = s.rt.region().stats().fences;
         assert!(s.put_many(&batch));
         assert_eq!(
-            s.stats().fases,
+            s.rt.stats().fases,
             fases_before + 1,
             "the batch: a carve is no FASE"
         );
@@ -1334,7 +1306,7 @@ mod tests {
     fn a_group_places_a_key_by_its_last_write() {
         let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
         assert!(s.put(1, &[1; 8]));
-        let stores = s.stats().stores;
+        let stores = s.rt.stats().stores;
         let group = [
             (1, vec![2; 40]),
             (1, vec![3; 4]),
@@ -1346,7 +1318,7 @@ mod tests {
         assert_eq!(s.get(2).as_deref(), Some(&[5u8; 40][..]));
         // key 1: an update of its 64-byte node; key 2: an insert into a
         // 128-byte block, whose segment is carved first
-        assert_eq!(s.stats().stores - stores, 3);
+        assert_eq!(s.rt.stats().stores - stores, 3);
         s.index_matches_heap().unwrap();
     }
 
@@ -1393,7 +1365,7 @@ mod tests {
                 (0..4 * keys).map(|i| (i % keys, [round; 40])).collect();
             assert!(s.put_many(&group));
             round = round.wrapping_add(1);
-            assert!(s.stats().fases < 50_000, "the policy never decided");
+            assert!(s.rt.stats().fases < 50_000, "the policy never decided");
         }
     }
 
@@ -1413,7 +1385,7 @@ mod tests {
                 s.put(i, &[round; 56]);
             }
             round = round.wrapping_add(1);
-            assert!(s.stats().fases < 50_000, "the policy never decided");
+            assert!(s.rt.stats().fases < 50_000, "the policy never decided");
         }
         let choice = s.chosen()[0];
         assert_eq!(s.sc_capacity(), Some(choice.capacity));
@@ -1510,7 +1482,7 @@ mod tests {
     fn serve_batch_groups_writes_into_one_fase() {
         let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
         assert!(s.put(1, b"one"));
-        let fases = s.stats().fases;
+        let fases = s.rt.stats().fases;
         let replies = s.serve_batch(&[
             BatchRequest::Put(10, b"ten".to_vec()),
             BatchRequest::Get(10), // sees its own batch's write (overlay)
@@ -1531,7 +1503,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            s.stats().fases,
+            s.rt.stats().fases,
             fases + 1,
             "three writes from the batch formed one group-commit FASE"
         );
@@ -1544,7 +1516,7 @@ mod tests {
         let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
         // carves the segment the batch's 1-byte values go to
         assert!(s.put(9, b"z"));
-        let fases = s.stats().fases;
+        let fases = s.rt.stats().fases;
         let replies = s.serve_batch(&[
             BatchRequest::Put(1, b"a".to_vec()),
             BatchRequest::Put(2, b"b".to_vec()),
@@ -1563,7 +1535,7 @@ mod tests {
             ]
         );
         // segment group + delete + trailing segment group = 3 FASEs
-        assert_eq!(s.stats().fases, fases + 3);
+        assert_eq!(s.rt.stats().fases, fases + 3);
         assert_eq!(s.len(), 3);
     }
 
@@ -1652,17 +1624,17 @@ mod tests {
             let mut s = Shard::new(&cfg);
             let before: Vec<(u64, Vec<u8>)> = (0..16u64).map(|i| (i, vec![1u8; 16])).collect();
             assert!(s.put_many(&before));
-            s.sync();
+            s.rt.sync();
             // updates + fresh inserts in one batch, crashed among its
             // 24 stores
             let batch: Vec<(u64, Vec<u8>)> = (8..32u64).map(|i| (i, vec![2u8; 16])).collect();
-            let step = s.steps() + 10;
-            s.arm_crash(CrashPlan {
+            let step = s.rt.steps() + 10;
+            s.rt.arm_crash(CrashPlan {
                 at_step: step,
                 mode: mode.clone(),
             });
             assert!(s.put_many(&batch));
-            let image = s.take_crash_image().expect("plan must have fired");
+            let image = s.rt.take_crash_image().expect("plan must have fired");
             let mut r = Shard::reopen_from_image(image, &cfg).expect("recovery");
             for i in 0..16u64 {
                 assert_eq!(
@@ -1780,18 +1752,18 @@ mod tests {
             s
         };
         let mut probe = loaded();
-        let start = probe.steps();
+        let start = probe.rt.steps();
         assert!(probe.put_many(&dead));
-        let end = probe.steps();
+        let end = probe.rt.steps();
         let (mut voided, mut whole) = (0, 0);
         for k in start..end {
             for mode in modes(k) {
                 let ctx = format!("{mode:?} crash at step {k}");
                 let strict = mode == CrashMode::StrictDurableOnly;
                 let mut s = loaded();
-                s.arm_crash(CrashPlan { at_step: k, mode });
+                s.rt.arm_crash(CrashPlan { at_step: k, mode });
                 assert!(s.put_many(&dead));
-                let image = s.take_crash_image().expect("the cut falls in the group");
+                let image = s.rt.take_crash_image().expect("the cut falls in the group");
                 let mut r = Shard::reopen_from_image(image, &cfg).expect(&ctx);
                 let got = r.dump();
                 assert!(
@@ -1832,20 +1804,20 @@ mod tests {
         };
         let group = [(1, [5u8; 40]), (1, [6; 40]), (2, [7; 40])];
         let mut s = loaded();
-        let (old, start) = (s.dump(), s.steps());
+        let (old, start) = (s.dump(), s.rt.steps());
         let before = s.rt.region().durable_image().to_vec();
         let at = s.locate(1).unwrap().other().slot_off();
         let slot = at..at + SLOT_HEADER + 40;
         assert!(s.put_many(&group));
-        s.sync();
+        s.rt.sync();
         // the first cut at which key 1's first write has landed
-        let first = (start..s.steps())
+        let first = (start..s.rt.steps())
             .map(|at_step| {
                 let mut s = loaded();
                 let mode = CrashMode::AllInFlightLands;
-                s.arm_crash(CrashPlan { at_step, mode });
+                s.rt.arm_crash(CrashPlan { at_step, mode });
                 assert!(s.put_many(&group));
-                s.take_crash_image().unwrap()
+                s.rt.take_crash_image().unwrap()
             })
             .find(|image| image[slot.clone()] != before[slot.clone()])
             .unwrap();
@@ -1879,17 +1851,19 @@ mod tests {
                 (s, block)
             };
             let (mut probe, block) = loaded();
-            let start = probe.steps();
+            let start = probe.rt.steps();
             assert!(probe.put(b, &[2u8; 40]));
             assert_eq!(probe.locate(b).unwrap().node(), block, "B takes A's block");
-            for k in start..probe.steps() {
+            for k in start..probe.rt.steps() {
                 for mode in modes(k) {
                     let ctx = format!("{updates} updates: {mode:?} crash at step {k}");
                     let strict = mode == CrashMode::StrictDurableOnly;
                     let (mut s, _) = loaded();
-                    s.arm_crash(CrashPlan { at_step: k, mode });
+                    s.rt.arm_crash(CrashPlan { at_step: k, mode });
                     assert!(s.put(b, &[2u8; 40]));
-                    let image = s.take_crash_image().expect("the cut falls in the insert");
+                    let image =
+                        s.rt.take_crash_image()
+                            .expect("the cut falls in the insert");
                     let mut r = Shard::reopen_from_image(image, &cfg).expect(&ctx);
                     let got = r.dump();
                     let with_b = got.len() == 2;
@@ -1934,12 +1908,12 @@ mod tests {
             // after the first slot's store; the first group carves its
             // segment first: a store, a flush and a fence
             let carve = if key == 0 { 3 } else { 0 };
-            s.arm_crash(CrashPlan {
-                at_step: s.steps() + carve + 1,
+            s.rt.arm_crash(CrashPlan {
+                at_step: s.rt.steps() + carve + 1,
                 mode: CrashMode::AllInFlightLands,
             });
             assert!(s.put_many(&group));
-            image = s.take_crash_image().expect("the cut falls in the group");
+            image = s.rt.take_crash_image().expect("the cut falls in the group");
             let r = Shard::reopen_from_image(image.clone(), &cfg).unwrap();
             assert_eq!((r.len(), r.voided_slots()), (0, 1), "group at {key}");
         }
@@ -1977,7 +1951,7 @@ mod tests {
         let old = s.dump();
         let before = s.rt.region().durable_image().to_vec();
         assert!(op(&mut s));
-        s.sync();
+        s.rt.sync();
         let new = s.dump();
         assert_ne!(new, old);
         let after = s.rt.region().durable_image();
@@ -2051,7 +2025,7 @@ mod tests {
         let tombstone = s.locate(a).unwrap().other();
         assert_eq!(tombstone.slot(), 0);
         assert!(s.delete(a));
-        s.sync();
+        s.rt.sync();
         let before = s.rt.region().durable_image().to_vec();
         let key_word = tombstone.node();
         let image = patched(&before, key_word, &word(b));
@@ -2109,7 +2083,7 @@ mod tests {
         let cost = |keys: &[u64], op: &dyn Fn(&mut Shard, u64) -> bool| {
             let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
             assert!(s.put_many(&keys.iter().map(|&k| (k, [1u8; 40])).collect::<Vec<_>>()));
-            let (steps, pmem) = (s.steps(), s.rt.region().stats());
+            let (steps, pmem) = (s.rt.steps(), s.rt.region().stats());
             assert!(op(&mut s, keys[300]));
             let p = s.rt.region().stats();
             let delta = [p.bytes_written, p.stores, p.flushes, p.fences]
@@ -2117,7 +2091,7 @@ mod tests {
                 .zip([pmem.bytes_written, pmem.stores, pmem.flushes, pmem.fences])
                 .map(|(now, then)| now - then)
                 .collect::<Vec<_>>();
-            (s.steps() - steps, delta)
+            (s.rt.steps() - steps, delta)
         };
         let sparse: Vec<u64> = (0..1000u64).map(|i| i << 48).collect();
         let dense: Vec<u64> = (0..1000u64).collect();
@@ -2137,7 +2111,7 @@ mod tests {
         for k in 0..8u64 {
             assert!(s.put(k, &[k as u8; 8]));
         }
-        s.sync();
+        s.rt.sync();
         (s.rt.region().durable_image().to_vec(), s)
     }
 
@@ -2313,7 +2287,7 @@ mod tests {
         let cfg = small(PolicyKind::Lazy);
         let mut s = Shard::new(&cfg);
         assert!(s.put(1, b"zero"));
-        s.sync();
+        s.rt.sync();
         let only = s.index[&1];
         let last = seal::STAMP_LIMIT - 2;
         let slot = sealed_slot(last, 1, 1, Some(b"zero"));
@@ -2322,7 +2296,7 @@ mod tests {
         assert_eq!(r.committed, last);
         assert!(r.put(1, b"one"), "an update");
         assert_eq!(r.committed, seal::STAMP_LIMIT - 1);
-        r.sync();
+        r.rt.sync();
         let image = r.rt.region().durable_image().to_vec();
         let mut again = Shard::reopen_from_image(image, &cfg).expect("the last stamp");
         assert_eq!(again.get(1).as_deref(), Some(&b"one"[..]));
@@ -2495,15 +2469,15 @@ mod tests {
                 // the image reopens to the state before or after it
                 13 | 14 if consistent => {
                     let g = group(&model, 10);
-                    s.arm_crash(CrashPlan {
-                        at_step: s.steps() + 1 + aux % 90,
+                    s.rt.arm_crash(CrashPlan {
+                        at_step: s.rt.steps() + 1 + aux % 90,
                         mode: adversary(sel as u64 + aux, cfg),
                     });
                     let before = model.clone();
                     if s.put_many(&g) {
                         commit(&mut model, &g);
                     }
-                    if let Some(image) = s.take_crash_image() {
+                    if let Some(image) = s.rt.take_crash_image() {
                         s = Shard::reopen_from_image(image, cfg).expect("recovery");
                         let got: BTreeMap<_, _> = s.dump().into_iter().collect();
                         assert!(got == before || got == model, "{step}: torn group");

@@ -140,7 +140,7 @@ fn controller_reconverges_after_theta_shift() {
     // serving-phase midpoint can be located on each shard's FASE axis,
     // the axis a decision's `fase` is on
     let load_fases: Vec<u64> = (0..shards)
-        .map(|s| store.with_shard(s, |sh| sh.stats().fases))
+        .map(|s| store.with_shard(s, |sh| sh.runtime_mut().stats().fases))
         .collect();
     let rep = run(
         &store,
@@ -191,7 +191,7 @@ fn controller_reconverges_after_theta_shift() {
         // lands at the midpoint of each shard's serving FASEs. Add a 10%
         // settle margin: the MRC window straddling the shift mixes both
         // phases and belongs to neither.
-        let serving = store.with_shard(s, |sh| sh.stats().fases) - load_fases[s];
+        let serving = store.with_shard(s, |sh| sh.runtime_mut().stats().fases) - load_fases[s];
         let shift_t = load_fases[s] + serving / 2 + serving / 10;
         let r = convergence::analyze_shift(&evs, shift_t, &cfg);
         assert!(r.pre.windows >= 1, "shard {s}: no pre-shift decisions");

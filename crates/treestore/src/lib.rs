@@ -15,9 +15,11 @@
 //! * [`tree`] — the [`Tree`] itself: 256-byte pages in segments carved
 //!   from its store's class table, placed by their id, read by borrow,
 //!   logical-page indirection (a slot table indexed by logical id:
-//!   newest committed copy, staged copy, copies pins still reach) so
-//!   copy-on-write never rewrites ancestors and a descent hashes and
-//!   copies nothing, transactions that commit a whole group of updates
+//!   newest committed copy, staged copy, copies pins still reach, and
+//!   for a leaf overwritten in place the spare: the superseded copy the
+//!   next copy lands on, storing only the lines that need a write-back)
+//!   so copy-on-write never
+//!   rewrites ancestors and a descent hashes and copies nothing, transactions that commit a whole group of updates
 //!   in one FASE by their own sealed pages (one drain, one fence, no
 //!   commit record), [`Snapshot`] pinning for non-blocking consistent
 //!   reads and range scans, free-list reclamation bounded by the oldest

@@ -75,7 +75,16 @@
 //! - **Clean** — the transaction's first touch of the page: allocate
 //!   the shadow page and copy the used bytes of the committed copy,
 //!   restamped and with no `n` (the page copy LMDB's `mdb_page_touch`
-//!   makes);
+//!   makes). The shadow page is the page's **spare** when it has one:
+//!   the copy its committed copy superseded, which [`Tree::reclaim`]
+//!   keeps for the logical page (instead of freeing it) once no pin can
+//!   reach it, when the copy that superseded it was made for an
+//!   overwrite. The spare already holds the page as it was one commit
+//!   back, so the copy leaves out every 64-byte line that needs no
+//!   write-back — one whose used bytes the spare holds already and that
+//!   the edit to follow does not store into — and stores each other
+//!   line whole, as a copy onto any other page does. A page without a
+//!   spare is copied whole onto a page of the free list;
 //! - **Dirty** — `Slot::staged` already names the transaction's own
 //!   copy: no copy at all.
 //!
@@ -95,7 +104,17 @@
 //! A reader calls [`Tree::pin`] to freeze a `(version, root)`
 //! pair and scans it without blocking the writer. Superseded copies are
 //! retired with the version that replaced them and recycled by
-//! [`Tree::reclaim`] once no pin can still reach them.
+//! [`Tree::reclaim`] once no pin can still reach them: a leaf an
+//! overwrite superseded becomes its logical page's spare (the older
+//! spare it displaces is freed), and every other page goes on the free
+//! list. An overwrite leaves the leaf's entries where they were, so its
+//! next copy differs from the spare only where the last one changed
+//! it; an insert or a delete shifts every entry after it, and the
+//! lines a spare could save are few, while a spare pins the page's two
+//! copies in place — copies onto the free list gather the tree's nodes
+//! in the pages freed last, and scans cross fewer of them. Spares count
+//! as free room: when the free list and the segments are used up, an
+//! allocation takes some logical page's spare.
 //!
 //! # Recovery
 //!
@@ -110,8 +129,16 @@
 //! value cell's checksum and key order: each page's keys ascend within
 //! the bounds its parent's separators give it. `len`, `height`, the
 //! next logical id and the page high-water mark come from that scan and
-//! walk; every unreachable page goes on the free list. Structural
-//! damage is a typed [`TreeError`], never an undefined read.
+//! walk; every unreachable page goes on the free list, and no page is a
+//! spare. Structural damage is a typed [`TreeError`], never an
+//! undefined read.
+//!
+//! A copy onto a spare needs no rule of its own. Until the transaction
+//! commits, the spare is a page no committed state reads, as any
+//! shadow page is: torn, it fails its old checksum and its new one and
+//! is not whole; landed whole, it carries the dead version and is
+//! voided (below); untouched, it is whole at its old stamp, which is
+//! older than its logical page's committed copy, so that copy wins.
 //!
 //! Attach then durably voids the header of every page stamped above
 //! the committed version, value cells included
@@ -139,7 +166,7 @@ use std::ops::Range;
 
 use nvcache_fase::segments::SEGMENT;
 use nvcache_fase::{seal, FaseStats, RecoveryError, SealError, SegmentError, SegmentTable};
-use nvcache_pmem::{CrashMode, CrashPlan};
+use nvcache_pmem::{CrashMode, CrashPlan, LINE_SIZE};
 
 use crate::pager::{FasePager, PageStore, TreeConfig, PAGE, PAGE_CLASS};
 
@@ -502,6 +529,9 @@ struct Retired {
     /// (`LPID_NONE` for value cells).
     lpid: u64,
     version: u64,
+    /// Whether the page becomes its logical page's spare instead of
+    /// free: the copy that superseded it was made for an overwrite.
+    spare: bool,
 }
 
 /// One entry of the remap table, indexed by logical page id: which
@@ -522,6 +552,10 @@ struct Slot {
     /// commit time nothing can read below the new version and the
     /// commit's own `reclaim` frees every copy it superseded.
     older: Vec<(u64, u64)>,
+    /// The newest superseded copy no pin can reach, kept when an
+    /// overwrite superseded it ([`PHYS_NONE`] when there is none): where
+    /// the next Clean copy of the page lands.
+    spare: u64,
 }
 
 impl Slot {
@@ -530,6 +564,7 @@ impl Slot {
         phys: PHYS_NONE,
         staged: PHYS_NONE,
         older: Vec::new(),
+        spare: PHYS_NONE,
     };
 }
 
@@ -593,6 +628,8 @@ pub struct Tree<S: PageStore = FasePager> {
     height: u64,
     /// Recycled physical pages.
     free: Vec<u64>,
+    /// Slots holding a spare (see [`Slot::spare`]).
+    spares: usize,
     /// Superseded pages awaiting a safe reclaim horizon.
     retired: Vec<Retired>,
     /// The remap table: one [`Slot`] per logical page id.
@@ -605,9 +642,10 @@ pub struct Tree<S: PageStore = FasePager> {
     /// Logical ids the open transaction holds a staged copy of, in the
     /// order it first touched them (what `commit` makes visible).
     staged: Vec<u64>,
-    /// `(phys, lpid)` of the pages the open transaction supersedes, in
-    /// the order it did (the order they later enter the free list).
-    txn_retired: Vec<(u64, u64)>,
+    /// `(phys, lpid, spare)` of the pages the open transaction
+    /// supersedes (see [`Retired`]), in the order it did (the order
+    /// they later enter the free list).
+    txn_retired: Vec<(u64, u64, bool)>,
     /// The differential reference: every store of part of a page
     /// rewrites the whole page from the in-memory image instead.
     #[cfg(test)]
@@ -674,6 +712,7 @@ impl<S: PageStore> Tree<S> {
             len: v.len,
             height: v.height,
             free: v.free,
+            spares: 0,
             retired: Vec::new(),
             slots: v.slots,
             pins: BTreeMap::new(),
@@ -697,6 +736,7 @@ impl<S: PageStore> Tree<S> {
         self.len = v.len;
         self.height = v.height;
         self.free = v.free;
+        self.spares = 0;
         self.slots = v.slots;
         self.voided = v.voided;
         self.retired.clear();
@@ -733,9 +773,9 @@ impl<S: PageStore> Tree<S> {
         self.bump
     }
 
-    /// Recycled pages ready for reuse.
+    /// Recycled pages ready for reuse: the free list and the spares.
     pub fn free_pages(&self) -> usize {
-        self.free.len()
+        self.free.len() + self.spares
     }
 
     /// Superseded pages still held back by pins.
@@ -791,12 +831,16 @@ impl<S: PageStore> Tree<S> {
     }
 
     /// Free retired pages no live pin can still reach; returns how many
-    /// were recycled. Runs automatically on commit and unpin.
+    /// were recycled. A leaf an overwrite superseded becomes its logical
+    /// page's spare, and the spare it displaces (an older copy) is
+    /// freed. Runs automatically on commit and unpin.
     pub fn reclaim(&mut self) -> usize {
         let floor = self.min_pinned().unwrap_or(self.version);
         let before = self.retired.len();
         // in place and in order: the free list is a stack, so the order
-        // pages enter it decides which page the next allocation gets
+        // pages enter it decides which page the next allocation gets;
+        // and the list ascends by version, so an lpid's spare ends as
+        // its newest superseded copy
         self.retired.retain(|r| {
             if r.version > floor {
                 return true;
@@ -806,7 +850,14 @@ impl<S: PageStore> Tree<S> {
                     .older
                     .retain(|&(_, p)| p != r.phys);
             }
-            self.free.push(r.phys);
+            if !r.spare {
+                self.free.push(r.phys);
+                return false;
+            }
+            match std::mem::replace(&mut self.slots[r.lpid as usize].spare, r.phys) {
+                PHYS_NONE => self.spares += 1,
+                older => self.free.push(older),
+            }
             false
         });
         before - self.retired.len()
@@ -882,11 +933,12 @@ impl<S: PageStore> Tree<S> {
             s.version = txn.version;
             s.phys = std::mem::replace(&mut s.staged, PHYS_NONE);
         }
-        for (phys, lpid) in self.txn_retired.drain(..) {
+        for (phys, lpid, spare) in self.txn_retired.drain(..) {
             self.retired.push(Retired {
                 phys,
                 lpid,
                 version: txn.version,
+                spare,
             });
         }
         self.version = txn.version;
@@ -935,12 +987,16 @@ impl<S: PageStore> Tree<S> {
         let vptr = self.alloc_page().ok_or(TreeError::Full)?;
         self.write_value_cell(vptr, val);
         let splits = old.is_none() && n == LEAF_CAP;
-        let (lphys, mut lbuf) = self.cow(lpid, !splits)?;
+        let edit = match old {
+            Some(_) => [vptr_word(pos), 0..0],
+            None => [leaf_run(pos, n + 1), 0..0],
+        };
+        let (lphys, mut lbuf) = self.cow(lpid, (!splits).then_some(&edit), old.is_some())?;
 
         if let Some(old) = old {
             set_leaf_entry(&mut lbuf, pos, key, vptr);
-            self.write_edit(lphys, &mut lbuf, [vptr_word(pos), 0..0]);
-            self.txn_retired.push((old, LPID_NONE));
+            self.write_edit(lphys, &mut lbuf, edit);
+            self.txn_retired.push((old, LPID_NONE, false));
             return Ok(());
         }
 
@@ -948,7 +1004,7 @@ impl<S: PageStore> Tree<S> {
             lbuf.copy_within(leaf_run(pos, n), leaf_run(pos + 1, n + 1).start);
             set_leaf_entry(&mut lbuf, pos, key, vptr);
             set_count(&mut lbuf, n + 1);
-            self.write_edit(lphys, &mut lbuf, [leaf_run(pos, n + 1), 0..0]);
+            self.write_edit(lphys, &mut lbuf, edit);
             self.txn.as_mut().unwrap().len += 1;
             return Ok(());
         }
@@ -1030,7 +1086,8 @@ impl<S: PageStore> Tree<S> {
             return Ok(false);
         };
         let own = self.is_own_cell(lpid, old, tv);
-        let (lphys, mut lbuf) = self.cow(lpid, true)?;
+        let edit = [leaf_run(pos, n - 1), 0..0];
+        let (lphys, mut lbuf) = self.cow(lpid, Some(&edit), false)?;
         if own {
             // a dead page must not stay stamped with the version
             let off = self.page_off(old);
@@ -1038,11 +1095,11 @@ impl<S: PageStore> Tree<S> {
             self.txn.as_mut().unwrap().pages -= 1;
             self.free.push(old);
         } else {
-            self.txn_retired.push((old, LPID_NONE));
+            self.txn_retired.push((old, LPID_NONE, false));
         }
         lbuf.copy_within(leaf_run(pos + 1, n), leaf_run(pos, n - 1).start);
         set_count(&mut lbuf, n - 1);
-        self.write_edit(lphys, &mut lbuf, [leaf_run(pos, n - 1), 0..0]);
+        self.write_edit(lphys, &mut lbuf, edit);
         self.txn.as_mut().unwrap().len -= 1;
         Ok(true)
     }
@@ -1271,18 +1328,16 @@ impl<S: PageStore> Tree<S> {
 
     /// Take a physical page for the open transaction from the free
     /// list or the high-water mark, carving the mark's segment first
-    /// when the mark enters one never carved. A carve is durable before
-    /// the page is written, and is not the transaction's: a crash keeps
-    /// the segment carved.
+    /// when the mark enters one never carved, and when both are used up
+    /// take some logical page's spare. A carve is durable before the
+    /// page is written, and is not the transaction's: a crash keeps the
+    /// segment carved.
     fn alloc_page(&mut self) -> Option<u64> {
         let p = match self.free.pop() {
             Some(p) => p,
-            None => {
+            None if self.bump < self.table.segments() as u64 * PAGES_PER_SEG => {
                 let p = self.bump;
                 let segment = (p / PAGES_PER_SEG) as usize;
-                if segment == self.table.segments() {
-                    return None;
-                }
                 let data = self.store.bytes(0, self.store.len() as usize);
                 if p.is_multiple_of(PAGES_PER_SEG) && self.table.class_byte(data, segment) == 0 {
                     self.store.carve(segment);
@@ -1290,28 +1345,51 @@ impl<S: PageStore> Tree<S> {
                 self.bump += 1;
                 p
             }
+            None => {
+                let lpid = self.slots.iter().position(|s| s.spare != PHYS_NONE)?;
+                return self.take_spare(lpid as u64);
+            }
         };
         self.txn.as_mut().unwrap().pages += 1;
         Some(p)
+    }
+
+    /// Take `lpid`'s spare, if it has one, for the open transaction.
+    fn take_spare(&mut self, lpid: u64) -> Option<u64> {
+        let spare = &mut self.slots[lpid as usize].spare;
+        if *spare == PHYS_NONE {
+            return None;
+        }
+        self.spares -= 1;
+        self.txn.as_mut().unwrap().pages += 1;
+        Some(std::mem::replace(spare, PHYS_NONE))
     }
 
     /// Whether at least `needed` pages are allocatable, so a multi-page
     /// operation cannot fail with half its pages staged.
     fn ensure_capacity(&self, needed: u64) -> Result<(), TreeError> {
         let slack = self.table.segments() as u64 * PAGES_PER_SEG - self.bump;
-        let room = self.free.len() as u64 + slack >= needed;
+        let room = (self.free.len() + self.spares) as u64 + slack >= needed;
         room.then_some(()).ok_or(TreeError::Full)
     }
 
     /// Copy-on-write `lpid` for the open transaction: returns the
     /// staged physical copy and an image of it in memory, for the
-    /// caller to edit, seal and store the changed bytes of. A *Clean*
-    /// page — the transaction's first touch — gets a shadow page,
-    /// retires the committed copy and, when `copy` is set, receives the
-    /// committed copy's used bytes, restamped (a page about to split
-    /// passes `false`: its halves are written once, after the split). A
-    /// *Dirty* page is the staged copy itself: nothing is stored.
-    fn cow(&mut self, lpid: u64, copy: bool) -> Result<(u64, [u8; PAGE]), TreeError> {
+    /// caller to edit, seal and store the changed bytes of: `edit`, the
+    /// runs its edit stores (`None` for a page about to split, whose
+    /// halves are written once, after the split), `in_place` when the
+    /// edit is an overwrite. A *Clean* page — the transaction's first
+    /// touch — gets a shadow page (the page's spare when it has one),
+    /// retires the committed copy (to become the next spare if
+    /// `in_place`) and, unless it splits, receives the committed copy's
+    /// used bytes, restamped. A *Dirty* page is the staged copy itself:
+    /// nothing is stored.
+    fn cow(
+        &mut self,
+        lpid: u64,
+        edit: Option<&[Range<usize>; 2]>,
+        in_place: bool,
+    ) -> Result<(u64, [u8; PAGE]), TreeError> {
         let tv = self.txn.as_ref().unwrap().version;
         let old = self
             .resolve(lpid, tv)
@@ -1321,16 +1399,53 @@ impl<S: PageStore> Tree<S> {
             return Ok((old, b));
         }
         restamp(&mut b, tv);
-        let p = self.alloc_page().ok_or(TreeError::Full)?;
+        let spare = self.take_spare(lpid);
+        let p = match spare {
+            Some(p) => p,
+            None => self.alloc_page().ok_or(TreeError::Full)?,
+        };
         self.stage(lpid, p);
-        self.txn_retired.push((old, lpid));
-        if copy {
-            // the edit that follows reseals the copy
-            for run in used_runs(&b) {
-                self.write_run(p, &b, run);
+        self.txn_retired.push((old, lpid, in_place));
+        // the edit that follows reseals the copy
+        match (edit, spare) {
+            (Some(edit), Some(_)) => self.write_changed(p, &b, edit),
+            (Some(_), None) => {
+                for run in used_runs(&b) {
+                    self.write_run(p, &b, run);
+                }
             }
+            (None, _) => {}
         }
         Ok((p, b))
+    }
+
+    /// Store the used bytes of node page `buf` onto page `phys`, an
+    /// older copy of it, line by line, leaving out every line that
+    /// needs no write-back: one whose used bytes `phys` already holds
+    /// and that the edit to follow (`edit`) does not store into. A line
+    /// stored is stored whole, as a copy onto any other page would be,
+    /// with the lines next to it.
+    fn write_changed(&mut self, phys: u64, buf: &[u8; PAGE], edit: &[Range<usize>; 2]) {
+        let held = *self.store.page(self.page_off(phys));
+        for used in used_runs(buf) {
+            // the lines stored since the last one left out
+            let (mut run, mut at) = (used.start..used.start, used.start);
+            while at < used.end {
+                let line = at & !(LINE_SIZE - 1);
+                let end = (line + LINE_SIZE).min(used.end);
+                let edited = edit
+                    .iter()
+                    .any(|r| r.start < line + LINE_SIZE && line < r.end);
+                if !edited && held[at..end] == buf[at..end] {
+                    self.write_run(phys, buf, run);
+                    run = end..end;
+                } else {
+                    run.end = end;
+                }
+                at = end;
+            }
+            self.write_run(phys, buf, run);
+        }
     }
 
     /// Write `val` into value cell `phys`, sealed, with one store: a
@@ -1375,15 +1490,15 @@ impl<S: PageStore> Tree<S> {
                 return Ok(());
             };
             let n = hdr_count(self.load_page(plpid, tv)?);
-            let (pphys, mut pbuf) = self.cow(plpid, n < INNER_CAP)?;
+            let edit = [key_run(idx, n + 1), child_run(idx + 1, n + 2)];
+            let (pphys, mut pbuf) = self.cow(plpid, (n < INNER_CAP).then_some(&edit), false)?;
             if n < INNER_CAP {
                 pbuf.copy_within(key_run(idx, n), key_run(idx + 1, n + 1).start);
                 pbuf.copy_within(child_run(idx + 1, n + 1), child_run(idx + 2, n + 2).start);
                 set_inner_key(&mut pbuf, idx, sep);
                 set_inner_child(&mut pbuf, idx + 1, right);
                 set_count(&mut pbuf, n + 1);
-                let runs = [key_run(idx, n + 1), child_run(idx + 1, n + 2)];
-                self.write_edit(pphys, &mut pbuf, runs);
+                self.write_edit(pphys, &mut pbuf, edit);
                 return Ok(());
             }
             // inner split: 15 keys / 16 children -> left 7/8, middle
@@ -2172,6 +2287,11 @@ mod tests {
     /// overwrites and deletes among them.
     fn revisiting_txn(s: &mut u64) -> Vec<(u64, Option<Vec<u8>>)> {
         let base = splitmix(s) % 600;
+        txn_from(s, base)
+    }
+
+    /// `revisiting_txn`'s puts and deletes over the keys from `base`.
+    fn txn_from(s: &mut u64, base: u64) -> Vec<(u64, Option<Vec<u8>>)> {
         let mut ops = Vec::new();
         for i in 0..4 + splitmix(s) % 20 {
             ops.push((base + i, Some(vec![i as u8; (splitmix(s) % 60) as usize])));
@@ -2191,7 +2311,9 @@ mod tests {
         r.whole_pages = true;
         let mut s = 0xd1ffu64;
         let mut snap = None;
-        for round in 0..80 {
+        // Clean copies that landed on their page's spare
+        let mut onto_spares = 0;
+        for round in 0..120 {
             match round {
                 20 => snap = Some((t.pin(), r.pin())),
                 35 => {
@@ -2201,9 +2323,16 @@ mod tests {
                 }
                 _ => {}
             }
+            // from round 80 on, every transaction comes back to leaves
+            // the ones before it committed
+            let ops = match round {
+                0..80 => revisiting_txn(&mut s),
+                _ => txn_from(&mut s, [100, 300][round % 2]),
+            };
+            let spares: Vec<u64> = t.slots.iter().map(|s| s.spare).collect();
             t.begin();
             r.begin();
-            for (key, val) in revisiting_txn(&mut s) {
+            for (key, val) in ops {
                 match val {
                     Some(v) => {
                         t.put(key, &v).unwrap();
@@ -2212,6 +2341,9 @@ mod tests {
                     None => assert_eq!(t.delete(key).unwrap(), r.delete(key).unwrap()),
                 }
             }
+            onto_spares += (spares.iter().zip(&t.slots))
+                .filter(|(&p, s)| p != PHYS_NONE && s.staged == p)
+                .count();
             // the open transaction reads its own partial writes
             assert_eq!(
                 t.scan(None, 0, u64::MAX, usize::MAX),
@@ -2236,12 +2368,17 @@ mod tests {
             );
         }
         assert!(t.height() >= 3, "inner pages must have split too");
+        assert!(onto_spares >= 120, "{onto_spares} copies onto a spare");
         // both trees took the same pages in the same order, and hold
         // the same bytes wherever anything will ever read
         assert_eq!((t.bump, &t.free), (r.bump, &r.free));
         for lpid in 0..t.next_lpid as usize {
-            let phys = t.slots[lpid].phys;
-            assert_eq!(phys, r.slots[lpid].phys, "lpid {lpid}");
+            let (phys, spare) = (t.slots[lpid].phys, t.slots[lpid].spare);
+            assert_eq!(
+                (phys, spare),
+                (r.slots[lpid].phys, r.slots[lpid].spare),
+                "lpid {lpid}"
+            );
             assert_eq!(used_bytes(&t, phys), used_bytes(&r, phys), "lpid {lpid}");
         }
         let cold = Tree::attach(t.store).unwrap();
@@ -2333,6 +2470,58 @@ mod tests {
         t.begin();
         let full = (0..PAGES_PER_SEG).find_map(|k| t.put(k, &[1]).err());
         assert_eq!(full, Some(TreeError::Full));
+    }
+
+    /// Spares count as room: once the free list and the segments are
+    /// used up, an allocation takes another logical page's spare. Fifteen
+    /// leaves of keys 0..120, one key of each of the first twelve
+    /// overwritten (each leaf keeps its copy before as a spare), then
+    /// fresh keys past them, one per transaction, until one is refused:
+    /// the last puts take those spares, and the tree reads as the model,
+    /// before and after a reopen.
+    #[test]
+    fn a_full_data_area_allocates_from_the_spares() {
+        let cfg = TreeConfig {
+            data_len: CLASS_TABLE + 64 + 21 * SEGMENT,
+            ..small_cfg()
+        };
+        let mut t = Tree::create(&cfg).unwrap();
+        let capacity = t.table.segments() as u64 * PAGES_PER_SEG;
+        let mut model = BTreeMap::new();
+        let mut commit = |t: &mut Tree<FasePager>, keys: &[u64], tag: u8| {
+            t.begin();
+            let put = keys.iter().try_for_each(|&k| t.put(k, &[tag; 8]));
+            t.commit();
+            if put.is_ok() {
+                model.extend(keys.iter().map(|&k| (k, vec![tag; 8])));
+            }
+            put
+        };
+        for keys in (0..120u64).collect::<Vec<_>>().chunks(8) {
+            commit(&mut t, keys, 1).unwrap();
+        }
+        for leaf in 0..12 {
+            commit(&mut t, &[leaf * 8], 2).unwrap();
+        }
+        assert_eq!(t.spares, 12, "each overwritten leaf holds a spare");
+        let mut others_spares = 0;
+        for key in 1000u64.. {
+            let spares: Vec<u64> = t.slots.iter().map(|s| s.spare).collect();
+            if commit(&mut t, &[key], 3) == Err(TreeError::Full) {
+                break;
+            }
+            others_spares += (spares.iter().zip(&t.slots))
+                .filter(|(&p, s)| p != PHYS_NONE && s.spare == PHYS_NONE && s.phys != p)
+                .count();
+        }
+        assert_eq!(t.bump, capacity, "the segments are used up");
+        assert!(others_spares > 0, "no put took another page's spare");
+        let want: Vec<_> = model.into_iter().collect();
+        let image = t.store.runtime_mut().region().durable_image().to_vec();
+        let back = Tree::reopen_from_image(image, &cfg).unwrap();
+        for tree in [&t, &back] {
+            assert_eq!(tree.scan(None, 0, u64::MAX, usize::MAX), want);
+        }
     }
 
     /// The tree's own rules of its image, through `reopen_from_image`:
@@ -2434,6 +2623,118 @@ mod tests {
         let keys: Vec<u64> = t.scan(None, 0, u64::MAX, 9).iter().map(|e| e.0).collect();
         assert_eq!(keys, [10, 15, 20, 30, 40]);
         assert_eq!(t.get(20).as_deref(), Some(&[3u8; 40][..]));
+    }
+
+    /// A root leaf of 12 keys (used bytes: lines 0–3 of its page),
+    /// overwritten at entry 2 — its value pointer in line 1 — by one
+    /// transaction: the leaf's copy before it is the spare the next
+    /// Clean copy lands on.
+    fn leaf_with_a_spare(cfg: &TreeConfig) -> Tree<FasePager> {
+        let mut t = Tree::create(cfg).unwrap();
+        t.begin();
+        for k in 0..12u64 {
+            t.put(k, &[1; 40]).unwrap();
+        }
+        t.commit();
+        t.begin();
+        t.put(2, &[2; 40]).unwrap();
+        t.commit();
+        assert_eq!(t.height(), 1);
+        assert_ne!(t.slots[0].spare, PHYS_NONE, "the overwrite left a spare");
+        t
+    }
+
+    /// The next transaction overwrites entry 10 (line 3). Its Clean
+    /// copy lands on the spare, which holds the leaf as it was before
+    /// entry 2 changed, and stores line 0 (the restamped header), line
+    /// 1 (entry 2) and line 3, the line its edit stores into: line 2
+    /// needs no write-back, and a copy onto any other page would store
+    /// it too.
+    #[test]
+    fn a_copy_onto_the_spare_stores_only_the_lines_changed_since() {
+        let mut t = leaf_with_a_spare(&small_cfg());
+        let spare = t.slots[0].spare;
+        let first = t.page_off(spare) / 64;
+        t.store.runtime_mut().record_trace();
+        t.begin();
+        t.put(10, &[3; 40]).unwrap();
+        assert_eq!(t.slots[0].staged, spare, "the copy landed on the spare");
+        t.commit();
+        let leaf_lines: std::collections::BTreeSet<u64> = (t.store.runtime_mut())
+            .take_trace()
+            .unwrap()
+            .writes()
+            .map(|l| l.0)
+            .filter(|l| (first..first + 4).contains(l))
+            .collect();
+        let want = [first, first + 1, first + 3];
+        assert_eq!(leaf_lines.into_iter().collect::<Vec<_>>(), want);
+        assert_eq!(t.get(2).as_deref(), Some(&[2u8; 40][..]));
+        assert_eq!(t.get(10).as_deref(), Some(&[3u8; 40][..]));
+    }
+
+    /// That transaction, overwriting entries 10 and 5, crashed at every
+    /// micro-step under the three adversaries: attach reads the old
+    /// tree or the new one, never a mix. The spare is the leaf's live
+    /// copy once the transaction committed; before that it is free, and
+    /// not whole unless at an older stamp than the live copy's — torn,
+    /// voided, or untouched. The new tree is the model's, and the image
+    /// after the last fence attaches to it: a copy that skips a word it
+    /// should store reads a wrong value, or leaves a page not whole.
+    #[test]
+    fn a_copy_onto_a_spare_is_atomic_at_every_micro_step() {
+        let cfg = small_cfg();
+        let mut t = leaf_with_a_spare(&cfg);
+        let (spare, first) = (t.slots[0].spare, t.steps());
+        let all = |t: &Tree<FasePager>| t.scan(None, 0, u64::MAX, usize::MAX);
+        let old = all(&t);
+        let txn = |t: &mut Tree<FasePager>| {
+            t.begin();
+            t.put(10, &[3; 40]).unwrap();
+            t.put(5, &[4; 8]).unwrap();
+            t.commit();
+        };
+        // the model, not the tree's own reads: the closing store reseals
+        // the leaf as stored, so a leaf missing a word reads whole
+        let mut new = old.clone();
+        new[10].1 = vec![3; 40];
+        new[5].1 = vec![4; 8];
+        txn(&mut t);
+        assert_eq!(all(&t), new);
+        let end = t.steps();
+        let image = t.store.runtime_mut().region().durable_image().to_vec();
+        let back = Tree::reopen_from_image(image, &cfg).unwrap();
+        assert_eq!((all(&back), back.slots[0].phys), (new.clone(), spare));
+        let mut judged = 0;
+        for at in first..end {
+            for mode in [
+                CrashMode::StrictDurableOnly,
+                CrashMode::AllInFlightLands,
+                CrashMode::random(0.5, 0.5, at),
+            ] {
+                let mut cut = leaf_with_a_spare(&cfg);
+                cut.arm_crash(CrashPlan {
+                    at_step: at,
+                    mode: mode.clone(),
+                });
+                txn(&mut cut);
+                let crashed = cut.take_crash_image().expect("the step is in the txn");
+                let back = Tree::reopen_from_image(crashed, &cfg).unwrap();
+                let got = all(&back);
+                let ctx = format!("{mode:?} step {at}");
+                if got == new {
+                    assert_eq!(back.slots[0].phys, spare, "{ctx}");
+                } else {
+                    assert_eq!(got, old, "{ctx}: a mix");
+                    assert!(back.free.contains(&spare), "{ctx}: the spare is not free");
+                    let b = back.store.page(back.page_off(spare));
+                    let outranks = whole(b) && hdr_version(b) >= back.version();
+                    assert!(!outranks, "{ctx}: a whole spare at v{}", hdr_version(b));
+                }
+                judged += 1;
+            }
+        }
+        assert!(judged >= 30, "{judged} recoveries");
     }
 
     /// A transaction of `k` puts ends with one drain and one fence: it

@@ -258,6 +258,45 @@ fn snapshots_observe_version_ordered_history() {
     assert_eq!(t.retired_pages(), 0);
 }
 
+/// A snapshot pinned over two commits that overwrite the leaf it reads.
+/// A Clean copy lands on its page's spare, the copy an overwrite
+/// superseded once no pin reaches it: the copy the snapshot reads must
+/// never become one, or the second commit would write over what the
+/// snapshot reads.
+#[test]
+fn a_pinned_copy_never_becomes_a_spare() {
+    let mut t = Tree::create(&cfg()).unwrap();
+    let commit = |t: &mut Tree, key: u64, tag: u64| {
+        t.begin();
+        t.put(key, &value(tag, 24)).unwrap();
+        t.commit();
+    };
+    for k in 0..10u64 {
+        commit(&mut t, k, k);
+    }
+    // an overwrite, so the leaf holds a spare when the pin is taken
+    commit(&mut t, 9, 9);
+    assert_eq!(t.height(), 1, "one leaf");
+    let snap = t.pin();
+    let frozen = t.scan(Some(&snap), 0, u64::MAX, usize::MAX);
+    commit(&mut t, 3, 0x33);
+    commit(&mut t, 7, 0x77);
+    assert_eq!(t.scan(Some(&snap), 0, u64::MAX, usize::MAX), frozen);
+    assert_eq!(t.get(3), Some(value(0x33, 24)));
+    assert_eq!(t.get(7), Some(value(0x77, 24)));
+    t.unpin(snap);
+    assert_eq!(t.retired_pages(), 0);
+    commit(&mut t, 5, 0x55);
+    let mut want: Model = frozen.into_iter().collect();
+    for k in [3u64, 7, 5] {
+        want.insert(k, value(k * 0x11, 24));
+    }
+    assert_eq!(
+        t.scan(None, 0, u64::MAX, usize::MAX),
+        model_scan(&want, 0, u64::MAX, usize::MAX)
+    );
+}
+
 type Model = BTreeMap<u64, Vec<u8>>;
 
 /// Pin a new snapshot (at most four live, each with a clone of the
