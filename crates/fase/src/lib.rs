@@ -23,6 +23,9 @@
 //!   one line durable at once.
 //! * [`segments::SegmentTable`] — the class table both engines carve
 //!   their data areas by and recovery surveys.
+//! * [`nodes::Nodes`] — the hash shard's node store: the node layout,
+//!   its sealed slots, the per-class free lists and the recovery
+//!   passes; the shard keeps only its key index over it.
 //! * [`seal`] — both engines' commit rule: one checksum, one stamp
 //!   limit and the fold by which recovery decides what committed.
 //! * crash/recovery — [`runtime::FaseRuntime::crash_and_recover`]
@@ -35,6 +38,7 @@
 
 pub mod error;
 pub mod log;
+pub mod nodes;
 pub mod runtime;
 pub mod seal;
 pub mod segments;

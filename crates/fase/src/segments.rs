@@ -14,6 +14,8 @@
 //! by the rules of [`SegmentTable::class`], and cannot be led elsewhere.
 
 use std::fmt;
+use std::iter::StepBy;
+use std::ops::Range;
 
 use crate::FaseRuntime;
 
@@ -28,6 +30,7 @@ pub const MAX_CLASS: usize = 8;
 static ZEROS: [u8; SEGMENT] = [0; SEGMENT];
 
 /// Bytes of a class's blocks.
+#[inline]
 pub fn block_of(class: usize) -> usize {
     16 << class
 }
@@ -75,6 +78,31 @@ impl SegmentTable {
     /// Offset of segment `segment`'s first byte.
     pub fn segment(&self, segment: usize) -> usize {
         self.base + segment * SEGMENT
+    }
+
+    /// The offsets of the blocks of segment `segment` carved for
+    /// `class`, in address order.
+    pub fn blocks_of(&self, segment: usize, class: usize) -> StepBy<Range<usize>> {
+        let at = self.segment(segment);
+        (at..at + SEGMENT).step_by(block_of(class))
+    }
+
+    /// Every block of every carved segment of data area `data`, in
+    /// address order, with its class: each class byte checked by
+    /// [`SegmentTable::class`] for an owner whose smallest class is
+    /// `min_class`.
+    pub fn blocks(
+        &self,
+        data: &[u8],
+        min_class: usize,
+    ) -> Result<Vec<(usize, usize)>, SegmentError> {
+        let mut blocks = Vec::new();
+        for segment in 0..self.segments {
+            if let Some(class) = self.class(data, segment, min_class)? {
+                blocks.extend(self.blocks_of(segment, class).map(|at| (at, class)));
+            }
+        }
+        Ok(blocks)
     }
 
     /// Segment `segment`'s class byte in data area `data`, unchecked.

@@ -155,7 +155,7 @@ fn sweep(name: &str, fase: impl Fn(&mut FaseRuntime), view: impl Fn(&[u8]) -> Ve
                 match mode {
                     CrashMode::StrictDurableOnly => assert_eq!(got, pre, "{ctx}"),
                     CrashMode::AllInFlightLands => assert_eq!(got, post, "{ctx}"),
-                    CrashMode::Random { .. } => {
+                    CrashMode::Random { .. } | CrashMode::Exactly { .. } => {
                         assert!(got == pre || got == post, "torn FASE: {ctx}")
                     }
                 }

@@ -16,7 +16,7 @@
 //! else is server plumbing (stats scraping, crash injection,
 //! verification dumps).
 
-use nvcache_fase::FaseStats;
+use nvcache_fase::{FaseRuntime, FaseStats};
 use nvcache_pmem::{CrashMode, CrashPlan};
 use nvcache_treestore::{FasePager, Tree, TreeConfig, TreeError};
 
@@ -41,37 +41,63 @@ pub trait Engine: Send + 'static {
     /// Inject a power failure and recover in place.
     fn crash_and_recover(&mut self, mode: &CrashMode);
 
-    /// Flush buffered state (clean shutdown).
-    fn sync(&mut self);
-
     /// Live keys.
     fn len(&self) -> usize;
 
     /// Every `(key, value)` pair, sorted by key (verification).
     fn dump(&mut self) -> Vec<(u64, Vec<u8>)>;
 
+    /// The runtime the engine persists through: counters, crash plans
+    /// and the adaptive policy.
+    fn runtime(&self) -> &FaseRuntime;
+
+    /// The runtime, mutably.
+    fn runtime_mut(&mut self) -> &mut FaseRuntime;
+
+    /// Flush buffered state (clean shutdown).
+    fn sync(&mut self) {
+        self.runtime_mut().sync()
+    }
+
     /// Cumulative runtime counters.
-    fn stats(&self) -> FaseStats;
+    fn stats(&self) -> FaseStats {
+        self.runtime().stats()
+    }
 
     /// Counters since the last take.
-    fn take_stats(&mut self) -> FaseStats;
+    fn take_stats(&mut self) -> FaseStats {
+        self.runtime_mut().take_stats()
+    }
 
     /// Persistence micro-steps executed (crash-point index space).
-    fn steps(&self) -> u64;
+    fn steps(&self) -> u64 {
+        self.runtime().steps()
+    }
 
     /// Arm a crash plan on the engine's region.
-    fn arm_crash(&mut self, plan: CrashPlan);
+    fn arm_crash(&mut self, plan: CrashPlan) {
+        self.runtime_mut().arm_crash(plan)
+    }
 
     /// The crash image captured by an armed plan, if reached.
-    fn take_crash_image(&mut self) -> Option<Vec<u8>>;
+    fn take_crash_image(&mut self) -> Option<Vec<u8>> {
+        self.runtime_mut().take_crash_image()
+    }
 
     /// Restart the adaptive policy's measurement at its current
     /// capacity (nothing under other policies).
-    fn reset_sampler(&mut self);
+    fn reset_sampler(&mut self) {
+        if let Some(p) = self.runtime_mut().adaptive_mut() {
+            p.restart_sampling();
+        }
+    }
 
     /// Capacity decisions the adaptive policy has made, in order (none
     /// under other policies).
-    fn chosen(&self) -> Vec<CapacityChoice>;
+    fn chosen(&self) -> Vec<CapacityChoice> {
+        let adaptive = self.runtime().adaptive();
+        adaptive.map_or_else(Vec::new, |p| p.choices().to_vec())
+    }
 }
 
 impl Engine for Shard {
@@ -84,35 +110,17 @@ impl Engine for Shard {
     fn crash_and_recover(&mut self, mode: &CrashMode) {
         Shard::crash_and_recover(self, mode)
     }
-    fn sync(&mut self) {
-        self.rt.sync()
-    }
     fn len(&self) -> usize {
         Shard::len(self)
     }
     fn dump(&mut self) -> Vec<(u64, Vec<u8>)> {
         Shard::dump(self)
     }
-    fn stats(&self) -> FaseStats {
-        self.rt.stats()
+    fn runtime(&self) -> &FaseRuntime {
+        &self.nodes.rt
     }
-    fn take_stats(&mut self) -> FaseStats {
-        self.rt.take_stats()
-    }
-    fn steps(&self) -> u64 {
-        self.rt.steps()
-    }
-    fn arm_crash(&mut self, plan: CrashPlan) {
-        self.rt.arm_crash(plan)
-    }
-    fn take_crash_image(&mut self) -> Option<Vec<u8>> {
-        self.rt.take_crash_image()
-    }
-    fn reset_sampler(&mut self) {
-        Shard::reset_sampler(self)
-    }
-    fn chosen(&self) -> Vec<CapacityChoice> {
-        Shard::chosen(self).to_vec()
+    fn runtime_mut(&mut self) -> &mut FaseRuntime {
+        &mut self.nodes.rt
     }
 }
 
@@ -220,10 +228,6 @@ impl Engine for TreeEngine {
         self.t.crash_and_recover(mode).expect("tree crash recovery");
     }
 
-    fn sync(&mut self) {
-        self.t.sync();
-    }
-
     fn len(&self) -> usize {
         self.t.len() as usize
     }
@@ -232,35 +236,12 @@ impl Engine for TreeEngine {
         self.t.scan(None, 0, u64::MAX, usize::MAX)
     }
 
-    fn stats(&self) -> FaseStats {
-        self.t.stats()
+    fn runtime(&self) -> &FaseRuntime {
+        self.t.store().runtime()
     }
 
-    fn take_stats(&mut self) -> FaseStats {
-        self.t.take_stats()
-    }
-
-    fn steps(&self) -> u64 {
-        self.t.steps()
-    }
-
-    fn arm_crash(&mut self, plan: CrashPlan) {
-        self.t.arm_crash(plan);
-    }
-
-    fn take_crash_image(&mut self) -> Option<Vec<u8>> {
-        self.t.take_crash_image()
-    }
-
-    fn reset_sampler(&mut self) {
-        if let Some(p) = self.t.store_mut().runtime_mut().adaptive_mut() {
-            p.restart_sampling();
-        }
-    }
-
-    fn chosen(&self) -> Vec<CapacityChoice> {
-        let adaptive = self.t.store().runtime().adaptive();
-        adaptive.map_or_else(Vec::new, |p| p.choices().to_vec())
+    fn runtime_mut(&mut self) -> &mut FaseRuntime {
+        self.t.store_mut().runtime_mut()
     }
 }
 

@@ -7,16 +7,13 @@
 //!
 //! Nine modules, bottom up:
 //!
-//! - [`shard`] — one persistent hash map per shard, owning a private
-//!   `FaseRuntime` (every `put`/`delete` is one FASE). Its image holds
-//!   no pointers: 4 KiB segments of equal blocks, one class each, named
-//!   by the segment table of `nvcache_fase::segments` (the tree engine's
-//!   image is the same table, of 256-byte pages), which recovery scans.
-//!   A node holds its value in two stamped slots, so
-//!   every FASE — update, insert, tombstone delete — writes slots no
-//!   committed state reads, sealed, and commits by the FASE's one
-//!   fence, with no undo record; two slots in a 4 KiB block cap a value
-//!   at [`MAX_VALUE_LEN`] = 2 024 bytes (the tree engine's cap is 232).
+//! - [`shard`] — one persistent hash map per shard (every
+//!   `put`/`delete` is one FASE): a volatile index over the node store
+//!   of `nvcache_fase::nodes`, which owns a private `FaseRuntime`, the
+//!   node layout and recovery. A node holds its value in two stamped,
+//!   sealed slots, so every FASE writes slots no committed state reads
+//!   and commits by its one fence, with no undo record; a value is at
+//!   most [`MAX_VALUE_LEN`] = 2 024 bytes (the tree engine's cap is 232).
 //!   Under SC the runtime's `AdaptiveScPolicy` is the one adaptive
 //!   controller, for hash and tree lanes alike: it samples the lane's
 //!   FASE-renamed store lines and resizes its cache at the store that

@@ -873,6 +873,7 @@ mod tests {
     }
     // ---- the two lane paths ------------------------------------------
 
+    use nvcache_fase::FaseRuntime;
     use std::collections::BTreeMap;
     use std::sync::atomic::AtomicBool;
     use std::sync::{mpsc, Condvar};
@@ -928,6 +929,8 @@ mod tests {
         map: BTreeMap<u64, Vec<u8>>,
         gate: Arc<Gate>,
         heals: usize,
+        /// Counts nothing: the map persists nothing.
+        rt: FaseRuntime,
     }
 
     impl GateEngine {
@@ -936,6 +939,7 @@ mod tests {
                 map: BTreeMap::new(),
                 gate: Arc::clone(gate),
                 heals: 0,
+                rt: FaseRuntime::new(64, 0, &PolicyKind::Lazy),
             }
         }
     }
@@ -971,29 +975,17 @@ mod tests {
             true
         }
         fn crash_and_recover(&mut self, _: &CrashMode) {}
-        fn sync(&mut self) {}
         fn len(&self) -> usize {
             self.map.len()
         }
         fn dump(&mut self) -> Vec<(u64, Vec<u8>)> {
             self.map.iter().map(|(k, v)| (*k, v.clone())).collect()
         }
-        fn stats(&self) -> FaseStats {
-            FaseStats::default()
+        fn runtime(&self) -> &FaseRuntime {
+            &self.rt
         }
-        fn take_stats(&mut self) -> FaseStats {
-            FaseStats::default()
-        }
-        fn steps(&self) -> u64 {
-            0
-        }
-        fn arm_crash(&mut self, _: nvcache_pmem::CrashPlan) {}
-        fn take_crash_image(&mut self) -> Option<Vec<u8>> {
-            None
-        }
-        fn reset_sampler(&mut self) {}
-        fn chosen(&self) -> Vec<CapacityChoice> {
-            Vec::new()
+        fn runtime_mut(&mut self) -> &mut FaseRuntime {
+            &mut self.rt
         }
     }
 

@@ -5,41 +5,13 @@
 //! shard's store lines and resizes the software cache while the shard
 //! keeps serving; [`Shard::chosen`] reads its decisions.
 //!
-//! Persistent layout (offsets inside the shard's region, which is its
-//! data area alone: the runtime has no undo log) — the segment table of
-//! [`nvcache_fase::segments`], which the tree's image shares:
-//!
-//! ```text
-//! [head line | class table | segment 0 | segment 1 | …]
-//! head    := magic u64
-//! class   := u8 per segment: 0 = never carved, c = blocks of 16 << c bytes
-//! segment := 4 KiB of equal blocks, one node each
-//! node    := key u64 | slot 0 @ 8 | slot 1 @ block / 2
-//! slot    := stamp << 12 | vlen  u64 | seal u64 | value bytes (vlen of them)
-//! seal    := n << 32 | checksum (32 bits)
-//! ```
-//!
-//! A node holds its value twice over. Each slot is a sealed unit of
-//! [`nvcache_fase::seal`] (DESIGN.md §6.3): the **stamp** of the FASE
-//! that wrote it, and a **seal** — the FASE's slot count *n* on its
-//! closing slot, 0 on the others — above a checksum of the slot's
-//! header, *n*, its value and, for a value, the node's key. The slot
-//! with the highest committed stamp **decides** the block: a value
-//! makes it a live node, a **tombstone** (the reserved length
-//! `LEN_MASK`) or no committed slot makes it free. Stamp 0 is a void
-//! slot. Slot offsets follow the class, not the value length: a 40-byte
-//! value takes a 128-byte block, slot 0 (key, header, seal, value: 64
-//! bytes) its first line and slot 1 its second. A class holds values of
-//! up to half its block less three words: class 1 (32-byte blocks)
-//! holds none and is never carved, class 2 holds 8 bytes, class 3 40,
-//! class 4 104, and class 8 [`MAX_VALUE_LEN`] = 2 024.
-//!
-//! Every mutation is one FASE of unlogged stores
-//! ([`FaseRuntime::store_fresh`]) of slots no committed state reads,
-//! stamped one above the last committed FASE, its last slot the closing
-//! one; `end_fase` drains and fences once. No undo record, no commit
-//! record. A `put` is a group of one; a group that writes one key more
-//! than once seals all but the last write with a checksum that fails.
+//! The shard is a volatile index over the node store of
+//! [`nvcache_fase::nodes`], which owns the runtime, the layout, the free
+//! lists and the recovery passes. Every mutation is one FASE of sealed
+//! slots no committed state reads, its last slot the closing one, and
+//! ends with one drain and one fence: no undo record, no commit record.
+//! A `put` is a group of one; a group that writes one key more than once
+//! seals all but the last write with a checksum that fails.
 //!
 //! - **Update** (an indexed key whose new length keeps its class): the
 //!   value goes into the node's *other* slot. Repeated keys of one group
@@ -50,161 +22,29 @@
 //! - **Length change to another class**: an insert into a block of the
 //!   new class plus a tombstone on the old node, in the one FASE.
 //!
-//! A segment is **carved** ([`SegmentTable::carve`]) before its first
-//! node is written, so a segment never carved is all zeros.
-//!
-//! Recovery finds the last committed FASE by the commit rule and
-//! **voids** every slot stamped above it (stamp 0, unlogged, in a FASE
-//! that commits nothing) before the shard opens another FASE. A seal
-//! covers no word a later committed FASE may rewrite: an insert into a
-//! free block rewrites its key word, so the tombstone that freed the
-//! block leaves the key out of its seal. A FASE abandoned by a panic is
-//! voided outright: healing knows the last committed stamp.
-//!
 //! # What is volatile
 //!
-//! The stamp of the last committed FASE; the **index**, a DRAM map from
-//! each live key to one word — its node's offset and class, the committed
-//! slot and the value length ([`Shard::len`] is its size); and, per
-//! class, a **free list** of blocks with the slot an insert writes. None
-//! of it is stored through the runtime. The index is the only way a
-//! lookup — `get`, `put_many`'s planner, `serve_batch`'s reads, `scan`,
-//! `delete` — locates a value: one probe, then the value itself.
-//!
-//! NVTraverse's observation is the licence: in a durable structure only
-//! the *destination* of a traversal has to be persistent, the *journey*
-//! need not touch persistent memory at all. *Durable Queues* finds its
-//! nodes at recovery by scanning the area they were allocated from; so
-//! does this shard.
-//!
-//! The index and the free lists change only **after the commit point**
-//! of the FASE that justifies them; a refused group gives back the
-//! blocks it took and a FASE abandoned by a panic touches neither.
-//! After anything that can leave a FASE half done — reopening an image,
-//! an injected crash, a healed panic — both are rebuilt from the
-//! segments: one pass over the slot headers folds them into the last
-//! committed FASE (skipped after a panic), one over the segments builds
-//! the index and the free lists, and the void pass follows
-//! ([`Shard::voided_slots`]). The passes check a foreign image
-//! ([`ShardImageError`]) against the magic word, the segment table's
-//! rules, the commit rule and the node layout: slots their class can
-//! hold, a whole deciding slot, committed stamps apart, each key live in
-//! one node. Nothing in the image is an offset, so a pass reads each
-//! segment once and cannot be led anywhere else.
+//! The **index**, a DRAM map from each live key to one word — its node's
+//! offset and class, the committed slot and the value length
+//! ([`Shard::len`] is its size) — is the only way a lookup (`get`,
+//! `put_many`'s planner, `serve_batch`'s reads, `scan`, `delete`)
+//! locates a value: one probe, then the value itself. It and the node
+//! store's free lists change only **after the commit point** of the FASE
+//! that justifies them (a refused group gives back the blocks it took),
+//! and are rebuilt by the node store's recovery passes after anything
+//! that can leave a FASE half done: reopening an image, an injected
+//! crash, a healed panic ([`Shard::voided_slots`]).
 
 use std::collections::{BinaryHeap, HashMap};
-use std::fmt;
 
 pub use nvcache_core::CapacityChoice;
 use nvcache_core::{AdaptiveConfig, PolicyKind};
-use nvcache_fase::segments::{block_of, CLASS_TABLE, MAX_CLASS, SEGMENT};
-use nvcache_fase::{seal, FaseRuntime, RecoveryError, SealError};
-use nvcache_fase::{SegmentError, SegmentTable};
+use nvcache_fase::nodes::{class_of, Entry, Nodes};
+pub use nvcache_fase::nodes::{ImageError as ShardImageError, MAX_VALUE_LEN};
+use nvcache_fase::FaseRuntime;
 use nvcache_locality::KneeConfig;
 use nvcache_pmem::{CrashMode, PmemRegion};
 use nvcache_trace::FxHashMap;
-
-/// The head line's first word.
-const MAGIC: u64 = u64::from_le_bytes(*b"NVSHARD3");
-/// Classes `MIN_CLASS..=MAX_CLASS` hold slots; class `c` holds blocks of
-/// `16 << c` bytes.
-const MIN_CLASS: usize = 2;
-/// A slot's header word (its stamp above its value length) and its seal.
-const SLOT_HEADER: usize = 16;
-/// Offset of a node's slot 0: after the key word.
-const SLOT_0: usize = 8;
-/// Low bits of a slot header that hold the value length.
-const LEN_BITS: u32 = 12;
-/// The length a tombstone's header carries: longer than any value.
-const LEN_MASK: u64 = (1 << LEN_BITS) - 1;
-/// Largest value the node layout can hold: slot 0 of a max-class block.
-pub const MAX_VALUE_LEN: usize = SEGMENT / 2 - SLOT_0 - SLOT_HEADER;
-/// Why rebuilding the volatile state cannot fail on the in-process paths.
-const OWN_REGION: &str = "a region only this shard wrote scans sound";
-
-/// The longest value a class's slots hold: slot 0 has the smaller half,
-/// after the key.
-fn capacity(class: usize) -> usize {
-    block_of(class) / 2 - SLOT_0 - SLOT_HEADER
-}
-
-/// The class of a `vlen`-byte value's node: the smallest that holds it.
-fn class_of(vlen: usize) -> usize {
-    (MIN_CLASS..=MAX_CLASS)
-        .find(|&c| vlen <= capacity(c))
-        .expect("values are checked against MAX_VALUE_LEN")
-}
-
-/// A slot of a node: its offset with the node's class in bits 1..5 and
-/// the slot in bit 0 (a node is 64-aligned), and the value length from
-/// bit 48 up (data offsets stay below 2⁴⁸) — so a lookup reads the value
-/// and nothing else. The index holds a live node's committed slot, a
-/// free list the slot an insert writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Entry(u64);
-
-impl Entry {
-    const VLEN_SHIFT: u32 = 48;
-    const LOW: u64 = (1 << Self::VLEN_SHIFT) - 1;
-
-    fn new(node: usize, class: usize, slot: usize, vlen: usize) -> Self {
-        Entry(node as u64 | (class as u64) << 1 | slot as u64 | (vlen as u64) << Self::VLEN_SHIFT)
-    }
-
-    fn node(self) -> usize {
-        (self.0 & Self::LOW & !31) as usize
-    }
-
-    fn class(self) -> usize {
-        (self.0 >> 1 & 15) as usize
-    }
-
-    fn slot(self) -> usize {
-        (self.0 & 1) as usize
-    }
-
-    fn vlen(self) -> usize {
-        (self.0 >> Self::VLEN_SHIFT) as usize
-    }
-
-    fn with_len(self, vlen: usize) -> Self {
-        Entry(self.0 & Self::LOW | (vlen as u64) << Self::VLEN_SHIFT)
-    }
-
-    /// The node's other slot.
-    fn other(self) -> Self {
-        Entry(self.0 ^ 1)
-    }
-
-    /// Offset of the slot's header.
-    fn slot_off(self) -> usize {
-        self.node() + [SLOT_0, block_of(self.class()) / 2][self.slot()]
-    }
-}
-
-/// A slot header: the stamp above the value length.
-fn slot_header(stamp: u64, vlen: u64) -> u64 {
-    stamp << LEN_BITS | vlen
-}
-
-/// The seal word of a slot: `n` (0 but on a closing slot) above the
-/// checksum of the header, `n`, the node's key (`None` for a tombstone,
-/// which a later insert may outlive) and the value.
-fn seal_word(header: u64, n: u64, key: Option<u64>, value: &[u8]) -> u64 {
-    let words = [header, n, key.unwrap_or(0)].map(u64::to_le_bytes);
-    n << 32 | seal::checksum(MAGIC, [words.as_flattened(), value])
-}
-
-/// What one pass over the segments finds.
-struct Survey {
-    /// Every live key's committed slot.
-    live: HashMap<u64, Entry>,
-    /// Per class, the free blocks in address order, each with the slot
-    /// that does not decide it.
-    free: [Vec<Entry>; MAX_CLASS + 1],
-    /// Headers of slots stamped above the epoch: a dead FASE's, to void.
-    stale: Vec<usize>,
-}
 
 /// One request of a lane batch — a submitter's own group, or what the
 /// worker drained from the submission queue — without any completion
@@ -322,59 +162,11 @@ impl Default for ShardConfig {
     }
 }
 
-/// Why an image cannot be served as a shard.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardImageError {
-    /// The image is shorter than the data area.
-    Recovery(RecoveryError),
-    /// The head line is not a shard's: the magic word is missing.
-    BadHead(&'static str),
-    /// A class byte or a segment breaks a rule of the segment table.
-    BadSegment(SegmentError),
-    /// A slot breaks the commit rule.
-    BadSeal(SealError),
-    /// A node breaks a rule of the layout.
-    BadNode {
-        /// The node's offset in the data area.
-        at: usize,
-        /// Which rule broke.
-        why: &'static str,
-    },
-}
-
-impl fmt::Display for ShardImageError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardImageError::Recovery(e) => write!(f, "FASE recovery failed: {e}"),
-            ShardImageError::BadHead(why) => write!(f, "no shard head: {why}"),
-            ShardImageError::BadSegment(e) => write!(f, "{e}"),
-            ShardImageError::BadSeal(e) => write!(f, "{e}"),
-            ShardImageError::BadNode { at, why } => write!(f, "bad node at {at:#x}: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for ShardImageError {}
-
-impl From<RecoveryError> for ShardImageError {
-    fn from(e: RecoveryError) -> Self {
-        ShardImageError::Recovery(e)
-    }
-}
-
 /// A single-owner persistent KV shard.
 #[derive(Debug)]
 pub struct Shard {
-    pub(crate) rt: FaseRuntime,
-    /// Where the class table and the segments lie.
-    table: SegmentTable,
-    /// Volatile: the first segment never carved (`segments` if none).
-    uncarved: usize,
-    /// Volatile: the stamp of the last committed FASE. Every FASE stamps
-    /// its slots one above.
-    committed: u64,
-    /// Volatile: slots the last rebuild voided.
-    voided: usize,
+    /// The runtime, the segments and the free lists.
+    pub(crate) nodes: Nodes,
     /// Volatile: every live key → its node's committed slot and value
     /// length (module doc, "What is volatile").
     /// Keys are the clients', so the hasher is
@@ -382,16 +174,11 @@ pub struct Shard {
     /// 4 000 keys that differ only above bit 20 share one probe sequence
     /// (440 ns a `get` against 46).
     index: HashMap<u64, Entry>,
-    /// Volatile: per class, the free blocks, next one last.
-    free: [Vec<Entry>; MAX_CLASS + 1],
     /// [`Shard::put_many`]'s plan, kept between batches.
     plan: PutPlan,
     /// [`Shard::serve_batch`]'s write group and overlay, kept between
     /// batches.
     batch: BatchScratch,
-    /// A slot, or a fresh node's first bytes, composed for its one store
-    /// (reused).
-    slot_buf: Vec<u8>,
 }
 
 /// What [`Shard::put_many`] works out before it opens the FASE. The
@@ -447,41 +234,30 @@ fn write_of(reqs: &[BatchRequest], (req, item): (usize, usize)) -> (u64, &[u8]) 
 impl Shard {
     /// Create a fresh shard.
     pub fn new(cfg: &ShardConfig) -> Self {
-        let mut rt = FaseRuntime::new(cfg.data_len, 0, &cfg.runtime_policy());
-        rt.persist(0, &MAGIC.to_le_bytes());
-        Self::assemble(rt)
+        let rt = FaseRuntime::new(cfg.data_len, 0, &cfg.runtime_policy());
+        Self::over(Nodes::new(rt), HashMap::new())
     }
 
-    /// Re-attach to a crash image (or saved region): find the last
-    /// committed FASE, rebuild the index and the free lists by one pass
-    /// over the segments and void what a dead FASE left. The image may be
-    /// anything: one the passes cannot vouch for is a typed error, never
-    /// a hang or a panic.
+    /// Re-attach to a crash image (or saved region): the node store finds
+    /// the last committed FASE, rebuilds the free lists and the index by
+    /// one pass over the segments and voids what a dead FASE left. The
+    /// image may be anything: one the passes cannot vouch for is a typed
+    /// error, never a hang or a panic.
     pub fn reopen_from_image(image: Vec<u8>, cfg: &ShardConfig) -> Result<Self, ShardImageError> {
         let region = PmemRegion::from_image(image);
         let policy = cfg.runtime_policy();
         let rt = FaseRuntime::try_reopen(region, cfg.data_len, 0, &policy)?;
-        if rt.data_len() < CLASS_TABLE || rt.region().read_u64(0) != MAGIC {
-            return Err(ShardImageError::BadHead("no magic word"));
-        }
-        let mut shard = Self::assemble(rt);
-        shard.committed = shard.last_committed()?;
-        shard.rebuild_volatile()?;
-        Ok(shard)
+        let (nodes, index) = Nodes::open(rt)?;
+        Ok(Self::over(nodes, index))
     }
 
-    fn assemble(rt: FaseRuntime) -> Self {
+    /// The shard indexing `nodes` by `index`, with empty scratch.
+    fn over(nodes: Nodes, index: HashMap<u64, Entry>) -> Self {
         Shard {
-            table: SegmentTable::new(rt.data_len()),
-            rt,
-            uncarved: 0,
-            committed: 0,
-            voided: 0,
-            index: HashMap::new(),
-            free: Default::default(),
+            nodes,
+            index,
             plan: PutPlan::default(),
             batch: BatchScratch::default(),
-            slot_buf: Vec::new(),
         }
     }
 
@@ -490,17 +266,10 @@ impl Shard {
         self.index.get(&key).copied()
     }
 
-    /// A copy of the value in the slot an index entry names.
-    fn value_at(&mut self, entry: Entry) -> Vec<u8> {
-        let mut v = vec![0u8; entry.vlen()];
-        self.rt.load(entry.slot_off() + SLOT_HEADER, &mut v);
-        v
-    }
-
     /// Look up `key`.
     pub fn get(&mut self, key: u64) -> Option<Vec<u8>> {
         let entry = self.locate(key)?;
-        Some(self.value_at(entry))
+        Some(self.nodes.value(entry))
     }
 
     /// Insert or update `key → value` in one FASE: a group of one.
@@ -508,73 +277,6 @@ impl Shard {
     /// [`MAX_VALUE_LEN`] — the map is unchanged in that case.
     pub fn put(&mut self, key: u64, value: &[u8]) -> bool {
         self.put_many(&[(key, value)])
-    }
-
-    /// The data area: the head line, the class table and the segments.
-    fn data(&self) -> &[u8] {
-        self.rt.region().slice(0, self.rt.data_len())
-    }
-
-    /// A free block of `class`, carving a segment for it if the class
-    /// has none; `None` when every segment is carved.
-    fn take(&mut self, class: usize) -> Option<Entry> {
-        if self.free[class].is_empty() {
-            let seg = self.uncarved;
-            if seg == self.table.segments() {
-                return None;
-            }
-            // durable under every policy before a node of the segment
-            // is written
-            self.table.carve(&mut self.rt, seg, class);
-            let base = self.table.segment(seg);
-            let blocks = (base..base + SEGMENT).step_by(block_of(class)).rev();
-            self.free[class].extend(blocks.map(|node| Entry::new(node, class, 0, 0)));
-            self.uncarved = self.table.first_uncarved(self.data(), seg + 1);
-        }
-        self.free[class].pop()
-    }
-
-    /// One unlogged store of `slot` for the FASE stamped `stamp`: its
-    /// header, its seal — `n` as the commit rule's fold reads it, or
-    /// `None` for a write its FASE repeats, whose checksum fails — and
-    /// `value`, or a tombstone for `None`. With `keyed`, the node's key
-    /// word is stored too: in the same store in front of slot 0, on its
-    /// own before slot 1. Nothing committed reads what it writes.
-    fn store_slot(
-        &mut self,
-        slot: Entry,
-        (stamp, n): (u64, Option<u64>),
-        key: u64,
-        keyed: bool,
-        value: Option<&[u8]>,
-    ) {
-        self.slot_buf.clear();
-        let at = match (keyed, slot.slot()) {
-            (true, 0) => {
-                self.slot_buf.extend_from_slice(&key.to_le_bytes());
-                slot.node()
-            }
-            (true, _) => {
-                self.rt.store_fresh(slot.node(), &key.to_le_bytes());
-                slot.slot_off()
-            }
-            (false, _) => slot.slot_off(),
-        };
-        let (vlen, bytes) = value.map_or((LEN_MASK, &[][..]), |v| (v.len() as u64, v));
-        let header = slot_header(stamp, vlen);
-        let sum = seal_word(header, n.unwrap_or(0), value.map(|_| key), bytes);
-        let seal = n.map_or(!sum & 0xffff_ffff, |_| sum);
-        self.slot_buf.extend_from_slice(&header.to_le_bytes());
-        self.slot_buf.extend_from_slice(&seal.to_le_bytes());
-        self.slot_buf.extend_from_slice(bytes);
-        self.rt.store_fresh(at, &self.slot_buf);
-    }
-
-    /// Close the open FASE stamped `stamp`: one drain, one fence. Its
-    /// sealed slots are its commit.
-    fn commit(&mut self, stamp: u64) {
-        self.rt.end_fase();
-        self.committed = stamp;
     }
 
     /// Apply a whole batch of writes as **one FASE** (group commit):
@@ -605,15 +307,14 @@ impl Shard {
         let mut plan = std::mem::take(&mut self.plan);
         let ok = self.plan_group(len, &item, &mut plan);
         if ok {
-            let stamp = seal::next(self.committed);
-            self.rt.begin_fase();
+            let stamp = self.nodes.begin();
             self.write_group(&item, &plan, stamp);
-            self.commit(stamp);
+            self.nodes.commit(stamp);
             for (&key, &(target, ..)) in &plan.targets {
                 self.index.insert(key, target);
             }
             for &old in &plan.moved {
-                self.free[old.class()].push(old.with_len(0));
+                self.nodes.release(old);
             }
         }
         self.plan = plan;
@@ -650,9 +351,9 @@ impl Shard {
                 *target = match old {
                     Some(old) if old.class() == class => old.other(),
                     _ => {
-                        let Some(block) = self.take(class) else {
+                        let Some(block) = self.nodes.take(class) else {
                             for &block in plan.taken.iter().rev() {
-                                self.free[block.class()].push(block);
+                                self.nodes.release(block);
                             }
                             return false;
                         };
@@ -685,13 +386,15 @@ impl Shard {
         // one slot per key, one tombstone per move
         let n = (plan.targets.len() + plan.moved.len()) as u64;
         for &old in &plan.moved {
-            self.store_slot(old.other(), (stamp, Some(0)), 0, false, None);
+            self.nodes
+                .store_slot(old.other(), (stamp, Some(0)), 0, false, None);
         }
         let closing = plan.ops.len() - 1;
         for (j, &(slot, i, keyed, last)) in plan.ops.iter().enumerate() {
             let (key, value) = item(i);
             let n = last.then_some(if j == closing { n } else { 0 });
-            self.store_slot(slot, (stamp, n), key, keyed, Some(value));
+            self.nodes
+                .store_slot(slot, (stamp, n), key, keyed, Some(value));
         }
     }
 
@@ -817,7 +520,7 @@ impl Shard {
         }
         let mut out = Vec::with_capacity(hits.len());
         for (key, entry) in hits.into_sorted_vec() {
-            out.push((key, self.value_at(entry)));
+            out.push((key, self.nodes.value(entry)));
         }
         out
     }
@@ -829,11 +532,11 @@ impl Shard {
     /// lists are rebuilt from the region. Returns whether anything was
     /// healed.
     pub fn heal_after_panic(&mut self) -> bool {
-        let healed = self.rt.heal_after_panic();
-        if healed {
-            self.rebuild_volatile().expect(OWN_REGION);
-        }
-        healed
+        let Some(index) = self.nodes.heal_after_panic() else {
+            return false;
+        };
+        self.index = index;
+        true
     }
 
     /// Remove `key` (one FASE when present): a tombstone into its node's
@@ -842,12 +545,12 @@ impl Shard {
         let Some(entry) = self.locate(key) else {
             return false;
         };
-        let stamp = seal::next(self.committed);
-        self.rt.begin_fase();
-        self.store_slot(entry.other(), (stamp, Some(1)), key, false, None);
-        self.commit(stamp);
+        let stamp = self.nodes.begin();
+        self.nodes
+            .store_slot(entry.other(), (stamp, Some(1)), key, false, None);
+        self.nodes.commit(stamp);
         self.index.remove(&key);
-        self.free[entry.class()].push(entry.with_len(0));
+        self.nodes.release(entry);
         true
     }
 
@@ -865,145 +568,20 @@ impl Shard {
     /// crash or a healed panic: those of a FASE that did not commit. 0
     /// for a fresh shard.
     pub fn voided_slots(&self) -> usize {
-        self.voided
+        self.nodes.voided()
     }
 
     /// Every `(key, value)` pair, sorted by key. A pass over the
     /// segments that never consults the index: this is what recovery
     /// verification compares, so it reads what is persistent.
     pub fn dump(&mut self) -> Vec<(u64, Vec<u8>)> {
-        let live = self.survey().expect(OWN_REGION).live;
+        let live = self.nodes.live();
         let mut out: Vec<_> = live
             .into_iter()
-            .map(|(key, entry)| (key, self.value_at(entry)))
+            .map(|(key, entry)| (key, self.nodes.value(entry)))
             .collect();
         out.sort_unstable_by_key(|&(k, _)| k);
         out
-    }
-
-    /// Slot 0 of every node of every carved segment, in address order.
-    fn nodes(&self) -> Result<Vec<Entry>, ShardImageError> {
-        let mut nodes = Vec::new();
-        for segment in 0..self.table.segments() {
-            let class = self.table.class(self.data(), segment, MIN_CLASS);
-            if let Some(class) = class.map_err(ShardImageError::BadSegment)? {
-                let base = self.table.segment(segment);
-                let blocks = (base..base + SEGMENT).step_by(block_of(class));
-                nodes.extend(blocks.map(|node| Entry::new(node, class, 0, 0)));
-            }
-        }
-        Ok(nodes)
-    }
-
-    /// The header of a slot, split into its stamp and value length.
-    fn header(&self, slot: Entry) -> (u64, u64) {
-        let h = self.rt.region().read_u64(slot.slot_off());
-        (h >> LEN_BITS, h & LEN_MASK)
-    }
-
-    /// The seal's `n` of a whole slot; `None` for a torn one, or one
-    /// whose checksum fails.
-    fn whole(&self, slot: Entry) -> Option<u64> {
-        let region = self.rt.region();
-        let at = slot.slot_off();
-        let (header, found) = (region.read_u64(at), region.read_u64(at + 8));
-        let key = Some(region.read_u64(slot.node()));
-        let (key, len) = match header & LEN_MASK {
-            LEN_MASK => (None, 0),
-            len if len as usize <= capacity(slot.class()) => (key, len),
-            _ => return None,
-        };
-        let value = region.slice(at + SLOT_HEADER, len as usize);
-        let n = found >> 32;
-        (seal_word(header, n, key, value) == found).then_some(n)
-    }
-
-    /// The stamp of the last committed FASE, after a power failure: the
-    /// commit rule's fold over every slot, each named by its offset.
-    fn last_committed(&self) -> Result<u64, ShardImageError> {
-        let slots = self.nodes()?.into_iter().flat_map(|n| [n, n.other()]);
-        let units = slots.map(|slot| {
-            let at = slot.slot_off() as u64;
-            (at, self.header(slot).0, move || self.whole(slot))
-        });
-        seal::committed(units).map_err(ShardImageError::BadSeal)
-    }
-
-    /// The one pass over the segments that recovery, [`Shard::dump`] and
-    /// the index check share, with stamps `1..=committed` committed. The
-    /// region may be a foreign image, so every class byte, every segment
-    /// never carved and every node is checked against the rules of the
-    /// module doc.
-    fn survey(&mut self) -> Result<Survey, ShardImageError> {
-        let mut survey = Survey {
-            live: HashMap::new(),
-            free: Default::default(),
-            stale: Vec::new(),
-        };
-        for slot0 in self.nodes()? {
-            let (node, class) = (slot0.node(), slot0.class());
-            let slots = [slot0, slot0.other()];
-            let [(s0, l0), (s1, l1)] = slots.map(|slot| self.header(slot));
-            let (stamps, lens) = ([s0, s1], [l0, l1]);
-            let committed = stamps.map(|s| (1..=self.committed).contains(&s));
-            let bad = |why| ShardImageError::BadNode { at: node, why };
-            for (i, slot) in slots.into_iter().enumerate() {
-                if stamps[i] > self.committed {
-                    survey.stale.push(slot.slot_off());
-                }
-                if stamps[i] != 0 && lens[i] != LEN_MASK && lens[i] > capacity(class) as u64 {
-                    return Err(bad("a slot longer than its class holds"));
-                }
-            }
-            let deciding = match committed {
-                [false, false] => None,
-                [true, true] if stamps[0] == stamps[1] => {
-                    return Err(bad("two committed slots with one stamp"))
-                }
-                [true, true] => Some(usize::from(stamps[1] > stamps[0])),
-                [c0, _] => Some(usize::from(!c0)),
-            };
-            if deciding.is_some_and(|d| self.whole(slots[d]).is_none()) {
-                return Err(bad("a deciding slot whose seal fails"));
-            }
-            match deciding {
-                Some(d) if lens[d] != LEN_MASK => {
-                    let key = self.rt.load_u64(node);
-                    let entry = slots[d].with_len(lens[d] as usize);
-                    if survey.live.insert(key, entry).is_some() {
-                        return Err(bad("a key live in two nodes"));
-                    }
-                }
-                // an insert writes the slot that does not decide
-                _ => survey.free[class].push(slots[deciding.map_or(0, |d| 1 - d)]),
-            }
-        }
-        Ok(survey)
-    }
-
-    /// Rebuild the index and the free lists from the region — the one
-    /// pass that reopening, an injected crash and a healed panic share —
-    /// then void the slots stamped above the last committed FASE.
-    fn rebuild_volatile(&mut self) -> Result<(), ShardImageError> {
-        let survey = self.survey()?;
-        self.index = survey.live;
-        self.free = survey.free.map(|mut blocks| {
-            blocks.reverse(); // the lowest address is taken first
-            blocks
-        });
-        self.uncarved = self.table.first_uncarved(self.data(), 0);
-        // The void pass: stamp 0 on what nothing committed reads, so the
-        // stores need no undo record, in a FASE that commits nothing — a
-        // crash inside it leaves slots the next rebuild voids again.
-        self.voided = survey.stale.len();
-        if !survey.stale.is_empty() {
-            self.rt.begin_fase();
-            for &at in &survey.stale {
-                self.rt.store_fresh(at, &0u64.to_le_bytes());
-            }
-            self.rt.end_fase();
-        }
-        Ok(())
     }
 
     // ----- adaptation introspection --------------------------------------
@@ -1012,18 +590,18 @@ impl Shard {
     /// it started or last restarted sampling, in order (none under
     /// other policies).
     pub fn chosen(&self) -> &[CapacityChoice] {
-        self.rt.adaptive().map_or(&[], |p| p.choices())
+        self.nodes.rt.adaptive().map_or(&[], |p| p.choices())
     }
 
     /// Current software-cache capacity (`None` for non-SC policies).
     pub fn sc_capacity(&self) -> Option<usize> {
-        self.rt.sc_capacity()
+        self.nodes.rt.sc_capacity()
     }
 
     /// The FASE-renamed store lines the adaptive policy's last burst
     /// analysed (`None` under other policies).
     pub fn stream(&self) -> Option<&[u64]> {
-        self.rt.adaptive().map(|p| p.last_window())
+        self.nodes.rt.adaptive().map(|p| p.last_window())
     }
 
     /// Restart adaptation measurement at the current capacity
@@ -1032,7 +610,7 @@ impl Shard {
     /// decisions (and [`Shard::chosen`]) reflect the *serving* write
     /// stream, not the loader's.
     pub fn reset_sampler(&mut self) {
-        if let Some(p) = self.rt.adaptive_mut() {
+        if let Some(p) = self.nodes.rt.adaptive_mut() {
             p.restart_sampling();
         }
     }
@@ -1042,7 +620,7 @@ impl Shard {
     /// The underlying runtime (counters, telemetry, tracing, crash
     /// plans).
     pub fn runtime_mut(&mut self) -> &mut FaseRuntime {
-        &mut self.rt
+        &mut self.nodes.rt
     }
 
     /// Inject a power failure in-process and recover; the index and the
@@ -1053,9 +631,7 @@ impl Shard {
     /// that is not crash-consistent (`Best`) under an adversary that
     /// tears.
     pub fn crash_and_recover(&mut self, mode: &CrashMode) {
-        self.rt.crash_and_recover(mode);
-        self.committed = self.last_committed().expect(OWN_REGION);
-        self.rebuild_volatile().expect(OWN_REGION);
+        self.index = self.nodes.crash_and_recover(mode);
     }
 }
 
@@ -1067,7 +643,7 @@ impl Shard {
     /// each with the slot an insert would write (so a key in two nodes,
     /// a stale entry or slot, a missing one and a leaked block all fail).
     fn index_matches_heap(&mut self) -> Result<(), String> {
-        let survey = self.survey().map_err(|e| e.to_string())?;
+        let survey = self.nodes.survey().map_err(|e| e.to_string())?;
         if survey.live != self.index {
             return Err(format!(
                 "{} keys live on the heap, {} indexed; first difference: {:x?}",
@@ -1080,7 +656,7 @@ impl Shard {
             ));
         }
         for (class, found) in survey.free.into_iter().enumerate() {
-            let mut listed = self.free[class].clone();
+            let mut listed = self.nodes.free_lists()[class].clone();
             listed.sort_unstable();
             if found != listed {
                 return Err(format!(
@@ -1095,8 +671,11 @@ impl Shard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nvcache_fase::nodes::SLOT_HEADER;
     use nvcache_fase::FaseStats;
     use nvcache_pmem::CrashPlan;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn small(policy: PolicyKind) -> ShardConfig {
         ShardConfig {
@@ -1268,7 +847,7 @@ mod tests {
         let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
         assert!(s.put(1, b"one-ost"));
         assert!(s.put(2, b"two-old"));
-        let fases_before = s.rt.stats().fases;
+        let fases_before = s.nodes.rt.stats().fases;
         // one batch: two slot updates (one key twice — last wins), two
         // fresh inserts, and a key that moves to another class
         let batch: Vec<(u64, Vec<u8>)> = vec![
@@ -1279,14 +858,14 @@ mod tests {
             (10, b"TEN".to_vec()), // insert then update, same batch
             (2, b"two, now in a 128-byte block".to_vec()),
         ];
-        let fences = s.rt.region().stats().fences;
+        let fences = s.nodes.rt.region().stats().fences;
         assert!(s.put_many(&batch));
         assert_eq!(
-            s.rt.stats().fases,
+            s.nodes.rt.stats().fases,
             fases_before + 1,
             "the batch: a carve is no FASE"
         );
-        let fences = s.rt.region().stats().fences - fences;
+        let fences = s.nodes.rt.region().stats().fences - fences;
         assert_eq!(fences, 2, "one for the carve, one for the batch");
         assert_eq!(s.get(1).as_deref(), Some(&b"one-fin"[..]));
         assert_eq!(s.get(2).as_deref(), Some(&batch[5].1[..]));
@@ -1306,7 +885,7 @@ mod tests {
     fn a_group_places_a_key_by_its_last_write() {
         let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
         assert!(s.put(1, &[1; 8]));
-        let stores = s.rt.stats().stores;
+        let stores = s.nodes.rt.stats().stores;
         let group = [
             (1, vec![2; 40]),
             (1, vec![3; 4]),
@@ -1318,7 +897,7 @@ mod tests {
         assert_eq!(s.get(2).as_deref(), Some(&[5u8; 40][..]));
         // key 1: an update of its 64-byte node; key 2: an insert into a
         // 128-byte block, whose segment is carved first
-        assert_eq!(s.rt.stats().stores - stores, 3);
+        assert_eq!(s.nodes.rt.stats().stores - stores, 3);
         s.index_matches_heap().unwrap();
     }
 
@@ -1326,7 +905,7 @@ mod tests {
     fn put_many_rejects_without_side_effects() {
         let mut s = Shard::new(&small(PolicyKind::Lazy));
         assert!(s.put(5, b"12345"));
-        let (before, free) = (s.dump(), s.free.clone());
+        let (before, free) = (s.dump(), s.nodes.free_lists().clone());
         // an oversized value refuses the whole batch before a block is
         // taken…
         let mut group = vec![
@@ -1335,7 +914,7 @@ mod tests {
             (7, vec![0u8; MAX_VALUE_LEN + 1]),
         ];
         assert!(!s.put_many(&group));
-        assert_eq!(s.free, free);
+        assert_eq!(s.nodes.free_lists(), &free);
         // …and a full heap after the fresh key and the key that moves to
         // another class took theirs: they go back, and the segments the
         // group carved stay carved, every block free
@@ -1343,7 +922,7 @@ mod tests {
         let huge = (100..200).map(|k| (k, vec![1; 2000]));
         assert!(!s.put_many(&group.iter().cloned().chain(huge).collect::<Vec<_>>()));
         assert_eq!(s.dump(), before, "refused batches leave no trace");
-        assert_eq!(s.free[class_of(4)], free[class_of(4)]);
+        assert_eq!(s.nodes.free_lists()[class_of(4)], free[class_of(4)]);
         s.index_matches_heap().unwrap();
         assert!(s.put_many(&group));
         assert_eq!(s.get(9).as_deref(), Some(&b"nine"[..]));
@@ -1365,7 +944,10 @@ mod tests {
                 (0..4 * keys).map(|i| (i % keys, [round; 40])).collect();
             assert!(s.put_many(&group));
             round = round.wrapping_add(1);
-            assert!(s.rt.stats().fases < 50_000, "the policy never decided");
+            assert!(
+                s.nodes.rt.stats().fases < 50_000,
+                "the policy never decided"
+            );
         }
     }
 
@@ -1385,7 +967,10 @@ mod tests {
                 s.put(i, &[round; 56]);
             }
             round = round.wrapping_add(1);
-            assert!(s.rt.stats().fases < 50_000, "the policy never decided");
+            assert!(
+                s.nodes.rt.stats().fases < 50_000,
+                "the policy never decided"
+            );
         }
         let choice = s.chosen()[0];
         assert_eq!(s.sc_capacity(), Some(choice.capacity));
@@ -1423,9 +1008,9 @@ mod tests {
 
         // a worker dies inside an update's FASE
         let entry = s.locate(0).unwrap();
-        let stamp = seal::next(s.committed);
-        s.rt.begin_fase();
-        s.store_slot(entry.other(), (stamp, Some(1)), 0, false, Some(&[9; 40]));
+        let stamp = s.nodes.begin();
+        s.nodes
+            .store_slot(entry.other(), (stamp, Some(1)), 0, false, Some(&[9; 40]));
         assert!(s.heal_after_panic());
         assert_eq!(s.voided_slots(), 1);
         runs_at_its_last_choice(&s);
@@ -1482,7 +1067,7 @@ mod tests {
     fn serve_batch_groups_writes_into_one_fase() {
         let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
         assert!(s.put(1, b"one"));
-        let fases = s.rt.stats().fases;
+        let fases = s.nodes.rt.stats().fases;
         let replies = s.serve_batch(&[
             BatchRequest::Put(10, b"ten".to_vec()),
             BatchRequest::Get(10), // sees its own batch's write (overlay)
@@ -1503,7 +1088,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            s.rt.stats().fases,
+            s.nodes.rt.stats().fases,
             fases + 1,
             "three writes from the batch formed one group-commit FASE"
         );
@@ -1516,7 +1101,7 @@ mod tests {
         let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
         // carves the segment the batch's 1-byte values go to
         assert!(s.put(9, b"z"));
-        let fases = s.rt.stats().fases;
+        let fases = s.nodes.rt.stats().fases;
         let replies = s.serve_batch(&[
             BatchRequest::Put(1, b"a".to_vec()),
             BatchRequest::Put(2, b"b".to_vec()),
@@ -1535,7 +1120,7 @@ mod tests {
             ]
         );
         // segment group + delete + trailing segment group = 3 FASEs
-        assert_eq!(s.rt.stats().fases, fases + 3);
+        assert_eq!(s.nodes.rt.stats().fases, fases + 3);
         assert_eq!(s.len(), 3);
     }
 
@@ -1624,17 +1209,17 @@ mod tests {
             let mut s = Shard::new(&cfg);
             let before: Vec<(u64, Vec<u8>)> = (0..16u64).map(|i| (i, vec![1u8; 16])).collect();
             assert!(s.put_many(&before));
-            s.rt.sync();
+            s.nodes.rt.sync();
             // updates + fresh inserts in one batch, crashed among its
             // 24 stores
             let batch: Vec<(u64, Vec<u8>)> = (8..32u64).map(|i| (i, vec![2u8; 16])).collect();
-            let step = s.rt.steps() + 10;
-            s.rt.arm_crash(CrashPlan {
+            let step = s.nodes.rt.steps() + 10;
+            s.nodes.rt.arm_crash(CrashPlan {
                 at_step: step,
                 mode: mode.clone(),
             });
             assert!(s.put_many(&batch));
-            let image = s.rt.take_crash_image().expect("plan must have fired");
+            let image = s.nodes.rt.take_crash_image().expect("plan must have fired");
             let mut r = Shard::reopen_from_image(image, &cfg).expect("recovery");
             for i in 0..16u64 {
                 assert_eq!(
@@ -1654,7 +1239,7 @@ mod tests {
 
     /// The counters one call moves: region, ring and runtime.
     fn counters(s: &Shard) -> (nvcache_pmem::PmemStats, u64, FaseStats) {
-        let rt = &s.rt;
+        let rt = &s.nodes.rt;
         (rt.region().stats(), rt.ring_stats().flushed, rt.stats())
     }
 
@@ -1752,18 +1337,22 @@ mod tests {
             s
         };
         let mut probe = loaded();
-        let start = probe.rt.steps();
+        let start = probe.nodes.rt.steps();
         assert!(probe.put_many(&dead));
-        let end = probe.rt.steps();
+        let end = probe.nodes.rt.steps();
         let (mut voided, mut whole) = (0, 0);
         for k in start..end {
             for mode in modes(k) {
                 let ctx = format!("{mode:?} crash at step {k}");
                 let strict = mode == CrashMode::StrictDurableOnly;
                 let mut s = loaded();
-                s.rt.arm_crash(CrashPlan { at_step: k, mode });
+                s.nodes.rt.arm_crash(CrashPlan { at_step: k, mode });
                 assert!(s.put_many(&dead));
-                let image = s.rt.take_crash_image().expect("the cut falls in the group");
+                let image = s
+                    .nodes
+                    .rt
+                    .take_crash_image()
+                    .expect("the cut falls in the group");
                 let mut r = Shard::reopen_from_image(image, &cfg).expect(&ctx);
                 let got = r.dump();
                 assert!(
@@ -1772,7 +1361,7 @@ mod tests {
                 );
                 voided += r.voided_slots();
                 whole += usize::from(got == new);
-                let recovered = r.rt.region().durable_image().to_vec();
+                let recovered = r.nodes.rt.region().durable_image().to_vec();
                 let mut again = Shard::reopen_from_image(recovered, &cfg).expect(&ctx);
                 assert_eq!(again.voided_slots(), 0, "{ctx}: voided twice");
                 assert_eq!(again.dump(), got, "{ctx}");
@@ -1804,25 +1393,25 @@ mod tests {
         };
         let group = [(1, [5u8; 40]), (1, [6; 40]), (2, [7; 40])];
         let mut s = loaded();
-        let (old, start) = (s.dump(), s.rt.steps());
-        let before = s.rt.region().durable_image().to_vec();
+        let (old, start) = (s.dump(), s.nodes.rt.steps());
+        let before = s.nodes.rt.region().durable_image().to_vec();
         let at = s.locate(1).unwrap().other().slot_off();
         let slot = at..at + SLOT_HEADER + 40;
         assert!(s.put_many(&group));
-        s.rt.sync();
+        s.nodes.rt.sync();
         // the first cut at which key 1's first write has landed
-        let first = (start..s.rt.steps())
+        let first = (start..s.nodes.rt.steps())
             .map(|at_step| {
                 let mut s = loaded();
                 let mode = CrashMode::AllInFlightLands;
-                s.rt.arm_crash(CrashPlan { at_step, mode });
+                s.nodes.rt.arm_crash(CrashPlan { at_step, mode });
                 assert!(s.put_many(&group));
-                s.rt.take_crash_image().unwrap()
+                s.nodes.rt.take_crash_image().unwrap()
             })
             .find(|image| image[slot.clone()] != before[slot.clone()])
             .unwrap();
         assert_eq!(first[slot.start + SLOT_HEADER..slot.end], [5; 40]);
-        let after = s.rt.region().durable_image();
+        let after = s.nodes.rt.region().durable_image();
         let image = patched(after, slot.start, &first[slot.clone()]);
         let mut r = Shard::reopen_from_image(image, &cfg).unwrap();
         assert_eq!((r.dump(), r.voided_slots()), (old, 2));
@@ -1851,19 +1440,21 @@ mod tests {
                 (s, block)
             };
             let (mut probe, block) = loaded();
-            let start = probe.rt.steps();
+            let start = probe.nodes.rt.steps();
             assert!(probe.put(b, &[2u8; 40]));
             assert_eq!(probe.locate(b).unwrap().node(), block, "B takes A's block");
-            for k in start..probe.rt.steps() {
+            for k in start..probe.nodes.rt.steps() {
                 for mode in modes(k) {
                     let ctx = format!("{updates} updates: {mode:?} crash at step {k}");
                     let strict = mode == CrashMode::StrictDurableOnly;
                     let (mut s, _) = loaded();
-                    s.rt.arm_crash(CrashPlan { at_step: k, mode });
+                    s.nodes.rt.arm_crash(CrashPlan { at_step: k, mode });
                     assert!(s.put(b, &[2u8; 40]));
-                    let image =
-                        s.rt.take_crash_image()
-                            .expect("the cut falls in the insert");
+                    let image = s
+                        .nodes
+                        .rt
+                        .take_crash_image()
+                        .expect("the cut falls in the insert");
                     let mut r = Shard::reopen_from_image(image, &cfg).expect(&ctx);
                     let got = r.dump();
                     let with_b = got.len() == 2;
@@ -1901,19 +1492,23 @@ mod tests {
         };
         let fill = |s: &mut Shard| (1000u64..).take_while(|&k| s.put(k, &[1u8; 40])).count();
         let fits = fill(&mut Shard::new(&cfg));
-        let mut image = Shard::new(&cfg).rt.region().durable_image().to_vec();
+        let mut image = Shard::new(&cfg).nodes.rt.region().durable_image().to_vec();
         for key in (0..16u64).step_by(2) {
             let group = [(key, [2u8; 40]), (key + 1, [2u8; 40])];
             let mut s = Shard::reopen_from_image(image, &cfg).unwrap();
             // after the first slot's store; the first group carves its
             // segment first: a store, a flush and a fence
             let carve = if key == 0 { 3 } else { 0 };
-            s.rt.arm_crash(CrashPlan {
-                at_step: s.rt.steps() + carve + 1,
+            s.nodes.rt.arm_crash(CrashPlan {
+                at_step: s.nodes.rt.steps() + carve + 1,
                 mode: CrashMode::AllInFlightLands,
             });
             assert!(s.put_many(&group));
-            image = s.rt.take_crash_image().expect("the cut falls in the group");
+            image = s
+                .nodes
+                .rt
+                .take_crash_image()
+                .expect("the cut falls in the group");
             let r = Shard::reopen_from_image(image.clone(), &cfg).unwrap();
             assert_eq!((r.len(), r.voided_slots()), (0, 1), "group at {key}");
         }
@@ -1949,12 +1544,12 @@ mod tests {
     ) -> usize {
         let mut s = loaded();
         let old = s.dump();
-        let before = s.rt.region().durable_image().to_vec();
+        let before = s.nodes.rt.region().durable_image().to_vec();
         assert!(op(&mut s));
-        s.rt.sync();
+        s.nodes.rt.sync();
         let new = s.dump();
         assert_ne!(new, old);
-        let after = s.rt.region().durable_image();
+        let after = s.nodes.rt.region().durable_image();
         let whole = Shard::reopen_from_image(after.to_vec(), cfg)
             .unwrap()
             .dump();
@@ -1965,7 +1560,7 @@ mod tests {
             let mut r = Shard::reopen_from_image(image, cfg).expect(&ctx);
             assert_eq!(r.dump(), old, "{ctx}");
             voided += usize::from(r.voided_slots() > 0);
-            let recovered = r.rt.region().durable_image().to_vec();
+            let recovered = r.nodes.rt.region().durable_image().to_vec();
             let again = Shard::reopen_from_image(recovered, cfg).expect(&ctx);
             assert_eq!(again.voided_slots(), 0, "{ctx}: voided twice");
             assert!(r.put(1 << 40, &[6; 8]), "{ctx}: the torn FASE's stamp");
@@ -2025,8 +1620,8 @@ mod tests {
         let tombstone = s.locate(a).unwrap().other();
         assert_eq!(tombstone.slot(), 0);
         assert!(s.delete(a));
-        s.rt.sync();
-        let before = s.rt.region().durable_image().to_vec();
+        s.nodes.rt.sync();
+        let before = s.nodes.rt.region().durable_image().to_vec();
         let key_word = tombstone.node();
         let image = patched(&before, key_word, &word(b));
         let mut r = Shard::reopen_from_image(image, &cfg).expect("a key word alone");
@@ -2059,10 +1654,13 @@ mod tests {
         let item = |i: usize| (items[i].0, &items[i].1[..]);
         let mut plan = PutPlan::default();
         assert!(s.plan_group(items.len(), &item, &mut plan));
-        let stamp = seal::next(s.committed);
-        s.rt.begin_fase();
+        let stamp = s.nodes.begin();
         s.write_group(&item, &plan, stamp);
-        assert_eq!(s.last_committed(), Ok(stamp), "the group's slots are whole");
+        assert_eq!(
+            s.nodes.last_committed(),
+            Ok(stamp),
+            "the group's slots are whole"
+        );
         assert!(s.heal_after_panic());
         assert_eq!(s.voided_slots(), 5, "four writes and a tombstone");
         assert_eq!(s.dump(), old);
@@ -2075,6 +1673,167 @@ mod tests {
         s.index_matches_heap().unwrap();
     }
 
+    // ----- every crash state --------------------------------------------
+
+    /// Every image a power failure at micro-step `step` can leave, where
+    /// `run(plan)` runs the program with `plan` armed and returns its
+    /// crash image. The lines in flight at the cut are found by landing
+    /// every pending flush, then every dirty line, of a region of
+    /// `lines` lines; then each subset of them lands, named by
+    /// [`CrashMode::Exactly`]: every subset when there are at most 12,
+    /// else 4 096 seeded ones.
+    fn landings(run: &dyn Fn(CrashPlan) -> Vec<u8>, step: u64, lines: u64) -> Vec<Vec<u8>> {
+        let image = |pending, dirty| {
+            let mode = CrashMode::Exactly { pending, dirty };
+            run(CrashPlan {
+                at_step: step,
+                mode,
+            })
+        };
+        let every: Vec<u64> = (0..lines).collect();
+        let none = image(Vec::new(), Vec::new());
+        let in_flight = |landed: Vec<u8>| -> Vec<u64> {
+            let line = |l: u64| l as usize * 64..(l as usize + 1) * 64;
+            let moved = |&l: &u64| landed[line(l)] != none[line(l)];
+            every.iter().copied().filter(moved).collect()
+        };
+        let pending = in_flight(image(every.clone(), Vec::new()));
+        let dirty = in_flight(image(Vec::new(), every.clone()));
+        let n = pending.len() + dirty.len();
+        let mut rng = SmallRng::seed_from_u64(step);
+        let subsets: Vec<Vec<bool>> = if n <= 12 {
+            let bits = |mask: usize| (0..n).map(|i| mask >> i & 1 == 1).collect();
+            (0..1 << n).map(bits).collect()
+        } else {
+            (0..4096)
+                .map(|_| (0..n).map(|_| rng.gen()).collect())
+                .collect()
+        };
+        let pick = |lines: &[u64], landed: &[bool]| {
+            let picked = lines.iter().zip(landed).filter(|(_, &l)| l);
+            picked.map(|(&line, _)| line).collect()
+        };
+        let (p, d) = (pending.len(), dirty.len());
+        let subset = |landed: Vec<bool>| {
+            image(
+                pick(&pending, &landed[..p]),
+                pick(&dirty, &landed[p..p + d]),
+            )
+        };
+        subsets.into_iter().map(subset).collect()
+    }
+
+    /// Every crash state of a program: the shard `start` builds, then
+    /// `ops`, each one FASE (or a recovery). At every micro-step of
+    /// `ops`, every image [`landings`] names reopens to the state before
+    /// the FASE the cut falls in or the state after it — the
+    /// committed-prefix oracle — with the index and the free lists equal
+    /// to the heap. Returns the images checked and the cuts.
+    fn every_crash_state(
+        cfg: &ShardConfig,
+        start: &dyn Fn() -> Shard,
+        ops: &[&dyn Fn(&mut Shard)],
+    ) -> (usize, usize) {
+        let mut s = start();
+        let (mut ends, mut states) = (vec![s.nodes.rt.steps()], vec![s.dump()]);
+        for op in ops {
+            op(&mut s);
+            ends.push(s.nodes.rt.steps());
+            states.push(s.dump());
+        }
+        let lines = s.nodes.rt.region().line_count();
+        let run = |plan| {
+            let mut s = start();
+            s.nodes.rt.arm_crash(plan);
+            ops.iter().for_each(|op| op(&mut s));
+            s.nodes
+                .rt
+                .take_crash_image()
+                .expect("the cut falls in the program")
+        };
+        let mut images = 0;
+        for step in ends[0]..ends[ops.len()] {
+            let j = ends.iter().rposition(|&e| e <= step).unwrap();
+            for (i, image) in landings(&run, step, lines).into_iter().enumerate() {
+                let ctx = format!("step {step}, landing {i}");
+                let mut r = Shard::reopen_from_image(image, cfg).expect(&ctx);
+                let got = r.dump();
+                assert!(
+                    got == states[j] || got == states[j + 1],
+                    "{ctx}: not a committed prefix"
+                );
+                if let Err(e) = r.index_matches_heap() {
+                    panic!("{ctx}: {e}");
+                }
+                images += 1;
+            }
+        }
+        (images, (ends[ops.len()] - ends[0]) as usize)
+    }
+
+    /// Every crash state — every subset of the lines in flight at every
+    /// micro-step, named by `CrashMode::Exactly` — of four node programs:
+    /// an update group (one key written twice), a group with a class
+    /// change (a tombstone and an insert, after a carve), a delete and
+    /// an insert into the block it freed (the insert's key word shares
+    /// its line with the tombstone), and the void pass after a torn
+    /// group. Each image holds a committed prefix, and its index and
+    /// free lists are its heap.
+    ///
+    /// Mutants this test kills (each checked on a copy):
+    /// - a tombstone sealed over its node's key word, which the insert
+    ///   into its block rewrites: the key word landing alone tears the
+    ///   delete;
+    /// - a closing slot whose `n` counts one unit too few: the image with
+    ///   every slot of the group landed is hostile.
+    #[test]
+    fn every_crash_state_of_the_node_programs_is_a_committed_prefix() {
+        let cfg = ShardConfig {
+            data_len: 16 << 10,
+            ..small(PolicyKind::ScFixed { capacity: 4 })
+        };
+        let loaded = || {
+            let mut s = Shard::new(&cfg);
+            assert!(s.put_many(&(0..6u64).map(|k| (k, [1u8; 40])).collect::<Vec<_>>()));
+            assert!(s.put(1, &[3; 40]), "key 1's slot 1 decides");
+            s
+        };
+        let update =
+            |s: &mut Shard| assert!(s.put_many(&[(0, [2; 40]), (2, [4; 40]), (0, [5; 40])]));
+        let class_change =
+            |s: &mut Shard| assert!(s.put_many(&[(3, vec![6; 100]), (4, vec![7; 40])]));
+        let delete = |s: &mut Shard| assert!(s.delete(1));
+        let insert = |s: &mut Shard| assert!(s.put(9, &[9; 40]));
+        // a group torn after two of its three slots, which a power
+        // failure lands, and the recovery that voids them
+        let torn = || {
+            let mut s = loaded();
+            let stamp = s.nodes.begin();
+            for key in [0, 2] {
+                let slot = s.locate(key).unwrap().other();
+                s.nodes
+                    .store_slot(slot, (stamp, Some(0)), key, false, Some(&[8; 40]));
+            }
+            s
+        };
+        let recover = |s: &mut Shard| {
+            s.crash_and_recover(&CrashMode::AllInFlightLands);
+            assert_eq!(s.voided_slots(), 2);
+        };
+        let images = [
+            every_crash_state(&cfg, &loaded, &[&update]),
+            every_crash_state(&cfg, &loaded, &[&class_change]),
+            every_crash_state(&cfg, &loaded, &[&delete, &insert]),
+            every_crash_state(&cfg, &torn, &[&recover]),
+        ];
+        for (what, n) in ["update", "class change", "delete and insert", "void pass"]
+            .iter()
+            .zip(images)
+        {
+            assert!(n.0 > n.1, "{what}: no cut of {} had a line in flight", n.1);
+        }
+    }
+
     /// Where a key hashes does not matter any more: deleting a key of a
     /// sparse set (`i << 48`) and one of a dense set, and moving each to
     /// another class, take the same micro-steps and persistence counts.
@@ -2083,15 +1842,15 @@ mod tests {
         let cost = |keys: &[u64], op: &dyn Fn(&mut Shard, u64) -> bool| {
             let mut s = Shard::new(&small(PolicyKind::ScFixed { capacity: 8 }));
             assert!(s.put_many(&keys.iter().map(|&k| (k, [1u8; 40])).collect::<Vec<_>>()));
-            let (steps, pmem) = (s.rt.steps(), s.rt.region().stats());
+            let (steps, pmem) = (s.nodes.rt.steps(), s.nodes.rt.region().stats());
             assert!(op(&mut s, keys[300]));
-            let p = s.rt.region().stats();
+            let p = s.nodes.rt.region().stats();
             let delta = [p.bytes_written, p.stores, p.flushes, p.fences]
                 .iter()
                 .zip([pmem.bytes_written, pmem.stores, pmem.flushes, pmem.fences])
                 .map(|(now, then)| now - then)
                 .collect::<Vec<_>>();
-            (s.rt.steps() - steps, delta)
+            (s.nodes.rt.steps() - steps, delta)
         };
         let sparse: Vec<u64> = (0..1000u64).map(|i| i << 48).collect();
         let dense: Vec<u64> = (0..1000u64).collect();
@@ -2099,20 +1858,6 @@ mod tests {
         let resize = |s: &mut Shard, k| s.put(k, &[2u8; 100]);
         assert_eq!(cost(&sparse, &delete), cost(&dense, &delete));
         assert_eq!(cost(&sparse, &resize), cost(&dense, &resize));
-    }
-
-    // ----- hostile images ------------------------------------------------
-
-    /// A sound image holding keys `0..8` with 8-byte values (64-byte
-    /// nodes in segment 0, key `k` put by the FASE stamped `k + 1`), and
-    /// the shard it came from.
-    fn sound_image(cfg: &ShardConfig) -> (Vec<u8>, Shard) {
-        let mut s = Shard::new(cfg);
-        for k in 0..8u64 {
-            assert!(s.put(k, &[k as u8; 8]));
-        }
-        s.rt.sync();
-        (s.rt.region().durable_image().to_vec(), s)
     }
 
     fn patched(image: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
@@ -2123,183 +1868,6 @@ mod tests {
 
     fn word(w: u64) -> [u8; 8] {
         w.to_le_bytes()
-    }
-
-    /// The bytes of a whole slot holding `value` (a tombstone for
-    /// `None`) of node `key`, stamped `stamp` by a FASE of `n` slots.
-    fn sealed_slot(stamp: u64, n: u64, key: u64, value: Option<&[u8]>) -> Vec<u8> {
-        let vlen = value.map_or(LEN_MASK, |v| v.len() as u64);
-        let header = slot_header(stamp, vlen);
-        let bytes = value.unwrap_or_default();
-        let mut slot = word(header).to_vec();
-        slot.extend(word(seal_word(header, n, value.map(|_| key), bytes)));
-        slot.extend(bytes);
-        slot
-    }
-
-    /// An image whose head is not this layout's — another heap's magic,
-    /// the magics of the layouts before slots were sealed and before one
-    /// closing slot carried the count, all zeros — is refused with a
-    /// typed error before any segment is read, and so is an image
-    /// shorter than the data area, down to an empty one. A shard's
-    /// region is its data area alone. (The name is the one the test had
-    /// when a bucket array hung off the head.)
-    #[test]
-    fn reopen_rejects_an_image_without_a_bucket_array() {
-        let cfg = small(PolicyKind::ScFixed { capacity: 8 });
-        let (sound, s) = sound_image(&cfg);
-        assert_eq!(s.rt.region().len(), cfg.data_len, "no log area");
-        let reopened = |image| Shard::reopen_from_image(image, &cfg).map(|s| s.len());
-        for magic in [b"NVCACHE1", b"NVSHARD1", b"NVSHARD2"] {
-            let got = reopened(patched(&sound, 0, magic));
-            assert_eq!(got, Err(ShardImageError::BadHead("no magic word")));
-        }
-        let zeros = vec![0u8; cfg.data_len];
-        assert_eq!(
-            reopened(zeros),
-            Err(ShardImageError::BadHead("no magic word"))
-        );
-        for region_len in [cfg.data_len - 64, 0] {
-            let short = RecoveryError::RegionTooSmall {
-                region_len,
-                need: cfg.data_len,
-            };
-            let got = reopened(sound[..region_len].to_vec());
-            assert_eq!(got, Err(ShardImageError::Recovery(short)));
-        }
-    }
-
-    /// Every rule of the node layout and of the commit point a hostile
-    /// image can break below its head, and the shard's own bound on the
-    /// segment table, ends in a typed error that names it — no panic, no
-    /// read outside the data area — and a torn last FASE or a slot no
-    /// FASE committed is not one of them. (The name is
-    /// the one the test had when nodes were chained off a bucket array.)
-    #[test]
-    fn reopen_rejects_hostile_chains_with_a_typed_error() {
-        let cfg = small(PolicyKind::ScFixed { capacity: 8 });
-        let (sound, s) = sound_image(&cfg);
-        let mut back = Shard::reopen_from_image(sound.clone(), &cfg).expect("sound image");
-        assert_eq!((back.len(), back.voided_slots()), (8, 0));
-        back.index_matches_heap().unwrap();
-        let (a, b, last) = (s.index[&0], s.index[&1], s.index[&7]);
-        let (node, first, second) = (a.node(), a.slot_off(), a.other().slot_off());
-        let top = s.committed;
-        assert_eq!(top, 8);
-        let segment = |segment, why| ShardImageError::BadSegment(SegmentError { segment, why });
-        let bad_node = |at, why| ShardImageError::BadNode { at, why };
-        let bad_seal = |unit: usize, why| {
-            ShardImageError::BadSeal(SealError {
-                unit: unit as u64,
-                why,
-            })
-        };
-        let forged = |stamp, n| sealed_slot(stamp, n, 0, Some(&[9; 8]));
-        // the segment table's rules have their hostile images in
-        // `nvcache_fase::segments`; this one is the shard's own bound
-        let cases: Vec<(&str, Vec<u8>, ShardImageError)> = vec![
-            (
-                "a class that holds no slot",
-                patched(&sound, CLASS_TABLE, &[MIN_CLASS as u8 - 1]),
-                segment(0, "a class too small for the owner"),
-            ),
-            (
-                "a value longer than the class holds",
-                patched(
-                    &sound,
-                    first,
-                    &word(slot_header(1, capacity(a.class()) as u64 + 1)),
-                ),
-                bad_node(node, "a slot longer than its class holds"),
-            ),
-            (
-                "a length only a tombstone may have",
-                patched(&sound, second, &word(slot_header(top, LEN_MASK - 1))),
-                bad_node(node, "a slot longer than its class holds"),
-            ),
-            (
-                "two committed slots with one stamp",
-                patched(&sound, second, &sound[first..first + 8]),
-                bad_node(node, "two committed slots with one stamp"),
-            ),
-            (
-                "one key in two live nodes",
-                // key 0 in key 1's node, sealed by key 1's FASE
-                patched(
-                    &patched(&sound, b.node(), &word(0)),
-                    b.slot_off(),
-                    &sealed_slot(2, 1, 0, Some(&[0; 8])),
-                ),
-                bad_node(b.node(), "a key live in two nodes"),
-            ),
-            (
-                "a seal that fails below the highest stamp",
-                patched(&sound, first + SLOT_HEADER, &[7]),
-                bad_node(node, "a deciding slot whose seal fails"),
-            ),
-            (
-                "a stamp at the limit",
-                patched(&sound, second, &word(slot_header(seal::STAMP_LIMIT, 0))),
-                bad_seal(second, "a stamp in the reserved range"),
-            ),
-            (
-                "more whole slots at one stamp than its n",
-                patched(&sound, second, &forged(top, 0)),
-                bad_seal(last.slot_off(), "more whole units than their FASE wrote"),
-            ),
-            (
-                "two closing slots of one FASE",
-                patched(&sound, second, &forged(top, 2)),
-                bad_seal(last.slot_off(), "a second closing unit of one FASE"),
-            ),
-        ];
-        for (name, image, want) in cases {
-            let got = Shard::reopen_from_image(image, &cfg).map(|s| s.len());
-            assert_eq!(got, Err(want), "{name}");
-        }
-        // a torn last FASE is voided, and slots no FASE committed decide
-        // nothing: a node whose slots are both void is a free block
-        let torn = |slot: Entry| patched(&sound, slot.slot_off() + SLOT_HEADER, &[0xee]);
-        for (name, image, gone, voided) in [
-            ("both void", patched(&sound, first, &word(0)), a, 0),
-            ("the last FASE torn", torn(last), last, 1),
-        ] {
-            let mut r = Shard::reopen_from_image(image, &cfg).expect(name);
-            assert_eq!((r.len(), r.voided_slots()), (7, voided), "{name}");
-            r.index_matches_heap().unwrap();
-            let key = s.index.iter().find(|&(_, &e)| e == gone).map(|(&k, _)| k);
-            assert_eq!(r.get(key.unwrap()), None, "{name}");
-            let free = Entry::new(gone.node(), gone.class(), 0, 0);
-            assert_eq!(r.free[gone.class()].last(), Some(&free), "{name}");
-        }
-        // a FASE after the last committed one that landed one slot of two
-        let short = patched(&sound, second, &forged(top + 1, 2));
-        let mut r = Shard::reopen_from_image(short, &cfg).expect("one slot short");
-        assert_eq!((r.len(), r.voided_slots(), r.committed), (8, 1, top));
-        assert_eq!(r.get(0).as_deref(), Some(&[0u8; 8][..]));
-        r.index_matches_heap().unwrap();
-    }
-
-    /// An image whose last stamp is one short of the last a slot can
-    /// carry serves one more FASE, and reopens after it.
-    #[test]
-    fn the_last_stamp_is_served() {
-        let cfg = small(PolicyKind::Lazy);
-        let mut s = Shard::new(&cfg);
-        assert!(s.put(1, b"zero"));
-        s.rt.sync();
-        let only = s.index[&1];
-        let last = seal::STAMP_LIMIT - 2;
-        let slot = sealed_slot(last, 1, 1, Some(b"zero"));
-        let image = patched(s.rt.region().durable_image(), only.slot_off(), &slot);
-        let mut r = Shard::reopen_from_image(image, &cfg).expect("one stamp left");
-        assert_eq!(r.committed, last);
-        assert!(r.put(1, b"one"), "an update");
-        assert_eq!(r.committed, seal::STAMP_LIMIT - 1);
-        r.rt.sync();
-        let image = r.rt.region().durable_image().to_vec();
-        let mut again = Shard::reopen_from_image(image, &cfg).expect("the last stamp");
-        assert_eq!(again.get(1).as_deref(), Some(&b"one"[..]));
     }
 
     // ----- the index is the heap -----------------------------------------
@@ -2444,10 +2012,9 @@ mod tests {
                         // rebuilds the index and the free lists
                         _ => {
                             if let Some(entry) = s.locate(key) {
-                                let stamp = seal::next(s.committed);
-                                s.rt.begin_fase();
+                                let stamp = s.nodes.begin();
                                 let dead = vec![0xee; entry.vlen()];
-                                s.store_slot(
+                                s.nodes.store_slot(
                                     entry.other(),
                                     (stamp, Some(1)),
                                     key,
@@ -2469,15 +2036,15 @@ mod tests {
                 // the image reopens to the state before or after it
                 13 | 14 if consistent => {
                     let g = group(&model, 10);
-                    s.rt.arm_crash(CrashPlan {
-                        at_step: s.rt.steps() + 1 + aux % 90,
+                    s.nodes.rt.arm_crash(CrashPlan {
+                        at_step: s.nodes.rt.steps() + 1 + aux % 90,
                         mode: adversary(sel as u64 + aux, cfg),
                     });
                     let before = model.clone();
                     if s.put_many(&g) {
                         commit(&mut model, &g);
                     }
-                    if let Some(image) = s.rt.take_crash_image() {
+                    if let Some(image) = s.nodes.rt.take_crash_image() {
                         s = Shard::reopen_from_image(image, cfg).expect("recovery");
                         let got: BTreeMap<_, _> = s.dump().into_iter().collect();
                         assert!(got == before || got == model, "{step}: torn group");
@@ -2500,7 +2067,7 @@ mod tests {
                 // it serves after is owed.
                 _ => {
                     let mode = adversary(sel as u64 + aux, cfg);
-                    let image = s.rt.region().image_after_crash(&mode);
+                    let image = s.nodes.rt.region().image_after_crash(&mode);
                     let mut r = match Shard::reopen_from_image(image, cfg) {
                         Ok(r) => r,
                         Err(ShardImageError::BadNode { .. }) => return,

@@ -18,20 +18,22 @@
 
 use std::sync::{Arc, Barrier, Mutex};
 
-use nvcache_fase::FaseStats;
+use nvcache_core::PolicyKind;
+use nvcache_fase::FaseRuntime;
 use nvcache_kvstore::proto::{encode_request, FrameDecoder, Request, Response};
 use nvcache_kvstore::{
-    Backpressure, BatchReply, BatchRequest, CapacityChoice, Engine, InProcTransport, KvServer,
-    NetServer, ServerConfig, SubmissionQueue, Transport,
+    Backpressure, BatchReply, BatchRequest, Engine, InProcTransport, KvServer, NetServer,
+    ServerConfig, SubmissionQueue, Transport,
 };
-use nvcache_pmem::{CrashMode, CrashPlan};
+use nvcache_pmem::CrashMode;
 use proptest::prelude::*;
 
 /// Batches in the order the lane served them, each the keys of its puts.
 type Batches = Arc<Mutex<Vec<Vec<u64>>>>;
 
-/// An engine that only writes down what it was asked to serve.
-struct Recorder(Batches);
+/// An engine that only writes down what it was asked to serve (its
+/// runtime counts nothing).
+struct Recorder(Batches, FaseRuntime);
 
 impl Engine for Recorder {
     fn serve_batch(&mut self, reqs: &[BatchRequest]) -> Vec<BatchReply> {
@@ -46,29 +48,17 @@ impl Engine for Recorder {
         false
     }
     fn crash_and_recover(&mut self, _: &CrashMode) {}
-    fn sync(&mut self) {}
     fn len(&self) -> usize {
         0
     }
     fn dump(&mut self) -> Vec<(u64, Vec<u8>)> {
         Vec::new()
     }
-    fn stats(&self) -> FaseStats {
-        FaseStats::default()
+    fn runtime(&self) -> &FaseRuntime {
+        &self.1
     }
-    fn take_stats(&mut self) -> FaseStats {
-        FaseStats::default()
-    }
-    fn steps(&self) -> u64 {
-        0
-    }
-    fn arm_crash(&mut self, _: CrashPlan) {}
-    fn take_crash_image(&mut self) -> Option<Vec<u8>> {
-        None
-    }
-    fn reset_sampler(&mut self) {}
-    fn chosen(&self) -> Vec<CapacityChoice> {
-        Vec::new()
+    fn runtime_mut(&mut self) -> &mut FaseRuntime {
+        &mut self.1
     }
 }
 
@@ -131,7 +121,10 @@ struct Audit {
 fn drive(clients: usize, per_client: u64, burst: u64, scfg: &ServerConfig) -> Audit {
     let batches = Batches::default();
     let kv = Arc::new(KvServer::with_engines(
-        [Recorder(Arc::clone(&batches))],
+        [Recorder(
+            Arc::clone(&batches),
+            FaseRuntime::new(64, 0, &PolicyKind::Lazy),
+        )],
         scfg,
     ));
     let t = InProcTransport::new();

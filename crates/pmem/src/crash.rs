@@ -30,6 +30,16 @@ pub enum CrashMode {
         /// RNG seed (deterministic failure schedules).
         seed: u64,
     },
+    /// Exactly the named lines land: each pending flush among `pending`
+    /// and each dirty line among `dirty`; a named line not in flight
+    /// changes nothing. A test's way to name one landed set, so that it
+    /// can enumerate every set instead of sampling.
+    Exactly {
+        /// Pending flushes that land.
+        pending: Vec<u64>,
+        /// Dirty lines that land.
+        dirty: Vec<u64>,
+    },
 }
 
 impl CrashMode {
@@ -96,6 +106,22 @@ impl CrashMode {
                     }
                 }
                 (lp, ld)
+            }
+            CrashMode::Exactly {
+                pending: p,
+                dirty: d,
+            } => {
+                let named = |lines: &[u64], named: &[u64]| {
+                    let mut v: Vec<u64> = lines
+                        .iter()
+                        .copied()
+                        .filter(|l| named.contains(l))
+                        .collect();
+                    v.sort_unstable();
+                    v.dedup();
+                    v
+                };
+                (named(pending, p), named(dirty, d))
             }
         }
     }
@@ -167,5 +193,17 @@ mod tests {
         let a = m.select_landed(&[5, 1, 9], &[7, 3]);
         let b = m.select_landed(&[9, 5, 1], &[3, 7]);
         assert_eq!(a, b, "selection must not depend on input order");
+    }
+
+    /// Exactly the named lines of each list land: a line named for the
+    /// other list, or named but not in flight, does not.
+    #[test]
+    fn exactly_lands_the_named_lines_in_flight() {
+        let m = CrashMode::Exactly {
+            pending: vec![2, 3, 8],
+            dirty: vec![1, 5],
+        };
+        let (p, d) = m.select_landed_split(&[3, 1, 2], &[5, 3, 4]);
+        assert_eq!((p, d), (vec![2, 3], vec![5]));
     }
 }

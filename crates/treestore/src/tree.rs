@@ -970,9 +970,12 @@ impl<S: PageStore> Tree<S> {
             });
         }
         // worst case: value cell + leaf CoW/split + one CoW and one
-        // split per inner level + a new root
+        // split per inner level + a new root; short of that, what this
+        // key needs
         let needed = 2 * self.height() + 4;
-        self.ensure_capacity(needed)?;
+        if self.ensure_capacity(needed).is_err() {
+            self.ensure_capacity(self.need(key)?)?;
+        }
         let (tv, root) = self.view();
 
         // descend, remembering the inner path for possible splits
@@ -1048,8 +1051,8 @@ impl<S: PageStore> Tree<S> {
     /// Insert or overwrite every `(key, value)` of `items`, in order, as
     /// one all-or-nothing step of the open transaction: every value is
     /// checked and the group's worst case reserved (`put`'s bound per
-    /// item) before any item is staged, so a refused group stages
-    /// nothing.
+    /// item, or else what each key needs) before any item is staged, so
+    /// a refused group stages nothing.
     ///
     /// # Panics
     /// When no transaction is open.
@@ -1063,7 +1066,17 @@ impl<S: PageStore> Tree<S> {
                 });
             }
         }
-        self.ensure_capacity(items.len() as u64 * (2 * self.height() + 4))?;
+        let worst = items.len() as u64 * (2 * self.height() + 4);
+        if self.ensure_capacity(worst).is_err() {
+            let mut needed = 0;
+            for (i, (key, _)) in items.iter().enumerate() {
+                // a key the group put before needs nothing more
+                if items[..i].iter().all(|(k, _)| k != key) {
+                    needed += self.need(*key)?;
+                }
+            }
+            self.ensure_capacity(needed)?;
+        }
         for (key, val) in items {
             self.put(*key, val.as_ref())?;
         }
@@ -1365,6 +1378,22 @@ impl<S: PageStore> Tree<S> {
         Some(std::mem::replace(spare, PHYS_NONE))
     }
 
+    /// The pages a put of `key` needs at most: none for a key the open
+    /// transaction put (its own cell), a value cell and, for a leaf the
+    /// transaction has not copied yet, a leaf copy for an overwrite, and
+    /// `put`'s worst case for an insert.
+    fn need(&self, key: u64) -> Result<u64, TreeError> {
+        let (tv, root) = self.view();
+        let b = self.seek(tv, root, key, &mut Path::default())?;
+        let (lpid, (.., old)) = (hdr_lpid(b), leaf_position(b, key));
+        let clean = self.slots[lpid as usize].staged == PHYS_NONE;
+        Ok(match old {
+            Some(cell) if self.is_own_cell(lpid, cell, tv) => 0,
+            Some(_) => 1 + u64::from(clean),
+            None => 2 * self.height() + 4,
+        })
+    }
+
     /// Whether at least `needed` pages are allocatable, so a multi-page
     /// operation cannot fail with half its pages staged.
     fn ensure_capacity(&self, needed: u64) -> Result<(), TreeError> {
@@ -1635,21 +1664,20 @@ fn rebuild_state<S: PageStore>(store: &mut S) -> Result<Volatile, TreeError> {
     // every class byte keeps the table's rules, and a carved segment
     // holds pages
     let data = store.bytes(0, store.len() as usize);
-    let mut is_carved = Vec::with_capacity(table.segments());
-    for segment in 0..table.segments() {
-        let class = table
-            .class(data, segment, PAGE_CLASS)
-            .map_err(TreeError::BadSegment)?;
-        if class.is_some_and(|c| c != PAGE_CLASS) {
-            let why = "a class other than the page class";
+    let (base, mut carved) = (table.segment(0), Vec::new());
+    let blocks = table
+        .blocks(data, PAGE_CLASS)
+        .map_err(TreeError::BadSegment)?;
+    for (at, class) in blocks {
+        if class != PAGE_CLASS {
+            let (segment, why) = ((at - base) / SEGMENT, "a class other than the page class");
             return Err(TreeError::BadSegment(SegmentError { segment, why }));
         }
-        is_carved.push(class.is_some());
+        carved.push(((at - base) / PAGE) as u64);
     }
     let pages = table.segments() as u64 * PAGES_PER_SEG;
-    let base = table.segment(0) as u64;
-    let page_off = |phys: u64| base + phys * PAGE as u64;
-    let carved_pages = || (0..pages).filter(|&p| is_carved[(p / PAGES_PER_SEG) as usize]);
+    let page_off = |phys: u64| (base + phys as usize * PAGE) as u64;
+    let carved_pages = || carved.iter().copied();
 
     let units = carved_pages().map(|phys| {
         let b = store.page(page_off(phys));

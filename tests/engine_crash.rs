@@ -26,7 +26,8 @@
 //! each on hash and on tree lanes.
 
 use nvcache::core::{AdaptiveConfig, PolicyKind};
-use nvcache::fase::segments::SEGMENT;
+use nvcache::fase::nodes;
+use nvcache::fase::segments::block_of;
 use nvcache::fase::SegmentTable;
 use nvcache::kvstore::{
     BatchReply, BatchRequest, Engine, KvConfig, KvServer, KvStore, ServerConfig, Shard,
@@ -459,26 +460,13 @@ fn word(data: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(data[at..at + 8].try_into().unwrap())
 }
 
-/// The blocks of `block` bytes of every segment of data area `data` that
-/// its class table names carved.
-fn blocks(data: &[u8], block: impl Fn(usize) -> usize) -> Vec<Range<usize>> {
-    let table = SegmentTable::new(data.len());
-    let carved = (0..table.segments()).map(|s| (s, table.class_byte(data, s)));
-    carved
-        .filter(|&(_, class)| class != 0)
-        .flat_map(|(s, class)| {
-            let (at, block) = (table.segment(s), block(class));
-            (at..at + SEGMENT).step_by(block).map(move |b| b..b + block)
-        })
-        .collect()
-}
-
 /// A tree's units are its 256-byte pages; `n` sits in w1's upper half.
 impl Sealed for TreeEngine {
     fn units(data: &[u8]) -> Vec<(Range<usize>, bool)> {
-        let pages = blocks(data, |_| 256).into_iter();
+        let table = SegmentTable::new(data.len());
+        let pages = table.blocks(data, 1).expect("a carved image").into_iter();
         pages
-            .map(|p| (p.clone(), word(data, p.start + 8) >> 32 != 0))
+            .map(|(at, class)| (at..at + block_of(class), word(data, at + 8) >> 32 != 0))
             .collect()
     }
 
@@ -493,19 +481,14 @@ impl Sealed for TreeEngine {
 
 /// A hash shard's units are its value slots; the adversary tears whole
 /// nodes (the key and both slots), a node closing when either slot's
-/// seal word — at 16, and at half the block + 8 — holds an `n`.
+/// seal word holds an `n`. The nodes, their bytes and their seals are
+/// the node store's own recovery reads (`nvcache::fase::nodes`).
 impl Sealed for Shard {
     fn units(data: &[u8]) -> Vec<(Range<usize>, bool)> {
-        let nodes = blocks(data, |class| 16 << class).into_iter();
-        let seal_n = |at| word(data, at) >> 32 != 0;
-        nodes
-            .map(|b| {
-                let half = b.len() / 2;
-                (
-                    b.clone(),
-                    seal_n(b.start + 16) || seal_n(b.start + half + 8),
-                )
-            })
+        let slots = nodes::nodes(data).expect("a carved image").into_iter();
+        let closing = |slot| nodes::seal_n(data, slot) != 0;
+        slots
+            .map(|s| (s.block(), closing(s) || closing(s.other())))
             .collect()
     }
 

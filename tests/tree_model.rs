@@ -5,8 +5,9 @@
 //! and its MVCC snapshots must stay frozen while writers commit.
 
 use nvcache::core::PolicyKind;
+use nvcache::fase::SegmentTable;
 use nvcache::pmem::CrashMode;
-use nvcache::treestore::{Snapshot, Tree, TreeConfig, MAX_VALUE};
+use nvcache::treestore::{Snapshot, Tree, TreeConfig, TreeError, MAX_VALUE};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
@@ -515,4 +516,90 @@ fn scans_at_key_boundaries_match_the_model() {
     t.commit();
     check_scan_bounds(&t, None, &staged, &samples(&staged));
     t.unpin(snap);
+}
+
+/// Full means full. A small tree filled until an insert no longer finds
+/// its worst case (`2·height + 4` pages) free still takes overwrites:
+/// one needs a value cell and, in a leaf its transaction has not copied
+/// yet, a leaf copy; a key the transaction already put needs no page at
+/// all. An overwrite — alone or in a group — is refused, and stages
+/// nothing, only once fewer pages are free than it needs.
+#[test]
+fn a_full_tree_takes_every_overwrite_it_has_pages_for() {
+    let cfg = TreeConfig {
+        data_len: 64 + 64 + 8 * 4096,
+        ..cfg()
+    };
+    let pages = SegmentTable::new(cfg.data_len).segments() as u64 * 16;
+    let free = |t: &Tree| t.free_pages() as u64 + pages - t.pages_allocated();
+    let mut t = Tree::create(&cfg).unwrap();
+    let mut model = Model::new();
+    for key in 0.. {
+        t.begin();
+        let put = t.put(key, &value(key, 24));
+        t.commit();
+        if put == Err(TreeError::Full) {
+            break;
+        }
+        model.insert(key, value(key, 24));
+    }
+    let worst = 2 * t.height() + 4;
+    assert!(
+        (2..worst).contains(&free(&t)),
+        "{} of {worst} free",
+        free(&t)
+    );
+
+    // one overwrite a transaction: each gives back what it takes
+    for (&key, v) in model.iter_mut() {
+        t.begin();
+        *v = value(key ^ 1, 24);
+        t.put(key, v).unwrap();
+        t.commit();
+    }
+    // a group of overwrites of two keys, the second written twice
+    let group = [(0, value(2, 24)), (1, value(3, 24)), (1, value(4, 24))];
+    t.begin();
+    t.put_many(&group).unwrap();
+    t.commit();
+    model.extend(group);
+
+    // one transaction of overwrites until the pages run out
+    t.begin();
+    let mut staged = model.clone();
+    let mut refused = 0;
+    for &key in model.keys() {
+        let before = free(&t);
+        match t.put(key, &value(!key, 24)) {
+            Ok(()) => {
+                staged.insert(key, value(!key, 24));
+            }
+            Err(e) => {
+                assert_eq!(e, TreeError::Full, "key {key}");
+                assert!(before < 2, "key {key} refused with {before} pages free");
+                assert_eq!(free(&t), before, "key {key}: the refused put took a page");
+                assert_eq!(t.get(key), model.get(&key).cloned(), "key {key}");
+                refused += 1;
+            }
+        }
+    }
+    assert!(refused > 0, "the pages never ran out");
+    // a key the transaction put is rewritten in its own cell
+    let (&own, _) = staged.iter().find(|(k, _)| model[k] != staged[k]).unwrap();
+    let before = free(&t);
+    t.put(own, &value(7, 24)).unwrap();
+    staged.insert(own, value(7, 24));
+    assert_eq!(free(&t), before, "its own cell");
+    // a group refused whole stages nothing
+    let last = *model.keys().last().unwrap();
+    assert_eq!(
+        t.put_many(&[(own, value(8, 24)), (last, value(8, 24))]),
+        Err(TreeError::Full)
+    );
+    assert_eq!(t.get(own), Some(value(7, 24)));
+    t.commit();
+    assert_eq!(
+        t.scan(None, 0, u64::MAX, usize::MAX),
+        model_scan(&staged, 0, u64::MAX, usize::MAX)
+    );
 }
