@@ -254,13 +254,14 @@ mod tests {
     fn envelope_of_a_traced_replay_parses_with_the_documented_shape() {
         use crate::jsonv::{parse, Json};
         use nvcache_core::{run_policy_traced, PolicyKind, ReplayOptions, RunConfig};
-        use nvcache_trace::synth::{cyclic, replicate, SynthOpts};
+        use nvcache_trace::synth::{cyclic, SynthOpts};
+        use nvcache_trace::Trace;
         let opts = SynthOpts {
             writes_per_fase: 50,
             ..SynthOpts::default()
         };
         let (_, snap) = run_policy_traced(
-            &replicate(&cyclic(12, 200, &opts), 2),
+            &Trace::replicated(cyclic(12, 200, &opts).threads[0].clone(), 2),
             &PolicyKind::ScFixed { capacity: 12 },
             &RunConfig::default(),
             &ReplayOptions::sequential(),

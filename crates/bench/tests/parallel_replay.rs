@@ -5,7 +5,7 @@
 
 use nvcache_bench::adaptive_config_for;
 use nvcache_core::{flush_stats_with, run_policy_with, PolicyKind, ReplayOptions, RunConfig};
-use nvcache_trace::synth::{cyclic, replicate, zipf, SynthOpts};
+use nvcache_trace::synth::{cyclic, zipf, SynthOpts};
 use nvcache_trace::Trace;
 use nvcache_workloads::registry::workload_by_name;
 
@@ -49,10 +49,10 @@ fn assert_identical(trace: &Trace, label: &str) {
 
 #[test]
 fn synthetic_traces_replay_identically() {
-    let cyc = replicate(&cyclic(12, 300, &SynthOpts::default()), 8);
+    let cyc = Trace::replicated(cyclic(12, 300, &SynthOpts::default()).threads[0].clone(), 8);
     assert_identical(&cyc, "cyclic x8");
-    let zp = replicate(
-        &zipf(
+    let zp = Trace::replicated(
+        zipf(
             64,
             2_000,
             0.9,
@@ -60,7 +60,9 @@ fn synthetic_traces_replay_identically() {
                 writes_per_fase: 24,
                 ..Default::default()
             },
-        ),
+        )
+        .threads[0]
+            .clone(),
         4,
     );
     assert_identical(&zp, "zipf x4");

@@ -11,7 +11,7 @@ use nvcache_core::{
     ReplayOptions, RunConfig,
 };
 use nvcache_telemetry::{CounterId, TelemetryConfig};
-use nvcache_trace::synth::{cyclic, replicate, zipf, SynthOpts};
+use nvcache_trace::synth::{cyclic, zipf, SynthOpts};
 use nvcache_trace::Trace;
 use nvcache_workloads::registry::workload_by_name;
 
@@ -89,10 +89,10 @@ fn assert_counters_match(trace: &Trace, label: &str) {
 
 #[test]
 fn synthetic_telemetry_matches_driver_accounting() {
-    let cyc = replicate(&cyclic(12, 300, &SynthOpts::default()), 8);
+    let cyc = Trace::replicated(cyclic(12, 300, &SynthOpts::default()).threads[0].clone(), 8);
     assert_counters_match(&cyc, "cyclic x8");
-    let zp = replicate(
-        &zipf(
+    let zp = Trace::replicated(
+        zipf(
             64,
             2_000,
             0.9,
@@ -100,7 +100,9 @@ fn synthetic_telemetry_matches_driver_accounting() {
                 writes_per_fase: 24,
                 ..Default::default()
             },
-        ),
+        )
+        .threads[0]
+            .clone(),
         4,
     );
     assert_counters_match(&zp, "zipf x4");

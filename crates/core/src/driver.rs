@@ -713,7 +713,7 @@ mod tests {
         t.fase_begin();
         t.write(Line(1));
         t.write(Line(2));
-        let tr = Trace { threads: vec![t] };
+        let tr = Trace::from_threads(vec![t]);
         let s = flush_stats(&tr, &PolicyKind::ScFixed { capacity: 8 });
         assert_eq!(s.flushes(), 2);
     }
@@ -781,7 +781,7 @@ mod tests {
     #[test]
     fn multithreaded_cycles_is_max_not_sum() {
         let single = cyclic(8, 100, &opts(50));
-        let tr = nvcache_trace::synth::replicate(&single, 4);
+        let tr = Trace::replicated(single.threads[0].clone(), 4);
         let cfg = RunConfig::default();
         let r1 = run_policy(&single, &PolicyKind::Atlas { size: 8 }, &cfg);
         let r4 = run_policy(&tr, &PolicyKind::Atlas { size: 8 }, &cfg);
@@ -818,7 +818,7 @@ mod tests {
     #[test]
     fn parallel_replay_is_bit_identical_to_sequential() {
         let single = cyclic(12, 200, &opts(50));
-        let tr = nvcache_trace::synth::replicate(&single, 8);
+        let tr = Trace::replicated(single.threads[0].clone(), 8);
         let cfg = RunConfig::default();
         for kind in [
             PolicyKind::Eager,
@@ -840,7 +840,7 @@ mod tests {
     fn traced_flush_stats_match_untraced_and_counters_agree() {
         use nvcache_telemetry::CounterId;
         let single = cyclic(12, 200, &opts(50));
-        let tr = nvcache_trace::synth::replicate(&single, 4);
+        let tr = Trace::replicated(single.threads[0].clone(), 4);
         let tcfg = TelemetryConfig::default();
         for kind in [
             PolicyKind::Eager,
@@ -870,7 +870,7 @@ mod tests {
     #[test]
     fn traced_snapshot_is_parallelism_invariant() {
         let single = cyclic(12, 200, &opts(50));
-        let tr = nvcache_trace::synth::replicate(&single, 8);
+        let tr = Trace::replicated(single.threads[0].clone(), 8);
         let tcfg = TelemetryConfig::default();
         let kind = PolicyKind::ScFixed { capacity: 12 };
         let (seq_stats, seq_snap) =

@@ -673,9 +673,7 @@ mod tests {
     use super::*;
     use nvcache_fase::nodes::SLOT_HEADER;
     use nvcache_fase::FaseStats;
-    use nvcache_pmem::CrashPlan;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
+    use nvcache_pmem::{crash, CrashPlan};
 
     fn small(policy: PolicyKind) -> ShardConfig {
         ShardConfig {
@@ -1675,58 +1673,10 @@ mod tests {
 
     // ----- every crash state --------------------------------------------
 
-    /// Every image a power failure at micro-step `step` can leave, where
-    /// `run(plan)` runs the program with `plan` armed and returns its
-    /// crash image. The lines in flight at the cut are found by landing
-    /// every pending flush, then every dirty line, of a region of
-    /// `lines` lines; then each subset of them lands, named by
-    /// [`CrashMode::Exactly`]: every subset when there are at most 12,
-    /// else 4 096 seeded ones.
-    fn landings(run: &dyn Fn(CrashPlan) -> Vec<u8>, step: u64, lines: u64) -> Vec<Vec<u8>> {
-        let image = |pending, dirty| {
-            let mode = CrashMode::Exactly { pending, dirty };
-            run(CrashPlan {
-                at_step: step,
-                mode,
-            })
-        };
-        let every: Vec<u64> = (0..lines).collect();
-        let none = image(Vec::new(), Vec::new());
-        let in_flight = |landed: Vec<u8>| -> Vec<u64> {
-            let line = |l: u64| l as usize * 64..(l as usize + 1) * 64;
-            let moved = |&l: &u64| landed[line(l)] != none[line(l)];
-            every.iter().copied().filter(moved).collect()
-        };
-        let pending = in_flight(image(every.clone(), Vec::new()));
-        let dirty = in_flight(image(Vec::new(), every.clone()));
-        let n = pending.len() + dirty.len();
-        let mut rng = SmallRng::seed_from_u64(step);
-        let subsets: Vec<Vec<bool>> = if n <= 12 {
-            let bits = |mask: usize| (0..n).map(|i| mask >> i & 1 == 1).collect();
-            (0..1 << n).map(bits).collect()
-        } else {
-            (0..4096)
-                .map(|_| (0..n).map(|_| rng.gen()).collect())
-                .collect()
-        };
-        let pick = |lines: &[u64], landed: &[bool]| {
-            let picked = lines.iter().zip(landed).filter(|(_, &l)| l);
-            picked.map(|(&line, _)| line).collect()
-        };
-        let (p, d) = (pending.len(), dirty.len());
-        let subset = |landed: Vec<bool>| {
-            image(
-                pick(&pending, &landed[..p]),
-                pick(&dirty, &landed[p..p + d]),
-            )
-        };
-        subsets.into_iter().map(subset).collect()
-    }
-
     /// Every crash state of a program: the shard `start` builds, then
     /// `ops`, each one FASE (or a recovery). At every micro-step of
-    /// `ops`, every image [`landings`] names reopens to the state before
-    /// the FASE the cut falls in or the state after it — the
+    /// `ops`, every image [`crash::landings`] names reopens to the state
+    /// before the FASE the cut falls in or the state after it — the
     /// committed-prefix oracle — with the index and the free lists equal
     /// to the heap. Returns the images checked and the cuts.
     fn every_crash_state(
@@ -1754,7 +1704,7 @@ mod tests {
         let mut images = 0;
         for step in ends[0]..ends[ops.len()] {
             let j = ends.iter().rposition(|&e| e <= step).unwrap();
-            for (i, image) in landings(&run, step, lines).into_iter().enumerate() {
+            for (i, image) in crash::landings(&run, step, lines).enumerate() {
                 let ctx = format!("step {step}, landing {i}");
                 let mut r = Shard::reopen_from_image(image, cfg).expect(&ctx);
                 let got = r.dump();

@@ -4,8 +4,14 @@
 //! that the timescale prediction ([`crate::Mrc::from_reuse`]) is tested
 //! against. One pass computes hits for **all** cache sizes at once: an
 //! access hits in every cache at least as large as its LRU stack
-//! distance. Stack distances come from a Fenwick tree over access times
-//! (`O(n log n)` total).
+//! distance. [`lru_mrc`] needs distances only up to the largest size
+//! it reports, so it keeps just the top `max_size` entries of the LRU
+//! stack, in a move-to-front array: `O(n · max_size)` in the worst
+//! case, with no hashing and no allocation past the array, and every
+//! caller asks for at most 120 sizes. [`stack_distances`] gives the
+//! unbounded distance of every access from a Fenwick tree over access
+//! times (`O(n log n)`); it is the oracle the bounded stack is tested
+//! against.
 
 use crate::mrc::Mrc;
 use nvcache_trace::hash::{fx_map_with_capacity, FxHashMap};
@@ -67,25 +73,42 @@ pub fn stack_distances(trace: &[u64]) -> Vec<Option<usize>> {
 }
 
 /// Exact LRU MRC up to `max_size`, from Mattson stack distances.
+///
+/// Walks a move-to-front stack of the `max_size` most recently
+/// accessed ids: an access found at depth `d` is a hit for every size
+/// `≥ d` and moves to the top. One not found — a cold access, or one
+/// whose distance exceeds `max_size` — misses at every reported size
+/// and pushes the deepest id out. Costs `O(d)` per access found at
+/// depth `d` and `O(max_size)` per miss; the hits equal those the
+/// distances of [`stack_distances`] imply.
 pub fn lru_mrc(trace: &[u64], max_size: usize) -> Mrc {
-    // a repeat of the datum just accessed is a distance-1 hit that moves
-    // nothing in the LRU stack: only the head of each run goes through
-    // the Fenwick tree and the hash map
-    let mut heads = trace.to_vec();
-    heads.dedup();
-    let mut hist = vec![0u64; max_size + 2];
-    hist[1.min(max_size + 1)] = (trace.len() - heads.len()) as u64;
-    for d in stack_distances(&heads).into_iter().flatten() {
-        hist[d.min(max_size + 1)] += 1;
+    // hist[d]: accesses found at depth d (1-based; hist[0] stays 0)
+    let mut hist = vec![0u64; max_size + 1];
+    let mut stack: Vec<u64> = Vec::with_capacity(max_size);
+    for &id in trace {
+        match stack.iter().position(|&x| x == id) {
+            Some(at) => {
+                hist[at + 1] += 1;
+                stack[..=at].rotate_right(1);
+            }
+            None if max_size == 0 => {}
+            None => {
+                if stack.len() < max_size {
+                    stack.push(id);
+                } else {
+                    stack[max_size - 1] = id;
+                }
+                stack.rotate_right(1);
+            }
+        }
     }
     // hits(c) = Σ_{d ≤ c} hist[d]
-    let mut hits = vec![0u64; max_size + 1];
     let mut acc = 0u64;
-    for c in 0..=max_size {
-        acc += hist[c];
-        hits[c] = acc;
+    for h in hist.iter_mut() {
+        acc += *h;
+        *h = acc;
     }
-    Mrc::from_hits(&hits, trace.len())
+    Mrc::from_hits(&hist, trace.len())
 }
 
 /// Direct LRU cache simulation at a single capacity — an independent
@@ -199,5 +222,124 @@ mod tests {
     fn empty_trace_mrc() {
         let mrc = lru_mrc(&[], 4);
         assert!(mrc.miss_ratio.iter().all(|&v| v == 1.0));
+    }
+
+    /// The curve the unbounded distances of [`stack_distances`] imply:
+    /// an access hits at every size `≥` its distance.
+    fn mrc_from_distances(trace: &[u64], max_size: usize) -> Mrc {
+        let mut hits = vec![0u64; max_size + 1];
+        for d in stack_distances(trace).into_iter().flatten() {
+            for h in hits.iter_mut().skip(d) {
+                *h += 1;
+            }
+        }
+        Mrc::from_hits(&hits, trace.len())
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A trace of `len` accesses over `alphabet` ids, of one of five
+    /// shapes: uniform random, cyclic, FASE-renamed random writes, runs
+    /// of repeats, or a random walk that stays near its last id.
+    fn shaped(shape: u8, seed: u64, len: usize, alphabet: u64) -> Vec<u64> {
+        let mut s = seed;
+        let mut draw = move || splitmix(&mut s) % alphabet;
+        match shape {
+            0 => (0..len).map(|_| draw()).collect(),
+            1 => (0..len as u64).map(|i| i % alphabet).collect(),
+            2 => {
+                let mut t = nvcache_trace::ThreadTrace::new();
+                t.fase_begin();
+                for i in 0..len {
+                    if i % 7 == 6 && draw() % 3 == 0 {
+                        t.fase_end();
+                        t.fase_begin();
+                    }
+                    t.write(nvcache_trace::Line(draw()));
+                }
+                t.fase_end();
+                t.renamed_writes()
+            }
+            3 => {
+                let mut v = Vec::with_capacity(len);
+                while v.len() < len {
+                    let (id, run) = (draw(), 1 + draw() % 5);
+                    v.extend(std::iter::repeat_n(id, run as usize));
+                }
+                v.truncate(len);
+                v
+            }
+            _ => {
+                let mut at = 0u64;
+                (0..len)
+                    .map(|_| {
+                        at = (at + 2 * alphabet + draw() % 5 - 2) % alphabet;
+                        at
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    const SIZES: [usize; 5] = [0, 1, 2, 50, 120];
+
+    #[test]
+    fn bounded_stack_matches_the_distances_on_edge_traces() {
+        let cyclic = |w: u64| (0..600).map(|i| i % w).collect::<Vec<u64>>();
+        let traces = [
+            vec![],
+            vec![7],
+            vec![7; 40],
+            cyclic(50),
+            cyclic(51),
+            cyclic(120),
+            cyclic(121),
+            (0..300).collect(),
+        ];
+        for trace in &traces {
+            for max_size in SIZES {
+                let want = mrc_from_distances(trace, max_size);
+                assert_eq!(
+                    lru_mrc(trace, max_size),
+                    want,
+                    "{} accesses, {max_size}",
+                    trace.len()
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(48))]
+
+        /// The bounded move-to-front stack and the Fenwick tree's
+        /// unbounded distances agree on every size: hits past the
+        /// deepest size reported count nowhere either way.
+        #[test]
+        fn bounded_stack_matches_the_distances(
+            shape in 0u8..5,
+            seed in proptest::any::<u64>(),
+            len in 0usize..2500,
+            alphabet in 1u64..300,
+        ) {
+            let trace = shaped(shape, seed, len, alphabet);
+            for max_size in SIZES {
+                let want = mrc_from_distances(&trace, max_size);
+                proptest::prop_assert_eq!(
+                    lru_mrc(&trace, max_size),
+                    want,
+                    "shape {} seed {} max_size {}",
+                    shape,
+                    seed,
+                    max_size
+                );
+            }
+        }
     }
 }

@@ -152,6 +152,55 @@ pub struct CrashPlan {
     pub mode: CrashMode,
 }
 
+/// Every image a power failure at micro-step `step` can leave, where
+/// `run(plan)` runs a program with `plan` armed and returns its crash
+/// image. The lines in flight at the cut are found by landing every
+/// pending flush, then every dirty line, of a region of `lines` lines;
+/// then each subset of them lands, named by [`CrashMode::Exactly`]:
+/// every subset when there are at most 12, else 4 096 subsets seeded
+/// by `step`. The images come one at a time, each from its own run.
+/// Test-facing: the crash-state tests of both engines judge each
+/// image against their committed-prefix oracle.
+pub fn landings<'a>(
+    run: &'a dyn Fn(CrashPlan) -> Vec<u8>,
+    step: u64,
+    lines: u64,
+) -> impl Iterator<Item = Vec<u8>> + 'a {
+    let image = move |pending, dirty| {
+        let mode = CrashMode::Exactly { pending, dirty };
+        run(CrashPlan {
+            at_step: step,
+            mode,
+        })
+    };
+    let none = image(Vec::new(), Vec::new());
+    let in_flight = |landed: Vec<u8>| -> Vec<u64> {
+        let line = |l: u64| l as usize * 64..(l as usize + 1) * 64;
+        let moved = |&l: &u64| landed[line(l)] != none[line(l)];
+        (0..lines).filter(moved).collect()
+    };
+    let pending = in_flight(image((0..lines).collect(), Vec::new()));
+    let dirty = in_flight(image(Vec::new(), (0..lines).collect()));
+    let n = pending.len() + dirty.len();
+    let mut rng = SmallRng::seed_from_u64(step);
+    let subsets: Vec<Vec<bool>> = if n <= 12 {
+        let bits = |mask: usize| (0..n).map(|i| mask >> i & 1 == 1).collect();
+        (0..1 << n).map(bits).collect()
+    } else {
+        (0..4096)
+            .map(|_| (0..n).map(|_| rng.gen()).collect())
+            .collect()
+    };
+    fn pick(lines: &[u64], landed: &[bool]) -> Vec<u64> {
+        let picked = lines.iter().zip(landed).filter(|(_, &l)| l);
+        picked.map(|(&line, _)| line).collect()
+    }
+    subsets.into_iter().map(move |landed| {
+        let (p, d) = landed.split_at(pending.len());
+        image(pick(&pending, p), pick(&dirty, d))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

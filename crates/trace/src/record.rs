@@ -59,9 +59,7 @@ impl TraceRecorder {
 
     /// Merge recorders (one per thread) into a whole-program [`Trace`].
     pub fn merge(recorders: Vec<TraceRecorder>) -> Trace {
-        Trace {
-            threads: recorders.into_iter().map(|r| r.inner).collect(),
-        }
+        Trace::from_threads(recorders.into_iter().map(|r| r.inner).collect())
     }
 }
 

@@ -98,8 +98,7 @@ mod tests {
 
     #[test]
     fn stats_basic() {
-        let mut tr = Trace::with_threads(1);
-        let t = &mut tr.threads[0];
+        let mut t = crate::ThreadTrace::new();
         t.fase_begin();
         t.write(Line(1));
         t.write(Line(2));
@@ -109,7 +108,7 @@ mod tests {
         t.fase_begin();
         t.write(Line(3));
         t.fase_end();
-        let s = tr.stats();
+        let s = Trace::from_threads(vec![t]).stats();
         assert_eq!(s.total_writes, 4);
         assert_eq!(s.total_fases, 2);
         assert_eq!(s.distinct_lines, 3);
@@ -121,7 +120,7 @@ mod tests {
 
     #[test]
     fn stats_empty_trace() {
-        let s = Trace::with_threads(0).stats();
+        let s = Trace::default().stats();
         assert_eq!(s.total_writes, 0);
         assert_eq!(s.writes_per_fase, 0.0);
         assert_eq!(s.mean_fase_wss, 0.0);

@@ -47,7 +47,7 @@ fn emit(lines: impl IntoIterator<Item = u64>, opts: &SynthOpts) -> Trace {
         in_fase += 1;
     }
     t.fase_end();
-    Trace { threads: vec![t] }
+    Trace::from_threads(vec![t])
 }
 
 /// Sequential sweep: writes lines `0..lines` in order, repeated `rounds`
@@ -99,16 +99,6 @@ pub fn phased(w1: u64, n1: usize, w2: u64, n2: usize, opts: &SynthOpts) -> Trace
     let a = (0..n1).map(move |i| i as u64 % w1);
     let b = (0..n2).map(move |i| (1 << 30) + i as u64 % w2);
     emit(a.chain(b), opts)
-}
-
-/// Clone a single-threaded trace into `t` identical threads (strong-scaling
-/// shape: same total work split across threads handled by callers; this
-/// helper replicates, used by tests only).
-pub fn replicate(trace: &Trace, t: usize) -> Trace {
-    assert_eq!(trace.num_threads(), 1);
-    Trace {
-        threads: vec![trace.threads[0].clone(); t],
-    }
 }
 
 #[cfg(test)]
@@ -172,10 +162,20 @@ mod tests {
     }
 
     #[test]
-    fn replicate_clones_threads() {
+    fn replicated_shares_one_buffer() {
         let tr = sequential(4, 2, &SynthOpts::default());
-        let r = replicate(&tr, 3);
+        let r = Trace::replicated(tr.threads[0].clone(), 3);
         assert_eq!(r.num_threads(), 3);
         assert_eq!(r.total_writes(), 24);
+        assert!(r
+            .threads
+            .iter()
+            .all(|t| std::sync::Arc::ptr_eq(t, &tr.threads[0])));
+        let copies = vec![(*tr.threads[0]).clone(); 3];
+        assert_eq!(r, Trace::from_threads(copies));
+        assert_eq!(
+            Trace::replicated(tr.threads[0].clone(), 0),
+            Trace::default()
+        );
     }
 }

@@ -3,6 +3,7 @@
 use crate::event::{Event, Line};
 use crate::stats::TraceStats;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// The event sequence observed by one thread.
 ///
@@ -125,25 +126,37 @@ impl ThreadTrace {
 }
 
 /// A whole-program trace: one [`ThreadTrace`] per thread.
+///
+/// Threads are shared, read-only buffers: threads that ran the same
+/// program (a workload whose threads never read their index) hold one
+/// buffer between them, so a trace of `n` such threads costs one
+/// recording and one buffer, not `n`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Per-thread event streams, indexed by thread id.
-    pub threads: Vec<ThreadTrace>,
+    pub threads: Vec<Arc<ThreadTrace>>,
 }
 
 impl Trace {
-    /// A trace with `n` empty threads.
-    pub fn with_threads(n: usize) -> Self {
+    /// A trace of the given threads, in thread-id order, each its own
+    /// buffer.
+    pub fn from_threads(threads: Vec<ThreadTrace>) -> Self {
         Trace {
-            threads: vec![ThreadTrace::new(); n],
+            threads: threads.into_iter().map(Arc::new).collect(),
+        }
+    }
+
+    /// A trace of `n` threads that all ran `thread`'s program: one
+    /// buffer, shared.
+    pub fn replicated(thread: impl Into<Arc<ThreadTrace>>, n: usize) -> Self {
+        Trace {
+            threads: vec![thread.into(); n],
         }
     }
 
     /// Single-threaded trace from an explicit event list.
     pub fn single(events: Vec<Event>) -> Self {
-        Trace {
-            threads: vec![ThreadTrace { events }],
-        }
+        Trace::from_threads(vec![ThreadTrace { events }])
     }
 
     /// Number of threads.
@@ -274,17 +287,19 @@ mod tests {
 
     #[test]
     fn trace_totals_and_distinct() {
-        let mut tr = Trace::with_threads(2);
-        tr.threads[0].fase_begin();
-        tr.threads[0].write(l(1));
-        tr.threads[0].write(l(2));
-        tr.threads[0].fase_end();
-        tr.threads[1].fase_begin();
-        tr.threads[1].write(l(2));
-        tr.threads[1].fase_end();
+        let (mut a, mut b) = (ThreadTrace::new(), ThreadTrace::new());
+        a.fase_begin();
+        a.write(l(1));
+        a.write(l(2));
+        a.fase_end();
+        b.fase_begin();
+        b.write(l(2));
+        b.fase_end();
+        let tr = Trace::from_threads(vec![a, b]);
         assert_eq!(tr.total_writes(), 3);
         assert_eq!(tr.total_fases(), 2);
         assert_eq!(tr.distinct_lines(), 2);
         assert_eq!(tr.num_threads(), 2);
+        assert!(!Arc::ptr_eq(&tr.threads[0], &tr.threads[1]));
     }
 }

@@ -974,7 +974,7 @@ impl<S: PageStore> Tree<S> {
         // key needs
         let needed = 2 * self.height() + 4;
         if self.ensure_capacity(needed).is_err() {
-            self.ensure_capacity(self.need(key)?)?;
+            self.ensure_capacity(self.need(key, true)?)?;
         }
         let (tv, root) = self.view();
 
@@ -1072,7 +1072,7 @@ impl<S: PageStore> Tree<S> {
             for (i, (key, _)) in items.iter().enumerate() {
                 // a key the group put before needs nothing more
                 if items[..i].iter().all(|(k, _)| k != key) {
-                    needed += self.need(*key)?;
+                    needed += self.need(*key, false)?;
                 }
             }
             self.ensure_capacity(needed)?;
@@ -1379,19 +1379,39 @@ impl<S: PageStore> Tree<S> {
     }
 
     /// The pages a put of `key` needs at most: none for a key the open
-    /// transaction put (its own cell), a value cell and, for a leaf the
-    /// transaction has not copied yet, a leaf copy for an overwrite, and
-    /// `put`'s worst case for an insert.
-    fn need(&self, key: u64) -> Result<u64, TreeError> {
+    /// transaction put (its own cell); a value cell and, for a leaf the
+    /// transaction has not copied yet, a leaf copy for an overwrite or
+    /// an insert. An insert into a full leaf also needs the leaf's
+    /// right half, and up the recorded path, at each inner level, a
+    /// copy if the transaction has not copied it, plus a right half
+    /// while the level is full, and a new root past a full root. An
+    /// insert that is not `alone` — one of a group — reserves `put`'s
+    /// worst case instead: the group's earlier inserts may fill the
+    /// pages it lands on. Cold: only a nearly full tree gets here, and
+    /// out of line it leaves `put`'s fast path as it was.
+    #[cold]
+    fn need(&self, key: u64, alone: bool) -> Result<u64, TreeError> {
         let (tv, root) = self.view();
-        let b = self.seek(tv, root, key, &mut Path::default())?;
-        let (lpid, (.., old)) = (hdr_lpid(b), leaf_position(b, key));
-        let clean = self.slots[lpid as usize].staged == PHYS_NONE;
-        Ok(match old {
-            Some(cell) if self.is_own_cell(lpid, cell, tv) => 0,
-            Some(_) => 1 + u64::from(clean),
-            None => 2 * self.height() + 4,
-        })
+        let mut path = Path::default();
+        let b = self.seek(tv, root, key, &mut path)?;
+        let (lpid, (n, _, old)) = (hdr_lpid(b), leaf_position(b, key));
+        let clean = |lpid: u64| u64::from(self.slots[lpid as usize].staged == PHYS_NONE);
+        match old {
+            Some(cell) if self.is_own_cell(lpid, cell, tv) => return Ok(0),
+            Some(_) => return Ok(1 + clean(lpid)),
+            None if !alone => return Ok(2 * self.height() + 4),
+            None if n < LEAF_CAP => return Ok(1 + clean(lpid)),
+            None => {}
+        }
+        let mut needed = 1 + clean(lpid) + 1;
+        while let Some((plpid, _)) = path.pop() {
+            needed += clean(plpid);
+            if hdr_count(self.load_page(plpid, tv)?) < INNER_CAP {
+                return Ok(needed);
+            }
+            needed += 1;
+        }
+        Ok(needed + 1)
     }
 
     /// Whether at least `needed` pages are allocatable, so a multi-page
@@ -2763,6 +2783,101 @@ mod tests {
             }
         }
         assert!(judged >= 30, "{judged} recoveries");
+    }
+
+    /// Every crash state of a tree program: the tree `start` builds,
+    /// then one transaction of `puts`. The tree after it reads as the
+    /// model (the tree before, with `puts` applied), and at every
+    /// micro-step of the transaction every image
+    /// [`nvcache_pmem::crash::landings`] names — every subset of the
+    /// lines in flight, or 4 096 of them — attaches to the tree before
+    /// or the model after, never a mix. Returns the images judged and
+    /// the cuts.
+    fn every_crash_state(
+        cfg: &TreeConfig,
+        start: &dyn Fn() -> Tree<FasePager>,
+        puts: &[(u64, Vec<u8>)],
+    ) -> (usize, usize) {
+        let all = |t: &Tree<FasePager>| t.scan(None, 0, u64::MAX, usize::MAX);
+        let txn = |t: &mut Tree<FasePager>| {
+            t.begin();
+            for (k, v) in puts {
+                t.put(*k, v).unwrap();
+            }
+            t.commit();
+        };
+        let mut t = start();
+        let (first, old) = (t.steps(), all(&t));
+        let mut new: BTreeMap<u64, Vec<u8>> = old.iter().cloned().collect();
+        new.extend(puts.iter().cloned());
+        let new: Vec<(u64, Vec<u8>)> = new.into_iter().collect();
+        txn(&mut t);
+        assert_eq!(all(&t), new, "the model");
+        let (end, lines) = (t.steps(), t.store.runtime().region().line_count());
+        let run = |plan| {
+            let mut t = start();
+            t.arm_crash(plan);
+            txn(&mut t);
+            t.take_crash_image()
+                .expect("the cut falls in the transaction")
+        };
+        let mut images = 0;
+        for step in first..end {
+            for (i, image) in nvcache_pmem::crash::landings(&run, step, lines).enumerate() {
+                let ctx = format!("step {step}, landing {i}");
+                let back = Tree::reopen_from_image(image, cfg).expect(&ctx);
+                let got = all(&back);
+                assert!(got == old || got == new, "{ctx}: not a committed prefix");
+                images += 1;
+            }
+        }
+        (images, (end - first) as usize)
+    }
+
+    /// Every crash state — every subset of the lines in flight at every
+    /// micro-step, named by `CrashMode::Exactly` — of two tree
+    /// programs: a full root leaf split by an insert (the left half
+    /// rewritten in place on its copy, a right half and a new root),
+    /// and an overwrite whose copy lands on the leaf's spare, storing
+    /// only the lines that differ from it. Each image holds a committed
+    /// prefix.
+    ///
+    /// Mutants this test kills (each checked on a copy):
+    /// - a copy onto the spare that leaves out the changed pointer line
+    ///   — the line of entry 2, which the spare holds as it was before
+    ///   the overwrite that made it one: the model after the
+    ///   transaction reads entry 2's old value. Five other tests kill
+    ///   it too, `a_copy_onto_a_spare_is_atomic_at_every_micro_step`
+    ///   and `a_copy_onto_the_spare_stores_only_the_lines_changed_since`
+    ///   among them;
+    /// - a leaf checksum over the page's first line only, so a copy
+    ///   whose header line lands without its later lines reads whole:
+    ///   `a_torn_closing_page_falls_back_to_the_older_version` kills it
+    ///   too.
+    #[test]
+    fn every_crash_state_of_a_split_and_a_spare_copy_is_a_committed_prefix() {
+        let cfg = TreeConfig {
+            data_len: CLASS_TABLE + 64 + 3 * SEGMENT,
+            ..small_cfg()
+        };
+        let full_leaf = || {
+            let mut t = Tree::create(&cfg).unwrap();
+            t.begin();
+            for k in 0..LEAF_CAP as u64 {
+                t.put(k * 2, &[1; 8]).unwrap();
+            }
+            t.commit();
+            assert_eq!(t.height(), 1);
+            t
+        };
+        let split = every_crash_state(&cfg, &full_leaf, &[(9, vec![2; 8])]);
+        let spare = every_crash_state(&cfg, &|| leaf_with_a_spare(&cfg), &[(10, vec![3; 40])]);
+        for (what, (images, cuts)) in [("split", split), ("spare copy", spare)] {
+            assert!(
+                images > cuts,
+                "{what}: no cut of {cuts} had a line in flight"
+            );
+        }
     }
 
     /// A transaction of `k` puts ends with one drain and one fence: it

@@ -115,21 +115,20 @@ impl Workload for MdbWorkload {
         "mdb"
     }
 
+    /// Every thread runs the same program, its share of the keys on a
+    /// fresh tree, and none reads its index: the program is recorded
+    /// once and its threads share the one buffer.
     fn trace(&self, threads: usize) -> Trace {
         let threads = threads.max(1);
-        let per = (self.n / threads).max(self.batch);
-        let mut recs = Vec::with_capacity(threads);
-        for _t in 0..threads {
-            let w = MdbWorkload {
-                n: per,
-                batch: self.batch,
-            };
-            let mut tree = mtest_tree(per + 64, &PolicyKind::Best);
-            tree.store_mut().runtime_mut().record_trace();
-            w.run(&mut tree);
-            recs.push(tree.store_mut().runtime_mut().take_trace().unwrap());
-        }
-        Trace { threads: recs }
+        let w = MdbWorkload {
+            n: (self.n / threads).max(self.batch),
+            batch: self.batch,
+        };
+        let mut tree = mtest_tree(w.n + 64, &PolicyKind::Best);
+        tree.store_mut().runtime_mut().record_trace();
+        w.run(&mut tree);
+        let rec = tree.store_mut().runtime_mut().take_trace().unwrap();
+        Trace::replicated(rec, threads)
     }
 
     fn paper_row(&self) -> Option<PaperRow> {
@@ -232,5 +231,38 @@ mod tests {
         let w = MdbWorkload { n: 400, batch: 10 };
         let tr = w.trace(8);
         assert_eq!(tr.num_threads(), 8);
+    }
+
+    /// The trace as it was recorded before threads shared a buffer: one
+    /// run of the program per thread, each on its own tree.
+    fn trace_per_thread(w: &MdbWorkload, threads: usize) -> Trace {
+        let threads = threads.max(1);
+        let per = (w.n / threads).max(w.batch);
+        let mut recs = Vec::with_capacity(threads);
+        for _t in 0..threads {
+            let w = MdbWorkload {
+                n: per,
+                batch: w.batch,
+            };
+            let mut tree = mtest_tree(per + 64, &PolicyKind::Best);
+            tree.store_mut().runtime_mut().record_trace();
+            w.run(&mut tree);
+            recs.push(tree.store_mut().runtime_mut().take_trace().unwrap());
+        }
+        Trace::from_threads(recs)
+    }
+
+    #[test]
+    fn one_recording_equals_one_per_thread() {
+        let w = MdbWorkload { n: 400, batch: 10 };
+        for threads in [0, 1, 3, 8] {
+            let tr = w.trace(threads);
+            assert_eq!(tr, trace_per_thread(&w, threads), "{threads} threads");
+            let first = &tr.threads[0];
+            assert!(
+                tr.threads.iter().all(|t| std::sync::Arc::ptr_eq(t, first)),
+                "{threads} threads: one buffer"
+            );
+        }
     }
 }

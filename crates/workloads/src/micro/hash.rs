@@ -156,7 +156,7 @@ impl Workload for HashWorkload {
             }
             recs.push(h.runtime_mut().take_trace().unwrap());
         }
-        Trace { threads: recs }
+        Trace::from_threads(recs)
     }
 
     fn paper_row(&self) -> Option<PaperRow> {

@@ -130,7 +130,7 @@ impl Workload for LinkedListWorkload {
             }
             recs.push(l.runtime_mut().take_trace().unwrap());
         }
-        Trace { threads: recs }
+        Trace::from_threads(recs)
     }
 
     fn paper_row(&self) -> Option<PaperRow> {

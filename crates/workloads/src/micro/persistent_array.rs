@@ -57,22 +57,19 @@ impl Workload for PersistentArray {
 
     fn trace(&self, threads: usize) -> Trace {
         // sequential benchmark: thread 0 does the work; extra threads
-        // replicate the paper's single-thread behaviour
-        let mut recs = Vec::with_capacity(threads);
-        for _ in 0..threads.max(1) {
-            let mut rt = FaseRuntime::new(
-                self.inner * 4 + 64,
-                // log holds the old value of every store in the single
-                // FASE: a group header, a record header and the padded
-                // pre-image each
-                (self.inner * self.outer) * 32 + 4096,
-                &PolicyKind::Best,
-            );
-            rt.record_trace();
-            self.run(&mut rt);
-            recs.push(rt.take_trace().unwrap());
-        }
-        Trace { threads: recs }
+        // replicate the paper's single-thread behaviour, so they share
+        // its one recording
+        let mut rt = FaseRuntime::new(
+            self.inner * 4 + 64,
+            // log holds the old value of every store in the single
+            // FASE: a group header, a record header and the padded
+            // pre-image each
+            (self.inner * self.outer) * 32 + 4096,
+            &PolicyKind::Best,
+        );
+        rt.record_trace();
+        self.run(&mut rt);
+        Trace::replicated(rt.take_trace().unwrap(), threads.max(1))
     }
 
     fn paper_row(&self) -> Option<PaperRow> {
@@ -158,6 +155,37 @@ mod tests {
             let mut b = [0u8; 4];
             rt.load(i * 4, &mut b);
             assert_eq!(u32::from_le_bytes(b), i as u32);
+        }
+    }
+
+    /// The trace as it was recorded before threads shared a buffer: one
+    /// run of the program per thread.
+    fn trace_per_thread(w: &PersistentArray, threads: usize) -> Trace {
+        let mut recs = Vec::with_capacity(threads);
+        for _ in 0..threads.max(1) {
+            let mut rt = FaseRuntime::new(
+                w.inner * 4 + 64,
+                (w.inner * w.outer) * 32 + 4096,
+                &PolicyKind::Best,
+            );
+            rt.record_trace();
+            w.run(&mut rt);
+            recs.push(rt.take_trace().unwrap());
+        }
+        Trace::from_threads(recs)
+    }
+
+    #[test]
+    fn one_recording_equals_one_per_thread() {
+        let w = small();
+        for threads in [0, 1, 3, 8] {
+            let tr = w.trace(threads);
+            assert_eq!(tr, trace_per_thread(&w, threads), "{threads} threads");
+            let first = &tr.threads[0];
+            assert!(
+                tr.threads.iter().all(|t| std::sync::Arc::ptr_eq(t, first)),
+                "{threads} threads: one buffer"
+            );
         }
     }
 

@@ -138,7 +138,7 @@ impl Workload for QueueWorkload {
             }
             recs.push(q.runtime_mut().take_trace().unwrap());
         }
-        Trace { threads: recs }
+        Trace::from_threads(recs)
     }
 
     fn paper_row(&self) -> Option<PaperRow> {

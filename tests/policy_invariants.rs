@@ -19,7 +19,7 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
             }
             t.fase_end();
         }
-        Trace { threads: vec![t] }
+        Trace::from_threads(vec![t])
     })
 }
 

@@ -78,7 +78,7 @@ proptest! {
     /// Trace statistics are mutually consistent.
     #[test]
     fn stats_are_consistent(fases in fase_program()) {
-        let tr = Trace { threads: vec![build(&fases)] };
+        let tr = Trace::from_threads(vec![build(&fases)]);
         let s = tr.stats();
         prop_assert_eq!(s.total_fases, fases.len());
         let writes: usize = fases.iter().map(|f| f.len()).sum();

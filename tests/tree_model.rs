@@ -518,8 +518,8 @@ fn scans_at_key_boundaries_match_the_model() {
     t.unpin(snap);
 }
 
-/// Full means full. A small tree filled until an insert no longer finds
-/// its worst case (`2·height + 4` pages) free still takes overwrites:
+/// Full means full. A small tree filled until fewer pages are free than
+/// `put`'s fast bound (`2·height + 4`) still takes overwrites:
 /// one needs a value cell and, in a leaf its transaction has not copied
 /// yet, a leaf copy; a key the transaction already put needs no page at
 /// all. An overwrite — alone or in a group — is refused, and stages
@@ -535,12 +535,12 @@ fn a_full_tree_takes_every_overwrite_it_has_pages_for() {
     let mut t = Tree::create(&cfg).unwrap();
     let mut model = Model::new();
     for key in 0.. {
-        t.begin();
-        let put = t.put(key, &value(key, 24));
-        t.commit();
-        if put == Err(TreeError::Full) {
+        if free(&t) < 2 * t.height() + 4 {
             break;
         }
+        t.begin();
+        t.put(key, &value(key, 24)).unwrap();
+        t.commit();
         model.insert(key, value(key, 24));
     }
     let worst = 2 * t.height() + 4;
@@ -601,5 +601,64 @@ fn a_full_tree_takes_every_overwrite_it_has_pages_for() {
     assert_eq!(
         t.scan(None, 0, u64::MAX, usize::MAX),
         model_scan(&staged, 0, u64::MAX, usize::MAX)
+    );
+}
+
+/// Full means full for inserts too. An insert reserves its own worst
+/// case from its path — a value cell, a copy of a leaf its transaction
+/// has not copied, and only for a full leaf the split's pages up the
+/// path — not `2·height + 4`. A twin tree with room to spare, given the
+/// same puts, says what each insert takes: the small tree takes exactly
+/// that, and refuses an insert only when fewer pages are free, staging
+/// nothing. Inserts into leaves with room succeed with fewer than
+/// `2·height + 4` pages free, one to three keys a transaction.
+#[test]
+fn a_full_tree_takes_every_insert_it_has_pages_for() {
+    let small = TreeConfig {
+        data_len: 64 + 64 + 8 * 4096,
+        ..cfg()
+    };
+    let pages = |c: &TreeConfig| SegmentTable::new(c.data_len).segments() as u64 * 16;
+    let (small_pages, twin_pages) = (pages(&small), pages(&cfg()));
+    let free = |t: &Tree, pages: u64| t.free_pages() as u64 + pages - t.pages_allocated();
+    let (mut t, mut twin) = (Tree::create(&small).unwrap(), Tree::create(&cfg()).unwrap());
+    let mut model = Model::new();
+    let mut below_worst = 0;
+    let mut s = 0x1dea_u64;
+    'fill: loop {
+        t.begin();
+        twin.begin();
+        for _ in 0..=splitmix(&mut s) % 3 {
+            let key = splitmix(&mut s) >> 32;
+            let (before, worst) = (free(&t, small_pages), 2 * t.height() + 4);
+            let twin_before = free(&twin, twin_pages);
+            twin.put(key, &value(key, 24)).unwrap();
+            let need = twin_before - free(&twin, twin_pages);
+            match t.put(key, &value(key, 24)) {
+                Ok(()) => {
+                    assert_eq!(before - free(&t, small_pages), need, "key {key}");
+                    model.insert(key, value(key, 24));
+                    below_worst += usize::from(before < worst);
+                }
+                Err(e) => {
+                    assert_eq!(e, TreeError::Full, "key {key}");
+                    assert!(before < need, "key {key} refused, {before} of {need} free");
+                    assert_eq!(free(&t, small_pages), before, "key {key} took a page");
+                    assert_eq!(t.get(key), None, "key {key}");
+                    break 'fill;
+                }
+            }
+        }
+        t.commit();
+        twin.commit();
+    }
+    t.commit();
+    assert!(
+        below_worst > 0,
+        "no insert with fewer than 2·height + 4 free"
+    );
+    assert_eq!(
+        t.scan(None, 0, u64::MAX, usize::MAX),
+        model_scan(&model, 0, u64::MAX, usize::MAX)
     );
 }
