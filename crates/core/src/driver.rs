@@ -6,20 +6,33 @@
 //!   how Table III's flush ratios are produced, and it is fast enough
 //!   for the paper-size write counts.
 //! * [`run_policy`] — full machine simulation: cycles, instructions and
-//!   L1 behaviour per thread (Tables I/II/IV, Figures 4–6). Threads are
-//!   simulated independently (per-thread software caches share nothing,
-//!   paper Section II-B); parallel execution time is the maximum
-//!   per-thread cycle count.
+//!   L1 behaviour per thread (Tables I/II/IV, Figures 4–6). Each thread
+//!   has its own software cache and its own machine (per-thread
+//!   software caches share nothing, paper Section II-B); parallel
+//!   execution time is the maximum per-thread cycle count.
 //!
-//! Both drivers replay trace threads on real OS threads when asked to
-//! via [`ReplayOptions`] (`flush_stats_with` / `run_policy_with`).
-//! Because per-thread policies and machines share nothing and
+//! Replica groups: threads whose buffers are one `Arc` (a
+//! [`Trace::replicated`] recording) form a *replica group*, found by
+//! pointer identity alone. A group is replayed by **one** policy pass:
+//! each event, and each flush decision the policy makes, goes to every
+//! replica's own [`Machine`] (seeded from that replica's thread id) and
+//! to every replica's own telemetry recorder (stamped with that
+//! machine's clock). A policy's decisions depend only on the events it
+//! sees, never on the machine, so the replicas' policies would all
+//! decide the same and one pass stands for all of them: every result is
+//! bit-identical to replaying each thread against its own policy. A
+//! thread with a buffer of its own is a group of one.
+//!
+//! Both drivers replay groups on real OS threads when asked to via
+//! [`ReplayOptions`] (`flush_stats_with` / `run_policy_with`): a group
+//! is one unit of work, so parallelism spreads across groups only and
+//! no policy pass is ever repeated. Because groups share nothing and
 //! per-thread RNG seeds are fixed functions of the thread id, the
-//! parallel result is **bit-identical** to the sequential one: workers
-//! return `(tid, result)` pairs that are re-assembled in tid order
-//! before any aggregation happens.
+//! parallel result is **bit-identical** to the sequential one: every
+//! per-thread result is put back in tid order before any aggregation
+//! happens.
 //!
-//! Dispatch: each trace thread builds its policy with
+//! Dispatch: each replica group builds its policy with
 //! [`PolicyKind::build_policy`] and matches on the
 //! [`Policy`](crate::Policy) variant **once**, outside the loop, so the
 //! replay loops (generic over `P: PersistPolicy`) compile once per
@@ -32,8 +45,9 @@ use nvcache_telemetry::{
     CounterId, EventKind, HistId, NullRecorder, Recorder, Sample, TelemetryConfig,
     TelemetrySnapshot, ThreadRecorder,
 };
-use nvcache_trace::{Event, ThreadTrace, Trace};
+use nvcache_trace::{Event, Line, ThreadTrace, Trace};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// How replay work is scheduled across OS threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +184,8 @@ const REPLAY_CHUNK: usize = 1024;
 /// writes counters) leaves every snapshot bit-identical while keeping
 /// shard-array traffic off the per-event path. Timeline `emit`s and
 /// histogram `observe`s are *not* batched — the ring is bounded (drop
-/// order matters) and histogram samples depend on in-loop state.
+/// order matters) and histogram samples depend on in-loop state. The
+/// counts are the policy's alone, so one batch serves every replica.
 #[derive(Default, Clone, Copy)]
 struct StoreBatch {
     stores: u64,
@@ -180,32 +195,37 @@ struct StoreBatch {
 }
 
 impl StoreBatch {
-    /// Flush the batched counts into the recorder shard and reset.
+    /// Add the batched counts to every replica's recorder and reset.
     /// Evictions and async flushes are counted 1:1 on this path.
     #[inline]
-    fn drain_into<R: Recorder>(&mut self, rec: &mut R) {
+    fn drain_into<R: Recorder>(&mut self, recs: &mut [R]) {
         if R::ENABLED {
-            rec.add(CounterId::Stores, self.stores);
-            rec.add(CounterId::ScHits, self.hits);
-            rec.add(CounterId::ScMisses, self.misses);
-            rec.add(CounterId::ScEvictions, self.evictions);
-            rec.add(CounterId::FlushesAsync, self.evictions);
+            for rec in recs.iter_mut() {
+                rec.add(CounterId::Stores, self.stores);
+                rec.add(CounterId::ScHits, self.hits);
+                rec.add(CounterId::ScMisses, self.misses);
+                rec.add(CounterId::ScEvictions, self.evictions);
+                rec.add(CounterId::FlushesAsync, self.evictions);
+            }
             *self = StoreBatch::default();
         }
     }
 }
 
-/// Replay one thread through `policy`, counting flushes.
+/// Replay one replica group through `policy`, counting flushes: every
+/// replica sees the same events and decisions, so one count serves the
+/// whole group, and each replica's recorder in `recs` gets the same
+/// telemetry.
 ///
 /// Generic over the concrete policy and the telemetry [`Recorder`]: with
 /// [`NullRecorder`] every `R::ENABLED` block is a constant-false branch
 /// the optimizer deletes, so the uninstrumented path is byte-for-byte
 /// the pre-telemetry loop. Timeline timestamps in this (untimed) driver
 /// are the per-thread trace-event ordinal.
-fn flush_thread<P: PersistPolicy, R: Recorder>(
+fn flush_group<P: PersistPolicy, R: Recorder>(
     thread: &ThreadTrace,
     policy: &mut P,
-    rec: &mut R,
+    recs: &mut [R],
 ) -> ThreadFlushes {
     let mut acc = ThreadFlushes::default();
     let mut depth = 0usize;
@@ -224,23 +244,27 @@ fn flush_thread<P: PersistPolicy, R: Recorder>(
                     if R::ENABLED {
                         fase_stores += 1;
                         batch.stores += 1;
-                        match outcome {
+                        let kind = match outcome {
                             StoreOutcome::Combined => {
                                 batch.hits += 1;
-                                rec.emit(EventKind::ScHit, t, l.0, 0);
+                                EventKind::ScHit
                             }
                             StoreOutcome::Inserted => {
                                 batch.misses += 1;
-                                rec.emit(EventKind::ScInsert, t, l.0, 0);
+                                EventKind::ScInsert
                             }
-                        }
-                        for victim in &buf {
-                            batch.evictions += 1;
-                            rec.emit(EventKind::ScEvict, t, victim.0, 0);
-                        }
-                        if let Some((knee, cap)) = policy.take_capacity_change() {
-                            rec.incr(CounterId::CapacityChanges);
-                            rec.emit(EventKind::CapacityChange, t, knee as u64, cap as u64);
+                        };
+                        batch.evictions += buf.len() as u64;
+                        let change = policy.take_capacity_change();
+                        for rec in recs.iter_mut() {
+                            rec.emit(kind, t, l.0, 0);
+                            for victim in &buf {
+                                rec.emit(EventKind::ScEvict, t, victim.0, 0);
+                            }
+                            if let Some((knee, cap)) = change {
+                                rec.incr(CounterId::CapacityChanges);
+                                rec.emit(EventKind::CapacityChange, t, knee as u64, cap as u64);
+                            }
                         }
                     }
                     buf.clear();
@@ -250,8 +274,10 @@ fn flush_thread<P: PersistPolicy, R: Recorder>(
                     if depth == 1 {
                         policy.on_fase_begin();
                         if R::ENABLED {
-                            rec.incr(CounterId::FaseBegins);
-                            rec.emit(EventKind::FaseBegin, t, 0, 0);
+                            for rec in recs.iter_mut() {
+                                rec.incr(CounterId::FaseBegins);
+                                rec.emit(EventKind::FaseBegin, t, 0, 0);
+                            }
                             fase_stores = 0;
                         }
                     }
@@ -261,10 +287,12 @@ fn flush_thread<P: PersistPolicy, R: Recorder>(
                         policy.on_fase_end(&mut buf);
                         acc.fl_sync += buf.len() as u64;
                         if R::ENABLED {
-                            rec.incr(CounterId::FaseEnds);
-                            rec.add(CounterId::FlushesSync, buf.len() as u64);
-                            rec.observe(HistId::FaseStores, fase_stores);
-                            rec.emit(EventKind::FaseEnd, t, fase_stores, buf.len() as u64);
+                            for rec in recs.iter_mut() {
+                                rec.incr(CounterId::FaseEnds);
+                                rec.add(CounterId::FlushesSync, buf.len() as u64);
+                                rec.observe(HistId::FaseStores, fase_stores);
+                                rec.emit(EventKind::FaseEnd, t, fase_stores, buf.len() as u64);
+                            }
                         }
                         buf.clear();
                     }
@@ -273,15 +301,66 @@ fn flush_thread<P: PersistPolicy, R: Recorder>(
                 Event::Read(_) | Event::Work(_) => {}
             }
         }
-        batch.drain_into(rec);
+        batch.drain_into(recs);
     }
     // program exit: remaining buffered lines must still be persisted
     policy.on_fase_end(&mut buf);
     acc.fl_sync += buf.len() as u64;
     if R::ENABLED {
-        rec.add(CounterId::FlushesSync, buf.len() as u64);
+        for rec in recs.iter_mut() {
+            rec.add(CounterId::FlushesSync, buf.len() as u64);
+        }
     }
     acc
+}
+
+/// One unit of replay work: a shared event buffer and the ids of the
+/// threads (all of them replicas of that buffer) replayed from it by
+/// one policy pass.
+type ReplicaGroup<'a> = (&'a ThreadTrace, Vec<usize>);
+
+/// The replica groups of `trace`: threads whose buffers are one `Arc`,
+/// found by pointer identity, in order of first appearance.
+fn replica_groups(trace: &Trace) -> Vec<ReplicaGroup<'_>> {
+    let mut groups: Vec<(&Arc<ThreadTrace>, Vec<usize>)> = Vec::new();
+    for (tid, t) in trace.threads.iter().enumerate() {
+        match groups.iter_mut().find(|(g, _)| Arc::ptr_eq(g, t)) {
+            Some((_, tids)) => tids.push(tid),
+            None => groups.push((t, vec![tid])),
+        }
+    }
+    groups.into_iter().map(|(t, tids)| (&**t, tids)).collect()
+}
+
+/// Run `f` once per replica group of `trace` on up to
+/// `opts.parallelism` OS threads. `f(buffer, tids)` returns one result
+/// per id of `tids`, in that order; the results come back in thread-id
+/// order.
+fn fan_out_groups<T, F>(trace: &Trace, opts: &ReplayOptions, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(&ThreadTrace, &[usize]) -> Vec<T> + Sync,
+{
+    let groups = replica_groups(trace);
+    let per_group = fan_out(&groups, opts.parallelism, |_, (t, tids)| f(t, tids));
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(trace.num_threads());
+    slots.resize_with(trace.num_threads(), || None);
+    for ((_, tids), results) in groups.iter().zip(per_group) {
+        for (&tid, r) in tids.iter().zip(results) {
+            slots[tid] = Some(r);
+        }
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every thread replayed"))
+        .collect()
+}
+
+/// One telemetry recorder per thread of `tids`.
+fn recorders(tids: &[usize], tcfg: &TelemetryConfig) -> Vec<ThreadRecorder> {
+    tids.iter()
+        .map(|&tid| ThreadRecorder::new(tid as u32, tcfg))
+        .collect()
 }
 
 /// Count flushes exactly, without the timing model (sequentially).
@@ -289,13 +368,14 @@ pub fn flush_stats(trace: &Trace, kind: &PolicyKind) -> FlushStats {
     flush_stats_with(trace, kind, &ReplayOptions::sequential())
 }
 
-/// Count flushes exactly, replaying trace threads on up to
+/// Count flushes exactly, replaying replica groups on up to
 /// `opts.parallelism` OS threads. Identical output to [`flush_stats`]
 /// for every `opts`.
 pub fn flush_stats_with(trace: &Trace, kind: &PolicyKind, opts: &ReplayOptions) -> FlushStats {
-    let per = fan_out(&trace.threads, opts.parallelism, |_tid, t| {
+    let per = fan_out_groups(trace, opts, |t, tids| {
         let mut policy = kind.build_policy();
-        each_variant!(&mut policy, p => flush_thread(t, p, &mut NullRecorder))
+        let flushes = each_variant!(&mut policy, p => flush_group(t, p, &mut [NullRecorder]));
+        vec![flushes; tids.len()]
     });
     aggregate_flushes(kind, per)
 }
@@ -311,10 +391,10 @@ pub fn flush_stats_traced(
     opts: &ReplayOptions,
     tcfg: &TelemetryConfig,
 ) -> (FlushStats, TelemetrySnapshot) {
-    let per = fan_out(&trace.threads, opts.parallelism, |tid, t| {
-        let (mut policy, mut rec) = (kind.build_policy(), ThreadRecorder::new(tid as u32, tcfg));
-        let flushes = each_variant!(&mut policy, p => flush_thread(t, p, &mut rec));
-        (flushes, rec)
+    let per = fan_out_groups(trace, opts, |t, tids| {
+        let (mut policy, mut recs) = (kind.build_policy(), recorders(tids, tcfg));
+        let flushes = each_variant!(&mut policy, p => flush_group(t, p, &mut recs));
+        recs.into_iter().map(|rec| (flushes, rec)).collect()
     });
     let (flushes, snapshot) = split_shards(per);
     (aggregate_flushes(kind, flushes), snapshot)
@@ -402,8 +482,8 @@ const FLUSH_BUF_CAPACITY: usize = 64;
 /// Drain one FASE-boundary flush batch into the machine: one
 /// synchronous flush per line, in policy emission order, with per-flush
 /// telemetry when enabled. The caller's fence pays the drain.
-fn drain_fase_buf<R: Recorder>(m: &mut Machine, buf: &mut Vec<nvcache_trace::Line>, rec: &mut R) {
-    for line in buf.drain(..) {
+fn drain_fase_buf<R: Recorder>(m: &mut Machine, lines: &[Line], rec: &mut R) {
+    for &line in lines {
         m.flush_sync(line);
         if R::ENABLED {
             rec.incr(CounterId::FlushesSync);
@@ -413,25 +493,35 @@ fn drain_fase_buf<R: Recorder>(m: &mut Machine, buf: &mut Vec<nvcache_trace::Lin
     }
 }
 
-/// Simulate one trace thread with full timing. `tid` decorrelates the
-/// per-thread contention RNG: the seed is a pure function of the
-/// config seed and the thread id, never of scheduling.
+/// Simulate one replica group with full timing: `policy` replays
+/// `thread` once, and each event and each of its flush decisions goes
+/// to the machine of every thread in `tids`. A thread's machine is
+/// seeded from its id (a pure function of the config seed and the
+/// thread id, never of scheduling or grouping), so each replica's
+/// report is the one a replay of that thread alone would give. Returns
+/// `(stores, report)` per thread of `tids`, in that order.
 ///
-/// Generic over the telemetry [`Recorder`] like [`flush_thread`]; here
-/// the timeline time axis is the machine's simulated cycle clock, and
-/// the instrumentation additionally samples flush-queue depth and
-/// attributes stall cycles to sync flushes vs. FASE-end drains.
-fn replay_thread<P: PersistPolicy, R: Recorder>(
+/// Generic over the telemetry [`Recorder`] like [`flush_group`]; `recs`
+/// holds one recorder per thread of `tids`. Here the timeline time axis
+/// is the replica's own simulated cycle clock, and the instrumentation
+/// additionally samples flush-queue depth and attributes stall cycles
+/// to sync flushes vs. FASE-end drains.
+fn replay_group<P: PersistPolicy, R: Recorder>(
     thread: &ThreadTrace,
-    tid: usize,
+    tids: &[usize],
     policy: &mut P,
     cfg: &RunConfig,
-    rec: &mut R,
-) -> (u64, MachineReport) {
+    recs: &mut [R],
+) -> Vec<(u64, MachineReport)> {
+    let mut machines: Vec<Machine> = tids
+        .iter()
+        .map(|&tid| {
+            let mut mcfg = cfg.machine;
+            mcfg.seed = cfg.machine.seed.wrapping_add(tid as u64 * 0x9e37_79b9);
+            Machine::new(mcfg)
+        })
+        .collect();
     let mut stores = 0u64;
-    let mut mcfg = cfg.machine;
-    mcfg.seed = cfg.machine.seed.wrapping_add(tid as u64 * 0x9e37_79b9);
-    let mut m = Machine::new(mcfg);
     let mut depth = 0usize;
     let mut buf = Vec::with_capacity(FLUSH_BUF_CAPACITY);
     let mut fase_stores = 0u64;
@@ -448,51 +538,64 @@ fn replay_thread<P: PersistPolicy, R: Recorder>(
             match e {
                 Event::Write(l) => {
                     stores += 1;
-                    m.store(*l);
                     let outcome = policy.on_store(*l, &mut buf);
-                    m.software_overhead(policy.store_overhead_instrs());
+                    let overhead = policy.store_overhead_instrs();
                     let extra = policy.drain_extra_instrs();
-                    if extra > 0 {
-                        m.software_overhead(extra);
-                    }
+                    let mut change = None;
+                    let mut kind = EventKind::ScHit;
                     if R::ENABLED {
                         fase_stores += 1;
                         batch.stores += 1;
-                        match outcome {
-                            StoreOutcome::Combined => {
-                                batch.hits += 1;
-                                cum_hits += 1;
-                                rec.emit(EventKind::ScHit, m.now(), l.0, 0);
-                            }
-                            StoreOutcome::Inserted => {
-                                batch.misses += 1;
-                                cum_misses += 1;
-                                rec.emit(EventKind::ScInsert, m.now(), l.0, 0);
-                            }
+                        batch.evictions += buf.len() as u64;
+                        if outcome == StoreOutcome::Combined {
+                            batch.hits += 1;
+                            cum_hits += 1;
+                        } else {
+                            batch.misses += 1;
+                            cum_misses += 1;
+                            kind = EventKind::ScInsert;
                         }
-                        if let Some((knee, cap)) = policy.take_capacity_change() {
-                            rec.incr(CounterId::CapacityChanges);
-                            rec.emit(EventKind::CapacityChange, m.now(), knee as u64, cap as u64);
-                        }
+                        change = policy.take_capacity_change();
                     }
-                    for victim in buf.drain(..) {
-                        m.flush_async(victim);
+                    for (m, rec) in machines.iter_mut().zip(recs.iter_mut()) {
+                        m.store(*l);
+                        m.software_overhead(overhead);
+                        if extra > 0 {
+                            m.software_overhead(extra);
+                        }
                         if R::ENABLED {
-                            batch.evictions += 1;
-                            rec.emit(EventKind::FlushAsync, m.now(), victim.0, 0);
-                            rec.observe(HistId::QueueDepth, m.queue_depth() as u64);
+                            rec.emit(kind, m.now(), l.0, 0);
+                            if let Some((knee, cap)) = change {
+                                rec.incr(CounterId::CapacityChanges);
+                                rec.emit(
+                                    EventKind::CapacityChange,
+                                    m.now(),
+                                    knee as u64,
+                                    cap as u64,
+                                );
+                            }
+                        }
+                        for &victim in &buf {
+                            m.flush_async(victim);
+                            if R::ENABLED {
+                                rec.emit(EventKind::FlushAsync, m.now(), victim.0, 0);
+                                rec.observe(HistId::QueueDepth, m.queue_depth() as u64);
+                            }
                         }
                     }
+                    buf.clear();
                 }
-                Event::Read(l) => m.load(*l),
-                Event::Work(u) => m.work(*u),
+                Event::Read(l) => machines.iter_mut().for_each(|m| m.load(*l)),
+                Event::Work(u) => machines.iter_mut().for_each(|m| m.work(*u)),
                 Event::FaseBegin => {
                     depth += 1;
                     if depth == 1 {
                         policy.on_fase_begin();
                         if R::ENABLED {
-                            rec.incr(CounterId::FaseBegins);
-                            rec.emit(EventKind::FaseBegin, m.now(), 0, 0);
+                            for (m, rec) in machines.iter().zip(recs.iter_mut()) {
+                                rec.incr(CounterId::FaseBegins);
+                                rec.emit(EventKind::FaseBegin, m.now(), 0, 0);
+                            }
                             fase_stores = 0;
                         }
                     }
@@ -501,68 +604,77 @@ fn replay_thread<P: PersistPolicy, R: Recorder>(
                     if depth == 1 {
                         policy.on_fase_end(&mut buf);
                         if R::ENABLED {
-                            let n = buf.len() as u64;
-                            let stall_before = m.fase_stall_cycles();
-                            drain_fase_buf(&mut m, &mut buf, rec);
-                            let sync_stall = m.fase_stall_cycles() - stall_before;
-                            rec.observe(HistId::SyncFlushStall, sync_stall);
-                            let drain_before = m.fase_stall_cycles();
-                            m.fence();
-                            let drain_stall = m.fase_stall_cycles() - drain_before;
-                            rec.observe(HistId::DrainStall, drain_stall);
-                            rec.incr(CounterId::Fences);
-                            rec.incr(CounterId::FaseEnds);
-                            rec.observe(HistId::FaseStores, fase_stores);
-                            rec.emit(EventKind::QueueDrain, m.now(), drain_stall, 0);
-                            rec.emit(EventKind::FaseEnd, m.now(), fase_stores, n);
                             fases += 1;
-                            if rec.sample_due(fases) {
-                                let total = cum_hits + cum_misses;
-                                rec.sample(Sample {
-                                    t: m.now(),
-                                    tid: tid as u32,
-                                    ring_depth: m.queue_depth() as u64,
-                                    capacity: policy.sc_capacity().map_or(0, |c| c as u64),
-                                    hit_ratio_bp: (cum_hits * 10_000)
-                                        .checked_div(total)
-                                        .unwrap_or(0)
-                                        as u32,
-                                    stalls: m.fase_stall_cycles(),
-                                });
+                            let n = buf.len() as u64;
+                            let replicas = machines.iter_mut().zip(recs.iter_mut()).zip(tids);
+                            for ((m, rec), &tid) in replicas {
+                                let stall_before = m.fase_stall_cycles();
+                                drain_fase_buf(m, &buf, rec);
+                                let sync_stall = m.fase_stall_cycles() - stall_before;
+                                rec.observe(HistId::SyncFlushStall, sync_stall);
+                                let drain_before = m.fase_stall_cycles();
+                                m.fence();
+                                let drain_stall = m.fase_stall_cycles() - drain_before;
+                                rec.observe(HistId::DrainStall, drain_stall);
+                                rec.incr(CounterId::Fences);
+                                rec.incr(CounterId::FaseEnds);
+                                rec.observe(HistId::FaseStores, fase_stores);
+                                rec.emit(EventKind::QueueDrain, m.now(), drain_stall, 0);
+                                rec.emit(EventKind::FaseEnd, m.now(), fase_stores, n);
+                                if rec.sample_due(fases) {
+                                    let total = cum_hits + cum_misses;
+                                    rec.sample(Sample {
+                                        t: m.now(),
+                                        tid: tid as u32,
+                                        ring_depth: m.queue_depth() as u64,
+                                        capacity: policy.sc_capacity().map_or(0, |c| c as u64),
+                                        hit_ratio_bp: (cum_hits * 10_000)
+                                            .checked_div(total)
+                                            .unwrap_or(0)
+                                            as u32,
+                                        stalls: m.fase_stall_cycles(),
+                                    });
+                                }
                             }
                         } else {
-                            drain_fase_buf(&mut m, &mut buf, rec);
-                            m.fence();
+                            for (m, rec) in machines.iter_mut().zip(recs.iter_mut()) {
+                                drain_fase_buf(m, &buf, rec);
+                                m.fence();
+                            }
                         }
+                        buf.clear();
                     }
                     depth = depth.saturating_sub(1);
                 }
             }
         }
-        batch.drain_into(rec);
+        batch.drain_into(recs);
     }
     // flush whatever the policy still buffers at program end
     policy.on_fase_end(&mut buf);
-    drain_fase_buf(&mut m, &mut buf, rec);
-    m.fence();
-    if R::ENABLED {
-        rec.incr(CounterId::Fences);
-        rec.add(CounterId::FaseStallCycles, m.fase_stall_cycles());
-        rec.add(CounterId::QueueStallCycles, m.total_stall_cycles());
+    for (m, rec) in machines.iter_mut().zip(recs.iter_mut()) {
+        drain_fase_buf(m, &buf, rec);
+        m.fence();
+        if R::ENABLED {
+            rec.incr(CounterId::Fences);
+            rec.add(CounterId::FaseStallCycles, m.fase_stall_cycles());
+            rec.add(CounterId::QueueStallCycles, m.total_stall_cycles());
+        }
     }
-    (stores, m.finish())
+    machines.into_iter().map(|m| (stores, m.finish())).collect()
 }
 
 /// Replay `trace` under `kind` with full timing (sequentially). Each
-/// thread gets a fresh policy instance and hardware context
-/// (per-thread seeds differ so contention schedules decorrelate).
+/// thread gets its own hardware context and, through its replica
+/// group's policy pass, its own software cache (per-thread seeds differ
+/// so contention schedules decorrelate).
 pub fn run_policy(trace: &Trace, kind: &PolicyKind, cfg: &RunConfig) -> RunReport {
     run_policy_with(trace, kind, cfg, &ReplayOptions::sequential())
 }
 
-/// Replay `trace` under `kind` with full timing, simulating trace
-/// threads on up to `opts.parallelism` OS threads. Identical output to
-/// [`run_policy`] for every `opts`: threads share nothing, and
+/// Replay `trace` under `kind` with full timing, simulating replica
+/// groups on up to `opts.parallelism` OS threads. Identical output to
+/// [`run_policy`] for every `opts`: groups share nothing, and
 /// per-thread results are aggregated in thread-id order.
 pub fn run_policy_with(
     trace: &Trace,
@@ -570,9 +682,10 @@ pub fn run_policy_with(
     cfg: &RunConfig,
     opts: &ReplayOptions,
 ) -> RunReport {
-    let per = fan_out(&trace.threads, opts.parallelism, |tid, t| {
+    let per = fan_out_groups(trace, opts, |t, tids| {
         let mut policy = kind.build_policy();
-        each_variant!(&mut policy, p => replay_thread(t, tid, p, cfg, &mut NullRecorder))
+        let mut recs = vec![NullRecorder; tids.len()];
+        each_variant!(&mut policy, p => replay_group(t, tids, p, cfg, &mut recs))
     });
     aggregate_runs(kind, per)
 }
@@ -588,10 +701,10 @@ pub fn run_policy_traced(
     opts: &ReplayOptions,
     tcfg: &TelemetryConfig,
 ) -> (RunReport, TelemetrySnapshot) {
-    let per = fan_out(&trace.threads, opts.parallelism, |tid, t| {
-        let (mut policy, mut rec) = (kind.build_policy(), ThreadRecorder::new(tid as u32, tcfg));
-        let out = each_variant!(&mut policy, p => replay_thread(t, tid, p, cfg, &mut rec));
-        (out, rec)
+    let per = fan_out_groups(trace, opts, |t, tids| {
+        let (mut policy, mut recs) = (kind.build_policy(), recorders(tids, tcfg));
+        let runs = each_variant!(&mut policy, p => replay_group(t, tids, p, cfg, &mut recs));
+        runs.into_iter().zip(recs).collect()
     });
     let (runs, snapshot) = split_shards(per);
     (aggregate_runs(kind, runs), snapshot)
@@ -798,6 +911,27 @@ mod tests {
         assert_eq!(ReplayOptions::with_parallelism(0).parallelism, 1);
         assert_eq!(ReplayOptions::with_parallelism(6).parallelism, 6);
         assert!(ReplayOptions::parallel().parallelism >= 1);
+    }
+
+    #[test]
+    fn replica_groups_follow_pointer_identity() {
+        let a = Arc::new(cyclic(4, 10, &opts(5)).threads[0].as_ref().clone());
+        let b = Arc::new(cyclic(6, 10, &opts(5)).threads[0].as_ref().clone());
+        let mixed = Trace {
+            threads: vec![a.clone(), b.clone(), a.clone(), a.clone(), b.clone()],
+        };
+        let groups = replica_groups(&mixed);
+        for (t, tids) in &groups {
+            assert!(tids
+                .iter()
+                .all(|&tid| std::ptr::eq(*t, &*mixed.threads[tid])));
+        }
+        let tids: Vec<Vec<usize>> = groups.into_iter().map(|(_, tids)| tids).collect();
+        assert_eq!(tids, [vec![0, 2, 3], vec![1, 4]]);
+        // equal contents in buffers of their own are groups of one
+        let own = Trace::from_threads(vec![(*a).clone(); 3]);
+        assert_eq!(replica_groups(&own).len(), 3);
+        assert!(replica_groups(&Trace::default()).is_empty());
     }
 
     #[test]

@@ -16,9 +16,11 @@
 //! The cache itself ([`lru::LruCache`]) is the paper's hash-map +
 //! doubly-linked-list design with O(1) lookup, insertion, promotion,
 //! eviction and resize. It is strictly per-thread by ownership: each
-//! simulated or real thread builds and owns its own policy instance and
-//! every call takes `&mut self`, so there is no locking anywhere on the
-//! store path (paper Section II-B).
+//! real thread builds and owns its own policy instance (the replay
+//! driver builds one per group of simulated threads that replay one
+//! recorded buffer, whose decisions are each thread's own) and every
+//! call takes `&mut self`, so there is no locking anywhere on the store
+//! path (paper Section II-B).
 //!
 //! [`driver`] replays recorded traces through a policy, either counting
 //! flushes exactly (Table III) or against the full machine timing model

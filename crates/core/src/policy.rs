@@ -74,8 +74,8 @@ pub trait PersistPolicy {
 }
 
 /// Factory enumeration of the six techniques, used by the harness to
-/// instantiate one policy instance per thread
-/// ([`PolicyKind::build_policy`]).
+/// instantiate one policy instance per thread, or per replica group in
+/// the replay driver ([`PolicyKind::build_policy`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolicyKind {
     /// ER: flush on every store.

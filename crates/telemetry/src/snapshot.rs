@@ -13,7 +13,7 @@ use crate::series::Sample;
 use std::fmt::Write as _;
 
 /// The aggregated result of one instrumented run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TelemetrySnapshot {
     /// Number of thread shards merged.
     pub threads: usize,

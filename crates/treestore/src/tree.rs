@@ -2853,7 +2853,21 @@ mod tests {
     /// - a leaf checksum over the page's first line only, so a copy
     ///   whose header line lands without its later lines reads whole:
     ///   `a_torn_closing_page_falls_back_to_the_older_version` kills it
-    ///   too.
+    ///   too;
+    /// - a copy onto the spare whose stamp line can land without its
+    ///   changed pointer lines: a leaf checksum that leaves out the
+    ///   value pointers (or, a second build, covers only the header
+    ///   line and the last used line). Once the copy's lines 0, 1 and
+    ///   3 and the new value cell are in flight, an image that lands
+    ///   line 0 (the stamp) and the value cell but not line 1 (the
+    ///   first build: nor line 3) reads whole, with entry 2 as the
+    ///   spare held it one overwrite back: key 2's first value. This
+    ///   test names that image; no seed has to draw it. The suite
+    ///   already kills
+    ///   both builds: `a_torn_closing_page_falls_back_to_the_older_version`
+    ///   and three `engine_crash` tests (torn words and random landings
+    ///   of a split), since such a checksum lets any copy, not only one
+    ///   onto a spare, read whole with a line missing.
     #[test]
     fn every_crash_state_of_a_split_and_a_spare_copy_is_a_committed_prefix() {
         let cfg = TreeConfig {

@@ -8,7 +8,7 @@
 use crate::workload::{paper_row, PaperRow, Workload};
 use nvcache_core::PolicyKind;
 use nvcache_fase::FaseRuntime;
-use nvcache_trace::Trace;
+use nvcache_trace::{ThreadTrace, Trace};
 
 const NODE_SIZE: usize = 16; // key u64 + next u64
 const OFF_LIST_HEAD: usize = 0;
@@ -109,6 +109,20 @@ impl LinkedListWorkload {
             n: ((10_000.0 * scale) as usize).max(16),
         }
     }
+
+    /// Thread `t` of `threads`: its share of the keys inserted in
+    /// perfect-shuffle order into a fresh list, recorded.
+    fn record(&self, t: usize, threads: usize) -> ThreadTrace {
+        let per = (self.n / threads).max(2);
+        let bits = (64 - (per as u64 - 1).leading_zeros()).max(1);
+        let mut l = PLinkedList::new(per + 8, &PolicyKind::Best);
+        l.record_trace();
+        for i in 0..per as u64 {
+            let key = bit_reverse(i % (1 << bits), bits) + ((t as u64) << 40);
+            l.insert(key);
+        }
+        l.runtime_mut().take_trace().expect("recording was on")
+    }
 }
 
 impl Workload for LinkedListWorkload {
@@ -116,21 +130,13 @@ impl Workload for LinkedListWorkload {
         "linked-list"
     }
 
+    /// Every thread inserts the same shuffled keys into a list of its
+    /// own, its index only in the keys' high bits, which never change
+    /// their order: the program is recorded once and its threads share
+    /// the one buffer.
     fn trace(&self, threads: usize) -> Trace {
         let threads = threads.max(1);
-        let per = (self.n / threads).max(2);
-        let bits = (64 - (per as u64 - 1).leading_zeros()).max(1);
-        let mut recs = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let mut l = PLinkedList::new(per + 8, &PolicyKind::Best);
-            l.record_trace();
-            for i in 0..per as u64 {
-                let key = bit_reverse(i % (1 << bits), bits) + ((t as u64) << 40);
-                l.insert(key);
-            }
-            recs.push(l.runtime_mut().take_trace().unwrap());
-        }
-        Trace::from_threads(recs)
+        Trace::replicated(self.record(0, threads), threads)
     }
 
     fn paper_row(&self) -> Option<PaperRow> {
@@ -199,5 +205,26 @@ mod tests {
         assert!((la - at).abs() < 0.03, "LA {la} AT {at}");
         assert!((la - sc).abs() < 0.03, "LA {la} SC {sc}");
         assert!(la > 0.3, "small FASEs keep the ratio high: {la}");
+    }
+
+    /// The trace as it was recorded before threads shared a buffer: one
+    /// run of the program per thread, each with its own index.
+    fn trace_per_thread(w: &LinkedListWorkload, threads: usize) -> Trace {
+        let threads = threads.max(1);
+        Trace::from_threads((0..threads).map(|t| w.record(t, threads)).collect())
+    }
+
+    #[test]
+    fn one_recording_equals_one_per_thread() {
+        let w = LinkedListWorkload { n: 512 };
+        for threads in [0, 1, 3, 8] {
+            let tr = w.trace(threads);
+            assert_eq!(tr, trace_per_thread(&w, threads), "{threads} threads");
+            let first = &tr.threads[0];
+            assert!(
+                tr.threads.iter().all(|t| std::sync::Arc::ptr_eq(t, first)),
+                "{threads} threads: one buffer"
+            );
+        }
     }
 }

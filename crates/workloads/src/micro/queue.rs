@@ -11,7 +11,7 @@
 use crate::workload::{paper_row, PaperRow, Workload};
 use nvcache_core::PolicyKind;
 use nvcache_fase::FaseRuntime;
-use nvcache_trace::Trace;
+use nvcache_trace::{ThreadTrace, Trace};
 
 const OFF_HEAD: usize = 0;
 const OFF_TAIL: usize = 8;
@@ -113,6 +113,22 @@ impl QueueWorkload {
             ops: ((400_000.0 * scale) as usize).max(16),
         }
     }
+
+    /// Thread `t`'s program: `per` operations on a fresh queue, recorded.
+    fn record(&self, t: usize, per: usize) -> ThreadTrace {
+        let mut q = PQueue::new(per / 2 + 8, &PolicyKind::Best);
+        q.record_trace();
+        // alternate enqueue/dequeue with a warm prefix, like Mtest's
+        // producer/consumer phases
+        for i in 0..per {
+            if i % 4 < 3 {
+                q.enqueue((t * per + i) as u64);
+            } else {
+                q.dequeue();
+            }
+        }
+        q.runtime_mut().take_trace().expect("recording was on")
+    }
 }
 
 impl Workload for QueueWorkload {
@@ -120,25 +136,12 @@ impl Workload for QueueWorkload {
         "queue"
     }
 
+    /// Every thread runs the same operations on a queue of its own, and
+    /// its index reaches only the enqueued values, never an address: the
+    /// program is recorded once and its threads share the one buffer.
     fn trace(&self, threads: usize) -> Trace {
         let threads = threads.max(1);
-        let per = self.ops / threads;
-        let mut recs = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let mut q = PQueue::new(per / 2 + 8, &PolicyKind::Best);
-            q.record_trace();
-            // alternate enqueue/dequeue with a warm prefix, like Mtest's
-            // producer/consumer phases
-            for i in 0..per {
-                if i % 4 < 3 {
-                    q.enqueue((t * per + i) as u64);
-                } else {
-                    q.dequeue();
-                }
-            }
-            recs.push(q.runtime_mut().take_trace().unwrap());
-        }
-        Trace::from_threads(recs)
+        Trace::replicated(self.record(0, self.ops / threads), threads)
     }
 
     fn paper_row(&self) -> Option<PaperRow> {
@@ -286,6 +289,28 @@ mod tests {
         q.runtime_mut()
             .crash_and_recover(&nvcache_pmem::CrashMode::StrictDurableOnly);
         assert!(q.is_empty());
+    }
+
+    /// The trace as it was recorded before threads shared a buffer: one
+    /// run of the program per thread, each with its own index.
+    fn trace_per_thread(w: &QueueWorkload, threads: usize) -> Trace {
+        let threads = threads.max(1);
+        let per = w.ops / threads;
+        Trace::from_threads((0..threads).map(|t| w.record(t, per)).collect())
+    }
+
+    #[test]
+    fn one_recording_equals_one_per_thread() {
+        let w = QueueWorkload { ops: 400 };
+        for threads in [0, 1, 3, 8] {
+            let tr = w.trace(threads);
+            assert_eq!(tr, trace_per_thread(&w, threads), "{threads} threads");
+            let first = &tr.threads[0];
+            assert!(
+                tr.threads.iter().all(|t| std::sync::Arc::ptr_eq(t, first)),
+                "{threads} threads: one buffer"
+            );
+        }
     }
 
     #[test]
