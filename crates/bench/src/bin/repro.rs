@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro <experiment> [--scale S] [--threads a,b,c] [--json]
+//! repro <experiment> [--scale S] [--threads a,b,c] [--json | --markdown]
 //!                    [--telemetry FILE]
 //!
 //! experiments: table1 table2 table3 table4
@@ -30,6 +30,10 @@
 //! scale-stable (EXPERIMENTS.md). Use `--scale 1.0` for paper sizes
 //! (minutes, not seconds).
 //!
+//! `--markdown` prints each table as a GitHub markdown table, the form
+//! EXPERIMENTS.md quotes (`repro table3 --markdown` is its Table III
+//! block, verbatim).
+//!
 //! `--telemetry FILE` additionally instruments every timed replay the
 //! experiment performs (counters, histograms, FASE/flush timeline),
 //! prints a summary table and writes the full per-run snapshots to
@@ -45,6 +49,7 @@ struct Args {
     scale: f64,
     threads: Vec<usize>,
     json: bool,
+    markdown: bool,
     telemetry: Option<String>,
     smoke: bool,
 }
@@ -55,6 +60,7 @@ fn parse_args() -> Args {
         scale: DEFAULT_SCALE,
         threads: THREAD_SWEEP.to_vec(),
         json: false,
+        markdown: false,
         telemetry: None,
         smoke: false,
     };
@@ -75,6 +81,7 @@ fn parse_args() -> Args {
                     .collect();
             }
             "--json" => args.json = true,
+            "--markdown" => args.markdown = true,
             "--smoke" => args.smoke = true,
             "--telemetry" => {
                 args.telemetry = Some(it.next().unwrap_or_else(|| usage("missing --telemetry")));
@@ -87,6 +94,9 @@ fn parse_args() -> Args {
     if args.experiment.is_empty() {
         usage("missing experiment name");
     }
+    if args.json && args.markdown {
+        usage("--json and --markdown exclude each other");
+    }
     args
 }
 
@@ -95,7 +105,8 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: repro <experiment> [--scale S] [--threads a,b,c] [--json] [--telemetry FILE]\n\
+        "usage: repro <experiment> [--scale S] [--threads a,b,c] [--json | --markdown]\n\
+         \x20                         [--telemetry FILE]\n\
          experiments: table1 table2 table3 table4 fig2 fig4 fig5 fig6 fig7 fig8\n\
          \x20            ablation-knee ablation-atlas ablation-bound ablation-burst\n\
          \x20            ablation-clwb ablation-phased ablation-groups\n\
@@ -346,6 +357,8 @@ fn main() {
     for t in &results {
         if args.json {
             println!("{}", t.to_json());
+        } else if args.markdown {
+            println!("{}", t.to_markdown());
         } else {
             t.print();
         }

@@ -10,7 +10,7 @@
 use nvcache_cachesim::MachineConfig;
 use nvcache_core::adaptive::AdaptiveConfig;
 use nvcache_locality::{lru_mrc, select_cache_size, KneeConfig};
-use nvcache_trace::Trace;
+use nvcache_trace::{Event, ThreadTrace, Trace};
 
 /// Calibration constants.
 #[derive(Debug, Clone, Copy)]
@@ -47,21 +47,63 @@ pub fn offline_capacity(trace: &Trace, knee: &KneeConfig) -> usize {
     select_cache_size(&mrc, knee)
 }
 
-/// The online adaptive configuration for a trace: the paper uses a 64M
-/// write burst at full scale; proportionally, an eighth of the (scaled)
-/// trace, floored so tiny traces still complete a burst.
+/// Word stores per 64-byte line, the unit that turns the knee search's
+/// largest capacity (in lines) into a burst length (in stores).
+const WORD_STORES_PER_LINE: usize = 8;
+
+/// The online adaptive configuration for a trace. The paper samples one
+/// 64M-write burst, a small fraction of its runs; a burst sized as a
+/// share of a scaled-down run would instead hold SC at its default
+/// capacity (AT's table size) for that share of every run. So the burst
+/// is sized in stores: an eighth of thread 0's writes, at most one pass
+/// over the largest working set the knee search can choose
+/// (`KneeConfig::max_size` lines of word stores, rounded up to a power
+/// of two: 512) and at least half that, so that a short trace still
+/// samples a window the MRC can resolve.
+///
+/// FASE renaming restarts reuse at every FASE, so a burst that stops
+/// early in a FASE analyses that FASE's cold stores without their
+/// reuses, and the flat tail it adds to the MRC picks a large cache (on
+/// Mtest, 50 lines against an exact knee of 6). The burst therefore runs
+/// on to the end of the FASE it stops in, unless that FASE is long
+/// enough to double it.
 pub fn adaptive_config_for(trace: &Trace) -> AdaptiveConfig {
-    let writes = trace.threads.first().map(|t| t.write_count()).unwrap_or(0);
-    AdaptiveConfig {
-        burst_len: (writes / 8).clamp(512, 1 << 26),
-        ..AdaptiveConfig::default()
+    let cfg = AdaptiveConfig::default();
+    let cap = (cfg.knee.max_size * WORD_STORES_PER_LINE).next_power_of_two();
+    let burst_len = trace.threads.first().map_or(cap / 2, |thread| {
+        let target = (thread.write_count() / 8).clamp(cap / 2, cap);
+        match writes_through_fase_of(thread, target) {
+            Some(end) if end <= 2 * target => end,
+            _ => target,
+        }
+    });
+    AdaptiveConfig { burst_len, ..cfg }
+}
+
+/// The writes of `thread` up to the end of the outermost FASE that holds
+/// its `n`-th write, or `None` if no FASE ends after it.
+fn writes_through_fase_of(thread: &ThreadTrace, n: usize) -> Option<usize> {
+    let (mut writes, mut depth) = (0usize, 0usize);
+    for e in &thread.events {
+        match e {
+            Event::Write(_) => writes += 1,
+            Event::FaseBegin => depth += 1,
+            Event::FaseEnd => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 && writes >= n {
+                    return Some(writes);
+                }
+            }
+            _ => {}
+        }
     }
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvcache_trace::synth::{cyclic, SynthOpts};
+    use nvcache_trace::synth::{cyclic, sequential, SynthOpts};
 
     #[test]
     fn contention_grows_with_threads() {
@@ -79,10 +121,31 @@ mod tests {
 
     #[test]
     fn adaptive_burst_is_proportional_and_bounded() {
-        let tr = cyclic(10, 10_000, &SynthOpts::default());
-        let cfg = adaptive_config_for(&tr);
-        assert_eq!(cfg.burst_len, 12_500);
-        let tiny = cyclic(4, 10, &SynthOpts::default());
-        assert_eq!(adaptive_config_for(&tiny).burst_len, 512);
+        let burst = |writes: usize, writes_per_fase: usize| {
+            let opts = SynthOpts {
+                writes_per_fase,
+                ..SynthOpts::default()
+            };
+            let tr = sequential(writes as u64, 1, &opts);
+            assert_eq!(tr.threads[0].write_count(), writes);
+            adaptive_config_for(&tr).burst_len
+        };
+        // one FASE around each trace: floor, an eighth, cap
+        assert_eq!(burst(10, 0), 256);
+        assert_eq!(burst(2_048, 0), 256);
+        assert_eq!(burst(3_000, 0), 375);
+        assert_eq!(burst(4_096, 0), 512);
+        assert_eq!(burst(10_000, 0), 512);
+        assert_eq!(burst(1 << 20, 0), 512);
+        // the cap is one pass over the knee search's largest working set
+        let max_pass = KneeConfig::default().max_size * WORD_STORES_PER_LINE;
+        assert!(max_pass <= 512 && 512 < 2 * max_pass);
+        // short FASEs: the burst ends with the FASE it stops in
+        assert_eq!(burst(10_000, 100), 600);
+        assert_eq!(burst(10_000, 1_024), 1_024);
+        assert_eq!(burst(3_000, 400), 400);
+        // a FASE that would double the burst is cut
+        assert_eq!(burst(10_000, 1_025), 512);
+        assert_eq!(burst(1 << 20, 4_096), 512);
     }
 }

@@ -1,10 +1,13 @@
 //! Tables I–IV of the paper's evaluation.
 
 use super::{atlas, sc_offline, sc_online, timed};
-use crate::calibrate::machine_for;
+use crate::calibrate::{adaptive_config_for, machine_for};
 use crate::par_map;
 use crate::report::{pct, ratio, speedup, Table};
-use nvcache_core::{flush_stats, run_policy, PolicyKind, RunConfig};
+use nvcache_core::{
+    flush_stats, flush_stats_traced, run_policy, PolicyKind, ReplayOptions, RunConfig,
+};
+use nvcache_telemetry::TelemetryConfig;
 use nvcache_workloads::splash2::WaterSpatial;
 use nvcache_workloads::{all_workloads, mdb::MdbWorkload, registry::splash2_workloads, Workload};
 
@@ -81,6 +84,9 @@ pub fn table2(scale: f64) -> Table {
 
 /// Table III — data flush ratios of ER/LA/AT/SC on all twelve
 /// workloads, plus the AT/SC and SC/LA columns and the paper's values.
+/// Two columns show what SC's sampling burst costs: the share of the
+/// writes it sampled at the default capacity, and SC's ratio when the
+/// capacity it chose runs from the first store.
 pub fn table3(scale: f64) -> Table {
     let mut t = Table::new(
         "Table III: data flush ratios (flushes per persistent store)",
@@ -92,6 +98,8 @@ pub fn table3(scale: f64) -> Table {
             "LA",
             "AT",
             "SC",
+            "sampled",
+            "SC@chosen",
             "AT/SC",
             "SC/LA",
             "paper LA",
@@ -109,28 +117,53 @@ pub fn table3(scale: f64) -> Table {
         la: nvcache_core::FlushStats,
         at: nvcache_core::FlushStats,
         sc: nvcache_core::FlushStats,
+        sampled: f64,
+        sc_chosen: nvcache_core::FlushStats,
     }
     let stats: Vec<Row3> = par_map(&workloads, |w| {
         let tr = w.trace(1);
+        let cfg = adaptive_config_for(&tr);
+        let writes = tr.total_writes();
+        let sampled = cfg.burst_len.min(writes) as f64 / writes.max(1) as f64;
+        let default_size = cfg.knee.default_size;
+        let (sc, snap) = flush_stats_traced(
+            &tr,
+            &PolicyKind::ScAdaptive(cfg),
+            &ReplayOptions::sequential(),
+            &TelemetryConfig::default(),
+        );
+        let chosen = snap
+            .capacity_timeline()
+            .last()
+            .map_or(default_size, |&(_, _, _, capacity)| capacity as usize);
         Row3 {
             fases: tr.total_fases(),
             er: flush_stats(&tr, &PolicyKind::Eager),
             la: flush_stats(&tr, &PolicyKind::Lazy),
             at: flush_stats(&tr, &atlas()),
-            sc: flush_stats(&tr, &sc_online(&tr)),
+            sc,
+            sampled,
+            sc_chosen: flush_stats(&tr, &PolicyKind::ScFixed { capacity: chosen }),
         }
     });
-    let mut sums = [0.0f64; 5]; // la, at, sc, at/sc, sc/la
+    let mut sums = [0.0f64; 7]; // la, at, sc, sampled, sc@chosen, at/sc, sc/la
     let mut n = 0usize;
     for (w, s) in workloads.iter().zip(&stats) {
         let at_sc = s.at.flushes() as f64 / s.sc.flushes().max(1) as f64;
         let sc_la = s.sc.flushes() as f64 / s.la.flushes().max(1) as f64;
         if !excluded.contains(&w.name()) {
-            sums[0] += s.la.flush_ratio();
-            sums[1] += s.at.flush_ratio();
-            sums[2] += s.sc.flush_ratio();
-            sums[3] += at_sc;
-            sums[4] += sc_la;
+            let row = [
+                s.la.flush_ratio(),
+                s.at.flush_ratio(),
+                s.sc.flush_ratio(),
+                s.sampled,
+                s.sc_chosen.flush_ratio(),
+                at_sc,
+                sc_la,
+            ];
+            for (sum, x) in sums.iter_mut().zip(row) {
+                *sum += x;
+            }
             n += 1;
         }
         let p = w.paper_row();
@@ -142,6 +175,8 @@ pub fn table3(scale: f64) -> Table {
             ratio(s.la.flush_ratio()),
             ratio(s.at.flush_ratio()),
             ratio(s.sc.flush_ratio()),
+            pct(s.sampled),
+            ratio(s.sc_chosen.flush_ratio()),
             format!("{at_sc:.3}x"),
             format!("{sc_la:.3}x"),
             p.map(|r| ratio(r.la)).unwrap_or_default(),
@@ -149,17 +184,19 @@ pub fn table3(scale: f64) -> Table {
             p.map(|r| ratio(r.sc)).unwrap_or_default(),
         ]);
     }
-    let nf = n as f64;
+    let avg = sums.map(|x| x / n as f64);
     t.row(vec![
         "average*".into(),
         "-".into(),
         "-".into(),
         ratio(1.0),
-        ratio(sums[0] / nf),
-        ratio(sums[1] / nf),
-        ratio(sums[2] / nf),
-        format!("{:.3}x", sums[3] / nf),
-        format!("{:.3}x", sums[4] / nf),
+        ratio(avg[0]),
+        ratio(avg[1]),
+        ratio(avg[2]),
+        pct(avg[3]),
+        ratio(avg[4]),
+        format!("{:.3}x", avg[5]),
+        format!("{:.3}x", avg[6]),
         ratio(0.16256),
         ratio(0.25066),
         ratio(0.18268),

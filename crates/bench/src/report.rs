@@ -61,6 +61,18 @@ impl Table {
         out
     }
 
+    /// Render as a GitHub markdown table (headers, rule, rows; no title),
+    /// the form EXPERIMENTS.md quotes.
+    pub fn to_markdown(&self) -> String {
+        let line = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
+        let mut out = line(&self.headers);
+        out.push_str(&format!("|{}\n", "---|".repeat(self.headers.len())));
+        for r in &self.rows {
+            out.push_str(&line(r));
+        }
+        out
+    }
+
     /// Print to stdout.
     pub fn print(&self) {
         println!("{}", self.render());
@@ -195,6 +207,17 @@ mod tests {
         assert!(s.contains("long-name"));
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 5);
+    }
+
+    #[test]
+    fn renders_markdown() {
+        let mut t = Table::new("demo", &["name", "value"]);
+        t.row(vec!["a".into(), "1".into()]);
+        t.row(vec!["bb".into(), "22".into()]);
+        assert_eq!(
+            t.to_markdown(),
+            "| name | value |\n|---|---|\n| a | 1 |\n| bb | 22 |\n"
+        );
     }
 
     #[test]

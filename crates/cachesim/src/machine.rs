@@ -10,7 +10,7 @@ use crate::cache::{AccessKind, CacheConfig, CacheStats, SetAssocCache};
 use crate::timing::{FlushQueue, TimingConfig};
 use nvcache_trace::Line;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 /// Configuration of a simulated hardware context.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,6 +91,20 @@ impl MachineReport {
     }
 }
 
+/// The integer form of the contention draw. A uniform `f64` draw is
+/// `m · 2⁻⁵³` for `m = next_u64() >> 11`, so `m · 2⁻⁵³ < p` holds exactly
+/// when `m < ⌈p · 2⁵³⌉` (scaling by a power of two is exact). The bound is
+/// capped at 2⁵³, which every `m` is below, and is 0, meaning no draw at
+/// all, unless `p > 0` (0, negative and NaN probabilities draw nothing).
+fn contention_bound(p: f64) -> u64 {
+    const SCALE: f64 = (1u64 << 53) as f64;
+    if p > 0.0 {
+        (p * SCALE).ceil().min(SCALE) as u64
+    } else {
+        0
+    }
+}
+
 /// A simulated hardware context (one per thread).
 #[derive(Debug)]
 pub struct Machine {
@@ -98,6 +112,9 @@ pub struct Machine {
     l1: SetAssocCache,
     queue: FlushQueue,
     rng: SmallRng,
+    /// `contention_miss_prob` as a bound on 53-bit draws
+    /// ([`contention_bound`]).
+    contention_bound: u64,
     now: u64,
     instructions: u64,
     flushes_async: u64,
@@ -112,6 +129,7 @@ impl Machine {
             l1: SetAssocCache::new(cfg.l1),
             queue: FlushQueue::new(cfg.timing.flush_slots, cfg.timing.t_flush_service),
             rng: SmallRng::seed_from_u64(cfg.seed),
+            contention_bound: contention_bound(cfg.contention_miss_prob),
             now: 0,
             instructions: 0,
             flushes_async: 0,
@@ -164,9 +182,7 @@ impl Machine {
 
     #[inline]
     fn contended(&mut self, line: Line) {
-        if self.cfg.contention_miss_prob > 0.0
-            && self.rng.gen::<f64>() < self.cfg.contention_miss_prob
-        {
+        if self.contention_bound > 0 && self.rng.next_u64() >> 11 < self.contention_bound {
             self.l1.invalidate_silent(line);
         }
     }
@@ -370,6 +386,46 @@ mod tests {
         let noisy = mk(0.3);
         assert!(quiet < 0.01, "quiet={quiet}");
         assert!(noisy > 0.1, "noisy={noisy}");
+    }
+
+    #[test]
+    fn contention_bound_decides_as_the_float_draw_does() {
+        use rand::Rng;
+        let probs = [
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1), // smallest subnormal
+            f64::EPSILON,
+            1.0 / (1u64 << 53) as f64,
+            1.5 / (1u64 << 53) as f64,
+            0.035,
+            0.035 * 5.0,
+            0.5,
+            1.0 - f64::EPSILON,
+            1.0,
+            1.5,
+            f64::INFINITY,
+        ];
+        for p in probs {
+            let bound = contention_bound(p);
+            assert_eq!(bound > 0, p > 0.0, "p = {p:e}: draws only when p > 0");
+            let (mut a, mut b) = (SmallRng::seed_from_u64(7), SmallRng::seed_from_u64(7));
+            for _ in 0..20_000 {
+                let float = a.gen::<f64>() < p;
+                let int = b.next_u64() >> 11 < bound;
+                assert_eq!(int, float, "p = {p:e}");
+            }
+            // the draws at the edge of the bound, where rounding would show
+            for m in [bound.saturating_sub(1), bound, bound + 1] {
+                let x = m as f64 / (1u64 << 53) as f64;
+                if m < 1 << 53 {
+                    assert_eq!(m < bound, x < p, "p = {p:e}, m = {m}");
+                }
+            }
+        }
     }
 
     #[test]

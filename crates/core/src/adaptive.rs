@@ -18,9 +18,14 @@ use nvcache_trace::Line;
 pub struct AdaptiveConfig {
     /// Knee selection parameters (default size 8, max 50 — paper values).
     pub knee: KneeConfig,
-    /// Writes per sampling burst. The paper uses 64M on full-size runs;
-    /// the default here matches the scaled-down workloads and is
-    /// overridden by the harness (`--scale`).
+    /// Writes per sampling burst, during which the cache runs at
+    /// `knee.default_size`. The paper samples 64M writes, a small
+    /// fraction of its full-size runs. The replay harness
+    /// (`nvcache_bench::adaptive_config_for`) samples an eighth of a
+    /// trace's writes, bounded to 256–512 stores (at most one pass over
+    /// `knee.max_size` lines of word stores) and run on to the end of a
+    /// short FASE, so the burst stays a small fraction of scaled-down
+    /// runs too.
     pub burst_len: usize,
     /// Writes to skip between bursts; `None` analyzes exactly once
     /// (paper behaviour).

@@ -5,17 +5,16 @@
 
 use nvcache::core::{flush_stats, run_policy, PolicyKind, RunConfig};
 use nvcache::locality::{lru_mrc, select_cache_size, KneeConfig};
+use nvcache::workloads::micro::PersistentArray;
 use nvcache::workloads::registry::{splash2_workloads, workload_by_name};
-use nvcache::workloads::PaperRow;
+use nvcache::workloads::{PaperRow, Workload};
+use nvcache_bench::adaptive_config_for;
 
 const SCALE: f64 = 0.01;
 
+/// SC as the `repro` harness and the repo benchmark configure it.
 fn sc_for(tr: &nvcache::trace::Trace) -> PolicyKind {
-    let writes = tr.threads[0].write_count();
-    PolicyKind::ScAdaptive(nvcache::core::AdaptiveConfig {
-        burst_len: (writes / 8).clamp(256, 1 << 26),
-        ..Default::default()
-    })
+    PolicyKind::ScAdaptive(adaptive_config_for(tr))
 }
 
 /// Abstract of the paper: "reduces cache write backs to persistent
@@ -142,6 +141,66 @@ fn table3_rows_attach_and_order() {
         assert!(la.flushes() <= sc.flushes(), "{}", w.name());
         assert!(la.flushes() <= at.flushes(), "{}", w.name());
     }
+}
+
+/// Table III's invariants and its starred average at the harness's
+/// default scale: ER = 1, LA ≤ SC ≤ AT on every program, the three
+/// already-optimal programs tie exactly, persistent-array's AT is 1/16
+/// (spatial locality alone), and, averaged over the nine programs the
+/// paper averages, SC stays within 1.25× of the lazy floor — it was
+/// 1.48× while the sampling burst was an eighth of every run.
+#[test]
+fn table3_invariants_and_starred_average_hold_at_the_default_scale() {
+    let excluded = ["persistent-array", "linked-list", "queue"];
+    let (mut sc_over_la, mut counted) = (0.0, 0);
+    for w in nvcache::workloads::all_workloads(0.05) {
+        let name = w.name();
+        let tr = w.trace(1);
+        let er = flush_stats(&tr, &PolicyKind::Eager);
+        let la = flush_stats(&tr, &PolicyKind::Lazy).flushes();
+        let at = flush_stats(&tr, &PolicyKind::Atlas { size: 8 });
+        let sc = flush_stats(&tr, &sc_for(&tr)).flushes();
+        assert_eq!(er.flush_ratio(), 1.0, "{name}: ER");
+        assert!(
+            la <= sc && sc <= at.flushes(),
+            "{name}: LA {la} ≤ SC {sc} ≤ AT {}",
+            at.flushes()
+        );
+        if ["linked-list", "queue", "hash"].contains(&name) {
+            assert_eq!(sc, at.flushes(), "{name}: SC == AT");
+        }
+        if name == "persistent-array" {
+            assert_eq!(at.flush_ratio(), 1.0 / 16.0, "{name}: AT");
+        }
+        if !excluded.contains(&name) {
+            sc_over_la += sc as f64 / la as f64;
+            counted += 1;
+        }
+    }
+    assert_eq!(counted, 9);
+    let avg = sc_over_la / counted as f64;
+    assert!(avg <= 1.25, "starred-average SC/LA {avg:.3}");
+}
+
+/// Persistent-array is one FASE over a 25-line array, so LA flushes 25
+/// lines and every store SC makes at its default capacity 8 before it
+/// adapts costs AT's 1/16. The burst is a bounded number of stores, so
+/// SC stays within 2× of LA on a long run (the paper's SC equals LA),
+/// and its SC/LA does not grow with the run.
+#[test]
+fn persistent_array_sc_stays_near_the_lazy_floor_as_the_run_grows() {
+    let sc_over_la = |scale: f64| {
+        let tr = PersistentArray::scaled(scale).trace(1);
+        let la = flush_stats(&tr, &PolicyKind::Lazy).flushes();
+        let sc = flush_stats(&tr, &sc_for(&tr)).flushes();
+        sc as f64 / la as f64
+    };
+    let (short, long) = (sc_over_la(0.1), sc_over_la(0.5));
+    assert!(long <= 2.0, "SC/LA {long:.3} at scale 0.5");
+    assert!(
+        long <= short,
+        "SC/LA rose with the run: {short:.3} → {long:.3}"
+    );
 }
 
 /// Table II: Mtest on MDB, eight threads. Eager flushing is far behind
