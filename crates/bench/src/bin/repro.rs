@@ -27,21 +27,22 @@
 //!
 //! `--scale` is the fraction of the paper's problem sizes (default
 //! 0.05); absolute numbers shrink with it but orderings and ratios are
-//! scale-stable (EXPERIMENTS.md). Use `--scale 1.0` for paper sizes
+//! scale-stable (EXPERIMENTS.md's introduction). Use `--scale 1.0` for paper sizes
 //! (minutes, not seconds).
 //!
 //! `--markdown` prints each table as a GitHub markdown table, the form
-//! EXPERIMENTS.md quotes (`repro table3 --markdown` is its Table III
-//! block, verbatim).
+//! EXPERIMENTS.md quotes: each of its paper and ablation sections holds
+//! `repro <name> --markdown` verbatim, and
+//! `crates/bench/tests/experiments_doc.rs` checks every block.
 //!
 //! `--telemetry FILE` additionally instruments every timed replay the
 //! experiment performs (counters, histograms, FASE/flush timeline),
 //! prints a summary table and writes the full per-run snapshots to
 //! FILE as JSON. Simulated results are identical with or without it.
 
-use nvcache_bench::experiments::{ablations, figs, kv, tables, DEFAULT_SCALE, THREAD_SWEEP};
+use nvcache_bench::experiments::{self, kv, DEFAULT_SCALE, THREAD_SWEEP};
 use nvcache_bench::report::{telemetry_envelope, telemetry_table};
-use nvcache_bench::{telemetry, Table};
+use nvcache_bench::telemetry;
 use nvcache_core::{AdaptiveConfig, PolicyKind};
 
 struct Args {
@@ -107,66 +108,18 @@ fn usage(err: &str) -> ! {
     eprintln!(
         "usage: repro <experiment> [--scale S] [--threads a,b,c] [--json | --markdown]\n\
          \x20                         [--telemetry FILE]\n\
-         experiments: table1 table2 table3 table4 fig2 fig4 fig5 fig6 fig7 fig8\n\
-         \x20            ablation-knee ablation-atlas ablation-bound ablation-burst\n\
-         \x20            ablation-clwb ablation-phased ablation-groups\n\
+         experiments: {}\n\
+         \x20            {}\n\
          \x20            kv-bench [--smoke] (YCSB grids; writes BENCH_kv.json\n\
          \x20                     unless --smoke)\n\
          \x20            kv-serve [--addr HOST:PORT] (TCP server; SIGINT/SIGTERM prints a summary)\n\
          \x20            kv-load  [--addr HOST:PORT] [--connections N] [--depth D]\n\
          \x20                     [--ops N] [--rate R] (open-loop TCP loadgen)\n\
-         \x20            all | ablations"
+         \x20            all | ablations",
+        experiments::PAPER.join(" "),
+        experiments::ABLATIONS.join(" "),
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
-fn run_one(name: &str, scale: f64, threads: &[usize], smoke: bool) -> Vec<Table> {
-    match name {
-        "table1" => vec![tables::table1(scale)],
-        "table2" => vec![tables::table2(scale)],
-        "table3" => vec![tables::table3(scale)],
-        "table4" => vec![tables::table4(scale, threads)],
-        "fig2" => vec![figs::fig2(scale)],
-        "fig4" => vec![figs::fig4(scale)],
-        "fig5" => vec![figs::fig5(scale, threads)],
-        "fig6" => vec![figs::fig6(scale, threads)],
-        "fig7" => vec![figs::fig7(scale)],
-        "fig8" => vec![figs::fig8(scale)],
-        "ablation-knee" => vec![ablations::ablation_knee(scale)],
-        "ablation-clwb" => vec![ablations::ablation_clwb(scale)],
-        "ablation-phased" => vec![ablations::ablation_phased(scale)],
-        "ablation-groups" => vec![ablations::ablation_groups(scale, 8)],
-        "ablation-atlas" => vec![ablations::ablation_atlas(scale)],
-        "ablation-bound" => vec![ablations::ablation_bound(scale)],
-        "ablation-burst" => vec![ablations::ablation_burst(scale)],
-        "all" => {
-            let mut v = Vec::new();
-            for e in [
-                "table1", "table2", "table3", "table4", "fig2", "fig4", "fig5", "fig6", "fig7",
-                "fig8",
-            ] {
-                v.extend(run_one(e, scale, threads, smoke));
-            }
-            v
-        }
-        "ablations" => {
-            let mut v = Vec::new();
-            for e in [
-                "ablation-knee",
-                "ablation-atlas",
-                "ablation-bound",
-                "ablation-burst",
-                "ablation-clwb",
-                "ablation-phased",
-                "ablation-groups",
-            ] {
-                v.extend(run_one(e, scale, threads, smoke));
-            }
-            v
-        }
-        "kv-bench" => vec![kv::kv_bench(scale, smoke)],
-        other => usage(&format!("unknown experiment {other}")),
-    }
 }
 
 /// Build the KV server `kv-serve` runs: SC-adaptive policy, group
@@ -353,7 +306,11 @@ fn main() {
         telemetry::enable();
     }
     let start = std::time::Instant::now();
-    let results = run_one(&args.experiment, args.scale, &args.threads, args.smoke);
+    let results = match args.experiment.as_str() {
+        "kv-bench" => vec![kv::kv_bench(args.scale, args.smoke)],
+        name => experiments::run(name, args.scale, &args.threads)
+            .unwrap_or_else(|| usage(&format!("unknown experiment {name}"))),
+    };
     for t in &results {
         if args.json {
             println!("{}", t.to_json());

@@ -1,11 +1,11 @@
 //! Machine-model calibration shared by all experiments.
 //!
 //! Absolute cycle costs are arbitrary; what is calibrated is the set of
-//! *ratios* the paper's conclusions rest on (EXPERIMENTS.md §Calibration):
-//! flush service time vs per-store compute (drives ER's ~22× Table I
-//! slowdown), the async queue depth (how much overlap mid-FASE flushes
-//! get), and a contention term that reproduces the rising
-//! BEST L1 miss ratios of Table IV as thread counts grow.
+//! *ratios* the paper's conclusions rest on (DESIGN.md §4.7, the
+//! calibration table): flush service time vs per-store compute (drives
+//! ER's ~22× Table I slowdown), the async queue depth (how much overlap
+//! mid-FASE flushes get), and a contention term that reproduces the
+//! rising BEST L1 miss ratios of Table IV as thread counts grow.
 
 use nvcache_cachesim::MachineConfig;
 use nvcache_core::adaptive::AdaptiveConfig;

@@ -1,7 +1,7 @@
 //! Figures 2 and 4–8 of the paper's evaluation, as printed series.
 
 use super::{atlas, sc_offline, sc_online, timed};
-use crate::calibrate::offline_capacity;
+use crate::calibrate::{adaptive_config_for, offline_capacity};
 use crate::par_map;
 use crate::report::{pct, speedup, Table};
 use nvcache_core::PolicyKind;
@@ -165,9 +165,10 @@ pub fn fig6(scale: f64, threads: &[usize]) -> Table {
     t
 }
 
-/// Figure 7 — accuracy of the sampled (online) MRC against the
-/// full-trace (offline) timescale MRC and the actual (exact LRU) MRC,
-/// for four programs.
+/// Figure 7 — accuracy of the sampled (online) MRC, built from the
+/// burst SC analyses ([`adaptive_config_for`]), against the full-trace
+/// (offline) timescale MRC and the actual (exact LRU) MRC, for four
+/// programs.
 pub fn fig7(scale: f64) -> Table {
     let mut t = Table::new(
         "Figure 7: MRC accuracy — actual vs full-trace vs sampled",
@@ -187,8 +188,8 @@ pub fn fig7(scale: f64) -> Table {
         let renamed = tr.threads[0].renamed_writes();
         let actual = lru_mrc(&renamed, 50);
         let full = Mrc::from_reuse(&reuse_all_k(&renamed), 50);
-        // sampled: first quarter of the trace, like the online sampler
-        let mut sampler = BurstSampler::new((renamed.len() / 4).max(64), 50, None);
+        // sampled: the burst SC itself analyses
+        let mut sampler = BurstSampler::new(adaptive_config_for(&tr).burst_len, 50, None);
         let mut sampled = None;
         for &id in &renamed {
             if let Some(m) = sampler.push(id) {

@@ -278,9 +278,9 @@ mod tests {
             .map(|r| r[1].parse::<f64>().unwrap())
             .collect();
         // [ER, AT, SC, SC-o, BEST]. Our COW B+-tree gives Atlas's table
-        // better locality than real MDB (EXPERIMENTS.md): SC lands close
-        // to AT rather than 1.7x ahead; everything else orders as in the
-        // paper.
+        // better locality than real MDB (EXPERIMENTS.md, Table II): SC
+        // lands close to AT rather than 1.7x ahead; everything else
+        // orders as in the paper.
         assert!(cyc[0] > 2.0 * cyc[1], "ER {} >> AT {}", cyc[0], cyc[1]);
         assert!(cyc[2] <= cyc[1] * 1.25, "SC {} ≲ AT {}", cyc[2], cyc[1]);
         assert!(cyc[3] <= cyc[2] * 1.05, "SC-o {} ≤ SC {}", cyc[3], cyc[2]);

@@ -4,9 +4,11 @@
 //! The `repro` binary exposes one subcommand per experiment
 //! (`repro table3`, `repro fig5`, …, `repro all`), the TCP pair
 //! `repro kv-serve` / `repro kv-load`, and one wall-clock grid
-//! (`repro kv-bench`); see EXPERIMENTS.md for the paper-vs-measured
-//! record. Correctness is the test suites' job, not a subcommand's. Comparing commits is the repo benchmark's job (`benchmark/`),
-//! not this crate's, and so are component costs
+//! (`repro kv-bench`); EXPERIMENTS.md quotes every experiment's
+//! `--markdown` block next to the paper's values. Correctness is the
+//! test suites' job, not a subcommand's. Comparing commits is the repo
+//! benchmark's job (`benchmark/`), not this crate's, and so are
+//! component costs
 //! (`core.replay_ns_per_store.*`, `locality.mrc_ns_per_line`, …).
 
 #![forbid(unsafe_code)]

@@ -62,7 +62,8 @@ impl Table {
     }
 
     /// Render as a GitHub markdown table (headers, rule, rows; no title),
-    /// the form EXPERIMENTS.md quotes.
+    /// the form EXPERIMENTS.md quotes for every experiment
+    /// (`crates/bench/tests/experiments_doc.rs` checks each block).
     pub fn to_markdown(&self) -> String {
         let line = |cells: &[String]| format!("| {} |\n", cells.join(" | "));
         let mut out = line(&self.headers);

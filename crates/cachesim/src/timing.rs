@@ -19,7 +19,7 @@
 use std::collections::VecDeque;
 
 /// Cycle costs and queue geometry. Defaults are calibrated against the
-/// paper's testbed ratios (see EXPERIMENTS.md; absolute cycle values are
+/// paper's testbed ratios (DESIGN.md §4.7; absolute cycle values are
 /// arbitrary, ratios matter).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingConfig {

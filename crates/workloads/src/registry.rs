@@ -6,7 +6,8 @@ use crate::splash2::{Barnes, Fmm, Ocean, Raytrace, Volrend, WaterNsquared, Water
 use crate::workload::Workload;
 
 /// All twelve Table III workloads at `scale` (1.0 ≈ paper problem
-/// sizes; the harness default is far smaller — see EXPERIMENTS.md).
+/// sizes; the harness default, 0.05, is far smaller — see the
+/// introduction of EXPERIMENTS.md).
 pub fn all_workloads(scale: f64) -> Vec<Box<dyn Workload>> {
     vec![
         Box::new(LinkedListWorkload::scaled(scale)),

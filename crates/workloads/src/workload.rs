@@ -3,7 +3,8 @@
 use nvcache_trace::Trace;
 
 /// One row of the paper's Table III: the reference flush ratios this
-/// reproduction compares against (EXPERIMENTS.md).
+/// reproduction compares against (the `paper` columns of `repro table3`,
+/// EXPERIMENTS.md's Table III).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PaperRow {
     /// Benchmark name as printed in the paper.

@@ -24,6 +24,12 @@
 //! unit at every word it changed; the two-round same-version retry is
 //! tree-only. The three server-level tests run one generic function
 //! each on hash and on tree lanes.
+//!
+//! Each sweep asserts a floor on its recoveries, and the torn-word
+//! adversary one on its torn images: the count the sweep had when it
+//! was written. A change that shortens a program's batches in
+//! micro-steps grows the program to keep its cuts; it does not lower
+//! the floor.
 
 use nvcache::core::{AdaptiveConfig, PolicyKind};
 use nvcache::fase::nodes;
