@@ -18,7 +18,7 @@
 //! `repro` measures; it judges nothing. Comparing two commits is the
 //! repo benchmark's job (`benchmark/`, `BENCHMARK.json`), and crash
 //! consistency is the test suites' (`tests/crash_fuzz.rs`,
-//! `tests/engine_crash.rs`, `crates/kvstore/tests/net_e2e.rs` —
+//! `tests/engine_crash.rs`, `crates/bench/tests/net_e2e.rs` —
 //! DESIGN.md §6.2, §9–§11).
 //!
 //! `repro kv-serve` / `repro kv-load` drive the network serving path
@@ -236,7 +236,8 @@ fn kv_serve(rest: Vec<String>) -> ! {
 /// [--ops N] [--rate R]` — open-loop TCP loadgen against a running
 /// `kv-serve`, reporting throughput and intended-arrival percentiles.
 fn kv_load(rest: Vec<String>) -> ! {
-    use nvcache_kvstore::{listen_addr, run_net, NetLoadConfig, TcpTransport};
+    use nvcache_bench::netload::{run_net, NetLoadConfig};
+    use nvcache_kvstore::{listen_addr, TcpTransport};
     let mut addr_cli: Option<String> = None;
     let (mut connections, mut depth, mut ops) = (8usize, 4usize, 10_000u64);
     let mut rate = 50_000.0f64;

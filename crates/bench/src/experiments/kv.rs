@@ -11,12 +11,13 @@
 
 use std::sync::Arc;
 
+use crate::netload::{run_net, NetLoadConfig};
 use crate::report::{json_str, Table};
+use crate::ycsb::{load, run, Mix, YcsbConfig};
 use nvcache_core::{AdaptiveConfig, PolicyKind};
 use nvcache_fase::FaseStats;
 use nvcache_kvstore::{
-    load, run, run_net, InProcTransport, KeyDist, KvConfig, KvServer, KvStore, Mix, NetLoadConfig,
-    NetServer, QueueStats, ServerConfig, ShardConfig, YcsbConfig,
+    InProcTransport, KvConfig, KvServer, KvStore, NetServer, QueueStats, ServerConfig, ShardConfig,
 };
 use nvcache_locality::{lru_mrc, select_cache_size, KneeConfig};
 use nvcache_telemetry::{
@@ -339,11 +340,10 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
     // what every YCSB run of the grids shares; closed loop, 4 windows
     let ycsb = YcsbConfig {
         keys,
-        dist: KeyDist::Zipfian { theta: 0.99 },
+        theta: 0.99,
         value_len: VALUE_LEN,
         seed: 42,
         windows: 4,
-        latency: true,
         ..Default::default()
     };
     let knee_cfg = KneeConfig::default();
@@ -367,7 +367,7 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
                 let mut this = Run::new(
                     rep.throughput_ops_per_sec,
                     rep.windows.iter().map(|w| w.stats).sum(),
-                    rep.latency.as_ref().expect("latency recording on"),
+                    &rep.latency,
                 );
                 // adaptive-policy outcomes (SC only), gathered while the
                 // store is still alive
@@ -494,7 +494,7 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
                 let mut this = Run::new(
                     rep.throughput_ops_per_sec,
                     rep.windows.iter().map(|w| w.stats).sum(),
-                    rep.latency.as_ref().expect("latency recording on"),
+                    &rep.latency,
                 );
                 this.occupancy = Some(occupancy_between(&qs0, &server.queue_stats()));
                 runs.push(this);
@@ -551,12 +551,11 @@ pub fn kv_bench(scale: f64, smoke: bool) -> Table {
                     ops_per_conn: conc_ops as u64,
                     keys: keys as u64,
                     mix: Mix::A,
-                    dist: KeyDist::Zipfian { theta: 0.99 },
+                    theta: 0.99,
                     value_len: VALUE_LEN,
                     seed: 42,
                     target_ops_per_sec: 0.0, // closed by the window only
                     track_acks: false,
-                    scan_len: 16,
                 },
             );
             assert_eq!(rep.ops_answered, rep.ops_sent, "every request answered");
@@ -676,6 +675,36 @@ mod tests {
         assert_eq!(net.get("connections"), Some(&Json::Num(8.0)));
         assert_eq!(net.get("pipeline_depth"), Some(&Json::Num(4.0)));
         assert_eq!(net.get("batch_occupancy_mean"), Some(&Json::Num(4.0)));
+    }
+
+    /// The committed `BENCH_kv.json` is what `kv_bench` writes today:
+    /// the three grids' 9 + 4 + 4 rows, each with exactly this column
+    /// set. A grid or column change that is not regenerated fails here.
+    #[test]
+    fn the_committed_bench_kv_json_has_the_grids_rows_and_columns() {
+        let text = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kv.json"));
+        let v = parse(text).expect("BENCH_kv.json is JSON");
+        assert_eq!(v.get("experiment").and_then(Json::as_str), Some("kv_ycsb"));
+        let rows = v.get("results").and_then(Json::as_arr).unwrap();
+        let path_count = |prefix: &str| {
+            rows.iter()
+                .filter_map(|r| r.get("flush_path").and_then(Json::as_str))
+                .filter(|p| p.starts_with(prefix))
+                .count()
+        };
+        assert_eq!(
+            [path_count("direct"), path_count("mpsc-"), path_count("net")],
+            [9, 4, 4],
+            "direct, mpsc-* and net rows"
+        );
+        assert_eq!(rows.len(), 17, "no row of another path");
+        for rec in rows {
+            let Json::Obj(members) = rec else {
+                panic!("a row is an object")
+            };
+            let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(keys, ROW_KEYS.split_whitespace().collect::<Vec<_>>());
+        }
     }
 
     #[test]

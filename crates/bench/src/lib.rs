@@ -10,6 +10,11 @@
 //! benchmark's job (`benchmark/`), not this crate's, and so are
 //! component costs
 //! (`core.replay_ns_per_store.*`, `locality.mrc_ns_per_line`, …).
+//!
+//! The KV store's load generators are the harness's too, on one key, op
+//! and value core: [`ycsb`] (closed loop over the embedded store or the
+//! server) and [`netload`] (open loop over the wire, with the
+//! post-crash ack audit).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,8 +23,10 @@ pub mod calibrate;
 pub mod experiments;
 #[cfg(test)]
 mod jsonv;
+pub mod netload;
 pub mod report;
 pub mod telemetry;
+pub mod ycsb;
 
 pub use calibrate::{adaptive_config_for, machine_for, offline_capacity, Calibration};
 pub use report::Table;

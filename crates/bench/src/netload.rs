@@ -1,13 +1,14 @@
 //! Open-loop network load generator: N concurrent client connections,
 //! each pipelining requests over the framed wire protocol with a
-//! bounded in-flight window and **scheduled** send times.
+//! bounded in-flight window and **scheduled** send times. Keys, ops and
+//! values come from the closed loop's core ([`crate::ycsb`]).
 //!
 //! ## Open loop and coordinated omission
 //!
 //! Each connection owns an arrival schedule: request `i` is *intended*
 //! at `t0 + i / rate`. The sender issues it no earlier than that, and
 //! the receiver measures latency from the **intended** time, not the
-//! actual send time ([`crate::ycsb::scheduled_latency_ns`]). When the
+//! actual send time (`ycsb::scheduled_latency_ns`). When the
 //! server stalls and the sender falls behind schedule, the queueing
 //! delay the stall imposed on every scheduled-but-unsent request is
 //! charged to those requests — the p99/p999 inflation is *recorded*
@@ -28,17 +29,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
+use nvcache_kvstore::proto::{encode_request, FrameDecoder, Request, Response};
+use nvcache_kvstore::{Conn, Engine, KvServer, Transport};
 use nvcache_telemetry::{
     Clock, HistId, MonoClock, Recorder, TelemetryConfig, TelemetrySnapshot, ThreadRecorder,
 };
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
-use crate::engine::Engine;
-use crate::net::{Conn, Transport};
-use crate::proto::{encode_request, FrameDecoder, Request, Response};
-use crate::server::KvServer;
-use crate::ycsb::{scheduled_latency_ns, KeyDist, Mix, Zipfian};
+use crate::ycsb::{scheduled_latency_ns, versioned_value, Mix, Stream, Zipfian};
 
 /// Shape of one network load run.
 #[derive(Debug, Clone)]
@@ -50,16 +47,13 @@ pub struct NetLoadConfig {
     pub pipeline_depth: usize,
     /// Requests each connection issues.
     pub ops_per_conn: u64,
-    /// Key-space size per connection (ranges are disjoint across
-    /// connections when `track_acks`, shared otherwise).
+    /// Key-space size per connection, at least 2 (ranges are disjoint
+    /// across connections when `track_acks`, shared otherwise).
     pub keys: u64,
-    /// Operation mix. Reads issue `Get`, the scan fraction (mix E)
-    /// issues `Scan` over a `scan_len`-wide window, and every other
-    /// fraction (update/insert/rmw) is folded into versioned `Put`s so
-    /// the ack audit stays meaningful.
+    /// Operation mix: reads issue `Get`, updates versioned `Put`s.
     pub mix: Mix,
-    /// Key popularity.
-    pub dist: KeyDist,
+    /// Zipfian skew of key popularity.
+    pub theta: f64,
     /// Value length (forced ≥ 16 under `track_acks` to carry the
     /// version header).
     pub value_len: usize,
@@ -70,9 +64,6 @@ pub struct NetLoadConfig {
     pub target_ops_per_sec: f64,
     /// Record per-key acked/sent versions for [`verify_acked`].
     pub track_acks: bool,
-    /// Window width and entry cap of each `Scan` request issued by the
-    /// scan fraction of the mix.
-    pub scan_len: u32,
 }
 
 impl Default for NetLoadConfig {
@@ -83,12 +74,11 @@ impl Default for NetLoadConfig {
             ops_per_conn: 1_000,
             keys: 1_000,
             mix: Mix::A,
-            dist: KeyDist::Zipfian { theta: 0.99 },
+            theta: 0.99,
             value_len: 56,
             seed: 42,
             target_ops_per_sec: 50_000.0,
             track_acks: false,
-            scan_len: 16,
         }
     }
 }
@@ -107,8 +97,7 @@ pub struct NetLoadReport {
     /// Wall-clock span of the run.
     pub elapsed_ns: u64,
     /// Merged per-connection latency histograms (`KvGetNs` for reads,
-    /// `KvPutNs` for writes, `KvScanNs` for scans — intended-arrival
-    /// based).
+    /// `KvPutNs` for writes — intended-arrival based).
     pub snapshot: TelemetrySnapshot,
     /// Per key: newest acked version (`track_acks` only).
     pub acked: Option<HashMap<u64, u64>>,
@@ -129,27 +118,9 @@ impl NetLoadReport {
     }
 }
 
-/// A versioned value: `[key u64 LE][version u64 LE][fill]`, so the
-/// durability audit can read the stored version straight back.
-pub fn versioned_value(key: u64, version: u64, len: usize) -> Vec<u8> {
-    let len = len.max(16);
-    let mut v = Vec::with_capacity(len);
-    v.extend_from_slice(&key.to_le_bytes());
-    v.extend_from_slice(&version.to_le_bytes());
-    let mut z = key ^ version.rotate_left(23) ^ 0x9e37_79b9;
-    while v.len() < len {
-        z = z
-            .wrapping_add(0x9e37_79b9_7f4a_7c15)
-            .wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        v.extend_from_slice(&z.to_le_bytes());
-    }
-    v.truncate(len);
-    v
-}
-
-/// Decode the version header of a stored [`versioned_value`]; `None`
+/// Decode the version header of a stored `versioned_value`; `None`
 /// when the bytes are not a versioned value for `key`.
-pub fn stored_version(key: u64, bytes: &[u8]) -> Option<u64> {
+fn stored_version(key: u64, bytes: &[u8]) -> Option<u64> {
     if bytes.len() < 16 || bytes[..8] != key.to_le_bytes() {
         return None;
     }
@@ -200,6 +171,7 @@ pub fn run_net(transport: &dyn Transport, addr: &str, cfg: &NetLoadConfig) -> Ne
     } else {
         cfg.value_len
     };
+    let zipf = Zipfian::new(cfg.keys as usize, cfg.theta);
     let answered = AtomicU64::new(0);
     let rejected = AtomicU64::new(0);
     let not_found = AtomicU64::new(0);
@@ -213,12 +185,8 @@ pub fn run_net(transport: &dyn Transport, addr: &str, cfg: &NetLoadConfig) -> Ne
     std::thread::scope(|scope| {
         for c in 0..cfg.connections {
             let conn = transport.connect(addr).expect("loadgen connect failed");
-            let answered = &answered;
-            let rejected = &rejected;
-            let not_found = &not_found;
-            let recorders = &recorders;
-            let acked = &acked;
-            let sent_versions = &sent_versions;
+            let (zipf, answered, rejected, not_found) = (&zipf, &answered, &rejected, &not_found);
+            let (recorders, acked, sent_versions) = (&recorders, &acked, &sent_versions);
             let total_sent = &total_sent;
             scope.spawn(move || {
                 let read_half = conn.try_clone_conn().expect("clone conn");
@@ -235,14 +203,6 @@ pub fn run_net(transport: &dyn Transport, addr: &str, cfg: &NetLoadConfig) -> Ne
                     1e9 / cfg.target_ops_per_sec
                 } else {
                     0.0
-                };
-                let m = cfg.mix.op_mix();
-                let (read_f, scan_f) = (m.read, m.scan);
-                let zipf = match cfg.dist {
-                    KeyDist::Zipfian { theta } => {
-                        Some(Zipfian::new(cfg.keys.max(2) as usize, theta))
-                    }
-                    KeyDist::Uniform => None,
                 };
                 // disjoint ranges under track_acks so per-key version
                 // order is owned by exactly one connection
@@ -263,11 +223,8 @@ pub fn run_net(transport: &dyn Transport, addr: &str, cfg: &NetLoadConfig) -> Ne
 
                 // ---- sender ----
                 let mut conn = conn;
-                let mut rng = SmallRng::seed_from_u64(
-                    cfg.seed ^ (c as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
+                let mut stream = Stream::new(cfg.seed, c, cfg.mix, key_base);
                 let mut versions: HashMap<u64, u64> = HashMap::new();
-                let mut my_sent: HashMap<u64, u64> = HashMap::new();
                 for i in 0..cfg.ops_per_conn {
                     let intended_ns = (i as f64 * period_ns) as u64;
                     // pace to the schedule: coarse sleep, fine spin
@@ -284,43 +241,20 @@ pub fn run_net(transport: &dyn Transport, addr: &str, cfg: &NetLoadConfig) -> Ne
                         }
                     }
                     window.acquire(cfg.pipeline_depth);
-                    let rank = match &zipf {
-                        Some(z) => z.rank(rng.gen::<f64>()),
-                        None => rng.gen_range(0..cfg.keys.max(1)),
-                    };
-                    let key = key_base + (rank % cfg.keys.max(1));
-                    let r = rng.gen::<f64>();
+                    let (key, read) = stream.next(zipf);
                     let intended_ns = if period_ns > 0.0 {
                         intended_ns
                     } else {
                         clock.now_ns() // unpaced: measure from send
                     };
-                    let (req, write) = if r < read_f {
+                    let (req, write) = if read {
                         (Request::Get { id: i, key }, None)
-                    } else if r < read_f + scan_f {
-                        let len = cfg.scan_len.max(1);
-                        (
-                            Request::Scan {
-                                id: i,
-                                lo: key,
-                                hi: key.saturating_add(len as u64 - 1),
-                                limit: len,
-                            },
-                            None,
-                        )
                     } else {
-                        let v = versions.entry(key).or_insert(0);
-                        *v += 1;
-                        let version = *v;
-                        my_sent.insert(key, version);
-                        (
-                            Request::Put {
-                                id: i,
-                                key,
-                                value: versioned_value(key, version, value_len),
-                            },
-                            Some((key, version)),
-                        )
+                        let version = versions.entry(key).or_insert(0);
+                        *version += 1;
+                        let value = versioned_value(key, *version, value_len);
+                        let write = Some((key, *version));
+                        (Request::Put { id: i, key, value }, write)
                     };
                     meta.lock()
                         .unwrap_or_else(|e| e.into_inner())
@@ -345,16 +279,16 @@ pub fn run_net(transport: &dyn Transport, addr: &str, cfg: &NetLoadConfig) -> Ne
                     .unwrap_or_else(|e| e.into_inner())
                     .push(outcome.recorder);
                 if cfg.track_acks {
-                    let mut a = acked.lock().unwrap_or_else(|e| e.into_inner());
-                    for (k, v) in outcome.acked {
-                        let e = a.entry(k).or_insert(0);
-                        *e = (*e).max(v);
-                    }
-                    let mut s = sent_versions.lock().unwrap_or_else(|e| e.into_inner());
-                    for (k, v) in my_sent {
-                        let e = s.entry(k).or_insert(0);
-                        *e = (*e).max(v);
-                    }
+                    // the connection's key range is its own: its maps
+                    // merge without conflict
+                    acked
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .extend(outcome.acked);
+                    sent_versions
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .extend(versions);
                 }
             });
         }
@@ -433,24 +367,17 @@ fn receiver_loop(
                 }
                 Response::Done { ok, .. } => {
                     out.recorder.observe(HistId::KvPutNs, lat);
-                    if *ok {
-                        if let Some((key, version)) = m.write {
-                            let e = out.acked.entry(key).or_insert(0);
-                            *e = (*e).max(version);
-                        }
+                    if let (true, Some((key, version))) = (*ok, m.write) {
+                        let e = out.acked.entry(key).or_insert(0);
+                        *e = (*e).max(version);
                     }
                 }
-                Response::Entries { items, .. } => {
-                    out.recorder.observe(HistId::KvScanNs, lat);
-                    if items.is_empty() {
-                        out.not_found += 1;
-                    }
-                }
-                Response::Pong { .. } => {}
                 Response::Rejected { .. } => {
                     out.recorder.observe(HistId::KvPutNs, lat);
                     out.rejected += 1;
                 }
+                // the loadgen sends no scan or ping
+                Response::Entries { .. } | Response::Pong { .. } => {}
             }
             out.answered += 1;
             window.release();
@@ -498,11 +425,8 @@ pub fn verify_acked<E: Engine>(kv: &KvServer<E>, report: &NetLoadReport) -> Resu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::{InProcTransport, NetServer};
-    use crate::server::ServerConfig;
-    use crate::shard::ShardConfig;
-    use crate::store::KvConfig;
     use nvcache_core::PolicyKind;
+    use nvcache_kvstore::{InProcTransport, KvConfig, NetServer, ServerConfig, ShardConfig};
 
     fn kv(shards: usize) -> Arc<KvServer> {
         Arc::new(KvServer::new(
@@ -560,47 +484,6 @@ mod tests {
         // acked writes survive crash + recover
         kv.crash_and_recover_all(&nvcache_pmem::CrashMode::StrictDurableOnly);
         verify_acked(&kv, &rep).unwrap();
-        srv.shutdown();
-        kv.close();
-    }
-
-    /// Mix E over the wire against the tree engine: the loadgen issues
-    /// real `Scan` frames, every one is answered, and scan latency
-    /// lands in its own histogram.
-    #[test]
-    fn mix_e_scans_the_tree_engine_over_the_wire() {
-        use crate::engine::{TreeEngine, TreeEngineConfig};
-        let kv = Arc::new(KvServer::<TreeEngine>::new_tree(
-            2,
-            &TreeEngineConfig::default(),
-            &ServerConfig::default(),
-        ));
-        // preload so scans hit data
-        let client = kv.client();
-        for k in 0..200u64 {
-            assert!(client.put(k, &k.to_le_bytes()));
-        }
-        let t = InProcTransport::new();
-        let srv = NetServer::start(&t, "inproc", Arc::clone(&kv)).unwrap();
-        let cfg = NetLoadConfig {
-            connections: 2,
-            pipeline_depth: 4,
-            ops_per_conn: 300,
-            keys: 200,
-            mix: Mix::E,
-            target_ops_per_sec: 0.0,
-            scan_len: 8,
-            ..Default::default()
-        };
-        let rep = run_net(&t, "inproc", &cfg);
-        assert_eq!(rep.ops_answered, rep.ops_sent, "every request answered");
-        assert_eq!(rep.rejected, 0);
-        let scans = rep.snapshot.hist(HistId::KvScanNs).count;
-        let puts = rep.snapshot.hist(HistId::KvPutNs).count;
-        assert!(scans > 450, "~95% of 600 ops are scans, got {scans}");
-        assert!(puts > 0, "~5% inserts, got {puts}");
-        assert_eq!(scans + puts, rep.ops_answered);
-        assert_eq!(rep.not_found, 0, "scans over a loaded keyspace hit");
         srv.shutdown();
         kv.close();
     }

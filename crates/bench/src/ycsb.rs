@@ -1,38 +1,36 @@
-//! YCSB-style concurrent load generation for [`KvStore`]: zipfian or
-//! uniform key choice, the classic mixes A–F (reads, updates, inserts,
-//! short range scans, read-modify-writes), deterministic per-worker
-//! seeds, closed-loop issue (the open-loop generator is
-//! [`crate::netload`]).
+//! YCSB-style load generation for the KV store, and the one key, op and
+//! value core the harness's two load generators share: closed loop here
+//! ([`run`], over any [`KvTarget`]), open loop over the wire in
+//! [`crate::netload`].
 //!
-//! The harness mirrors the paper's memcached evaluation shape: a
+//! The core is one stream per worker or connection: a SplitMix64
+//! generator seeded by one rule, a key drawn from a zipfian table shared
+//! by every stream of a run (plus an optional per-connection key base),
+//! then an op drawn from the [`Mix`]. Values carry their key and version
+//! in their first 16 bytes, which the open loop's ack audit reads back.
+//!
+//! The closed loop mirrors the paper's memcached evaluation shape: a
 //! long-running store serving a skewed key-popularity stream while each
 //! shard's adaptive policy samples its store lines and resizes its
-//! software cache. The main thread scrapes per-window [`FaseStats`] deltas from
-//! the shards *while they serve* (via [`Shard::take_stats`]), yielding
-//! the per-window flush ratios `repro kv-bench` reports.
-//!
-//! [`Shard::take_stats`]: crate::shard::Shard::take_stats
+//! software cache. The main thread scrapes per-window [`FaseStats`]
+//! deltas from the shards *while they serve*, yielding the per-window
+//! flush ratios `repro kv-bench` reports.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use nvcache_fase::FaseStats;
+use nvcache_kvstore::{Engine, KvServer, KvStore};
 use nvcache_telemetry::{
     MonoClock, Recorder, SpanId, TelemetryConfig, TelemetrySnapshot, ThreadRecorder,
 };
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
 
-use crate::engine::Engine;
-use crate::server::KvServer;
-use crate::store::KvStore;
-
-/// Anything the loadgen can drive: the embedded [`KvStore`] (an idle
-/// lane runs the shard on the caller's thread with borrowed arguments)
-/// or the concurrent [`KvServer`] through its client (an idle lane
-/// serves the caller's request on its thread, a busy one queues
-/// requests into cross-client group commits).
+/// Anything the closed loop can drive: the embedded [`KvStore`] (an
+/// idle lane runs the shard on the caller's thread with borrowed
+/// arguments) or the concurrent [`KvServer`] through its client (an
+/// idle lane serves the caller's request on its thread, a busy one
+/// queues requests into cross-client group commits).
 /// Data ops are issued from the worker threads; the stats pair is
 /// scraped from the main thread while the run serves.
 pub trait KvTarget: Sync {
@@ -42,8 +40,6 @@ pub trait KvTarget: Sync {
     fn put(&self, key: u64, value: &[u8]) -> bool;
     /// Apply a write batch (one FASE per involved shard).
     fn put_many(&self, items: &[(u64, Vec<u8>)]) -> bool;
-    /// Range scan `lo..=hi`, at most `limit` entries, sorted by key.
-    fn scan(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, Vec<u8>)>;
     /// Interval-delta counters summed over shards.
     fn take_stats(&self) -> FaseStats;
     /// Restart adaptation measurement (post-load).
@@ -59,9 +55,6 @@ impl KvTarget for KvStore {
     }
     fn put_many(&self, items: &[(u64, Vec<u8>)]) -> bool {
         KvStore::put_many(self, items)
-    }
-    fn scan(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, Vec<u8>)> {
-        self.handle().scan(lo, hi, limit)
     }
     fn take_stats(&self) -> FaseStats {
         KvServer::take_stats(self)
@@ -81,9 +74,6 @@ impl<E: Engine> KvTarget for KvServer<E> {
     fn put_many(&self, items: &[(u64, Vec<u8>)]) -> bool {
         self.handle().put_many(items)
     }
-    fn scan(&self, lo: u64, hi: u64, limit: usize) -> Vec<(u64, Vec<u8>)> {
-        self.handle().scan(lo, hi, limit)
-    }
     fn take_stats(&self) -> FaseStats {
         KvServer::take_stats(self)
     }
@@ -92,7 +82,8 @@ impl<E: Engine> KvTarget for KvServer<E> {
     }
 }
 
-/// The standard YCSB core mixes.
+/// The YCSB core mixes the harness runs: point reads and in-place
+/// updates of loaded keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mix {
     /// 50% reads / 50% updates (update-heavy).
@@ -101,61 +92,15 @@ pub enum Mix {
     B,
     /// 100% reads.
     C,
-    /// 90% reads / 5% updates / 5% inserts of fresh keys (the
-    /// insert-bearing mix; YCSB-D-shaped working-set growth).
-    D,
-    /// 95% short range scans / 5% inserts (YCSB-E; the ordered-engine
-    /// workload — scan lengths drawn zipfian over `1..=100`).
-    E,
-    /// 50% reads / 50% read-modify-writes (YCSB-F).
-    F,
-}
-
-/// Largest range-scan length of the scan-bearing mixes (YCSB-E):
-/// per-scan lengths are drawn zipfian over `1..=MAX_SCAN_LEN`, so most
-/// scans are short and a few sweep the full window.
-const MAX_SCAN_LEN: usize = 100;
-
-/// Per-op-type fractions of one [`Mix`]; sums to 1.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpMix {
-    /// Point reads.
-    pub read: f64,
-    /// In-place updates of loaded keys.
-    pub update: f64,
-    /// Inserts of fresh keys.
-    pub insert: f64,
-    /// Short range scans.
-    pub scan: f64,
-    /// Read-modify-writes.
-    pub rmw: f64,
 }
 
 impl Mix {
-    /// `(read, update, insert)` fractions; sums to 1 for the scan-free
-    /// mixes A–D (E and F carry scan/rmw weight — see
-    /// [`Mix::op_mix`]).
-    pub fn fractions(&self) -> (f64, f64, f64) {
-        let m = self.op_mix();
-        (m.read, m.update, m.insert)
-    }
-
-    /// Full per-op-type fractions (always sums to 1).
-    pub fn op_mix(&self) -> OpMix {
-        let (read, update, insert, scan, rmw) = match self {
-            Mix::A => (0.50, 0.50, 0.0, 0.0, 0.0),
-            Mix::B => (0.95, 0.05, 0.0, 0.0, 0.0),
-            Mix::C => (1.0, 0.0, 0.0, 0.0, 0.0),
-            Mix::D => (0.90, 0.05, 0.05, 0.0, 0.0),
-            Mix::E => (0.0, 0.0, 0.05, 0.95, 0.0),
-            Mix::F => (0.50, 0.0, 0.0, 0.0, 0.50),
-        };
-        OpMix {
-            read,
-            update,
-            insert,
-            scan,
-            rmw,
+    /// Fraction of ops that read; the rest update.
+    fn read_frac(self) -> f64 {
+        match self {
+            Mix::A => 0.50,
+            Mix::B => 0.95,
+            Mix::C => 1.0,
         }
     }
 
@@ -165,30 +110,37 @@ impl Mix {
             Mix::A => "A",
             Mix::B => "B",
             Mix::C => "C",
-            Mix::D => "D",
-            Mix::E => "E",
-            Mix::F => "F",
         }
     }
 }
 
-/// Key-popularity distribution over the loaded key space.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KeyDist {
-    /// Every key equally likely.
-    Uniform,
-    /// Zipfian with parameter `theta` (YCSB default 0.99).
-    Zipfian {
-        /// Skew; 0 degenerates to uniform, 0.99 is the YCSB default.
-        theta: f64,
-    },
+/// The `rand` shim's `SmallRng` step (SplitMix64), bit for bit, so the
+/// harness draws the streams it always drew without a `rand` dependency.
+#[derive(Debug)]
+struct SplitMix(u64);
+
+impl SplitMix {
+    fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`: the top 53 bits scaled by 2^-53.
+    fn next_f64(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
 }
 
 /// Precomputed zipfian sampler (Gray et al., the YCSB generator): rank
 /// `k` is drawn with probability ∝ `1/(k+1)^theta`. Hot ranks are the
-/// low ids; the store's routing hash scatters them over shards.
-#[derive(Debug, Clone)]
-pub struct Zipfian {
+/// low ids; the store's routing hash scatters them over shards. The
+/// `zetan` normalizer is an O(n) sum, so one table is built per run and
+/// shared by reference across every worker or connection.
+#[derive(Debug)]
+pub(crate) struct Zipfian {
     n: f64,
     theta: f64,
     alpha: f64,
@@ -198,7 +150,7 @@ pub struct Zipfian {
 
 impl Zipfian {
     /// Sampler over ranks `0..n`.
-    pub fn new(n: usize, theta: f64) -> Self {
+    pub(crate) fn new(n: usize, theta: f64) -> Self {
         assert!(n >= 2 && theta > 0.0 && theta < 1.0);
         let zetan: f64 = (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum();
         let zeta2 = 1.0 + 0.5f64.powf(theta);
@@ -214,7 +166,7 @@ impl Zipfian {
     }
 
     /// Map a uniform draw `u ∈ [0,1)` to a rank.
-    pub fn rank(&self, u: f64) -> u64 {
+    fn rank(&self, u: f64) -> u64 {
         let uz = u * self.zetan;
         if uz < 1.0 {
             return 0;
@@ -227,12 +179,39 @@ impl Zipfian {
     }
 }
 
+/// One worker's or connection's request stream: the key draw, then the
+/// op draw, from its own generator.
+pub(crate) struct Stream {
+    rng: SplitMix,
+    read_frac: f64,
+    /// Added to every drawn rank (disjoint per-connection key ranges).
+    base: u64,
+}
+
+impl Stream {
+    /// Stream `w` of base seed `seed`: every worker and connection
+    /// seeds by this one rule, so runs reproduce per worker regardless
+    /// of interleaving.
+    pub(crate) fn new(seed: u64, w: usize, mix: Mix, base: u64) -> Self {
+        Stream {
+            rng: SplitMix(seed ^ (w as u64).wrapping_mul(0xa076_1d64_78bd_642f)),
+            read_frac: mix.read_frac(),
+            base,
+        }
+    }
+
+    /// The next `(key, is_read)`, the key drawn from `keys`.
+    pub(crate) fn next(&mut self, keys: &Zipfian) -> (u64, bool) {
+        let key = self.base + keys.rank(self.rng.next_f64());
+        (key, self.rng.next_f64() < self.read_frac)
+    }
+}
+
 /// A single mid-run change of the zipfian skew: the minimal workload
 /// phase shift the adaptation-convergence checker needs. After
 /// `at_frac` of each worker's ops, key popularity switches to a
-/// zipfian with the new `theta` (regardless of the initial
-/// distribution), moving the working-set knee so the controller must
-/// re-find it. A fuller non-stationary suite is future work.
+/// zipfian with the new `theta`, moving the working-set knee so the
+/// controller must re-find it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThetaShift {
     /// Fraction of each worker's ops after which the shift happens
@@ -242,7 +221,7 @@ pub struct ThetaShift {
     pub theta: f64,
 }
 
-/// Shape of one benchmark run.
+/// Shape of one closed-loop run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct YcsbConfig {
     /// Keys preloaded before the timed run.
@@ -253,8 +232,8 @@ pub struct YcsbConfig {
     pub workers: usize,
     /// Operation mix.
     pub mix: Mix,
-    /// Key-popularity distribution.
-    pub dist: KeyDist,
+    /// Zipfian skew of key popularity (YCSB default 0.99).
+    pub theta: f64,
     /// Value bytes (fixed length keeps updates on the one-FASE slot
     /// path, where they log nothing).
     pub value_len: usize,
@@ -262,7 +241,7 @@ pub struct YcsbConfig {
     pub seed: u64,
     /// Writes per group-commit transaction: `1` issues each write as
     /// its own FASE; `> 1` buffers writes and applies them with
-    /// [`KvStore::put_many`] (one FASE per involved shard). Batching is
+    /// [`KvTarget::put_many`] (one FASE per involved shard). Batching is
     /// what gives write FASEs intra-FASE locality for the software
     /// cache — single-write FASEs have none, by construction.
     pub batch: usize,
@@ -271,11 +250,6 @@ pub struct YcsbConfig {
     /// Optional single mid-run zipfian skew change (workload phase
     /// shift for convergence measurement).
     pub theta_shift: Option<ThetaShift>,
-    /// Span-time every op into per-worker latency histograms
-    /// (`kv_get_ns`/`kv_put_ns`/`kv_put_many_ns`/`kv_scan_ns`), merged
-    /// in tid order into [`YcsbReport::latency`]. Off by default: the
-    /// timed closed loop stays free of clock reads.
-    pub latency: bool,
 }
 
 impl Default for YcsbConfig {
@@ -285,13 +259,12 @@ impl Default for YcsbConfig {
             ops_per_worker: 25_000,
             workers: 4,
             mix: Mix::A,
-            dist: KeyDist::Zipfian { theta: 0.99 },
+            theta: 0.99,
             value_len: 56,
             seed: 42,
             batch: 1,
             windows: 8,
             theta_shift: None,
-            latency: false,
         }
     }
 }
@@ -314,15 +287,9 @@ pub struct YcsbReport {
     pub reads: u64,
     /// Updates issued.
     pub updates: u64,
-    /// Inserts issued.
-    pub inserts: u64,
-    /// Range scans issued (mix E).
-    pub scans: u64,
-    /// Read-modify-writes issued (mix F).
-    pub rmws: u64,
-    /// Reads that found no value (0 for mixes without deletes).
+    /// Reads that found no value.
     pub not_found: u64,
-    /// Inserts/updates refused by a full shard heap.
+    /// Updates refused by a full shard heap.
     pub rejected: u64,
     /// Timed-run wall seconds.
     pub elapsed_secs: f64,
@@ -331,15 +298,20 @@ pub struct YcsbReport {
     /// Live per-window stats (flush ratio per window via
     /// [`FaseStats::flush_ratio`]).
     pub windows: Vec<WindowStats>,
-    /// Merged per-op latency telemetry (worker shards merged in tid
-    /// order); `Some` iff [`YcsbConfig::latency`] was set.
-    pub latency: Option<TelemetrySnapshot>,
+    /// Per-op latency (`kv_get_ns` / `kv_put_ns` / `kv_put_many_ns`),
+    /// worker shards merged in tid order.
+    pub latency: TelemetrySnapshot,
 }
 
-/// Deterministic value bytes for `(key, version)`.
-pub fn value_bytes(key: u64, version: u64, len: usize) -> Vec<u8> {
-    let mut v = Vec::with_capacity(len);
-    let mut z = key ^ version.rotate_left(17) ^ 0x5bf0_3635;
+/// A versioned value of `len` bytes: `[key u64 LE][version u64 LE]`,
+/// then a fill derived from both, so the durability audit can read the
+/// stored version straight back (the header is cut short when
+/// `len < 16`).
+pub(crate) fn versioned_value(key: u64, version: u64, len: usize) -> Vec<u8> {
+    let mut v = Vec::with_capacity(len.max(16));
+    v.extend_from_slice(&key.to_le_bytes());
+    v.extend_from_slice(&version.to_le_bytes());
+    let mut z = key ^ version.rotate_left(23) ^ 0x9e37_79b9;
     while v.len() < len {
         z = z
             .wrapping_add(0x9e37_79b9_7f4a_7c15)
@@ -355,7 +327,7 @@ pub fn value_bytes(key: u64, version: u64, len: usize) -> Vec<u8> {
 /// unless a shard heap is undersized).
 pub fn load<T: KvTarget>(target: &T, keys: usize, value_len: usize) -> usize {
     (0..keys as u64)
-        .filter(|&k| target.put(k, &value_bytes(k, 0, value_len)))
+        .filter(|&k| target.put(k, &versioned_value(k, 0, value_len)))
         .count()
 }
 
@@ -368,26 +340,15 @@ pub fn load<T: KvTarget>(target: &T, keys: usize, value_len: usize) -> usize {
 /// charged the queueing delay the stall imposed on it, instead of the
 /// stall silently compressing into one long sample.
 #[inline]
-pub fn scheduled_latency_ns(intended_ns: u64, completed_ns: u64) -> u64 {
+pub(crate) fn scheduled_latency_ns(intended_ns: u64, completed_ns: u64) -> u64 {
     completed_ns.saturating_sub(intended_ns)
 }
 
-/// Run `f` under a latency span when a recorder is live (the span guard
-/// reads the clock twice); plain call otherwise.
+/// Run `f` under a latency span (the guard reads the clock twice).
 #[inline]
-fn timed<T>(
-    rec: &mut Option<ThreadRecorder>,
-    clock: &MonoClock,
-    id: SpanId,
-    f: impl FnOnce() -> T,
-) -> T {
-    match rec {
-        Some(r) => {
-            let _g = r.span(clock, id);
-            f()
-        }
-        None => f(),
-    }
+fn timed<T>(rec: &mut ThreadRecorder, clock: &MonoClock, id: SpanId, f: impl FnOnce() -> T) -> T {
+    let _g = rec.span(clock, id);
+    f()
 }
 
 /// Run the timed phase of `cfg` against `store` (already loaded) — any
@@ -395,42 +356,19 @@ fn timed<T>(
 /// concurrent server, so their measurements differ only in the serving
 /// path.
 ///
-/// Closed loop: every worker issues as fast as the store serves. Worker
-/// `w` uses seed `cfg.seed ⊕ mix(w)`, so runs are reproducible per
-/// worker regardless of interleaving.
+/// Closed loop: every worker issues as fast as the store serves, from
+/// its own stream.
 pub fn run<T: KvTarget>(store: &T, cfg: &YcsbConfig) -> YcsbReport {
     assert!(cfg.workers >= 1 && cfg.ops_per_worker >= 1);
-    // One read-only zipfian table, shared by reference across every
-    // client thread below. The zetan normalizer is an O(keys) sum — at
-    // memcached-scale key counts, recomputing (or deep-copying) it per
-    // worker is measurable setup cost for zero benefit: sampling only
-    // ever reads the five precomputed constants.
-    let zipf = match cfg.dist {
-        KeyDist::Zipfian { theta } => Some(Zipfian::new(cfg.keys.max(2), theta)),
-        KeyDist::Uniform => None,
-    };
-    // the post-shift sampler (precomputed once; zetan is O(keys))
-    let zipf_shifted = cfg
-        .theta_shift
-        .map(|s| Zipfian::new(cfg.keys.max(2), s.theta));
-    let shift_at = cfg
-        .theta_shift
-        .map(|s| (s.at_frac.clamp(0.0, 1.0) * cfg.ops_per_worker as f64) as usize);
-    let m = cfg.mix.op_mix();
-    let (read_f, update_f, insert_f, scan_f) = (m.read, m.update, m.insert, m.scan);
-    // scan lengths are themselves zipfian (YCSB-E: mostly-short scans
-    // with an occasional window-wide sweep)
-    let scan_len = (scan_f > 0.0).then(|| Zipfian::new(MAX_SCAN_LEN, 0.99));
+    let zipf = Zipfian::new(cfg.keys.max(2), cfg.theta);
+    // the post-shift sampler and the local op index it takes over at
+    let shifted = cfg.theta_shift.map(|s| {
+        let at = (s.at_frac.clamp(0.0, 1.0) * cfg.ops_per_worker as f64) as usize;
+        (at, Zipfian::new(cfg.keys.max(2), s.theta))
+    });
     let recorders: Mutex<Vec<ThreadRecorder>> = Mutex::new(Vec::new());
     let completed = AtomicU64::new(0);
-    let next_key = AtomicU64::new(cfg.keys as u64);
-    let reads = AtomicU64::new(0);
-    let updates = AtomicU64::new(0);
-    let inserts = AtomicU64::new(0);
-    let scans = AtomicU64::new(0);
-    let rmws = AtomicU64::new(0);
-    let not_found = AtomicU64::new(0);
-    let rejected = AtomicU64::new(0);
+    let [reads, updates, not_found, rejected] = [(); 4].map(|_| AtomicU64::new(0));
     let total_ops = (cfg.workers * cfg.ops_per_worker) as u64;
 
     // drop counters accumulated during the load phase so windows report
@@ -443,28 +381,17 @@ pub fn run<T: KvTarget>(store: &T, cfg: &YcsbConfig) -> YcsbReport {
     let mut windows = Vec::with_capacity(cfg.windows + 1);
     std::thread::scope(|scope| {
         for w in 0..cfg.workers {
-            // shared read-only tables — not per-worker clones
-            let zipf = &zipf;
-            let zipf_shifted = &zipf_shifted;
-            let scan_len = &scan_len;
-            let (completed, next_key) = (&completed, &next_key);
-            let (reads, updates, inserts) = (&reads, &updates, &inserts);
-            let (scans, rmws) = (&scans, &rmws);
+            let (zipf, shifted, recorders) = (&zipf, &shifted, &recorders);
+            let (completed, reads, updates) = (&completed, &reads, &updates);
             let (not_found, rejected) = (&not_found, &rejected);
-            let recorders = &recorders;
             scope.spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(
-                    cfg.seed ^ (w as u64).wrapping_mul(0xa076_1d64_78bd_642f),
-                );
+                let mut stream = Stream::new(cfg.seed, w, cfg.mix, 0);
                 let clock = MonoClock::new();
-                let mut rec = cfg
-                    .latency
-                    .then(|| ThreadRecorder::new(w as u32, &TelemetryConfig::default()));
+                let mut rec = ThreadRecorder::new(w as u32, &TelemetryConfig::default());
                 // group-commit buffer (batch > 1): writes park here and
                 // land together via put_many as one FASE per shard
                 let mut pending: Vec<(u64, Vec<u8>)> = Vec::new();
-                let flush = |pending: &mut Vec<(u64, Vec<u8>)>,
-                             rec: &mut Option<ThreadRecorder>| {
+                let flush = |pending: &mut Vec<(u64, Vec<u8>)>, rec: &mut ThreadRecorder| {
                     if pending.is_empty() {
                         return;
                     }
@@ -475,19 +402,13 @@ pub fn run<T: KvTarget>(store: &T, cfg: &YcsbConfig) -> YcsbReport {
                     pending.clear();
                 };
                 for i in 0..cfg.ops_per_worker {
-                    // after the phase shift, key popularity follows the
-                    // shifted zipfian (every worker shifts at the same
-                    // local op index: deterministic per worker)
-                    let sampler = match (&zipf_shifted, shift_at) {
-                        (Some(z2), Some(at)) if i >= at => Some(z2),
-                        _ => zipf.as_ref(),
+                    // every worker shifts at the same local op index
+                    let keys = match shifted {
+                        Some((at, z)) if i >= *at => z,
+                        _ => zipf,
                     };
-                    let key = match sampler {
-                        Some(z) => z.rank(rng.gen::<f64>()),
-                        None => rng.gen_range(0..cfg.keys as u64),
-                    };
-                    let r = rng.gen::<f64>();
-                    if r < read_f {
+                    let (key, read) = stream.next(keys);
+                    if read {
                         reads.fetch_add(1, Ordering::Relaxed);
                         if timed(&mut rec, &clock, SpanId::KvGet, || store.get(key)).is_none() {
                             not_found.fetch_add(1, Ordering::Relaxed);
@@ -495,65 +416,25 @@ pub fn run<T: KvTarget>(store: &T, cfg: &YcsbConfig) -> YcsbReport {
                         completed.fetch_add(1, Ordering::Relaxed);
                         continue;
                     }
-                    if r >= read_f + update_f + insert_f {
-                        if r < read_f + update_f + insert_f + scan_f {
-                            // range scan from the sampled key (mix E)
-                            scans.fetch_add(1, Ordering::Relaxed);
-                            let len = scan_len
-                                .as_ref()
-                                .map_or(1, |z| z.rank(rng.gen::<f64>()) + 1)
-                                as usize;
-                            let hi = key.saturating_add(len as u64 - 1);
-                            let got = timed(&mut rec, &clock, SpanId::KvScan, || {
-                                store.scan(key, hi, len)
-                            });
-                            if got.is_empty() {
-                                not_found.fetch_add(1, Ordering::Relaxed);
-                            }
-                        } else {
-                            // read-modify-write (mix F): reread the
-                            // current value, then write a successor
-                            // version; the composite is charged to the
-                            // put histogram as one sample
-                            rmws.fetch_add(1, Ordering::Relaxed);
-                            let v = value_bytes(key, i as u64 + 1, cfg.value_len);
-                            let ok = timed(&mut rec, &clock, SpanId::KvPut, || {
-                                if store.get(key).is_none() {
-                                    not_found.fetch_add(1, Ordering::Relaxed);
-                                }
-                                store.put(key, &v)
-                            });
-                            if !ok {
-                                rejected.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        completed.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    let (k, v) = if r < read_f + update_f {
-                        updates.fetch_add(1, Ordering::Relaxed);
-                        (key, value_bytes(key, i as u64 + 1, cfg.value_len))
-                    } else {
-                        inserts.fetch_add(1, Ordering::Relaxed);
-                        let k = next_key.fetch_add(1, Ordering::Relaxed);
-                        (k, value_bytes(k, 0, cfg.value_len))
-                    };
+                    updates.fetch_add(1, Ordering::Relaxed);
+                    let v = versioned_value(key, i as u64 + 1, cfg.value_len);
                     if cfg.batch > 1 {
-                        pending.push((k, v));
+                        pending.push((key, v));
                         if pending.len() >= cfg.batch {
                             flush(&mut pending, &mut rec);
                         }
                     } else {
-                        if !timed(&mut rec, &clock, SpanId::KvPut, || store.put(k, &v)) {
+                        if !timed(&mut rec, &clock, SpanId::KvPut, || store.put(key, &v)) {
                             rejected.fetch_add(1, Ordering::Relaxed);
                         }
                         completed.fetch_add(1, Ordering::Relaxed);
                     }
                 }
                 flush(&mut pending, &mut rec);
-                if let Some(r) = rec {
-                    recorders.lock().unwrap_or_else(|e| e.into_inner()).push(r);
-                }
+                recorders
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .push(rec);
             });
         }
         // live window scraping while the workers serve
@@ -581,33 +462,26 @@ pub fn run<T: KvTarget>(store: &T, cfg: &YcsbConfig) -> YcsbReport {
     }
     // merge worker latency shards in tid order (the snapshot
     // determinism contract; arrival order here is scheduling-dependent)
-    let latency = cfg.latency.then(|| {
-        let mut shards = recorders.into_inner().unwrap_or_else(|e| e.into_inner());
-        shards.sort_by_key(|r| r.tid());
-        TelemetrySnapshot::from_threads(shards)
-    });
+    let mut shards = recorders.into_inner().unwrap_or_else(|e| e.into_inner());
+    shards.sort_by_key(|r| r.tid());
     YcsbReport {
         ops: total_ops,
         reads: reads.into_inner(),
         updates: updates.into_inner(),
-        inserts: inserts.into_inner(),
-        scans: scans.into_inner(),
-        rmws: rmws.into_inner(),
         not_found: not_found.into_inner(),
         rejected: rejected.into_inner(),
         elapsed_secs: elapsed,
         throughput_ops_per_sec: total_ops as f64 / elapsed.max(1e-9),
         windows,
-        latency,
+        latency: TelemetrySnapshot::from_threads(shards),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardConfig;
-    use crate::store::KvConfig;
     use nvcache_core::PolicyKind;
+    use nvcache_kvstore::{KvConfig, ShardConfig};
 
     fn small_store(shards: usize) -> KvStore {
         KvStore::new(&KvConfig {
@@ -623,13 +497,32 @@ mod tests {
         })
     }
 
+    /// The harness's generator is the `rand` shim's `SmallRng`, draw for
+    /// draw: the raw `u64`, the `f64` draw, and `gen_range` (which is
+    /// the next `u64` modulo the span) — so the streams the harness drew
+    /// through `rand` are the streams it draws now.
+    #[test]
+    fn splitmix_is_the_rand_shims_small_rng() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        for seed in [0, 42, 0xa076_1d64_78bd_642f] {
+            let (mut ours, mut theirs) = (SplitMix(seed), SmallRng::seed_from_u64(seed));
+            for i in 0..1_000u64 {
+                assert_eq!(ours.next_u64(), theirs.next_u64(), "seed {seed} draw {i}");
+                assert_eq!(ours.next_f64(), theirs.gen::<f64>(), "seed {seed} draw {i}");
+                let span = i + 1;
+                assert_eq!(ours.next_u64() % span, theirs.gen_range(0..span));
+            }
+        }
+    }
+
     #[test]
     fn zipfian_is_skewed_and_in_range() {
         let z = Zipfian::new(1000, 0.99);
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = SplitMix(7);
         let mut counts = vec![0u64; 1000];
         for _ in 0..50_000 {
-            counts[z.rank(rng.gen::<f64>()) as usize] += 1;
+            counts[z.rank(rng.next_f64()) as usize] += 1;
         }
         let head: u64 = counts[..10].iter().sum();
         assert!(
@@ -637,19 +530,6 @@ mod tests {
             "top-10 ranks should draw >30% of a theta=0.99 stream, got {head}"
         );
         assert!(counts[0] > counts[500], "rank 0 beats the tail");
-    }
-
-    #[test]
-    fn mix_fractions_sum_to_one() {
-        for m in [Mix::A, Mix::B, Mix::C, Mix::D] {
-            let (r, u, i) = m.fractions();
-            assert!((r + u + i - 1.0).abs() < 1e-12, "mix {}", m.label());
-        }
-        for m in [Mix::A, Mix::B, Mix::C, Mix::D, Mix::E, Mix::F] {
-            let om = m.op_mix();
-            let sum = om.read + om.update + om.insert + om.scan + om.rmw;
-            assert!((sum - 1.0).abs() < 1e-12, "op_mix {}", m.label());
-        }
     }
 
     /// Regression for coordinated omission: latency must be charged
@@ -716,10 +596,10 @@ mod tests {
 
     #[test]
     fn value_bytes_deterministic_and_sized() {
-        assert_eq!(value_bytes(5, 1, 56), value_bytes(5, 1, 56));
-        assert_ne!(value_bytes(5, 1, 56), value_bytes(5, 2, 56));
-        assert_eq!(value_bytes(9, 0, 13).len(), 13);
-        assert_eq!(value_bytes(9, 0, 0).len(), 0);
+        assert_eq!(versioned_value(5, 1, 56), versioned_value(5, 1, 56));
+        assert_ne!(versioned_value(5, 1, 56), versioned_value(5, 2, 56));
+        assert_eq!(versioned_value(9, 0, 13).len(), 13);
+        assert_eq!(versioned_value(9, 0, 0).len(), 0);
     }
 
     #[test]
@@ -738,7 +618,7 @@ mod tests {
         let loaded_stores = store.stats().stores;
         let rep = run(&store, &cfg);
         assert_eq!(rep.ops, 4000);
-        assert_eq!(rep.reads + rep.updates + rep.inserts, 4000);
+        assert_eq!(rep.reads + rep.updates, 4000);
         assert_eq!(rep.not_found, 0, "all read keys were loaded");
         assert_eq!(rep.rejected, 0);
         assert!(rep.throughput_ops_per_sec > 0.0);
@@ -769,84 +649,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert_eq!(rep.updates + rep.inserts, 0);
+        assert_eq!(rep.updates, 0);
         assert_eq!(store.stats().stores, before.stores, "no persistent writes");
-    }
-
-    #[test]
-    fn mix_d_inserts_fresh_keys() {
-        let store = small_store(2);
-        load(&store, 300, 16);
-        let rep = run(
-            &store,
-            &YcsbConfig {
-                keys: 300,
-                ops_per_worker: 800,
-                workers: 2,
-                mix: Mix::D,
-                value_len: 16,
-                seed: 9,
-                ..Default::default()
-            },
-        );
-        assert!(rep.inserts > 0);
-        assert_eq!(store.len(), 300 + rep.inserts as usize);
-    }
-
-    #[test]
-    fn mix_e_scans_with_zipfian_lengths() {
-        use nvcache_telemetry::HistId;
-        let store = small_store(2);
-        load(&store, 300, 16);
-        let rep = run(
-            &store,
-            &YcsbConfig {
-                keys: 300,
-                ops_per_worker: 400,
-                workers: 2,
-                mix: Mix::E,
-                value_len: 16,
-                seed: 11,
-                windows: 0,
-                latency: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(rep.ops, 800);
-        assert_eq!(rep.reads + rep.updates + rep.rmws, 0);
-        assert_eq!(rep.scans + rep.inserts, 800);
-        assert!(rep.scans > 700, "~95% scans, got {}", rep.scans);
-        assert!(rep.inserts > 0, "~5% inserts");
-        assert_eq!(
-            rep.not_found, 0,
-            "every scan starts at a loaded key: none comes back empty"
-        );
-        let snap = rep.latency.unwrap();
-        assert_eq!(snap.hist(HistId::KvScanNs).count, rep.scans);
-    }
-
-    #[test]
-    fn mix_f_read_modify_writes() {
-        let store = small_store(2);
-        load(&store, 300, 16);
-        let rep = run(
-            &store,
-            &YcsbConfig {
-                keys: 300,
-                ops_per_worker: 400,
-                workers: 2,
-                mix: Mix::F,
-                value_len: 16,
-                seed: 13,
-                windows: 0,
-                ..Default::default()
-            },
-        );
-        assert_eq!(rep.reads + rep.rmws, 800);
-        assert!(rep.rmws > 300 && rep.rmws < 500, "~half rmw: {}", rep.rmws);
-        assert_eq!(rep.not_found, 0, "rmw rereads always hit loaded keys");
-        assert_eq!(store.len(), 300, "rmw rewrites in place, no growth");
-        assert!(store.stats().stores > 0, "rmws persisted new versions");
     }
 
     #[test]
@@ -863,16 +667,15 @@ mod tests {
                 mix: Mix::A,
                 value_len: 24,
                 windows: 0,
-                latency: true,
                 ..Default::default()
             },
         );
-        let snap = rep.latency.expect("latency snapshot requested");
+        let snap = rep.latency;
         assert_eq!(snap.threads, 2, "one shard per worker");
         assert_eq!(snap.hist(HistId::KvGetNs).count, rep.reads);
         assert_eq!(
             snap.hist(HistId::KvPutNs).count,
-            rep.updates + rep.inserts,
+            rep.updates,
             "batch=1: every write is one put span"
         );
         assert!(snap.hist(HistId::KvPutManyNs).is_empty());
@@ -895,31 +698,12 @@ mod tests {
                 value_len: 24,
                 batch: 32,
                 windows: 0,
-                latency: true,
                 ..Default::default()
             },
         );
-        let snap = rep.latency.unwrap();
+        let snap = rep.latency;
         assert!(snap.hist(HistId::KvPutManyNs).count > 0);
         assert!(snap.hist(HistId::KvPutNs).is_empty(), "writes all batched");
-    }
-
-    #[test]
-    fn latency_off_reports_none() {
-        let store = small_store(2);
-        load(&store, 100, 16);
-        let rep = run(
-            &store,
-            &YcsbConfig {
-                keys: 100,
-                ops_per_worker: 100,
-                workers: 1,
-                value_len: 16,
-                windows: 0,
-                ..Default::default()
-            },
-        );
-        assert!(rep.latency.is_none());
     }
 
     #[test]
@@ -960,10 +744,7 @@ mod tests {
     /// clients, and nothing is stranded.
     #[test]
     fn run_drives_the_concurrent_server() {
-        use crate::server::{KvServer, ServerConfig};
-        use crate::shard::ShardConfig;
-        use crate::store::KvConfig;
-        use nvcache_core::PolicyKind;
+        use nvcache_kvstore::ServerConfig;
         let server = KvServer::new(
             &KvConfig {
                 shards: 2,

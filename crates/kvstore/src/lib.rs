@@ -5,7 +5,7 @@
 //! software write-combining cache, resized online from a miss-ratio
 //! curve sampled off the store's own write stream.
 //!
-//! Nine modules, bottom up:
+//! Seven modules, bottom up:
 //!
 //! - [`shard`] — one persistent hash map per shard (every
 //!   `put`/`delete` is one FASE): a volatile index over the node store
@@ -37,30 +37,20 @@
 //! - [`net`] — [`NetServer`] over a [`Transport`] (TCP, or in-process
 //!   pipes for tests): one thread per connection decodes frames into
 //!   lane groups, replies go out after the owning FASE commits.
-//! - [`ycsb`] — a YCSB-style load generator (zipfian/uniform key
-//!   popularity, mixes A–F, deterministic per-worker seeds, closed-loop
-//!   issue) with live per-window `FaseStats` scraping, over
-//!   any [`KvTarget`] (the direct store or the server).
-//! - [`netload`] — the open-loop pipelined loadgen for the wire path,
-//!   with ack tracking and the post-crash ack audit ([`verify_acked`]).
+//!
+//! The load generators that drive it (closed-loop YCSB and the
+//! open-loop wire loadgen with its ack audit) are the harness's, in
+//! `nvcache-bench`.
 //!
 //! ```
-//! use nvcache_kvstore::{load, run, KvConfig, KvStore, Mix, YcsbConfig};
+//! use nvcache_kvstore::{KvConfig, KvStore};
 //!
 //! let store = KvStore::new(&KvConfig::default());
-//! load(&store, 1_000, 32);
-//! let rep = run(
-//!     &store,
-//!     &YcsbConfig {
-//!         keys: 1_000,
-//!         ops_per_worker: 2_000,
-//!         workers: 2,
-//!         mix: Mix::B,
-//!         value_len: 32,
-//!         ..Default::default()
-//!     },
-//! );
-//! assert_eq!(rep.ops, 4_000);
+//! assert!(store.put(7, b"seven"));
+//! assert_eq!(store.get(7).as_deref(), Some(&b"seven"[..]));
+//! // one FASE per involved shard
+//! assert!(store.put_many(&[(1, b"one".to_vec()), (2, b"two".to_vec())]));
+//! assert_eq!(store.len(), 3);
 //! assert!(store.stats().data_flushes > 0);
 //! let qs = store.queue_stats();
 //! assert_eq!(qs.enqueued, qs.drained, "every call was served");
@@ -70,20 +60,15 @@
 
 pub mod engine;
 pub mod net;
-pub mod netload;
 pub mod proto;
 pub mod queue;
 pub mod server;
 pub mod shard;
 pub mod store;
-pub mod ycsb;
 
 pub use engine::{Engine, TreeEngine, TreeEngineConfig};
 pub use net::{
     listen_addr, Conn, InProcTransport, Listener, NetClient, NetServer, TcpTransport, Transport,
-};
-pub use netload::{
-    run_net, stored_version, verify_acked, versioned_value, NetLoadConfig, NetLoadReport,
 };
 pub use queue::{Backpressure, Completion, PushError, QueueStats, SubmissionQueue};
 pub use server::{KvClient, KvServer, ServerConfig};
@@ -92,7 +77,3 @@ pub use shard::{
     MAX_VALUE_LEN,
 };
 pub use store::{KvConfig, KvStore};
-pub use ycsb::{
-    load, run, scheduled_latency_ns, value_bytes, KeyDist, KvTarget, Mix, OpMix, ThetaShift,
-    WindowStats, YcsbConfig, YcsbReport, Zipfian,
-};

@@ -837,8 +837,8 @@ fn conn_loop<E: Engine>(mut conn: Box<dyn Conn>, kv: &KvServer<E>, stats: &NetSt
 // ---- blocking client -------------------------------------------------
 
 /// A simple blocking client: one request in flight at a time, matched
-/// by id. The loadgen ([`crate::netload`]) pipelines instead; this is
-/// for tests, tooling, and interactive use.
+/// by id. The harness's loadgen (`nvcache_bench::netload`) pipelines
+/// instead; this is for tests, tooling, and interactive use.
 pub struct NetClient {
     conn: Box<dyn Conn>,
     dec: FrameDecoder,

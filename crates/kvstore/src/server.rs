@@ -306,8 +306,8 @@ impl<E: Engine> Lane<E> {
 pub struct KvServer<E: Engine = Shard> {
     pub(crate) lanes: Vec<Arc<Lane<E>>>,
     /// A resident client handle for callers that drive the server
-    /// directly (e.g. the loadgen's `KvTarget` impl) without paying a
-    /// handle allocation per op.
+    /// directly (e.g. the harness's closed-loop load generator) without
+    /// paying a handle allocation per op.
     client: KvClient,
     /// Panics healed without losing the lane.
     healed_panics: Arc<AtomicU64>,

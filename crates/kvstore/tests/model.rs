@@ -7,8 +7,22 @@
 use std::collections::HashMap;
 
 use nvcache_core::PolicyKind;
-use nvcache_kvstore::{value_bytes, KvConfig, KvStore, ShardConfig};
+use nvcache_kvstore::{KvConfig, KvStore, ShardConfig};
 use proptest::prelude::*;
+
+/// `len` deterministic bytes for `(key, version)`.
+fn value_bytes(key: u64, version: u64, len: usize) -> Vec<u8> {
+    let mut v = Vec::with_capacity(len);
+    let mut z = key ^ version.rotate_left(17) ^ 0x5bf0_3635;
+    while v.len() < len {
+        z = z
+            .wrapping_add(0x9e37_79b9_7f4a_7c15)
+            .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        v.extend_from_slice(&z.to_le_bytes());
+    }
+    v.truncate(len);
+    v
+}
 
 fn single_shard(policy: PolicyKind) -> KvStore {
     KvStore::new(&KvConfig {
