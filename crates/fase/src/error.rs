@@ -44,26 +44,3 @@ impl std::fmt::Display for RecoveryError {
 }
 
 impl std::error::Error for RecoveryError {}
-
-/// A group of undo records that does not fit in what is left of the log
-/// area. Nothing of it was written: the FASE can still close (empty) or
-/// carry on with a smaller write set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LogFull {
-    /// Log bytes the group takes (after elision, headers included).
-    pub need: usize,
-    /// Log bytes free.
-    pub have: usize,
-}
-
-impl std::fmt::Display for LogFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "undo log overflow: the write set needs {} bytes of log, {} are free",
-            self.need, self.have
-        )
-    }
-}
-
-impl std::error::Error for LogFull {}

@@ -43,7 +43,7 @@ pub mod runtime;
 pub mod seal;
 pub mod segments;
 
-pub use error::{LogFull, RecoveryError};
+pub use error::RecoveryError;
 pub use log::{LogStats, UndoLog};
 pub use runtime::{FaseRuntime, FaseStats, FlushMode};
 pub use seal::SealError;

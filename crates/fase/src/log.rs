@@ -17,18 +17,16 @@
 //! first group starts on a line of its own: a group of up to 64 bytes
 //! is one line, not two.
 //!
-//! A group is one append: the whole write set of a FASE that announced
-//! it up front (`FaseRuntime::prelog`), or, on the per-store path, the
-//! words the store changes — one record per run of changed 8-byte
-//! words, and no group at all when the store changes nothing (the
-//! runtime compares the new bytes with the region before it appends).
-//! Its checksum is Fx over the **epoch**, the payload
-//! length and the payload — so a group validates only against the epoch
-//! it was written under. Each Fx step is a bijection of the state, so
-//! the same bytes under another epoch, or bytes that differ in one word,
-//! never produce the same sum; any other mismatch passes with 2⁻⁶⁴. A
-//! record names at most 65 528 bytes below 2⁴⁸; a longer range is
-//! logged as several records.
+//! A group is one append: the words one store changes — one record per
+//! run of changed 8-byte words, and no group at all when the store
+//! changes nothing (`FaseRuntime::store` compares the new bytes with
+//! the region before it appends). Its checksum is Fx over the
+//! **epoch**, the payload length and the payload — so a group validates
+//! only against the epoch it was written under. Each Fx step is a
+//! bijection of the state, so the same bytes under another epoch, or
+//! bytes that differ in one word, never produce the same sum; any other
+//! mismatch passes with 2⁻⁶⁴. A record names at most 65 528 bytes
+//! below 2⁴⁸; a longer range is logged as several records.
 //!
 //! The tail (where the next group goes) is volatile: nothing durable
 //! says how many groups are live. Recovery finds them.
@@ -40,9 +38,6 @@
 //!   durable *and* valid (log-before-data). There is no second persist
 //!   that publishes them: a group of which only some lines reached
 //!   NVRAM fails its checksum, and its data stores never happened.
-//!   Within one group a range that another range covers is not logged
-//!   again — every pre-image is read before the first store, so one
-//!   copy of a byte restores it as well as two.
 //! * `commit` is the epoch bump and nothing else: `epoch ← epoch + 1`,
 //!   one persist. The caller has already flushed and fenced the FASE's
 //!   data (`FaseRuntime::end_fase`), and the epoch is one 8-byte word
@@ -57,11 +52,11 @@
 //!   bumps the epoch — always, so every group that carries the durable
 //!   epoch was appended by the FASE that is open now.
 //!
-//! Fixed log cost per FASE is therefore one persist per group plus the
-//! epoch bump: (group lines + 1) log flushes, where the group lines are
-//! the lines the FASE's groups span from byte 64 on. With the data fence
-//! between them a prelogged FASE pays **three fences**. A FASE that
-//! logged nothing pays **one** — the data fence — and no log line.
+//! Log cost per FASE is therefore one persist per group plus the epoch
+//! bump: (group lines + 1) log flushes, where the group lines are the
+//! lines the FASE's groups span from byte 64 on, and one fence per
+//! group plus two — the data fence and the epoch's. A FASE that logged
+//! nothing pays **one** fence — the data fence — and no log line.
 //!
 //! Recovery never trusts durable bytes: a group whose length runs past
 //! the log area, whose checksum fails (torn, stale, or of another
@@ -70,7 +65,7 @@
 //! applied, since log-before-data ordering guarantees its data stores
 //! never happened.
 
-use crate::error::{LogFull, RecoveryError};
+use crate::error::RecoveryError;
 use nvcache_pmem::PmemRegion;
 use nvcache_trace::FxHasher;
 use std::hash::Hasher;
@@ -98,9 +93,6 @@ const MAX_RECORD_LEN: u64 = (1 << LEN_BITS) - 8;
 pub struct LogStats {
     /// Undo records written.
     pub entries: u64,
-    /// Records not written because another range of their group
-    /// covers theirs.
-    pub elided: u64,
     /// Commits.
     pub commits: u64,
     /// Rollbacks performed by recovery.
@@ -122,9 +114,9 @@ pub struct UndoLog {
     /// Log-relative offset of the next group (volatile).
     tail: usize,
     stats: LogStats,
-    /// Header words of the records the group being appended gets
-    /// (reused, never shrunk).
-    keep: Vec<u64>,
+    /// Header words of the group being appended's records (reused,
+    /// never shrunk).
+    heads: Vec<u64>,
     /// The group being appended, or the pre-image being restored
     /// (reused, never shrunk).
     buf: Vec<u8>,
@@ -182,7 +174,7 @@ impl UndoLog {
             len,
             tail: RECORDS_START,
             stats: LogStats::default(),
-            keep: Vec::new(),
+            heads: Vec::new(),
             buf: Vec::new(),
         }
     }
@@ -246,31 +238,23 @@ impl UndoLog {
         self.stats.commit_lines += 1;
     }
 
-    /// Record the current contents of several `(offset, len)` ranges
-    /// durably, as one group. Must be called *before* the data stores
-    /// it protects; when it returns, the group is durable and valid —
-    /// one ranged flush + one fence for any number of ranges. A crash
-    /// anywhere inside leaves a group recovery rejects, which is safe
-    /// because the caller has not yet stored to any of the ranges
-    /// (group-log-before-data).
-    ///
-    /// Empty ranges get no record, and neither does a range that
-    /// another range of the group covers: all pre-images are read here,
-    /// before any of the stores, so the covering record restores the
-    /// same bytes. Records are written in offset order.
-    ///
-    /// A group that does not fit is refused before anything is written:
-    /// the log is exactly as it was.
+    /// Record the current contents of several disjoint `(offset, len)`
+    /// ranges durably, as one group: a record per range, in the order
+    /// given, a range longer than a record holds split into several.
+    /// Must be called *before* the data stores it protects; when it
+    /// returns, the group is durable and valid — one ranged flush + one
+    /// fence for any number of ranges. A crash anywhere inside leaves a
+    /// group recovery rejects, which is safe because the caller has not
+    /// yet stored to any of the ranges (group-log-before-data). No
+    /// range, or only empty ones, appends nothing.
     ///
     /// # Panics
-    /// When a range leaves the data area `[0, base)`.
-    pub fn append_group(
-        &mut self,
-        region: &mut PmemRegion,
-        ranges: &[(u64, u64)],
-    ) -> Result<(), LogFull> {
+    /// When a range leaves the data area `[0, base)`, and when the
+    /// group does not fit in what is left of the log area — before
+    /// anything is written.
+    pub fn append_group(&mut self, region: &mut PmemRegion, ranges: &[(u64, u64)]) {
         // one header word per record; a long range is several
-        self.keep.clear();
+        self.heads.clear();
         for &(mut offset, mut len) in ranges {
             assert!(
                 offset
@@ -280,46 +264,32 @@ impl UndoLog {
             );
             while len > 0 {
                 let n = len.min(MAX_RECORD_LEN);
-                self.keep.push(offset << LEN_BITS | n);
+                self.heads.push(offset << LEN_BITS | n);
                 offset += n;
                 len -= n;
             }
         }
-        let given = self.keep.len();
-        if given > 1 {
-            // by offset, longest first: a range is covered iff it ends
-            // no later than something before it in this order
-            self.keep.sort_unstable_by_key(|word| word ^ LEN_MASK);
-            let mut covered_to = 0;
-            self.keep.retain(|&word| {
-                let (offset, len) = unpack(word);
-                let end = offset + len;
-                let fresh = end > covered_to;
-                covered_to = covered_to.max(end);
-                fresh
-            });
+        if self.heads.is_empty() {
+            return;
         }
-        self.stats.elided += (given - self.keep.len()) as u64;
-        if self.keep.is_empty() {
-            return Ok(());
-        }
-        let records = self.keep.iter().map(|&word| record_bytes(unpack(word).1));
+        let records = self.heads.iter().map(|&word| record_bytes(unpack(word).1));
         let need = GROUP_HEADER + records.sum::<usize>();
         let have = self.len - self.tail;
-        if need > have {
-            return Err(LogFull { need, have });
-        }
+        assert!(
+            need <= have,
+            "undo log overflow: the write set needs {need} bytes of log, {have} are free"
+        );
         self.buf.clear();
         self.buf.resize(need, 0);
         let mut at = GROUP_HEADER;
-        for &word in &self.keep {
+        for &word in &self.heads {
             let (offset, len) = unpack(word);
             self.buf[at..at + 8].copy_from_slice(&word.to_le_bytes());
             self.buf[at + 8..at + 8 + len].copy_from_slice(region.slice(offset, len));
             at += record_bytes(len);
             self.stats.bytes_logged += len as u64;
         }
-        self.stats.entries += self.keep.len() as u64;
+        self.stats.entries += self.heads.len() as u64;
         debug_assert_eq!(at, need);
         let payload = need - GROUP_HEADER;
         let sum = checksum(self.epoch(region), &self.buf[GROUP_HEADER..]);
@@ -330,7 +300,6 @@ impl UndoLog {
         region.persist(at, need);
         self.stats.record_lines += PmemRegion::lines_of(at, need).count() as u64;
         self.tail += need;
-        Ok(())
     }
 
     /// Commit the open FASE by bumping the durable epoch: one persisted
@@ -444,8 +413,7 @@ mod tests {
     /// `new` there and persist it — a per-store FASE step whose data
     /// reached NVRAM.
     fn logged_store(l: &mut UndoLog, r: &mut PmemRegion, offset: usize, new: &[u8]) {
-        l.append_group(r, &[(offset as u64, new.len() as u64)])
-            .unwrap();
+        l.append_group(r, &[(offset as u64, new.len() as u64)]);
         seed(r, offset, new);
     }
 
@@ -606,7 +574,7 @@ mod tests {
         // the data store, rollback always has what it needs.
         let (mut r, mut l) = setup();
         seed(&mut r, 100, b"OLD!");
-        l.append_group(&mut r, &[(100, 4)]).unwrap();
+        l.append_group(&mut r, &[(100, 4)]);
         r.write(100, b"NEW!");
         // crash where the dirty data line *lands* but nothing else
         r.crash(&CrashMode::random(0.0, 1.0, 3));
@@ -791,25 +759,37 @@ mod tests {
 
     #[test]
     fn a_group_that_does_not_fit_is_refused_whole() {
+        // the overflow panic's message, or None when the group fit
+        fn refusal(l: &mut UndoLog, r: &mut PmemRegion, ranges: &[(u64, u64)]) -> Option<String> {
+            let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                l.append_group(r, ranges);
+            }));
+            refused.err().map(|message| {
+                message
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .expect("a formatted panic message")
+            })
+        }
         // 112 bytes for groups
         let log_len = RECORDS_START + 112;
         let mut r = PmemRegion::new(4096 + log_len);
         let mut l = UndoLog::format(&mut r, 4096, log_len);
-        l.append_group(&mut r, &[(0, 32)]).unwrap();
+        l.append_group(&mut r, &[(0, 32)]);
         let (used, stats, pmem) = (l.used(), l.stats(), r.stats());
         // 16 + 3 × (8 + 32) against the 56 bytes left
         let ranges = [(64, 32), (128, 32), (192, 32)];
         assert_eq!(
-            l.append_group(&mut r, &ranges),
-            Err(LogFull {
-                need: 136,
-                have: 56
-            })
+            refusal(&mut l, &mut r, &ranges).as_deref(),
+            Some("undo log overflow: the write set needs 136 bytes of log, 56 are free")
         );
         assert_eq!((l.used(), l.stats(), r.stats()), (used, stats, pmem));
-        l.append_group(&mut r, &[(64, 32)]).unwrap();
+        l.append_group(&mut r, &[(64, 32)]);
         assert_eq!(l.used(), 112, "exactly full");
-        assert!(l.append_group(&mut r, &[(128, 1)]).is_err());
+        assert_eq!(
+            refusal(&mut l, &mut r, &[(128, 1)]).as_deref(),
+            Some("undo log overflow: the write set needs 32 bytes of log, 0 are free")
+        );
     }
 
     #[test]
@@ -817,7 +797,7 @@ mod tests {
         let (mut r, mut l) = setup();
         let before = r.stats();
         let ranges: Vec<(u64, u64)> = (0..8u64).map(|i| (i * 8, 8)).collect();
-        l.append_group(&mut r, &ranges).unwrap();
+        l.append_group(&mut r, &ranges);
         let after = r.stats();
         assert_eq!(
             after.fences - before.fences,
@@ -836,7 +816,7 @@ mod tests {
         // 16 + 8 + 40 bytes: exactly the line after the header's
         let (mut r, mut l) = setup();
         let before = r.stats().flushes;
-        l.append_group(&mut r, &[(0, 40)]).unwrap();
+        l.append_group(&mut r, &[(0, 40)]);
         assert_eq!(l.used(), 64);
         assert_eq!(r.stats().flushes - before, 1);
         assert_eq!(l.stats().record_lines, 1);
@@ -847,7 +827,7 @@ mod tests {
         let (mut r, mut l) = setup();
         seed(&mut r, 0, b"AAAA");
         seed(&mut r, 64, b"XXXX");
-        l.append_group(&mut r, &[(0, 4), (64, 4)]).unwrap();
+        l.append_group(&mut r, &[(0, 4), (64, 4)]);
         seed(&mut r, 0, b"BBBB");
         seed(&mut r, 64, b"YYYY");
         r.crash(&CrashMode::AllInFlightLands);
@@ -867,7 +847,7 @@ mod tests {
         }
         let ranges: Vec<(u64, u64)> = (0..16u64).map(|i| (i * 8, 8)).collect();
         let mut full = base.clone();
-        l.append_group(&mut full, &ranges).unwrap();
+        l.append_group(&mut full, &ranges);
         let lines = PmemRegion::lines_of(LOG_BASE + RECORDS_START, l.used() as usize);
         let lines: Vec<usize> = lines.map(|l| l as usize * 64).collect();
         assert_eq!(lines.len(), 5);
@@ -887,34 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn group_with_duplicate_and_empty_ranges_converges() {
-        let (mut r, mut l) = setup();
-        let old: Vec<u8> = (0..128).collect();
-        seed(&mut r, 0, &old);
-        // duplicate, empty, same start but shorter, strictly inside,
-        // partially overlapping (kept whole), disjoint
-        let ranges = [
-            (40, 16),
-            (16, 0),
-            (40, 16),
-            (40, 8),
-            (44, 4),
-            (48, 16),
-            (100, 4),
-        ];
-        l.append_group(&mut r, &ranges).unwrap();
-        let s = l.stats();
-        assert_eq!((s.entries, s.elided), (3, 3), "(40,16) (48,16) (100,4)");
-        assert_eq!(s.bytes_logged, 36);
-        seed(&mut r, 0, &[0xEE; 128]);
-        r.crash(&CrashMode::AllInFlightLands);
-        assert_eq!(reopened(&r).recover(&mut r).unwrap(), 3);
-        assert_eq!(r.slice(40, 24), &old[40..64]);
-        assert_eq!(r.slice(100, 4), &old[100..104]);
-        assert_eq!(r.slice(0, 40), [0xEE; 40], "never logged");
-    }
-
-    #[test]
     fn a_long_range_splits_into_records_and_rolls_back_whole() {
         let len = MAX_RECORD_LEN as usize * 2 + 5;
         let base = (len + 64).next_multiple_of(64);
@@ -923,7 +875,7 @@ mod tests {
         let mut l = UndoLog::format(&mut r, base, log_len);
         let old: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
         seed(&mut r, 3, &old);
-        l.append_group(&mut r, &[(3, len as u64)]).unwrap();
+        l.append_group(&mut r, &[(3, len as u64)]);
         assert_eq!(l.stats().entries, 3);
         assert_eq!(
             l.used() as usize,

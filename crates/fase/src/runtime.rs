@@ -39,7 +39,7 @@ use nvcache_telemetry::{
 };
 use nvcache_trace::{Line, StoreSink, ThreadTrace, TraceRecorder};
 
-use crate::error::{LogFull, RecoveryError};
+use crate::error::RecoveryError;
 use crate::log::{LogStats, UndoLog};
 
 /// Policy flush buffer capacity reserved up front (and preserved across
@@ -181,16 +181,9 @@ pub struct FaseRuntime {
     fase_store_lines: u64,
     /// The flush submission ring every policy flush goes through.
     ring: FlushRing,
-    /// The current outermost FASE grouped-prelogged its write set;
-    /// per-store undo logging is suppressed until it commits.
-    prelogged: bool,
     /// The changed-word runs of the store being logged (reused, never
-    /// shrunk: the per-store path allocates nothing once warm).
+    /// shrunk: the store path allocates nothing once warm).
     runs: Vec<(u64, u64)>,
-    /// Debug-only shadow of the prelogged ranges, to assert every
-    /// unlogged store is actually covered.
-    #[cfg(debug_assertions)]
-    prelog_ranges: Vec<(u64, u64)>,
 }
 
 impl std::fmt::Debug for FaseRuntime {
@@ -240,10 +233,7 @@ impl FaseRuntime {
             last_recovery_ns: None,
             fase_store_lines: 0,
             ring: FlushRing::new(RING_CAPACITY),
-            prelogged: false,
             runs: Vec::new(),
-            #[cfg(debug_assertions)]
-            prelog_ranges: Vec::new(),
         }
     }
 
@@ -340,8 +330,8 @@ impl FaseRuntime {
         self.stats
     }
 
-    /// Undo-log counters: records written and elided, and the log's
-    /// share of the region's flushes by kind. All zero with no log.
+    /// Undo-log counters: records written, and the log's share of the
+    /// region's flushes by kind. All zero with no log.
     pub fn log_stats(&self) -> LogStats {
         self.log.as_ref().map(UndoLog::stats).unwrap_or_default()
     }
@@ -401,35 +391,6 @@ impl FaseRuntime {
     /// for `benchmark/src/adapter.rs`, which reads [`SlabStats`].
     pub fn slab_stats(&self) -> Option<SlabStats> {
         None
-    }
-
-    /// Undo-log the *current* contents of `ranges` as one group: all
-    /// records are written contiguously and persisted with a single
-    /// ranged flush + fence — one fence for the whole write set instead
-    /// of one per store, and no record for a range another one covers
-    /// ([`UndoLog::append_group`]). For the rest of this outermost FASE
-    /// per-store logging is suppressed, so **every** subsequent logged
-    /// store must target a prelogged range (debug builds assert
-    /// coverage). Call before the FASE's first store.
-    ///
-    /// A write set the log has no room for is refused with nothing
-    /// written: the FASE is still open, empty and not prelogged, and
-    /// the caller closes it. Panics on a runtime with no undo log.
-    pub fn prelog(&mut self, ranges: &[(u64, u64)]) -> Result<(), LogFull> {
-        assert_eq!(
-            self.depth, 1,
-            "prelog belongs at the top of an outermost FASE"
-        );
-        assert!(!self.prelogged, "prelog once per FASE");
-        let log = self.log.as_mut().expect("runtime has no undo log");
-        log.append_group(&mut self.region, ranges)?;
-        self.prelogged = true;
-        #[cfg(debug_assertions)]
-        {
-            self.prelog_ranges.clear();
-            self.prelog_ranges.extend_from_slice(ranges);
-        }
-        Ok(())
     }
 
     /// Submit the policy's buffered flush obligations to the ring,
@@ -526,9 +487,6 @@ impl FaseRuntime {
             if let Some(log) = &mut self.log {
                 log.commit(&mut self.region);
             }
-            self.prelogged = false;
-            #[cfg(debug_assertions)]
-            self.prelog_ranges.clear();
             self.stats.fases += 1;
             if self.telemetry.is_some() {
                 let fases = self.stats.fases;
@@ -573,34 +531,21 @@ impl FaseRuntime {
     // ----- persistent accesses -------------------------------------------
 
     /// Persistent store of `bytes` at `offset` (must lie in the data
-    /// area). Inside a FASE that was not prelogged, the old value of
-    /// what the store changes is undo-logged first, as one group of one
-    /// record per run of changed 8-byte words; a store that changes
-    /// nothing logs nothing.
+    /// area). Inside a FASE, the old value of what the store changes is
+    /// undo-logged first, as one group of one record per run of changed
+    /// 8-byte words; a store that changes nothing logs nothing.
     ///
     /// # Panics
     /// On a runtime with no undo log, and when the log area overflows
-    /// (size the log for the largest FASE, or announce the write set
-    /// with [`FaseRuntime::prelog`], which refuses instead).
+    /// (size the log for the largest FASE).
     pub fn store(&mut self, offset: usize, bytes: &[u8]) {
         assert!(self.log.is_some(), "runtime has no undo log");
         assert!(
             offset + bytes.len() <= self.data_len,
             "store outside data area"
         );
-        if self.depth > 0 && !self.prelogged {
+        if self.depth > 0 {
             self.log_changed_words(offset, bytes);
-        }
-        #[cfg(debug_assertions)]
-        if self.depth > 0 && self.prelogged {
-            let (s, e) = (offset as u64, (offset + bytes.len()) as u64);
-            debug_assert!(
-                self.prelog_ranges
-                    .iter()
-                    .any(|&(o, l)| o <= s && e <= o + l),
-                "store at {offset}+{} not covered by any prelogged range",
-                bytes.len()
-            );
         }
         self.store_fresh(offset, bytes);
     }
@@ -632,9 +577,7 @@ impl FaseRuntime {
             from = to;
         }
         let log = self.log.as_mut().expect("runtime has no undo log");
-        if let Err(full) = log.append_group(&mut self.region, &self.runs) {
-            panic!("{full}");
-        }
+        log.append_group(&mut self.region, &self.runs);
     }
 
     /// Persistent store into **shadow memory**: bytes no committed
@@ -644,8 +587,7 @@ impl FaseRuntime {
     /// and fenced by the outermost `end_fase` — except that no undo
     /// entry is written: if the FASE rolls back, the range keeps
     /// whatever part of the store reached NVRAM, so the caller must
-    /// be able to tell it from committed data. Allowed anywhere
-    /// in a prelogged FASE (the range needs no prelog cover).
+    /// be able to tell it from committed data.
     pub fn store_fresh(&mut self, offset: usize, bytes: &[u8]) {
         assert!(
             offset + bytes.len() <= self.data_len,
@@ -814,9 +756,8 @@ impl FaseRuntime {
     /// Recover the runtime after a *panic* unwound through an open FASE
     /// (no power failure — the region keeps every line it holds). A
     /// worker that dies mid-section leaves `depth > 0`, a partially
-    /// filled flush buffer, possibly a prelogged-but-uncommitted write
-    /// set or an unwritten commit record, and submitted-but-undrained
-    /// ring entries; without healing,
+    /// filled flush buffer, possibly logged-but-uncommitted groups, and
+    /// submitted-but-undrained ring entries; without healing,
     /// the next caller through a poisoned lock would nest its sections
     /// inside the abandoned one forever (no outermost `end_fase` ever
     /// runs, so nothing commits and the in-flight flush buffer leaks).
@@ -827,8 +768,7 @@ impl FaseRuntime {
     /// recoverable in place), and leaves the runtime serving again.
     /// Returns whether there was anything to heal.
     pub fn heal_after_panic(&mut self) -> bool {
-        let open =
-            self.depth > 0 || !self.flush_buf.is_empty() || self.prelogged || !self.ring.is_empty();
+        let open = self.depth > 0 || !self.flush_buf.is_empty() || !self.ring.is_empty();
         if !open {
             // nothing abandoned, so nothing logged: the tail is
             // volatile and only an open FASE moves it
@@ -840,18 +780,14 @@ impl FaseRuntime {
     }
 
     /// Drop the volatile residue of whatever FASE was open — depth,
-    /// flush buffer, the policy's cache, submitted-but-undrained lines,
-    /// the prelogged write set, an unwritten commit record — and roll
-    /// the region back through the undo log, if there is one. The
-    /// rollback's telemetry event carries `crashes`.
+    /// flush buffer, the policy's cache, submitted-but-undrained lines
+    /// — and roll the region back through the undo log, if there is
+    /// one. The rollback's telemetry event carries `crashes`.
     fn roll_back(&mut self, crashes: u64) {
         self.depth = 0;
         self.flush_buf.clear();
         self.policy.reset();
         self.ring.reset();
-        self.prelogged = false;
-        #[cfg(debug_assertions)]
-        self.prelog_ranges.clear();
         let Some(log) = &mut self.log else {
             return;
         };
@@ -1500,76 +1436,6 @@ mod tests {
     }
 
     #[test]
-    fn prelogged_fase_commits_and_rolls_back() {
-        let mut r = rt(PolicyKind::ScFixed { capacity: 8 });
-        // committed prelogged FASE
-        r.begin_fase();
-        r.prelog(&[(0, 8), (64, 8)]).unwrap();
-        r.store_u64(0, 7);
-        r.store_u64(64, 8);
-        r.end_fase();
-        // uncommitted prelogged FASE rolls back to the committed state
-        r.begin_fase();
-        r.prelog(&[(0, 8), (64, 8)]).unwrap();
-        r.store_u64(0, 77);
-        r.store_u64(64, 88);
-        r.crash_and_recover(&CrashMode::AllInFlightLands);
-        assert_eq!(r.load_u64(0), 7);
-        assert_eq!(r.load_u64(64), 8);
-        assert_eq!(r.stats().rollbacks, 1);
-    }
-
-    #[test]
-    fn prelog_spends_one_fence_per_batch() {
-        let mut r = rt(PolicyKind::Lazy);
-        let fences_of = |r: &FaseRuntime| r.region().stats().fences;
-        // per-store logging: a group, so a fence, per store
-        r.begin_fase();
-        let before = fences_of(&r);
-        for i in 0..8usize {
-            r.store_u64(i * 8, 1);
-        }
-        let per_store = fences_of(&r) - before;
-        r.end_fase();
-        assert_eq!(per_store, 8, "1 fence × 8 stores");
-        // grouped prelog: one fence for the whole batch
-        r.begin_fase();
-        let before = fences_of(&r);
-        r.prelog(&(0..8u64).map(|i| (i * 8, 8)).collect::<Vec<_>>())
-            .unwrap();
-        for i in 0..8usize {
-            r.store_u64(i * 8, 2);
-        }
-        let grouped = fences_of(&r) - before;
-        r.end_fase();
-        assert_eq!(grouped, 1, "the group's one persist");
-        assert_eq!(r.log_stats().entries, 16);
-    }
-
-    #[test]
-    fn an_oversized_prelog_is_refused_and_the_fase_closes_empty() {
-        let mut r = FaseRuntime::new(1 << 12, 256, &PolicyKind::Lazy);
-        r.fase(|r| r.store_u64(0, 7));
-        let ranges: Vec<(u64, u64)> = (0..64u64).map(|i| (i * 8, 8)).collect();
-        r.begin_fase();
-        let (log0, pmem0) = (r.log_stats(), r.region().stats());
-        let full = r.prelog(&ranges).unwrap_err();
-        assert_eq!(
-            (full.need, full.have),
-            (16 + 64 * 16, 256 - crate::log::RECORDS_START)
-        );
-        assert_eq!((r.log_stats(), r.region().stats()), (log0, pmem0));
-        r.end_fase();
-        // the runtime is as good as new: a smaller write set commits
-        r.begin_fase();
-        r.prelog(&ranges[..8]).unwrap();
-        r.store_u64(0, 8);
-        r.end_fase();
-        r.crash_and_recover(&CrashMode::StrictDurableOnly);
-        assert_eq!(r.load_u64(0), 8);
-    }
-
-    #[test]
     #[should_panic(expected = "undo log overflow")]
     fn a_per_store_fase_that_outgrows_the_log_panics() {
         let mut r = FaseRuntime::new(1 << 12, 128, &PolicyKind::Lazy);
@@ -1620,20 +1486,6 @@ mod tests {
         // the fresh range is unspecified after a rollback: here every
         // in-flight line landed and nothing restored it
         assert_eq!(r.region().slice(64, 128), &[9u8; 128][..]);
-    }
-
-    #[test]
-    fn store_fresh_needs_no_prelog_cover() {
-        let mut r = rt(PolicyKind::ScFixed { capacity: 8 });
-        r.begin_fase();
-        r.prelog(&[(0, 8)]).unwrap();
-        r.store_u64(0, 5);
-        // a logged store here would trip the debug coverage assertion
-        r.store_fresh(4096, &[1u8; 64]);
-        r.end_fase();
-        r.crash_and_recover(&CrashMode::StrictDurableOnly);
-        assert_eq!(r.load_u64(0), 5);
-        assert_eq!(r.region().slice(4096, 64), &[1u8; 64][..]);
     }
 
     #[test]
@@ -1778,17 +1630,16 @@ mod tests {
         }
     }
 
-    /// Healing also drops submitted-but-undrained ring entries and the
-    /// prelogged write set of the abandoned FASE.
+    /// Healing also drops submitted-but-undrained ring entries and rolls
+    /// back the groups the abandoned FASE logged.
     #[test]
     fn heal_after_panic_clears_pipelined_residue() {
         let mut r = rt(PolicyKind::Eager);
         r.fase(|r| r.store_u64(64, 1));
         r.begin_fase();
-        r.prelog(&[(128, 8)]).unwrap();
         r.store_u64(128, 2);
         assert!(r.heal_after_panic());
-        assert_eq!(r.load_u64(128), 0, "prelogged store rolled back");
+        assert_eq!(r.load_u64(128), 0, "logged store rolled back");
         // ring is usable again: a clean FASE commits
         r.fase(|r| r.store_u64(128, 3));
         assert_eq!(r.load_u64(128), 3);

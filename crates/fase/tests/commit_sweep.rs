@@ -1,11 +1,11 @@
 //! The commit point, swept: a crash is armed at every micro-step from
 //! the first log append of a FASE to the return of `UndoLog::commit`,
-//! under three kinds of adversary, for a grouped and a per-store logged
-//! write set, and for a per-store FASE whose stores log only the words
-//! they change (none, two runs, an identical rewrite, an unaligned
-//! store across a word boundary, two runs merged across one word). The
-//! epoch write — the log's truncation: it retires every group at once —
-//! is the only thing that separates "rolled back" from "committed", so:
+//! under three kinds of adversary, for a FASE of three logged stores,
+//! and for one whose stores log only the words they change (none, two
+//! runs, an identical rewrite, an unaligned store across a word
+//! boundary, two runs merged across one word). The epoch write — the
+//! log's truncation: it retires every group at once — is the only
+//! thing that separates "rolled back" from "committed", so:
 //!
 //! * before that write executes, recovery yields the pre-FASE image;
 //! * after its fence, the post-FASE image;
@@ -17,54 +17,23 @@
 //! fence (the bump then lands while data lines are still in flight, and
 //! the recovered bytes are neither image), when a group is applied
 //! that only partly reached NVRAM (the log area is full of an earlier
-//! FASE's groups, so the part that did not land is *their* bytes), when
-//! eliding a covered range loses a pre-image, or when leaving an
-//! unchanged word out of a store's records does.
+//! FASE's groups, so the part that did not land is *their* bytes), or
+//! when leaving an unchanged word out of a store's records loses a
+//! pre-image.
 
 use nvcache_core::PolicyKind;
-use nvcache_fase::{FaseRuntime, UndoLog};
+use nvcache_fase::FaseRuntime;
 use nvcache_pmem::{CrashMode, CrashPlan, PmemRegion};
-use proptest::prelude::*;
 
 const DATA: usize = 1024;
 const LOG: usize = 8192;
 
-/// One swept FASE: what it prelogs (`None`: every store logs itself, a
-/// group of one each) and the `(offset, len)` it stores to, in order.
-struct Shape {
-    prelog: Option<&'static [(u64, u64)]>,
-    stores: &'static [(u64, u64)],
-}
-
-/// Three lines, one store spanning a line boundary: three groups.
-const PER_STORE: Shape = Shape {
-    prelog: None,
-    stores: &[(0, 8), (120, 16), (512, 8)],
-};
+/// The `(offset, len)` of a swept FASE's stores, in order: three
+/// lines, one store spanning a line boundary, so three groups.
+const PER_STORE: &[(u64, u64)] = &[(0, 8), (120, 16), (512, 8)];
 /// Groups of 32, 40 and 32 bytes from log offset 64: the second
 /// straddles a line.
 const PER_STORE_RECORD_LINES: u64 = 4;
-
-/// A write set announced with a duplicate, an empty range, ranges that
-/// another one covers (same start and shorter; strictly inside) and two
-/// that overlap in part; a location is stored to twice.
-const GROUPED: Shape = Shape {
-    prelog: Some(&[
-        (0, 8),
-        (120, 16),
-        (0, 8),
-        (300, 0),
-        (124, 4),
-        (128, 16),
-        (512, 8),
-        (512, 4),
-        (130, 2),
-    ]),
-    stores: &[(0, 8), (120, 16), (128, 16), (512, 8), (124, 4), (130, 2)],
-};
-/// Of `GROUPED.prelog`, what needs a record: `(0, 8) (120, 16)
-/// (128, 16) (512, 8)` — 16 + 4 × 8 + 48 bytes from log offset 64.
-const GROUPED_RECORD_LINES: u64 = 2;
 
 fn policy() -> PolicyKind {
     PolicyKind::ScFixed { capacity: 2 }
@@ -91,12 +60,9 @@ fn whole(data: &[u8]) -> Vec<u8> {
     data.to_vec()
 }
 
-fn swept_fase(rt: &mut FaseRuntime, shape: &Shape) {
+fn swept_fase(rt: &mut FaseRuntime, stores: &[(u64, u64)]) {
     rt.begin_fase();
-    if let Some(ranges) = shape.prelog {
-        rt.prelog(ranges).expect("fits");
-    }
-    for (i, &(off, len)) in shape.stores.iter().enumerate() {
+    for (i, &(off, len)) in stores.iter().enumerate() {
         let bytes = vec![0xA0 + i as u8; len as usize];
         rt.store(off as usize, &bytes);
     }
@@ -166,9 +132,7 @@ fn sweep(name: &str, fase: impl Fn(&mut FaseRuntime), view: impl Fn(&[u8]) -> Ve
 
 #[test]
 fn every_step_up_to_the_truncate_fence_recovers_pre_and_after_it_post() {
-    for (name, shape) in [("grouped", &GROUPED), ("per-store", &PER_STORE)] {
-        sweep(name, |rt| swept_fase(rt, shape), whole);
-    }
+    sweep("per-store", |rt| swept_fase(rt, PER_STORE), whole);
 }
 
 /// The shadow area a log-free FASE fills, and the word a logged one
@@ -278,15 +242,16 @@ fn a_group_of_which_any_proper_subset_of_lines_landed_is_never_applied() {
     let pre = data_of(&rt);
     let before = rt.region().durable_image().to_vec();
     rt.begin_fase();
-    rt.prelog(GROUPED.prelog.expect("the grouped shape"))
-        .expect("fits");
-    // durable and valid, and no data store has happened yet
+    // 72 changed bytes: one record, a 96-byte group across log lines
+    // 1 and 2 — durable and valid, and the store it protects is not
+    rt.store(120, &[0xA0; 72]);
     let after = rt.region().durable_image().to_vec();
+    assert_eq!(after[..DATA], before[..DATA], "no data line landed");
     let lines: Vec<usize> = (DATA..DATA + LOG)
         .step_by(64)
         .filter(|&l| before[l..l + 64] != after[l..l + 64])
         .collect();
-    assert_eq!(lines.len() as u64, GROUPED_RECORD_LINES);
+    assert_eq!(lines, [DATA + 64, DATA + 128]);
     for landed in 0u32..(1 << lines.len()) {
         let mut image = before.clone();
         for (i, &l) in lines.iter().enumerate() {
@@ -308,34 +273,21 @@ fn a_fase_costs_one_log_persist_per_group_and_the_epoch_bump() {
     // flush instructions the data took: what the ring's dedup left of
     // the policy's obligations
     let data_flushes = |rt: &FaseRuntime| rt.ring_stats().flushed;
-    for (shape, groups, record_lines) in [
-        (&GROUPED, 1, GROUPED_RECORD_LINES),
-        (&PER_STORE, 3, PER_STORE_RECORD_LINES),
-    ] {
-        let mut rt = seeded();
-        let (pmem0, log0, data0) = (rt.region().stats(), rt.log_stats(), data_flushes(&rt));
-        swept_fase(&mut rt, shape);
-        let (pmem, log) = (rt.region().stats(), rt.log_stats());
-        assert_eq!(
-            pmem.fences - pmem0.fences,
-            groups + 2,
-            "one per group, data, epoch"
-        );
-        assert_eq!(log.record_lines - log0.record_lines, record_lines);
-        assert_eq!(log.commit_lines - log0.commit_lines, 1);
-        assert_eq!(
-            pmem.flushes - pmem0.flushes - (data_flushes(&rt) - data0),
-            record_lines + 1,
-            "the log's share is record lines + 1"
-        );
-    }
     let mut rt = seeded();
-    let log0 = rt.log_stats();
-    swept_fase(&mut rt, &GROUPED);
-    let log = rt.log_stats();
+    let (pmem0, log0, data0) = (rt.region().stats(), rt.log_stats(), data_flushes(&rt));
+    swept_fase(&mut rt, PER_STORE);
+    let (pmem, log) = (rt.region().stats(), rt.log_stats());
     assert_eq!(
-        (log.entries - log0.entries, log.elided - log0.elided),
-        (4, 4)
+        pmem.fences - pmem0.fences,
+        3 + 2,
+        "one per group, data, epoch"
+    );
+    assert_eq!(log.record_lines - log0.record_lines, PER_STORE_RECORD_LINES);
+    assert_eq!(log.commit_lines - log0.commit_lines, 1);
+    assert_eq!(
+        pmem.flushes - pmem0.flushes - (data_flushes(&rt) - data0),
+        PER_STORE_RECORD_LINES + 1,
+        "the log's share is record lines + 1"
     );
     // an empty FASE logs nothing, so only the data fence remains
     let before = rt.region().stats();
@@ -345,94 +297,4 @@ fn a_fase_costs_one_log_persist_per_group_and_the_epoch_bump() {
     assert_eq!(after.fences - before.fences, 1);
     assert_eq!(after.flushes - before.flushes, 0);
     assert_eq!(after.stores - before.stores, 0);
-}
-
-fn old_data() -> Vec<u8> {
-    (0..DATA).map(|i| (i % 251) as u8).collect()
-}
-
-/// A FASE by hand over a bare region and log: log `ranges` — as one
-/// group, or every range in a group of its own, which elides nothing —
-/// then run the first `ops` of [stores…, one flush per store, fence,
-/// commit] and lose power under `mode`. Returns the recovered data.
-fn crashed_fase(
-    one_group: bool,
-    ranges: &[(u64, u64)],
-    stores: &[(usize, Vec<u8>)],
-    ops: usize,
-    mode: &CrashMode,
-) -> Vec<u8> {
-    let mut region = PmemRegion::new(DATA + LOG);
-    let mut log = UndoLog::format(&mut region, DATA, LOG);
-    region.write(0, &old_data());
-    region.persist(0, DATA);
-    if one_group {
-        log.append_group(&mut region, ranges).expect("fits");
-    } else {
-        for range in ranges {
-            log.append_group(&mut region, &[*range]).expect("fits");
-        }
-    }
-    let n = stores.len();
-    for op in 0..ops {
-        match op {
-            _ if op < n => region.write(stores[op].0, &stores[op].1),
-            _ if op < 2 * n => region.flush_range(stores[op - n].0, stores[op - n].1.len()),
-            _ if op == 2 * n => region.fence(),
-            _ => log.commit(&mut region),
-        }
-    }
-    region.crash(mode);
-    let mut log = UndoLog::open(&region, DATA, LOG).expect("formatted above");
-    log.recover(&mut region).expect("formatted above");
-    region.slice(0, DATA).to_vec()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Eliding covered ranges changes nothing recovery can see: random
-    /// overlapping write sets, random stores inside them and a crash at
-    /// a random point recover to the same bytes as the run that logs
-    /// every range.
-    #[test]
-    fn elision_recovers_the_bytes_that_logging_every_range_does(
-        ranges in prop::collection::vec((0u64..960, 0u64..64), 1..12),
-        picks in prop::collection::vec((any::<u32>(), any::<u32>(), any::<u32>(), any::<u8>()), 1..16),
-        crash_at in any::<u32>(),
-        seed in any::<u64>(),
-        mode_ix in 0usize..3,
-    ) {
-        // every store lies inside one announced range
-        let stores: Vec<(usize, Vec<u8>)> = picks
-            .iter()
-            .filter_map(|&(r, a, b, byte)| {
-                let (off, len) = ranges[r as usize % ranges.len()];
-                (len > 0).then(|| {
-                    let skip = a as u64 % len;
-                    let n = 1 + b as u64 % (len - skip);
-                    ((off + skip) as usize, vec![byte; n as usize])
-                })
-            })
-            .collect();
-        let commit = 2 * stores.len() + 2;
-        let ops = crash_at as usize % (commit + 1);
-        let mode = [
-            CrashMode::StrictDurableOnly,
-            CrashMode::AllInFlightLands,
-            CrashMode::random(0.5, 0.5, seed),
-        ][mode_ix]
-            .clone();
-        let elided = crashed_fase(true, &ranges, &stores, ops, &mode);
-        let reference = crashed_fase(false, &ranges, &stores, ops, &mode);
-        prop_assert_eq!(&elided, &reference, "{:?} {:?} ops {}", ranges, stores, ops);
-        // and both are the pre-image, or after the commit the post-image
-        let mut want = old_data();
-        if ops == commit {
-            for (off, bytes) in &stores {
-                want[*off..off + bytes.len()].copy_from_slice(bytes);
-            }
-        }
-        prop_assert_eq!(elided, want);
-    }
 }

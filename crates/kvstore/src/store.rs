@@ -193,9 +193,9 @@ mod tests {
 
     /// Regression: a thread panicking mid-FASE inside `with_shard` left
     /// the shard's runtime with an open section behind a poisoned lock;
-    /// the next op nested inside it (no commit ever ran again — a
-    /// client's `put` failed, its batch refused by the prelog check) and
-    /// the in-flight flush buffer leaked. Whoever takes the poisoned lock
+    /// the next op nested inside it (no commit ever ran again, so no
+    /// later write became durable) and the in-flight flush buffer
+    /// leaked. Whoever takes the poisoned lock
     /// next must heal the runtime so the lane keeps committing.
     #[test]
     fn poisoned_shard_lock_heals_the_abandoned_fase() {

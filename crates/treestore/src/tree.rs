@@ -165,8 +165,8 @@ use std::fmt;
 use std::ops::Range;
 
 use nvcache_fase::segments::SEGMENT;
-use nvcache_fase::{seal, FaseStats, RecoveryError, SealError, SegmentError, SegmentTable};
-use nvcache_pmem::{CrashMode, CrashPlan, LINE_SIZE};
+use nvcache_fase::{seal, RecoveryError, SealError, SegmentError, SegmentTable};
+use nvcache_pmem::{CrashMode, LINE_SIZE};
 
 use crate::pager::{FasePager, PageStore, TreeConfig, PAGE, PAGE_CLASS};
 
@@ -1636,36 +1636,6 @@ impl Tree<FasePager> {
         self.reload()?;
         Ok(healed)
     }
-
-    /// Drain buffered flush obligations (clean shutdown).
-    pub fn sync(&mut self) {
-        self.store.runtime_mut().sync();
-    }
-
-    /// Micro-step counter for crash-point injection.
-    pub fn steps(&self) -> u64 {
-        self.store.runtime().steps()
-    }
-
-    /// Arm a crash plan on the backing region.
-    pub fn arm_crash(&mut self, plan: CrashPlan) {
-        self.store.runtime_mut().arm_crash(plan);
-    }
-
-    /// Take the image captured by a tripped crash plan.
-    pub fn take_crash_image(&mut self) -> Option<Vec<u8>> {
-        self.store.runtime_mut().take_crash_image()
-    }
-
-    /// Persistence counters since creation.
-    pub fn stats(&self) -> FaseStats {
-        self.store.runtime().stats()
-    }
-
-    /// Persistence counters since the last take.
-    pub fn take_stats(&mut self) -> FaseStats {
-        self.store.runtime_mut().take_stats()
-    }
 }
 
 // ---- recovery ---------------------------------------------------------
@@ -1868,6 +1838,7 @@ mod tests {
     use super::*;
     use crate::pager::{MemPager, PageRead, PageWrite};
     use nvcache_fase::segments::CLASS_TABLE;
+    use nvcache_pmem::CrashPlan;
 
     fn mem_tree() -> Tree<MemPager> {
         Tree::format(MemPager::new()).unwrap()
@@ -2733,7 +2704,7 @@ mod tests {
     fn a_copy_onto_a_spare_is_atomic_at_every_micro_step() {
         let cfg = small_cfg();
         let mut t = leaf_with_a_spare(&cfg);
-        let (spare, first) = (t.slots[0].spare, t.steps());
+        let (spare, first) = (t.slots[0].spare, t.store().runtime().steps());
         let all = |t: &Tree<FasePager>| t.scan(None, 0, u64::MAX, usize::MAX);
         let old = all(&t);
         let txn = |t: &mut Tree<FasePager>| {
@@ -2749,7 +2720,7 @@ mod tests {
         new[5].1 = vec![4; 8];
         txn(&mut t);
         assert_eq!(all(&t), new);
-        let end = t.steps();
+        let end = t.store().runtime().steps();
         let image = t.store.runtime_mut().region().durable_image().to_vec();
         let back = Tree::reopen_from_image(image, &cfg).unwrap();
         assert_eq!((all(&back), back.slots[0].phys), (new.clone(), spare));
@@ -2761,12 +2732,16 @@ mod tests {
                 CrashMode::random(0.5, 0.5, at),
             ] {
                 let mut cut = leaf_with_a_spare(&cfg);
-                cut.arm_crash(CrashPlan {
+                cut.store_mut().runtime_mut().arm_crash(CrashPlan {
                     at_step: at,
                     mode: mode.clone(),
                 });
                 txn(&mut cut);
-                let crashed = cut.take_crash_image().expect("the step is in the txn");
+                let crashed = cut
+                    .store_mut()
+                    .runtime_mut()
+                    .take_crash_image()
+                    .expect("the step is in the txn");
                 let back = Tree::reopen_from_image(crashed, &cfg).unwrap();
                 let got = all(&back);
                 let ctx = format!("{mode:?} step {at}");
@@ -2807,18 +2782,23 @@ mod tests {
             t.commit();
         };
         let mut t = start();
-        let (first, old) = (t.steps(), all(&t));
+        let (first, old) = (t.store().runtime().steps(), all(&t));
         let mut new: BTreeMap<u64, Vec<u8>> = old.iter().cloned().collect();
         new.extend(puts.iter().cloned());
         let new: Vec<(u64, Vec<u8>)> = new.into_iter().collect();
         txn(&mut t);
         assert_eq!(all(&t), new, "the model");
-        let (end, lines) = (t.steps(), t.store.runtime().region().line_count());
+        let (end, lines) = (
+            t.store().runtime().steps(),
+            t.store.runtime().region().line_count(),
+        );
         let run = |plan| {
             let mut t = start();
-            t.arm_crash(plan);
+            t.store_mut().runtime_mut().arm_crash(plan);
             txn(&mut t);
-            t.take_crash_image()
+            t.store_mut()
+                .runtime_mut()
+                .take_crash_image()
                 .expect("the cut falls in the transaction")
         };
         let mut images = 0;
@@ -2958,10 +2938,10 @@ mod tests {
         let image = t.store.runtime_mut().region().durable_image().to_vec();
         let reopened = || Tree::reopen_from_image(image.clone(), &cfg).unwrap();
         let mut counted = reopened();
-        let first = counted.steps();
+        let first = counted.store().runtime().steps();
         txn(&mut counted);
         assert_eq!(counted.get(7).as_deref(), Some(&[3u8; 60][..]));
-        let end = counted.steps();
+        let end = counted.store().runtime().steps();
         let mut judged = 0;
         for at in first..end {
             for mode in [
@@ -2970,12 +2950,14 @@ mod tests {
                 CrashMode::random(0.5, 0.5, at),
             ] {
                 let mut cut = reopened();
-                cut.arm_crash(CrashPlan {
+                cut.store_mut().runtime_mut().arm_crash(CrashPlan {
                     at_step: at,
                     mode: mode.clone(),
                 });
                 txn(&mut cut);
                 let crashed = cut
+                    .store_mut()
+                    .runtime_mut()
                     .take_crash_image()
                     .expect("the step is in the transaction");
                 let back = Tree::reopen_from_image(crashed, &cfg).unwrap();
@@ -3027,7 +3009,7 @@ mod tests {
                 t.put(k, &[2; 40]).unwrap();
                 k += 1;
             }
-            let drained = t.steps();
+            let drained = t.store().runtime().steps();
             assert!(t.delete(3).unwrap());
             t.put(5, &[3; 40]).unwrap();
             t.commit();
@@ -3036,7 +3018,7 @@ mod tests {
         let mut counted = reopened();
         let from = txn(&mut counted);
         let new = counted.scan(None, 0, u64::MAX, usize::MAX);
-        let end = counted.steps();
+        let end = counted.store().runtime().steps();
         assert!(end - from > 8, "{} steps after the drain", end - from);
         let mut judged = 0;
         for at in from..end {
@@ -3049,12 +3031,16 @@ mod tests {
             let some_dirty = (0..8).map(|seed| CrashMode::random(1.0, 0.7, at << 8 | seed));
             for mode in modes.into_iter().chain(some_dirty) {
                 let mut cut = reopened();
-                cut.arm_crash(CrashPlan {
+                cut.store_mut().runtime_mut().arm_crash(CrashPlan {
                     at_step: at,
                     mode: mode.clone(),
                 });
                 txn(&mut cut);
-                let crashed = cut.take_crash_image().expect("the step is in the txn");
+                let crashed = cut
+                    .store_mut()
+                    .runtime_mut()
+                    .take_crash_image()
+                    .expect("the step is in the txn");
                 let back = Tree::reopen_from_image(crashed, &cfg).unwrap();
                 let got = back.scan(None, 0, u64::MAX, usize::MAX);
                 assert!(got == old || got == new, "{mode:?} step {at}: a mix");
@@ -3129,8 +3115,8 @@ mod tests {
         }
         t.commit();
         // arm a crash inside the next transaction's commit window
-        let at = t.steps() + 40;
-        t.arm_crash(CrashPlan {
+        let at = t.store().runtime().steps() + 40;
+        t.store_mut().runtime_mut().arm_crash(CrashPlan {
             at_step: at,
             mode: CrashMode::StrictDurableOnly,
         });
@@ -3139,7 +3125,11 @@ mod tests {
             t.put(k, &[k as u8; 32]).unwrap();
         }
         t.commit();
-        let image = t.take_crash_image().expect("plan must trip");
+        let image = t
+            .store_mut()
+            .runtime_mut()
+            .take_crash_image()
+            .expect("plan must trip");
         let t2 = Tree::reopen_from_image(image, &cfg).unwrap();
         // committed prefix: either the first 100 keys alone or all 140
         let n = t2.len();
@@ -3180,7 +3170,7 @@ mod tests {
         let pager = reopened();
         let first = pager.runtime().steps();
         let clean = Tree::attach(pager).unwrap();
-        let (voided, end) = (clean.voided_pages(), clean.steps());
+        let (voided, end) = (clean.voided_pages(), clean.store().runtime().steps());
         assert!(voided > 4, "the dead transaction left {voided} headers");
         assert_eq!(clean.scan(None, 0, u64::MAX, usize::MAX), model);
         for at in first..end {
@@ -3195,7 +3185,11 @@ mod tests {
                     mode: mode.clone(),
                 });
                 let mut cut = Tree::attach(pager).unwrap();
-                let image = cut.take_crash_image().expect("the step is in the pass");
+                let image = cut
+                    .store_mut()
+                    .runtime_mut()
+                    .take_crash_image()
+                    .expect("the step is in the pass");
                 let back = Tree::reopen_from_image(image, &cfg).unwrap();
                 assert_eq!(
                     back.scan(None, 0, u64::MAX, usize::MAX),

@@ -71,7 +71,7 @@ fn main() {
     println!("delete evens: len = {}", db.len());
     assert_eq!(db.len(), 500);
 
-    let stats = db.stats();
+    let stats = db.store().runtime().stats();
     println!(
         "runtime: {} stores, {} data flushes (ratio {:.4}), {} FASEs",
         stats.stores,

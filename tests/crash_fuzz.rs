@@ -47,33 +47,28 @@ fn all_modes(seed: u64) -> Vec<CrashMode> {
 }
 
 /// The acceptance matrix: all six policies × all three crash
-/// adversaries × grouped and per-store logging × several program
-/// seeds, crashing at every micro-step. The ring drain executes
-/// per-line micro-steps, so the armed crash plan cuts inside its
-/// coalesced sweeps. Must cover ≥ 1000 distinct (program, step, mode,
-/// policy, logging) schedules and pass the oracle on every one.
+/// adversaries × several program seeds, crashing at every micro-step.
+/// The ring drain executes per-line micro-steps, so the armed crash
+/// plan cuts inside its coalesced sweeps. Must cover ≥ 1000 distinct
+/// (program, step, mode, policy) schedules and pass the oracle on
+/// every one.
 #[test]
 fn full_matrix_every_step_every_policy_every_mode() {
     let mut schedules = 0u64;
-    for prelog in [false, true] {
-        let cfg = CrashFuzzConfig {
-            prelog,
-            ..CrashFuzzConfig::default()
-        };
-        for kind in all_policies() {
-            for seed in 0..2u64 {
-                for mode in all_modes(seed) {
-                    let r = crash_fuzz(&kind, &mode, seed, &cfg);
-                    assert!(
-                        r.passed(),
-                        "policy {} mode {:?} prelog {prelog} seed {seed}: {} failures, first: {:?}",
-                        kind.label(),
-                        mode,
-                        r.failure_count,
-                        r.failures.first()
-                    );
-                    schedules += r.schedules;
-                }
+    let cfg = CrashFuzzConfig::default();
+    for kind in all_policies() {
+        for seed in 0..2u64 {
+            for mode in all_modes(seed) {
+                let r = crash_fuzz(&kind, &mode, seed, &cfg);
+                assert!(
+                    r.passed(),
+                    "policy {} mode {:?} seed {seed}: {} failures, first: {:?}",
+                    kind.label(),
+                    mode,
+                    r.failure_count,
+                    r.failures.first()
+                );
+                schedules += r.schedules;
             }
         }
     }
@@ -86,34 +81,31 @@ fn full_matrix_every_step_every_policy_every_mode() {
 /// The concurrent-submission matrix: with `clients > 1` each FASE is a
 /// cross-client group commit — several submitters' store streams
 /// drained into one batch, the shape the shard worker produces. All six
-/// policies × all three adversaries × grouped and per-store logging,
-/// crashing at every micro-step: recovery must always land on a whole
-/// number of batches, never exposing one client's writes without the
-/// rest of the same acknowledged group.
+/// policies × all three adversaries, crashing at every micro-step:
+/// recovery must always land on a whole number of batches, never
+/// exposing one client's writes without the rest of the same
+/// acknowledged group.
 #[test]
 fn concurrent_submission_matrix_never_tears_a_group() {
     let mut schedules = 0u64;
-    for prelog in [false, true] {
-        let cfg = CrashFuzzConfig {
-            fases: 3,
-            stores_per_fase: 4,
-            clients: 4,
-            prelog,
-            ..CrashFuzzConfig::default()
-        };
-        for kind in all_policies() {
-            for mode in all_modes(17) {
-                let r = crash_fuzz(&kind, &mode, 17, &cfg);
-                assert!(
-                    r.passed(),
-                    "policy {} mode {:?} prelog {prelog} clients 4: {} failures, first: {:?}",
-                    kind.label(),
-                    mode,
-                    r.failure_count,
-                    r.failures.first()
-                );
-                schedules += r.schedules;
-            }
+    let cfg = CrashFuzzConfig {
+        fases: 3,
+        stores_per_fase: 4,
+        clients: 4,
+        ..CrashFuzzConfig::default()
+    };
+    for kind in all_policies() {
+        for mode in all_modes(17) {
+            let r = crash_fuzz(&kind, &mode, 17, &cfg);
+            assert!(
+                r.passed(),
+                "policy {} mode {:?} clients 4: {} failures, first: {:?}",
+                kind.label(),
+                mode,
+                r.failure_count,
+                r.failures.first()
+            );
+            schedules += r.schedules;
         }
     }
     assert!(
@@ -130,19 +122,14 @@ fn concurrent_submission_matrix_never_tears_a_group() {
 #[test]
 fn double_crash_recovery_is_idempotent() {
     let kind = PolicyKind::ScFixed { capacity: 4 };
-    for prelog in [false, true] {
-        let cfg = CrashFuzzConfig {
-            prelog,
-            ..CrashFuzzConfig::default()
-        };
-        for seed in 0..4u64 {
-            let r = crash_fuzz(&kind, &CrashMode::random(0.5, 0.5, seed), seed, &cfg);
-            assert!(
-                r.schedules > 0 && r.passed(),
-                "seed {seed}: {:?}",
-                r.failures.first()
-            );
-        }
+    let cfg = CrashFuzzConfig::default();
+    for seed in 0..4u64 {
+        let r = crash_fuzz(&kind, &CrashMode::random(0.5, 0.5, seed), seed, &cfg);
+        assert!(
+            r.schedules > 0 && r.passed(),
+            "seed {seed}: {:?}",
+            r.failures.first()
+        );
     }
 }
 
@@ -164,19 +151,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Property form: arbitrary program seeds and adversary seeds, a
-    /// strided sample of crash steps, any policy, grouped or per-store
-    /// logging — the oracle holds.
+    /// strided sample of crash steps, any policy — the oracle holds.
     #[test]
     fn random_programs_recover_to_committed_snapshot(
         seed in any::<u64>(),
         policy_ix in 0usize..6,
         mode_ix in 0usize..3,
         stride in 3u64..11,
-        prelog in any::<bool>(),
     ) {
         let cfg = CrashFuzzConfig {
             step_stride: stride,
-            prelog,
             ..Default::default()
         };
         let kind = all_policies()[policy_ix].clone();

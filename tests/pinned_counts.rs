@@ -1,4 +1,4 @@
-//! The persistence counts of two fixed programs, as literals.
+//! The persistence counts of three fixed programs, as literals.
 //!
 //! Every layer under `Shard::put_many` — the region's line tracking,
 //! the flush ring's drain, the shard's own planning — and every volatile structure of the tree — its remap,
@@ -194,9 +194,16 @@
 //! 3 466 → 3 283, elided 225 → 212 and sweeps 1 442 → 1 520. The tree's
 //! `len` and `height`, its segments, FASEs, fences and drains,
 //! `LogStats` and the shard program did not move.
+//! Neither engine logs, so a third program pins the undo log's own
+//! traffic: a bare runtime whose every store is logged as one group of
+//! the words it changes. Its literals were recorded before the runtime's
+//! second append path (a FASE's whole write set announced up front as
+//! one covering group) went, and did not move when it did: the group a
+//! store logs is the log's only writer, and its bytes are what they
+//! were.
 
 use nvcache::core::PolicyKind;
-use nvcache::fase::{FaseStats, LogStats};
+use nvcache::fase::{FaseRuntime, FaseStats, LogStats};
 use nvcache::kvstore::{Shard, ShardConfig};
 use nvcache::pmem::{CrashMode, PmemStats, RingStats};
 use nvcache::treestore::{Tree, TreeConfig};
@@ -338,7 +345,7 @@ fn tree_txn_program_counts_are_pinned() {
     assert_eq!(t.free_pages(), 32);
     // 367 pages: 23 segments carved
     assert_eq!(t.pages_allocated().div_ceil(16), 23);
-    assert_eq!(t.steps(), 6_970);
+    assert_eq!(t.store().runtime().steps(), 6_970);
     let rt = t.store_mut().runtime_mut();
     assert_eq!(
         rt.region().stats(),
@@ -417,4 +424,74 @@ fn tree_program_flushes_do_not_depend_on_the_policy() {
     for (_, ring) in [eager, sc, lazy] {
         assert_eq!(ring.submitted - ring.flushed, ring.elided);
     }
+}
+
+/// 200 seeded FASEs on a bare runtime with an undo log under SC-8,
+/// every store logged: 8-byte stores at seeded offsets, 40-byte stores
+/// that change two runs of words (words 0 and 3 of five, so the runs do
+/// not merge), rewrites of the value a word already holds (no group),
+/// and a power failure inside FASE 130. No engine logs, so this is the
+/// program that pins the undo log's own traffic.
+#[test]
+fn logged_fase_program_counts_are_pinned() {
+    const WORDS: usize = 256;
+    let mut rt = FaseRuntime::new(WORDS * 8, 1 << 14, &PolicyKind::ScFixed { capacity: 8 });
+    let mut rng = SmallRng::seed_from_u64(0x54_c0de);
+    for fase in 0..200u64 {
+        rt.begin_fase();
+        for _ in 0..rng.gen_range(1..9usize) {
+            let at = rng.gen_range(0..WORDS - 5) * 8;
+            match rng.gen_range(0..4u32) {
+                0 => {
+                    let mut bytes = rt.region().slice(at, 40).to_vec();
+                    bytes[..8].copy_from_slice(&rng.gen::<u64>().to_le_bytes());
+                    bytes[24..32].copy_from_slice(&rng.gen::<u64>().to_le_bytes());
+                    rt.store(at, &bytes);
+                }
+                1 => {
+                    let same = rt.load_u64(at);
+                    rt.store_u64(at, same);
+                }
+                _ => rt.store_u64(at, rng.gen()),
+            }
+        }
+        if fase == 130 {
+            rt.crash_and_recover(&CrashMode::AllInFlightLands);
+        } else {
+            rt.end_fase();
+        }
+    }
+    assert_eq!(rt.steps(), 4_589);
+    assert_eq!(
+        rt.region().stats(),
+        PmemStats {
+            bytes_written: 38_472,
+            stores: 1_689,
+            flushes: 1_886,
+            fences: 1_014,
+            crashes: 1,
+        }
+    );
+    // every record is one changed word (a 40-byte store logs two), and
+    // 19 committed FASEs only rewrote what they found: they logged
+    // nothing and committed without an epoch line (181 = 199 − 19 + the
+    // recovery's)
+    let log = rt.log_stats();
+    assert_eq!(log.entries, 836);
+    assert_eq!(log.commits, 199);
+    assert_eq!(log.rollbacks, 1);
+    assert_eq!(log.bytes_logged, 836 * 8);
+    assert_eq!(log.record_lines, 798);
+    assert_eq!(log.commit_lines, 181);
+    assert_eq!(
+        rt.stats(),
+        FaseStats {
+            fases: 199,
+            stores: 862,
+            store_lines: 977,
+            data_flushes: 895,
+            fences: 199,
+            rollbacks: 1,
+        }
+    );
 }

@@ -55,11 +55,6 @@ pub struct CrashFuzzConfig {
     /// Crash-step stride: 1 replays every micro-step; `k` replays steps
     /// `first, first+k, …` (a deterministic sample for smoke runs).
     pub step_stride: u64,
-    /// Undo-log each FASE's write set up front as one group
-    /// ([`FaseRuntime::prelog`]) instead of store by store, so the
-    /// sweep covers both logging protocols' micro-steps (one group
-    /// persist or one per store) on the one flush path.
-    pub prelog: bool,
     /// Concurrent submitters per group commit. With `clients > 1` each
     /// FASE is a *cross-client batch*: every client contributes its own
     /// deterministic store stream and the worker drains them into one
@@ -79,7 +74,6 @@ impl Default for CrashFuzzConfig {
             stores_per_fase: 8,
             log_len: 1 << 14,
             step_stride: 1,
-            prelog: false,
             clients: 1,
         }
     }
@@ -166,14 +160,6 @@ fn run_program(
     let mut snapshots = snapshots;
     for fase in program {
         rt.begin_fase();
-        if cfg.prelog {
-            // capture the whole write set up front
-            let ranges: Vec<(u64, u64)> = fase
-                .iter()
-                .map(|&(slot, _)| ((SLOT_BASE + slot * 8) as u64, 8))
-                .collect();
-            rt.prelog(&ranges).expect("the log holds a FASE's slots");
-        }
         for &(slot, value) in fase {
             rt.store_u64(SLOT_BASE + slot * 8, value);
         }
@@ -374,7 +360,6 @@ mod tests {
             slots: 8,
             fases: 3,
             stores_per_fase: 4,
-            prelog: true,
             ..CrashFuzzConfig::default()
         };
         for mode in [
@@ -431,7 +416,6 @@ mod tests {
             fases: 3,
             stores_per_fase: 3,
             clients: 3,
-            prelog: true,
             ..CrashFuzzConfig::default()
         };
         for mode in [
