@@ -3,6 +3,11 @@
 //! Models the hardware L1D the paper measures with perf: `clflush`
 //! invalidates the line, so the program's next access to flushed data
 //! misses — the *indirect* cost of persistence (paper Section II-A).
+//!
+//! Each set holds its resident lines in recency order, most recent
+//! first, with no LRU ticks: an access scans its set once, moves a hit
+//! to the front, and on a miss inserts at the front and evicts the
+//! last line of a full set, so finding the victim takes no search.
 
 use nvcache_trace::Line;
 
@@ -71,12 +76,10 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Way {
     tag: u64,
-    valid: bool,
     dirty: bool,
-    lru: u64, // larger = more recent
 }
 
 /// The outcome of one access.
@@ -90,55 +93,56 @@ pub struct AccessResult {
 
 /// A set-associative, write-back, write-allocate cache with true-LRU
 /// replacement within each set.
+///
+/// Each set keeps its resident lines in recency order, most recent
+/// first, in `associativity` slots of one flat array: a hit moves its
+/// line to the front, a miss shifts the set down one slot and inserts
+/// at the front, evicting the last line only when the set is full, and
+/// a flush closes the gap it leaves. The victim is therefore always the
+/// least recently used resident line, found without a search, and no
+/// per-line age is kept.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    cfg: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    assoc: usize,
+    /// `assoc` slots per set; set `s`'s resident lines are
+    /// `ways[s * assoc..][..len[s]]`, most recent first.
+    ways: Vec<Way>,
+    len: Vec<usize>,
     // Set-index fast path: when the set count is a power of two (every
     // realistic geometry, incl. the 64-set L1D) the per-access div/mod
     // folds to shift/mask. `set_shift == u32::MAX` marks the generic
     // div/mod path for odd set counts.
     set_mask: u64,
     set_shift: u32,
-    tick: u64,
     stats: CacheStats,
 }
 
 impl SetAssocCache {
-    /// Build a cache with the given geometry.
+    /// Build a cache with the given geometry. Panics unless `lines` is a
+    /// nonzero multiple of `associativity`.
     pub fn new(cfg: CacheConfig) -> Self {
-        assert!(cfg.associativity > 0 && cfg.lines >= cfg.associativity);
-        let sets = vec![
-            vec![
-                Way {
-                    tag: 0,
-                    valid: false,
-                    dirty: false,
-                    lru: 0
-                };
-                cfg.associativity
-            ];
-            cfg.sets()
-        ];
-        let n = sets.len() as u64;
+        let CacheConfig {
+            lines,
+            associativity: assoc,
+        } = cfg;
+        assert!(
+            assoc > 0 && lines >= assoc && lines % assoc == 0,
+            "cache geometry {lines} lines × {assoc} ways: lines must be a nonzero multiple of ways"
+        );
+        let n = cfg.sets() as u64;
         let (set_mask, set_shift) = if n.is_power_of_two() {
             (n - 1, n.trailing_zeros())
         } else {
             (0, u32::MAX)
         };
         SetAssocCache {
-            cfg,
-            sets,
+            assoc,
+            ways: vec![Way::default(); lines],
+            len: vec![0; cfg.sets()],
             set_mask,
             set_shift,
-            tick: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    /// Geometry.
-    pub fn config(&self) -> CacheConfig {
-        self.cfg
     }
 
     /// Counters.
@@ -149,52 +153,93 @@ impl SetAssocCache {
     /// Decompose a line id into (set index, tag). Identical results on
     /// both paths: for a power-of-two set count `n`, `x & (n−1) == x % n`
     /// and `x >> log2(n) == x / n`.
-    #[inline]
+    #[inline(always)]
     fn split(&self, line: Line) -> (usize, u64) {
         if self.set_shift != u32::MAX {
             ((line.0 & self.set_mask) as usize, line.0 >> self.set_shift)
         } else {
-            let n = self.sets.len() as u64;
+            let n = self.len.len() as u64;
             ((line.0 % n) as usize, line.0 / n)
         }
+    }
+
+    /// The line's set, and the line's position in it when resident.
+    #[inline(always)]
+    fn find(&self, line: Line) -> (usize, Option<usize>) {
+        let (sidx, tag) = self.split(line);
+        let base = sidx * self.assoc;
+        let set = &self.ways[base..base + self.len[sidx]];
+        (sidx, set.iter().position(|w| w.tag == tag))
+    }
+
+    /// Drop the line at position `p` of set `sidx` and close the gap.
+    #[inline(always)]
+    fn remove(&mut self, sidx: usize, p: usize) {
+        let (base, n) = (sidx * self.assoc, self.len[sidx]);
+        let set = &mut self.ways[base..base + n];
+        for i in p + 1..n {
+            set[i - 1] = set[i];
+        }
+        self.len[sidx] = n - 1;
     }
 
     /// Perform a load or store of `line`.
     #[inline]
     pub fn access(&mut self, line: Line, kind: AccessKind) -> AccessResult {
-        self.tick += 1;
-        let tick = self.tick;
+        self.access_or_evicted(line, kind, false)
+    }
+
+    /// Perform a load or store of `line` that, when `evicted`, first
+    /// finds the line evicted from outside: a resident line is dropped
+    /// uncounted, as [`SetAssocCache::invalidate_silent`] drops it, and
+    /// the access misses. One scan of the set either way.
+    #[inline(always)]
+    pub fn access_or_evicted(
+        &mut self,
+        line: Line,
+        kind: AccessKind,
+        evicted: bool,
+    ) -> AccessResult {
         let (sidx, tag) = self.split(line);
-        let sets_len = self.sets.len() as u64;
-        let set = &mut self.sets[sidx];
-
-        if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.lru = tick;
-            if kind == AccessKind::Write {
-                w.dirty = true;
+        let (base, mut n) = (sidx * self.assoc, self.len[sidx]);
+        let write = kind == AccessKind::Write;
+        if let Some(p) = self.ways[base..base + n].iter().position(|w| w.tag == tag) {
+            if !evicted {
+                let set = &mut self.ways[base..base + n];
+                let mut hit = set[p];
+                hit.dirty |= write;
+                for i in (0..p).rev() {
+                    set[i + 1] = set[i];
+                }
+                set[0] = hit;
+                self.stats.hits += 1;
+                return AccessResult {
+                    hit: true,
+                    writeback: None,
+                };
             }
-            self.stats.hits += 1;
-            return AccessResult {
-                hit: true,
-                writeback: None,
-            };
+            self.remove(sidx, p);
+            n -= 1;
         }
-
         self.stats.misses += 1;
-        // victim: invalid way if any, else LRU
-        let victim = set
-            .iter_mut()
-            .min_by_key(|w| if w.valid { w.lru + 1 } else { 0 })
-            .expect("associativity > 0");
         let mut writeback = None;
-        if victim.valid && victim.dirty {
-            writeback = Some(Line(victim.tag * sets_len + sidx as u64));
-            self.stats.evict_writebacks += 1;
+        let set = &mut self.ways[base..base + self.assoc];
+        let last = if n == set.len() {
+            let victim = set[n - 1];
+            if victim.dirty {
+                let sets = self.len.len() as u64;
+                writeback = Some(Line(victim.tag * sets + sidx as u64));
+                self.stats.evict_writebacks += 1;
+            }
+            n - 1
+        } else {
+            self.len[sidx] = n + 1;
+            n
+        };
+        for i in (0..last).rev() {
+            set[i + 1] = set[i];
         }
-        victim.tag = tag;
-        victim.valid = true;
-        victim.dirty = kind == AccessKind::Write;
-        victim.lru = tick;
+        set[0] = Way { tag, dirty: write };
         AccessResult {
             hit: false,
             writeback,
@@ -203,29 +248,23 @@ impl SetAssocCache {
 
     /// `clflush` semantics: write back (if dirty) and invalidate the
     /// line. Returns true iff the line was present.
-    #[inline]
+    #[inline(always)]
     pub fn flush(&mut self, line: Line) -> bool {
-        let (sidx, tag) = self.split(line);
-        let set = &mut self.sets[sidx];
-        if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.valid = false;
-            w.dirty = false;
+        let present = self.invalidate_silent(line);
+        if present {
             self.stats.flush_present += 1;
-            true
         } else {
             self.stats.flush_absent += 1;
-            false
         }
+        present
     }
 
     /// `clwb` semantics: write the line back (clear dirty) but keep it
     /// resident — the program's next access still hits.
     #[inline]
     pub fn writeback_keep(&mut self, line: Line) -> bool {
-        let (sidx, tag) = self.split(line);
-        let set = &mut self.sets[sidx];
-        if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.dirty = false;
+        if let (sidx, Some(p)) = self.find(line) {
+            self.ways[sidx * self.assoc + p].dirty = false;
             self.stats.flush_present += 1;
             true
         } else {
@@ -236,39 +275,29 @@ impl SetAssocCache {
 
     /// Invalidate without counting as a flush — used by the contention
     /// model to evict a line "from outside" (another core / the OS).
-    #[inline]
+    #[inline(always)]
     pub fn invalidate_silent(&mut self, line: Line) -> bool {
-        let (sidx, tag) = self.split(line);
-        let set = &mut self.sets[sidx];
-        if let Some(w) = set.iter_mut().find(|w| w.valid && w.tag == tag) {
-            w.valid = false;
-            w.dirty = false;
-            true
-        } else {
-            false
+        let (sidx, pos) = self.find(line);
+        if let Some(p) = pos {
+            self.remove(sidx, p);
         }
+        pos.is_some()
     }
 
     /// Is the line currently cached?
     pub fn contains(&self, line: Line) -> bool {
-        let (sidx, tag) = self.split(line);
-        self.sets[sidx].iter().any(|w| w.valid && w.tag == tag)
+        self.find(line).1.is_some()
     }
 
     /// Is the line cached and dirty?
     pub fn is_dirty(&self, line: Line) -> bool {
-        let (sidx, tag) = self.split(line);
-        self.sets[sidx]
-            .iter()
-            .any(|w| w.valid && w.dirty && w.tag == tag)
+        let (sidx, pos) = self.find(line);
+        pos.is_some_and(|p| self.ways[sidx * self.assoc + p].dirty)
     }
 
     /// Number of valid lines currently resident.
     pub fn resident(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.iter().filter(|w| w.valid).count())
-            .sum()
+        self.len.iter().sum()
     }
 }
 
@@ -433,6 +462,16 @@ mod tests {
         assert!(c.contains(b) && c.contains(d) && !c.contains(a));
         assert!(c.flush(d));
         assert!(!c.contains(d));
+    }
+
+    #[test]
+    #[should_panic(expected = "12 lines × 5 ways")]
+    fn a_geometry_that_is_not_whole_sets_is_refused() {
+        // two 5-way sets hold 10 lines, not the 12 asked for
+        SetAssocCache::new(CacheConfig {
+            lines: 12,
+            associativity: 5,
+        });
     }
 
     #[test]

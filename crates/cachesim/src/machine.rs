@@ -180,17 +180,21 @@ impl Machine {
         self.now += instructions;
     }
 
-    #[inline]
-    fn contended(&mut self, line: Line) {
-        if self.contention_bound > 0 && self.rng.next_u64() >> 11 < self.contention_bound {
-            self.l1.invalidate_silent(line);
-        }
+    /// The contention draw: does this access find its line evicted from
+    /// outside? One draw per load or store when the probability is
+    /// positive, none otherwise.
+    #[inline(always)]
+    fn contended(&mut self) -> bool {
+        self.contention_bound > 0 && self.rng.next_u64() >> 11 < self.contention_bound
     }
 
-    #[inline]
+    /// One load or store: the contention draw, then one access to the
+    /// L1 that, when the draw hit, drops the line first and misses
+    /// ([`SetAssocCache::access_or_evicted`]).
+    #[inline(always)]
     fn access(&mut self, line: Line, kind: AccessKind, base: u64) {
-        self.contended(line);
-        let r = self.l1.access(line, kind);
+        let evicted = self.contended();
+        let r = self.l1.access_or_evicted(line, kind, evicted);
         self.now += base;
         if !r.hit {
             self.now += self.cfg.timing.t_miss;
@@ -198,14 +202,14 @@ impl Machine {
     }
 
     /// A persistent store to `line`.
-    #[inline]
+    #[inline(always)]
     pub fn store(&mut self, line: Line) {
         self.instructions += self.cfg.instr_store;
         self.access(line, AccessKind::Write, self.cfg.timing.t_store);
     }
 
     /// A load from `line`.
-    #[inline]
+    #[inline(always)]
     pub fn load(&mut self, line: Line) {
         self.instructions += 1;
         self.access(line, AccessKind::Read, 1);
@@ -213,7 +217,7 @@ impl Machine {
 
     /// Issue an asynchronous flush of `line` (mid-FASE eviction): the
     /// write-back overlaps computation unless the queue is saturated.
-    #[inline]
+    #[inline(always)]
     pub fn flush_async(&mut self, line: Line) {
         self.instructions += self.cfg.instr_flush;
         if self.cfg.flush_invalidates {
@@ -267,11 +271,6 @@ impl Machine {
             queue_stall_cycles: self.queue.stall_cycles.saturating_sub(self.fase_stall),
             fase_stall_cycles: self.fase_stall,
         }
-    }
-
-    /// Peek at the L1 (tests).
-    pub fn l1(&self) -> &SetAssocCache {
-        &self.l1
     }
 }
 

@@ -67,8 +67,6 @@ pub struct FlushQueue {
     inflight: VecDeque<u64>,
     /// Total cycles threads have stalled waiting for a free slot.
     pub stall_cycles: u64,
-    /// Total flushes that passed through the queue.
-    pub issued: u64,
 }
 
 impl FlushQueue {
@@ -81,7 +79,6 @@ impl FlushQueue {
             service,
             inflight: VecDeque::with_capacity(slots),
             stall_cycles: 0,
-            issued: 0,
         }
     }
 
@@ -108,7 +105,6 @@ impl FlushQueue {
         }
         let start = self.inflight.back().copied().unwrap_or(t).max(t);
         self.inflight.push_back(start + self.service);
-        self.issued += 1;
         t
     }
 
@@ -141,13 +137,6 @@ impl FlushQueue {
     #[inline]
     pub fn depth_at(&self, now: u64) -> usize {
         self.inflight.iter().filter(|&&c| c > now).count()
-    }
-
-    /// Number of flushes currently in flight at cycle `now`. Pure alias
-    /// of [`FlushQueue::depth_at`] (it used to retire completed entries
-    /// as a side effect; observation is now read-only).
-    pub fn outstanding(&self, now: u64) -> usize {
-        self.depth_at(now)
     }
 }
 
@@ -191,7 +180,7 @@ mod tests {
         assert_eq!(done, 110);
         assert_eq!(q.stall_cycles, 100);
         // queue drained by the sync
-        assert_eq!(q.outstanding(done), 0);
+        assert_eq!(q.depth_at(done), 0);
     }
 
     #[test]
@@ -222,7 +211,7 @@ mod tests {
         assert_eq!(q.depth_at(0), 2);
         assert_eq!(q.depth_at(150), 1, "completed head skipped, not popped");
         assert_eq!(q.depth_at(500), 0);
-        assert_eq!(q.outstanding(150), 1);
+        assert_eq!(q.depth_at(150), 1);
         assert_eq!(q, unprobed, "probing left the queue untouched");
         // identical future behaviour
         let mut probed = q;

@@ -202,10 +202,12 @@
 //! store logs is the log's only writer, and its bytes are what they
 //! were.
 
-use nvcache::core::PolicyKind;
+use nvcache::cachesim::{CacheStats, MachineConfig, MachineReport};
+use nvcache::core::{run_policy, AdaptiveConfig, PolicyKind, RunConfig};
 use nvcache::fase::{FaseRuntime, FaseStats, LogStats};
 use nvcache::kvstore::{Shard, ShardConfig};
 use nvcache::pmem::{CrashMode, PmemStats, RingStats};
+use nvcache::trace::{Line, ThreadTrace, Trace};
 use nvcache::treestore::{Tree, TreeConfig};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -495,3 +497,189 @@ fn logged_fase_program_counts_are_pinned() {
         }
     );
 }
+
+/// One replayed thread's program: 150 seeded FASEs of 1..=48 stores,
+/// 70 % of them to 48 hot lines and the rest over 1 024, with loads
+/// and work between them. One FASE in eight streams 600 loads through
+/// the 512-line L1 halfway through, so dirty lines are evicted before
+/// the policy flushes them.
+fn replay_thread(seed: u64) -> ThreadTrace {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut t = ThreadTrace::new();
+    for _ in 0..150 {
+        t.fase_begin();
+        let stores = rng.gen_range(1..49u32);
+        let stream = rng.gen_range(0..8u32) == 0;
+        for i in 0..stores {
+            let line = if rng.gen_range(0..10u32) < 7 {
+                rng.gen_range(0..48u64)
+            } else {
+                rng.gen_range(0..1_024u64)
+            };
+            t.write(Line(line));
+            if rng.gen_range(0..10u32) < 3 {
+                t.read(Line(rng.gen_range(0..2_048u64)));
+            }
+            if stream && i == stores / 2 {
+                let base = rng.gen_range(4_096..8_192u64);
+                (base..base + 600).for_each(|l| t.read(Line(l)));
+            }
+            t.work(rng.gen_range(0..6u32));
+        }
+        t.fase_end();
+        t.work(rng.gen_range(0..40u32));
+    }
+    t
+}
+
+/// A [`MachineReport`] as a row of named fields; the destructuring is
+/// exhaustive, so a field added to the report fails to compile here.
+fn report_fields(r: &MachineReport) -> [(&'static str, u64); 11] {
+    let MachineReport {
+        cycles,
+        instructions,
+        l1:
+            CacheStats {
+                hits,
+                misses,
+                evict_writebacks,
+                flush_present,
+                flush_absent,
+            },
+        flushes_async,
+        flushes_sync,
+        queue_stall_cycles,
+        fase_stall_cycles,
+    } = *r;
+    [
+        ("cycles", cycles),
+        ("instructions", instructions),
+        ("hits", hits),
+        ("misses", misses),
+        ("evict_writebacks", evict_writebacks),
+        ("flush_present", flush_present),
+        ("flush_absent", flush_absent),
+        ("flushes_async", flushes_async),
+        ("flushes_sync", flushes_sync),
+        ("queue_stall_cycles", queue_stall_cycles),
+        ("fase_stall_cycles", fase_stall_cycles),
+    ]
+}
+
+/// Every [`MachineReport`] field of every thread of one replayed
+/// program, under all six policies, with `clflush` and with `clwb`:
+/// the simulated L1, write-back queue and contention draw may get
+/// faster, but no cycle, miss, write-back or flush may move. Threads 0
+/// and 1 share one buffer (one replica group, one policy pass, two
+/// machines seeded apart); threads 2 and 3 each own theirs. The
+/// contention probability is the 8-thread calibration's, so the draw
+/// evicts lines on every thread. `flush_present`, `flush_absent` and
+/// `evict_writebacks` appear in no printed table, so this is their
+/// only check.
+#[test]
+fn replay_program_reports_are_pinned() {
+    let mut trace = Trace::replicated(replay_thread(1), 2);
+    trace.threads.push(replay_thread(2).into());
+    trace.threads.push(replay_thread(3).into());
+    let policies = [
+        PolicyKind::Eager,
+        PolicyKind::Lazy,
+        PolicyKind::Atlas { size: 8 },
+        PolicyKind::ScFixed { capacity: 16 },
+        PolicyKind::ScAdaptive(AdaptiveConfig {
+            burst_len: 256,
+            ..Default::default()
+        }),
+        PolicyKind::Best,
+    ];
+    let mut want = REPLAY_REPORTS.iter();
+    for flush_invalidates in [true, false] {
+        for kind in &policies {
+            let cfg = RunConfig {
+                machine: MachineConfig {
+                    contention_miss_prob: 0.105,
+                    flush_invalidates,
+                    ..Default::default()
+                },
+            };
+            let report = run_policy(&trace, kind, &cfg);
+            assert_eq!(report.per_thread.len(), 4);
+            for (tid, r) in report.per_thread.iter().enumerate() {
+                let row = want.next().expect("a pinned row per thread");
+                let at = format!("{} flush_invalidates={flush_invalidates}", kind.label());
+                for ((name, v), w) in report_fields(r).into_iter().zip(row) {
+                    assert_eq!(v, *w, "{at} thread {tid}: {name}");
+                }
+            }
+        }
+    }
+    assert!(want.next().is_none(), "every pinned row was compared");
+}
+
+/// One row per thread, in the order `cycles`, `instructions`, `hits`,
+/// `misses`, `evict_writebacks`, `flush_present`, `flush_absent`,
+/// `flushes_async`, `flushes_sync`, `queue_stall_cycles`,
+/// `fase_stall_cycles` ([`report_fields`]).
+#[rustfmt::skip]
+const REPLAY_REPORTS: [[u64; 11]; 48] = [
+    // ER, clflush
+    [1734317, 74218, 1127, 19913,    0, 3735,   0, 3735,    0,    0,   7259],
+    [1733850, 74218, 1132, 19908,    0, 3735,   0, 3735,    0,    0,   7192],
+    [1202747, 64383,  726, 13435,    0, 3488,   0, 3488,    0,    0,   7469],
+    [1759993, 75734,  971, 20205,    0, 3814,   0, 3814,    0,    0,   6874],
+    // LA, clflush
+    [1913668, 79993, 1492, 19548,  359, 2855, 315,    0, 3170,    0, 221900],
+    [1913028, 79993, 1500, 19540,  359, 2855, 315,    0, 3170,    0, 221900],
+    [1374240, 69916, 1063, 13098,  160, 2868, 139,    0, 3007,    0, 210490],
+    [1942547, 81772, 1413, 19763,  323, 2997, 287,    0, 3284,    0, 229880],
+    // AT, clflush
+    [1786202, 77236, 1307, 19733,  172, 3334, 162, 2468, 1028,    0,  75545],
+    [1785247, 77236, 1318, 19722,  172, 3334, 162, 2468, 1028,    0,  75470],
+    [1256820, 67205,  874, 13287,   88, 3184,  82, 2244, 1022,    0,  75222],
+    [1812552, 78837, 1168, 20008,  164, 3425, 152, 2530, 1047,    0,  77067],
+    // SC-offline, clflush
+    [1849481, 84055, 1416, 19624,  333, 2974, 305, 1242, 2037,    0, 145282],
+    [1848761, 84055, 1425, 19615,  333, 2974, 305, 1242, 2037,    0, 145282],
+    [1315345, 73719,  984, 13177,  146, 2978, 134, 1159, 1953,    0, 139267],
+    [1874498, 85880, 1342, 19834,  297, 3108, 274, 1276, 2106,    0, 149985],
+    // SC, clflush
+    [1912646, 86595, 1478, 19562,  350, 2877, 310,  152, 3035,    0, 212799],
+    [1912006, 86595, 1486, 19554,  350, 2877, 310,  152, 3035,    0, 212799],
+    [1369559, 76283, 1044, 13117,  160, 2889, 139,  216, 2812,    0, 197481],
+    [1941738, 88471, 1391, 19785,  323, 3020, 287,  166, 3141,    0, 220129],
+    // BEST, clflush
+    [1531363, 59278, 2406, 18634, 1852,    0,   0,    0,    0,    0,      0],
+    [1531283, 59278, 2407, 18633, 1850,    0,   0,    0,    0,    0,      0],
+    [ 984478, 50431, 2271, 11890, 1506,    0,   0,    0,    0,    0,      0],
+    [1536969, 60478, 2481, 18695, 2014,    0,   0,    0,    0,    0,      0],
+    // ER, clwb
+    [1638693, 74218, 2406, 18634,    0, 3735,   0, 3735,    0, 1396,  12559],
+    [1638605, 74218, 2407, 18633,    0, 3735,   0, 3735,    0, 1520,  12427],
+    [1087008, 64383, 2271, 11890,    0, 3488,   0, 3488,    0, 1723,  13607],
+    [1645232, 75734, 2481, 18695,    0, 3814,   0, 3814,    0, 1198,  11715],
+    // LA, clwb
+    [1840548, 79993, 2406, 18634,  359, 2855, 315,    0, 3170,    0, 221900],
+    [1840468, 79993, 2407, 18633,  359, 2855, 315,    0, 3170,    0, 221900],
+    [1277600, 69916, 2271, 11890,  160, 2868, 139,    0, 3007,    0, 210490],
+    [1857107, 81772, 2481, 18695,  323, 2997, 287,    0, 3284,    0, 229880],
+    // AT, clwb
+    [1701359, 77236, 2406, 18634,  172, 3334, 162, 2468, 1028,  270,  78352],
+    [1701281, 77236, 2407, 18633,  172, 3334, 162, 2468, 1028,  507,  78117],
+    [1148624, 67205, 2271, 11890,   88, 3184,  82, 2244, 1022,  186,  78600],
+    [1710577, 78837, 2481, 18695,  164, 3425, 152, 2530, 1047,  147,  79985],
+    // SC-offline, clwb
+    [1771654, 84055, 2406, 18634,  333, 2974, 305, 1242, 2037,   90, 146565],
+    [1771521, 84055, 2407, 18633,  333, 2974, 305, 1242, 2037,  280, 146322],
+    [1214390, 73719, 2271, 11890,  146, 2978, 134, 1159, 1953,    0, 141272],
+    [1784525, 85880, 2481, 18695,  297, 3108, 274, 1276, 2106,    0, 151132],
+    // SC, clwb
+    [1838620, 86595, 2406, 18634,  350, 2877, 310,  152, 3035,    0, 213013],
+    [1838620, 86595, 2407, 18633,  350, 2877, 310,  152, 3035,    0, 213093],
+    [1271981, 76283, 2271, 11890,  160, 2889, 139,  216, 2812,    0, 198063],
+    [1854767, 88471, 2481, 18695,  323, 3020, 287,  166, 3141,    0, 220358],
+    // BEST, clwb
+    [1531363, 59278, 2406, 18634, 1852,    0,   0,    0,    0,    0,      0],
+    [1531283, 59278, 2407, 18633, 1850,    0,   0,    0,    0,    0,      0],
+    [ 984478, 50431, 2271, 11890, 1506,    0,   0,    0,    0,    0,      0],
+    [1536969, 60478, 2481, 18695, 2014,    0,   0,    0,    0,    0,      0],
+];

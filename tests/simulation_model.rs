@@ -2,86 +2,174 @@
 //! set-associative cache against a reference model, timing-model
 //! monotonicity, and the persistent-region flush/fence semantics.
 
-use nvcache::cachesim::{AccessKind, CacheConfig, Machine, MachineConfig, SetAssocCache};
+use nvcache::cachesim::cache::AccessResult;
+use nvcache::cachesim::{
+    AccessKind, CacheConfig, CacheStats, Machine, MachineConfig, SetAssocCache,
+};
 use nvcache::pmem::{CrashMode, PmemRegion};
 use nvcache::trace::Line;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-/// Reference model of one cache set: a plain LRU list of tags.
-#[derive(Default)]
-struct RefSet {
-    tags: Vec<(u64, bool)>, // (tag, dirty), back = MRU
-}
-
+/// Reference model of the whole cache: per set, a plain LRU list of
+/// `(tag, dirty)` with the most recent line at the back, and the
+/// counters [`SetAssocCache::stats`] keeps.
 struct RefCache {
-    sets: Vec<RefSet>,
+    sets: Vec<Vec<(u64, bool)>>,
     assoc: usize,
+    stats: CacheStats,
 }
 
 impl RefCache {
     fn new(cfg: CacheConfig) -> Self {
         RefCache {
-            sets: (0..cfg.sets()).map(|_| RefSet::default()).collect(),
+            sets: vec![Vec::new(); cfg.sets()],
             assoc: cfg.associativity,
+            stats: CacheStats::default(),
         }
     }
-    fn access(&mut self, line: Line, write: bool) -> bool {
+
+    /// The line's set, its tag and, when resident, its position in the set.
+    fn find(&mut self, line: Line) -> (&mut Vec<(u64, bool)>, u64, Option<usize>) {
         let n = self.sets.len() as u64;
         let set = &mut self.sets[(line.0 % n) as usize];
         let tag = line.0 / n;
-        if let Some(p) = set.tags.iter().position(|&(t, _)| t == tag) {
-            let (t, d) = set.tags.remove(p);
-            set.tags.push((t, d || write));
-            true
-        } else {
-            if set.tags.len() == self.assoc {
-                set.tags.remove(0);
+        let p = set.iter().position(|&(t, _)| t == tag);
+        (set, tag, p)
+    }
+
+    fn access(&mut self, line: Line, write: bool) -> AccessResult {
+        let n = self.sets.len() as u64;
+        let assoc = self.assoc;
+        let (set, tag, p) = self.find(line);
+        if let Some(p) = p {
+            let (t, d) = set.remove(p);
+            set.push((t, d || write));
+            self.stats.hits += 1;
+            return AccessResult {
+                hit: true,
+                writeback: None,
+            };
+        }
+        let mut writeback = None;
+        if set.len() == assoc {
+            let (t, dirty) = set.remove(0);
+            if dirty {
+                writeback = Some(Line(t * n + line.0 % n));
             }
-            set.tags.push((tag, write));
-            false
+        }
+        set.push((tag, write));
+        self.stats.misses += 1;
+        self.stats.evict_writebacks += writeback.is_some() as u64;
+        AccessResult {
+            hit: false,
+            writeback,
         }
     }
-    fn flush(&mut self, line: Line) -> bool {
-        let n = self.sets.len() as u64;
-        let set = &mut self.sets[(line.0 % n) as usize];
-        let tag = line.0 / n;
-        if let Some(p) = set.tags.iter().position(|&(t, _)| t == tag) {
-            set.tags.remove(p);
-            true
-        } else {
-            false
+
+    /// `clflush` (`keep: false`) or `clwb` (`keep: true`).
+    fn flush(&mut self, line: Line, keep: bool) -> bool {
+        let (set, _, p) = self.find(line);
+        let present = p.is_some();
+        match p {
+            Some(p) if keep => set[p].1 = false,
+            Some(p) => drop(set.remove(p)),
+            None => {}
         }
+        if present {
+            self.stats.flush_present += 1;
+        } else {
+            self.stats.flush_absent += 1;
+        }
+        present
+    }
+
+    fn invalidate_silent(&mut self, line: Line) -> bool {
+        let (set, _, p) = self.find(line);
+        p.map(|p| set.remove(p)).is_some()
+    }
+
+    fn contains(&mut self, line: Line) -> bool {
+        self.find(line).2.is_some()
+    }
+
+    fn is_dirty(&mut self, line: Line) -> bool {
+        let (set, _, p) = self.find(line);
+        p.is_some_and(|p| set[p].1)
+    }
+
+    fn resident(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
     }
 }
+
+/// An access that finds its line evicted from outside first, as the
+/// machine's contention draw does.
+fn contended_access(dut: &mut SetAssocCache, line: Line, kind: AccessKind) -> AccessResult {
+    dut.access_or_evicted(line, kind, true)
+}
+
+/// The geometries the model is checked on: 4 sets × 4 ways, 6 sets × 2
+/// ways (the div/mod set split), direct-mapped, and one fully
+/// associative set.
+const GEOMETRIES: [CacheConfig; 4] = [
+    CacheConfig {
+        lines: 16,
+        associativity: 4,
+    },
+    CacheConfig {
+        lines: 12,
+        associativity: 2,
+    },
+    CacheConfig {
+        lines: 8,
+        associativity: 1,
+    },
+    CacheConfig {
+        lines: 8,
+        associativity: 8,
+    },
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The set-associative cache agrees with an independent per-set LRU
-    /// reference on hits, misses, and flush outcomes.
+    /// reference on every operation of its API: each access's hit and
+    /// written-back line, each flush's, write-back's and silent
+    /// invalidation's outcome, an access contended from outside, and,
+    /// after every operation, the line's residency and dirtiness, the
+    /// resident count and every counter.
     #[test]
     fn cache_matches_reference(
-        ops in prop::collection::vec((0u64..64, 0u8..3), 0..400),
+        geometry in 0..GEOMETRIES.len(),
+        ops in prop::collection::vec((0u64..64, 0u8..7), 0..400),
     ) {
-        let cfg = CacheConfig { lines: 16, associativity: 4 };
+        let cfg = GEOMETRIES[geometry];
         let mut dut = SetAssocCache::new(cfg);
         let mut oracle = RefCache::new(cfg);
         for (line, op) in ops {
             let line = Line(line);
+            let write = op == 1 || op == 6;
+            let kind = if write { AccessKind::Write } else { AccessKind::Read };
             match op {
-                0 => {
-                    let hit = dut.access(line, AccessKind::Read).hit;
-                    prop_assert_eq!(hit, oracle.access(line, false));
+                0 | 1 => {
+                    let r = dut.access(line, kind);
+                    prop_assert_eq!(r, oracle.access(line, write));
                 }
-                1 => {
-                    let hit = dut.access(line, AccessKind::Write).hit;
-                    prop_assert_eq!(hit, oracle.access(line, true));
-                }
+                2 => prop_assert_eq!(dut.flush(line), oracle.flush(line, false)),
+                3 => prop_assert_eq!(dut.writeback_keep(line), oracle.flush(line, true)),
+                4 => prop_assert_eq!(dut.invalidate_silent(line), oracle.invalidate_silent(line)),
                 _ => {
-                    prop_assert_eq!(dut.flush(line), oracle.flush(line));
+                    let r = contended_access(&mut dut, line, kind);
+                    oracle.invalidate_silent(line);
+                    prop_assert_eq!(r, oracle.access(line, write));
                 }
             }
+            prop_assert_eq!(dut.contains(line), oracle.contains(line));
+            prop_assert_eq!(dut.is_dirty(line), oracle.is_dirty(line));
+            prop_assert_eq!(dut.resident(), oracle.resident());
+            prop_assert_eq!(dut.stats(), oracle.stats);
         }
     }
 
